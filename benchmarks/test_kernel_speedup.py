@@ -1,24 +1,20 @@
 """Kernel speedup gates: the batched crypto stack must beat the scalar path.
 
 Times the three LBL proxy phases (``prepare`` / ``process`` / ``finalize``)
-under four kernel configurations at the paper's default operating point
+under three kernel configurations at the paper's default operating point
 (160 B values, y=2 grouping, point-and-permute — §6 workload with both §10
 optimizations):
 
 * **scalar** — the per-label reference path (``batched=False``, no cache);
 * **batched** — fused ``PrfContext`` label derivation + ``encrypt_many``
   table encryption, cache disabled (every access is a cold build);
-* **batched+cache** — the stdlib kernel stack in steady state: a warm
+* **batched+cache** — the kernel stack in steady state: a warm
   :class:`~repro.core.lbl.cache.LabelCache` whose entries carry prefetched
-  next-epoch labels and AEAD key schedules, so ``prepare`` derives nothing;
-* **vector** — ``crypto_backend="vector"``: the warm cache additionally
-  carries keyed AEAD states, prefetched nonce/keystream blocks, and the
-  next-epoch label blob, so a warm ``prepare`` is a numpy matrix build
-  plus one tag MAC per table entry.
+  next-epoch labels and AEAD key schedules, so ``prepare`` derives nothing.
 
-The three stdlib configurations are measured under
-:func:`~repro.crypto.sha256_lanes.lanes_disabled` so they stay honest
-baselines on hosts where the vector pipeline would otherwise engage.
+All three are measured under
+:func:`~repro.crypto.sha256_lanes.lanes_disabled` so they time the stdlib
+loops whatever the host's lane calibration says.
 
 Timing is **best-of-N**: each phase's score is its *minimum* over
 ``ROUNDS`` accesses.  Phase times here are single-digit milliseconds, where
@@ -31,18 +27,12 @@ they hold on slow CI runners:
 1. ``batched+cache`` prepare >= 3x ``scalar`` prepare — the original gate;
 2. warm prepare >= 1.5x cold prepare — the cache must pay for itself;
 3. cold batched prepare >= scalar prepare — batching alone must never lose
-   (the CI smoke condition: fail if batched < scalar);
-4. ``vector`` prepare >= 2x ``batched+cache`` prepare — the lane-pipeline
-   tentpole gate;
-5. ``vector`` whole-access >= 2x ``scalar`` whole-access, and >= 0.9x the
-   stdlib warm stack — the prepare win must not be bought with a larger
-   whole-access regression.
+   (the CI smoke condition: fail if batched < scalar).
 
 Warm ``finalize`` is expected to be *slower* than scalar finalize — it
 absorbs the next epoch's label prefetch and key-schedule derivation, work
 deliberately moved off the request-build critical path (the request is
-already on the wire when finalize runs; see docs/performance.md).  The
-vector finalize absorbs even more (keystream prefetch, label-blob join).
+already on the wire when finalize runs; see docs/performance.md).
 That work shift is therefore *gated as a floor, not fixed*: the warm
 stack's ``finalize_ops_per_sec`` is recorded as a gated trajectory metric
 in ``BENCH_history.json``, so the regression is bounded — it cannot
@@ -80,16 +70,11 @@ ROUNDS = 15
 #: Gate thresholds (self-relative speedups).
 GATE_BATCHED_CACHE_VS_SCALAR = 3.0
 GATE_WARM_VS_COLD = 1.5
-GATE_VECTOR_PREPARE_VS_WARM = 2.0
-GATE_VECTOR_ACCESS_VS_SCALAR = 2.0
-GATE_VECTOR_ACCESS_VS_WARM = 0.9
 
 
-def _build(*, batched: bool, cache: bool, backend: str = "stdlib") -> LblOrtoa:
+def _build(*, batched: bool, cache: bool) -> LblOrtoa:
     config = StoreConfig(**GATE_POINT, label_cache_entries=-1 if cache else None)
-    store = LblOrtoa(
-        config, rng=random.Random(3), batched=batched, crypto_backend=backend
-    )
+    store = LblOrtoa(config, rng=random.Random(3), batched=batched)
     store.initialize({"k": bytes(config.value_len)})
     return store
 
@@ -142,11 +127,7 @@ def measured() -> dict[str, dict[str, float]]:
                 _build(batched=True, cache=True), warm=True
             ),
         }
-    results["vector"] = _time_phases(
-        _build(batched=True, cache=True, backend="vector"), warm=True
-    )
     prepare = {name: phases["prepare_ops_per_sec"] for name, phases in results.items()}
-    access = {name: phases["access_ops_per_sec"] for name, phases in results.items()}
     payload = {
         "config": dict(GATE_POINT, rounds=ROUNDS, timing="best-of-rounds"),
         "kernels": results,
@@ -159,15 +140,6 @@ def measured() -> dict[str, dict[str, float]]:
             ),
             "batched_cold_vs_scalar_prepare": round(
                 prepare["batched"] / prepare["scalar"], 2
-            ),
-            "vector_prepare_vs_warm": round(
-                prepare["vector"] / prepare["batched+cache"], 2
-            ),
-            "vector_access_vs_scalar": round(
-                access["vector"] / access["scalar"], 2
-            ),
-            "vector_access_vs_warm": round(
-                access["vector"] / access["batched+cache"], 2
             ),
         },
     }
@@ -218,35 +190,10 @@ def test_batched_never_loses_to_scalar(measured):
     assert cold >= scalar, f"batched prepare {cold} ops/s < scalar {scalar} ops/s"
 
 
-def test_vector_prepare_beats_warm_2x(measured):
-    """Tentpole gate: vector warm prepare >= 2x the stdlib warm prepare."""
-    vector = measured["vector"]["prepare_ops_per_sec"]
-    warm = measured["batched+cache"]["prepare_ops_per_sec"]
-    assert vector >= GATE_VECTOR_PREPARE_VS_WARM * warm, (
-        f"vector prepare {vector} ops/s < "
-        f"{GATE_VECTOR_PREPARE_VS_WARM}x batched+cache ({warm} ops/s)"
-    )
-
-
-def test_vector_access_no_regression(measured):
-    """The prepare win must carry the whole access, not just one phase."""
-    vector = measured["vector"]["access_ops_per_sec"]
-    scalar = measured["scalar"]["access_ops_per_sec"]
-    warm = measured["batched+cache"]["access_ops_per_sec"]
-    assert vector >= GATE_VECTOR_ACCESS_VS_SCALAR * scalar, (
-        f"vector access {vector} ops/s < "
-        f"{GATE_VECTOR_ACCESS_VS_SCALAR}x scalar ({scalar} ops/s)"
-    )
-    assert vector >= GATE_VECTOR_ACCESS_VS_WARM * warm, (
-        f"vector access {vector} ops/s < "
-        f"{GATE_VECTOR_ACCESS_VS_WARM}x batched+cache ({warm} ops/s)"
-    )
-
-
 def test_bench_json_written(measured):
     """The artifact exists, parses, and carries every kernel row."""
     payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-    assert set(payload["kernels"]) == {"scalar", "batched", "batched+cache", "vector"}
+    assert set(payload["kernels"]) == {"scalar", "batched", "batched+cache"}
     for phases in payload["kernels"].values():
         assert set(phases) == {
             "prepare_ops_per_sec",

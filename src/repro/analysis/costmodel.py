@@ -25,12 +25,12 @@ from repro.crypto.prf import Prf, encode_components, hmac_compressions
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
 
-#: Crypto backends the model covers.  ``stdlib``/``vector``/``procpool``
-#: share formulas (they run the same batched kernels — the lane engine and
-#: the worker pool change *where* hashing happens, never how much);
+#: Crypto backends the model covers.  ``stdlib``/``procpool`` share
+#: formulas (they run the same batched kernels — the worker pool changes
+#: *where* hashing happens, never how much);
 #: ``scalar`` is the per-label reference path with its redundant per-entry
 #: permute derivations.
-MODEL_BACKENDS = ("scalar", "stdlib", "vector", "procpool")
+MODEL_BACKENDS = ("scalar", "stdlib", "procpool")
 
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
@@ -521,7 +521,7 @@ def plan_capacity(
 
 def run_model_check(
     value_sizes: "tuple[int, ...]" = (4, 8, 16),
-    backends: "tuple[str, ...]" = ("scalar", "stdlib", "vector"),
+    backends: "tuple[str, ...]" = ("scalar", "stdlib"),
     group_bits: int = 2,
 ) -> dict:
     """Replay GET and PUT in-process and diff the ledger against the model.
@@ -572,10 +572,10 @@ def run_model_check(
                 )
                 engine = None
                 server_fused = backend == "server-coalesced"
+                protocol = LblOrtoa(
+                    config, rng=_random.Random(7), batched=backend != "scalar"
+                )
                 if backend in ("procpool", "coalesced"):
-                    protocol = LblOrtoa(
-                        config, rng=_random.Random(7), crypto_backend="stdlib"
-                    )
                     engine = ParallelPrepareEngine(
                         protocol.proxy,
                         workers=0,
@@ -583,17 +583,6 @@ def run_model_check(
                         coalesce_window=(
                             0.0005 if backend == "coalesced" else 0.0
                         ),
-                    )
-                elif server_fused:
-                    protocol = LblOrtoa(
-                        config, rng=_random.Random(7), crypto_backend="stdlib"
-                    )
-                else:
-                    protocol = LblOrtoa(
-                        config,
-                        rng=_random.Random(7),
-                        batched=backend != "scalar",
-                        crypto_backend=backend if backend != "scalar" else "auto",
                     )
                 records = {"k": b"\x01" * value_len}
                 if server_fused:

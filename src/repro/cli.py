@@ -60,18 +60,19 @@ EXPERIMENTS = {
     "lbl": (experiments.lbl_kernels, "crypto kernels: scalar vs batched vs cached"),
 }
 
-#: CLI flag -> experiment keyword argument, forwarded when the experiment
-#: accepts it (see ``repro run --shards/--pipeline-depth/--workers``).
+#: CLI flag -> experiment keyword argument (also the flag's argparse dest),
+#: forwarded when the experiment accepts it (see ``repro run
+#: --shards/--pipeline-depth/--workers``).
 _RUN_OVERRIDES = {
     "shards": "shards",
-    "pipeline_depth": "pipeline_depth",
+    "pipeline-depth": "pipeline_depth",
     "workers": "workers",
-    "label_cache": "label_cache",
-    "crypto_backend": "crypto_backend",
+    "label-cache": "label_cache",
+    "crypto-backend": "backend",
     "transport": "transport",
-    "coalesce_window": "coalesce_window",
-    "server_batch": "server_batch",
-    "server_window": "server_window",
+    "coalesce-window": "coalesce_window",
+    "server-batch": "server_batch",
+    "server-window": "server_window",
 }
 
 
@@ -94,12 +95,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     accepted = inspect.signature(fn).parameters
     kwargs = {}
     for flag, keyword in _RUN_OVERRIDES.items():
-        value = getattr(args, flag, None)
+        value = getattr(args, keyword, None)
         if value is None:
             continue
         if keyword not in accepted:
             print(
-                f"experiment {args.experiment!r} does not take --{flag.replace('_', '-')}",
+                f"experiment {args.experiment!r} does not take --{flag}",
                 file=sys.stderr,
             )
             return 2
@@ -179,7 +180,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             backends=(
                 "scalar",
                 "stdlib",
-                "vector",
                 "procpool",
                 "coalesced",
                 "server-coalesced",
@@ -708,10 +708,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--crypto-backend",
-        choices=("scalar", "stdlib", "auto", "vector", "procpool"),
+        dest="backend",
+        choices=("scalar", "stdlib", "procpool"),
         help="proxy crypto backend for experiments that take one "
-        "(e.g. `lbl`): scalar reference path, stdlib batched kernels, "
-        "numpy lane engine, or a label-derivation process pool",
+        "(e.g. `lbl`): scalar reference path, stdlib batched kernels "
+        "(default), or a label-derivation process pool",
     )
     run.add_argument(
         "--transport",
@@ -794,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--backend",
-        choices=("scalar", "stdlib", "vector", "procpool"),
+        choices=("scalar", "stdlib", "procpool"),
         default="stdlib",
         help="proxy crypto backend to model (default: stdlib)",
     )
@@ -874,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
-        "across scalar/stdlib/vector/procpool/coalesced/server-coalesced "
+        "across scalar/stdlib/procpool/coalesced/server-coalesced "
         "at 3 value sizes",
     )
     plan.add_argument("--json", metavar="PATH", help="write a JSON report")

@@ -44,8 +44,6 @@ class LblOrtoa(OrtoaProtocol):
             ``random.Random`` for deterministic tests.
         batched: Use the proxy's batched crypto kernels (default); ``False``
             selects the scalar per-label reference path (benchmarks).
-        crypto_backend: ``"auto"``/``"stdlib"``/``"vector"`` — how the
-            batched crypto runs (see :mod:`repro.core.lbl.proxy`).
     """
 
     name = "lbl-ortoa"
@@ -58,17 +56,10 @@ class LblOrtoa(OrtoaProtocol):
         rng: random.Random | None = None,
         *,
         batched: bool = True,
-        crypto_backend: str = "auto",
     ) -> None:
         super().__init__(config)
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
-        self.proxy = LblProxy(
-            config,
-            self.keychain,
-            rng=rng,
-            batched=batched,
-            crypto_backend=crypto_backend,
-        )
+        self.proxy = LblProxy(config, self.keychain, rng=rng, batched=batched)
         self.server = LblServer(point_and_permute=config.point_and_permute)
 
     def initialize(self, records: dict[str, bytes]) -> None:

@@ -59,24 +59,6 @@ class LabelCacheEntry:
             ``finalize``.
         next_offsets: Prefetched point-and-permute offsets of the following
             epoch, alongside ``next_labels``.
-        keyed: The vector pipeline's form of ``schedules``: one
-            :func:`repro.crypto.aead.keyed_states` pair per label (pad
-            blocks pre-absorbed into ``hashlib`` states), stored *flat* in
-            group-major order — exactly the shape ``encrypt_many(keyed=…)``
-            consumes, so a warm prepare performs no per-entry flattening.
-        nonces: Flat (group-major) prefetched nonces for the next access's
-            table encryption, attached with ``keystreams``.
-        keystreams: Flat prefetched AEAD keystream blocks bound to
-            ``nonces`` — payload-independent, so deriving them early leaks
-            nothing about the next operation's type.  With these attached, a
-            warm vector ``prepare`` pays only the tag MAC per table entry.
-        labels_blob: ``labels`` joined group-major into one ``bytes`` —
-            lets the matrix decode in
-            :meth:`~repro.crypto.labels.LabelCodec.decode_from_candidates`
-            skip its join.  Vector pipeline only.
-        next_labels_blob: ``next_labels`` joined the same way; a warm
-            prepare views it as the payload matrix without touching the
-            2560 individual label objects.
     """
 
     labels: list[list[bytes]]
@@ -84,11 +66,6 @@ class LabelCacheEntry:
     schedules: list[list[tuple[bytes, bytes]]] | None = field(default=None)
     next_labels: list[list[bytes]] | None = field(default=None)
     next_offsets: list[int] | None = field(default=None)
-    keyed: "list[tuple] | None" = field(default=None)
-    nonces: list[bytes] | None = field(default=None)
-    keystreams: list[bytes] | None = field(default=None)
-    labels_blob: bytes | None = field(default=None)
-    next_labels_blob: bytes | None = field(default=None)
 
 
 class LabelCache:
@@ -115,10 +92,10 @@ class LabelCache:
     ) -> int:
         """Approximate in-memory size of one cached epoch.
 
-        Counts the epoch's labels, their AEAD key schedules (two 64-byte pad
-        blocks, or the equivalent keyed states, each), the prefetched
-        nonce + keystream block per label, and the prefetched next-epoch
-        labels.
+        Counts the epoch's labels, the prefetched next-epoch labels, their
+        AEAD key schedules (two 64-byte pad blocks each), and a 44-byte
+        per-label allowance for the ``bytes``/``list`` object overhead the
+        payload sizes do not show.
         """
         per_label = 2 * label_len + (128 + 44 if with_schedules else 0)
         return num_groups * (table_size * per_label + 16)
@@ -148,14 +125,15 @@ class LabelCache:
         """
         with self._lock:
             entry = self._entries.pop((key, counter), None)
-        if entry is None:
-            self.misses += 1
-            if _obs.enabled:
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        if _obs.enabled:
+            if entry is None:
                 REGISTRY.counter("lbl.proxy.label_cache.misses").inc()
                 _ledger.add_op("cache.misses")
-        else:
-            self.hits += 1
-            if _obs.enabled:
+            else:
                 REGISTRY.counter("lbl.proxy.label_cache.hits").inc()
                 _ledger.add_op("cache.hits")
         return entry
@@ -197,58 +175,21 @@ class LabelCache:
                 REGISTRY.counter("lbl.proxy.label_cache.evictions").inc(evicted)
             REGISTRY.gauge("lbl.proxy.label_cache.occupancy").set(occupancy)
 
-    def attach_schedules(self, key: str, counter: int, *, keyed: bool = False) -> bool:
+    def attach_schedules(self, key: str, counter: int) -> bool:
         """Precompute AEAD key schedules for a cached epoch's labels.
 
         Returns True if an entry was found and (now) carries schedules.
         Called from ``finalize`` so the derivation happens off the
         request-build critical path; the next access's table encryption then
         skips its per-entry key schedule entirely.
-
-        Args:
-            keyed: Attach :func:`repro.crypto.aead.keyed_states` objects
-                (the vector pipeline's faster form) instead of pad-block
-                pairs.
         """
         with self._lock:
             entry = self._entries.get((key, counter))
         if entry is None:
             return False
-        if keyed:
-            if entry.keyed is None:
-                derive_keyed = aead.keyed_states
-                entry.keyed = [
-                    derive_keyed(label) for row in entry.labels for label in row
-                ]
-        elif entry.schedules is None:
+        if entry.schedules is None:
             derive = aead.key_schedule
             entry.schedules = [[derive(label) for label in row] for row in entry.labels]
-        return True
-
-    def attach_keystreams(self, key: str, counter: int) -> bool:
-        """Prefetch AEAD nonces + keystream blocks for a cached epoch.
-
-        Keystream blocks depend only on ``(label, nonce)`` — not on the
-        payload and therefore not on the next operation's type — so
-        ``finalize`` can derive them during the idle window after a
-        response.  The next access's :meth:`take` hit then hands them to
-        ``encrypt_many(..., keystreams=…)``, leaving only the tag MAC on
-        the prepare critical path.  Implies keyed schedules (attached first
-        if missing).  Returns True if the entry was still cached.
-        """
-        with self._lock:
-            entry = self._entries.get((key, counter))
-        if entry is None:
-            return False
-        if entry.keyed is None:
-            # Fused path: keyed states, nonces, and keystream blocks in one
-            # loop over the labels (aead.prefetch_table) — the common case,
-            # since finalize attaches everything at once.
-            entry.keyed, entry.nonces, entry.keystreams = aead.prefetch_table(
-                [label for row in entry.labels for label in row]
-            )
-        elif entry.keystreams is None:
-            entry.nonces, entry.keystreams = aead.prefetch_keystreams(entry.keyed)
         return True
 
     def attach_prefetch(
@@ -257,8 +198,6 @@ class LabelCache:
         counter: int,
         next_labels: list[list[bytes]],
         next_offsets: list[int] | None,
-        *,
-        next_labels_blob: bytes | None = None,
     ) -> bool:
         """Attach the following epoch's labels/offsets to a cached entry.
 
@@ -266,10 +205,7 @@ class LabelCache:
         proxy can derive epoch ``counter + 1`` as soon as epoch ``counter``
         is settled — ``finalize`` does exactly that, off the one-round-trip
         critical path.  A later :meth:`take` hit then serves *both* sides of
-        the table build.  The vector pipeline additionally passes the labels
-        pre-joined as ``next_labels_blob`` so the warm prepare can view them
-        as a numpy payload matrix.  Returns True if the entry was still
-        cached.
+        the table build.  Returns True if the entry was still cached.
         """
         with self._lock:
             entry = self._entries.get((key, counter))
@@ -277,7 +213,6 @@ class LabelCache:
                 return False
             entry.next_labels = next_labels
             entry.next_offsets = next_offsets
-            entry.next_labels_blob = next_labels_blob
         return True
 
     def invalidate_key(self, key: str) -> int:

@@ -248,7 +248,7 @@ def _derive_flat(
 def _derive_batch_parts(
     tasks: "list[tuple[str, int, bool]]",
 ) -> tuple[bytes, bytes]:
-    """Worker body: derive a whole batch as ``(labels_blob, offsets_blob)``.
+    """Worker body: derive a whole batch as ``(label_blob, offsets_blob)``.
 
     Both epochs of every access fuse into a single
     :meth:`~repro.crypto.labels.LabelCodec.labels_for_epochs` lane dispatch
@@ -264,7 +264,7 @@ def _derive_batch_parts(
         epochs.append((key, counter))
         epochs.append((key, counter + 1))
     tables = codec.labels_for_epochs(epochs)
-    labels_blob = b"".join(
+    label_blob = b"".join(
         [label for table in tables for row in table for label in row]
     )
     if tasks[0][2]:
@@ -273,7 +273,7 @@ def _derive_batch_parts(
         )
     else:
         offsets_blob = b""
-    return labels_blob, offsets_blob
+    return label_blob, offsets_blob
 
 
 def _derive_batch_blobs(tasks: "list[tuple[str, int, bool]]"):
@@ -289,12 +289,12 @@ def _derive_batch_shm(tasks: "list[tuple[str, int, bool]]"):
     blob return shape when this worker has no ring or the batch outgrew the
     slot size the parent provisioned.
     """
-    labels_blob, offsets_blob = _derive_batch_parts(tasks)
+    label_blob, offsets_blob = _derive_batch_parts(tasks)
     ring = _WORKER_RING
-    if ring is None or len(labels_blob) + len(offsets_blob) > ring.slot_bytes:
-        return labels_blob, offsets_blob
-    slot = ring.write(labels_blob + offsets_blob)
-    return "shm", ring.index, slot, len(labels_blob), len(offsets_blob)
+    if ring is None or len(label_blob) + len(offsets_blob) > ring.slot_bytes:
+        return label_blob, offsets_blob
+    slot = ring.write(label_blob + offsets_blob)
+    return "shm", ring.index, slot, len(label_blob), len(offsets_blob)
 
 
 class ProcessCryptoPool:
@@ -440,20 +440,20 @@ class ProcessCryptoPool:
         )
 
     def _split_batch(
-        self, labels_blob: bytes, offsets_blob: bytes, n: int
+        self, label_blob: bytes, offsets_blob: bytes, n: int
     ) -> "list[LabelSets]":
         """Batch blob layout back into one ``LabelSets`` per access."""
         num_groups = self._num_groups
         epoch_bytes = num_groups * self._table_size * self._label_len
         pnp = self.point_and_permute
-        if len(labels_blob) != 2 * n * epoch_bytes or (
+        if len(label_blob) != 2 * n * epoch_bytes or (
             pnp and len(offsets_blob) != 2 * n * num_groups
         ):
             raise CryptoPoolError("procpool worker returned malformed batch blob")
         out: "list[LabelSets]" = []
         for i in range(n):
-            old = self._rows_from(labels_blob, (2 * i) * epoch_bytes)
-            new = self._rows_from(labels_blob, (2 * i + 1) * epoch_bytes)
+            old = self._rows_from(label_blob, (2 * i) * epoch_bytes)
+            new = self._rows_from(label_blob, (2 * i + 1) * epoch_bytes)
             if pnp:
                 base = 2 * i * num_groups
                 old_off = list(offsets_blob[base : base + num_groups])
@@ -581,10 +581,10 @@ class ProcessCryptoPool:
         if isinstance(result, tuple) and len(result) == 5 and result[0] == "shm":
             _tag, index, slot, labels_len, offsets_len = result
             payload = self._shm.read(index, slot, labels_len + offsets_len)
-            labels_blob = payload[:labels_len]
+            label_blob = payload[:labels_len]
             offsets_blob = payload[labels_len:]
         else:
-            labels_blob, offsets_blob = result
+            label_blob, offsets_blob = result
             if self._shm is not None and _obs.enabled:
                 # The worker had a ring but answered with a blob: either its
                 # ring attach failed or every slot was busy/undersized — the
@@ -593,9 +593,9 @@ class ProcessCryptoPool:
                 RECORDER.record(
                     "procpool.shm_slot_fallback",
                     batch=len(pairs),
-                    blob_bytes=len(labels_blob) + len(offsets_blob),
+                    blob_bytes=len(label_blob) + len(offsets_blob),
                 )
-        return self._split_batch(labels_blob, offsets_blob, len(pairs))
+        return self._split_batch(label_blob, offsets_blob, len(pairs))
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -29,23 +29,6 @@ Two implementations of step 1–4 coexist:
   baseline and as an equivalence oracle — both paths produce tables that
   open to byte-identical labels.
 
-On top of the batched path, ``crypto_backend`` selects how the batch crypto
-itself runs:
-
-* ``"stdlib"`` — the batched kernels exactly as above (pad-block schedules,
-  per-entry ``hashlib`` one-shots);
-* ``"vector"`` — the vector pipeline: ``finalize`` attaches keyed-state
-  schedules *and* prefetched nonce/keystream blocks to the cache (both
-  payload-independent, hence operation-type-oblivious), so a warm
-  ``prepare`` pays only the tag MAC per table entry, with XOR and
-  ciphertext assembly running as whole-batch numpy array ops and the
-  sha256 lane engine engaging past its calibrated threshold;
-* ``"auto"`` (default) — ``"vector"`` when the lane-engine module is
-  enabled (numpy importable and ``REPRO_NO_VECTOR`` unset), else
-  ``"stdlib"``.
-
-All backends produce tables that open to byte-identical labels; the choice
-only moves where the HMAC work happens.
 """
 
 from __future__ import annotations
@@ -56,7 +39,6 @@ from repro.core.base import OpCounts
 from repro.core.lbl.cache import DEFAULT_LABEL_CACHE_BYTES, LabelCache, LabelCacheEntry
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead
-from repro.crypto import sha256_lanes as _lanes
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredLabel, value_to_groups
 from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
@@ -66,11 +48,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
 from repro.types import Request, StoreConfig
-
-try:  # numpy backs the vector pipeline's table assembly; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None  # type: ignore[assignment]
 
 #: Width of the serialized point-and-permute slot index appended to each
 #: encrypted payload.  The paper uses 2 bits; a whole byte keeps framing
@@ -92,9 +69,6 @@ class LblProxy:
         rng: Table-shuffle randomness (base protocol only).
         batched: Use the batched crypto kernels (default).  ``False``
             selects the scalar per-label reference path.
-        crypto_backend: ``"auto"`` (default), ``"stdlib"``, or ``"vector"``
-            — see the module docstring.  Only meaningful with
-            ``batched=True``.
     """
 
     def __init__(
@@ -104,14 +78,7 @@ class LblProxy:
         rng: random.Random | None = None,
         *,
         batched: bool = True,
-        crypto_backend: str = "auto",
     ) -> None:
-        if crypto_backend not in ("auto", "stdlib", "vector"):
-            raise ConfigurationError(
-                f"unknown crypto backend {crypto_backend!r}; "
-                "expected 'auto', 'stdlib', or 'vector'"
-            )
-        self.crypto_backend = crypto_backend
         self.config = config
         self.keychain = keychain
         self.codec = LabelCodec(
@@ -227,18 +194,6 @@ class LblProxy:
     # Request preparation (Pcr, Figure 1 / §5.2 step 1)
     # ------------------------------------------------------------------ #
 
-    def vector_active(self) -> bool:
-        """Whether this prepare/finalize cycle runs the vector pipeline.
-
-        Evaluated per call so ``REPRO_NO_VECTOR`` /
-        :func:`repro.crypto.sha256_lanes.lanes_disabled` take effect
-        dynamically under the ``"auto"`` backend.
-        """
-        backend = self.crypto_backend
-        if backend == "vector":
-            return True
-        return backend == "auto" and _lanes.enabled()
-
     def prepare(
         self,
         request: Request,
@@ -307,16 +262,10 @@ class LblProxy:
         prf_count = 0
         new_labels = None
         new_offsets = None
-        old_keyed = None
-        old_nonces = None
-        old_keystreams = None
         if cache_hit:
             old_labels = cached.labels
             old_offsets = cached.offsets
             old_schedules = cached.schedules
-            old_keyed = cached.keyed
-            old_nonces = cached.nonces
-            old_keystreams = cached.keystreams
             # ``finalize`` may have prefetched the new epoch too, in which
             # case prepare performs no label derivation at all.
             if cached.next_labels is not None:
@@ -347,70 +296,26 @@ class LblProxy:
                 new_offsets = codec.permute_offsets(key, new_ct)
                 prf_count += num_groups
 
-        is_read = request.op.is_read
-        vector = old_keyed is not None and self.vector_active()
-        if (
-            vector
-            and _np is not None
-            and point_and_permute
-            and old_keystreams is not None
-            and cached is not None
-            and cached.next_labels_blob is not None
-            and new_labels is cached.next_labels
-        ):
-            # Fully warm vector prepare: payloads assemble as one numpy
-            # matrix viewed over the prefetched label blob (no per-entry
-            # bytes objects), encryption returns the ciphertext matrix, and
-            # the point-and-permute placement is a single gather.  Only the
-            # per-entry tag MAC inside encrypt_many remains serial.
-            tables, enc_count = self._build_tables_matrix(
-                new_labels_blob=cached.next_labels_blob,
-                new_offsets=new_offsets,  # type: ignore[arg-type]
-                old_offsets=old_offsets,  # type: ignore[arg-type]
-                old_keyed=old_keyed,
-                old_nonces=old_nonces,  # type: ignore[arg-type]
-                old_keystreams=old_keystreams,
-                is_read=is_read,
-                new_value=new_value,
-            )
-        else:
-            # Flatten the whole table build into one encrypt_many call: entry
-            # (index, value) encrypts payload(value) under
-            # old_labels[index][value].
-            flat_keys, flat_payloads = self._flat_table_inputs(
-                old_labels, new_labels, new_offsets, new_value, is_read
-            )
-
-            if vector:
-                # Vector pipeline: keyed states (and, when finalize ran in
-                # time, prefetched keystreams) leave only the tag MAC per
-                # entry here.  The cache stores keyed states flat already.
-                ciphertexts = aead.encrypt_many(
-                    flat_keys,
-                    flat_payloads,
-                    nonces=old_nonces if old_keystreams is not None else None,
-                    keyed=old_keyed,
-                    keystreams=old_keystreams,
-                )
-            else:
-                flat_schedules = None
-                if old_schedules is not None:
-                    flat_schedules = [pair for row in old_schedules for pair in row]
-                ciphertexts = aead.encrypt_many(
-                    flat_keys, flat_payloads, schedules=flat_schedules
-                )
-            enc_count = len(ciphertexts)
-            tables = self._assemble_tables(ciphertexts, old_offsets)
+        # Flatten the whole table build into one encrypt_many call: entry
+        # (index, value) encrypts payload(value) under
+        # old_labels[index][value].
+        flat_keys, flat_payloads = self._flat_table_inputs(
+            old_labels, new_labels, new_offsets, new_value, request.op.is_read
+        )
+        flat_schedules = None
+        if old_schedules is not None:
+            flat_schedules = [pair for row in old_schedules for pair in row]
+        ciphertexts = aead.encrypt_many(
+            flat_keys, flat_payloads, schedules=flat_schedules
+        )
+        enc_count = len(ciphertexts)
+        tables = self._assemble_tables(ciphertexts, old_offsets)
 
         if self.label_cache is not None:
             self.label_cache.put(
                 key,
                 new_ct,
-                LabelCacheEntry(
-                    labels=new_labels,
-                    offsets=new_offsets,
-                    labels_blob=cached.next_labels_blob if cache_hit else None,
-                ),
+                LabelCacheEntry(labels=new_labels, offsets=new_offsets),
             )
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
@@ -617,82 +522,6 @@ class LblProxy:
             )
         return results
 
-    def _build_tables_matrix(
-        self,
-        *,
-        new_labels_blob: bytes,
-        new_offsets: list[int],
-        old_offsets: list[int],
-        old_keyed: list,
-        old_nonces: list[bytes],
-        old_keystreams: list[bytes],
-        is_read: bool,
-        new_value: "tuple[int, ...] | None",
-    ) -> tuple[list[tuple[bytes, ...]], int]:
-        """Whole-table build as numpy array ops (warm vector prepare).
-
-        Byte-identical to the list path: the payload of entry ``(g, v)`` is
-        ``new_label[g][v or target] || (v_or_target ^ new_offset[g])``, the
-        ciphertext lands at slot ``v ^ old_offset[g]``.  The payload matrix
-        is viewed straight over the prefetched label blob, and the
-        point-and-permute placement is one gather over the ciphertext
-        matrix instead of a per-entry slot loop.
-        """
-        codec = self.codec
-        num_groups = codec.num_groups
-        table_size = codec.table_size
-        label_len = codec.label_len
-        n = num_groups * table_size
-        labels_mat = _np.frombuffer(new_labels_blob, dtype=_np.uint8).reshape(
-            n, label_len
-        )
-        offs = _np.asarray(new_offsets, dtype=_np.uint8)
-        payloads = _np.empty((n, label_len + DECRYPT_INDEX_BYTES), dtype=_np.uint8)
-        if is_read:
-            payloads[:, :label_len] = labels_mat
-            payloads[:, label_len] = _np.tile(
-                _np.arange(table_size, dtype=_np.uint8), num_groups
-            ) ^ _np.repeat(offs, table_size)
-        else:
-            targets = _np.asarray(new_value, dtype=_np.int64)
-            rows = labels_mat.reshape(num_groups, table_size, label_len)[
-                _np.arange(num_groups), targets
-            ]
-            payloads[:, :label_len] = _np.repeat(rows, table_size, axis=0)
-            payloads[:, label_len] = _np.repeat(
-                targets.astype(_np.uint8) ^ offs, table_size
-            )
-        cipher = aead.encrypt_many(
-            None,
-            payloads,
-            nonces=old_nonces,
-            keyed=old_keyed,
-            keystreams=old_keystreams,
-            as_matrix=True,
-        )
-        # Output slot s of group g holds the entry built for value s ^ off_g
-        # (== the entry at flat index g*T + (s ^ off_g)); one fancy-index
-        # gather applies every group's permutation at once.
-        slot_values = _np.tile(_np.arange(table_size, dtype=_np.int64), num_groups)
-        sources = (
-            _np.repeat(
-                _np.arange(num_groups, dtype=_np.int64) * table_size, table_size
-            )
-            + (slot_values ^ _np.repeat(_np.asarray(old_offsets), table_size))
-        )
-        flat = cipher[sources].tobytes()
-        entry_len = cipher.shape[1]
-        entries = [
-            flat[start : start + entry_len]
-            for start in range(0, n * entry_len, entry_len)
-        ]
-        # Group the flat entry list into per-group tuples at C speed: zip
-        # over table_size references to one iterator yields consecutive
-        # table_size-tuples.
-        it = iter(entries)
-        tables = list(zip(*([it] * table_size)))
-        return tables, n
-
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Seed reference path: one PRF/AEAD call per label and table entry.
 
@@ -796,17 +625,8 @@ class LblProxy:
         )
         if cached is not None:
             codec = self.codec
-            vector = self.vector_active()
-            value = codec.decode_from_candidates(
-                cached.labels, labels, blob=cached.labels_blob
-            )
-            if vector:
-                # Keyed states + payload-independent keystream blocks: both
-                # are functions of (label, nonce) only, so deriving them now
-                # reveals nothing about the next operation's type.
-                self.label_cache.attach_keystreams(key, new_ct)
-            else:
-                self.label_cache.attach_schedules(key, new_ct)
+            value = codec.decode_from_candidates(cached.labels, labels)
+            self.label_cache.attach_schedules(key, new_ct)
             prefetch_prf = 0
             if cached.next_labels is None:
                 # Label prefetch: epoch ``new_ct + 1`` is a deterministic
@@ -824,20 +644,7 @@ class LblProxy:
                     codec.num_groups if point_and_permute else 0
                 )
                 self.label_cache.attach_prefetch(
-                    key,
-                    new_ct,
-                    next_labels,
-                    next_offsets,
-                    # Joined once here so the next warm prepare (and the
-                    # next finalize's decode) can view the labels as one
-                    # numpy matrix instead of 2^y * num_groups objects.
-                    next_labels_blob=(
-                        b"".join(
-                            [label for row in next_labels for label in row]
-                        )
-                        if vector
-                        else None
-                    ),
+                    key, new_ct, next_labels, next_offsets
                 )
             ops = OpCounts(prf=prefetch_prf)
         else:

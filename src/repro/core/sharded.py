@@ -91,9 +91,6 @@ class ShardedLblDeployment(OrtoaProtocol):
             latter derives labels in a shared
             :class:`~repro.core.lbl.procpool.ProcessCryptoPool` of worker
             processes, overlapping PRF work even under a GIL.
-        crypto_backend: Proxy batch-crypto backend — ``"auto"`` (default),
-            ``"stdlib"``, or ``"vector"``
-            (see :class:`~repro.core.lbl.proxy.LblProxy`).
         coalesce_window: When ``> 0``, every prepare (single accesses,
             pipelined windows, batches) routes through the engine's
             :class:`~repro.core.lbl.coalesce.PrepareCoalescer` with this
@@ -125,7 +122,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         timeout: float = 30.0,
         prepare_workers: int = 0,
         prepare_backend: str = "thread",
-        crypto_backend: str = "auto",
         transport: str = "thread",
         coalesce_window: float = 0.0,
         coalesce_batch: int = 8,
@@ -136,9 +132,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         if pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1")
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
-        self.proxy = LblProxy(
-            config, self.keychain, rng=rng, crypto_backend=crypto_backend
-        )
+        self.proxy = LblProxy(config, self.keychain, rng=rng)
         self.prepare_engine = ParallelPrepareEngine(
             self.proxy,
             workers=prepare_workers,

@@ -29,21 +29,10 @@ runs the server's try-every-entry scan computing the stored label's key
 schedule exactly once.  Both are byte-compatible with the scalar functions
 (the golden-vector tests pin the exact ciphertext bytes for fixed nonces).
 
-The vector pipeline adds three levers on top, all byte-identical:
-
-* **keyed-object schedules** (:func:`keyed_states`): the two pad blocks
-  pre-absorbed into ``hashlib`` states, so each HMAC costs two ``copy()`` +
-  ``update`` instead of re-hashing 64-byte pad blocks;
-* **keystream prefetch** (:func:`prefetch_keystreams`): keystream blocks
-  depend only on ``(key, nonce)`` — never on the payload, and therefore
-  never on whether the next access is a GET or a PUT — so the proxy can
-  compute them during ``finalize`` and hand them back via
-  ``encrypt_many(..., keystreams=…)``, leaving only the tag MAC on the
-  critical prepare path;
-* **lane routing**: batches past the calibrated threshold
-  (:func:`repro.crypto.sha256_lanes.use_lanes`) are hashed in numpy uint32
-  lanes (:func:`open_many`/:func:`open_any`/:func:`encrypt_many`);
-  ``REPRO_NO_VECTOR=1`` pins the stdlib loops.
+Batches past the calibrated threshold
+(:func:`repro.crypto.sha256_lanes.use_lanes`) are hashed in numpy uint32
+lanes (:func:`open_many`/:func:`open_any`/:func:`encrypt_many`);
+``REPRO_NO_VECTOR=1`` pins the stdlib loops.
 
 HMAC is evaluated in its explicit RFC 2104 form — ``sha256(k_opad ||
 sha256(k_ipad || msg))`` with the padded keys produced by a C-speed
@@ -61,7 +50,7 @@ import secrets
 from repro.crypto import sha256_lanes as _lanes
 from repro.errors import ConfigurationError, DecryptionError
 
-try:  # numpy accelerates batch assembly; every path has a stdlib fallback
+try:  # numpy backs the lane branches only; every path has a stdlib fallback
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None  # type: ignore[assignment]
@@ -108,104 +97,6 @@ def key_schedule(key: bytes) -> tuple[bytes, bytes]:
         key = _DIGEST(key).digest()
     padded = key.ljust(_BLOCK, b"\x00")
     return padded.translate(_IPAD_TRANS), padded.translate(_OPAD_TRANS)
-
-
-def keyed_states(key: bytes) -> "tuple[hashlib._Hash, hashlib._Hash]":
-    """The :func:`key_schedule` pad blocks pre-absorbed into SHA-256 states.
-
-    ``HMAC(key, msg) == outer.copy().update(inner.copy().update(msg))`` in
-    the RFC 2104 sense: the returned ``(inner, outer)`` ``hashlib`` objects
-    already contain one compression of ``key ⊕ ipad`` / ``key ⊕ opad``.
-    Compared to the pad-block form, each later HMAC saves one 64-byte block
-    hash per direction — the label cache stores these for every key it
-    expects :func:`encrypt_many` to use next epoch.
-    """
-    ipad, opad = key_schedule(key)
-    return _DIGEST(ipad), _DIGEST(opad)
-
-
-def prefetch_table(
-    keys: "list[bytes] | tuple[bytes, ...]",
-    *,
-    nonces: "list[bytes] | None" = None,
-) -> "tuple[list[tuple[hashlib._Hash, hashlib._Hash]], list[bytes], list[bytes]]":
-    """Keyed states + nonces + keystream blocks for a batch, in one pass.
-
-    Equivalent to :func:`keyed_states` per key followed by
-    :func:`prefetch_keystreams`, fused so the proxy's finalize-side prefetch
-    pays one loop instead of two.  Returns ``(keyed, nonces, keystreams)``.
-    """
-    n = len(keys)
-    if nonces is None:
-        pool = secrets.token_bytes(NONCE_LEN * n)
-        nonces = [pool[i * NONCE_LEN : (i + 1) * NONCE_LEN] for i in range(n)]
-    elif len(nonces) != n:
-        raise ConfigurationError(f"{n} keys for {len(nonces)} nonces")
-    sha = _DIGEST
-    ipad_trans = _IPAD_TRANS
-    opad_trans = _OPAD_TRANS
-    enc_domain = _ENC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    block = _BLOCK
-    keyed: "list[tuple[hashlib._Hash, hashlib._Hash]]" = []
-    streams: list[bytes] = []
-    keyed_append = keyed.append
-    stream_append = streams.append
-    for key, nonce in zip(keys, nonces):
-        if len(key) < 16:
-            raise ConfigurationError("AEAD key must be at least 16 bytes")
-        padded = (key if len(key) <= block else sha(key).digest()).ljust(
-            block, b"\x00"
-        )
-        inner0 = sha(padded.translate(ipad_trans))
-        outer0 = sha(padded.translate(opad_trans))
-        keyed_append((inner0, outer0))
-        inner = inner0.copy()
-        inner.update(enc_domain + nonce + zero_ctr)
-        outer = outer0.copy()
-        outer.update(inner.digest())
-        stream_append(outer.digest())
-    return keyed, nonces, streams
-
-
-def prefetch_keystreams(
-    keyed: "list[tuple[hashlib._Hash, hashlib._Hash]]",
-    *,
-    nonces: "list[bytes] | None" = None,
-) -> tuple[list[bytes], list[bytes]]:
-    """Draw nonces and compute one keystream block per keyed state pair.
-
-    The keystream block ``HMAC(key, "aead-enc" || nonce || 0)`` is payload-
-    independent, so it can be computed long before the plaintext exists —
-    in particular before the proxy knows whether the next access is a read
-    or a write, which keeps the prefetch operation-type-oblivious.  Feed the
-    result straight into ``encrypt_many(..., nonces=…, keystreams=…)``.
-
-    Args:
-        keyed: One :func:`keyed_states` pair per future ciphertext.
-        nonces: Optional explicit nonces (deterministic tests).
-
-    Returns:
-        ``(nonces, keystreams)`` — each keystream is the full 32-byte block,
-        covering any single-block plaintext (≤ 32 bytes).
-    """
-    n = len(keyed)
-    if nonces is None:
-        pool = secrets.token_bytes(NONCE_LEN * n)
-        nonces = [pool[i * NONCE_LEN : (i + 1) * NONCE_LEN] for i in range(n)]
-    elif len(nonces) != n:
-        raise ConfigurationError(f"{n} keyed states for {len(nonces)} nonces")
-    enc_domain = _ENC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    streams: list[bytes] = []
-    append = streams.append
-    for (inner0, outer0), nonce in zip(keyed, nonces):
-        inner = inner0.copy()
-        inner.update(enc_domain + nonce + zero_ctr)
-        outer = outer0.copy()
-        outer.update(inner.digest())
-        append(outer.digest())
-    return nonces, streams
 
 
 def _keystream(ipad: bytes, opad: bytes, nonce: bytes, length: int) -> bytes:
@@ -259,15 +150,12 @@ def encrypt(key: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> byte
 
 
 def encrypt_many(
-    keys: "list[bytes] | tuple[bytes, ...] | None",
-    payloads,
+    keys: "list[bytes] | tuple[bytes, ...]",
+    payloads: "list[bytes] | tuple[bytes, ...]",
     *,
     nonces: "list[bytes] | None" = None,
     schedules: "list[tuple[bytes, bytes]] | None" = None,
-    keyed: "list[tuple[hashlib._Hash, hashlib._Hash]] | None" = None,
-    keystreams: "list[bytes] | None" = None,
-    as_matrix: bool = False,
-):
+) -> list[bytes]:
     """Encrypt ``payloads[i]`` under ``keys[i]`` for every ``i``, batched.
 
     Nonce generation (one ``secrets`` draw for the whole batch) and
@@ -275,55 +163,20 @@ def encrypt_many(
     byte-compatible with :func:`encrypt` and opens with :func:`decrypt`.
 
     Args:
-        keys: One symmetric key (≥ 16 bytes) per payload; ``None`` is
-            allowed when ``keyed`` supplies the key material instead.
-        payloads: Plaintexts to protect — a list of ``bytes``, or (with
-            ``keyed`` and numpy present) a uint8 matrix of one row per
-            uniform-length payload, letting a caller that assembled its
-            payloads as an array skip materializing ``bytes`` objects.
-        nonces: Optional explicit nonces (deterministic tests, or the ones
-            drawn by :func:`prefetch_keystreams`); defaults to fresh random
-            nonces.
+        keys: One symmetric key (≥ 16 bytes) per payload.
+        payloads: Plaintexts to protect.
+        nonces: Optional explicit nonces (deterministic tests); defaults to
+            fresh random nonces.
         schedules: Optional precomputed :func:`key_schedule` output per key
             (e.g. from the proxy's label cache); each pair MUST match its
             key or the ciphertext will not open under that key.
-        keyed: Optional :func:`keyed_states` pair per key — the faster form
-            of ``schedules`` (mutually exclusive with it) used by the
-            vector pipeline.
-        keystreams: Optional prefetched keystream blocks (≥ payload length,
-            from :func:`prefetch_keystreams`); requires ``keyed`` and the
-            matching ``nonces``.  Skips the per-entry keystream HMAC — the
-            vector pipeline's biggest prepare-path saving.
-        as_matrix: Return the ciphertexts as one uint8 matrix (one row per
-            ``nonce || body || tag``) instead of a list of ``bytes``.
-            Requires the ``keyed`` numpy path; the LBL proxy uses it to
-            permute tables with one gather instead of per-entry slicing.
 
     Returns:
-        One ``nonce || body || tag`` ciphertext per input, in order (a
-        uint8 matrix of the same rows under ``as_matrix=True``).
+        One ``nonce || body || tag`` ciphertext per input, in order.
     """
-    if keys is None:
-        if keyed is None:
-            raise ConfigurationError("keys=None requires keyed=")
-        n = len(keyed)
-    else:
-        n = len(keys)
+    n = len(keys)
     if len(payloads) != n:
         raise ConfigurationError(f"{n} keys for {len(payloads)} payloads")
-    if keyed is not None and schedules is not None:
-        raise ConfigurationError("pass at most one of schedules= and keyed=")
-    if as_matrix and (keyed is None or _np is None):
-        raise ConfigurationError("as_matrix=True requires keyed= and numpy")
-    if _np is not None and isinstance(payloads, _np.ndarray) and keyed is None:
-        raise ConfigurationError("matrix payloads require keyed=")
-    if keystreams is not None:
-        if keyed is None:
-            raise ConfigurationError("keystreams= requires keyed=")
-        if nonces is None:
-            raise ConfigurationError("keystreams= requires the nonces they bind")
-        if len(keystreams) != n:
-            raise ConfigurationError(f"{n} keys for {len(keystreams)} keystreams")
     if nonces is None:
         # One entropy draw for the whole batch; the slices are NONCE_LEN by
         # construction, so the per-entry length check is skipped below.
@@ -337,10 +190,6 @@ def encrypt_many(
                 raise ConfigurationError(f"nonce must be exactly {NONCE_LEN} bytes")
     if schedules is not None and len(schedules) != n:
         raise ConfigurationError(f"{n} keys for {len(schedules)} key schedules")
-    if keyed is not None:
-        if len(keyed) != n:
-            raise ConfigurationError(f"{n} keys for {len(keyed)} keyed states")
-        return _encrypt_many_keyed(payloads, nonces, keyed, keystreams, as_matrix)
     if _lanes.use_lanes(n):
         plen = len(payloads[0])
         if 0 < plen <= _DIGEST_BYTES and all(len(p) == plen for p in payloads):
@@ -390,141 +239,6 @@ def encrypt_many(
             nonce_body
             + sha(opad + sha(ipad + mac_domain + nonce_body).digest()).digest()[:TAG_LEN]
         )
-    if _obs.enabled:
-        REGISTRY.counter("crypto.aead.encrypts").inc(n)
-        _ledger.add_op("aead.encrypts", n)
-    return out
-
-
-def _encrypt_many_keyed(
-    payloads,
-    nonces: list[bytes],
-    keyed: "list[tuple[hashlib._Hash, hashlib._Hash]]",
-    keystreams: "list[bytes] | None",
-    as_matrix: bool = False,
-):
-    """The keyed-object fast path of :func:`encrypt_many`.
-
-    Keystreams come either prefetched or from two state copies per entry;
-    only the tag MAC is unavoidable here.  With numpy present and a uniform
-    single-block payload length (the LBL table-build shape), XOR, message
-    framing, and ciphertext assembly run as whole-batch array ops —
-    ``payloads`` may then itself be a uint8 matrix, and ``as_matrix=True``
-    hands the assembled ciphertext matrix back without slicing it apart.
-    """
-    n = len(payloads)
-    enc_domain = _ENC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    is_matrix = _np is not None and isinstance(payloads, _np.ndarray)
-    if is_matrix:
-        plen = payloads.shape[1]
-        uniform = 0 < plen <= _DIGEST_BYTES
-    else:
-        plen = len(payloads[0]) if n else 0
-        uniform = n > 0 and 0 < plen <= _DIGEST_BYTES
-        if uniform:
-            for payload in payloads:
-                if len(payload) != plen:
-                    uniform = False
-                    break
-    if as_matrix and not uniform:
-        raise ConfigurationError(
-            "as_matrix=True needs uniform single-block payloads"
-        )
-    out: list[bytes] = []
-    append = out.append
-    mac_domain = _MAC_DOMAIN
-    if uniform and _np is not None:
-        if keystreams is None:
-            streams: list[bytes] = []
-            stream_append = streams.append
-            for (inner0, outer0), nonce in zip(keyed, nonces):
-                inner = inner0.copy()
-                inner.update(enc_domain + nonce + zero_ctr)
-                outer = outer0.copy()
-                outer.update(inner.digest())
-                stream_append(outer.digest())
-        else:
-            if n and min(map(len, keystreams)) < plen:
-                raise ConfigurationError(
-                    "prefetched keystream shorter than plaintext"
-                )
-            streams = keystreams
-        dlen = len(mac_domain)
-        width = dlen + NONCE_LEN + plen
-        plain = (
-            payloads
-            if is_matrix
-            else _np.frombuffer(b"".join(payloads), dtype=_np.uint8).reshape(n, plen)
-        )
-        stream_mat = _np.frombuffer(b"".join(streams), dtype=_np.uint8).reshape(
-            n, -1
-        )[:, :plen]
-        messages = _np.empty((n, width), dtype=_np.uint8)
-        messages[:, :dlen] = _np.frombuffer(mac_domain, dtype=_np.uint8)
-        messages[:, dlen : dlen + NONCE_LEN] = _np.frombuffer(
-            b"".join(nonces), dtype=_np.uint8
-        ).reshape(n, NONCE_LEN)
-        bodies = messages[:, dlen + NONCE_LEN :]
-        _np.bitwise_xor(plain, stream_mat, out=bodies)
-        view = memoryview(messages.tobytes())
-        # Full 32-byte digests are appended and truncated to TAG_LEN as one
-        # array slice below — cheaper than 2560 per-entry bytes slices.
-        tags: list[bytes] = []
-        tag_append = tags.append
-        start = 0
-        for inner0, outer0 in keyed:
-            inner = inner0.copy()
-            inner.update(view[start : start + width])
-            start += width
-            outer = outer0.copy()
-            outer.update(inner.digest())
-            tag_append(outer.digest())
-        total = NONCE_LEN + plen + TAG_LEN
-        cipher = _np.empty((n, total), dtype=_np.uint8)
-        cipher[:, : NONCE_LEN + plen] = messages[:, dlen:]
-        cipher[:, NONCE_LEN + plen :] = _np.frombuffer(
-            b"".join(tags), dtype=_np.uint8
-        ).reshape(n, _DIGEST_BYTES)[:, :TAG_LEN]
-        if as_matrix:
-            if _obs.enabled:
-                REGISTRY.counter("crypto.aead.encrypts").inc(n)
-                _ledger.add_op("aead.encrypts", n)
-            return cipher
-        flat = cipher.tobytes()
-        for index in range(n):
-            append(flat[index * total : (index + 1) * total])
-    else:
-        xor = _xor
-        digest_bytes = _DIGEST_BYTES
-        for index, ((inner0, outer0), plaintext, nonce) in enumerate(
-            zip(keyed, payloads, nonces)
-        ):
-            plen_i = len(plaintext)
-            if plen_i == 0:
-                body = b""
-            elif keystreams is not None:
-                stream = keystreams[index]
-                if plen_i > len(stream):
-                    raise ConfigurationError(
-                        "prefetched keystream shorter than plaintext"
-                    )
-                body = xor(plaintext, stream)
-            else:
-                blocks = []
-                for counter in range((plen_i + digest_bytes - 1) // digest_bytes):
-                    inner = inner0.copy()
-                    inner.update(enc_domain + nonce + counter.to_bytes(4, "big"))
-                    outer = outer0.copy()
-                    outer.update(inner.digest())
-                    blocks.append(outer.digest())
-                body = xor(plaintext, b"".join(blocks))
-            nonce_body = nonce + body
-            inner = inner0.copy()
-            inner.update(mac_domain + nonce_body)
-            outer = outer0.copy()
-            outer.update(inner.digest())
-            append(nonce_body + outer.digest()[:TAG_LEN])
     if _obs.enabled:
         REGISTRY.counter("crypto.aead.encrypts").inc(n)
         _ledger.add_op("aead.encrypts", n)
@@ -849,9 +563,6 @@ __all__ = [
     "open_any",
     "open_many",
     "key_schedule",
-    "keyed_states",
-    "prefetch_table",
-    "prefetch_keystreams",
     "ciphertext_len",
     "NONCE_LEN",
     "TAG_LEN",

@@ -25,21 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import sha256_lanes as _lanes
 from repro.crypto.prf import Prf, encode_components, hmac_compressions
 from repro.errors import ConfigurationError, TamperDetectedError
-
-try:  # numpy accelerates the batched decode; the dict path always works
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None  # type: ignore[assignment]
-
-#: Minimum candidate-table size (groups × 2^y) before the matrix decode in
-#: :meth:`LabelCodec.decode_from_candidates` beats the dict scan.  Pure
-#: array assembly — no hashing — so this is independent of the lane-engine
-#: calibration; ``REPRO_NO_VECTOR`` still pins the dict path via
-#: :func:`repro.crypto.sha256_lanes.enabled`.
-_MATRIX_DECODE_MIN = 256
 
 
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
@@ -301,24 +288,15 @@ class LabelCodec:
         return self.decode_from_candidates(self.labels_for_groups(key, counter), labels)
 
     def decode_from_candidates(
-        self,
-        candidate_rows: list[list[bytes]],
-        labels: list[bytes],
-        *,
-        blob: bytes | None = None,
+        self, candidate_rows: list[list[bytes]], labels: list[bytes]
     ) -> bytes:
         """:meth:`decode_labels` against an already-derived candidate table.
 
         Lets callers that still hold the epoch's label table (e.g. the
-        proxy's label cache) skip the PRF re-derivation entirely.  Past
-        ``_MATRIX_DECODE_MIN`` total candidates (and with numpy importable)
-        the match runs as one whole-table array comparison instead of a
-        per-group dict scan — same verdicts, same first-failing-group error.
+        proxy's label cache) skip the PRF re-derivation entirely.
 
         Args:
             candidate_rows: ``num_groups`` rows of ``2^y`` candidate labels.
-            blob: Optional pre-joined candidate bytes (group-major, as the
-                label cache stores them) so the matrix path skips the join.
 
         Raises:
             TamperDetectedError: if any label is not a valid candidate.
@@ -327,41 +305,6 @@ class LabelCodec:
             raise ConfigurationError(
                 f"expected {self.num_groups} labels, got {len(labels)}"
             )
-        num_groups = self.num_groups
-        table_size = self.table_size
-        if (
-            _np is not None
-            and _lanes.enabled()
-            and num_groups * table_size >= _MATRIX_DECODE_MIN
-        ):
-            label_len = self.label_len
-            if blob is None:
-                blob = b"".join(
-                    [label for row in candidate_rows for label in row]
-                )
-            try:
-                cand = _np.frombuffer(blob, dtype=_np.uint8).reshape(
-                    num_groups, table_size, label_len
-                )
-                resp = _np.frombuffer(b"".join(labels), dtype=_np.uint8).reshape(
-                    num_groups, 1, label_len
-                )
-            except ValueError:
-                pass  # ragged label lengths: the dict scan reports tampering
-            else:
-                matches = (cand == resp).all(axis=2)
-                per_group = matches.any(axis=1)
-                if not per_group.all():
-                    index = int(_np.argmin(per_group))
-                    raise TamperDetectedError(
-                        f"label at group {index} matches no candidate: "
-                        "data was tampered"
-                    )
-                return groups_to_value(
-                    matches.argmax(axis=1).tolist(),
-                    self.group_bits,
-                    self.value_len,
-                )
         groups: list[int] = []
         for index, stored in enumerate(labels):
             # Candidate-set lookup: 2^y candidates per group, resolved via a

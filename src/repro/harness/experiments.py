@@ -421,7 +421,7 @@ def lbl_kernels(
     num_keys: int = 8,
     num_requests: int = 48,
     value_len: int = 160,
-    crypto_backend: str = "auto",
+    backend: str = "stdlib",
     coalesce_window: float = 0.0,
 ) -> list[Row]:
     """Batched-kernel throughput: scalar vs batched vs batched+cache.
@@ -442,11 +442,10 @@ def lbl_kernels(
         num_keys: Distinct keys in the workload.
         num_requests: Accesses per measured configuration.
         value_len: Object size in bytes (paper default 160).
-        crypto_backend: ``"auto"`` (default), ``"stdlib"``, ``"vector"``,
-            ``"scalar"`` (forces the per-label reference path on the
-            in-process rows), or ``"procpool"`` (the sharded-batch row
-            derives labels in a process pool).  See
-            ``repro run lbl --crypto-backend``.
+        backend: ``"stdlib"`` (default), ``"scalar"`` (forces the
+            per-label reference path on the in-process rows), or
+            ``"procpool"`` (the sharded-batch row derives labels in a
+            process pool).  See ``repro run lbl --crypto-backend``.
         coalesce_window: Flush-timer seconds for the sharded-batch row's
             prepare coalescing stage (``repro run lbl --coalesce-window``);
             ``0`` (default) keeps the per-request prepare path.
@@ -454,6 +453,7 @@ def lbl_kernels(
     import random
     import time
 
+    from repro.analysis.costmodel import MODEL_BACKENDS
     from repro.core.lbl import LblOrtoa
     from repro.errors import ConfigurationError
     from repro.types import Request, StoreConfig
@@ -478,19 +478,15 @@ def lbl_kernels(
                 requests.append(Request.write(key, config.pad(b"updated")))
         return records, requests
 
-    known_backends = ("auto", "stdlib", "vector", "scalar", "procpool")
-    if crypto_backend not in known_backends:
+    if backend not in MODEL_BACKENDS:
         raise ConfigurationError(
-            f"unknown crypto backend {crypto_backend!r}; expected one of "
-            f"{known_backends}"
+            f"unknown crypto backend {backend!r}; expected one of "
+            f"{MODEL_BACKENDS}"
         )
     # "scalar" forces the per-label reference path; "procpool" only changes
     # the sharded-batch row (label derivation is a prepare-engine concern).
-    force_scalar = crypto_backend == "scalar"
-    proxy_backend = (
-        "auto" if crypto_backend in ("scalar", "procpool") else crypto_backend
-    )
-    prepare_backend = "procpool" if crypto_backend == "procpool" else "thread"
+    force_scalar = backend == "scalar"
+    prepare_backend = "procpool" if backend == "procpool" else "thread"
 
     base = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
     cached = replace(base, label_cache_entries=label_cache)
@@ -505,10 +501,7 @@ def lbl_kernels(
             continue
         records, requests = _workload(config)
         store = LblOrtoa(
-            config,
-            rng=random.Random(2),
-            batched=batched and not force_scalar,
-            crypto_backend=proxy_backend,
+            config, rng=random.Random(2), batched=batched and not force_scalar
         )
         store.initialize(records)
         if warm:
@@ -539,7 +532,6 @@ def lbl_kernels(
             rng=random.Random(2),
             prepare_workers=workers,
             prepare_backend=prepare_backend,
-            crypto_backend=proxy_backend,
             coalesce_window=coalesce_window,
         )
         try:

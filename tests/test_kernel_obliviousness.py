@@ -178,28 +178,23 @@ def test_parallel_prepare_observations_match_serial():
     assert features[0] == features[1]
 
 
-def test_request_shape_identical_across_crypto_backends():
-    """GET and PUT frames are byte-identically shaped under every backend.
+def test_request_shape_identical_across_kernel_paths():
+    """GET and PUT frames are byte-identically shaped on every kernel path.
 
-    The crypto backend (scalar reference path, stdlib batched kernels, the
-    numpy lane pipeline) is a proxy-side implementation detail; if any
-    backend changed the wire request's size or table geometry — for either
-    op type — the deployment choice itself would become server-visible.
+    The table build (scalar reference path, batched kernels, batched
+    kernels fed from a warm label cache) is a proxy-side implementation
+    detail; if any path changed the wire request's size or table geometry
+    — for either op type — the deployment choice itself would become
+    server-visible.
     """
     keychain = KeyChain(label_bits=128)
-    config = _config(label_cache_entries=-1)
     shapes = []
-    for batched, backend in (
-        (False, "auto"),
-        (True, "stdlib"),
-        (True, "vector"),
-    ):
+    for batched, cache_entries in ((False, None), (True, None), (True, -1)):
         store = LblOrtoa(
-            config,
+            _config(label_cache_entries=cache_entries),
             keychain=keychain,
             rng=random.Random(3),
             batched=batched,
-            crypto_backend=backend,
         )
         store.initialize({"k": bytes(16)})
         store.access(Request.read("k"))  # warm the cache where it exists
@@ -217,19 +212,6 @@ def test_request_shape_identical_across_crypto_backends():
                 )
             )
     assert len(set(shapes)) == 1, shapes
-
-
-def test_audit_passes_with_vector_backend():
-    """The lane pipeline must leave server observations untouched."""
-    protocol = LblOrtoa(
-        _config(label_cache_entries=-1),
-        rng=random.Random(6),
-        batched=True,
-        crypto_backend="vector",
-    )
-    report = run_audit(protocol, num_keys=16, seed=6)
-    assert report.passed, report.summary()
-    assert report.failures == []
 
 
 def test_procpool_observations_match_thread_backend():

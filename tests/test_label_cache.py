@@ -10,9 +10,12 @@ the cache would make the next access undecodable.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.cache import LabelCache, LabelCacheEntry
@@ -92,6 +95,35 @@ def test_cache_from_bytes_sizes_at_least_one_entry():
     assert cache.capacity == 1
 
 
+def test_cache_take_counts_exactly_under_threads():
+    """``hits + misses`` equals the number of ``take`` calls: no lost update."""
+    workers, per_worker = 8, 2000
+    cache = LabelCache(workers)  # one live entry per worker: nothing evicts
+    entry = LabelCacheEntry(labels=[[b"a"]])
+
+    def run(name: str) -> None:
+        for counter in range(per_worker):
+            if counter % 2 == 0:  # every other take hits
+                cache.put(name, counter, entry)
+            cache.take(name, counter)
+
+    threads = [
+        threading.Thread(target=run, args=(f"k{i}",)) for i in range(workers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert cache.hits + cache.misses == workers * per_worker
+    assert cache.hits == workers * per_worker // 2
+
+
 def test_config_rejects_zero_cache_entries():
     with pytest.raises(ConfigurationError):
         StoreConfig(value_len=8, label_cache_entries=0)
@@ -111,13 +143,7 @@ def test_repeated_access_hits_cache_and_prefetch():
     entry = cache.peek("k0", 1)
     assert entry is not None
     assert entry.next_labels is not None  # finalize prefetched epoch 2
-    if store.proxy.vector_active():
-        # The vector pipeline attaches keyed states + prefetched keystreams
-        # in place of pad-block schedules.
-        assert entry.keyed is not None
-        assert entry.keystreams is not None and entry.nonces is not None
-    else:
-        assert entry.schedules is not None
+    assert entry.schedules is not None  # finalize attached AEAD schedules
     before = cache.hits
     store.access(Request.read("k0"))  # warm: consumes epoch 1 entry
     assert cache.hits == before + 1
@@ -175,6 +201,69 @@ def test_three_paths_decode_identically(pnp):
         results.append([store.access(req).response.value for req in workload])
     assert results[0] == results[1] == results[2]
     assert results[0][-1].rstrip(b"\x00") == b"new-val0"
+
+
+def _access_shapes(store: LblOrtoa, request: Request) -> tuple[bytes, tuple, tuple]:
+    """One access by hand: ``(value, request shape, response shape)``."""
+    built, _ = store.proxy.prepare(request)
+    response, _ = store.server.process(built)
+    value, _ = store.proxy.finalize(request.key, response)
+    request_shape = (
+        len(built.to_bytes()),
+        tuple(tuple(len(entry) for entry in table) for table in built.tables),
+    )
+    response_shape = (
+        len(response.to_bytes()),
+        tuple(len(label) for label in response.opened_labels),
+    )
+    return value, request_shape, response_shape
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=3),
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.one_of(st.none(), st.binary(min_size=8, max_size=8)),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_undersized_cache_matches_oracle_and_cacheless_shapes(capacity, ops):
+    """Capacity < keys: hits, misses and evictions interleave, nothing shows.
+
+    The regime the ``zipf_cached`` benchmark workload runs: every value
+    equals a dict oracle, every request/response is shaped exactly like the
+    cache-less deployment's for the same op sequence, and the cache's own
+    bookkeeping (one lookup per access, LRU bound) holds throughout.
+    """
+    keychain = KeyChain(label_bits=128)
+    cached = LblOrtoa(
+        _config(label_cache_entries=capacity), keychain=keychain, rng=random.Random(1)
+    )
+    plain = LblOrtoa(
+        _config(label_cache_entries=None), keychain=keychain, rng=random.Random(1)
+    )
+    oracle = {f"k{i}": f"value-{i}!".encode()[:8] for i in range(4)}
+    cached.initialize(oracle)
+    plain.initialize(oracle)
+    cache = cached.proxy.label_cache
+    for accesses, (index, written) in enumerate(ops, start=1):
+        key = f"k{index}"
+        if written is None:
+            request = Request.read(key)
+        else:
+            request = Request.write(key, written)
+            oracle[key] = written
+        value, request_shape, response_shape = _access_shapes(cached, request)
+        assert value == oracle[key]
+        assert (oracle[key], request_shape, response_shape) == _access_shapes(
+            plain, request
+        )
+        assert cache.hits + cache.misses == accesses
+        assert len(cache) <= capacity
 
 
 # --------------------------------------------------------------------- #

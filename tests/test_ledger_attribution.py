@@ -83,7 +83,6 @@ def batch_deployment():
             rng=random.Random(13),
             prepare_workers=2,
             prepare_backend="procpool",
-            crypto_backend="stdlib",
         )
         deployment.initialize({key: b"\x02" * 8 for key in KEYS})
         yield deployment
@@ -106,7 +105,6 @@ def coalesced_deployment():
             rng=random.Random(19),
             prepare_workers=2,
             prepare_backend="procpool",
-            crypto_backend="stdlib",
             coalesce_window=0.0005,
             coalesce_batch=4,
         )
