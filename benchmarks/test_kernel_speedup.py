@@ -5,9 +5,11 @@ under three kernel configurations at the paper's default operating point
 (160 B values, y=2 grouping, point-and-permute — §6 workload with both §10
 optimizations):
 
-* **scalar** — the per-label reference path (``batched=False``, no cache);
-* **batched** — fused ``PrfContext`` label derivation + ``encrypt_many``
-  table encryption, cache disabled (every access is a cold build);
+* **scalar** — the per-label reference path (``batched=False``, no cache):
+  one HMAC block per label and per offset lookup, shared blocks recomputed;
+* **batched** — fused ``PrfContext`` label derivation (every HMAC block
+  once: two labels or 32 offsets each) + ``encrypt_many`` table encryption,
+  cache disabled (every access is a cold build);
 * **batched+cache** — the kernel stack in steady state: a warm
   :class:`~repro.core.lbl.cache.LabelCache` whose entries carry prefetched
   next-epoch labels and AEAD key schedules, so ``prepare`` derives nothing.
@@ -25,11 +27,15 @@ All gates are self-relative (same interpreter, same machine, same run), so
 they hold on slow CI runners:
 
 1. ``batched+cache`` prepare >= 3x ``scalar`` prepare — the original gate;
-2. warm prepare >= 1.5x cold prepare — the cache must pay for itself;
+2. warm prepare >= 1.2x cold prepare — the cache must pay for itself (a
+   cold prepare derives 2 600 HMACs since labels became wide-output slices,
+   down from 6 400, so the cache has less left to save: the ratio measured
+   1.4x where it used to measure 2x, with the warm time unchanged);
 3. cold batched prepare >= scalar prepare — batching alone must never lose
    (the CI smoke condition: fail if batched < scalar).
 
-Warm ``finalize`` is expected to be *slower* than scalar finalize — it
+Cold ``finalize`` derives nothing (it decodes against the table ``prepare``
+filed in the proxy's in-flight table).  Warm ``finalize`` is *slower* — it
 absorbs the next epoch's label prefetch and key-schedule derivation, work
 deliberately moved off the request-build critical path (the request is
 already on the wire when finalize runs; see docs/performance.md).
@@ -69,7 +75,7 @@ ROUNDS = 15
 
 #: Gate thresholds (self-relative speedups).
 GATE_BATCHED_CACHE_VS_SCALAR = 3.0
-GATE_WARM_VS_COLD = 1.5
+GATE_WARM_VS_COLD = 1.2
 
 
 def _build(*, batched: bool, cache: bool) -> LblOrtoa:
@@ -129,7 +135,18 @@ def measured() -> dict[str, dict[str, float]]:
         }
     prepare = {name: phases["prepare_ops_per_sec"] for name, phases in results.items()}
     payload = {
-        "config": dict(GATE_POINT, rounds=ROUNDS, timing="best-of-rounds"),
+        "config": dict(
+            GATE_POINT,
+            rounds=ROUNDS,
+            timing="best-of-rounds",
+            derivation=(
+                "labels = label_len slices of PRF(label, key, group, epoch), "
+                "offsets = bytes of PRF(permute, key, epoch); the scalar "
+                "baseline pays one HMAC block per label/offset lookup under "
+                "this definition, so ratios against it do not compare with "
+                "files recorded under PRF(key, group, value, epoch)"
+            ),
+        ),
         "kernels": results,
         "speedups": {
             "batched_cache_vs_scalar_prepare": round(
@@ -151,6 +168,10 @@ def measured() -> dict[str, dict[str, float]]:
     # finalize throughput is gated to bound the deliberate work shift (see
     # module docstring).
     for name, speedup in payload["speedups"].items():
+        if name == "warm_vs_cold_prepare":
+            # The cold denominator lost three fifths of its HMACs when labels
+            # became wide-output slices; the ratio's trajectory restarts.
+            name += ".sliced"
         record_bench(f"kernels.{name}", speedup, unit="x")
     record_bench(
         "kernels.finalize_ops_per_sec",
@@ -174,8 +195,8 @@ def test_batched_cache_beats_scalar_3x(measured):
     )
 
 
-def test_warm_cache_beats_cold_1_5x(measured):
-    """Cache gate: a warm prepare >= 1.5x a cold batched prepare."""
+def test_warm_cache_beats_cold(measured):
+    """Cache gate: a warm prepare >= 1.2x a cold batched prepare."""
     warm = measured["batched+cache"]["prepare_ops_per_sec"]
     cold = measured["batched"]["prepare_ops_per_sec"]
     assert warm >= GATE_WARM_VS_COLD * cold, (

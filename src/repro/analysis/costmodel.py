@@ -28,8 +28,8 @@ from repro.types import StoreConfig
 #: Crypto backends the model covers.  ``stdlib``/``procpool`` share
 #: formulas (they run the same batched kernels — the worker pool changes
 #: *where* hashing happens, never how much);
-#: ``scalar`` is the per-label reference path with its redundant per-entry
-#: permute derivations.
+#: ``scalar`` is the per-label reference path, which recomputes the HMAC
+#: block two labels share and the offset block per table entry.
 MODEL_BACKENDS = ("scalar", "stdlib", "procpool")
 
 #: Fixed wire widths, pinned against the implementation by
@@ -239,13 +239,60 @@ class LblCostModel:
         message_len = 4 + len(encode_components("key-encoding", self.key))
         return 1, hmac_compressions(message_len, ENCODED_KEY_BYTES)
 
+    def prepare_prf_cost(self) -> tuple[int, int]:
+        """``(HMAC calls, compressions)`` of ``prepare``'s label/offset work.
+
+        Every backend derives the old and the new epoch once each.  The
+        batched kernels pay each HMAC block once (:meth:`LabelCodec.
+        derivation_cost`); the scalar path derives every label alone — the
+        block two labels share is computed per label — and calls the offset
+        PRF once per group for the old epoch plus once per table entry for
+        the new one, one block each.
+        """
+        codec = self._codec
+        calls = comp = 0
+        for counter in (self.counter, self.counter + 1):
+            (lab_calls, lab_comp), (off_calls, off_comp) = self._epoch_parts(counter)
+            if self.backend == "scalar":
+                # Compressions per block do not depend on which block it is.
+                lab_comp = lab_comp // codec.label_blocks * codec.scalar_group_calls
+                lab_calls = codec.num_groups * codec.scalar_group_calls
+                if self.point_and_permute:
+                    per_call = off_comp // off_calls
+                    off_calls = codec.num_groups * (
+                        1 if counter == self.counter else self.table_size
+                    )
+                    off_comp = off_calls * per_call
+            calls += lab_calls
+            comp += lab_comp
+            if self.point_and_permute:
+                calls += off_calls
+                comp += off_comp
+        return calls, comp
+
+    def finalize_ops(self, in_flight: bool = True) -> dict[str, int]:
+        """Predicted ledger ops of ``finalize`` for the epoch this access installs.
+
+        ``prepare`` files the new epoch's label table in the proxy's
+        in-flight table and ``finalize`` decodes against it, so the normal
+        path (``in_flight=True``) costs no PRF call on any backend.  An
+        epoch that fell out of the table — recovery, rollback, eviction — is
+        re-derived once through the batched kernel.
+        """
+        calls = comp = 0
+        if not in_flight:
+            calls, comp = self._codec.derivation_cost(self.key, self.counter + 1)
+        return {"prf.calls": calls, "sha256.compressions": comp}
+
     def ops(self, include_server: bool = True) -> dict[str, int]:
         """Predicted :mod:`repro.obs.ledger` op counts for one cold access.
 
         Identical for GET and PUT by construction — the whole point of the
         protocol — and the obliviousness auditor asserts the ledger agrees.
-        Covers the cold path (no label-cache hit); the cache's savings are
-        metered as ``cache.hits`` rows, not modeled here.
+        Covers the cold path (no label-cache hit; the cache's savings are
+        metered as ``cache.hits`` rows, not modeled here) with the epoch
+        finalized from the in-flight table, so all of the PRF work is
+        ``prepare``'s (:meth:`finalize_ops` is zero).
 
         Args:
             include_server: Include the server-side AEAD opens.  Under
@@ -255,29 +302,10 @@ class LblCostModel:
                 In a sharded deployment the server ops land in server-side
                 ledger rows, so client-row comparisons pass ``False``.
         """
-        (lab_old_calls, lab_old_comp), (off_old_calls, off_old_comp) = (
-            self._epoch_parts(self.counter)
-        )
-        (lab_new_calls, lab_new_comp), (off_new_calls, off_new_comp) = (
-            self._epoch_parts(self.counter + 1)
-        )
         ek_calls, ek_comp = self._encode_key_cost
-
-        # Every backend derives the old epoch once, the new epoch once in
-        # prepare, and the new epoch once more in finalize's decode (cold:
-        # no cache to remember it).
-        calls = lab_old_calls + 2 * lab_new_calls + ek_calls
-        comp = lab_old_comp + 2 * lab_new_comp + ek_comp
-        if self.point_and_permute:
-            if self.backend == "scalar":
-                # The scalar path derives the old-epoch offset once per
-                # group but re-derives the new-epoch offset inside every
-                # table entry's decrypt_index — T redundant calls per group.
-                calls += off_old_calls + self.table_size * off_new_calls
-                comp += off_old_comp + self.table_size * off_new_comp
-            else:
-                calls += off_old_calls + off_new_calls
-                comp += off_old_comp + off_new_comp
+        calls, comp = self.prepare_prf_cost()
+        calls += ek_calls
+        comp += ek_comp
 
         ops = {
             "prf.calls": calls,

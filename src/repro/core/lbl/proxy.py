@@ -3,8 +3,8 @@
 Per access to key ``k`` with counter ``ct`` the proxy:
 
 1. regenerates the *old* labels for every group and every possible group
-   value using ``PRF(k, i, v, ct)`` — it must cover all ``2^y`` candidates
-   because the actual value lives only at the server;
+   value — slice ``v`` of ``PRF(k, i, ct)`` — covering all ``2^y``
+   candidates because the actual value lives only at the server;
 2. generates the *new* labels under ``ct + 1``;
 3. builds, per group, a table of ``2^y`` ciphertexts: for reads each old
    label encrypts its *own* new label (value preserved); for writes every
@@ -15,25 +15,31 @@ Per access to key ``k`` with counter ``ct`` the proxy:
    (§5.3.1: 8 bytes per object).
 
 After the round trip, :meth:`LblProxy.finalize` maps the opened labels back
-to plaintext, which doubles as the §5.4 tamper check.
+to plaintext, which doubles as the §5.4 tamper check.  The candidates it
+checks against are the new-epoch labels step 2 already derived: every
+prepared epoch's label table waits in a bounded **in-flight table** until its
+response is finalized, so the normal path derives each epoch exactly once
+(an epoch that fell out — recovery, rollback, eviction — is re-derived).
 
-Two implementations of step 1–4 coexist:
+Labels and offsets have one definition, in
+:class:`~repro.crypto.labels.LabelCodec`; the proxy reaches it two ways:
 
-* the **batched kernel path** (default) derives all labels through
+* the **batched kernel path** (default) derives whole epochs through
   :meth:`~repro.crypto.labels.LabelCodec.labels_for_groups` and encrypts the
   whole table through :func:`~repro.crypto.aead.encrypt_many`, optionally
   reusing a previous access's labels from the
   :class:`~repro.core.lbl.cache.LabelCache`;
 * the **scalar path** (``batched=False``) issues one PRF/AEAD call per label
-  exactly as the seed implementation did.  It is kept as the benchmark
-  baseline and as an equivalence oracle — both paths produce tables that
-  open to byte-identical labels.
+  and table entry.  It is kept as the benchmark baseline and as an
+  equivalence oracle — both paths produce tables that open to
+  byte-identical labels.
 
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 from repro.core.base import OpCounts
 from repro.core.lbl.cache import DEFAULT_LABEL_CACHE_BYTES, LabelCache, LabelCacheEntry
@@ -53,6 +59,11 @@ from repro.types import Request, StoreConfig
 #: encrypted payload.  The paper uses 2 bits; a whole byte keeps framing
 #: simple and supports y up to 8.
 DECRYPT_INDEX_BYTES = 1
+
+#: Byte budget of the in-flight table (prepared, not yet finalized epochs).
+#: Steady state holds one epoch per outstanding request; the budget only
+#: binds when requests fail and their epochs are never finalized.
+INFLIGHT_TABLE_BYTES = 4 * 1024 * 1024
 
 #: Single-byte payload suffixes, pre-built so the table loop does not
 #: construct a fresh one-byte ``bytes`` object per entry.
@@ -102,6 +113,19 @@ class LblProxy:
                 )
             else:
                 self.label_cache = LabelCache(entries)
+        #: HMAC evaluations behind one epoch's labels (+ offsets under §10.2).
+        self._epoch_prf = self.codec.label_calls + (
+            self.codec.offset_calls if config.point_and_permute else 0
+        )
+        # (key, epoch) -> candidate label table, oldest first.  Every
+        # mutation is one OrderedDict operation (atomic under the GIL), so
+        # callers that serialize per key need no further lock.
+        self._inflight: "OrderedDict[tuple[str, int], list[list[bytes]]]" = (
+            OrderedDict()
+        )
+        self.inflight_capacity = max(
+            1, INFLIGHT_TABLE_BYTES // self.inflight_epoch_bytes
+        )
 
     # ------------------------------------------------------------------ #
     # State
@@ -111,6 +135,35 @@ class LblProxy:
     def proxy_state_bytes(self) -> int:
         """§5.3.1's space estimate: an 8-byte counter per tracked object."""
         return 8 * len(self._counters)
+
+    @property
+    def inflight_epoch_bytes(self) -> int:
+        """Upper estimate of one in-flight epoch's resident bytes.
+
+        Per label the ``bytes`` object (33-byte header) and its list slot,
+        per group the row list, per epoch the outer list and table node —
+        each rounded up, so :data:`INFLIGHT_TABLE_BYTES` is a true ceiling.
+        """
+        codec = self.codec
+        per_label = codec.label_len + 56
+        return codec.num_groups * (codec.table_size * per_label + 96) + 512
+
+    @property
+    def inflight_epochs(self) -> int:
+        """Epochs prepared and not yet finalized (or evicted)."""
+        return len(self._inflight)
+
+    def _remember_epoch(
+        self, key: str, epoch: int, labels: "list[list[bytes]]"
+    ) -> None:
+        """File a prepared epoch's label table for its :meth:`finalize`."""
+        table = self._inflight
+        table[(key, epoch)] = labels
+        while len(table) > self.inflight_capacity:
+            try:
+                table.popitem(last=False)
+            except KeyError:  # pragma: no cover - emptied by another thread
+                break
 
     def counter(self, key: str) -> int:
         """Current access-counter epoch for ``key``."""
@@ -126,15 +179,18 @@ class LblProxy:
     def force_counter(self, key: str, value: int) -> None:
         """Overwrite one key's counter — recovery resynchronization only.
 
-        Any cached label epochs for ``key`` are invalidated: after a forced
-        counter move the cache can no longer prove its entries correspond to
-        what the server currently stores.
+        Any cached or in-flight label epochs for ``key`` are dropped: after a
+        forced counter move they no longer correspond to requests the server
+        will answer.
         """
         if value < 0:
             raise ProtocolError("counters cannot be negative")
         if key not in self._counters:
             raise KeyNotFoundError(f"key {key!r} was never initialized")
         self._counters[key] = value
+        for slot in list(self._inflight):
+            if slot[0] == key:
+                self._inflight.pop(slot, None)
         if self.label_cache is not None:
             self.label_cache.invalidate_key(key)
         if _obs.enabled:
@@ -146,13 +202,14 @@ class LblProxy:
     def restore_counters(self, counters: dict[str, int]) -> None:
         """Install a recovered counter table (crash recovery).
 
-        The label cache is cleared wholesale: recovery means the in-memory
-        epoch history is no longer trustworthy.
+        The label cache and the in-flight table are cleared wholesale:
+        recovery means the in-memory epoch history is no longer trustworthy.
         """
         for key, value in counters.items():
             if value < 0:
                 raise ProtocolError(f"negative counter for key {key!r}")
         self._counters = dict(counters)
+        self._inflight.clear()
         if self.label_cache is not None:
             self.label_cache.clear()
         if _obs.enabled:
@@ -167,20 +224,19 @@ class LblProxy:
     ) -> list[tuple[bytes, list[StoredLabel]]]:
         """Encode every plaintext pair into the server's stored form.
 
-        The value is decomposed into groups exactly once per record (the
-        decomposition is index-independent), and point-and-permute slots are
-        derived with the batched offset kernel.
+        The value is decomposed into groups exactly once per record; only the
+        label each group stores is derived (one HMAC per group), and the
+        point-and-permute slots come from the packed offset stream.
         """
         out = []
         point_and_permute = self.config.point_and_permute
         for key, value in records.items():
             if key in self._counters:
                 raise ProtocolError(f"duplicate key at init: {key!r}")
-            padded = self.config.pad(value)
+            groups = value_to_groups(self.config.pad(value), self.config.group_bits)
             self._counters[key] = 0
-            labels = self.codec.encode_value(key, padded, counter=0)
+            labels = self.codec.encode_groups(key, groups, 0)
             if point_and_permute:
-                groups = value_to_groups(padded, self.config.group_bits)
                 slots = self.codec.decrypt_indices(key, groups, 0)
                 stored = [
                     StoredLabel(label, slot) for label, slot in zip(labels, slots)
@@ -246,9 +302,8 @@ class LblProxy:
         key = request.key
         ct = self.counter(key)
         new_ct = ct + 1
-        table_size = codec.table_size
-        num_groups = codec.num_groups
         point_and_permute = self.config.point_and_permute
+        epoch_prf = self._epoch_prf
 
         new_value = None
         if request.op.is_write:
@@ -276,25 +331,20 @@ class LblProxy:
             # identical to deriving here, so the PRF accounting is too.
             old_labels, old_offsets, new_labels, new_offsets = label_sets
             old_schedules = None
-            prf_count += 2 * num_groups * table_size + (
-                2 * num_groups if point_and_permute else 0
-            )
+            prf_count += 2 * epoch_prf
         else:
             old_labels = codec.labels_for_groups(key, ct)
             old_offsets = (
                 codec.permute_offsets(key, ct) if point_and_permute else None
             )
             old_schedules = None
-            prf_count += num_groups * table_size + (
-                num_groups if point_and_permute else 0
-            )
+            prf_count += epoch_prf
 
         if new_labels is None:
             new_labels = codec.labels_for_groups(key, new_ct)
-            prf_count += num_groups * table_size
             if point_and_permute:
                 new_offsets = codec.permute_offsets(key, new_ct)
-                prf_count += num_groups
+            prf_count += epoch_prf
 
         # Flatten the whole table build into one encrypt_many call: entry
         # (index, value) encrypts payload(value) under
@@ -317,6 +367,7 @@ class LblProxy:
                 new_ct,
                 LabelCacheEntry(labels=new_labels, offsets=new_offsets),
             )
+        self._remember_epoch(key, new_ct, new_labels)
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
         self._emit_prepare_span(span, request, prf_count + 1, enc_count, cache_hit)
@@ -437,9 +488,7 @@ class LblProxy:
         table_size = codec.table_size
         point_and_permute = self.config.point_and_permute
         per_entry_enc = num_groups * table_size
-        per_entry_prf = 2 * per_entry_enc + (
-            2 * num_groups if point_and_permute else 0
-        )
+        per_entry_prf = 2 * self._epoch_prf
 
         spans = []
         all_keys: list[bytes] = []
@@ -488,6 +537,7 @@ class LblProxy:
                         ct + 1,
                         LabelCacheEntry(labels=new_labels, offsets=new_offsets),
                     )
+                self._remember_epoch(key, ct + 1, new_labels)
                 self._counters[key] = ct + 1
                 staged.append((request, encoded_key, old_offsets, ct + 1, row))
             finally:
@@ -523,9 +573,9 @@ class LblProxy:
         return results
 
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Seed reference path: one PRF/AEAD call per label and table entry.
+        """Reference path: one PRF/AEAD call per label and table entry.
 
-        Kept verbatim as the self-relative benchmark baseline
+        Kept as the self-relative benchmark baseline
         (``benchmarks/test_kernel_speedup.py``) and as the equivalence
         oracle for the batched kernels.
         """
@@ -543,18 +593,20 @@ class LblProxy:
         prf_count = 0
         enc_count = 0
         tables: list[tuple[bytes, ...]] = []
+        new_table: list[list[bytes]] = []
         for index in range(self.codec.num_groups):
             old_labels = self.codec.labels_for_group(key, index, ct)
             new_labels = self.codec.labels_for_group(key, index, new_ct)
-            prf_count += 2 * table_size
+            new_table.append(new_labels)
+            prf_count += 2 * self.codec.scalar_group_calls
 
             entries: list[bytes | None] = [None] * table_size
             if self.config.point_and_permute:
-                # Two permute-offset PRF calls per group: one linking the old
-                # labels to slots, one (inside decrypt_index) for the next
-                # access's slot carried in the payload.
+                # One permute-offset PRF call linking the old labels to
+                # slots, plus one per table entry (inside decrypt_index) for
+                # the next access's slot carried in the payload.
                 offset_old = self.codec.permute_offset(key, index, ct)
-                prf_count += 2
+                prf_count += 1 + table_size
                 for value in range(table_size):
                     target = value if request.op.is_read else new_value[index]  # type: ignore[index]
                     payload = new_labels[target] + bytes(
@@ -571,6 +623,7 @@ class LblProxy:
                 self._rng.shuffle(entries)
             tables.append(tuple(entries))  # type: ignore[arg-type]
 
+        self._remember_epoch(key, new_ct, new_table)
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
         self._emit_prepare_span(span, request, prf_count + 1, enc_count, False)
@@ -595,15 +648,15 @@ class LblProxy:
         value just written (the labels now encode it).  Either way the
         label-to-candidate match is the §5.4 integrity check.
 
-        When the label cache is enabled, the candidate set comes from the
-        epoch cached by :meth:`prepare` (no re-derivation), and the cached
-        entry is enriched with (a) precomputed AEAD key schedules so the
-        *next* access's table encryption skips its per-entry key derivation
-        and (b) the prefetched next-epoch labels/offsets so the next access
-        skips label derivation entirely.  All of it happens after the request
-        already left the proxy, i.e. off the one-round-trip critical path
-        (the work shift is visible in the finalize row of
-        ``BENCH_kernels.json``).
+        The candidate set is the table :meth:`prepare` filed in the
+        in-flight table, so the normal path costs no PRF call; an epoch that
+        is no longer there (recovery, rollback, eviction) is re-derived.
+        When the label cache holds the epoch, its entry is enriched with
+        (a) precomputed AEAD key schedules so the *next* access's table
+        encryption skips its per-entry key derivation and (b) the prefetched
+        next-epoch labels/offsets so the next access skips label derivation
+        entirely — both after the request already left the proxy, i.e. off
+        the one-round-trip critical path.
 
         Args:
             key: The accessed key.
@@ -617,39 +670,32 @@ class LblProxy:
             TamperDetectedError: a label matches no candidate.
         """
         new_ct = self.counter(key) if counter is None else counter
+        codec = self.codec
         labels = list(response.opened_labels)
-        cached = (
-            self.label_cache.peek(key, new_ct)
-            if self.label_cache is not None
-            else None
-        )
+        prf_count = 0
+        candidates = self._inflight.pop((key, new_ct), None)
+        if candidates is None:
+            candidates = codec.labels_for_groups(key, new_ct)
+            prf_count += codec.label_calls
+        value = codec.decode_from_candidates(candidates, labels)
+        cache = self.label_cache
+        cached = cache.peek(key, new_ct) if cache is not None else None
         if cached is not None:
-            codec = self.codec
-            value = codec.decode_from_candidates(cached.labels, labels)
-            self.label_cache.attach_schedules(key, new_ct)
-            prefetch_prf = 0
+            cache.attach_schedules(key, new_ct)
             if cached.next_labels is None:
                 # Label prefetch: epoch ``new_ct + 1`` is a deterministic
                 # function of the key, so derive it now — during the idle
                 # window after the response, not on the next access's
                 # request-build critical path.
-                point_and_permute = self.config.point_and_permute
                 next_labels = codec.labels_for_groups(key, new_ct + 1)
                 next_offsets = (
                     codec.permute_offsets(key, new_ct + 1)
-                    if point_and_permute
+                    if self.config.point_and_permute
                     else None
                 )
-                prefetch_prf = codec.num_groups * codec.table_size + (
-                    codec.num_groups if point_and_permute else 0
-                )
-                self.label_cache.attach_prefetch(
-                    key, new_ct, next_labels, next_offsets
-                )
-            ops = OpCounts(prf=prefetch_prf)
-        else:
-            value = self.codec.decode_labels(key, labels, new_ct)
-            ops = OpCounts(prf=self.codec.table_size * self.codec.num_groups)
+                prf_count += self._epoch_prf
+                cache.attach_prefetch(key, new_ct, next_labels, next_offsets)
+        ops = OpCounts(prf=prf_count)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()
         return value, ops

@@ -4,10 +4,12 @@ LBL-ORTOA represents a plaintext value by one secret label per *group* of
 ``y`` plaintext bits (``y = 1`` is the base protocol of §5; ``y = 2`` is the
 space-optimized optimum of §10.1).  A label is a deterministic PRF output
 
-    ``label = PRF(key, group_index, group_value, access_counter)``
+    ``label = PRF(key, group_index, access_counter)[group_value]``
 
-so the proxy can regenerate the labels currently stored at the server from
-nothing but the object's key and its access counter.  This module owns:
+— slice ``group_value`` of the group's wide counter-mode output, see
+:class:`LabelCodec` — so the proxy can regenerate the labels currently stored
+at the server from nothing but the object's key and its access counter.  This
+module owns:
 
 * bit/group packing between ``bytes`` values and group-value tuples,
 * label derivation for one group or a whole value,
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 
 from repro.crypto.prf import Prf, encode_components, hmac_compressions
 from repro.errors import ConfigurationError, TamperDetectedError
+
+_DIGEST_BYTES = 32  # one HMAC-SHA256 evaluation
 
 
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
@@ -80,6 +84,20 @@ class StoredLabel:
 class LabelCodec:
     """Derives, encodes, and inverts LBL-ORTOA labels for fixed-length values.
 
+    **Derivation.**  The ``2^y`` candidate labels of group ``i`` at epoch
+    ``ct`` are consecutive ``label_len``-byte slices of one wide PRF output::
+
+        label_prf.evaluate("label", key, i, ct, out_bytes=2^y * label_len)
+
+    and the point-and-permute offset of group ``i`` is byte ``i`` of
+    ``permute_prf.evaluate("permute", key, ct, out_bytes=num_groups)`` reduced
+    ``mod 2^y``.  Wide outputs are counter-mode HMAC blocks, so every one of
+    an HMAC's 32 output bytes is used (two 128-bit labels, or 32 offsets, per
+    evaluation), and disjoint blocks of one HMAC-PRF are independent
+    pseudorandom strings — the labels are exactly as unpredictable as one
+    PRF call each.  The scalar methods compute only the block(s) they need;
+    the batch methods compute each block once.
+
     Args:
         label_prf: The keyed PRF used for label derivation (from
             :class:`~repro.crypto.keys.KeyChain`).
@@ -109,22 +127,85 @@ class LabelCodec:
         self.table_size = 1 << group_bits
         self.num_groups = (value_len * 8 + group_bits - 1) // group_bits
         self.label_len = label_prf.out_bytes
+        #: HMAC evaluations behind one group's ``2^y`` labels / one epoch's
+        #: labels / one epoch's offsets.
+        self.label_blocks = -(-self.table_size * self.label_len // _DIGEST_BYTES)
+        self.label_calls = self.num_groups * self.label_blocks
+        self.offset_calls = -(-self.num_groups // _DIGEST_BYTES)
+        #: HMAC evaluations of :meth:`labels_for_group`, which derives each
+        #: label alone (the block(s) it needs, shared blocks recomputed).
+        self.scalar_group_calls = sum(
+            self._label_span(value)[1] for value in range(self.table_size)
+        )
+        # Where each label of an epoch starts in the concatenation of the
+        # epoch's digests (groups are ``label_blocks`` digests apart).
+        stride = self.label_blocks * _DIGEST_BYTES
+        self._label_starts = [
+            index * stride + value * self.label_len
+            for index in range(self.num_groups)
+            for value in range(self.table_size)
+        ]
+        # The group indices every epoch's PRF tails repeat, encoded once.
+        self._enc_indices = [encode_components(i) for i in range(self.num_groups)]
+        # byte -> byte mod 2^y, applied to a whole offset stream at C speed.
+        self._offset_table = bytes(b % self.table_size for b in range(256))
 
     # ------------------------------------------------------------------ #
     # Label derivation
     # ------------------------------------------------------------------ #
 
-    def label(self, key: str, index: int, group_value: int, counter: int) -> bytes:
-        """The secret label for ``group_value`` at ``index`` under ``counter``."""
+    def _label_span(self, group_value: int) -> tuple[int, int, int]:
+        """``(first_block, blocks, offset)`` locating one label in its group's
+        stream: the label is ``label_len`` bytes at ``offset`` into digests
+        ``first_block … first_block + blocks - 1``."""
         if not 0 <= group_value < self.table_size:
             raise ConfigurationError(
                 f"group value {group_value} out of range for y={self.group_bits}"
             )
-        return self._label_prf.evaluate("label", key, index, group_value, counter)
+        start = group_value * self.label_len
+        first = start // _DIGEST_BYTES
+        last = (start + self.label_len - 1) // _DIGEST_BYTES
+        return first, last - first + 1, start - first * _DIGEST_BYTES
+
+    def label(self, key: str, index: int, group_value: int, counter: int) -> bytes:
+        """The secret label for ``group_value`` at ``index`` under ``counter``."""
+        first, blocks, offset = self._label_span(group_value)
+        ctx = self._label_prf.context("label", key, index, counter)
+        stream = b"".join(ctx.block_digests([b""], blocks, first))
+        return stream[offset : offset + self.label_len]
 
     def labels_for_group(self, key: str, index: int, counter: int) -> list[bytes]:
         """All ``2^y`` candidate labels for one group (proxy-side, §5.2 1.2)."""
         return [self.label(key, index, v, counter) for v in range(self.table_size)]
+
+    def encode_groups(
+        self, key: str, groups: "tuple[int, ...] | list[int]", counter: int
+    ) -> list[bytes]:
+        """The label of ``groups[i]`` for every group ``i`` at ``counter``.
+
+        Only the block(s) holding each group's one label are derived — one
+        HMAC per group whenever a label does not straddle a digest.
+        """
+        if len(groups) != self.num_groups:
+            raise ConfigurationError(
+                f"expected {self.num_groups} group values, got {len(groups)}"
+            )
+        by_span: dict[tuple[int, int, int], list[int]] = {}
+        for index, group_value in enumerate(groups):
+            by_span.setdefault(self._label_span(group_value), []).append(index)
+        ctx = self._label_prf.context("label", key)
+        enc_ct = encode_components(counter)
+        enc_indices = self._enc_indices
+        label_len = self.label_len
+        out: list[bytes] = [b""] * self.num_groups
+        for (first, blocks, offset), indices in by_span.items():
+            digests = ctx.block_digests(
+                [enc_indices[index] + enc_ct for index in indices], blocks, first
+            )
+            for position, index in enumerate(indices):
+                stream = b"".join(digests[position * blocks : (position + 1) * blocks])
+                out[index] = stream[offset : offset + label_len]
+        return out
 
     def encode_value(self, key: str, value: bytes, counter: int) -> list[bytes]:
         """Labels the server should store for ``value`` at access ``counter``."""
@@ -132,40 +213,34 @@ class LabelCodec:
             raise ConfigurationError(
                 f"value must be exactly {self.value_len} bytes, got {len(value)}"
             )
-        groups = value_to_groups(value, self.group_bits)
-        ctx = self._label_prf.context("label", key)
-        enc = encode_components
-        enc_ct = enc(counter)
-        return ctx.evaluate_tails(
-            [enc(i) + enc(g) + enc_ct for i, g in enumerate(groups)]
-        )
+        return self.encode_groups(key, value_to_groups(value, self.group_bits), counter)
+
+    def _rows(self, digests: list[bytes]) -> list[list[bytes]]:
+        """One epoch's digests (group-major) sliced into its label table."""
+        blob = b"".join(digests)
+        label_len = self.label_len
+        table_size = self.table_size
+        flat = [blob[start : start + label_len] for start in self._label_starts]
+        return [
+            flat[start : start + table_size]
+            for start in range(0, len(flat), table_size)
+        ]
 
     def labels_for_groups(self, key: str, counter: int) -> list[list[bytes]]:
         """All ``num_groups × 2^y`` candidate labels for one access, batched.
 
         Row ``i`` equals :meth:`labels_for_group`\\ ``(key, i, counter)``;
-        the whole table is derived via one pre-encoded PRF prefix instead of
-        ``num_groups * 2^y`` independent :meth:`label` calls.
+        the whole table costs :attr:`label_calls` HMACs through one
+        pre-encoded PRF prefix.
         """
-        table_size = self.table_size
         ctx = self._label_prf.context("label", key)
-        enc = encode_components
-        # The counter and the 2^y group values repeat across the whole batch:
-        # encode each exactly once and build the per-label PRF tails by byte
-        # concatenation instead of per-tuple encoding.
-        tails_by_value = [enc(value) + enc(counter) for value in range(table_size)]
-        enc_indices = [enc(index) for index in range(self.num_groups)]
-        flat = ctx.evaluate_tails(
-            [
-                enc_index + tail
-                for enc_index in enc_indices
-                for tail in tails_by_value
-            ]
+        enc_ct = encode_components(counter)
+        return self._rows(
+            ctx.block_digests(
+                [enc_index + enc_ct for enc_index in self._enc_indices],
+                self.label_blocks,
+            )
         )
-        return [
-            flat[start : start + table_size]
-            for start in range(0, len(flat), table_size)
-        ]
 
     def labels_for_epochs(
         self, epochs: "list[tuple[str, int]]"
@@ -176,32 +251,23 @@ class LabelCodec:
         byte-identical, because the per-key PRF context is just a pre-encoded
         prefix: evaluating an empty-prefix context on fully-encoded tails
         hashes exactly the same messages.  The point is the dispatch shape:
-        *one* :meth:`~repro.crypto.prf.PrfContext.evaluate_tails` call covers
+        *one* :meth:`~repro.crypto.prf.PrfContext.block_digests` call covers
         every epoch in the batch, so eight coalesced accesses fill the
         8-wide SHA-256 lanes instead of each running alone (and the ledger
         meters the identical call/compression counts either way).
         """
-        table_size = self.table_size
-        num_groups = self.num_groups
-        ctx = self._label_prf.context()
         enc = encode_components
+        enc_indices = self._enc_indices
         tails: list[bytes] = []
         for key, counter in epochs:
             head = enc("label", key)
-            tails_by_value = [enc(value) + enc(counter) for value in range(table_size)]
-            tails += [
-                head + enc(index) + tail
-                for index in range(num_groups)
-                for tail in tails_by_value
-            ]
-        flat = ctx.evaluate_tails(tails)
-        per_epoch = num_groups * table_size
+            enc_ct = enc(counter)
+            tails += [head + enc_index + enc_ct for enc_index in enc_indices]
+        digests = self._label_prf.context().block_digests(tails, self.label_blocks)
+        per_epoch = self.label_calls
         return [
-            [
-                flat[base + start : base + start + table_size]
-                for start in range(0, per_epoch, table_size)
-            ]
-            for base in range(0, len(flat), per_epoch)
+            self._rows(digests[base : base + per_epoch])
+            for base in range(0, len(digests), per_epoch)
         ]
 
     def permute_offsets_for_epochs(
@@ -210,25 +276,18 @@ class LabelCodec:
         """Batched :meth:`permute_offsets` across many epochs, fused.
 
         Entry ``e`` equals :meth:`permute_offsets`\\ ``(*epochs[e])``; one
-        empty-prefix ``evaluate_tails`` serves all epochs (see
+        empty-prefix ``block_digests`` serves all epochs (see
         :meth:`labels_for_epochs` for why the outputs are byte-identical).
         """
-        table_size = self.table_size
-        num_groups = self.num_groups
-        ctx = self._permute_prf.context()
+        self._require_offsets()
         enc = encode_components
-        tails: list[bytes] = []
-        for key, counter in epochs:
-            head = enc("permute", key)
-            enc_ct = enc(counter)
-            tails += [head + enc(index) + enc_ct for index in range(num_groups)]
-        flat = ctx.evaluate_tails(tails)
+        per_epoch = self.offset_calls
+        digests = self._permute_prf.context().block_digests(
+            [enc("permute", key, counter) for key, counter in epochs], per_epoch
+        )
         return [
-            [
-                int.from_bytes(raw, "big") % table_size
-                for raw in flat[base : base + num_groups]
-            ]
-            for base in range(0, len(flat), num_groups)
+            self._offsets_from(digests[base : base + per_epoch])
+            for base in range(0, len(digests), per_epoch)
         ]
 
     def derivation_cost(
@@ -238,8 +297,9 @@ class LabelCodec:
 
         Predicts exactly what :meth:`labels_for_groups`\\ ``(key, counter)``
         — plus :meth:`permute_offsets` when ``offsets`` is set — costs, by
-        re-deriving the encoded message lengths the PRF would hash.  This is
-        the single source of truth shared by the analytic cost model
+        re-deriving the encoded message lengths the PRF would hash; a call
+        is one HMAC evaluation.  This is the single source of truth shared
+        by the analytic cost model
         (:mod:`repro.analysis.costmodel`) and the process-pool ledger hook
         (:class:`~repro.core.lbl.procpool.ProcessCryptoPool`), whose workers
         run the real derivation out-of-process where the in-PRF meters can't
@@ -247,25 +307,17 @@ class LabelCodec:
         """
         enc = encode_components
         enc_ct_len = len(enc(counter))
-        label_head = 4 + len(enc("label", key))
-        label_out = self.label_len
-        value_lens = [len(enc(value)) for value in range(self.table_size)]
-        calls = self.num_groups * self.table_size
-        compressions = 0
-        for index in range(self.num_groups):
-            index_len = len(enc(index))
-            for value_len in value_lens:
-                compressions += hmac_compressions(
-                    label_head + index_len + value_len + enc_ct_len, label_out
-                )
+        label_head = 4 + len(enc("label", key)) + enc_ct_len
+        calls = self.label_calls
+        compressions = self.label_blocks * sum(
+            hmac_compressions(label_head + len(enc_index))
+            for enc_index in self._enc_indices
+        )
         if offsets:
-            permute_head = 4 + len(enc("permute", key))
-            permute_out = self._permute_prf.out_bytes
-            calls += self.num_groups
-            for index in range(self.num_groups):
-                compressions += hmac_compressions(
-                    permute_head + len(enc(index)) + enc_ct_len, permute_out
-                )
+            calls += self.offset_calls
+            compressions += self.offset_calls * hmac_compressions(
+                4 + len(enc("permute", key)) + enc_ct_len
+            )
         return calls, compressions
 
     # ------------------------------------------------------------------ #
@@ -322,14 +374,28 @@ class LabelCodec:
     # Point-and-permute bits (§10.2)
     # ------------------------------------------------------------------ #
 
+    def _require_offsets(self) -> None:
+        if self.group_bits > 8:
+            raise ConfigurationError(
+                "permute offsets are one byte per group: group_bits must be <= 8"
+            )
+
+    def _offsets_from(self, digests: list[bytes]) -> list[int]:
+        """One epoch's offset digests reduced to ``num_groups`` offsets."""
+        stream = b"".join(digests)[: self.num_groups]
+        return list(stream.translate(self._offset_table))
+
     def permute_offset(self, key: str, index: int, counter: int) -> int:
         """The per-access random offset ``r`` linking table slots to labels.
 
-        Derived from a PRF over ``(key, index, counter)`` exactly as the paper
-        suggests, so the proxy never stores it.
+        Derived from a PRF over ``(key, counter)`` — byte ``index`` of the
+        epoch's offset stream — so the proxy never stores it; only the one
+        block holding that byte is computed.
         """
-        raw = self._permute_prf.evaluate("permute", key, index, counter)
-        return int.from_bytes(raw, "big") % self.table_size
+        self._require_offsets()
+        block, position = divmod(index, _DIGEST_BYTES)
+        ctx = self._permute_prf.context("permute", key, counter)
+        return ctx.block_digests([b""], 1, block)[0][position] % self.table_size
 
     def decrypt_index(self, key: str, index: int, group_value: int, counter: int) -> int:
         """Which table slot the server must open at access ``counter``.
@@ -342,22 +408,14 @@ class LabelCodec:
     def permute_offsets(self, key: str, counter: int) -> list[int]:
         """Per-group permute offsets for one access, batched.
 
-        Entry ``i`` equals :meth:`permute_offset`\\ ``(key, i, counter)``.
-        One pre-encoded PRF prefix serves all ``num_groups`` offsets — and,
-        because the offset of a group is shared by all its table slots, one
-        PRF call per group replaces the ``2^y`` redundant
-        :meth:`decrypt_index` derivations of the scalar path.
+        Entry ``i`` equals :meth:`permute_offset`\\ ``(key, i, counter)``;
+        the whole epoch costs :attr:`offset_calls` HMACs (32 groups each).
         """
-        table_size = self.table_size
+        self._require_offsets()
         ctx = self._permute_prf.context("permute", key)
-        enc = encode_components
-        enc_ct = enc(counter)
-        return [
-            int.from_bytes(raw, "big") % table_size
-            for raw in ctx.evaluate_tails(
-                [enc(index) + enc_ct for index in range(self.num_groups)]
-            )
-        ]
+        return self._offsets_from(
+            ctx.block_digests([encode_components(counter)], self.offset_calls)
+        )
 
     def decrypt_indices(
         self, key: str, groups: "tuple[int, ...] | list[int]", counter: int

@@ -387,6 +387,57 @@ class PrfContext:
                 append(raw(prefix + tail, n))
         return out
 
+    def block_digests(
+        self, tails: Sequence[bytes], blocks: int, first: int = 0
+    ) -> list[bytes]:
+        """Counter-mode digests ``first … first + blocks - 1`` of every tail.
+
+        Digest ``c`` of a tail is bytes ``[32c, 32c + 32)`` of the wide output
+        ``prf.evaluate(*prefix, *tail, out_bytes=…)`` — the counter-mode
+        block construction of :class:`Prf`, exposed one HMAC at a time so a
+        caller that needs only some blocks pays only for those.  Returned
+        tail-major (all of tail 0's digests, then tail 1's, …), each a full
+        32 bytes, and metered as what it is: ``len(tails) * blocks`` HMAC
+        evaluations.
+        """
+        if blocks < 1 or first < 0:
+            raise ConfigurationError("block range must be non-empty and non-negative")
+        prf = self._prf
+        prefix = self._prefix
+        heads = [
+            counter.to_bytes(4, "big") + prefix
+            for counter in range(first, first + blocks)
+        ]
+        if _obs.enabled and tails:
+            head_len = 4 + len(prefix)
+            _ledger.add_prf(
+                len(tails) * blocks,
+                blocks * sum(hmac_compressions(head_len + len(t)) for t in tails),
+            )
+        if _lanes.use_lanes(len(tails) * blocks):
+            inner_row, outer_row = prf._lane_pair()
+            return _lanes.hmac_many_with_state(
+                inner_row, outer_row, [head + tail for tail in tails for head in heads]
+            )
+        # Absorb each block's counter + shared prefix once; per tail only the
+        # tail bytes are hashed on top of a state copy.
+        inner_states = []
+        for head in heads:
+            state = prf._inner0.copy()
+            state.update(head)
+            inner_states.append(state)
+        outer0 = prf._outer0
+        out: list[bytes] = []
+        append = out.append
+        for tail in tails:
+            for state in inner_states:
+                inner = state.copy()
+                inner.update(tail)
+                outer = outer0.copy()
+                outer.update(inner.digest())
+                append(outer.digest())
+        return out
+
 
 __all__ = [
     "Prf",

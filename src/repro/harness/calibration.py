@@ -7,7 +7,10 @@ counts into simulated time.  Two calibrations are provided:
 * :meth:`CostModel.paper_like` — constants chosen so the derived phase times
   match the paper's reported compute costs (LBL label processing ≈ 2–3 ms
   for 160 B values, §6.3.1/§6.3.3; enclave call overhead in the tens of
-  microseconds).  This is the default for figure reproduction.
+  microseconds).  This is the default for figure reproduction.  ``prf_us``
+  prices one HMAC evaluation; an LBL access at the paper point makes 2 601
+  of them (two labels or 32 permute offsets each), so the constant is the
+  one that keeps its label processing at the paper's ≈ 3 ms.
 * :meth:`CostModel.measured` — times this library's own (pure-Python)
   primitives through the :mod:`repro.obs.clock` abstraction (wall clock by
   default, a fake clock under test), for machine-true what-if runs.
@@ -28,7 +31,7 @@ from repro.obs.clock import Clock, WallClock
 class CostModel:
     """Per-operation compute costs in microseconds (FHE ops in ms)."""
 
-    prf_us: float = 0.25
+    prf_us: float = 0.8613
     aead_enc_us: float = 0.30
     aead_dec_us: float = 0.25
     failed_dec_us: float = 0.25

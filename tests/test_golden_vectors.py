@@ -5,9 +5,10 @@ batch AEAD) must be drop-in: byte-identical to the constructions they
 replace.  Two independent nets catch a silent change:
 
 * **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
-  :meth:`LabelCodec.label`, and :func:`aead.encrypt` (fixed nonce), plus a
-  live re-derivation of each from the *stdlib* ``hmac`` module, so a vector
-  can only move if the documented construction itself changes;
+  :meth:`LabelCodec.label`, :meth:`LabelCodec.permute_offsets`, and
+  :func:`aead.encrypt` (fixed nonce), plus a live re-derivation of each from
+  the *stdlib* ``hmac`` module, so a vector can only move if the documented
+  construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
   scalar counterpart on arbitrary inputs.
 """
@@ -68,7 +69,14 @@ _PRF48_VECTOR = bytes.fromhex(
     "ebde6f4e985cefde836f68d3c658e98dfe79698f062bac4a9c344c6876a91792"
     "27848d77f07f933c8a11ff0c70798110"
 )
-_LABEL_VECTOR = bytes.fromhex("aed0dee39cee3c6c5c3e4b40d74b25cd")
+# Labels are slices of one wide output per (key, group, epoch): value 1 is
+# bytes 16..32 of block 0, value 3 is bytes 16..32 of block 1.
+_LABEL_VECTOR = bytes.fromhex("19da51878a5875e4ab36fc3d6c7f8042")
+_LABEL_VECTOR_BLOCK1 = bytes.fromhex("4d5a319048b9ae53139df7f3661505e5")
+# 40 groups: the offset stream spans two HMAC blocks.
+_OFFSETS_VECTOR = bytes.fromhex(
+    "00000203020101010303000203030002020001020002020101000301020303000203000103010302"
+)
 _AEAD_KEY = b"k" * 16
 _AEAD_PLAINTEXT = b"hello world label"
 _AEAD_VECTOR = bytes.fromhex(
@@ -98,6 +106,23 @@ def test_label_vector():
         group_bits=2,
     )
     assert codec.label("obj", 2, 1, 7) == _LABEL_VECTOR
+    assert codec.label("obj", 2, 3, 7) == _LABEL_VECTOR_BLOCK1
+    wide = _ref_prf(b"\x01" * 32, ("label", "obj", 2, 7), 4 * 16)
+    assert Prf(b"\x01" * 32).evaluate("label", "obj", 2, 7, out_bytes=64) == wide
+    assert wide[16:32] == _LABEL_VECTOR
+    assert wide[48:64] == _LABEL_VECTOR_BLOCK1
+
+
+def test_permute_offsets_vector():
+    codec = LabelCodec(
+        Prf(b"\x01" * 32, out_bytes=16),
+        Prf(b"\x02" * 32, out_bytes=16),
+        value_len=10,
+        group_bits=2,
+    )
+    assert bytes(codec.permute_offsets("obj", 7)) == _OFFSETS_VECTOR
+    wide = _ref_prf(b"\x02" * 32, ("permute", "obj", 7), codec.num_groups)
+    assert bytes(b % 4 for b in wide) == _OFFSETS_VECTOR
 
 
 def test_aead_vector_fixed_nonce():
@@ -194,15 +219,20 @@ def test_open_any_matches_try_decrypt(keys, winner, payload):
     assert scalar == hit
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     value_len=st.sampled_from([1, 4, 20]),
-    group_bits=st.sampled_from([1, 2, 4]),
+    group_bits=st.sampled_from([1, 2, 3, 4]),
+    # 16: two labels per block; 32: one per block; 24: labels straddle blocks.
+    label_len=st.sampled_from([16, 24, 32]),
     counter=st.integers(min_value=0, max_value=1000),
 )
-def test_labels_for_groups_matches_scalar(value_len, group_bits, counter):
+def test_labels_for_groups_matches_scalar(value_len, group_bits, label_len, counter):
+    """Batched, fused and scalar derivations are slices of one wide output
+    (``group_bits=3`` at 16 B: a table that is not a whole number of blocks)."""
+    label_key = b"\x03" * 32
     codec = LabelCodec(
-        Prf(b"\x03" * 32, out_bytes=16),
+        Prf(label_key, out_bytes=label_len),
         Prf(b"\x04" * 32, out_bytes=16),
         value_len=value_len,
         group_bits=group_bits,
@@ -212,22 +242,49 @@ def test_labels_for_groups_matches_scalar(value_len, group_bits, counter):
         codec.labels_for_group("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
+    assert codec.labels_for_epochs([("some-key", counter), ("k2", counter + 1)]) == [
+        rows,
+        codec.labels_for_groups("k2", counter + 1),
+    ]
+    table_size = 1 << group_bits
+    for index in (0, codec.num_groups - 1):
+        wide = _ref_prf(
+            label_key, ("label", "some-key", index, counter), table_size * label_len
+        )
+        assert rows[index] == [
+            wide[v * label_len : (v + 1) * label_len] for v in range(table_size)
+        ]
+    groups = [(index + counter) % table_size for index in range(codec.num_groups)]
+    assert codec.encode_groups("some-key", groups, counter) == [
+        rows[index][group] for index, group in enumerate(groups)
+    ]
 
 
-@settings(max_examples=20, deadline=None)
-@given(counter=st.integers(min_value=0, max_value=1000))
-def test_permute_offsets_match_scalar(counter):
+@settings(max_examples=30, deadline=None)
+@given(
+    # 8 B / y=2: 32 groups, one block; 10 B: 40 groups; 20 B / y=1: 160 groups.
+    shape=st.sampled_from([(8, 2), (10, 2), (20, 1), (3, 3)]),
+    counter=st.integers(min_value=0, max_value=1000),
+)
+def test_permute_offsets_match_scalar(shape, counter):
+    value_len, group_bits = shape
+    permute_key = b"\x06" * 32
     codec = LabelCodec(
         Prf(b"\x05" * 32, out_bytes=16),
-        Prf(b"\x06" * 32, out_bytes=16),
-        value_len=8,
-        group_bits=2,
+        Prf(permute_key, out_bytes=16),
+        value_len=value_len,
+        group_bits=group_bits,
     )
     offsets = codec.permute_offsets("some-key", counter)
     assert offsets == [
         codec.permute_offset("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
+    assert codec.permute_offsets_for_epochs(
+        [("some-key", counter), ("k2", counter)]
+    ) == [offsets, codec.permute_offsets("k2", counter)]
+    wide = _ref_prf(permute_key, ("permute", "some-key", counter), codec.num_groups)
+    assert offsets == [b % codec.table_size for b in wide]
 
 
 def test_prf_context_class_exported():

@@ -365,3 +365,25 @@ def test_initial_records_grouping_is_linear(monkeypatch):
     out = proxy.initial_records(records)
     assert len(out) == 32
     assert calls["count"] == 32
+
+
+def test_initial_records_derives_one_hmac_per_group():
+    """Only the stored label's block per group, the packed offset stream,
+    and the key encoding — not the whole candidate table."""
+    from repro import obs
+    from repro.obs import ledger
+
+    config = _config()
+    proxy = LblProxy(config, KeyChain(label_bits=config.label_bits))
+    obs.reset()
+    obs.enable()
+    try:
+        with ledger.track(label="init") as row:
+            proxy.initial_records({"key": config.pad(b"x")})
+    finally:
+        obs.disable()
+        obs.reset()
+    codec = proxy.codec
+    assert row.snapshot()["ops"]["prf.calls"] == (
+        codec.num_groups + codec.offset_calls + 1
+    )
