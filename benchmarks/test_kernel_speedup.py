@@ -27,12 +27,19 @@ All gates are self-relative (same interpreter, same machine, same run), so
 they hold on slow CI runners:
 
 1. ``batched+cache`` prepare >= 3x ``scalar`` prepare — the original gate;
-2. warm prepare >= 1.2x cold prepare — the cache must pay for itself (a
-   cold prepare derives 2 600 HMACs since labels became wide-output slices,
-   down from 6 400, so the cache has less left to save: the ratio measured
-   1.4x where it used to measure 2x, with the warm time unchanged);
+2. warm prepare <= 1.35x its floor, the table encryption alone (the gate
+   point's ``G * 2^y`` entries through ``encrypt_many`` with key schedules
+   in hand) — the cache must leave ``prepare`` nothing else to do;
 3. cold batched prepare >= scalar prepare — batching alone must never lose
    (the CI smoke condition: fail if batched < scalar).
+
+Gate 2 times the warm prepare against work this file can hold fixed, not
+against the cold prepare: a cold prepare derives 2 600 HMACs (it derived
+6 400 before labels became wide-output slices), so warm/cold says how slow
+a cold prepare is, not whether the warm one regressed.  That ratio is still
+written to ``BENCH_kernels.json`` and recorded as
+``kernels.warm_vs_cold_prepare``, ungated, so the history keeps its
+trajectory (2x -> 1.4x at that change, warm time unchanged).
 
 Cold ``finalize`` derives nothing (it decodes against the table ``prepare``
 filed in the proxy's in-flight table).  Warm ``finalize`` is *slower* — it
@@ -59,6 +66,8 @@ import pytest
 from conftest import record_bench
 
 from repro.core.lbl import LblOrtoa
+from repro.core.lbl.proxy import DECRYPT_INDEX_BYTES
+from repro.crypto import aead
 from repro.crypto import sha256_lanes as _lanes
 from repro.types import Request, StoreConfig
 
@@ -73,9 +82,9 @@ GATE_POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
 #: around ~10 s while giving the minimum enough draws to converge.
 ROUNDS = 15
 
-#: Gate thresholds (self-relative speedups).
+#: Gate thresholds (self-relative ratios).
 GATE_BATCHED_CACHE_VS_SCALAR = 3.0
-GATE_WARM_VS_COLD = 1.2
+GATE_WARM_OVER_TABLE_ENCRYPT = 1.35
 
 
 def _build(*, batched: bool, cache: bool) -> LblOrtoa:
@@ -123,6 +132,33 @@ def _time_phases(store: LblOrtoa, *, warm: bool) -> dict[str, float]:
     }
 
 
+def _time_table_encrypt() -> float:
+    """Best-of-``ROUNDS`` ops/sec of one access's table encryption alone.
+
+    The floor of a warm prepare: as many entries, key and payload sizes as
+    the gate point's table, key schedules precomputed as the cache has them.
+    """
+    codec = _build(batched=True, cache=False).proxy.codec
+    rng = random.Random(3)
+    entries = codec.num_groups * codec.table_size
+    keys = [rng.randbytes(codec.label_len) for _ in range(entries)]
+    payloads = [
+        rng.randbytes(codec.label_len + DECRYPT_INDEX_BYTES) for _ in range(entries)
+    ]
+    schedules = [aead.key_schedule(key) for key in keys]
+    best_s = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(ROUNDS):
+            t0 = time.perf_counter()
+            aead.encrypt_many(keys, payloads, schedules=schedules)
+            best_s = min(best_s, time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return round(1.0 / best_s, 2)
+
+
 @pytest.fixture(scope="module")
 def measured() -> dict[str, dict[str, float]]:
     with _lanes.lanes_disabled():
@@ -133,6 +169,7 @@ def measured() -> dict[str, dict[str, float]]:
                 _build(batched=True, cache=True), warm=True
             ),
         }
+        table_encrypt = _time_table_encrypt()
     prepare = {name: phases["prepare_ops_per_sec"] for name, phases in results.items()}
     payload = {
         "config": dict(
@@ -143,11 +180,18 @@ def measured() -> dict[str, dict[str, float]]:
                 "labels = label_len slices of PRF(label, key, group, epoch), "
                 "offsets = bytes of PRF(permute, key, epoch); the scalar "
                 "baseline pays one HMAC block per label/offset lookup under "
-                "this definition, so ratios against it do not compare with "
-                "files recorded under PRF(key, group, value, epoch)"
+                "this definition and a cold batched prepare 2 600 HMACs "
+                "where it paid 6 400, so ratios against either do not "
+                "compare with files recorded under PRF(key, group, value, "
+                "epoch): vs-scalar rose, warm_vs_cold fell (2x -> 1.4x) with "
+                "the warm prepare's own time unchanged"
             ),
         ),
         "kernels": results,
+        "table_encrypt_ops_per_sec": table_encrypt,
+        "warm_prepare_over_table_encrypt": round(
+            table_encrypt / prepare["batched+cache"], 3
+        ),
         "speedups": {
             "batched_cache_vs_scalar_prepare": round(
                 prepare["batched+cache"] / prepare["scalar"], 2
@@ -168,11 +212,16 @@ def measured() -> dict[str, dict[str, float]]:
     # finalize throughput is gated to bound the deliberate work shift (see
     # module docstring).
     for name, speedup in payload["speedups"].items():
-        if name == "warm_vs_cold_prepare":
-            # The cold denominator lost three fifths of its HMACs when labels
-            # became wide-output slices; the ratio's trajectory restarts.
-            name += ".sliced"
-        record_bench(f"kernels.{name}", speedup, unit="x")
+        # warm_vs_cold rides along ungated: see gate 2 in the module docstring.
+        record_bench(
+            f"kernels.{name}", speedup, unit="x", gate=name != "warm_vs_cold_prepare"
+        )
+    record_bench(
+        "kernels.warm_prepare_over_table_encrypt",
+        payload["warm_prepare_over_table_encrypt"],
+        unit="x",
+        higher_is_better=False,
+    )
     record_bench(
         "kernels.finalize_ops_per_sec",
         results["batched+cache"]["finalize_ops_per_sec"],
@@ -182,7 +231,7 @@ def measured() -> dict[str, dict[str, float]]:
         record_bench(
             f"kernels.{name}.prepare_ops_per_sec", ops, unit="ops/s", gate=False
         )
-    return results
+    return dict(results, table_encrypt={"ops_per_sec": table_encrypt})
 
 
 def test_batched_cache_beats_scalar_3x(measured):
@@ -195,12 +244,13 @@ def test_batched_cache_beats_scalar_3x(measured):
     )
 
 
-def test_warm_cache_beats_cold(measured):
-    """Cache gate: a warm prepare >= 1.2x a cold batched prepare."""
+def test_warm_prepare_stays_near_its_table_encrypt_floor(measured):
+    """Cache gate: a warm prepare <= 1.35x the table encryption alone."""
     warm = measured["batched+cache"]["prepare_ops_per_sec"]
-    cold = measured["batched"]["prepare_ops_per_sec"]
-    assert warm >= GATE_WARM_VS_COLD * cold, (
-        f"warm prepare {warm} ops/s < {GATE_WARM_VS_COLD}x cold ({cold} ops/s)"
+    floor = measured["table_encrypt"]["ops_per_sec"]
+    assert warm * GATE_WARM_OVER_TABLE_ENCRYPT >= floor, (
+        f"warm prepare {warm} ops/s is over {GATE_WARM_OVER_TABLE_ENCRYPT}x "
+        f"slower than its table encryption ({floor} ops/s)"
     )
 
 

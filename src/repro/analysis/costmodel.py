@@ -239,18 +239,35 @@ class LblCostModel:
         message_len = 4 + len(encode_components("key-encoding", self.key))
         return 1, hmac_compressions(message_len, ENCODED_KEY_BYTES)
 
-    def prepare_prf_cost(self) -> tuple[int, int]:
-        """``(HMAC calls, compressions)`` of ``prepare``'s label/offset work.
+    def ops(self, include_server: bool = True) -> dict[str, int]:
+        """Predicted :mod:`repro.obs.ledger` op counts for one cold access.
 
-        Every backend derives the old and the new epoch once each.  The
-        batched kernels pay each HMAC block once (:meth:`LabelCodec.
-        derivation_cost`); the scalar path derives every label alone — the
-        block two labels share is computed per label — and calls the offset
-        PRF once per group for the old epoch plus once per table entry for
-        the new one, one block each.
+        Identical for GET and PUT by construction — the whole point of the
+        protocol — and the obliviousness auditor asserts the ledger agrees.
+        Covers the cold path (no label-cache hit; the cache's savings are
+        metered as ``cache.hits`` rows, not modeled here) with the epoch
+        finalized from the proxy's in-flight table: ``finalize`` decodes
+        against the label table ``prepare`` kept, so it predicts no PRF call
+        and all of the PRF work is ``prepare``'s.  (An epoch that fell out
+        of that table — recovery, rollback, eviction — costs ``finalize``
+        one :meth:`LabelCodec.derivation_cost` on top.)
+
+        Args:
+            include_server: Include the server-side AEAD opens.  Under
+                point-and-permute the server opens exactly one entry per
+                group; without it the attempt count is value-dependent, so
+                decrypts are only modeled (and only asserted) under §10.2.
+                In a sharded deployment the server ops land in server-side
+                ledger rows, so client-row comparisons pass ``False``.
         """
+        # Every backend derives the old and the new epoch once each.  The
+        # batched kernels pay each HMAC block once
+        # (``LabelCodec.derivation_cost``); the scalar path derives every
+        # label alone — the block two labels share is computed per label —
+        # and calls the offset PRF once per group for the old epoch plus
+        # once per table entry for the new one, one block each.
         codec = self._codec
-        calls = comp = 0
+        calls, comp = self._encode_key_cost
         for counter in (self.counter, self.counter + 1):
             (lab_calls, lab_comp), (off_calls, off_comp) = self._epoch_parts(counter)
             if self.backend == "scalar":
@@ -268,44 +285,6 @@ class LblCostModel:
             if self.point_and_permute:
                 calls += off_calls
                 comp += off_comp
-        return calls, comp
-
-    def finalize_ops(self, in_flight: bool = True) -> dict[str, int]:
-        """Predicted ledger ops of ``finalize`` for the epoch this access installs.
-
-        ``prepare`` files the new epoch's label table in the proxy's
-        in-flight table and ``finalize`` decodes against it, so the normal
-        path (``in_flight=True``) costs no PRF call on any backend.  An
-        epoch that fell out of the table — recovery, rollback, eviction — is
-        re-derived once through the batched kernel.
-        """
-        calls = comp = 0
-        if not in_flight:
-            calls, comp = self._codec.derivation_cost(self.key, self.counter + 1)
-        return {"prf.calls": calls, "sha256.compressions": comp}
-
-    def ops(self, include_server: bool = True) -> dict[str, int]:
-        """Predicted :mod:`repro.obs.ledger` op counts for one cold access.
-
-        Identical for GET and PUT by construction — the whole point of the
-        protocol — and the obliviousness auditor asserts the ledger agrees.
-        Covers the cold path (no label-cache hit; the cache's savings are
-        metered as ``cache.hits`` rows, not modeled here) with the epoch
-        finalized from the in-flight table, so all of the PRF work is
-        ``prepare``'s (:meth:`finalize_ops` is zero).
-
-        Args:
-            include_server: Include the server-side AEAD opens.  Under
-                point-and-permute the server opens exactly one entry per
-                group; without it the attempt count is value-dependent, so
-                decrypts are only modeled (and only asserted) under §10.2.
-                In a sharded deployment the server ops land in server-side
-                ledger rows, so client-row comparisons pass ``False``.
-        """
-        ek_calls, ek_comp = self._encode_key_cost
-        calls, comp = self.prepare_prf_cost()
-        calls += ek_calls
-        comp += ek_comp
 
         ops = {
             "prf.calls": calls,

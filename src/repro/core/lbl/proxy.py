@@ -61,9 +61,14 @@ from repro.types import Request, StoreConfig
 DECRYPT_INDEX_BYTES = 1
 
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs).
-#: Steady state holds one epoch per outstanding request; the budget only
-#: binds when requests fail and their epochs are never finalized.
-INFLIGHT_TABLE_BYTES = 4 * 1024 * 1024
+#: The table holds one epoch per outstanding request, so the budget binds as
+#: soon as more requests are outstanding at once — a batch, a window, a
+#: pipeline depth, a thread count — than it has room for epochs: 68 at the
+#: paper point (160 B values, ≈ 240 KB of labels per epoch; sized to cover
+#: ``ConcurrentLblProxy``'s 64 stripes), thousands at 2 B.  Past that, and
+#: for epochs whose request failed and is never finalized, the oldest epoch
+#: falls out and its ``finalize`` re-derives what ``prepare`` had kept.
+_INFLIGHT_TABLE_BYTES = 16 * 1024 * 1024
 
 #: Single-byte payload suffixes, pre-built so the table loop does not
 #: construct a fresh one-byte ``bytes`` object per entry.
@@ -123,9 +128,16 @@ class LblProxy:
         self._inflight: "OrderedDict[tuple[str, int], list[list[bytes]]]" = (
             OrderedDict()
         )
-        self.inflight_capacity = max(
-            1, INFLIGHT_TABLE_BYTES // self.inflight_epoch_bytes
+        # Entry cap: the byte budget over an upper estimate of one epoch's
+        # resident bytes — per label the ``bytes`` object (33-byte header)
+        # and its list slot, per group the row list, per epoch the outer
+        # list and the table node, each rounded up.
+        epoch_bytes = (
+            self.codec.num_groups
+            * (self.codec.table_size * (self.codec.label_len + 56) + 96)
+            + 512
         )
+        self._inflight_capacity = max(1, _INFLIGHT_TABLE_BYTES // epoch_bytes)
 
     # ------------------------------------------------------------------ #
     # State
@@ -136,30 +148,13 @@ class LblProxy:
         """§5.3.1's space estimate: an 8-byte counter per tracked object."""
         return 8 * len(self._counters)
 
-    @property
-    def inflight_epoch_bytes(self) -> int:
-        """Upper estimate of one in-flight epoch's resident bytes.
-
-        Per label the ``bytes`` object (33-byte header) and its list slot,
-        per group the row list, per epoch the outer list and table node —
-        each rounded up, so :data:`INFLIGHT_TABLE_BYTES` is a true ceiling.
-        """
-        codec = self.codec
-        per_label = codec.label_len + 56
-        return codec.num_groups * (codec.table_size * per_label + 96) + 512
-
-    @property
-    def inflight_epochs(self) -> int:
-        """Epochs prepared and not yet finalized (or evicted)."""
-        return len(self._inflight)
-
     def _remember_epoch(
         self, key: str, epoch: int, labels: "list[list[bytes]]"
     ) -> None:
         """File a prepared epoch's label table for its :meth:`finalize`."""
         table = self._inflight
         table[(key, epoch)] = labels
-        while len(table) > self.inflight_capacity:
+        while len(table) > self._inflight_capacity:
             try:
                 table.popitem(last=False)
             except KeyError:  # pragma: no cover - emptied by another thread
@@ -179,18 +174,18 @@ class LblProxy:
     def force_counter(self, key: str, value: int) -> None:
         """Overwrite one key's counter — recovery resynchronization only.
 
-        Any cached or in-flight label epochs for ``key`` are dropped: after a
-        forced counter move they no longer correspond to requests the server
-        will answer.
+        The key's cached epochs and the in-flight table of the epoch its
+        counter is leaving are dropped: after a forced counter move they no
+        longer correspond to a request the server will answer.  (Older
+        unfinalized epochs of the key are dead weight, never wrong — labels
+        are a function of key and epoch — and age out under the entry cap.)
         """
         if value < 0:
             raise ProtocolError("counters cannot be negative")
         if key not in self._counters:
             raise KeyNotFoundError(f"key {key!r} was never initialized")
+        self._inflight.pop((key, self._counters[key]), None)
         self._counters[key] = value
-        for slot in list(self._inflight):
-            if slot[0] == key:
-                self._inflight.pop(slot, None)
         if self.label_cache is not None:
             self.label_cache.invalidate_key(key)
         if _obs.enabled:
@@ -650,7 +645,8 @@ class LblProxy:
 
         The candidate set is the table :meth:`prepare` filed in the
         in-flight table, so the normal path costs no PRF call; an epoch that
-        is no longer there (recovery, rollback, eviction) is re-derived.
+        is no longer there (recovery, rollback, eviction) is taken from the
+        label cache if that still holds it and re-derived otherwise.
         When the label cache holds the epoch, its entry is enriched with
         (a) precomputed AEAD key schedules so the *next* access's table
         encryption skips its per-entry key derivation and (b) the prefetched
@@ -673,13 +669,16 @@ class LblProxy:
         codec = self.codec
         labels = list(response.opened_labels)
         prf_count = 0
-        candidates = self._inflight.pop((key, new_ct), None)
-        if candidates is None:
-            candidates = codec.labels_for_groups(key, new_ct)
-            prf_count += codec.label_calls
-        value = codec.decode_from_candidates(candidates, labels)
         cache = self.label_cache
         cached = cache.peek(key, new_ct) if cache is not None else None
+        candidates = self._inflight.pop((key, new_ct), None)
+        if candidates is None:
+            if cached is not None:
+                candidates = cached.labels
+            else:
+                candidates = codec.labels_for_groups(key, new_ct)
+                prf_count += codec.label_calls
+        value = codec.decode_from_candidates(candidates, labels)
         if cached is not None:
             cache.attach_schedules(key, new_ct)
             if cached.next_labels is None:

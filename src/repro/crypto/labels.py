@@ -324,28 +324,16 @@ class LabelCodec:
     # Inversion (proxy decodes the server's response after a read)
     # ------------------------------------------------------------------ #
 
-    def decode_labels(self, key: str, labels: list[bytes], counter: int) -> bytes:
-        """Recover the plaintext value from per-group labels.
-
-        Also serves as the tamper check of §5.4: a label matching none of the
-        ``2^y`` candidates proves the server (or channel) corrupted data.
-
-        Raises:
-            TamperDetectedError: if any label is not a valid candidate.
-        """
-        if len(labels) != self.num_groups:
-            raise ConfigurationError(
-                f"expected {self.num_groups} labels, got {len(labels)}"
-            )
-        return self.decode_from_candidates(self.labels_for_groups(key, counter), labels)
-
     def decode_from_candidates(
         self, candidate_rows: list[list[bytes]], labels: list[bytes]
     ) -> bytes:
-        """:meth:`decode_labels` against an already-derived candidate table.
+        """Recover the plaintext value from per-group labels.
 
-        Lets callers that still hold the epoch's label table (e.g. the
-        proxy's label cache) skip the PRF re-derivation entirely.
+        ``candidate_rows`` is the epoch's label table
+        (:meth:`labels_for_groups`), which the proxy still holds from
+        ``prepare``.  Also serves as the tamper check of §5.4: a label
+        matching none of the ``2^y`` candidates proves the server (or
+        channel) corrupted data.
 
         Args:
             candidate_rows: ``num_groups`` rows of ``2^y`` candidate labels.

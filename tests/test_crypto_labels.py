@@ -88,14 +88,14 @@ def test_encode_decode_roundtrip():
     value = b"\x01\x02\x03\x04\x05\x06\x07\x08"
     labels = codec.encode_value("key", value, counter=3)
     assert len(labels) == codec.num_groups
-    assert codec.decode_labels("key", labels, counter=3) == value
+    assert codec.decode_from_candidates(codec.labels_for_groups("key", 3), labels) == value
 
 
 def test_decode_with_wrong_counter_detects_tamper():
     codec = make_codec()
     labels = codec.encode_value("key", b"abcd", counter=1)
     with pytest.raises(TamperDetectedError):
-        codec.decode_labels("key", labels, counter=2)
+        codec.decode_from_candidates(codec.labels_for_groups("key", 2), labels)
 
 
 def test_decode_with_corrupted_label_detects_tamper():
@@ -103,7 +103,7 @@ def test_decode_with_corrupted_label_detects_tamper():
     labels = codec.encode_value("key", b"abcd", counter=1)
     labels[5] = b"\x00" * len(labels[5])
     with pytest.raises(TamperDetectedError):
-        codec.decode_labels("key", labels, counter=1)
+        codec.decode_from_candidates(codec.labels_for_groups("key", 1), labels)
 
 
 def test_encode_value_rejects_wrong_length():
@@ -111,7 +111,7 @@ def test_encode_value_rejects_wrong_length():
     with pytest.raises(ConfigurationError):
         codec.encode_value("k", b"toolongvalue", counter=0)
     with pytest.raises(ConfigurationError):
-        codec.decode_labels("k", [b"x" * 16], counter=0)
+        codec.decode_from_candidates(codec.labels_for_groups("k", 0), [b"x" * 16])
 
 
 def test_label_group_value_range_checked():
@@ -157,4 +157,4 @@ def test_decrypt_index_is_permutation_over_group_values():
 def test_codec_roundtrip_property(value, counter):
     codec = make_codec(value_len=len(value), group_bits=2)
     labels = codec.encode_value("key", value, counter)
-    assert codec.decode_labels("key", labels, counter) == value
+    assert codec.decode_from_candidates(codec.labels_for_groups("key", counter), labels) == value
