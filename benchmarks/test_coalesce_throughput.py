@@ -177,6 +177,14 @@ def measured() -> dict[str, float]:
     record_bench(
         "kernels.coalesce_speedup", results["coalesce_speedup"], unit="x"
     )
+    # The gated ratio can move because either side did: keep both absolute
+    # rates on the trajectory (ungated — they do not compare across hosts).
+    record_bench(
+        "kernels.coalesce_per_request_agg_ops_per_sec",
+        per_request,
+        unit="ops/s",
+        gate=False,
+    )
     record_bench(
         "kernels.coalesced_agg_ops_per_sec", coalesced, unit="ops/s", gate=False
     )

@@ -6,23 +6,30 @@ request opens exactly ONE designated AEAD entry, so per-request dispatch
 overhead rivals the crypto, which is the regime server-side fusion exists
 for).  Two configurations:
 
-* **per-request** — the unfused server path: each of the window's requests
-  executes its own ``LblServer.process`` (own KV get/put, own ``open_many``
-  call with its per-call setup, own response/ops construction).  On a
-  GIL-bound host this sequential execution is *exactly* what an unfused
-  server does with eight concurrent clients: their requests serialize
-  through the interpreter whatever the transport does.
-* **fused** — the same eight concurrent requests as one coalescer window:
-  one storage multi-get, one window-wide ``aead.open_many`` over all
-  designated pairs, one multi-put of rotated labels, one shared (frozen)
-  per-window ops descriptor.
+* **per-request** — each of the window's requests is its own
+  ``LblServer.process``, i.e. its own *window of one* on the server's single
+  access path (own multi-get/multi-put of one key, own ``open_many`` call
+  with its per-call setup, own window bookkeeping).  On a GIL-bound host
+  this sequential execution is *exactly* what an unfused server
+  (``server_batch=1``) does with eight concurrent clients: their requests
+  serialize through the interpreter whatever the transport does.
+* **fused** — the same eight concurrent requests as one window through the
+  same code: one storage multi-get, one window-wide ``aead.open_many`` over
+  all designated pairs, one multi-put of rotated labels.
+
+Both sides run ``LblServer.process_many``, so the gated ratio is the
+amortization of that one path's per-window cost and nothing else — and it
+can rise while both sides get slower.  The absolute rates are therefore
+recorded too, ungated (``kernels.server_per_request_ops_per_sec``,
+``kernels.server_fused_ops_per_sec``); judge a change to the access path by
+those, on one host in one session.
 
 **Why the gate is 1.3x and not more.**  The fused win on a lane-disabled
 host (``sha256_lanes.calibrate()`` turns the numpy lanes off on small CI
 containers — this host included) is dispatch amortization only: the
 window shares one ``open_many`` invocation's setup, one storage access
-pair, and one ops descriptor where the per-request path pays each of
-those eight times.  That measures ~1.4–1.5x here; the pytest gate asserts
+pair, and one round of window bookkeeping where the per-request path pays
+each of those eight times.  That measures ~1.4–1.5x here; the pytest gate asserts
 a conservative 1.3x floor robust across noisy runners, and the recorded
 ``kernels.server_fusion_speedup`` trajectory is additionally gated by
 ``repro bench check`` (drift against the best recorded run).  On
@@ -173,6 +180,12 @@ def measured() -> dict[str, float]:
         "kernels.server_fusion_speedup",
         results["server_fusion_speedup"],
         unit="x",
+    )
+    record_bench(
+        "kernels.server_per_request_ops_per_sec",
+        per_request,
+        unit="ops/s",
+        gate=False,
     )
     record_bench(
         "kernels.server_fused_ops_per_sec", fused, unit="ops/s", gate=False

@@ -16,15 +16,12 @@ timer) and the window is prepared as one fused unit —
   :meth:`~repro.core.lbl.proxy.LblProxy.prepare_window` ``encrypt_many``
   call.
 
-**Leader/follower protocol.**  The first caller to find no window open
-becomes the window's *leader*: it opens the window, waits for it to fill or
-for the timer to lapse, swaps the batch out, and runs the flush on its own
-thread.  Every later caller is a *follower*: it appends its entry and blocks
-on the entry's done-event.  The leader publishes each entry's result (or the
-flush's exception — a failed flush never strands a follower) before
-returning its own.  Flushes serialize on one lock, which is also what makes
-the shared proxy state (counters, cache, base-protocol shuffle RNG) safe
-without per-key stripes.
+**Window mechanics.**  Opening, filling, the size/timer flush, and the
+leader/follower hand-off are the shared
+:class:`~repro.core.lbl.window.CoalescingWindow`'s; this module holds only
+*what* a prepare window fuses.  Flushes serialize on the window's one flush
+lock, which is also what makes the shared proxy state (counters, cache,
+base-protocol shuffle RNG) safe without per-key stripes.
 
 **Equivalence.**  A flushed window produces, per request, exactly what a
 sequential ``prepare`` loop over the same requests in the same order would:
@@ -44,49 +41,25 @@ pairs, payload lengths, and ciphertext counts per entry are op-independent
 
 from __future__ import annotations
 
-import threading
-
 from repro.core.base import OpCounts
 from repro.core.lbl.proxy import LblProxy
+from repro.core.lbl.window import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_WINDOW_SECONDS,
+    CoalescingWindow,
+    WindowEntry,
+)
 from repro.core.messages import LblAccessRequest
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
-from repro.obs.clock import Clock, WallClock
+from repro.obs.clock import Clock
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.types import Request
 
-#: Default flush window in seconds (~200µs): long enough for a burst of
-#: concurrent clients to land in one window, short enough to be invisible
-#: next to a cold prepare (which runs for milliseconds at paper parameters).
-DEFAULT_WINDOW_SECONDS = 0.0002
 
-#: Default size flush threshold — matches the SHA-256 lane width, so a full
-#: window fills every lane even when each access contributes one tail chunk.
-DEFAULT_MAX_BATCH = 8
-
-#: Real-time cap on each follower-wait inside the leader's timer loop.  The
-#: window clock is injectable (and may be fake), so the leader never blocks
-#: on it for long stretches of *wall* time — it re-reads the clock at least
-#: this often.
-_LEADER_POLL_SECONDS = 0.001
-
-
-class _Entry:
-    """One enqueued ``prepare`` call, owned by the window that flushes it."""
-
-    __slots__ = ("request", "row", "done", "result", "error")
-
-    def __init__(self, request: Request, row: "_ledger.LedgerRow | None") -> None:
-        self.request = request
-        self.row = row
-        self.done = threading.Event()
-        self.result: "tuple[LblAccessRequest, OpCounts, int] | None" = None
-        self.error: BaseException | None = None
-
-
-class PrepareCoalescer:
+class PrepareCoalescer(CoalescingWindow):
     """Fuse concurrent ``prepare`` calls into windowed lane dispatches.
 
     Args:
@@ -114,28 +87,15 @@ class PrepareCoalescer:
         procpool=None,
         clock: Clock | None = None,
     ) -> None:
-        if window < 0:
-            raise ConfigurationError("coalesce window must be >= 0 seconds")
-        if max_batch < 1:
-            raise ConfigurationError("coalesce max_batch must be >= 1")
+        super().__init__(
+            self._prepare_window, window=window, max_batch=max_batch, clock=clock
+        )
         if not proxy.batched:
             raise ConfigurationError(
                 "prepare coalescing requires the batched proxy path"
             )
         self.proxy = proxy
-        self.window = window
-        self.max_batch = max_batch
         self.procpool = procpool
-        self.clock: Clock = clock if clock is not None else WallClock()
-        self._lock = threading.Lock()
-        self._flush_lock = threading.Lock()
-        self._pending: "list[_Entry]" = []
-        self._window_open = False
-        self._full = threading.Event()
-
-    # ------------------------------------------------------------------ #
-    # Enqueue side
-    # ------------------------------------------------------------------ #
 
     def prepare(
         self, request: Request, row: "_ledger.LedgerRow | None" = None
@@ -144,54 +104,9 @@ class PrepareCoalescer:
 
         Returns the same ``(wire_request, prepare_ops, epoch)`` triple a
         :meth:`~repro.core.lbl.parallel.ParallelPrepareEngine.prepare_batch`
-        entry yields.  The caller's ambient ledger row is captured when
-        ``row`` is not given, so crediting survives the hop onto the
-        leader's thread.
+        entry yields.
         """
-        if row is None:
-            row = _ledger.current_row()
-        entry = _Entry(request, row)
-        with self._lock:
-            is_leader = not self._window_open
-            if is_leader:
-                self._window_open = True
-                self._pending = [entry]
-                self._full = threading.Event()
-            else:
-                self._pending.append(entry)
-                if len(self._pending) >= self.max_batch:
-                    self._full.set()
-            full = self._full
-        if is_leader:
-            self._lead(entry, full)
-        else:
-            entry.done.wait()
-        if entry.error is not None:
-            raise entry.error
-        assert entry.result is not None
-        return entry.result
-
-    def _lead(self, entry: _Entry, full: threading.Event) -> None:
-        """Run the window this thread opened: wait, swap, flush, publish."""
-        opened = self.clock.now()
-        while not full.is_set():
-            remaining = self.window - (self.clock.now() - opened)
-            if remaining <= 0:
-                break
-            full.wait(min(remaining, _LEADER_POLL_SECONDS))
-        reason = "size" if full.is_set() else "timer"
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            self._window_open = False
-        try:
-            self.flush(batch, reason=reason)
-        except BaseException as exc:
-            # Never strand a follower: a failed flush raises for everyone.
-            for pending in batch:
-                if not pending.done.is_set():
-                    pending.error = exc
-                    pending.done.set()
+        return self.run(request, row)
 
     def prepare_all(
         self,
@@ -206,7 +121,7 @@ class PrepareCoalescer:
         """
         ambient = _ledger.current_row() if rows is None else None
         entries = [
-            _Entry(request, rows[index] if rows is not None else ambient)
+            WindowEntry(request, rows[index] if rows is not None else ambient)
             for index, request in enumerate(requests)
         ]
         self.flush(entries)
@@ -217,11 +132,7 @@ class PrepareCoalescer:
             results.append(entry.result)
         return results
 
-    # ------------------------------------------------------------------ #
-    # Flush side
-    # ------------------------------------------------------------------ #
-
-    def flush(self, batch: "list[_Entry]", reason: str = "explicit") -> None:
+    def _prepare_window(self, batch: "list[WindowEntry]", reason: str) -> None:
         """Prepare every entry of one window, fused, and publish results.
 
         Routing is payload-independent (it depends only on keys and cache
@@ -229,33 +140,14 @@ class PrepareCoalescer:
         derivation batched across the window, tables encrypted in one
         dispatch — while warm entries keep the per-request fast path (a
         cached epoch always wins) and same-key followers prepare
-        sequentially after their predecessor so epochs chain.
-
-        Args:
-            batch: The window's entries.
-            reason: Why the window closed — ``"size"`` (hit ``max_batch``),
-                ``"timer"`` (the window timer lapsed), or ``"explicit"``
-                (a direct :meth:`prepare_all`/:meth:`flush` call).  Counted
-                per reason and recorded per flush, so saturation tooling
-                can tell a size-bound window from a timer-bound one.
+        sequentially after their predecessor so epochs chain.  The flush
+        ``reason`` is counted and recorded per flush, so saturation tooling
+        can tell a size-bound window from a timer-bound one.
         """
-        if not batch:
-            return
-        with self._flush_lock:
-            try:
-                self._flush_inner(batch, reason)
-            except BaseException as exc:
-                for entry in batch:
-                    if not entry.done.is_set():
-                        entry.error = exc
-                        entry.done.set()
-                raise
-
-    def _flush_inner(self, batch: "list[_Entry]", reason: str = "explicit") -> None:
         proxy = self.proxy
         seen_keys: set[str] = set()
-        front: "list[_Entry]" = []
-        tail: "list[_Entry]" = []
+        front: "list[WindowEntry]" = []
+        tail: "list[WindowEntry]" = []
         for entry in batch:
             if entry.request.key in seen_keys:
                 tail.append(entry)
@@ -263,7 +155,7 @@ class PrepareCoalescer:
                 seen_keys.add(entry.request.key)
                 front.append(entry)
 
-        cold: "list[_Entry]" = []
+        cold: "list[WindowEntry]" = []
         if proxy.label_cache is not None:
             # One lock hold probes the whole window's cache slots.
             slots = [
@@ -292,8 +184,7 @@ class PrepareCoalescer:
             for entry, result in zip(
                 cold, proxy.prepare_window(window_entries, rows=rows)
             ):
-                entry.result = result
-                entry.done.set()
+                entry.finish(result)
 
         # Same-key followers: their predecessor installed epoch ct+1 in the
         # cache, so these run as warm per-request prepares, in order.
@@ -320,14 +211,13 @@ class PrepareCoalescer:
                 max_batch=self.max_batch,
             )
 
-    def _publish_one(self, entry: _Entry) -> None:
+    def _publish_one(self, entry: WindowEntry) -> None:
         """Per-request prepare (warm or same-key follower) under its row."""
         token = _ledger.activate(entry.row) if entry.row is not None else None
         try:
             ct = self.proxy.counter(entry.request.key)
             lbl_request, ops = self.proxy.prepare(entry.request)
-            entry.result = (lbl_request, ops, ct + 1)
-            entry.done.set()
+            entry.finish((lbl_request, ops, ct + 1))
         finally:
             if token is not None:
                 _ledger.deactivate(token)

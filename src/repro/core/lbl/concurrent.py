@@ -43,9 +43,10 @@ def hold_stripes(
     """Hold several stripes of one lock table at once, deadlock-free.
 
     Stripes are acquired in ascending index order (deduplicated), so any
-    two holders — a fused server flush locking its whole window, a batch
-    frame locking one key at a time — order their acquisitions identically
-    and can never cycle.  Released in reverse order.
+    two holders — a coalesced flush or a batch frame locking its whole
+    window, a lone access or load frame locking one key — order their
+    acquisitions identically and can never cycle.  Released in reverse
+    order.
     """
     ordered = sorted(set(indices))
     acquired: "list[threading.Lock]" = []

@@ -485,10 +485,10 @@ class LeakyLblServer(LblServer):
         super().__init__(point_and_permute)
         self.current_op: Operation | None = None
 
-    def _commit(self, encoded_key: bytes, updated) -> int:
+    def _commit_many(self, items) -> list[int]:
         if self.current_op is not None and self.current_op.is_read:
-            return 0  # leak: reads leave storage untouched
-        return super()._commit(encoded_key, updated)
+            return [0] * len(items)  # leak: reads leave storage untouched
+        return super()._commit_many(items)
 
 
 class LeakyLblOrtoa(LblOrtoa):

@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
+from contextlib import nullcontext
 
 from repro.core.lbl.server_coalesce import (
     DEFAULT_WINDOW_SECONDS as DEFAULT_SERVER_WINDOW_SECONDS,
@@ -57,9 +57,7 @@ from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.propagate import REMOTE_PARENT_ATTR, TraceContext, remote_parent
 from repro.obs.recorder import RECORDER
-from repro.obs.trace import TRACER
 from repro.transport import framing
 from repro.transport.framing import MAX_FRAME_BYTES, _LEN
 from repro.transport.server import (
@@ -662,7 +660,7 @@ class AsyncLblServer:
             if not future.done():
                 future.set_result(entry)
 
-        entry, is_leader, is_full, generation, _full = coalescer.submit(
+        entry, is_leader, is_full, generation = coalescer.submit(
             request, _ledger.current_row(), on_done=_resolve
         )
         if is_full:
@@ -674,7 +672,6 @@ class AsyncLblServer:
         entry = await future
         if entry.error is not None:
             raise entry.error
-        assert entry.result is not None
         return entry.result[0].to_bytes()
 
     async def _safe_dispatch_coalesced(self, inner: bytes) -> bytes:
@@ -682,43 +679,7 @@ class AsyncLblServer:
         try:
             return await self._dispatch_coalesced(inner)
         except OrtoaError as exc:
-            _log.warning("request failed, returning error frame: %s", exc)
-            if _obs.enabled:
-                REGISTRY.counter("transport.error_frames_sent").inc()
-            return bytes([ERROR_TAG]) + str(exc).encode("utf-8")
-
-    async def _traced_dispatch_coalesced(
-        self, inner: bytes, trace_context: bytes | None
-    ) -> bytes:
-        """Async twin of :meth:`LblFrameDispatcher.traced_dispatch`.
-
-        Same span, same server-labeled ledger row, same service histogram —
-        but the request span (and the row) stays open across the window
-        await, so the fused flush can credit this request's closed-form
-        share to exactly this row.
-        """
-        if not _obs.enabled:
-            return await self._safe_dispatch_coalesced(inner)
-        start = time.perf_counter()
-        parent = None
-        attributes = {}
-        trace_id = None
-        if trace_context is not None:
-            try:
-                decoded = TraceContext.decode(trace_context)
-                parent = remote_parent(decoded)
-                trace_id = decoded.trace_id
-                attributes[REMOTE_PARENT_ATTR] = True
-            except ProtocolError:
-                parent = None  # unparseable context: serve the request anyway
-        try:
-            with TRACER.span("transport.server.request", parent=parent, **attributes):
-                with _ledger.track(label="server", trace_id=trace_id):
-                    return await self._safe_dispatch_coalesced(inner)
-        finally:
-            REGISTRY.log_histogram("transport.server.service.seconds").observe(
-                time.perf_counter() - start
-            )
+            return self.dispatcher.error_frame(exc)
 
     async def _handle_mux(
         self,
@@ -735,12 +696,19 @@ class AsyncLblServer:
             # dispatcher never awaits, so its ledger row (contextvars) is
             # activated and retired with no interleaving point in between.
             # Either way the row belongs to exactly this request.
-            if self._coalesce_access(inner):
-                reply = await self._traced_dispatch_coalesced(inner, trace_context)
-            elif _obs.enabled:
-                reply = self.dispatcher.traced_dispatch(inner, trace_context)
-            else:
-                reply = self.dispatcher.safe_dispatch(inner)
+            # The scope (span + ledger row) stays open across a coalesced
+            # frame's window await, so the fused flush credits this
+            # request's closed-form share to exactly this row.
+            scope = (
+                self.dispatcher.request_scope(trace_context)
+                if _obs.enabled
+                else nullcontext()
+            )
+            with scope:
+                if self._coalesce_access(inner):
+                    reply = await self._safe_dispatch_coalesced(inner)
+                else:
+                    reply = self.dispatcher.safe_dispatch(inner)
             try:
                 wrapped = framing.wrap_mux(request_id, reply)
                 if _obs.enabled:

@@ -58,6 +58,8 @@ import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from typing import Iterator
 
 from repro.core.lbl.concurrent import hold_stripes
 from repro.core.lbl.server import LblServer
@@ -67,7 +69,6 @@ from repro.core.lbl.server_coalesce import (
 )
 from repro.core.messages import (
     LblAccessRequest,
-    LblAccessResponse,
     LblBatchRequest,
     LblBatchResponse,
     LblErrorEntry,
@@ -151,9 +152,10 @@ class LblFrameDispatcher:
             whose dispatches never overlap passes ``False`` and pays no
             locking at all.
         server_batch: Access-window fusion size.  ``1`` (the default)
-            dispatches each access frame straight into ``LblServer.process``;
-            above 1, concurrent access frames coalesce into windows of up
-            to this many requests, flushed as one fused
+            serves each access frame as its own window of one; above 1,
+            concurrent access frames coalesce into windows of up to this
+            many requests.  Either way — and for batch frames, which are
+            windows already — the work is one
             :meth:`~repro.core.lbl.server.LblServer.process_many`.
         server_window: Flush timer (seconds) for a partially filled access
             window — the longest a lone request waits for company.
@@ -178,9 +180,9 @@ class LblFrameDispatcher:
         self._stripes = (
             [threading.Lock() for _ in range(num_stripes)] if locking else None
         )
-        # The coalescer's flush holds every stripe its window touches (in
-        # sorted order — see hold_stripes), so fused flushes coexist with
-        # the per-key-locked LOAD and batch frame paths.
+        # A window — coalesced or a batch frame — holds every stripe it
+        # touches (in sorted order — see hold_stripes), so it coexists with
+        # the single-stripe LOAD and lone-access paths.
         self.coalescer: ServerAccessCoalescer | None = (
             ServerAccessCoalescer(
                 self.lbl,
@@ -196,24 +198,15 @@ class LblFrameDispatcher:
     def _lock_encoded_keys(self, encoded_keys: "list[bytes]"):
         """Context manager holding the stripes of many keys at once."""
         if self._stripes is None:
-            return self._NO_LOCK
+            return nullcontext()
         stripes = self._stripes
         return hold_stripes(
             stripes, (hash(key) % len(stripes) for key in encoded_keys)
         )
 
-    class _NoLock:
-        def __enter__(self):  # noqa: D401 - trivial context manager
-            return self
-
-        def __exit__(self, *_exc) -> None:
-            return None
-
-    _NO_LOCK = _NoLock()
-
     def _stripe_for(self, encoded_key: bytes):
         if self._stripes is None:
-            return self._NO_LOCK
+            return nullcontext()
         return self._stripes[hash(encoded_key) % len(self._stripes)]
 
     def safe_dispatch(self, payload: bytes) -> bytes:
@@ -221,10 +214,14 @@ class LblFrameDispatcher:
         try:
             return self.dispatch(payload)
         except OrtoaError as exc:
-            _log.warning("request failed, returning error frame: %s", exc)
-            if _obs.enabled:
-                REGISTRY.counter("transport.error_frames_sent").inc()
-            return bytes([ERROR_TAG]) + str(exc).encode("utf-8")
+            return self.error_frame(exc)
+
+    def error_frame(self, exc: OrtoaError) -> bytes:
+        """The described-failure reply for a request that raised ``exc``."""
+        _log.warning("request failed, returning error frame: %s", exc)
+        if _obs.enabled:
+            REGISTRY.counter("transport.error_frames_sent").inc()
+        return bytes([ERROR_TAG]) + str(exc).encode("utf-8")
 
     def dispatch(self, payload: bytes) -> bytes:
         """Route one decoded frame; returns the serialized reply."""
@@ -252,21 +249,23 @@ class LblFrameDispatcher:
                 response, _ops = self.lbl.process(request)
             return response.to_bytes()
         if payload[0] == LblBatchRequest.TAG:
-            batch = LblBatchRequest.from_bytes(payload)
-            entries: list[LblAccessResponse | LblErrorEntry] = []
-            for request in batch.requests:
-                # Per-request isolation: requests processed so far have
-                # already rotated their labels, so a later failure must not
-                # discard them — slot an error entry and keep going.
-                try:
-                    with self._stripe_for(request.encoded_key):
-                        response, _ops = self.lbl.process(request)
-                    entries.append(response)
-                except OrtoaError as exc:
-                    _log.warning("batch request failed: %s", exc)
+            requests = list(LblBatchRequest.from_bytes(payload).requests)
+            # A batch frame is a ready-made window.  Errors are isolated per
+            # request: its window-mates still rotate their labels, and the
+            # failure becomes an error entry at its position.
+            with self._lock_encoded_keys(
+                [request.encoded_key for request in requests]
+            ):
+                results = self.lbl.process_many(requests)
+            entries = []
+            for result in results:
+                if isinstance(result, OrtoaError):
+                    _log.warning("batch request failed: %s", result)
                     if _obs.enabled:
                         REGISTRY.counter("transport.batch_error_entries").inc()
-                    entries.append(LblErrorEntry(str(exc)))
+                    entries.append(LblErrorEntry(str(result)))
+                else:
+                    entries.append(result[0])
             return LblBatchResponse(tuple(entries)).to_bytes()
         raise ProtocolError(f"unknown frame tag {payload[0]:#x}")
 
@@ -316,16 +315,21 @@ class LblFrameDispatcher:
             body, default=str
         ).encode("utf-8")
 
-    def traced_dispatch(self, inner: bytes, trace_context: bytes | None) -> bytes:
-        """Dispatch under a request span parented by the propagated context.
+    @contextmanager
+    def request_scope(self, trace_context: bytes | None) -> Iterator[None]:
+        """One traced request: span, server ledger row, service histogram.
 
-        The span marks itself :data:`~repro.obs.propagate.REMOTE_PARENT_ATTR`
-        so a cross-process merge keeps its parent link pointing at the
-        client span; making it the context's current span lets the nested
-        ``lbl.server.process`` span (emitted by the protocol layer in this
-        context) parent locally under it.  Service time — queueing
-        excluded, dispatch only — lands in the
-        ``transport.server.service.seconds`` log histogram.
+        The span parents under the propagated client context and marks
+        itself :data:`~repro.obs.propagate.REMOTE_PARENT_ATTR` so a
+        cross-process merge keeps its parent link pointing at the client
+        span; making it the context's current span lets the nested
+        ``lbl.server.process`` span parent locally under it.  Server-side
+        ops (AEAD opens) land in a server-labeled row linked to the client
+        trace, so the ledger can pair both halves of one access — the row
+        stays open for as long as the scope does, including across an
+        event-loop caller's window await.  Service time — queueing
+        excluded — lands in the ``transport.server.service.seconds`` log
+        histogram.
         """
         start = time.perf_counter()
         parent = None
@@ -341,15 +345,17 @@ class LblFrameDispatcher:
                 parent = None  # unparseable context: serve the request anyway
         try:
             with TRACER.span("transport.server.request", parent=parent, **attributes):
-                # Server-side ops (AEAD opens, re-encrypt) land in a
-                # server-labeled row linked to the client trace, so the
-                # ledger can pair both halves of one access.
                 with _ledger.track(label="server", trace_id=trace_id):
-                    return self.safe_dispatch(inner)
+                    yield
         finally:
             REGISTRY.log_histogram("transport.server.service.seconds").observe(
                 time.perf_counter() - start
             )
+
+    def traced_dispatch(self, inner: bytes, trace_context: bytes | None) -> bytes:
+        """:meth:`safe_dispatch` inside this request's :meth:`request_scope`."""
+        with self.request_scope(trace_context):
+            return self.safe_dispatch(inner)
 
 
 class _Handler(socketserver.BaseRequestHandler):

@@ -10,21 +10,42 @@ any failing position.  The client contract under test:
   *first* failure, so once the underlying cause is repaired a retry
   decrypts correctly (the stale-epoch regression this file pins down);
 * failure of one key never disturbs other keys' epochs.
+
+Server side, a batch frame is a ready-made window: the dispatcher of
+either transport hands it whole to the server's one access path
+(``LblServer.process_many``), so the last section pins that a mixed batch
+(repeated key, corrupt entry, unknown key) keeps its per-entry semantics
+there, and that the audit's leaky negative control is still caught when
+its accesses ride a fused window.
 """
 
 import random
 
 import pytest
 
+from repro import obs
+from repro.core.base import OpCounts
+from repro.core.lbl import LblOrtoa
+from repro.core.lbl.server_coalesce import ServerAccessCoalescer
 from repro.core.messages import (
+    LblAccessRequest,
     LblAccessResponse,
+    LblBatchRequest,
     LblBatchResponse,
     LblErrorEntry,
 )
 from repro.core.sharded import ShardedLblDeployment
-from repro.errors import BatchPartialFailure, ProtocolError
+from repro.errors import (
+    BatchPartialFailure,
+    KeyNotFoundError,
+    OrtoaError,
+    ProtocolError,
+)
+from repro.obs.audit import LeakyLblOrtoa, run_audit
 from repro.transport import LblTcpServer, RemoteLblOrtoa
+from repro.transport.async_server import AsyncLblServer
 from repro.transport.cluster import ShardCluster
+from repro.transport.server import LOAD_ACK, pack_load
 from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
@@ -197,3 +218,110 @@ def test_whole_batch_failing_still_partial_not_error_frame(server, client):
     assert excinfo.value.transcripts == {}
     with pytest.raises(ProtocolError):
         raise excinfo.value  # BatchPartialFailure IS a ProtocolError
+
+
+# --------------------------------------------------------------------- #
+# Batch frames ride the server's one fused access path
+# --------------------------------------------------------------------- #
+
+@pytest.fixture()
+def captured():
+    obs.reset()
+    obs.enable()
+    yield
+    obs.disable()
+    obs.reset()
+
+
+@pytest.mark.parametrize("server_class", [LblTcpServer, AsyncLblServer])
+def test_mixed_batch_frame_through_the_dispatcher(server_class, captured, monkeypatch):
+    """Repeated key + corrupt entry + unknown key in one batch frame.
+
+    The threaded server's dispatcher holds the batch's stripes, the async
+    server's holds none; both must produce the same entries, counters and
+    store state.
+    """
+    values = {f"k{i}": bytes([i]) * 16 for i in range(1, 6)}
+    local = LblOrtoa(CONFIG, rng=random.Random(2))
+    server = server_class(point_and_permute=True)  # never started: no traffic
+    try:
+        dispatcher = server.dispatcher
+        for encoded_key, labels in local.proxy.initial_records(values):
+            assert dispatcher.dispatch(pack_load(encoded_key, labels)) == LOAD_ACK
+        store = dispatcher.lbl.store
+        prepare = local.proxy.prepare
+
+        first = prepare(Request.read("k1"))[0]
+        corrupt = prepare(Request.read("k2"))[0]
+        group0 = tuple(bytes([ct[0] ^ 0xFF]) + ct[1:] for ct in corrupt.tables[0])
+        corrupt = LblAccessRequest(corrupt.encoded_key, (group0,) + corrupt.tables[1:])
+        again = prepare(Request.write("k1", CONFIG.pad(b"rewritten")))[0]
+        unknown = LblAccessRequest(b"\xee" * 16, prepare(Request.read("k3"))[0].tables)
+        last = prepare(Request.read("k4"))[0]
+        untouched = list(store.get(corrupt.encoded_key))
+
+        windows: list = []
+        real_process_many = dispatcher.lbl.process_many
+
+        def spy(requests, rows=None):
+            results = real_process_many(requests, rows)
+            windows.append(results)
+            return results
+
+        monkeypatch.setattr(dispatcher.lbl, "process_many", spy)
+        gets, puts = store.get_count, store.put_count
+        frame = LblBatchRequest((first, corrupt, again, unknown, last)).to_bytes()
+        decoded = LblBatchResponse.from_bytes(dispatcher.dispatch(frame))
+
+        assert decoded.error_indices == (1, 3)
+        assert decoded.responses[1] == LblErrorEntry(
+            "designated entry failed to open at group 0"
+        )
+        assert decoded.responses[3] == LblErrorEntry(
+            "lbl-server: key eeeeeeeeeeeeeeee… not found"
+        )
+        counters = obs.REGISTRY.snapshot()["counters"]
+        assert counters.get("transport.batch_error_entries", 0) == 2
+        # One get per access (the miss included), one put per success.
+        assert store.get_count - gets == 5
+        assert store.put_count - puts == 3
+        # The dispatcher made one call; the repeated key was that call's
+        # second window, served after the first one's commit.
+        assert len(windows) == 2 and len(windows[0]) == 1
+        ok = OpCounts(kv_ops=2, aead_dec=len(first.tables))
+        assert [
+            type(result) if isinstance(result, OrtoaError) else result[1]
+            for result in windows[-1]
+        ] == [ok, ProtocolError, ok, KeyNotFoundError, ok]
+        # The failed key kept its labels; the repeated key chained in order
+        # (its second access opened what its first one installed).
+        assert store.get(corrupt.encoded_key) == untouched
+        assert local.proxy.finalize("k1", decoded.responses[0], counter=1)[0] == values["k1"]
+        assert local.proxy.finalize("k1", decoded.responses[2], counter=2)[0] == CONFIG.pad(
+            b"rewritten"
+        )
+        assert local.proxy.finalize("k4", decoded.responses[4], counter=1)[0] == values["k4"]
+
+        # A distinct-key batch is exactly one storage multi-get/multi-put.
+        multi_gets, multi_puts = store.multi_get_count, store.multi_put_count
+        distinct = LblBatchRequest(
+            tuple(prepare(Request.read(key))[0] for key in ("k1", "k4", "k5"))
+        )
+        reply = LblBatchResponse.from_bytes(dispatcher.dispatch(distinct.to_bytes()))
+        assert reply.error_indices == ()
+        assert store.multi_get_count - multi_gets == 1
+        assert store.multi_put_count - multi_puts == 1
+    finally:
+        server.close()
+
+
+def test_leaky_control_is_flagged_through_a_fused_window():
+    """The negative control leaks in its commit hook — which every window,
+    not just a lone ``process``, must run through."""
+    leaky = LeakyLblOrtoa(CONFIG, rng=random.Random(4))
+    coalescer = ServerAccessCoalescer(leaky.server, window=0.0, max_batch=4)
+    leaky.server.process = coalescer.process  # every access rides a window
+    report = run_audit(leaky, num_keys=16, seed=4)
+    assert not report.passed
+    leaked = {check.feature for check in report.checks if not check.passed}
+    assert {"labels_rewritten", "storage_writes"} <= leaked

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.coalesce import PrepareCoalescer
+from repro.core.lbl.server_coalesce import ServerAccessCoalescer
 from repro.core.lbl.parallel import ParallelPrepareEngine
 from repro.errors import ConfigurationError
 from repro.obs.clock import FakeClock
@@ -254,6 +255,33 @@ def test_frozen_clock_never_time_flushes():
         thread.join(timeout=60)
     assert all(result is not None for result in results)
     assert clock.now() == 0.0  # frozen clock: the flush was size-triggered
+
+
+@pytest.mark.parametrize("fuses", ["prepares", "server accesses"])
+def test_lone_caller_at_max_batch_one_flushes_on_size(fuses):
+    """The window counts its leader: at ``max_batch=1`` a lone call is a
+    full window and returns without the (frozen) timer ever lapsing."""
+    store = _store(batched=True)
+    clock = FakeClock(start=0.0, auto_advance=0.0)
+    if fuses == "prepares":
+        coalescer = PrepareCoalescer(
+            store.proxy, window=3600.0, max_batch=1, clock=clock
+        )
+        request, call = Request.read(KEYS[0]), coalescer.prepare
+    else:
+        coalescer = ServerAccessCoalescer(
+            store.server, window=3600.0, max_batch=1, clock=clock
+        )
+        request, call = store.proxy.prepare(Request.read(KEYS[0]))[0], coalescer.process
+    results = []
+    caller = threading.Thread(
+        target=lambda: results.append(call(request)), daemon=True
+    )
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "lone caller is waiting out the flush timer"
+    assert len(results) == 1
+    assert clock.now() == 0.0
 
 
 # --------------------------------------------------------------------- #

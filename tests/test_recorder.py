@@ -382,7 +382,7 @@ def test_auditor_passes_with_recorder_enabled():
         )
         try:
             report = run_sharded_audit(
-                deployment, num_keys=8, seed=0, pipeline_depth=4
+                deployment, num_keys=16, seed=0, pipeline_depth=4
             )
         finally:
             deployment.close()

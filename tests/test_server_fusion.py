@@ -4,11 +4,14 @@ The fused :meth:`~repro.core.lbl.server.LblServer.process_many` changes how
 many storage accesses and AEAD dispatches a window of concurrent requests
 costs, and nothing else.  These tests pin the transparency claims:
 
-* protocol equivalence — a fused window produces exactly the responses,
-  errors, and final server state a sequential ``process`` loop over the
-  same interleaving produces (hypothesis property over arbitrary key/op
-  interleavings, including same-key chains, corrupt ciphertexts, and
-  missing keys with per-request error isolation);
+* protocol equivalence — ``process_many`` is the server's only access path
+  (``process`` is a window of one), so the property compares it against a
+  small sequential oracle written in this file: any windowing of any
+  interleaving (same-key chains, corrupt ciphertexts, missing keys) yields
+  exactly the oracle's responses, errors, op counts, final label state,
+  storage access counts and — with capture on — per-request span
+  attributes and ``lbl.server.*`` counters, under point-and-permute and
+  the base protocol alike;
 * fusion — a window of distinct present keys is exactly one storage
   multi-get, one window-wide ``aead.open_many``, one storage multi-put;
 * obliviousness — a fused GET window and a fused PUT window are
@@ -18,9 +21,9 @@ costs, and nothing else.  These tests pin the transparency claims:
   share of the fused open, and a row-less window-mate leaks nothing into
   anyone else's row (the model==ledger equality is exercised through
   ``run_model_check``'s ``server-coalesced`` backend);
-* error-path telemetry — the satellite bugfix: ``process`` emits its span
-  and ``lbl.server.*`` counters on failed opens too, base protocol and
-  point-and-permute alike;
+* error-path telemetry — failed opens emit their span and
+  ``lbl.server.*`` counters too, base protocol and point-and-permute
+  alike;
 * determinism — the coalescer's flush timer reads the injected clock, and
   its generation counter makes stale timer flushes no-ops.
 """
@@ -33,12 +36,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.server import SERVER_SPAN, LblServer
 from repro.core.lbl.server_coalesce import ServerAccessCoalescer
-from repro.core.messages import LblAccessRequest
+from repro.core.messages import LblAccessRequest, LblAccessResponse
+from repro.crypto import aead
 from repro.crypto.labels import StoredLabel
-from repro.errors import ConfigurationError, OrtoaError, ProtocolError
+from repro.errors import (
+    ConfigurationError,
+    KeyNotFoundError,
+    OrtoaError,
+    ProtocolError,
+)
 from repro.obs.clock import FakeClock
 from repro.obs.recorder import RECORDER
 from repro.types import Request, StoreConfig
@@ -49,13 +59,15 @@ KEYS = tuple(f"f{i}" for i in range(4))
 VALUE_LEN = 8
 
 #: One access: (key index, is_write, written byte, fault) where fault is
-#: 0 = clean, 1 = corrupt group-0 ciphertexts, 2 = unknown encoded key.
+#: 0 = clean, 1 = corrupt group-0 ciphertexts, 2 = unknown encoded key,
+#: 3 = last table dropped (table count mismatch), 4 = last table emptied
+#: (no slot to open there, after the earlier groups were already gathered).
 WORKLOADS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=len(KEYS) - 1),
         st.booleans(),
         st.integers(min_value=1, max_value=250),
-        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=4),
     ),
     min_size=1,
     max_size=10,
@@ -108,19 +120,110 @@ def _build_workload(store: LblOrtoa, workload) -> list[LblAccessRequest]:
             lbl_request = _corrupt_group0(lbl_request)
         elif fault == 2:
             lbl_request = LblAccessRequest(b"\xee" * 16, lbl_request.tables)
+        elif fault == 3:
+            lbl_request = LblAccessRequest(
+                lbl_request.encoded_key, lbl_request.tables[:-1]
+            )
+        elif fault == 4:
+            lbl_request = LblAccessRequest(
+                lbl_request.encoded_key, lbl_request.tables[:-1] + ((),)
+            )
         built.append(lbl_request)
     return built
 
 
-def _sequential(server: LblServer, built) -> list[tuple]:
-    results = []
-    for lbl_request in built:
+class _SequentialOracle:
+    """§5.2 step 2 / §10.2, one request at a time, on a plain dict.
+
+    get → open the designated slot of every group (point-and-permute) or
+    scan each table for the entry the stored label opens (base protocol) →
+    rotate → put.  Shares no code with :class:`LblServer`: it decrypts with
+    the scalar :func:`aead.try_decrypt` and keeps its own label state,
+    storage access counts and the observation record the server must emit.
+    """
+
+    def __init__(self, server: LblServer) -> None:
+        self.point_and_permute = server.point_and_permute
+        self.labels = {key: list(stored) for key, stored in server.store._data.items()}
+        self.gets = 0
+        self.puts = 0
+
+    def _open(self, request, stored, seen):
+        """Returns the rotated labels; ``seen`` accumulates attempt counts."""
+        if len(request.tables) != len(stored):
+            raise ProtocolError(
+                f"table count {len(request.tables)} != stored groups {len(stored)}"
+            )
+        updated = []
+        if self.point_and_permute:
+            for group, (table, current) in enumerate(zip(request.tables, stored)):
+                if current.decrypt_index is None or current.decrypt_index >= len(table):
+                    raise ProtocolError(f"bad decrypt index at group {group}")
+            payloads = [
+                aead.try_decrypt(current.label, table[current.decrypt_index])
+                for table, current in zip(request.tables, stored)
+            ]
+            seen["decrypt_attempts"] = len(payloads)
+            seen["failed_decrypts"] = payloads.count(None)
+            for group, payload in enumerate(payloads):
+                if payload is None:
+                    raise ProtocolError(
+                        f"designated entry failed to open at group {group}"
+                    )
+                updated.append(StoredLabel(payload[:-1], payload[-1]))
+                seen["opened_labels"] += 1
+            return updated
+        for group, (table, current) in enumerate(zip(request.tables, stored)):
+            for entry in table:
+                seen["decrypt_attempts"] += 1
+                label = aead.try_decrypt(current.label, entry)
+                if label is not None:
+                    break
+                seen["failed_decrypts"] += 1
+            else:
+                raise ProtocolError(
+                    f"no table entry opened at group {group}: "
+                    "stored label is stale or corrupt"
+                )
+            updated.append(StoredLabel(label))
+            seen["opened_labels"] += 1
+        return updated
+
+    def access(self, request: LblAccessRequest) -> tuple[tuple, dict]:
+        """One access: ``(outcome, span attributes the server must emit)``."""
+        seen = dict(
+            key_fingerprint=request.encoded_key.hex()[:16],
+            groups=len(request.tables),
+            table_entries=sum(len(table) for table in request.tables),
+            ciphertext_bytes=sum(len(e) for table in request.tables for e in table),
+            decrypt_attempts=0,
+            failed_decrypts=0,
+            opened_labels=0,
+            labels_rewritten=0,
+            storage_writes=0,
+            point_and_permute=self.point_and_permute,
+        )
+        self.gets += 1
         try:
-            response, ops = server.process(lbl_request)
-            results.append(("ok", response.to_bytes(), ops))
+            stored = self.labels.get(request.encoded_key)
+            if stored is None:
+                raise KeyNotFoundError(
+                    f"lbl-server: key {request.encoded_key.hex()[:16]}… not found"
+                )
+            updated = self._open(request, stored, seen)
         except OrtoaError as exc:
-            results.append(("err", type(exc).__name__, str(exc)))
-    return results
+            seen["error"] = str(exc)
+            return ("err", type(exc).__name__, str(exc)), seen
+        self.labels[request.encoded_key] = updated
+        self.puts += 1
+        seen.update(labels_rewritten=len(updated), storage_writes=1)
+        response = LblAccessResponse(tuple(sl.label for sl in updated))
+        ops = OpCounts(
+            kv_ops=2,
+            aead_dec=seen["decrypt_attempts"] - seen["failed_decrypts"],
+            failed_dec=seen["failed_decrypts"],
+        )
+        return ("ok", response.to_bytes(), ops), seen
 
 
 def _normalized(fused_results) -> list[tuple]:
@@ -134,25 +237,79 @@ def _normalized(fused_results) -> list[tuple]:
     return results
 
 
+def _by_key(records) -> dict[str, list[dict]]:
+    """Observation records grouped per key, each key's in access order.
+
+    A window serves its repeated keys after its distinct ones, so spans of
+    *different* keys may finish out of arrival order; one key's never do.
+    """
+    grouped: dict[str, list[dict]] = {}
+    for record in records:
+        grouped.setdefault(record["key_fingerprint"], []).append(record)
+    return grouped
+
+
 # --------------------------------------------------------------------- #
-# Equivalence: fused window == sequential loop
+# Equivalence: any windowing == the sequential oracle
 # --------------------------------------------------------------------- #
 
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("window_size", [1, 3, None], ids=["w1", "w3", "whole"])
+@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
+@pytest.mark.parametrize("capture", [False, True], ids=["obs-off", "obs-on"])
+@settings(max_examples=15, deadline=None)
 @given(WORKLOADS)
-def test_fused_window_equals_sequential_loop(workload):
-    store = _protocol()
-    sequential_server = _clone_server(store.server)
-    fused_server = _clone_server(store.server)
+def test_fused_window_equals_sequential_loop(
+    capture, point_and_permute, window_size, workload
+):
+    store = _protocol(point_and_permute=point_and_permute)
+    server = _clone_server(store.server)
+    oracle = _SequentialOracle(server)
     built = _build_workload(store, workload)
+    expected = [oracle.access(request) for request in built]
 
-    expected = _sequential(sequential_server, built)
-    actual = _normalized(fused_server.process_many(built))
+    gets, puts = server.store.get_count, server.store.put_count
+    size = window_size or len(built)
+    obs.reset()
+    if capture:
+        obs.enable()
+    try:
+        actual = []
+        for start in range(0, len(built), size):
+            window = built[start : start + size]
+            if window_size == 1:
+                # ``process`` is the window of one that raises its error.
+                try:
+                    actual.append(server.process(window[0]))
+                except OrtoaError as exc:
+                    actual.append(exc)
+            else:
+                actual += server.process_many(window)
+        spans = [s["attributes"] for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
+        counters = obs.REGISTRY.snapshot()["counters"]
+    finally:
+        obs.disable()
 
-    assert actual == expected
+    assert _normalized(actual) == [outcome for outcome, _seen in expected]
     # Same final label state: every rotation (and every skipped rotation
-    # on failure) landed identically.
-    assert fused_server.store._data == sequential_server.store._data
+    # on failure) landed identically, at the same storage access counts.
+    assert server.store._data == oracle.labels
+    assert server.store.get_count - gets == oracle.gets
+    assert server.store.put_count - puts == oracle.puts
+    if not capture:
+        assert spans == []
+        return
+    records = [seen for _outcome, seen in expected]
+    assert _by_key(spans) == _by_key(records)
+    for counter, attribute in (
+        ("lbl.server.decrypt_attempts", "decrypt_attempts"),
+        ("lbl.server.failed_decrypts", "failed_decrypts"),
+        ("lbl.server.labels_rewritten", "labels_rewritten"),
+    ):
+        assert counters.get(counter, 0) == sum(r[attribute] for r in records)
+    assert counters.get("lbl.server.requests", 0) == len(records)
+    assert counters.get("lbl.server.slot_hits", 0) == (
+        sum(r["opened_labels"] for r in records) if point_and_permute else 0
+    )
 
 
 def test_same_key_chain_preserves_rotation_order():
@@ -165,10 +322,12 @@ def test_same_key_chain_preserves_rotation_order():
     )
     results = fused_server.process_many(built)
     assert all(not isinstance(item, OrtoaError) for item in results)
-    # Only the first request joined the fused multi-get; the tail chained
-    # through sequential per-request storage accesses.
-    assert fused_server.store.multi_get_count == 1
-    assert fused_server.store.multi_put_count == 1
+    # A chain cannot share a storage access — each link reads what the
+    # previous one wrote — so three accesses to one key are three windows
+    # of one on the same path, not a second implementation.
+    assert fused_server.store.multi_get_count == 3
+    assert fused_server.store.multi_put_count == 3
+    assert fused_server.store.get_count == 3
 
 
 def test_failed_request_is_isolated_from_window_mates():
@@ -191,7 +350,7 @@ def test_process_many_empty_and_row_validation():
         store.server.process_many(built, rows=[])
 
 
-def test_base_protocol_window_falls_back_to_sequential():
+def test_base_protocol_window_shares_the_storage_access():
     store = LblOrtoa(StoreConfig(value_len=VALUE_LEN), rng=random.Random(5))
     store.initialize({"b0": b"\x01" * VALUE_LEN, "b1": b"\x02" * VALUE_LEN})
     built = [
@@ -200,9 +359,10 @@ def test_base_protocol_window_falls_back_to_sequential():
     ]
     results = store.server.process_many(built)
     assert all(not isinstance(item, OrtoaError) for item in results)
-    # No fused storage access on the base protocol: tables are scanned.
-    assert store.server.store.multi_get_count == 0
-    assert store.server.store.multi_put_count == 0
+    # The base protocol has no designated slot to fuse — each table is
+    # scanned — but the window still costs one multi-get and one multi-put.
+    assert store.server.store.multi_get_count == 1
+    assert store.server.store.multi_put_count == 1
 
 
 # --------------------------------------------------------------------- #
@@ -479,7 +639,7 @@ def test_flush_pending_generation_guards_stale_timers():
         store.server, window=10.0, max_batch=8, clock=FakeClock()
     )
     built1, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    entry1, is_leader, is_full, generation1, _full = coalescer.submit(built1)
+    entry1, is_leader, is_full, generation1 = coalescer.submit(built1)
     assert is_leader and not is_full
     assert coalescer.flush_pending("timer", generation1) is True
     assert entry1.done.is_set() and entry1.result is not None
@@ -487,7 +647,7 @@ def test_flush_pending_generation_guards_stale_timers():
     assert coalescer.flush_pending("timer", generation1) is False
     # A stale timer must not flush the *next* window early.
     built2, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    entry2, is_leader2, _is_full2, generation2, _full2 = coalescer.submit(built2)
+    entry2, is_leader2, _is_full2, generation2 = coalescer.submit(built2)
     assert is_leader2 and generation2 != generation1
     assert coalescer.flush_pending("timer", generation1) is False
     assert not entry2.done.is_set()
@@ -502,7 +662,7 @@ def test_on_done_callback_fires_with_result():
     )
     built, _ = store.proxy.prepare(Request.read(KEYS[0]))
     seen = []
-    entry, _leader, _is_full, generation, _full = coalescer.submit(
+    entry, _leader, _is_full, generation = coalescer.submit(
         built, on_done=seen.append
     )
     coalescer.flush_pending("timer", generation)
