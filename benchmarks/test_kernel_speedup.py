@@ -14,10 +14,6 @@ optimizations):
   :class:`~repro.core.lbl.cache.LabelCache` whose entries carry prefetched
   next-epoch labels and AEAD key schedules, so ``prepare`` derives nothing.
 
-All three are measured under
-:func:`~repro.crypto.sha256_lanes.lanes_disabled` so they time the stdlib
-loops whatever the host's lane calibration says.
-
 Timing is **best-of-N**: each phase's score is its *minimum* over
 ``ROUNDS`` accesses.  Phase times here are single-digit milliseconds, where
 mean-based scores swing 40%+ with background machine load; the minimum is
@@ -68,7 +64,6 @@ from conftest import record_bench
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.proxy import DECRYPT_INDEX_BYTES
 from repro.crypto import aead
-from repro.crypto import sha256_lanes as _lanes
 from repro.types import Request, StoreConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -161,15 +156,12 @@ def _time_table_encrypt() -> float:
 
 @pytest.fixture(scope="module")
 def measured() -> dict[str, dict[str, float]]:
-    with _lanes.lanes_disabled():
-        results = {
-            "scalar": _time_phases(_build(batched=False, cache=False), warm=False),
-            "batched": _time_phases(_build(batched=True, cache=False), warm=False),
-            "batched+cache": _time_phases(
-                _build(batched=True, cache=True), warm=True
-            ),
-        }
-        table_encrypt = _time_table_encrypt()
+    results = {
+        "scalar": _time_phases(_build(batched=False, cache=False), warm=False),
+        "batched": _time_phases(_build(batched=True, cache=False), warm=False),
+        "batched+cache": _time_phases(_build(batched=True, cache=True), warm=True),
+    }
+    table_encrypt = _time_table_encrypt()
     prepare = {name: phases["prepare_ops_per_sec"] for name, phases in results.items()}
     payload = {
         "config": dict(
@@ -235,7 +227,7 @@ def measured() -> dict[str, dict[str, float]]:
 
 
 def test_batched_cache_beats_scalar_3x(measured):
-    """Stdlib-stack gate: warm kernel stack >= 3x the scalar prepare path."""
+    """Gate 1: warm kernel stack >= 3x the scalar prepare path."""
     warm = measured["batched+cache"]["prepare_ops_per_sec"]
     scalar = measured["scalar"]["prepare_ops_per_sec"]
     assert warm >= GATE_BATCHED_CACHE_VS_SCALAR * scalar, (

@@ -24,19 +24,14 @@ recorded too, ungated (``kernels.server_per_request_ops_per_sec``,
 ``kernels.server_fused_ops_per_sec``); judge a change to the access path by
 those, on one host in one session.
 
-**Why the gate is 1.3x and not more.**  The fused win on a lane-disabled
-host (``sha256_lanes.calibrate()`` turns the numpy lanes off on small CI
-containers — this host included) is dispatch amortization only: the
-window shares one ``open_many`` invocation's setup, one storage access
-pair, and one round of window bookkeeping where the per-request path pays
-each of those eight times.  That measures ~1.4–1.5x here; the pytest gate asserts
+**Why the gate is 1.3x and not more.**  The fused win is dispatch
+amortization only — the opens cost the same on both sides: the window
+shares one ``open_many`` invocation's setup, one storage access pair, and
+one round of window bookkeeping where the per-request path pays each of
+those eight times.  That measures ~1.4–1.5x here; the pytest gate asserts
 a conservative 1.3x floor robust across noisy runners, and the recorded
 ``kernels.server_fusion_speedup`` trajectory is additionally gated by
-``repro bench check`` (drift against the best recorded run).  On
-lane-enabled hosts the same fused window crosses the vectorization
-threshold that single requests never reach (a y=8 request carries one
-pair; the window carries eight), so the metric records the lane win on
-top.
+``repro bench check`` (drift against the best recorded run).
 
 A second pass measures the latency cost of the window through the
 *coalescer* (leader/follower synchronization included): a *lone* request
@@ -70,7 +65,7 @@ from repro.types import Request, StoreConfig
 #: per-request dispatch overhead is a large share of total cost.
 GATE_POINT = {"value_len": 1, "group_bits": 8, "point_and_permute": True}
 
-CLIENTS = 8  #: window width — matches DEFAULT_MAX_BATCH and the lane width
+CLIENTS = 8  #: window width — matches DEFAULT_MAX_BATCH
 ROUNDS = 40  #: windows per timed run
 RUNS = 5  #: best (max ops/s) of this many runs
 

@@ -308,8 +308,8 @@ DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
 DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_000_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
-#: Fixed proxy-side cost of one prepare *dispatch* (interpreter dispatch,
-#: lane-engine setup, worker IPC where a procpool is attached) — the part
+#: Fixed proxy-side cost of one prepare *dispatch* (thread handoff, per-call
+#: interpreter overhead, worker IPC where a procpool is attached) — the part
 #: of an access that does not scale with bytes hashed and that cross-request
 #: coalescing amortizes across a window.  Like the rates above this is an
 #: explicit, overridable calibration point echoed into the plan, calibrated

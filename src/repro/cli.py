@@ -727,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="prepare-coalescing flush timer for experiments that take one "
-        "(e.g. `lbl`): concurrent prepares fuse into windowed lane "
-        "dispatches; 0 disables",
+        "(e.g. `lbl`): concurrent prepares fuse into one dispatch per "
+        "window; 0 disables",
     )
     run.add_argument(
         "--server-batch",

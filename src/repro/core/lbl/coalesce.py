@@ -2,16 +2,18 @@
 
 The proxy's ``prepare`` is the protocol's throughput ceiling: every access
 derives two epochs of labels and encrypts ``2^y`` candidates per group, and
-each concurrent client today pays that cost alone — one lane-engine dispatch
-per request, mostly 1-wide.  :class:`PrepareCoalescer` is the amortize-
-per-batch stage that fixes this (ROADMAP item 2): concurrent ``prepare``
-calls enqueue into a bounded **window** (flushed on size or a few-hundred-µs
-timer) and the window is prepared as one fused unit —
+each concurrent client otherwise pays the per-call overhead around it alone
+— one derivation call, one ``encrypt_many``, one worker round trip per
+request.  :class:`PrepareCoalescer` is the amortize-per-batch stage that
+shares it: concurrent ``prepare`` calls enqueue into a bounded **window**
+(flushed on size or a few-hundred-µs timer) and the window is prepared as
+one fused unit —
 
 * label derivation for every cold access fuses into a single
   :meth:`~repro.crypto.labels.LabelCodec.labels_for_epochs` dispatch (or one
   :meth:`~repro.core.lbl.procpool.ProcessCryptoPool.derive_batch` worker
-  round trip), so 8 clients' PRF tails fill the 8-wide SHA-256 lanes;
+  round trip): the HMAC work is unchanged, the interpreter overhead per
+  dispatch and the procpool IPC round trip are paid once per window;
 * table encryption for the whole window runs as one
   :meth:`~repro.core.lbl.proxy.LblProxy.prepare_window` ``encrypt_many``
   call.
@@ -60,7 +62,7 @@ from repro.types import Request
 
 
 class PrepareCoalescer(CoalescingWindow):
-    """Fuse concurrent ``prepare`` calls into windowed lane dispatches.
+    """Fuse concurrent ``prepare`` calls into one dispatch per window.
 
     Args:
         proxy: The trusted proxy whose prepares are coalesced.  Must run the
@@ -72,7 +74,7 @@ class PrepareCoalescer(CoalescingWindow):
             flushes without waiting for the timer.
         procpool: Optional :class:`~repro.core.lbl.procpool.ProcessCryptoPool`
             — cold derivations then fuse into worker batch round trips
-            instead of in-process lane dispatches.
+            instead of in-process derivation calls.
         clock: Time source for the flush timer (default
             :class:`~repro.obs.clock.WallClock`); tests inject a
             :class:`~repro.obs.clock.FakeClock`.

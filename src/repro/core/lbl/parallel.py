@@ -68,8 +68,8 @@ class ParallelPrepareEngine:
             kernels of independent keys even under a GIL.
         coalesce_window: When ``> 0``, route every prepare through a
             :class:`~repro.core.lbl.coalesce.PrepareCoalescer` with this
-            flush timer (seconds): concurrent prepares fuse into windowed
-            lane dispatches, and serial ``prepare_batch`` calls fuse the
+            flush timer (seconds): concurrent prepares fuse into one
+            dispatch per window, and serial ``prepare_batch`` calls fuse the
             whole batch.  ``0`` (default) keeps the per-request paths.
         coalesce_batch: Size flush threshold for the coalescing window.
         coalesce_clock: Injectable time source for the flush timer
@@ -150,7 +150,7 @@ class ParallelPrepareEngine:
 
         With coalescing enabled this joins the current window — concurrent
         callers (pipelined transports, multi-client deployments) fuse into
-        one lane dispatch; otherwise it is a plain per-request prepare.
+        one dispatch; otherwise it is a plain per-request prepare.
         Returns the same ``(wire_request, prepare_ops, epoch)`` triple as a
         :meth:`prepare_batch` entry.
         """

@@ -62,8 +62,8 @@ from repro.obs.recorder import RECORDER
 
 _log = get_logger("lbl.procpool")
 
-#: Environment variable pinning the blob fallback (mirrors ``REPRO_NO_VECTOR``
-#: for the lane engine): set to any non-empty value to disable shared memory.
+#: Environment variable pinning the blob fallback: set to any non-empty
+#: value to disable shared memory.
 NO_SHM_ENV = "REPRO_NO_SHM"
 
 #: How long a worker waits for a free ring slot before giving up — only
@@ -251,7 +251,7 @@ def _derive_batch_parts(
     """Worker body: derive a whole batch as ``(label_blob, offsets_blob)``.
 
     Both epochs of every access fuse into a single
-    :meth:`~repro.crypto.labels.LabelCodec.labels_for_epochs` lane dispatch
+    :meth:`~repro.crypto.labels.LabelCodec.labels_for_epochs` call
     (plus one for offsets) — the worker-side half of cross-request
     coalescing.  Blob layout: per access, the old epoch's labels then the
     new epoch's, group-major; offsets likewise, one byte per group.
@@ -517,9 +517,9 @@ class ProcessCryptoPool:
         """Label sets for many accesses in **one** worker dispatch, blocking.
 
         The whole batch crosses the IPC channel once, the worker fuses every
-        epoch into a single lane dispatch, and the result comes back through
-        this worker's shared-memory ring (or one pickled blob on the
-        fallback path).  Entry ``i`` is byte-identical to
+        epoch into a single derivation call, and the result comes back
+        through this worker's shared-memory ring (or one pickled blob on
+        the fallback path).  Entry ``i`` is byte-identical to
         ``derive(*pairs[i])``.
 
         Args:

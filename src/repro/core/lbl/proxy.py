@@ -446,10 +446,10 @@ class LblProxy:
         label sets pre-derived (fused across the window by the caller), so
         the per-access work here is payload assembly — and the AEAD table
         encryption of the whole window runs as a single
-        :func:`~repro.crypto.aead.encrypt_many` call, filling the lane
-        engine the way one access alone cannot.  Requires the batched path
-        and distinct keys per entry (same-key accesses chain epochs and
-        must prepare sequentially).
+        :func:`~repro.crypto.aead.encrypt_many` call, paying that call's
+        setup once per window instead of once per access.  Requires the
+        batched path and distinct keys per entry (same-key accesses chain
+        epochs and must prepare sequentially).
 
         Payload bytes, table placement, counter bumps, and per-access op
         counts are identical to calling :meth:`prepare` once per entry with

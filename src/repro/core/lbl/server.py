@@ -21,9 +21,8 @@ serves a *window* of requests — a lone access frame is a window of one
 (:meth:`LblServer.process`), a batch frame is a window, and the server-side
 access coalescer (:mod:`repro.core.lbl.server_coalesce`) hands it the
 windows it forms — as exactly one storage multi-get, one window-wide
-:func:`repro.crypto.aead.open_many` (lane-engine eligible once the window
-reaches the calibrated threshold; base-protocol requests scan their tables
-in the same pass), and one multi-put of the rotated labels, with
+:func:`repro.crypto.aead.open_many` (base-protocol requests scan their
+tables in the same pass), and one multi-put of the rotated labels, with
 per-request error isolation and byte-exact ledger attribution.  There is no
 second path to keep byte-identical: what the obliviousness audit observes
 is what every transport runs.

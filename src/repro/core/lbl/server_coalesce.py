@@ -1,9 +1,9 @@
 """Server-side access window fusion for LBL-ORTOA.
 
 The point-and-permute server (§10.2) opens exactly one designated AEAD
-entry per group — but a y=1 request carries only one or two pairs, far
-below the lane engine's calibrated vectorization threshold, and every
-request pays its own storage get/put and bookkeeping.
+entry per group, so a small-value request is a handful of opens wrapped in
+per-request cost: its own ``open_many`` call, its own storage get/put and
+its own bookkeeping.
 :class:`ServerAccessCoalescer` puts the shared
 :class:`~repro.core.lbl.window.CoalescingWindow` in front of the server:
 concurrent in-flight access requests arriving at the frame dispatcher
@@ -11,8 +11,10 @@ enqueue into one bounded window, and the flush hands the whole window to
 :meth:`~repro.core.lbl.server.LblServer.process_many` — the same single
 access path a lone frame or a batch frame takes, just wider: one storage
 multi-get, one window-wide ``aead.open_many`` over every request's
-designated pairs (8 one-pair requests fill the 8-wide SHA-256 lanes), one
-multi-put of rotated labels — then fans each response back to its caller.
+designated pairs, one multi-put of rotated labels — then fans each response
+back to its caller.  The opens themselves cost the same; the per-call
+overhead and the storage access pair are paid once per window (1.4x at 8
+one-group requests, ``benchmarks/test_server_fusion.py``).
 
 The window mechanics (leader/follower blocking half for the threaded
 transport, ``submit``/``flush_pending`` non-blocking half for the event

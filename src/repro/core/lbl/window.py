@@ -45,8 +45,10 @@ from repro.obs.clock import Clock, WallClock
 #: next to a cold prepare or the WAN round trip the protocol already pays.
 DEFAULT_WINDOW_SECONDS = 0.0002
 
-#: Default size flush threshold — matches the SHA-256 lane width, so a full
-#: window fills every lane even when each entry contributes one chunk.
+#: Default size flush threshold.  A tuning constant, not a derived one: 8
+#: is the window the coalescing and server-fusion gates measure
+#: (``benchmarks/test_coalesce_throughput.py``, ``test_server_fusion.py``:
+#: 2.0x and 1.4x over windows of one); no sweep has shown another size wins.
 DEFAULT_MAX_BATCH = 8
 
 #: Real-time cap on each wait inside the leader's timer loop.  The window

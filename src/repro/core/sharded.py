@@ -95,7 +95,7 @@ class ShardedLblDeployment(OrtoaProtocol):
             pipelined windows, batches) routes through the engine's
             :class:`~repro.core.lbl.coalesce.PrepareCoalescer` with this
             flush timer in seconds — concurrent clients' prepares fuse
-            into shared lane dispatches.  ``0`` (default) keeps the
+            into one dispatch per window.  ``0`` (default) keeps the
             per-request paths.
         coalesce_batch: Size flush threshold for the coalescing window.
 

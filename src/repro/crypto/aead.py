@@ -29,10 +29,9 @@ runs the server's try-every-entry scan computing the stored label's key
 schedule exactly once.  Both are byte-compatible with the scalar functions
 (the golden-vector tests pin the exact ciphertext bytes for fixed nonces).
 
-Batches past the calibrated threshold
-(:func:`repro.crypto.sha256_lanes.use_lanes`) are hashed in numpy uint32
-lanes (:func:`open_many`/:func:`open_any`/:func:`encrypt_many`);
-``REPRO_NO_VECTOR=1`` pins the stdlib loops.
+Every entry point, scalar or batch, has one body and hashes with
+``hashlib``; :func:`open_many` is the batch open of the point-and-permute
+server, held to :func:`try_decrypt` by the same properties.
 
 HMAC is evaluated in its explicit RFC 2104 form — ``sha256(k_opad ||
 sha256(k_ipad || msg))`` with the padded keys produced by a C-speed
@@ -47,13 +46,7 @@ import hashlib
 import hmac
 import secrets
 
-from repro.crypto import sha256_lanes as _lanes
 from repro.errors import ConfigurationError, DecryptionError
-
-try:  # numpy backs the lane branches only; every path has a stdlib fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None  # type: ignore[assignment]
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
@@ -190,10 +183,6 @@ def encrypt_many(
                 raise ConfigurationError(f"nonce must be exactly {NONCE_LEN} bytes")
     if schedules is not None and len(schedules) != n:
         raise ConfigurationError(f"{n} keys for {len(schedules)} key schedules")
-    if _lanes.use_lanes(n):
-        plen = len(payloads[0])
-        if 0 < plen <= _DIGEST_BYTES and all(len(p) == plen for p in payloads):
-            return _encrypt_many_lanes(keys, payloads, nonces, plen)
     sha = _DIGEST
     ipad_trans = _IPAD_TRANS
     opad_trans = _OPAD_TRANS
@@ -239,63 +228,6 @@ def encrypt_many(
             nonce_body
             + sha(opad + sha(ipad + mac_domain + nonce_body).digest()).digest()[:TAG_LEN]
         )
-    if _obs.enabled:
-        REGISTRY.counter("crypto.aead.encrypts").inc(n)
-        _ledger.add_op("aead.encrypts", n)
-    return out
-
-
-def _encrypt_many_lanes(
-    keys: "list[bytes] | tuple[bytes, ...]",
-    payloads: "list[bytes] | tuple[bytes, ...]",
-    nonces: list[bytes],
-    plen: int,
-) -> list[bytes]:
-    """The lane-engine path of :func:`encrypt_many`.
-
-    Both HMAC passes (keystream and tag) run as numpy lane batches under
-    per-entry key states; XOR and assembly are whole-batch array ops.
-    Byte-identical to the stdlib loop.
-    """
-    n = len(keys)
-    for key in keys:
-        if len(key) < 16:
-            raise ConfigurationError("AEAD key must be at least 16 bytes")
-    inner_states, outer_states = _lanes.key_states_many(keys)
-    enc_domain = _ENC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    streams = _lanes.hmac_many_with_states(
-        inner_states,
-        outer_states,
-        [enc_domain + nonce + zero_ctr for nonce in nonces],
-    )
-    dlen = len(_MAC_DOMAIN)
-    width = dlen + NONCE_LEN + plen
-    plain = _np.frombuffer(b"".join(payloads), dtype=_np.uint8).reshape(n, plen)
-    stream_mat = _np.frombuffer(b"".join(streams), dtype=_np.uint8).reshape(n, 32)[
-        :, :plen
-    ]
-    messages = _np.empty((n, width), dtype=_np.uint8)
-    messages[:, :dlen] = _np.frombuffer(_MAC_DOMAIN, dtype=_np.uint8)
-    messages[:, dlen : dlen + NONCE_LEN] = _np.frombuffer(
-        b"".join(nonces), dtype=_np.uint8
-    ).reshape(n, NONCE_LEN)
-    _np.bitwise_xor(plain, stream_mat, out=messages[:, dlen + NONCE_LEN :])
-    flat_messages = messages.tobytes()
-    tags = _lanes.hmac_many_with_states(
-        inner_states,
-        outer_states,
-        [flat_messages[i * width : (i + 1) * width] for i in range(n)],
-        TAG_LEN,
-    )
-    total = NONCE_LEN + plen + TAG_LEN
-    cipher = _np.empty((n, total), dtype=_np.uint8)
-    cipher[:, : NONCE_LEN + plen] = messages[:, dlen:]
-    cipher[:, NONCE_LEN + plen :] = _np.frombuffer(
-        b"".join(tags), dtype=_np.uint8
-    ).reshape(n, TAG_LEN)
-    flat = cipher.tobytes()
-    out = [flat[i * total : (i + 1) * total] for i in range(n)]
     if _obs.enabled:
         REGISTRY.counter("crypto.aead.encrypts").inc(n)
         _ledger.add_op("aead.encrypts", n)
@@ -370,38 +302,6 @@ def open_any(
     compare = hmac.compare_digest
     failures = 0
     found: tuple[int, bytes] | None = None
-    n = len(ciphertexts)
-    if _lanes.use_lanes(n) and all(
-        len(c) >= NONCE_LEN + TAG_LEN for c in ciphertexts
-    ):
-        # One lane pass computes every candidate's expected tag; the single
-        # authenticating entry (if any) is then opened scalar.  The verdict —
-        # first index whose tag matches — is identical to the scan below.
-        state = _lanes.key_state(key)
-        expected_tags = _lanes.hmac_many_with_state(
-            state[0],
-            state[1],
-            [_MAC_DOMAIN + c[:-TAG_LEN] for c in ciphertexts],
-            TAG_LEN,
-        )
-        for index, ciphertext in enumerate(ciphertexts):
-            if compare(ciphertext[-TAG_LEN:], expected_tags[index]):
-                nonce = ciphertext[:NONCE_LEN]
-                body = ciphertext[NONCE_LEN:-TAG_LEN]
-                found = (
-                    index,
-                    _xor(body, _keystream(ipad, opad, nonce, len(body))),
-                )
-                break
-            failures += 1
-        if _obs.enabled:
-            if failures:
-                REGISTRY.counter("crypto.aead.decrypt_failures").inc(failures)
-                _ledger.add_op("aead.decrypt_failures", failures)
-            if found is not None:
-                REGISTRY.counter("crypto.aead.decrypts").inc()
-                _ledger.add_op("aead.decrypts")
-        return found
     for index, ciphertext in enumerate(ciphertexts):
         if len(ciphertext) < NONCE_LEN + TAG_LEN:
             failures += 1
@@ -433,9 +333,8 @@ def open_many(
     The point-and-permute LBL server knows the designated slot per group, so
     its loop is one ``(label, ciphertext)`` pair per group rather than a
     scan.  This fuses the per-pair key schedule, tag check, and keystream
-    into one pass (lane-engine batched past the calibrated threshold) and
-    returns ``None`` exactly where a sequential :func:`try_decrypt` would —
-    same verdicts, same failure counts.
+    into one pass and returns ``None`` exactly where a sequential
+    :func:`try_decrypt` would — same verdicts, same failure counts.
     """
     n = len(keys)
     if len(ciphertexts) != n:
@@ -446,50 +345,6 @@ def open_many(
     failures = 0
     opened = 0
     min_len = NONCE_LEN + TAG_LEN
-    if _lanes.use_lanes(n):
-        length = len(ciphertexts[0])
-        body_len = length - min_len
-        if 0 < body_len <= _DIGEST_BYTES and all(
-            len(c) == length for c in ciphertexts
-        ):
-            for key in keys:
-                if len(key) < 16:
-                    raise ConfigurationError("AEAD key must be at least 16 bytes")
-            inner_states, outer_states = _lanes.key_states_many(keys)
-            expected_tags = _lanes.hmac_many_with_states(
-                inner_states,
-                outer_states,
-                [_MAC_DOMAIN + c[:-TAG_LEN] for c in ciphertexts],
-                TAG_LEN,
-            )
-            streams = _lanes.hmac_many_with_states(
-                inner_states,
-                outer_states,
-                [_ENC_DOMAIN + c[:NONCE_LEN] + _ZERO_CTR for c in ciphertexts],
-            )
-            bodies = _np.frombuffer(
-                b"".join(c[NONCE_LEN:-TAG_LEN] for c in ciphertexts),
-                dtype=_np.uint8,
-            ).reshape(n, body_len)
-            stream_mat = _np.frombuffer(b"".join(streams), dtype=_np.uint8).reshape(
-                n, 32
-            )[:, :body_len]
-            plain = (bodies ^ stream_mat).tobytes()
-            for index, ciphertext in enumerate(ciphertexts):
-                if compare(ciphertext[-TAG_LEN:], expected_tags[index]):
-                    append(plain[index * body_len : (index + 1) * body_len])
-                    opened += 1
-                else:
-                    append(None)
-                    failures += 1
-            if _obs.enabled:
-                if failures:
-                    REGISTRY.counter("crypto.aead.decrypt_failures").inc(failures)
-                    _ledger.add_op("aead.decrypt_failures", failures)
-                if opened:
-                    REGISTRY.counter("crypto.aead.decrypts").inc(opened)
-                    _ledger.add_op("aead.decrypts", opened)
-            return out
     sha = _DIGEST
     ipad_trans = _IPAD_TRANS
     opad_trans = _OPAD_TRANS

@@ -252,9 +252,10 @@ class LabelCodec:
         prefix: evaluating an empty-prefix context on fully-encoded tails
         hashes exactly the same messages.  The point is the dispatch shape:
         *one* :meth:`~repro.crypto.prf.PrfContext.block_digests` call covers
-        every epoch in the batch, so eight coalesced accesses fill the
-        8-wide SHA-256 lanes instead of each running alone (and the ledger
-        meters the identical call/compression counts either way).
+        every epoch in the batch, so a coalesced window pays the call's
+        setup and interpreter overhead once instead of once per access (the
+        HMAC work, and the call/compression counts the ledger meters, are
+        identical either way).
         """
         enc = encode_components
         enc_indices = self._enc_indices

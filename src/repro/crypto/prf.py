@@ -19,12 +19,8 @@ all of them, pinned by golden-vector tests):
 * :class:`PrfContext` — a pre-encoded prefix (e.g. ``("label", key, index)``)
   for repeated tail-only evaluations across calls.
 
-The two batch tiers additionally consult the numpy lane engine
-(:mod:`repro.crypto.sha256_lanes`): when a batch crosses the calibrated
-threshold (:func:`~repro.crypto.sha256_lanes.use_lanes`), the whole batch is
-hashed in parallel uint32 lanes instead of one ``hashlib`` call per message.
-Outputs stay byte-identical either way; ``REPRO_NO_VECTOR=1`` pins the
-stdlib path.
+Every tier hashes with ``hashlib``, one call per message: the batch tiers
+save encoding and interpreter overhead, not compression-function work.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
-from repro.crypto import sha256_lanes as _lanes
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -144,7 +139,7 @@ class Prf:
         out_bytes: Default output length of :meth:`evaluate`.
     """
 
-    __slots__ = ("_key", "out_bytes", "_inner0", "_outer0", "_lane_state")
+    __slots__ = ("_key", "out_bytes", "_inner0", "_outer0")
 
     def __init__(self, key: bytes, out_bytes: int = 16) -> None:
         if len(key) < 16:
@@ -157,15 +152,6 @@ class Prf:
         # object setup) is identical for every evaluation; pay it once here
         # and ``.copy()`` the keyed states per call.
         self._inner0, self._outer0 = hmac_sha256_pair(key)
-        # Lane-engine twin of the keyed states, materialized on first use.
-        self._lane_state = None
-
-    def _lane_pair(self):
-        """``(inner_row, outer_row)`` uint32 key states for the lane engine."""
-        state = self._lane_state
-        if state is None:
-            state = self._lane_state = _lanes.key_state(self._key)
-        return state[0], state[1]
 
     def _raw(self, message: bytes, n: int) -> bytes:
         """``n`` output bytes for an already-encoded ``message``."""
@@ -240,9 +226,6 @@ class Prf:
                 _ledger.add_prf(
                     len(messages), sum(hmac_compressions(len(m)) for m in messages)
                 )
-            if _lanes.use_lanes(len(messages)):
-                inner_row, outer_row = self._lane_pair()
-                return _lanes.hmac_many_with_state(inner_row, outer_row, messages, n)
             # Single-block fast path: two state copies + updates per output.
             inner0 = self._inner0
             outer0 = self._outer0
@@ -364,11 +347,6 @@ class PrfContext:
                     len(tails),
                     sum(hmac_compressions(head_len + len(t)) for t in tails),
                 )
-            if _lanes.use_lanes(len(tails)):
-                inner_row, outer_row = prf._lane_pair()
-                return _lanes.hmac_many_with_state(
-                    inner_row, outer_row, [head + tail for tail in tails], n
-                )
             inner0 = prf._inner0
             outer0 = prf._outer0
             for tail in tails:
@@ -413,11 +391,6 @@ class PrfContext:
             _ledger.add_prf(
                 len(tails) * blocks,
                 blocks * sum(hmac_compressions(head_len + len(t)) for t in tails),
-            )
-        if _lanes.use_lanes(len(tails) * blocks):
-            inner_row, outer_row = prf._lane_pair()
-            return _lanes.hmac_many_with_state(
-                inner_row, outer_row, [head + tail for tail in tails for head in heads]
             )
         # Absorb each block's counter + shared prefix once; per tail only the
         # tail bytes are hashed on top of a state copy.

@@ -1,496 +1,13 @@
-"""Numpy-vectorized SHA-256 / HMAC-SHA256 lane engine.
-
-One pass of :func:`sha256_many` hashes ``N`` equal-length messages in
-parallel *lanes*: the eight working variables of the SHA-256 compression
-function are ``(N,)`` ``uint32`` arrays, so every rotate/xor/add in the 64
-rounds applies to all messages at once.  :func:`hmac_many` layers HMAC on
-top, reusing the RFC 2104 trick from :mod:`repro.crypto.prf`: the keyed
-inner/outer states are compressed once (per key) and each message then
-costs two lane compressions.  Outputs are byte-identical to
-``hashlib.sha256`` / ``hmac.new(key, msg, sha256)`` — pinned by the golden
-vectors and cross-checked by Hypothesis in ``tests/test_sha256_lanes.py``.
-
-**Calibration, honestly.**  Whether lanes beat the stdlib is a property of
-the host, not of the algorithm.  On CPUs with SHA-NI, ``hashlib``'s
-OpenSSL backend hashes a 64-byte block in ~100 ns and a full keyed-state
-HMAC costs <1 µs of mostly Python overhead; a numpy compression pass needs
-~3,000 array ops and cannot win at any lane count (measured ~2 ms per
-2,560-lane block on the reference Xeon — see docs/performance.md).  On
-hosts without SHA extensions the economics flip for wide batches.
-:func:`calibrate` measures both paths once per process and
-:func:`use_lanes` then answers "should this batch route through the lane
-engine?" — the *calibrated threshold* the batch entry points in
-:mod:`repro.crypto.prf` and :mod:`repro.crypto.aead` consult.
-
-Environment switches (read at import, overridable per-process):
-
-* ``REPRO_NO_VECTOR=1``  — hard-disable lane routing (stdlib fallback);
-* ``REPRO_VECTOR_THRESHOLD=N`` — skip calibration and route any batch of
-  at least ``N`` messages through the lanes (``1`` forces the engine on,
-  which CI uses to exercise the lane path end-to-end on any hardware).
-
-Everything degrades gracefully when numpy is absent: ``HAVE_NUMPY`` is
-False, :func:`use_lanes` always answers False, and callers fall back to
-their stdlib paths.
-"""
+"""Stub left behind by the deleted SHA-256 lane engine."""
 
 from __future__ import annotations
 
-import hashlib
-import os
-import time
-from contextlib import contextmanager
-from typing import Iterator, Sequence
-
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-from repro.obs import _state as _obs
-from repro.obs import ledger as _ledger
-
-_BLOCK = 64
-_DIGEST_BYTES = 32
-
-#: Lane count used by :func:`calibrate` to compare engines.
-_CALIBRATION_LANES = 1024
-
-#: Smallest batch that can amortize numpy dispatch overhead at all; the
-#: calibrated threshold is never below this.
-_MIN_LANES = 64
-
-if HAVE_NUMPY:
-    _K = _np.array(
-        [
-            0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B,
-            0x59F111F1, 0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01,
-            0x243185BE, 0x550C7DC3, 0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7,
-            0xC19BF174, 0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC,
-            0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA, 0x983E5152,
-            0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-            0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC,
-            0x53380D13, 0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-            0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3, 0xD192E819,
-            0xD6990624, 0xF40E3585, 0x106AA070, 0x19A4C116, 0x1E376C08,
-            0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F,
-            0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-            0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-        ],
-        dtype=_np.uint32,
-    )
-    _IV = _np.array(
-        [
-            0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-            0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-        ],
-        dtype=_np.uint32,
-    )
-
-_IPAD_TRANS = bytes(b ^ 0x36 for b in range(256))
-_OPAD_TRANS = bytes(b ^ 0x5C for b in range(256))
-
-
-# --------------------------------------------------------------------- #
-# Routing state
-# --------------------------------------------------------------------- #
-
-#: None = not calibrated yet; 0 = lanes never win on this host (stdlib
-#: always routes); N > 0 = route batches of at least N lanes.
-_threshold: int | None = None
-_disabled: bool = os.environ.get("REPRO_NO_VECTOR", "") == "1"
-
-
-def _env_threshold() -> int | None:
-    raw = os.environ.get("REPRO_VECTOR_THRESHOLD", "")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-def enabled() -> bool:
-    """True when the lane engine is importable and not hard-disabled."""
-    return HAVE_NUMPY and not _disabled
-
-
-@contextmanager
-def lanes_disabled() -> Iterator[None]:
-    """Temporarily pin every batch entry point to its stdlib path.
-
-    The benchmark suite uses this to measure the stdlib baselines on hosts
-    where calibration would otherwise engage the lanes, and tests use it to
-    cover the fallback.  Equivalent to running under ``REPRO_NO_VECTOR=1``.
-    """
-    global _disabled
-    previous = _disabled
-    _disabled = True
-    try:
-        yield
-    finally:
-        _disabled = previous
+# ``bench/run.py --trace 1`` reads this for the per-layer metric
+# ``crypto.lanes_threshold``, and ``bench/`` + ``BENCHMARK.json`` were closed
+# to the PR that deleted the engine.  The benchmark PR of ROADMAP 3(e) drops
+# that metric and deletes this file with it.
 
 
 def calibrate(force: bool = False) -> int:
-    """Measure lanes vs ``hashlib`` once; return the routing threshold.
-
-    Times one :func:`sha256_many` pass and the equivalent keyed-state
-    ``hashlib`` loop over :data:`_CALIBRATION_LANES` single-block messages.
-    Returns ``0`` when the stdlib wins even at that width (SHA-NI hosts —
-    the lanes then never engage on their own), else the batch size at which
-    the lane pass's fixed dispatch cost is amortized.  The verdict is
-    cached per process; ``REPRO_VECTOR_THRESHOLD`` overrides it entirely.
-    """
-    global _threshold
-    if not HAVE_NUMPY:
-        _threshold = 0
-        return 0
-    if _threshold is not None and not force:
-        return _threshold
-    env = _env_threshold()
-    if env is not None:
-        _threshold = env
-        return env
-    n = _CALIBRATION_LANES
-    messages = [i.to_bytes(4, "big") + b"\x5a" * 44 for i in range(n)]
-    sha256_many(messages)  # warm the numpy kernels
-    t0 = time.perf_counter()
-    sha256_many(messages)
-    lane_s = time.perf_counter() - t0
-    digest = hashlib.sha256
-    t0 = time.perf_counter()
-    for message in messages:
-        digest(message).digest()
-    stdlib_s = time.perf_counter() - t0
-    if lane_s >= stdlib_s:
-        _threshold = 0
-    else:
-        # The lane pass is roughly fixed-cost up to the calibration width;
-        # below the break-even lane count the stdlib loop is cheaper.
-        breakeven = int(n * (lane_s / stdlib_s)) + 1
-        _threshold = max(_MIN_LANES, breakeven)
-    return _threshold
-
-
-def use_lanes(batch_size: int) -> bool:
-    """Should a batch of ``batch_size`` messages route through the lanes?"""
-    if batch_size < 1 or not enabled():
-        return False
-    threshold = _threshold if _threshold is not None else calibrate()
-    return threshold > 0 and batch_size >= threshold
-
-
-# --------------------------------------------------------------------- #
-# The compression kernel
-# --------------------------------------------------------------------- #
-
-
-def _compress(state, blocks) -> None:
-    """One SHA-256 compression over ``N`` lanes, in place.
-
-    Args:
-        state: ``(8, N)`` ``uint32`` working state (updated in place).
-        blocks: ``(16, N)`` ``uint32`` big-endian message words.
-    """
-    np = _np
-    n = blocks.shape[1]
-    w = np.empty((64, n), dtype=np.uint32)
-    w[:16] = blocks
-    t1 = np.empty(n, dtype=np.uint32)
-    t2 = np.empty(n, dtype=np.uint32)
-    s0 = np.empty(n, dtype=np.uint32)
-    s1 = np.empty(n, dtype=np.uint32)
-    rshift, lshift = np.right_shift, np.left_shift
-    bor, bxor, band, badd = np.bitwise_or, np.bitwise_xor, np.bitwise_and, np.add
-    for i in range(16, 64):
-        x = w[i - 15]  # s0 = rotr(x,7) ^ rotr(x,18) ^ (x >> 3)
-        rshift(x, 7, out=t1); lshift(x, 25, out=t2); bor(t1, t2, out=s0)
-        rshift(x, 18, out=t1); lshift(x, 14, out=t2); bor(t1, t2, out=t1)
-        bxor(s0, t1, out=s0)
-        rshift(x, 3, out=t1)
-        bxor(s0, t1, out=s0)
-        x = w[i - 2]  # s1 = rotr(x,17) ^ rotr(x,19) ^ (x >> 10)
-        rshift(x, 17, out=t1); lshift(x, 15, out=t2); bor(t1, t2, out=s1)
-        rshift(x, 19, out=t1); lshift(x, 13, out=t2); bor(t1, t2, out=t1)
-        bxor(s1, t1, out=s1)
-        rshift(x, 10, out=t1)
-        bxor(s1, t1, out=s1)
-        wi = w[i]
-        badd(w[i - 16], s0, out=wi)
-        badd(wi, w[i - 7], out=wi)
-        badd(wi, s1, out=wi)
-    a, b, c, d, e, f, g, h = (state[i].copy() for i in range(8))
-    for i in range(64):
-        # S1 = rotr(e,6) ^ rotr(e,11) ^ rotr(e,25)
-        rshift(e, 6, out=t1); lshift(e, 26, out=t2); bor(t1, t2, out=s1)
-        rshift(e, 11, out=t1); lshift(e, 21, out=t2); bor(t1, t2, out=t1)
-        bxor(s1, t1, out=s1)
-        rshift(e, 25, out=t1); lshift(e, 7, out=t2); bor(t1, t2, out=t1)
-        bxor(s1, t1, out=s1)
-        # ch = g ^ (e & (f ^ g))
-        bxor(f, g, out=t1)
-        band(t1, e, out=t1)
-        bxor(t1, g, out=t1)
-        badd(t1, h, out=t1)
-        badd(t1, s1, out=t1)
-        badd(t1, _K[i], out=t1)
-        badd(t1, w[i], out=t1)  # t1 = h + S1 + ch + K[i] + w[i]
-        # S0 = rotr(a,2) ^ rotr(a,13) ^ rotr(a,22)
-        rshift(a, 2, out=s0); lshift(a, 30, out=t2); bor(s0, t2, out=s0)
-        rshift(a, 13, out=s1); lshift(a, 19, out=t2); bor(s1, t2, out=s1)
-        bxor(s0, s1, out=s0)
-        rshift(a, 22, out=s1); lshift(a, 10, out=t2); bor(s1, t2, out=s1)
-        bxor(s0, s1, out=s0)
-        # maj = b ^ ((a ^ b) & (b ^ c))
-        bxor(a, b, out=t2)
-        bxor(b, c, out=s1)
-        band(t2, s1, out=t2)
-        bxor(t2, b, out=t2)
-        badd(s0, t2, out=t2)  # t2 = S0 + maj
-        h, g, f = g, f, e
-        e = badd(d, t1)
-        d, c, b = c, b, a
-        a = badd(t1, t2)
-    state[0] += a; state[1] += b; state[2] += c; state[3] += d
-    state[4] += e; state[5] += f; state[6] += g; state[7] += h
-
-
-def _pad_lanes(matrix, total_prefix_bytes: int = 0):
-    """SHA-256 pad ``N`` equal-length messages; returns ``(N, W)`` words.
-
-    Args:
-        matrix: ``(N, L)`` ``uint8`` raw message lanes.
-        total_prefix_bytes: Bytes already absorbed into the starting state
-            (e.g. the 64-byte HMAC key block) — included in the encoded
-            message length, exactly as a streaming ``hashlib`` update would.
-    """
-    np = _np
-    n, msg_len = matrix.shape
-    bit_len = (msg_len + total_prefix_bytes) * 8
-    padded_len = ((msg_len + 8) // _BLOCK + 1) * _BLOCK
-    buf = np.zeros((n, padded_len), dtype=np.uint8)
-    buf[:, :msg_len] = matrix
-    buf[:, msg_len] = 0x80
-    buf[:, -8:] = np.frombuffer(bit_len.to_bytes(8, "big"), dtype=np.uint8)
-    # Big-endian byte quads -> uint32 words without per-word Python work.
-    return buf.view(">u4").astype(np.uint32)
-
-
-def _digest_bytes_from_state(state):
-    """``(8, N)`` state -> ``(N, 32)`` big-endian digest bytes."""
-    np = _np
-    rows = np.ascontiguousarray(state.T).astype(">u4")
-    return rows.view(np.uint8).reshape(-1, _DIGEST_BYTES)
-
-
-def _matrix(messages: Sequence[bytes], length: int):
-    np = _np
-    return np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(
-        len(messages), length
-    )
-
-
-def _run_lanes(matrix, initial_state=None, prefix_bytes: int = 0):
-    """Hash ``N`` equal-length lanes; returns ``(N, 32)`` digest bytes."""
-    np = _np
-    n = matrix.shape[0]
-    words = _pad_lanes(matrix, prefix_bytes)
-    if initial_state is None:
-        state = np.repeat(_IV[:, None], n, axis=1)
-    else:
-        state = initial_state.copy()
-    blocks_per_lane = words.shape[1] // 16
-    if _obs.enabled:
-        # Informational: compressions the lane engine actually ran.  The
-        # canonical ``sha256.compressions`` meter lives in the PRF hooks
-        # (engine-independent by design); this one lets ``repro top`` show
-        # how much of the work the lanes absorbed.
-        _ledger.add_op("sha256.lane_compressions", n * blocks_per_lane)
-    for block in range(blocks_per_lane):
-        _compress(state, words[:, block * 16 : (block + 1) * 16].T)
-    return _digest_bytes_from_state(state)
-
-
-# --------------------------------------------------------------------- #
-# Public batch hashing
-# --------------------------------------------------------------------- #
-
-
-def sha256_many(messages: Sequence[bytes]) -> list[bytes]:
-    """``sha256(m)`` for every message, vectorized across lanes.
-
-    Messages may have arbitrary (and differing) lengths; equal-length runs
-    are grouped into one lane pass each.  Byte-identical to
-    ``hashlib.sha256(m).digest()``.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("sha256_many requires numpy")
-    if not messages:
-        return []
-    out: list[bytes | None] = [None] * len(messages)
-    by_len: dict[int, list[int]] = {}
-    for index, message in enumerate(messages):
-        by_len.setdefault(len(message), []).append(index)
-    for length, indices in by_len.items():
-        digests = _run_lanes(_matrix([messages[i] for i in indices], length))
-        flat = digests.tobytes()
-        for row, index in enumerate(indices):
-            out[index] = flat[row * _DIGEST_BYTES : (row + 1) * _DIGEST_BYTES]
-    return out  # type: ignore[return-value]
-
-
-def key_state(key: bytes):
-    """The lane-engine HMAC key state: ``(2, 8)`` uint32 inner/outer rows.
-
-    Row 0 is the SHA-256 state after compressing ``key ⊕ ipad``, row 1
-    after ``key ⊕ opad`` — the same precomputation
-    :func:`repro.crypto.prf.hmac_sha256_pair` performs with ``hashlib``
-    objects, in the lane engine's representation.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("key_state requires numpy")
-    np = _np
-    if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
-    padded = key.ljust(_BLOCK, b"\x00")
-    blocks = np.frombuffer(
-        padded.translate(_IPAD_TRANS) + padded.translate(_OPAD_TRANS), dtype=np.uint8
-    ).reshape(2, _BLOCK)
-    state = np.repeat(_IV[:, None], 2, axis=1)
-    _compress(state, blocks.view(">u4").astype(np.uint32).T)
-    return state.T.copy()
-
-
-def key_states_many(keys: Sequence[bytes]):
-    """Per-key HMAC states for a batch: ``(inner (N, 8), outer (N, 8))``.
-
-    All keys must be at most one block (64 bytes) long — true for every
-    LBL label — longer keys take the scalar :func:`key_state` path.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("key_states_many requires numpy")
-    np = _np
-    n = len(keys)
-    padded = [
-        (key if len(key) <= _BLOCK else hashlib.sha256(key).digest()).ljust(
-            _BLOCK, b"\x00"
-        )
-        for key in keys
-    ]
-    both = b"".join(p.translate(_IPAD_TRANS) for p in padded) + b"".join(
-        p.translate(_OPAD_TRANS) for p in padded
-    )
-    blocks = np.frombuffer(both, dtype=np.uint8).reshape(2 * n, _BLOCK)
-    state = np.repeat(_IV[:, None], 2 * n, axis=1)
-    _compress(state, blocks.view(">u4").astype(np.uint32).T)
-    full = state.T
-    return full[:n].copy(), full[n:].copy()
-
-
-def hmac_many(
-    key: bytes, messages: Sequence[bytes], out_bytes: int = _DIGEST_BYTES
-) -> list[bytes]:
-    """``HMAC-SHA256(key, m)`` per message under one shared key.
-
-    Byte-identical to ``hmac.new(key, m, sha256).digest()[:out_bytes]``.
-    Requires ``out_bytes <= 32``; wider outputs belong to the counter-mode
-    expansion in :class:`repro.crypto.prf.Prf`, which stays scalar.
-    """
-    states = key_state(key)
-    return hmac_many_with_state(states[0], states[1], messages, out_bytes)
-
-
-def hmac_many_with_state(
-    inner_state,
-    outer_state,
-    messages: Sequence[bytes],
-    out_bytes: int = _DIGEST_BYTES,
-) -> list[bytes]:
-    """HMAC lanes under one precomputed :func:`key_state` pair.
-
-    ``inner_state`` / ``outer_state`` are ``(8,)`` rows; the key block they
-    encode is shared by every lane (the :class:`~repro.crypto.prf.Prf`
-    shape).  Messages of differing lengths are grouped per pass.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("hmac_many_with_state requires numpy")
-    if out_bytes < 1 or out_bytes > _DIGEST_BYTES:
-        raise ValueError("out_bytes must be in [1, 32]")
-    if not messages:
-        return []
-    np = _np
-    out: list[bytes | None] = [None] * len(messages)
-    by_len: dict[int, list[int]] = {}
-    for index, message in enumerate(messages):
-        by_len.setdefault(len(message), []).append(index)
-    inner_base = np.asarray(inner_state, dtype=np.uint32).reshape(8, 1)
-    outer_base = np.asarray(outer_state, dtype=np.uint32).reshape(8, 1)
-    for length, indices in by_len.items():
-        n = len(indices)
-        matrix = _matrix([messages[i] for i in indices], length)
-        digests = _run_lanes(
-            matrix, np.repeat(inner_base, n, axis=1), prefix_bytes=_BLOCK
-        )
-        finals = _run_lanes(
-            digests, np.repeat(outer_base, n, axis=1), prefix_bytes=_BLOCK
-        )
-        flat = finals.tobytes()
-        for row, index in enumerate(indices):
-            out[index] = flat[row * _DIGEST_BYTES : row * _DIGEST_BYTES + out_bytes]
-    return out  # type: ignore[return-value]
-
-
-def hmac_many_with_states(
-    inner_states,
-    outer_states,
-    messages: Sequence[bytes],
-    out_bytes: int = _DIGEST_BYTES,
-) -> list[bytes]:
-    """HMAC lanes with a *distinct* key state per message.
-
-    ``inner_states`` / ``outer_states`` are ``(N, 8)`` arrays from
-    :func:`key_states_many` (the AEAD table-build shape: one label key per
-    table entry).  All messages must share one length — the AEAD batch
-    callers guarantee it, and it keeps this hot path single-pass.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("hmac_many_with_states requires numpy")
-    if out_bytes < 1 or out_bytes > _DIGEST_BYTES:
-        raise ValueError("out_bytes must be in [1, 32]")
-    n = len(messages)
-    if n == 0:
-        return []
-    length = len(messages[0])
-    for message in messages:
-        if len(message) != length:
-            raise ValueError("hmac_many_with_states requires equal-length messages")
-    np = _np
-    inner = np.ascontiguousarray(np.asarray(inner_states, dtype=np.uint32)[:n].T)
-    outer = np.ascontiguousarray(np.asarray(outer_states, dtype=np.uint32)[:n].T)
-    digests = _run_lanes(_matrix(messages, length), inner, prefix_bytes=_BLOCK)
-    finals = _run_lanes(digests, outer, prefix_bytes=_BLOCK)
-    flat = finals.tobytes()
-    return [
-        flat[row * _DIGEST_BYTES : row * _DIGEST_BYTES + out_bytes]
-        for row in range(n)
-    ]
-
-
-__all__ = [
-    "HAVE_NUMPY",
-    "enabled",
-    "lanes_disabled",
-    "calibrate",
-    "use_lanes",
-    "sha256_many",
-    "key_state",
-    "key_states_many",
-    "hmac_many",
-    "hmac_many_with_state",
-    "hmac_many_with_states",
-]
+    """``0``: no batch size routes to lanes; every batch hashes with ``hashlib``."""
+    return 0

@@ -10,9 +10,9 @@ they actually happen and attributes them to the request that caused them:
   :class:`repro.core.sharded.ShardedLblDeployment`), keyed by frame type ×
   direction × role.
 * **Crypto ops** are counted inside the primitives themselves
-  (:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`,
-  :mod:`repro.crypto.sha256_lanes`, the label cache) so every fast path —
-  lanes, process pool, cache hit — is metered where it short-circuits.
+  (:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`, the label cache) so
+  every fast path — batch kernel, process pool, cache hit — is metered
+  where it short-circuits.
 
 Attribution uses a :mod:`contextvars` ambient row: :func:`track` opens a
 :class:`LedgerRow` for the current context, instrumented code calls

@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core.sharded import ShardedLblDeployment
+from repro.crypto.keys import KeyChain
 from repro.obs.propagate import (
     REMOTE_PARENT_ATTR,
     ancestor_chain,
@@ -30,6 +31,10 @@ from repro.types import Request, StoreConfig
 pytestmark = pytest.mark.timeout(180)
 
 CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+# Routing hashes the PRF-encoded key, so under a random master key the 8
+# workload keys all land on one shard once in 128 runs.  This one splits
+# them 4/4 over two shards.
+MASTER_KEY = b"\x2a" * 32
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +127,7 @@ def test_async_process_backed_trace_merges_into_one_forest():
             rng=random.Random(0),
             pipeline_depth=4,
             transport="async",
+            keychain=KeyChain(MASTER_KEY, label_bits=CONFIG.label_bits),
         )
         try:
             requests = _run_traced_workload(deployment)

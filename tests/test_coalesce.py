@@ -1,6 +1,6 @@
 """Cross-request prepare coalescing: fused windows must be transparent.
 
-The coalescing stage changes *how many* lane dispatches serve a burst of
+The coalescing stage changes *how many* dispatches serve a burst of
 prepares, and nothing else.  These tests pin the transparency claims:
 
 * protocol equivalence — a coalesced batch returns exactly the values and

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.crypto import aead
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import Prf, PrfContext, encode_components
@@ -217,6 +218,81 @@ def test_open_any_matches_try_decrypt(keys, winner, payload):
         None,
     )
     assert scalar == hit
+
+
+@st.composite
+def _open_case(draw):
+    """One ``(key, ciphertext)`` pair the point-and-permute server might see."""
+    kind = draw(
+        st.sampled_from(
+            ["valid", "wrong-key", "bit-flip", "truncated", "empty-body", "long-body"]
+        )
+    )
+    key = draw(st.binary(min_size=16, max_size=80))
+    if kind == "empty-body":
+        payload = b""
+    elif kind == "long-body":
+        payload = draw(st.binary(min_size=33, max_size=80))
+    else:
+        payload = draw(st.binary(min_size=1, max_size=32))
+    ciphertext = aead.encrypt(key, payload)
+    if kind == "wrong-key":
+        key = bytes([key[0] ^ 1]) + key[1:]
+    elif kind == "bit-flip":
+        bit = draw(st.integers(min_value=0, max_value=len(ciphertext) * 8 - 1))
+        flipped = bytearray(ciphertext)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        ciphertext = bytes(flipped)
+    elif kind == "truncated":
+        cut = draw(st.integers(min_value=0, max_value=aead.NONCE_LEN + aead.TAG_LEN - 1))
+        ciphertext = ciphertext[:cut]
+    return key, ciphertext
+
+
+def _aead_counts() -> tuple[int, int]:
+    return (
+        obs.REGISTRY.counter("crypto.aead.decrypts").value,
+        obs.REGISTRY.counter("crypto.aead.decrypt_failures").value,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(_open_case(), max_size=10))
+def test_open_many_matches_try_decrypt(cases):
+    """Same verdicts, plaintexts and metered counts as a ``try_decrypt`` loop."""
+    keys = [key for key, _ in cases]
+    ciphertexts = [ciphertext for _, ciphertext in cases]
+    with obs.capture():
+        batch = aead.open_many(keys, ciphertexts)
+        batch_counts = _aead_counts()
+    with obs.capture():
+        scalar = [aead.try_decrypt(k, c) for k, c in zip(keys, ciphertexts)]
+        scalar_counts = _aead_counts()
+    assert batch == scalar
+    assert batch_counts == scalar_counts
+    assert sum(batch_counts) == len(cases)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=_keys,
+    suffixes=st.lists(_components, min_size=1, max_size=5),
+    blocks=st.integers(min_value=1, max_value=3),
+    first=st.integers(min_value=0, max_value=3),
+)
+def test_block_digests_match_wide_evaluate(key, suffixes, blocks, first):
+    """Digest ``c`` of a tail is bytes ``[32c, 32c + 32)`` of the wide output."""
+    prf = Prf(key, out_bytes=16)
+    ctx = prf.context("ctx-prefix", 7)
+    digests = ctx.block_digests(
+        [encode_components(*suffix) for suffix in suffixes], blocks, first
+    )
+    wide_len = 32 * (first + blocks)
+    expected = []
+    for suffix in suffixes:
+        wide = prf.evaluate("ctx-prefix", 7, *suffix, out_bytes=wide_len)
+        expected += [wide[32 * c : 32 * c + 32] for c in range(first, first + blocks)]
+    assert digests == expected
 
 
 @settings(max_examples=40, deadline=None)

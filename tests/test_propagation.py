@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.core.sharded import ShardedLblDeployment
+from repro.crypto.keys import KeyChain
 from repro.errors import ProtocolError
 from repro.obs.propagate import (
     REMOTE_PARENT_ATTR,
@@ -31,6 +32,10 @@ from repro.transport.cluster import ShardCluster
 from repro.types import Request, StoreConfig
 
 CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+# Routing hashes the PRF-encoded key, so under a random master key the 8
+# workload keys all land on one shard once in 128 runs.  This one splits
+# them 4/4 over two shards.
+MASTER_KEY = b"\x2a" * 32
 
 
 @pytest.fixture(autouse=True)
@@ -214,7 +219,11 @@ def test_process_backed_sharded_trace_merges_into_one_forest():
         2, point_and_permute=True, in_process=False, enable_obs=True
     ) as cluster:
         deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0), pipeline_depth=4
+            CONFIG,
+            cluster.addresses,
+            rng=random.Random(0),
+            pipeline_depth=4,
+            keychain=KeyChain(MASTER_KEY, label_bits=CONFIG.label_bits),
         )
         try:
             requests = _run_traced_workload(deployment)
