@@ -35,9 +35,9 @@ POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
 #: sharded wrapper, counters, gauges, histograms, and the resource
 #: ledger's wire/op hooks in the PRF, AEAD, cache, and transport layers,
 #: plus the flight-recorder, tail-exemplar, and saturation-gauge sites:
-#: shed/window/coalesce/procpool recorder events, exemplar consideration,
-#: cache hit/evict gauges, loop-lag and occupancy gauges).  A hand count
-#: of the hot path finds ~12 telemetry sites, ~10 ledger sites, and ~8
+#: shed/server-window recorder events, exemplar consideration, cache
+#: hit/evict gauges, loop-lag and occupancy gauges).  A hand count of the
+#: hot path finds ~12 telemetry sites, ~10 ledger sites, and ~8
 #: recorder/gauge/exemplar sites; 64 leaves headroom for future sites so
 #: the gate fails on a genuinely expensive guard, not on adding one more.
 GUARDS_PER_ACCESS = 64

@@ -40,7 +40,7 @@ latency grows by roughly the window length.  The trade-off table lands in
 ``results/server_fusion_tradeoff.txt`` and feeds docs/performance.md.
 
 Throughput is wall time over a fixed request count, best-of-N runs,
-matching ``test_coalesce_throughput.py`` conventions.  Requests are
+matching ``test_kernel_speedup.py`` conventions.  Requests are
 pre-prepared per key round by round (a prepare against epoch *e* is only
 valid against epoch-*e* server state, so each round's requests are built
 against the state the previous round installs); the timed section is

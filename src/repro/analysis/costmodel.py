@@ -25,12 +25,10 @@ from repro.crypto.prf import Prf, encode_components, hmac_compressions
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
 
-#: Crypto backends the model covers.  ``stdlib``/``procpool`` share
-#: formulas (they run the same batched kernels — the worker pool changes
-#: *where* hashing happens, never how much);
+#: Crypto backends the model covers.  ``stdlib`` is the batched kernel path;
 #: ``scalar`` is the per-label reference path, which recomputes the HMAC
 #: block two labels share and the offset block per table entry.
-MODEL_BACKENDS = ("scalar", "stdlib", "procpool")
+MODEL_BACKENDS = ("scalar", "stdlib")
 
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
@@ -308,20 +306,12 @@ DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
 DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_000_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
-#: Fixed proxy-side cost of one prepare *dispatch* (thread handoff, per-call
-#: interpreter overhead, worker IPC where a procpool is attached) — the part
-#: of an access that does not scale with bytes hashed and that cross-request
-#: coalescing amortizes across a window.  Like the rates above this is an
-#: explicit, overridable calibration point echoed into the plan, calibrated
-#: against ``benchmarks/test_coalesce_throughput.py`` on the CI host.
-DEFAULT_FLUSH_OVERHEAD_SECONDS = 250e-6
-
-#: Server-side calibration points for the access-window fusion term
-#: (ROADMAP: server-side counterpart of prepare coalescing).  One designated
-#: AEAD open is a short HMAC-SHA256 (a handful of compressions), so a server
-#: core sustains far more opens/s than accesses/s; the per-*flush* overhead
-#: (storage round trip, dispatch, fan-out) is the part ``server_batch``
-#: amortizes.  Calibrated against ``benchmarks/test_server_fusion.py``.
+#: Server-side calibration points for the access-window fusion term.  One
+#: designated AEAD open is a short HMAC-SHA256 (a handful of compressions),
+#: so a server core sustains far more opens/s than accesses/s; the
+#: per-*flush* overhead (storage round trip, dispatch, fan-out) is the part
+#: ``server_batch`` amortizes.  Calibrated against
+#: ``benchmarks/test_server_fusion.py``.
 DEFAULT_SERVER_OPENS_PER_SEC = 500_000.0
 DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS = 150e-6
 
@@ -370,8 +360,6 @@ def plan_capacity(
     shard_ops_per_sec: float = DEFAULT_SHARD_OPS_PER_SEC,
     compressions_per_core_per_sec: float = DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC,
     target_utilization: float = DEFAULT_TARGET_UTILIZATION,
-    coalesce_batch: int = 1,
-    flush_overhead_seconds: float = DEFAULT_FLUSH_OVERHEAD_SECONDS,
     server_batch: int = 1,
     server_opens_per_sec: float | None = None,
     server_flush_overhead_seconds: float | None = None,
@@ -386,13 +374,9 @@ def plan_capacity(
     ``p99 ≈ service_time · ln(100) / (1 − ρ)`` at the planned utilization —
     a deliberately simple queueing bound, stated as such.
 
-    The per-access CPU cost splits into work that scales with bytes hashed
-    (``compressions / compressions_per_core_per_sec`` — coalescing does not
-    change it: a fused window hashes exactly the per-request messages) and
-    a fixed per-flush dispatch overhead, amortized across the
-    ``coalesce_batch`` requests that share a flush (ROADMAP item 4).  With
-    the default ``coalesce_batch=1`` each access pays the full dispatch
-    cost, which is the uncoalesced deployment.
+    Proxy CPU per access is the hashing term the model validates
+    (``compressions / compressions_per_core_per_sec``); the server adds its
+    designated opens and a per-flush overhead that ``server_batch`` shares.
 
     Args:
         users: Active user count.
@@ -403,16 +387,10 @@ def plan_capacity(
         compressions_per_core_per_sec: Sustained SHA-256 compression rate
             of one proxy core.
         target_utilization: Planned peak utilization of shards and cores.
-        coalesce_batch: Expected requests per coalescing flush (the
-            deployment's ``coalesce_batch`` under saturating traffic);
-            ``1`` models the per-request prepare path.
-        flush_overhead_seconds: Fixed dispatch cost of one prepare flush
-            (see :data:`DEFAULT_FLUSH_OVERHEAD_SECONDS`).
         server_batch: Expected requests per server-side access window (the
             servers' ``server_batch`` under saturating traffic); ``1``
-            models the per-request server dispatch path.  The server's
-            per-access CPU mirrors the proxy split: the ``G`` designated
-            AEAD opens per access are window-invariant
+            models the per-request server dispatch path.  The ``G``
+            designated AEAD opens per access are window-invariant
             (``opens / server_opens_per_sec``), while the fixed per-flush
             overhead — the storage get/put round trip and dispatch — is
             shared by the window (``server_flush_overhead / server_batch``).
@@ -429,10 +407,6 @@ def plan_capacity(
         raise ConfigurationError("users and ops_per_user_per_day must be positive")
     if not 0 < target_utilization < 1:
         raise ConfigurationError("target_utilization must be in (0, 1)")
-    if coalesce_batch < 1:
-        raise ConfigurationError("coalesce_batch must be >= 1")
-    if flush_overhead_seconds < 0:
-        raise ConfigurationError("flush_overhead_seconds must be >= 0")
     if server_batch < 1:
         raise ConfigurationError("server_batch must be >= 1")
     if server_opens_per_sec is None:
@@ -457,13 +431,10 @@ def plan_capacity(
     shards = max(
         1, int(-(-ops_per_second // (shard_ops_per_sec * target_utilization)))
     )
-    # Hashing work is batch-invariant; the fixed dispatch overhead is paid
-    # once per flush and shared by the window that flushed together.  The
-    # server mirrors the split: its G designated opens per access are
-    # window-invariant, its per-flush overhead amortizes over server_batch.
+    # The server's G designated opens per access are window-invariant; its
+    # per-flush overhead amortizes over server_batch.
     cpu_seconds_per_access = (
         compressions / compressions_per_core_per_sec
-        + flush_overhead_seconds / coalesce_batch
         + server_opens / server_opens_per_sec
         + server_flush_overhead_seconds / server_batch
     )
@@ -511,8 +482,6 @@ def plan_capacity(
             "shard_ops_per_sec": shard_ops_per_sec,
             "compressions_per_core_per_sec": compressions_per_core_per_sec,
             "target_utilization": target_utilization,
-            "coalesce_batch": coalesce_batch,
-            "flush_overhead_seconds": flush_overhead_seconds,
             "server_batch": server_batch,
             "server_opens_per_sec": server_opens_per_sec,
             "server_flush_overhead_seconds": server_flush_overhead_seconds,
@@ -540,16 +509,9 @@ def run_model_check(
     Point-and-permute is always on (without it the server's decrypt-attempt
     count is value-dependent and exact equality is not defined).
 
-    The pseudo-backend ``"coalesced"`` routes the access through a
-    :class:`~repro.core.lbl.parallel.ParallelPrepareEngine` with the
-    coalescing window *and* the shared-memory procpool enabled — the
-    fused-dispatch path — and checks it against the ``"procpool"`` model:
-    per-request op counts are unchanged by fusion, which is exactly the
-    exactness claim coalescing must preserve.
-
-    The pseudo-backend ``"server-coalesced"`` is the server-side twin: the
-    tracked access is served through a fused
-    :meth:`~repro.core.lbl.server.LblServer.process_many` window shared
+    The pseudo-backend ``"server-coalesced"`` serves the tracked access
+    through a fused :meth:`~repro.core.lbl.server.LblServer.process_many`
+    window shared
     with an untracked decoy request, and the tracked ledger row must still
     equal the ``"stdlib"`` model byte-for-byte — the window-wide
     ``open_many``'s closed-form per-row attribution is exact, not
@@ -562,7 +524,6 @@ def run_model_check(
 
     from repro import obs
     from repro.core.lbl import LblOrtoa
-    from repro.core.lbl.parallel import ParallelPrepareEngine
     from repro.obs import ledger
     from repro.types import Request
 
@@ -577,20 +538,10 @@ def run_model_check(
                     group_bits=group_bits,
                     point_and_permute=True,
                 )
-                engine = None
                 server_fused = backend == "server-coalesced"
                 protocol = LblOrtoa(
                     config, rng=_random.Random(7), batched=backend != "scalar"
                 )
-                if backend in ("procpool", "coalesced"):
-                    engine = ParallelPrepareEngine(
-                        protocol.proxy,
-                        workers=0,
-                        backend="procpool",
-                        coalesce_window=(
-                            0.0005 if backend == "coalesced" else 0.0
-                        ),
-                    )
                 records = {"k": b"\x01" * value_len}
                 if server_fused:
                     # The decoy shares the fused server window with the
@@ -598,101 +549,77 @@ def run_model_check(
                     # the tracked row.
                     records["d"] = b"\x01" * value_len
                 protocol.initialize(records)
-                try:
-                    for op_name, request in (
-                        ("get", Request.read("k")),
-                        ("put", Request.write("k", b"\x02" * value_len)),
-                    ):
-                        epoch = protocol.proxy.counter("k")
-                        if backend == "coalesced":
-                            model_backend = "procpool"
-                        elif server_fused:
-                            model_backend = "stdlib"
-                        else:
-                            model_backend = backend
-                        model = LblCostModel.from_config(
-                            config,
-                            backend=model_backend,
-                            key="k",
-                            counter=epoch,
+                for op_name, request in (
+                    ("get", Request.read("k")),
+                    ("put", Request.write("k", b"\x02" * value_len)),
+                ):
+                    epoch = protocol.proxy.counter("k")
+                    model = LblCostModel.from_config(
+                        config,
+                        backend="stdlib" if server_fused else backend,
+                        key="k",
+                        counter=epoch,
+                    )
+                    if server_fused:
+                        decoy_epoch = protocol.proxy.counter("d") + 1
+                        decoy_built, _decoy_ops = protocol.proxy.prepare(
+                            Request.read("d")
                         )
+                    with ledger.track(label=f"check:{op_name}") as row:
                         if server_fused:
-                            decoy_epoch = protocol.proxy.counter("d") + 1
-                            decoy_built, _decoy_ops = protocol.proxy.prepare(
-                                Request.read("d")
-                            )
-                        with ledger.track(label=f"check:{op_name}") as row:
-                            if server_fused:
-                                from repro.errors import OrtoaError
+                            from repro.errors import OrtoaError
 
-                                built, _prep_ops = protocol.proxy.prepare(request)
-                                fused = protocol.server.process_many(
-                                    [built, decoy_built], rows=[row, None]
-                                )
-                                for item in fused:
-                                    if isinstance(item, OrtoaError):
-                                        raise item
-                                response, _server_ops = fused[0]
-                                protocol.proxy.finalize(
-                                    "k", response, counter=epoch + 1
-                                )
-                                actual_wire = {
-                                    "access.sent": len(built.to_bytes()),
-                                    "access.received": len(response.to_bytes()),
-                                }
-                            elif engine is None:
-                                protocol.access(request)
-                                actual_wire = None
-                            else:
-                                built, ops_, new_epoch = engine.prepare_batch(
-                                    [request]
-                                )[0]
-                                response, _ = protocol.server.process(built)
-                                protocol.proxy.finalize(
-                                    "k", response, counter=new_epoch
-                                )
-                                # The engine path skips LblOrtoa.access, so
-                                # measure the logical exchange directly.
-                                actual_wire = {
-                                    "access.sent": len(built.to_bytes()),
-                                    "access.received": len(response.to_bytes()),
-                                }
-                        if server_fused:
-                            # Decoy finalize outside the tracked row: its
-                            # crypto belongs to the decoy, not the case.
-                            protocol.proxy.finalize(
-                                "d", fused[1][0], counter=decoy_epoch
+                            built, _prep_ops = protocol.proxy.prepare(request)
+                            fused = protocol.server.process_many(
+                                [built, decoy_built], rows=[row, None]
                             )
-                        snap = row.snapshot()
-                        if actual_wire is None:
-                            actual_wire = snap["wire"]
-                        expected_ops = model.ops(include_server=True)
-                        actual_ops = {
-                            k: snap["ops"].get(k, 0) for k in expected_ops
-                        }
-                        expected_wire = {
-                            "access.sent": model.request_bytes,
-                            "access.received": model.response_bytes,
-                        }
-                        ok = (
-                            actual_ops == expected_ops
-                            and actual_wire == expected_wire
-                        )
-                        cases.append(
-                            {
-                                "value_len": value_len,
-                                "backend": backend,
-                                "op": op_name,
-                                "ok": ok,
-                                "expected_ops": expected_ops,
-                                "actual_ops": actual_ops,
-                                "expected_wire": expected_wire,
-                                "actual_wire": actual_wire,
+                            for item in fused:
+                                if isinstance(item, OrtoaError):
+                                    raise item
+                            response, _server_ops = fused[0]
+                            protocol.proxy.finalize(
+                                "k", response, counter=epoch + 1
+                            )
+                            actual_wire = {
+                                "access.sent": len(built.to_bytes()),
+                                "access.received": len(response.to_bytes()),
                             }
+                        else:
+                            protocol.access(request)
+                            actual_wire = None
+                    if server_fused:
+                        # Decoy finalize outside the tracked row: its
+                        # crypto belongs to the decoy, not the case.
+                        protocol.proxy.finalize(
+                            "d", fused[1][0], counter=decoy_epoch
                         )
-                finally:
-                    if engine is not None:
-                        engine.close()
+                    snap = row.snapshot()
+                    if actual_wire is None:
+                        actual_wire = snap["wire"]
+                    expected_ops = model.ops(include_server=True)
+                    actual_ops = {
+                        k: snap["ops"].get(k, 0) for k in expected_ops
+                    }
+                    expected_wire = {
+                        "access.sent": model.request_bytes,
+                        "access.received": model.response_bytes,
+                    }
+                    ok = (
+                        actual_ops == expected_ops
+                        and actual_wire == expected_wire
+                    )
+                    cases.append(
+                        {
+                            "value_len": value_len,
+                            "backend": backend,
+                            "op": op_name,
+                            "ok": ok,
+                            "expected_ops": expected_ops,
+                            "actual_ops": actual_ops,
+                            "expected_wire": expected_wire,
+                            "actual_wire": actual_wire,
+                        }
+                    )
     finally:
         if not was_enabled:
             obs.disable()

@@ -62,15 +62,13 @@ EXPERIMENTS = {
 
 #: CLI flag -> experiment keyword argument (also the flag's argparse dest),
 #: forwarded when the experiment accepts it (see ``repro run
-#: --shards/--pipeline-depth/--workers``).
+#: --shards/--pipeline-depth``).
 _RUN_OVERRIDES = {
     "shards": "shards",
     "pipeline-depth": "pipeline_depth",
-    "workers": "workers",
     "label-cache": "label_cache",
     "crypto-backend": "backend",
     "transport": "transport",
-    "coalesce-window": "coalesce_window",
     "server-batch": "server_batch",
     "server-window": "server_window",
 }
@@ -164,7 +162,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """Capacity planner on the wire-validated cost model (or --check it)."""
     from repro.analysis.costmodel import (
         DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC,
-        DEFAULT_FLUSH_OVERHEAD_SECONDS,
         DEFAULT_SHARD_OPS_PER_SEC,
         DEFAULT_TARGET_UTILIZATION,
         LblCostModel,
@@ -177,13 +174,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         # require the ledger to agree with the model byte-for-byte.
         report = run_model_check(
             value_sizes=(4, 8, 16),
-            backends=(
-                "scalar",
-                "stdlib",
-                "procpool",
-                "coalesced",
-                "server-coalesced",
-            ),
+            backends=("scalar", "stdlib", "server-coalesced"),
         )
         for case in report["cases"]:
             mark = "ok " if case["ok"] else "FAIL"
@@ -220,12 +211,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             compressions_per_core_per_sec=args.core_compressions
             or DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC,
             target_utilization=args.utilization or DEFAULT_TARGET_UTILIZATION,
-            coalesce_batch=args.coalesce_batch,
-            flush_overhead_seconds=(
-                args.flush_overhead
-                if args.flush_overhead is not None
-                else DEFAULT_FLUSH_OVERHEAD_SECONDS
-            ),
             server_batch=args.server_batch,
             server_opens_per_sec=args.server_opens,
             server_flush_overhead_seconds=args.server_flush_overhead,
@@ -310,7 +295,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     cluster.addresses,
                     rng=random.Random(args.seed),
                     pipeline_depth=args.pipeline_depth,
-                    prepare_workers=args.workers,
                     transport=args.transport,
                 )
                 try:
@@ -694,12 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight window for experiments that take one (e.g. `pipeline`)",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="prepare-pool threads for experiments that take one (e.g. `lbl`)",
-    )
-    run.add_argument(
         "--label-cache",
         type=int,
         metavar="M",
@@ -709,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--crypto-backend",
         dest="backend",
-        choices=("scalar", "stdlib", "procpool"),
+        choices=("scalar", "stdlib"),
         help="proxy crypto backend for experiments that take one "
-        "(e.g. `lbl`): scalar reference path, stdlib batched kernels "
-        "(default), or a label-derivation process pool",
+        "(e.g. `lbl`): scalar reference path or stdlib batched kernels "
+        "(default)",
     )
     run.add_argument(
         "--transport",
@@ -720,15 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard transport for experiments that take one "
         "(e.g. `sharded`, `pipeline`): threaded servers/clients or the "
         "asyncio event-loop transport",
-    )
-    run.add_argument(
-        "--coalesce-window",
-        dest="coalesce_window",
-        type=float,
-        metavar="SECONDS",
-        help="prepare-coalescing flush timer for experiments that take one "
-        "(e.g. `lbl`): concurrent prepares fuse into one dispatch per "
-        "window; 0 disables",
     )
     run.add_argument(
         "--server-batch",
@@ -795,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--backend",
-        choices=("scalar", "stdlib", "procpool"),
+        choices=("scalar", "stdlib"),
         default="stdlib",
         help="proxy crypto backend to model (default: stdlib)",
     )
@@ -820,24 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="planned peak utilization of shards and cores (default: 0.6)",
-    )
-    plan.add_argument(
-        "--coalesce-batch",
-        dest="coalesce_batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="expected requests per prepare-coalescing flush; the fixed "
-        "dispatch overhead amortizes across the window (default: 1 = "
-        "per-request prepares)",
-    )
-    plan.add_argument(
-        "--flush-overhead",
-        dest="flush_overhead",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fixed dispatch cost of one prepare flush (planner assumption)",
     )
     plan.add_argument(
         "--server-batch",
@@ -875,8 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
-        "across scalar/stdlib/procpool/coalesced/server-coalesced "
-        "at 3 value sizes",
+        "across scalar/stdlib/server-coalesced at 3 value sizes",
     )
     plan.add_argument("--json", metavar="PATH", help="write a JSON report")
     plan.set_defaults(func=_cmd_plan)
@@ -913,13 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="D",
         help="in-flight window for the sharded audit (default: 8)",
-    )
-    obs_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="prepare-pool threads for the sharded audit (default: 0, serial)",
     )
     obs_cmd.add_argument(
         "--no-label-cache",

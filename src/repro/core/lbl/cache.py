@@ -21,8 +21,9 @@ Entries can additionally carry the AEAD key schedules of their labels
 deployment pays for them during the network round trip instead of on the
 request-build critical path.
 
-The cache is thread-safe: the parallel prepare engine consults it from
-worker threads.
+The cache is thread-safe:
+:class:`~repro.core.lbl.concurrent.ConcurrentLblProxy` consults it from many
+client threads.
 """
 
 from __future__ import annotations
@@ -142,21 +143,6 @@ class LabelCache:
         """The entry for ``(key, counter)`` without consuming or counting it."""
         with self._lock:
             return self._entries.get((key, counter))
-
-    def peek_many(
-        self, slots: "list[tuple[str, int]]"
-    ) -> "list[LabelCacheEntry | None]":
-        """Peek a whole window of ``(key, counter)`` slots in one lock hold.
-
-        The coalescing stage routes each window entry cold (fused
-        derivation) or warm (cached epoch) before flushing; probing the
-        batch under a single lock acquisition keeps that routing decision
-        atomic with respect to concurrent ``put``/``take`` calls and avoids
-        ``len(window)`` lock round trips on the flush path.  Like
-        :meth:`peek`, this neither consumes entries nor counts hits/misses.
-        """
-        with self._lock:
-            return [self._entries.get(slot) for slot in slots]
 
     def put(self, key: str, counter: int, entry: LabelCacheEntry) -> None:
         """Insert (or refresh) an epoch, evicting the LRU entry when full."""

@@ -47,9 +47,8 @@ from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredLabel, value_to_groups
-from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
+from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
-from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
@@ -245,25 +244,10 @@ class LblProxy:
     # Request preparation (Pcr, Figure 1 / §5.2 step 1)
     # ------------------------------------------------------------------ #
 
-    def prepare(
-        self,
-        request: Request,
-        label_sets: "tuple[list[list[bytes]], list[int] | None, list[list[bytes]], list[int] | None] | None" = None,
-    ) -> tuple[LblAccessRequest, OpCounts]:
-        """Build the one-round request and advance the access counter.
-
-        Args:
-            request: The plaintext access to serve.
-            label_sets: Optional pre-derived
-                ``(old_labels, old_offsets, new_labels, new_offsets)`` for
-                this key's current epoch pair — the
-                :class:`~repro.core.lbl.procpool.ProcessCryptoPool` hands
-                these in after deriving them in a worker process.  A cached
-                epoch still wins (the bytes are identical either way);
-                ignored by the scalar path.
-        """
+    def prepare(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
+        """Build the one-round request and advance the access counter."""
         if self.batched:
-            return self._prepare_batched(request, label_sets)
+            return self._prepare_batched(request)
         return self._prepare_scalar(request)
 
     def _emit_prepare_span(
@@ -286,11 +270,7 @@ class LblProxy:
         REGISTRY.counter("lbl.proxy.labels_generated").inc(labels_generated)
         REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
 
-    def _prepare_batched(
-        self,
-        request: Request,
-        label_sets: "tuple[list[list[bytes]], list[int] | None, list[list[bytes]], list[int] | None] | None" = None,
-    ) -> tuple[LblAccessRequest, OpCounts]:
+    def _prepare_batched(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Kernel path: batch-derive labels, batch-encrypt the whole table."""
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
@@ -321,12 +301,6 @@ class LblProxy:
             if cached.next_labels is not None:
                 new_labels = cached.next_labels
                 new_offsets = cached.next_offsets
-        elif label_sets is not None:
-            # Derived off-proxy by a ProcessCryptoPool worker; the bytes are
-            # identical to deriving here, so the PRF accounting is too.
-            old_labels, old_offsets, new_labels, new_offsets = label_sets
-            old_schedules = None
-            prf_count += 2 * epoch_prf
         else:
             old_labels = codec.labels_for_groups(key, ct)
             old_offsets = (
@@ -434,138 +408,6 @@ class LblProxy:
                 self._rng.shuffle(entries)
             tables.append(tuple(entries))
         return tables
-
-    def prepare_window(
-        self,
-        entries: "list[tuple[Request, tuple[list[list[bytes]], list[int] | None, list[list[bytes]], list[int] | None]]]",
-        rows: "list[_ledger.LedgerRow | None] | None" = None,
-    ) -> "list[tuple[LblAccessRequest, OpCounts, int]]":
-        """Build many accesses' requests with **one** fused table encrypt.
-
-        The coalescing stage's proxy half: every entry arrives with its
-        label sets pre-derived (fused across the window by the caller), so
-        the per-access work here is payload assembly — and the AEAD table
-        encryption of the whole window runs as a single
-        :func:`~repro.crypto.aead.encrypt_many` call, paying that call's
-        setup once per window instead of once per access.  Requires the
-        batched path and distinct keys per entry (same-key accesses chain
-        epochs and must prepare sequentially).
-
-        Payload bytes, table placement, counter bumps, and per-access op
-        counts are identical to calling :meth:`prepare` once per entry with
-        the same ``label_sets``; only the batching of the AEAD dispatch
-        changes.  GET and PUT entries contribute identical shapes — key
-        list, payload lengths, and ciphertext count per entry do not depend
-        on the op — so a fused window leaks nothing about its mix.
-
-        Args:
-            entries: ``(request, label_sets)`` per access, all for distinct
-                keys at their current epochs.
-            rows: Optional per-access ledger rows; the fused encrypt is
-                metered once in the registry and credited to each access's
-                row analytically (exactly ``groups * table_size`` each), so
-                fused rows still sum to registry totals.
-
-        Returns:
-            ``(lbl_request, ops, new_counter)`` per entry, in order.
-        """
-        if not self.batched:
-            raise ConfigurationError("prepare_window requires the batched path")
-        if rows is not None and len(rows) != len(entries):
-            raise ConfigurationError(f"{len(entries)} entries for {len(rows)} rows")
-        keys = [request.key for request, _sets in entries]
-        if len(set(keys)) != len(keys):
-            raise ConfigurationError(
-                "prepare_window entries must use distinct keys"
-            )
-        codec = self.codec
-        num_groups = codec.num_groups
-        table_size = codec.table_size
-        point_and_permute = self.config.point_and_permute
-        per_entry_enc = num_groups * table_size
-        per_entry_prf = 2 * self._epoch_prf
-
-        spans = []
-        all_keys: list[bytes] = []
-        all_payloads: list[bytes] = []
-        staged: list[tuple] = []
-        for position, (request, label_sets) in enumerate(entries):
-            row = rows[position] if rows is not None else None
-            token = _ledger.activate(row) if row is not None else None
-            try:
-                span = (
-                    TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
-                )
-                spans.append(span)
-                key = request.key
-                ct = self.counter(key)
-                new_value = None
-                if request.op.is_write:
-                    padded = self.config.pad(request.value)  # type: ignore[arg-type]
-                    new_value = value_to_groups(padded, self.config.group_bits)
-                # Consume (and meter) any stale cache entry; window entries
-                # are routed here only on a cache miss, but a hit is still
-                # byte-identical — the cache stores the same labels.
-                cached = (
-                    self.label_cache.take(key, ct)
-                    if self.label_cache is not None
-                    else None
-                )
-                if cached is not None:
-                    old_labels, old_offsets = cached.labels, cached.offsets
-                    if cached.next_labels is not None:
-                        new_labels = cached.next_labels
-                        new_offsets = cached.next_offsets
-                    else:
-                        _old, _old_off, new_labels, new_offsets = label_sets
-                else:
-                    old_labels, old_offsets, new_labels, new_offsets = label_sets
-                flat_keys, flat_payloads = self._flat_table_inputs(
-                    old_labels, new_labels, new_offsets, new_value, request.op.is_read
-                )
-                all_keys += flat_keys
-                all_payloads += flat_payloads
-                encoded_key = self.keychain.encode_key(key)
-                if self.label_cache is not None:
-                    self.label_cache.put(
-                        key,
-                        ct + 1,
-                        LabelCacheEntry(labels=new_labels, offsets=new_offsets),
-                    )
-                self._remember_epoch(key, ct + 1, new_labels)
-                self._counters[key] = ct + 1
-                staged.append((request, encoded_key, old_offsets, ct + 1, row))
-            finally:
-                if token is not None:
-                    _ledger.deactivate(token)
-
-        # One AEAD dispatch for the whole window.  The registry meters the
-        # real call once (under no ambient row); each access's row is then
-        # credited its exact share.
-        token = _ledger.activate(None)
-        try:
-            ciphertexts = aead.encrypt_many(all_keys, all_payloads)
-        finally:
-            _ledger.deactivate(token)
-
-        results: "list[tuple[LblAccessRequest, OpCounts, int]]" = []
-        for position, (request, encoded_key, old_offsets, new_ct, row) in enumerate(
-            staged
-        ):
-            if row is not None:
-                row.add_op("aead.encrypts", per_entry_enc)
-            chunk = ciphertexts[
-                position * per_entry_enc : (position + 1) * per_entry_enc
-            ]
-            tables = self._assemble_tables(chunk, old_offsets)
-            ops = OpCounts(prf=per_entry_prf + 1, aead_enc=per_entry_enc)
-            self._emit_prepare_span(
-                spans[position], request, per_entry_prf + 1, per_entry_enc, False
-            )
-            results.append(
-                (LblAccessRequest(encoded_key, tuple(tables)), ops, new_ct)
-            )
-        return results
 
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Reference path: one PRF/AEAD call per label and table entry.

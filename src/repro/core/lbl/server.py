@@ -169,8 +169,7 @@ class LblServer:
 
         The crypto runs with no ambient ledger row (the registry still
         meters each real invocation once); each request's row is then
-        credited its closed-form share of the attempt counts — the same
-        split-attribution pattern as the client-side prepare coalescer — so
+        credited its closed-form share of the attempt counts, so
         per-request ledger rows are byte-exact regardless of window shape.
 
         Args:

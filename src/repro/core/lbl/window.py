@@ -1,14 +1,13 @@
-"""The bounded coalescing window shared by both LBL coalescers.
+"""The bounded coalescing window behind server-side access fusion.
 
 Concurrent callers enqueue into a **window** that closes on size
 (``max_batch`` entries) or on a timer (``window`` seconds against an
 injectable :class:`~repro.obs.clock.Clock`), and every closed window is
 handed — exactly once — to a flush function that serves its entries as one
-fused unit.  What gets fused is the flush function's business:
-:class:`~repro.core.lbl.coalesce.PrepareCoalescer` fuses proxy prepares,
-:class:`~repro.core.lbl.server_coalesce.ServerAccessCoalescer` fuses server
-accesses.  This class owns everything else — open/fill/timer/generation/
-flush-once — so the two cannot drift apart.
+fused unit.  What gets fused is the flush function's business
+(:class:`~repro.core.lbl.server_coalesce.ServerAccessCoalescer` fuses server
+accesses); this class owns everything else — open/fill/timer/generation/
+flush-once — for the threaded and the event-loop transport alike.
 
 **Blocking half** (:meth:`CoalescingWindow.run`, threaded callers).  The
 first caller to find no window open is its *leader* and owns the flush
@@ -46,9 +45,9 @@ from repro.obs.clock import Clock, WallClock
 DEFAULT_WINDOW_SECONDS = 0.0002
 
 #: Default size flush threshold.  A tuning constant, not a derived one: 8
-#: is the window the coalescing and server-fusion gates measure
-#: (``benchmarks/test_coalesce_throughput.py``, ``test_server_fusion.py``:
-#: 2.0x and 1.4x over windows of one); no sweep has shown another size wins.
+#: is the window the server-fusion gate measures
+#: (``benchmarks/test_server_fusion.py``: 1.4x over windows of one); no
+#: sweep has shown another size wins.
 DEFAULT_MAX_BATCH = 8
 
 #: Real-time cap on each wait inside the leader's timer loop.  The window

@@ -9,11 +9,10 @@ in-process :class:`~repro.core.deployment.ShardedDeployment` lacks:
 * **routing** — :class:`~repro.storage.sharding.ShardRouter` maps the
   PRF-encoded key to a shard, so the routing tier sees exactly what each
   storage server already sees (no new leakage);
-* **batching** — :meth:`access_batch` builds the batch's tables through a
-  :class:`~repro.core.lbl.parallel.ParallelPrepareEngine` (``prepare_workers``
-  threads; serial by default), splits it into per-shard sub-batches, ships
-  them concurrently over pipelined connections, and merges the replies back
-  into request order;
+* **batching** — :meth:`access_batch` builds the batch's tables with
+  :meth:`~repro.core.lbl.proxy.LblProxy.prepare` in request order, splits it
+  into per-shard sub-batches, ships them concurrently over pipelined
+  connections, and merges the replies back into request order;
 * **pipelining** — :meth:`access_pipelined` keeps up to ``pipeline_depth``
   independent single-request frames in flight per deployment instead of
   paying one round trip of dead air per access.
@@ -28,7 +27,10 @@ sub-requests in order, so repeated keys inside one batch are always safe.
 
 The deployment itself is single-threaded (one proxy, mutable counters);
 wrap it in :class:`~repro.core.lbl.concurrent.ConcurrentLblProxy` to serve
-many client threads.
+many client threads.  The proxy's share of an access is one sequential table
+build (§5.2 step 1); throughput is bought by adding proxy/server pairs
+(§6.2.4), not by spreading one prepare over workers (``docs/performance.md``
+has the measurement).
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ from repro.core.base import (
     RoundTrip,
 )
 from repro.core.lbl.concurrent import finalize_batch_entries
-from repro.core.lbl.parallel import ParallelPrepareEngine
 from repro.core.lbl.proxy import LblProxy
-from repro.core.messages import LblAccessResponse, LblBatchRequest, LblBatchResponse
+from repro.core.messages import (
+    LblAccessRequest,
+    LblAccessResponse,
+    LblBatchRequest,
+    LblBatchResponse,
+)
 from repro.crypto.keys import KeyChain
 from repro.errors import BatchPartialFailure, ConfigurationError, ProtocolError
 from repro.obs import _state as _obs
@@ -62,6 +68,45 @@ from repro.storage.sharding import ShardRouter
 from repro.transport.async_client import make_pipelined_client
 from repro.transport.server import LOAD_ACK, OBS_DUMP_TAG, OBS_PULL_TAG, pack_load
 from repro.types import Request, Response, StoreConfig
+
+
+# ``LblProxy.prepare`` is the only way a request is prepared.  This class
+# exists because ``bench/tracing.py`` calls
+# ``dep.prepare_engine.prepare_one`` / ``.prepare_batch``; the next benchmark
+# PR calls ``proxy.prepare`` there and deletes it (ROADMAP item 3(e)).
+class _SerialPrepare:
+    """``proxy.prepare`` returning ``(wire_request, prepare_ops, epoch)``."""
+
+    def __init__(self, proxy: LblProxy) -> None:
+        self.proxy = proxy
+
+    def prepare_one(self, request: Request) -> tuple[LblAccessRequest, OpCounts, int]:
+        """Prepare one access; ``epoch`` is the counter it installs."""
+        lbl_request, ops = self.proxy.prepare(request)
+        return lbl_request, ops, self.proxy.counter(request.key)
+
+    def prepare_batch(
+        self,
+        requests: list[Request],
+        rows: "list[_ledger.LedgerRow] | None" = None,
+    ) -> list[tuple[LblAccessRequest, OpCounts, int]]:
+        """Prepare every request in order, so same-key epochs chain.
+
+        Each request's crypto is credited to its entry of ``rows`` when
+        given, to the caller's ambient ledger row otherwise.
+        """
+        if not requests:
+            raise ConfigurationError("prepare batch must contain at least one request")
+        if rows is None:
+            return [self.prepare_one(request) for request in requests]
+        built = []
+        for request, row in zip(requests, rows):
+            token = _ledger.activate(row)
+            try:
+                built.append(self.prepare_one(request))
+            finally:
+                _ledger.deactivate(token)
+        return built
 
 
 class ShardedLblDeployment(OrtoaProtocol):
@@ -84,24 +129,9 @@ class ShardedLblDeployment(OrtoaProtocol):
             :class:`~repro.transport.async_client.SyncAsyncLblClient`
             pools.  Both expose the same submit/request surface, so every
             access path works over either unmodified.
-        prepare_workers: Size of the :meth:`access_batch` table-build pool
-            (:class:`~repro.core.lbl.parallel.ParallelPrepareEngine`);
-            ``0`` prepares serially on the calling thread.
-        prepare_backend: ``"thread"`` (default) or ``"procpool"`` — the
-            latter derives labels in a shared
-            :class:`~repro.core.lbl.procpool.ProcessCryptoPool` of worker
-            processes, overlapping PRF work even under a GIL.
-        coalesce_window: When ``> 0``, every prepare (single accesses,
-            pipelined windows, batches) routes through the engine's
-            :class:`~repro.core.lbl.coalesce.PrepareCoalescer` with this
-            flush timer in seconds — concurrent clients' prepares fuse
-            into one dispatch per window.  ``0`` (default) keeps the
-            per-request paths.
-        coalesce_batch: Size flush threshold for the coalescing window.
 
-    The server-side counterpart — access window fusion on the untrusted
-    store — is configured on the shard servers themselves
-    (``server_batch`` / ``server_window`` on
+    Access window fusion on the untrusted store is configured on the shard
+    servers themselves (``server_batch`` / ``server_window`` on
     :class:`~repro.transport.server.LblTcpServer`,
     :class:`~repro.transport.async_server.AsyncLblServer`, and
     :class:`~repro.transport.cluster.ShardCluster`), not here: the client
@@ -120,11 +150,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         pipeline_depth: int = 8,
         pool_size: int = 1,
         timeout: float = 30.0,
-        prepare_workers: int = 0,
-        prepare_backend: str = "thread",
         transport: str = "thread",
-        coalesce_window: float = 0.0,
-        coalesce_batch: int = 8,
     ) -> None:
         super().__init__(config)
         if not addresses:
@@ -133,13 +159,7 @@ class ShardedLblDeployment(OrtoaProtocol):
             raise ConfigurationError("pipeline_depth must be >= 1")
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
         self.proxy = LblProxy(config, self.keychain, rng=rng)
-        self.prepare_engine = ParallelPrepareEngine(
-            self.proxy,
-            workers=prepare_workers,
-            backend=prepare_backend,
-            coalesce_window=coalesce_window,
-            coalesce_batch=coalesce_batch,
-        )
+        self.prepare_engine = _SerialPrepare(self.proxy)
         self.router = ShardRouter(len(addresses))
         self.clients = [
             make_pipelined_client(
@@ -186,8 +206,7 @@ class ShardedLblDeployment(OrtoaProtocol):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Close every shard connection and the prepare pool."""
-        self.prepare_engine.close()
+        """Close every shard connection."""
         for client in self.clients:
             client.close()
 
@@ -229,8 +248,8 @@ class ShardedLblDeployment(OrtoaProtocol):
         Each shard dump's events are tagged ``process="shard-<i>"``
         (:func:`repro.obs.recorder.merge_recorder_dumps`), so a post-mortem
         reads as a single ordered timeline across the whole deployment —
-        the shed decision on shard 1 next to the coalescer flush on the
-        proxy that preceded it.
+        the shed decision on shard 1 next to the window flush on shard 0
+        that preceded it.
         """
         local = [event.to_dict() for event in RECORDER.events()]
         remote = [dump.get("recorder", {}) for dump in (remote_dumps or [])]
@@ -280,14 +299,9 @@ class ShardedLblDeployment(OrtoaProtocol):
         )
 
     def _prepare_timed(self, request: Request):
-        """One prepare through the engine, timed when obs is on.
+        """One prepare, timed when obs is on.
 
-        Routing through
-        :meth:`~repro.core.lbl.parallel.ParallelPrepareEngine.prepare_one`
-        means single accesses and pipelined windows share the engine's
-        configured path — procpool derivation, and (when enabled) the
-        coalescing window that fuses concurrent callers.  Returns the
-        ``(wire_request, prepare_ops, epoch)`` triple.
+        Returns the ``(wire_request, prepare_ops, epoch)`` triple.
         """
         if not _obs.enabled:
             return self.prepare_engine.prepare_one(request)

@@ -242,55 +242,6 @@ class LabelCodec:
             )
         )
 
-    def labels_for_epochs(
-        self, epochs: "list[tuple[str, int]]"
-    ) -> "list[list[list[bytes]]]":
-        """Candidate label tables for many ``(key, counter)`` epochs, fused.
-
-        Entry ``e`` equals :meth:`labels_for_groups`\\ ``(*epochs[e])`` —
-        byte-identical, because the per-key PRF context is just a pre-encoded
-        prefix: evaluating an empty-prefix context on fully-encoded tails
-        hashes exactly the same messages.  The point is the dispatch shape:
-        *one* :meth:`~repro.crypto.prf.PrfContext.block_digests` call covers
-        every epoch in the batch, so a coalesced window pays the call's
-        setup and interpreter overhead once instead of once per access (the
-        HMAC work, and the call/compression counts the ledger meters, are
-        identical either way).
-        """
-        enc = encode_components
-        enc_indices = self._enc_indices
-        tails: list[bytes] = []
-        for key, counter in epochs:
-            head = enc("label", key)
-            enc_ct = enc(counter)
-            tails += [head + enc_index + enc_ct for enc_index in enc_indices]
-        digests = self._label_prf.context().block_digests(tails, self.label_blocks)
-        per_epoch = self.label_calls
-        return [
-            self._rows(digests[base : base + per_epoch])
-            for base in range(0, len(digests), per_epoch)
-        ]
-
-    def permute_offsets_for_epochs(
-        self, epochs: "list[tuple[str, int]]"
-    ) -> "list[list[int]]":
-        """Batched :meth:`permute_offsets` across many epochs, fused.
-
-        Entry ``e`` equals :meth:`permute_offsets`\\ ``(*epochs[e])``; one
-        empty-prefix ``block_digests`` serves all epochs (see
-        :meth:`labels_for_epochs` for why the outputs are byte-identical).
-        """
-        self._require_offsets()
-        enc = encode_components
-        per_epoch = self.offset_calls
-        digests = self._permute_prf.context().block_digests(
-            [enc("permute", key, counter) for key, counter in epochs], per_epoch
-        )
-        return [
-            self._offsets_from(digests[base : base + per_epoch])
-            for base in range(0, len(digests), per_epoch)
-        ]
-
     def derivation_cost(
         self, key: str, counter: int, *, offsets: bool = False
     ) -> tuple[int, int]:
@@ -299,12 +250,9 @@ class LabelCodec:
         Predicts exactly what :meth:`labels_for_groups`\\ ``(key, counter)``
         — plus :meth:`permute_offsets` when ``offsets`` is set — costs, by
         re-deriving the encoded message lengths the PRF would hash; a call
-        is one HMAC evaluation.  This is the single source of truth shared
-        by the analytic cost model
-        (:mod:`repro.analysis.costmodel`) and the process-pool ledger hook
-        (:class:`~repro.core.lbl.procpool.ProcessCryptoPool`), whose workers
-        run the real derivation out-of-process where the in-PRF meters can't
-        reach the parent's registry.
+        is one HMAC evaluation.  The analytic cost model
+        (:mod:`repro.analysis.costmodel`) is built on it, and
+        ``repro plan --check`` holds it to the in-PRF meters exactly.
         """
         enc = encode_components
         enc_ct_len = len(enc(counter))

@@ -139,14 +139,13 @@ class Prf:
         out_bytes: Default output length of :meth:`evaluate`.
     """
 
-    __slots__ = ("_key", "out_bytes", "_inner0", "_outer0")
+    __slots__ = ("out_bytes", "_inner0", "_outer0")
 
     def __init__(self, key: bytes, out_bytes: int = 16) -> None:
         if len(key) < 16:
             raise ConfigurationError("PRF key must be at least 16 bytes")
         if out_bytes <= 0:
             raise ConfigurationError("PRF output length must be positive")
-        self._key = key
         self.out_bytes = out_bytes
         # The HMAC key schedule (two compression-function applications plus
         # object setup) is identical for every evaluation; pay it once here
@@ -256,16 +255,6 @@ class Prf:
     def derive_subkey(self, purpose: str) -> bytes:
         """Derive an independent 32-byte key for a named purpose."""
         return self.evaluate("subkey", purpose, out_bytes=32)
-
-    def export_key(self) -> bytes:
-        """The raw PRF key.
-
-        ``Prf`` objects hold live ``hashlib`` states and cannot be pickled;
-        worker processes (:class:`~repro.core.lbl.procpool.ProcessCryptoPool`)
-        reconstruct an identical PRF from these bytes instead.  Handle with
-        the same care as the keychain itself.
-        """
-        return self._key
 
 
 class PrfContext:

@@ -43,18 +43,6 @@ class TamperDetectedError(CryptoError):
     """
 
 
-class CryptoPoolError(CryptoError):
-    """A crypto worker pool failed to produce a result.
-
-    Raised by :class:`~repro.core.lbl.procpool.ProcessCryptoPool` when a
-    worker process dies mid-derivation, returns a malformed result, or an
-    in-flight task cannot be retrieved within its timeout — instead of the
-    bare :mod:`multiprocessing` traceback those conditions produce natively.
-    The derivation is deterministic and side-effect free, so retrying on a
-    fresh pool is always safe.
-    """
-
-
 class ProtocolError(OrtoaError):
     """A protocol invariant was violated (malformed message, bad state)."""
 

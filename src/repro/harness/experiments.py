@@ -416,39 +416,29 @@ def pipeline_depth_sweep(
 
 
 def lbl_kernels(
-    workers: int = 0,
     label_cache: int | None = -1,
     num_keys: int = 8,
     num_requests: int = 48,
     value_len: int = 160,
     backend: str = "stdlib",
-    coalesce_window: float = 0.0,
 ) -> list[Row]:
     """Batched-kernel throughput: scalar vs batched vs batched+cache.
 
     Measures in-process LBL accesses per second under the three proxy
     kernel configurations (scalar reference path, batched PRF/AEAD
     kernels, batched kernels with a warm label cache), then drives one
-    batch through the sharded deployment's
-    :class:`~repro.core.lbl.parallel.ParallelPrepareEngine` so
-    ``--workers`` exercises the multi-core prepare path end to end.
+    batch through a sharded deployment over a loopback shard.
 
     Args:
-        workers: Prepare-pool threads for the sharded batch row
-            (0 = serial).
         label_cache: ``label_cache_entries`` for the cached rows
             (-1 auto-sizes, ``None`` disables — the cached row is then
             skipped).
         num_keys: Distinct keys in the workload.
         num_requests: Accesses per measured configuration.
         value_len: Object size in bytes (paper default 160).
-        backend: ``"stdlib"`` (default), ``"scalar"`` (forces the
-            per-label reference path on the in-process rows), or
-            ``"procpool"`` (the sharded-batch row derives labels in a
-            process pool).  See ``repro run lbl --crypto-backend``.
-        coalesce_window: Flush-timer seconds for the sharded-batch row's
-            prepare coalescing stage (``repro run lbl --coalesce-window``);
-            ``0`` (default) keeps the per-request prepare path.
+        backend: ``"stdlib"`` (default) or ``"scalar"`` (forces the
+            per-label reference path on the in-process rows).  See
+            ``repro run lbl --crypto-backend``.
     """
     import random
     import time
@@ -483,10 +473,7 @@ def lbl_kernels(
             f"unknown crypto backend {backend!r}; expected one of "
             f"{MODEL_BACKENDS}"
         )
-    # "scalar" forces the per-label reference path; "procpool" only changes
-    # the sharded-batch row (label derivation is a prepare-engine concern).
     force_scalar = backend == "scalar"
-    prepare_backend = "procpool" if backend == "procpool" else "thread"
 
     base = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
     cached = replace(base, label_cache_entries=label_cache)
@@ -512,14 +499,13 @@ def lbl_kernels(
         rows.append(
             {
                 "mode": mode,
-                "workers": "-",
                 "ops_per_sec": round(ops_per_sec, 1),
                 "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
             }
         )
 
-    # End-to-end batch through the parallel prepare engine on one
-    # loopback shard (thread-backed server, real wire format).
+    # End-to-end batch on one loopback shard (thread-backed server, real
+    # wire format).
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
 
@@ -527,12 +513,7 @@ def lbl_kernels(
     records, requests = _workload(config)
     with ShardCluster(1, point_and_permute=True, in_process=True) as cluster:
         deployment = ShardedLblDeployment(
-            config,
-            cluster.addresses,
-            rng=random.Random(2),
-            prepare_workers=workers,
-            prepare_backend=prepare_backend,
-            coalesce_window=coalesce_window,
+            config, cluster.addresses, rng=random.Random(2)
         )
         try:
             deployment.initialize(records)
@@ -542,12 +523,7 @@ def lbl_kernels(
             cache = deployment.proxy.label_cache
             rows.append(
                 {
-                    "mode": (
-                        "sharded-batch+coalesce"
-                        if coalesce_window > 0
-                        else "sharded-batch"
-                    ),
-                    "workers": workers,
+                    "mode": "sharded-batch",
                     "ops_per_sec": round(len(requests) / elapsed, 1),
                     "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
                 }

@@ -18,7 +18,7 @@ the corresponding quantities first-class observables:
 * :mod:`repro.obs.top` — the ``repro top`` live terminal view built on
   scraping those endpoints;
 * :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
-  structured events (shed decisions, coalescer flushes, worker lifecycle)
+  structured events (shed decisions, server window flushes, counter moves)
   with exactly-once post-mortem dumps and a cross-process merge;
 * :mod:`repro.obs.exemplars` — tail-exemplar capture: full span tree +
   ledger row retained for requests beyond a latency threshold or in the

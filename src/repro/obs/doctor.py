@@ -4,21 +4,19 @@
 *where*.  It scrapes every shard's metrics endpoint twice
 (:func:`collect_signals`, reusing :func:`repro.obs.top.scrape`), reduces
 each target to a small signal vector (throughput, shed rate, in-flight
-occupancy, event-loop lag, procpool queue depth, coalescer window fill,
-prepare vs service vs round-trip latency), and hands the vectors to
+occupancy, event-loop lag, server window fill, prepare vs service vs
+round-trip latency), and hands the vectors to
 :func:`diagnose` — a pure function, so the attribution logic is testable on
 synthetic signal dicts without sockets.
 
-Attribution taxonomy (the five ways the async/coalesced stack saturates):
+Attribution taxonomy (the five ways the stack saturates):
 
 * **shedding** — the admission window is rejecting work outright
   (``SHED/s > 0``); always reported first, then the *cause* of the
   pressure is attributed below.
 * **dispatch** — the server side is the constraint: the in-flight window
   runs near full and/or the event loop lags its timer wake-ups.
-* **crypto** — the proxy's table builds are the constraint: the process
-  crypto pool queues, prepares dominate the latency budget, or the
-  coalescing window flushes full.
+* **crypto** — the proxy's table builds dominate the latency budget.
 * **server** — the untrusted store's fused access windows are the
   constraint: ``server_batch > 1`` windows consistently flush full on
   size, meaning requests queue faster than fused ``open_many`` dispatches
@@ -49,10 +47,7 @@ OCCUPANCY_SATURATED = 0.8
 #: Event-loop lag (ms) that on its own marks the dispatcher as struggling.
 LOOP_LAG_SATURATED_MS = 20.0
 
-#: Procpool queue depth treated as "fully backed up" for scoring.
-QUEUE_DEPTH_SATURATED = 8.0
-
-#: Coalescing window fill at or above which the crypto path is flush-bound.
+#: Server window fill at or above which the store is flush-bound.
 WINDOW_FILL_SATURATED = 0.9
 
 #: Prepare p99 (ms) at which a prepare-dominated latency budget counts as
@@ -83,8 +78,6 @@ def _signal(
         "repro_lbl_proxy_prepare_seconds", {"quantile": "0.99"}
     )
     row["prepare_p99_ms"] = None if prepare_p99 is None else prepare_p99 * 1e3
-    row["procpool_queue_depth"] = _value("repro_lbl_procpool_queue_depth")
-    row["coalesce_window_fill"] = _value("repro_lbl_coalesce_window_fill")
     row["server_window_fill"] = _value("repro_lbl_server_window_fill")
     return row
 
@@ -118,23 +111,12 @@ def _score_dispatch(signal: Mapping[str, Any]) -> float:
 
 
 def _score_crypto(signal: Mapping[str, Any]) -> float:
-    queue = signal.get("procpool_queue_depth") or 0.0
-    fill = signal.get("coalesce_window_fill") or 0.0
     prepare = signal.get("prepare_p99_ms")
+    if not prepare:
+        return 0.0
     service = signal.get("service_p99_ms")
-    prepare_share = 0.0
-    if prepare and service is not None:
-        prepare_share = prepare / (prepare + service) if prepare + service else 0.0
-    elif prepare:
-        prepare_share = 1.0
-    prepare_score = (
-        prepare_share * min(prepare / PREPARE_SATURATED_MS, 1.0) if prepare else 0.0
-    )
-    return max(
-        min(queue / QUEUE_DEPTH_SATURATED, 1.0),
-        min(fill / WINDOW_FILL_SATURATED, 1.0) if fill else 0.0,
-        prepare_score,
-    )
+    prepare_share = 1.0 if service is None else prepare / (prepare + service)
+    return prepare_share * min(prepare / PREPARE_SATURATED_MS, 1.0)
 
 
 def _score_server(signal: Mapping[str, Any]) -> float:
@@ -214,10 +196,9 @@ def diagnose(
         if scores["crypto"] >= SCORE_FLOOR:
             worst = max(up, key=_score_crypto)
             reasons.append(
-                "crypto: procpool queue depth "
-                f"{worst.get('procpool_queue_depth') or 0:.0f}, coalesce window "
-                f"{(worst.get('coalesce_window_fill') or 0.0) * 100.0:.0f}% full, "
-                f"prepare p99 {worst.get('prepare_p99_ms') or 0.0:.2f} ms"
+                f"crypto: {worst.get('target', '?')} prepare p99 "
+                f"{worst.get('prepare_p99_ms') or 0.0:.2f} ms dominates its "
+                f"service p99 {worst.get('service_p99_ms') or 0.0:.2f} ms"
             )
         if scores["server"] >= SCORE_FLOOR:
             worst = max(up, key=_score_server)
@@ -313,7 +294,6 @@ __all__ = [
     "LOOP_LAG_SATURATED_MS",
     "OCCUPANCY_SATURATED",
     "PREPARE_SATURATED_MS",
-    "QUEUE_DEPTH_SATURATED",
     "SCORE_FLOOR",
     "WINDOW_FILL_SATURATED",
     "collect_signals",

@@ -11,16 +11,16 @@ they actually happen and attributes them to the request that caused them:
   direction × role.
 * **Crypto ops** are counted inside the primitives themselves
   (:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`, the label cache) so
-  every fast path — batch kernel, process pool, cache hit — is metered
-  where it short-circuits.
+  every fast path — batch kernel, cache hit — is metered where it
+  short-circuits.
 
 Attribution uses a :mod:`contextvars` ambient row: :func:`track` opens a
 :class:`LedgerRow` for the current context, instrumented code calls
 :func:`add_op` / :func:`credit_wire`, and the row lands in a bounded
-archive when the block exits.  Code that hops threads (the parallel prepare
-engine, the pipelined window, server handler threads) activates rows
-explicitly with :func:`activate` so bytes and ops never cross-attribute
-between interleaved requests.
+archive when the block exits.  Code that interleaves requests or hops
+threads (batch prepares, the pipelined window, server handler threads)
+activates rows explicitly with :func:`activate` so bytes and ops never
+cross-attribute between interleaved requests.
 
 Two write paths exist on purpose, to make double-crediting impossible:
 

@@ -3,13 +3,12 @@
 Metrics answer "how often"; spans answer "how long"; neither answers *why
 this particular request* was shed, stalled, or slow.  The flight recorder
 fills that gap: hot-path subsystems append small immutable events (shed
-decisions with their cause and the window occupancy at shed time, coalescer
-flush records with their flush reason, server-side access-window flushes
-(``server.window`` — reason and fill, payload-independent by construction),
-shared-memory ring slot stalls, procpool worker lifecycle transitions,
-slow-consumer aborts) into a fixed-capacity ring.  The ring never grows: once full, the oldest event is
-overwritten and counted in ``dropped``, so sustained event storms cost O(1)
-memory.
+decisions with their cause and the window occupancy at shed time,
+server-side access-window flushes (``server.window`` — reason and fill,
+payload-independent by construction), forced counter moves, slow-consumer
+aborts) into a fixed-capacity ring.  The ring never grows: once full, the
+oldest event is overwritten and counted in ``dropped``, so sustained event
+storms cost O(1) memory.
 
 Every emission site sits behind the usual ``if _state.enabled`` guard, so
 the disabled path costs one attribute check — the same contract as spans

@@ -44,8 +44,6 @@ def _signal(**overrides) -> dict:
         "shed_per_s": 0.0,
         "in_flight_occupancy": 0.1,
         "loop_lag_ms": 0.5,
-        "procpool_queue_depth": 0,
-        "coalesce_window_fill": 0.1,
         "prepare_p99_ms": 1.0,
         "service_p99_ms": 5.0,
         "p99_ms": 7.0,
@@ -74,15 +72,12 @@ def test_dispatch_bound_scenario_names_dispatch():
 
 
 def test_crypto_bound_scenario_names_crypto():
-    """A backed-up crypto pool, full coalescing windows, and prepares that
-    dwarf service time, with the dispatcher idle, must be attributed to
-    crypto."""
+    """Prepares that are slow and dwarf service time, with the dispatcher
+    idle, must be attributed to crypto."""
     diagnosis = diagnose(
         [
             _signal(
                 ops_per_s=40.0,
-                procpool_queue_depth=12,
-                coalesce_window_fill=1.0,
                 prepare_p99_ms=40.0,
                 service_p99_ms=2.0,
                 p99_ms=45.0,
@@ -91,9 +86,11 @@ def test_crypto_bound_scenario_names_crypto():
     )
     assert diagnosis["bottleneck"] == "crypto"
     assert diagnosis["shedding"] is False
-    assert diagnosis["scores"]["crypto"] == 1.0
+    assert diagnosis["scores"]["crypto"] == pytest.approx(40.0 / 42.0)
     assert diagnosis["scores"]["dispatch"] < SCORE_FLOOR
-    assert any("crypto: procpool queue depth 12" in r for r in diagnosis["reasons"])
+    assert any(
+        "crypto: shard-0 prepare p99 40.00 ms" in r for r in diagnosis["reasons"]
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -111,12 +108,13 @@ def test_fast_but_dominant_prepares_do_not_read_as_crypto_bound():
 
 
 def test_slow_dominant_prepares_alone_read_as_crypto_bound():
-    """Prepares both dominant and beyond the absolute threshold flag
-    crypto even with nothing queued."""
+    """Prepares beyond the absolute threshold flag crypto on their own,
+    when the target reports no service time to compare them with."""
     diagnosis = diagnose(
-        [_signal(prepare_p99_ms=40.0, service_p99_ms=2.0, p99_ms=45.0)]
+        [_signal(prepare_p99_ms=40.0, service_p99_ms=None, p99_ms=45.0)]
     )
     assert diagnosis["bottleneck"] == "crypto"
+    assert diagnosis["scores"]["crypto"] == 1.0
 
 
 def test_wire_bound_scenario_names_wire():

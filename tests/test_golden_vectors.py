@@ -318,10 +318,6 @@ def test_labels_for_groups_matches_scalar(value_len, group_bits, label_len, coun
         codec.labels_for_group("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
-    assert codec.labels_for_epochs([("some-key", counter), ("k2", counter + 1)]) == [
-        rows,
-        codec.labels_for_groups("k2", counter + 1),
-    ]
     table_size = 1 << group_bits
     for index in (0, codec.num_groups - 1):
         wide = _ref_prf(
@@ -356,9 +352,6 @@ def test_permute_offsets_match_scalar(shape, counter):
         codec.permute_offset("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
-    assert codec.permute_offsets_for_epochs(
-        [("some-key", counter), ("k2", counter)]
-    ) == [offsets, codec.permute_offsets("k2", counter)]
     wide = _ref_prf(permute_key, ("permute", "some-key", counter), codec.num_groups)
     assert offsets == [b % codec.table_size for b in wide]
 

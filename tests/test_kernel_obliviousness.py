@@ -1,7 +1,7 @@
 """Obliviousness regression for the batched kernel stack.
 
-Batching, the label cache, next-epoch prefetch, and the parallel prepare
-engine all live on the *proxy* side of the trust boundary — nothing the
+Batching, the label cache and next-epoch prefetch all live on the *proxy*
+side of the trust boundary — nothing the
 server observes (request sizes, table shapes, decrypt counts, storage
 writes) may depend on them.  These tests run the
 :mod:`repro.obs` auditor over each configuration and require a clean
@@ -15,12 +15,11 @@ import pytest
 
 from repro import obs
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.parallel import ParallelPrepareEngine
 from repro.core.lbl.server import SERVER_SPAN
 from repro.crypto.keys import KeyChain
 from repro.obs.audit import audit_observations, observations_from_spans, run_audit
 from repro.obs.trace import TRACER
-from repro.types import Operation, Request, StoreConfig
+from repro.types import Request, StoreConfig
 
 
 @pytest.fixture(autouse=True)
@@ -147,37 +146,6 @@ def test_traced_frames_identical_shape_for_get_and_put():
         )
 
 
-def test_parallel_prepare_observations_match_serial():
-    """Server-visible features are identical whether prepare ran in a pool."""
-    features = []
-    keychain = KeyChain(label_bits=128)
-    for workers in (0, 4):
-        obs.reset()
-        config = _config(label_cache_entries=-1)
-        store = LblOrtoa(
-            config, keychain=keychain, rng=random.Random(4), batched=True
-        )
-        store.initialize({f"k{i}": bytes(16) for i in range(4)})
-        requests = [Request.read(f"k{i % 4}") for i in range(8)]
-        obs.enable()
-        TRACER.reset()
-        with ParallelPrepareEngine(store.proxy, workers=workers) as engine:
-            built = engine.prepare_batch(requests)
-        for request, (lbl_request, _, epoch) in zip(requests, built):
-            response, _ = store.server.process(lbl_request)
-            store.proxy.finalize(request.key, response, counter=epoch)
-        spans = TRACER.spans(SERVER_SPAN)
-        observed = observations_from_spans(
-            spans, [Operation.READ] * len(requests)
-        )
-        features.append(
-            sorted(
-                tuple(sorted(o.features.items())) for o in observed
-            )
-        )
-    assert features[0] == features[1]
-
-
 def test_request_shape_identical_across_kernel_paths():
     """GET and PUT frames are byte-identically shaped on every kernel path.
 
@@ -212,46 +180,3 @@ def test_request_shape_identical_across_kernel_paths():
                 )
             )
     assert len(set(shapes)) == 1, shapes
-
-
-def test_procpool_observations_match_thread_backend():
-    """Server-visible features are identical whichever pool derived labels.
-
-    Runs the same workload through the thread backend and the
-    process-pool backend (labels derived in worker processes) and audits
-    both; the observation feature sets must match exactly and both audits
-    must pass.
-    """
-    features = []
-    keychain = KeyChain(label_bits=128)
-    for backend in ("thread", "procpool"):
-        obs.reset()
-        config = _config(label_cache_entries=None)
-        store = LblOrtoa(
-            config, keychain=keychain, rng=random.Random(4), batched=True
-        )
-        store.initialize({f"k{i}": bytes(16) for i in range(4)})
-        requests = [
-            Request.read(f"k{i % 4}") if i % 2 else Request.write(
-                f"k{i % 4}", bytes(16)
-            )
-            for i in range(8)
-        ]
-        operations = [request.op for request in requests]
-        obs.enable()
-        TRACER.reset()
-        with ParallelPrepareEngine(
-            store.proxy, workers=2, backend=backend
-        ) as engine:
-            built = engine.prepare_batch(requests)
-        for request, (lbl_request, _, epoch) in zip(requests, built):
-            response, _ = store.server.process(lbl_request)
-            store.proxy.finalize(request.key, response, counter=epoch)
-        spans = TRACER.spans(SERVER_SPAN)
-        observed = observations_from_spans(spans, operations)
-        report = audit_observations(observed)
-        assert report.passed, report.summary()
-        features.append(
-            sorted(tuple(sorted(o.features.items())) for o in observed)
-        )
-    assert features[0] == features[1]

@@ -1,4 +1,4 @@
-"""Label cache, next-epoch prefetch, parallel prepare, and init complexity.
+"""Label cache, next-epoch prefetch, batch prepare order, and init complexity.
 
 The cache is a pure optimization: every test here ultimately checks either
 that it changes nothing observable (scalar / batched-cold / batched-warm
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.cache import LabelCache, LabelCacheEntry
-from repro.core.lbl.parallel import ParallelPrepareEngine
 from repro.core.lbl.proxy import LblProxy
+from repro.core.sharded import _SerialPrepare
+from repro.crypto import aead
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError
 from repro.types import Request, StoreConfig
@@ -267,18 +269,18 @@ def test_undersized_cache_matches_oracle_and_cacheless_shapes(capacity, ops):
 
 
 # --------------------------------------------------------------------- #
-# ParallelPrepareEngine
+# ShardedLblDeployment.prepare_engine: proxy.prepare in request order
 # --------------------------------------------------------------------- #
 
 
-def _proxy(pnp: bool = True) -> LblProxy:
-    config = _config(point_and_permute=pnp)
-    proxy = LblProxy(config, KeyChain(label_bits=config.label_bits))
-    list(proxy.initial_records({f"k{i}": config.pad(b"v") for i in range(4)}))
+def _proxy(keychain: KeyChain | None = None, **overrides) -> LblProxy:
+    config = _config(**overrides)
+    proxy = LblProxy(config, keychain or KeyChain(label_bits=config.label_bits))
+    proxy.initial_records({f"k{i}": config.pad(b"v") for i in range(4)})
     return proxy
 
 
-def test_parallel_engine_orders_epochs_per_key():
+def test_prepare_batch_orders_epochs_per_key():
     proxy = _proxy()
     requests = [
         Request.read("k0"),
@@ -287,8 +289,7 @@ def test_parallel_engine_orders_epochs_per_key():
         Request.read("k0"),
         Request.read("k2"),
     ]
-    with ParallelPrepareEngine(proxy, workers=4) as engine:
-        built = engine.prepare_batch(requests)
+    built = _SerialPrepare(proxy).prepare_batch(requests)
     assert len(built) == len(requests)
     k0_epochs = [
         epoch for req, (_, _, epoch) in zip(requests, built) if req.key == "k0"
@@ -298,48 +299,70 @@ def test_parallel_engine_orders_epochs_per_key():
     assert proxy.counter("k1") == 1 and proxy.counter("k2") == 1
 
 
-def test_parallel_engine_serial_fallback_matches():
-    proxy = _proxy()
-    requests = [Request.read("k0"), Request.read("k1")]
-    engine = ParallelPrepareEngine(proxy, workers=0)
-    built = engine.prepare_batch(requests)
+def test_prepare_batch_distinct_keys_each_install_epoch_one():
+    built = _SerialPrepare(_proxy()).prepare_batch(
+        [Request.read("k0"), Request.read("k1")]
+    )
     assert [epoch for _, _, epoch in built] == [1, 1]
-    engine.close()  # no-op without a pool
 
 
-def test_parallel_engine_shuffle_lock_on_base_protocol():
-    proxy = _proxy(pnp=False)
-    with ParallelPrepareEngine(proxy, workers=3) as engine:
-        assert engine._needs_shuffle_lock
-        built = engine.prepare_batch([Request.read(f"k{i}") for i in range(4)])
+def test_prepare_batch_on_base_protocol():
+    built = _SerialPrepare(_proxy(point_and_permute=False)).prepare_batch(
+        [Request.read(f"k{i}") for i in range(4)]
+    )
     assert len(built) == 4
 
 
-def test_parallel_engine_many_threads_stress():
-    """Concurrent distinct-key prepares leave every counter consistent."""
-    proxy = _proxy()
-    requests = [Request.read(f"k{i % 4}") for i in range(24)]
-    barrier_results = []
-    with ParallelPrepareEngine(proxy, workers=8, num_stripes=2) as engine:
-        def run():
-            barrier_results.append(engine.prepare_batch(requests[:12]))
-
-        threads = [threading.Thread(target=run) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert sum(proxy.counter(f"k{i}") for i in range(4)) == 24
+def test_prepare_batch_rejects_empty_batch():
+    with pytest.raises(ConfigurationError):
+        _SerialPrepare(_proxy()).prepare_batch([])
 
 
-def test_parallel_engine_rejects_bad_params():
-    proxy = _proxy()
-    with pytest.raises(ConfigurationError):
-        ParallelPrepareEngine(proxy, workers=-1)
-    with pytest.raises(ConfigurationError):
-        ParallelPrepareEngine(proxy, num_stripes=0)
-    with pytest.raises(ConfigurationError):
-        ParallelPrepareEngine(proxy).prepare_batch([])
+@settings(max_examples=25, deadline=None)
+@given(
+    workload=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.none() | st.binary(min_size=8, max_size=8),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    label_cache=st.sampled_from([None, -1]),
+)
+def test_prepare_batch_equals_a_prepare_loop_on_a_twin_proxy(workload, label_cache):
+    """Wire bytes, op counts and epochs of ``prepare_batch`` are exactly
+    those of calling ``proxy.prepare`` per request on a proxy with the same
+    keychain, repeated keys included (point-and-permute: no shuffle RNG)."""
+    keychain = KeyChain(b"\x2a" * 32, label_bits=128)
+    requests = [
+        Request.read(f"k{index}")
+        if written is None
+        else Request.write(f"k{index}", written)
+        for index, written in workload
+    ]
+    seam_proxy = _proxy(keychain, label_cache_entries=label_cache)
+    twin = _proxy(keychain, label_cache_entries=label_cache)
+
+    def fixed_nonces():
+        """Both sides draw their AEAD nonces from the same seeded stream."""
+        return mock.patch.object(
+            aead.secrets, "token_bytes", random.Random(9).randbytes
+        )
+
+    with fixed_nonces():
+        built = _SerialPrepare(seam_proxy).prepare_batch(requests)
+    expected = []
+    with fixed_nonces():
+        for request in requests:
+            lbl_request, ops = twin.prepare(request)
+            expected.append(
+                (lbl_request.to_bytes(), ops, twin.counter(request.key))
+            )
+    assert [
+        (lbl_request.to_bytes(), ops, epoch) for lbl_request, ops, epoch in built
+    ] == expected
+    assert seam_proxy.counters() == twin.counters()
 
 
 # --------------------------------------------------------------------- #

@@ -2,11 +2,11 @@
 
 The ledger's attribution claim is per-request exactness under concurrency:
 with many requests in flight — the pipelined window's worker/reader thread
-hops, the batch path's prepare pool, the procpool backend's parent-side
-crediting — every row must equal the cost model for *its own* key and
-epoch, and the rows must sum to the transport's independently metered
-socket totals.  A single misplaced contextvar would show up as one row
-over-counting and its neighbour under-counting.
+hops, the batch path's per-request row activation — every row must equal
+the cost model for *its own* key and epoch, and the rows must sum to the
+transport's independently metered socket totals.  A single misplaced
+contextvar would show up as one row over-counting and its neighbour
+under-counting.
 """
 
 import random
@@ -78,37 +78,9 @@ def async_deployment():
 def batch_deployment():
     with ShardCluster(2, in_process=True) as cluster:
         deployment = ShardedLblDeployment(
-            CONFIG,
-            cluster.addresses,
-            rng=random.Random(13),
-            prepare_workers=2,
-            prepare_backend="procpool",
+            CONFIG, cluster.addresses, rng=random.Random(13)
         )
         deployment.initialize({key: b"\x02" * 8 for key in KEYS})
-        yield deployment
-        deployment.close()
-
-
-@pytest.fixture(scope="module")
-def coalesced_deployment():
-    """Batch topology with the coalescing stage in front of the shm pool.
-
-    Fused windows are the hardest attribution case: one worker dispatch and
-    one ``encrypt_many`` serve several requests, so every PRF call and AEAD
-    op is credited analytically to the row that caused it.  The per-row
-    model equality below is exact only if that analytic split is exact.
-    """
-    with ShardCluster(2, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG,
-            cluster.addresses,
-            rng=random.Random(19),
-            prepare_workers=2,
-            prepare_backend="procpool",
-            coalesce_window=0.0005,
-            coalesce_batch=4,
-        )
-        deployment.initialize({key: b"\x04" * 8 for key in KEYS})
         yield deployment
         deployment.close()
 
@@ -218,7 +190,7 @@ def test_async_transport_rows_never_cross_attribute(async_deployment, workload):
 
 @SETTINGS
 @given(workload=WORKLOADS)
-def test_batch_procpool_rows_never_cross_attribute(batch_deployment, workload):
+def test_batch_rows_never_cross_attribute(batch_deployment, workload):
     deployment = batch_deployment
     obs.reset()
     obs.enable()
@@ -236,59 +208,3 @@ def test_batch_procpool_rows_never_cross_attribute(batch_deployment, workload):
     assert len(rows) == len(requests)
     _assert_rows_match_model(rows, requests, epochs, wire_frame="batch")
     _assert_rows_sum_to_registry(rows, frame="batch")
-
-
-@SETTINGS
-@given(workload=WORKLOADS)
-def test_coalesced_batch_rows_never_cross_attribute(
-    coalesced_deployment, workload
-):
-    """Fused-window rows still equal the per-request model exactly.
-
-    Cold entries in a window share one procpool dispatch and one
-    ``encrypt_many`` call; repeated keys chain through the per-request tail.
-    Each row must nonetheless match the stdlib cost model for its own key
-    and epoch, and the rows must sum to the transport's socket totals."""
-    deployment = coalesced_deployment
-    obs.reset()
-    obs.enable()
-    try:
-        requests = _requests(workload)
-        epochs = _expected_epochs(deployment, requests)
-        deployment.access_batch(requests)
-    finally:
-        obs.disable()
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("batched:")
-    ]
-    assert len(rows) == len(requests)
-    _assert_rows_match_model(rows, requests, epochs, wire_frame="batch")
-    _assert_rows_sum_to_registry(rows, frame="batch")
-
-
-@SETTINGS
-@given(workload=WORKLOADS)
-def test_coalesced_pipelined_rows_never_cross_attribute(
-    coalesced_deployment, workload
-):
-    """The pipelined transport through the same coalescer: concurrent
-    window joins from the issuing loop must keep per-row exactness."""
-    deployment = coalesced_deployment
-    obs.reset()
-    obs.enable()
-    try:
-        requests = _requests(workload)
-        epochs = _expected_epochs(deployment, requests)
-        deployment.access_pipelined(requests, depth=4)
-    finally:
-        obs.disable()
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("pipelined:")
-    ]
-    assert len(rows) == len(requests)
-    _assert_rows_match_model(rows, requests, epochs, wire_frame="access")
-    _assert_rows_sum_to_registry(rows, frame="access")

@@ -365,20 +365,16 @@ def test_get_and_put_emit_shape_identical_recorder_events():
 
 
 def test_auditor_passes_with_recorder_enabled():
-    """Obliviousness audit over a coalescing sharded deployment: the
-    recorder observes real traffic (flush events) and the GET/PUT ledger
-    identity still holds."""
+    """Obliviousness audit over a sharded deployment with server window
+    fusion on: the recorder observes real traffic (flush events) and the
+    GET/PUT ledger identity still holds."""
     from repro.core.sharded import ShardedLblDeployment
     from repro.obs.audit import run_sharded_audit
     from repro.transport.cluster import ShardCluster
 
-    with ShardCluster(2, point_and_permute=True, in_process=True) as cluster:
+    with ShardCluster(2, in_process=True, server_batch=4) as cluster:
         deployment = ShardedLblDeployment(
-            CONFIG,
-            cluster.addresses,
-            rng=random.Random(0),
-            pipeline_depth=4,
-            coalesce_window=0.0002,
+            CONFIG, cluster.addresses, rng=random.Random(0), pipeline_depth=4
         )
         try:
             report = run_sharded_audit(
@@ -387,7 +383,9 @@ def test_auditor_passes_with_recorder_enabled():
         finally:
             deployment.close()
     assert report.passed, report.summary()
-    flushes = RECORDER.events("coalesce.flush")
-    assert flushes, "coalescing traffic must appear in the recorder"
+    flushes = RECORDER.events("server.window")
+    assert flushes, "window flushes must appear in the recorder"
     # Flush events carry window geometry only — nothing per-operation.
-    assert set(flushes[0].fields) == {"reason", "window", "fused", "max_batch"}
+    assert all(
+        set(flush.fields) == {"reason", "window", "max_batch"} for flush in flushes
+    )
