@@ -8,11 +8,12 @@ optimizations):
 * **scalar** — the per-label reference path (``batched=False``, no cache):
   one HMAC block per label and per offset lookup, shared blocks recomputed;
 * **batched** — fused ``PrfContext`` label derivation (every HMAC block
-  once: two labels or 32 offsets each) + ``encrypt_many`` table encryption,
-  cache disabled (every access is a cold build);
+  once: two labels or 32 offsets each) + ``rows.seal_rows`` table
+  encryption (one HMAC per row, output already the request's slab), cache
+  disabled (every access is a cold build);
 * **batched+cache** — the kernel stack in steady state: a warm
   :class:`~repro.core.lbl.cache.LabelCache` whose entries carry prefetched
-  next-epoch labels and AEAD key schedules, so ``prepare`` derives nothing.
+  next-epoch labels and HMAC key schedules, so ``prepare`` derives nothing.
 
 Timing is **best-of-N**: each phase's score is its *minimum* over
 ``ROUNDS`` accesses.  Phase times here are single-digit milliseconds, where
@@ -24,8 +25,10 @@ they hold on slow CI runners:
 
 1. ``batched+cache`` prepare >= 3x ``scalar`` prepare — the original gate;
 2. warm prepare <= 1.35x its floor, the table encryption alone (the gate
-   point's ``G * 2^y`` entries through ``encrypt_many`` with key schedules
-   in hand) — the cache must leave ``prepare`` nothing else to do;
+   point's ``G * 2^y`` rows through ``rows.seal_rows`` with key schedules
+   in hand — the table encryption a warm prepare runs since the one-HMAC
+   row replaced the AEAD entry) — the cache must leave ``prepare`` nothing
+   else to do;
 3. cold batched prepare >= scalar prepare — batching alone must never lose
    (the CI smoke condition: fail if batched < scalar).
 
@@ -63,7 +66,7 @@ from conftest import record_bench
 
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.proxy import DECRYPT_INDEX_BYTES
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.types import Request, StoreConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -130,24 +133,26 @@ def _time_phases(store: LblOrtoa, *, warm: bool) -> dict[str, float]:
 def _time_table_encrypt() -> float:
     """Best-of-``ROUNDS`` ops/sec of one access's table encryption alone.
 
-    The floor of a warm prepare: as many entries, key and payload sizes as
-    the gate point's table, key schedules precomputed as the cache has them.
+    The floor of a warm prepare: as many rows, payload sizes and key
+    schedules (precomputed, as the cache has them) as the gate point's table.
     """
     codec = _build(batched=True, cache=False).proxy.codec
     rng = random.Random(3)
     entries = codec.num_groups * codec.table_size
-    keys = [rng.randbytes(codec.label_len) for _ in range(entries)]
     payloads = [
         rng.randbytes(codec.label_len + DECRYPT_INDEX_BYTES) for _ in range(entries)
     ]
-    schedules = [aead.key_schedule(key) for key in keys]
+    schedules = [
+        aead.key_schedule(rng.randbytes(codec.label_len)) for _ in range(entries)
+    ]
+    nonce = rng.randbytes(rows.ROW_NONCE_LEN)
     best_s = float("inf")
     gc.collect()
     gc.disable()
     try:
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
-            aead.encrypt_many(keys, payloads, schedules=schedules)
+            rows.seal_rows(None, payloads, nonce, schedules=schedules)
             best_s = min(best_s, time.perf_counter() - t0)
     finally:
         gc.enable()

@@ -2,20 +2,21 @@
 
 Eight clients' pre-prepared access requests hit the untrusted store at a
 **dispatch-bound** operating point (1 B values, y=8, point-and-permute — a
-request opens exactly ONE designated AEAD entry, so per-request dispatch
+request opens exactly ONE designated row, so per-request dispatch
 overhead rivals the crypto, which is the regime server-side fusion exists
 for).  Two configurations:
 
 * **per-request** — each of the window's requests is its own
   ``LblServer.process``, i.e. its own *window of one* on the server's single
-  access path (own multi-get/multi-put of one key, own ``open_many`` call
+  access path (own multi-get/multi-put of one key, own ``open_rows`` call
   with its per-call setup, own window bookkeeping).  On a GIL-bound host
   this sequential execution is *exactly* what an unfused server
   (``server_batch=1``) does with eight concurrent clients: their requests
   serialize through the interpreter whatever the transport does.
 * **fused** — the same eight concurrent requests as one window through the
-  same code: one storage multi-get, one window-wide ``aead.open_many`` over
-  all designated pairs, one multi-put of rotated labels.
+  same code: one storage multi-get, one window-wide ``rows.open_rows`` over
+  all designated rows (a run per request, each under its own nonce), one
+  multi-put of rotated labels.
 
 Both sides run ``LblServer.process_many``, so the gated ratio is the
 amortization of that one path's per-window cost and nothing else — and it
@@ -26,9 +27,11 @@ those, on one host in one session.
 
 **Why the gate is 1.3x and not more.**  The fused win is dispatch
 amortization only — the opens cost the same on both sides: the window
-shares one ``open_many`` invocation's setup, one storage access pair, and
+shares one ``open_rows`` invocation's setup, one storage access pair, and
 one round of window bookkeeping where the per-request path pays each of
-those eight times.  That measures ~1.4–1.5x here; the pytest gate asserts
+those eight times.  That measures ~2x here (1.4–1.5x while an open was a
+two-HMAC AEAD entry: the shared setup is now the larger share of a
+one-HMAC row); the pytest gate asserts
 a conservative 1.3x floor robust across noisy runners, and the recorded
 ``kernels.server_fusion_speedup`` trajectory is additionally gated by
 ``repro bench check`` (drift against the best recorded run).

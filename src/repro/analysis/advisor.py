@@ -75,7 +75,10 @@ def recommend(
     transcript = protocol.access(Request.read("probe"))
     p = sum(cost_model.phase_ms(phase.ops) for phase in transcript.phases)
     link = NetworkLink(server_rtt_ms, bandwidth_mbps)
-    o = link.overhead_ms(transcript.request_bytes, transcript.response_bytes)
+    # Priced at the cost model's message sizes when it states any (the
+    # paper's entry format under ``paper_like``), like the figure runs.
+    wire = cost_model.lbl_round_trip(config) or transcript.round_trips[0]
+    o = link.overhead_ms(wire.request_bytes, wire.response_bytes)
 
     if tee_available and tee_trusted:
         return Recommendation(

@@ -35,9 +35,12 @@ MODEL_BACKENDS = ("scalar", "stdlib")
 ENCODED_KEY_BYTES = 16  # KeyChain.key_encoding_prf.out_bytes
 AEAD_OVERHEAD_BYTES = 28  # 12-byte nonce + 16-byte tag (crypto.aead)
 DECRYPT_INDEX_BYTES = 1  # point-and-permute slot byte (core.lbl.proxy)
+ROW_CHECK_BYTES = 8  # zero check bytes of a point-and-permute row (crypto.rows)
+ROW_NONCE_BYTES = 16  # per-request row nonce (crypto.rows)
 FIELD_LEN_BYTES = 4  # length prefix per field (core.messages)
 TAG_BYTES = 1  # message tag (core.messages)
-TABLE_HEADER_BYTES = FIELD_LEN_BYTES + 1  # the 1-byte table-size field
+SHAPE_BYTES = 4  # request header: table_size u16 + entry_len u16
+LABEL_LEN_BYTES = 2  # response header: label_len u16
 FRAME_LEN_BYTES = 4  # transport frame length prefix (transport.framing)
 MUX_HEADER_BYTES = 9  # plain mux: tag + 8-byte request id
 MUX_TRACED_HEADER_BYTES = 25  # mux + 16-byte trace context
@@ -146,32 +149,68 @@ class LblCostModel:
 
     @property
     def entry_len(self) -> int:
-        """One table ciphertext: AEAD(label ‖ slot byte if §10.2)."""
-        payload = self.label_len + (
-            DECRYPT_INDEX_BYTES if self.point_and_permute else 0
-        )
-        return AEAD_OVERHEAD_BYTES + payload
+        """One table entry: a row ``label ‖ slot byte ‖ 8 check bytes`` under
+        §10.2, an AEAD ciphertext ``nonce ‖ label ‖ tag`` in the base protocol."""
+        if self.point_and_permute:
+            return self.label_len + DECRYPT_INDEX_BYTES + ROW_CHECK_BYTES
+        return AEAD_OVERHEAD_BYTES + self.label_len
 
     @property
     def request_bytes(self) -> int:
         """Serialized :class:`~repro.core.messages.LblAccessRequest`.
 
-        Tag + table-size field + encoded-key field + ``G·T`` ciphertext
-        fields — the paper's ``2^y · E_len · t/y`` bits plus real framing.
+        Tag + three length-prefixed fields: the shape header (carrying the
+        row nonce under §10.2), the encoded key, and the ``G·T``-entry slab
+        — the paper's ``2^y · E_len · t/y`` bits plus 29 (45) bytes of framing.
         """
+        header = SHAPE_BYTES + (ROW_NONCE_BYTES if self.point_and_permute else 0)
         return (
             TAG_BYTES
-            + TABLE_HEADER_BYTES
-            + FIELD_LEN_BYTES
+            + 3 * FIELD_LEN_BYTES
+            + header
             + ENCODED_KEY_BYTES
-            + self.num_groups * self.table_size * (FIELD_LEN_BYTES + self.entry_len)
+            + self.num_groups * self.table_size * self.entry_len
         )
 
     @property
     def response_bytes(self) -> int:
         """Serialized :class:`~repro.core.messages.LblAccessResponse`:
-        tag + one opened label field per group."""
-        return TAG_BYTES + self.num_groups * (FIELD_LEN_BYTES + self.label_len)
+        tag + label width + ``G`` opened labels back to back."""
+        return TAG_BYTES + LABEL_LEN_BYTES + self.num_groups * self.label_len
+
+    @property
+    def entry_hmacs(self) -> int:
+        """HMAC-SHA256 evaluations to build — or open — one table entry.
+
+        A §10.2 row is one pad, a counter block per 32 bytes (one while
+        ``label_len + 9 ≤ 32``); an AEAD entry is a keystream of the label's
+        width plus the tag.
+        """
+        if self.point_and_permute:
+            return -(-self.entry_len // 32)
+        return -(-self.label_len // 32) + 1
+
+    @property
+    def entry_compressions(self) -> int:
+        """SHA-256 compressions behind :attr:`entry_hmacs`.
+
+        Each entry's key is used once, so nothing of its HMAC is
+        precomputed: on top of :func:`~repro.crypto.prf.hmac_compressions`
+        (which assumes keyed states) every evaluation pays the padded-key
+        block of its inner and of its outer hash — four compressions in all
+        while the message fits one block, which every message here does up
+        to 35-byte labels.  Not part of ``ops()["sha256.compressions"]``,
+        which is the PRF layer's meter.
+        """
+        once_keyed = 2
+        if self.point_and_permute:
+            message = len(b"lbl-row\0") + ROW_NONCE_BYTES + 4
+            return self.entry_hmacs * (hmac_compressions(message) + once_keyed)
+        keystream = len(b"aead-enc") + 12 + 4
+        tag = len(b"aead-mac") + 12 + self.label_len
+        return (self.entry_hmacs - 1) * (hmac_compressions(keystream) + once_keyed) + (
+            hmac_compressions(tag) + once_keyed
+        )
 
     @property
     def bytes_per_access(self) -> int:
@@ -307,7 +346,7 @@ DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_000_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Server-side calibration points for the access-window fusion term.  One
-#: designated AEAD open is a short HMAC-SHA256 (a handful of compressions),
+#: designated row open is a short HMAC-SHA256 (a handful of compressions),
 #: so a server core sustains far more opens/s than accesses/s; the
 #: per-*flush* overhead (storage round trip, dispatch, fan-out) is the part
 #: ``server_batch`` amortizes.  Calibrated against
@@ -513,8 +552,8 @@ def run_model_check(
     through a fused :meth:`~repro.core.lbl.server.LblServer.process_many`
     window shared
     with an untracked decoy request, and the tracked ledger row must still
-    equal the ``"stdlib"`` model byte-for-byte — the window-wide
-    ``open_many``'s closed-form per-row attribution is exact, not
+    equal the ``"stdlib"`` model byte-for-byte — the fused window's
+    closed-form per-row attribution of its opens is exact, not
     approximate.
 
     Returns a JSON-ready report: ``{"ok": bool, "cases": [...]}`` where
@@ -631,6 +670,8 @@ __all__ = [
     "ENCODED_KEY_BYTES",
     "AEAD_OVERHEAD_BYTES",
     "DECRYPT_INDEX_BYTES",
+    "ROW_CHECK_BYTES",
+    "ROW_NONCE_BYTES",
     "LblCostModel",
     "CapacityPlan",
     "plan_capacity",

@@ -67,7 +67,7 @@ def measured_factors(y: int, value_len: int = 16) -> OverheadFactors:
     encoded = protocol.keychain.encode_key("k")
     labels_stored = len(protocol.server.store.get(encoded))
     request, _ = protocol.proxy.prepare(Request.read("k"))
-    ciphertexts_sent = sum(len(table) for table in request.tables)
+    ciphertexts_sent = request.num_groups * request.table_size
     bits = config.value_bits
     return OverheadFactors(
         y=y,

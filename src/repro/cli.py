@@ -706,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="server-side access window size for experiments that take one "
         "(e.g. `sharded`): concurrent accesses fuse into one storage "
-        "multi-get + window-wide AEAD open + multi-put; 1 disables",
+        "multi-get + window-wide row open + multi-put; 1 disables",
     )
     run.add_argument(
         "--server-window",
@@ -806,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RATE",
-        help="sustained designated-pair AEAD opens/s per server core "
+        help="sustained designated-row opens/s per server core "
         "(planner assumption)",
     )
     plan.add_argument(

@@ -15,7 +15,7 @@ entries whenever counters move outside the normal ``ct → ct + 1`` flow
 (:meth:`~repro.core.lbl.proxy.LblProxy.force_counter` /
 :meth:`~repro.core.lbl.proxy.LblProxy.restore_counters`).
 
-Entries can additionally carry the AEAD key schedules of their labels
+Entries can additionally carry the HMAC key schedules of their labels
 (:meth:`LabelCache.attach_schedules`).  Deriving those is deferred to
 ``finalize`` — after the request is already on the wire — so a pipelined
 deployment pays for them during the network round trip instead of on the
@@ -51,8 +51,10 @@ class LabelCacheEntry:
         labels: ``num_groups`` rows of ``2^y`` candidate labels.
         offsets: Per-group point-and-permute offsets (``None`` when the
             deployment does not use point-and-permute).
-        schedules: Per-label AEAD ``(ipad_block, opad_block)`` key schedules,
-            aligned with ``labels``; attached lazily by
+        schedules: Per-label HMAC ``(ipad_block, opad_block)`` key schedules
+            as one flat list in the epoch's wire order (group-major; slot
+            ``value ^ offsets[group]`` under point-and-permute, value order
+            otherwise); attached lazily by
             :meth:`LabelCache.attach_schedules`.
         next_labels: Prefetched candidate labels of the *following* epoch
             (``counter + 1``) — the "new" side of the next access's table
@@ -64,7 +66,7 @@ class LabelCacheEntry:
 
     labels: list[list[bytes]]
     offsets: list[int] | None = None
-    schedules: list[list[tuple[bytes, bytes]]] | None = field(default=None)
+    schedules: list[tuple[bytes, bytes]] | None = field(default=None)
     next_labels: list[list[bytes]] | None = field(default=None)
     next_offsets: list[int] | None = field(default=None)
 
@@ -94,7 +96,7 @@ class LabelCache:
         """Approximate in-memory size of one cached epoch.
 
         Counts the epoch's labels, the prefetched next-epoch labels, their
-        AEAD key schedules (two 64-byte pad blocks each), and a 44-byte
+        HMAC key schedules (two 64-byte pad blocks each), and a 44-byte
         per-label allowance for the ``bytes``/``list`` object overhead the
         payload sizes do not show.
         """
@@ -162,12 +164,13 @@ class LabelCache:
             REGISTRY.gauge("lbl.proxy.label_cache.occupancy").set(occupancy)
 
     def attach_schedules(self, key: str, counter: int) -> bool:
-        """Precompute AEAD key schedules for a cached epoch's labels.
+        """Precompute HMAC key schedules for a cached epoch's labels.
 
         Returns True if an entry was found and (now) carries schedules.
         Called from ``finalize`` so the derivation happens off the
         request-build critical path; the next access's table encryption then
-        skips its per-entry key schedule entirely.
+        skips its per-entry key schedule — and, the list being in wire
+        order already, its per-group reordering of the keys — entirely.
         """
         with self._lock:
             entry = self._entries.get((key, counter))
@@ -175,7 +178,12 @@ class LabelCache:
             return False
         if entry.schedules is None:
             derive = aead.key_schedule
-            entry.schedules = [[derive(label) for label in row] for row in entry.labels]
+            slots = range(len(entry.labels[0]))
+            entry.schedules = [
+                derive(row[slot ^ offset])
+                for row, offset in zip(entry.labels, entry.offsets or [0] * len(entry.labels))
+                for slot in slots
+            ]
         return True
 
     def attach_prefetch(

@@ -9,8 +9,8 @@ Per access to key ``k`` with counter ``ct`` the proxy:
 3. builds, per group, a table of ``2^y`` ciphertexts: for reads each old
    label encrypts its *own* new label (value preserved); for writes every
    old label encrypts the new label of the *written* group value;
-4. shuffles each table (base protocol) or places entries at
-   point-and-permute slots (§10.2) so position leaks nothing;
+4. shuffles each table (base protocol) or builds it in point-and-permute
+   slot order (§10.2) so position leaks nothing;
 5. bumps the access counter — the only per-object state the proxy keeps
    (§5.3.1: 8 bytes per object).
 
@@ -26,25 +26,28 @@ Labels and offsets have one definition, in
 
 * the **batched kernel path** (default) derives whole epochs through
   :meth:`~repro.crypto.labels.LabelCodec.labels_for_groups` and encrypts the
-  whole table through :func:`~repro.crypto.aead.encrypt_many`, optionally
-  reusing a previous access's labels from the
+  whole table in one kernel call — :func:`~repro.crypto.rows.seal_rows`
+  under point-and-permute, whose output *is* the request's slab, or
+  :func:`~repro.crypto.aead.encrypt_many` for the base protocol —
+  optionally reusing a previous access's labels from the
   :class:`~repro.core.lbl.cache.LabelCache`;
 * the **scalar path** (``batched=False``) issues one PRF/AEAD call per label
   and table entry.  It is kept as the benchmark baseline and as an
   equivalence oracle — both paths produce tables that open to
   byte-identical labels.
-
 """
 
 from __future__ import annotations
 
 import random
+import secrets
 from collections import OrderedDict
+from operator import add, itemgetter
 
 from repro.core.base import OpCounts
 from repro.core.lbl.cache import DEFAULT_LABEL_CACHE_BYTES, LabelCache, LabelCacheEntry
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredLabel, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
@@ -55,8 +58,8 @@ from repro.obs.trace import TRACER
 from repro.types import Request, StoreConfig
 
 #: Width of the serialized point-and-permute slot index appended to each
-#: encrypted payload.  The paper uses 2 bits; a whole byte keeps framing
-#: simple and supports y up to 8.
+#: row payload.  The paper uses 2 bits; a whole byte keeps framing simple
+#: and supports y up to 8 (``StoreConfig`` rejects more).
 DECRYPT_INDEX_BYTES = 1
 
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs).
@@ -69,8 +72,8 @@ DECRYPT_INDEX_BYTES = 1
 #: falls out and its ``finalize`` re-derives what ``prepare`` had kept.
 _INFLIGHT_TABLE_BYTES = 16 * 1024 * 1024
 
-#: Single-byte payload suffixes, pre-built so the table loop does not
-#: construct a fresh one-byte ``bytes`` object per entry.
+#: Single-byte slot suffixes, pre-built so the table loop does not
+#: construct a fresh one-byte ``bytes`` object per row.
 _BYTE = [bytes((v,)) for v in range(256)]
 
 
@@ -121,6 +124,17 @@ class LblProxy:
         self._epoch_prf = self.codec.label_calls + (
             self.codec.offset_calls if config.point_and_permute else 0
         )
+        if config.point_and_permute:
+            # Slot ``s`` of a group whose permute offset is ``r`` belongs to
+            # value ``s ^ r``.  Per offset: a C-level getter that picks a
+            # group's labels in slot order, and the slot suffixes ``s ^ r``.
+            size = self.codec.table_size
+            self._in_slot_order = [
+                itemgetter(*(slot ^ r for slot in range(size))) for r in range(size)
+            ]
+            self._slot_bytes = [
+                [_BYTE[slot ^ r] for slot in range(size)] for r in range(size)
+            ]
         # (key, epoch) -> candidate label table, oldest first.  Every
         # mutation is one OrderedDict operation (atomic under the GIL), so
         # callers that serialize per key need no further lock.
@@ -315,20 +329,36 @@ class LblProxy:
                 new_offsets = codec.permute_offsets(key, new_ct)
             prf_count += epoch_prf
 
-        # Flatten the whole table build into one encrypt_many call: entry
-        # (index, value) encrypts payload(value) under
-        # old_labels[index][value].
-        flat_keys, flat_payloads = self._flat_table_inputs(
-            old_labels, new_labels, new_offsets, new_value, request.op.is_read
-        )
-        flat_schedules = None
-        if old_schedules is not None:
-            flat_schedules = [pair for row in old_schedules for pair in row]
-        ciphertexts = aead.encrypt_many(
-            flat_keys, flat_payloads, schedules=flat_schedules
-        )
-        enc_count = len(ciphertexts)
-        tables = self._assemble_tables(ciphertexts, old_offsets)
+        # One kernel call encrypts the whole table.
+        encoded_key = self.keychain.encode_key(key)
+        if point_and_permute:
+            keys, payloads = self._row_inputs(
+                old_labels if old_schedules is None else None,
+                old_offsets, new_labels, new_offsets, new_value,
+            )
+            nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
+            slab = rows.seal_rows(keys, payloads, nonce, schedules=old_schedules)
+            enc_count = len(payloads)
+            wire = LblAccessRequest(
+                encoded_key, slab, codec.table_size, len(slab) // enc_count, nonce
+            )
+        else:
+            flat_keys = [label for row in old_labels for label in row]
+            if new_value is None:
+                flat_payloads = [label for row in new_labels for label in row]
+            else:
+                flat_payloads = [
+                    row[target]
+                    for row, target in zip(new_labels, new_value)
+                    for _ in row
+                ]
+            ciphertexts = aead.encrypt_many(
+                flat_keys, flat_payloads, schedules=old_schedules
+            )
+            enc_count = len(ciphertexts)
+            wire = LblAccessRequest.from_tables(
+                encoded_key, self._assemble_tables(ciphertexts)
+            )
 
         if self.label_cache is not None:
             self.label_cache.put(
@@ -340,73 +370,51 @@ class LblProxy:
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
         self._emit_prepare_span(span, request, prf_count + 1, enc_count, cache_hit)
-        return (
-            LblAccessRequest(self.keychain.encode_key(key), tuple(tables)),
-            ops,
-        )
+        return wire, ops
 
-    def _flat_table_inputs(
+    def _row_inputs(
         self,
-        old_labels: "list[list[bytes]]",
+        old_labels: "list[list[bytes]] | None",
+        old_offsets: "list[int]",
         new_labels: "list[list[bytes]]",
-        new_offsets: "list[int] | None",
-        new_value: "list[int] | None",
-        is_read: bool,
-    ) -> "tuple[list[bytes], list[bytes]]":
-        """Flat ``(keys, payloads)`` for one access's whole-table encrypt.
+        new_offsets: "list[int]",
+        new_value: "tuple[int, ...] | None",
+    ) -> "tuple[list[bytes] | None, list[bytes]]":
+        """``(keys, payloads)`` of one access's point-and-permute rows,
+        already in wire order (group-major, slot-minor).
 
-        Entry ``(index, value)`` encrypts ``payload(value)`` under
-        ``old_labels[index][value]`` — reads carry each value's own new
-        label, writes repeat the written value's label across the row, and
-        point-and-permute payloads append the permuted slot byte.
+        Slot ``s`` of group ``i`` is keyed by the old label of value
+        ``v = s ^ old_offsets[i]`` and carries the new label ``v`` maps to —
+        its own for a read (``new_value is None``), the written value's for a
+        write — followed by that label's slot byte in the next epoch.
+        ``old_labels`` is ``None`` (and so is ``keys``) when the caller holds
+        the old epoch's key schedules, which are in wire order already.
         """
+        in_slot_order = self._in_slot_order
+        slot_bytes = self._slot_bytes
         table_size = self.codec.table_size
-        point_and_permute = self.config.point_and_permute
-        flat_keys: list[bytes] = []
-        flat_payloads: list[bytes] = []
-        for index in range(self.codec.num_groups):
-            old_row = old_labels[index]
+        keys: "list[bytes] | None" = None if old_labels is None else []
+        payloads: list[bytes] = []
+        for index, offset in enumerate(old_offsets):
+            order = in_slot_order[offset]
+            if keys is not None:
+                keys += order(old_labels[index])  # type: ignore[index]
             new_row = new_labels[index]
-            flat_keys += old_row
-            if point_and_permute:
-                next_offset = new_offsets[index]  # type: ignore[index]
-                if is_read:
-                    flat_payloads += [
-                        new_row[value] + _BYTE[value ^ next_offset]
-                        for value in range(table_size)
-                    ]
-                else:
-                    target = new_value[index]  # type: ignore[index]
-                    payload = new_row[target] + _BYTE[target ^ next_offset]
-                    flat_payloads += [payload] * table_size
+            next_offset = new_offsets[index]
+            if new_value is None:
+                payloads += map(add, order(new_row), slot_bytes[offset ^ next_offset])
             else:
-                if is_read:
-                    flat_payloads += new_row
-                else:
-                    flat_payloads += [new_row[new_value[index]]] * table_size  # type: ignore[index]
-        return flat_keys, flat_payloads
+                target = new_value[index]
+                payloads += [new_row[target] + _BYTE[target ^ next_offset]] * table_size
+        return keys, payloads
 
-    def _assemble_tables(
-        self, ciphertexts: "list[bytes]", old_offsets: "list[int] | None"
-    ) -> "list[tuple[bytes, ...]]":
-        """Place one access's ciphertexts into per-group tables.
-
-        Point-and-permute entries land at ``value ^ offset``; base-protocol
-        tables are shuffled so position leaks nothing.
-        """
-        table_size = self.codec.table_size
-        tables: list[tuple[bytes, ...]] = []
-        for index in range(self.codec.num_groups):
-            chunk = ciphertexts[index * table_size : (index + 1) * table_size]
-            if self.config.point_and_permute:
-                offset = old_offsets[index]  # type: ignore[index]
-                entries: list[bytes] = [b""] * table_size
-                for value in range(table_size):
-                    entries[value ^ offset] = chunk[value]
-            else:
-                entries = chunk
-                self._rng.shuffle(entries)
-            tables.append(tuple(entries))
+    def _assemble_tables(self, ciphertexts: "list[bytes]") -> "list[list[bytes]]":
+        """One base-protocol access's ciphertexts as per-group tables,
+        shuffled so position leaks nothing."""
+        size = self.codec.table_size
+        tables = [ciphertexts[i : i + size] for i in range(0, len(ciphertexts), size)]
+        for table in tables:
+            self._rng.shuffle(table)
         return tables
 
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
@@ -429,16 +437,18 @@ class LblProxy:
 
         prf_count = 0
         enc_count = 0
-        tables: list[tuple[bytes, ...]] = []
+        tables: list[list[bytes]] = []
         new_table: list[list[bytes]] = []
+        pnp = self.config.point_and_permute
+        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN) if pnp else b""
         for index in range(self.codec.num_groups):
             old_labels = self.codec.labels_for_group(key, index, ct)
             new_labels = self.codec.labels_for_group(key, index, new_ct)
             new_table.append(new_labels)
             prf_count += 2 * self.codec.scalar_group_calls
 
-            entries: list[bytes | None] = [None] * table_size
-            if self.config.point_and_permute:
+            entries: list[bytes] = [b""] * table_size
+            if pnp:
                 # One permute-offset PRF call linking the old labels to
                 # slots, plus one per table entry (inside decrypt_index) for
                 # the next access's slot carried in the payload.
@@ -449,8 +459,9 @@ class LblProxy:
                     payload = new_labels[target] + bytes(
                         [self.codec.decrypt_index(key, index, target, new_ct)]
                     )
-                    slot = value ^ offset_old
-                    entries[slot] = aead.encrypt(old_labels[value], payload)
+                    entries[value ^ offset_old] = rows.seal_row(
+                        old_labels[value], payload, nonce
+                    )
                     enc_count += 1
             else:
                 for value in range(table_size):
@@ -458,14 +469,14 @@ class LblProxy:
                     entries[value] = aead.encrypt(old_labels[value], new_labels[target])
                     enc_count += 1
                 self._rng.shuffle(entries)
-            tables.append(tuple(entries))  # type: ignore[arg-type]
+            tables.append(entries)
 
         self._remember_epoch(key, new_ct, new_table)
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
         self._emit_prepare_span(span, request, prf_count + 1, enc_count, False)
         return (
-            LblAccessRequest(self.keychain.encode_key(key), tuple(tables)),
+            LblAccessRequest.from_tables(self.keychain.encode_key(key), tables, nonce),
             ops,
         )
 
@@ -490,7 +501,7 @@ class LblProxy:
         is no longer there (recovery, rollback, eviction) is taken from the
         label cache if that still holds it and re-derived otherwise.
         When the label cache holds the epoch, its entry is enriched with
-        (a) precomputed AEAD key schedules so the *next* access's table
+        (a) precomputed HMAC key schedules so the *next* access's table
         encryption skips its per-entry key derivation and (b) the prefetched
         next-epoch labels/offsets so the next access skips label derivation
         entirely — both after the request already left the proxy, i.e. off

@@ -8,9 +8,12 @@ either:
   authenticated encryption guarantees exactly one opens (the one keyed by
   its stored label), and
 
-* **point-and-permute** — decrypts only the slot its stored index names,
-  halving (for y=1; quartering for y=2) server computation, exactly the
-  §10.2 optimization.
+* **point-and-permute** — slices only the row its stored index names out
+  of the request's slab and opens it with one HMAC
+  (:func:`repro.crypto.rows.open_rows`), halving (for y=1; quartering for
+  y=2) server computation, exactly the §10.2 optimization.  A row whose
+  check bytes do not open to zero — a stale epoch, a wrong nonce — refuses
+  the request before anything is committed.
 
 Either way the decrypted payload becomes the group's new stored label, so
 *every* access rewrites storage — the server cannot distinguish a read from
@@ -21,7 +24,7 @@ serves a *window* of requests — a lone access frame is a window of one
 (:meth:`LblServer.process`), a batch frame is a window, and the server-side
 access coalescer (:mod:`repro.core.lbl.server_coalesce`) hands it the
 windows it forms — as exactly one storage multi-get, one window-wide
-:func:`repro.crypto.aead.open_many` (base-protocol requests scan their
+:func:`repro.crypto.rows.open_rows` (base-protocol requests scan their
 tables in the same pass), and one multi-put of the rotated labels, with
 per-request error isolation and byte-exact ledger attribution.  There is no
 second path to keep byte-identical: what the obliviousness audit observes
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead
+from repro.crypto import aead, rows as row_kernel
 from repro.crypto.labels import StoredLabel
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
 from repro.obs import _state as _obs
@@ -111,11 +114,9 @@ class LblServer:
             # lets the auditor pair spans with requests even when a
             # worker pool processes them out of submission order.
             key_fingerprint=request.encoded_key.hex()[:16],
-            groups=len(request.tables),
-            table_entries=sum(len(table) for table in request.tables),
-            ciphertext_bytes=sum(
-                len(entry) for table in request.tables for entry in table
-            ),
+            groups=request.num_groups,
+            table_entries=request.num_groups * request.table_size,
+            ciphertext_bytes=len(request.slab),
             decrypt_attempts=decrypts,
             failed_decrypts=failed,
             opened_labels=opened,
@@ -159,8 +160,8 @@ class LblServer:
         isolation, so one corrupt request cannot poison its window-mates.
 
         The window's first request per key ("front") costs exactly one
-        storage multi-get, one window-wide :func:`repro.crypto.aead.open_many`
-        over every request's designated pairs (point-and-permute; the base
+        storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`
+        over every request's designated rows (point-and-permute; the base
         protocol scans each table with ``open_any`` in the same pass), and
         one multi-put of the rotated labels.  The second and later requests
         for one key ("tail") consume the labels their predecessor installs,
@@ -215,8 +216,8 @@ class LblServer:
                     self._emit_telemetry(spans[index], request, error=exc)
 
         # Gather: validate each front request against its stored labels and,
-        # under point-and-permute, collect its designated (label, ciphertext)
-        # pairs into the window-wide open.
+        # under point-and-permute, slice its designated rows — the only
+        # entries of its slab ever touched — into the window-wide open.
         stored_lists = (
             store.get_many([requests[index].encoded_key for index in front])
             if front
@@ -224,29 +225,35 @@ class LblServer:
         )
         opening: list[tuple[int, list[StoredLabel], int]] = []
         pair_keys: list[bytes] = []
-        pair_cts: list[bytes] = []
+        pair_rows: list[bytes] = []
+        nonce_runs: list[tuple[bytes, int]] = []
         for index, stored in zip(front, stored_lists):
-            tables = requests[index].tables
+            request = requests[index]
             start = len(pair_keys)
             try:
-                if len(tables) != len(stored):
+                if request.num_groups != len(stored):
                     raise ProtocolError(
-                        f"table count {len(tables)} != stored groups {len(stored)}"
+                        f"table count {request.num_groups} != stored groups "
+                        f"{len(stored)}"
                     )
                 if point_and_permute:
-                    for group_index, (table, current) in enumerate(zip(tables, stored)):
+                    slab, table_size = request.slab, request.table_size
+                    entry_len = request.entry_len
+                    for group_index, current in enumerate(stored):
                         slot = current.decrypt_index
-                        if slot is None or slot >= len(table):
+                        if slot is None or slot >= table_size:
                             raise ProtocolError(
                                 f"bad decrypt index at group {group_index}"
                             )
+                        at = (group_index * table_size + slot) * entry_len
                         pair_keys.append(current.label)
-                        pair_cts.append(table[slot])
+                        pair_rows.append(slab[at : at + entry_len])
+                    nonce_runs.append((request.nonce, len(stored)))
             except OrtoaError as exc:
-                del pair_keys[start:], pair_cts[start:]
+                del pair_keys[start:], pair_rows[start:]
                 results[index] = exc
                 if capture:
-                    self._emit_telemetry(spans[index], requests[index], error=exc)
+                    self._emit_telemetry(spans[index], request, error=exc)
                 continue
             opening.append((index, stored, start))
 
@@ -257,7 +264,7 @@ class LblServer:
         committed: list[tuple[int, int, int, int]] = []
         token = _ledger.activate(None) if capture else None
         try:
-            payloads = aead.open_many(pair_keys, pair_cts) if pair_keys else []
+            payloads = row_kernel.open_rows(pair_keys, pair_rows, nonce_runs)
             for index, stored, start in opening:
                 request = requests[index]
                 decrypts = failed = 0
@@ -266,7 +273,7 @@ class LblServer:
                 error: OrtoaError | None = None
                 try:
                     if point_and_permute:
-                        # Every designated pair was attempted, whatever this
+                        # Every designated row was attempted, whatever this
                         # request's window-mates (or its own other groups) did.
                         segment = payloads[start : start + len(stored)]
                         decrypts = len(segment)

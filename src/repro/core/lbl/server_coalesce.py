@@ -1,8 +1,8 @@
 """Server-side access window fusion for LBL-ORTOA.
 
-The point-and-permute server (§10.2) opens exactly one designated AEAD
-entry per group, so a small-value request is a handful of opens wrapped in
-per-request cost: its own ``open_many`` call, its own storage get/put and
+The point-and-permute server (§10.2) opens exactly one designated row
+per group, so a small-value request is a handful of opens wrapped in
+per-request cost: its own ``open_rows`` call, its own storage get/put and
 its own bookkeeping.
 :class:`ServerAccessCoalescer` puts the shared
 :class:`~repro.core.lbl.window.CoalescingWindow` in front of the server:
@@ -10,10 +10,10 @@ concurrent in-flight access requests arriving at the frame dispatcher
 enqueue into one bounded window, and the flush hands the whole window to
 :meth:`~repro.core.lbl.server.LblServer.process_many` — the same single
 access path a lone frame or a batch frame takes, just wider: one storage
-multi-get, one window-wide ``aead.open_many`` over every request's
-designated pairs, one multi-put of rotated labels — then fans each response
+multi-get, one window-wide ``rows.open_rows`` over every request's
+designated rows, one multi-put of rotated labels — then fans each response
 back to its caller.  The opens themselves cost the same; the per-call
-overhead and the storage access pair are paid once per window (1.4x at 8
+overhead and the storage access pair are paid once per window (2x at 8
 one-group requests, ``benchmarks/test_server_fusion.py``).
 
 The window mechanics (leader/follower blocking half for the threaded

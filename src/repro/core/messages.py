@@ -4,7 +4,9 @@ Communication volume is a first-class quantity in the paper (LBL-ORTOA's
 ``2·E_len·t`` bits per access drives Figures 3b–3d), so every message here
 serializes to real bytes and experiments measure ``len(to_bytes())`` rather
 than trusting an analytic formula.  Framing is minimal and explicit: a
-1-byte message tag followed by 4-byte big-endian length-prefixed fields.
+1-byte message tag followed by 4-byte big-endian length-prefixed fields;
+the LBL table and its reply, whose entries all have one width, are a
+fixed-width slab behind a shape header instead of a field per entry.
 """
 
 from __future__ import annotations
@@ -172,62 +174,114 @@ class TeeAccessResponse:
 @dataclass(frozen=True, slots=True)
 class LblAccessRequest:
     """§5.2 step 1.5: the encoded key plus, per label group, a table of
-    ``2^y`` ciphertexts (shuffled, or slot-linked under point-and-permute).
+    ``2^y`` entries (shuffled, or slot-linked under point-and-permute).
 
-    The flat field list is ``[encoded_key, n0_ct0, n0_ct1, ..., n1_ct0, ...]``
-    — every group contributes exactly ``table_size`` ciphertexts of equal
-    length, so the framing stays self-describing.
+    Every entry has the same width, so the tables travel as one **slab** —
+    ``num_groups · table_size`` entries of ``entry_len`` bytes, group-major —
+    behind a header that states the shape (three length-prefixed fields)::
+
+        tag ‖ [table_size u16 ‖ entry_len u16 ‖ nonce] ‖ encoded_key ‖ slab
+
+    ``nonce`` is the request nonce of point-and-permute rows
+    (:mod:`repro.crypto.rows`), empty in the base protocol.  A receiver
+    slices only the entries it needs; :attr:`tables` slices them all.
     """
 
     encoded_key: bytes
-    tables: tuple[tuple[bytes, ...], ...]
+    slab: bytes
+    table_size: int
+    entry_len: int
+    nonce: bytes = b""
     TAG = 0x20
+
+    def __post_init__(self) -> None:
+        if not (0 < self.table_size < 1 << 16 and 0 < self.entry_len < 1 << 16):
+            raise ProtocolError("LBL request table shape is out of range")
+        if not self.slab or len(self.slab) % (self.table_size * self.entry_len):
+            raise ProtocolError(
+                "LBL request slab is not a whole number of group tables"
+            )
+
+    @classmethod
+    def from_tables(
+        cls,
+        encoded_key: bytes,
+        tables: "tuple[tuple[bytes, ...], ...] | list",
+        nonce: bytes = b"",
+    ) -> "LblAccessRequest":
+        """Build the slab from per-group entry tuples of one common shape."""
+        if not tables or not tables[0]:
+            raise ProtocolError("LBL request needs at least one group table")
+        table_size = len(tables[0])
+        entry_len = len(tables[0][0])
+        entries = [entry for table in tables for entry in table]
+        if set(map(len, tables)) != {table_size}:
+            raise ProtocolError("all group tables must have equal size")
+        if set(map(len, entries)) != {entry_len}:
+            raise ProtocolError("all table entries must have equal length")
+        return cls(encoded_key, b"".join(entries), table_size, entry_len, nonce)
+
+    @property
+    def num_groups(self) -> int:
+        """How many group tables the slab holds."""
+        return len(self.slab) // (self.table_size * self.entry_len)
+
+    @property
+    def tables(self) -> tuple[tuple[bytes, ...], ...]:
+        """The slab sliced into per-group entry tuples (built on each use)."""
+        slab, width, size = self.slab, self.entry_len, self.table_size
+        entries = [slab[i : i + width] for i in range(0, len(slab), width)]
+        return tuple(tuple(entries[i : i + size]) for i in range(0, len(entries), size))
 
     def to_bytes(self) -> bytes:
         """Serialize to the tagged, length-prefixed wire form."""
-        if not self.tables:
-            raise ProtocolError("LBL request needs at least one group table")
-        table_size = len(self.tables[0])
-        if any(len(t) != table_size for t in self.tables):
-            raise ProtocolError("all group tables must have equal size")
-        header = bytes([table_size])
-        fields = [self.encoded_key] + [ct for table in self.tables for ct in table]
-        return _pack_fields(self.TAG, [header] + fields)
+        shape = (self.table_size << 16 | self.entry_len).to_bytes(4, "big")
+        return _pack_fields(self.TAG, [shape + self.nonce, self.encoded_key, self.slab])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LblAccessRequest":
-        """Parse the wire form; raises ProtocolError when malformed."""
-        fields = _unpack_fields(data, cls.TAG)
-        if len(fields) < 2:
-            raise ProtocolError("LBL request missing fields")
-        if len(fields[0]) != 1:
-            raise ProtocolError("LBL request header must be a single byte")
-        table_size = fields[0][0]
-        encoded_key = fields[1]
-        cts = fields[2:]
-        if table_size == 0 or len(cts) % table_size != 0:
-            raise ProtocolError("LBL request table shape is inconsistent")
-        tables = tuple(
-            tuple(cts[i:i + table_size]) for i in range(0, len(cts), table_size)
-        )
-        return cls(encoded_key, tables)
+        """Parse the wire form; raises ProtocolError when malformed (a
+        per-field frame of the pre-slab format included)."""
+        header, encoded_key, slab = _unpack_exactly(data, cls.TAG, 3)
+        if len(header) < 4:
+            raise ProtocolError("LBL request header must state the table shape")
+        shape = int.from_bytes(header[:4], "big")
+        return cls(encoded_key, slab, shape >> 16, shape & 0xFFFF, header[4:])
 
 
 @dataclass(frozen=True, slots=True)
 class LblAccessResponse:
-    """§5.2 step 2.2: the one successfully decrypted label per group."""
+    """§5.2 step 2.2: the one successfully decrypted label per group, as
+    ``tag ‖ label_len u16 ‖ num_groups · label_len bytes``."""
 
     opened_labels: tuple[bytes, ...]
     TAG = 0x21
 
     def to_bytes(self) -> bytes:
-        """Serialize to the tagged, length-prefixed wire form."""
-        return _pack_fields(self.TAG, list(self.opened_labels))
+        """Serialize to the tagged fixed-width wire form."""
+        labels = self.opened_labels
+        label_len = len(labels[0]) if labels else 0
+        if labels and (
+            not 0 < label_len < 1 << 16 or set(map(len, labels)) != {label_len}
+        ):
+            raise ProtocolError("opened labels must share one length of 1..65535 bytes")
+        return bytes([self.TAG]) + label_len.to_bytes(2, "big") + b"".join(labels)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LblAccessResponse":
         """Parse the wire form; raises ProtocolError when malformed."""
-        return cls(tuple(_unpack_fields(data, cls.TAG)))
+        if len(data) < 3 or data[0] != cls.TAG:
+            raise ProtocolError(f"bad message tag: expected {cls.TAG}, got {data[:1]!r}")
+        label_len = int.from_bytes(data[1:3], "big")
+        if label_len == 0:
+            if len(data) != 3:
+                raise ProtocolError("LBL response states no label length")
+            return cls(())
+        if (len(data) - 3) % label_len:
+            raise ProtocolError("LBL response is not a whole number of labels")
+        return cls(
+            tuple([data[i : i + label_len] for i in range(3, len(data), label_len)])
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,16 +22,14 @@ For ORTOA's label encryption the key (a fresh PRF label) is used at most once
 per direction, but a random nonce is included anyway so the primitive is safe
 under key reuse by other callers (e.g. the TEE variant's value encryption).
 
-Batch entry points serve the two hot loops of the LBL protocol:
-:func:`encrypt_many` builds a proxy's whole ciphertext table with nonce
-generation and per-entry setup hoisted out of the loop, and :func:`open_any`
-runs the server's try-every-entry scan computing the stored label's key
-schedule exactly once.  Both are byte-compatible with the scalar functions
-(the golden-vector tests pin the exact ciphertext bytes for fixed nonces).
-
-Every entry point, scalar or batch, has one body and hashes with
-``hashlib``; :func:`open_many` is the batch open of the point-and-permute
-server, held to :func:`try_decrypt` by the same properties.
+Batch entry points serve the two hot loops of the *base* LBL protocol
+(point-and-permute entries are the one-HMAC rows of
+:mod:`repro.crypto.rows`, not AEAD ciphertexts): :func:`encrypt_many` builds
+a whole ciphertext table with nonce generation and per-entry setup hoisted
+out of the loop, and :func:`open_any` runs the server's try-every-entry scan
+computing the stored label's key schedule once.  Both are byte-compatible
+with the scalar functions (golden-vector pinned); every entry point has one
+body and hashes with ``hashlib``.
 
 HMAC is evaluated in its explicit RFC 2104 form — ``sha256(k_opad ||
 sha256(k_ipad || msg))`` with the padded keys produced by a C-speed
@@ -328,86 +326,17 @@ def open_many(
     keys: "list[bytes] | tuple[bytes, ...]",
     ciphertexts: "list[bytes] | tuple[bytes, ...]",
 ) -> "list[bytes | None]":
-    """Open ``ciphertexts[i]`` under ``keys[i]`` for every ``i``, batched.
+    """Open ``ciphertexts[i]`` under ``keys[i]`` for every ``i``: ``None``
+    exactly where :func:`try_decrypt` returns it, same failure counts.
 
-    The point-and-permute LBL server knows the designated slot per group, so
-    its loop is one ``(label, ciphertext)`` pair per group rather than a
-    scan.  This fuses the per-pair key schedule, tag check, and keystream
-    into one pass and returns ``None`` exactly where a sequential
-    :func:`try_decrypt` would — same verdicts, same failure counts.
+    This was the point-and-permute server's fused open until
+    :mod:`repro.crypto.rows` replaced the §10.2 entry; nothing in the program
+    calls it now.  It stays — as the plain loop it was always held equal to —
+    because ``bench/micro.py`` still times it (ROADMAP item 3(e)).
     """
-    n = len(keys)
-    if len(ciphertexts) != n:
-        raise ConfigurationError(f"{n} keys for {len(ciphertexts)} ciphertexts")
-    compare = hmac.compare_digest
-    out: "list[bytes | None]" = []
-    append = out.append
-    failures = 0
-    opened = 0
-    min_len = NONCE_LEN + TAG_LEN
-    sha = _DIGEST
-    ipad_trans = _IPAD_TRANS
-    opad_trans = _OPAD_TRANS
-    mac_domain = _MAC_DOMAIN
-    enc_domain = _ENC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    digest_bytes = _DIGEST_BYTES
-    from_bytes = int.from_bytes
-    block = _BLOCK
-    for key, ciphertext in zip(keys, ciphertexts):
-        if len(key) < 16:
-            raise ConfigurationError("AEAD key must be at least 16 bytes")
-        if len(ciphertext) < min_len:
-            append(None)
-            failures += 1
-            continue
-        padded = (key if len(key) <= block else sha(key).digest()).ljust(
-            block, b"\x00"
-        )
-        ipad = padded.translate(ipad_trans)
-        opad = padded.translate(opad_trans)
-        body_end = len(ciphertext) - TAG_LEN
-        expected = sha(
-            opad + sha(ipad + mac_domain + ciphertext[:body_end]).digest()
-        ).digest()
-        if compare(ciphertext[body_end:], expected[:TAG_LEN]):
-            body = ciphertext[NONCE_LEN:body_end]
-            body_len = body_end - NONCE_LEN
-            if 0 < body_len <= digest_bytes:
-                # Inlined one-block keystream (every LBL label payload):
-                # byte-identical to ``_xor(body, _keystream(...))`` without
-                # two function calls per opened pair.
-                stream = sha(
-                    opad
-                    + sha(
-                        ipad + enc_domain + ciphertext[:NONCE_LEN] + zero_ctr
-                    ).digest()
-                ).digest()
-                append(
-                    (
-                        from_bytes(body, "big")
-                        ^ from_bytes(stream[:body_len], "big")
-                    ).to_bytes(body_len, "big")
-                )
-            else:
-                append(
-                    _xor(
-                        body,
-                        _keystream(ipad, opad, ciphertext[:NONCE_LEN], body_len),
-                    )
-                )
-            opened += 1
-        else:
-            append(None)
-            failures += 1
-    if _obs.enabled:
-        if failures:
-            REGISTRY.counter("crypto.aead.decrypt_failures").inc(failures)
-            _ledger.add_op("aead.decrypt_failures", failures)
-        if opened:
-            REGISTRY.counter("crypto.aead.decrypts").inc(opened)
-            _ledger.add_op("aead.decrypts", opened)
-    return out
+    if len(ciphertexts) != len(keys):
+        raise ConfigurationError(f"{len(keys)} keys for {len(ciphertexts)} ciphertexts")
+    return [try_decrypt(key, ct) for key, ct in zip(keys, ciphertexts)]
 
 
 __all__ = [

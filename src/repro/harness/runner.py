@@ -173,6 +173,13 @@ def _profile_protocol(
     protocol = spec.build_protocol()
     records = {f"profile-{i}": bytes(spec.value_len) for i in range(_PROFILE_KEYS)}
     protocol.initialize(records)
+    # The LBL variants travel at the cost model's message sizes when it
+    # states any (the paper's entry format under ``paper_like``).
+    modelled = (
+        cost_model.lbl_round_trip(protocol.config)
+        if isinstance(protocol, LblOrtoa)
+        else None
+    )
     profiles: dict[Operation, _RequestProfile] = {}
     for op in (Operation.READ, Operation.WRITE):
         transcripts: list[AccessTranscript] = []
@@ -195,13 +202,20 @@ def _profile_protocol(
             )
             for idx, phase in enumerate(first.phases)
         )
-        round_trips = tuple(
-            (
-                sum(t.round_trips[i].request_bytes for t in transcripts) / len(transcripts),
-                sum(t.round_trips[i].response_bytes for t in transcripts) / len(transcripts),
+        if modelled is not None:
+            round_trips: tuple[tuple[float, float], ...] = (
+                (float(modelled.request_bytes), float(modelled.response_bytes)),
             )
-            for i in range(first.num_rounds)
-        )
+        else:
+            round_trips = tuple(
+                (
+                    sum(t.round_trips[i].request_bytes for t in transcripts)
+                    / len(transcripts),
+                    sum(t.round_trips[i].response_bytes for t in transcripts)
+                    / len(transcripts),
+                )
+                for i in range(first.num_rounds)
+            )
         profiles[op] = _RequestProfile(phases, round_trips)
     return profiles
 

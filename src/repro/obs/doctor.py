@@ -19,7 +19,7 @@ Attribution taxonomy (the five ways the stack saturates):
 * **crypto** — the proxy's table builds dominate the latency budget.
 * **server** — the untrusted store's fused access windows are the
   constraint: ``server_batch > 1`` windows consistently flush full on
-  size, meaning requests queue faster than fused ``open_many`` dispatches
+  size, meaning requests queue faster than fused ``open_rows`` dispatches
   drain them — the deployment is server-open-bound.
 * **wire** — neither side is busy yet round trips dwarf service time:
   the network (or a slow consumer) holds the latency.
@@ -122,7 +122,7 @@ def _score_crypto(signal: Mapping[str, Any]) -> float:
 def _score_server(signal: Mapping[str, Any]) -> float:
     # A high server window fill means fused access windows consistently
     # close on size before their timer: arrivals outpace flush drains and
-    # the untrusted store's open_many dispatch is the convergence point.
+    # the untrusted store's open_rows dispatch is the convergence point.
     fill = signal.get("server_window_fill") or 0.0
     return min(fill / WINDOW_FILL_SATURATED, 1.0)
 

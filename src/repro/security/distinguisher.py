@@ -19,6 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.messages import LblAccessRequest
+from repro.errors import ProtocolError
+
 
 def shape_fingerprint(messages: Sequence[bytes]) -> tuple[tuple[int, int], ...]:
     """A deterministic summary of an output sequence: (index, size) pairs.
@@ -100,15 +103,26 @@ def make_byte_mean_adversary(cutoff: float = 127.5):
 
 
 def make_first_block_adversary():
-    """An adversary looking for repeated leading blocks across messages.
+    """An adversary looking for repeated blocks across the message sequence.
 
     Catches deterministic-nonce bugs: if re-encryptions repeat, the real
-    world shows duplicate prefixes while the simulator's random labels don't.
+    world shows duplicates while the simulator's random labels don't.  It
+    compares the messages' leading 32 bytes and — for every message that
+    parses as an LBL request — each entry of its table slab and its request
+    nonce, so a row or nonce that ever recurs gives it away.
     """
 
     def adversary(output: Sequence[bytes]) -> bool:
-        prefixes = [m[:32] for m in output if len(m) >= 32]
-        return len(set(prefixes)) < len(prefixes)
+        blocks = [m[:32] for m in output if len(m) >= 32]
+        for message in output:
+            try:
+                request = LblAccessRequest.from_bytes(message)
+            except ProtocolError:
+                continue
+            blocks += [entry for table in request.tables for entry in table]
+            if request.nonce:
+                blocks.append(request.nonce)
+        return len(set(blocks)) < len(blocks)
 
     return adversary
 

@@ -17,7 +17,7 @@ from repro.core.messages import (
     LblAccessRequest,
     TeeAccessRequest,
 )
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.crypto.fhe import FheParams, FheScheme
 from repro.types import StoreConfig
 
@@ -26,10 +26,14 @@ class LblSimulator:
     """Figure 7's Simulator, generalized to ``y``-bit groups.
 
     Keeps one random "old label" per (key, group).  Per access it samples a
-    fresh random new label, encrypts it under the stored old label, fills
-    the remaining ``2^y - 1`` table slots with encryptions of zeros under
-    *unrelated* random labels (the server can't open them, so their content
-    is irrelevant), shuffles, and rotates its stored label.
+    fresh random new label and fills each group table with one entry sealed
+    under the stored old label and ``2^y - 1`` entries the server cannot
+    open (their content is irrelevant), shuffles, and rotates its stored
+    label.  Under point-and-permute the entries are
+    :mod:`repro.crypto.rows` rows — one under the stored label, the rest
+    uniformly random, behind a fresh request nonce; in the base protocol
+    they are AEAD ciphertexts, the decoys encrypting zeros under unrelated
+    random labels.
     """
 
     def __init__(self, config: StoreConfig, rng: random.Random | None = None) -> None:
@@ -49,20 +53,27 @@ class LblSimulator:
         """Produce one simulated server-bound message for an access to ``key``."""
         self._ensure_key(key)
         table_size = 1 << self.config.group_bits
-        payload_pad = DECRYPT_INDEX_BYTES if self.config.point_and_permute else 0
+        pnp = self.config.point_and_permute
+        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN) if pnp else b""
         tables = []
         for index in range(self.config.num_groups):
             old_label = self._state[key][index]
             new_label = secrets.token_bytes(self.label_len)
-            payload = new_label + secrets.token_bytes(payload_pad)
-            entries = [aead.encrypt(old_label, payload)]
-            for _ in range(table_size - 1):
-                decoy_key = secrets.token_bytes(self.label_len)
-                entries.append(aead.encrypt(decoy_key, bytes(len(payload))))
+            if pnp:
+                payload = new_label + secrets.token_bytes(DECRYPT_INDEX_BYTES)
+                entries = [rows.seal_row(old_label, payload, nonce)]
+                entries += [
+                    secrets.token_bytes(len(entries[0])) for _ in range(table_size - 1)
+                ]
+            else:
+                entries = [aead.encrypt(old_label, new_label)]
+                for _ in range(table_size - 1):
+                    decoy_key = secrets.token_bytes(self.label_len)
+                    entries.append(aead.encrypt(decoy_key, bytes(self.label_len)))
             self._rng.shuffle(entries)
-            tables.append(tuple(entries))
+            tables.append(entries)
             self._state[key][index] = new_label
-        return LblAccessRequest(self._encoded[key], tuple(tables))
+        return LblAccessRequest.from_tables(self._encoded[key], tables, nonce)
 
 
 class TeeSimulator:

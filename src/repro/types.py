@@ -106,8 +106,10 @@ class StoreConfig:
             raise ConfigurationError("value_len must be positive")
         if self.label_bits % 8 != 0 or self.label_bits <= 0:
             raise ConfigurationError("label_bits must be a positive multiple of 8")
-        if self.group_bits < 1:
-            raise ConfigurationError("group_bits must be >= 1")
+        if not 1 <= self.group_bits <= 8:
+            # A slot index travels as one byte (and a table of 2^y entries
+            # per group stops paying for itself long before y = 8).
+            raise ConfigurationError("group_bits must be between 1 and 8")
         if self.label_cache_entries is not None and self.label_cache_entries == 0:
             raise ConfigurationError(
                 "label_cache_entries must be None (disabled), -1 (auto), or >= 1"

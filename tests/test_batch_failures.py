@@ -19,6 +19,7 @@ there, and that the audit's leaky negative control is still caught when
 its accesses ride a fused window.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -253,10 +254,16 @@ def test_mixed_batch_frame_through_the_dispatcher(server_class, captured, monkey
 
         first = prepare(Request.read("k1"))[0]
         corrupt = prepare(Request.read("k2"))[0]
-        group0 = tuple(bytes([ct[0] ^ 0xFF]) + ct[1:] for ct in corrupt.tables[0])
-        corrupt = LblAccessRequest(corrupt.encoded_key, (group0,) + corrupt.tables[1:])
+        # Flip the last byte — a check byte — of every group-0 row: the
+        # designated one, whichever it is, no longer opens to zeros.
+        group0 = tuple(ct[:-1] + bytes([ct[-1] ^ 0xFF]) for ct in corrupt.tables[0])
+        corrupt = LblAccessRequest.from_tables(
+            corrupt.encoded_key, (group0,) + corrupt.tables[1:], corrupt.nonce
+        )
         again = prepare(Request.write("k1", CONFIG.pad(b"rewritten")))[0]
-        unknown = LblAccessRequest(b"\xee" * 16, prepare(Request.read("k3"))[0].tables)
+        unknown = dataclasses.replace(
+            prepare(Request.read("k3"))[0], encoded_key=b"\xee" * 16
+        )
         last = prepare(Request.read("k4"))[0]
         untouched = list(store.get(corrupt.encoded_key))
 
@@ -288,7 +295,7 @@ def test_mixed_batch_frame_through_the_dispatcher(server_class, captured, monkey
         # The dispatcher made one call; the repeated key was that call's
         # second window, served after the first one's commit.
         assert len(windows) == 2 and len(windows[0]) == 1
-        ok = OpCounts(kv_ops=2, aead_dec=len(first.tables))
+        ok = OpCounts(kv_ops=2, aead_dec=first.num_groups)
         assert [
             type(result) if isinstance(result, OrtoaError) else result[1]
             for result in windows[-1]

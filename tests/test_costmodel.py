@@ -188,9 +188,71 @@ def test_paper_configuration_bytes():
     model = LblCostModel(value_len=160, group_bits=2, point_and_permute=True)
     assert model.num_groups == 640
     assert model.table_size == 4
-    assert model.request_bytes == 125_466
-    assert model.response_bytes == 12_801
-    assert model.bytes_per_access == 138_267
+    assert model.entry_len == 16 + 1 + 8
+    # tag + (shape + nonce) + key + slab, three length-prefixed fields.
+    assert model.request_bytes == 1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 25) == 64_049
+    assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
+    assert model.bytes_per_access == 74_292
+    assert (model.entry_hmacs, model.entry_compressions) == (1, 4)
+    # The base protocol keeps its AEAD entries behind the same slab framing.
+    base = LblCostModel(value_len=160, group_bits=2)
+    assert base.entry_len == 12 + 16 + 16
+    assert base.request_bytes == 1 + (4 + 4) + (4 + 16) + (4 + 640 * 4 * 44)
+    assert base.response_bytes == model.response_bytes
+    assert (base.entry_hmacs, base.entry_compressions) == (2, 8)
+
+
+@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
+@pytest.mark.parametrize("label_bits", [128, 192, 256])
+@pytest.mark.parametrize("group_bits", [1, 2, 8])
+def test_wire_bytes_and_entry_hashing_match_the_implementation(
+    monkeypatch, group_bits, label_bits, point_and_permute
+):
+    """Every shape the model has a formula for, against real messages and a
+    compression count taken inside the kernels' own ``sha256`` calls."""
+    import hashlib
+
+    from repro.core.lbl import LblOrtoa
+    from repro.crypto import aead, rows
+
+    config = StoreConfig(
+        value_len=3, group_bits=group_bits, label_bits=label_bits,
+        point_and_permute=point_and_permute,
+    )
+    model = LblCostModel.from_config(config)
+    store = LblOrtoa(config, rng=random.Random(4))
+    store.initialize({"k": b"abc"})
+
+    calls: list[int] = []
+
+    def counting_sha256(data=b""):
+        calls.append((len(data) + 8) // 64 + 1)  # blocks incl. padding
+        return hashlib.sha256(data)
+
+    class _Hashlib:
+        sha256 = staticmethod(counting_sha256)
+
+    monkeypatch.setattr(rows, "hashlib", _Hashlib)
+    monkeypatch.setattr(aead, "_DIGEST", counting_sha256)
+    built, _ops = store.proxy.prepare(Request.write("k", b"xyz"))
+    entries = model.num_groups * model.table_size
+    assert len(calls) == 2 * model.entry_hmacs * entries  # inner + outer hash
+    assert sum(calls) == model.entry_compressions * entries
+    monkeypatch.undo()
+
+    response, _server_ops = store.server.process(built)
+    assert built.entry_len == model.entry_len
+    assert len(built.to_bytes()) == model.request_bytes
+    assert len(response.to_bytes()) == model.response_bytes
+
+    calls.clear()
+    if point_and_permute:
+        # The server's side of a row is the same one pad.
+        monkeypatch.setattr(rows, "hashlib", _Hashlib)
+        built, _ops = store.proxy.prepare(Request.read("k"))
+        calls.clear()
+        store.server.process(built)
+        assert sum(calls) == model.entry_compressions * model.num_groups
 
 
 # --------------------------------------------------------------------- #

@@ -5,8 +5,9 @@ batch AEAD) must be drop-in: byte-identical to the constructions they
 replace.  Two independent nets catch a silent change:
 
 * **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
-  :meth:`LabelCodec.label`, :meth:`LabelCodec.permute_offsets`, and
-  :func:`aead.encrypt` (fixed nonce), plus a live re-derivation of each from
+  :meth:`LabelCodec.label`, :meth:`LabelCodec.permute_offsets`,
+  :func:`aead.encrypt` (fixed nonce) and the point-and-permute row kernel
+  :func:`rows.seal_row`, plus a live re-derivation of each from
   the *stdlib* ``hmac`` module, so a vector can only move if the documented
   construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import Prf, PrfContext, encode_components
 
@@ -360,3 +361,181 @@ def test_prf_context_class_exported():
     """PrfContext is part of the public kernel API."""
     ctx = Prf(b"\x07" * 32, out_bytes=16).context("p")
     assert isinstance(ctx, PrfContext)
+
+
+# --------------------------------------------------------------------- #
+# Point-and-permute rows: one HMAC pad per row, 8 zero check bytes
+# --------------------------------------------------------------------- #
+
+
+def _ref_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
+    """The documented row: ``(payload ‖ 0^8) ⊕ HMAC(key, "lbl-row\\0" ‖ nonce ‖ ctr)``."""
+    plain = payload + bytes(8)
+    pad = b""
+    counter = 0
+    while len(pad) < len(plain):
+        pad += hmac.new(
+            key, b"lbl-row\0" + nonce + counter.to_bytes(4, "big"), hashlib.sha256
+        ).digest()
+        counter += 1
+    return bytes(p ^ k for p, k in zip(plain, pad))
+
+
+_ROW_KEY = bytes(range(16, 32))
+_ROW_NONCE = bytes(range(16))
+# A 128-bit label + slot byte: 25-byte row, one HMAC block.
+_ROW_PAYLOAD = bytes(range(100, 117))
+_ROW_VECTOR = bytes.fromhex("7bd43df9aa1084ddbd94a0aae11cea17506116d4f0a6751d7d")
+# A 256-bit label + slot byte: 41-byte row, crosses into counter block 1.
+_ROW_PAYLOAD_WIDE = bytes(range(200, 233))
+_ROW_VECTOR_WIDE = bytes.fromhex(
+    "d77891550eb4207901281c1645b84eb3fcb8cc0f2c7babc29d99c926d44ace97"
+    "a79537f4a800ef2be3"
+)
+
+
+def test_row_vector_single_block():
+    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
+    assert _ref_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
+    assert rows.seal_rows([_ROW_KEY], [_ROW_PAYLOAD], _ROW_NONCE) == _ROW_VECTOR
+    assert rows.open_row(_ROW_KEY, _ROW_VECTOR, _ROW_NONCE) == _ROW_PAYLOAD
+
+
+def test_row_vector_two_blocks():
+    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
+    assert _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
+    assert rows.seal_rows([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
+    assert rows.open_row(_ROW_KEY, _ROW_VECTOR_WIDE, _ROW_NONCE) == _ROW_PAYLOAD_WIDE
+
+
+@st.composite
+def _row_batch(draw):
+    """Keys of one label width (or, rarely, ragged widths), equal-length payloads."""
+    label_len = draw(st.sampled_from([16, 24, 32]))
+    count = draw(st.integers(min_value=1, max_value=9))
+    ragged = draw(st.integers(min_value=0, max_value=9)) == 0
+    key_sizes = st.integers(16, 80) if ragged else st.just(label_len)
+    keys = [
+        draw(key_sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    payloads = draw(
+        st.lists(
+            st.binary(min_size=label_len + 1, max_size=label_len + 1),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    nonce = draw(st.binary(min_size=16, max_size=16))
+    return keys, payloads, nonce
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_row_batch())
+def test_seal_rows_matches_scalar_and_schedules_and_stdlib(batch):
+    keys, payloads, nonce = batch
+    slab = rows.seal_rows(keys, payloads, nonce)
+    row_len = len(payloads[0]) + rows.CHECK_LEN
+    assert len(slab) == len(keys) * row_len
+    scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
+    assert slab == b"".join(scalar)
+    assert scalar == [_ref_row(k, p, nonce) for k, p in zip(keys, payloads)]
+    schedules = [aead.key_schedule(k) for k in keys]
+    assert rows.seal_rows(keys, payloads, nonce, schedules=schedules) == slab
+    assert rows.seal_rows(None, payloads, nonce, schedules=schedules) == slab
+    # open(seal(x)) == x, batch and scalar.
+    assert rows.open_rows(keys, scalar, [(nonce, len(keys))]) == payloads
+    assert [rows.open_row(k, r, nonce) for k, r in zip(keys, scalar)] == payloads
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_row_batch(), flip=st.integers(min_value=0, max_value=127))
+def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
+    keys, payloads, nonce = batch
+    scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
+    n = len(keys)
+    wrong_nonce = bytearray(nonce)
+    wrong_nonce[flip % 16] ^= 1 << (flip % 8)
+    assert rows.open_rows(keys, scalar, [(bytes(wrong_nonce), n)]) == [None] * n
+    assert rows.open_rows(keys, scalar, [(b"", n)]) == [None] * n
+    wrong_keys = [bytes([k[0] ^ 0x80]) + k[1:] for k in keys]
+    assert rows.open_rows(wrong_keys, scalar, [(nonce, n)]) == [None] * n
+    # Verdicts are per row: one wrong key refuses only its own row.
+    mixed = [wrong_keys[0]] + keys[1:]
+    assert rows.open_rows(mixed, scalar, [(nonce, n)]) == [None] + payloads[1:]
+    # A row too short to hold check bytes opens to nothing, whatever the key.
+    assert rows.open_row(keys[0], scalar[0][: rows.CHECK_LEN], nonce) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=_row_batch(), second=_row_batch())
+def test_open_rows_serves_a_window_of_requests_in_one_call(first, second):
+    """Runs of rows, each under its own request's nonce — and, when two
+    requests differ in row width, neither refuses the other's rows."""
+    sealed = [
+        [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
+        for keys, payloads, nonce in (first, second)
+    ]
+    window = rows.open_rows(
+        first[0] + second[0],
+        sealed[0] + sealed[1],
+        [(first[2], len(first[0])), (second[2], len(second[0]))],
+    )
+    assert window == first[1] + second[1]
+    # A damaged request in the window fails alone, row for row.
+    damaged = [row[:-1] + bytes([row[-1] ^ 1]) for row in sealed[0]]
+    window = rows.open_rows(
+        first[0] + second[0],
+        damaged + sealed[1],
+        [(first[2], len(first[0])), (second[2], len(second[0]))],
+    )
+    assert window == [None] * len(first[0]) + second[1]
+
+
+def test_row_kernel_rejects_misuse():
+    from repro.errors import ConfigurationError
+
+    key, nonce = b"k" * 16, b"n" * 16
+    assert rows.seal_rows([], [], nonce) == b""
+    assert rows.open_rows([], [], []) == []
+    with pytest.raises(ConfigurationError):
+        rows.seal_rows([key], [b"a", b"b"], nonce)
+    with pytest.raises(ConfigurationError):
+        rows.seal_rows([key, key], [b"aa", b"b"], nonce)  # ragged payloads
+    with pytest.raises(ConfigurationError):
+        rows.seal_rows([b"short"], [b"payload"], nonce)
+    with pytest.raises(ConfigurationError):
+        rows.seal_rows([key], [b"payload"], nonce, schedules=[])
+    with pytest.raises(ConfigurationError):
+        rows.open_rows([key], [], [(nonce, 1)])
+    with pytest.raises(ConfigurationError):
+        rows.open_rows([key, key], [b"r" * 25] * 2, [(nonce, 1)])  # runs cover 1 of 2
+
+
+@pytest.mark.parametrize("label_bits", [128, 192, 256])
+def test_rows_are_metered_as_aead_ops(label_bits):
+    """One row, one ``aead.*`` count — batch and scalar alike."""
+    from repro.obs import ledger
+
+    label_len = label_bits // 8
+    keys = [bytes([i]) * label_len for i in range(1, 5)]
+    payloads = [bytes([i]) * (label_len + 1) for i in range(4)]
+    nonce = b"n" * 16
+    obs.reset()
+    obs.enable()
+    try:
+        with ledger.track(label="rows") as row:
+            slab = rows.seal_rows(keys, payloads, nonce)
+            rows.seal_row(keys[0], payloads[0], nonce)
+            size = len(slab) // 4
+            sealed = [slab[i * size : (i + 1) * size] for i in range(4)]
+            rows.open_rows(keys, sealed, [(nonce, 4)])
+            rows.open_rows(keys[::-1], sealed, [(nonce, 2), (nonce, 2)])
+    finally:
+        obs.disable()
+        obs.reset()
+    assert row.snapshot()["ops"] == {
+        "aead.encrypts": 5,
+        "aead.decrypts": 4,
+        "aead.decrypt_failures": 4,
+    }

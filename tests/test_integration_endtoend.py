@@ -1,9 +1,8 @@
 """End-to-end integration: datasets → workload → protocol → metrics →
 security checks, across the whole public API."""
 
+import dataclasses
 import random
-
-import pytest
 
 from repro import (
     DeploymentSpec,
@@ -17,6 +16,7 @@ from repro import (
     run_experiment,
 )
 from repro.analysis.metrics import summarize
+from repro.harness.calibration import CostModel
 from repro.security.distinguisher import shape_fingerprint
 from repro.types import LatencySample, Request
 from repro.workloads import RequestStream, WorkloadSpec, build_dataset
@@ -107,14 +107,38 @@ def test_batching_and_single_access_agree():
 
 def test_simulated_and_functional_sides_are_consistent():
     """The DES run's reported message sizes must equal the functional
-    protocol's actual transcript sizes."""
+    protocol's actual transcript sizes — for LBL, whenever the cost model
+    charges the implementation's wire; ``paper_like`` deliberately keeps
+    the paper's entry format on the simulated link instead."""
     spec = DeploymentSpec(protocol="lbl", value_len=32, duration_ms=300)
-    result = run_experiment(spec)
     protocol = spec.build_protocol()
     protocol.initialize({"k": bytes(32)})
     transcript = protocol.access(Request.read("k"))
-    assert result.request_bytes == pytest.approx(transcript.request_bytes, rel=0.01)
-    assert result.response_bytes == pytest.approx(transcript.response_bytes, rel=0.01)
+
+    own_wire = dataclasses.replace(CostModel.paper_like(), paper_wire=False)
+    result = run_experiment(spec, own_wire)
+    assert result.request_bytes == transcript.request_bytes
+    assert result.response_bytes == transcript.response_bytes
+
+    paper = CostModel.paper_like().lbl_round_trip(spec.store_config())
+    result = run_experiment(spec)
+    assert (result.request_bytes, result.response_bytes) == (
+        paper.request_bytes, paper.response_bytes,
+    )
+    # 128 groups x 4 entries of nonce(12) + label(16) + slot(1) + tag(16)
+    # behind 4-byte field prefixes, and 128 prefixed labels back.
+    assert paper.request_bytes == 26 + 128 * 4 * 49
+    assert paper.response_bytes == 1 + 128 * 20
+    assert paper.request_bytes > transcript.request_bytes
+
+    # The other protocols have one format: simulated == functional, always.
+    tee = DeploymentSpec(protocol="tee", value_len=32, duration_ms=300)
+    tee_protocol = tee.build_protocol()
+    tee_protocol.initialize({"k": bytes(32)})
+    tee_transcript = tee_protocol.access(Request.read("k"))
+    tee_result = run_experiment(tee)
+    assert tee_result.request_bytes == tee_transcript.request_bytes
+    assert tee_result.response_bytes == tee_transcript.response_bytes
 
 
 def test_metrics_pipeline_from_manual_samples():

@@ -172,7 +172,7 @@ def test_server_detects_stale_label_state():
 def test_table_shape_mismatch_rejected():
     p = make()
     req, _ = p.proxy.prepare(Request.read("k1"))
-    bad = type(req)(req.encoded_key, req.tables[:-1])
+    bad = type(req).from_tables(req.encoded_key, req.tables[:-1], req.nonce)
     with pytest.raises(ProtocolError):
         p.server.process(bad)
 

@@ -1,11 +1,15 @@
 """Wire-format round-trip and robustness tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import messages as m
-from repro.errors import ProtocolError
+from repro.core.lbl import LblOrtoa
+from repro.errors import ConfigurationError, ProtocolError
+from repro.types import Request, StoreConfig
 
 
 def test_read_request_roundtrip():
@@ -46,15 +50,54 @@ def test_lbl_request_roundtrip():
         (b"ct00", b"ct01"),
         (b"ct10", b"ct11"),
     )
-    req = m.LblAccessRequest(b"key", tables)
+    req = m.LblAccessRequest.from_tables(b"key", tables, nonce=b"n" * 16)
+    assert req.slab == b"ct00ct01ct10ct11"
+    assert (req.table_size, req.entry_len, req.num_groups) == (2, 4, 2)
     assert m.LblAccessRequest.from_bytes(req.to_bytes()) == req
 
 
 def test_lbl_request_roundtrip_y2():
     tables = ((b"a", b"b", b"c", b"d"),) * 3
-    req = m.LblAccessRequest(b"key", tables)
+    req = m.LblAccessRequest.from_tables(b"key", tables)
     parsed = m.LblAccessRequest.from_bytes(req.to_bytes())
     assert parsed.tables == tables
+    assert parsed.nonce == b""
+
+
+def test_lbl_request_wire_layout_is_header_key_slab():
+    req = m.LblAccessRequest(b"K" * 16, b"\xaa" * 24, 4, 3, b"N" * 16)
+    assert req.to_bytes() == (
+        b"\x20"
+        + (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
+        + (16).to_bytes(4, "big") + b"K" * 16
+        + (24).to_bytes(4, "big") + b"\xaa" * 24
+    )
+
+
+@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
+def test_y8_request_survives_the_wire(point_and_permute):
+    """``table_size = 256`` needs the u16 shape header (it was one byte)."""
+    config = StoreConfig(value_len=2, group_bits=8, point_and_permute=point_and_permute)
+    store = LblOrtoa(config, rng=random.Random(8))
+    store.initialize({"k": b"\x01\xfe"})
+    for request, expected in (
+        (Request.read("k"), b"\x01\xfe"),
+        (Request.write("k", b"\xff\x00"), b"\xff\x00"),
+        (Request.read("k"), b"\xff\x00"),
+    ):
+        built, _ops = store.proxy.prepare(request)
+        assert built.table_size == 256 and built.num_groups == 2
+        parsed = m.LblAccessRequest.from_bytes(built.to_bytes())
+        assert parsed == built
+        response, _server_ops = store.server.process(parsed)
+        reply = m.LblAccessResponse.from_bytes(response.to_bytes())
+        assert store.proxy.finalize("k", reply)[0] == expected
+
+
+def test_group_bits_above_8_rejected_at_configuration():
+    for point_and_permute in (True, False):
+        with pytest.raises(ConfigurationError):
+            StoreConfig(value_len=2, group_bits=9, point_and_permute=point_and_permute)
 
 
 def test_lbl_response_roundtrip():
@@ -62,14 +105,65 @@ def test_lbl_response_roundtrip():
     assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
 
 
+def test_lbl_response_is_width_then_labels():
+    resp = m.LblAccessResponse((b"label1", b"label2"))
+    assert resp.to_bytes() == b"\x21\x00\x06label1label2"
+    assert m.LblAccessResponse.from_bytes(b"\x21\x00\x00") == m.LblAccessResponse(())
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse((b"long-label", b"short")).to_bytes()
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse.from_bytes(b"\x21\x00\x06label1labe")
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse.from_bytes(b"\x21\x00\x00stray")
+
+
 def test_lbl_request_rejects_empty_tables():
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", ()).to_bytes()
+        m.LblAccessRequest.from_tables(b"key", ())
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest(b"key", b"", 2, 4)
 
 
 def test_lbl_request_rejects_ragged_tables():
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", ((b"a", b"b"), (b"c",))).to_bytes()
+        m.LblAccessRequest.from_tables(b"key", ((b"a", b"b"), (b"c",)))
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest.from_tables(b"key", ((b"a", b"bb"),))
+
+
+def test_lbl_request_rejects_slab_that_is_not_whole_tables():
+    whole = m.LblAccessRequest(b"key", b"x" * 24, 4, 3)
+    assert whole.num_groups == 2
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest(b"key", b"x" * 23, 4, 3)
+    cut = whole.to_bytes()[: -(4 + 24)] + (23).to_bytes(4, "big") + b"x" * 23
+    with pytest.raises(ProtocolError, match="whole number of group tables"):
+        m.LblAccessRequest.from_bytes(cut)
+    for table_size, entry_len in ((0, 3), (4, 0), (1 << 16, 3)):
+        with pytest.raises(ProtocolError):
+            m.LblAccessRequest(b"key", b"x" * 24, table_size, entry_len)
+
+
+def test_old_per_field_lbl_frame_is_rejected():
+    """The pre-slab format: a 1-byte table-size field, the key, then one
+    length-prefixed field per ciphertext."""
+
+    def field(body: bytes) -> bytes:
+        return len(body).to_bytes(4, "big") + body
+
+    old = b"\x20" + field(b"\x02") + field(b"k" * 16) + b"".join(
+        field(bytes([i]) * 45) for i in range(4)
+    )
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest.from_bytes(old)
+    # Even with exactly three fields the 1-byte header does not parse.
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest.from_bytes(
+            b"\x20" + field(b"\x01") + field(b"k" * 16) + field(b"c" * 45)
+        )
+    # ...and the old per-label response is not a whole number of labels.
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse.from_bytes(b"\x21" + field(b"l" * 16) + field(b"m" * 16))
 
 
 def test_wrong_tag_rejected():
@@ -103,14 +197,46 @@ def test_tee_request_roundtrip_property(key, sel, val):
 
 
 @given(
-    st.lists(
-        st.lists(st.binary(min_size=1, max_size=40), min_size=2, max_size=2),
-        min_size=1,
-        max_size=8,
+    groups=st.integers(min_value=1, max_value=8),
+    table_size=st.sampled_from([2, 4, 256]),
+    entry_len=st.integers(min_value=1, max_value=60),
+    nonce=st.sampled_from([b"", b"n" * 16]),
+    data=st.data(),
+)
+@settings(max_examples=50)
+def test_lbl_request_roundtrip_property(groups, table_size, entry_len, nonce, data):
+    size = groups * table_size * entry_len
+    slab = data.draw(st.binary(min_size=size, max_size=size))
+    req = m.LblAccessRequest(b"key", slab, table_size, entry_len, nonce)
+    parsed = m.LblAccessRequest.from_bytes(req.to_bytes())
+    assert parsed == req
+    assert m.LblAccessRequest.from_tables(b"key", parsed.tables, nonce) == req
+    assert len(req.to_bytes()) == 1 + (4 + 4 + len(nonce)) + (4 + 3) + (4 + size)
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.lists(st.binary(min_size=n, max_size=n), max_size=12)
     )
 )
 @settings(max_examples=50)
-def test_lbl_request_roundtrip_property(table_lists):
-    tables = tuple(tuple(t) for t in table_lists)
-    req = m.LblAccessRequest(b"key", tables)
-    assert m.LblAccessRequest.from_bytes(req.to_bytes()) == req
+def test_lbl_response_roundtrip_property(labels):
+    resp = m.LblAccessResponse(tuple(labels))
+    assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
+
+
+def test_get_and_put_frames_are_length_identical():
+    for point_and_permute in (True, False):
+        for label_bits in (128, 192, 256):
+            config = StoreConfig(
+                value_len=5, group_bits=2, label_bits=label_bits,
+                point_and_permute=point_and_permute,
+            )
+            store = LblOrtoa(config, rng=random.Random(1))
+            store.initialize({"k": b"hello"})
+            sizes = set()
+            for request in (Request.read("k"), Request.write("k", b"world")):
+                built, _ops = store.proxy.prepare(request)
+                response, _server_ops = store.server.process(built)
+                sizes.add((len(built.to_bytes()), len(response.to_bytes())))
+            assert len(sizes) == 1

@@ -13,7 +13,8 @@ costs, and nothing else.  These tests pin the transparency claims:
   attributes and ``lbl.server.*`` counters, under point-and-permute and
   the base protocol alike;
 * fusion — a window of distinct present keys is exactly one storage
-  multi-get, one window-wide ``aead.open_many``, one storage multi-put;
+  multi-get, one window-wide ``rows.open_rows`` (a run of rows per
+  request, each under its own nonce), one storage multi-put;
 * obliviousness — a fused GET window and a fused PUT window are
   shape-identical, in wire bytes and in every span attribute the server
   emits, and the sharded obliviousness audit passes with fusion on;
@@ -28,6 +29,7 @@ costs, and nothing else.  These tests pin the transparency claims:
   its generation counter makes stale timer flushes no-ops.
 """
 
+import dataclasses
 import random
 import threading
 
@@ -41,7 +43,7 @@ from repro.core.lbl import LblOrtoa
 from repro.core.lbl.server import SERVER_SPAN, LblServer
 from repro.core.lbl.server_coalesce import ServerAccessCoalescer
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.crypto.labels import StoredLabel
 from repro.errors import (
     ConfigurationError,
@@ -59,9 +61,10 @@ KEYS = tuple(f"f{i}" for i in range(4))
 VALUE_LEN = 8
 
 #: One access: (key index, is_write, written byte, fault) where fault is
-#: 0 = clean, 1 = corrupt group-0 ciphertexts, 2 = unknown encoded key,
-#: 3 = last table dropped (table count mismatch), 4 = last table emptied
-#: (no slot to open there, after the earlier groups were already gathered).
+#: 0 = clean, 1 = corrupt group-0 entries, 2 = unknown encoded key,
+#: 3 = last table dropped (table count mismatch), 4 = the same slab declared
+#: as one wide entry per group (table count still right, but no slot above 0
+#: to open — found after the earlier groups were already gathered).
 WORKLOADS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=len(KEYS) - 1),
@@ -101,9 +104,12 @@ def _clone_server(server: LblServer) -> LblServer:
 
 
 def _corrupt_group0(request: LblAccessRequest) -> LblAccessRequest:
-    """Flip one byte in every group-0 ciphertext (lengths preserved)."""
-    group0 = tuple(bytes([ct[0] ^ 0xFF]) + ct[1:] for ct in request.tables[0])
-    return LblAccessRequest(request.encoded_key, (group0,) + request.tables[1:])
+    """Flip the last byte of every group-0 entry (lengths preserved) — a
+    check byte of a point-and-permute row, a tag byte of an AEAD entry."""
+    group0 = tuple(ct[:-1] + bytes([ct[-1] ^ 0xFF]) for ct in request.tables[0])
+    return LblAccessRequest.from_tables(
+        request.encoded_key, (group0,) + request.tables[1:], request.nonce
+    )
 
 
 def _build_workload(store: LblOrtoa, workload) -> list[LblAccessRequest]:
@@ -119,14 +125,16 @@ def _build_workload(store: LblOrtoa, workload) -> list[LblAccessRequest]:
         if fault == 1:
             lbl_request = _corrupt_group0(lbl_request)
         elif fault == 2:
-            lbl_request = LblAccessRequest(b"\xee" * 16, lbl_request.tables)
+            lbl_request = dataclasses.replace(lbl_request, encoded_key=b"\xee" * 16)
         elif fault == 3:
-            lbl_request = LblAccessRequest(
-                lbl_request.encoded_key, lbl_request.tables[:-1]
+            lbl_request = LblAccessRequest.from_tables(
+                lbl_request.encoded_key, lbl_request.tables[:-1], lbl_request.nonce
             )
         elif fault == 4:
-            lbl_request = LblAccessRequest(
-                lbl_request.encoded_key, lbl_request.tables[:-1] + ((),)
+            lbl_request = dataclasses.replace(
+                lbl_request,
+                table_size=1,
+                entry_len=lbl_request.table_size * lbl_request.entry_len,
             )
         built.append(lbl_request)
     return built
@@ -137,9 +145,10 @@ class _SequentialOracle:
 
     get → open the designated slot of every group (point-and-permute) or
     scan each table for the entry the stored label opens (base protocol) →
-    rotate → put.  Shares no code with :class:`LblServer`: it decrypts with
-    the scalar :func:`aead.try_decrypt` and keeps its own label state,
-    storage access counts and the observation record the server must emit.
+    rotate → put.  Shares no code with :class:`LblServer`: it slices the
+    request's ``tables`` view, opens with the scalar :func:`rows.open_row` /
+    :func:`aead.try_decrypt`, and keeps its own label state, storage access
+    counts and the observation record the server must emit.
     """
 
     def __init__(self, server: LblServer) -> None:
@@ -150,18 +159,19 @@ class _SequentialOracle:
 
     def _open(self, request, stored, seen):
         """Returns the rotated labels; ``seen`` accumulates attempt counts."""
-        if len(request.tables) != len(stored):
+        tables = request.tables
+        if len(tables) != len(stored):
             raise ProtocolError(
-                f"table count {len(request.tables)} != stored groups {len(stored)}"
+                f"table count {len(tables)} != stored groups {len(stored)}"
             )
         updated = []
         if self.point_and_permute:
-            for group, (table, current) in enumerate(zip(request.tables, stored)):
+            for group, (table, current) in enumerate(zip(tables, stored)):
                 if current.decrypt_index is None or current.decrypt_index >= len(table):
                     raise ProtocolError(f"bad decrypt index at group {group}")
             payloads = [
-                aead.try_decrypt(current.label, table[current.decrypt_index])
-                for table, current in zip(request.tables, stored)
+                rows.open_row(current.label, table[current.decrypt_index], request.nonce)
+                for table, current in zip(tables, stored)
             ]
             seen["decrypt_attempts"] = len(payloads)
             seen["failed_decrypts"] = payloads.count(None)
@@ -173,7 +183,7 @@ class _SequentialOracle:
                 updated.append(StoredLabel(payload[:-1], payload[-1]))
                 seen["opened_labels"] += 1
             return updated
-        for group, (table, current) in enumerate(zip(request.tables, stored)):
+        for group, (table, current) in enumerate(zip(tables, stored)):
             for entry in table:
                 seen["decrypt_attempts"] += 1
                 label = aead.try_decrypt(current.label, entry)
@@ -342,6 +352,28 @@ def test_failed_request_is_isolated_from_window_mates():
     assert not isinstance(results[2], OrtoaError)
 
 
+def test_odd_row_width_request_is_isolated_from_window_mates():
+    """A request that declares another entry width reaches the window-wide
+    open with rows of its own size; only its rows are refused."""
+    store = _protocol()
+    fused_server = _clone_server(store.server)
+    built = _build_workload(
+        store, [(0, False, 0, 0), (1, False, 0, 0), (2, True, 7, 0)]
+    )
+    odd = built[1]
+    assert odd.entry_len == 25
+    built[1] = dataclasses.replace(odd, table_size=odd.table_size * 5, entry_len=5)
+    results = fused_server.process_many(built)
+    assert not isinstance(results[0], OrtoaError)
+    assert isinstance(results[1], ProtocolError)
+    assert str(results[1]) == "designated entry failed to open at group 0"
+    assert not isinstance(results[2], OrtoaError)
+    # Refused before commit: the key still holds its initial labels.
+    assert fused_server.store.get(odd.encoded_key) == store.server.store.get(
+        odd.encoded_key
+    )
+
+
 def test_process_many_empty_and_row_validation():
     store = _protocol()
     assert store.server.process_many([]) == []
@@ -366,29 +398,34 @@ def test_base_protocol_window_shares_the_storage_access():
 
 
 # --------------------------------------------------------------------- #
-# Fusion: one multi-get, one open_many, one multi-put per window
+# Fusion: one multi-get, one open_rows, one multi-put per window
 # --------------------------------------------------------------------- #
 
 def test_window_is_one_multiget_one_open_one_multiput(monkeypatch):
-    import repro.crypto.aead as aead_mod
+    import repro.crypto.rows as rows_mod
 
     store = _protocol()
     server = store.server
     built = [store.proxy.prepare(Request.read(key))[0] for key in KEYS]
 
-    open_calls: list[int] = []
-    original = aead_mod.open_many
+    open_calls: list[tuple[int, list]] = []
+    original = rows_mod.open_rows
 
-    def counting(keys, ciphertexts):
-        open_calls.append(len(keys))
-        return original(keys, ciphertexts)
+    def counting(keys, designated, nonce_runs):
+        open_calls.append((len(keys), list(nonce_runs)))
+        return original(keys, designated, nonce_runs)
 
-    monkeypatch.setattr(aead_mod, "open_many", counting)
+    monkeypatch.setattr(rows_mod, "open_rows", counting)
     results = server.process_many(built)
 
     assert all(not isinstance(item, OrtoaError) for item in results)
-    num_groups = len(built[0].tables)
-    assert open_calls == [len(KEYS) * num_groups]
+    # One call over exactly the designated rows — a run per request, each
+    # under that request's own nonce — and no other entry of any slab.
+    num_groups = built[0].num_groups
+    assert open_calls == [
+        (len(KEYS) * num_groups, [(request.nonce, num_groups) for request in built])
+    ]
+    assert len({request.nonce for request in built}) == len(KEYS)
     assert server.store.multi_get_count == 1
     assert server.store.multi_put_count == 1
 
@@ -490,7 +527,7 @@ def test_fused_rows_get_exact_shares_and_rowless_mates_leak_nothing():
         store.proxy.prepare(Request.read(KEYS[0]))[0],
         store.proxy.prepare(Request.read(KEYS[1]))[0],
     ]
-    num_groups = len(built[0].tables)
+    num_groups = built[0].num_groups
     with ledger.track(label="tracked") as tracked:
         pass
     with ledger.track(label="ambient") as ambient:
@@ -510,7 +547,7 @@ def test_rows_omitted_inherits_ambient_row_like_sequential():
         store.proxy.prepare(Request.read(KEYS[0]))[0],
         store.proxy.prepare(Request.read(KEYS[1]))[0],
     ]
-    num_groups = len(built[0].tables)
+    num_groups = built[0].num_groups
     with ledger.track(label="caller") as caller:
         results = store.server.process_many(built)
     assert all(not isinstance(item, OrtoaError) for item in results)
@@ -549,7 +586,7 @@ def test_base_protocol_error_path_emits_span_and_counters():
         store.server.process(built)
     counters = obs.REGISTRY.snapshot()["counters"]
     assert counters.get("lbl.server.requests", 0) == 1
-    table_size = len(built.tables[0])
+    table_size = built.table_size
     assert counters.get("lbl.server.decrypt_attempts", 0) == table_size
     assert counters.get("lbl.server.failed_decrypts", 0) == table_size
     spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
@@ -568,8 +605,8 @@ def test_point_and_permute_error_path_emits_span_and_counters():
         store.server.process(corrupt)
     counters = obs.REGISTRY.snapshot()["counters"]
     assert counters.get("lbl.server.requests", 0) == 1
-    num_groups = len(built.tables)
-    # open_many attempted every designated pair; only group 0 failed.
+    num_groups = built.num_groups
+    # open_rows attempted every designated row; only group 0 failed.
     assert counters.get("lbl.server.decrypt_attempts", 0) == num_groups
     assert counters.get("lbl.server.failed_decrypts", 0) == 1
     spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
@@ -590,7 +627,7 @@ def test_single_caller_flushes_on_timer_with_fake_clock():
     )
     built, _ops = store.proxy.prepare(Request.read(KEYS[0]))
     response, _server_ops = coalescer.process(built)
-    assert len(response.opened_labels) == len(built.tables)
+    assert len(response.opened_labels) == built.num_groups
     counters = obs.REGISTRY.snapshot()["counters"]
     assert counters.get("lbl.server.windows", 0) == 1
     assert counters.get("lbl.server.flush.timer", 0) == 1

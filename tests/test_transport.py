@@ -242,8 +242,8 @@ def test_batch_wire_messages_roundtrip():
 
     batch = LblBatchRequest(
         (
-            LblAccessRequest(b"k1", ((b"a", b"b"),)),
-            LblAccessRequest(b"k2", ((b"c", b"d"), (b"e", b"f"))),
+            LblAccessRequest.from_tables(b"k1", ((b"a", b"b"),)),
+            LblAccessRequest(b"k2", b"cdef", 2, 1, b"n" * 16),
         )
     )
     assert LblBatchRequest.from_bytes(batch.to_bytes()) == batch
