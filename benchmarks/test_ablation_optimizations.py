@@ -66,7 +66,8 @@ def test_ablation_group_bits(benchmark):
         for y in (1, 2, 4):
             protocol = _protocol(group_bits=y, pnp=False)
             encoded = protocol.keychain.encode_key("k")
-            stored = len(protocol.server.store.get(encoded))
+            label_len = protocol.config.label_bits // 8
+            stored = len(protocol.server.store.get(encoded).labels) // label_len
             transcript = protocol.access(Request.read("k"))
             rows.append(
                 {

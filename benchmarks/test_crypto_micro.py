@@ -12,7 +12,7 @@ from repro.core.lbl import LblOrtoa
 from repro.crypto import aead
 from repro.crypto.fhe import FheParams, FheScheme
 from repro.crypto.labels import LabelCodec
-from repro.crypto.prf import Prf, encode_components
+from repro.crypto.prf import Prf, encode_components, keyed_xof
 from repro.types import Request, StoreConfig
 
 KEY = b"k" * 16
@@ -37,7 +37,8 @@ def test_prf_evaluate_many(benchmark):
 
 
 def test_prf_context_tails(benchmark):
-    """The hottest kernel: pre-encoded tails through a shared context."""
+    """Pre-encoded tails through a shared context (what ``bench/`` times as
+    the per-call cost of the HMAC PRF)."""
     prf = Prf(b"m" * 32, out_bytes=16)
     ctx = prf.context("label", "key")
     tails = [
@@ -47,16 +48,11 @@ def test_prf_context_tails(benchmark):
     assert len(labels) == _BATCH
 
 
-def test_labels_for_groups(benchmark):
-    """Whole-table label derivation at the paper's 160 B / y=2 point."""
-    codec = LabelCodec(
-        Prf(b"m" * 32, out_bytes=16),
-        Prf(b"p" * 32, out_bytes=16),
-        value_len=160,
-        group_bits=2,
-    )
-    rows = benchmark(codec.labels_for_groups, "key", 7)
-    assert len(rows) == 640 and len(rows[0]) == 4
+def test_label_epoch(benchmark):
+    """Whole-epoch derivation at the paper's 160 B / y=2 point: one XOF call."""
+    codec = LabelCodec(keyed_xof(b"m" * 32), label_len=16, value_len=160, group_bits=2)
+    blob = benchmark(codec.epoch, "key", 7)
+    assert len(blob) == 640 * 4 * 16 + 640
 
 
 def test_aead_encrypt_label(benchmark):
@@ -106,7 +102,7 @@ def test_lbl_full_access_160b_cached(benchmark):
     )
     protocol = LblOrtoa(config, rng=random.Random(1))
     protocol.initialize({"k": bytes(160)})
-    protocol.access(Request.read("k"))  # populate cache + prefetch
+    protocol.access(Request.read("k"))  # populate the cache
     transcript = benchmark(protocol.access, Request.read("k"))
     assert transcript.num_rounds == 1
 

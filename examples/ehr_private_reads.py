@@ -56,13 +56,15 @@ def main() -> None:
           "(≈ 0 means statistically indistinguishable)")
 
     # Tamper detection (§5.4): corrupt a stored label and read.
-    from repro.crypto.labels import StoredLabel
     from repro.errors import OrtoaError
 
     victim = patients[0]
     encoded = store.keychain.encode_key(victim)
-    labels = store.server.store.get(encoded)
-    labels[0] = StoredLabel(bytes(len(labels[0].label)), labels[0].decrypt_index)
+    record = store.server.store.get(encoded)
+    width = config.label_bits // 8
+    store.server.store.put(
+        encoded, record._replace(labels=bytes(width) + record.labels[width:])
+    )
     try:
         store.read(victim)
         print("\nTampering NOT detected — bug!")

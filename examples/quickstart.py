@@ -47,9 +47,15 @@ def main() -> None:
 
     # --- Storage rotates on every access, read or write ------------------
     encoded = store.keychain.encode_key("bob")
-    before = [sl.label for sl in store.server.store.get(encoded)]
+    width = config.label_bits // 8
+
+    def stored_labels() -> list[bytes]:
+        blob = store.server.store.get(encoded).labels  # one label per group
+        return [blob[i : i + width] for i in range(0, len(blob), width)]
+
+    before = stored_labels()
     store.read("bob")
-    after = [sl.label for sl in store.server.store.get(encoded)]
+    after = stored_labels()
     changed = sum(1 for a, b in zip(before, after) if a != b)
     print(
         f"A read rotated {changed}/{len(before)} stored labels — the server's "

@@ -73,7 +73,10 @@ def recommend(
     protocol = LblOrtoa(config, rng=random.Random(0))
     protocol.initialize({"probe": bytes(value_len)})
     transcript = protocol.access(Request.read("probe"))
-    p = sum(cost_model.phase_ms(phase.ops) for phase in transcript.phases)
+    p = sum(
+        cost_model.phase_ms(cost_model.priced_ops(config, phase))
+        for phase in transcript.phases
+    )
     link = NetworkLink(server_rtt_ms, bandwidth_mbps)
     # Priced at the cost model's message sizes when it states any (the
     # paper's entry format under ``paper_like``), like the figure runs.

@@ -1,13 +1,14 @@
 """Closed-form resource model for LBL-ORTOA accesses (paper §6.3.3).
 
 The ledger (:mod:`repro.obs.ledger`) *measures* what an access costs — bytes
-on the wire, PRF calls, SHA-256 compressions, AEAD operations.  This module
-*predicts* the same quantities symbolically, as functions of the deployment
-parameters: value size, label width, the §10.1 grouping factor ``y``, the
-§10.2 point-and-permute flag, and the crypto backend.  The two views are
-kept in lockstep by tier-1 tests that assert ``model == ledger`` exactly —
-not approximately — for GET and PUT across every backend, which is what
-makes the capacity planner (:func:`plan_capacity`) and the dollar estimate
+on the wire, PRF calls, the SHAKE-256 and SHA-256 blocks behind them, AEAD
+operations.  This module *predicts* the same quantities symbolically, as
+functions of the deployment parameters: value size, label width, the §10.1
+grouping factor ``y``, the §10.2 point-and-permute flag, and the crypto
+backend.  The two views are kept in lockstep by tier-1 tests that assert
+``model == ledger`` exactly — not approximately — for GET and PUT across
+every backend, which is what makes the capacity planner
+(:func:`plan_capacity`) and the dollar estimate
 (:func:`repro.analysis.cost.estimate_lbl_cost`) trustworthy: their inputs
 are wire-validated formulas, not hand-derived constants.
 
@@ -18,16 +19,17 @@ of ``L = label_bits / 8`` bytes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.crypto.labels import LabelCodec
-from repro.crypto.prf import Prf, encode_components, hmac_compressions
+from repro.crypto.prf import encode_components, hmac_compressions
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
 
 #: Crypto backends the model covers.  ``stdlib`` is the batched kernel path;
-#: ``scalar`` is the per-label reference path, which recomputes the HMAC
-#: block two labels share and the offset block per table entry.
+#: ``scalar`` is the per-label reference path, every one of whose label and
+#: offset lookups derives a whole epoch.
 MODEL_BACKENDS = ("scalar", "stdlib")
 
 #: Fixed wire widths, pinned against the implementation by
@@ -45,8 +47,6 @@ FRAME_LEN_BYTES = 4  # transport frame length prefix (transport.framing)
 MUX_HEADER_BYTES = 9  # plain mux: tag + 8-byte request id
 MUX_TRACED_HEADER_BYTES = 25  # mux + 16-byte trace context
 
-_DUMMY_KEY = b"\x00" * 16
-
 
 @dataclass(frozen=True)
 class LblCostModel:
@@ -60,11 +60,11 @@ class LblCostModel:
             group.
         backend: One of :data:`MODEL_BACKENDS`.
         key: The datastore key the access touches.  PRF messages embed the
-            key, so SHA-256 compression counts depend (mildly) on its
-            length; the default matches the validation tests.
+            key, so block counts depend (mildly) on its length; the default
+            matches the validation tests.
         counter: The access-counter epoch the access consumes.  Encoded
-            integers grow with magnitude, so compression counts depend on
-            the epoch too — byte-exactness demands it.
+            integers grow with magnitude, so block counts depend on the
+            epoch too — byte-exactness demands it.
     """
 
     value_len: int
@@ -82,15 +82,14 @@ class LblCostModel:
                 f"unknown model backend {self.backend!r}; "
                 f"expected one of {MODEL_BACKENDS}"
             )
-        # The codec is used purely for its message-length arithmetic
-        # (derivation_cost); the key material is irrelevant, only the
-        # output widths matter.
+        # The codec is used purely for its shape and message-length
+        # arithmetic (epoch_blocks); the key material is irrelevant.
         object.__setattr__(
             self,
             "_codec",
             LabelCodec(
-                Prf(_DUMMY_KEY, out_bytes=self.label_bits // 8),
-                Prf(_DUMMY_KEY, out_bytes=4),
+                hashlib.shake_256(),
+                label_len=self.label_bits // 8,
                 value_len=self.value_len,
                 group_bits=self.group_bits,
             ),
@@ -179,36 +178,35 @@ class LblCostModel:
         return TAG_BYTES + LABEL_LEN_BYTES + self.num_groups * self.label_len
 
     @property
-    def entry_hmacs(self) -> int:
-        """HMAC-SHA256 evaluations to build — or open — one table entry.
+    def entry_hashes(self) -> int:
+        """Keyed-hash calls to build — or open — one table entry.
 
-        A §10.2 row is one pad, a counter block per 32 bytes (one while
-        ``label_len + 9 ≤ 32``); an AEAD entry is a keystream of the label's
-        width plus the tag.
+        A §10.2 row is one keyed-BLAKE2b pad; an AEAD entry is HMAC-SHA256
+        twice or more: a keystream of the label's width plus the tag.
         """
         if self.point_and_permute:
-            return -(-self.entry_len // 32)
+            return 1
         return -(-self.label_len // 32) + 1
 
     @property
     def entry_compressions(self) -> int:
-        """SHA-256 compressions behind :attr:`entry_hmacs`.
+        """Compression-function blocks behind :attr:`entry_hashes`.
 
-        Each entry's key is used once, so nothing of its HMAC is
-        precomputed: on top of :func:`~repro.crypto.prf.hmac_compressions`
-        (which assumes keyed states) every evaluation pays the padded-key
-        block of its inner and of its outer hash — four compressions in all
-        while the message fits one block, which every message here does up
-        to 35-byte labels.  Not part of ``ops()["sha256.compressions"]``,
-        which is the PRF layer's meter.
+        A §10.2 row costs two BLAKE2b compressions: the padded key block and
+        the 24-byte message block.  An AEAD entry's key is used once, so
+        nothing of its HMACs is precomputed: on top of
+        :func:`~repro.crypto.prf.hmac_compressions` (which assumes keyed
+        states) every evaluation pays the padded-key block of its inner and
+        of its outer hash — four SHA-256 compressions in all while the
+        message fits one block.  Not part of ``ops()``'s block counts, which
+        are the PRF layer's meters.
         """
-        once_keyed = 2
         if self.point_and_permute:
-            message = len(b"lbl-row\0") + ROW_NONCE_BYTES + 4
-            return self.entry_hmacs * (hmac_compressions(message) + once_keyed)
+            return 2
+        once_keyed = 2
         keystream = len(b"aead-enc") + 12 + 4
         tag = len(b"aead-mac") + 12 + self.label_len
-        return (self.entry_hmacs - 1) * (hmac_compressions(keystream) + once_keyed) + (
+        return (self.entry_hashes - 1) * (hmac_compressions(keystream) + once_keyed) + (
             hmac_compressions(tag) + once_keyed
         )
 
@@ -258,18 +256,6 @@ class LblCostModel:
     # Crypto ops
     # ------------------------------------------------------------------ #
 
-    def _epoch_parts(self, counter: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``((label_calls, label_comp), (offset_calls, offset_comp))`` of
-        deriving one epoch at ``counter``."""
-        label_calls, label_comp = self._codec.derivation_cost(self.key, counter)
-        both_calls, both_comp = self._codec.derivation_cost(
-            self.key, counter, offsets=True
-        )
-        return (
-            (label_calls, label_comp),
-            (both_calls - label_calls, both_comp - label_comp),
-        )
-
     @property
     def _encode_key_cost(self) -> tuple[int, int]:
         """``(calls, compressions)`` of ``KeyChain.encode_key`` per access."""
@@ -284,10 +270,15 @@ class LblCostModel:
         Covers the cold path (no label-cache hit; the cache's savings are
         metered as ``cache.hits`` rows, not modeled here) with the epoch
         finalized from the proxy's in-flight table: ``finalize`` decodes
-        against the label table ``prepare`` kept, so it predicts no PRF call
-        and all of the PRF work is ``prepare``'s.  (An epoch that fell out
-        of that table — recovery, rollback, eviction — costs ``finalize``
-        one :meth:`LabelCodec.derivation_cost` on top.)
+        against the blob ``prepare`` kept, so it predicts no PRF call and
+        all of the PRF work is ``prepare``'s.  (An epoch that fell out of
+        that table — recovery, rollback, eviction — costs ``finalize`` one
+        :meth:`LabelCodec.epoch` on top.)
+
+        ``prf.calls`` are calls actually made: one XOF call per epoch
+        derived plus the HMAC key encoding, whose SHA-256 work is
+        ``sha256.compressions``; ``shake256.blocks`` are the 136-byte blocks
+        the XOF calls absorb and squeeze.
 
         Args:
             include_server: Include the server-side AEAD opens.  Under
@@ -297,40 +288,43 @@ class LblCostModel:
                 In a sharded deployment the server ops land in server-side
                 ledger rows, so client-row comparisons pass ``False``.
         """
-        # Every backend derives the old and the new epoch once each.  The
-        # batched kernels pay each HMAC block once
-        # (``LabelCodec.derivation_cost``); the scalar path derives every
-        # label alone — the block two labels share is computed per label —
-        # and calls the offset PRF once per group for the old epoch plus
-        # once per table entry for the new one, one block each.
-        codec = self._codec
-        calls, comp = self._encode_key_cost
-        for counter in (self.counter, self.counter + 1):
-            (lab_calls, lab_comp), (off_calls, off_comp) = self._epoch_parts(counter)
-            if self.backend == "scalar":
-                # Compressions per block do not depend on which block it is.
-                lab_comp = lab_comp // codec.label_blocks * codec.scalar_group_calls
-                lab_calls = codec.num_groups * codec.scalar_group_calls
-                if self.point_and_permute:
-                    per_call = off_comp // off_calls
-                    off_calls = codec.num_groups * (
-                        1 if counter == self.counter else self.table_size
-                    )
-                    off_comp = off_calls * per_call
-            calls += lab_calls
-            comp += lab_comp
+        # The batched path derives the old and the new epoch once each.  On
+        # the scalar path every lookup is an epoch of its own: per group the
+        # labels of both epochs, and under §10.2 the old offset plus one
+        # offset per table entry of the new epoch; it keeps none of them,
+        # so ``finalize`` derives the new epoch once more.
+        old_calls = new_calls = 1
+        if self.backend == "scalar":
+            old_calls = new_calls = self.num_groups
             if self.point_and_permute:
-                calls += off_calls
-                comp += off_comp
-
+                old_calls += self.num_groups
+                new_calls += self.num_groups * self.table_size
+            new_calls += 1
+        codec = self._codec
+        calls, compressions = self._encode_key_cost
         ops = {
-            "prf.calls": calls,
-            "sha256.compressions": comp,
+            "prf.calls": calls + old_calls + new_calls,
+            "sha256.compressions": compressions,
+            "shake256.blocks": (
+                old_calls * codec.epoch_blocks(self.key, self.counter)
+                + new_calls * codec.epoch_blocks(self.key, self.counter + 1)
+            ),
             "aead.encrypts": self.num_groups * self.table_size,
         }
         if include_server and self.point_and_permute:
             ops["aead.decrypts"] = self.num_groups
         return ops
+
+    def proxy_hash_blocks(self) -> int:
+        """Compression-function blocks the proxy hashes per access: the XOF
+        blocks of its epochs, the key encoding, and every table entry it
+        builds — the unit :func:`plan_capacity` prices proxy CPU in."""
+        ops = self.ops(include_server=False)
+        return (
+            ops["shake256.blocks"]
+            + ops["sha256.compressions"]
+            + ops["aead.encrypts"] * self.entry_compressions
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -339,19 +333,22 @@ class LblCostModel:
 
 #: Default planner throughput assumptions.  Both are deliberately explicit
 #: (and overridable) inputs, surfaced in the plan's ``assumptions`` — the
-#: model makes bytes and compressions exact, while sustained rates are
-#: hardware-dependent calibration points.
+#: model makes bytes and hash blocks exact, while sustained rates are
+#: hardware-dependent calibration points.  The block rate is what one core
+#: of the ``bench/`` host sustains through ``hashlib`` calls and the Python
+#: around them: 5,737 blocks (614 SHAKE-256 + 3 SHA-256 + 5,120 BLAKE2b) in
+#: the ≈ 3.6 ms ``prepare`` + ``finalize`` of one paper-point access.
 DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
-DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_000_000.0
+DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 1_600_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Server-side calibration points for the access-window fusion term.  One
-#: designated row open is a short HMAC-SHA256 (a handful of compressions),
-#: so a server core sustains far more opens/s than accesses/s; the
-#: per-*flush* overhead (storage round trip, dispatch, fan-out) is the part
-#: ``server_batch`` amortizes.  Calibrated against
-#: ``benchmarks/test_server_fusion.py``.
-DEFAULT_SERVER_OPENS_PER_SEC = 500_000.0
+#: designated row open is one keyed-BLAKE2b call (two compressions), so a
+#: server core sustains far more opens/s than accesses/s — 640 in ≈ 0.7 ms
+#: on the ``bench/`` host; the per-*flush* overhead (storage round trip,
+#: dispatch, fan-out) is the part ``server_batch`` amortizes.  Calibrated
+#: against ``benchmarks/test_server_fusion.py``.
+DEFAULT_SERVER_OPENS_PER_SEC = 900_000.0
 DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS = 150e-6
 
 
@@ -406,16 +403,17 @@ def plan_capacity(
 ) -> CapacityPlan:
     """Size a deployment for ``users`` issuing ``ops_per_user_per_day`` each.
 
-    Bytes and compressions per access come from the wire-validated
+    Bytes and hash blocks per access come from the wire-validated
     ``model``; the sustained-rate assumptions (per-shard op rate, per-core
-    compression rate, target utilization) are explicit inputs echoed into
+    block rate, target utilization) are explicit inputs echoed into
     the plan.  The p99 projection uses the standard M/M/1 tail
     ``p99 ≈ service_time · ln(100) / (1 − ρ)`` at the planned utilization —
     a deliberately simple queueing bound, stated as such.
 
     Proxy CPU per access is the hashing term the model validates
-    (``compressions / compressions_per_core_per_sec``); the server adds its
-    designated opens and a per-flush overhead that ``server_batch`` shares.
+    (:meth:`LblCostModel.proxy_hash_blocks` over
+    ``compressions_per_core_per_sec``); the server adds its designated opens
+    and a per-flush overhead that ``server_batch`` shares.
 
     Args:
         users: Active user count.
@@ -423,8 +421,9 @@ def plan_capacity(
         model: The deployment's cost model.
         num_objects: Stored objects (defaults to one per user).
         shard_ops_per_sec: Sustained accesses one shard serves.
-        compressions_per_core_per_sec: Sustained SHA-256 compression rate
-            of one proxy core.
+        compressions_per_core_per_sec: Sustained rate of one proxy core in
+            compression-function blocks (SHAKE-256, BLAKE2b and SHA-256
+            alike), Python call overhead included.
         target_utilization: Planned peak utilization of shards and cores.
         server_batch: Expected requests per server-side access window (the
             servers' ``server_batch`` under saturating traffic); ``1``
@@ -463,9 +462,8 @@ def plan_capacity(
     ops_per_day = users * ops_per_user_per_day
     ops_per_second = ops_per_day / 86_400.0
     bytes_per_access = model.framed_bytes_per_access(traced=True)
-    model_ops = model.ops(include_server=True)
-    compressions = model_ops["sha256.compressions"]
-    server_opens = model_ops.get("aead.decrypts", 0)
+    compressions = model.proxy_hash_blocks()
+    server_opens = model.ops(include_server=True).get("aead.decrypts", 0)
 
     shards = max(
         1, int(-(-ops_per_second // (shard_ops_per_sec * target_utilization)))

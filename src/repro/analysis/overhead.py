@@ -65,7 +65,8 @@ def measured_factors(y: int, value_len: int = 16) -> OverheadFactors:
     protocol = LblOrtoa(config, rng=random.Random(0))
     protocol.initialize({"k": b"x"})
     encoded = protocol.keychain.encode_key("k")
-    labels_stored = len(protocol.server.store.get(encoded))
+    stored = protocol.server.store.get(encoded).labels
+    labels_stored = len(stored) // (config.label_bits // 8)
     request, _ = protocol.proxy.prepare(Request.read("k"))
     ciphertexts_sent = request.num_groups * request.table_size
     bits = config.value_bits

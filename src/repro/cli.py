@@ -782,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RATE",
-        help="sustained SHA-256 compressions/s per core (planner assumption)",
+        help="sustained hash compression blocks/s per proxy core (planner assumption)",
     )
     plan.add_argument(
         "--utilization",

@@ -2,10 +2,10 @@
 
 Per access to key ``k`` with counter ``ct`` the proxy:
 
-1. regenerates the *old* labels for every group and every possible group
-   value — slice ``v`` of ``PRF(k, i, ct)`` — covering all ``2^y``
-   candidates because the actual value lives only at the server;
-2. generates the *new* labels under ``ct + 1``;
+1. regenerates the *old* epoch — every candidate label of every group, and
+   the permute offsets, in one XOF call — covering all ``2^y`` candidates
+   because the actual value lives only at the server;
+2. generates the *new* epoch under ``ct + 1``;
 3. builds, per group, a table of ``2^y`` ciphertexts: for reads each old
    label encrypts its *own* new label (value preserved); for writes every
    old label encrypts the new label of the *written* group value;
@@ -16,23 +16,23 @@ Per access to key ``k`` with counter ``ct`` the proxy:
 
 After the round trip, :meth:`LblProxy.finalize` maps the opened labels back
 to plaintext, which doubles as the §5.4 tamper check.  The candidates it
-checks against are the new-epoch labels step 2 already derived: every
-prepared epoch's label table waits in a bounded **in-flight table** until its
-response is finalized, so the normal path derives each epoch exactly once
-(an epoch that fell out — recovery, rollback, eviction — is re-derived).
+checks against are the new epoch step 2 already derived: every prepared
+epoch's blob waits in a bounded **in-flight table** until its response is
+finalized, so the normal path derives each epoch exactly once (an epoch
+that fell out — recovery, rollback, eviction — is re-derived).
 
-Labels and offsets have one definition, in
-:class:`~repro.crypto.labels.LabelCodec`; the proxy reaches it two ways:
+An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
+<repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
+and matched against as such; the proxy reaches it two ways:
 
-* the **batched kernel path** (default) derives whole epochs through
-  :meth:`~repro.crypto.labels.LabelCodec.labels_for_groups` and encrypts the
-  whole table in one kernel call — :func:`~repro.crypto.rows.seal_rows`
-  under point-and-permute, whose output *is* the request's slab, or
-  :func:`~repro.crypto.aead.encrypt_many` for the base protocol —
-  optionally reusing a previous access's labels from the
+* the **batched kernel path** (default) slices the two blobs into the whole
+  table's keys and payloads at C speed and encrypts it in one kernel call —
+  :func:`~repro.crypto.rows.seal_rows` under point-and-permute, whose output
+  *is* the request's slab, or :func:`~repro.crypto.aead.encrypt_many` for
+  the base protocol — optionally taking the old epoch from the
   :class:`~repro.core.lbl.cache.LabelCache`;
-* the **scalar path** (``batched=False``) issues one PRF/AEAD call per label
-  and table entry.  It is kept as the benchmark baseline and as an
+* the **scalar path** (``batched=False``) issues one codec/row/AEAD call per
+  label and table entry.  It is kept as the benchmark baseline and as an
   equivalence oracle — both paths produce tables that open to
   byte-identical labels.
 """
@@ -41,15 +41,18 @@ from __future__ import annotations
 
 import random
 import secrets
+import struct
 from collections import OrderedDict
-from operator import add, itemgetter
+from itertools import repeat
+from operator import add, mul
 
 from repro.core.base import OpCounts
-from repro.core.lbl.cache import DEFAULT_LABEL_CACHE_BYTES, LabelCache, LabelCacheEntry
+from repro.core.lbl.cache import LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead, rows
+from repro.crypto.aead import _xor
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec, StoredLabel, value_to_groups
+from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
@@ -63,18 +66,19 @@ from repro.types import Request, StoreConfig
 DECRYPT_INDEX_BYTES = 1
 
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs).
-#: The table holds one epoch per outstanding request, so the budget binds as
-#: soon as more requests are outstanding at once — a batch, a window, a
-#: pipeline depth, a thread count — than it has room for epochs: 68 at the
-#: paper point (160 B values, ≈ 240 KB of labels per epoch; sized to cover
+#: The table holds one epoch blob per outstanding request, so the budget
+#: binds as soon as more requests are outstanding at once — a batch, a
+#: window, a pipeline depth, a thread count — than it has room for epochs:
+#: 100 at the paper point (160 B values, 41.6 KB per epoch; above
 #: ``ConcurrentLblProxy``'s 64 stripes), thousands at 2 B.  Past that, and
 #: for epochs whose request failed and is never finalized, the oldest epoch
 #: falls out and its ``finalize`` re-derives what ``prepare`` had kept.
-_INFLIGHT_TABLE_BYTES = 16 * 1024 * 1024
+_INFLIGHT_TABLE_BYTES = 4 * 1024 * 1024
 
-#: Single-byte slot suffixes, pre-built so the table loop does not
-#: construct a fresh one-byte ``bytes`` object per row.
-_BYTE = [bytes((v,)) for v in range(256)]
+#: Resident bytes of one in-flight entry beyond its blob: the ``bytes``
+#: header, the ``(key, epoch)`` tuple with its two objects (≈ 200 bytes with
+#: the table node) and room for a key string of its own.
+_INFLIGHT_ENTRY_OVERHEAD = 320
 
 
 class LblProxy:
@@ -99,9 +103,9 @@ class LblProxy:
     ) -> None:
         self.config = config
         self.keychain = keychain
-        self.codec = LabelCodec(
-            keychain.label_prf,
-            keychain.permute_prf,
+        codec = self.codec = LabelCodec(
+            keychain.label_xof,
+            label_len=keychain.label_bits // 8,
             value_len=config.value_len,
             group_bits=config.group_bits,
         )
@@ -109,48 +113,26 @@ class LblProxy:
         self._counters: dict[str, int] = {}
         self.batched = batched
         self.label_cache: LabelCache | None = None
-        entries = config.label_cache_entries
-        if entries is not None:
-            if entries == -1:
-                self.label_cache = LabelCache.from_bytes(
-                    self.codec.num_groups,
-                    self.codec.table_size,
-                    self.codec.label_len,
-                    DEFAULT_LABEL_CACHE_BYTES,
-                )
-            else:
-                self.label_cache = LabelCache(entries)
-        #: HMAC evaluations behind one epoch's labels (+ offsets under §10.2).
-        self._epoch_prf = self.codec.label_calls + (
-            self.codec.offset_calls if config.point_and_permute else 0
-        )
+        if config.label_cache_entries == -1:
+            self.label_cache = LabelCache.from_bytes(codec.epoch_len)
+        elif config.label_cache_entries is not None:
+            self.label_cache = LabelCache(config.label_cache_entries)
         if config.point_and_permute:
-            # Slot ``s`` of a group whose permute offset is ``r`` belongs to
-            # value ``s ^ r``.  Per offset: a C-level getter that picks a
-            # group's labels in slot order, and the slot suffixes ``s ^ r``.
-            size = self.codec.table_size
-            self._in_slot_order = [
-                itemgetter(*(slot ^ r for slot in range(size))) for r in range(size)
-            ]
-            self._slot_bytes = [
-                [_BYTE[slot ^ r] for slot in range(size)] for r in range(size)
-            ]
-        # (key, epoch) -> candidate label table, oldest first.  Every
-        # mutation is one OrderedDict operation (atomic under the GIL), so
-        # callers that serialize per key need no further lock.
-        self._inflight: "OrderedDict[tuple[str, int], list[list[bytes]]]" = (
-            OrderedDict()
+            groups, size = codec.num_groups, codec.table_size
+            # A bytes of one byte per group / per table row, as 1-byte objects.
+            self._split_groups = struct.Struct("c" * groups).unpack
+            self._split_rows = struct.Struct("c" * (groups * size)).unpack
+            # Per table row in wire order (group-major, slot-minor): its slot,
+            # and where its group starts in ``codec.labels``.
+            self._row_slots = bytes(range(size)) * groups
+            self._row_starts = [i * size for i in range(groups) for _ in range(size)]
+        # (key, epoch) -> epoch blob, oldest first.  Every mutation is one
+        # OrderedDict operation (atomic under the GIL), so callers that
+        # serialize per key need no further lock.
+        self._inflight: "OrderedDict[tuple[str, int], bytes]" = OrderedDict()
+        self._inflight_capacity = max(
+            1, _INFLIGHT_TABLE_BYTES // (codec.epoch_len + _INFLIGHT_ENTRY_OVERHEAD)
         )
-        # Entry cap: the byte budget over an upper estimate of one epoch's
-        # resident bytes — per label the ``bytes`` object (33-byte header)
-        # and its list slot, per group the row list, per epoch the outer
-        # list and the table node, each rounded up.
-        epoch_bytes = (
-            self.codec.num_groups
-            * (self.codec.table_size * (self.codec.label_len + 56) + 96)
-            + 512
-        )
-        self._inflight_capacity = max(1, _INFLIGHT_TABLE_BYTES // epoch_bytes)
 
     # ------------------------------------------------------------------ #
     # State
@@ -161,12 +143,10 @@ class LblProxy:
         """§5.3.1's space estimate: an 8-byte counter per tracked object."""
         return 8 * len(self._counters)
 
-    def _remember_epoch(
-        self, key: str, epoch: int, labels: "list[list[bytes]]"
-    ) -> None:
-        """File a prepared epoch's label table for its :meth:`finalize`."""
+    def _remember_epoch(self, key: str, epoch: int, blob: bytes) -> None:
+        """File a prepared epoch's blob for its :meth:`finalize`."""
         table = self._inflight
-        table[(key, epoch)] = labels
+        table[(key, epoch)] = blob
         while len(table) > self._inflight_capacity:
             try:
                 table.popitem(last=False)
@@ -229,29 +209,27 @@ class LblProxy:
 
     def initial_records(
         self, records: dict[str, bytes]
-    ) -> list[tuple[bytes, list[StoredLabel]]]:
+    ) -> list[tuple[bytes, StoredRecord]]:
         """Encode every plaintext pair into the server's stored form.
 
-        The value is decomposed into groups exactly once per record; only the
-        label each group stores is derived (one HMAC per group), and the
-        point-and-permute slots come from the packed offset stream.
+        One epoch derivation per record: the value's groups select the
+        labels to store and, under point-and-permute, the slots to open.
         """
         out = []
-        point_and_permute = self.config.point_and_permute
+        codec = self.codec
         for key, value in records.items():
             if key in self._counters:
                 raise ProtocolError(f"duplicate key at init: {key!r}")
             groups = value_to_groups(self.config.pad(value), self.config.group_bits)
             self._counters[key] = 0
-            labels = self.codec.encode_groups(key, groups, 0)
-            if point_and_permute:
-                slots = self.codec.decrypt_indices(key, groups, 0)
-                stored = [
-                    StoredLabel(label, slot) for label, slot in zip(labels, slots)
-                ]
-            else:
-                stored = [StoredLabel(label) for label in labels]
-            out.append((self.keychain.encode_key(key), stored))
+            blob = codec.epoch(key, 0)
+            slots = codec.slots(blob, groups) if self.config.point_and_permute else b""
+            out.append(
+                (
+                    self.keychain.encode_key(key),
+                    StoredRecord(codec.select(blob, groups), slots),
+                )
+            )
         return out
 
     # ------------------------------------------------------------------ #
@@ -285,128 +263,88 @@ class LblProxy:
         REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
 
     def _prepare_batched(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Kernel path: batch-derive labels, batch-encrypt the whole table."""
+        """Kernel path: derive two epochs, encrypt the whole table in one call."""
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
         key = request.key
         ct = self.counter(key)
         new_ct = ct + 1
-        point_and_permute = self.config.point_and_permute
-        epoch_prf = self._epoch_prf
 
         new_value = None
         if request.op.is_write:
             padded = self.config.pad(request.value)  # type: ignore[arg-type]
             new_value = value_to_groups(padded, self.config.group_bits)
 
-        cached = (
-            self.label_cache.take(key, ct) if self.label_cache is not None else None
-        )
-        cache_hit = cached is not None
-        prf_count = 0
-        new_labels = None
-        new_offsets = None
-        if cache_hit:
-            old_labels = cached.labels
-            old_offsets = cached.offsets
-            old_schedules = cached.schedules
-            # ``finalize`` may have prefetched the new epoch too, in which
-            # case prepare performs no label derivation at all.
-            if cached.next_labels is not None:
-                new_labels = cached.next_labels
-                new_offsets = cached.next_offsets
-        else:
-            old_labels = codec.labels_for_groups(key, ct)
-            old_offsets = (
-                codec.permute_offsets(key, ct) if point_and_permute else None
-            )
-            old_schedules = None
-            prf_count += epoch_prf
-
-        if new_labels is None:
-            new_labels = codec.labels_for_groups(key, new_ct)
-            if point_and_permute:
-                new_offsets = codec.permute_offsets(key, new_ct)
-            prf_count += epoch_prf
+        cache = self.label_cache
+        old = cache.take(key, ct) if cache is not None else None
+        cache_hit = old is not None
+        if old is None:
+            old = codec.epoch(key, ct)
+        new = codec.epoch(key, new_ct)
+        prf_count = 3 - cache_hit  # the epochs derived + the key encoding
 
         # One kernel call encrypts the whole table.
         encoded_key = self.keychain.encode_key(key)
-        if point_and_permute:
-            keys, payloads = self._row_inputs(
-                old_labels if old_schedules is None else None,
-                old_offsets, new_labels, new_offsets, new_value,
-            )
+        enc_count = codec.num_groups * codec.table_size
+        if self.config.point_and_permute:
+            keys, payloads = self._row_inputs(old, new, new_value)
             nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
-            slab = rows.seal_rows(keys, payloads, nonce, schedules=old_schedules)
-            enc_count = len(payloads)
+            slab = rows.seal_rows(keys, payloads, nonce)
             wire = LblAccessRequest(
                 encoded_key, slab, codec.table_size, len(slab) // enc_count, nonce
             )
         else:
-            flat_keys = [label for row in old_labels for label in row]
+            new_labels = codec.labels(new)
             if new_value is None:
-                flat_payloads = [label for row in new_labels for label in row]
+                payloads = new_labels
             else:
-                flat_payloads = [
-                    row[target]
-                    for row, target in zip(new_labels, new_value)
-                    for _ in row
+                size = codec.table_size
+                payloads = [
+                    new_labels[index * size + target]
+                    for index, target in enumerate(new_value)
+                    for _ in range(size)
                 ]
-            ciphertexts = aead.encrypt_many(
-                flat_keys, flat_payloads, schedules=old_schedules
-            )
-            enc_count = len(ciphertexts)
+            ciphertexts = aead.encrypt_many(codec.labels(old), payloads)
             wire = LblAccessRequest.from_tables(
                 encoded_key, self._assemble_tables(ciphertexts)
             )
 
-        if self.label_cache is not None:
-            self.label_cache.put(
-                key,
-                new_ct,
-                LabelCacheEntry(labels=new_labels, offsets=new_offsets),
-            )
-        self._remember_epoch(key, new_ct, new_labels)
+        if cache is not None:
+            cache.put(key, new_ct, new)
+        self._remember_epoch(key, new_ct, new)
         self._counters[key] = new_ct
-        ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
-        self._emit_prepare_span(span, request, prf_count + 1, enc_count, cache_hit)
+        ops = OpCounts(prf=prf_count, aead_enc=enc_count)
+        self._emit_prepare_span(span, request, prf_count, enc_count, cache_hit)
         return wire, ops
 
+    def _per_row(self, per_group: bytes) -> bytes:
+        """One byte per group, repeated for each of the group's ``2^y`` rows."""
+        return b"".join(
+            map(mul, self._split_groups(per_group), repeat(self.codec.table_size))
+        )
+
     def _row_inputs(
-        self,
-        old_labels: "list[list[bytes]] | None",
-        old_offsets: "list[int]",
-        new_labels: "list[list[bytes]]",
-        new_offsets: "list[int]",
-        new_value: "tuple[int, ...] | None",
-    ) -> "tuple[list[bytes] | None, list[bytes]]":
-        """``(keys, payloads)`` of one access's point-and-permute rows,
-        already in wire order (group-major, slot-minor).
+        self, old: bytes, new: bytes, new_value: "tuple[int, ...] | None"
+    ) -> "tuple[list[bytes], list[bytes]]":
+        """``(keys, payloads)`` of one access's point-and-permute rows, sliced
+        out of the two epoch blobs in wire order (group-major, slot-minor).
 
         Slot ``s`` of group ``i`` is keyed by the old label of value
-        ``v = s ^ old_offsets[i]`` and carries the new label ``v`` maps to —
-        its own for a read (``new_value is None``), the written value's for a
-        write — followed by that label's slot byte in the next epoch.
-        ``old_labels`` is ``None`` (and so is ``keys``) when the caller holds
-        the old epoch's key schedules, which are in wire order already.
+        ``v = s ^ r_i`` (``r`` the old epoch's offsets) and carries the new
+        label ``v`` maps to — its own for a read (``new_value is None``), the
+        written value's for a write — followed by that label's slot byte in
+        the next epoch.  All rows are computed at once: what varies per row
+        is a byte string, combined by one XOR, and labels are picked by one
+        gather over :meth:`LabelCodec.labels`.
         """
-        in_slot_order = self._in_slot_order
-        slot_bytes = self._slot_bytes
-        table_size = self.codec.table_size
-        keys: "list[bytes] | None" = None if old_labels is None else []
-        payloads: list[bytes] = []
-        for index, offset in enumerate(old_offsets):
-            order = in_slot_order[offset]
-            if keys is not None:
-                keys += order(old_labels[index])  # type: ignore[index]
-            new_row = new_labels[index]
-            next_offset = new_offsets[index]
-            if new_value is None:
-                payloads += map(add, order(new_row), slot_bytes[offset ^ next_offset])
-            else:
-                target = new_value[index]
-                payloads += [new_row[target] + _BYTE[target ^ next_offset]] * table_size
-        return keys, payloads
+        codec = self.codec
+        values = _xor(self._row_slots, self._per_row(codec.offsets(old)))
+        targets = values if new_value is None else self._per_row(bytes(new_value))
+        next_slots = _xor(targets, self._per_row(codec.offsets(new)))
+        starts = self._row_starts
+        keys = list(map(codec.labels(old).__getitem__, map(add, starts, values)))
+        labels = map(codec.labels(new).__getitem__, map(add, starts, targets))
+        return keys, list(map(add, labels, self._split_rows(next_slots)))
 
     def _assemble_tables(self, ciphertexts: "list[bytes]") -> "list[list[bytes]]":
         """One base-protocol access's ciphertexts as per-group tables,
@@ -418,17 +356,19 @@ class LblProxy:
         return tables
 
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Reference path: one PRF/AEAD call per label and table entry.
+        """Reference path: one codec/row/AEAD call per label and table entry.
 
         Kept as the self-relative benchmark baseline
         (``benchmarks/test_kernel_speedup.py``) and as the equivalence
-        oracle for the batched kernels.
+        oracle for the batched kernels.  Every codec call is one epoch
+        derivation, and none is kept: ``finalize`` derives its own.
         """
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
+        codec = self.codec
         key = request.key
         ct = self.counter(key)
         new_ct = ct + 1
-        table_size = self.codec.table_size
+        table_size = codec.table_size
 
         new_value = None
         if request.op.is_write:
@@ -438,26 +378,24 @@ class LblProxy:
         prf_count = 0
         enc_count = 0
         tables: list[list[bytes]] = []
-        new_table: list[list[bytes]] = []
         pnp = self.config.point_and_permute
         nonce = secrets.token_bytes(rows.ROW_NONCE_LEN) if pnp else b""
-        for index in range(self.codec.num_groups):
-            old_labels = self.codec.labels_for_group(key, index, ct)
-            new_labels = self.codec.labels_for_group(key, index, new_ct)
-            new_table.append(new_labels)
-            prf_count += 2 * self.codec.scalar_group_calls
+        for index in range(codec.num_groups):
+            old_labels = codec.labels_for_group(key, index, ct)
+            new_labels = codec.labels_for_group(key, index, new_ct)
+            prf_count += 2
 
             entries: list[bytes] = [b""] * table_size
             if pnp:
-                # One permute-offset PRF call linking the old labels to
-                # slots, plus one per table entry (inside decrypt_index) for
-                # the next access's slot carried in the payload.
-                offset_old = self.codec.permute_offset(key, index, ct)
+                # One offset lookup linking the old labels to slots, plus one
+                # per table entry (inside decrypt_index) for the next
+                # access's slot carried in the payload.
+                offset_old = codec.permute_offset(key, index, ct)
                 prf_count += 1 + table_size
                 for value in range(table_size):
                     target = value if request.op.is_read else new_value[index]  # type: ignore[index]
                     payload = new_labels[target] + bytes(
-                        [self.codec.decrypt_index(key, index, target, new_ct)]
+                        [codec.decrypt_index(key, index, target, new_ct)]
                     )
                     entries[value ^ offset_old] = rows.seal_row(
                         old_labels[value], payload, nonce
@@ -471,7 +409,6 @@ class LblProxy:
                 self._rng.shuffle(entries)
             tables.append(entries)
 
-        self._remember_epoch(key, new_ct, new_table)
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
         self._emit_prepare_span(span, request, prf_count + 1, enc_count, False)
@@ -496,16 +433,11 @@ class LblProxy:
         value just written (the labels now encode it).  Either way the
         label-to-candidate match is the §5.4 integrity check.
 
-        The candidate set is the table :meth:`prepare` filed in the
+        The candidate set is the epoch blob :meth:`prepare` filed in the
         in-flight table, so the normal path costs no PRF call; an epoch that
-        is no longer there (recovery, rollback, eviction) is taken from the
-        label cache if that still holds it and re-derived otherwise.
-        When the label cache holds the epoch, its entry is enriched with
-        (a) precomputed HMAC key schedules so the *next* access's table
-        encryption skips its per-entry key derivation and (b) the prefetched
-        next-epoch labels/offsets so the next access skips label derivation
-        entirely — both after the request already left the proxy, i.e. off
-        the one-round-trip critical path.
+        is no longer there (recovery, rollback, eviction, the scalar path) is
+        taken from the label cache if that still holds it and re-derived
+        otherwise.
 
         Args:
             key: The accessed key.
@@ -519,34 +451,14 @@ class LblProxy:
             TamperDetectedError: a label matches no candidate.
         """
         new_ct = self.counter(key) if counter is None else counter
-        codec = self.codec
-        labels = list(response.opened_labels)
         prf_count = 0
-        cache = self.label_cache
-        cached = cache.peek(key, new_ct) if cache is not None else None
-        candidates = self._inflight.pop((key, new_ct), None)
-        if candidates is None:
-            if cached is not None:
-                candidates = cached.labels
-            else:
-                candidates = codec.labels_for_groups(key, new_ct)
-                prf_count += codec.label_calls
-        value = codec.decode_from_candidates(candidates, labels)
-        if cached is not None:
-            cache.attach_schedules(key, new_ct)
-            if cached.next_labels is None:
-                # Label prefetch: epoch ``new_ct + 1`` is a deterministic
-                # function of the key, so derive it now — during the idle
-                # window after the response, not on the next access's
-                # request-build critical path.
-                next_labels = codec.labels_for_groups(key, new_ct + 1)
-                next_offsets = (
-                    codec.permute_offsets(key, new_ct + 1)
-                    if self.config.point_and_permute
-                    else None
-                )
-                prf_count += self._epoch_prf
-                cache.attach_prefetch(key, new_ct, next_labels, next_offsets)
+        blob = self._inflight.pop((key, new_ct), None)
+        if blob is None and self.label_cache is not None:
+            blob = self.label_cache.peek(key, new_ct)
+        if blob is None:
+            blob = self.codec.epoch(key, new_ct)
+            prf_count = 1
+        value = self.codec.decode(blob, response.labels)
         ops = OpCounts(prf=prf_count)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()

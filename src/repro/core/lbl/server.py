@@ -1,15 +1,16 @@
 """The untrusted storage server of LBL-ORTOA (paper §5.2 step 2, §10.2).
 
 Per group the server holds exactly one secret label (plus, under
-point-and-permute, the slot index to open next).  On receiving a request it
-either:
+point-and-permute, the slot index to open next) — per object, one
+:class:`~repro.crypto.labels.StoredRecord` of two blobs.  On receiving a
+request it either:
 
 * **base protocol** — tries every ciphertext in the group's table; the
   authenticated encryption guarantees exactly one opens (the one keyed by
   its stored label), and
 
-* **point-and-permute** — slices only the row its stored index names out
-  of the request's slab and opens it with one HMAC
+* **point-and-permute** — picks only the row its stored index names out
+  of the request's slab and opens it with one keyed hash
   (:func:`repro.crypto.rows.open_rows`), halving (for y=1; quartering for
   y=2) server computation, exactly the §10.2 optimization.  A row whose
   check bytes do not open to zero — a stale epoch, a wrong nonce — refuses
@@ -43,12 +44,14 @@ operation-independent.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from operator import add
 
 from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead, rows as row_kernel
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -67,30 +70,38 @@ def _access_ops(opened: int, failed: int) -> OpCounts:
     return OpCounts(kv_ops=2, aead_dec=opened, failed_dec=failed)
 
 
+@lru_cache(maxsize=16)
+def _splitter(width: int, count: int, unused: int = 0):
+    """``bytes -> tuple`` of ``count`` fields of ``width`` bytes, each
+    followed by ``unused`` skipped ones (compiled once per shape)."""
+    return struct.Struct(f"{width}s{unused}x" * count).unpack
+
+
 class LblServer:
     """Stores per-group labels and applies encryption tables obliviously."""
 
     def __init__(self, point_and_permute: bool = False) -> None:
         self.point_and_permute = point_and_permute
-        self.store: KeyValueStore[list[StoredLabel]] = KeyValueStore("lbl-server")
+        self.store: KeyValueStore[StoredRecord] = KeyValueStore("lbl-server")
 
-    def load(self, encoded_key: bytes, labels: list[StoredLabel]) -> None:
+    def load(self, encoded_key: bytes, record: StoredRecord) -> None:
         """Bulk-load one object's labels at initialization."""
-        if self.point_and_permute and any(sl.decrypt_index is None for sl in labels):
-            raise ProtocolError("point-and-permute server needs decrypt indices")
-        self.store.put_new(encoded_key, labels)
+        labels, slots = record
+        if self.point_and_permute and (
+            not slots or not labels or len(labels) % len(slots)
+        ):
+            raise ProtocolError("point-and-permute server needs one slot per label")
+        self.store.put_new(encoded_key, StoredRecord(labels, slots))
 
-    def _commit_many(
-        self, items: list[tuple[bytes, list[StoredLabel]]]
-    ) -> list[int]:
+    def _commit_many(self, items: list[tuple[bytes, StoredRecord]]) -> list[bool]:
         """Persist a window's rotated labels in one storage multi-put;
-        returns how many labels were rewritten per item.
+        returns whether each item's record was rewritten.
 
         Split out so test doubles can model a *leaky* server that skips the
         rewrite — the behaviour the obliviousness auditor must flag.
         """
         self.store.put_many(items)
-        return [len(updated) for _key, updated in items]
+        return [True] * len(items)
 
     def _emit_telemetry(
         self,
@@ -215,104 +226,124 @@ class LblServer:
                 if capture:
                     self._emit_telemetry(spans[index], request, error=exc)
 
-        # Gather: validate each front request against its stored labels and,
-        # under point-and-permute, slice its designated rows — the only
-        # entries of its slab ever touched — into the window-wide open.
-        stored_lists = (
+        # Gather: validate each front request against its stored record and,
+        # under point-and-permute, pick its designated rows — the only
+        # entries of its slab ever opened — into the window-wide open.
+        records = (
             store.get_many([requests[index].encoded_key for index in front])
             if front
             else []
         )
-        opening: list[tuple[int, list[StoredLabel], int]] = []
-        pair_keys: list[bytes] = []
-        pair_rows: list[bytes] = []
-        nonce_runs: list[tuple[bytes, int]] = []
-        for index, stored in zip(front, stored_lists):
+        opening: list[tuple[int, StoredRecord, int]] = []
+        runs: list[tuple[bytes, tuple[bytes, ...], bytes]] = []
+        for index, record in zip(front, records):
             request = requests[index]
-            start = len(pair_keys)
+            groups, table_size = request.num_groups, request.table_size
             try:
-                if request.num_groups != len(stored):
+                if point_and_permute:
+                    stored_groups = len(record.slots)
+                    label_len = len(record.labels) // max(stored_groups, 1)
+                else:
+                    label_len = request.entry_len - aead.NONCE_LEN - aead.TAG_LEN
+                    stored_groups, odd = divmod(len(record.labels), max(label_len, 1))
+                    if label_len < 1 or odd:
+                        raise ProtocolError(
+                            f"entry length {request.entry_len} does not fit "
+                            "the stored labels"
+                        )
+                if groups != stored_groups:
                     raise ProtocolError(
-                        f"table count {request.num_groups} != stored groups "
-                        f"{len(stored)}"
+                        f"table count {groups} != stored groups {stored_groups}"
                     )
                 if point_and_permute:
-                    slab, table_size = request.slab, request.table_size
-                    entry_len = request.entry_len
-                    for group_index, current in enumerate(stored):
-                        slot = current.decrypt_index
-                        if slot is None or slot >= table_size:
-                            raise ProtocolError(
-                                f"bad decrypt index at group {group_index}"
-                            )
-                        at = (group_index * table_size + slot) * entry_len
-                        pair_keys.append(current.label)
-                        pair_rows.append(slab[at : at + entry_len])
-                    nonce_runs.append((request.nonce, len(stored)))
+                    if request.entry_len != (
+                        label_len + DECRYPT_INDEX_BYTES + row_kernel.CHECK_LEN
+                    ):
+                        raise ProtocolError(
+                            f"entry length {request.entry_len} is no row of a "
+                            f"{label_len}-byte label"
+                        )
+                    if max(record.slots) >= table_size:
+                        bad = next(
+                            g for g, slot in enumerate(record.slots) if slot >= table_size
+                        )
+                        raise ProtocolError(f"bad decrypt index at group {bad}")
+                    entries = _splitter(request.entry_len, groups * table_size)(
+                        request.slab
+                    )
+                    designated = map(
+                        entries.__getitem__,
+                        map(add, range(0, groups * table_size, table_size), record.slots),
+                    )
+                    runs.append(
+                        (
+                            request.nonce,
+                            _splitter(label_len, groups)(record.labels),
+                            b"".join(designated),
+                        )
+                    )
             except OrtoaError as exc:
-                del pair_keys[start:], pair_rows[start:]
                 results[index] = exc
                 if capture:
                     self._emit_telemetry(spans[index], request, error=exc)
                 continue
-            opening.append((index, stored, start))
+            opening.append((index, record, label_len))
 
         # Open: the ambient row is cleared so each real crypto invocation
         # meters the registry exactly once; per-request shares are credited
         # closed-form below.
-        commits: list[tuple[bytes, list[StoredLabel]]] = []
-        committed: list[tuple[int, int, int, int]] = []
+        commits: list[tuple[bytes, StoredRecord]] = []
+        committed: list[tuple[int, int, int]] = []
         token = _ledger.activate(None) if capture else None
         try:
-            payloads = row_kernel.open_rows(pair_keys, pair_rows, nonce_runs)
-            for index, stored, start in opening:
+            opened_runs = iter(row_kernel.open_rows(runs))
+            for index, record, label_len in opening:
                 request = requests[index]
-                decrypts = failed = 0
-                labels: list[bytes] = []
-                updated: list[StoredLabel] = []
+                groups = request.num_groups
+                decrypts = failed = opened = 0
                 error: OrtoaError | None = None
-                try:
-                    if point_and_permute:
-                        # Every designated row was attempted, whatever this
-                        # request's window-mates (or its own other groups) did.
-                        segment = payloads[start : start + len(stored)]
-                        decrypts = len(segment)
-                        failed = segment.count(None)
-                        for group_index, payload in enumerate(segment):
-                            if payload is None:
-                                raise ProtocolError(
-                                    "designated entry failed to open at group "
-                                    f"{group_index}"
-                                )
-                            if len(payload) <= DECRYPT_INDEX_BYTES:
-                                raise ProtocolError(
-                                    "point-and-permute payload too short"
-                                )
-                            label = payload[:-DECRYPT_INDEX_BYTES]
-                            updated.append(StoredLabel(label, payload[-1]))
-                            labels.append(label)
+                if point_and_permute:
+                    # Every designated row was attempted, whatever this
+                    # request's window-mates (or its own other groups) did.
+                    plain, failures = next(opened_runs)
+                    decrypts, failed = groups, len(failures)
+                    if failures:
+                        opened = failures[0]
+                        error = ProtocolError(
+                            f"designated entry failed to open at group {opened}"
+                        )
                     else:
-                        # The stored label's key schedule is computed once per
-                        # group and tried against every entry (same verdicts
-                        # and attempt counts as a sequential try_decrypt loop).
-                        for group_index, (table, current) in enumerate(
-                            zip(request.tables, stored)
-                        ):
-                            found = aead.open_any(current.label, table)
+                        # A row is label ‖ slot byte ‖ check bytes: the labels
+                        # and the slot bytes, each back to back, are the new
+                        # record (and the labels are the reply).
+                        opened = groups
+                        row_len = request.entry_len
+                        labels = _splitter(label_len, groups, row_len - label_len)(plain)
+                        updated = StoredRecord(b"".join(labels), plain[label_len::row_len])
+                else:
+                    # The stored label's key schedule is computed once per
+                    # group and tried against every entry (same verdicts
+                    # and attempt counts as a sequential try_decrypt loop).
+                    labels = []
+                    currents = _splitter(label_len, groups)(record.labels)
+                    try:
+                        for table, current in zip(request.tables, currents):
+                            found = aead.open_any(current, table)
                             if found is None:
                                 decrypts += len(table)
                                 failed += len(table)
                                 raise ProtocolError(
-                                    f"no table entry opened at group {group_index}: "
+                                    f"no table entry opened at group {len(labels)}: "
                                     "stored label is stale or corrupt"
                                 )
                             slot, label = found
                             decrypts += slot + 1
                             failed += slot
-                            updated.append(StoredLabel(label))
                             labels.append(label)
-                except OrtoaError as exc:
-                    error = exc
+                    except OrtoaError as exc:  # a label too short to be a key, too
+                        error = exc
+                    opened = len(labels)
+                    updated = StoredRecord(b"".join(labels))
                 if capture and rows[index] is not None:
                     _ledger.credit_op("aead.decrypts", decrypts - failed, rows[index])
                     _ledger.credit_op("aead.decrypt_failures", failed, rows[index])
@@ -320,15 +351,15 @@ class LblServer:
                     results[index] = error
                     if capture:
                         self._emit_telemetry(
-                            spans[index], request, decrypts, failed, len(labels),
+                            spans[index], request, decrypts, failed, opened,
                             error=error,
                         )
                     continue
                 commits.append((request.encoded_key, updated))
                 if capture:
-                    committed.append((index, decrypts, failed, len(labels)))
+                    committed.append((index, decrypts, failed))
                 results[index] = (
-                    LblAccessResponse(tuple(labels)),
+                    LblAccessResponse(updated.labels, label_len),
                     _access_ops(decrypts - failed, failed),
                 )
         finally:
@@ -336,14 +367,13 @@ class LblServer:
                 _ledger.deactivate(token)
 
         if commits:
-            rewritten_counts = self._commit_many(commits)
+            written = self._commit_many(commits)
             if capture:
-                for (index, decrypts, failed, opened), rewritten in zip(
-                    committed, rewritten_counts
-                ):
+                for (index, decrypts, failed), rewrote in zip(committed, written):
+                    groups = requests[index].num_groups
                     self._emit_telemetry(
-                        spans[index], requests[index], decrypts, failed, opened,
-                        rewritten,
+                        spans[index], requests[index], decrypts, failed, groups,
+                        groups if rewrote else 0,
                     )
 
         if tail:

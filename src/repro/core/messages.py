@@ -252,36 +252,47 @@ class LblAccessRequest:
 @dataclass(frozen=True, slots=True)
 class LblAccessResponse:
     """§5.2 step 2.2: the one successfully decrypted label per group, as
-    ``tag ‖ label_len u16 ‖ num_groups · label_len bytes``."""
+    ``tag ‖ label_len u16 ‖ num_groups · label_len bytes`` — the labels
+    travel, and are held, as the one blob the server now stores
+    (:attr:`opened_labels` slices them)."""
 
-    opened_labels: tuple[bytes, ...]
+    labels: bytes
+    label_len: int
     TAG = 0x21
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.label_len < 1 << 16:
+            raise ProtocolError("label length must be 0..65535 bytes")
+        if self.label_len == 0:
+            if self.labels:
+                raise ProtocolError("LBL response states no label length")
+        elif len(self.labels) % self.label_len:
+            raise ProtocolError("LBL response is not a whole number of labels")
+
+    @classmethod
+    def from_labels(cls, labels: "tuple[bytes, ...] | list[bytes]") -> "LblAccessResponse":
+        """Build the blob from per-group labels of one common length."""
+        label_len = len(labels[0]) if labels else 0
+        if set(map(len, labels)) - {label_len}:
+            raise ProtocolError("opened labels must share one length")
+        return cls(b"".join(labels), label_len)
+
+    @property
+    def opened_labels(self) -> tuple[bytes, ...]:
+        """The blob sliced into per-group labels (built on each use)."""
+        labels, width = self.labels, self.label_len or 1
+        return tuple([labels[i : i + width] for i in range(0, len(labels), width)])
 
     def to_bytes(self) -> bytes:
         """Serialize to the tagged fixed-width wire form."""
-        labels = self.opened_labels
-        label_len = len(labels[0]) if labels else 0
-        if labels and (
-            not 0 < label_len < 1 << 16 or set(map(len, labels)) != {label_len}
-        ):
-            raise ProtocolError("opened labels must share one length of 1..65535 bytes")
-        return bytes([self.TAG]) + label_len.to_bytes(2, "big") + b"".join(labels)
+        return bytes([self.TAG]) + self.label_len.to_bytes(2, "big") + self.labels
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LblAccessResponse":
         """Parse the wire form; raises ProtocolError when malformed."""
         if len(data) < 3 or data[0] != cls.TAG:
             raise ProtocolError(f"bad message tag: expected {cls.TAG}, got {data[:1]!r}")
-        label_len = int.from_bytes(data[1:3], "big")
-        if label_len == 0:
-            if len(data) != 3:
-                raise ProtocolError("LBL response states no label length")
-            return cls(())
-        if (len(data) - 3) % label_len:
-            raise ProtocolError("LBL response is not a whole number of labels")
-        return cls(
-            tuple([data[i : i + label_len] for i in range(3, len(data), label_len)])
-        )
+        return cls(data[3:], int.from_bytes(data[1:3], "big"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -75,9 +75,7 @@ def key_schedule(key: bytes) -> tuple[bytes, bytes]:
     """The ``(ipad_block, opad_block)`` HMAC-SHA256 key schedule of ``key``.
 
     ``HMAC(key, msg) == sha256(opad_block || sha256(ipad_block || msg))`` —
-    the RFC 2104 definition.  Exposed so callers that know a key will be used
-    soon (e.g. the LBL proxy's label cache) can precompute the schedule off
-    the critical path and hand it back via ``encrypt_many(..., schedules=…)``.
+    the RFC 2104 definition.
 
     Raises:
         ConfigurationError: if the key is shorter than 16 bytes.
@@ -145,7 +143,6 @@ def encrypt_many(
     payloads: "list[bytes] | tuple[bytes, ...]",
     *,
     nonces: "list[bytes] | None" = None,
-    schedules: "list[tuple[bytes, bytes]] | None" = None,
 ) -> list[bytes]:
     """Encrypt ``payloads[i]`` under ``keys[i]`` for every ``i``, batched.
 
@@ -158,9 +155,6 @@ def encrypt_many(
         payloads: Plaintexts to protect.
         nonces: Optional explicit nonces (deterministic tests); defaults to
             fresh random nonces.
-        schedules: Optional precomputed :func:`key_schedule` output per key
-            (e.g. from the proxy's label cache); each pair MUST match its
-            key or the ciphertext will not open under that key.
 
     Returns:
         One ``nonce || body || tag`` ciphertext per input, in order.
@@ -179,8 +173,6 @@ def encrypt_many(
         for nonce in nonces:
             if len(nonce) != NONCE_LEN:
                 raise ConfigurationError(f"nonce must be exactly {NONCE_LEN} bytes")
-    if schedules is not None and len(schedules) != n:
-        raise ConfigurationError(f"{n} keys for {len(schedules)} key schedules")
     sha = _DIGEST
     ipad_trans = _IPAD_TRANS
     opad_trans = _OPAD_TRANS
@@ -192,23 +184,18 @@ def encrypt_many(
     block = _BLOCK
     out: list[bytes] = []
     append = out.append
-    # The loops below are key_schedule + _keystream + tag inlined into
+    # The loop below is key_schedule + _keystream + tag inlined into
     # straight-line hashlib one-shots — byte-identical to the scalar path
     # (golden-pinned), but without per-entry function overhead.  One LBL
     # table build runs this num_groups * 2^y times, which makes it the
     # hottest loop in the whole proxy.
-    if schedules is None:
-        pairs = []
-        pairs_append = pairs.append
-        for key in keys:
-            if len(key) < 16:
-                raise ConfigurationError("AEAD key must be at least 16 bytes")
-            padded = (key if len(key) <= block else sha(key).digest()).ljust(
-                block, b"\x00"
-            )
-            pairs_append((padded.translate(ipad_trans), padded.translate(opad_trans)))
-        schedules = pairs
-    for (ipad, opad), plaintext, nonce in zip(schedules, payloads, nonces):
+    for key, plaintext, nonce in zip(keys, payloads, nonces):
+        if len(key) < 16:
+            raise ConfigurationError("AEAD key must be at least 16 bytes")
+        padded = (key if len(key) <= block else sha(key).digest()).ljust(
+            block, b"\x00"
+        )
+        ipad, opad = padded.translate(ipad_trans), padded.translate(opad_trans)
         plen = len(plaintext)
         if 0 < plen <= digest_bytes:
             keystream = sha(

@@ -1,18 +1,18 @@
 """Key management for ORTOA deployments.
 
 A deployment owns a single master secret from which every other key is
-derived with domain separation: the key-encoding PRF, the label PRF, the
-point-and-permute bit PRF, and the symmetric data key used by the TEE and
-baseline variants.  Deriving (rather than storing) keys keeps proxy state
-small — the paper's proxy stores only access counters (§5.3.1) plus this one
-secret.
+derived with domain separation: the key-encoding PRF, the keyed label XOF
+(labels and point-and-permute offsets are one output of it per epoch), and
+the symmetric data key used by the TEE and baseline variants.  Deriving
+(rather than storing) keys keeps proxy state small — the paper's proxy
+stores only access counters (§5.3.1) plus this one secret.
 """
 
 from __future__ import annotations
 
 import secrets
 
-from repro.crypto.prf import Prf
+from repro.crypto.prf import Prf, keyed_xof
 from repro.errors import ConfigurationError
 
 MASTER_KEY_LEN = 32
@@ -23,7 +23,7 @@ class KeyChain:
 
     Args:
         master_key: 32-byte master secret; omit to generate a fresh one.
-        label_bits: Output size ``r`` of the label PRF in bits.
+        label_bits: Width ``r`` of one label in bits.
     """
 
     def __init__(self, master_key: bytes | None = None, *, label_bits: int = 128) -> None:
@@ -36,8 +36,8 @@ class KeyChain:
         self._master = Prf(master_key, out_bytes=32)
         self.label_bits = label_bits
         self.key_encoding_prf = Prf(self._master.derive_subkey("key-encoding"), out_bytes=16)
-        self.label_prf = Prf(self._master.derive_subkey("labels"), out_bytes=label_bits // 8)
-        self.permute_prf = Prf(self._master.derive_subkey("point-and-permute"), out_bytes=4)
+        #: The label subkey, absorbed once; ``LabelCodec`` copies it per epoch.
+        self.label_xof = keyed_xof(self._master.derive_subkey("labels"))
         self.data_key = self._master.derive_subkey("data-encryption")
 
     def encode_key(self, key: str) -> bytes:

@@ -2,35 +2,32 @@
 
 LBL-ORTOA represents a plaintext value by one secret label per *group* of
 ``y`` plaintext bits (``y = 1`` is the base protocol of §5; ``y = 2`` is the
-space-optimized optimum of §10.1).  A label is a deterministic PRF output
-
-    ``label = PRF(key, group_index, access_counter)[group_value]``
-
-— slice ``group_value`` of the group's wide counter-mode output, see
-:class:`LabelCodec` — so the proxy can regenerate the labels currently stored
-at the server from nothing but the object's key and its access counter.  This
-module owns:
+space-optimized optimum of §10.1).  Labels are deterministic PRF outputs, so
+the proxy can regenerate the labels currently stored at the server from
+nothing but the object's key and its access counter.  Everything an access
+needs of one counter value — every candidate label of every group, then the
+point-and-permute offsets of §10.2 — is **one epoch**: one ``bytes`` blob out
+of one keyed-XOF call (:meth:`LabelCodec.epoch`).  This module owns:
 
 * bit/group packing between ``bytes`` values and group-value tuples,
-* label derivation for one group or a whole value,
-* inversion (labels back to plaintext) used by the proxy after a read,
-* the point-and-permute bits of §10.2.
+* epoch derivation and the views of an epoch blob (labels, offsets, the
+  labels and slots a value selects),
+* inversion (labels back to plaintext) used by the proxy after a read.
 
-The batch entry points (:meth:`LabelCodec.labels_for_groups`,
-:meth:`LabelCodec.permute_offsets`, :meth:`LabelCodec.decrypt_indices`)
-derive everything an access needs in one pass over a pre-encoded PRF prefix;
-outputs are byte-identical to the scalar methods (golden-vector pinned), so
-callers can mix tiers freely.
+The scalar methods (:meth:`LabelCodec.label` and friends) are slices of
+:meth:`~LabelCodec.epoch` — the reference path has no crypto of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from operator import add, xor
+from typing import NamedTuple
 
-from repro.crypto.prf import Prf, encode_components, hmac_compressions
+from repro.crypto.prf import encode_components, xof_blocks
 from repro.errors import ConfigurationError, TamperDetectedError
-
-_DIGEST_BYTES = 32  # one HMAC-SHA256 evaluation
+from repro.obs import _state as _obs
+from repro.obs import ledger as _ledger
 
 
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
@@ -71,311 +68,221 @@ def groups_to_value(groups: tuple[int, ...] | list[int], group_bits: int, value_
     return as_int.to_bytes(value_len, "big")
 
 
-@dataclass(frozen=True, slots=True)
-class StoredLabel:
-    """What the server stores per group: the label, plus (optionally) the
-    point-and-permute decryption bits telling it which table entry to open on
-    the *next* access (§10.2)."""
+class StoredLabel(NamedTuple):
+    """One group's label and point-and-permute slot as a pair.
+
+    The server's record is two blobs (:class:`StoredRecord`); this stays
+    because ``bench/micro.py`` builds lists of it to time the store.
+    """
 
     label: bytes
     decrypt_index: int | None = None
 
 
+class StoredRecord(NamedTuple):
+    """What the server stores per object: its current label of every group,
+    back to back, plus (under §10.2) the slot byte per group telling it which
+    table entry to open on the *next* access — empty in the base protocol."""
+
+    labels: bytes
+    slots: bytes = b""
+
+
 class LabelCodec:
     """Derives, encodes, and inverts LBL-ORTOA labels for fixed-length values.
 
-    **Derivation.**  The ``2^y`` candidate labels of group ``i`` at epoch
-    ``ct`` are consecutive ``label_len``-byte slices of one wide PRF output::
+    **Derivation.**  The epoch of ``key`` at counter ``ct`` is::
 
-        label_prf.evaluate("label", key, i, ct, out_bytes=2^y * label_len)
+        xof.copy().update(header ‖ encode_components(key, ct))
+                  .digest(G·2^y·label_len + G)
 
-    and the point-and-permute offset of group ``i`` is byte ``i`` of
-    ``permute_prf.evaluate("permute", key, ct, out_bytes=num_groups)`` reduced
-    ``mod 2^y``.  Wide outputs are counter-mode HMAC blocks, so every one of
-    an HMAC's 32 output bytes is used (two 128-bit labels, or 32 offsets, per
-    evaluation), and disjoint blocks of one HMAC-PRF are independent
-    pseudorandom strings — the labels are exactly as unpredictable as one
-    PRF call each.  The scalar methods compute only the block(s) they need;
-    the batch methods compute each block once.
+    where ``xof`` is the keyed SHAKE-256 of the label subkey
+    (:func:`~repro.crypto.prf.keyed_xof`) and ``header`` encodes the shape
+    ``(G, 2^y, label_len)`` so no two deployments share a stream.  Label
+    ``v`` of group ``i`` is bytes ``[(i·2^y + v)·label_len, +label_len)`` of
+    the blob; the permute offset of group ``i`` is byte ``G·2^y·label_len +
+    i`` reduced ``mod 2^y``.  A sponge's output is one pseudorandom string,
+    so disjoint slices are independent labels, each as unpredictable as a
+    PRF call of its own.
 
     Args:
-        label_prf: The keyed PRF used for label derivation (from
-            :class:`~repro.crypto.keys.KeyChain`).
-        permute_prf: PRF producing the per-access random permutation offsets
-            (the ``r1 r2`` bits of §10.2).  Only needed when
-            ``point_and_permute`` deployments are used, but always accepted.
+        xof: The keyed label XOF (from :class:`~repro.crypto.keys.KeyChain`).
+        label_len: Bytes per label.
         value_len: Fixed plaintext length in bytes.
         group_bits: ``y`` — plaintext bits represented by one label.
     """
 
     def __init__(
-        self,
-        label_prf: Prf,
-        permute_prf: Prf,
-        *,
-        value_len: int,
-        group_bits: int = 1,
+        self, xof, *, label_len: int, value_len: int, group_bits: int = 1
     ) -> None:
         if value_len <= 0:
             raise ConfigurationError("value_len must be positive")
         if group_bits < 1:
             raise ConfigurationError("group_bits must be >= 1")
-        self._label_prf = label_prf
-        self._permute_prf = permute_prf
+        if label_len <= 0:
+            raise ConfigurationError("label_len must be positive")
+        self._xof = xof
         self.value_len = value_len
         self.group_bits = group_bits
         self.table_size = 1 << group_bits
         self.num_groups = (value_len * 8 + group_bits - 1) // group_bits
-        self.label_len = label_prf.out_bytes
-        #: HMAC evaluations behind one group's ``2^y`` labels / one epoch's
-        #: labels / one epoch's offsets.
-        self.label_blocks = -(-self.table_size * self.label_len // _DIGEST_BYTES)
-        self.label_calls = self.num_groups * self.label_blocks
-        self.offset_calls = -(-self.num_groups // _DIGEST_BYTES)
-        #: HMAC evaluations of :meth:`labels_for_group`, which derives each
-        #: label alone (the block(s) it needs, shared blocks recomputed).
-        self.scalar_group_calls = sum(
-            self._label_span(value)[1] for value in range(self.table_size)
-        )
-        # Where each label of an epoch starts in the concatenation of the
-        # epoch's digests (groups are ``label_blocks`` digests apart).
-        stride = self.label_blocks * _DIGEST_BYTES
-        self._label_starts = [
-            index * stride + value * self.label_len
-            for index in range(self.num_groups)
-            for value in range(self.table_size)
-        ]
-        # The group indices every epoch's PRF tails repeat, encoded once.
-        self._enc_indices = [encode_components(i) for i in range(self.num_groups)]
+        self.label_len = label_len
+        #: Bytes of labels at the head of an epoch blob / of the whole blob.
+        self.labels_len = self.num_groups * self.table_size * label_len
+        self.epoch_len = self.labels_len + self.num_groups
+        self._header = encode_components(self.num_groups, self.table_size, label_len)
+        self._split = struct.Struct(
+            f"{label_len}s" * (self.num_groups * self.table_size)
+        ).unpack_from
+        # Index of each group's first label in :meth:`labels`.
+        self._group_starts = range(0, self.num_groups * self.table_size, self.table_size)
         # byte -> byte mod 2^y, applied to a whole offset stream at C speed.
         self._offset_table = bytes(b % self.table_size for b in range(256))
 
     # ------------------------------------------------------------------ #
-    # Label derivation
+    # Epoch derivation and its views
     # ------------------------------------------------------------------ #
 
-    def _label_span(self, group_value: int) -> tuple[int, int, int]:
-        """``(first_block, blocks, offset)`` locating one label in its group's
-        stream: the label is ``label_len`` bytes at ``offset`` into digests
-        ``first_block … first_block + blocks - 1``."""
-        if not 0 <= group_value < self.table_size:
+    def _message(self, key: str, counter: int) -> bytes:
+        return self._header + encode_components(key, counter)
+
+    def epoch(self, key: str, counter: int) -> bytes:
+        """Every candidate label, then every permute-offset byte, of
+        ``key`` at ``counter`` — one XOF call."""
+        message = self._message(key, counter)
+        if _obs.enabled:
+            _ledger.add_op("prf.calls")
+            _ledger.add_op("shake256.blocks", xof_blocks(len(message), self.epoch_len))
+        xof = self._xof.copy()
+        xof.update(message)
+        return xof.digest(self.epoch_len)
+
+    def epoch_blocks(self, key: str, counter: int) -> int:
+        """The ``shake256.blocks`` one :meth:`epoch` call costs, from the
+        message length alone — what the analytic cost model predicts and
+        ``repro plan --check`` holds to the ledger exactly."""
+        return xof_blocks(len(self._message(key, counter)), self.epoch_len)
+
+    def labels(self, blob: bytes) -> tuple[bytes, ...]:
+        """An epoch's ``num_groups · 2^y`` labels, group-major: label ``v``
+        of group ``i`` is entry ``i · 2^y + v``."""
+        return self._split(blob)
+
+    def offsets(self, blob: bytes) -> bytes:
+        """An epoch's per-group permute offsets ``r`` (§10.2), one byte each."""
+        if self.group_bits > 8:
             raise ConfigurationError(
-                f"group value {group_value} out of range for y={self.group_bits}"
+                "permute offsets are one byte per group: group_bits must be <= 8"
             )
-        start = group_value * self.label_len
-        first = start // _DIGEST_BYTES
-        last = (start + self.label_len - 1) // _DIGEST_BYTES
-        return first, last - first + 1, start - first * _DIGEST_BYTES
+        return blob[self.labels_len :].translate(self._offset_table)
 
-    def label(self, key: str, index: int, group_value: int, counter: int) -> bytes:
-        """The secret label for ``group_value`` at ``index`` under ``counter``."""
-        first, blocks, offset = self._label_span(group_value)
-        ctx = self._label_prf.context("label", key, index, counter)
-        stream = b"".join(ctx.block_digests([b""], blocks, first))
-        return stream[offset : offset + self.label_len]
-
-    def labels_for_group(self, key: str, index: int, counter: int) -> list[bytes]:
-        """All ``2^y`` candidate labels for one group (proxy-side, §5.2 1.2)."""
-        return [self.label(key, index, v, counter) for v in range(self.table_size)]
-
-    def encode_groups(
-        self, key: str, groups: "tuple[int, ...] | list[int]", counter: int
-    ) -> list[bytes]:
-        """The label of ``groups[i]`` for every group ``i`` at ``counter``.
-
-        Only the block(s) holding each group's one label are derived — one
-        HMAC per group whenever a label does not straddle a digest.
-        """
+    def _check_groups(self, groups: "tuple[int, ...] | list[int]") -> None:
         if len(groups) != self.num_groups:
             raise ConfigurationError(
                 f"expected {self.num_groups} group values, got {len(groups)}"
             )
-        by_span: dict[tuple[int, int, int], list[int]] = {}
-        for index, group_value in enumerate(groups):
-            by_span.setdefault(self._label_span(group_value), []).append(index)
-        ctx = self._label_prf.context("label", key)
-        enc_ct = encode_components(counter)
-        enc_indices = self._enc_indices
-        label_len = self.label_len
-        out: list[bytes] = [b""] * self.num_groups
-        for (first, blocks, offset), indices in by_span.items():
-            digests = ctx.block_digests(
-                [enc_indices[index] + enc_ct for index in indices], blocks, first
+        if not 0 <= min(groups) <= max(groups) < self.table_size:
+            raise ConfigurationError(
+                f"group value out of range for y={self.group_bits}"
             )
-            for position, index in enumerate(indices):
-                stream = b"".join(digests[position * blocks : (position + 1) * blocks])
-                out[index] = stream[offset : offset + label_len]
-        return out
 
-    def encode_value(self, key: str, value: bytes, counter: int) -> list[bytes]:
+    def select(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
+        """The label of ``groups[i]`` for every group ``i``, back to back —
+        what the server stores for the value ``groups`` spells."""
+        self._check_groups(groups)
+        labels = self.labels(blob)
+        return b"".join(map(labels.__getitem__, map(add, self._group_starts, groups)))
+
+    def slots(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
+        """Which table slot the server must open per group at this epoch:
+        ``groups[i] XOR r_i`` (§10.2's ``d1 d2 = b1 b2 ⊕ r1 r2``, for ``y``
+        bits)."""
+        self._check_groups(groups)
+        return bytes(map(xor, groups, self.offsets(blob)))
+
+    def encode_value(self, key: str, value: bytes, counter: int) -> bytes:
         """Labels the server should store for ``value`` at access ``counter``."""
         if len(value) != self.value_len:
             raise ConfigurationError(
                 f"value must be exactly {self.value_len} bytes, got {len(value)}"
             )
-        return self.encode_groups(key, value_to_groups(value, self.group_bits), counter)
-
-    def _rows(self, digests: list[bytes]) -> list[list[bytes]]:
-        """One epoch's digests (group-major) sliced into its label table."""
-        blob = b"".join(digests)
-        label_len = self.label_len
-        table_size = self.table_size
-        flat = [blob[start : start + label_len] for start in self._label_starts]
-        return [
-            flat[start : start + table_size]
-            for start in range(0, len(flat), table_size)
-        ]
-
-    def labels_for_groups(self, key: str, counter: int) -> list[list[bytes]]:
-        """All ``num_groups × 2^y`` candidate labels for one access, batched.
-
-        Row ``i`` equals :meth:`labels_for_group`\\ ``(key, i, counter)``;
-        the whole table costs :attr:`label_calls` HMACs through one
-        pre-encoded PRF prefix.
-        """
-        ctx = self._label_prf.context("label", key)
-        enc_ct = encode_components(counter)
-        return self._rows(
-            ctx.block_digests(
-                [enc_index + enc_ct for enc_index in self._enc_indices],
-                self.label_blocks,
-            )
+        return self.select(
+            self.epoch(key, counter), value_to_groups(value, self.group_bits)
         )
-
-    def derivation_cost(
-        self, key: str, counter: int, *, offsets: bool = False
-    ) -> tuple[int, int]:
-        """``(prf_calls, sha256_compressions)`` of one epoch's derivation.
-
-        Predicts exactly what :meth:`labels_for_groups`\\ ``(key, counter)``
-        — plus :meth:`permute_offsets` when ``offsets`` is set — costs, by
-        re-deriving the encoded message lengths the PRF would hash; a call
-        is one HMAC evaluation.  The analytic cost model
-        (:mod:`repro.analysis.costmodel`) is built on it, and
-        ``repro plan --check`` holds it to the in-PRF meters exactly.
-        """
-        enc = encode_components
-        enc_ct_len = len(enc(counter))
-        label_head = 4 + len(enc("label", key)) + enc_ct_len
-        calls = self.label_calls
-        compressions = self.label_blocks * sum(
-            hmac_compressions(label_head + len(enc_index))
-            for enc_index in self._enc_indices
-        )
-        if offsets:
-            calls += self.offset_calls
-            compressions += self.offset_calls * hmac_compressions(
-                4 + len(enc("permute", key)) + enc_ct_len
-            )
-        return calls, compressions
 
     # ------------------------------------------------------------------ #
     # Inversion (proxy decodes the server's response after a read)
     # ------------------------------------------------------------------ #
 
-    def decode_from_candidates(
-        self, candidate_rows: list[list[bytes]], labels: list[bytes]
-    ) -> bytes:
-        """Recover the plaintext value from per-group labels.
+    def decode(self, blob: bytes, labels: bytes) -> bytes:
+        """Recover the plaintext value from one label per group.
 
-        ``candidate_rows`` is the epoch's label table
-        (:meth:`labels_for_groups`), which the proxy still holds from
-        ``prepare``.  Also serves as the tamper check of §5.4: a label
-        matching none of the ``2^y`` candidates proves the server (or
-        channel) corrupted data.
-
-        Args:
-            candidate_rows: ``num_groups`` rows of ``2^y`` candidate labels.
+        Each label is matched against its own group's ``2^y · label_len``
+        window of the epoch ``blob`` (which the proxy still holds from
+        ``prepare``), at label boundaries only.  Also serves as the tamper
+        check of §5.4: a label matching none of its group's candidates
+        proves the server (or channel) corrupted data.
 
         Raises:
             TamperDetectedError: if any label is not a valid candidate.
         """
-        if len(labels) != self.num_groups or len(candidate_rows) != self.num_groups:
+        label_len = self.label_len
+        if len(labels) != self.num_groups * label_len:
             raise ConfigurationError(
-                f"expected {self.num_groups} labels, got {len(labels)}"
+                f"expected {self.num_groups} labels of {label_len} bytes, "
+                f"got {len(labels)} bytes"
             )
+        window = self.table_size * label_len
+        find = blob.find
         groups: list[int] = []
-        for index, stored in enumerate(labels):
-            # Candidate-set lookup: 2^y candidates per group, resolved via a
-            # dict built from the batch derivation (no per-group list.index).
-            lookup = {label: value for value, label in enumerate(candidate_rows[index])}
-            value = lookup.get(stored)
-            if value is None:
+        start = 0
+        for at in range(0, len(labels), label_len):
+            label = labels[at : at + label_len]
+            end = start + window
+            found = find(label, start, end)
+            while found >= 0 and (found - start) % label_len:
+                found = find(label, found + 1, end)  # straddles two candidates
+            if found < 0:
                 raise TamperDetectedError(
-                    f"label at group {index} matches no candidate: data was tampered"
+                    f"label at group {at // label_len} matches no candidate: "
+                    "data was tampered"
                 )
-            groups.append(value)
+            groups.append((found - start) // label_len)
+            start = end
         return groups_to_value(groups, self.group_bits, self.value_len)
 
     # ------------------------------------------------------------------ #
-    # Point-and-permute bits (§10.2)
+    # Scalar reference: one slice of one epoch per call
     # ------------------------------------------------------------------ #
 
-    def _require_offsets(self) -> None:
-        if self.group_bits > 8:
+    def label(self, key: str, index: int, group_value: int, counter: int) -> bytes:
+        """The secret label for ``group_value`` at ``index`` under ``counter``."""
+        if not 0 <= group_value < self.table_size:
             raise ConfigurationError(
-                "permute offsets are one byte per group: group_bits must be <= 8"
+                f"group value {group_value} out of range for y={self.group_bits}"
             )
+        return self.labels_for_group(key, index, counter)[group_value]
 
-    def _offsets_from(self, digests: list[bytes]) -> list[int]:
-        """One epoch's offset digests reduced to ``num_groups`` offsets."""
-        stream = b"".join(digests)[: self.num_groups]
-        return list(stream.translate(self._offset_table))
+    def labels_for_group(self, key: str, index: int, counter: int) -> list[bytes]:
+        """All ``2^y`` candidate labels for one group (proxy-side, §5.2 1.2)."""
+        first = self._group_starts[index]
+        labels = self.labels(self.epoch(key, counter))
+        return list(labels[first : first + self.table_size])
 
     def permute_offset(self, key: str, index: int, counter: int) -> int:
-        """The per-access random offset ``r`` linking table slots to labels.
-
-        Derived from a PRF over ``(key, counter)`` — byte ``index`` of the
-        epoch's offset stream — so the proxy never stores it; only the one
-        block holding that byte is computed.
-        """
-        self._require_offsets()
-        block, position = divmod(index, _DIGEST_BYTES)
-        ctx = self._permute_prf.context("permute", key, counter)
-        return ctx.block_digests([b""], 1, block)[0][position] % self.table_size
+        """The per-access random offset ``r`` linking table slots to labels."""
+        return self.offsets(self.epoch(key, counter))[index]
 
     def decrypt_index(self, key: str, index: int, group_value: int, counter: int) -> int:
-        """Which table slot the server must open at access ``counter``.
-
-        The slot for the label of ``group_value`` is ``group_value XOR r``
-        (§10.2's ``d1 d2 = b1 b2 ⊕ r1 r2``, generalized to ``y`` bits).
-        """
+        """Which table slot the server must open at access ``counter``: the
+        slot for the label of ``group_value`` is ``group_value XOR r``."""
         return group_value ^ self.permute_offset(key, index, counter)
-
-    def permute_offsets(self, key: str, counter: int) -> list[int]:
-        """Per-group permute offsets for one access, batched.
-
-        Entry ``i`` equals :meth:`permute_offset`\\ ``(key, i, counter)``;
-        the whole epoch costs :attr:`offset_calls` HMACs (32 groups each).
-        """
-        self._require_offsets()
-        ctx = self._permute_prf.context("permute", key)
-        return self._offsets_from(
-            ctx.block_digests([encode_components(counter)], self.offset_calls)
-        )
-
-    def decrypt_indices(
-        self, key: str, groups: "tuple[int, ...] | list[int]", counter: int
-    ) -> list[int]:
-        """Batched :meth:`decrypt_index` for one group value per group.
-
-        Args:
-            key: The accessed datastore key.
-            groups: The group value occupying each group (``num_groups``
-                entries).
-            counter: Label epoch.
-        """
-        if len(groups) != self.num_groups:
-            raise ConfigurationError(
-                f"expected {self.num_groups} group values, got {len(groups)}"
-            )
-        offsets = self.permute_offsets(key, counter)
-        return [g ^ off for g, off in zip(groups, offsets)]
 
 
 __all__ = [
     "LabelCodec",
     "StoredLabel",
+    "StoredRecord",
     "value_to_groups",
     "groups_to_value",
 ]

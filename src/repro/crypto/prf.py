@@ -2,25 +2,20 @@
 
 The paper's data model (§2.2) stores ``<PRF(k), Enc(v)>``; LBL-ORTOA (§5)
 additionally derives per-bit secret labels ``PRF(k, index, bit, counter)``.
-Both uses are served by :class:`Prf`, a thin, domain-separated wrapper over
-HMAC-SHA256.  HMAC with a secret key is the textbook PRF instantiation, and
-determinism — same inputs, same output, forever — is exactly the property the
-protocols lean on.
+Two keyed primitives serve them, each chosen for the shape of its work:
 
-Hot-path design: one LBL access derives thousands of labels, so this module
-offers three tiers of the *same* function (outputs are byte-identical across
-all of them, pinned by golden-vector tests):
+* :class:`Prf` — a thin, domain-separated wrapper over HMAC-SHA256, the
+  textbook PRF instantiation, for the short outputs: datastore key encoding
+  and subkey derivation.  The keyed HMAC state is computed once per
+  :class:`Prf` and ``.copy()``-ed per evaluation.
+* :func:`keyed_xof` — SHAKE-256 with the key absorbed as one full rate block
+  (the prefix-keyed sponge of KMAC, NIST SP 800-185), for the one long
+  output: a whole label epoch in a single call
+  (:meth:`repro.crypto.labels.LabelCodec.epoch`).
 
-* :meth:`Prf.evaluate` — the general entry point.  The keyed HMAC state is
-  computed once per :class:`Prf` and ``.copy()``-ed per evaluation, which
-  skips the per-call key schedule.
-* :meth:`Prf.evaluate_many` — encodes a shared component prefix once and
-  evaluates a whole batch of suffix tuples in one pass.
-* :class:`PrfContext` — a pre-encoded prefix (e.g. ``("label", key, index)``)
-  for repeated tail-only evaluations across calls.
-
-Every tier hashes with ``hashlib``, one call per message: the batch tiers
-save encoding and interpreter overhead, not compression-function work.
+Determinism — same inputs, same output, forever — is exactly the property
+the protocols lean on.  Inputs are encoded injectively by
+:func:`encode_components` for both.
 """
 
 from __future__ import annotations
@@ -77,6 +72,37 @@ def hmac_sha256_pair(key: bytes) -> "tuple[hashlib._Hash, hashlib._Hash]":
         hashlib.sha256(padded.translate(_OPAD_TRANS)),
     )
 
+#: SHAKE-256's rate: bytes absorbed or squeezed per Keccak-f permutation.
+XOF_RATE_BYTES = 136
+
+
+def keyed_xof(key: bytes) -> "hashlib._Hash":
+    """SHAKE-256 keyed by prefix: ``key`` zero-padded to one full rate block.
+
+    Padding the key to the rate is what KMAC's ``bytepad`` does (NIST SP
+    800-185): the key is absorbed by a permutation of its own, so no message
+    byte shares a block with it and the keyed state can be computed once.
+    Callers ``copy()`` the returned object per message, ``update`` it with
+    the message and squeeze as many bytes as they need.
+    """
+    if not 16 <= len(key) <= XOF_RATE_BYTES:
+        raise ConfigurationError(
+            f"XOF key must be between 16 and {XOF_RATE_BYTES} bytes"
+        )
+    return hashlib.shake_256(key.ljust(XOF_RATE_BYTES, b"\x00"))
+
+
+def xof_blocks(message_len: int, out_bytes: int) -> int:
+    """Rate blocks one :func:`keyed_xof` call absorbs and squeezes.
+
+    The key block is excluded (paid once per key); the message and its
+    padding fill ``message_len // 136 + 1`` blocks and the output
+    ``ceil(out_bytes / 136)``.  The closed form the ledger meters as
+    ``shake256.blocks`` and :mod:`repro.analysis.costmodel` predicts.
+    """
+    return message_len // XOF_RATE_BYTES + 1 + -(-out_bytes // XOF_RATE_BYTES)
+
+
 #: Memo of encoded small non-negative integers.  Group values, group indices,
 #: and access counters dominate PRF inputs and repeat endlessly; encoding is
 #: pure, so a process-wide cache is safe.  Bounded by only admitting small
@@ -117,9 +143,9 @@ def _encode_component(component: bytes | str | int) -> bytes:
 def encode_components(*components: bytes | str | int) -> bytes:
     """The injective byte encoding :class:`Prf` applies to an input tuple.
 
-    Exposed so batch callers (e.g. :class:`~repro.crypto.labels.LabelCodec`)
-    can pre-encode the components that repeat across a batch and hand the
-    concatenations to :meth:`PrfContext.evaluate_tails`.
+    Exposed so :class:`~repro.crypto.labels.LabelCodec` can feed the same
+    encoding to its XOF, and so batch callers can pre-encode components that
+    repeat and hand the concatenations to :meth:`PrfContext.evaluate_tails`.
     """
     return b"".join([_encode_component(c) for c in components])
 
@@ -260,9 +286,9 @@ class Prf:
 class PrfContext:
     """A PRF with a frozen, pre-encoded component prefix.
 
-    Captures the common shape of LBL label derivation — a fixed
-    ``("label", key, …)`` head followed by a varying tail — so repeated
-    evaluations skip re-encoding the prefix.  Outputs are byte-identical to
+    Kept for ``bench/micro.py``, which times :meth:`evaluate_tails` as the
+    per-call cost of the HMAC :class:`Prf`; nothing in the program derives
+    labels this way any more.  Outputs are byte-identical to
     ``prf.evaluate(*prefix, *tail)``.
 
     Args:
@@ -271,7 +297,7 @@ class PrfContext:
         out_bytes: Output length for all evaluations (defaults to the PRF's).
     """
 
-    __slots__ = ("_prf", "_prefix", "_head", "out_bytes")
+    __slots__ = ("_prf", "_prefix", "out_bytes")
 
     def __init__(
         self,
@@ -285,119 +311,19 @@ class PrfContext:
             raise ConfigurationError("PRF output length must be positive")
         self._prf = prf
         self._prefix = b"".join(_encode_component(c) for c in prefix_components)
-        self._head = _ZERO_COUNTER + self._prefix
         self.out_bytes = n
 
-    def evaluate(self, *tail: bytes | str | int) -> bytes:
-        """PRF output for ``(*prefix, *tail)``."""
-        return self.evaluate_tail(b"".join([_encode_component(c) for c in tail]))
-
-    def evaluate_tail(self, tail: bytes) -> bytes:
-        """PRF output for an already-encoded (:func:`encode_components`) tail."""
-        n = self.out_bytes
-        if _obs.enabled:
-            _ledger.add_prf(1, hmac_compressions(len(self._head) + len(tail), n))
-        if n <= _DIGEST_BYTES:
-            prf = self._prf
-            inner = prf._inner0.copy()
-            inner.update(self._head + tail)
-            outer = prf._outer0.copy()
-            outer.update(inner.digest())
-            return outer.digest()[:n]
-        return self._prf._raw(self._prefix + tail, n)
-
-    def evaluate_many(
-        self, suffixes: Iterable[Sequence[bytes | str | int]]
-    ) -> list[bytes]:
-        """One PRF output per suffix tuple, sharing this context's prefix."""
-        encode = _encode_component
-        return self.evaluate_tails(
-            [b"".join([encode(c) for c in suffix]) for suffix in suffixes]
-        )
-
     def evaluate_tails(self, tails: Iterable[bytes]) -> list[bytes]:
-        """One PRF output per already-encoded tail (the hot label kernel).
-
-        Callers encode repeating components once (:func:`encode_components`)
-        and pass byte concatenations; each output is byte-identical to
-        ``evaluate(*suffix)`` for the suffix the tail encodes.
-        """
+        """One PRF output per already-encoded (:func:`encode_components`) tail."""
         n = self.out_bytes
-        out: list[bytes] = []
-        append = out.append
-        if n <= _DIGEST_BYTES:
-            prf = self._prf
-            head = self._head
-            if not isinstance(tails, (list, tuple)):
-                tails = list(tails)
-            if _obs.enabled and tails:
-                head_len = len(head)
-                _ledger.add_prf(
-                    len(tails),
-                    sum(hmac_compressions(head_len + len(t)) for t in tails),
-                )
-            inner0 = prf._inner0
-            outer0 = prf._outer0
-            for tail in tails:
-                inner = inner0.copy()
-                inner.update(head + tail)
-                outer = outer0.copy()
-                outer.update(inner.digest())
-                append(outer.digest()[:n])
-        else:
-            raw = self._prf._raw
-            prefix = self._prefix
-            head_len = 4 + len(prefix)
-            for tail in tails:
-                if _obs.enabled:
-                    _ledger.add_prf(1, hmac_compressions(head_len + len(tail), n))
-                append(raw(prefix + tail, n))
-        return out
-
-    def block_digests(
-        self, tails: Sequence[bytes], blocks: int, first: int = 0
-    ) -> list[bytes]:
-        """Counter-mode digests ``first … first + blocks - 1`` of every tail.
-
-        Digest ``c`` of a tail is bytes ``[32c, 32c + 32)`` of the wide output
-        ``prf.evaluate(*prefix, *tail, out_bytes=…)`` — the counter-mode
-        block construction of :class:`Prf`, exposed one HMAC at a time so a
-        caller that needs only some blocks pays only for those.  Returned
-        tail-major (all of tail 0's digests, then tail 1's, …), each a full
-        32 bytes, and metered as what it is: ``len(tails) * blocks`` HMAC
-        evaluations.
-        """
-        if blocks < 1 or first < 0:
-            raise ConfigurationError("block range must be non-empty and non-negative")
-        prf = self._prf
+        raw = self._prf._raw
         prefix = self._prefix
-        heads = [
-            counter.to_bytes(4, "big") + prefix
-            for counter in range(first, first + blocks)
-        ]
-        if _obs.enabled and tails:
-            head_len = 4 + len(prefix)
-            _ledger.add_prf(
-                len(tails) * blocks,
-                blocks * sum(hmac_compressions(head_len + len(t)) for t in tails),
-            )
-        # Absorb each block's counter + shared prefix once; per tail only the
-        # tail bytes are hashed on top of a state copy.
-        inner_states = []
-        for head in heads:
-            state = prf._inner0.copy()
-            state.update(head)
-            inner_states.append(state)
-        outer0 = prf._outer0
+        head_len = 4 + len(prefix)
         out: list[bytes] = []
-        append = out.append
         for tail in tails:
-            for state in inner_states:
-                inner = state.copy()
-                inner.update(tail)
-                outer = outer0.copy()
-                outer.update(inner.digest())
-                append(outer.digest())
+            if _obs.enabled:
+                _ledger.add_prf(1, hmac_compressions(head_len + len(tail), n))
+            out.append(raw(prefix + tail, n))
         return out
 
 
@@ -407,4 +333,7 @@ __all__ = [
     "encode_components",
     "hmac_compressions",
     "hmac_sha256_pair",
+    "keyed_xof",
+    "xof_blocks",
+    "XOF_RATE_BYTES",
 ]

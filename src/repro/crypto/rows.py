@@ -1,15 +1,17 @@
-"""One-HMAC point-and-permute table rows (paper §10.2).
+"""One-call point-and-permute table rows (paper §10.2).
 
 Under point-and-permute the server is *told* which slot of each group table
 to open, so an entry needs none of :mod:`repro.crypto.aead`'s "which of
 ``2^y`` decryptions succeeded" machinery.  A row is a pad keyed by the old
 label::
 
-    row = (payload ‖ 0^8) ⊕ HMAC-SHA256(old_label, "lbl-row\\0" ‖ nonce ‖ ctr)[:len]
+    row = (payload ‖ 0^8) ⊕ BLAKE2b(key=old_label, digest_size=len)("lbl-row\\0" ‖ nonce)
 
-with ``payload = new_label ‖ next_slot_byte``, one 16-byte random ``nonce``
-per *request* and ``ctr`` the 4-byte counter-mode block index (one block
-while ``len ≤ 32``).  ``docs/security-model.md`` has the argument; in short:
+with ``payload = new_label ‖ next_slot_byte`` and one 16-byte random
+``nonce`` per *request*.  Keyed BLAKE2 (RFC 7693) is a PRF by construction
+and the digest size is part of its parameter block, so one call pads any row
+up to :data:`MAX_ROW_LEN` bytes — wider labels are rejected at configuration.
+``docs/security-model.md`` has the argument; in short:
 
 * **The nonce is not optional.**  A refused or lost request is re-prepared
   under the *same* old labels (batch rollback, WAL recovery); a
@@ -22,16 +24,16 @@ while ``len ≤ 32``).  ``docs/security-model.md`` has the argument; in short:
 
 :func:`seal_rows` takes keys and payloads in wire order, so its one
 big-integer XOR output *is* the request's slab; :func:`open_rows` is the
-server's side; :func:`seal_row` / :func:`open_row` are the scalar twins.
+server's side; :func:`seal_row` / :func:`open_row` are one-row calls of them.
 Rows are metered under the ``aead.*`` ledger ops: one row, one count.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
+from functools import lru_cache
 
-from repro.crypto.aead import _IPAD_TRANS, _OPAD_TRANS, _xor, key_schedule
+from repro.crypto.aead import _xor
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -39,9 +41,11 @@ from repro.obs.metrics import REGISTRY
 
 ROW_NONCE_LEN = 16
 CHECK_LEN = 8
+#: BLAKE2b's largest digest: payload + check bytes of one row.
+MAX_ROW_LEN = 64
 _DOMAIN = b"lbl-row\x00"
 _CHECK = bytes(CHECK_LEN)
-_BLOCK = 64
+_KEY_LENS = frozenset(range(16, 65))  # a label; BLAKE2b takes at most 64 bytes
 
 
 def _count(op: str, n: int) -> None:
@@ -50,136 +54,102 @@ def _count(op: str, n: int) -> None:
         _ledger.add_op(f"aead.{op}", n)
 
 
-def seal_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """One row: ``(payload ‖ 0^8) ⊕ pad(key, nonce)`` — the scalar twin."""
-    _count("encrypts", 1)
-    ipad, opad = key_schedule(key)
-    sha = hashlib.sha256
-    plain = payload + _CHECK
-    pad = b"".join(
-        sha(opad + sha(ipad + _DOMAIN + nonce + ctr.to_bytes(4, "big")).digest()).digest()
-        for ctr in range(-(-len(plain) // 32))
-    )
-    return _xor(plain, pad[: len(plain)])
-
-
-def open_row(key: bytes, row: bytes, nonce: bytes) -> bytes | None:
-    """The payload of ``row`` if ``key`` and ``nonce`` sealed it, else ``None``."""
-    return open_rows([key], [row], [(nonce, 1)])[0]
-
-
-def _pads(
-    keys: "list[bytes] | tuple[bytes, ...]",
-    nonce_runs: "list[tuple[bytes, int]]",
-    length: int,
-    schedules: "list[tuple[bytes, bytes]] | None" = None,
-) -> bytes:
-    """The concatenated ``length``-byte pads of ``keys`` — the hot loop.
-
-    ``nonce_runs`` lists ``(nonce, count)``: consecutive keys share a
-    nonce, one run per request.
-    """
-    sha = hashlib.sha256
-    counters = [ctr.to_bytes(4, "big") for ctr in range(-(-length // 32))]
-    one_block = len(counters) == 1
-    key_len = len(keys[0]) if schedules is None else 0
-    # Equal-width keys (labels), one block, no schedules in hand: the padded
-    # key blocks' constant tails are built once per run and HMAC is four
-    # one-shot compressions per row with no per-row schedule objects.
-    fast = one_block and 16 <= key_len <= _BLOCK and set(map(len, keys)) == {key_len}
-    head = b"\x36" * (_BLOCK - key_len) + _DOMAIN if fast else _DOMAIN
-    tails: list = []  # per key: its HMAC message (one block) or messages
-    for nonce, count in nonce_runs:
-        blocks = [head + nonce + ctr for ctr in counters]
-        tails += [blocks[0] if one_block else blocks] * count
-    if fast:
-        ipad, opad, fill = _IPAD_TRANS, _OPAD_TRANS, b"\x5c" * (_BLOCK - key_len)
-        inner = [sha(k.translate(ipad) + t).digest() for k, t in zip(keys, tails)]
-        return b"".join(
-            [sha(k.translate(opad) + fill + d).digest()[:length] for k, d in zip(keys, inner)]
-        )
-    if schedules is None:
-        schedules = [key_schedule(key) for key in keys]
-    if one_block:
-        inner = [sha(ipad + t).digest() for (ipad, _), t in zip(schedules, tails)]
-        return b"".join(
-            [sha(opad + d).digest()[:length] for (_, opad), d in zip(schedules, inner)]
-        )
+def _pads(keys, nonce: bytes, length: int) -> bytes:
+    """The concatenated ``length``-byte pads of ``keys`` — the hot loop."""
+    blake2b = hashlib.blake2b
+    message = _DOMAIN + nonce
     return b"".join(
-        [
-            b"".join([sha(opad + sha(ipad + t).digest()).digest() for t in blocks])[:length]
-            for (ipad, opad), blocks in zip(schedules, tails)
-        ]
+        [blake2b(message, key=key, digest_size=length).digest() for key in keys]
     )
 
 
-def seal_rows(
-    keys: "list[bytes] | tuple[bytes, ...]",
-    payloads: "list[bytes] | tuple[bytes, ...]",
-    nonce: bytes,
-    *,
-    schedules: "list[tuple[bytes, bytes]] | None" = None,
-) -> bytes:
-    """Seal equal-length ``payloads[i]`` under ``keys[i]`` (≥ 16 bytes each),
-    all with the request's one ``nonce``; returns the slab.
+def seal_rows(keys, payloads, nonce: bytes) -> bytes:
+    """Seal equal-length ``payloads[i]`` under ``keys[i]`` (16–64 bytes
+    each), all with the request's one ``nonce``; returns the slab.
 
-    Row ``i`` of the result (``len(payloads[i]) + 8`` bytes) equals
-    ``seal_row(keys[i], payloads[i], nonce)``.  ``schedules`` optionally
-    holds each key's precomputed :func:`~repro.crypto.aead.key_schedule`
-    (the proxy's label cache) and is then used *instead of* ``keys``, which
-    may be ``None``.
+    Row ``i`` of the result is ``len(payloads[i]) + 8`` bytes.
     """
     n = len(payloads)
-    if len(keys if schedules is None else schedules) != n:
-        raise ConfigurationError(f"{n} payloads for another number of keys")
+    if len(keys) != n:
+        raise ConfigurationError(f"{n} payloads for {len(keys)} keys")
     if not n:
         return b""
     plain = _CHECK.join(payloads) + _CHECK
     length = len(plain) // n
     if set(map(len, payloads)) != {length - CHECK_LEN}:
         raise ConfigurationError("row payloads must have equal lengths")
+    if length > MAX_ROW_LEN:
+        raise ConfigurationError(f"a row holds at most {MAX_ROW_LEN} bytes")
+    if not set(map(len, keys)) <= _KEY_LENS:
+        raise ConfigurationError("row keys must be 16 to 64 bytes")
     _count("encrypts", n)
-    return _xor(plain, _pads(keys, [(nonce, n)], length, schedules))
+    return _xor(plain, _pads(keys, nonce, length))
+
+
+def seal_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
+    """One row: ``(payload ‖ 0^8) ⊕ pad(key, nonce)``."""
+    return seal_rows([key], [payload], nonce)
+
+
+@lru_cache(maxsize=8)
+def _check_mask(rows: int, length: int) -> int:
+    """``rows`` rows of ``length`` bytes with ones over their check bytes."""
+    return int.from_bytes((bytes(length - CHECK_LEN) + b"\xff" * CHECK_LEN) * rows, "big")
 
 
 def open_rows(
-    keys: "list[bytes] | tuple[bytes, ...]",
-    rows: "list[bytes] | tuple[bytes, ...]",
-    nonce_runs: "list[tuple[bytes, int]]",
-) -> "list[bytes | None]":
-    """Open ``rows[i]`` under ``keys[i]``: the payload, or ``None`` where the
-    check bytes are not zero (wrong key, wrong nonce, or a row too short to
-    hold any).
+    runs: "list[tuple[bytes, tuple[bytes, ...] | list[bytes], bytes]]",
+) -> "list[tuple[bytes, list[int]]]":
+    """Open a window of requests in one call.
 
-    ``nonce_runs`` lists ``(nonce, count)`` for consecutive rows — one run
-    per request, so a server opens a whole window of requests in one call.
+    Each run is one request's ``(nonce, keys, rows)``: ``rows`` packs its
+    ``len(keys)`` equal-width rows back to back, row ``i`` sealed under
+    ``keys[i]``.  Per run the result is ``(opened, failed)``: every row with
+    its pad removed (payload then check bytes, packed as ``rows`` was), and
+    the indices of the rows whose check bytes are not zero (wrong key, wrong
+    nonce — or every index, when ``rows`` is no whole number of rows that
+    could hold check bytes).  The check is one mask over the run; rows are
+    scanned one by one only to name the failures.
     """
-    n = len(keys)
-    if len(rows) != n or sum(count for _nonce, count in nonce_runs) != n:
-        raise ConfigurationError(f"{n} keys for {len(rows)} rows and their nonce runs")
-    widths = set(map(len, rows))
-    if len(widths) > 1 and len(nonce_runs) > 1:
-        # Requests of different row widths share the window: open each run
-        # alone, so an odd one cannot take its window-mates down with it.
-        merged, at = [], 0
-        for run in nonce_runs:
-            merged += open_rows(keys[at : at + run[1]], rows[at : at + run[1]], [run])
-            at += run[1]
-        return merged
-    out: "list[bytes | None]" = [None] * n
-    length = max(widths, default=0)
-    if len(widths) == 1 and length > CHECK_LEN:
-        blob = b"".join(rows)
-        opened = _xor(blob, _pads(keys, nonce_runs, length))
-        compare = hmac.compare_digest
-        split = length - CHECK_LEN
-        for index, start in enumerate(range(0, len(blob), length)):
-            if compare(opened[start + split : start + length], _CHECK):
-                out[index] = opened[start : start + split]
-    failures = out.count(None)
+    out = []
+    decrypts = failures = 0
+    for nonce, keys, rows in runs:
+        n = len(keys)
+        length = len(rows) // n if n else 0
+        if CHECK_LEN < length <= MAX_ROW_LEN and length * n == len(rows):
+            plain = int.from_bytes(rows, "big") ^ int.from_bytes(
+                _pads(keys, nonce, length), "big"
+            )
+            opened = plain.to_bytes(len(rows), "big")
+            failed = []
+            if plain & _check_mask(n, length):
+                failed = [
+                    index
+                    for index, end in enumerate(range(length, len(rows) + 1, length))
+                    if opened[end - CHECK_LEN : end] != _CHECK
+                ]
+        else:
+            opened, failed = rows, list(range(n))
+        out.append((opened, failed))
+        decrypts += n - len(failed)
+        failures += len(failed)
     _count("decrypt_failures", failures)
-    _count("decrypts", n - failures)
+    _count("decrypts", decrypts)
     return out
 
 
-__all__ = ["seal_row", "open_row", "seal_rows", "open_rows", "ROW_NONCE_LEN", "CHECK_LEN"]
+def open_row(key: bytes, row: bytes, nonce: bytes) -> bytes | None:
+    """The payload of ``row`` if ``key`` and ``nonce`` sealed it, else ``None``."""
+    ((opened, failed),) = open_rows([(nonce, [key], row)])
+    return None if failed else opened[:-CHECK_LEN]
+
+
+__all__ = [
+    "seal_row",
+    "open_row",
+    "seal_rows",
+    "open_rows",
+    "ROW_NONCE_LEN",
+    "CHECK_LEN",
+    "MAX_ROW_LEN",
+]

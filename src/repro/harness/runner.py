@@ -173,8 +173,9 @@ def _profile_protocol(
     protocol = spec.build_protocol()
     records = {f"profile-{i}": bytes(spec.value_len) for i in range(_PROFILE_KEYS)}
     protocol.initialize(records)
-    # The LBL variants travel at the cost model's message sizes when it
-    # states any (the paper's entry format under ``paper_like``).
+    # The LBL variants travel at the cost model's message sizes, and build
+    # their tables at its PRF work, when it states any (the paper's entry
+    # format and per-label derivation under ``paper_like``).
     modelled = (
         cost_model.lbl_round_trip(protocol.config)
         if isinstance(protocol, LblOrtoa)
@@ -196,7 +197,10 @@ def _profile_protocol(
             _PhaseProfile(
                 phase.location,
                 sum(
-                    cost_model.phase_ms(t.phases[idx].ops) for t in transcripts
+                    cost_model.phase_ms(
+                        cost_model.priced_ops(protocol.config, t.phases[idx])
+                    )
+                    for t in transcripts
                 )
                 / len(transcripts),
             )

@@ -485,9 +485,9 @@ class LeakyLblServer(LblServer):
         super().__init__(point_and_permute)
         self.current_op: Operation | None = None
 
-    def _commit_many(self, items) -> list[int]:
+    def _commit_many(self, items) -> list[bool]:
         if self.current_op is not None and self.current_op.is_read:
-            return [0] * len(items)  # leak: reads leave storage untouched
+            return [False] * len(items)  # leak: reads leave storage untouched
         return super()._commit_many(items)
 
 

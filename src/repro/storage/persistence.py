@@ -7,7 +7,7 @@ so a whole deployment — server snapshot + proxy WAL
 
 The format is deliberately boring: a magic header, then length-prefixed
 ``(key, value)`` records.  Value encoding is pluggable per store content
-(raw ciphertext bytes, LBL label lists, FHE ciphertexts) via small codec
+(raw ciphertext bytes, LBL label records, FHE ciphertexts) via small codec
 objects, keeping the engine itself value-agnostic.
 """
 
@@ -19,7 +19,7 @@ import struct
 from typing import Generic, Protocol, TypeVar
 
 from repro.crypto.fhe import FheCiphertext, FheParams
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import StorageError
 from repro.storage.kv import KeyValueStore
 
@@ -54,43 +54,26 @@ class BytesCodec:
 
 
 class LabelListCodec:
-    """Codec for LBL server records: lists of (label, decrypt_index).
+    """Codec for LBL server records (:class:`~repro.crypto.labels.StoredRecord`).
 
-    Layout per label: ``[u32 label_len][label][u8 has_index][u8 index?]``.
+    Layout: ``[u32 len(labels)][labels][slots]`` — the two blobs as stored.
     """
 
-    def encode(self, value: list[StoredLabel]) -> bytes:
+    def encode(self, value: StoredRecord) -> bytes:
         """Serialize one store value."""
-        parts = [_U32.pack(len(value))]
-        for stored in value:
-            parts.append(_U32.pack(len(stored.label)))
-            parts.append(stored.label)
-            if stored.decrypt_index is None:
-                parts.append(b"\x00")
-            else:
-                parts.append(b"\x01" + bytes([stored.decrypt_index]))
-        return b"".join(parts)
+        labels, slots = value
+        return _U32.pack(len(labels)) + labels + slots
 
-    def decode(self, data: bytes) -> list[StoredLabel]:
+    def decode(self, data: bytes) -> StoredRecord:
         """Deserialize one store value."""
-        (count,) = _U32.unpack_from(data, 0)
-        pos = _U32.size
-        labels = []
-        for _ in range(count):
-            (label_len,) = _U32.unpack_from(data, pos)
-            pos += _U32.size
-            label = data[pos:pos + label_len]
-            pos += label_len
-            has_index = data[pos]
-            pos += 1
-            index = None
-            if has_index:
-                index = data[pos]
-                pos += 1
-            labels.append(StoredLabel(label, index))
-        if pos != len(data):
-            raise StorageError("trailing bytes in label record")
-        return labels
+        try:
+            (labels_len,) = _U32.unpack_from(data, 0)
+        except struct.error:
+            raise StorageError("label record has no length") from None
+        if len(data) < _U32.size + labels_len:
+            raise StorageError("truncated label record")
+        split = _U32.size + labels_len
+        return StoredRecord(data[_U32.size : split], data[split:])
 
 
 class FheCiphertextCodec:

@@ -73,7 +73,7 @@ from repro.core.messages import (
     LblBatchResponse,
     LblErrorEntry,
 )
-from repro.errors import ConfigurationError, OrtoaError, ProtocolError
+from repro.errors import ConfigurationError, OrtoaError, ProtocolError, StorageError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.logging import get_logger
@@ -108,9 +108,10 @@ OVERLOAD_FRAME = bytes([OVERLOAD_TAG])
 _log = get_logger("transport.server")
 
 
-def pack_load(encoded_key: bytes, labels) -> bytes:
-    """Serialize one bulk-load record."""
-    blob = LabelListCodec().encode(labels)
+def pack_load(encoded_key: bytes, record) -> bytes:
+    """Serialize one bulk-load record (an encoded key and its
+    :class:`~repro.crypto.labels.StoredRecord`)."""
+    blob = LabelListCodec().encode(record)
     return (
         bytes([LOAD_TAG])
         + len(encoded_key).to_bytes(4, "big")
@@ -120,7 +121,7 @@ def pack_load(encoded_key: bytes, labels) -> bytes:
 
 
 def unpack_load(payload: bytes):
-    """Parse a bulk-load record back into (encoded_key, labels)."""
+    """Parse a bulk-load record back into ``(encoded_key, record)``."""
     if len(payload) < 5 or payload[0] != LOAD_TAG:
         raise ProtocolError("malformed load record")
     key_len = int.from_bytes(payload[1:5], "big")
@@ -128,12 +129,10 @@ def unpack_load(payload: bytes):
     if len(encoded_key) != key_len:
         raise ProtocolError("truncated load record key")
     try:
-        labels = LabelListCodec().decode(payload[5 + key_len:])
-    except OrtoaError:
-        raise
-    except Exception as exc:  # struct.error, IndexError on hostile blobs
+        record = LabelListCodec().decode(payload[5 + key_len:])
+    except StorageError as exc:
         raise ProtocolError(f"malformed load record labels: {exc}") from None
-    return encoded_key, labels
+    return encoded_key, record
 
 
 class LblFrameDispatcher:
@@ -234,9 +233,9 @@ class LblFrameDispatcher:
         if payload[0] in (OBS_PROFILE_START_TAG, OBS_PROFILE_STOP_TAG):
             return self._profile_control(payload)
         if payload[0] == LOAD_TAG:
-            encoded_key, labels = unpack_load(payload)
+            encoded_key, record = unpack_load(payload)
             with self._stripe_for(encoded_key):
-                self.lbl.load(encoded_key, labels)
+                self.lbl.load(encoded_key, record)
             return LOAD_ACK
         if payload[0] == LblAccessRequest.TAG:
             request = LblAccessRequest.from_bytes(payload)

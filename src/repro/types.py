@@ -90,8 +90,8 @@ class StoreConfig:
         label_cache_entries: Proxy-side label cache capacity in epochs
             (``(key, counter)`` entries).  ``None`` disables the cache;
             ``-1`` sizes it automatically from
-            :data:`repro.core.lbl.cache.DEFAULT_LABEL_CACHE_BYTES`.  A warm
-            hit skips re-deriving the access's old labels (see
+            :data:`repro.core.lbl.cache.DEFAULT_LABEL_CACHE_BYTES`.  A hit
+            skips re-deriving the access's old epoch (see
             ``docs/performance.md``).
     """
 
@@ -110,6 +110,12 @@ class StoreConfig:
             # A slot index travels as one byte (and a table of 2^y entries
             # per group stops paying for itself long before y = 8).
             raise ConfigurationError("group_bits must be between 1 and 8")
+        if self.point_and_permute and self.label_bits > 440:
+            # A point-and-permute row (label + slot byte + 8 check bytes) is
+            # one keyed-BLAKE2b output: at most 64 bytes.
+            raise ConfigurationError(
+                "label_bits must be at most 440 with point_and_permute"
+            )
         if self.label_cache_entries is not None and self.label_cache_entries == 0:
             raise ConfigurationError(
                 "label_cache_entries must be None (disabled), -1 (auto), or >= 1"

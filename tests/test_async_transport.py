@@ -194,6 +194,11 @@ def test_c1k_connections_complete_get_and_put(server):
         response = LblAccessResponse.from_bytes(inner)
         proxy.finalize(key, response)  # raises if replies were mispaired
     assert server.in_flight == 0
+    # The clients have closed; the server loop reaps their connections as it
+    # reads each EOF, which 1,000 of them do not all reach at once.
+    deadline = time.time() + 10.0
+    while server.num_connections > 0 and time.time() < deadline:
+        time.sleep(0.01)
     assert server.num_connections == 0
 
 

@@ -193,13 +193,31 @@ def test_paper_configuration_bytes():
     assert model.request_bytes == 1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 25) == 64_049
     assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
     assert model.bytes_per_access == 74_292
-    assert (model.entry_hmacs, model.entry_compressions) == (1, 4)
+    assert (model.entry_hashes, model.entry_compressions) == (1, 2)
+    # Calls made: two epochs and the key encoding; the XOF absorbs one block
+    # and squeezes ceil(41,600 / 136) = 306 per epoch.
+    assert model.ops() == {
+        "prf.calls": 3,
+        "sha256.compressions": 2,
+        "shake256.blocks": 2 * (1 + 306),
+        "aead.encrypts": 2560,
+        "aead.decrypts": 640,
+    }
+    assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 2
+    scalar = LblCostModel(
+        value_len=160, group_bits=2, point_and_permute=True, backend="scalar"
+    )
+    # One epoch per lookup: per group both epochs' labels, the old offset and
+    # one offset per entry of the new epoch; finalize derives once more.
+    assert scalar.ops()["prf.calls"] == 640 * (2 + 1 + 4) + 1 + 1
+    assert scalar.ops()["shake256.blocks"] == (640 * 7 + 1) * 307
     # The base protocol keeps its AEAD entries behind the same slab framing.
     base = LblCostModel(value_len=160, group_bits=2)
     assert base.entry_len == 12 + 16 + 16
     assert base.request_bytes == 1 + (4 + 4) + (4 + 16) + (4 + 640 * 4 * 44)
     assert base.response_bytes == model.response_bytes
-    assert (base.entry_hmacs, base.entry_compressions) == (2, 8)
+    assert (base.entry_hashes, base.entry_compressions) == (2, 8)
+    assert base.ops()["prf.calls"] == 3
 
 
 @pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
@@ -209,7 +227,7 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
     monkeypatch, group_bits, label_bits, point_and_permute
 ):
     """Every shape the model has a formula for, against real messages and a
-    compression count taken inside the kernels' own ``sha256`` calls."""
+    block count taken inside the kernels' own ``hashlib`` calls."""
     import hashlib
 
     from repro.core.lbl import LblOrtoa
@@ -229,14 +247,20 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
         calls.append((len(data) + 8) // 64 + 1)  # blocks incl. padding
         return hashlib.sha256(data)
 
+    def counting_blake2b(data=b"", *, key=b"", digest_size=64):
+        # The padded key is a block of its own; then 128-byte message blocks.
+        calls.append(bool(key) + max(1, -(-len(data) // 128)))
+        return hashlib.blake2b(data, key=key, digest_size=digest_size)
+
     class _Hashlib:
-        sha256 = staticmethod(counting_sha256)
+        blake2b = staticmethod(counting_blake2b)
 
     monkeypatch.setattr(rows, "hashlib", _Hashlib)
     monkeypatch.setattr(aead, "_DIGEST", counting_sha256)
     built, _ops = store.proxy.prepare(Request.write("k", b"xyz"))
     entries = model.num_groups * model.table_size
-    assert len(calls) == 2 * model.entry_hmacs * entries  # inner + outer hash
+    # One keyed hash per row; an HMAC is an inner and an outer hash.
+    assert len(calls) == (1 if point_and_permute else 2) * model.entry_hashes * entries
     assert sum(calls) == model.entry_compressions * entries
     monkeypatch.undo()
 
@@ -267,7 +291,8 @@ def test_plan_capacity_scales_with_load():
     assert large.cpu_cores > small.cpu_cores
     assert large.dollars_per_day > small.dollars_per_day
     assert small.bytes_per_access == model.framed_bytes_per_access(traced=True)
-    assert small.compressions_per_access == model.ops()["sha256.compressions"]
+    assert small.compressions_per_access == model.proxy_hash_blocks()
+    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 1_600_000.0
     assert small.projected_p99_ms > 0
     plan_dict = small.as_dict()
     assert plan_dict["assumptions"]["p99_model"].startswith("M/M/1")

@@ -6,12 +6,18 @@ from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError
 
 
+def _squeeze(xof, message: bytes = b"x") -> bytes:
+    keyed = xof.copy()
+    keyed.update(message)
+    return keyed.digest(32)
+
+
 def test_same_master_same_keys():
     a = KeyChain(b"m" * 32)
     b = KeyChain(b"m" * 32)
     assert a.data_key == b.data_key
     assert a.encode_key("k") == b.encode_key("k")
-    assert a.label_prf.evaluate("x") == b.label_prf.evaluate("x")
+    assert _squeeze(a.label_xof) == _squeeze(b.label_xof)
 
 
 def test_different_master_different_keys():
@@ -30,15 +36,18 @@ def test_subkeys_are_domain_separated():
     outputs = {
         bytes(kc.data_key),
         kc.key_encoding_prf.evaluate("x", out_bytes=32),
-        kc.label_prf.evaluate("x", out_bytes=32),
-        kc.permute_prf.evaluate("x", out_bytes=32),
+        _squeeze(kc.label_xof),
     }
-    assert len(outputs) == 4
+    assert len(outputs) == 3
+    # The XOF is keyed: the same message under another master differs, and
+    # copying leaves the keychain's own state untouched.
+    assert _squeeze(kc.label_xof) != _squeeze(KeyChain(b"n" * 32).label_xof)
+    assert _squeeze(kc.label_xof) == _squeeze(kc.label_xof)
 
 
 def test_label_bits_config():
     kc = KeyChain(b"m" * 32, label_bits=256)
-    assert kc.label_prf.out_bytes == 32
+    assert kc.label_bits == 256
     with pytest.raises(ConfigurationError):
         KeyChain(b"m" * 32, label_bits=12)
 

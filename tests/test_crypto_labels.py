@@ -9,10 +9,13 @@ from repro.crypto.labels import LabelCodec, groups_to_value, value_to_groups
 from repro.errors import ConfigurationError, TamperDetectedError
 
 
-def make_codec(value_len=4, group_bits=1):
-    kc = KeyChain(b"m" * 32)
+def make_codec(value_len=4, group_bits=1, label_bits=128):
+    kc = KeyChain(b"m" * 32, label_bits=label_bits)
     return LabelCodec(
-        kc.label_prf, kc.permute_prf, value_len=value_len, group_bits=group_bits
+        kc.label_xof,
+        label_len=label_bits // 8,
+        value_len=value_len,
+        group_bits=group_bits,
     )
 
 
@@ -87,23 +90,23 @@ def test_encode_decode_roundtrip():
     codec = make_codec(value_len=8, group_bits=2)
     value = b"\x01\x02\x03\x04\x05\x06\x07\x08"
     labels = codec.encode_value("key", value, counter=3)
-    assert len(labels) == codec.num_groups
-    assert codec.decode_from_candidates(codec.labels_for_groups("key", 3), labels) == value
+    assert len(labels) == codec.num_groups * codec.label_len
+    assert codec.decode(codec.epoch("key", 3), labels) == value
 
 
 def test_decode_with_wrong_counter_detects_tamper():
     codec = make_codec()
     labels = codec.encode_value("key", b"abcd", counter=1)
     with pytest.raises(TamperDetectedError):
-        codec.decode_from_candidates(codec.labels_for_groups("key", 2), labels)
+        codec.decode(codec.epoch("key", 2), labels)
 
 
 def test_decode_with_corrupted_label_detects_tamper():
     codec = make_codec()
     labels = codec.encode_value("key", b"abcd", counter=1)
-    labels[5] = b"\x00" * len(labels[5])
+    corrupt = labels[: 5 * 16] + bytes(16) + labels[6 * 16 :]
     with pytest.raises(TamperDetectedError):
-        codec.decode_from_candidates(codec.labels_for_groups("key", 1), labels)
+        codec.decode(codec.epoch("key", 1), corrupt)
 
 
 def test_encode_value_rejects_wrong_length():
@@ -111,7 +114,7 @@ def test_encode_value_rejects_wrong_length():
     with pytest.raises(ConfigurationError):
         codec.encode_value("k", b"toolongvalue", counter=0)
     with pytest.raises(ConfigurationError):
-        codec.decode_from_candidates(codec.labels_for_groups("k", 0), [b"x" * 16])
+        codec.decode(codec.epoch("k", 0), b"x" * 16)
 
 
 def test_label_group_value_range_checked():
@@ -157,4 +160,95 @@ def test_decrypt_index_is_permutation_over_group_values():
 def test_codec_roundtrip_property(value, counter):
     codec = make_codec(value_len=len(value), group_bits=2)
     labels = codec.encode_value("key", value, counter)
-    assert codec.decode_from_candidates(codec.labels_for_groups("key", counter), labels) == value
+    assert codec.decode(codec.epoch("key", counter), labels) == value
+
+
+# --------------------------------------------------------------------- #
+# The epoch blob: one XOF call, and the only definition of every view
+# --------------------------------------------------------------------- #
+
+def _bare_epoch(codec, master: bytes, key: str, counter: int) -> bytes:
+    """An epoch re-derived from the bare ``hashlib`` / ``hmac`` calls."""
+    import hashlib
+    import hmac
+
+    from repro.crypto.prf import encode_components
+
+    def hmac_prf(prf_key: bytes, *components) -> bytes:
+        message = (0).to_bytes(4, "big") + encode_components(*components)
+        return hmac.new(prf_key, message, hashlib.sha256).digest()
+
+    subkey = hmac_prf(master, "subkey", "labels")
+    shape = (codec.num_groups, codec.table_size, codec.label_len)
+    return hashlib.shake_256(
+        subkey.ljust(136, b"\x00")
+        + encode_components(*shape)
+        + encode_components(key, counter)
+    ).digest(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups)
+
+
+@pytest.mark.parametrize("label_bits", [128, 256])
+@pytest.mark.parametrize("group_bits", [1, 2, 4, 8])
+def test_epoch_is_one_shake_call_and_every_view_is_a_slice_of_it(group_bits, label_bits):
+    codec = make_codec(value_len=3, group_bits=group_bits, label_bits=label_bits)
+    blob = codec.epoch("obj", 7)
+    assert blob == _bare_epoch(codec, b"m" * 32, "obj", 7)
+    assert len(blob) == codec.epoch_len == codec.labels_len + codec.num_groups
+    size, width = codec.table_size, codec.label_len
+    labels = codec.labels(blob)
+    offsets = codec.offsets(blob)
+    assert b"".join(labels) == blob[: codec.labels_len]
+    assert offsets == bytes(b % size for b in blob[codec.labels_len :])
+    for index in (0, codec.num_groups - 1):
+        assert codec.labels_for_group("obj", index, 7) == list(
+            labels[index * size : (index + 1) * size]
+        )
+        assert codec.permute_offset("obj", index, 7) == offsets[index]
+        for value in (0, size - 1):
+            at = (index * size + value) * width
+            assert codec.label("obj", index, value, 7) == blob[at : at + width]
+            assert codec.decrypt_index("obj", index, value, 7) == value ^ offsets[index]
+
+
+def test_epochs_of_different_shapes_share_no_stream():
+    """The header encodes ``(G, 2^y, label_len)``: a prefix of one shape's
+    epoch is never another shape's epoch."""
+    blobs = [
+        make_codec(value_len=value_len, group_bits=group_bits).epoch("obj", 7)[:16]
+        for value_len, group_bits in ((4, 1), (4, 2), (8, 2), (8, 4))
+    ]
+    blobs.append(make_codec(value_len=4, label_bits=256).epoch("obj", 7)[:16])
+    assert len(set(blobs)) == len(blobs)
+
+
+def test_select_and_slots_pick_one_label_and_one_slot_per_group():
+    codec = make_codec(value_len=2, group_bits=2)
+    blob = codec.epoch("obj", 3)
+    groups = value_to_groups(b"\x1b\xe4", 2)
+    stored = codec.select(blob, groups)
+    assert stored == b"".join(
+        codec.label("obj", index, value, 3) for index, value in enumerate(groups)
+    )
+    assert codec.slots(blob, groups) == bytes(
+        codec.decrypt_index("obj", index, value, 3) for index, value in enumerate(groups)
+    )
+    with pytest.raises(ConfigurationError):
+        codec.select(blob, groups[:-1])
+    with pytest.raises(ConfigurationError):
+        codec.select(blob, (4,) + groups[1:])
+
+
+def test_decode_matches_at_label_boundaries_only():
+    """A returned label that occurs in its group's window only *across* two
+    candidates is no candidate (§5.4)."""
+    codec = make_codec(value_len=1, group_bits=2)
+    blob = codec.epoch("obj", 1)
+    honest = codec.select(blob, value_to_groups(b"\x6c", 2))
+    assert codec.decode(blob, honest) == b"\x6c"
+    straddling = blob[8:24] + honest[16:]
+    with pytest.raises(TamperDetectedError):
+        codec.decode(blob, straddling)
+    # ...and a label of another group's window is no candidate of this one.
+    swapped = honest[16:32] + honest[:16] + honest[32:]
+    with pytest.raises(TamperDetectedError):
+        codec.decode(blob, swapped)

@@ -1,15 +1,15 @@
 """Golden vectors + batch-vs-scalar cross-checks for the crypto kernels.
 
-The batched fast paths (precomputed HMAC key state, fused label derivation,
-batch AEAD) must be drop-in: byte-identical to the constructions they
-replace.  Two independent nets catch a silent change:
+The batched fast paths (precomputed HMAC key state, one-call label epochs,
+batch AEAD and rows) must be drop-in: byte-identical to the documented
+constructions.  Two independent nets catch a silent change:
 
 * **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
-  :meth:`LabelCodec.label`, :meth:`LabelCodec.permute_offsets`,
+  :meth:`LabelCodec.label`, :meth:`LabelCodec.offsets`,
   :func:`aead.encrypt` (fixed nonce) and the point-and-permute row kernel
-  :func:`rows.seal_row`, plus a live re-derivation of each from
-  the *stdlib* ``hmac`` module, so a vector can only move if the documented
-  construction itself changes;
+  :func:`rows.seal_row`, plus a live re-derivation of each from the bare
+  *stdlib* calls (``hmac``, ``hashlib.shake_256``, ``hashlib.blake2b``), so
+  a vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
   scalar counterpart on arbitrary inputs.
 """
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.crypto import aead, rows
 from repro.crypto.labels import LabelCodec
-from repro.crypto.prf import Prf, PrfContext, encode_components
+from repro.crypto.prf import Prf, PrfContext, encode_components, keyed_xof
 
 # --------------------------------------------------------------------- #
 # Stdlib references for the documented constructions
@@ -45,6 +45,25 @@ def _ref_prf(key: bytes, components: tuple, out_bytes: int) -> bytes:
         out += block
         counter += 1
     return out[:out_bytes]
+
+
+def _ref_epoch(label_key: bytes, codec: LabelCodec, key: str, counter: int) -> bytes:
+    """The documented epoch: one prefix-keyed SHAKE-256 call via the stdlib only."""
+    shape = (codec.num_groups, codec.table_size, codec.label_len)
+    return hashlib.shake_256(
+        label_key.ljust(136, b"\x00")
+        + encode_components(*shape)
+        + encode_components(key, counter)
+    ).digest(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups)
+
+
+def _codec(label_key: bytes, value_len: int, group_bits: int, label_len: int = 16):
+    return LabelCodec(
+        keyed_xof(label_key),
+        label_len=label_len,
+        value_len=value_len,
+        group_bits=group_bits,
+    )
 
 
 def _ref_encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
@@ -71,13 +90,13 @@ _PRF48_VECTOR = bytes.fromhex(
     "ebde6f4e985cefde836f68d3c658e98dfe79698f062bac4a9c344c6876a91792"
     "27848d77f07f933c8a11ff0c70798110"
 )
-# Labels are slices of one wide output per (key, group, epoch): value 1 is
-# bytes 16..32 of block 0, value 3 is bytes 16..32 of block 1.
-_LABEL_VECTOR = bytes.fromhex("19da51878a5875e4ab36fc3d6c7f8042")
-_LABEL_VECTOR_BLOCK1 = bytes.fromhex("4d5a319048b9ae53139df7f3661505e5")
-# 40 groups: the offset stream spans two HMAC blocks.
+# Labels are slices of one epoch per (key, epoch): label v of group i is
+# bytes [(4i + v)·16, +16) of the blob — here 144..160 and 176..192.
+_LABEL_VECTOR = bytes.fromhex("f1675ea4fa4518aedd8a129686cd6761")
+_LABEL_VECTOR_VALUE3 = bytes.fromhex("5cd63f01807e150207b26e6ce831a3c1")
+# 40 groups: the offsets are the epoch's last 40 bytes, each mod 4.
 _OFFSETS_VECTOR = bytes.fromhex(
-    "00000203020101010303000203030002020001020002020101000301020303000203000103010302"
+    "01020101000000000203020302020002030002030003010203010001010301020301010101020003"
 )
 _AEAD_KEY = b"k" * 16
 _AEAD_PLAINTEXT = b"hello world label"
@@ -101,30 +120,21 @@ def test_prf_vector_multi_block():
 
 
 def test_label_vector():
-    codec = LabelCodec(
-        Prf(b"\x01" * 32, out_bytes=16),
-        Prf(b"\x02" * 32, out_bytes=16),
-        value_len=4,
-        group_bits=2,
-    )
+    codec = _codec(b"\x01" * 32, value_len=4, group_bits=2)
     assert codec.label("obj", 2, 1, 7) == _LABEL_VECTOR
-    assert codec.label("obj", 2, 3, 7) == _LABEL_VECTOR_BLOCK1
-    wide = _ref_prf(b"\x01" * 32, ("label", "obj", 2, 7), 4 * 16)
-    assert Prf(b"\x01" * 32).evaluate("label", "obj", 2, 7, out_bytes=64) == wide
-    assert wide[16:32] == _LABEL_VECTOR
-    assert wide[48:64] == _LABEL_VECTOR_BLOCK1
+    assert codec.label("obj", 2, 3, 7) == _LABEL_VECTOR_VALUE3
+    blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
+    assert codec.epoch("obj", 7) == blob
+    assert len(blob) == 16 * 4 * 16 + 16
+    assert blob[(2 * 4 + 1) * 16 : (2 * 4 + 2) * 16] == _LABEL_VECTOR
+    assert blob[(2 * 4 + 3) * 16 : (2 * 4 + 4) * 16] == _LABEL_VECTOR_VALUE3
 
 
 def test_permute_offsets_vector():
-    codec = LabelCodec(
-        Prf(b"\x01" * 32, out_bytes=16),
-        Prf(b"\x02" * 32, out_bytes=16),
-        value_len=10,
-        group_bits=2,
-    )
-    assert bytes(codec.permute_offsets("obj", 7)) == _OFFSETS_VECTOR
-    wide = _ref_prf(b"\x02" * 32, ("permute", "obj", 7), codec.num_groups)
-    assert bytes(b % 4 for b in wide) == _OFFSETS_VECTOR
+    codec = _codec(b"\x01" * 32, value_len=10, group_bits=2)
+    assert codec.offsets(codec.epoch("obj", 7)) == _OFFSETS_VECTOR
+    blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
+    assert bytes(b % 4 for b in blob[-codec.num_groups :]) == _OFFSETS_VECTOR
 
 
 def test_aead_vector_fixed_nonce():
@@ -174,7 +184,13 @@ def test_context_tails_match_scalar(key, tails):
     prf = Prf(key, out_bytes=16)
     ctx = prf.context("ctx-prefix")
     batch = ctx.evaluate_tails(tails)
-    assert batch == [ctx.evaluate_tail(tail) for tail in tails]
+    head = (0).to_bytes(4, "big") + encode_components("ctx-prefix")
+    assert batch == [
+        hmac.new(key, head + tail, hashlib.sha256).digest()[:16] for tail in tails
+    ]
+    assert ctx.evaluate_tails([encode_components(7, "s")]) == [
+        prf.evaluate("ctx-prefix", 7, "s")
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,87 +290,53 @@ def test_open_many_matches_try_decrypt(cases):
     assert sum(batch_counts) == len(cases)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    key=_keys,
-    suffixes=st.lists(_components, min_size=1, max_size=5),
-    blocks=st.integers(min_value=1, max_value=3),
-    first=st.integers(min_value=0, max_value=3),
-)
-def test_block_digests_match_wide_evaluate(key, suffixes, blocks, first):
-    """Digest ``c`` of a tail is bytes ``[32c, 32c + 32)`` of the wide output."""
-    prf = Prf(key, out_bytes=16)
-    ctx = prf.context("ctx-prefix", 7)
-    digests = ctx.block_digests(
-        [encode_components(*suffix) for suffix in suffixes], blocks, first
-    )
-    wide_len = 32 * (first + blocks)
-    expected = []
-    for suffix in suffixes:
-        wide = prf.evaluate("ctx-prefix", 7, *suffix, out_bytes=wide_len)
-        expected += [wide[32 * c : 32 * c + 32] for c in range(first, first + blocks)]
-    assert digests == expected
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     value_len=st.sampled_from([1, 4, 20]),
     group_bits=st.sampled_from([1, 2, 3, 4]),
-    # 16: two labels per block; 32: one per block; 24: labels straddle blocks.
+    # 16 and 32 divide SHAKE-256's 136-byte rate unevenly; 24 more so.
     label_len=st.sampled_from([16, 24, 32]),
     counter=st.integers(min_value=0, max_value=1000),
 )
 def test_labels_for_groups_matches_scalar(value_len, group_bits, label_len, counter):
-    """Batched, fused and scalar derivations are slices of one wide output
-    (``group_bits=3`` at 16 B: a table that is not a whole number of blocks)."""
+    """The epoch's labels, the scalar lookups and the bare XOF call are
+    slices of one output (``group_bits=3``: 11-group tables at 4 B)."""
     label_key = b"\x03" * 32
-    codec = LabelCodec(
-        Prf(label_key, out_bytes=label_len),
-        Prf(b"\x04" * 32, out_bytes=16),
-        value_len=value_len,
-        group_bits=group_bits,
-    )
-    rows = codec.labels_for_groups("some-key", counter)
-    assert rows == [
+    codec = _codec(label_key, value_len, group_bits, label_len)
+    blob = codec.epoch("some-key", counter)
+    assert blob == _ref_epoch(label_key, codec, "some-key", counter)
+    labels = codec.labels(blob)
+    table_size = 1 << group_bits
+    assert [
+        list(labels[index * table_size : (index + 1) * table_size])
+        for index in range(codec.num_groups)
+    ] == [
         codec.labels_for_group("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
-    table_size = 1 << group_bits
-    for index in (0, codec.num_groups - 1):
-        wide = _ref_prf(
-            label_key, ("label", "some-key", index, counter), table_size * label_len
-        )
-        assert rows[index] == [
-            wide[v * label_len : (v + 1) * label_len] for v in range(table_size)
-        ]
+    assert b"".join(labels) == blob[: codec.labels_len]
     groups = [(index + counter) % table_size for index in range(codec.num_groups)]
-    assert codec.encode_groups("some-key", groups, counter) == [
-        rows[index][group] for index, group in enumerate(groups)
-    ]
+    assert codec.select(blob, groups) == b"".join(
+        labels[index * table_size + group] for index, group in enumerate(groups)
+    )
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    # 8 B / y=2: 32 groups, one block; 10 B: 40 groups; 20 B / y=1: 160 groups.
     shape=st.sampled_from([(8, 2), (10, 2), (20, 1), (3, 3)]),
     counter=st.integers(min_value=0, max_value=1000),
 )
 def test_permute_offsets_match_scalar(shape, counter):
     value_len, group_bits = shape
-    permute_key = b"\x06" * 32
-    codec = LabelCodec(
-        Prf(b"\x05" * 32, out_bytes=16),
-        Prf(permute_key, out_bytes=16),
-        value_len=value_len,
-        group_bits=group_bits,
-    )
-    offsets = codec.permute_offsets("some-key", counter)
-    assert offsets == [
+    label_key = b"\x06" * 32
+    codec = _codec(label_key, value_len, group_bits)
+    offsets = codec.offsets(codec.epoch("some-key", counter))
+    assert list(offsets) == [
         codec.permute_offset("some-key", index, counter)
         for index in range(codec.num_groups)
     ]
-    wide = _ref_prf(permute_key, ("permute", "some-key", counter), codec.num_groups)
-    assert offsets == [b % codec.table_size for b in wide]
+    tail = _ref_epoch(label_key, codec, "some-key", counter)[codec.labels_len :]
+    assert list(offsets) == [b % codec.table_size for b in tail]
 
 
 def test_prf_context_class_exported():
@@ -364,34 +346,41 @@ def test_prf_context_class_exported():
 
 
 # --------------------------------------------------------------------- #
-# Point-and-permute rows: one HMAC pad per row, 8 zero check bytes
+# Point-and-permute rows: one keyed-BLAKE2b pad per row, 8 zero check bytes
 # --------------------------------------------------------------------- #
 
 
 def _ref_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """The documented row: ``(payload ‖ 0^8) ⊕ HMAC(key, "lbl-row\\0" ‖ nonce ‖ ctr)``."""
+    """The documented row: ``(payload ‖ 0^8) ⊕ BLAKE2b(key, "lbl-row\\0" ‖ nonce)``."""
     plain = payload + bytes(8)
-    pad = b""
-    counter = 0
-    while len(pad) < len(plain):
-        pad += hmac.new(
-            key, b"lbl-row\0" + nonce + counter.to_bytes(4, "big"), hashlib.sha256
-        ).digest()
-        counter += 1
+    pad = hashlib.blake2b(b"lbl-row\0" + nonce, key=key, digest_size=len(plain)).digest()
     return bytes(p ^ k for p, k in zip(plain, pad))
 
 
+_CHECK = bytes(rows.CHECK_LEN)
 _ROW_KEY = bytes(range(16, 32))
 _ROW_NONCE = bytes(range(16))
-# A 128-bit label + slot byte: 25-byte row, one HMAC block.
+# A 128-bit label + slot byte: 25-byte row (one block of an HMAC pad).
 _ROW_PAYLOAD = bytes(range(100, 117))
-_ROW_VECTOR = bytes.fromhex("7bd43df9aa1084ddbd94a0aae11cea17506116d4f0a6751d7d")
-# A 256-bit label + slot byte: 41-byte row, crosses into counter block 1.
+_ROW_VECTOR = bytes.fromhex("66bf50a975edb3274c2c5cec19f27b8ffc8852767cb775ba15")
+# A 256-bit label + slot byte: 41-byte row — wider than a SHA-256 digest
+# (two blocks of an HMAC pad), still one call: the digest size is a BLAKE2
+# parameter, not a truncation.
 _ROW_PAYLOAD_WIDE = bytes(range(200, 233))
 _ROW_VECTOR_WIDE = bytes.fromhex(
-    "d77891550eb4207901281c1645b84eb3fcb8cc0f2c7babc29d99c926d44ace97"
-    "a79537f4a800ef2be3"
+    "7125bf4f6ad7dade354804008246d6d309774b27dad6eb68a2cf795d69b6bdbc"
+    "9c2fcdd0bdf0a2fa49"
 )
+
+
+def _open(keys, sealed, nonce):
+    """One run through the window kernel: ``(payloads or None per row)``."""
+    ((opened, failed),) = rows.open_rows([(nonce, keys, b"".join(sealed))])
+    width = len(opened) // len(keys) if keys else 0
+    payloads = [
+        opened[i * width : (i + 1) * width - rows.CHECK_LEN] for i in range(len(keys))
+    ]
+    return [None if i in failed else payload for i, payload in enumerate(payloads)]
 
 
 def test_row_vector_single_block():
@@ -402,19 +391,24 @@ def test_row_vector_single_block():
 
 
 def test_row_vector_two_blocks():
+    """A 41-byte row: two counter-mode blocks of the HMAC pad this format
+    replaced, one call of keyed BLAKE2b."""
     assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert rows.seal_rows([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR_WIDE, _ROW_NONCE) == _ROW_PAYLOAD_WIDE
+    # The pad of a wider row is no extension of a narrower one's.
+    assert _ROW_VECTOR_WIDE[:8] != _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE[:17], _ROW_NONCE)[:8]
 
 
 @st.composite
-def _row_batch(draw):
+def _row_batch(draw, label_len=None):
     """Keys of one label width (or, rarely, ragged widths), equal-length payloads."""
-    label_len = draw(st.sampled_from([16, 24, 32]))
+    if label_len is None:
+        label_len = draw(st.sampled_from([16, 24, 32]))
     count = draw(st.integers(min_value=1, max_value=9))
     ragged = draw(st.integers(min_value=0, max_value=9)) == 0
-    key_sizes = st.integers(16, 80) if ragged else st.just(label_len)
+    key_sizes = st.integers(16, 64) if ragged else st.just(label_len)
     keys = [
         draw(key_sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
         for _ in range(count)
@@ -432,7 +426,7 @@ def _row_batch(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(batch=_row_batch())
-def test_seal_rows_matches_scalar_and_schedules_and_stdlib(batch):
+def test_seal_rows_matches_scalar_and_stdlib(batch):
     keys, payloads, nonce = batch
     slab = rows.seal_rows(keys, payloads, nonce)
     row_len = len(payloads[0]) + rows.CHECK_LEN
@@ -440,11 +434,10 @@ def test_seal_rows_matches_scalar_and_schedules_and_stdlib(batch):
     scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
     assert slab == b"".join(scalar)
     assert scalar == [_ref_row(k, p, nonce) for k, p in zip(keys, payloads)]
-    schedules = [aead.key_schedule(k) for k in keys]
-    assert rows.seal_rows(keys, payloads, nonce, schedules=schedules) == slab
-    assert rows.seal_rows(None, payloads, nonce, schedules=schedules) == slab
-    # open(seal(x)) == x, batch and scalar.
-    assert rows.open_rows(keys, scalar, [(nonce, len(keys))]) == payloads
+    # open(seal(x)) == x ‖ 0^8, batch and scalar, and nothing fails.
+    assert rows.open_rows([(nonce, keys, slab)]) == [
+        (b"".join(p + _CHECK for p in payloads), [])
+    ]
     assert [rows.open_row(k, r, nonce) for k, r in zip(keys, scalar)] == payloads
 
 
@@ -456,15 +449,18 @@ def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
     n = len(keys)
     wrong_nonce = bytearray(nonce)
     wrong_nonce[flip % 16] ^= 1 << (flip % 8)
-    assert rows.open_rows(keys, scalar, [(bytes(wrong_nonce), n)]) == [None] * n
-    assert rows.open_rows(keys, scalar, [(b"", n)]) == [None] * n
+    assert _open(keys, scalar, bytes(wrong_nonce)) == [None] * n
+    assert _open(keys, scalar, b"") == [None] * n
     wrong_keys = [bytes([k[0] ^ 0x80]) + k[1:] for k in keys]
-    assert rows.open_rows(wrong_keys, scalar, [(nonce, n)]) == [None] * n
+    assert _open(wrong_keys, scalar, nonce) == [None] * n
     # Verdicts are per row: one wrong key refuses only its own row.
     mixed = [wrong_keys[0]] + keys[1:]
-    assert rows.open_rows(mixed, scalar, [(nonce, n)]) == [None] + payloads[1:]
-    # A row too short to hold check bytes opens to nothing, whatever the key.
+    assert _open(mixed, scalar, nonce) == [None] + payloads[1:]
+    # A row too short to hold check bytes, or no whole number of rows, opens
+    # to nothing, whatever the key.
     assert rows.open_row(keys[0], scalar[0][: rows.CHECK_LEN], nonce) is None
+    assert rows.open_rows([(nonce, keys, b"".join(scalar)[:-1])])[0][1] == list(range(n))
+    assert rows.open_row(keys[0], scalar[0] + bytes(64), nonce) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,20 +472,26 @@ def test_open_rows_serves_a_window_of_requests_in_one_call(first, second):
         [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
         for keys, payloads, nonce in (first, second)
     ]
+    expected = [
+        (b"".join(p + _CHECK for p in payloads), []) for _, payloads, _ in (first, second)
+    ]
     window = rows.open_rows(
-        first[0] + second[0],
-        sealed[0] + sealed[1],
-        [(first[2], len(first[0])), (second[2], len(second[0]))],
+        [
+            (first[2], first[0], b"".join(sealed[0])),
+            (second[2], second[0], b"".join(sealed[1])),
+        ]
     )
-    assert window == first[1] + second[1]
+    assert window == expected
     # A damaged request in the window fails alone, row for row.
     damaged = [row[:-1] + bytes([row[-1] ^ 1]) for row in sealed[0]]
     window = rows.open_rows(
-        first[0] + second[0],
-        damaged + sealed[1],
-        [(first[2], len(first[0])), (second[2], len(second[0]))],
+        [
+            (first[2], first[0], b"".join(damaged)),
+            (second[2], second[0], b"".join(sealed[1])),
+        ]
     )
-    assert window == [None] * len(first[0]) + second[1]
+    assert window[0][1] == list(range(len(first[0])))
+    assert window[1] == expected[1]
 
 
 def test_row_kernel_rejects_misuse():
@@ -497,7 +499,8 @@ def test_row_kernel_rejects_misuse():
 
     key, nonce = b"k" * 16, b"n" * 16
     assert rows.seal_rows([], [], nonce) == b""
-    assert rows.open_rows([], [], []) == []
+    assert rows.open_rows([]) == []
+    assert rows.open_rows([(nonce, [], b"")]) == [(b"", [])]
     with pytest.raises(ConfigurationError):
         rows.seal_rows([key], [b"a", b"b"], nonce)
     with pytest.raises(ConfigurationError):
@@ -505,11 +508,11 @@ def test_row_kernel_rejects_misuse():
     with pytest.raises(ConfigurationError):
         rows.seal_rows([b"short"], [b"payload"], nonce)
     with pytest.raises(ConfigurationError):
-        rows.seal_rows([key], [b"payload"], nonce, schedules=[])
+        rows.seal_rows([b"k" * 65], [b"payload"], nonce)  # no BLAKE2b key
+    # 64 bytes is the widest pad one call gives: a 55-byte label's row.
+    assert len(rows.seal_row(b"k" * 55, b"p" * 56, nonce)) == rows.MAX_ROW_LEN
     with pytest.raises(ConfigurationError):
-        rows.open_rows([key], [], [(nonce, 1)])
-    with pytest.raises(ConfigurationError):
-        rows.open_rows([key, key], [b"r" * 25] * 2, [(nonce, 1)])  # runs cover 1 of 2
+        rows.seal_row(b"k" * 56, b"p" * 57, nonce)
 
 
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
@@ -527,10 +530,11 @@ def test_rows_are_metered_as_aead_ops(label_bits):
         with ledger.track(label="rows") as row:
             slab = rows.seal_rows(keys, payloads, nonce)
             rows.seal_row(keys[0], payloads[0], nonce)
-            size = len(slab) // 4
-            sealed = [slab[i * size : (i + 1) * size] for i in range(4)]
-            rows.open_rows(keys, sealed, [(nonce, 4)])
-            rows.open_rows(keys[::-1], sealed, [(nonce, 2), (nonce, 2)])
+            rows.open_rows([(nonce, keys, slab)])
+            half = len(slab) // 2
+            rows.open_rows(
+                [(nonce, keys[:1:-1], slab[:half]), (nonce, keys[1::-1], slab[half:])]
+            )
     finally:
         obs.disable()
         obs.reset()

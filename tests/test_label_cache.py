@@ -1,4 +1,4 @@
-"""Label cache, next-epoch prefetch, batch prepare order, and init complexity.
+"""Label cache, batch prepare order, and init complexity.
 
 The cache is a pure optimization: every test here ultimately checks either
 that it changes nothing observable (scalar / batched-cold / batched-warm
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.cache import LabelCache, LabelCacheEntry
+from repro.core.lbl.cache import LabelCache
 from repro.core.lbl.proxy import LblProxy
 from repro.core.sharded import _SerialPrepare
 from repro.crypto import aead
@@ -51,7 +51,7 @@ def _store(config: StoreConfig, *, batched: bool = True, seed: int = 5) -> LblOr
 
 def test_cache_take_is_consuming():
     cache = LabelCache(4)
-    cache.put("k", 1, LabelCacheEntry(labels=[[b"a"]]))
+    cache.put("k", 1, b"a")
     assert cache.take("k", 1) is not None
     assert cache.take("k", 1) is None  # consumed
     assert cache.hits == 1 and cache.misses == 1
@@ -60,7 +60,7 @@ def test_cache_take_is_consuming():
 
 def test_cache_epoch_must_match_exactly():
     cache = LabelCache(4)
-    cache.put("k", 2, LabelCacheEntry(labels=[[b"a"]]))
+    cache.put("k", 2, b"a")
     assert cache.take("k", 1) is None
     assert cache.take("k", 3) is None
     assert cache.take("k", 2) is not None
@@ -69,7 +69,7 @@ def test_cache_epoch_must_match_exactly():
 def test_cache_lru_bound():
     cache = LabelCache(2)
     for counter in range(3):
-        cache.put(f"k{counter}", 1, LabelCacheEntry(labels=[[b"x"]]))
+        cache.put(f"k{counter}", 1, b"x")
     assert len(cache) == 2
     assert cache.peek("k0", 1) is None  # oldest evicted
     assert cache.peek("k2", 1) is not None
@@ -77,9 +77,9 @@ def test_cache_lru_bound():
 
 def test_cache_invalidate_key_drops_every_epoch():
     cache = LabelCache(8)
-    cache.put("k", 1, LabelCacheEntry(labels=[[b"a"]]))
-    cache.put("k", 2, LabelCacheEntry(labels=[[b"b"]]))
-    cache.put("other", 1, LabelCacheEntry(labels=[[b"c"]]))
+    cache.put("k", 1, b"a")
+    cache.put("k", 2, b"b")
+    cache.put("other", 1, b"c")
     assert cache.invalidate_key("k") == 2
     assert cache.peek("k", 1) is None and cache.peek("k", 2) is None
     assert cache.peek("other", 1) is not None
@@ -89,19 +89,22 @@ def test_cache_rejects_bad_capacity():
     with pytest.raises(ConfigurationError):
         LabelCache(0)
     with pytest.raises(ConfigurationError):
-        LabelCache.from_bytes(640, 4, 16, budget_bytes=0)
+        LabelCache.from_bytes(41_600, budget_bytes=0)
 
 
 def test_cache_from_bytes_sizes_at_least_one_entry():
-    cache = LabelCache.from_bytes(640, 4, 16, budget_bytes=1)
+    cache = LabelCache.from_bytes(41_600, budget_bytes=1)
     assert cache.capacity == 1
+    # The default 4 MiB holds a hundred paper-point epochs (it held 7 when
+    # an entry carried label objects, schedules and a prefetched epoch).
+    assert LabelCache.from_bytes(41_600).capacity == 100
 
 
 def test_cache_take_counts_exactly_under_threads():
     """``hits + misses`` equals the number of ``take`` calls: no lost update."""
     workers, per_worker = 8, 2000
     cache = LabelCache(workers)  # one live entry per worker: nothing evicts
-    entry = LabelCacheEntry(labels=[[b"a"]])
+    entry = b"a"
 
     def run(name: str) -> None:
         for counter in range(per_worker):
@@ -134,21 +137,21 @@ def test_config_rejects_zero_cache_entries():
 
 
 # --------------------------------------------------------------------- #
-# Proxy integration: hits, prefetch, invalidation
+# Proxy integration: hits, invalidation
 # --------------------------------------------------------------------- #
 
 
-def test_repeated_access_hits_cache_and_prefetch():
+def test_repeated_access_hits_cache():
     store = _store(_config())
     cache = store.proxy.label_cache
     store.access(Request.read("k0"))  # miss: populates epoch 1
-    entry = cache.peek("k0", 1)
-    assert entry is not None
-    assert entry.next_labels is not None  # finalize prefetched epoch 2
-    assert entry.schedules is not None  # finalize attached AEAD schedules
+    # The entry is the epoch blob itself, exactly as a derivation returns it.
+    assert cache.peek("k0", 1) == store.proxy.codec.epoch("k0", 1)
     before = cache.hits
-    store.access(Request.read("k0"))  # warm: consumes epoch 1 entry
+    _built, ops = store.proxy.prepare(Request.read("k0"))  # consumes epoch 1
     assert cache.hits == before + 1
+    assert ops.prf == 2  # the new epoch and the key encoding: the old one hit
+    assert cache.peek("k0", 1) is None
     assert cache.peek("k0", 2) is not None  # replaced by the new epoch
 
 
@@ -390,9 +393,8 @@ def test_initial_records_grouping_is_linear(monkeypatch):
     assert calls["count"] == 32
 
 
-def test_initial_records_derives_one_hmac_per_group():
-    """Only the stored label's block per group, the packed offset stream,
-    and the key encoding — not the whole candidate table."""
+def test_initial_records_derives_one_epoch_per_record():
+    """One XOF call for the record's epoch and the key encoding."""
     from repro import obs
     from repro.obs import ledger
 
@@ -406,7 +408,6 @@ def test_initial_records_derives_one_hmac_per_group():
     finally:
         obs.disable()
         obs.reset()
-    codec = proxy.codec
-    assert row.snapshot()["ops"]["prf.calls"] == (
-        codec.num_groups + codec.offset_calls + 1
-    )
+    ops = row.snapshot()["ops"]
+    assert ops["prf.calls"] == 2
+    assert ops["shake256.blocks"] == proxy.codec.epoch_blocks("key", 0)

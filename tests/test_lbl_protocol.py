@@ -1,5 +1,7 @@
 """LBL-ORTOA specific tests: label lifecycle, optimizations, tamper handling."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lbl import LblOrtoa
+from repro.core.lbl.proxy import LblProxy
 from repro.core.lbl.server import LblServer
-from repro.crypto.labels import StoredLabel
+from repro.crypto import aead
+from repro.crypto.keys import KeyChain
+from repro.crypto.labels import StoredRecord
+from repro.crypto.prf import encode_components
 from repro.errors import ProtocolError, TamperDetectedError
 from repro.types import Request, StoreConfig
 
@@ -31,12 +37,12 @@ def test_labels_rotate_on_every_access_including_reads():
     access must rewrite the stored labels."""
     p = make()
     encoded = p.keychain.encode_key("k1")
-    before = [sl.label for sl in p.server.store.get(encoded)]
+    before = p.server.store.get(encoded).labels
     p.read("k1")
-    after_read = [sl.label for sl in p.server.store.get(encoded)]
+    after_read = p.server.store.get(encoded).labels
     assert before != after_read
     p.write("k1", b"x")
-    after_write = [sl.label for sl in p.server.store.get(encoded)]
+    after_write = p.server.store.get(encoded).labels
     assert after_read != after_write
 
 
@@ -61,8 +67,7 @@ def test_server_never_sees_plaintext_or_plain_keys():
     p.write("k1", b"secret42")
     for encoded_key in p.server.store:
         assert b"k1" != encoded_key and b"k2" != encoded_key
-        for sl in p.server.store.get(encoded_key):
-            assert b"secret42" not in sl.label
+        assert b"secret42" not in p.server.store.get(encoded_key).labels
 
 
 def test_write_response_echoes_written_value():
@@ -103,9 +108,9 @@ def test_y3_increases_communication():
 
 def test_y2_halves_server_storage():
     p1, p2 = make(group_bits=1), make(group_bits=2)
-    n1 = len(p1.server.store.get(p1.keychain.encode_key("k1")))
-    n2 = len(p2.server.store.get(p2.keychain.encode_key("k1")))
-    assert n2 == n1 // 2
+    n1 = len(p1.server.store.get(p1.keychain.encode_key("k1")).labels)
+    n2 = len(p2.server.store.get(p2.keychain.encode_key("k1")).labels)
+    assert n2 == n1 // 2 == 32 * 16
 
 
 # --------------------------------------------------------------------- #
@@ -141,7 +146,10 @@ def test_pnp_stored_indices_stay_consistent():
 def test_pnp_rejects_missing_indices():
     server = LblServer(point_and_permute=True)
     with pytest.raises(ProtocolError):
-        server.load(b"ek", [StoredLabel(b"l" * 16, None)])
+        server.load(b"ek", StoredRecord(b"l" * 16))
+    with pytest.raises(ProtocolError):
+        server.load(b"ek", StoredRecord(b"l" * 16, b"\x00\x01\x02"))  # 16 B over 3 groups
+    server.load(b"ek", StoredRecord(b"l" * 32, b"\x00\x01"))
 
 
 # --------------------------------------------------------------------- #
@@ -152,8 +160,8 @@ def test_tampered_server_labels_detected_on_read():
     """§5.4: the proxy detects any label corruption at decode time."""
     p = make()
     encoded = p.keychain.encode_key("k1")
-    labels = p.server.store.get(encoded)
-    labels[0] = StoredLabel(b"\x00" * len(labels[0].label), labels[0].decrypt_index)
+    labels, slots = p.server.store.get(encoded)
+    p.server.store.put(encoded, StoredRecord(bytes(16) + labels[16:], slots))
     with pytest.raises((TamperDetectedError, ProtocolError)):
         p.read("k1")
 
@@ -162,9 +170,9 @@ def test_server_detects_stale_label_state():
     """If the server's label is from the wrong counter epoch no entry opens."""
     p = make()
     encoded = p.keychain.encode_key("k1")
-    old_labels = list(p.server.store.get(encoded))
+    old_record = p.server.store.get(encoded)
     p.read("k1")  # rotates labels
-    p.server.store.put(encoded, old_labels)  # roll the server back
+    p.server.store.put(encoded, old_record)  # roll the server back
     with pytest.raises(ProtocolError):
         p.read("k1")
 
@@ -203,3 +211,92 @@ def test_lbl_behaves_like_a_dict(ops, group_bits, pnp):
         else:
             assert p.read("k") == expected
     assert p.read("k") == expected
+
+
+# --------------------------------------------------------------------- #
+# The composed stack against a reference written straight from §5.2 / §10.2
+# --------------------------------------------------------------------- #
+
+class _Reference:
+    """What proxy and server must agree on, from the bare ``hashlib`` calls:
+    per epoch one prefix-keyed SHAKE-256 output (labels, then offsets), per
+    point-and-permute row one keyed-BLAKE2b pad.  Shares no code with
+    ``LabelCodec``, ``rows`` or ``LblServer`` (base-protocol entries open
+    with the unchanged ``aead.try_decrypt``)."""
+
+    def __init__(self, master: bytes, config: StoreConfig) -> None:
+        head = (0).to_bytes(4, "big") + encode_components("subkey", "labels")
+        self.key = hmac.new(master, head, hashlib.sha256).digest().ljust(136, b"\x00")
+        self.y, self.pnp = config.group_bits, config.point_and_permute
+        self.L, self.T, self.G = config.label_bits // 8, 1 << self.y, config.num_groups
+
+    def epoch(self, key: str, ct: int):
+        """``(label(i, v), offsets)`` of one epoch."""
+        G, T, L = self.G, self.T, self.L
+        blob = hashlib.shake_256(
+            self.key + encode_components(G, T, L) + encode_components(key, ct)
+        ).digest(G * T * L + G)
+        return (lambda i, v: blob[(i * T + v) * L :][:L]), [b % T for b in blob[G * T * L :]]
+
+    def groups(self, value: bytes) -> list[int]:
+        bits = "".join(f"{byte:08b}" for byte in value).ljust(self.G * self.y, "0")
+        return [int(bits[i : i + self.y], 2) for i in range(0, len(bits), self.y)]
+
+    def record(self, key: str, ct: int, value: bytes) -> tuple[bytes, bytes]:
+        """What the server stores once epoch ``ct`` holds ``value``."""
+        label, offsets = self.epoch(key, ct)
+        chosen = self.groups(value)
+        slots = bytes(v ^ r for v, r in zip(chosen, offsets)) if self.pnp else b""
+        return b"".join(label(i, v) for i, v in enumerate(chosen)), slots
+
+    def open(self, request, key: str, ct: int, stored: bytes) -> bytes:
+        """The labels a server holding ``stored`` at epoch ``ct`` opens."""
+        label, offsets = self.epoch(key, ct)
+        opened = []
+        for i, (table, v) in enumerate(zip(request.tables, self.groups(stored))):
+            if not self.pnp:
+                (new,) = filter(None, (aead.try_decrypt(label(i, v), e) for e in table))
+            else:
+                row = table[v ^ offsets[i]]
+                pad = hashlib.blake2b(
+                    b"lbl-row\0" + request.nonce, key=label(i, v), digest_size=len(row)
+                ).digest()
+                plain = bytes(a ^ b for a, b in zip(row, pad))
+                assert plain[self.L + 1 :] == bytes(8) and len(plain) == self.L + 9
+                new = plain[: self.L]
+            opened.append(new)
+        return b"".join(opened)
+
+
+@given(
+    group_bits=st.sampled_from([1, 2, 4, 8]),
+    label_bits=st.sampled_from([128, 256]),
+    value_len=st.sampled_from([1, 2, 50, 160]),
+    pnp=st.booleans(),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_proxy_and_server_match_the_reference(group_bits, label_bits, value_len, pnp, ops):
+    config = StoreConfig(
+        value_len=value_len, group_bits=group_bits, label_bits=label_bits,
+        point_and_permute=pnp,
+    )
+    master = b"reference-master-key-0123456789!"
+    proxy = LblProxy(config, KeyChain(master, label_bits=label_bits), rng=random.Random(2))
+    server = LblServer(point_and_permute=pnp)
+    reference = _Reference(master, config)
+    value = bytes(range(value_len))
+    ((encoded, record),) = proxy.initial_records({"obj": value})
+    server.load(encoded, record)
+    assert server.store.get(encoded) == reference.record("obj", 0, value)
+    for epoch, (is_write, seed) in enumerate(ops):
+        written = random.Random(seed).randbytes(value_len) if is_write else None
+        request = Request.write("obj", written) if is_write else Request.read("obj")
+        built, _ops = proxy.prepare(request)
+        response, _server_ops = server.process(built)
+        # The request opens to the same labels under both...
+        assert response.labels == reference.open(built, "obj", epoch, value)
+        value = written if is_write else value
+        # ...which are the reference's record of the next epoch.
+        assert server.store.get(encoded) == reference.record("obj", epoch + 1, value)
+        assert proxy.finalize("obj", response)[0] == value

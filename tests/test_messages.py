@@ -100,17 +100,40 @@ def test_group_bits_above_8_rejected_at_configuration():
             StoreConfig(value_len=2, group_bits=9, point_and_permute=point_and_permute)
 
 
+def test_label_bits_above_440_rejected_with_point_and_permute():
+    """A row is one keyed-BLAKE2b output: label + slot byte + 8 check bytes
+    must fit 64 bytes.  The base protocol's AEAD entries have no such bound."""
+    with pytest.raises(ConfigurationError):
+        StoreConfig(value_len=2, label_bits=448, point_and_permute=True)
+    StoreConfig(value_len=2, label_bits=448)
+    config = StoreConfig(value_len=2, group_bits=2, label_bits=440, point_and_permute=True)
+    store = LblOrtoa(config, rng=random.Random(1))
+    store.initialize({"k": b"hi"})
+    built, _ops = store.proxy.prepare(Request.write("k", b"yo"))
+    assert built.entry_len == 55 + 1 + 8 == 64
+    response, _server_ops = store.server.process(built)
+    assert store.proxy.finalize("k", response)[0] == b"yo"
+    assert store.read("k") == b"yo"
+
+
 def test_lbl_response_roundtrip():
-    resp = m.LblAccessResponse((b"label1", b"label2", b"label3"))
+    resp = m.LblAccessResponse.from_labels((b"label1", b"label2", b"label3"))
+    assert resp == m.LblAccessResponse(b"label1label2label3", 6)
+    assert resp.opened_labels == (b"label1", b"label2", b"label3")
     assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
 
 
 def test_lbl_response_is_width_then_labels():
-    resp = m.LblAccessResponse((b"label1", b"label2"))
+    resp = m.LblAccessResponse(b"label1label2", 6)
     assert resp.to_bytes() == b"\x21\x00\x06label1label2"
-    assert m.LblAccessResponse.from_bytes(b"\x21\x00\x00") == m.LblAccessResponse(())
+    assert m.LblAccessResponse.from_bytes(b"\x21\x00\x00") == m.LblAccessResponse(b"", 0)
+    assert m.LblAccessResponse.from_labels(()).opened_labels == ()
     with pytest.raises(ProtocolError):
-        m.LblAccessResponse((b"long-label", b"short")).to_bytes()
+        m.LblAccessResponse.from_labels((b"long-label", b"short"))
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse(b"label1labe", 6)
+    with pytest.raises(ProtocolError):
+        m.LblAccessResponse(b"", 1 << 16)
     with pytest.raises(ProtocolError):
         m.LblAccessResponse.from_bytes(b"\x21\x00\x06label1labe")
     with pytest.raises(ProtocolError):
@@ -221,8 +244,9 @@ def test_lbl_request_roundtrip_property(groups, table_size, entry_len, nonce, da
 )
 @settings(max_examples=50)
 def test_lbl_response_roundtrip_property(labels):
-    resp = m.LblAccessResponse(tuple(labels))
+    resp = m.LblAccessResponse.from_labels(labels)
     assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
+    assert list(resp.opened_labels) == labels
 
 
 def test_get_and_put_frames_are_length_identical():

@@ -37,15 +37,21 @@ def test_bytes_store_roundtrip(tmp_path):
 
 
 def test_label_store_roundtrip(tmp_path):
-    from repro.crypto.labels import StoredLabel
+    from repro.crypto.labels import StoredRecord
+    from repro.errors import StorageError
 
     store = KeyValueStore()
-    store.put(b"k", [StoredLabel(b"l" * 16, 3), StoredLabel(b"m" * 16, None)])
+    store.put(b"pnp", StoredRecord(b"l" * 16 + b"m" * 16, b"\x03\x00"))
+    store.put(b"base", StoredRecord(b"n" * 16))
     save_store(store, tmp_path / "snap.bin", LabelListCodec())
     restored = load_store(tmp_path / "snap.bin", LabelListCodec())
-    labels = restored.get(b"k")
-    assert labels[0].label == b"l" * 16 and labels[0].decrypt_index == 3
-    assert labels[1].label == b"m" * 16 and labels[1].decrypt_index is None
+    assert restored.get(b"pnp") == (b"l" * 16 + b"m" * 16, b"\x03\x00")
+    assert restored.get(b"base") == StoredRecord(b"n" * 16, b"")
+    codec = LabelListCodec()
+    assert codec.encode(StoredRecord(b"ab", b"\x01")) == b"\x00\x00\x00\x02ab\x01"
+    for damaged in (b"", b"\x00\x00", b"\x00\x00\x00\x03ab"):
+        with pytest.raises(StorageError):
+            codec.decode(damaged)
 
 
 def test_fhe_store_roundtrip(tmp_path):

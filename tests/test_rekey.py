@@ -7,7 +7,7 @@ import pytest
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.rekey import rekey
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, TamperDetectedError
 from repro.types import StoreConfig
 
@@ -64,8 +64,8 @@ def test_rekey_is_an_integrity_audit():
     """Tampered server state must abort the rotation loudly."""
     old = make()
     encoded = old.keychain.encode_key("k3")
-    labels = old.server.store.get(encoded)
-    labels[0] = StoredLabel(bytes(len(labels[0].label)), labels[0].decrypt_index)
+    labels, slots = old.server.store.get(encoded)
+    old.server.store.put(encoded, StoredRecord(bytes(16) + labels[16:], slots))
     with pytest.raises((TamperDetectedError, Exception)):
         rekey(old, rng=random.Random(2))
 

@@ -1,4 +1,4 @@
-"""The two hazards of a one-HMAC point-and-permute row, pinned.
+"""The two hazards of a one-call point-and-permute row, pinned.
 
 ``docs/security-model.md`` ("Point-and-permute rows") has the argument; the
 tests are its executable half.
@@ -219,7 +219,7 @@ def test_repeated_block_adversary_wins_against_a_fixed_nonce(monkeypatch):
 def _refused(store: LblOrtoa, request: LblAccessRequest):
     """Process ``request`` expecting a refusal; returns (error, span attributes)."""
     encoded = request.encoded_key
-    before = list(store.server.store.get(encoded))
+    before = store.server.store.get(encoded)
     puts = store.server.store.put_count
     obs.reset()
     obs.enable()
@@ -229,9 +229,9 @@ def _refused(store: LblOrtoa, request: LblAccessRequest):
         (span,) = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
     finally:
         obs.disable()
-    # Nothing was committed: the stored label list is byte-identical.
+    # Nothing was committed: the stored record is byte-identical.
     assert store.server.store.put_count == puts
-    assert list(store.server.store.get(encoded)) == before
+    assert store.server.store.get(encoded) == before
     return excinfo.value, span["attributes"]
 
 
@@ -245,7 +245,7 @@ def _flip(request: LblAccessRequest, group: int, slot: int, byte: int, bit: int 
 
 def _designated_slot(store: LblOrtoa, group: int) -> int:
     encoded = store.keychain.encode_key("k")
-    return store.server.store.get(encoded)[group].decrypt_index
+    return store.server.store.get(encoded).slots[group]
 
 
 def test_request_one_epoch_ahead_is_refused_before_commit():
@@ -260,6 +260,19 @@ def test_request_one_epoch_ahead_is_refused_before_commit():
     # Rolling back (what DurableLblOrtoa does) re-synchronizes the key.
     store.proxy.force_counter("k", 0)
     assert store.read("k") == STORED
+
+
+def test_replayed_stale_epoch_slab_is_refused_before_commit():
+    """A slab sealed under labels the server has since rotated away — a
+    duplicate delivery, a replay — opens to nothing and changes nothing."""
+    store = _store()
+    applied, _ops = store.proxy.prepare(Request.write("k", WRITTEN))
+    response, _server_ops = store.server.process(applied)
+    assert store.proxy.finalize("k", response)[0] == WRITTEN
+    error, seen = _refused(store, applied)
+    assert str(error) == "designated entry failed to open at group 0"
+    assert seen["failed_decrypts"] == applied.num_groups
+    assert store.read("k") == WRITTEN
 
 
 @pytest.mark.parametrize("nonce", [b"", b"\x00" * 16, None], ids=["missing", "zero", "bit"])

@@ -44,7 +44,7 @@ from repro.core.lbl.server import SERVER_SPAN, LblServer
 from repro.core.lbl.server_coalesce import ServerAccessCoalescer
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead, rows
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import (
     ConfigurationError,
     KeyNotFoundError,
@@ -59,6 +59,7 @@ pytestmark = pytest.mark.timeout(300)
 
 KEYS = tuple(f"f{i}" for i in range(4))
 VALUE_LEN = 8
+LABEL_LEN = 16  # StoreConfig's default 128-bit labels
 
 #: One access: (key index, is_write, written byte, fault) where fault is
 #: 0 = clean, 1 = corrupt group-0 entries, 2 = unknown encoded key,
@@ -98,8 +99,8 @@ def _protocol(**overrides) -> LblOrtoa:
 
 def _clone_server(server: LblServer) -> LblServer:
     clone = LblServer(point_and_permute=server.point_and_permute)
-    for encoded_key, labels in server.store._data.items():
-        clone.load(encoded_key, list(labels))
+    for encoded_key, record in server.store._data.items():
+        clone.load(encoded_key, record)
     return clone
 
 
@@ -145,33 +146,68 @@ class _SequentialOracle:
 
     get → open the designated slot of every group (point-and-permute) or
     scan each table for the entry the stored label opens (base protocol) →
-    rotate → put.  Shares no code with :class:`LblServer`: it slices the
+    rotate → put.  Shares no code with :class:`LblServer`: it keeps one
+    ``(label, slot)`` pair per group instead of two blobs, slices the
     request's ``tables`` view, opens with the scalar :func:`rows.open_row` /
-    :func:`aead.try_decrypt`, and keeps its own label state, storage access
-    counts and the observation record the server must emit.
+    :func:`aead.try_decrypt`, and keeps its own storage access counts and
+    the observation record the server must emit.
     """
 
     def __init__(self, server: LblServer) -> None:
         self.point_and_permute = server.point_and_permute
-        self.labels = {key: list(stored) for key, stored in server.store._data.items()}
+        self.state = {
+            key: [
+                (
+                    record.labels[g * LABEL_LEN : (g + 1) * LABEL_LEN],
+                    record.slots[g] if record.slots else None,
+                )
+                for g in range(len(record.labels) // LABEL_LEN)
+            ]
+            for key, record in server.store._data.items()
+        }
         self.gets = 0
         self.puts = 0
 
+    def records(self) -> dict[bytes, StoredRecord]:
+        """The state in the server's stored form."""
+        return {
+            key: StoredRecord(
+                b"".join(label for label, _slot in groups),
+                bytes(slot for _label, slot in groups if slot is not None),
+            )
+            for key, groups in self.state.items()
+        }
+
     def _open(self, request, stored, seen):
-        """Returns the rotated labels; ``seen`` accumulates attempt counts."""
+        """Returns the rotated groups; ``seen`` accumulates attempt counts."""
         tables = request.tables
-        if len(tables) != len(stored):
+        stored_groups = len(stored)
+        if not self.point_and_permute:
+            # The base-protocol record does not say how wide a label is: the
+            # entry does, and must divide what is stored.
+            claimed = request.entry_len - aead.NONCE_LEN - aead.TAG_LEN
+            if claimed < 1 or (len(stored) * LABEL_LEN) % claimed:
+                raise ProtocolError(
+                    f"entry length {request.entry_len} does not fit the stored labels"
+                )
+            stored_groups = len(stored) * LABEL_LEN // claimed
+        if len(tables) != stored_groups:
             raise ProtocolError(
-                f"table count {len(tables)} != stored groups {len(stored)}"
+                f"table count {len(tables)} != stored groups {stored_groups}"
             )
         updated = []
         if self.point_and_permute:
-            for group, (table, current) in enumerate(zip(tables, stored)):
-                if current.decrypt_index is None or current.decrypt_index >= len(table):
+            if request.entry_len != LABEL_LEN + 1 + rows.CHECK_LEN:
+                raise ProtocolError(
+                    f"entry length {request.entry_len} is no row of a "
+                    f"{LABEL_LEN}-byte label"
+                )
+            for group, (table, (_label, slot)) in enumerate(zip(tables, stored)):
+                if slot >= len(table):
                     raise ProtocolError(f"bad decrypt index at group {group}")
             payloads = [
-                rows.open_row(current.label, table[current.decrypt_index], request.nonce)
-                for table, current in zip(tables, stored)
+                rows.open_row(label, table[slot], request.nonce)
+                for table, (label, slot) in zip(tables, stored)
             ]
             seen["decrypt_attempts"] = len(payloads)
             seen["failed_decrypts"] = payloads.count(None)
@@ -180,13 +216,13 @@ class _SequentialOracle:
                     raise ProtocolError(
                         f"designated entry failed to open at group {group}"
                     )
-                updated.append(StoredLabel(payload[:-1], payload[-1]))
+                updated.append((payload[:-1], payload[-1]))
                 seen["opened_labels"] += 1
             return updated
-        for group, (table, current) in enumerate(zip(tables, stored)):
+        for group, (table, (current, _slot)) in enumerate(zip(tables, stored)):
             for entry in table:
                 seen["decrypt_attempts"] += 1
-                label = aead.try_decrypt(current.label, entry)
+                label = aead.try_decrypt(current, entry)
                 if label is not None:
                     break
                 seen["failed_decrypts"] += 1
@@ -195,7 +231,7 @@ class _SequentialOracle:
                     f"no table entry opened at group {group}: "
                     "stored label is stale or corrupt"
                 )
-            updated.append(StoredLabel(label))
+            updated.append((label, None))
             seen["opened_labels"] += 1
         return updated
 
@@ -215,7 +251,7 @@ class _SequentialOracle:
         )
         self.gets += 1
         try:
-            stored = self.labels.get(request.encoded_key)
+            stored = self.state.get(request.encoded_key)
             if stored is None:
                 raise KeyNotFoundError(
                     f"lbl-server: key {request.encoded_key.hex()[:16]}… not found"
@@ -224,10 +260,10 @@ class _SequentialOracle:
         except OrtoaError as exc:
             seen["error"] = str(exc)
             return ("err", type(exc).__name__, str(exc)), seen
-        self.labels[request.encoded_key] = updated
+        self.state[request.encoded_key] = updated
         self.puts += 1
         seen.update(labels_rewritten=len(updated), storage_writes=1)
-        response = LblAccessResponse(tuple(sl.label for sl in updated))
+        response = LblAccessResponse.from_labels([label for label, _slot in updated])
         ops = OpCounts(
             kv_ops=2,
             aead_dec=seen["decrypt_attempts"] - seen["failed_decrypts"],
@@ -302,7 +338,7 @@ def test_fused_window_equals_sequential_loop(
     assert _normalized(actual) == [outcome for outcome, _seen in expected]
     # Same final label state: every rotation (and every skipped rotation
     # on failure) landed identically, at the same storage access counts.
-    assert server.store._data == oracle.labels
+    assert server.store._data == oracle.records()
     assert server.store.get_count - gets == oracle.gets
     assert server.store.put_count - puts == oracle.puts
     if not capture:
@@ -353,8 +389,8 @@ def test_failed_request_is_isolated_from_window_mates():
 
 
 def test_odd_row_width_request_is_isolated_from_window_mates():
-    """A request that declares another entry width reaches the window-wide
-    open with rows of its own size; only its rows are refused."""
+    """A request that declares another entry width than its stored labels
+    make is refused on its own, before the window-wide open."""
     store = _protocol()
     fused_server = _clone_server(store.server)
     built = _build_workload(
@@ -366,7 +402,7 @@ def test_odd_row_width_request_is_isolated_from_window_mates():
     results = fused_server.process_many(built)
     assert not isinstance(results[0], OrtoaError)
     assert isinstance(results[1], ProtocolError)
-    assert str(results[1]) == "designated entry failed to open at group 0"
+    assert str(results[1]) == "entry length 5 is no row of a 16-byte label"
     assert not isinstance(results[2], OrtoaError)
     # Refused before commit: the key still holds its initial labels.
     assert fused_server.store.get(odd.encoded_key) == store.server.store.get(
@@ -408,12 +444,14 @@ def test_window_is_one_multiget_one_open_one_multiput(monkeypatch):
     server = store.server
     built = [store.proxy.prepare(Request.read(key))[0] for key in KEYS]
 
-    open_calls: list[tuple[int, list]] = []
+    open_calls: list[list[tuple[bytes, int, int]]] = []
     original = rows_mod.open_rows
 
-    def counting(keys, designated, nonce_runs):
-        open_calls.append((len(keys), list(nonce_runs)))
-        return original(keys, designated, nonce_runs)
+    def counting(runs):
+        open_calls.append(
+            [(nonce, len(keys), len(designated)) for nonce, keys, designated in runs]
+        )
+        return original(runs)
 
     monkeypatch.setattr(rows_mod, "open_rows", counting)
     results = server.process_many(built)
@@ -423,7 +461,7 @@ def test_window_is_one_multiget_one_open_one_multiput(monkeypatch):
     # under that request's own nonce — and no other entry of any slab.
     num_groups = built[0].num_groups
     assert open_calls == [
-        (len(KEYS) * num_groups, [(request.nonce, num_groups) for request in built])
+        [(request.nonce, num_groups, num_groups * request.entry_len) for request in built]
     ]
     assert len({request.nonce for request in built}) == len(KEYS)
     assert server.store.multi_get_count == 1
@@ -577,10 +615,7 @@ def test_base_protocol_error_path_emits_span_and_counters():
     built, _ops = store.proxy.prepare(Request.read("k"))
     stored = store.server.store.get(built.encoded_key)
     # Desynchronize the server: its stored labels no longer open anything.
-    store.server.store.put(
-        built.encoded_key,
-        [StoredLabel(b"\x00" * len(sl.label)) for sl in stored],
-    )
+    store.server.store.put(built.encoded_key, StoredRecord(bytes(len(stored.labels))))
     obs.enable()
     with pytest.raises(ProtocolError):
         store.server.process(built)

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.core.lbl.server import LblServer
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import ProtocolError
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 from repro.transport.framing import MAX_FRAME_BYTES, recv_frame, send_frame
@@ -73,10 +73,10 @@ def test_framing_detects_closed_connection():
 
 
 def test_load_record_roundtrip():
-    labels = [StoredLabel(b"l" * 16, 2), StoredLabel(b"m" * 16, 0)]
-    encoded_key, decoded = unpack_load(pack_load(b"ek-bytes", labels))
+    record = StoredRecord(b"l" * 16 + b"m" * 16, b"\x02\x00")
+    encoded_key, decoded = unpack_load(pack_load(b"ek-bytes", record))
     assert encoded_key == b"ek-bytes"
-    assert decoded == labels
+    assert decoded == record
 
 
 # --------------------------------------------------------------------- #
@@ -112,7 +112,7 @@ def test_read_and_write_identical_on_the_wire(client):
 def test_server_error_propagates_as_protocol_error(server, client):
     # Desynchronize: roll the server's labels back behind the proxy.
     encoded = client.keychain.encode_key("k1")
-    stale = list(server.lbl.store.get(encoded))
+    stale = server.lbl.store.get(encoded)
     client.read("k1")
     server.lbl.store.put(encoded, stale)
     with pytest.raises(ProtocolError, match="server error"):
@@ -185,8 +185,8 @@ def test_direct_dispatch_matches_in_process_server():
     protocol = LblOrtoa(config, rng=random.Random(4))
     records = protocol.proxy.initial_records({"k": b"v"})
     for encoded_key, labels in records:
-        tcp.dispatch(pack_load(encoded_key, list(labels)))
-        direct.load(encoded_key, list(labels))
+        tcp.dispatch(pack_load(encoded_key, labels))
+        direct.load(encoded_key, labels)
     request, _ = protocol.proxy.prepare(Request.read("k"))
     from repro.core.messages import LblAccessResponse
 
@@ -248,7 +248,7 @@ def test_batch_wire_messages_roundtrip():
     )
     assert LblBatchRequest.from_bytes(batch.to_bytes()) == batch
     resp = LblBatchResponse(
-        (LblAccessResponse((b"l1",)), LblAccessResponse((b"l2", b"l3")))
+        (LblAccessResponse(b"l1", 2), LblAccessResponse(b"l2l3", 2))
     )
     assert LblBatchResponse.from_bytes(resp.to_bytes()) == resp
     with pytest.raises(ProtocolError):

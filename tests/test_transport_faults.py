@@ -29,6 +29,8 @@ from repro.types import Request, StoreConfig
 pytestmark = pytest.mark.timeout(30)
 
 CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+#: The smallest record a point-and-permute server loads: one label, one slot.
+RECORD = (b"l" * 16, b"\x00")
 
 
 class ScriptedSocket:
@@ -112,7 +114,7 @@ def test_server_survives_client_vanishing_before_reply(server):
     """Client sends a pipelined request, then disappears without reading."""
     sock = socket.create_connection(server.address, timeout=5)
     keychain_key = b"\xaa" * 16
-    send_frame(sock, wrap_mux(7, pack_load(keychain_key, [])))
+    send_frame(sock, wrap_mux(7, pack_load(keychain_key, RECORD)))
     sock.close()  # the worker's reply hits a dead socket
     assert_server_alive(server)
 
@@ -143,7 +145,7 @@ def test_unknown_tag_gets_error_frame_not_disconnect(server):
         reply = recv_frame(sock)
         assert reply[0] == ERROR_TAG
         # And the connection still works afterwards.
-        send_frame(sock, pack_load(b"\xbb" * 16, []))
+        send_frame(sock, pack_load(b"\xbb" * 16, RECORD))
         assert recv_frame(sock) == LOAD_ACK
     finally:
         sock.close()
@@ -216,7 +218,7 @@ def test_pipelined_survives_server_error_burst(server):
             with pytest.raises(ProtocolError, match="server error"):
                 future.result(10)
         # The connection survived eight error frames.
-        assert client.submit(pack_load(b"\xcc" * 16, [])).result(10) == LOAD_ACK
+        assert client.submit(pack_load(b"\xcc" * 16, RECORD)).result(10) == LOAD_ACK
 
 
 def test_remote_client_reports_connection_refused():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import messages as m
 from repro.crypto.fhe import FheCiphertext, FheParams
-from repro.crypto.labels import StoredLabel
+from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
 from repro.transport import framing
 from repro.transport.async_server import AsyncLblServer
@@ -126,13 +126,8 @@ def test_cross_protocol_tag_confusion_rejected():
 # Bulk-load records (server-side parser for untrusted bytes)
 # --------------------------------------------------------------------- #
 
-stored_labels = st.lists(
-    st.builds(
-        StoredLabel,
-        label=st.binary(min_size=0, max_size=40),
-        decrypt_index=st.one_of(st.none(), st.integers(min_value=0, max_value=255)),
-    ),
-    max_size=8,
+stored_labels = st.builds(
+    StoredRecord, labels=st.binary(max_size=320), slots=st.binary(max_size=8)
 )
 
 
@@ -141,7 +136,7 @@ stored_labels = st.lists(
 def test_load_record_roundtrip(encoded_key, labels):
     decoded_key, decoded_labels = unpack_load(pack_load(encoded_key, labels))
     assert decoded_key == encoded_key
-    assert list(decoded_labels) == labels
+    assert decoded_labels == labels
 
 
 @given(data=st.binary(max_size=300))
@@ -210,9 +205,9 @@ def test_batch_response_mutation_is_rejected_or_parses(mutation_at, new_byte):
     without raw struct/index errors escaping the parser."""
     original = m.LblBatchResponse(
         (
-            m.LblAccessResponse((b"label-one", b"label-two")),
+            m.LblAccessResponse(b"label-onelabel-two", 9),
             m.LblErrorEntry("stale label at epoch 4"),
-            m.LblAccessResponse((b"label-three",)),
+            m.LblAccessResponse(b"label-three", 11),
         )
     ).to_bytes()
     mutated = bytearray(original)
