@@ -9,8 +9,8 @@ optimizations):
   and offset lookup derives a whole epoch (one XOF call), every row is sealed
   alone;
 * **batched** — two ``LabelCodec.epoch`` calls + one ``rows.seal_rows`` over
-  the whole table (one keyed-BLAKE2b call per row, output already the
-  request's slab).
+  the whole table (two passes of the fixed-key AES permutation for all its
+  rows, output already the request's slab).
 
 Timing is **best-of-N**: each phase's score is its *minimum* over
 ``ROUNDS`` accesses.  Phase times here are single-digit milliseconds, where
@@ -110,10 +110,11 @@ def measured() -> dict[str, dict[str, float]]:
             derivation=(
                 "epoch = SHAKE-256(label key || shape || key || counter): "
                 "every label, then every offset byte, of one counter value "
-                "in one call; rows = (payload || 0^8) xor keyed-BLAKE2b(old "
-                "label, nonce).  The scalar baseline derives an epoch per "
-                "label or offset lookup, so ratios against it do not "
-                "compare with files recorded under the HMAC derivations"
+                "in one call; rows = (payload || 0^8) xor fixed-key-AES pad "
+                "pi(pi(old label) xor (nonce xor j)) xor pi(old label).  The "
+                "scalar baseline derives an epoch per label or offset "
+                "lookup, so ratios against it do not compare with files "
+                "recorded under the HMAC derivations"
             ),
         ),
         "kernels": results,

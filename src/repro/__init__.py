@@ -26,52 +26,52 @@ Quickstart::
     value = store.read("alice")            # one round trip, same wire shape
 """
 
-from repro.core import (
-    AccessTranscript,
-    FheOrtoa,
-    LblOrtoa,
-    OrtoaProtocol,
-    TeeOrtoa,
-    TwoRoundBaseline,
-)
-from repro.core.deployment import ShardedDeployment
-from repro.core.freshness import FreshnessGuard
-from repro.core.lbl.concurrent import ConcurrentLblProxy, access_batch
-from repro.core.lbl.wal import DurableLblOrtoa
-from repro.crypto.keys import KeyChain
-from repro.errors import OrtoaError
-from repro.harness import CostModel, DeploymentSpec, RunResult, run_experiment
-from repro.oram import OneRoundOram, PathOram
-from repro.relational import ObliviousTable, Schema
-from repro.types import Operation, Request, Response, StoreConfig
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "OrtoaProtocol",
-    "LblOrtoa",
-    "TeeOrtoa",
-    "FheOrtoa",
-    "TwoRoundBaseline",
-    "ShardedDeployment",
-    "FreshnessGuard",
-    "ConcurrentLblProxy",
-    "access_batch",
-    "DurableLblOrtoa",
-    "ObliviousTable",
-    "Schema",
-    "AccessTranscript",
-    "KeyChain",
-    "StoreConfig",
-    "Operation",
-    "Request",
-    "Response",
-    "OrtoaError",
-    "CostModel",
-    "DeploymentSpec",
-    "RunResult",
-    "run_experiment",
-    "PathOram",
-    "OneRoundOram",
-    "__version__",
-]
+#: Where each re-export lives.  Resolved on first use (PEP 562), so a proxy or
+#: shard process that imports ``repro.core…`` / ``repro.transport…`` loads
+#: neither the experiment harness nor numpy behind it.
+_EXPORTS = {
+    "OrtoaProtocol": "repro.core",
+    "LblOrtoa": "repro.core",
+    "TeeOrtoa": "repro.core",
+    "FheOrtoa": "repro.core",
+    "TwoRoundBaseline": "repro.core",
+    "ShardedDeployment": "repro.core.deployment",
+    "FreshnessGuard": "repro.core.freshness",
+    "ConcurrentLblProxy": "repro.core.lbl.concurrent",
+    "access_batch": "repro.core.lbl.concurrent",
+    "DurableLblOrtoa": "repro.core.lbl.wal",
+    "ObliviousTable": "repro.relational",
+    "Schema": "repro.relational",
+    "AccessTranscript": "repro.core",
+    "KeyChain": "repro.crypto.keys",
+    "StoreConfig": "repro.types",
+    "Operation": "repro.types",
+    "Request": "repro.types",
+    "Response": "repro.types",
+    "OrtoaError": "repro.errors",
+    "CostModel": "repro.harness",
+    "DeploymentSpec": "repro.harness",
+    "RunResult": "repro.harness",
+    "run_experiment": "repro.harness",
+    "PathOram": "repro.oram",
+    "OneRoundOram": "repro.oram",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_EXPORTS])

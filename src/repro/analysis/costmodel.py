@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import encode_components, hmac_compressions
+from repro.crypto.rows import row_blocks
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
 
@@ -181,28 +182,30 @@ class LblCostModel:
     def entry_hashes(self) -> int:
         """Keyed-hash calls to build — or open — one table entry.
 
-        A §10.2 row is one keyed-BLAKE2b pad; an AEAD entry is HMAC-SHA256
-        twice or more: a keystream of the label's width plus the tag.
+        An AEAD entry is HMAC-SHA256 twice or more: a keystream of the
+        label's width plus the tag.  A §10.2 row makes none: all rows of a
+        request share two passes of one fixed-key permutation.
         """
         if self.point_and_permute:
-            return 1
+            return 0
         return -(-self.label_len // 32) + 1
 
     @property
     def entry_compressions(self) -> int:
-        """Compression-function blocks behind :attr:`entry_hashes`.
+        """Primitive blocks behind one table entry, built or opened.
 
-        A §10.2 row costs two BLAKE2b compressions: the padded key block and
-        the 24-byte message block.  An AEAD entry's key is used once, so
+        A §10.2 row is ``1 + ceil(entry_len / 16)`` AES blocks — its seed
+        through the permutation, then one tweaked block per 16 bytes of pad —
+        metered as ``aes.blocks``.  An AEAD entry's key is used once, so
         nothing of its HMACs is precomputed: on top of
         :func:`~repro.crypto.prf.hmac_compressions` (which assumes keyed
         states) every evaluation pays the padded-key block of its inner and
         of its outer hash — four SHA-256 compressions in all while the
-        message fits one block.  Not part of ``ops()``'s block counts, which
-        are the PRF layer's meters.
+        message fits one block; these are not part of ``ops()``'s block
+        counts, which are the PRF layer's meters.
         """
         if self.point_and_permute:
-            return 2
+            return 1 + row_blocks(self.entry_len)
         once_keyed = 2
         keystream = len(b"aead-enc") + 12 + 4
         tag = len(b"aead-mac") + 12 + self.label_len
@@ -278,7 +281,9 @@ class LblCostModel:
         ``prf.calls`` are calls actually made: one XOF call per epoch
         derived plus the HMAC key encoding, whose SHA-256 work is
         ``sha256.compressions``; ``shake256.blocks`` are the 136-byte blocks
-        the XOF calls absorb and squeeze.
+        the XOF calls absorb and squeeze; ``aes.blocks`` are the 16-byte
+        blocks §10.2 rows put through the fixed-key permutation — every
+        table entry on the proxy, one designated row per group on the server.
 
         Args:
             include_server: Include the server-side AEAD opens.  Under
@@ -311,14 +316,17 @@ class LblCostModel:
             ),
             "aead.encrypts": self.num_groups * self.table_size,
         }
-        if include_server and self.point_and_permute:
-            ops["aead.decrypts"] = self.num_groups
+        if self.point_and_permute:
+            ops["aes.blocks"] = ops["aead.encrypts"] * self.entry_compressions
+            if include_server:
+                ops["aead.decrypts"] = self.num_groups
+                ops["aes.blocks"] += self.num_groups * self.entry_compressions
         return ops
 
     def proxy_hash_blocks(self) -> int:
-        """Compression-function blocks the proxy hashes per access: the XOF
-        blocks of its epochs, the key encoding, and every table entry it
-        builds — the unit :func:`plan_capacity` prices proxy CPU in."""
+        """Primitive blocks the proxy computes per access: the XOF blocks of
+        its epochs, the key encoding, and every table entry it builds — the
+        unit :func:`plan_capacity` prices proxy CPU in."""
         ops = self.ops(include_server=False)
         return (
             ops["shake256.blocks"]
@@ -333,22 +341,23 @@ class LblCostModel:
 
 #: Default planner throughput assumptions.  Both are deliberately explicit
 #: (and overridable) inputs, surfaced in the plan's ``assumptions`` — the
-#: model makes bytes and hash blocks exact, while sustained rates are
+#: model makes bytes and primitive blocks exact, while sustained rates are
 #: hardware-dependent calibration points.  The block rate is what one core
-#: of the ``bench/`` host sustains through ``hashlib`` calls and the Python
-#: around them: 5,737 blocks (614 SHAKE-256 + 3 SHA-256 + 5,120 BLAKE2b) in
-#: the ≈ 3.6 ms ``prepare`` + ``finalize`` of one paper-point access.
+#: of the ``bench/`` host sustains through the library calls and the Python
+#: around them: 8,296 blocks (614 SHAKE-256 + 2 SHA-256 + 7,680 AES) in the
+#: ≈ 1.85 ms ``prepare`` + ``finalize`` of one paper-point access.
 DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
-DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 1_600_000.0
+DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_500_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Server-side calibration points for the access-window fusion term.  One
-#: designated row open is one keyed-BLAKE2b call (two compressions), so a
-#: server core sustains far more opens/s than accesses/s — 640 in ≈ 0.7 ms
-#: on the ``bench/`` host; the per-*flush* overhead (storage round trip,
-#: dispatch, fan-out) is the part ``server_batch`` amortizes.  Calibrated
-#: against ``benchmarks/test_server_fusion.py``.
-DEFAULT_SERVER_OPENS_PER_SEC = 900_000.0
+#: designated row open is three AES blocks of a window-wide pass, so a
+#: server core sustains far more opens/s than accesses/s — 640 in ≈ 0.43 ms
+#: on the ``bench/`` host, picking the rows out of the slab included; the
+#: per-*flush* overhead (storage round trip, dispatch, fan-out) is the part
+#: ``server_batch`` amortizes.  Calibrated against
+#: ``benchmarks/test_server_fusion.py``.
+DEFAULT_SERVER_OPENS_PER_SEC = 1_500_000.0
 DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS = 150e-6
 
 
@@ -403,7 +412,7 @@ def plan_capacity(
 ) -> CapacityPlan:
     """Size a deployment for ``users`` issuing ``ops_per_user_per_day`` each.
 
-    Bytes and hash blocks per access come from the wire-validated
+    Bytes and primitive blocks per access come from the wire-validated
     ``model``; the sustained-rate assumptions (per-shard op rate, per-core
     block rate, target utilization) are explicit inputs echoed into
     the plan.  The p99 projection uses the standard M/M/1 tail
@@ -422,8 +431,8 @@ def plan_capacity(
         num_objects: Stored objects (defaults to one per user).
         shard_ops_per_sec: Sustained accesses one shard serves.
         compressions_per_core_per_sec: Sustained rate of one proxy core in
-            compression-function blocks (SHAKE-256, BLAKE2b and SHA-256
-            alike), Python call overhead included.
+            primitive blocks (SHAKE-256, SHA-256 and AES alike), Python
+            call overhead included.
         target_utilization: Planned peak utilization of shards and cores.
         server_batch: Expected requests per server-side access window (the
             servers' ``server_batch`` under saturating traffic); ``1``

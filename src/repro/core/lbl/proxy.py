@@ -25,10 +25,10 @@ An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
 <repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
 and matched against as such; the proxy reaches it two ways:
 
-* the **batched kernel path** (default) slices the two blobs into the whole
-  table's keys and payloads at C speed and encrypts it in one kernel call —
-  :func:`~repro.crypto.rows.seal_rows` under point-and-permute, whose output
-  *is* the request's slab, or :func:`~repro.crypto.aead.encrypt_many` for
+* the **batched kernel path** (default) gathers the two blobs into the whole
+  table's keys and labels at C speed and encrypts it in one kernel call —
+  :func:`~repro.crypto.rows.seal_rows` under point-and-permute, blobs in and
+  the request's slab out, or :func:`~repro.crypto.aead.encrypt_many` for
   the base protocol — optionally taking the old epoch from the
   :class:`~repro.core.lbl.cache.LabelCache`;
 * the **scalar path** (``batched=False``) issues one codec/row/AEAD call per
@@ -41,10 +41,7 @@ from __future__ import annotations
 
 import random
 import secrets
-import struct
 from collections import OrderedDict
-from itertools import repeat
-from operator import add, mul
 
 from repro.core.base import OpCounts
 from repro.core.lbl.cache import LabelCache
@@ -63,7 +60,7 @@ from repro.types import Request, StoreConfig
 #: Width of the serialized point-and-permute slot index appended to each
 #: row payload.  The paper uses 2 bits; a whole byte keeps framing simple
 #: and supports y up to 8 (``StoreConfig`` rejects more).
-DECRYPT_INDEX_BYTES = 1
+DECRYPT_INDEX_BYTES = rows.SLOT_LEN
 
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs).
 #: The table holds one epoch blob per outstanding request, so the budget
@@ -119,9 +116,6 @@ class LblProxy:
             self.label_cache = LabelCache(config.label_cache_entries)
         if config.point_and_permute:
             groups, size = codec.num_groups, codec.table_size
-            # A bytes of one byte per group / per table row, as 1-byte objects.
-            self._split_groups = struct.Struct("c" * groups).unpack
-            self._split_rows = struct.Struct("c" * (groups * size)).unpack
             # Per table row in wire order (group-major, slot-minor): its slot,
             # and where its group starts in ``codec.labels``.
             self._row_slots = bytes(range(size)) * groups
@@ -287,9 +281,8 @@ class LblProxy:
         encoded_key = self.keychain.encode_key(key)
         enc_count = codec.num_groups * codec.table_size
         if self.config.point_and_permute:
-            keys, payloads = self._row_inputs(old, new, new_value)
             nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
-            slab = rows.seal_rows(keys, payloads, nonce)
+            slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce)
             wire = LblAccessRequest(
                 encoded_key, slab, codec.table_size, len(slab) // enc_count, nonce
             )
@@ -319,32 +312,36 @@ class LblProxy:
 
     def _per_row(self, per_group: bytes) -> bytes:
         """One byte per group, repeated for each of the group's ``2^y`` rows."""
-        return b"".join(
-            map(mul, self._split_groups(per_group), repeat(self.codec.table_size))
-        )
+        size = self.codec.table_size
+        per_row = bytearray(len(per_group) * size)
+        for slot in range(size):
+            per_row[slot::size] = per_group
+        return bytes(per_row)
 
     def _row_inputs(
         self, old: bytes, new: bytes, new_value: "tuple[int, ...] | None"
-    ) -> "tuple[list[bytes], list[bytes]]":
-        """``(keys, payloads)`` of one access's point-and-permute rows, sliced
-        out of the two epoch blobs in wire order (group-major, slot-minor).
+    ) -> "tuple[bytes, bytes, bytes]":
+        """``(keys, labels, slots)`` of one access's point-and-permute rows —
+        three blobs in row order (group-major, slot-minor), gathered out of
+        the two epoch blobs.
 
         Slot ``s`` of group ``i`` is keyed by the old label of value
         ``v = s ^ r_i`` (``r`` the old epoch's offsets) and carries the new
         label ``v`` maps to — its own for a read (``new_value is None``), the
-        written value's for a write — followed by that label's slot byte in
-        the next epoch.  All rows are computed at once: what varies per row
-        is a byte string, combined by one XOR, and labels are picked by one
-        gather over :meth:`LabelCodec.labels`.
+        written value's for a write — and that label's slot byte in the next
+        epoch.  All rows are computed at once: what varies per row is a byte
+        string, combined by one XOR, and labels are picked by one gather over
+        :meth:`LabelCodec.labels`.
         """
         codec = self.codec
         values = _xor(self._row_slots, self._per_row(codec.offsets(old)))
         targets = values if new_value is None else self._per_row(bytes(new_value))
         next_slots = _xor(targets, self._per_row(codec.offsets(new)))
         starts = self._row_starts
-        keys = list(map(codec.labels(old).__getitem__, map(add, starts, values)))
-        labels = map(codec.labels(new).__getitem__, map(add, starts, targets))
-        return keys, list(map(add, labels, self._split_rows(next_slots)))
+        old_labels, new_labels = codec.labels(old), codec.labels(new)
+        keys = [old_labels[start + value] for start, value in zip(starts, values)]
+        labels = [new_labels[start + value] for start, value in zip(starts, targets)]
+        return b"".join(keys), b"".join(labels), next_slots
 
     def _assemble_tables(self, ciphertexts: "list[bytes]") -> "list[list[bytes]]":
         """One base-protocol access's ciphertexts as per-group tables,

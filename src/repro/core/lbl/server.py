@@ -9,10 +9,10 @@ request it either:
   authenticated encryption guarantees exactly one opens (the one keyed by
   its stored label), and
 
-* **point-and-permute** — picks only the row its stored index names out
-  of the request's slab and opens it with one keyed hash
-  (:func:`repro.crypto.rows.open_rows`), halving (for y=1; quartering for
-  y=2) server computation, exactly the §10.2 optimization.  A row whose
+* **point-and-permute** — names only the row its stored index points at in
+  the request's slab and opens those rows in one pass of a fixed-key
+  permutation (:func:`repro.crypto.rows.open_rows`), halving (for y=1;
+  quartering for y=2) server computation, exactly the §10.2 optimization.  A row whose
   check bytes do not open to zero — a stale epoch, a wrong nonce — refuses
   the request before anything is committed.
 
@@ -68,13 +68,6 @@ SERVER_SPAN = "lbl.server.process"
 def _access_ops(opened: int, failed: int) -> OpCounts:
     """The (frozen, hence shareable) op counts of one served access."""
     return OpCounts(kv_ops=2, aead_dec=opened, failed_dec=failed)
-
-
-@lru_cache(maxsize=16)
-def _splitter(width: int, count: int, unused: int = 0):
-    """``bytes -> tuple`` of ``count`` fields of ``width`` bytes, each
-    followed by ``unused`` skipped ones (compiled once per shape)."""
-    return struct.Struct(f"{width}s{unused}x" * count).unpack
 
 
 class LblServer:
@@ -235,7 +228,7 @@ class LblServer:
             else []
         )
         opening: list[tuple[int, StoredRecord, int]] = []
-        runs: list[tuple[bytes, tuple[bytes, ...], bytes]] = []
+        runs: list[tuple[bytes, bytes, bytes, int, list[int]]] = []
         for index, record in zip(front, records):
             request = requests[index]
             groups, table_size = request.num_groups, request.table_size
@@ -268,20 +261,9 @@ class LblServer:
                             g for g, slot in enumerate(record.slots) if slot >= table_size
                         )
                         raise ProtocolError(f"bad decrypt index at group {bad}")
-                    entries = _splitter(request.entry_len, groups * table_size)(
-                        request.slab
-                    )
-                    designated = map(
-                        entries.__getitem__,
-                        map(add, range(0, groups * table_size, table_size), record.slots),
-                    )
-                    runs.append(
-                        (
-                            request.nonce,
-                            _splitter(label_len, groups)(record.labels),
-                            b"".join(designated),
-                        )
-                    )
+                    picks = map(add, range(0, groups * table_size, table_size), record.slots)
+                    run = (request.nonce, record.labels, request.slab, request.entry_len)
+                    runs.append((*run, list(picks)))
             except OrtoaError as exc:
                 results[index] = exc
                 if capture:
@@ -305,7 +287,7 @@ class LblServer:
                 if point_and_permute:
                     # Every designated row was attempted, whatever this
                     # request's window-mates (or its own other groups) did.
-                    plain, failures = next(opened_runs)
+                    labels, slots, failures = next(opened_runs)
                     decrypts, failed = groups, len(failures)
                     if failures:
                         opened = failures[0]
@@ -313,19 +295,16 @@ class LblServer:
                             f"designated entry failed to open at group {opened}"
                         )
                     else:
-                        # A row is label ‖ slot byte ‖ check bytes: the labels
-                        # and the slot bytes, each back to back, are the new
-                        # record (and the labels are the reply).
+                        # The opened labels and slot bytes, each back to back,
+                        # are the new record (and the labels are the reply).
                         opened = groups
-                        row_len = request.entry_len
-                        labels = _splitter(label_len, groups, row_len - label_len)(plain)
-                        updated = StoredRecord(b"".join(labels), plain[label_len::row_len])
+                        updated = StoredRecord(labels, slots)
                 else:
                     # The stored label's key schedule is computed once per
                     # group and tried against every entry (same verdicts
                     # and attempt counts as a sequential try_decrypt loop).
                     labels = []
-                    currents = _splitter(label_len, groups)(record.labels)
+                    currents = struct.unpack(f"{label_len}s" * groups, record.labels)
                     try:
                         for table, current in zip(request.tables, currents):
                             found = aead.open_any(current, table)
@@ -347,6 +326,11 @@ class LblServer:
                 if capture and rows[index] is not None:
                     _ledger.credit_op("aead.decrypts", decrypts - failed, rows[index])
                     _ledger.credit_op("aead.decrypt_failures", failed, rows[index])
+                    if point_and_permute and labels:
+                        # One seed block and its pad blocks per designated
+                        # row (a run refused for its shape permuted nothing).
+                        blocks = 1 + row_kernel.row_blocks(request.entry_len)
+                        _ledger.credit_op("aes.blocks", groups * blocks, rows[index])
                 if error is not None:
                     results[index] = error
                     if capture:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto import rows
 from repro.errors import ProtocolError
 
 _LEN_BYTES = 4
@@ -182,9 +183,11 @@ class LblAccessRequest:
 
         tag ‖ [table_size u16 ‖ entry_len u16 ‖ nonce] ‖ encoded_key ‖ slab
 
-    ``nonce`` is the request nonce of point-and-permute rows
-    (:mod:`repro.crypto.rows`), empty in the base protocol.  A receiver
-    slices only the entries it needs; :attr:`tables` slices them all.
+    ``nonce`` is the request nonce of point-and-permute rows, empty in the
+    base protocol.  With a nonce the slab is the block-plane slab of
+    :mod:`repro.crypto.rows`; without one the entries sit back to back.  A
+    receiver picks only the entries it needs; :attr:`tables` is the one
+    entry-by-entry view of either.
     """
 
     encoded_key: bytes
@@ -219,7 +222,8 @@ class LblAccessRequest:
             raise ProtocolError("all group tables must have equal size")
         if set(map(len, entries)) != {entry_len}:
             raise ProtocolError("all table entries must have equal length")
-        return cls(encoded_key, b"".join(entries), table_size, entry_len, nonce)
+        slab = rows.join_rows(entries) if nonce else b"".join(entries)
+        return cls(encoded_key, slab, table_size, entry_len, nonce)
 
     @property
     def num_groups(self) -> int:
@@ -230,7 +234,10 @@ class LblAccessRequest:
     def tables(self) -> tuple[tuple[bytes, ...], ...]:
         """The slab sliced into per-group entry tuples (built on each use)."""
         slab, width, size = self.slab, self.entry_len, self.table_size
-        entries = [slab[i : i + width] for i in range(0, len(slab), width)]
+        if self.nonce:
+            entries = rows.split_rows(slab, width)
+        else:
+            entries = [slab[i : i + width] for i in range(0, len(slab), width)]
         return tuple(tuple(entries[i : i + size]) for i in range(0, len(entries), size))
 
     def to_bytes(self) -> bytes:

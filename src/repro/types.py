@@ -112,7 +112,7 @@ class StoreConfig:
             raise ConfigurationError("group_bits must be between 1 and 8")
         if self.point_and_permute and self.label_bits > 440:
             # A point-and-permute row (label + slot byte + 8 check bytes) is
-            # one keyed-BLAKE2b output: at most 64 bytes.
+            # at most 64 bytes — four blocks of pad (``crypto.rows``).
             raise ConfigurationError(
                 "label_bits must be at most 440 with point_and_permute"
             )

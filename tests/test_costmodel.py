@@ -193,7 +193,7 @@ def test_paper_configuration_bytes():
     assert model.request_bytes == 1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 25) == 64_049
     assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
     assert model.bytes_per_access == 74_292
-    assert (model.entry_hashes, model.entry_compressions) == (1, 2)
+    assert (model.entry_hashes, model.entry_compressions) == (0, 3)
     # Calls made: two epochs and the key encoding; the XOF absorbs one block
     # and squeezes ceil(41,600 / 136) = 306 per epoch.
     assert model.ops() == {
@@ -202,8 +202,10 @@ def test_paper_configuration_bytes():
         "shake256.blocks": 2 * (1 + 306),
         "aead.encrypts": 2560,
         "aead.decrypts": 640,
+        "aes.blocks": 7680 + 1920,
     }
-    assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 2
+    assert model.ops(include_server=False)["aes.blocks"] == 7680
+    assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 3
     scalar = LblCostModel(
         value_len=160, group_bits=2, point_and_permute=True, backend="scalar"
     )
@@ -227,7 +229,8 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
     monkeypatch, group_bits, label_bits, point_and_permute
 ):
     """Every shape the model has a formula for, against real messages and a
-    block count taken inside the kernels' own ``hashlib`` calls."""
+    block count taken inside the kernels: at ``hashlib`` for AEAD entries,
+    at the cipher context for rows."""
     import hashlib
 
     from repro.core.lbl import LblOrtoa
@@ -247,35 +250,38 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
         calls.append((len(data) + 8) // 64 + 1)  # blocks incl. padding
         return hashlib.sha256(data)
 
-    def counting_blake2b(data=b"", *, key=b"", digest_size=64):
-        # The padded key is a block of its own; then 128-byte message blocks.
-        calls.append(bool(key) + max(1, -(-len(data) // 128)))
-        return hashlib.blake2b(data, key=key, digest_size=digest_size)
+    rows._permute(b"")  # this thread's context exists
+    permute = rows._contexts.update
 
-    class _Hashlib:
-        blake2b = staticmethod(counting_blake2b)
+    def counting_permute(blocks):
+        assert len(blocks) % 16 == 0
+        calls.append(len(blocks) // 16)
+        return permute(blocks)
 
-    monkeypatch.setattr(rows, "hashlib", _Hashlib)
+    monkeypatch.setattr(rows._contexts, "update", counting_permute)
     monkeypatch.setattr(aead, "_DIGEST", counting_sha256)
     built, _ops = store.proxy.prepare(Request.write("k", b"xyz"))
     entries = model.num_groups * model.table_size
-    # One keyed hash per row; an HMAC is an inner and an outer hash.
-    assert len(calls) == (1 if point_and_permute else 2) * model.entry_hashes * entries
+    if point_and_permute:
+        # Two passes of the permutation, whatever the table's size.
+        assert model.entry_hashes == 0 and len(calls) == 2
+        assert model.entry_compressions == 1 + -(-model.entry_len // 16)
+    else:
+        # An HMAC is an inner and an outer hash.
+        assert len(calls) == 2 * model.entry_hashes * entries
     assert sum(calls) == model.entry_compressions * entries
-    monkeypatch.undo()
 
     response, _server_ops = store.server.process(built)
     assert built.entry_len == model.entry_len
     assert len(built.to_bytes()) == model.request_bytes
     assert len(response.to_bytes()) == model.response_bytes
 
-    calls.clear()
     if point_and_permute:
-        # The server's side of a row is the same one pad.
-        monkeypatch.setattr(rows, "hashlib", _Hashlib)
+        # The server's side of a row is the same pad, for one row per group.
         built, _ops = store.proxy.prepare(Request.read("k"))
         calls.clear()
         store.server.process(built)
+        assert len(calls) == 2
         assert sum(calls) == model.entry_compressions * model.num_groups
 
 
@@ -292,7 +298,7 @@ def test_plan_capacity_scales_with_load():
     assert large.dollars_per_day > small.dollars_per_day
     assert small.bytes_per_access == model.framed_bytes_per_access(traced=True)
     assert small.compressions_per_access == model.proxy_hash_blocks()
-    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 1_600_000.0
+    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 4_500_000.0
     assert small.projected_p99_ms > 0
     plan_dict = small.as_dict()
     assert plan_dict["assumptions"]["p99_model"].startswith("M/M/1")

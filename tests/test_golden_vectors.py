@@ -8,8 +8,8 @@ constructions.  Two independent nets catch a silent change:
   :meth:`LabelCodec.label`, :meth:`LabelCodec.offsets`,
   :func:`aead.encrypt` (fixed nonce) and the point-and-permute row kernel
   :func:`rows.seal_row`, plus a live re-derivation of each from the bare
-  *stdlib* calls (``hmac``, ``hashlib.shake_256``, ``hashlib.blake2b``), so
-  a vector can only move if the documented construction itself changes;
+  calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), ECB())``), so a
+  vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
   scalar counterpart on arbitrary inputs.
 """
@@ -20,6 +20,7 @@ import hashlib
 import hmac
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -346,73 +347,119 @@ def test_prf_context_class_exported():
 
 
 # --------------------------------------------------------------------- #
-# Point-and-permute rows: one keyed-BLAKE2b pad per row, 8 zero check bytes
+# Point-and-permute rows: a fixed-key AES pad per row, 8 zero check bytes
 # --------------------------------------------------------------------- #
+
+#: π's key: the first 128 fractional bits of π (0x243F6A88…).
+_PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
+
+
+def _pi(block: bytes) -> bytes:
+    """AES-128 under the public constant key, from a bare context."""
+    encryptor = Cipher(algorithms.AES(_PI_KEY), modes.ECB()).encryptor()
+    return encryptor.update(block) + encryptor.finalize()
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(p ^ q for p, q in zip(a, b))  # to the shorter operand
 
 
 def _ref_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """The documented row: ``(payload ‖ 0^8) ⊕ BLAKE2b(key, "lbl-row\\0" ‖ nonce)``."""
+    """The documented row: ``(payload ‖ 0^8) ⊕ pad``, block ``j`` of the pad
+    ``π(π(x) ⊕ t_j) ⊕ π(x)`` with ``x = key[:16]`` and ``t_j = nonce ⊕ j``."""
     plain = payload + bytes(8)
-    pad = hashlib.blake2b(b"lbl-row\0" + nonce, key=key, digest_size=len(plain)).digest()
-    return bytes(p ^ k for p, k in zip(plain, pad))
+    hidden = _pi(key[:16])
+    pad = b""
+    for j in range(-(-len(plain) // 16)):
+        tweak = (int.from_bytes(nonce, "big") ^ j).to_bytes(16, "big")
+        pad += _xor(_pi(_xor(hidden, tweak)), hidden)
+    return _xor(plain, pad)
 
 
-_CHECK = bytes(rows.CHECK_LEN)
+def _slab(sealed_rows: "list[bytes]") -> bytes:
+    """Rows as they travel: every label, then every 9-byte tail."""
+    return b"".join(row[:-9] for row in sealed_rows) + b"".join(row[-9:] for row in sealed_rows)
+
+
+def _blob(items) -> bytes:
+    return b"".join(items)
+
+
 _ROW_KEY = bytes(range(16, 32))
 _ROW_NONCE = bytes(range(16))
-# A 128-bit label + slot byte: 25-byte row (one block of an HMAC pad).
+# A 128-bit label + slot byte: 25-byte row, two blocks of pad.
 _ROW_PAYLOAD = bytes(range(100, 117))
-_ROW_VECTOR = bytes.fromhex("66bf50a975edb3274c2c5cec19f27b8ffc8852767cb775ba15")
-# A 256-bit label + slot byte: 41-byte row — wider than a SHA-256 digest
-# (two blocks of an HMAC pad), still one call: the digest size is a BLAKE2
-# parameter, not a truncation.
+_ROW_VECTOR = bytes.fromhex("3dc73668a5f0a3272143a20a03ea2fa223e53095a71a7d4a6b")
+# A 256-bit label + slot byte: 41-byte row, three blocks of pad.
 _ROW_PAYLOAD_WIDE = bytes(range(200, 233))
 _ROW_VECTOR_WIDE = bytes.fromhex(
-    "7125bf4f6ad7dade354804008246d6d309774b27dad6eb68a2cf795d69b6bdbc"
-    "9c2fcdd0bdf0a2fa49"
+    "916b9ac4015407839dff1eb6a74e8b068f3cea4e7bc7a3958bd3c191c41e2184"
+    "a5fc8d27f38f63261f"
+)
+# The widest row: a 55-byte label's 64 bytes, four whole blocks of pad, under
+# a 55-byte key of which the pad sees the first 16.
+_ROW_VECTOR_WIDEST = bytes.fromhex(
+    "a524bb2dbe2f537dc6ab476007ad45b2ba115ac7db3556829574ff10b1307f01"
+    "d96145710e04ba6a24bd65af61abedd1e86e106346a5ae3e183bb20f5fef9a48"
 )
 
 
-def _open(keys, sealed, nonce):
-    """One run through the window kernel: ``(payloads or None per row)``."""
-    ((opened, failed),) = rows.open_rows([(nonce, keys, b"".join(sealed))])
-    width = len(opened) // len(keys) if keys else 0
-    payloads = [
-        opened[i * width : (i + 1) * width - rows.CHECK_LEN] for i in range(len(keys))
+def _seal(keys, payloads, nonce) -> bytes:
+    """The batch kernel over per-row ``label ‖ slot byte`` payloads."""
+    return rows.seal_rows(
+        _blob(keys), _blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads), nonce
+    )
+
+
+def _open(keys, slab, nonce, row_len, picks=None):
+    """One run through the window kernel: its payloads, ``None`` where refused."""
+    picks = list(range(len(keys))) if picks is None else picks
+    ((labels, slots, failed),) = rows.open_rows(
+        [(nonce, _blob(keys), slab, row_len, picks)]
+    )
+    width = len(labels) // len(keys) if labels else 0
+    return [
+        None if i in failed else labels[i * width : (i + 1) * width] + slots[i : i + 1]
+        for i in range(len(keys))
     ]
-    return [None if i in failed else payload for i, payload in enumerate(payloads)]
 
 
 def test_row_vector_single_block():
-    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
-    assert rows.seal_rows([_ROW_KEY], [_ROW_PAYLOAD], _ROW_NONCE) == _ROW_VECTOR
+    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
+    assert _seal([_ROW_KEY], [_ROW_PAYLOAD], _ROW_NONCE) == _ROW_VECTOR
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR, _ROW_NONCE) == _ROW_PAYLOAD
 
 
 def test_row_vector_two_blocks():
-    """A 41-byte row: two counter-mode blocks of the HMAC pad this format
-    replaced, one call of keyed BLAKE2b."""
-    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
+    """A 41-byte row — two blocks of the HMAC pad this format once was, three
+    of this one — and the widest row there is."""
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
-    assert rows.seal_rows([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
+    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
+    assert _seal([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR_WIDE, _ROW_NONCE) == _ROW_PAYLOAD_WIDE
-    # The pad of a wider row is no extension of a narrower one's.
-    assert _ROW_VECTOR_WIDE[:8] != _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE[:17], _ROW_NONCE)[:8]
+    # Block j of a pad is a function of j, not of the row's width: a wider
+    # row extends a narrower one's pad.
+    narrow = _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE[:17], _ROW_NONCE)
+    assert _xor(narrow, _ROW_VECTOR_WIDE)[:17] == _xor(_ROW_PAYLOAD_WIDE[:17], _ROW_PAYLOAD_WIDE)
+    assert _ref_row(b"k" * 55, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
+    assert rows.seal_row(b"k" * 55, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
+    assert rows.seal_row(b"k" * 16, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
+    assert rows.open_row(b"k" * 55, _ROW_VECTOR_WIDEST, _ROW_NONCE) == b"p" * 56
 
 
 @st.composite
 def _row_batch(draw, label_len=None):
-    """Keys of one label width (or, rarely, ragged widths), equal-length payloads."""
+    """Keys of one width (a label's, or any other from 16 bytes up), payloads
+    of one label width."""
     if label_len is None:
-        label_len = draw(st.sampled_from([16, 24, 32]))
+        label_len = draw(st.sampled_from([16, 20, 24, 32, 55]))
     count = draw(st.integers(min_value=1, max_value=9))
-    ragged = draw(st.integers(min_value=0, max_value=9)) == 0
-    key_sizes = st.integers(16, 64) if ragged else st.just(label_len)
-    keys = [
-        draw(key_sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
-        for _ in range(count)
-    ]
+    other = draw(st.integers(min_value=0, max_value=9)) == 0
+    key_len = draw(st.integers(16, 64)) if other else label_len
+    keys = draw(
+        st.lists(st.binary(min_size=key_len, max_size=key_len), min_size=count, max_size=count)
+    )
     payloads = draw(
         st.lists(
             st.binary(min_size=label_len + 1, max_size=label_len + 1),
@@ -428,15 +475,19 @@ def _row_batch(draw, label_len=None):
 @given(batch=_row_batch())
 def test_seal_rows_matches_scalar_and_stdlib(batch):
     keys, payloads, nonce = batch
-    slab = rows.seal_rows(keys, payloads, nonce)
+    slab = _seal(keys, payloads, nonce)
     row_len = len(payloads[0]) + rows.CHECK_LEN
     assert len(slab) == len(keys) * row_len
     scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
-    assert slab == b"".join(scalar)
     assert scalar == [_ref_row(k, p, nonce) for k, p in zip(keys, payloads)]
-    # open(seal(x)) == x ‖ 0^8, batch and scalar, and nothing fails.
-    assert rows.open_rows([(nonce, keys, slab)]) == [
-        (b"".join(p + _CHECK for p in payloads), [])
+    # The slab is those rows as two runs; the row-by-row view inverts it.
+    assert slab == _slab(scalar) == rows.join_rows(scalar)
+    assert rows.split_rows(slab, row_len) == scalar
+    # open(seal(x)) == x, batch and scalar — any subset, in any order.
+    assert _open(keys, slab, nonce, row_len) == payloads
+    picks = list(range(len(keys)))[::-2]
+    assert _open([keys[i] for i in picks], slab, nonce, row_len, picks) == [
+        payloads[i] for i in picks
     ]
     assert [rows.open_row(k, r, nonce) for k, r in zip(keys, scalar)] == payloads
 
@@ -445,22 +496,32 @@ def test_seal_rows_matches_scalar_and_stdlib(batch):
 @given(batch=_row_batch(), flip=st.integers(min_value=0, max_value=127))
 def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
     keys, payloads, nonce = batch
-    scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
+    slab = _seal(keys, payloads, nonce)
+    row_len = len(payloads[0]) + rows.CHECK_LEN
     n = len(keys)
     wrong_nonce = bytearray(nonce)
     wrong_nonce[flip % 16] ^= 1 << (flip % 8)
-    assert _open(keys, scalar, bytes(wrong_nonce)) == [None] * n
-    assert _open(keys, scalar, b"") == [None] * n
+    assert _open(keys, slab, bytes(wrong_nonce), row_len) == [None] * n
+    assert _open(keys, slab, b"", row_len) == [None] * n
     wrong_keys = [bytes([k[0] ^ 0x80]) + k[1:] for k in keys]
-    assert _open(wrong_keys, scalar, nonce) == [None] * n
+    assert _open(wrong_keys, slab, nonce, row_len) == [None] * n
     # Verdicts are per row: one wrong key refuses only its own row.
     mixed = [wrong_keys[0]] + keys[1:]
-    assert _open(mixed, scalar, nonce) == [None] + payloads[1:]
-    # A row too short to hold check bytes, or no whole number of rows, opens
-    # to nothing, whatever the key.
-    assert rows.open_row(keys[0], scalar[0][: rows.CHECK_LEN], nonce) is None
-    assert rows.open_rows([(nonce, keys, b"".join(scalar)[:-1])])[0][1] == list(range(n))
-    assert rows.open_row(keys[0], scalar[0] + bytes(64), nonce) is None
+    assert _open(mixed, slab, nonce, row_len) == [None] + payloads[1:]
+    # Only a key's first 16 bytes reach the pad.
+    if len(keys[0]) > 16:
+        tail = [k[:16] + bytes(len(k) - 16) for k in keys]
+        assert _open(tail, slab, nonce, row_len) == payloads
+    # A row too short to hold check bytes, a slab that is no whole number of
+    # rows, a row the slab does not have, a short key: nothing opens, whatever
+    # the key.
+    row = rows.seal_row(keys[0], payloads[0], nonce)
+    assert rows.open_row(keys[0], row[: rows.CHECK_LEN], nonce) is None
+    assert rows.open_row(keys[0], row + bytes(64), nonce) is None
+    assert rows.open_row(keys[0][:15], row, nonce) is None
+    assert _open(keys, slab[:-1], nonce, row_len) == [None] * n
+    assert _open(keys[:1], slab, nonce, row_len, [n]) == [None]
+    assert _open(keys[:1], slab, nonce, row_len, [-1]) == [None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,29 +529,18 @@ def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
 def test_open_rows_serves_a_window_of_requests_in_one_call(first, second):
     """Runs of rows, each under its own request's nonce — and, when two
     requests differ in row width, neither refuses the other's rows."""
-    sealed = [
-        [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
-        for keys, payloads, nonce in (first, second)
-    ]
-    expected = [
-        (b"".join(p + _CHECK for p in payloads), []) for _, payloads, _ in (first, second)
-    ]
-    window = rows.open_rows(
-        [
-            (first[2], first[0], b"".join(sealed[0])),
-            (second[2], second[0], b"".join(sealed[1])),
-        ]
-    )
-    assert window == expected
+    runs, expected = [], []
+    for keys, payloads, nonce in (first, second):
+        row_len = len(payloads[0]) + rows.CHECK_LEN
+        picks = list(range(len(keys)))
+        runs.append((nonce, _blob(keys), _seal(keys, payloads, nonce), row_len, picks))
+        expected.append((_blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads), []))
+    assert rows.open_rows(runs) == expected
     # A damaged request in the window fails alone, row for row.
-    damaged = [row[:-1] + bytes([row[-1] ^ 1]) for row in sealed[0]]
-    window = rows.open_rows(
-        [
-            (first[2], first[0], b"".join(damaged)),
-            (second[2], second[0], b"".join(sealed[1])),
-        ]
-    )
-    assert window[0][1] == list(range(len(first[0])))
+    nonce, keys, slab, row_len, picks = runs[0]
+    damaged = [row[:-1] + bytes([row[-1] ^ 1]) for row in rows.split_rows(slab, row_len)]
+    window = rows.open_rows([(nonce, keys, rows.join_rows(damaged), row_len, picks), runs[1]])
+    assert window[0][2] == picks
     assert window[1] == expected[1]
 
 
@@ -498,42 +548,55 @@ def test_row_kernel_rejects_misuse():
     from repro.errors import ConfigurationError
 
     key, nonce = b"k" * 16, b"n" * 16
-    assert rows.seal_rows([], [], nonce) == b""
     assert rows.open_rows([]) == []
-    assert rows.open_rows([(nonce, [], b"")]) == [(b"", [])]
-    with pytest.raises(ConfigurationError):
-        rows.seal_rows([key], [b"a", b"b"], nonce)
-    with pytest.raises(ConfigurationError):
-        rows.seal_rows([key, key], [b"aa", b"b"], nonce)  # ragged payloads
-    with pytest.raises(ConfigurationError):
-        rows.seal_rows([b"short"], [b"payload"], nonce)
-    with pytest.raises(ConfigurationError):
-        rows.seal_rows([b"k" * 65], [b"payload"], nonce)  # no BLAKE2b key
-    # 64 bytes is the widest pad one call gives: a 55-byte label's row.
+    assert rows.open_rows([(nonce, b"", b"", 25, [])]) == [(b"", b"", [])]
+    for keys, labels, slots, at in [
+        (b"", b"", b"", nonce),  # no rows
+        (key, b"ab", b"", nonce),  # labels without slots
+        (key * 2, b"aab", b"ss", nonce),  # ragged labels
+        (key * 2 + b"k", b"aabb", b"ss", nonce),  # ragged keys
+        (b"short", b"payload", b"s", nonce),
+        (key, b"payload", b"s", nonce[:15]),
+        (key, b"payload", b"s", nonce + b"n"),
+        (key, b"", b"s", nonce),  # a row carries a label
+    ]:
+        with pytest.raises(ConfigurationError):
+            rows.seal_rows(keys, labels, slots, at)
+    # 64 bytes — four blocks — is the widest row: a 55-byte label's.
     assert len(rows.seal_row(b"k" * 55, b"p" * 56, nonce)) == rows.MAX_ROW_LEN
     with pytest.raises(ConfigurationError):
         rows.seal_row(b"k" * 56, b"p" * 57, nonce)
+    # The permutation never sees a partial block: its context is a stream.
+    with pytest.raises(ConfigurationError):
+        rows._permute(b"x" * 17)
+    assert rows.open_row(key, rows.seal_row(key, b"payload", nonce), nonce) == b"payload"
 
 
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
 def test_rows_are_metered_as_aead_ops(label_bits):
-    """One row, one ``aead.*`` count — batch and scalar alike."""
+    """One row, one ``aead.*`` count — batch and scalar alike — and every
+    block the permutation is fed one ``aes.blocks``."""
     from repro.obs import ledger
 
     label_len = label_bits // 8
     keys = [bytes([i]) * label_len for i in range(1, 5)]
     payloads = [bytes([i]) * (label_len + 1) for i in range(4)]
     nonce = b"n" * 16
+    row_len = label_len + 1 + rows.CHECK_LEN
+    per_row = 1 + -(-row_len // 16)
     obs.reset()
     obs.enable()
     try:
         with ledger.track(label="rows") as row:
-            slab = rows.seal_rows(keys, payloads, nonce)
+            slab = _seal(keys, payloads, nonce)
             rows.seal_row(keys[0], payloads[0], nonce)
-            rows.open_rows([(nonce, keys, slab)])
-            half = len(slab) // 2
+            _open(keys, slab, nonce, row_len)
             rows.open_rows(
-                [(nonce, keys[:1:-1], slab[:half]), (nonce, keys[1::-1], slab[half:])]
+                [
+                    (nonce, _blob(keys[:1:-1]), slab, row_len, [0, 1]),
+                    (nonce, _blob(keys[1::-1]), slab, row_len, [2, 3]),
+                    (nonce[:8], _blob(keys), slab, row_len, [0, 1, 2, 3]),  # refused whole
+                ]
             )
     finally:
         obs.disable()
@@ -541,5 +604,6 @@ def test_rows_are_metered_as_aead_ops(label_bits):
     assert row.snapshot()["ops"] == {
         "aead.encrypts": 5,
         "aead.decrypts": 4,
-        "aead.decrypt_failures": 4,
+        "aead.decrypt_failures": 8,
+        "aes.blocks": (5 + 4 + 4) * per_row,
     }

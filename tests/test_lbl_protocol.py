@@ -5,6 +5,7 @@ import hmac
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,11 +219,21 @@ def test_lbl_behaves_like_a_dict(ops, group_bits, pnp):
 # --------------------------------------------------------------------- #
 
 class _Reference:
-    """What proxy and server must agree on, from the bare ``hashlib`` calls:
-    per epoch one prefix-keyed SHAKE-256 output (labels, then offsets), per
-    point-and-permute row one keyed-BLAKE2b pad.  Shares no code with
+    """What proxy and server must agree on, from bare library calls: per
+    epoch one prefix-keyed SHAKE-256 output (labels, then offsets); per
+    point-and-permute row the pad ``π(π(x) ⊕ t_j) ⊕ π(x)`` for every block
+    ``j`` of the row, ``π`` AES-128 under the public constant key, ``x`` the
+    stored label's first 16 bytes and ``t_j = nonce ⊕ j``, the row read as
+    its label from the slab's first run and its 9-byte tail from the
+    second.  Shares no code with
     ``LabelCodec``, ``rows`` or ``LblServer`` (base-protocol entries open
     with the unchanged ``aead.try_decrypt``)."""
+
+    PI = algorithms.AES(bytes.fromhex("243f6a8885a308d313198a2e03707344"))
+
+    def pi(self, block: bytes) -> bytes:
+        encryptor = Cipher(self.PI, modes.ECB()).encryptor()
+        return encryptor.update(block) + encryptor.finalize()
 
     def __init__(self, master: bytes, config: StoreConfig) -> None:
         head = (0).to_bytes(4, "big") + encode_components("subkey", "labels")
@@ -253,16 +264,24 @@ class _Reference:
         """The labels a server holding ``stored`` at epoch ``ct`` opens."""
         label, offsets = self.epoch(key, ct)
         opened = []
-        for i, (table, v) in enumerate(zip(request.tables, self.groups(stored))):
+        xor = lambda a, b: bytes(p ^ q for p, q in zip(a, b))  # noqa: E731
+        rows, width = self.G * self.T, self.L + 9
+        for i, v in enumerate(self.groups(stored)):
             if not self.pnp:
+                table = request.tables[i]
                 (new,) = filter(None, (aead.try_decrypt(label(i, v), e) for e in table))
             else:
-                row = table[v ^ offsets[i]]
-                pad = hashlib.blake2b(
-                    b"lbl-row\0" + request.nonce, key=label(i, v), digest_size=len(row)
-                ).digest()
-                plain = bytes(a ^ b for a, b in zip(row, pad))
-                assert plain[self.L + 1 :] == bytes(8) and len(plain) == self.L + 9
+                at = i * self.T + (v ^ offsets[i])
+                hidden = self.pi(label(i, v)[:16])
+                row = request.slab[at * self.L :][: self.L]
+                row += request.slab[rows * self.L + at * 9 :][:9]
+                plain = b""
+                for j in range(0, width, 16):
+                    tweak = int.from_bytes(request.nonce, "big") ^ (j // 16)
+                    pad = xor(self.pi(xor(hidden, tweak.to_bytes(16, "big"))), hidden)
+                    plain += xor(row[j : j + 16], pad)
+                assert plain[self.L + 1 :] == bytes(8) and len(plain) == width
+                assert request.entry_len == width and len(request.slab) == rows * width
                 new = plain[: self.L]
             opened.append(new)
         return b"".join(opened)
@@ -270,7 +289,7 @@ class _Reference:
 
 @given(
     group_bits=st.sampled_from([1, 2, 4, 8]),
-    label_bits=st.sampled_from([128, 256]),
+    label_bits=st.sampled_from([128, 160, 256, 440]),
     value_len=st.sampled_from([1, 2, 50, 160]),
     pnp=st.booleans(),
     ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=4),

@@ -131,17 +131,31 @@ def test_negative_control_fixed_nonce_is_a_two_time_pad(monkeypatch, batched):
 
 
 def test_kernel_with_a_fixed_nonce_cancels_under_xor():
-    keys = [bytes([i]) * 16 for i in range(1, 5)]
-    get_payloads = [bytes([0x10 + i]) * 17 for i in range(4)]
-    put_payloads = [bytes([0x77]) * 17] * 4
-    nonce = b"n" * 16
-    get = LblAccessRequest(b"k", rows.seal_rows(keys, get_payloads, nonce), 4, 25, nonce)
-    put = LblAccessRequest(b"k", rows.seal_rows(keys, put_payloads, nonce), 4, 25, nonce)
+    keys = b"".join(bytes([i]) * 16 for i in range(1, 5))
+    get_labels = b"".join(bytes([0x10 + i]) * 16 for i in range(4))
+    put_labels = bytes([0x77]) * 64
+    slots, nonce = bytes(4), b"n" * 16
+    get = LblAccessRequest(b"k", rows.seal_rows(keys, get_labels, slots, nonce), 4, 25, nonce)
+    put = LblAccessRequest(b"k", rows.seal_rows(keys, put_labels, slots, nonce), 4, 25, nonce)
     assert pad_reuse_detected(get, put)
     fresh = LblAccessRequest(
-        b"k", rows.seal_rows(keys, put_payloads, b"m" * 16), 4, 25, b"m" * 16
+        b"k", rows.seal_rows(keys, put_labels, slots, b"m" * 16), 4, 25, b"m" * 16
     )
     assert not pad_reuse_detected(get, fresh)
+    # The nonce is a tweak inside the permutation, not a mask over the pad:
+    # a nonce one bit away shares nothing.
+    near = b"o" + b"n" * 15
+    close = LblAccessRequest(b"k", rows.seal_rows(keys, put_labels, slots, near), 4, 25, near)
+    assert not pad_reuse_detected(get, close)
+    # The one documented exception: t_j = nonce ⊕ j, so two nonces that differ
+    # by a block index (probability ~2^-126 for random ones) share that block
+    # crosswise — block 1 of one pad is block 0 of the other.
+    twin = b"n" * 15 + bytes([ord("n") ^ 1])
+    ((first, *_),) = get.tables
+    (second, *_), = LblAccessRequest(
+        b"k", rows.seal_rows(keys, put_labels, slots, twin), 4, 25, twin
+    ).tables
+    assert first[16:] == bytes(a ^ b for a, b in zip(second[:9], put_labels[:9]))
 
 
 # --------------------------------------------------------------------- #
@@ -177,7 +191,7 @@ def test_repeated_block_adversary_sees_slab_rows_and_nonces():
     row_a, row_b, row_c = (bytes([i]) * 25 for i in (1, 2, 3))
 
     def message(key: bytes, slab_rows, nonce: bytes) -> bytes:
-        return LblAccessRequest(key, b"".join(slab_rows), 2, 25, nonce).to_bytes()
+        return LblAccessRequest.from_tables(key, [slab_rows], nonce).to_bytes()
 
     distinct = [
         message(b"A" * 16, [row_a, row_b], b"n" * 16),
@@ -236,11 +250,13 @@ def _refused(store: LblOrtoa, request: LblAccessRequest):
 
 
 def _flip(request: LblAccessRequest, group: int, slot: int, byte: int, bit: int = 0):
-    """``request`` with one bit flipped in row ``(group, slot)``."""
-    position = (group * request.table_size + slot) * request.entry_len + byte
-    slab = bytearray(request.slab)
-    slab[position] ^= 1 << bit
-    return dataclasses.replace(request, slab=bytes(slab))
+    """``request`` with one bit flipped in row ``(group, slot)`` — addressed
+    through the row-by-row view, wherever the slab keeps that byte."""
+    tables = [list(table) for table in request.tables]
+    row = bytearray(tables[group][slot])
+    row[byte] ^= 1 << bit
+    tables[group][slot] = bytes(row)
+    return LblAccessRequest.from_tables(request.encoded_key, tables, request.nonce)
 
 
 def _designated_slot(store: LblOrtoa, group: int) -> int:

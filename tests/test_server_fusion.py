@@ -449,7 +449,10 @@ def test_window_is_one_multiget_one_open_one_multiput(monkeypatch):
 
     def counting(runs):
         open_calls.append(
-            [(nonce, len(keys), len(designated)) for nonce, keys, designated in runs]
+            [
+                (nonce, len(keys) // LABEL_LEN, len(picks) * row_len)
+                for nonce, keys, _slab, row_len, picks in runs
+            ]
         )
         return original(runs)
 
