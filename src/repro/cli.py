@@ -68,7 +68,6 @@ _RUN_OVERRIDES = {
     "pipeline-depth": "pipeline_depth",
     "label-cache": "label_cache",
     "crypto-backend": "backend",
-    "transport": "transport",
     "server-batch": "server_batch",
     "server-window": "server_window",
 }
@@ -287,7 +286,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 args.shards,
                 point_and_permute=config.point_and_permute,
                 in_process=True,
-                transport=args.transport,
                 server_batch=args.server_batch,
             ) as cluster:
                 deployment = ShardedLblDeployment(
@@ -295,7 +293,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     cluster.addresses,
                     rng=random.Random(args.seed),
                     pipeline_depth=args.pipeline_depth,
-                    transport=args.transport,
                 )
                 try:
                     report = run_sharded_audit(
@@ -407,14 +404,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             point_and_permute=True,
             in_process=not args.processes,
             enable_obs=args.processes,
-            transport=args.transport,
         ) as cluster:
             deployment = ShardedLblDeployment(
                 config,
                 cluster.addresses,
                 rng=random.Random(args.seed),
                 pipeline_depth=args.pipeline_depth,
-                transport=args.transport,
             )
             try:
                 deployment.initialize(
@@ -693,13 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default)",
     )
     run.add_argument(
-        "--transport",
-        choices=("thread", "async"),
-        help="shard transport for experiments that take one "
-        "(e.g. `sharded`, `pipeline`): threaded servers/clients or the "
-        "asyncio event-loop transport",
-    )
-    run.add_argument(
         "--server-batch",
         dest="server_batch",
         type=int,
@@ -870,12 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit without the proxy label cache (enabled by default)",
     )
     obs_cmd.add_argument(
-        "--transport",
-        choices=("thread", "async"),
-        default="thread",
-        help="shard transport for the sharded audit (default: thread)",
-    )
-    obs_cmd.add_argument(
         "--server-batch",
         dest="server_batch",
         type=int,
@@ -900,12 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=0, help="workload seed")
     trace.add_argument(
         "--pipeline-depth", type=int, default=8, metavar="D", help="in-flight window"
-    )
-    trace.add_argument(
-        "--transport",
-        choices=("thread", "async"),
-        default="thread",
-        help="shard transport (default: thread)",
     )
     trace.add_argument(
         "--processes",

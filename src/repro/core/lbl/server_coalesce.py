@@ -16,10 +16,9 @@ back to its caller.  The opens themselves cost the same; the per-call
 overhead and the storage access pair are paid once per window (2x at 8
 one-group requests, ``benchmarks/test_server_fusion.py``).
 
-The window mechanics (leader/follower blocking half for the threaded
-transport, ``submit``/``flush_pending`` non-blocking half for the event
-loop, generation-guarded timers) live in :mod:`repro.core.lbl.window`; this
-module holds only *what* a server window fuses.
+The window mechanics (leader/follower blocking, generation-guarded timers)
+live in :mod:`repro.core.lbl.window`; this module holds only *what* a
+server window fuses.
 
 **Obliviousness.**  Window formation is payload-independent — membership
 depends only on arrival timing and ``max_batch``, never on the operation —
@@ -66,7 +65,7 @@ class ServerAccessCoalescer(CoalescingWindow):
             :class:`~repro.obs.clock.FakeClock`.
         lock_keys: Optional callable returning a context manager that holds
             whatever per-key locks the transport requires for the given
-            encoded keys — the threaded dispatcher passes its stripe table
+            encoded keys — the frame dispatcher passes its stripe table
             so a fused flush coexists with the (equally locked) LOAD and
             batch frame paths.  Defaults to no locking.
     """

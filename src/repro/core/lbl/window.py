@@ -7,23 +7,17 @@ handed — exactly once — to a flush function that serves its entries as one
 fused unit.  What gets fused is the flush function's business
 (:class:`~repro.core.lbl.server_coalesce.ServerAccessCoalescer` fuses server
 accesses); this class owns everything else — open/fill/timer/generation/
-flush-once — for the threaded and the event-loop transport alike.
+flush-once.
 
-**Blocking half** (:meth:`CoalescingWindow.run`, threaded callers).  The
-first caller to find no window open is its *leader* and owns the flush
-timer; later callers are *followers*.  Whoever fills the window — leader
-included, so ``max_batch=1`` flushes at once — runs the size flush on its
-own thread; otherwise the leader runs the timer flush.  Everyone then waits
-on their own entry, so a caller never returns before the thread flushing
-its window has published its result.
-
-**Non-blocking half** (:meth:`~CoalescingWindow.submit` /
-:meth:`~CoalescingWindow.flush_pending`, event-loop callers).  ``submit``
-enqueues and reports ``(entry, is_leader, is_full, generation)``; the caller
-flushes immediately when the window filled, or arms a timer
-(``loop.call_later``) for that ``generation`` when it leads.  A timer armed
-for window *g* no-ops once *g* has flushed, even if window *g+1* is open.
-Each entry's ``on_done`` callback fires when its result is published.
+Callers block in :meth:`CoalescingWindow.run`.  The first caller to find no
+window open is its *leader* and owns the flush timer; later callers are
+*followers*.  Whoever fills the window — leader included, so
+``max_batch=1`` flushes at once — runs the size flush on its own thread;
+otherwise the leader runs the timer flush.  Everyone then waits on their
+own entry, so a caller never returns before the thread flushing its window
+has published its result.  A timer flush names the window *generation* it
+was armed for and no-ops once that window has flushed, even if the next one
+is already open.
 
 A flush that raises fails every entry it had not yet published, so no
 caller is ever stranded.  Flushes serialize on one lock — which is also
@@ -60,20 +54,14 @@ _LEADER_POLL_SECONDS = 0.001
 class WindowEntry:
     """One enqueued call, owned by the window that flushes it."""
 
-    __slots__ = ("request", "row", "done", "result", "error", "on_done")
+    __slots__ = ("request", "row", "done", "result", "error")
 
-    def __init__(
-        self,
-        request: Any,
-        row: "_ledger.LedgerRow | None" = None,
-        on_done: "Callable[[WindowEntry], None] | None" = None,
-    ) -> None:
+    def __init__(self, request: Any, row: "_ledger.LedgerRow | None" = None) -> None:
         self.request = request
         self.row = row
         self.done = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
-        self.on_done = on_done
 
     def finish(self, result: Any = None, error: BaseException | None = None) -> None:
         """Publish this entry's outcome and wake its caller (first call wins)."""
@@ -82,8 +70,6 @@ class WindowEntry:
         self.result = result
         self.error = error
         self.done.set()
-        if self.on_done is not None:
-            self.on_done(self)
 
 
 class CoalescingWindow:
@@ -127,20 +113,15 @@ class CoalescingWindow:
         self._generation = 0
 
     def submit(
-        self,
-        request: Any,
-        row: "_ledger.LedgerRow | None" = None,
-        on_done: "Callable[[WindowEntry], None] | None" = None,
+        self, request: Any, row: "_ledger.LedgerRow | None" = None
     ) -> "tuple[WindowEntry, bool, bool, int]":
-        """Enqueue one call into the current window (non-blocking).
+        """Enqueue one call into the current window (:meth:`run`'s first step).
 
-        Returns ``(entry, is_leader, is_full, generation)``.  The caller
-        owns the flush decision: :meth:`run` makes it for blocking callers;
-        an event-loop caller schedules :meth:`flush_pending` for
-        ``generation`` — immediately when ``is_full``, after ``window``
-        seconds when ``is_leader`` — and reads the outcome from ``on_done``.
+        Returns ``(entry, is_leader, is_full, generation)``; :meth:`run`
+        flushes at once when ``is_full`` and owns the timer for
+        ``generation`` when ``is_leader``.
         """
-        entry = WindowEntry(request, row, on_done)
+        entry = WindowEntry(request, row)
         with self._lock:
             is_leader = not self._pending
             if is_leader:

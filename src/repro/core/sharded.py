@@ -54,9 +54,15 @@ from repro.core.messages import (
     LblAccessResponse,
     LblBatchRequest,
     LblBatchResponse,
+    LblErrorEntry,
 )
 from repro.crypto.keys import KeyChain
-from repro.errors import BatchPartialFailure, ConfigurationError, ProtocolError
+from repro.errors import (
+    BatchPartialFailure,
+    ConfigurationError,
+    ProtocolError,
+    RefusedError,
+)
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.exemplars import EXEMPLARS
@@ -65,7 +71,7 @@ from repro.obs.propagate import TraceContext, merge_span_dumps
 from repro.obs.recorder import RECORDER, merge_recorder_dumps
 from repro.obs.trace import TRACER
 from repro.storage.sharding import ShardRouter
-from repro.transport.async_client import make_pipelined_client
+from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import LOAD_ACK, OBS_DUMP_TAG, OBS_PULL_TAG, pack_load
 from repro.types import Request, Response, StoreConfig
 
@@ -123,19 +129,20 @@ class ShardedLblDeployment(OrtoaProtocol):
             :meth:`access_pipelined`.
         pool_size: Sockets per shard.
         timeout: Connect timeout and per-reply wait (seconds).
-        transport: ``"thread"`` builds
-            :class:`~repro.transport.pipeline.PipelinedLblClient` pools,
-            ``"async"`` builds event-loop-backed
-            :class:`~repro.transport.async_client.SyncAsyncLblClient`
-            pools.  Both expose the same submit/request surface, so every
-            access path works over either unmodified.
 
     Access window fusion on the untrusted store is configured on the shard
     servers themselves (``server_batch`` / ``server_window`` on
-    :class:`~repro.transport.server.LblTcpServer`,
-    :class:`~repro.transport.async_server.AsyncLblServer`, and
+    :class:`~repro.transport.server.LblTcpServer` and
     :class:`~repro.transport.cluster.ShardCluster`), not here: the client
     needs no changes for its concurrent frames to fuse server-side.
+
+    **Refused requests.**  An OVERLOAD or error frame proves the shard
+    refused before commit, so every access path takes the key's counter back
+    to the epoch the server still holds before raising
+    :class:`~repro.errors.RefusedError`: the request can be retried as it
+    stands.  A timeout or a lost connection proves nothing — the counter
+    stays advanced, and reconciling it is the write-ahead log's business
+    (:mod:`repro.core.lbl.wal`).
     """
 
     name = "lbl-ortoa-sharded"
@@ -150,7 +157,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         pipeline_depth: int = 8,
         pool_size: int = 1,
         timeout: float = 30.0,
-        transport: str = "thread",
     ) -> None:
         super().__init__(config)
         if not addresses:
@@ -162,14 +168,11 @@ class ShardedLblDeployment(OrtoaProtocol):
         self.prepare_engine = _SerialPrepare(self.proxy)
         self.router = ShardRouter(len(addresses))
         self.clients = [
-            make_pipelined_client(
-                address, pool_size=pool_size, timeout=timeout, transport=transport
-            )
+            PipelinedLblClient(address, pool_size=pool_size, timeout=timeout)
             for address in addresses
         ]
         self.pipeline_depth = pipeline_depth
         self.timeout = timeout
-        self.transport = transport
         self._encoded: dict[str, bytes] = {}
         self.name = f"lbl-ortoa-sharded-x{len(addresses)}"
 
@@ -312,6 +315,15 @@ class ShardedLblDeployment(OrtoaProtocol):
         )
         return built
 
+    def _await_reply(self, future, key: str, epoch: int) -> bytes:
+        """One access frame's reply; a refusal first takes ``key`` back to
+        ``epoch - 1``, which the server that refused ``epoch`` still holds."""
+        try:
+            return future.result(self.timeout)
+        except RefusedError:
+            self.proxy.force_counter(key, epoch - 1)
+            raise
+
     def access(self, request: Request) -> AccessTranscript:
         """One oblivious access routed to its shard (lockstep).
 
@@ -326,7 +338,9 @@ class ShardedLblDeployment(OrtoaProtocol):
             shard = self.shard_of(request.key)
             lbl_request, proxy_ops, epoch = self._prepare_timed(request)
             payload = lbl_request.to_bytes()
-            reply = self.clients[shard].submit(payload).result(self.timeout)
+            reply = self._await_reply(
+                self.clients[shard].submit(payload), request.key, epoch
+            )
             response = LblAccessResponse.from_bytes(reply)
             value, finalize_ops = self.proxy.finalize(
                 request.key, response, counter=epoch
@@ -346,7 +360,9 @@ class ShardedLblDeployment(OrtoaProtocol):
                 "access", "sent", _ledger.framed_mux_bytes(len(payload), traced=True)
             )
             submitted_at = time.perf_counter()
-            reply = self.clients[shard].submit(payload).result(self.timeout)
+            reply = self._await_reply(
+                self.clients[shard].submit(payload), request.key, epoch
+            )
             roundtrip = time.perf_counter() - submitted_at
             REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
                 roundtrip
@@ -385,9 +401,10 @@ class ShardedLblDeployment(OrtoaProtocol):
         the per-shard replies are merged back into request order.
 
         Raises:
-            BatchPartialFailure: Some requests failed server-side; see
-                :class:`~repro.errors.BatchPartialFailure` for the retry
-                contract.
+            BatchPartialFailure: Some requests failed server-side — or a
+                shard refused its whole sub-batch (OVERLOAD or error
+                frame); see :class:`~repro.errors.BatchPartialFailure` for
+                the retry contract.
         """
         if not requests:
             raise ProtocolError("batch must contain at least one request")
@@ -453,7 +470,15 @@ class ShardedLblDeployment(OrtoaProtocol):
         entries: list = [None] * len(requests)
         shares: list[tuple[int, int]] = [(0, 0)] * len(requests)
         for shard, indices in by_shard.items():
-            reply = shard_futures[shard].result(self.timeout)
+            try:
+                reply = shard_futures[shard].result(self.timeout)
+            except RefusedError as exc:
+                # The shard refused this sub-batch whole, before commit:
+                # each of its entries failed, and finalize_batch_entries
+                # takes their keys back like any other failed entry.
+                for index in indices:
+                    entries[index] = LblErrorEntry(str(exc))
+                continue
             response = LblBatchResponse.from_bytes(reply)
             if len(response.responses) != len(indices):
                 raise ProtocolError("batch response count mismatch")
@@ -505,6 +530,13 @@ ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
         client never puts two same-key frames into one server window, so
         the server's same-key chaining is only exercised by *distinct*
         clients colliding on a key.
+
+        Raises:
+            RefusedError: A shard refused a request (OVERLOAD or error
+                frame).  Nothing further is submitted; the frames already
+                in flight are drained — finalized, or rolled back if
+                refused too — and the first refusal is raised with every
+                refused key's counter back in step with its shard.
         """
         if not requests:
             raise ProtocolError("pipeline needs at least one request")
@@ -515,6 +547,7 @@ ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
         window: deque = deque()
         keys_in_flight: set[str] = set()
         transcripts: list[AccessTranscript] = []
+        refused: list[RefusedError] = []
 
         def drain_one() -> None:
             (
@@ -527,8 +560,17 @@ ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
                 submitted_at,
                 row,
             ) = window.popleft()
-            reply = future.result(self.timeout)
-            keys_in_flight.discard(request.key)
+            try:
+                reply = self._await_reply(future, request.key, epoch)
+            except RefusedError as exc:
+                refused.append(exc)
+                if span is not None:
+                    TRACER.end(span)
+                if row is not None:
+                    _ledger.retire(row)
+                return
+            finally:
+                keys_in_flight.discard(request.key)
             if _obs.enabled:
                 REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
             roundtrip = 0.0
@@ -577,6 +619,8 @@ ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
             # Same-key ordering: never two in-flight epochs for one key.
             while request.key in keys_in_flight or len(window) >= depth:
                 drain_one()
+            if refused:
+                break
             shard = self.shard_of(request.key)
             row = token = None
             if _obs.enabled:
@@ -622,6 +666,8 @@ ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
                 REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
         while window:
             drain_one()
+        if refused:
+            raise refused[0]
         return transcripts
 
 

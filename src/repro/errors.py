@@ -51,14 +51,26 @@ class KeyNotFoundError(ProtocolError):
     """The requested key does not exist in the store."""
 
 
-class OverloadError(ProtocolError):
+class RefusedError(ProtocolError):
+    """The server answered that it did not apply this request.
+
+    Raised for an error frame (or, as :class:`OverloadError`, an OVERLOAD
+    frame): the reply itself proves the server refused before commit, so no
+    label rotated.  The access paths roll the key's proxy counter back
+    before re-raising, which is what makes a retry safe.  A timeout or a
+    lost connection proves nothing and is *not* this error.
+    """
+
+
+class OverloadError(RefusedError):
     """The server shed this request instead of queueing it.
 
     Raised when a transport receives the one-byte OVERLOAD frame: the
     server's admission control found its in-flight window full (or the
     server draining for shutdown) and refused the request *before* looking
-    at it.  The request was not processed — no label rotated, no counter
-    moved — so retrying after backoff is always safe.
+    at it.  The request was not processed — no label rotated — and the
+    access paths have already taken the proxy counter back, so retrying
+    after backoff is safe.
     """
 
 

@@ -347,7 +347,6 @@ def sharded_scaling(
     shards: int = 4,
     num_requests: int = 64,
     in_process: bool = True,
-    transport: str = "thread",
     server_batch: int = 1,
     server_window: float | None = None,
 ) -> list[Row]:
@@ -366,7 +365,6 @@ def sharded_scaling(
         num_requests: Accesses per data point.
         in_process: Thread-backed shard servers (default) or spawned
             subprocesses.
-        transport: ``"thread"`` or ``"async"`` shard servers and clients.
         server_batch: Server-side access window size (``repro run sharded
             --server-batch``); ``1`` (default) keeps the per-request
             dispatch path, ``> 1`` fuses concurrent accesses into windowed
@@ -384,7 +382,6 @@ def sharded_scaling(
         shard_counts=tuple(counts),
         num_requests=num_requests,
         in_process=in_process,
-        transport=transport,
         server_batch=server_batch,
         server_window=(
             DEFAULT_WINDOW_SECONDS if server_window is None else server_window
@@ -396,7 +393,6 @@ def pipeline_depth_sweep(
     pipeline_depth: int = 8,
     num_requests: int = 48,
     emulated_rtt_s: float = 0.01,
-    transport: str = "thread",
 ) -> list[Row]:
     """Lockstep vs pipelined throughput on one loopback shard.
 
@@ -411,7 +407,6 @@ def pipeline_depth_sweep(
         depths=depths,
         num_requests=num_requests,
         emulated_rtt_s=emulated_rtt_s,
-        transport=transport,
     )
 
 

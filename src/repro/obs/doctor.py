@@ -4,8 +4,8 @@
 *where*.  It scrapes every shard's metrics endpoint twice
 (:func:`collect_signals`, reusing :func:`repro.obs.top.scrape`), reduces
 each target to a small signal vector (throughput, shed rate, in-flight
-occupancy, event-loop lag, server window fill, prepare vs service vs
-round-trip latency), and hands the vectors to
+occupancy, server window fill, prepare vs service vs round-trip
+latency), and hands the vectors to
 :func:`diagnose` — a pure function, so the attribution logic is testable on
 synthetic signal dicts without sockets.
 
@@ -15,7 +15,7 @@ Attribution taxonomy (the five ways the stack saturates):
   (``SHED/s > 0``); always reported first, then the *cause* of the
   pressure is attributed below.
 * **dispatch** — the server side is the constraint: the in-flight window
-  runs near full and/or the event loop lags its timer wake-ups.
+  runs near full.
 * **crypto** — the proxy's table builds dominate the latency budget.
 * **server** — the untrusted store's fused access windows are the
   constraint: ``server_batch > 1`` windows consistently flush full on
@@ -43,9 +43,6 @@ from repro.obs.top import Samples, scrape, target_row
 
 #: In-flight occupancy at or above which dispatch is considered saturated.
 OCCUPANCY_SATURATED = 0.8
-
-#: Event-loop lag (ms) that on its own marks the dispatcher as struggling.
-LOOP_LAG_SATURATED_MS = 20.0
 
 #: Server window fill at or above which the store is flush-bound.
 WINDOW_FILL_SATURATED = 0.9
@@ -103,11 +100,7 @@ def collect_signals(
 
 def _score_dispatch(signal: Mapping[str, Any]) -> float:
     occupancy = signal.get("in_flight_occupancy") or 0.0
-    lag_ms = signal.get("loop_lag_ms") or 0.0
-    return max(
-        min(occupancy / OCCUPANCY_SATURATED, 1.0),
-        min(lag_ms / LOOP_LAG_SATURATED_MS, 1.0),
-    )
+    return min(occupancy / OCCUPANCY_SATURATED, 1.0)
 
 
 def _score_crypto(signal: Mapping[str, Any]) -> float:
@@ -188,10 +181,9 @@ def diagnose(
         if scores["dispatch"] >= SCORE_FLOOR:
             worst = max(up, key=_score_dispatch)
             occupancy = worst.get("in_flight_occupancy") or 0.0
-            lag = worst.get("loop_lag_ms") or 0.0
             reasons.append(
                 f"dispatch: {worst.get('target', '?')} in-flight window at "
-                f"{occupancy * 100.0:.0f}% with {lag:.1f} ms event-loop lag"
+                f"{occupancy * 100.0:.0f}%"
             )
         if scores["crypto"] >= SCORE_FLOOR:
             worst = max(up, key=_score_crypto)
@@ -291,7 +283,6 @@ def run_doctor(
 
 
 __all__ = [
-    "LOOP_LAG_SATURATED_MS",
     "OCCUPANCY_SATURATED",
     "PREPARE_SATURATED_MS",
     "SCORE_FLOOR",

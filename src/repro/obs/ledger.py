@@ -74,7 +74,7 @@ _FRAME_NAMES = {
     0x62: "obs",  # OBS_PROFILE_START_TAG
     0x63: "obs",  # OBS_PROFILE_STOP_TAG
     0x64: "obs",  # OBS_PROFILE_DUMP_TAG
-    0x7E: "overload",  # OVERLOAD_TAG (async transport load shedding)
+    0x7E: "overload",  # OVERLOAD_TAG (load shedding)
     0x7F: "error",  # ERROR_TAG
 }
 

@@ -17,21 +17,13 @@ in-flight requests over pooled sockets (see :mod:`repro.core.sharded`),
 and :class:`~repro.transport.cluster.ShardCluster` boots a set of shard
 servers (threads or separate processes) for loopback experiments.
 
-For tens of thousands of connections per shard,
-:class:`~repro.transport.async_server.AsyncLblServer` serves the identical
-wire format from one event loop with bounded in-flight windows, OVERLOAD
-load shedding, and graceful drain;
-:class:`~repro.transport.async_client.AsyncPipelinedLblClient` (or its
-sync facade, via :func:`~repro.transport.async_client.make_pipelined_client`)
-is its client twin.  See ``docs/async-transport.md``.
+The server bounds what it holds: multiplexed
+requests over its in-flight windows are shed at once with a constant
+one-byte OVERLOAD frame, ``close()`` drains what it admitted, and a peer
+that stops reading loses its connection (``docs/scaling.md``, "Backpressure
+and admission control").
 """
 
-from repro.transport.async_client import (
-    AsyncPipelinedLblClient,
-    SyncAsyncLblClient,
-    make_pipelined_client,
-)
-from repro.transport.async_server import AsyncLblServer
 from repro.transport.client import RemoteLblOrtoa
 from repro.transport.cluster import ShardCluster
 from repro.transport.pipeline import PipelinedLblClient
@@ -41,12 +33,8 @@ from repro.transport.tee_server import TeeTcpServer
 
 __all__ = [
     "LblTcpServer",
-    "AsyncLblServer",
     "RemoteLblOrtoa",
     "PipelinedLblClient",
-    "AsyncPipelinedLblClient",
-    "SyncAsyncLblClient",
-    "make_pipelined_client",
     "ShardCluster",
     "TeeTcpServer",
     "RemoteTeeOrtoa",

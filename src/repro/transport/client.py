@@ -24,7 +24,7 @@ from repro.core.lbl.concurrent import finalize_batch_entries
 from repro.core.lbl.proxy import LblProxy
 from repro.core.messages import LblAccessResponse, LblBatchRequest, LblBatchResponse
 from repro.crypto.keys import KeyChain
-from repro.errors import BatchPartialFailure, ProtocolError
+from repro.errors import BatchPartialFailure, ProtocolError, RefusedError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -86,7 +86,7 @@ class RemoteLblOrtoa(OrtoaProtocol):
         if reply[:1] == bytes([ERROR_TAG]):
             if _obs.enabled:
                 REGISTRY.counter("transport.error_frames_received").inc()
-            raise ProtocolError(
+            raise RefusedError(
                 f"server error: {reply[1:].decode('utf-8', 'replace')}"
             )
         return reply
@@ -102,9 +102,23 @@ class RemoteLblOrtoa(OrtoaProtocol):
                 raise ProtocolError("server rejected a load record")
 
     def access(self, request: Request) -> AccessTranscript:
+        """One oblivious access over the socket.
+
+        An error frame (:class:`~repro.errors.RefusedError`) proves the
+        server refused before commit: the key's counter is taken back, so
+        the access can be retried.  A timeout or a lost connection leaves
+        the outcome unknown — the counter stays advanced, and reconciling it
+        is the write-ahead log's business (:mod:`repro.core.lbl.wal`).
+        """
         lbl_request, proxy_ops = self.proxy.prepare(request)
         request_bytes = lbl_request.to_bytes()
-        reply = self._exchange(request_bytes)
+        try:
+            reply = self._exchange(request_bytes)
+        except RefusedError:
+            self.proxy.force_counter(
+                request.key, self.proxy.counter(request.key) - 1
+            )
+            raise
         response = LblAccessResponse.from_bytes(reply)
         value, finalize_ops = self.proxy.finalize(request.key, response)
         return AccessTranscript(

@@ -37,6 +37,7 @@ from repro.core.lbl.server_coalesce import (
 )
 from repro.core.messages import LblAccessResponse
 from repro.errors import ConfigurationError, ProtocolError
+from repro.transport.server import LblTcpServer
 from repro.types import Request, StoreConfig
 
 if TYPE_CHECKING:  # imported lazily at runtime: core.sharded imports this package
@@ -45,20 +46,17 @@ if TYPE_CHECKING:  # imported lazily at runtime: core.sharded imports this packa
 
 def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
                  max_workers: int, metrics: bool, enable_obs: bool,
-                 transport: str = "thread", server_batch: int = 1,
+                 server_batch: int = 1,
                  server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
                  ) -> None:  # pragma: no cover - child process
     """Child-process entry point: bind, report the addresses, serve forever."""
-    import threading
-
     from repro import obs
 
     if enable_obs:
         # The child records into its own tracer/registry; the trusted side
         # pulls the dump over an OBS_PULL control frame and merges it.
         obs.enable()
-    server = _make_shard_server(
-        transport,
+    server = LblTcpServer(
         point_and_permute=point_and_permute,
         response_delay_s=response_delay_s,
         max_workers=max_workers,
@@ -66,46 +64,9 @@ def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
         server_batch=server_batch,
         server_window=server_window,
     )
-    if transport == "async":
-        server.start()
-        conn.send({"address": server.address, "metrics": server.metrics_address})
-        conn.close()
-        threading.Event().wait()  # serve until the parent terminates us
-    else:
-        conn.send({"address": server.address, "metrics": server.metrics_address})
-        conn.close()
-        server.serve_forever()
-
-
-def _make_shard_server(transport: str, point_and_permute: bool,
-                       response_delay_s: float, max_workers: int,
-                       metrics_port: int | None, server_batch: int = 1,
-                       server_window: float = DEFAULT_SERVER_WINDOW_SECONDS):
-    """Build one (unstarted for async, bound for thread) shard server."""
-    if transport == "thread":
-        from repro.transport.server import LblTcpServer
-
-        return LblTcpServer(
-            point_and_permute=point_and_permute,
-            response_delay_s=response_delay_s,
-            max_workers=max_workers,
-            metrics_port=metrics_port,
-            server_batch=server_batch,
-            server_window=server_window,
-        )
-    if transport == "async":
-        from repro.transport.async_server import AsyncLblServer
-
-        return AsyncLblServer(
-            point_and_permute=point_and_permute,
-            response_delay_s=response_delay_s,
-            metrics_port=metrics_port,
-            server_batch=server_batch,
-            server_window=server_window,
-        )
-    raise ConfigurationError(
-        f"unknown transport {transport!r}; expected 'thread' or 'async'"
-    )
+    conn.send({"address": server.address, "metrics": server.metrics_address})
+    conn.close()
+    server.serve_forever()
 
 
 class ShardCluster:
@@ -125,12 +86,6 @@ class ShardCluster:
             control frame at shutdown.  Ignored for in-process shards,
             which share this process's global tracer — the caller already
             controls that with :func:`repro.obs.enable`.
-        transport: ``"thread"`` boots
-            :class:`~repro.transport.server.LblTcpServer` shards,
-            ``"async"`` boots
-            :class:`~repro.transport.async_server.AsyncLblServer` shards
-            (one event loop each).  The wire format is identical, so
-            clients need not know which they got.
         server_batch: Per-shard access-window fusion size (see
             :class:`~repro.transport.server.LblFrameDispatcher`); ``1``
             disables fusion.
@@ -147,17 +102,11 @@ class ShardCluster:
         max_workers: int = 8,
         metrics: bool = False,
         enable_obs: bool = False,
-        transport: str = "thread",
         server_batch: int = 1,
         server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
-        if transport not in ("thread", "async"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; expected 'thread' or 'async'"
-            )
-        self.transport = transport
         self.num_shards = num_shards
         self.point_and_permute = point_and_permute
         self.in_process = in_process
@@ -178,8 +127,7 @@ class ShardCluster:
             raise ConfigurationError("cluster already started")
         if self.in_process:
             for _ in range(self.num_shards):
-                server = _make_shard_server(
-                    self.transport,
+                server = LblTcpServer(
                     point_and_permute=self.point_and_permute,
                     response_delay_s=self.response_delay_s,
                     max_workers=self.max_workers,
@@ -204,7 +152,6 @@ class ShardCluster:
                         self.max_workers,
                         self.metrics,
                         self.enable_obs,
-                        self.transport,
                         self.server_batch,
                         self.server_window,
                     ),
@@ -346,7 +293,6 @@ def measure_shard_scaling(
     workers_per_shard: int = 4,
     in_process: bool = True,
     seed: int = 0,
-    transport: str = "thread",
     server_batch: int = 1,
     server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
 ) -> list[dict]:
@@ -382,15 +328,11 @@ def measure_shard_scaling(
             in_process=in_process,
             response_delay_s=service_time_s,
             max_workers=workers_per_shard,
-            transport=transport,
             server_batch=server_batch,
             server_window=server_window,
         ) as cluster:
             deployment = ShardedLblDeployment(
-                config,
-                cluster.addresses,
-                rng=random.Random(seed),
-                transport=transport,
+                config, cluster.addresses, rng=random.Random(seed)
             )
             try:
                 stats = measure_throughput(
@@ -425,7 +367,6 @@ def measure_pipeline_gain(
     emulated_rtt_s: float = 0.01,
     in_process: bool = True,
     seed: int = 0,
-    transport: str = "thread",
 ) -> list[dict]:
     """Lockstep vs pipelined throughput on one shard with an emulated WAN.
 
@@ -448,13 +389,9 @@ def measure_pipeline_gain(
             in_process=in_process,
             response_delay_s=emulated_rtt_s,
             max_workers=max(8, depth),
-            transport=transport,
         ) as cluster:
             deployment = ShardedLblDeployment(
-                config,
-                cluster.addresses,
-                rng=random.Random(seed),
-                transport=transport,
+                config, cluster.addresses, rng=random.Random(seed)
             )
             try:
                 mode = "lockstep" if depth <= 1 else "pipelined"

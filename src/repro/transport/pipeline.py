@@ -27,7 +27,7 @@ import threading
 import time
 from concurrent.futures import Future
 
-from repro.errors import OverloadError, ProtocolError
+from repro.errors import OverloadError, ProtocolError, RefusedError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
@@ -35,6 +35,13 @@ from repro.obs.propagate import TraceContext
 from repro.obs.trace import TRACER
 from repro.transport import framing
 from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME
+
+#: Requests one connection keeps in flight; :meth:`PipelinedLblClient.submit`
+#: blocks beyond it.  Half the server's default per-connection window: the
+#: server returns a slot just after it writes the reply, so a client that ran
+#: at the window's edge would be shed on its own replies' bookkeeping — and a
+#: bulk load that pipelines every record must not trip admission control.
+MAX_IN_FLIGHT_PER_CONNECTION = 64
 
 
 class _Connection:
@@ -51,7 +58,8 @@ class _Connection:
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.send_lock = threading.Lock()
         self.pending: dict[int, Future] = {}
-        self.pending_lock = threading.Lock()
+        # Guards ``pending``; notified whenever an entry leaves it.
+        self.pending_lock = threading.Condition(threading.Lock())
         self.dead = False
         self.reader = threading.Thread(
             target=self._read_loop, name="lbl-pipeline-reader", daemon=True
@@ -71,6 +79,7 @@ class _Connection:
                 )
             with self.pending_lock:
                 future = self.pending.pop(request_id, None)
+                self.pending_lock.notify()
             if future is None:
                 continue  # reply for a request nobody is waiting on
             if inner == OVERLOAD_FRAME:
@@ -83,7 +92,7 @@ class _Connection:
                 if _obs.enabled:
                     REGISTRY.counter("transport.error_frames_received").inc()
                 future.set_exception(
-                    ProtocolError(
+                    RefusedError(
                         f"server error: {inner[1:].decode('utf-8', 'replace')}"
                     )
                 )
@@ -97,6 +106,7 @@ class _Connection:
         with self.pending_lock:
             orphans = list(self.pending.values())
             self.pending.clear()
+            self.pending_lock.notify_all()
         for future in orphans:
             # A future may have completed in a race with the reader; only
             # fail ones still waiting.
@@ -157,6 +167,8 @@ class PipelinedLblClient:
     def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
         """Send one payload; the future completes with the reply bytes.
 
+        Blocks while the chosen connection already has
+        :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight.
         ``trace_context`` is the optional 16-byte extension produced by
         :meth:`~repro.obs.propagate.TraceContext.encode`; when omitted and
         observability is enabled, the calling context's current span (if
@@ -165,9 +177,11 @@ class PipelinedLblClient:
         trip (submit to reply) lands in the
         ``transport.pipeline.roundtrip.seconds`` log histogram.
 
-        The future fails with :class:`~repro.errors.ProtocolError` if the
-        server answered with an error frame or the connection died with the
-        request in flight.
+        The future fails with :class:`~repro.errors.RefusedError` if the
+        server answered with an error frame
+        (:class:`~repro.errors.OverloadError` for an OVERLOAD frame), and
+        with a plain :class:`~repro.errors.ProtocolError` if the connection
+        died with the request in flight.
         """
         if self._closed:
             raise ProtocolError("client is closed")
@@ -177,8 +191,12 @@ class PipelinedLblClient:
                 trace_context = TraceContext.from_span(span).encode()
         conn = self._pick()
         request_id = next(self._ids)
+        # Before anything is registered: a malformed trace context raises here.
+        wrapped = framing.wrap_mux(request_id, payload, trace_context)
         future: Future = Future()
         with conn.pending_lock:
+            while len(conn.pending) >= MAX_IN_FLIGHT_PER_CONNECTION:
+                conn.pending_lock.wait()
             conn.pending[request_id] = future
         if _obs.enabled:
             # Timestamp (and register the done callback) BEFORE the send:
@@ -194,16 +212,17 @@ class PipelinedLblClient:
 
             future.add_done_callback(_observe)
         try:
-            wrapped = framing.wrap_mux(request_id, payload, trace_context)
             if _obs.enabled:
                 _ledger.count_wire(
                     _ledger.frame_type(payload), "sent", 4 + len(wrapped)
                 )
             with conn.send_lock:
                 framing.send_frame(conn.sock, wrapped)
-        except OSError as exc:
+        except (ProtocolError, OSError) as exc:
             with conn.pending_lock:
                 conn.pending.pop(request_id, None)
+            if isinstance(exc, ProtocolError):
+                raise  # refused by the framing (too large) before a byte went out
             conn.fail_pending(ProtocolError(f"send failed: {exc}"))
             raise ProtocolError(f"send to {self.address} failed: {exc}") from exc
         if _obs.enabled:

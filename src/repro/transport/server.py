@@ -34,10 +34,12 @@ Wire protocol (within the framing of :mod:`repro.transport.framing`):
 * on any handling error → an error frame (tag 0x7F + UTF-8 message, mux
   wrapped iff the request was), so clients fail with a described exception
   instead of a dead socket;
-* on load shedding (asyncio transport only) → an overload frame (tag 0x7E,
-  exactly one byte, mux wrapped iff the request was).  The frame carries
-  no request-derived content, so a shed GET and a shed PUT are
-  byte-identical on the wire.
+* on load shedding → an overload frame (tag 0x7E, exactly one byte, wrapped
+  under the request id).  A mux frame arriving over the server's in-flight
+  window or its connection's, or while the server drains, is refused at
+  once and never queued; the frame carries no request-derived content, so a
+  shed GET and a shed PUT are byte-identical on the wire (``docs/scaling.md``,
+  "Backpressure and admission control").
 
 With ``metrics_port=`` the server additionally exposes its metrics
 registry as Prometheus text on an HTTP scrape endpoint
@@ -55,10 +57,11 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Iterator
 
 from repro.core.lbl.concurrent import hold_stripes
@@ -79,6 +82,7 @@ from repro.obs import ledger as _ledger
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import REMOTE_PARENT_ATTR, TraceContext, remote_parent
+from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
 from repro.storage.persistence import LabelListCodec
 from repro.transport import framing
@@ -104,6 +108,14 @@ ERROR_TAG = 0x7F
 #: shedding cannot become an operation-type side channel.
 OVERLOAD_TAG = 0x7E
 OVERLOAD_FRAME = bytes([OVERLOAD_TAG])
+
+#: How long one reply write may stall on a peer that has stopped reading
+#: before the server drops the connection (and with it the window slots and
+#: the mux workers queued behind its send lock).
+SEND_TIMEOUT_S = 30.0
+#: How long :meth:`LblTcpServer.close` waits for admitted requests to be
+#: answered before it shuts the worker pool anyway.
+DRAIN_TIMEOUT_S = 10.0
 
 _log = get_logger("transport.server")
 
@@ -136,20 +148,16 @@ def unpack_load(payload: bytes):
 
 
 class LblFrameDispatcher:
-    """Transport-agnostic frame router over one :class:`LblServer`.
+    """Socket-free frame router over one :class:`LblServer`.
 
-    The threaded :class:`LblTcpServer` and the asyncio
-    :class:`~repro.transport.async_server.AsyncLblServer` speak exactly the
-    same frames; this class owns the routing (LOAD / access / batch /
-    obs-pull → reply bytes) so the two transports cannot drift apart.
+    Owns the routing (LOAD / access / batch / obs-pull → reply bytes) and
+    the striped per-key locks that serialize same-key requests, so
+    :class:`LblTcpServer` is sockets, threads and admission only.
 
     Args:
         point_and_permute: Must match the clients' configuration.
-        num_stripes: Per-key lock stripes for ``locking=True``.
-        locking: Serialize same-key requests with striped locks.  A
-            multi-threaded transport needs this; an event-loop transport
-            whose dispatches never overlap passes ``False`` and pays no
-            locking at all.
+        num_stripes: Per-key lock stripes; collisions only cost
+            parallelism, never correctness.
         server_batch: Access-window fusion size.  ``1`` (the default)
             serves each access frame as its own window of one; above 1,
             concurrent access frames coalesce into windows of up to this
@@ -166,7 +174,6 @@ class LblFrameDispatcher:
         self,
         point_and_permute: bool = True,
         num_stripes: int = 64,
-        locking: bool = True,
         server_batch: int = 1,
         server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
         clock=None,
@@ -176,9 +183,7 @@ class LblFrameDispatcher:
         if server_batch < 1:
             raise ConfigurationError("server_batch must be >= 1")
         self.lbl = LblServer(point_and_permute=point_and_permute)
-        self._stripes = (
-            [threading.Lock() for _ in range(num_stripes)] if locking else None
-        )
+        self._stripes = [threading.Lock() for _ in range(num_stripes)]
         # A window — coalesced or a batch frame — holds every stripe it
         # touches (in sorted order — see hold_stripes), so it coexists with
         # the single-stripe LOAD and lone-access paths.
@@ -196,16 +201,12 @@ class LblFrameDispatcher:
 
     def _lock_encoded_keys(self, encoded_keys: "list[bytes]"):
         """Context manager holding the stripes of many keys at once."""
-        if self._stripes is None:
-            return nullcontext()
         stripes = self._stripes
         return hold_stripes(
             stripes, (hash(key) % len(stripes) for key in encoded_keys)
         )
 
     def _stripe_for(self, encoded_key: bytes):
-        if self._stripes is None:
-            return nullcontext()
         return self._stripes[hash(encoded_key) % len(self._stripes)]
 
     def safe_dispatch(self, payload: bytes) -> bytes:
@@ -279,7 +280,6 @@ class LblFrameDispatcher:
         empty dump when observability was never enabled here.
         """
         from repro.obs.exemplars import EXEMPLARS
-        from repro.obs.recorder import RECORDER
 
         bundle = {
             "spans": TRACER.export(),
@@ -324,11 +324,9 @@ class LblFrameDispatcher:
         span; making it the context's current span lets the nested
         ``lbl.server.process`` span parent locally under it.  Server-side
         ops (AEAD opens) land in a server-labeled row linked to the client
-        trace, so the ledger can pair both halves of one access — the row
-        stays open for as long as the scope does, including across an
-        event-loop caller's window await.  Service time — queueing
-        excluded — lands in the ``transport.server.service.seconds`` log
-        histogram.
+        trace, so the ledger can pair both halves of one access.  Service
+        time — queueing excluded — lands in the
+        ``transport.server.service.seconds`` log histogram.
         """
         start = time.perf_counter()
         parent = None
@@ -358,24 +356,73 @@ class LblFrameDispatcher:
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    """One accepted connection: its read loop, send lock and window share."""
+
     def setup(self) -> None:  # noqa: D401 - socketserver interface
+        sock = self.request
         # Replies are small frames written by independent worker threads;
         # without NODELAY, Nagle holds each until the client ACKs the
         # previous one and pipelined replies serialize on delayed ACKs.
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # A send timeout only: reads stay blocking, so an idle pooled
+        # connection lives as long as its client keeps it open.
+        seconds = int(SEND_TIMEOUT_S)
+        sock.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_SNDTIMEO,
+            struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
+        )
+        # Mux replies are written from pool threads while this thread may
+        # still write inline replies; one lock per connection orders them.
+        self.send_lock = threading.Lock()
+        #: This connection's admitted mux requests (guarded by the
+        #: server's window lock).
+        self.in_flight = 0
+        self.server.connection_opened()
+
+    def finish(self) -> None:  # noqa: D401 - socketserver interface
+        self.server.connection_closing(self)
+
+    def send(self, payload: bytes) -> bool:
+        """Write one reply frame; False once the connection is lost.
+
+        A write that fails or stalls past :data:`SEND_TIMEOUT_S` may have
+        left half a frame on the wire, so the stream is shut both ways: the
+        read loop ends, and writers queued behind the lock fail at once
+        instead of each waiting out the timeout.
+        """
+        with self.send_lock:
+            try:
+                framing.send_frame(self.request, payload)
+                return True
+            except OSError as exc:
+                if isinstance(exc, BlockingIOError):  # SO_SNDTIMEO lapsed
+                    _log.warning(
+                        "reply write stalled > %.1fs; dropping slow consumer",
+                        SEND_TIMEOUT_S,
+                    )
+                    if _obs.enabled:
+                        RECORDER.record(
+                            "transport.slow_consumer_abort",
+                            send_timeout_s=SEND_TIMEOUT_S,
+                            conn_in_flight=self.in_flight,
+                        )
+                        RECORDER.trigger("slow-consumer-abort")
+                try:
+                    self.request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already gone
+                return False
 
     def handle(self) -> None:  # noqa: D401 - socketserver interface
         server: "LblTcpServer" = self.server  # type: ignore[assignment]
-        # Mux replies are written from pool threads while this thread may
-        # still write inline replies; one lock per connection orders them.
-        send_lock = threading.Lock()
         while True:
             try:
                 payload = framing.recv_frame(self.request)
             except (ProtocolError, OSError):
                 return  # connection closed (possibly mid-frame; that's fine)
             if framing.is_mux(payload):
-                server.submit_mux(self.request, send_lock, payload)
+                server.submit_mux(self, payload)
                 continue
             if _obs.enabled:
                 _ledger.count_wire(
@@ -385,17 +432,14 @@ class _Handler(socketserver.BaseRequestHandler):
                     role="server",
                 )
             reply = server.safe_dispatch(payload)
-            try:
-                if _obs.enabled:
-                    _ledger.count_wire(
-                        _ledger.frame_type(reply),
-                        "sent",
-                        4 + len(reply),
-                        role="server",
-                    )
-                with send_lock:
-                    framing.send_frame(self.request, reply)
-            except OSError:
+            if _obs.enabled:
+                _ledger.count_wire(
+                    _ledger.frame_type(reply),
+                    "sent",
+                    4 + len(reply),
+                    role="server",
+                )
+            if not self.send(reply):
                 return
 
 
@@ -420,10 +464,25 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             :class:`LblFrameDispatcher`); ``1`` disables fusion.
         server_window: Flush timer (seconds) for a partially filled
             access window.
+        max_in_flight: Global bound on multiplexed requests queued or
+            executing; frames beyond it are shed with OVERLOAD.
+        max_in_flight_per_conn: The same bound per connection, so one
+            greedy client cannot monopolize the global window.
+
+    Attributes (read-only for callers; all guarded by one lock):
+        in_flight: Multiplexed requests currently queued or executing.
+        peak_in_flight: High-water mark of ``in_flight`` since start.
+        overloads_sent: Requests shed with an OVERLOAD frame since start.
+        num_connections: Accepted connections whose handler still runs.
+        draining: Whether :meth:`close` has begun refusing new work.
     """
 
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's default backlog of 5 overflows when a proxy's pool (or
+    # several proxies) connect at once, and each dropped SYN costs its
+    # sender a one-second retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -436,11 +495,17 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         metrics_port: int | None = None,
         server_batch: int = 1,
         server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
+        max_in_flight: int = 1024,
+        max_in_flight_per_conn: int = 128,
     ) -> None:
         if max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
         if response_delay_s < 0:
             raise ConfigurationError("response_delay_s cannot be negative")
+        if max_in_flight < 1:
+            raise ConfigurationError("max_in_flight must be >= 1")
+        if max_in_flight_per_conn < 1:
+            raise ConfigurationError("max_in_flight_per_conn must be >= 1")
         super().__init__((host, port), _Handler)
         # process() mutates per-key state, so accesses to the same key must
         # serialize — but only to the same key.  The dispatcher's striped
@@ -449,12 +514,13 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         self.dispatcher = LblFrameDispatcher(
             point_and_permute=point_and_permute,
             num_stripes=num_stripes,
-            locking=True,
             server_batch=server_batch,
             server_window=server_window,
         )
         self.lbl = self.dispatcher.lbl
         self.response_delay_s = response_delay_s
+        self.max_in_flight = max_in_flight
+        self.max_in_flight_per_conn = max_in_flight_per_conn
         self.metrics_server = None
         if metrics_port is not None:
             from repro.obs.export import start_metrics_server
@@ -463,8 +529,14 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="lbl-mux"
         )
-        self._in_flight = 0
-        self._in_flight_lock = threading.Lock()
+        # Guards every counter below; notified as requests complete, for
+        # close()'s drain and for connections waiting out their replies.
+        self._window = threading.Condition()
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self.overloads_sent = 0
+        self.num_connections = 0
+        self.draining = False
         self._serve_thread: threading.Thread | None = None
         self._closed = False
 
@@ -480,10 +552,22 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             return None
         return self.metrics_server.server_address
 
-    @property
-    def in_flight(self) -> int:
-        """Multiplexed requests currently queued or executing."""
-        return self._in_flight
+    def connection_opened(self) -> None:
+        """Count one accepted connection in."""
+        with self._window:
+            self.num_connections += 1
+
+    def connection_closing(self, conn: _Handler) -> None:
+        """Hold ``conn``'s socket open until its admitted requests are
+        answered, then count it out.
+
+        The read loop ends when the peer stops *sending*; a half-closed peer
+        still reads and is owed its replies (to one that is gone they fail
+        at once).
+        """
+        with self._window:
+            self._window.wait_for(lambda: conn.in_flight == 0)
+            self.num_connections -= 1
 
     # ------------------------------------------------------------------ #
     # Dispatch (delegated to the shared frame dispatcher)
@@ -497,47 +581,95 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         """Route one decoded frame; returns the serialized reply."""
         return self.dispatcher.dispatch(payload)
 
-    def obs_dump(self) -> bytes:
-        """This process's telemetry as an obs-dump frame (see
-        :meth:`LblFrameDispatcher.obs_dump`)."""
-        return self.dispatcher.obs_dump()
-
     # ------------------------------------------------------------------ #
     # Multiplexed (pipelined) frames
     # ------------------------------------------------------------------ #
 
-    def submit_mux(self, sock, send_lock: threading.Lock, payload: bytes) -> None:
-        """Queue one mux frame for pool dispatch; replies carry its id."""
+    def submit_mux(self, conn: _Handler, payload: bytes) -> None:
+        """Admit one mux frame to the worker pool, or shed it.
+
+        Decided before the inner payload is parsed, so nothing about a shed
+        reply — bytes, timing, ordering — depends on the operation type.
+        """
         try:
             request_id, inner, trace_context = framing.unwrap_mux_traced(payload)
         except ProtocolError as exc:
             # No id to mirror: reply with a plain error frame so the client
             # at least sees a described failure.
-            try:
-                with send_lock:
-                    framing.send_frame(
-                        sock, bytes([ERROR_TAG]) + str(exc).encode("utf-8")
-                    )
-            except OSError:
-                pass
+            conn.send(bytes([ERROR_TAG]) + str(exc).encode("utf-8"))
             return
-        with self._in_flight_lock:
-            self._in_flight += 1
-            depth = self._in_flight
+        with self._window:
+            cause = (
+                "draining"
+                if self.draining
+                else "global-window"
+                if self.in_flight >= self.max_in_flight
+                else "per-conn-window"
+                if conn.in_flight >= self.max_in_flight_per_conn
+                else None
+            )
+            if cause is None:
+                conn.in_flight += 1
+                self.in_flight += 1
+                self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+            else:
+                self.overloads_sent += 1
+            depth, conn_depth = self.in_flight, conn.in_flight
         if _obs.enabled:
             REGISTRY.counter("transport.mux_frames_received").inc()
-            REGISTRY.gauge("transport.server.in_flight").set(depth)
             _ledger.count_wire(
                 _ledger.frame_type(payload), "received", 4 + len(payload), role="server"
             )
-        self._pool.submit(
-            self._handle_mux, sock, send_lock, request_id, inner, trace_context
-        )
+            # The limits ride along so a scraper (``repro top``'s OCC%) can
+            # divide occupancy by them from one snapshot.
+            REGISTRY.gauge("transport.server.max_in_flight").set(self.max_in_flight)
+            REGISTRY.gauge("transport.server.max_in_flight_per_conn").set(
+                self.max_in_flight_per_conn
+            )
+            self._gauge_window(
+                depth,
+                "full" if cause is None and depth == self.max_in_flight else None,
+            )
+        if cause is None:
+            self._pool.submit(
+                self._handle_mux, conn, request_id, inner, trace_context
+            )
+            return
+        reply = framing.wrap_mux(request_id, OVERLOAD_FRAME)
+        if _obs.enabled:
+            # The event carries window state, never request content (the
+            # inner payload is still unparsed), so shed GET and shed PUT
+            # events are shape-identical.
+            RECORDER.record_shed(
+                cause,
+                in_flight=depth,
+                conn_in_flight=conn_depth,
+                max_in_flight=self.max_in_flight,
+                max_per_conn=self.max_in_flight_per_conn,
+            )
+            REGISTRY.counter("transport.overload_frames_sent").inc()
+            _ledger.count_wire("overload", "sent", 4 + len(reply), role="server")
+        conn.send(reply)
+
+    def _gauge_window(self, depth: int, crossed: str | None) -> None:
+        """Publish window occupancy; record a full↔available transition.
+
+        The gauge says how full the window is now; the recorder events say
+        exactly when it saturated (an admission reached ``max_in_flight``:
+        ``crossed="full"``) and when it recovered (a completion left it:
+        ``"available"``).
+        """
+        REGISTRY.gauge("transport.server.in_flight").set(depth)
+        if crossed is not None:
+            RECORDER.record(
+                f"transport.window.{crossed}",
+                in_flight=depth,
+                max_in_flight=self.max_in_flight,
+            )
 
     def _handle_mux(
         self,
-        sock,
-        send_lock: threading.Lock,
+        conn: _Handler,
         request_id: int,
         inner: bytes,
         trace_context: bytes | None = None,
@@ -549,22 +681,22 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
                 reply = self.dispatcher.traced_dispatch(inner, trace_context)
             else:
                 reply = self.safe_dispatch(inner)
-            try:
-                wrapped = framing.wrap_mux(request_id, reply)
-                if _obs.enabled:
-                    _ledger.count_wire(
-                        _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"
-                    )
-                with send_lock:
-                    framing.send_frame(sock, wrapped)
-            except OSError:
-                pass  # client vanished mid-flight; nothing left to tell it
-        finally:
-            with self._in_flight_lock:
-                self._in_flight -= 1
-                depth = self._in_flight
+            wrapped = framing.wrap_mux(request_id, reply)
             if _obs.enabled:
-                REGISTRY.gauge("transport.server.in_flight").set(depth)
+                _ledger.count_wire(
+                    _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"
+                )
+            conn.send(wrapped)  # a vanished client has nothing left to hear
+        finally:
+            with self._window:
+                conn.in_flight -= 1
+                self.in_flight -= 1
+                depth = self.in_flight
+                self._window.notify_all()  # close() and closing connections
+            if _obs.enabled:
+                self._gauge_window(
+                    depth, "available" if depth == self.max_in_flight - 1 else None
+                )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -585,22 +717,32 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             self._serve_thread.start()
         return self._serve_thread
 
-    def close(self) -> None:
-        """Stop serving and release every resource (idempotent).
+    def close(self, drain_timeout: float = DRAIN_TIMEOUT_S) -> None:
+        """Graceful drain, then release every resource (idempotent).
 
-        Shuts the accept loop down, joins the serving thread started by
-        :meth:`serve_in_background`, and closes the listener, the mux
-        worker pool, and the scrape endpoint — the common lifecycle shared
-        with :class:`~repro.transport.async_server.AsyncLblServer`, so
-        ``with server:`` works identically over both transports.
+        Stops accepting and starts shedding new mux frames with OVERLOAD,
+        waits up to ``drain_timeout`` seconds for the admitted ones to be
+        answered, then closes the listener, the mux worker pool and the
+        scrape endpoint.  Connections stay open through the drain so the
+        replies have somewhere to go; their clients close them.
         """
         if self._closed:
             return
         self._closed = True
+        with self._window:
+            self.draining = True
         if self._serve_thread is not None:
             self.shutdown()
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
+        self.socket.close()  # refuse new connections at once, not after the wait
+        with self._window:
+            if not self._window.wait_for(
+                lambda: self.in_flight == 0, timeout=drain_timeout
+            ):
+                _log.warning(
+                    "drain timed out with %d requests in flight", self.in_flight
+                )
         self.server_close()
 
     def server_close(self) -> None:

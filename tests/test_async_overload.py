@@ -1,18 +1,18 @@
-"""Fault injection against the asyncio transport: misbehaving clients and
-the security contract of load shedding.
+"""Fault injection against the TCP server: misbehaving clients and the
+security contract of load shedding.
 
 The obliviousness claim extends to overload: a shed request's reply is a
 single constant tag byte, produced *before* the inner payload is parsed,
 so shedding a GET and shedding a PUT are byte-identical on the wire and in
 the ledger — an adversary timing or sizing OVERLOAD replies learns
 nothing about the operation type.  The rest of the file throws broken
-clients at the loop (stalled readers, half-closes, mid-request
-disconnects) and requires the server to keep serving everyone else.
+clients at the server (stalled readers, half-closes, mid-request
+disconnects) and requires it to keep serving everyone else.
 """
 
-import asyncio
 import random
 import socket
+import struct
 import time
 
 import pytest
@@ -23,22 +23,22 @@ from repro.crypto.keys import KeyChain
 from repro.errors import OverloadError
 from repro.obs import ledger
 from repro.transport import framing
-from repro.transport.async_client import SyncAsyncLblClient
-from repro.transport.async_server import AsyncLblServer
+from repro.transport import server as server_module
 from repro.transport.framing import _LEN
+from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import (
+    LOAD_ACK,
     OBS_DUMP_TAG,
-    OBS_PULL_TAG,
     OVERLOAD_FRAME,
     OVERLOAD_TAG,
     pack_load,
 )
 from repro.types import Request, StoreConfig
+from tests.test_async_transport import PING, serving
 
 pytestmark = pytest.mark.timeout(120)
 
 CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-PING = bytes([OBS_PULL_TAG])
 
 
 def make_proxy(seed: int = 1) -> LblProxy:
@@ -47,11 +47,17 @@ def make_proxy(seed: int = 1) -> LblProxy:
     )
 
 
-def occupy_window(address, delay_margin: int = 1) -> socket.socket:
+def occupy_window(server, delay_margin: int = 1) -> socket.socket:
     """Open a raw connection and park requests in the server's window."""
-    sock = socket.create_connection(address, timeout=30)
+    sock = socket.create_connection(server.address, timeout=30)
     for request_id in range(delay_margin):
         framing.send_frame(sock, framing.wrap_mux(1000 + request_id, PING))
+    # Each connection has its own thread: later connections' frames are
+    # only sure to find the window taken once these are admitted.
+    deadline = time.time() + 5.0
+    while server.in_flight < delay_margin and time.time() < deadline:
+        time.sleep(0.005)
+    assert server.in_flight >= delay_margin
     return sock
 
 
@@ -67,12 +73,12 @@ def test_overload_frame_identical_for_get_and_put():
     form of the no-leak claim for the load-shedding path.
     """
     proxy = make_proxy()
-    with AsyncLblServer(max_in_flight=1, response_delay_s=1.0) as server:
+    with serving(max_in_flight=1, response_delay_s=1.0) as server:
         proxy.initial_records({"k": bytes(16)})  # register the key
         get_request, _ = proxy.prepare(Request.read("k"))
         put_request, _ = proxy.prepare(Request.write("k", b"\x07" * 16))
 
-        blocker = occupy_window(server.address)
+        blocker = occupy_window(server)
         try:
             raw_replies = []
             for payload in (get_request.to_bytes(), put_request.to_bytes()):
@@ -111,13 +117,13 @@ def test_shed_path_ledger_rows_identical_for_get_and_put():
 
     snapshots = []
     for payload in (get_request.to_bytes(), put_request.to_bytes()):
-        with AsyncLblServer(max_in_flight=1, response_delay_s=1.0) as server:
-            blocker = occupy_window(server.address)
+        with serving(max_in_flight=1, response_delay_s=1.0) as server:
+            blocker = occupy_window(server)
             try:
                 obs.reset()
                 obs.enable()
                 try:
-                    with SyncAsyncLblClient(server.address) as client:
+                    with PipelinedLblClient(server.address) as client:
                         with pytest.raises(OverloadError):
                             client.submit(payload).result(30)
                     snapshot = ledger.registry_wire_snapshot()
@@ -142,25 +148,25 @@ def test_shed_path_ledger_rows_identical_for_get_and_put():
 
 
 # --------------------------------------------------------------------- #
-# Misbehaving clients must not wedge the loop
+# Misbehaving clients must not wedge the server
 # --------------------------------------------------------------------- #
 
 
 @pytest.fixture()
 def server():
-    with AsyncLblServer(point_and_permute=True) as srv:
+    with serving() as srv:
         yield srv
 
 
 def assert_server_alive(server) -> None:
     """A well-behaved request on a fresh connection completes promptly."""
-    with SyncAsyncLblClient(server.address) as probe:
+    with PipelinedLblClient(server.address) as probe:
         assert probe.submit(PING).result(30)[:1] == bytes([OBS_DUMP_TAG])
 
 
 def test_mid_request_disconnect_does_not_leak_window_slots():
     """A client that vanishes with requests in flight frees its slots."""
-    with AsyncLblServer(max_in_flight=4, response_delay_s=0.3) as server:
+    with serving(max_in_flight=4, response_delay_s=0.3) as server:
         sock = socket.create_connection(server.address, timeout=30)
         for request_id in range(4):  # fill the whole global window
             framing.send_frame(sock, framing.wrap_mux(request_id, PING))
@@ -202,24 +208,33 @@ def test_client_closing_mid_frame_is_harmless(server):
     assert_server_alive(server)
 
 
-def test_stalled_reader_is_aborted_not_waited_on():
-    """A peer that stops reading cannot hold the loop or its slots.
+def test_stalled_reader_is_aborted_not_waited_on(monkeypatch):
+    """A peer that stops reading cannot hold mux workers or its slots.
 
-    A tiny write buffer plus a short write timeout: replies to the stalled
-    connection jam its send buffer, the drain times out, the server aborts
-    that one connection — and keeps serving others throughout.
+    A short send timeout: replies to the stalled connection jam its socket
+    buffers, the write times out, the server drops that one connection —
+    and serves others before and after.
     """
-    with AsyncLblServer(
-        write_timeout_s=0.5,
-        write_buffer_bytes=2048,
-    ) as server:
-        stalled = socket.create_connection(server.address, timeout=30)
+    monkeypatch.setattr(server_module, "SEND_TIMEOUT_S", 0.5)
+    with serving() as server:
+        stalled = socket.socket()
         stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
-        # Never read a byte; obs dumps (a few KB each) jam the buffer.
-        for request_id in range(64):
-            framing.send_frame(stalled, framing.wrap_mux(request_id, PING))
+        stalled.connect(server.address)
+        stalled.settimeout(0.5)
+        # Never read a byte.  Keep requesting until our own writes stall:
+        # by then the server's reply writes have jammed and its read loop
+        # sits behind them.
+        frames = (framing.wrap_mux(i, PING) for i in range(500))
+        burst = b"".join(_LEN.pack(len(frame)) + frame for frame in frames)
+        deadline = time.time() + 30.0
+        try:
+            while time.time() < deadline:
+                stalled.sendall(burst)
+        except OSError:
+            pass
+        assert time.time() < deadline, "the server kept reading a stalled peer"
 
-        # While the stalled connection is wedged, others are served fine.
+        # While the stalled connection is wedged, others are served.
         assert_server_alive(server)
 
         deadline = time.time() + 15.0
@@ -254,14 +269,12 @@ def test_many_faulty_clients_do_not_starve_good_ones(server):
         sock.sendall(_LEN.pack(100))  # promise a frame, never deliver
         faulty.append(sock)
     try:
-        with SyncAsyncLblClient(server.address, pool_size=2) as client:
+        with PipelinedLblClient(server.address, pool_size=2) as client:
             records = {f"good-{i}": bytes(16) for i in range(16)}
             pending = [
                 client.submit(pack_load(ek, labels))
                 for ek, labels in proxy.initial_records(records)
             ]
-            from repro.transport.server import LOAD_ACK
-
             assert all(f.result(30) == LOAD_ACK for f in pending)
     finally:
         for sock in faulty:
@@ -269,34 +282,21 @@ def test_many_faulty_clients_do_not_starve_good_ones(server):
 
 
 def test_abrupt_reset_storm(server):
-    """Connections RST-ing at random points must never take the loop down."""
-
-    async def chaos(index: int):
-        host, port = server.address
-        reader, writer = await asyncio.open_connection(host, port)
+    """Connections RST-ing at random points must never take the server down."""
+    for index in range(60):
+        sock = socket.create_connection(server.address, timeout=30)
         try:
             frame = framing.wrap_mux(index, PING)
             blob = _LEN.pack(len(frame)) + frame
             cut = index % (len(blob) + 1)
-            writer.write(blob[:cut])
-            await writer.drain()
+            sock.sendall(blob[:cut])
             if cut == len(blob) and index % 3 == 0:
-                await reader.readexactly(_LEN.size)  # then vanish mid-reply
+                framing.recv_exact(sock, _LEN.size)  # then vanish mid-reply
         finally:
-            sock = writer.get_extra_info("socket")
-            if sock is not None and index % 2 == 0:
+            if index % 2 == 0:
                 # Hard RST instead of FIN for half the storm.
                 sock.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    __import__("struct").pack("ii", 1, 0),
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
                 )
-            writer.close()
-
-    async def storm():
-        await asyncio.gather(
-            *(chaos(i) for i in range(60)), return_exceptions=True
-        )
-
-    asyncio.run(storm())
+            sock.close()
     assert_server_alive(server)

@@ -1,49 +1,31 @@
-"""The asyncio transport's scale contract: C1K, windows, graceful drain.
+"""The server's bounds: in-flight windows, admission control, graceful drain.
 
-Three claims from ROADMAP item 1, each load-bearing for the
-millions-of-users front door:
-
-* One event loop really holds 1000+ concurrent connections and completes
-  real GET/PUT accesses on all of them (the threaded server would need a
-  thousand stacks for this).
 * The in-flight windows are *bounds*, not suggestions: the server never
   holds more than ``max_in_flight`` admitted requests no matter how many
   are thrown at it, and excess is shed with OVERLOAD — never queued.
 * ``close()`` drains gracefully: admitted requests finish, later ones are
-  shed, and the loop thread actually exits.
+  shed, and every admitted request is answered before the pool shuts.
 """
 
-import asyncio
-import random
+import socket
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.core.lbl.proxy import LblProxy
-from repro.core.messages import LblAccessResponse
-from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, OverloadError
 from repro.transport import framing
-from repro.transport.async_client import (
-    AsyncPipelinedLblClient,
-    SyncAsyncLblClient,
-    make_pipelined_client,
-)
-from repro.transport.async_server import AsyncLblServer
-from repro.transport.framing import _LEN
+from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import (
-    LOAD_ACK,
     OBS_DUMP_TAG,
     OBS_PULL_TAG,
     OVERLOAD_FRAME,
-    pack_load,
+    LblTcpServer,
 )
-from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(120)
-
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
 
 #: Idempotent control frame: repeatable at will (a LOAD of the same key
 #: would be rejected as a duplicate), dispatched through the same mux
@@ -55,176 +37,45 @@ def is_pong(reply: bytes) -> bool:
     return reply[:1] == bytes([OBS_DUMP_TAG])
 
 
-def make_proxy(seed: int = 1) -> LblProxy:
-    return LblProxy(
-        CONFIG, KeyChain(label_bits=CONFIG.label_bits), rng=random.Random(seed)
-    )
-
-
-@pytest.fixture()
-def server():
-    with AsyncLblServer(point_and_permute=True) as srv:
-        yield srv
-
-
-def load_keys(client, proxy, records: dict, window: int = 64) -> None:
-    """Load records with a bounded client-side window.
-
-    An unbounded blast of loads would (correctly!) trip the server's
-    admission control; a real loader respects the window.
-    """
-    pending = []
-    for encoded_key, labels in proxy.initial_records(records):
-        if len(pending) >= window:
-            assert pending.pop(0).result(30) == LOAD_ACK
-        pending.append(client.submit(pack_load(encoded_key, labels)))
-    for future in pending:
-        assert future.result(30) == LOAD_ACK
-
-
-# --------------------------------------------------------------------- #
-# Construction and lifecycle basics
-# --------------------------------------------------------------------- #
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        AsyncLblServer(max_in_flight=0)
-    with pytest.raises(ConfigurationError):
-        AsyncLblServer(max_in_flight_per_conn=0)
-    with pytest.raises(ConfigurationError):
-        AsyncLblServer(response_delay_s=-1)
-    with pytest.raises(ConfigurationError):
-        AsyncLblServer(write_timeout_s=0)
-    with pytest.raises(ConfigurationError):
-        make_pipelined_client(("127.0.0.1", 1), transport="carrier-pigeon")
-
-
-def test_address_requires_start():
-    server = AsyncLblServer()
-    with pytest.raises(ConfigurationError):
-        _ = server.address
-    server.start()
+@contextmanager
+def serving(**kwargs):
+    """A started :class:`LblTcpServer`, drained and closed on exit."""
+    server = LblTcpServer(**kwargs)
+    server.serve_in_background()
     try:
-        host, _port = server.address
-        assert host == "127.0.0.1"
+        yield server
     finally:
         server.close()
 
 
-def test_close_is_idempotent_and_start_after_close_rejected():
-    server = AsyncLblServer()
-    server.start()
-    server.close()
-    server.close()  # second close is a no-op
+def wait_idle(server) -> None:
+    """Wait out the moment between a reply being written and its window
+    slot being returned (the slot covers the write)."""
+    deadline = time.time() + 5.0
+    while server.in_flight and time.time() < deadline:
+        time.sleep(0.005)
+    assert server.in_flight == 0
+
+
+def test_config_validation():
     with pytest.raises(ConfigurationError):
-        server.start()
+        LblTcpServer(max_in_flight=0)
+    with pytest.raises(ConfigurationError):
+        LblTcpServer(max_in_flight_per_conn=0)
+    with pytest.raises(ConfigurationError):
+        LblTcpServer(response_delay_s=-1)
 
 
 def test_close_without_start_is_safe():
-    AsyncLblServer().close()
+    LblTcpServer().close()
 
 
 def test_sync_client_rejects_dead_server():
-    server = AsyncLblServer()
-    server.start()
+    server = LblTcpServer()
     address = server.address
     server.close()
-    with pytest.raises(Exception):
-        SyncAsyncLblClient(address, timeout=2.0)
-
-
-# --------------------------------------------------------------------- #
-# C1K: 1000 concurrent connections complete real GET/PUT accesses
-# --------------------------------------------------------------------- #
-
-
-def test_c1k_connections_complete_get_and_put(server):
-    """1000 connections on one event loop, each completing a real access.
-
-    Every connection carries its own key, half GETs and half PUTs, all in
-    flight simultaneously; every reply must decode and finalize under the
-    proxy, proving replies were paired with their own requests across a
-    thousand interleaved connections.
-    """
-    num_conns = 1000
-    proxy = make_proxy()
-    keys = [f"c1k-{i}" for i in range(num_conns)]
-
-    # Load via one pipelined client, then prepare all requests up front so
-    # the storm measures the transport, not proxy-side crypto.
-    with SyncAsyncLblClient(server.address, pool_size=4) as loader:
-        load_keys(loader, proxy, {key: bytes(16) for key in keys})
-    prepared = []
-    rng = random.Random(9)
-    for key in keys:
-        if rng.random() < 0.5:
-            request = Request.read(key)
-        else:
-            request = Request.write(key, bytes([rng.randrange(1, 255)]) * 16)
-        lbl_request, _ops = proxy.prepare(request)
-        prepared.append((key, lbl_request.to_bytes()))
-
-    host, port = server.address
-
-    async def one_conn(key: str, payload: bytes, barrier: asyncio.Barrier):
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await barrier.wait()  # all 1000 sockets open before any sends
-            wrapped = framing.wrap_mux(1, payload)
-            writer.write(_LEN.pack(len(wrapped)) + wrapped)
-            await writer.drain()
-            header = await reader.readexactly(_LEN.size)
-            (length,) = _LEN.unpack(header)
-            reply = await reader.readexactly(length)
-            _rid, inner = framing.unwrap_mux(reply)
-            return key, inner
-        finally:
-            writer.close()
-
-    async def storm():
-        barrier = asyncio.Barrier(len(prepared))
-        return await asyncio.gather(
-            *(one_conn(key, payload, barrier) for key, payload in prepared)
-        )
-
-    replies = asyncio.run(storm())
-    assert len(replies) == num_conns
-    for key, inner in replies:
-        response = LblAccessResponse.from_bytes(inner)
-        proxy.finalize(key, response)  # raises if replies were mispaired
-    assert server.in_flight == 0
-    # The clients have closed; the server loop reaps their connections as it
-    # reads each EOF, which 1,000 of them do not all reach at once.
-    deadline = time.time() + 10.0
-    while server.num_connections > 0 and time.time() < deadline:
-        time.sleep(0.01)
-    assert server.num_connections == 0
-
-
-def test_async_client_multiplexes_many_in_flight(server):
-    """The pure-async client keeps a deep window on few sockets."""
-    proxy = make_proxy()
-    records = {f"mux-{i}": bytes(16) for i in range(48)}
-
-    async def run():
-        async with AsyncPipelinedLblClient(server.address, pool_size=2) as client:
-            loads = [
-                client.submit(pack_load(ek, labels))
-                for ek, labels in proxy.initial_records(records)
-            ]
-            assert all(r == LOAD_ACK for r in await asyncio.gather(*loads))
-            futures = []
-            for key in records:
-                request, _ops = proxy.prepare(Request.read(key))
-                futures.append(client.submit(request.to_bytes()))
-            assert client.in_flight <= len(records)
-            return await asyncio.gather(*futures)
-
-    replies = asyncio.run(run())
-    for key, reply in zip(records, replies):
-        value, _ops = proxy.finalize(key, LblAccessResponse.from_bytes(reply))
-        assert value == records[key]
+    with pytest.raises(OSError):
+        PipelinedLblClient(address, timeout=2.0)
 
 
 # --------------------------------------------------------------------- #
@@ -234,10 +85,10 @@ def test_async_client_multiplexes_many_in_flight(server):
 
 def test_global_in_flight_window_enforced():
     """More submissions than the window: excess shed, bound never exceeded."""
-    with AsyncLblServer(
+    with serving(
         max_in_flight=4, max_in_flight_per_conn=64, response_delay_s=0.15
     ) as server:
-        with SyncAsyncLblClient(server.address) as client:
+        with PipelinedLblClient(server.address) as client:
             futures = [client.submit(PING) for _ in range(16)]
             outcomes = {"served": 0, "shed": 0}
             for future in futures:
@@ -256,11 +107,11 @@ def test_global_in_flight_window_enforced():
 
 def test_per_connection_window_isolates_greedy_client():
     """One connection's burst cannot eat the whole global window."""
-    with AsyncLblServer(
+    with serving(
         max_in_flight=64, max_in_flight_per_conn=2, response_delay_s=0.15
     ) as server:
-        with SyncAsyncLblClient(server.address, pool_size=1) as greedy:
-            with SyncAsyncLblClient(server.address, pool_size=1) as polite:
+        with PipelinedLblClient(server.address, pool_size=1) as greedy:
+            with PipelinedLblClient(server.address, pool_size=1) as polite:
                 greedy_futures = [greedy.submit(PING) for _ in range(10)]
                 time.sleep(0.02)  # let the burst reach the server first
                 polite_future = polite.submit(PING)
@@ -276,6 +127,43 @@ def test_per_connection_window_isolates_greedy_client():
                 assert shed >= 6  # 10 submitted, window of 2
 
 
+def test_window_bound_holds_under_64_thread_flood():
+    """Many more submitters than cores racing one small window: admission
+    is check-then-act on shared counters, and a lost update would show as
+    a peak over the bound, a slot never returned, or a shed uncounted."""
+    outcomes: list[str] = []  # list.append is atomic
+
+    def flood(address) -> None:
+        with PipelinedLblClient(address) as client:
+            for _ in range(20):
+                try:
+                    assert is_pong(client.request(PING))
+                    outcomes.append("served")
+                except OverloadError:
+                    outcomes.append("shed")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(max_in_flight=8, max_in_flight_per_conn=8) as server:
+            threads = [
+                threading.Thread(target=flood, args=(server.address,))
+                for _ in range(64)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(outcomes) == 64 * 20  # every request answered
+            assert outcomes.count("served") > 0
+            assert server.peak_in_flight <= 8
+            assert server.overloads_sent == outcomes.count("shed")
+            wait_idle(server)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # --------------------------------------------------------------------- #
 # Graceful drain
 # --------------------------------------------------------------------- #
@@ -283,13 +171,13 @@ def test_per_connection_window_isolates_greedy_client():
 
 def test_graceful_drain_finishes_in_flight_and_sheds_new():
     """close(): admitted requests complete; requests after drain get
-    OVERLOAD; the loop thread exits."""
+    OVERLOAD; close() returns."""
     # The delay must comfortably outlast drain-start latency on a loaded
     # single-core machine: the late submit has to land while the admitted
     # requests are still holding the drain open.
-    server = AsyncLblServer(response_delay_s=1.0, max_in_flight=16)
-    server.start()
-    client = SyncAsyncLblClient(server.address)
+    server = LblTcpServer(response_delay_s=1.0, max_in_flight=16)
+    server.serve_in_background()
+    client = PipelinedLblClient(server.address)
     try:
         in_flight = [client.submit(PING) for _ in range(3)]
         deadline = time.time() + 5.0
@@ -321,15 +209,13 @@ def test_drain_shed_is_overload_frame_not_error():
     window path — a drain must not leak anything either."""
     # Wide delay for the same reason as the drain test above: frame 6 must
     # arrive while frame 5 still holds the drain open.
-    server = AsyncLblServer(response_delay_s=1.0)
-    server.start()
-    import socket as socket_mod
-
-    sock = socket_mod.create_connection(server.address, timeout=10)
+    server = LblTcpServer(response_delay_s=1.0)
+    server.serve_in_background()
+    sock = socket.create_connection(server.address, timeout=10)
     try:
         framing.send_frame(sock, framing.wrap_mux(5, PING))  # occupy
         # Wait until frame 5 is actually admitted: if the drain starts
-        # before the loop accepts this connection, the listener closes
+        # before the server accepts this connection, the listener closes
         # with the connection still in the accept queue and no reply can
         # ever arrive.
         deadline = time.time() + 5.0

@@ -44,7 +44,6 @@ from repro.errors import (
 )
 from repro.obs.audit import LeakyLblOrtoa, run_audit
 from repro.transport import LblTcpServer, RemoteLblOrtoa
-from repro.transport.async_server import AsyncLblServer
 from repro.transport.cluster import ShardCluster
 from repro.transport.server import LOAD_ACK, pack_load
 from repro.types import Request, StoreConfig
@@ -230,17 +229,11 @@ def captured():
     obs.reset()
 
 
-@pytest.mark.parametrize("server_class", [LblTcpServer, AsyncLblServer])
-def test_mixed_batch_frame_through_the_dispatcher(server_class, captured, monkeypatch):
-    """Repeated key + corrupt entry + unknown key in one batch frame.
-
-    The threaded server's dispatcher holds the batch's stripes, the async
-    server's holds none; both must produce the same entries, counters and
-    store state.
-    """
+def test_mixed_batch_frame_through_the_dispatcher(captured, monkeypatch):
+    """Repeated key + corrupt entry + unknown key in one batch frame."""
     values = {f"k{i}": bytes([i]) * 16 for i in range(1, 6)}
     local = LblOrtoa(CONFIG, rng=random.Random(2))
-    server = server_class(point_and_permute=True)  # never started: no traffic
+    server = LblTcpServer(point_and_permute=True)  # never started: no traffic
     try:
         dispatcher = server.dispatcher
         for encoded_key, labels in local.proxy.initial_records(values):

@@ -43,7 +43,6 @@ def _signal(**overrides) -> dict:
         "ops_per_s": 100.0,
         "shed_per_s": 0.0,
         "in_flight_occupancy": 0.1,
-        "loop_lag_ms": 0.5,
         "prepare_p99_ms": 1.0,
         "service_p99_ms": 5.0,
         "p99_ms": 7.0,
@@ -58,10 +57,10 @@ def _signal(**overrides) -> dict:
 
 
 def test_dispatch_bound_scenario_names_dispatch():
-    """A full in-flight window plus event-loop lag, with the crypto side
-    idle, must be attributed to dispatch."""
+    """A full in-flight window, with the crypto side idle, must be
+    attributed to dispatch."""
     diagnosis = diagnose(
-        [_signal(shed_per_s=5.0, in_flight_occupancy=0.95, loop_lag_ms=40.0)]
+        [_signal(shed_per_s=5.0, in_flight_occupancy=0.95)]
     )
     assert diagnosis["bottleneck"] == "dispatch"
     assert diagnosis["shedding"] is True
@@ -139,7 +138,7 @@ def test_shedding_forces_attribution_even_below_score_floor():
     """Shedding proves overload; doctor must name the strongest cause even
     when no individual score clears the floor."""
     diagnosis = diagnose(
-        [_signal(shed_per_s=2.0, in_flight_occupancy=0.3, loop_lag_ms=1.0)]
+        [_signal(shed_per_s=2.0, in_flight_occupancy=0.3)]
     )
     assert diagnosis["shedding"] is True
     assert diagnosis["bottleneck"] != "healthy"
@@ -154,7 +153,7 @@ def test_all_targets_down_is_unreachable():
 def test_down_target_excluded_from_scores_but_listed():
     diagnosis = diagnose(
         [
-            _signal(in_flight_occupancy=0.95, loop_lag_ms=40.0),
+            _signal(in_flight_occupancy=0.95),
             {"target": "shard-1", "up": False},
         ]
     )
@@ -178,7 +177,7 @@ def test_predicted_capacity_comes_from_cost_model_baseline():
 
 def test_render_doctor_reports_verdict_scores_and_capacity():
     diagnosis = diagnose(
-        [_signal(shed_per_s=5.0, in_flight_occupancy=0.95, loop_lag_ms=40.0)],
+        [_signal(shed_per_s=5.0, in_flight_occupancy=0.95)],
         predicted_ops_per_shard=1000.0,
     )
     report = render_doctor(diagnosis)

@@ -53,28 +53,6 @@ def pipelined_deployment():
 
 
 @pytest.fixture(scope="module")
-def async_deployment():
-    """The same pipelined topology, but over the asyncio transport.
-
-    Attribution here crosses one extra boundary: the caller's contextvars
-    are invisible on the client's event-loop thread, so the trace context
-    must ride the submit call and the server's per-task rows must land
-    back on the right request.
-    """
-    with ShardCluster(2, in_process=True, transport="async") as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG,
-            cluster.addresses,
-            rng=random.Random(17),
-            pipeline_depth=4,
-            transport="async",
-        )
-        deployment.initialize({key: b"\x03" * 8 for key in KEYS})
-        yield deployment
-        deployment.close()
-
-
-@pytest.fixture(scope="module")
 def batch_deployment():
     with ShardCluster(2, in_process=True) as cluster:
         deployment = ShardedLblDeployment(
@@ -142,34 +120,6 @@ def _assert_rows_sum_to_registry(rows, frame):
 @given(workload=WORKLOADS)
 def test_pipelined_rows_never_cross_attribute(pipelined_deployment, workload):
     deployment = pipelined_deployment
-    obs.reset()
-    obs.enable()
-    try:
-        requests = _requests(workload)
-        epochs = _expected_epochs(deployment, requests)
-        deployment.access_pipelined(requests, depth=4)
-    finally:
-        obs.disable()
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("pipelined:")
-    ]
-    assert len(rows) == len(requests)
-    _assert_rows_match_model(rows, requests, epochs, wire_frame="access")
-    _assert_rows_sum_to_registry(rows, frame="access")
-
-
-@SETTINGS
-@given(workload=WORKLOADS)
-def test_async_transport_rows_never_cross_attribute(async_deployment, workload):
-    """The cost-model == ledger equality holds exactly over the async path.
-
-    Same property as the threaded pipelined test, but every wire byte now
-    flows through ``SyncAsyncLblClient`` → event loop → ``AsyncLblServer``
-    tasks; a dropped or mis-copied contextvar anywhere along that chain
-    would break the per-row equality or the registry sum."""
-    deployment = async_deployment
     obs.reset()
     obs.enable()
     try:

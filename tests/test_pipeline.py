@@ -10,6 +10,7 @@ from repro.core.messages import LblAccessResponse
 from repro.core.lbl.proxy import LblProxy
 from repro.crypto.keys import KeyChain
 from repro.errors import ProtocolError
+from repro.transport import framing
 from repro.transport.framing import (
     MAX_REQUEST_ID,
     is_mux,
@@ -18,8 +19,14 @@ from repro.transport.framing import (
     unwrap_mux,
     wrap_mux,
 )
-from repro.transport.pipeline import PipelinedLblClient
-from repro.transport.server import LOAD_ACK, LblTcpServer, pack_load
+from repro.transport.pipeline import MAX_IN_FLIGHT_PER_CONNECTION, PipelinedLblClient
+from repro.transport.server import (
+    LOAD_ACK,
+    OBS_DUMP_TAG,
+    OBS_PULL_TAG,
+    LblTcpServer,
+    pack_load,
+)
 from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
@@ -144,6 +151,35 @@ def test_server_error_fails_only_that_future(server):
         # left proxy (counter 1) and server (epoch 1) in agreement.
         request, _ = proxy.prepare(Request.read("good"))
         assert client.submit(request.to_bytes()).result(10)
+
+
+def test_oversize_submit_leaves_no_pending_future(server, monkeypatch):
+    """A payload the framing refuses is not owed a reply: nothing stays
+    registered, and the connection serves the next request."""
+    proxy = make_proxy()
+    with PipelinedLblClient(server.address) as client:
+        load_keys(client, proxy, {"k": b"\x07" * 16})
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 64)
+        with pytest.raises(ProtocolError, match="exceeds the maximum"):
+            client.submit(b"\x20" + bytes(100))
+        assert client.in_flight == 0
+        monkeypatch.undo()
+        request, _ = proxy.prepare(Request.read("k"))
+        client.request(request.to_bytes(), timeout=10)
+        assert client.in_flight == 0
+
+
+def test_unbounded_burst_stays_inside_the_per_connection_window(server):
+    """A caller that pipelines everything (a bulk load does) is held at the
+    client's own bound, so its burst is never shed by the server."""
+    server.response_delay_s = 0.001  # replies slower than submissions
+    with PipelinedLblClient(server.address) as client:
+        futures = [client.submit(bytes([OBS_PULL_TAG])) for _ in range(400)]
+        assert all(f.result(30)[:1] == bytes([OBS_DUMP_TAG]) for f in futures)
+    assert server.overloads_sent == 0
+    # The server returns a slot just after writing the reply, so its count
+    # runs a few (at most its eight workers) above the client's.
+    assert server.peak_in_flight <= MAX_IN_FLIGHT_PER_CONNECTION + 8
 
 
 def test_submit_after_close_raises(server):

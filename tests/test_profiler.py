@@ -4,7 +4,7 @@ The profiler is attach-only (never rides the global obs flag), so the
 tests cover the explicit lifecycle: attach/detach singleton semantics,
 sample correctness on a thread parked in a known function, collapsed and
 Perfetto export validity, and the 0x62/0x63 control-frame round trip
-against both transports.
+against a live server.
 """
 
 import json
@@ -17,15 +17,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import profiler
 from repro.obs.profiler import SamplingProfiler
-from repro.transport.async_client import SyncAsyncLblClient
-from repro.transport.async_server import AsyncLblServer
+from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import (
-    LblTcpServer,
     OBS_PROFILE_DUMP_TAG,
     OBS_PROFILE_START_TAG,
     OBS_PROFILE_STOP_TAG,
 )
-from repro.transport.pipeline import PipelinedLblClient
+from tests.test_async_transport import serving
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -181,37 +179,25 @@ def _profile_round_trip(client) -> dict:
     return stopped["profile"]
 
 
-def test_profile_control_frames_over_async_transport():
-    with AsyncLblServer(point_and_permute=True) as server:
-        with SyncAsyncLblClient(server.address) as client:
+def test_profile_control_frames_over_thread_transport():
+    with serving() as server:
+        with PipelinedLblClient(server.address) as client:
             profile = _profile_round_trip(client)
     assert profile["samples"] > 0
     assert profile["interval_s"] == 0.002
-    assert "asyncio" in profile["collapsed"] or "selectors" in profile["collapsed"]
-
-
-def test_profile_control_frames_over_thread_transport():
-    server = LblTcpServer(point_and_permute=True)
-    server.serve_in_background()
-    try:
-        with PipelinedLblClient(server.address) as client:
-            profile = _profile_round_trip(client)
-    finally:
-        server.close()
-    assert profile["samples"] > 0
 
 
 def test_profile_stop_without_start_reports_no_profile():
-    with AsyncLblServer(point_and_permute=True) as server:
-        with SyncAsyncLblClient(server.address) as client:
+    with serving() as server:
+        with PipelinedLblClient(server.address) as client:
             reply = client.submit(bytes([OBS_PROFILE_STOP_TAG])).result(30)
     body = json.loads(reply[1:].decode("utf-8"))
     assert body == {"running": False, "profile": None}
 
 
 def test_profile_start_defaults_interval_without_operand():
-    with AsyncLblServer(point_and_permute=True) as server:
-        with SyncAsyncLblClient(server.address) as client:
+    with serving() as server:
+        with PipelinedLblClient(server.address) as client:
             reply = client.submit(bytes([OBS_PROFILE_START_TAG])).result(30)
             body = json.loads(reply[1:].decode("utf-8"))
             client.submit(bytes([OBS_PROFILE_STOP_TAG])).result(30)

@@ -197,6 +197,20 @@ def _assert_servers_descend_from_accesses(spans, expected):
     assert orphan_spans(spans) == []
 
 
+def test_obs_pull_round_trip_carries_full_bundle():
+    """0x60 over the wire answers 0x61 with every obs section."""
+    obs.enable()
+    with ShardCluster(1, in_process=True) as cluster:
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
+        try:
+            (bundle,) = deployment.collect_remote_obs()
+        finally:
+            deployment.close()
+    assert set(bundle) >= {"spans", "metrics", "recorder", "exemplars"}
+    assert bundle["recorder"]["capacity"] > 0
+    assert "exemplars" in bundle["exemplars"]
+
+
 def test_inprocess_sharded_trace_links_server_to_client():
     with ShardCluster(2, point_and_permute=True, in_process=True) as cluster:
         deployment = ShardedLblDeployment(

@@ -2,7 +2,7 @@
 
 The acceptance criteria exercised here:
 
-* an overload burst against :class:`AsyncLblServer` produces a
+* an overload burst against :class:`LblTcpServer` produces a
   flight-recorder dump that names the shed cause and the window occupancy
   at shed time;
 * GET and PUT emit shape-identical recorder events (the shed path records
@@ -24,8 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.lbl.proxy import LblProxy
-from repro.crypto.keys import KeyChain
 from repro.obs.clock import FakeClock, use_clock
 from repro.obs.recorder import (
     OVERLOAD_BURST_THRESHOLD,
@@ -34,14 +32,11 @@ from repro.obs.recorder import (
     merge_recorder_dumps,
 )
 from repro.transport import framing
-from repro.transport.async_server import AsyncLblServer
-from repro.transport.server import OBS_PULL_TAG
-from repro.types import Request, StoreConfig
+from repro.types import Request
+from tests.test_async_overload import CONFIG, make_proxy, occupy_window
+from tests.test_async_transport import serving
 
 pytestmark = pytest.mark.timeout(120)
-
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-PING = bytes([OBS_PULL_TAG])
 
 
 @pytest.fixture(autouse=True)
@@ -51,20 +46,6 @@ def _clean_obs():
     yield
     obs.disable()
     obs.reset()
-
-
-def make_proxy(seed: int = 1) -> LblProxy:
-    return LblProxy(
-        CONFIG, KeyChain(label_bits=CONFIG.label_bits), rng=random.Random(seed)
-    )
-
-
-def occupy_window(address, delay_margin: int = 1) -> socket.socket:
-    """Open a raw connection and park requests in the server's window."""
-    sock = socket.create_connection(address, timeout=30)
-    for request_id in range(delay_margin):
-        framing.send_frame(sock, framing.wrap_mux(1000 + request_id, PING))
-    return sock
 
 
 # --------------------------------------------------------------------- #
@@ -236,8 +217,8 @@ def test_shed_path_records_nothing_when_obs_disabled():
     proxy = make_proxy()
     proxy.initial_records({"k": bytes(16)})
     request, _ = proxy.prepare(Request.read("k"))
-    with AsyncLblServer(max_in_flight=1, response_delay_s=1.0) as server:
-        blocker = occupy_window(server.address)
+    with serving(max_in_flight=1, response_delay_s=1.0) as server:
+        blocker = occupy_window(server)
         try:
             sock = socket.create_connection(server.address, timeout=30)
             try:
@@ -269,8 +250,7 @@ def _shed_once(address, payload: bytes, request_id: int) -> bytes:
 def test_overload_burst_produces_dump_with_cause_and_occupancy(
     tmp_path, monkeypatch
 ):
-    """The tentpole acceptance criterion: an overload burst against the
-    async server leaves a post-mortem dump whose shed events carry the
+    """An overload burst against the server leaves a post-mortem dump whose shed events carry the
     cause and the window occupancy at shed time."""
     monkeypatch.setenv("REPRO_RECORDER_DIR", str(tmp_path))
     proxy = make_proxy()
@@ -279,8 +259,8 @@ def test_overload_burst_produces_dump_with_cause_and_occupancy(
     payload = request.to_bytes()
 
     obs.enable()
-    with AsyncLblServer(max_in_flight=1, response_delay_s=2.0) as server:
-        blocker = occupy_window(server.address)
+    with serving(max_in_flight=1, response_delay_s=2.0) as server:
+        blocker = occupy_window(server)
         try:
             for i in range(OVERLOAD_BURST_THRESHOLD + 4):
                 _shed_once(server.address, payload, 100 + i)
@@ -310,8 +290,8 @@ def test_overload_burst_produces_dump_with_cause_and_occupancy(
 def test_window_occupancy_transitions_are_recorded():
     """Crossing into and out of a full window leaves boundary events."""
     obs.enable()
-    with AsyncLblServer(max_in_flight=1, response_delay_s=0.3) as server:
-        blocker = occupy_window(server.address)
+    with serving(max_in_flight=1, response_delay_s=0.3) as server:
+        blocker = occupy_window(server)
         try:
             deadline = time.time() + 5.0
             while not RECORDER.events("transport.window.full"):
@@ -345,8 +325,8 @@ def test_get_and_put_emit_shape_identical_recorder_events():
     for payload in (get_request.to_bytes(), put_request.to_bytes()):
         obs.reset()
         obs.enable()
-        with AsyncLblServer(max_in_flight=1, response_delay_s=1.0) as server:
-            blocker = occupy_window(server.address)
+        with serving(max_in_flight=1, response_delay_s=1.0) as server:
+            blocker = occupy_window(server)
             try:
                 _shed_once(server.address, payload, 42)
             finally:

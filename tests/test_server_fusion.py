@@ -730,21 +730,6 @@ def test_flush_pending_generation_guards_stale_timers():
     assert entry2.result is not None
 
 
-def test_on_done_callback_fires_with_result():
-    store = _protocol()
-    coalescer = ServerAccessCoalescer(
-        store.server, window=10.0, max_batch=8, clock=FakeClock()
-    )
-    built, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    seen = []
-    entry, _leader, _is_full, generation = coalescer.submit(
-        built, on_done=seen.append
-    )
-    coalescer.flush_pending("timer", generation)
-    assert seen == [entry]
-    assert entry.error is None and entry.result is not None
-
-
 def test_failed_window_mate_raises_only_for_its_caller():
     store = _protocol()
     coalescer = ServerAccessCoalescer(
@@ -781,11 +766,10 @@ def test_coalescer_validates_configuration():
 
 
 # --------------------------------------------------------------------- #
-# Transports: fused windows form over both dispatch paths
+# Transport: fused windows form behind the TCP server
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("transport", ["thread", "async"])
-def test_fused_windows_form_over_transport(transport):
+def test_fused_windows_form_over_transport():
     from repro.core.lbl.concurrent import ConcurrentLblProxy
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
@@ -798,16 +782,10 @@ def test_fused_windows_form_over_transport(transport):
         1,
         point_and_permute=True,
         in_process=True,
-        transport=transport,
         server_batch=4,
         server_window=0.02,
     ) as cluster:
-        dep = ShardedLblDeployment(
-            config,
-            cluster.addresses,
-            rng=random.Random(0),
-            transport=transport,
-        )
+        dep = ShardedLblDeployment(config, cluster.addresses, rng=random.Random(0))
         try:
             dep.initialize(
                 {f"t{i}": bytes([i + 1]) * VALUE_LEN for i in range(4)}

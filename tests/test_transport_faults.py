@@ -13,7 +13,13 @@ import threading
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.core.sharded import ShardedLblDeployment
+from repro.errors import (
+    BatchPartialFailure,
+    OverloadError,
+    ProtocolError,
+    RefusedError,
+)
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
@@ -25,6 +31,8 @@ from repro.transport.framing import (
 from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import ERROR_TAG, LOAD_ACK, pack_load
 from repro.types import Request, StoreConfig
+from tests.test_async_overload import occupy_window
+from tests.test_async_transport import wait_idle
 
 pytestmark = pytest.mark.timeout(30)
 
@@ -240,3 +248,81 @@ def test_server_survives_abandoned_batch(server):
     sock.close()
     assert client.read("a") == bytes(16)
     client.close()
+
+
+# --------------------------------------------------------------------- #
+# A refused access must leave its key usable
+# --------------------------------------------------------------------- #
+
+VALUES = {f"r{i}": bytes([i + 1]) * 16 for i in range(4)}
+
+
+@pytest.fixture()
+def sharded(server):
+    deployment = ShardedLblDeployment(CONFIG, [server.address], rng=random.Random(6))
+    deployment.initialize(VALUES)
+    yield deployment
+    deployment.close()
+
+
+def test_shed_access_can_be_retried(server, sharded):
+    """Sheds on a window of one — a lone access, then a whole sub-batch:
+    each retry reads the right value."""
+    wait_idle(server)  # initialize's last slot comes back after its reply
+    server.max_in_flight = 1
+    server.response_delay_s = 1.0
+    blocker = occupy_window(server)  # one slow PING fills the window
+    try:
+        with pytest.raises(OverloadError):
+            sharded.access(Request.read("r0"))
+        with pytest.raises(BatchPartialFailure) as shed_batch:
+            sharded.access_batch([Request.read("r1"), Request.read("r2")])
+        assert set(shed_batch.value.failures) == {0, 1}
+    finally:
+        blocker.close()
+    server.max_in_flight, server.response_delay_s = 1024, 0.0
+    assert sharded.read("r0") == VALUES["r0"]
+    sharded.write("r0", b"\x09" * 16)
+    assert sharded.read("r0") == b"\x09" * 16
+    batch = sharded.access_batch([Request.read("r1"), Request.read("r2")])
+    assert [t.response.value for t in batch] == [VALUES["r1"], VALUES["r2"]]
+
+
+def test_shed_in_the_middle_of_a_pipelined_window_can_be_retried(server, sharded):
+    """Depth 3 over a per-connection window of 2: the third frame is shed
+    while its neighbours are served; only its key is rolled back."""
+    wait_idle(server)
+    server.max_in_flight_per_conn = 2
+    server.response_delay_s = 0.3
+    requests = [Request.write(key, b"\x0a" * 16) for key in VALUES]
+    with pytest.raises(OverloadError):
+        sharded.access_pipelined(requests, depth=3)
+    assert server.overloads_sent == 1
+    server.max_in_flight_per_conn = 128
+    server.response_delay_s = 0.0
+    # r2 was shed; r3 went out before r2's reply was read, and was served.
+    reads = sharded.access_pipelined([Request.read(key) for key in VALUES])
+    assert [t.response.value for t in reads] == [
+        b"\x0a" * 16, b"\x0a" * 16, VALUES["r2"], b"\x0a" * 16
+    ]
+
+
+@pytest.mark.parametrize("client_class", [ShardedLblDeployment, RemoteLblOrtoa])
+def test_error_frame_refusal_can_be_retried(server, client_class, monkeypatch):
+    """A request the server refuses with an error frame did not rotate its
+    labels, so the proxy takes the counter back and the retry succeeds."""
+    address = server.address if client_class is RemoteLblOrtoa else [server.address]
+    client = client_class(CONFIG, address, rng=random.Random(8))
+    try:
+        client.initialize({"k": b"\x05" * 16})
+
+        def refuse(_request):
+            monkeypatch.undo()
+            raise ProtocolError("injected refusal")
+
+        monkeypatch.setattr(server.lbl, "process", refuse)
+        with pytest.raises(RefusedError, match="injected refusal"):
+            client.access(Request.read("k"))
+        assert client.read("k") == b"\x05" * 16
+    finally:
+        client.close()

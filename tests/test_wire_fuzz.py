@@ -2,10 +2,9 @@
 never with unexpected exceptions, on arbitrary or mutated input.
 
 The final section points the same adversarial streams at a *live*
-:class:`~repro.transport.AsyncLblServer` over real sockets: a garbage,
+:class:`~repro.transport.LblTcpServer` over real sockets: a garbage,
 truncated, or oversized frame may earn an error reply or a hangup, but
-must never wedge the event loop or take the server down for other
-connections."""
+must never take the server down for other connections."""
 
 import socket
 
@@ -18,7 +17,6 @@ from repro.crypto.fhe import FheCiphertext, FheParams
 from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
 from repro.transport import framing
-from repro.transport.async_server import AsyncLblServer
 from repro.transport.framing import (
     _LEN,
     MAX_FRAME_BYTES,
@@ -37,6 +35,7 @@ from repro.transport.server import (
     pack_load,
     unpack_load,
 )
+from tests.test_async_transport import serving
 
 PARSERS = [
     m.ReadRequest,
@@ -220,20 +219,20 @@ def test_batch_response_mutation_is_rejected_or_parses(mutation_at, new_byte):
 
 
 # --------------------------------------------------------------------- #
-# Live async server under adversarial byte streams
+# Live server under adversarial byte streams
 # --------------------------------------------------------------------- #
 
 PING = bytes([OBS_PULL_TAG])
 
 
 @pytest.fixture(scope="module")
-def async_server():
-    """One event-loop server shared by every fuzz example in this module.
+def live_server():
+    """One server shared by every fuzz example in this module.
 
-    Sharing is the point: each example attacks the same loop, so a wedge
+    Sharing is the point: each example attacks the same server, so a wedge
     or crash caused by example N fails the liveness probes of N+1.
     """
-    with AsyncLblServer(point_and_permute=True) as server:
+    with serving() as server:
         yield server
     # A fuzzed frame that happens to start with the profiler-start tag
     # attaches the in-process sampling profiler; never leak that sampler
@@ -243,7 +242,7 @@ def async_server():
     profiler.detach()
 
 
-def assert_loop_alive(server) -> None:
+def assert_server_alive(server) -> None:
     """A well-formed request on a fresh connection still completes."""
     probe = socket.create_connection(server.address, timeout=30)
     try:
@@ -258,7 +257,7 @@ def exchange(server, blob: bytes, timeout: float = 10.0) -> bytes | None:
     """Send raw bytes; return the first reply frame, or None on hangup.
 
     A timeout (the server neither replying nor hanging up) is the one
-    outcome that fails the test: it means a connection wedged the loop.
+    outcome that fails the test: it means the connection wedged.
     """
     sock = socket.create_connection(server.address, timeout=timeout)
     try:
@@ -290,14 +289,14 @@ KNOWN_TAGS = {
 
 @given(payload=st.binary(min_size=0, max_size=300))
 @settings(max_examples=25, deadline=None)
-def test_async_server_replies_or_hangs_up_on_garbage_frames(async_server, payload):
+def test_live_server_replies_or_hangs_up_on_garbage_frames(live_server, payload):
     """A well-framed garbage payload earns an error reply or a hangup."""
-    reply = exchange(async_server, _LEN.pack(len(payload)) + payload)
+    reply = exchange(live_server, _LEN.pack(len(payload)) + payload)
     if reply is not None and (not payload or payload[0] not in KNOWN_TAGS):
         # Unknown leading tag: the reply must be an explicit error frame,
         # not a fake success.
         assert reply[:1] == bytes([ERROR_TAG]), reply
-    assert_loop_alive(async_server)
+    assert_server_alive(live_server)
 
 
 @given(
@@ -305,13 +304,13 @@ def test_async_server_replies_or_hangs_up_on_garbage_frames(async_server, payloa
     inner=st.binary(min_size=0, max_size=200),
 )
 @settings(max_examples=25, deadline=None)
-def test_async_server_answers_garbage_mux_frames_under_their_id(
-    async_server, request_id, inner
+def test_live_server_answers_garbage_mux_frames_under_their_id(
+    live_server, request_id, inner
 ):
     """Garbage *inside* a mux envelope is answered under that request id,
     so a pipelined client can fail just the one future."""
     frame = wrap_mux(request_id, inner)
-    reply = exchange(async_server, _LEN.pack(len(frame)) + frame)
+    reply = exchange(live_server, _LEN.pack(len(frame)) + frame)
     if reply is not None and reply[:1] != bytes([ERROR_TAG]):
         reply_id, reply_inner = unwrap_mux(reply)
         assert reply_id == request_id
@@ -324,7 +323,7 @@ def test_async_server_answers_garbage_mux_frames_under_their_id(
             bytes([OBS_PROFILE_DUMP_TAG]),
             bytes([LOAD_TAG + 1]),  # LOAD_ACK
         )
-    assert_loop_alive(async_server)
+    assert_server_alive(live_server)
 
 
 @given(
@@ -332,13 +331,13 @@ def test_async_server_answers_garbage_mux_frames_under_their_id(
     delivered=st.binary(max_size=100),
 )
 @settings(max_examples=25, deadline=None)
-def test_async_server_survives_lying_length_prefixes(async_server, claimed, delivered):
+def test_live_server_survives_lying_length_prefixes(live_server, claimed, delivered):
     """Length prefixes that promise more (or less) than delivered.
 
     Over-claims beyond MAX_FRAME_BYTES must be refused outright; short
     deliveries just look like a slow client until we hang up first.
     """
-    sock = socket.create_connection(async_server.address, timeout=10)
+    sock = socket.create_connection(live_server.address, timeout=10)
     try:
         sock.sendall(_LEN.pack(claimed) + delivered)
         if claimed > MAX_FRAME_BYTES:
@@ -350,35 +349,35 @@ def test_async_server_survives_lying_length_prefixes(async_server, claimed, deli
                 pass  # immediate hangup is acceptable too
     finally:
         sock.close()
-    assert_loop_alive(async_server)
+    assert_server_alive(live_server)
 
 
 @given(raw=st.binary(min_size=1, max_size=300))
 @settings(max_examples=25, deadline=None)
-def test_async_server_survives_unframed_byte_storm(async_server, raw):
+def test_live_server_survives_unframed_byte_storm(live_server, raw):
     """Raw bytes with no framing discipline at all, then a hard close."""
-    sock = socket.create_connection(async_server.address, timeout=10)
+    sock = socket.create_connection(live_server.address, timeout=10)
     try:
         sock.sendall(raw)
     finally:
         sock.close()
-    assert_loop_alive(async_server)
+    assert_server_alive(live_server)
 
 
-def test_async_server_survives_max_frame_boundary(async_server):
+def test_live_server_survives_max_frame_boundary(live_server):
     """Frames exactly at, one under, and one over the size limit."""
     at_limit_ok = _LEN.pack(MAX_FRAME_BYTES)
     over_limit = _LEN.pack(MAX_FRAME_BYTES + 1)
     # Over the limit: refused before any payload is read.
-    reply = exchange(async_server, over_limit)
+    reply = exchange(live_server, over_limit)
     assert reply is None or reply[:1] == bytes([ERROR_TAG])
     # At the limit: legal length, we just never deliver the body; the
     # server must not block anyone else while waiting, and our hangup
     # must reap the connection.
-    sock = socket.create_connection(async_server.address, timeout=10)
+    sock = socket.create_connection(live_server.address, timeout=10)
     try:
         sock.sendall(at_limit_ok)
-        assert_loop_alive(async_server)
+        assert_server_alive(live_server)
     finally:
         sock.close()
-    assert_loop_alive(async_server)
+    assert_server_alive(live_server)
