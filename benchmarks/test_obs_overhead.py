@@ -28,7 +28,7 @@ from repro.core.lbl import LblOrtoa
 from repro.obs import _state
 from repro.types import Request, StoreConfig
 
-#: Paper §6 operating point, full kernel stack (matches test_kernel_speedup).
+#: Paper §6 operating point, full kernel stack.
 POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
 
 #: Guards a single access can cross (client submit, server dispatch,
@@ -50,7 +50,7 @@ ROUNDS = 30
 
 def _warm_store() -> LblOrtoa:
     config = StoreConfig(**POINT, label_cache_entries=-1)
-    store = LblOrtoa(config, rng=random.Random(7), batched=True)
+    store = LblOrtoa(config, rng=random.Random(7))
     store.initialize({"k": bytes(config.value_len)})
     for _ in range(3):
         store.access(Request.read("k"))

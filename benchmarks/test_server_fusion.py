@@ -42,12 +42,11 @@ waits out the flush timer before its window fires, so single-client
 latency grows by roughly the window length.  The trade-off table lands in
 ``results/server_fusion_tradeoff.txt`` and feeds docs/performance.md.
 
-Throughput is wall time over a fixed request count, best-of-N runs,
-matching ``test_kernel_speedup.py`` conventions.  Requests are
-pre-prepared per key round by round (a prepare against epoch *e* is only
-valid against epoch-*e* server state, so each round's requests are built
-against the state the previous round installs); the timed section is
-server-side dispatch only.
+Throughput is wall time over a fixed request count, best-of-N runs.
+Requests are pre-prepared per key round by round (a prepare against epoch
+*e* is only valid against epoch-*e* server state, so each round's requests
+are built against the state the previous round installs); the timed
+section is server-side dispatch only.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _build_chains() -> tuple[LblServer, list[list]]:
     prepared for, whichever dispatch path serves it.
     """
     config = StoreConfig(**GATE_POINT)
-    store = LblOrtoa(config, rng=random.Random(11), batched=True)
+    store = LblOrtoa(config, rng=random.Random(11))
     keys = [f"k{i}" for i in range(CLIENTS)]
     store.initialize({key: bytes(config.value_len) for key in keys})
     initial = _clone_server(store.server)

@@ -4,10 +4,10 @@ The ledger (:mod:`repro.obs.ledger`) *measures* what an access costs — bytes
 on the wire, PRF calls, the SHAKE-256 and SHA-256 blocks behind them, AEAD
 operations.  This module *predicts* the same quantities symbolically, as
 functions of the deployment parameters: value size, label width, the §10.1
-grouping factor ``y``, the §10.2 point-and-permute flag, and the crypto
-backend.  The two views are kept in lockstep by tier-1 tests that assert
-``model == ledger`` exactly — not approximately — for GET and PUT across
-every backend, which is what makes the capacity planner
+grouping factor ``y`` and the §10.2 point-and-permute flag.  The two views
+are kept in lockstep by tier-1 tests that assert ``model == ledger``
+exactly — not approximately — for GET and PUT, which is what makes the
+capacity planner
 (:func:`plan_capacity`) and the dollar estimate
 (:func:`repro.analysis.cost.estimate_lbl_cost`) trustworthy: their inputs
 are wire-validated formulas, not hand-derived constants.
@@ -27,11 +27,6 @@ from repro.crypto.prf import encode_components, hmac_compressions
 from repro.crypto.rows import row_blocks
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
-
-#: Crypto backends the model covers.  ``stdlib`` is the batched kernel path;
-#: ``scalar`` is the per-label reference path, every one of whose label and
-#: offset lookups derives a whole epoch.
-MODEL_BACKENDS = ("scalar", "stdlib")
 
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
@@ -53,13 +48,14 @@ MUX_TRACED_HEADER_BYTES = 25  # mux + 16-byte trace context
 class LblCostModel:
     """Symbolic per-access cost of one LBL-ORTOA deployment.
 
+    The parameters must describe a deployment :class:`StoreConfig` accepts.
+
     Args:
         value_len: Fixed plaintext length in bytes.
         group_bits: ``y`` — plaintext bits per label (§10.1).
         label_bits: Label PRF width ``r`` in bits.
         point_and_permute: §10.2 — the server opens exactly one entry per
             group.
-        backend: One of :data:`MODEL_BACKENDS`.
         key: The datastore key the access touches.  PRF messages embed the
             key, so block counts depend (mildly) on its length; the default
             matches the validation tests.
@@ -72,17 +68,17 @@ class LblCostModel:
     group_bits: int = 1
     label_bits: int = 128
     point_and_permute: bool = False
-    backend: str = "stdlib"
     key: str = "k"
     counter: int = 0
     _codec: LabelCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.backend not in MODEL_BACKENDS:
-            raise ConfigurationError(
-                f"unknown model backend {self.backend!r}; "
-                f"expected one of {MODEL_BACKENDS}"
-            )
+        StoreConfig(
+            value_len=self.value_len,
+            label_bits=self.label_bits,
+            group_bits=self.group_bits,
+            point_and_permute=self.point_and_permute,
+        )
         # The codec is used purely for its shape and message-length
         # arithmetic (epoch_blocks); the key material is irrelevant.
         object.__setattr__(
@@ -101,7 +97,6 @@ class LblCostModel:
         cls,
         config: StoreConfig,
         *,
-        backend: str = "stdlib",
         key: str = "k",
         counter: int = 0,
     ) -> "LblCostModel":
@@ -111,7 +106,6 @@ class LblCostModel:
             group_bits=config.group_bits,
             label_bits=config.label_bits,
             point_and_permute=config.point_and_permute,
-            backend=backend,
             key=key,
             counter=counter,
         )
@@ -293,26 +287,15 @@ class LblCostModel:
                 In a sharded deployment the server ops land in server-side
                 ledger rows, so client-row comparisons pass ``False``.
         """
-        # The batched path derives the old and the new epoch once each.  On
-        # the scalar path every lookup is an epoch of its own: per group the
-        # labels of both epochs, and under §10.2 the old offset plus one
-        # offset per table entry of the new epoch; it keeps none of them,
-        # so ``finalize`` derives the new epoch once more.
-        old_calls = new_calls = 1
-        if self.backend == "scalar":
-            old_calls = new_calls = self.num_groups
-            if self.point_and_permute:
-                old_calls += self.num_groups
-                new_calls += self.num_groups * self.table_size
-            new_calls += 1
+        # ``prepare`` derives the old and the new epoch once each.
         codec = self._codec
         calls, compressions = self._encode_key_cost
         ops = {
-            "prf.calls": calls + old_calls + new_calls,
+            "prf.calls": calls + 2,
             "sha256.compressions": compressions,
             "shake256.blocks": (
-                old_calls * codec.epoch_blocks(self.key, self.counter)
-                + new_calls * codec.epoch_blocks(self.key, self.counter + 1)
+                codec.epoch_blocks(self.key, self.counter)
+                + codec.epoch_blocks(self.key, self.counter + 1)
             ),
             "aead.encrypts": self.num_groups * self.table_size,
         }
@@ -519,7 +502,6 @@ def plan_capacity(
         projected_p99_ms=projected_p99_ms,
         dollars_per_day=dollars_per_day,
         assumptions={
-            "backend": model.backend,
             "value_len": model.value_len,
             "group_bits": model.group_bits,
             "label_bits": model.label_bits,
@@ -543,25 +525,23 @@ def plan_capacity(
 
 def run_model_check(
     value_sizes: "tuple[int, ...]" = (4, 8, 16),
-    backends: "tuple[str, ...]" = ("scalar", "stdlib"),
     group_bits: int = 2,
 ) -> dict:
     """Replay GET and PUT in-process and diff the ledger against the model.
 
-    The backbone of ``repro plan --check``: for every (value size, backend)
-    cell it runs one GET and one PUT through a real
-    :class:`~repro.core.lbl.LblOrtoa` deployment under a tracked ledger row
-    and compares the row's ops *and* wire bytes to the model byte-for-byte.
-    Point-and-permute is always on (without it the server's decrypt-attempt
-    count is value-dependent and exact equality is not defined).
+    The backbone of ``repro plan --check``: per value size it runs one GET
+    and one PUT through a real :class:`~repro.core.lbl.LblOrtoa` deployment
+    under a tracked ledger row, twice, and compares the row's ops *and* wire
+    bytes to the model byte-for-byte.  Point-and-permute is always on
+    (without it the server's decrypt-attempt count is value-dependent and
+    exact equality is not defined).
 
-    The pseudo-backend ``"server-coalesced"`` serves the tracked access
-    through a fused :meth:`~repro.core.lbl.server.LblServer.process_many`
-    window shared
+    The ``"lockstep"`` cell runs :meth:`~repro.core.lbl.LblOrtoa.access`;
+    the ``"server-coalesced"`` cell serves the tracked access through a
+    fused :meth:`~repro.core.lbl.server.LblServer.process_many` window shared
     with an untracked decoy request, and the tracked ledger row must still
-    equal the ``"stdlib"`` model byte-for-byte — the fused window's
-    closed-form per-row attribution of its opens is exact, not
-    approximate.
+    equal the same model byte-for-byte — the fused window's closed-form
+    per-row attribution of its opens is exact, not approximate.
 
     Returns a JSON-ready report: ``{"ok": bool, "cases": [...]}`` where
     each case carries the expected/actual dicts and its own verdict.
@@ -578,16 +558,14 @@ def run_model_check(
     cases = []
     try:
         for value_len in value_sizes:
-            for backend in backends:
+            for path in ("lockstep", "server-coalesced"):
                 config = StoreConfig(
                     value_len=value_len,
                     group_bits=group_bits,
                     point_and_permute=True,
                 )
-                server_fused = backend == "server-coalesced"
-                protocol = LblOrtoa(
-                    config, rng=_random.Random(7), batched=backend != "scalar"
-                )
+                server_fused = path == "server-coalesced"
+                protocol = LblOrtoa(config, rng=_random.Random(7))
                 records = {"k": b"\x01" * value_len}
                 if server_fused:
                     # The decoy shares the fused server window with the
@@ -600,12 +578,7 @@ def run_model_check(
                     ("put", Request.write("k", b"\x02" * value_len)),
                 ):
                     epoch = protocol.proxy.counter("k")
-                    model = LblCostModel.from_config(
-                        config,
-                        backend="stdlib" if server_fused else backend,
-                        key="k",
-                        counter=epoch,
-                    )
+                    model = LblCostModel.from_config(config, key="k", counter=epoch)
                     if server_fused:
                         decoy_epoch = protocol.proxy.counter("d") + 1
                         decoy_built, _decoy_ops = protocol.proxy.prepare(
@@ -657,7 +630,7 @@ def run_model_check(
                     cases.append(
                         {
                             "value_len": value_len,
-                            "backend": backend,
+                            "path": path,
                             "op": op_name,
                             "ok": ok,
                             "expected_ops": expected_ops,
@@ -673,7 +646,6 @@ def run_model_check(
 
 
 __all__ = [
-    "MODEL_BACKENDS",
     "ENCODED_KEY_BYTES",
     "AEAD_OVERHEAD_BYTES",
     "DECRYPT_INDEX_BYTES",

@@ -57,7 +57,7 @@ EXPERIMENTS = {
     "oram": (experiments.oram_comparison, "§8: one-round ORAM vs PathORAM vs linear scan"),
     "sharded": (experiments.sharded_scaling, "§6.2.4 over TCP: shard-count scaling"),
     "pipeline": (experiments.pipeline_depth_sweep, "pipelined vs lockstep transport"),
-    "lbl": (experiments.lbl_kernels, "crypto kernels: scalar vs batched vs cached"),
+    "lbl": (experiments.lbl_kernels, "crypto kernels: cold vs cached vs sharded batch"),
 }
 
 #: CLI flag -> experiment keyword argument (also the flag's argparse dest),
@@ -67,7 +67,6 @@ _RUN_OVERRIDES = {
     "shards": "shards",
     "pipeline-depth": "pipeline_depth",
     "label-cache": "label_cache",
-    "crypto-backend": "backend",
     "server-batch": "server_batch",
     "server-window": "server_window",
 }
@@ -169,17 +168,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
 
     if args.check:
-        # Replay GET and PUT through real deployments on every backend and
-        # require the ledger to agree with the model byte-for-byte.
-        report = run_model_check(
-            value_sizes=(4, 8, 16),
-            backends=("scalar", "stdlib", "server-coalesced"),
-        )
+        # Replay GET and PUT through real deployments, lockstep and in a
+        # fused server window, and require the ledger to agree with the
+        # model byte-for-byte.
+        report = run_model_check(value_sizes=(4, 8, 16))
         for case in report["cases"]:
             mark = "ok " if case["ok"] else "FAIL"
             print(
                 f"  [{mark}] value_len={case['value_len']:<3d} "
-                f"backend={case['backend']:<9s} {case['op']}"
+                f"path={case['path']:<16s} {case['op']}"
             )
         verdict = (
             "model == ledger for every case"
@@ -199,7 +196,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             group_bits=args.group_bits,
             label_bits=args.label_bits,
             point_and_permute=not args.base,
-            backend=args.backend,
         )
         plan = plan_capacity(
             args.users,
@@ -680,14 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(-1 auto-sizes; e.g. `lbl`)",
     )
     run.add_argument(
-        "--crypto-backend",
-        dest="backend",
-        choices=("scalar", "stdlib"),
-        help="proxy crypto backend for experiments that take one "
-        "(e.g. `lbl`): scalar reference path or stdlib batched kernels "
-        "(default)",
-    )
-    run.add_argument(
         "--server-batch",
         dest="server_batch",
         type=int,
@@ -751,12 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan the §5.2 base protocol instead of §10.2 point-and-permute",
     )
     plan.add_argument(
-        "--backend",
-        choices=("scalar", "stdlib"),
-        default="stdlib",
-        help="proxy crypto backend to model (default: stdlib)",
-    )
-    plan.add_argument(
         "--shard-ops",
         dest="shard_ops",
         type=float,
@@ -814,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
-        "across scalar/stdlib/server-coalesced at 3 value sizes",
+        "lockstep and server-coalesced at 3 value sizes",
     )
     plan.add_argument("--json", metavar="PATH", help="write a JSON report")
     plan.set_defaults(func=_cmd_plan)

@@ -42,8 +42,6 @@ class LblOrtoa(OrtoaProtocol):
         keychain: Key material (generated if omitted).
         rng: Randomness source for table shuffling; inject a seeded
             ``random.Random`` for deterministic tests.
-        batched: Use the proxy's batched crypto kernels (default); ``False``
-            selects the scalar per-label reference path (benchmarks).
     """
 
     name = "lbl-ortoa"
@@ -54,12 +52,10 @@ class LblOrtoa(OrtoaProtocol):
         config: StoreConfig,
         keychain: KeyChain | None = None,
         rng: random.Random | None = None,
-        *,
-        batched: bool = True,
     ) -> None:
         super().__init__(config)
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
-        self.proxy = LblProxy(config, self.keychain, rng=rng, batched=batched)
+        self.proxy = LblProxy(config, self.keychain, rng=rng)
         self.server = LblServer(point_and_permute=config.point_and_permute)
 
     def initialize(self, records: dict[str, bytes]) -> None:

@@ -23,18 +23,12 @@ that fell out — recovery, rollback, eviction — is re-derived).
 
 An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
 <repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
-and matched against as such; the proxy reaches it two ways:
-
-* the **batched kernel path** (default) gathers the two blobs into the whole
-  table's keys and labels at C speed and encrypts it in one kernel call —
-  :func:`~repro.crypto.rows.seal_rows` under point-and-permute, blobs in and
-  the request's slab out, or :func:`~repro.crypto.aead.encrypt_many` for
-  the base protocol — optionally taking the old epoch from the
-  :class:`~repro.core.lbl.cache.LabelCache`;
-* the **scalar path** (``batched=False``) issues one codec/row/AEAD call per
-  label and table entry.  It is kept as the benchmark baseline and as an
-  equivalence oracle — both paths produce tables that open to
-  byte-identical labels.
+and matched against as such.  :meth:`LblProxy.prepare` gathers the two blobs
+into the whole table's keys and labels at C speed and encrypts it in one
+kernel call — :func:`~repro.crypto.rows.seal_rows` under point-and-permute,
+blobs in and the request's slab out, or
+:func:`~repro.crypto.aead.encrypt_many` for the base protocol — optionally
+taking the old epoch from the :class:`~repro.core.lbl.cache.LabelCache`.
 """
 
 from __future__ import annotations
@@ -86,8 +80,6 @@ class LblProxy:
             enables the proxy label cache.
         keychain: Key material.
         rng: Table-shuffle randomness (base protocol only).
-        batched: Use the batched crypto kernels (default).  ``False``
-            selects the scalar per-label reference path.
     """
 
     def __init__(
@@ -95,8 +87,6 @@ class LblProxy:
         config: StoreConfig,
         keychain: KeyChain,
         rng: random.Random | None = None,
-        *,
-        batched: bool = True,
     ) -> None:
         self.config = config
         self.keychain = keychain
@@ -108,7 +98,6 @@ class LblProxy:
         )
         self._rng = rng or random.Random()
         self._counters: dict[str, int] = {}
-        self.batched = batched
         self.label_cache: LabelCache | None = None
         if config.label_cache_entries == -1:
             self.label_cache = LabelCache.from_bytes(codec.epoch_len)
@@ -231,33 +220,8 @@ class LblProxy:
     # ------------------------------------------------------------------ #
 
     def prepare(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Build the one-round request and advance the access counter."""
-        if self.batched:
-            return self._prepare_batched(request)
-        return self._prepare_scalar(request)
-
-    def _emit_prepare_span(
-        self, span, request: Request, prf_count: int, enc_count: int, cache_hit: bool
-    ) -> None:
-        if span is None:
-            return
-        labels_generated = 2 * self.codec.table_size * self.codec.num_groups
-        span.set_attributes(
-            op=request.op.value,
-            groups=self.codec.num_groups,
-            table_size=self.codec.table_size,
-            labels_generated=labels_generated,
-            ciphertexts_built=enc_count,
-            prf_calls=prf_count,
-            label_cache_hit=cache_hit,
-        )
-        TRACER.end(span)
-        REGISTRY.counter("lbl.proxy.prepares").inc()
-        REGISTRY.counter("lbl.proxy.labels_generated").inc(labels_generated)
-        REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
-
-    def _prepare_batched(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Kernel path: derive two epochs, encrypt the whole table in one call."""
+        """Build the one-round request and advance the access counter: derive
+        two epochs, encrypt the whole table in one call."""
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
         key = request.key
@@ -306,9 +270,21 @@ class LblProxy:
             cache.put(key, new_ct, new)
         self._remember_epoch(key, new_ct, new)
         self._counters[key] = new_ct
-        ops = OpCounts(prf=prf_count, aead_enc=enc_count)
-        self._emit_prepare_span(span, request, prf_count, enc_count, cache_hit)
-        return wire, ops
+        if span is not None:
+            span.set_attributes(
+                op=request.op.value,
+                groups=codec.num_groups,
+                table_size=codec.table_size,
+                labels_generated=2 * enc_count,
+                ciphertexts_built=enc_count,
+                prf_calls=prf_count,
+                label_cache_hit=cache_hit,
+            )
+            TRACER.end(span)
+            REGISTRY.counter("lbl.proxy.prepares").inc()
+            REGISTRY.counter("lbl.proxy.labels_generated").inc(2 * enc_count)
+            REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
+        return wire, OpCounts(prf=prf_count, aead_enc=enc_count)
 
     def _per_row(self, per_group: bytes) -> bytes:
         """One byte per group, repeated for each of the group's ``2^y`` rows."""
@@ -352,68 +328,6 @@ class LblProxy:
             self._rng.shuffle(table)
         return tables
 
-    def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
-        """Reference path: one codec/row/AEAD call per label and table entry.
-
-        Kept as the self-relative benchmark baseline
-        (``benchmarks/test_kernel_speedup.py``) and as the equivalence
-        oracle for the batched kernels.  Every codec call is one epoch
-        derivation, and none is kept: ``finalize`` derives its own.
-        """
-        span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
-        codec = self.codec
-        key = request.key
-        ct = self.counter(key)
-        new_ct = ct + 1
-        table_size = codec.table_size
-
-        new_value = None
-        if request.op.is_write:
-            padded = self.config.pad(request.value)  # type: ignore[arg-type]
-            new_value = value_to_groups(padded, self.config.group_bits)
-
-        prf_count = 0
-        enc_count = 0
-        tables: list[list[bytes]] = []
-        pnp = self.config.point_and_permute
-        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN) if pnp else b""
-        for index in range(codec.num_groups):
-            old_labels = codec.labels_for_group(key, index, ct)
-            new_labels = codec.labels_for_group(key, index, new_ct)
-            prf_count += 2
-
-            entries: list[bytes] = [b""] * table_size
-            if pnp:
-                # One offset lookup linking the old labels to slots, plus one
-                # per table entry (inside decrypt_index) for the next
-                # access's slot carried in the payload.
-                offset_old = codec.permute_offset(key, index, ct)
-                prf_count += 1 + table_size
-                for value in range(table_size):
-                    target = value if request.op.is_read else new_value[index]  # type: ignore[index]
-                    payload = new_labels[target] + bytes(
-                        [codec.decrypt_index(key, index, target, new_ct)]
-                    )
-                    entries[value ^ offset_old] = rows.seal_row(
-                        old_labels[value], payload, nonce
-                    )
-                    enc_count += 1
-            else:
-                for value in range(table_size):
-                    target = value if request.op.is_read else new_value[index]  # type: ignore[index]
-                    entries[value] = aead.encrypt(old_labels[value], new_labels[target])
-                    enc_count += 1
-                self._rng.shuffle(entries)
-            tables.append(entries)
-
-        self._counters[key] = new_ct
-        ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
-        self._emit_prepare_span(span, request, prf_count + 1, enc_count, False)
-        return (
-            LblAccessRequest.from_tables(self.keychain.encode_key(key), tables, nonce),
-            ops,
-        )
-
     # ------------------------------------------------------------------ #
     # Response handling (§5.2 step 2.2 tail + §5.4 tamper check)
     # ------------------------------------------------------------------ #
@@ -432,9 +346,8 @@ class LblProxy:
 
         The candidate set is the epoch blob :meth:`prepare` filed in the
         in-flight table, so the normal path costs no PRF call; an epoch that
-        is no longer there (recovery, rollback, eviction, the scalar path) is
-        taken from the label cache if that still holds it and re-derived
-        otherwise.
+        is no longer there (recovery, rollback, eviction) is taken from the
+        label cache if that still holds it and re-derived otherwise.
 
         Args:
             key: The accessed key.

@@ -13,9 +13,6 @@ of one keyed-XOF call (:meth:`LabelCodec.epoch`).  This module owns:
 * epoch derivation and the views of an epoch blob (labels, offsets, the
   labels and slots a value selects),
 * inversion (labels back to plaintext) used by the proxy after a read.
-
-The scalar methods (:meth:`LabelCodec.label` and friends) are slices of
-:meth:`~LabelCodec.epoch` — the reference path has no crypto of its own.
 """
 
 from __future__ import annotations
@@ -200,16 +197,6 @@ class LabelCodec:
         self._check_groups(groups)
         return bytes(map(xor, groups, self.offsets(blob)))
 
-    def encode_value(self, key: str, value: bytes, counter: int) -> bytes:
-        """Labels the server should store for ``value`` at access ``counter``."""
-        if len(value) != self.value_len:
-            raise ConfigurationError(
-                f"value must be exactly {self.value_len} bytes, got {len(value)}"
-            )
-        return self.select(
-            self.epoch(key, counter), value_to_groups(value, self.group_bits)
-        )
-
     # ------------------------------------------------------------------ #
     # Inversion (proxy decodes the server's response after a read)
     # ------------------------------------------------------------------ #
@@ -250,33 +237,6 @@ class LabelCodec:
             groups.append((found - start) // label_len)
             start = end
         return groups_to_value(groups, self.group_bits, self.value_len)
-
-    # ------------------------------------------------------------------ #
-    # Scalar reference: one slice of one epoch per call
-    # ------------------------------------------------------------------ #
-
-    def label(self, key: str, index: int, group_value: int, counter: int) -> bytes:
-        """The secret label for ``group_value`` at ``index`` under ``counter``."""
-        if not 0 <= group_value < self.table_size:
-            raise ConfigurationError(
-                f"group value {group_value} out of range for y={self.group_bits}"
-            )
-        return self.labels_for_group(key, index, counter)[group_value]
-
-    def labels_for_group(self, key: str, index: int, counter: int) -> list[bytes]:
-        """All ``2^y`` candidate labels for one group (proxy-side, §5.2 1.2)."""
-        first = self._group_starts[index]
-        labels = self.labels(self.epoch(key, counter))
-        return list(labels[first : first + self.table_size])
-
-    def permute_offset(self, key: str, index: int, counter: int) -> int:
-        """The per-access random offset ``r`` linking table slots to labels."""
-        return self.offsets(self.epoch(key, counter))[index]
-
-    def decrypt_index(self, key: str, index: int, group_value: int, counter: int) -> int:
-        """Which table slot the server must open at access ``counter``: the
-        slot for the label of ``group_value`` is ``group_value XOR r``."""
-        return group_value ^ self.permute_offset(key, index, counter)
 
 
 __all__ = [

@@ -192,12 +192,6 @@ def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes) -> bytes:
     return slab
 
 
-def seal_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """One row: ``(payload ‖ 0^8) ⊕ pad(key, nonce)``, ``payload`` a label
-    and its slot byte."""
-    return seal_rows(key, payload[:-SLOT_LEN], payload[-SLOT_LEN:], nonce)
-
-
 def open_rows(
     runs: "list[tuple[bytes, bytes, bytes, int, list[int]]]",
 ) -> "list[tuple[bytes, bytes, list[int]]]":
@@ -251,7 +245,6 @@ def open_row(key: bytes, row: bytes, nonce: bytes) -> bytes | None:
 
 
 __all__ = [
-    "seal_row",
     "open_row",
     "seal_rows",
     "open_rows",

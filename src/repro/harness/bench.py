@@ -28,7 +28,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
-#: Default trajectory file, next to BENCH_kernels.json at the repo root.
+#: Default trajectory file, at the repo root.
 DEFAULT_HISTORY = pathlib.Path(__file__).resolve().parents[3] / "BENCH_history.json"
 
 #: Default allowed regression of a gated metric vs the recorded best.

@@ -415,14 +415,12 @@ def lbl_kernels(
     num_keys: int = 8,
     num_requests: int = 48,
     value_len: int = 160,
-    backend: str = "stdlib",
 ) -> list[Row]:
-    """Batched-kernel throughput: scalar vs batched vs batched+cache.
+    """Crypto-kernel throughput: cold vs warm label cache vs sharded batch.
 
-    Measures in-process LBL accesses per second under the three proxy
-    kernel configurations (scalar reference path, batched PRF/AEAD
-    kernels, batched kernels with a warm label cache), then drives one
-    batch through a sharded deployment over a loopback shard.
+    Measures in-process LBL accesses per second with every epoch derived
+    cold and with a warm label cache, then drives one batch through a
+    sharded deployment over a loopback shard.
 
     Args:
         label_cache: ``label_cache_entries`` for the cached rows
@@ -431,16 +429,11 @@ def lbl_kernels(
         num_keys: Distinct keys in the workload.
         num_requests: Accesses per measured configuration.
         value_len: Object size in bytes (paper default 160).
-        backend: ``"stdlib"`` (default) or ``"scalar"`` (forces the
-            per-label reference path on the in-process rows).  See
-            ``repro run lbl --crypto-backend``.
     """
     import random
     import time
 
-    from repro.analysis.costmodel import MODEL_BACKENDS
     from repro.core.lbl import LblOrtoa
-    from repro.errors import ConfigurationError
     from repro.types import Request, StoreConfig
 
     def _measure(store, requests) -> float:
@@ -463,33 +456,19 @@ def lbl_kernels(
                 requests.append(Request.write(key, config.pad(b"updated")))
         return records, requests
 
-    if backend not in MODEL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown crypto backend {backend!r}; expected one of "
-            f"{MODEL_BACKENDS}"
-        )
-    force_scalar = backend == "scalar"
-
     base = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
     cached = replace(base, label_cache_entries=label_cache)
     rows: list[Row] = []
 
-    for mode, config, batched, warm in (
-        ("scalar", base, False, False),
-        ("batched", base, True, False),
-        ("batched+cache", cached, True, True),
+    for mode, config, warm in (
+        ("cold", base, False),
+        ("cached", cached, True),
     ):
         if warm and label_cache is None:
             continue
         records, requests = _workload(config)
-        store = LblOrtoa(
-            config, rng=random.Random(2), batched=batched and not force_scalar
-        )
+        store = LblOrtoa(config, rng=random.Random(2))
         store.initialize(records)
-        if not store.proxy.batched:
-            # The reference path derives an epoch per label lookup (≈ 0.7 s
-            # per access at 160 B): a few accesses say how slow it is.
-            requests = requests[:num_keys]
         if warm:
             for request in requests:  # populate every key's epoch
                 store.access(request)

@@ -60,8 +60,8 @@ class LblSimulator:
             old_label = self._state[key][index]
             new_label = secrets.token_bytes(self.label_len)
             if pnp:
-                payload = new_label + secrets.token_bytes(DECRYPT_INDEX_BYTES)
-                entries = [rows.seal_row(old_label, payload, nonce)]
+                slot = secrets.token_bytes(DECRYPT_INDEX_BYTES)
+                entries = [rows.seal_rows(old_label, new_label, slot, nonce)]
                 entries += [
                     secrets.token_bytes(len(entries[0])) for _ in range(table_size - 1)
                 ]

@@ -82,7 +82,9 @@ class StoreConfig:
     Attributes:
         value_len: Fixed plaintext value length in bytes (paper's ``t`` is
             ``value_len * 8`` bits; the default 160 B matches §6's workload).
-        label_bits: PRF output size ``r`` in bits for LBL label generation.
+        label_bits: PRF output size ``r`` in bits for LBL label generation:
+            at least 128 (a label is a key), at most 440 under
+            point-and-permute (a row is at most 64 bytes).
         group_bits: LBL space optimization ``y`` — how many plaintext bits one
             label represents (§10.1; ``y=2`` is the paper's optimum).
         point_and_permute: Enable the decryption-bits optimization (§10.2) so
@@ -110,6 +112,10 @@ class StoreConfig:
             # A slot index travels as one byte (and a table of 2^y entries
             # per group stops paying for itself long before y = 8).
             raise ConfigurationError("group_bits must be between 1 and 8")
+        if self.label_bits < 128:
+            # A label keys its table entry — an AEAD key (§5.2), a row's pad
+            # seed (§10.2) — and both take 16 bytes or more.
+            raise ConfigurationError("label_bits must be at least 128")
         if self.point_and_permute and self.label_bits > 440:
             # A point-and-permute row (label + slot byte + 8 check bytes) is
             # at most 64 bytes — four blocks of pad (``crypto.rows``).
@@ -124,10 +130,6 @@ class StoreConfig:
             raise ConfigurationError(
                 "label_cache_entries must be None (disabled), -1 (auto), or >= 1"
             )
-        if self.point_and_permute and self.group_bits == 1:
-            # Point-and-permute is defined over ciphertext tables of >= 2
-            # entries; it works for y=1 too (2-entry table), so allow it.
-            pass
 
     @property
     def value_bits(self) -> int:

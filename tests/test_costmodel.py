@@ -1,10 +1,9 @@
 """Model == ledger: the cost model's closed forms against measured reality.
 
 The tentpole contract of :mod:`repro.analysis.costmodel`: for GET and PUT,
-on every crypto backend, the symbolic bytes-per-access and ops-per-access
-must equal the wire ledger *exactly* — not approximately.  These tests are
-what licenses the capacity planner and the dollar estimate to present model
-outputs as measurements.
+the symbolic bytes-per-access and ops-per-access must equal the wire ledger
+*exactly* — not approximately.  These tests are what licenses the capacity
+planner and the dollar estimate to present model outputs as measurements.
 """
 
 import random
@@ -12,12 +11,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.analysis.costmodel import (
-    LblCostModel,
-    MODEL_BACKENDS,
-    plan_capacity,
-    run_model_check,
-)
+from repro.analysis.costmodel import LblCostModel, plan_capacity, run_model_check
 from repro.core.sharded import ShardedLblDeployment
 from repro.errors import ConfigurationError
 from repro.obs import ledger
@@ -38,23 +32,20 @@ def fresh_obs():
 
 
 # --------------------------------------------------------------------- #
-# The validation matrix: value sizes x backends x {GET, PUT}
+# The validation matrix: value sizes x {lockstep, server-coalesced} x {GET, PUT}
 # --------------------------------------------------------------------- #
 
 def test_model_matches_ledger_across_backends_and_sizes():
-    """GET and PUT at 3 value sizes on scalar/stdlib."""
-    report = run_model_check(
-        value_sizes=(4, 8, 16),
-        backends=("scalar", "stdlib"),
-    )
+    """GET and PUT at 3 value sizes, lockstep and in a fused server window."""
+    report = run_model_check(value_sizes=(4, 8, 16))
     failing = [case for case in report["cases"] if not case["ok"]]
     assert report["ok"], f"model/ledger mismatches: {failing}"
     assert len(report["cases"]) == 3 * 2 * 2
 
 
 def test_model_check_reports_wire_and_ops_evidence():
-    report = run_model_check(value_sizes=(8,), backends=("stdlib",))
-    (get_case, put_case) = report["cases"]
+    report = run_model_check(value_sizes=(8,))
+    (get_case, put_case) = [c for c in report["cases"] if c["path"] == "lockstep"]
     assert get_case["op"] == "get" and put_case["op"] == "put"
     for case in (get_case, put_case):
         assert case["expected_ops"] == case["actual_ops"]
@@ -65,10 +56,18 @@ def test_model_check_reports_wire_and_ops_evidence():
     assert get_case["expected_wire"] == put_case["expected_wire"]
 
 
-def test_model_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        LblCostModel(value_len=8, backend="quantum")
-    assert "stdlib" in MODEL_BACKENDS
+@pytest.mark.parametrize(
+    "label_bits, message", [(64, "at least 128"), (120, "at least 128"), (448, "at most 440")]
+)
+def test_model_rejects_a_label_width_no_access_can_use(capsys, label_bits, message):
+    """The planner refuses what ``StoreConfig`` refuses, with its message and
+    exit status 2, instead of planning a deployment no access can use."""
+    from repro.cli import main
+
+    with pytest.raises(ConfigurationError, match=message):
+        LblCostModel(value_len=8, group_bits=2, label_bits=label_bits, point_and_permute=True)
+    assert main(["plan", "--label-bits", str(label_bits)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -105,9 +104,7 @@ def test_sharded_pipelined_rows_match_model(num_shards):
     assert sorted(rows) == sorted(keys)
 
     for key in keys:
-        model = LblCostModel.from_config(
-            CONFIG, backend="stdlib", key=key, counter=epochs[key]
-        )
+        model = LblCostModel.from_config(CONFIG, key=key, counter=epochs[key])
         expected_ops = model.ops(include_server=False)
         snap = rows[key]
         assert {
@@ -206,13 +203,6 @@ def test_paper_configuration_bytes():
     }
     assert model.ops(include_server=False)["aes.blocks"] == 7680
     assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 3
-    scalar = LblCostModel(
-        value_len=160, group_bits=2, point_and_permute=True, backend="scalar"
-    )
-    # One epoch per lookup: per group both epochs' labels, the old offset and
-    # one offset per entry of the new epoch; finalize derives once more.
-    assert scalar.ops()["prf.calls"] == 640 * (2 + 1 + 4) + 1 + 1
-    assert scalar.ops()["shake256.blocks"] == (640 * 7 + 1) * 307
     # The base protocol keeps its AEAD entries behind the same slab framing.
     base = LblCostModel(value_len=160, group_bits=2)
     assert base.entry_len == 12 + 16 + 16

@@ -68,20 +68,24 @@ def test_num_groups():
     assert make_codec(value_len=4, group_bits=3).num_groups == 11
 
 
+def _encode(codec, key: str, value: bytes, counter: int) -> bytes:
+    """The labels the server stores for ``value`` at ``counter``."""
+    return codec.select(codec.epoch(key, counter), value_to_groups(value, codec.group_bits))
+
+
 def test_labels_deterministic_per_counter():
     codec = make_codec()
-    assert codec.label("k", 0, 1, 7) == codec.label("k", 0, 1, 7)
-    assert codec.label("k", 0, 1, 7) != codec.label("k", 0, 1, 8)
+    assert codec.labels(codec.epoch("k", 7)) == codec.labels(codec.epoch("k", 7))
+    assert codec.labels(codec.epoch("k", 7))[1] != codec.labels(codec.epoch("k", 8))[1]
 
 
 def test_labels_distinct_across_dimensions():
     codec = make_codec(group_bits=2)
     labels = {
-        codec.label(k, i, v, ct)
+        label
         for k in ("a", "b")
-        for i in range(3)
-        for v in range(4)
         for ct in range(3)
+        for label in codec.labels(codec.epoch(k, ct))[: 3 * 4]  # 3 groups x 4
     }
     assert len(labels) == 2 * 3 * 4 * 3
 
@@ -89,21 +93,21 @@ def test_labels_distinct_across_dimensions():
 def test_encode_decode_roundtrip():
     codec = make_codec(value_len=8, group_bits=2)
     value = b"\x01\x02\x03\x04\x05\x06\x07\x08"
-    labels = codec.encode_value("key", value, counter=3)
+    labels = _encode(codec, "key", value, counter=3)
     assert len(labels) == codec.num_groups * codec.label_len
     assert codec.decode(codec.epoch("key", 3), labels) == value
 
 
 def test_decode_with_wrong_counter_detects_tamper():
     codec = make_codec()
-    labels = codec.encode_value("key", b"abcd", counter=1)
+    labels = _encode(codec, "key", b"abcd", counter=1)
     with pytest.raises(TamperDetectedError):
         codec.decode(codec.epoch("key", 2), labels)
 
 
 def test_decode_with_corrupted_label_detects_tamper():
     codec = make_codec()
-    labels = codec.encode_value("key", b"abcd", counter=1)
+    labels = _encode(codec, "key", b"abcd", counter=1)
     corrupt = labels[: 5 * 16] + bytes(16) + labels[6 * 16 :]
     with pytest.raises(TamperDetectedError):
         codec.decode(codec.epoch("key", 1), corrupt)
@@ -112,7 +116,7 @@ def test_decode_with_corrupted_label_detects_tamper():
 def test_encode_value_rejects_wrong_length():
     codec = make_codec(value_len=4)
     with pytest.raises(ConfigurationError):
-        codec.encode_value("k", b"toolongvalue", counter=0)
+        _encode(codec, "k", b"toolongvalue", counter=0)
     with pytest.raises(ConfigurationError):
         codec.decode(codec.epoch("k", 0), b"x" * 16)
 
@@ -120,7 +124,7 @@ def test_encode_value_rejects_wrong_length():
 def test_label_group_value_range_checked():
     codec = make_codec(group_bits=2)
     with pytest.raises(ConfigurationError):
-        codec.label("k", 0, 4, 0)
+        codec.select(codec.epoch("k", 0), (4,) + (0,) * 15)
 
 
 # --------------------------------------------------------------------- #
@@ -130,36 +134,39 @@ def test_label_group_value_range_checked():
 def test_permute_offset_in_range_and_deterministic():
     codec = make_codec(group_bits=2)
     for ct in range(10):
-        off = codec.permute_offset("k", 0, ct)
-        assert 0 <= off < 4
-        assert off == codec.permute_offset("k", 0, ct)
+        offsets = codec.offsets(codec.epoch("k", ct))
+        assert len(offsets) == codec.num_groups and max(offsets) < 4
+        assert offsets == codec.offsets(codec.epoch("k", ct))
 
 
 def test_permute_offsets_vary():
     codec = make_codec(group_bits=2)
-    offsets = {codec.permute_offset("k", i, ct) for i in range(8) for ct in range(8)}
+    offsets = {o for ct in range(8) for o in codec.offsets(codec.epoch("k", ct))[:8]}
     assert len(offsets) > 1
 
 
 def test_decrypt_index_is_xor_link():
     codec = make_codec(group_bits=2)
-    for v in range(4):
-        idx = codec.decrypt_index("k", 3, v, 5)
-        assert idx == v ^ codec.permute_offset("k", 3, 5)
+    blob = codec.epoch("k", 5)
+    groups = [index % 4 for index in range(codec.num_groups)]
+    assert codec.slots(blob, groups) == bytes(
+        v ^ r for v, r in zip(groups, codec.offsets(blob))
+    )
 
 
 def test_decrypt_index_is_permutation_over_group_values():
     """Distinct group values must map to distinct table slots (it's a XOR)."""
     codec = make_codec(group_bits=2)
-    slots = {codec.decrypt_index("k", 0, v, 9) for v in range(4)}
-    assert slots == {0, 1, 2, 3}
+    blob = codec.epoch("k", 9)
+    rest = (0,) * (codec.num_groups - 1)
+    assert {codec.slots(blob, (v,) + rest)[0] for v in range(4)} == {0, 1, 2, 3}
 
 
 @given(st.binary(min_size=2, max_size=16), st.integers(min_value=0, max_value=50))
 @settings(max_examples=50)
 def test_codec_roundtrip_property(value, counter):
     codec = make_codec(value_len=len(value), group_bits=2)
-    labels = codec.encode_value("key", value, counter)
+    labels = _encode(codec, "key", value, counter)
     assert codec.decode(codec.epoch("key", counter), labels) == value
 
 
@@ -196,18 +203,10 @@ def test_epoch_is_one_shake_call_and_every_view_is_a_slice_of_it(group_bits, lab
     assert len(blob) == codec.epoch_len == codec.labels_len + codec.num_groups
     size, width = codec.table_size, codec.label_len
     labels = codec.labels(blob)
-    offsets = codec.offsets(blob)
+    assert len(labels) == codec.num_groups * size
     assert b"".join(labels) == blob[: codec.labels_len]
-    assert offsets == bytes(b % size for b in blob[codec.labels_len :])
-    for index in (0, codec.num_groups - 1):
-        assert codec.labels_for_group("obj", index, 7) == list(
-            labels[index * size : (index + 1) * size]
-        )
-        assert codec.permute_offset("obj", index, 7) == offsets[index]
-        for value in (0, size - 1):
-            at = (index * size + value) * width
-            assert codec.label("obj", index, value, 7) == blob[at : at + width]
-            assert codec.decrypt_index("obj", index, value, 7) == value ^ offsets[index]
+    assert all(len(label) == width for label in labels)
+    assert codec.offsets(blob) == bytes(b % size for b in blob[codec.labels_len :])
 
 
 def test_epochs_of_different_shapes_share_no_stream():
@@ -227,10 +226,11 @@ def test_select_and_slots_pick_one_label_and_one_slot_per_group():
     groups = value_to_groups(b"\x1b\xe4", 2)
     stored = codec.select(blob, groups)
     assert stored == b"".join(
-        codec.label("obj", index, value, 3) for index, value in enumerate(groups)
+        blob[(index * 4 + value) * 16 :][:16] for index, value in enumerate(groups)
     )
+    offsets = blob[codec.labels_len :]
     assert codec.slots(blob, groups) == bytes(
-        codec.decrypt_index("obj", index, value, 3) for index, value in enumerate(groups)
+        value ^ (offsets[index] % 4) for index, value in enumerate(groups)
     )
     with pytest.raises(ConfigurationError):
         codec.select(blob, groups[:-1])

@@ -1,33 +1,40 @@
-"""Golden vectors + batch-vs-scalar cross-checks for the crypto kernels.
+"""Golden vectors + reference cross-checks for the crypto kernels.
 
 The batched fast paths (precomputed HMAC key state, one-call label epochs,
 batch AEAD and rows) must be drop-in: byte-identical to the documented
 constructions.  Two independent nets catch a silent change:
 
 * **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
-  :meth:`LabelCodec.label`, :meth:`LabelCodec.offsets`,
+  :meth:`LabelCodec.labels`, :meth:`LabelCodec.offsets`,
   :func:`aead.encrypt` (fixed nonce) and the point-and-permute row kernel
-  :func:`rows.seal_row`, plus a live re-derivation of each from the bare
+  :func:`rows.seal_rows`, plus a live re-derivation of each from the bare
   calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), ECB())``), so a
   vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
-  scalar counterpart on arbitrary inputs.
+  scalar counterpart on arbitrary inputs, and :meth:`LblProxy.prepare`
+  agrees with the row-at-a-time reference of ``tests/lbl_reference.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import random
 
 import pytest
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.lbl import LblOrtoa
+from repro.core.lbl.proxy import LblProxy
 from repro.crypto import aead, rows
+from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import Prf, PrfContext, encode_components, keyed_xof
+from repro.types import Request, StoreConfig
+from tests import lbl_reference
+from tests.lbl_reference import seal_row as _ref_row, slab as _slab, xor as _xor
 
 # --------------------------------------------------------------------- #
 # Stdlib references for the documented constructions
@@ -122,8 +129,8 @@ def test_prf_vector_multi_block():
 
 def test_label_vector():
     codec = _codec(b"\x01" * 32, value_len=4, group_bits=2)
-    assert codec.label("obj", 2, 1, 7) == _LABEL_VECTOR
-    assert codec.label("obj", 2, 3, 7) == _LABEL_VECTOR_VALUE3
+    labels = codec.labels(codec.epoch("obj", 7))
+    assert (labels[2 * 4 + 1], labels[2 * 4 + 3]) == (_LABEL_VECTOR, _LABEL_VECTOR_VALUE3)
     blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
     assert codec.epoch("obj", 7) == blob
     assert len(blob) == 16 * 4 * 16 + 16
@@ -291,53 +298,49 @@ def test_open_many_matches_try_decrypt(cases):
     assert sum(batch_counts) == len(cases)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    value_len=st.sampled_from([1, 4, 20]),
-    group_bits=st.sampled_from([1, 2, 3, 4]),
-    # 16 and 32 divide SHAKE-256's 136-byte rate unevenly; 24 more so.
-    label_len=st.sampled_from([16, 24, 32]),
-    counter=st.integers(min_value=0, max_value=1000),
+    value_len=st.integers(min_value=1, max_value=24),
+    group_bits=st.sampled_from([1, 2, 3, 8]),
+    label_bits=st.sampled_from([128, 256, 440]),
+    counter=st.integers(min_value=0, max_value=300),
+    data=st.data(),
 )
-def test_labels_for_groups_matches_scalar(value_len, group_bits, label_len, counter):
-    """The epoch's labels, the scalar lookups and the bare XOF call are
-    slices of one output (``group_bits=3``: 11-group tables at 4 B)."""
-    label_key = b"\x03" * 32
-    codec = _codec(label_key, value_len, group_bits, label_len)
-    blob = codec.epoch("some-key", counter)
-    assert blob == _ref_epoch(label_key, codec, "some-key", counter)
-    labels = codec.labels(blob)
-    table_size = 1 << group_bits
-    assert [
-        list(labels[index * table_size : (index + 1) * table_size])
-        for index in range(codec.num_groups)
-    ] == [
-        codec.labels_for_group("some-key", index, counter)
-        for index in range(codec.num_groups)
-    ]
-    assert b"".join(labels) == blob[: codec.labels_len]
-    groups = [(index + counter) % table_size for index in range(codec.num_groups)]
-    assert codec.select(blob, groups) == b"".join(
-        labels[index * table_size + group] for index, group in enumerate(groups)
+def test_prepare_matches_the_reference_row_for_row(
+    value_len, group_bits, label_bits, counter, data
+):
+    """The kernel's request is the paper's, byte for byte, under the nonce
+    it drew: every label, offset, slot and pad lands where §10.2 puts it."""
+    shape = dict(value_len=value_len, group_bits=group_bits, label_bits=label_bits)
+    config = StoreConfig(**shape, point_and_permute=True)
+    proxy = LblProxy(config, KeyChain(b"\x05" * 32, label_bits=label_bits))
+    proxy.initial_records({"k": bytes(value_len)})
+    proxy.force_counter("k", counter)
+    value = data.draw(st.none() | st.binary(min_size=value_len, max_size=value_len))
+    built, _ops = proxy.prepare(Request.read("k") if value is None else Request.write("k", value))
+    expected = lbl_reference.build_request(
+        proxy.keychain, config, "k", counter, value, nonce=built.nonce
     )
+    assert built.to_bytes() == expected.to_bytes()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
-    shape=st.sampled_from([(8, 2), (10, 2), (20, 1), (3, 3)]),
-    counter=st.integers(min_value=0, max_value=1000),
+    group_bits=st.sampled_from([1, 2, 3, 8]),
+    values=st.lists(st.none() | st.binary(min_size=3, max_size=3), min_size=1, max_size=4),
 )
-def test_permute_offsets_match_scalar(shape, counter):
-    value_len, group_bits = shape
-    label_key = b"\x06" * 32
-    codec = _codec(label_key, value_len, group_bits)
-    offsets = codec.offsets(codec.epoch("some-key", counter))
-    assert list(offsets) == [
-        codec.permute_offset("some-key", index, counter)
-        for index in range(codec.num_groups)
-    ]
-    tail = _ref_epoch(label_key, codec, "some-key", counter)[codec.labels_len :]
-    assert list(offsets) == [b % codec.table_size for b in tail]
+def test_reference_base_tables_open_at_the_server(group_bits, values):
+    """§5.2: a request built from shuffled ``aead.encrypt`` tables opens at
+    the real server and finalizes to the right value, access after access."""
+    store = LblOrtoa(StoreConfig(value_len=3, group_bits=group_bits), rng=random.Random(1))
+    store.initialize({"k": b"abc"})
+    current = b"abc"
+    for value in values:
+        request = Request.read("k") if value is None else Request.write("k", value)
+        built = lbl_reference.prepare(store.proxy, request, rng=random.Random(2))
+        response, _ops = store.server.process(built)
+        current = current if value is None else value
+        assert store.proxy.finalize("k", response)[0] == current
 
 
 def test_prf_context_class_exported():
@@ -349,37 +352,6 @@ def test_prf_context_class_exported():
 # --------------------------------------------------------------------- #
 # Point-and-permute rows: a fixed-key AES pad per row, 8 zero check bytes
 # --------------------------------------------------------------------- #
-
-#: π's key: the first 128 fractional bits of π (0x243F6A88…).
-_PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
-
-
-def _pi(block: bytes) -> bytes:
-    """AES-128 under the public constant key, from a bare context."""
-    encryptor = Cipher(algorithms.AES(_PI_KEY), modes.ECB()).encryptor()
-    return encryptor.update(block) + encryptor.finalize()
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(p ^ q for p, q in zip(a, b))  # to the shorter operand
-
-
-def _ref_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """The documented row: ``(payload ‖ 0^8) ⊕ pad``, block ``j`` of the pad
-    ``π(π(x) ⊕ t_j) ⊕ π(x)`` with ``x = key[:16]`` and ``t_j = nonce ⊕ j``."""
-    plain = payload + bytes(8)
-    hidden = _pi(key[:16])
-    pad = b""
-    for j in range(-(-len(plain) // 16)):
-        tweak = (int.from_bytes(nonce, "big") ^ j).to_bytes(16, "big")
-        pad += _xor(_pi(_xor(hidden, tweak)), hidden)
-    return _xor(plain, pad)
-
-
-def _slab(sealed_rows: "list[bytes]") -> bytes:
-    """Rows as they travel: every label, then every 9-byte tail."""
-    return b"".join(row[:-9] for row in sealed_rows) + b"".join(row[-9:] for row in sealed_rows)
-
 
 def _blob(items) -> bytes:
     return b"".join(items)
@@ -426,7 +398,6 @@ def _open(keys, slab, nonce, row_len, picks=None):
 
 def test_row_vector_single_block():
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
-    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD, _ROW_NONCE) == _ROW_VECTOR
     assert _seal([_ROW_KEY], [_ROW_PAYLOAD], _ROW_NONCE) == _ROW_VECTOR
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR, _ROW_NONCE) == _ROW_PAYLOAD
 
@@ -435,7 +406,6 @@ def test_row_vector_two_blocks():
     """A 41-byte row — two blocks of the HMAC pad this format once was, three
     of this one — and the widest row there is."""
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
-    assert rows.seal_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert _seal([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR_WIDE, _ROW_NONCE) == _ROW_PAYLOAD_WIDE
     # Block j of a pad is a function of j, not of the row's width: a wider
@@ -443,8 +413,8 @@ def test_row_vector_two_blocks():
     narrow = _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE[:17], _ROW_NONCE)
     assert _xor(narrow, _ROW_VECTOR_WIDE)[:17] == _xor(_ROW_PAYLOAD_WIDE[:17], _ROW_PAYLOAD_WIDE)
     assert _ref_row(b"k" * 55, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
-    assert rows.seal_row(b"k" * 55, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
-    assert rows.seal_row(b"k" * 16, b"p" * 56, _ROW_NONCE) == _ROW_VECTOR_WIDEST
+    assert _seal([b"k" * 55], [b"p" * 56], _ROW_NONCE) == _ROW_VECTOR_WIDEST
+    assert _seal([b"k" * 16], [b"p" * 56], _ROW_NONCE) == _ROW_VECTOR_WIDEST
     assert rows.open_row(b"k" * 55, _ROW_VECTOR_WIDEST, _ROW_NONCE) == b"p" * 56
 
 
@@ -478,7 +448,7 @@ def test_seal_rows_matches_scalar_and_stdlib(batch):
     slab = _seal(keys, payloads, nonce)
     row_len = len(payloads[0]) + rows.CHECK_LEN
     assert len(slab) == len(keys) * row_len
-    scalar = [rows.seal_row(k, p, nonce) for k, p in zip(keys, payloads)]
+    scalar = [_seal([k], [p], nonce) for k, p in zip(keys, payloads)]
     assert scalar == [_ref_row(k, p, nonce) for k, p in zip(keys, payloads)]
     # The slab is those rows as two runs; the row-by-row view inverts it.
     assert slab == _slab(scalar) == rows.join_rows(scalar)
@@ -515,7 +485,7 @@ def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
     # A row too short to hold check bytes, a slab that is no whole number of
     # rows, a row the slab does not have, a short key: nothing opens, whatever
     # the key.
-    row = rows.seal_row(keys[0], payloads[0], nonce)
+    row = _seal(keys[:1], payloads[:1], nonce)
     assert rows.open_row(keys[0], row[: rows.CHECK_LEN], nonce) is None
     assert rows.open_row(keys[0], row + bytes(64), nonce) is None
     assert rows.open_row(keys[0][:15], row, nonce) is None
@@ -563,13 +533,13 @@ def test_row_kernel_rejects_misuse():
         with pytest.raises(ConfigurationError):
             rows.seal_rows(keys, labels, slots, at)
     # 64 bytes — four blocks — is the widest row: a 55-byte label's.
-    assert len(rows.seal_row(b"k" * 55, b"p" * 56, nonce)) == rows.MAX_ROW_LEN
+    assert len(_seal([b"k" * 55], [b"p" * 56], nonce)) == rows.MAX_ROW_LEN
     with pytest.raises(ConfigurationError):
-        rows.seal_row(b"k" * 56, b"p" * 57, nonce)
+        _seal([b"k" * 56], [b"p" * 57], nonce)
     # The permutation never sees a partial block: its context is a stream.
     with pytest.raises(ConfigurationError):
         rows._permute(b"x" * 17)
-    assert rows.open_row(key, rows.seal_row(key, b"payload", nonce), nonce) == b"payload"
+    assert rows.open_row(key, _seal([key], [b"payload"], nonce), nonce) == b"payload"
 
 
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
@@ -589,7 +559,7 @@ def test_rows_are_metered_as_aead_ops(label_bits):
     try:
         with ledger.track(label="rows") as row:
             slab = _seal(keys, payloads, nonce)
-            rows.seal_row(keys[0], payloads[0], nonce)
+            _seal(keys[:1], payloads[:1], nonce)
             _open(keys, slab, nonce, row_len)
             rows.open_rows(
                 [

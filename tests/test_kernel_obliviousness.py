@@ -5,8 +5,8 @@ side of the trust boundary — nothing the
 server observes (request sizes, table shapes, decrypt counts, storage
 writes) may depend on them.  These tests run the
 :mod:`repro.obs` auditor over each configuration and require a clean
-verdict, and pin the wire-level invariant directly: scalar and batched
-prepare produce byte-identically-shaped requests.
+verdict.  That the kernel builds the paper's request byte for byte is
+``tests/test_golden_vectors.py``'s reference property.
 """
 
 import random
@@ -38,7 +38,7 @@ def _config(**overrides) -> StoreConfig:
 
 
 def test_audit_passes_with_batched_kernels():
-    protocol = LblOrtoa(_config(), rng=random.Random(0), batched=True)
+    protocol = LblOrtoa(_config(), rng=random.Random(0))
     report = run_audit(protocol, num_keys=16, seed=0)
     assert report.passed, report.summary()
     assert report.failures == []
@@ -53,9 +53,7 @@ def test_audit_passes_with_label_cache():
     (every access a hit) pass.
     """
     rng = random.Random(0)
-    protocol = LblOrtoa(
-        _config(label_cache_entries=-1), rng=random.Random(0), batched=True
-    )
+    protocol = LblOrtoa(_config(label_cache_entries=-1), rng=random.Random(0))
     keys = [f"audit-{i}" for i in range(16)]
     requests = [
         Request.read(key) if index < 8 else Request.write(key, bytes(16))
@@ -85,33 +83,9 @@ def test_audit_passes_on_base_protocol_batched():
     protocol = LblOrtoa(
         StoreConfig(value_len=16, label_cache_entries=-1),
         rng=random.Random(1),
-        batched=True,
     )
     report = run_audit(protocol, num_keys=24, seed=1)
     assert report.passed, report.summary()
-
-
-def test_scalar_and_batched_requests_have_identical_shape():
-    """The wire request leaks nothing about which kernel built it."""
-    keychain = KeyChain(label_bits=128)
-    config = _config(label_cache_entries=-1)
-    shapes = []
-    for batched in (False, True):
-        store = LblOrtoa(
-            config, keychain=keychain, rng=random.Random(3), batched=batched
-        )
-        store.initialize({"k": bytes(16)})
-        store.access(Request.read("k"))  # warm the cache on the batched run
-        request, _ = store.proxy.prepare(Request.write("k", bytes(16)))
-        wire = request.to_bytes()
-        shapes.append(
-            (
-                len(wire),
-                len(request.tables),
-                {len(table) for table in request.tables},
-            )
-        )
-    assert shapes[0] == shapes[1]
 
 
 def test_traced_frames_identical_shape_for_get_and_put():
@@ -126,7 +100,7 @@ def test_traced_frames_identical_shape_for_get_and_put():
 
     keychain = KeyChain(label_bits=128)
     config = _config(label_cache_entries=-1)
-    store = LblOrtoa(config, keychain=keychain, rng=random.Random(5), batched=True)
+    store = LblOrtoa(config, keychain=keychain, rng=random.Random(5))
     store.initialize({"k": bytes(16)})
     store.access(Request.read("k"))
     context = TraceContext(trace_id=7, span_id=9).encode()
@@ -145,38 +119,3 @@ def test_traced_frames_identical_shape_for_get_and_put():
             framing.TRACE_CONTEXT_BYTES
         )
 
-
-def test_request_shape_identical_across_kernel_paths():
-    """GET and PUT frames are byte-identically shaped on every kernel path.
-
-    The table build (scalar reference path, batched kernels, batched
-    kernels fed from a warm label cache) is a proxy-side implementation
-    detail; if any path changed the wire request's size or table geometry
-    — for either op type — the deployment choice itself would become
-    server-visible.
-    """
-    keychain = KeyChain(label_bits=128)
-    shapes = []
-    for batched, cache_entries in ((False, None), (True, None), (True, -1)):
-        store = LblOrtoa(
-            _config(label_cache_entries=cache_entries),
-            keychain=keychain,
-            rng=random.Random(3),
-            batched=batched,
-        )
-        store.initialize({"k": bytes(16)})
-        store.access(Request.read("k"))  # warm the cache where it exists
-        for op_request in (Request.read("k"), Request.write("k", bytes(16))):
-            request, _ = store.proxy.prepare(op_request)
-            wire = request.to_bytes()
-            shapes.append(
-                (
-                    len(wire),
-                    len(request.tables),
-                    frozenset(len(table) for table in request.tables),
-                    frozenset(
-                        len(entry) for table in request.tables for entry in table
-                    ),
-                )
-            )
-    assert len(set(shapes)) == 1, shapes

@@ -1,8 +1,8 @@
 """Label cache, batch prepare order, and init complexity.
 
 The cache is a pure optimization: every test here ultimately checks either
-that it changes nothing observable (scalar / batched-cold / batched-warm
-decode identical values) or that its bookkeeping (LRU bound, consuming
+that it changes nothing observable (the cache-less deployment's values
+and shapes) or that its bookkeeping (LRU bound, consuming
 take, invalidation on counter moves) holds, since a stale epoch served from
 the cache would make the next access undecodable.
 """
@@ -36,8 +36,8 @@ def _config(**overrides) -> StoreConfig:
     return StoreConfig(**params)
 
 
-def _store(config: StoreConfig, *, batched: bool = True, seed: int = 5) -> LblOrtoa:
-    store = LblOrtoa(config, rng=random.Random(seed), batched=batched)
+def _store(config: StoreConfig, *, seed: int = 5) -> LblOrtoa:
+    store = LblOrtoa(config, rng=random.Random(seed))
     store.initialize(
         {f"k{i}": config.pad(f"v{i}".encode()) for i in range(4)}
     )
@@ -177,35 +177,6 @@ def test_restore_counters_clears_cache():
     assert len(store.proxy.label_cache) > 0
     store.proxy.restore_counters({"k0": 1, "k1": 1})
     assert len(store.proxy.label_cache) == 0
-
-
-# --------------------------------------------------------------------- #
-# Equivalence: scalar / batched-cold / batched-warm decode identically
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("pnp", [True, False])
-def test_three_paths_decode_identically(pnp):
-    """Same keychain, same workload: every kernel path returns the same bytes."""
-    workload = [
-        Request.read("k0"),
-        Request.write("k1", b"new-val1".ljust(8, b"\x00")),
-        Request.read("k1"),
-        Request.read("k0"),
-        Request.write("k0", b"new-val0".ljust(8, b"\x00")),
-        Request.read("k0"),
-    ]
-    results = []
-    keychain = KeyChain(label_bits=128)
-    for batched, cache_entries in ((False, None), (True, None), (True, -1)):
-        config = _config(point_and_permute=pnp, label_cache_entries=cache_entries)
-        store = LblOrtoa(
-            config, keychain=keychain, rng=random.Random(9), batched=batched
-        )
-        store.initialize({f"k{i}": config.pad(f"v{i}".encode()) for i in range(4)})
-        results.append([store.access(req).response.value for req in workload])
-    assert results[0] == results[1] == results[2]
-    assert results[0][-1].rstrip(b"\x00") == b"new-val0"
 
 
 def _access_shapes(store: LblOrtoa, request: Request) -> tuple[bytes, tuple, tuple]:

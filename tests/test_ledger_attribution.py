@@ -95,9 +95,7 @@ def _assert_rows_match_model(rows, requests, epochs, wire_frame):
         key = request.key
         row = by_key[key][position.get(key, 0)]
         position[key] = position.get(key, 0) + 1
-        model = LblCostModel.from_config(
-            CONFIG, backend="stdlib", key=key, counter=epoch
-        )
+        model = LblCostModel.from_config(CONFIG, key=key, counter=epoch)
         expected = model.ops(include_server=False)
         actual = {name: row["ops"].get(name, 0) for name in expected}
         assert actual == expected, (key, epoch, row)

@@ -116,6 +116,15 @@ def test_label_bits_above_440_rejected_with_point_and_permute():
     assert store.read("k") == b"yo"
 
 
+@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
+@pytest.mark.parametrize("label_bits", [8, 64, 120])
+def test_label_bits_below_128_rejected(label_bits, point_and_permute):
+    """A label keys a 16-byte-or-wider AEAD key or row pad seed: a narrower
+    one used to initialize and then fail every access."""
+    with pytest.raises(ConfigurationError, match="at least 128"):
+        StoreConfig(value_len=8, label_bits=label_bits, point_and_permute=point_and_permute)
+
+
 def test_lbl_response_roundtrip():
     resp = m.LblAccessResponse.from_labels((b"label1", b"label2", b"label3"))
     assert resp == m.LblAccessResponse(b"label1label2label3", 6)

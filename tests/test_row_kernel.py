@@ -111,7 +111,8 @@ def test_a_refused_run_leaves_the_context_clean(poison):
         assert rows.open_rows([(nonce, os.urandom(5 * 8), slab, 25, picks)]) == [
             (b"", b"", picks)
         ]
-        assert rows.open_row(b"five!", rows.seal_row(keys[:16], b"p" * 17, nonce), nonce) is None
+        row = rows.seal_rows(keys[:16], b"p" * 16, b"p", nonce)
+        assert rows.open_row(b"five!", row, nonce) is None
     elif poison == "short_slab":
         assert rows.open_rows([(nonce, keys, slab[:-1], 25, picks)]) == [(b"", b"", picks)]
     elif poison == "refused_seal":

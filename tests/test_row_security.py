@@ -38,6 +38,7 @@ from repro.security.games import (
 )
 from repro.security.simulators import LblSimulator
 from repro.types import Request, StoreConfig
+from tests import lbl_reference
 
 CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
 STORED = b"stored!!"
@@ -83,49 +84,57 @@ def pad_reuse_detected(first: LblAccessRequest, second: LblAccessRequest) -> boo
     return False
 
 
-def _prepare_get_then_put_at_one_epoch(store: LblOrtoa):
+#: Each hazard is pinned on the kernel and on the row-at-a-time reference.
+PREPARES = pytest.mark.parametrize(
+    "prepare",
+    [lambda proxy, request: proxy.prepare(request)[0], lbl_reference.prepare],
+    ids=["kernel", "scalar"],
+)
+
+
+def _prepare_get_then_put_at_one_epoch(store: LblOrtoa, prepare):
     """The re-prepare both rollback paths perform: same key, same old labels."""
     epoch = store.proxy.counter("k")
-    get, _ops = store.proxy.prepare(Request.read("k"))
+    get = prepare(store.proxy, Request.read("k"))
     store.proxy.force_counter("k", epoch)
-    put, _ops = store.proxy.prepare(Request.write("k", WRITTEN))
+    put = prepare(store.proxy, Request.write("k", WRITTEN))
     return get, put
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["kernel", "scalar"])
+@PREPARES
 @pytest.mark.parametrize("label_bits", [128, 256])
-def test_same_epoch_reprepare_never_reuses_a_pad(batched, label_bits):
+def test_same_epoch_reprepare_never_reuses_a_pad(prepare, label_bits):
     config = dataclasses.replace(CONFIG, label_bits=label_bits)
-    store = LblOrtoa(config, rng=random.Random(19), batched=batched)
+    store = LblOrtoa(config, rng=random.Random(19))
     store.initialize({"k": STORED})
-    get, put = _prepare_get_then_put_at_one_epoch(store)
+    get, put = _prepare_get_then_put_at_one_epoch(store, prepare)
     assert get.nonce != put.nonce and len(get.nonce) == rows.ROW_NONCE_LEN
     assert not pad_reuse_detected(get, put)
     # Same for a GET re-prepared as a GET, the lost-request retry.
     store.proxy.force_counter("k", store.proxy.counter("k") - 1)
-    again, _ops = store.proxy.prepare(Request.read("k"))
+    again = prepare(store.proxy, Request.read("k"))
     assert not pad_reuse_detected(get, again)
     # Either table is still the one the server's labels open.
     response, _server_ops = store.server.process(put)
     assert store.proxy.finalize("k", response)[0] == WRITTEN
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["kernel", "scalar"])
-def test_negative_control_fixed_nonce_is_a_two_time_pad(monkeypatch, batched):
+@PREPARES
+def test_negative_control_fixed_nonce_is_a_two_time_pad(monkeypatch, prepare):
     """The detector is not vacuous: pin the nonce and it fires, and the
     XOR of the two tables then says which one was the PUT."""
     monkeypatch.setattr(
         proxy_module.secrets, "token_bytes", lambda n: b"\x42" * n
     )
-    store = LblOrtoa(CONFIG, rng=random.Random(19), batched=batched)
+    store = LblOrtoa(CONFIG, rng=random.Random(19))
     store.initialize({"k": STORED})
-    get, put = _prepare_get_then_put_at_one_epoch(store)
+    get, put = _prepare_get_then_put_at_one_epoch(store, prepare)
     assert get.nonce == put.nonce
     assert pad_reuse_detected(get, put)
     # GET ⊕ GET cancels entirely; GET ⊕ PUT does not: the operation type
     # (and whether the written group equals the stored one) is readable.
     store.proxy.force_counter("k", store.proxy.counter("k") - 1)
-    again, _ops = store.proxy.prepare(Request.read("k"))
+    again = prepare(store.proxy, Request.read("k"))
     assert again.slab == get.slab
     assert put.slab != get.slab
 

@@ -21,7 +21,7 @@ costs, and nothing else.  These tests pin the transparency claims:
 * attribution — each request's ledger row gets its byte-exact closed-form
   share of the fused open, and a row-less window-mate leaks nothing into
   anyone else's row (the model==ledger equality is exercised through
-  ``run_model_check``'s ``server-coalesced`` backend);
+  ``run_model_check``'s ``server-coalesced`` cell);
 * error-path telemetry — failed opens emit their span and
   ``lbl.server.*`` counters too, base protocol and point-and-permute
   alike;
@@ -598,14 +598,10 @@ def test_rows_omitted_inherits_ambient_row_like_sequential():
 def test_model_check_server_coalesced_backend_is_exact():
     from repro.analysis.costmodel import run_model_check
 
-    report = run_model_check(
-        value_sizes=(4,), backends=("server-coalesced",)
-    )
+    report = run_model_check(value_sizes=(4,))
     assert report["ok"], report["cases"]
-    assert {case["backend"] for case in report["cases"]} == {
-        "server-coalesced"
-    }
-    assert {case["op"] for case in report["cases"]} == {"get", "put"}
+    fused = [case for case in report["cases"] if case["path"] == "server-coalesced"]
+    assert {case["op"] for case in fused} == {"get", "put"}
 
 
 # --------------------------------------------------------------------- #
