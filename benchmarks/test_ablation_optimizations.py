@@ -11,9 +11,10 @@ import random
 
 from conftest import save_table
 
+from repro import obs
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.concurrent import access_batch
 from repro.harness.report import render_table
+from repro.obs import ledger
 from repro.sim.network import DATACENTER_RTT_MS, DEFAULT_BANDWIDTH_MBPS
 from repro.types import Request, StoreConfig
 
@@ -35,10 +36,14 @@ def test_ablation_point_and_permute(benchmark):
         for pnp in (False, True):
             protocol = _protocol(group_bits=2, pnp=pnp)
             total_dec, total_failed = 0, 0
-            for _ in range(10):
-                ops = protocol.access(Request.read("k")).ops_at("server")
-                total_dec += ops.aead_dec
-                total_failed += ops.failed_dec
+            # The server counts its own attempts, in each access's ledger row.
+            with obs.capture():
+                for _ in range(10):
+                    with ledger.track() as row:
+                        protocol.access(Request.read("k"))
+                    ops = row.snapshot()["ops"]
+                    total_dec += ops.get("aead.decrypts", 0)
+                    total_failed += ops.get("aead.decrypt_failures", 0)
             rows.append(
                 {
                     "point_and_permute": pnp,
@@ -96,8 +101,11 @@ def test_ablation_batching(benchmark):
         rows = []
         for batch_size in (1, 2, 4, 8, 16):
             protocol = _protocol(group_bits=2, pnp=True)
-            batch = access_batch(protocol, [Request.read("k")] * batch_size)
-            total_bytes = batch.combined.request_bytes + batch.combined.response_bytes
+            # The one batch frame each way, as the in-process link meters it.
+            with obs.capture():
+                protocol.access_batch([Request.read("k")] * batch_size)
+                wire = ledger.registry_wire_snapshot()
+            total_bytes = wire["local.batch.sent"] + wire["local.batch.received"]
             serialization_ms = total_bytes * 8 / (bandwidth * 1000)
             wan_ms_per_op = (rtt + serialization_ms) / batch_size
             rows.append(

@@ -5,7 +5,8 @@ Three operational tools this library adds around the core protocol:
 
 1. the §6.3.2 **advisor** picks the protocol for your deployment;
 2. **batching** amortizes the WAN round trip over many requests;
-3. the **concurrent proxy** serves real threads with per-key serialization.
+3. one **deployment serves many threads**: accesses to the same key wait
+   for each other, accesses to distinct keys do not.
 
 Run:  python examples/high_throughput_batching.py
 """
@@ -13,9 +14,9 @@ Run:  python examples/high_throughput_batching.py
 import random
 import threading
 
-from repro import LblOrtoa, Request, StoreConfig, access_batch
+from repro import LblOrtoa, Request, StoreConfig, obs
 from repro.analysis.advisor import recommend
-from repro.core.lbl.concurrent import ConcurrentLblProxy
+from repro.obs import ledger
 from repro.sim.network import DATACENTER_RTT_MS, DEFAULT_BANDWIDTH_MBPS
 
 
@@ -37,8 +38,10 @@ def main() -> None:
     print(f"WAN cost per operation at Oregon RTT ({rtt} ms), by batch size:")
     for batch_size in (1, 4, 16):
         requests = [Request.read(f"user-{i}") for i in range(batch_size)]
-        batch = access_batch(store, requests)
-        total_bytes = batch.combined.request_bytes + batch.combined.response_bytes
+        with obs.capture():  # meter the one batch frame each way
+            store.access_batch(requests)
+            wire = ledger.registry_wire_snapshot()
+        total_bytes = wire["local.batch.sent"] + wire["local.batch.received"]
         serialization = total_bytes * 8 / (DEFAULT_BANDWIDTH_MBPS * 1000)
         per_op = (rtt + serialization) / batch_size
         print(f"  batch={batch_size:3d}: {total_bytes / 1000:8.1f} kB on the wire, "
@@ -46,8 +49,8 @@ def main() -> None:
     print()
 
     # --- 3. Serve real threads safely -----------------------------------
-    front = ConcurrentLblProxy(store)
     errors: list[Exception] = []
+    completed: list[int] = []
 
     def worker(worker_id: int) -> None:
         rng = random.Random(worker_id)
@@ -55,9 +58,10 @@ def main() -> None:
             for _ in range(20):
                 key = f"user-{rng.randrange(64)}"
                 if rng.random() < 0.3:
-                    front.write(key, rng.randbytes(40))
+                    store.write(key, rng.randbytes(40))
                 else:
-                    front.read(key)
+                    store.read(key)
+                completed.append(1)
         except Exception as exc:  # pragma: no cover - demo guard
             errors.append(exc)
 
@@ -66,7 +70,7 @@ def main() -> None:
         thread.start()
     for thread in threads:
         thread.join()
-    print(f"8 threads completed {front.completed} oblivious operations "
+    print(f"8 threads completed {len(completed)} oblivious operations "
           f"with {len(errors)} errors; per-key label epochs stayed consistent.")
 
 

@@ -41,9 +41,6 @@ _EXPORTS = {
     "TwoRoundBaseline": "repro.core",
     "ShardedDeployment": "repro.core.deployment",
     "FreshnessGuard": "repro.core.freshness",
-    "ConcurrentLblProxy": "repro.core.lbl.concurrent",
-    "access_batch": "repro.core.lbl.concurrent",
-    "DurableLblOrtoa": "repro.core.lbl.wal",
     "ObliviousTable": "repro.relational",
     "Schema": "repro.relational",
     "AccessTranscript": "repro.core",

@@ -13,21 +13,31 @@ hiding) the operation type from the storage server:
 All four return an :class:`~repro.core.base.AccessTranscript` from
 ``access()`` so the experiment harness can replay the communication and
 computation profile of each request on the simulated WAN.
+
+The names resolve on first use (PEP 562): the LBL deployment imports the
+transport package, whose server imports this package's LBL server half.
 """
 
-from repro.core.base import AccessTranscript, OpCounts, OrtoaProtocol, PhaseRecord
-from repro.core.baseline import TwoRoundBaseline
-from repro.core.fhe_ortoa import FheOrtoa
-from repro.core.lbl import LblOrtoa
-from repro.core.tee_ortoa import TeeOrtoa
+from importlib import import_module
 
-__all__ = [
-    "OrtoaProtocol",
-    "AccessTranscript",
-    "PhaseRecord",
-    "OpCounts",
-    "TwoRoundBaseline",
-    "FheOrtoa",
-    "TeeOrtoa",
-    "LblOrtoa",
-]
+_EXPORTS = {
+    "OrtoaProtocol": "repro.core.base",
+    "AccessTranscript": "repro.core.base",
+    "PhaseRecord": "repro.core.base",
+    "OpCounts": "repro.core.base",
+    "TwoRoundBaseline": "repro.core.baseline",
+    "FheOrtoa": "repro.core.fhe_ortoa",
+    "TeeOrtoa": "repro.core.tee_ortoa",
+    "LblOrtoa": "repro.core.sharded",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -17,7 +17,8 @@ DEFAULT_LABEL_CACHE_BYTES = 4 * 1024 * 1024  # budget of an auto-sized cache
 
 
 class LabelCache:
-    """At most ``entries`` epochs; thread-safe (``ConcurrentLblProxy``)."""
+    """At most ``entries`` epochs; thread-safe (a deployment's caller
+    threads share it)."""
 
     def __init__(self, entries: int) -> None:
         if entries < 1:

@@ -37,7 +37,7 @@ import random
 import secrets
 from collections import OrderedDict
 
-from repro.core.base import OpCounts
+from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
 from repro.core.lbl.cache import LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead, rows
@@ -49,7 +49,7 @@ from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
-from repro.types import Request, StoreConfig
+from repro.types import Request, Response, StoreConfig
 
 #: Width of the serialized point-and-permute slot index appended to each
 #: row payload.  The paper uses 2 bits; a whole byte keeps framing simple
@@ -60,8 +60,8 @@ DECRYPT_INDEX_BYTES = rows.SLOT_LEN
 #: The table holds one epoch blob per outstanding request, so the budget
 #: binds as soon as more requests are outstanding at once — a batch, a
 #: window, a pipeline depth, a thread count — than it has room for epochs:
-#: 100 at the paper point (160 B values, 41.6 KB per epoch; above
-#: ``ConcurrentLblProxy``'s 64 stripes), thousands at 2 B.  Past that, and
+#: 100 at the paper point (160 B values, 41.6 KB per epoch; above the
+#: default pipeline depth of 8), thousands at 2 B.  Past that, and
 #: for epochs whose request failed and is never finalized, the oldest epoch
 #: falls out and its ``finalize`` re-derives what ``prepare`` had kept.
 _INFLIGHT_TABLE_BYTES = 4 * 1024 * 1024
@@ -115,6 +115,13 @@ class LblProxy:
         self._inflight: "OrderedDict[tuple[str, int], bytes]" = OrderedDict()
         self._inflight_capacity = max(
             1, _INFLIGHT_TABLE_BYTES // (codec.epoch_len + _INFLIGHT_ENTRY_OVERHEAD)
+        )
+        #: The server's work on an access it commits, as far as this side
+        #: can know it: one fetch and one store and, under point-and-permute,
+        #: exactly one open per group.  (The base protocol's wasted attempts
+        #: are the server's to count, in its ledger row.)
+        self.server_ops = OpCounts(
+            kv_ops=2, aead_dec=codec.num_groups if config.point_and_permute else 0
         )
 
     # ------------------------------------------------------------------ #
@@ -327,6 +334,21 @@ class LblProxy:
         for table in tables:
             self._rng.shuffle(table)
         return tables
+
+    def transcript(
+        self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,
+        round_trip: RoundTrip, value: bytes,
+    ) -> AccessTranscript:
+        """One finalized access's transcript; its server phase is
+        :attr:`server_ops`."""
+        phases = (
+            PhaseRecord("proxy-build-tables", "proxy", prepare_ops),
+            PhaseRecord("server-open-and-update", "server", self.server_ops),
+            PhaseRecord("proxy-decode", "proxy", finalize_ops),
+        )
+        return AccessTranscript(
+            request.op, phases, (round_trip,), Response(request.key, value)
+        )
 
     # ------------------------------------------------------------------ #
     # Response handling (§5.2 step 2.2 tail + §5.4 tamper check)

@@ -13,11 +13,16 @@ perfect fit:
 * **Resolve the uncertainty window** — a crash can land *between* the WAL
   append and the server applying the message, leaving the logged counter
   one epoch ahead of the server's labels.  The window is exactly one epoch
-  wide (logging is synchronous), so
-  :class:`DurableLblOrtoa` resolves it lazily: if the first post-recovery
-  access to a key fails to open any table entry at the logged epoch, it
-  rolls that key back one epoch and retries — one extra round trip, only
-  for keys that were mid-flight at crash time.
+  wide (logging is synchronous), so the deployment resolves it lazily: if
+  an access to a key is refused at the logged epoch, it rolls that key
+  back one epoch further and retries once — one extra round trip, only for
+  keys that were mid-flight at crash time.
+
+:class:`CounterWal` is the log.  A
+:class:`~repro.core.sharded.ShardedLblDeployment` built with ``wal_path=``
+keeps its counters in it on every path and over every link; built again
+over the surviving shards, it replays the log (recovery).  A refused
+request's rollback is not logged — the resync covers it.
 
 Assumed failure model: crash-stop with in-flight messages lost (a dying
 proxy's TCP connections die with it); Byzantine servers are §5.4's topic.
@@ -27,14 +32,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-import random
 import struct
-
-from repro.core.base import AccessTranscript
-from repro.core.lbl import LblOrtoa
-from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, ProtocolError
-from repro.types import Request, StoreConfig
 
 _RECORD_HEADER = struct.Struct(">IQ")  # key length, counter value
 
@@ -64,8 +62,9 @@ class CounterWal:
     def append(self, key: str, counter: int) -> None:
         """Durably record that ``key`` is moving to epoch ``counter``."""
         encoded = key.encode("utf-8")
-        self._log.write(_RECORD_HEADER.pack(len(encoded), counter))
-        self._log.write(encoded)
+        # One write per record: a buffered file serializes whole writes, so
+        # records appended from several threads never interleave.
+        self._log.write(_RECORD_HEADER.pack(len(encoded), counter) + encoded)
         self._log.flush()
         os.fsync(self._log.fileno())
 
@@ -112,80 +111,4 @@ class CounterWal:
         return counters
 
 
-class DurableLblOrtoa(LblOrtoa):
-    """LBL-ORTOA whose proxy counters survive crashes.
-
-    Args:
-        config: Store configuration.
-        wal_path: Path for the write-ahead log (and its snapshot).
-        keychain: Key material.  Must be the *same* keychain across
-            restarts (persisting it is a key-management concern, not a
-            counter-state one).
-        rng: Table-shuffle randomness.
-    """
-
-    name = "lbl-ortoa-durable"
-
-    def __init__(
-        self,
-        config: StoreConfig,
-        wal_path: str | os.PathLike,
-        keychain: KeyChain | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
-        super().__init__(config, keychain=keychain, rng=rng)
-        self.wal = CounterWal(wal_path)
-        self.recovered_resyncs = 0
-
-    def initialize(self, records: dict[str, bytes]) -> None:
-        super().initialize(records)
-        self.wal.checkpoint({key: 0 for key in records})
-
-    def access(self, request: Request) -> AccessTranscript:
-        epoch = self.proxy.counter(request.key) + 1
-        self.wal.append(request.key, epoch)  # write-ahead: log THEN send
-        try:
-            return super().access(request)
-        except ProtocolError:
-            # Post-recovery uncertainty: the logged counter outran the server
-            # by one (crash between append and apply), so the failed attempt
-            # used old-labels one epoch too new.  Roll the counter back two
-            # (undoing both the failed attempt's bump and the phantom epoch)
-            # and retry once; a second failure is real corruption.
-            if epoch < 2:
-                raise
-            self.proxy.force_counter(request.key, epoch - 2)
-            self.recovered_resyncs += 1
-            self.wal.append(request.key, epoch - 1)
-            return super().access(request)
-
-    def checkpoint(self) -> None:
-        """Compact the WAL into a snapshot of the current counters."""
-        self.wal.checkpoint(dict(self.proxy.counters()))
-
-    @classmethod
-    def recover(
-        cls,
-        config: StoreConfig,
-        wal_path: str | os.PathLike,
-        keychain: KeyChain,
-        server,
-        rng: random.Random | None = None,
-    ) -> "DurableLblOrtoa":
-        """Rebuild a proxy from its WAL, re-attaching to the live server.
-
-        Args:
-            config: Must match the crashed deployment's configuration.
-            wal_path: The crashed proxy's log location.
-            keychain: The crashed proxy's key material.
-            server: The (still running) :class:`~repro.core.lbl.server.LblServer`.
-        """
-        if keychain is None:
-            raise ConfigurationError("recovery requires the original keychain")
-        protocol = cls(config, wal_path, keychain=keychain, rng=rng)
-        protocol.server = server
-        protocol.proxy.restore_counters(protocol.wal.replay())
-        return protocol
-
-
-__all__ = ["CounterWal", "DurableLblOrtoa"]
+__all__ = ["CounterWal"]

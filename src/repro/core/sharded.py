@@ -1,54 +1,53 @@
-"""Sharded, pipelined LBL-ORTOA over real sockets (paper §6.2.4 at scale).
+"""The LBL front end: one trusted proxy over N shards, each behind a link.
 
 The paper scales ORTOA by partitioning the key space across proxy/server
-pairs.  :class:`ShardedLblDeployment` is the networked realization: one
-trusted proxy fronting ``N`` independent
-:class:`~repro.transport.server.LblTcpServer` shards, with three levers the
-in-process :class:`~repro.core.deployment.ShardedDeployment` lacks:
+pairs (§6.2.4).  :class:`ShardedLblDeployment` is the trusted side of every
+LBL deployment in this repository: one proxy fronting ``N`` shards, each
+reached through a *link* (:mod:`repro.transport.pipeline`) — a
+:class:`~repro.transport.pipeline.PipelinedLblClient` over TCP to an
+:class:`~repro.transport.server.LblTcpServer`, or a
+:class:`~repro.transport.pipeline.LocalLink` handing the same payload bytes
+to a dispatcher in this process.  :class:`LblOrtoa` (one local shard) and
+:class:`RemoteLblOrtoa` (one TCP shard) are this class with its link chosen.
 
 * **routing** — :class:`~repro.storage.sharding.ShardRouter` maps the
-  PRF-encoded key to a shard, so the routing tier sees exactly what each
-  storage server already sees (no new leakage);
-* **batching** — :meth:`access_batch` builds the batch's tables with
-  :meth:`~repro.core.lbl.proxy.LblProxy.prepare` in request order, splits it
-  into per-shard sub-batches, ships them concurrently over pipelined
-  connections, and merges the replies back into request order;
+  PRF-encoded key to a shard (the router sees what each server already sees);
+* **batching** — :meth:`access_batch` prepares in request order and ships
+  one sub-batch frame per shard, concurrently;
 * **pipelining** — :meth:`access_pipelined` keeps up to ``pipeline_depth``
-  independent single-request frames in flight per deployment instead of
-  paying one round trip of dead air per access.
+  single-request frames in flight; :meth:`access` is a pipeline of one.
 
-Correctness under pipelining hinges on the same invariant as
-:class:`~repro.core.lbl.concurrent.ConcurrentLblProxy`: two in-flight
-accesses to one key would both build tables against the same label epoch
-and the second would fail to decrypt.  :meth:`access_pipelined` therefore
-never submits a request for a key that already has a frame in flight — it
-drains the window to that key first.  Within a batch the server processes
-sub-requests in order, so repeated keys inside one batch are always safe.
+**One key, one frame in flight.**  Two in-flight accesses to one key would
+both build tables against the same label epoch and the second would fail to
+decrypt.  So every access *claims* its key from prepare until its reply is
+finalized, across all caller threads: a pipeline that wants a claimed key
+drains its own window, and waits for another caller's claim only once it
+holds none; a batch claims all its keys at once while holding none.  No
+caller ever waits for a key while it holds another, so callers cannot
+deadlock.  Within a batch the server processes sub-requests in order, so
+repeated keys inside one batch are safe.
 
-The deployment itself is single-threaded (one proxy, mutable counters);
-wrap it in :class:`~repro.core.lbl.concurrent.ConcurrentLblProxy` to serve
-many client threads.  The proxy's share of an access is one sequential table
-build (§5.2 step 1); throughput is bought by adding proxy/server pairs
-(§6.2.4), not by spreading one prepare over workers (``docs/performance.md``
-has the measurement).
+The proxy's share of an access is one sequential table build (§5.2 step 1);
+throughput is bought by adding proxy/server pairs (§6.2.4), not by spreading
+one prepare over workers (``docs/performance.md`` has the measurement).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import threading
 import time
 from collections import deque
+from concurrent.futures import Future
+from dataclasses import dataclass
+from typing import Iterable
 
-from repro.core.base import (
-    AccessTranscript,
-    OpCounts,
-    OrtoaProtocol,
-    PhaseRecord,
-    RoundTrip,
-)
+from repro.core.base import AccessTranscript, OpCounts, OrtoaProtocol, RoundTrip
 from repro.core.lbl.concurrent import finalize_batch_entries
 from repro.core.lbl.proxy import LblProxy
+from repro.core.lbl.wal import CounterWal
 from repro.core.messages import (
     LblAccessRequest,
     LblAccessResponse,
@@ -60,6 +59,7 @@ from repro.crypto.keys import KeyChain
 from repro.errors import (
     BatchPartialFailure,
     ConfigurationError,
+    OverloadError,
     ProtocolError,
     RefusedError,
 )
@@ -68,18 +68,22 @@ from repro.obs import ledger as _ledger
 from repro.obs.exemplars import EXEMPLARS
 from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import TraceContext, merge_span_dumps
-from repro.obs.recorder import RECORDER, merge_recorder_dumps
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, Span
 from repro.storage.sharding import ShardRouter
-from repro.transport.pipeline import PipelinedLblClient
-from repro.transport.server import LOAD_ACK, OBS_DUMP_TAG, OBS_PULL_TAG, pack_load
-from repro.types import Request, Response, StoreConfig
+from repro.transport.pipeline import LocalLink, PipelinedLblClient
+from repro.transport.server import (
+    LOAD_ACK,
+    OBS_DUMP_TAG,
+    OBS_PULL_TAG,
+    LblFrameDispatcher,
+    pack_load,
+)
+from repro.types import Request, StoreConfig
 
 
-# ``LblProxy.prepare`` is the only way a request is prepared.  This class
-# exists because ``bench/tracing.py`` calls
-# ``dep.prepare_engine.prepare_one`` / ``.prepare_batch``; the next benchmark
-# PR calls ``proxy.prepare`` there and deletes it (ROADMAP item 3(e)).
+# ``LblProxy.prepare`` is the only way a request is prepared; this class exists
+# because ``bench/tracing.py`` calls ``dep.prepare_engine.prepare_one`` /
+# ``.prepare_batch``, until it calls ``proxy.prepare`` (ROADMAP item 1(b)).
 class _SerialPrepare:
     """``proxy.prepare`` returning ``(wire_request, prepare_ops, epoch)``."""
 
@@ -115,34 +119,91 @@ class _SerialPrepare:
         return built
 
 
+class _KeyClaims:
+    """The keys with a frame in flight, across every caller thread.
+
+    Callers wait in :meth:`claim` only while they hold no claim, which is
+    what makes the rule deadlock-free.
+    """
+
+    def __init__(self) -> None:
+        self._held: set[str] = set()
+        self._changed = threading.Condition(threading.Lock())
+
+    def claim(self, keys: Iterable[str], wait: bool = True) -> bool:
+        """Claim every key of ``keys`` once none is claimed — at once, or
+        never when not ``wait``; returns whether it claimed."""
+        with self._changed:
+            free = self._changed.wait_for(
+                lambda: self._held.isdisjoint(keys), None if wait else 0
+            )
+            if free:
+                self._held.update(keys)
+            return free
+
+    def release(self, keys: Iterable[str]) -> None:
+        """Give ``keys`` back and wake the callers waiting for them."""
+        with self._changed:
+            self._held.difference_update(keys)
+            self._changed.notify_all()
+
+
+@dataclass(slots=True)
+class _Flight:
+    """One single-request frame, from prepare to finalize."""
+
+    index: int
+    request: Request
+    epoch: int
+    prepare_ops: OpCounts
+    future: Future
+    request_bytes: int
+    shard: int
+    span: "Span | None"
+    row: "_ledger.LedgerRow | None"
+    submitted_at: float
+    resent: bool
+
+
 class ShardedLblDeployment(OrtoaProtocol):
-    """One trusted proxy over ``N`` TCP storage shards, pipelined.
+    """One trusted proxy over ``N`` shards, pipelined.
 
     Args:
         config: Store configuration (``point_and_permute`` must match the
             servers').
-        addresses: ``(host, port)`` of each shard's
-            :class:`~repro.transport.server.LblTcpServer`.
+        addresses: One entry per shard: the ``(host, port)`` of its
+            :class:`~repro.transport.server.LblTcpServer` (a
+            :class:`~repro.transport.pipeline.PipelinedLblClient` is opened
+            to it), or a link object to use as it stands (anything with
+            ``submit`` / ``close`` / ``overhead``, e.g. a
+            :class:`~repro.transport.pipeline.LocalLink`).
         keychain: Key material — never leaves this process.
         rng: Table-shuffle randomness.
         pipeline_depth: Default in-flight window of
             :meth:`access_pipelined`.
-        pool_size: Sockets per shard.
+        pool_size: Sockets per TCP shard.
         timeout: Connect timeout and per-reply wait (seconds).
+        wal_path: Keep the proxy's counters in a write-ahead log there
+            (:mod:`repro.core.lbl.wal`).  A log that already holds counters
+            is replayed: that is recovery, and it needs the crashed
+            deployment's ``keychain``.
 
-    Access window fusion on the untrusted store is configured on the shard
-    servers themselves (``server_batch`` / ``server_window`` on
-    :class:`~repro.transport.server.LblTcpServer` and
-    :class:`~repro.transport.cluster.ShardCluster`), not here: the client
-    needs no changes for its concurrent frames to fuse server-side.
+    Access window fusion is configured on the shard servers
+    (``server_batch`` / ``server_window``), not here.
 
     **Refused requests.**  An OVERLOAD or error frame proves the shard
-    refused before commit, so every access path takes the key's counter back
-    to the epoch the server still holds before raising
-    :class:`~repro.errors.RefusedError`: the request can be retried as it
-    stands.  A timeout or a lost connection proves nothing — the counter
-    stays advanced, and reconciling it is the write-ahead log's business
-    (:mod:`repro.core.lbl.wal`).
+    refused before commit, so the key's counter goes back to the epoch the
+    shard holds before :class:`~repro.errors.RefusedError` is raised: a
+    retry is safe.  A timeout or a lost connection proves nothing; that is
+    the write-ahead log's business.
+
+    **The write-ahead log.**  Every path appends a request's epoch before
+    the frame leaves.  A crash between the append and the shard's commit
+    leaves the logged counter one epoch ahead; the single-frame refusal
+    path resolves it: a refused frame's key goes back two epochs and the
+    request is sent once more (counted in :attr:`recovered_resyncs` when
+    that resend is answered).  A refused batch entry is rolled back one
+    epoch and reported; its retry through :meth:`access` resyncs.
     """
 
     name = "lbl-ortoa-sharded"
@@ -151,30 +212,44 @@ class ShardedLblDeployment(OrtoaProtocol):
     def __init__(
         self,
         config: StoreConfig,
-        addresses: list[tuple[str, int]],
+        addresses: list,
         keychain: KeyChain | None = None,
         rng: random.Random | None = None,
         pipeline_depth: int = 8,
         pool_size: int = 1,
         timeout: float = 30.0,
+        wal_path: str | os.PathLike | None = None,
     ) -> None:
         super().__init__(config)
         if not addresses:
             raise ConfigurationError("deployment needs at least one shard address")
         if pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1")
+        self.wal = CounterWal(wal_path) if wal_path is not None else None
+        recovered = self.wal.replay() if self.wal is not None else {}
+        if recovered and keychain is None:
+            raise ConfigurationError("recovery requires the original keychain")
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
         self.proxy = LblProxy(config, self.keychain, rng=rng)
+        if recovered:
+            self.proxy.restore_counters(recovered)
+        #: Resends that recovered a key logged one epoch ahead of its shard.
+        self.recovered_resyncs = 0
+        self._resyncs_lock = threading.Lock()
         self.prepare_engine = _SerialPrepare(self.proxy)
         self.router = ShardRouter(len(addresses))
         self.clients = [
-            PipelinedLblClient(address, pool_size=pool_size, timeout=timeout)
+            address
+            if hasattr(address, "submit")
+            else PipelinedLblClient(address, pool_size=pool_size, timeout=timeout)
             for address in addresses
         ]
         self.pipeline_depth = pipeline_depth
         self.timeout = timeout
         self._encoded: dict[str, bytes] = {}
-        self.name = f"lbl-ortoa-sharded-x{len(addresses)}"
+        self._claims = _KeyClaims()
+        if type(self) is ShardedLblDeployment:  # subclasses keep their name
+            self.name = f"{self.name}-x{len(addresses)}"
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -209,9 +284,17 @@ class ShardedLblDeployment(OrtoaProtocol):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Close every shard connection."""
+        """Close every shard link and the write-ahead log."""
         for client in self.clients:
             client.close()
+        if self.wal is not None:
+            self.wal.close()
+
+    def checkpoint(self) -> None:
+        """Compact the write-ahead log into a snapshot of the counters."""
+        if self.wal is None:
+            raise ConfigurationError("checkpoint needs a deployment with wal_path")
+        self.wal.checkpoint(self.proxy.counters())
 
     def collect_remote_obs(self) -> list[dict]:
         """Pull every shard's telemetry dump (spans + metrics) over the wire.
@@ -222,9 +305,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         global tracer, so pulling them would duplicate every span — skip
         the call there.
         """
-        pending = [
-            client.submit(bytes([OBS_PULL_TAG])) for client in self.clients
-        ]
+        pending = [client.submit(bytes([OBS_PULL_TAG])) for client in self.clients]
         dumps = []
         for future in pending:
             reply = future.result(self.timeout)
@@ -245,19 +326,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         remote = [dump.get("spans", []) for dump in (remote_dumps or [])]
         return merge_span_dumps(TRACER.export(), remote)
 
-    def merged_recorder(self, remote_dumps: list[dict] | None = None) -> list[dict]:
-        """One flight-recorder timeline: local ring plus the shards' rings.
-
-        Each shard dump's events are tagged ``process="shard-<i>"``
-        (:func:`repro.obs.recorder.merge_recorder_dumps`), so a post-mortem
-        reads as a single ordered timeline across the whole deployment —
-        the shed decision on shard 1 next to the window flush on shard 0
-        that preceded it.
-        """
-        local = [event.to_dict() for event in RECORDER.events()]
-        remote = [dump.get("recorder", {}) for dump in (remote_dumps or [])]
-        return merge_recorder_dumps(local, remote)
-
     def __enter__(self) -> "ShardedLblDeployment":
         return self
 
@@ -270,135 +338,250 @@ class ShardedLblDeployment(OrtoaProtocol):
 
     def initialize(self, records: dict[str, bytes]) -> None:
         """Bulk-load records, pipelining the LOAD frames across all shards."""
-        for key in records:
-            self.encoded_key(key)  # prime the routing cache for shard_sizes()
         pending = []
-        for encoded_key, labels in self.proxy.initial_records(records):
-            shard = self.router.shard_of(encoded_key)
-            future = self.clients[shard].submit(pack_load(encoded_key, labels))
-            pending.append(future)
+        for key, (encoded_key, labels) in zip(
+            records, self.proxy.initial_records(records)
+        ):
+            self._encoded[key] = encoded_key  # primes the routing cache
+            link = self.clients[self.router.shard_of(encoded_key)]
+            pending.append(link.submit(pack_load(encoded_key, labels)))
         for future in pending:
             if future.result(self.timeout) != LOAD_ACK:
                 raise ProtocolError("server rejected a load record")
+        if self.wal is not None:
+            self.wal.checkpoint(self.proxy.counters())
 
-    def _transcript(
-        self,
-        request: Request,
-        proxy_ops: OpCounts,
-        finalize_ops: OpCounts,
-        request_bytes: int,
-        reply_bytes: int,
-        value: bytes,
-    ) -> AccessTranscript:
-        return AccessTranscript(
-            op=request.op,
-            phases=(
-                PhaseRecord("proxy-build-tables", "proxy", proxy_ops),
-                PhaseRecord("server-remote", "server", OpCounts(kv_ops=2)),
-                PhaseRecord("proxy-decode", "proxy", finalize_ops),
-            ),
-            round_trips=(RoundTrip(request_bytes, reply_bytes),),
-            response=Response(request.key, value),
-        )
+    def _send(self, index: int, request: Request, row, resent: bool = False) -> _Flight:
+        """Prepare one request, log its epoch, and submit it to its shard.
 
-    def _prepare_timed(self, request: Request):
-        """One prepare, timed when obs is on.
-
-        Returns the ``(wire_request, prepare_ops, epoch)`` triple.
+        ``row`` is the request's own ledger row (``None``: the caller's).
+        Under observability the access gets a ``sharded.access`` span whose
+        context rides the mux frame, so the shard's spans parent under it.
         """
-        if not _obs.enabled:
-            return self.prepare_engine.prepare_one(request)
-        start = time.perf_counter()
-        built = self.prepare_engine.prepare_one(request)
-        REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
-            time.perf_counter() - start
-        )
-        return built
-
-    def _await_reply(self, future, key: str, epoch: int) -> bytes:
-        """One access frame's reply; a refusal first takes ``key`` back to
-        ``epoch - 1``, which the server that refused ``epoch`` still holds."""
+        token = _ledger.activate(row) if row is not None else None
         try:
-            return future.result(self.timeout)
-        except RefusedError:
-            self.proxy.force_counter(key, epoch - 1)
-            raise
+            started = time.perf_counter() if _obs.enabled else 0.0
+            lbl_request, prepare_ops, epoch = self.prepare_engine.prepare_one(request)
+            payload = lbl_request.to_bytes()
+            if self.wal is not None:
+                self.wal.append(request.key, epoch)  # write-ahead: log, then send
+            shard = self.shard_of(request.key)
+            link = self.clients[shard]
+            span = context = None
+            submitted_at = 0.0
+            if _obs.enabled:
+                REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
+                    time.perf_counter() - started
+                )
+                span = TRACER.start_span(
+                    "sharded.access", shard=shard, request_bytes=len(payload)
+                )
+                context = TraceContext.from_span(span).encode()
+                if row is not None:
+                    row.trace_id = span.trace_id
+                _ledger.credit_wire(
+                    "access", "sent", len(payload) + link.overhead[0], row
+                )
+                REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
+                submitted_at = time.perf_counter()
+            # An in-process shard serves the frame right here, under the
+            # request's row.
+            future = link.submit(payload, trace_context=context)
+        finally:
+            if token is not None:
+                _ledger.deactivate(token)
+        return _Flight(
+            index, request, epoch, prepare_ops, future, len(payload), shard, span,
+            row, submitted_at, resent,
+        )
 
-    def access(self, request: Request) -> AccessTranscript:
-        """One oblivious access routed to its shard (lockstep).
+    def _refused(self, flight: _Flight, error: RefusedError) -> bool:
+        """The one rollback of a refused frame; returns whether to resend.
 
-        With observability enabled the whole access runs under a
-        ``sharded.access`` span whose context travels to the shard inside
-        the mux frame (the pipelined client propagates the current span
-        automatically), so the server-side spans parent under it; the
-        client-observed round trip lands in the
-        ``sharded.access.roundtrip.seconds`` log histogram.
+        A refusal proves the shard did not commit ``epoch``, so it still
+        holds ``epoch - 1`` — unless the logged counter had run one epoch
+        ahead of it (a crash between the log append and the send).  With a
+        log, a refusal that is not a shed therefore goes back two epochs and
+        resends once; if the resend is refused too, the key returns to the
+        epoch it started from.
         """
-        if not _obs.enabled:
-            shard = self.shard_of(request.key)
-            lbl_request, proxy_ops, epoch = self._prepare_timed(request)
-            payload = lbl_request.to_bytes()
-            reply = self._await_reply(
-                self.clients[shard].submit(payload), request.key, epoch
-            )
-            response = LblAccessResponse.from_bytes(reply)
-            value, finalize_ops = self.proxy.finalize(
-                request.key, response, counter=epoch
-            )
-            return self._transcript(
-                request, proxy_ops, finalize_ops, len(payload), len(reply), value
-            )
-        with TRACER.span("sharded.access") as span:
-            shard = self.shard_of(request.key)
-            lbl_request, proxy_ops, epoch = self._prepare_timed(request)
-            payload = lbl_request.to_bytes()
-            # The pipelined client propagates this span's context, so the
-            # frame travels with the 25-byte traced mux header; the reply
-            # comes back under the plain 9-byte header.  Credit the ambient
-            # row (if the caller is tracking) with exactly those bytes.
-            _ledger.credit_wire(
-                "access", "sent", _ledger.framed_mux_bytes(len(payload), traced=True)
-            )
-            submitted_at = time.perf_counter()
-            reply = self._await_reply(
-                self.clients[shard].submit(payload), request.key, epoch
-            )
-            roundtrip = time.perf_counter() - submitted_at
+        epoch = flight.epoch
+        resync = (
+            self.wal is not None
+            and not flight.resent
+            and epoch >= 2
+            and not isinstance(error, OverloadError)
+        )
+        back = 0 if flight.resent else 2 if resync else 1
+        self.proxy.force_counter(flight.request.key, epoch - back)
+        return resync
+
+    def _receive(self, flight: _Flight) -> "AccessTranscript | _Flight":
+        """Wait for one frame's reply and finalize it.
+
+        Returns the transcript, or the resend a resync put in flight.
+        """
+        request, span, row = flight.request, flight.span, flight.row
+        try:
+            reply = flight.future.result(self.timeout)
+        except RefusedError as exc:
+            if span is not None:
+                TRACER.end(span)
+            if self._refused(flight, exc):
+                return self._send(flight.index, request, row, resent=True)
+            if row is not None:
+                _ledger.retire(row)
+            raise
+        roundtrip = 0.0
+        if span is not None:
+            roundtrip = time.perf_counter() - flight.submitted_at
             REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
                 roundtrip
             )
-            _ledger.credit_wire(
-                "access",
-                "received",
-                _ledger.framed_mux_bytes(len(reply), traced=False),
-            )
-            response = LblAccessResponse.from_bytes(reply)
+            TRACER.end(span)
+        response = LblAccessResponse.from_bytes(reply)
+        # Up to ``depth`` request lifetimes interleave on this thread, so the
+        # ambient row must follow the request being finalized.
+        token = _ledger.activate(row) if row is not None else None
+        try:
             value, finalize_ops = self.proxy.finalize(
-                request.key, response, counter=epoch
+                request.key, response, counter=flight.epoch
             )
-            span.set_attributes(shard=shard, request_bytes=len(payload))
-            REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
-            # Tail exemplar: if this round trip is in the window's tail the
-            # store retains its trace id (the span tree is resolved lazily
-            # at export, so the still-open access span is included) and the
-            # ambient ledger row, letting ``repro trace`` open this exact
-            # request later.
-            ambient = _ledger.current_row()
+        finally:
+            if token is not None:
+                _ledger.deactivate(token)
+        if flight.resent:
+            with self._resyncs_lock:
+                self.recovered_resyncs += 1
+        if span is not None:
+            overhead = self.clients[flight.shard].overhead[1]
+            _ledger.credit_wire("access", "received", len(reply) + overhead, row)
+            if row is not None:
+                _ledger.retire(row)
+            # Tail exemplar, considered once the row is fully credited: if
+            # this round trip is in the window's tail the store keeps its
+            # trace id and ledger row, so ``repro trace`` can open it later.
+            kept = row if row is not None else _ledger.current_row()
             EXEMPLARS.consider(
                 roundtrip,
                 trace_id=span.trace_id,
-                ledger_row=ambient.snapshot() if ambient is not None else None,
+                label="pipelined" if row is not None else "access",
+                ledger_row=kept.snapshot() if kept is not None else None,
             )
-        return self._transcript(
-            request, proxy_ops, finalize_ops, len(payload), len(reply), value
+        return self.proxy.transcript(
+            request,
+            flight.prepare_ops,
+            finalize_ops,
+            RoundTrip(flight.request_bytes, len(reply)),
+            value,
         )
+
+    def access(self, request: Request) -> AccessTranscript:
+        """One oblivious access routed to its shard, in lockstep: a
+        pipeline of one whose work is credited to the caller's ambient
+        ledger row.
+
+        Raises:
+            RefusedError: The shard refused the request; the key's counter
+                is back in step with it, so the access can be retried.
+        """
+        return self._pipeline([request], 1, own_rows=False)[0]
+
+    def access_pipelined(
+        self, requests: list[Request], depth: int | None = None
+    ) -> list[AccessTranscript]:
+        """Serve requests with up to ``depth`` frames in flight at once.
+
+        Unlike :meth:`access_batch` (one frame per shard), every request
+        travels as its own multiplexed frame, so the server's worker pool
+        processes them in parallel and replies stream back continuously.
+        Transcripts are returned in request order; each request's work is
+        credited to its own ``pipelined:<key>`` ledger row.
+
+        These concurrent frames are what fills a ``server_batch > 1``
+        shard's access windows: a depth-8 pipeline against a
+        ``server_batch=8`` shard lands in one fused ``process_many``.  The
+        per-key claim keeps two same-key frames of one deployment out of
+        one window.
+
+        Raises:
+            RefusedError: A shard refused a request (OVERLOAD or error
+                frame).  Nothing further is submitted; the frames already
+                in flight are drained — finalized, or rolled back if
+                refused too — and the first refusal is raised with every
+                refused key's counter back in step with its shard.
+        """
+        if not requests:
+            raise ProtocolError("pipeline needs at least one request")
+        depth = self.pipeline_depth if depth is None else depth
+        if depth < 1:
+            raise ConfigurationError("pipeline depth must be >= 1")
+        return self._pipeline(requests, depth, own_rows=True)
+
+    def _pipeline(
+        self, requests: list[Request], depth: int, own_rows: bool
+    ) -> list[AccessTranscript]:
+        claims = self._claims
+        window: deque[_Flight] = deque()
+        held: set[str] = set()
+        transcripts: list = [None] * len(requests)
+        refused: list[RefusedError] = []
+
+        def drain_one() -> None:
+            flight = window.popleft()
+            try:
+                done = self._receive(flight)
+            except RefusedError as exc:
+                refused.append(exc)
+            else:
+                if isinstance(done, _Flight):  # a resync's resend, key still held
+                    window.append(done)
+                    return
+                transcripts[flight.index] = done
+            key = flight.request.key
+            held.discard(key)
+            claims.release((key,))
+            if _obs.enabled:
+                REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
+
+        try:
+            for index, request in enumerate(requests):
+                while len(window) >= depth:
+                    drain_one()
+                key = (request.key,)
+                # Drain this caller's own frames while the key is claimed;
+                # wait for another caller's claim only when holding none.
+                while not refused and not claims.claim(key, wait=False):
+                    if window:
+                        drain_one()
+                    else:
+                        claims.claim(key)
+                        break
+                if refused:  # nothing further is submitted (and key is not held)
+                    break
+                held.add(request.key)
+                row = None
+                if own_rows and _obs.enabled:
+                    row = _ledger.LedgerRow(label=f"pipelined:{request.key}")
+                window.append(self._send(index, request, row))
+                if _obs.enabled:
+                    REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
+            while window:
+                drain_one()
+        finally:
+            if held:
+                claims.release(held)
+        if refused:
+            raise refused[0]
+        return transcripts
 
     def access_batch(self, requests: list[Request]) -> list[AccessTranscript]:
         """Serve a batch with one concurrent sub-batch per shard.
 
         Requests are prepared in order (epochs recorded, so repeated keys
         decode correctly), partitioned by shard, shipped concurrently, and
-        the per-shard replies are merged back into request order.
+        the per-shard replies are merged back into request order.  The
+        batch claims all of its keys at once before it prepares.
 
         Raises:
             BatchPartialFailure: Some requests failed server-side — or a
@@ -408,12 +591,17 @@ class ShardedLblDeployment(OrtoaProtocol):
         """
         if not requests:
             raise ProtocolError("batch must contain at least one request")
-        if not _obs.enabled:
-            return self._access_batch_inner(requests, None)
-        with TRACER.span("sharded.batch", size=len(requests)) as batch_span:
-            return self._access_batch_inner(
-                requests, TraceContext.from_span(batch_span).encode()
-            )
+        keys = {request.key for request in requests}
+        self._claims.claim(keys)
+        try:
+            if not _obs.enabled:
+                return self._access_batch_inner(requests, None)
+            with TRACER.span("sharded.batch", size=len(requests)) as batch_span:
+                return self._access_batch_inner(
+                    requests, TraceContext.from_span(batch_span).encode()
+                )
+        finally:
+            self._claims.release(keys)
 
     def _access_batch_inner(
         self, requests: list[Request], batch_context: bytes | None
@@ -430,12 +618,10 @@ class ShardedLblDeployment(OrtoaProtocol):
             REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
                 time.perf_counter() - prepare_start
             )
-        prepared = []
         by_shard: dict[int, list[int]] = {}
-        for index, (request, (lbl_request, proxy_ops, epoch)) in enumerate(
-            zip(requests, built)
-        ):
-            prepared.append((request, lbl_request, proxy_ops, epoch))
+        for index, (request, (_, _, epoch)) in enumerate(zip(requests, built)):
+            if self.wal is not None:
+                self.wal.append(request.key, epoch)  # write-ahead: log, then send
             by_shard.setdefault(self.shard_of(request.key), []).append(index)
 
         # Ship every sub-batch before waiting on any reply: the shards
@@ -443,25 +629,21 @@ class ShardedLblDeployment(OrtoaProtocol):
         shard_futures = {}
         shard_wire_bytes = {}
         for shard, indices in by_shard.items():
-            sub_messages = [prepared[i][1].to_bytes() for i in indices]
-            sub = LblBatchRequest(tuple(prepared[i][1] for i in indices))
-            wire = sub.to_bytes()
+            link = self.clients[shard]
+            sub_messages = [built[i][0].to_bytes() for i in indices]
+            wire = LblBatchRequest(tuple(built[i][0] for i in indices)).to_bytes()
             shard_wire_bytes[shard] = len(wire)
-            shard_futures[shard] = self.clients[shard].submit(
-                wire, trace_context=batch_context
-            )
+            shard_futures[shard] = link.submit(wire, trace_context=batch_context)
             if rows is not None:
                 # Exact attribution: each request owns its length-prefixed
-                # sub-message; the shard envelope (batch tag + frame length
-                # + traced mux header) goes to the sub-batch's first row, so
-                # per-row sums equal the transport totals to the byte.
-                envelope = _ledger.framed_mux_bytes(1, traced=True)
+                # sub-message; the shard envelope (batch tag + the link's
+                # framing) goes to the sub-batch's first row, so per-row
+                # sums equal the transport totals to the byte.
                 for position, index in enumerate(indices):
                     share = 4 + len(sub_messages[position])
                     if position == 0:
-                        share += envelope
+                        share += 1 + link.overhead[0]
                     rows[index].credit_wire("batch", "sent", share)
-            if _obs.enabled:
                 REGISTRY.counter(f"sharded.shard{shard}.requests").inc(len(indices))
                 REGISTRY.gauge("sharded.batch.shards_in_flight").set(
                     len(shard_futures)
@@ -492,14 +674,13 @@ class ShardedLblDeployment(OrtoaProtocol):
                 if rows is not None:
                     nbytes = 4 + len(entry.to_bytes())
                     if position == 0:
-                        # Reply envelope: batch tag + frame length + plain
-                        # mux header (server replies untraced).
-                        nbytes += _ledger.framed_mux_bytes(1, traced=False)
+                        # Reply envelope: batch tag + the link's framing.
+                        nbytes += 1 + self.clients[shard].overhead[1]
                     rows[index].credit_wire("batch", "received", nbytes)
 
         transcripts, failures = finalize_batch_entries(
             self.proxy,
-            [(request, proxy_ops, epoch) for request, _, proxy_ops, epoch in prepared],
+            [(request, ops, epoch) for request, (_, ops, epoch) in zip(requests, built)],
             tuple(entries),
             shares=shares,
             rows=rows,
@@ -511,164 +692,57 @@ class ShardedLblDeployment(OrtoaProtocol):
             raise BatchPartialFailure(failures, transcripts)
         return [transcripts[i] for i in range(len(requests))]
 
-    def access_pipelined(
-        self, requests: list[Request], depth: int | None = None
-    ) -> list[AccessTranscript]:
-        """Serve requests with up to ``depth`` frames in flight at once.
 
-        Unlike :meth:`access_batch` (one frame per shard), every request
-        travels as its own multiplexed frame, so the server's worker pool
-        processes them in parallel and replies stream back continuously.
-        Transcripts are returned in request order.
+class LblOrtoa(ShardedLblDeployment):
+    """One-round oblivious GET/PUT via PRF-derived bit labels, in one process.
 
-        When the shard servers run with ``server_batch > 1``, these
-        concurrent in-flight frames are exactly what fills the server-side
-        access windows (:class:`~repro.core.lbl.server_coalesce.\
-ServerAccessCoalescer`): a depth-8 pipeline against a ``server_batch=8``
-        shard lands its whole window in one fused ``process_many``.  The
-        per-key in-flight exclusion below also guarantees a pipelined
-        client never puts two same-key frames into one server window, so
-        the server's same-key chaining is only exercised by *distinct*
-        clients colliding on a key.
+    Args:
+        config: Store configuration; ``group_bits`` and ``point_and_permute``
+            select the §10 optimizations.
+        keychain: Key material (generated if omitted).
+        rng: Randomness source for table shuffling; inject a seeded
+            ``random.Random`` for deterministic tests.
+    """
 
-        Raises:
-            RefusedError: A shard refused a request (OVERLOAD or error
-                frame).  Nothing further is submitted; the frames already
-                in flight are drained — finalized, or rolled back if
-                refused too — and the first refusal is raised with every
-                refused key's counter back in step with its shard.
-        """
-        if not requests:
-            raise ProtocolError("pipeline needs at least one request")
-        depth = self.pipeline_depth if depth is None else depth
-        if depth < 1:
-            raise ConfigurationError("pipeline depth must be >= 1")
+    name = "lbl-ortoa"
 
-        window: deque = deque()
-        keys_in_flight: set[str] = set()
-        transcripts: list[AccessTranscript] = []
-        refused: list[RefusedError] = []
-
-        def drain_one() -> None:
-            (
-                request,
-                epoch,
-                proxy_ops,
-                future,
-                request_bytes,
-                span,
-                submitted_at,
-                row,
-            ) = window.popleft()
-            try:
-                reply = self._await_reply(future, request.key, epoch)
-            except RefusedError as exc:
-                refused.append(exc)
-                if span is not None:
-                    TRACER.end(span)
-                if row is not None:
-                    _ledger.retire(row)
-                return
-            finally:
-                keys_in_flight.discard(request.key)
-            if _obs.enabled:
-                REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
-            roundtrip = 0.0
-            if span is not None:
-                roundtrip = time.perf_counter() - submitted_at
-                REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
-                    roundtrip
-                )
-                TRACER.end(span)
-            response = LblAccessResponse.from_bytes(reply)
-            # Reactivate this request's row for the finalize crypto: up to
-            # ``depth`` request lifetimes interleave on this thread, so the
-            # ambient row must follow the request being drained, not the one
-            # most recently submitted.
-            token = _ledger.activate(row) if row is not None else None
-            try:
-                value, finalize_ops = self.proxy.finalize(
-                    request.key, response, counter=epoch
-                )
-            finally:
-                if token is not None:
-                    _ledger.deactivate(token)
-            if row is not None:
-                row.credit_wire(
-                    "access",
-                    "received",
-                    _ledger.framed_mux_bytes(len(reply), traced=False),
-                )
-                _ledger.retire(row)
-            if span is not None:
-                # Consider after the row is fully credited so a retained
-                # exemplar's ledger snapshot matches the transport totals.
-                EXEMPLARS.consider(
-                    roundtrip,
-                    trace_id=span.trace_id,
-                    label="pipelined",
-                    ledger_row=row.snapshot() if row is not None else None,
-                )
-            transcripts.append(
-                self._transcript(
-                    request, proxy_ops, finalize_ops, request_bytes, len(reply), value
-                )
-            )
-
-        for request in requests:
-            # Same-key ordering: never two in-flight epochs for one key.
-            while request.key in keys_in_flight or len(window) >= depth:
-                drain_one()
-            if refused:
-                break
-            shard = self.shard_of(request.key)
-            row = token = None
-            if _obs.enabled:
-                row = _ledger.LedgerRow(label=f"pipelined:{request.key}")
-                token = _ledger.activate(row)
-            try:
-                lbl_request, proxy_ops, epoch = self._prepare_timed(request)
-            finally:
-                if token is not None:
-                    _ledger.deactivate(token)
-            payload = lbl_request.to_bytes()
-            # The span is manual (start/end) because up to ``depth`` access
-            # lifetimes interleave on this one thread; its context rides the
-            # mux frame so the shard's spans parent under it.
-            span = context = None
-            if _obs.enabled:
-                span = TRACER.start_span(
-                    "sharded.access", shard=shard, request_bytes=len(payload)
-                )
-                context = TraceContext.from_span(span).encode()
-                row.trace_id = span.trace_id
-                row.credit_wire(
-                    "access",
-                    "sent",
-                    _ledger.framed_mux_bytes(len(payload), traced=True),
-                )
-            future = self.clients[shard].submit(payload, trace_context=context)
-            window.append(
-                (
-                    request,
-                    epoch,
-                    proxy_ops,
-                    future,
-                    len(payload),
-                    span,
-                    time.perf_counter() if _obs.enabled else 0.0,
-                    row,
-                )
-            )
-            keys_in_flight.add(request.key)
-            if _obs.enabled:
-                REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
-                REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
-        while window:
-            drain_one()
-        if refused:
-            raise refused[0]
-        return transcripts
+    def __init__(
+        self,
+        config: StoreConfig,
+        keychain: KeyChain | None = None,
+        rng: random.Random | None = None,
+    ) -> None:
+        link = LocalLink(
+            LblFrameDispatcher(point_and_permute=config.point_and_permute)
+        )
+        super().__init__(config, [link], keychain=keychain, rng=rng)
+        #: The shard's untrusted server, for inspection (the DES harness,
+        #: the obliviousness auditor and the security games read it).
+        self.server = link.dispatcher.lbl
 
 
-__all__ = ["ShardedLblDeployment"]
+class RemoteLblOrtoa(ShardedLblDeployment):
+    """LBL-ORTOA whose untrusted server lives across a TCP connection.
+
+    Args:
+        config: Store configuration (``point_and_permute`` must match the
+            server's).
+        address: ``(host, port)`` of a running
+            :class:`~repro.transport.server.LblTcpServer`.
+        keychain: Key material — never leaves this process.
+        rng: Table-shuffle randomness.
+    """
+
+    name = "lbl-ortoa-remote"
+
+    def __init__(
+        self,
+        config: StoreConfig,
+        address: tuple[str, int],
+        keychain: KeyChain | None = None,
+        rng: random.Random | None = None,
+    ) -> None:
+        super().__init__(config, [address], keychain=keychain, rng=rng)
+
+
+__all__ = ["LblOrtoa", "RemoteLblOrtoa", "ShardedLblDeployment"]

@@ -46,7 +46,7 @@ _DURATION_MS = 3_000.0
 
 #: Server cores per protocol: AWS r5.xlarge (4) for baseline/LBL, the Azure
 #: Standard_DC48s_v3 SGX machines (48) for TEE (§6, Experimental Setup).
-_CORES = {"baseline": 4, "lbl": 4, "lbl-base": 4, "tee": 48, "fhe": 4}
+_CORES = {"baseline": 4, "lbl": 4, "tee": 48, "fhe": 4}
 
 
 def _run(spec: DeploymentSpec, cost_model: CostModel | None = None):

@@ -41,11 +41,11 @@ from repro.workloads.synthetic import RequestStream, WorkloadSpec
 
 #: Keys used for transcript profiling; shapes don't depend on the key.
 _PROFILE_KEYS = 4
-#: Real accesses averaged per op type when profiling (the shuffled LBL
-#: variant has stochastic failed-decryption counts).
+#: Real accesses averaged per op type when profiling.  Each LBL access
+#: reports the same closed-form op counts, so for LBL the average is exact.
 _PROFILE_SAMPLES = 3
 
-PROTOCOL_NAMES = ("baseline", "tee", "lbl", "lbl-base", "fhe")
+PROTOCOL_NAMES = ("baseline", "tee", "lbl", "fhe")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,8 +55,7 @@ class DeploymentSpec:
     Attributes:
         protocol: One of ``baseline`` (2RTT), ``tee``, ``lbl`` (the §10
             optimized protocol: y=2 + point-and-permute, the configuration
-            the paper prices in §6.3.3), ``lbl-base`` (the plain §5.2
-            protocol), or ``fhe``.
+            the paper prices in §6.3.3), or ``fhe``.
         server_location: Table 2 datacenter name for the proxy→server link.
         num_clients: Closed-loop client threads (paper default 32).
         server_cores: 4 for the AWS r5.xlarge servers, 48 for the Azure SGX
@@ -125,7 +124,7 @@ class DeploymentSpec:
             return TwoRoundBaseline(config)
         if self.protocol == "tee":
             return TeeOrtoa(config)
-        if self.protocol in ("lbl", "lbl-base"):
+        if self.protocol == "lbl":
             return LblOrtoa(config, rng=random.Random(self.seed))
         return FheOrtoa(config)
 

@@ -492,7 +492,8 @@ class LeakyLblServer(LblServer):
 
 
 class LeakyLblOrtoa(LblOrtoa):
-    """LBL-ORTOA wired to a :class:`LeakyLblServer` (negative control)."""
+    """LBL-ORTOA whose in-process shard serves from a :class:`LeakyLblServer`
+    (negative control)."""
 
     name = "lbl-ortoa-leaky"
 
@@ -504,6 +505,7 @@ class LeakyLblOrtoa(LblOrtoa):
     ) -> None:
         super().__init__(config, keychain=keychain, rng=rng)
         self.server = LeakyLblServer(point_and_permute=config.point_and_permute)
+        self.clients[0].dispatcher.lbl = self.server
 
     def access(self, request: Request):
         self.server.current_op = request.op

@@ -5,10 +5,10 @@ primitive invocations per access — so this module meters both at the places
 they actually happen and attributes them to the request that caused them:
 
 * **Wire bytes** are counted where frames cross a socket
-  (:mod:`repro.transport.pipeline`, :mod:`repro.transport.server`) or a
-  logical request boundary (:class:`repro.core.lbl.LblOrtoa`,
-  :class:`repro.core.sharded.ShardedLblDeployment`), keyed by frame type ×
-  direction × role.
+  (:mod:`repro.transport.pipeline`, :mod:`repro.transport.server`) or the
+  in-process link (:class:`repro.transport.pipeline.LocalLink`, unframed,
+  ``role="local"``), keyed by frame type × direction × role, and credited
+  per request by :class:`repro.core.sharded.ShardedLblDeployment`.
 * **Crypto ops** are counted inside the primitives themselves
   (:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`, the label cache) so
   every fast path — batch kernel, cache hit — is metered where it

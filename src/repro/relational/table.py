@@ -143,12 +143,13 @@ class ObliviousTable:
         self._free_slots.append(slot)
 
     def get_many(self, pks: list[Any]) -> list[dict[str, Any]]:
-        """Fetch several rows; batched into one round trip over LBL-ORTOA.
+        """Fetch several rows; one :meth:`access_batch
+        <repro.core.sharded.ShardedLblDeployment.access_batch>` on any LBL
+        deployment (one frame per shard).
 
         Falls back to sequential oblivious reads for other protocols.
         """
-        from repro.core.lbl import LblOrtoa
-        from repro.core.lbl.concurrent import access_batch
+        from repro.core.sharded import ShardedLblDeployment
         from repro.types import Request
 
         missing = [pk for pk in pks if pk not in self._slot_by_pk]
@@ -156,12 +157,13 @@ class ObliviousTable:
             raise KeyNotFoundError(f"no rows with primary keys {missing!r}")
         if not pks:
             return []
-        if isinstance(self.protocol, LblOrtoa):
+        if isinstance(self.protocol, ShardedLblDeployment):
             requests = [
                 Request.read(self._slot_key(self._slot_by_pk[pk])) for pk in pks
             ]
-            batch = access_batch(self.protocol, requests)
-            values = [t.response.value for t in batch.per_request]
+            values = [
+                t.response.value for t in self.protocol.access_batch(requests)
+            ]
         else:
             values = [
                 self.protocol.read(self._slot_key(self._slot_by_pk[pk])) for pk in pks

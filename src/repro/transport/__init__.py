@@ -1,41 +1,45 @@
 """Real network transport: LBL-ORTOA over TCP sockets.
 
-Everything else in the repository exchanges messages by function call (with
-byte-exact serialization) or on the simulated WAN.  This package closes the
-last gap to a deployable system: a threaded TCP server hosting the
-untrusted :class:`~repro.core.lbl.server.LblServer`, and a client-side
-deployment whose proxy talks to it over a real socket with length-prefixed
-frames.  The wire carries exactly the serialized messages of
-:mod:`repro.core.messages` — nothing protocol-visible changes, so all
-security properties carry over verbatim.
-
-Use :class:`~repro.transport.server.LblTcpServer` on the storage host and
-:class:`~repro.transport.client.RemoteLblOrtoa` wherever the trusted proxy
-runs.  For high-throughput deployments,
-:class:`~repro.transport.pipeline.PipelinedLblClient` multiplexes many
-in-flight requests over pooled sockets (see :mod:`repro.core.sharded`),
-and :class:`~repro.transport.cluster.ShardCluster` boots a set of shard
-servers (threads or separate processes) for loopback experiments.
+A threaded TCP server hosts the untrusted
+:class:`~repro.core.lbl.server.LblServer`
+(:class:`~repro.transport.server.LblTcpServer`); the trusted
+:class:`~repro.core.sharded.ShardedLblDeployment` reaches it through a link
+(:mod:`repro.transport.pipeline`) — over TCP, or in this process with the
+same bytes.  The wire carries exactly the serialized messages of
+:mod:`repro.core.messages`, so all security properties carry over verbatim.
+:class:`~repro.transport.cluster.ShardCluster` boots a set of shard servers
+(threads or separate processes) for loopback experiments.
 
 The server bounds what it holds: multiplexed
 requests over its in-flight windows are shed at once with a constant
 one-byte OVERLOAD frame, ``close()`` drains what it admitted, and a peer
 that stops reading loses its connection (``docs/scaling.md``, "Backpressure
 and admission control").
+
+Re-exports resolve on first use (PEP 562), so importing one transport module
+does not load the others — nor the deployment that imports this package's
+link modules while it is itself being imported.
 """
 
-from repro.transport.client import RemoteLblOrtoa
-from repro.transport.cluster import ShardCluster
-from repro.transport.pipeline import PipelinedLblClient
-from repro.transport.server import LblTcpServer
-from repro.transport.tee_client import RemoteTeeOrtoa
-from repro.transport.tee_server import TeeTcpServer
+from importlib import import_module
 
-__all__ = [
-    "LblTcpServer",
-    "RemoteLblOrtoa",
-    "PipelinedLblClient",
-    "ShardCluster",
-    "TeeTcpServer",
-    "RemoteTeeOrtoa",
-]
+_EXPORTS = {
+    "LblTcpServer": "repro.transport.server",
+    "RemoteLblOrtoa": "repro.core.sharded",
+    "LocalLink": "repro.transport.pipeline",
+    "PipelinedLblClient": "repro.transport.pipeline",
+    "ShardCluster": "repro.transport.cluster",
+    "TeeTcpServer": "repro.transport.tee_server",
+    "RemoteTeeOrtoa": "repro.transport.tee_client",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -1,22 +1,24 @@
-"""Pipelined LBL transport: many in-flight requests over pooled sockets.
+"""The links a deployment reaches its shards through.
 
-:class:`RemoteLblOrtoa` runs in strict lockstep — one frame out, block, one
-frame back — so every access pays a full round trip of dead air.  This
-module removes that wait: :class:`PipelinedLblClient` wraps each request in
-a multiplexed frame (:func:`repro.transport.framing.wrap_mux`), returns a
-:class:`concurrent.futures.Future` immediately, and lets a background
-reader thread per connection complete futures as replies arrive — in
-whatever order the server finishes them.
+A *link* moves opaque payloads (serialized :mod:`repro.core.messages`
+frames or LOAD records) to one shard: ``submit(payload, trace_context=None)``
+returns a :class:`concurrent.futures.Future` of the reply bytes, ``close()``
+lets go of the shard.  It interprets nothing but the refusal frames, which
+fail the future with :class:`~repro.errors.RefusedError` (one decoder for
+both links, :func:`settle`).  Epoch ordering for same-key requests is the
+caller's job (see :class:`repro.core.sharded.ShardedLblDeployment`), because
+only the trusted side knows which payloads touch the same key.
 
-The client is transport-only: it moves opaque payloads (serialized
-:mod:`repro.core.messages` frames or LOAD records) and interprets nothing
-but the error tag.  Epoch ordering for same-key requests is the caller's
-job (see :class:`repro.core.sharded.ShardedLblDeployment`), because only
-the trusted side knows which payloads touch the same key.
-
-Thread safety: :meth:`submit` may be called from many threads; each
-connection has independent send/pending locks and request ids are drawn
-from one atomic counter.
+* :class:`PipelinedLblClient` — the TCP link.  It wraps each request in a
+  multiplexed frame (:func:`repro.transport.framing.wrap_mux`), returns the
+  future at once, and a reader thread per pooled connection completes the
+  futures as replies arrive, in whatever order the server finishes them.
+  :meth:`~PipelinedLblClient.submit` may be called from many threads; each
+  connection has independent send/pending locks and request ids come from
+  one atomic counter.
+* :class:`LocalLink` — a shard in this process: the same payload bytes go
+  to an :class:`~repro.transport.server.LblFrameDispatcher` on the caller's
+  thread, with no socket and no framing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import TraceContext
 from repro.obs.trace import TRACER
 from repro.transport import framing
-from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME
+from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME, LblFrameDispatcher
 
 #: Requests one connection keeps in flight; :meth:`PipelinedLblClient.submit`
 #: blocks beyond it.  Half the server's default per-connection window: the
@@ -42,6 +44,23 @@ from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME
 #: at the window's edge would be shed on its own replies' bookkeeping — and a
 #: bulk load that pipelines every record must not trip admission control.
 MAX_IN_FLIGHT_PER_CONNECTION = 64
+
+
+def settle(future: Future, reply: bytes) -> None:
+    """Complete ``future`` with one shard reply: its bytes, or the
+    :class:`~repro.errors.RefusedError` an OVERLOAD or error frame means."""
+    if reply == OVERLOAD_FRAME:
+        if _obs.enabled:
+            REGISTRY.counter("transport.overload_frames_received").inc()
+        future.set_exception(OverloadError("server shed this request (overloaded)"))
+    elif reply[:1] == bytes([ERROR_TAG]):
+        if _obs.enabled:
+            REGISTRY.counter("transport.error_frames_received").inc()
+        future.set_exception(
+            RefusedError(f"server error: {reply[1:].decode('utf-8', 'replace')}")
+        )
+    else:
+        future.set_result(reply)
 
 
 class _Connection:
@@ -80,24 +99,8 @@ class _Connection:
             with self.pending_lock:
                 future = self.pending.pop(request_id, None)
                 self.pending_lock.notify()
-            if future is None:
-                continue  # reply for a request nobody is waiting on
-            if inner == OVERLOAD_FRAME:
-                if _obs.enabled:
-                    REGISTRY.counter("transport.overload_frames_received").inc()
-                future.set_exception(
-                    OverloadError("server shed this request (overloaded)")
-                )
-            elif inner[:1] == bytes([ERROR_TAG]):
-                if _obs.enabled:
-                    REGISTRY.counter("transport.error_frames_received").inc()
-                future.set_exception(
-                    RefusedError(
-                        f"server error: {inner[1:].decode('utf-8', 'replace')}"
-                    )
-                )
-            else:
-                future.set_result(inner)
+            if future is not None:  # else: a reply nobody is waiting on
+                settle(future, inner)
         self.fail_pending(ProtocolError("connection lost with requests in flight"))
 
     def fail_pending(self, error: ProtocolError) -> None:
@@ -132,6 +135,13 @@ class PipelinedLblClient:
         pool_size: Sockets to open; submissions round-robin across them.
         timeout: Connect timeout per socket (seconds).
     """
+
+    #: Bytes the wire adds to one payload, ``(sent, received)``: the frame
+    #: length, and the mux header — traced when sent, plain when received.
+    overhead = (
+        _ledger.framed_mux_bytes(0, traced=True),
+        _ledger.framed_mux_bytes(0, traced=False),
+    )
 
     def __init__(
         self,
@@ -250,4 +260,34 @@ class PipelinedLblClient:
         self.close()
 
 
-__all__ = ["PipelinedLblClient"]
+class LocalLink:
+    """A shard in this process: each payload is dispatched on the caller's
+    thread (so the shard's work lands in the caller's ledger row) and
+    metered unframed under ``role="local"``.
+
+    Args:
+        dispatcher: The shard; a fresh point-and-permute one if omitted.
+    """
+
+    #: No wire, so no framing: a payload costs its own length.
+    overhead = (0, 0)
+
+    def __init__(self, dispatcher: LblFrameDispatcher | None = None) -> None:
+        self.dispatcher = dispatcher or LblFrameDispatcher()
+
+    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
+        """Dispatch one payload; the returned future is already complete."""
+        reply = self.dispatcher.safe_dispatch(payload)
+        if _obs.enabled:
+            for direction, data in (("sent", payload), ("received", reply)):
+                frame = _ledger.frame_type(data)
+                _ledger.count_wire(frame, direction, len(data), role="local")
+        future: Future = Future()
+        settle(future, reply)
+        return future
+
+    def close(self) -> None:
+        """Nothing to let go of."""
+
+
+__all__ = ["LocalLink", "PipelinedLblClient", "settle"]

@@ -47,9 +47,11 @@ registry as Prometheus text on an HTTP scrape endpoint
 Prometheus scraper read it live.
 
 Concurrency: requests touching the *same* encoded key are serialized by a
-striped lock (mirroring :class:`~repro.core.lbl.concurrent.ConcurrentLblProxy`
-on the trusted side); requests for distinct keys run in parallel on the
-worker pool instead of queueing behind one global lock.
+striped lock (:func:`~repro.core.lbl.concurrent.hold_stripes`; the trusted
+side keeps one frame per key in flight, see
+:class:`~repro.core.sharded.ShardedLblDeployment`); requests for distinct
+keys run in parallel on the worker pool instead of queueing behind one
+global lock.
 """
 
 from __future__ import annotations
@@ -509,8 +511,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         # process() mutates per-key state, so accesses to the same key must
         # serialize — but only to the same key.  The dispatcher's striped
-        # locks (mirroring ConcurrentLblProxy) let distinct keys dispatch
-        # in parallel across the worker pool.
+        # locks let distinct keys dispatch in parallel across the worker pool.
         self.dispatcher = LblFrameDispatcher(
             point_and_permute=point_and_permute,
             num_stripes=num_stripes,

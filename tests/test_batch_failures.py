@@ -103,6 +103,30 @@ def test_batch_response_with_mixed_entries_roundtrips():
 # Remote client semantics
 # --------------------------------------------------------------------- #
 
+def test_refused_batch_frame_rolls_every_key_back(server, client):
+    """The server answers a whole batch frame with an error frame: every
+    request of it failed before commit, so every key is taken back and a
+    retry of the same batch succeeds."""
+    dispatch = server.dispatcher.dispatch
+
+    def refuse_batch_once(payload):
+        if payload[0] == LblBatchRequest.TAG:
+            server.dispatcher.dispatch = dispatch
+            raise ProtocolError("batch frame refused")
+        return dispatch(payload)
+
+    server.dispatcher.dispatch = refuse_batch_once
+    requests = [Request.read("k1"), Request.write("k2", CONFIG.pad(b"two"))]
+    with pytest.raises(BatchPartialFailure) as excinfo:
+        client.access_batch(requests)
+    assert set(excinfo.value.failures) == {0, 1}
+    retried = client.access_batch(requests)
+    assert [t.response.value for t in retried] == [
+        CONFIG.pad(b"k1"), CONFIG.pad(b"two")
+    ]
+    assert client.read("k2") == CONFIG.pad(b"two")
+
+
 def test_partial_failure_reports_only_failed_indices(server, client):
     corrupt_key(server, client, "k2")
     with pytest.raises(BatchPartialFailure) as excinfo:

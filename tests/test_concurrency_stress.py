@@ -1,4 +1,4 @@
-"""Concurrency stress: overlapping keys under ConcurrentLblProxy.
+"""Concurrency stress: overlapping keys from many threads on one deployment.
 
 Barrier-synchronised rounds create real contention on shared keys while
 keeping the set of acceptable observations small enough to check:
@@ -14,7 +14,8 @@ keeping the set of acceptable observations small enough to check:
 
 The same scenario runs against the in-process deployment and against a
 sharded TCP cluster, which drives the striped-lock worker-pool server
-with genuinely concurrent overlapping-key traffic.
+with genuinely concurrent overlapping-key traffic.  The deployment's own
+same-key rule is what serializes the threads; nothing wraps it.
 """
 
 import random
@@ -22,7 +23,6 @@ import threading
 
 import pytest
 
-from repro.core.lbl.concurrent import ConcurrentLblProxy
 from repro.core.lbl import LblOrtoa
 from repro.core.sharded import ShardedLblDeployment
 from repro.transport.cluster import ShardCluster
@@ -48,9 +48,10 @@ def writer_of(key_index: int, round_no: int) -> int:
     return (key_index + round_no) % NUM_THREADS
 
 
-def run_stress(proxy: ConcurrentLblProxy, seed: int) -> None:
+def run_stress(proxy: ShardedLblDeployment, seed: int) -> None:
     barrier = threading.Barrier(NUM_THREADS)
     errors: list[Exception] = []
+    completed: list[int] = []
 
     def worker(thread_id: int) -> None:
         # Each thread visits the keys in its own order so lock stripes see
@@ -64,8 +65,10 @@ def run_stress(proxy: ConcurrentLblProxy, seed: int) -> None:
                     key = KEYS[key_index]
                     if writer_of(key_index, round_no) == thread_id:
                         proxy.write(key, value_at(key, round_no))
+                        completed.append(1)
                     else:
                         observed = proxy.read(key)
+                        completed.append(1)
                         allowed = {
                             value_at(key, round_no - 1),
                             value_at(key, round_no),
@@ -90,7 +93,7 @@ def run_stress(proxy: ConcurrentLblProxy, seed: int) -> None:
     assert not any(thread.is_alive() for thread in threads)
 
     # Every thread touched every key every round, exactly once.
-    assert proxy.completed == NUM_THREADS * NUM_KEYS * NUM_ROUNDS
+    assert len(completed) == NUM_THREADS * NUM_KEYS * NUM_ROUNDS
 
     # Sequential oracle: the final-round writer's value must have stuck.
     for key_index, key in enumerate(KEYS):
@@ -100,14 +103,7 @@ def run_stress(proxy: ConcurrentLblProxy, seed: int) -> None:
 def test_stress_in_process_deployment():
     ortoa = LblOrtoa(CONFIG, rng=random.Random(11))
     ortoa.initialize({key: value_at(key, -1) for key in KEYS})
-    run_stress(ConcurrentLblProxy(ortoa), seed=11)
-
-
-def test_stress_in_process_few_stripes_forces_collisions():
-    """num_stripes < num_keys: stripe collisions must only cost parallelism."""
-    ortoa = LblOrtoa(CONFIG, rng=random.Random(13))
-    ortoa.initialize({key: value_at(key, -1) for key in KEYS})
-    run_stress(ConcurrentLblProxy(ortoa, num_stripes=2), seed=13)
+    run_stress(ortoa, seed=11)
 
 
 def test_stress_sharded_cluster_striped_server():
@@ -118,6 +114,6 @@ def test_stress_sharded_cluster_striped_server():
         )
         try:
             deployment.initialize({key: value_at(key, -1) for key in KEYS})
-            run_stress(ConcurrentLblProxy(deployment), seed=17)
+            run_stress(deployment, seed=17)
         finally:
             deployment.close()

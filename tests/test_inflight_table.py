@@ -32,10 +32,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.analysis.costmodel import LblCostModel
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.concurrent import ConcurrentLblProxy
 from repro.core.lbl import proxy as proxy_module
 from repro.core.lbl.proxy import LblProxy
-from repro.core.lbl.wal import DurableLblOrtoa
 from repro.core.messages import LblAccessResponse
 from repro.core.sharded import ShardedLblDeployment
 from repro.crypto.keys import KeyChain
@@ -43,6 +41,7 @@ from repro.errors import TamperDetectedError
 from repro.harness.calibration import CostModel
 from repro.obs import ledger
 from repro.transport.cluster import ShardCluster
+from repro.transport.pipeline import LocalLink
 from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(120)
@@ -118,7 +117,7 @@ def test_more_outstanding_paper_point_accesses_than_the_table_holds():
     store = LblOrtoa(config, rng=random.Random(6))
     proxy = store.proxy
     capacity = proxy._inflight_capacity
-    # 4 MiB of 41,600-byte blobs: above one epoch per ConcurrentLblProxy stripe.
+    # 4 MiB of 41,600-byte blobs: above one epoch per frame of a depth-8 pipeline.
     assert capacity == 100 >= 64
     keys = [f"k{n}" for n in range(capacity + 4)]
     store.initialize({key: bytes(160) for key in keys})
@@ -163,9 +162,10 @@ def test_concurrent_evictions_keep_the_bound_and_the_values():
     threads, rounds = 8, 40
     store.initialize({f"t{t}": bytes(VALUE_LEN) for t in range(threads)})
     store.proxy._inflight_capacity = 2
-    front = ConcurrentLblProxy(store)
+    front = store
     errors: list[BaseException] = []
     oversize = []
+    completed: list[int] = []
 
     def worker(t: int) -> None:
         key = f"t{t}"
@@ -173,9 +173,11 @@ def test_concurrent_evictions_keep_the_bound_and_the_values():
             for n in range(rounds):
                 value = bytes((t, n))
                 front.write(key, value)
+                completed.append(1)
                 if len(store.proxy._inflight) > store.proxy._inflight_capacity + threads:
                     oversize.append(len(store.proxy._inflight))
                 assert front.read(key) == value
+                completed.append(1)
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -192,7 +194,7 @@ def test_concurrent_evictions_keep_the_bound_and_the_values():
     assert not any(thread.is_alive() for thread in pool)
     assert not errors, errors
     assert not oversize, oversize
-    assert front.completed == 2 * threads * rounds
+    assert len(completed) == 2 * threads * rounds
     assert len(store.proxy._inflight) <= store.proxy._inflight_capacity
 
 
@@ -337,7 +339,9 @@ def test_wal_rollback_matches_the_oracle(tmp_path_factory, ops):
     """A logged epoch that never reached the server: the failed attempt's
     epoch is dropped from the table, the retry is finalized from it."""
     wal_path = tmp_path_factory.mktemp("wal") / "proxy.wal"
-    store = DurableLblOrtoa(CONFIG, wal_path, rng=random.Random(5))
+    store = ShardedLblDeployment(
+        CONFIG, [LocalLink()], rng=random.Random(5), wal_path=wal_path
+    )
     oracle = {key: bytes(VALUE_LEN) for key in KEYS}
     store.initialize(dict(oracle))
     proxy = store.proxy

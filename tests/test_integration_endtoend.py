@@ -12,7 +12,6 @@ from repro import (
     StoreConfig,
     TeeOrtoa,
     TwoRoundBaseline,
-    access_batch,
     run_experiment,
 )
 from repro.analysis.metrics import summarize
@@ -99,9 +98,9 @@ def test_batching_and_single_access_agree():
         Request.write("k1", b"11111111"),
         Request.read("k0"),
     ]
-    batch_result = access_batch(batched, requests)
+    batch_result = batched.access_batch(requests)
     single_results = [single.access(r) for r in requests]
-    for batch_t, single_t in zip(batch_result.per_request, single_results):
+    for batch_t, single_t in zip(batch_result, single_results):
         assert batch_t.response.value == single_t.response.value
 
 

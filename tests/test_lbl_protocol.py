@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.proxy import LblProxy
 from repro.core.lbl.server import LblServer
+from repro import obs
 from repro.crypto import aead
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import StoredRecord
 from repro.crypto.prf import encode_components
 from repro.errors import ProtocolError, TamperDetectedError
+from repro.obs import ledger
 from repro.types import Request, StoreConfig
 
 RECORDS = {"k1": b"hello", "k2": b"world"}
@@ -130,10 +132,14 @@ def test_base_protocol_wastes_decryptions():
     p = make(group_bits=2, pnp=False)
     # Average over accesses: with 4-entry shuffled tables the server tries
     # 2.5 entries per group in expectation; assert it's strictly more work
-    # than point-and-permute ever does.
+    # than point-and-permute ever does.  Counted by the server itself, in
+    # the access's ledger row (the transcript states the proxy's view).
     total_failed = 0
-    for _ in range(5):
-        total_failed += p.access(Request.read("k1")).ops_at("server").failed_dec
+    with obs.capture():
+        for _ in range(5):
+            with ledger.track() as row:
+                p.access(Request.read("k1"))
+            total_failed += row.snapshot()["ops"].get("aead.decrypt_failures", 0)
     assert total_failed > 0
 
 
@@ -176,6 +182,29 @@ def test_server_detects_stale_label_state():
     p.server.store.put(encoded, old_record)  # roll the server back
     with pytest.raises(ProtocolError):
         p.read("k1")
+
+
+@pytest.mark.parametrize("pnp", [True, False], ids=["pnp", "base"])
+def test_refused_access_leaves_the_key_usable(pnp):
+    """The server refuses one access before commit: the refusal reaches the
+    caller, the stored record is byte for byte what it was, and the retry
+    reads the right value (the key's counter was taken back)."""
+    p = make(group_bits=2, pnp=pnp)
+    p.write("k1", b"kept")
+    encoded = p.keychain.encode_key("k1")
+    before = p.server.store.get(encoded)
+    process_many = p.server.process_many
+
+    def refuse_once(requests, rows=None):
+        del p.server.process_many  # the next window is served as usual
+        return [ProtocolError("refused before commit") for _ in requests]
+
+    p.server.process_many = refuse_once
+    with pytest.raises(ProtocolError, match="refused before commit"):
+        p.read("k1")
+    assert p.server.process_many == process_many
+    assert p.server.store.get(encoded) == before
+    assert p.read("k1") == p.config.pad(b"kept")
 
 
 def test_table_shape_mismatch_rejected():

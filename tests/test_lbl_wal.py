@@ -1,12 +1,18 @@
-"""Crash-recovery tests for the durable LBL-ORTOA proxy (WAL + resync)."""
+"""Crash-recovery tests for a deployment whose counters live in a WAL
+(write-ahead log + one-epoch resync), in process and over TCP."""
 
 import random
+import threading
 
 import pytest
 
-from repro.core.lbl.wal import CounterWal, DurableLblOrtoa
+from repro.core.lbl.wal import CounterWal
+from repro.core.messages import LblAccessRequest
+from repro.core.sharded import ShardedLblDeployment
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
+from repro.transport import LblTcpServer
+from repro.transport.pipeline import LocalLink
 from repro.types import Request, StoreConfig
 
 CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
@@ -14,8 +20,12 @@ RECORDS = {"a": b"val-a", "b": b"val-b", "c": b"val-c"}
 
 
 def make(tmp_path, keychain=None):
-    protocol = DurableLblOrtoa(
-        CONFIG, tmp_path / "proxy.wal", keychain=keychain, rng=random.Random(1)
+    protocol = ShardedLblDeployment(
+        CONFIG,
+        [LocalLink()],
+        keychain=keychain,
+        rng=random.Random(1),
+        wal_path=tmp_path / "proxy.wal",
     )
     protocol.initialize(RECORDS)
     return protocol
@@ -61,7 +71,7 @@ def test_wal_unicode_keys(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Durable protocol: normal operation
+# A deployment with a WAL: normal operation
 # --------------------------------------------------------------------- #
 
 def test_durable_protocol_works_normally(tmp_path):
@@ -85,13 +95,14 @@ def test_wal_tracks_every_access(tmp_path):
 # --------------------------------------------------------------------- #
 
 def crash_and_recover(protocol, tmp_path, keychain):
-    """Simulate a proxy crash: drop the proxy, keep the server, replay."""
-    return DurableLblOrtoa.recover(
+    """Simulate a proxy crash: drop the proxy, keep the server — the link to
+    it — and build a deployment over it from the replayed WAL."""
+    return ShardedLblDeployment(
         CONFIG,
-        tmp_path / "proxy.wal",
+        protocol.clients,
         keychain=keychain,
-        server=protocol.server,
         rng=random.Random(2),
+        wal_path=tmp_path / "proxy.wal",
     )
 
 
@@ -139,8 +150,8 @@ def test_recovery_after_checkpoint(tmp_path):
 def test_recovery_requires_keychain(tmp_path):
     protocol = make(tmp_path, KeyChain(b"m" * 32))
     with pytest.raises(ConfigurationError):
-        DurableLblOrtoa.recover(
-            CONFIG, tmp_path / "proxy.wal", keychain=None, server=protocol.server
+        ShardedLblDeployment(
+            CONFIG, protocol.clients, keychain=None, wal_path=tmp_path / "proxy.wal"
         )
 
 
@@ -148,12 +159,12 @@ def test_recovery_with_wrong_keychain_fails_loudly(tmp_path):
     """Recovering with the wrong master key must not silently corrupt."""
     protocol = make(tmp_path, KeyChain(b"m" * 32))
     protocol.read("a")
-    recovered = DurableLblOrtoa.recover(
+    recovered = ShardedLblDeployment(
         CONFIG,
-        tmp_path / "proxy.wal",
+        protocol.clients,
         keychain=KeyChain(b"x" * 32),  # wrong key
-        server=protocol.server,
         rng=random.Random(3),
+        wal_path=tmp_path / "proxy.wal",
     )
     with pytest.raises((ProtocolError, KeyNotFoundError)):
         recovered.read("a")
@@ -167,3 +178,61 @@ def test_force_counter_validation(tmp_path):
         protocol.proxy.force_counter("never", 0)
     with pytest.raises(ProtocolError):
         protocol.proxy.restore_counters({"a": -2})
+
+
+# --------------------------------------------------------------------- #
+# Over TCP: the WAL covers the networked deployment too
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("applied", [False, True], ids=["frame-lost", "frame-applied"])
+def test_wal_recovers_a_tcp_deployment(tmp_path, applied):
+    """The proxy dies after logging an access to "a" whose reply never came
+    back — the frame lost on the way, or applied by the server.  A
+    deployment recovered from the same log and keychain against the same
+    server reads every value right, resyncing "a" only if the frame was lost."""
+    keychain = KeyChain(b"m" * 32)
+    wal_path = tmp_path / "proxy.wal"
+    with LblTcpServer(point_and_permute=True) as server:
+        server.serve_in_background()
+        primary = ShardedLblDeployment(
+            CONFIG, [server.address], keychain=keychain, rng=random.Random(1),
+            timeout=0.5, wal_path=wal_path,
+        )
+        primary.initialize(RECORDS)
+        primary.write("a", b"before")
+
+        dispatch = server.dispatcher.dispatch
+        release = threading.Event()
+
+        def stall(payload):
+            """Hold the next access's reply until the proxy is gone."""
+            if payload[0] != LblAccessRequest.TAG:
+                return dispatch(payload)
+            reply = dispatch(payload) if applied else None
+            release.wait(10)
+            if reply is None:
+                raise ProtocolError("frame lost")
+            return reply
+
+        server.dispatcher.dispatch = stall
+        with pytest.raises(TimeoutError):
+            primary.write("a", b"inflight")
+        primary.close()  # the crash: in-flight frames die with the proxy
+        release.set()
+        server.dispatcher.dispatch = dispatch
+
+        recovered = ShardedLblDeployment(
+            CONFIG, [server.address], keychain=keychain, rng=random.Random(2),
+            wal_path=wal_path,
+        )
+        try:
+            expected = {"a": b"inflight" if applied else b"before", "b": b"val-b",
+                        "c": b"val-c"}
+            for key, value in expected.items():
+                assert recovered.read(key) == CONFIG.pad(value)
+            assert recovered.recovered_resyncs == (0 if applied else 1)
+            recovered.write("a", b"after")
+            assert recovered.read("a") == CONFIG.pad(b"after")
+        finally:
+            recovered.close()

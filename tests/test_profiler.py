@@ -23,7 +23,7 @@ from repro.transport.server import (
     OBS_PROFILE_START_TAG,
     OBS_PROFILE_STOP_TAG,
 )
-from tests.test_async_transport import serving
+from tests.test_admission import serving
 
 pytestmark = pytest.mark.timeout(120)
 

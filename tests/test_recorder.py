@@ -33,8 +33,8 @@ from repro.obs.recorder import (
 )
 from repro.transport import framing
 from repro.types import Request
-from tests.test_async_overload import CONFIG, make_proxy, occupy_window
-from tests.test_async_transport import serving
+from tests.test_overload import CONFIG, make_proxy, occupy_window
+from tests.test_admission import serving
 
 pytestmark = pytest.mark.timeout(120)
 

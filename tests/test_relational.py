@@ -196,6 +196,29 @@ def test_get_many_batched_over_lbl():
     assert [r["balance_cents"] for r in rows] == [30, 0, 20]
 
 
+def test_get_many_is_one_frame_over_a_tcp_shard():
+    """Every LBL deployment batches: over one TCP shard a ``get_many`` is
+    one dispatched frame, however many rows it fetches."""
+    from repro import obs
+    from repro.obs.metrics import REGISTRY
+    from repro.transport import LblTcpServer, RemoteLblOrtoa
+
+    config = StoreConfig(value_len=40, group_bits=2, point_and_permute=True)
+    with LblTcpServer(point_and_permute=True) as server:
+        server.serve_in_background()
+        with RemoteLblOrtoa(config, server.address, rng=random.Random(1)) as remote:
+            table = make_table(protocol=remote)
+            for i in range(4):
+                table.insert({"user_id": f"u-{i}", "name": f"N{i}", "balance_cents": i})
+            with obs.capture():
+                for pks in (["u-3", "u-0", "u-2"], ["u-1", "u-2"]):
+                    before = REGISTRY.counter("transport.requests_dispatched").value
+                    rows = table.get_many(pks)
+                    after = REGISTRY.counter("transport.requests_dispatched").value
+                    assert after - before == 1
+                    assert [r["user_id"] for r in rows] == pks
+
+
 def test_get_many_over_baseline_falls_back():
     protocol = TwoRoundBaseline(StoreConfig(value_len=40))
     table = make_table(protocol=protocol)

@@ -2,7 +2,7 @@
 
 Both properties were found the hard way.  A ``cryptography`` cipher context
 shared between threads raises ``RuntimeError('Already borrowed')`` — and the
-server's worker pool, ``ConcurrentLblProxy``'s stripes and the benchmark's
+server's worker pool, a deployment's caller threads and the benchmark's
 in-process replicas all seal and open concurrently.  And an ECB context is a
 *stream*: one ``update`` whose length is no multiple of 16 buffers the
 remainder, and every later open on that thread fails.

@@ -282,7 +282,7 @@ def test_request_one_epoch_ahead_is_refused_before_commit():
     assert str(error) == "designated entry failed to open at group 0"
     assert seen["decrypt_attempts"] == seen["failed_decrypts"] == ahead.num_groups
     assert seen["opened_labels"] == seen["labels_rewritten"] == 0
-    # Rolling back (what DurableLblOrtoa does) re-synchronizes the key.
+    # Rolling back (what a deployment's WAL resync does) re-synchronizes the key.
     store.proxy.force_counter("k", 0)
     assert store.read("k") == STORED
 

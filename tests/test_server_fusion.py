@@ -766,7 +766,6 @@ def test_coalescer_validates_configuration():
 # --------------------------------------------------------------------- #
 
 def test_fused_windows_form_over_transport():
-    from repro.core.lbl.concurrent import ConcurrentLblProxy
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
 
@@ -786,7 +785,7 @@ def test_fused_windows_form_over_transport():
             dep.initialize(
                 {f"t{i}": bytes([i + 1]) * VALUE_LEN for i in range(4)}
             )
-            proxy = ConcurrentLblProxy(dep)
+            proxy = dep  # its caller threads share one deployment
             barrier = threading.Barrier(4)
             errors: list[BaseException] = []
 

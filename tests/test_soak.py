@@ -17,8 +17,9 @@ from repro import (
     StoreConfig,
     TeeOrtoa,
 )
-from repro.core.lbl.wal import DurableLblOrtoa
+from repro.core.sharded import ShardedLblDeployment
 from repro.crypto.keys import KeyChain
+from repro.transport.pipeline import LocalLink
 from repro.workloads.trace import record_trace, replay_trace
 from repro.workloads.synthetic import RequestStream, WorkloadSpec
 
@@ -28,8 +29,12 @@ KEYS = tuple(f"obj-{i}" for i in range(20))
 
 def test_long_mixed_soak(tmp_path):
     keychain = KeyChain(b"soak-master-key-0123456789abcdef")
-    primary = DurableLblOrtoa(
-        CONFIG, tmp_path / "soak.wal", keychain=keychain, rng=random.Random(1)
+    primary = ShardedLblDeployment(
+        CONFIG,
+        [LocalLink()],
+        keychain=keychain,
+        rng=random.Random(1),
+        wal_path=tmp_path / "soak.wal",
     )
     replica = FreshnessGuard(
         StoreConfig(value_len=24), lambda cfg: TeeOrtoa(cfg)
@@ -58,12 +63,12 @@ def test_long_mixed_soak(tmp_path):
 
     # Mid-life checkpoint + crash + recovery of the primary.
     primary.checkpoint()
-    recovered = DurableLblOrtoa.recover(
+    recovered = ShardedLblDeployment(
         CONFIG,
-        tmp_path / "soak.wal",
+        primary.clients,  # the surviving server
         keychain=keychain,
-        server=primary.server,
         rng=random.Random(2),
+        wal_path=tmp_path / "soak.wal",
     )
     for key in KEYS:
         assert recovered.read(key) == reference[key]

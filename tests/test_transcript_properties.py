@@ -6,8 +6,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import LblOrtoa, TeeOrtoa, TwoRoundBaseline
 from repro.core.base import OpCounts
+from repro.obs import ledger
 from repro.types import Operation, Request, StoreConfig
 
 CONFIG = StoreConfig(value_len=8)
@@ -61,13 +63,21 @@ def test_transcript_invariants_over_random_sequences(ops, kind):
 @given(ops=ops_strategy)
 @settings(max_examples=20, deadline=None)
 def test_server_work_is_op_independent_property(ops):
-    """Over any op mix, per-access server op counts form a single profile."""
+    """Over any op mix, per-access server op counts form a single profile.
+
+    The counts are the server's own, credited to each access's ledger row.
+    """
     protocol = build("lbl")
     profiles = set()
-    for is_read, value in ops:
-        request = Request.read("k") if is_read else Request.write("k", value)
-        server = protocol.access(request).ops_at("server")
-        profiles.add((server.aead_dec, server.failed_dec, server.kv_ops))
+    with obs.capture():
+        for is_read, value in ops:
+            request = Request.read("k") if is_read else Request.write("k", value)
+            with ledger.track() as row:
+                protocol.access(request)
+            server = row.snapshot()["ops"]
+            profiles.add(
+                (server.get("aead.decrypts"), server.get("aead.decrypt_failures"))
+            )
     assert len(profiles) == 1
 
 

@@ -86,7 +86,7 @@ def test_connection_survives_an_error_frame(server):
     try:
         remote.initialize({"k": b"hello"})
         with pytest.raises(ProtocolError):
-            remote._exchange(bytes([0xEE]))
+            remote.clients[0].submit(bytes([0xEE])).result(10)
         # Same connection, next request succeeds.
         assert remote.read("k").rstrip(b"\x00") == b"hello"
     finally:
@@ -106,7 +106,7 @@ def test_error_counters_increment_under_capture(server):
         remote.initialize({"k": b"v"})
         with obs.capture():
             with pytest.raises(ProtocolError):
-                remote._exchange(bytes([0xEE]))
+                remote.clients[0].submit(bytes([0xEE])).result(10)
             counters = obs.REGISTRY.snapshot()["counters"]
         obs.reset()
         assert counters["transport.error_frames_sent"] >= 1

@@ -31,8 +31,8 @@ from repro.transport.framing import (
 from repro.transport.pipeline import PipelinedLblClient
 from repro.transport.server import ERROR_TAG, LOAD_ACK, pack_load
 from repro.types import Request, StoreConfig
-from tests.test_async_overload import occupy_window
-from tests.test_async_transport import wait_idle
+from tests.test_overload import occupy_window
+from tests.test_admission import wait_idle
 
 pytestmark = pytest.mark.timeout(30)
 

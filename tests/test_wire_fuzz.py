@@ -35,7 +35,7 @@ from repro.transport.server import (
     pack_load,
     unpack_load,
 )
-from tests.test_async_transport import serving
+from tests.test_admission import serving
 
 PARSERS = [
     m.ReadRequest,
