@@ -333,15 +333,13 @@ DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
 DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_500_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
-#: Server-side calibration points for the access-window fusion term.  One
-#: designated row open is three AES blocks of a window-wide pass, so a
-#: server core sustains far more opens/s than accesses/s — 640 in ≈ 0.43 ms
-#: on the ``bench/`` host, picking the rows out of the slab included; the
-#: per-*flush* overhead (storage round trip, dispatch, fan-out) is the part
-#: ``server_batch`` amortizes.  Calibrated against
-#: ``benchmarks/test_server_fusion.py``.
+#: Server-side calibration points.  One designated row open is three AES
+#: blocks of a window-wide pass, so a server core sustains far more opens/s
+#: than accesses/s — 640 in ≈ 0.43 ms on the ``bench/`` host, picking the
+#: rows out of the slab included; the per-access overhead is the storage
+#: get/put round trip and the dispatch around the opens.
 DEFAULT_SERVER_OPENS_PER_SEC = 1_500_000.0
-DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS = 150e-6
+DEFAULT_SERVER_OVERHEAD_SECONDS = 150e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,9 +386,8 @@ def plan_capacity(
     shard_ops_per_sec: float = DEFAULT_SHARD_OPS_PER_SEC,
     compressions_per_core_per_sec: float = DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC,
     target_utilization: float = DEFAULT_TARGET_UTILIZATION,
-    server_batch: int = 1,
     server_opens_per_sec: float | None = None,
-    server_flush_overhead_seconds: float | None = None,
+    server_overhead_seconds: float | None = None,
     prices=None,
 ) -> CapacityPlan:
     """Size a deployment for ``users`` issuing ``ops_per_user_per_day`` each.
@@ -404,8 +401,9 @@ def plan_capacity(
 
     Proxy CPU per access is the hashing term the model validates
     (:meth:`LblCostModel.proxy_hash_blocks` over
-    ``compressions_per_core_per_sec``); the server adds its designated opens
-    and a per-flush overhead that ``server_batch`` shares.
+    ``compressions_per_core_per_sec``); the server adds its ``G`` designated
+    opens (``opens / server_opens_per_sec``) and a fixed per-access
+    overhead.
 
     Args:
         users: Active user count.
@@ -417,18 +415,12 @@ def plan_capacity(
             primitive blocks (SHAKE-256, SHA-256 and AES alike), Python
             call overhead included.
         target_utilization: Planned peak utilization of shards and cores.
-        server_batch: Expected requests per server-side access window (the
-            servers' ``server_batch`` under saturating traffic); ``1``
-            models the per-request server dispatch path.  The ``G``
-            designated AEAD opens per access are window-invariant
-            (``opens / server_opens_per_sec``), while the fixed per-flush
-            overhead — the storage get/put round trip and dispatch — is
-            shared by the window (``server_flush_overhead / server_batch``).
         server_opens_per_sec: Sustained designated-pair AEAD opens one
             server core performs (default
             :data:`DEFAULT_SERVER_OPENS_PER_SEC`).
-        server_flush_overhead_seconds: Fixed cost of one server window
-            flush (default :data:`DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS`).
+        server_overhead_seconds: Fixed server cost of one access beyond its
+            opens — the storage get/put round trip and dispatch (default
+            :data:`DEFAULT_SERVER_OVERHEAD_SECONDS`).
         prices: :class:`repro.analysis.cost.CloudPrices` override.
     """
     from repro.analysis.cost import CloudPrices
@@ -437,16 +429,14 @@ def plan_capacity(
         raise ConfigurationError("users and ops_per_user_per_day must be positive")
     if not 0 < target_utilization < 1:
         raise ConfigurationError("target_utilization must be in (0, 1)")
-    if server_batch < 1:
-        raise ConfigurationError("server_batch must be >= 1")
     if server_opens_per_sec is None:
         server_opens_per_sec = DEFAULT_SERVER_OPENS_PER_SEC
-    if server_flush_overhead_seconds is None:
-        server_flush_overhead_seconds = DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS
+    if server_overhead_seconds is None:
+        server_overhead_seconds = DEFAULT_SERVER_OVERHEAD_SECONDS
     if server_opens_per_sec <= 0:
         raise ConfigurationError("server_opens_per_sec must be > 0")
-    if server_flush_overhead_seconds < 0:
-        raise ConfigurationError("server_flush_overhead_seconds must be >= 0")
+    if server_overhead_seconds < 0:
+        raise ConfigurationError("server_overhead_seconds must be >= 0")
     prices = prices or CloudPrices()
     if num_objects is None:
         num_objects = users
@@ -460,12 +450,10 @@ def plan_capacity(
     shards = max(
         1, int(-(-ops_per_second // (shard_ops_per_sec * target_utilization)))
     )
-    # The server's G designated opens per access are window-invariant; its
-    # per-flush overhead amortizes over server_batch.
     cpu_seconds_per_access = (
         compressions / compressions_per_core_per_sec
         + server_opens / server_opens_per_sec
-        + server_flush_overhead_seconds / server_batch
+        + server_overhead_seconds
     )
     cpu_cores = max(
         1,
@@ -510,9 +498,8 @@ def plan_capacity(
             "shard_ops_per_sec": shard_ops_per_sec,
             "compressions_per_core_per_sec": compressions_per_core_per_sec,
             "target_utilization": target_utilization,
-            "server_batch": server_batch,
             "server_opens_per_sec": server_opens_per_sec,
-            "server_flush_overhead_seconds": server_flush_overhead_seconds,
+            "server_overhead_seconds": server_overhead_seconds,
             "p99_model": "M/M/1 tail: service_ms * ln(100) / (1 - utilization)",
         },
     )
@@ -537,11 +524,12 @@ def run_model_check(
     exact equality is not defined).
 
     The ``"lockstep"`` cell runs :meth:`~repro.core.lbl.LblOrtoa.access`;
-    the ``"server-coalesced"`` cell serves the tracked access through a
-    fused :meth:`~repro.core.lbl.server.LblServer.process_many` window shared
-    with an untracked decoy request, and the tracked ledger row must still
-    equal the same model byte-for-byte — the fused window's closed-form
-    per-row attribution of its opens is exact, not approximate.
+    the ``"batch"`` cell serves the tracked access through one
+    :meth:`~repro.core.lbl.server.LblServer.process_many` window shared
+    with an untracked decoy request — what a batch frame runs — and the
+    tracked ledger row must still equal the same model byte-for-byte: the
+    window's closed-form per-row attribution of its opens is exact, not
+    approximate.
 
     Returns a JSON-ready report: ``{"ok": bool, "cases": [...]}`` where
     each case carries the expected/actual dicts and its own verdict.
@@ -558,17 +546,17 @@ def run_model_check(
     cases = []
     try:
         for value_len in value_sizes:
-            for path in ("lockstep", "server-coalesced"):
+            for path in ("lockstep", "batch"):
                 config = StoreConfig(
                     value_len=value_len,
                     group_bits=group_bits,
                     point_and_permute=True,
                 )
-                server_fused = path == "server-coalesced"
+                windowed = path == "batch"
                 protocol = LblOrtoa(config, rng=_random.Random(7))
                 records = {"k": b"\x01" * value_len}
-                if server_fused:
-                    # The decoy shares the fused server window with the
+                if windowed:
+                    # The decoy shares the server window with the
                     # tracked access; it is prepared and finalized outside
                     # the tracked row.
                     records["d"] = b"\x01" * value_len
@@ -579,23 +567,23 @@ def run_model_check(
                 ):
                     epoch = protocol.proxy.counter("k")
                     model = LblCostModel.from_config(config, key="k", counter=epoch)
-                    if server_fused:
+                    if windowed:
                         decoy_epoch = protocol.proxy.counter("d") + 1
                         decoy_built, _decoy_ops = protocol.proxy.prepare(
                             Request.read("d")
                         )
                     with ledger.track(label=f"check:{op_name}") as row:
-                        if server_fused:
+                        if windowed:
                             from repro.errors import OrtoaError
 
                             built, _prep_ops = protocol.proxy.prepare(request)
-                            fused = protocol.server.process_many(
+                            window = protocol.server.process_many(
                                 [built, decoy_built], rows=[row, None]
                             )
-                            for item in fused:
+                            for item in window:
                                 if isinstance(item, OrtoaError):
                                     raise item
-                            response, _server_ops = fused[0]
+                            response, _server_ops = window[0]
                             protocol.proxy.finalize(
                                 "k", response, counter=epoch + 1
                             )
@@ -606,11 +594,11 @@ def run_model_check(
                         else:
                             protocol.access(request)
                             actual_wire = None
-                    if server_fused:
+                    if windowed:
                         # Decoy finalize outside the tracked row: its
                         # crypto belongs to the decoy, not the case.
                         protocol.proxy.finalize(
-                            "d", fused[1][0], counter=decoy_epoch
+                            "d", window[1][0], counter=decoy_epoch
                         )
                     snap = row.snapshot()
                     if actual_wire is None:
@@ -659,5 +647,5 @@ __all__ = [
     "DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC",
     "DEFAULT_TARGET_UTILIZATION",
     "DEFAULT_SERVER_OPENS_PER_SEC",
-    "DEFAULT_SERVER_FLUSH_OVERHEAD_SECONDS",
+    "DEFAULT_SERVER_OVERHEAD_SECONDS",
 ]

@@ -67,8 +67,6 @@ _RUN_OVERRIDES = {
     "shards": "shards",
     "pipeline-depth": "pipeline_depth",
     "label-cache": "label_cache",
-    "server-batch": "server_batch",
-    "server-window": "server_window",
 }
 
 
@@ -169,7 +167,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     if args.check:
         # Replay GET and PUT through real deployments, lockstep and in a
-        # fused server window, and require the ledger to agree with the
+        # batch window, and require the ledger to agree with the
         # model byte-for-byte.
         report = run_model_check(value_sizes=(4, 8, 16))
         for case in report["cases"]:
@@ -206,9 +204,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             compressions_per_core_per_sec=args.core_compressions
             or DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC,
             target_utilization=args.utilization or DEFAULT_TARGET_UTILIZATION,
-            server_batch=args.server_batch,
             server_opens_per_sec=args.server_opens,
-            server_flush_overhead_seconds=args.server_flush_overhead,
+            server_overhead_seconds=args.server_overhead,
         )
     except OrtoaError as exc:
         print(f"cannot plan: {exc}", file=sys.stderr)
@@ -282,7 +279,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 args.shards,
                 point_and_permute=config.point_and_permute,
                 in_process=True,
-                server_batch=args.server_batch,
             ) as cluster:
                 deployment = ShardedLblDeployment(
                     config,
@@ -675,23 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="label-cache entries for experiments that take one "
         "(-1 auto-sizes; e.g. `lbl`)",
     )
-    run.add_argument(
-        "--server-batch",
-        dest="server_batch",
-        type=int,
-        metavar="N",
-        help="server-side access window size for experiments that take one "
-        "(e.g. `sharded`): concurrent accesses fuse into one storage "
-        "multi-get + window-wide row open + multi-put; 1 disables",
-    )
-    run.add_argument(
-        "--server-window",
-        dest="server_window",
-        type=float,
-        metavar="SECONDS",
-        help="server-side access window flush timer for experiments that "
-        "take one (e.g. `sharded`); default ~200µs",
-    )
     run.set_defaults(func=_cmd_run)
 
     sub.add_parser("demo", help="30-second functional demo").set_defaults(
@@ -761,16 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="planned peak utilization of shards and cores (default: 0.6)",
     )
     plan.add_argument(
-        "--server-batch",
-        dest="server_batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="expected requests per server-side access window; server CPU "
-        "amortizes the flush overhead across the window (default: 1 = "
-        "per-request server dispatch)",
-    )
-    plan.add_argument(
         "--server-opens",
         dest="server_opens",
         type=float,
@@ -780,12 +749,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(planner assumption)",
     )
     plan.add_argument(
-        "--server-flush-overhead",
-        dest="server_flush_overhead",
+        "--server-overhead",
+        dest="server_overhead",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="fixed cost of one server window flush (planner assumption)",
+        help="fixed server cost of one access beyond its row opens "
+        "(planner assumption)",
     )
     plan.add_argument(
         "--record",
@@ -796,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
-        "lockstep and server-coalesced at 3 value sizes",
+        "lockstep and in a batch window at 3 value sizes",
     )
     plan.add_argument("--json", metavar="PATH", help="write a JSON report")
     plan.set_defaults(func=_cmd_plan)
@@ -838,16 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-label-cache",
         action="store_true",
         help="audit without the proxy label cache (enabled by default)",
-    )
-    obs_cmd.add_argument(
-        "--server-batch",
-        dest="server_batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="server-side access window size for the sharded audit "
-        "(default: 1 = per-request dispatch; > 1 audits with window "
-        "fusion on)",
     )
     obs_cmd.add_argument("--json", metavar="PATH", help="also write a JSON bundle")
     obs_cmd.set_defaults(func=_cmd_obs)

@@ -29,9 +29,9 @@ def hold_stripes(
     """Hold several stripes of one lock table at once, deadlock-free.
 
     Stripes are acquired in ascending index order (deduplicated), so any
-    two holders — a coalesced flush or a batch frame locking its whole
-    window, a lone access or load frame locking one key — order their
-    acquisitions identically and can never cycle.  Released in reverse
+    two holders — a batch frame locking its whole window, a lone access or
+    load frame locking one key — order their acquisitions identically and
+    can never cycle.  Released in reverse
     order.
     """
     ordered = sorted(set(indices))

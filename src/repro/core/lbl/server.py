@@ -22,12 +22,11 @@ a write by watching its own state.
 
 :meth:`LblServer.process_many` is the one implementation of that step.  It
 serves a *window* of requests — a lone access frame is a window of one
-(:meth:`LblServer.process`), a batch frame is a window, and the server-side
-access coalescer (:mod:`repro.core.lbl.server_coalesce`) hands it the
-windows it forms — as exactly one storage multi-get, one window-wide
-:func:`repro.crypto.rows.open_rows` (base-protocol requests scan their
-tables in the same pass), and one multi-put of the rotated labels, with
-per-request error isolation and byte-exact ledger attribution.  There is no
+(:meth:`LblServer.process`) and a batch frame is a window — as exactly one
+storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`
+(base-protocol requests scan their tables in the same pass), and one
+multi-put of the rotated labels, with per-request error isolation and
+byte-exact ledger attribution.  There is no
 second path to keep byte-identical: what the obliviousness audit observes
 is what every transport runs.
 

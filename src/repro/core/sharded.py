@@ -188,9 +188,6 @@ class ShardedLblDeployment(OrtoaProtocol):
             is replayed: that is recovery, and it needs the crashed
             deployment's ``keychain``.
 
-    Access window fusion is configured on the shard servers
-    (``server_batch`` / ``server_window``), not here.
-
     **Refused requests.**  An OVERLOAD or error frame proves the shard
     refused before commit, so the key's counter goes back to the epoch the
     shard holds before :class:`~repro.errors.RefusedError` is raised: a
@@ -199,11 +196,11 @@ class ShardedLblDeployment(OrtoaProtocol):
 
     **The write-ahead log.**  Every path appends a request's epoch before
     the frame leaves.  A crash between the append and the shard's commit
-    leaves the logged counter one epoch ahead; the single-frame refusal
-    path resolves it: a refused frame's key goes back two epochs and the
-    request is sent once more (counted in :attr:`recovered_resyncs` when
-    that resend is answered).  A refused batch entry is rolled back one
-    epoch and reported; its retry through :meth:`access` resyncs.
+    leaves the logged counter one epoch ahead; the refusal path resolves
+    it: a refused frame's key goes back two epochs and the request is sent
+    once more (counted in :attr:`recovered_resyncs` when that resend is
+    answered).  A batch whose first entry for a key is refused gives that
+    entry the same resync, as a single frame.
     """
 
     name = "lbl-ortoa-sharded"
@@ -395,25 +392,19 @@ class ShardedLblDeployment(OrtoaProtocol):
             row, submitted_at, resent,
         )
 
-    def _refused(self, flight: _Flight, error: RefusedError) -> bool:
-        """The one rollback of a refused frame; returns whether to resend.
+    def _refused(self, key: str, epoch: int, resent: bool, shed: bool) -> bool:
+        """The one rollback of a refused request; returns whether to resend.
 
         A refusal proves the shard did not commit ``epoch``, so it still
         holds ``epoch - 1`` — unless the logged counter had run one epoch
         ahead of it (a crash between the log append and the send).  With a
-        log, a refusal that is not a shed therefore goes back two epochs and
-        resends once; if the resend is refused too, the key returns to the
-        epoch it started from.
+        log, a refusal that is not a ``shed`` therefore goes back two epochs
+        and resends once; if the resend is refused too, the key returns to
+        the epoch it started from.
         """
-        epoch = flight.epoch
-        resync = (
-            self.wal is not None
-            and not flight.resent
-            and epoch >= 2
-            and not isinstance(error, OverloadError)
-        )
-        back = 0 if flight.resent else 2 if resync else 1
-        self.proxy.force_counter(flight.request.key, epoch - back)
+        resync = self.wal is not None and not resent and epoch >= 2 and not shed
+        back = 0 if resent else 2 if resync else 1
+        self.proxy.force_counter(key, epoch - back)
         return resync
 
     def _receive(self, flight: _Flight) -> "AccessTranscript | _Flight":
@@ -427,7 +418,10 @@ class ShardedLblDeployment(OrtoaProtocol):
         except RefusedError as exc:
             if span is not None:
                 TRACER.end(span)
-            if self._refused(flight, exc):
+            if self._refused(
+                request.key, flight.epoch, flight.resent,
+                isinstance(exc, OverloadError),
+            ):
                 return self._send(flight.index, request, row, resent=True)
             if row is not None:
                 _ledger.retire(row)
@@ -497,12 +491,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         processes them in parallel and replies stream back continuously.
         Transcripts are returned in request order; each request's work is
         credited to its own ``pipelined:<key>`` ledger row.
-
-        These concurrent frames are what fills a ``server_batch > 1``
-        shard's access windows: a depth-8 pipeline against a
-        ``server_batch=8`` shard lands in one fused ``process_many``.  The
-        per-key claim keeps two same-key frames of one deployment out of
-        one window.
 
         Raises:
             RefusedError: A shard refused a request (OVERLOAD or error
@@ -651,6 +639,7 @@ class ShardedLblDeployment(OrtoaProtocol):
 
         entries: list = [None] * len(requests)
         shares: list[tuple[int, int]] = [(0, 0)] * len(requests)
+        shed: set[int] = set()
         for shard, indices in by_shard.items():
             try:
                 reply = shard_futures[shard].result(self.timeout)
@@ -658,6 +647,8 @@ class ShardedLblDeployment(OrtoaProtocol):
                 # The shard refused this sub-batch whole, before commit:
                 # each of its entries failed, and finalize_batch_entries
                 # takes their keys back like any other failed entry.
+                if isinstance(exc, OverloadError):
+                    shed.update(indices)
                 for index in indices:
                     entries[index] = LblErrorEntry(str(exc))
                 continue
@@ -685,12 +676,46 @@ class ShardedLblDeployment(OrtoaProtocol):
             shares=shares,
             rows=rows,
         )
+        if failures and self.wal is not None:
+            self._resync_batch(requests, built, shed, transcripts, failures)
         if rows is not None:
             for row in rows:
                 _ledger.retire(row)
         if failures:
             raise BatchPartialFailure(failures, transcripts)
         return [transcripts[i] for i in range(len(requests))]
+
+    def _resync_batch(
+        self,
+        requests: list[Request],
+        built: list[tuple[LblAccessRequest, OpCounts, int]],
+        shed: set[int],
+        transcripts: dict[int, AccessTranscript],
+        failures: dict[int, str],
+    ) -> None:
+        """Give a key whose first entry in the batch failed the resync of
+        :meth:`_refused`, resending that entry once as a single frame.
+
+        A key whose first entry was answered is in step with its shard;
+        its later failures, like the later entries of a resynced key, stay
+        in ``failures``.  Updates ``transcripts`` and ``failures`` in place.
+        """
+        first: dict[str, int] = {}
+        for index, request in enumerate(requests):
+            first.setdefault(request.key, index)
+        for index in first.values():
+            request = requests[index]
+            if index not in failures or not self._refused(
+                request.key, built[index][2], False, index in shed
+            ):
+                continue
+            try:
+                transcripts[index] = self._receive(
+                    self._send(index, request, None, resent=True)
+                )
+            except RefusedError:
+                continue
+            del failures[index]
 
 
 class LblOrtoa(ShardedLblDeployment):

@@ -347,8 +347,6 @@ def sharded_scaling(
     shards: int = 4,
     num_requests: int = 64,
     in_process: bool = True,
-    server_batch: int = 1,
-    server_window: float | None = None,
 ) -> list[Row]:
     """§6.2.4 on real sockets: throughput as loopback storage shards are added.
 
@@ -365,14 +363,7 @@ def sharded_scaling(
         num_requests: Accesses per data point.
         in_process: Thread-backed shard servers (default) or spawned
             subprocesses.
-        server_batch: Server-side access window size (``repro run sharded
-            --server-batch``); ``1`` (default) keeps the per-request
-            dispatch path, ``> 1`` fuses concurrent accesses into windowed
-            ``process_many`` calls on every shard.
-        server_window: Server-side flush timer in seconds (``--server-window``);
-            ``None`` keeps the coalescer default.
     """
-    from repro.core.lbl.server_coalesce import DEFAULT_WINDOW_SECONDS
     from repro.transport.cluster import measure_shard_scaling
 
     counts = [1]
@@ -382,10 +373,6 @@ def sharded_scaling(
         shard_counts=tuple(counts),
         num_requests=num_requests,
         in_process=in_process,
-        server_batch=server_batch,
-        server_window=(
-            DEFAULT_WINDOW_SECONDS if server_window is None else server_window
-        ),
     )
 
 

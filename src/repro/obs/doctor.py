@@ -4,23 +4,18 @@
 *where*.  It scrapes every shard's metrics endpoint twice
 (:func:`collect_signals`, reusing :func:`repro.obs.top.scrape`), reduces
 each target to a small signal vector (throughput, shed rate, in-flight
-occupancy, server window fill, prepare vs service vs round-trip
-latency), and hands the vectors to
+occupancy, prepare vs service vs round-trip latency), and hands the vectors to
 :func:`diagnose` — a pure function, so the attribution logic is testable on
 synthetic signal dicts without sockets.
 
-Attribution taxonomy (the five ways the stack saturates):
+Attribution taxonomy (the four ways the stack saturates):
 
 * **shedding** — the admission window is rejecting work outright
   (``SHED/s > 0``); always reported first, then the *cause* of the
   pressure is attributed below.
 * **dispatch** — the server side is the constraint: the in-flight window
-  runs near full.
+  runs near full (a saturated shard shows here, whatever it is busy with).
 * **crypto** — the proxy's table builds dominate the latency budget.
-* **server** — the untrusted store's fused access windows are the
-  constraint: ``server_batch > 1`` windows consistently flush full on
-  size, meaning requests queue faster than fused ``open_rows`` dispatches
-  drain them — the deployment is server-open-bound.
 * **wire** — neither side is busy yet round trips dwarf service time:
   the network (or a slow consumer) holds the latency.
 
@@ -43,9 +38,6 @@ from repro.obs.top import Samples, scrape, target_row
 
 #: In-flight occupancy at or above which dispatch is considered saturated.
 OCCUPANCY_SATURATED = 0.8
-
-#: Server window fill at or above which the store is flush-bound.
-WINDOW_FILL_SATURATED = 0.9
 
 #: Prepare p99 (ms) at which a prepare-dominated latency budget counts as
 #: crypto saturation.  The share alone is not enough: an idle deployment's
@@ -75,7 +67,6 @@ def _signal(
         "repro_lbl_proxy_prepare_seconds", {"quantile": "0.99"}
     )
     row["prepare_p99_ms"] = None if prepare_p99 is None else prepare_p99 * 1e3
-    row["server_window_fill"] = _value("repro_lbl_server_window_fill")
     return row
 
 
@@ -112,14 +103,6 @@ def _score_crypto(signal: Mapping[str, Any]) -> float:
     return prepare_share * min(prepare / PREPARE_SATURATED_MS, 1.0)
 
 
-def _score_server(signal: Mapping[str, Any]) -> float:
-    # A high server window fill means fused access windows consistently
-    # close on size before their timer: arrivals outpace flush drains and
-    # the untrusted store's open_rows dispatch is the convergence point.
-    fill = signal.get("server_window_fill") or 0.0
-    return min(fill / WINDOW_FILL_SATURATED, 1.0)
-
-
 def _score_wire(signal: Mapping[str, Any]) -> float:
     roundtrip = signal.get("p99_ms")
     service = signal.get("service_p99_ms") or 0.0
@@ -149,8 +132,7 @@ def diagnose(
         ``{"bottleneck", "shedding", "scores", "reasons",
         "measured_ops_per_s", "predicted_ops_per_s", "utilization",
         "targets"}`` — ``bottleneck`` is ``"dispatch"``, ``"crypto"``,
-        ``"server"``, ``"wire"``, or ``"healthy"``; ``shedding`` is True
-        when any target
+        ``"wire"``, or ``"healthy"``; ``shedding`` is True when any target
         rejected work during the observation window.
     """
     up = [s for s in signals if s.get("up", True)]
@@ -160,7 +142,6 @@ def diagnose(
     scores = {
         "dispatch": max((_score_dispatch(s) for s in up), default=0.0),
         "crypto": max((_score_crypto(s) for s in up), default=0.0),
-        "server": max((_score_server(s) for s in up), default=0.0),
         "wire": max((_score_wire(s) for s in up), default=0.0),
     }
     shedding = shed_per_s > 0.0
@@ -191,14 +172,6 @@ def diagnose(
                 f"crypto: {worst.get('target', '?')} prepare p99 "
                 f"{worst.get('prepare_p99_ms') or 0.0:.2f} ms dominates its "
                 f"service p99 {worst.get('service_p99_ms') or 0.0:.2f} ms"
-            )
-        if scores["server"] >= SCORE_FLOOR:
-            worst = max(up, key=_score_server)
-            reasons.append(
-                f"server: {worst.get('target', '?')} access windows "
-                f"{(worst.get('server_window_fill') or 0.0) * 100.0:.0f}% "
-                "full at flush — the store's fused open dispatch is the "
-                "convergence point (server-open-bound)"
             )
         if scores["wire"] >= SCORE_FLOOR:
             worst = max(up, key=_score_wire)
@@ -286,7 +259,6 @@ __all__ = [
     "OCCUPANCY_SATURATED",
     "PREPARE_SATURATED_MS",
     "SCORE_FLOOR",
-    "WINDOW_FILL_SATURATED",
     "collect_signals",
     "diagnose",
     "render_doctor",

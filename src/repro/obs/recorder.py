@@ -4,9 +4,8 @@ Metrics answer "how often"; spans answer "how long"; neither answers *why
 this particular request* was shed, stalled, or slow.  The flight recorder
 fills that gap: hot-path subsystems append small immutable events (shed
 decisions with their cause and the window occupancy at shed time,
-server-side access-window flushes (``server.window`` — reason and fill,
-payload-independent by construction), forced counter moves, slow-consumer
-aborts) into a fixed-capacity ring.  The ring never grows: once full, the
+admission-window transitions, forced counter moves, slow-consumer aborts)
+into a fixed-capacity ring.  The ring never grows: once full, the
 oldest event is overwritten and counted in ``dropped``, so sustained event
 storms cost O(1) memory.
 

@@ -112,7 +112,6 @@ def target_row(
         "span_errors": _value(current, "repro_trace_span_errors_total"),
         "shed_per_s": shed_per_s,
         "in_flight_occupancy": occupancy,
-        "server_window_fill": _value(current, "repro_lbl_server_window_fill"),
     }
 
 
@@ -133,7 +132,7 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
     header = (
         f"{'TARGET':24s} {'REQS':>8s} {'OPS/S':>8s} {'MB/S':>7s} {'RT p50':>8s} "
         f"{'RT p99':>8s} {'SVC p99':>8s} {'HIT%':>6s} {'QUEUE':>6s} {'ERRS':>5s} "
-        f"{'SHED/S':>7s} {'OCC%':>5s} {'SWIN%':>6s}"
+        f"{'SHED/S':>7s} {'OCC%':>5s}"
     )
     lines = [f"repro top — {len(rows)} target(s)  {refreshed_at}".rstrip(), header]
     for row in rows:
@@ -142,7 +141,6 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
             continue
         hit = row["cache_hit_rate"]
         occ = row.get("in_flight_occupancy")
-        swin = row.get("server_window_fill")
         lines.append(
             f"{row['target']:24s}"
             f" {_cell(row['requests'], '{:.0f}'):>8s}"
@@ -156,13 +154,11 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
             f" {_cell(row['span_errors'], '{:.0f}'):>5s}"
             f" {_cell(row.get('shed_per_s')):>7s}"
             f" {_cell(occ if occ is None else occ * 100.0, '{:.0f}'):>5s}"
-            f" {_cell(swin if swin is None else swin * 100.0, '{:.0f}'):>6s}"
         )
     lines.append("")
     lines.append(
         "RT/SVC in ms; OPS/S, MB/S, SHED/S from scrape deltas; "
-        "OCC% = in-flight over window; SWIN% = server access-window fill; "
-        "ctrl-c to quit"
+        "OCC% = in-flight over window; ctrl-c to quit"
     )
     return "\n".join(lines)
 

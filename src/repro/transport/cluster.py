@@ -32,9 +32,6 @@ import random
 import time
 from typing import TYPE_CHECKING
 
-from repro.core.lbl.server_coalesce import (
-    DEFAULT_WINDOW_SECONDS as DEFAULT_SERVER_WINDOW_SECONDS,
-)
 from repro.core.messages import LblAccessResponse
 from repro.errors import ConfigurationError, ProtocolError
 from repro.transport.server import LblTcpServer
@@ -45,10 +42,8 @@ if TYPE_CHECKING:  # imported lazily at runtime: core.sharded imports this packa
 
 
 def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
-                 max_workers: int, metrics: bool, enable_obs: bool,
-                 server_batch: int = 1,
-                 server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
-                 ) -> None:  # pragma: no cover - child process
+                 max_workers: int, metrics: bool,
+                 enable_obs: bool) -> None:  # pragma: no cover - child process
     """Child-process entry point: bind, report the addresses, serve forever."""
     from repro import obs
 
@@ -61,8 +56,6 @@ def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
         response_delay_s=response_delay_s,
         max_workers=max_workers,
         metrics_port=0 if metrics else None,
-        server_batch=server_batch,
-        server_window=server_window,
     )
     conn.send({"address": server.address, "metrics": server.metrics_address})
     conn.close()
@@ -86,11 +79,6 @@ class ShardCluster:
             control frame at shutdown.  Ignored for in-process shards,
             which share this process's global tracer — the caller already
             controls that with :func:`repro.obs.enable`.
-        server_batch: Per-shard access-window fusion size (see
-            :class:`~repro.transport.server.LblFrameDispatcher`); ``1``
-            disables fusion.
-        server_window: Per-shard flush timer (seconds) for a partially
-            filled access window.
     """
 
     def __init__(
@@ -102,8 +90,6 @@ class ShardCluster:
         max_workers: int = 8,
         metrics: bool = False,
         enable_obs: bool = False,
-        server_batch: int = 1,
-        server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
@@ -114,8 +100,6 @@ class ShardCluster:
         self.max_workers = max_workers
         self.metrics = metrics
         self.enable_obs = enable_obs
-        self.server_batch = server_batch
-        self.server_window = server_window
         self.addresses: list[tuple[str, int]] = []
         self.metrics_addresses: list[tuple[str, int] | None] = []
         self.servers: list = []  # LblTcpServer when in_process
@@ -132,8 +116,6 @@ class ShardCluster:
                     response_delay_s=self.response_delay_s,
                     max_workers=self.max_workers,
                     metrics_port=0 if self.metrics else None,
-                    server_batch=self.server_batch,
-                    server_window=self.server_window,
                 )
                 server.serve_in_background()
                 self.servers.append(server)
@@ -152,8 +134,6 @@ class ShardCluster:
                         self.max_workers,
                         self.metrics,
                         self.enable_obs,
-                        self.server_batch,
-                        self.server_window,
                     ),
                     daemon=True,
                 )
@@ -293,8 +273,6 @@ def measure_shard_scaling(
     workers_per_shard: int = 4,
     in_process: bool = True,
     seed: int = 0,
-    server_batch: int = 1,
-    server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
 ) -> list[dict]:
     """Batch (pipelined, deep window) throughput as shards are added.
 
@@ -328,8 +306,6 @@ def measure_shard_scaling(
             in_process=in_process,
             response_delay_s=service_time_s,
             max_workers=workers_per_shard,
-            server_batch=server_batch,
-            server_window=server_window,
         ) as cluster:
             deployment = ShardedLblDeployment(
                 config, cluster.addresses, rng=random.Random(seed)

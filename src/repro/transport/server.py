@@ -68,10 +68,6 @@ from typing import Iterator
 
 from repro.core.lbl.concurrent import hold_stripes
 from repro.core.lbl.server import LblServer
-from repro.core.lbl.server_coalesce import (
-    DEFAULT_WINDOW_SECONDS as DEFAULT_SERVER_WINDOW_SECONDS,
-    ServerAccessCoalescer,
-)
 from repro.core.messages import (
     LblAccessRequest,
     LblBatchRequest,
@@ -160,53 +156,17 @@ class LblFrameDispatcher:
         point_and_permute: Must match the clients' configuration.
         num_stripes: Per-key lock stripes; collisions only cost
             parallelism, never correctness.
-        server_batch: Access-window fusion size.  ``1`` (the default)
-            serves each access frame as its own window of one; above 1,
-            concurrent access frames coalesce into windows of up to this
-            many requests.  Either way — and for batch frames, which are
-            windows already — the work is one
-            :meth:`~repro.core.lbl.server.LblServer.process_many`.
-        server_window: Flush timer (seconds) for a partially filled access
-            window — the longest a lone request waits for company.
-        clock: Time source for the window timer (tests inject a
-            :class:`~repro.obs.clock.FakeClock`); ``None`` uses wall time.
+
+    A server window forms one way: a batch frame is served as one
+    :meth:`~repro.core.lbl.server.LblServer.process_many`, and a lone access
+    frame is a window of one (:meth:`~repro.core.lbl.server.LblServer.process`).
     """
 
-    def __init__(
-        self,
-        point_and_permute: bool = True,
-        num_stripes: int = 64,
-        server_batch: int = 1,
-        server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
-        clock=None,
-    ) -> None:
+    def __init__(self, point_and_permute: bool = True, num_stripes: int = 64) -> None:
         if num_stripes < 1:
             raise ConfigurationError("num_stripes must be >= 1")
-        if server_batch < 1:
-            raise ConfigurationError("server_batch must be >= 1")
         self.lbl = LblServer(point_and_permute=point_and_permute)
         self._stripes = [threading.Lock() for _ in range(num_stripes)]
-        # A window — coalesced or a batch frame — holds every stripe it
-        # touches (in sorted order — see hold_stripes), so it coexists with
-        # the single-stripe LOAD and lone-access paths.
-        self.coalescer: ServerAccessCoalescer | None = (
-            ServerAccessCoalescer(
-                self.lbl,
-                window=server_window,
-                max_batch=server_batch,
-                clock=clock,
-                lock_keys=self._lock_encoded_keys,
-            )
-            if server_batch > 1
-            else None
-        )
-
-    def _lock_encoded_keys(self, encoded_keys: "list[bytes]"):
-        """Context manager holding the stripes of many keys at once."""
-        stripes = self._stripes
-        return hold_stripes(
-            stripes, (hash(key) % len(stripes) for key in encoded_keys)
-        )
 
     def _stripe_for(self, encoded_key: bytes):
         return self._stripes[hash(encoded_key) % len(self._stripes)]
@@ -242,21 +202,20 @@ class LblFrameDispatcher:
             return LOAD_ACK
         if payload[0] == LblAccessRequest.TAG:
             request = LblAccessRequest.from_bytes(payload)
-            if self.coalescer is not None:
-                # Window fusion: block in the leader/follower protocol; the
-                # flush itself takes the stripes of every key it touches.
-                response, _ops = self.coalescer.process(request)
-                return response.to_bytes()
             with self._stripe_for(request.encoded_key):
                 response, _ops = self.lbl.process(request)
             return response.to_bytes()
         if payload[0] == LblBatchRequest.TAG:
             requests = list(LblBatchRequest.from_bytes(payload).requests)
-            # A batch frame is a ready-made window.  Errors are isolated per
-            # request: its window-mates still rotate their labels, and the
-            # failure becomes an error entry at its position.
-            with self._lock_encoded_keys(
-                [request.encoded_key for request in requests]
+            # A batch frame is a window.  It holds every stripe it touches
+            # (in sorted order — see hold_stripes), so it coexists with the
+            # single-stripe LOAD and lone-access paths.  Errors are isolated
+            # per request: its window-mates still rotate their labels, and
+            # the failure becomes an error entry at its position.
+            stripes = self._stripes
+            with hold_stripes(
+                stripes,
+                (hash(request.encoded_key) % len(stripes) for request in requests),
             ):
                 results = self.lbl.process_many(requests)
             entries = []
@@ -462,10 +421,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         metrics_port: When not ``None``, serve this process's metrics
             registry as Prometheus text on ``http://host:metrics_port``
             (0 picks an ephemeral port; read ``metrics_address``).
-        server_batch: Access-window fusion size (see
-            :class:`LblFrameDispatcher`); ``1`` disables fusion.
-        server_window: Flush timer (seconds) for a partially filled
-            access window.
         max_in_flight: Global bound on multiplexed requests queued or
             executing; frames beyond it are shed with OVERLOAD.
         max_in_flight_per_conn: The same bound per connection, so one
@@ -495,8 +450,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         max_workers: int = 8,
         response_delay_s: float = 0.0,
         metrics_port: int | None = None,
-        server_batch: int = 1,
-        server_window: float = DEFAULT_SERVER_WINDOW_SECONDS,
         max_in_flight: int = 1024,
         max_in_flight_per_conn: int = 128,
     ) -> None:
@@ -513,10 +466,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         # serialize — but only to the same key.  The dispatcher's striped
         # locks let distinct keys dispatch in parallel across the worker pool.
         self.dispatcher = LblFrameDispatcher(
-            point_and_permute=point_and_permute,
-            num_stripes=num_stripes,
-            server_batch=server_batch,
-            server_window=server_window,
+            point_and_permute=point_and_permute, num_stripes=num_stripes
         )
         self.lbl = self.dispatcher.lbl
         self.response_delay_s = response_delay_s

@@ -16,7 +16,7 @@ either transport hands it whole to the server's one access path
 (``LblServer.process_many``), so the last section pins that a mixed batch
 (repeated key, corrupt entry, unknown key) keeps its per-entry semantics
 there, and that the audit's leaky negative control is still caught when
-its accesses ride a fused window.
+its accesses ride batch windows of several requests.
 """
 
 import dataclasses
@@ -27,7 +27,7 @@ import pytest
 from repro import obs
 from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.server_coalesce import ServerAccessCoalescer
+from repro.core.lbl.server import SERVER_SPAN
 from repro.core.messages import (
     LblAccessRequest,
     LblAccessResponse,
@@ -42,7 +42,11 @@ from repro.errors import (
     OrtoaError,
     ProtocolError,
 )
-from repro.obs.audit import LeakyLblOrtoa, run_audit
+from repro.obs.audit import (
+    LeakyLblOrtoa,
+    audit_observations,
+    observations_from_spans,
+)
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 from repro.transport.cluster import ShardCluster
 from repro.transport.server import LOAD_ACK, pack_load
@@ -335,13 +339,21 @@ def test_mixed_batch_frame_through_the_dispatcher(captured, monkeypatch):
         server.close()
 
 
-def test_leaky_control_is_flagged_through_a_fused_window():
+def test_leaky_control_is_flagged_through_a_fused_window(captured):
     """The negative control leaks in its commit hook — which every window,
-    not just a lone ``process``, must run through."""
+    not just a lone ``process``, must run through: here two batch frames
+    of eight, one all reads and one all writes, so the leak knows the op."""
     leaky = LeakyLblOrtoa(CONFIG, rng=random.Random(4))
-    coalescer = ServerAccessCoalescer(leaky.server, window=0.0, max_batch=4)
-    leaky.server.process = coalescer.process  # every access rides a window
-    report = run_audit(leaky, num_keys=16, seed=4)
+    keys = [f"audit-{i}" for i in range(16)]
+    leaky.initialize({key: bytes(16) for key in keys})
+    reads = [Request.read(key) for key in keys[:8]]
+    writes = [Request.write(key, bytes([7]) * 16) for key in keys[8:]]
+    for batch in (reads, writes):
+        leaky.server.current_op = batch[0].op
+        leaky.access_batch(batch)
+    spans = obs.TRACER.spans(SERVER_SPAN)
+    ops = [request.op for request in reads + writes]
+    report = audit_observations(observations_from_spans(spans, ops))
     assert not report.passed
     leaked = {check.feature for check in report.checks if not check.passed}
     assert {"labels_rewritten", "storage_writes"} <= leaked

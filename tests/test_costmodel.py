@@ -32,11 +32,11 @@ def fresh_obs():
 
 
 # --------------------------------------------------------------------- #
-# The validation matrix: value sizes x {lockstep, server-coalesced} x {GET, PUT}
+# The validation matrix: value sizes x {lockstep, batch} x {GET, PUT}
 # --------------------------------------------------------------------- #
 
 def test_model_matches_ledger_across_backends_and_sizes():
-    """GET and PUT at 3 value sizes, lockstep and in a fused server window."""
+    """GET and PUT at 3 value sizes, lockstep and in a batch window."""
     report = run_model_check(value_sizes=(4, 8, 16))
     failing = [case for case in report["cases"] if not case["ok"]]
     assert report["ok"], f"model/ledger mismatches: {failing}"

@@ -239,4 +239,4 @@ def test_run_doctor_json_mode_emits_machine_readable_diagnosis():
     assert code == 1
     payload = json.loads("\n".join(lines))
     assert payload["bottleneck"] == "unreachable"
-    assert set(payload["scores"]) == {"dispatch", "crypto", "server", "wire"}
+    assert set(payload["scores"]) == {"dispatch", "crypto", "wire"}

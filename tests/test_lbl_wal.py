@@ -135,6 +135,24 @@ def test_crash_in_uncertainty_window_resyncs(tmp_path):
     assert recovered.recovered_resyncs == 1
 
 
+def test_batch_resyncs_a_key_recovered_one_epoch_ahead(tmp_path):
+    """The same half-finished access, healed by a batch: the refused entry
+    goes back two epochs and is resent once, and later batches are clean."""
+    keychain = KeyChain(b"m" * 32)
+    protocol = make(tmp_path, keychain)
+    protocol.write("a", b"done")
+    protocol.wal.append("a", protocol.proxy.counter("a") + 1)
+
+    recovered = crash_and_recover(protocol, tmp_path, keychain)
+    batch = [Request.read("a"), Request.read("b")]
+    values = [t.response.value for t in recovered.access_batch(batch)]
+    assert values == [CONFIG.pad(b"done"), CONFIG.pad(b"val-b")]
+    assert recovered.recovered_resyncs == 1
+    values = [t.response.value for t in recovered.access_batch(batch)]
+    assert values == [CONFIG.pad(b"done"), CONFIG.pad(b"val-b")]
+    assert recovered.recovered_resyncs == 1
+
+
 def test_recovery_after_checkpoint(tmp_path):
     keychain = KeyChain(b"m" * 32)
     protocol = make(tmp_path, keychain)

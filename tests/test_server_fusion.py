@@ -1,8 +1,9 @@
-"""Server-side access window fusion: fused windows must be transparent.
+"""Server access windows: a fused window must be transparent.
 
-The fused :meth:`~repro.core.lbl.server.LblServer.process_many` changes how
-many storage accesses and AEAD dispatches a window of concurrent requests
-costs, and nothing else.  These tests pin the transparency claims:
+:meth:`~repro.core.lbl.server.LblServer.process_many` serves a window of
+requests — a batch frame, or a lone access frame as a window of one — and
+fuses how many storage accesses and row opens the window costs, and
+nothing else.  These tests pin the transparency claims:
 
 * protocol equivalence — ``process_many`` is the server's only access path
   (``process`` is a window of one), so the property compares it against a
@@ -17,21 +18,18 @@ costs, and nothing else.  These tests pin the transparency claims:
   request, each under its own nonce), one storage multi-put;
 * obliviousness — a fused GET window and a fused PUT window are
   shape-identical, in wire bytes and in every span attribute the server
-  emits, and the sharded obliviousness audit passes with fusion on;
+  emits, and the sharded obliviousness audit passes over TCP shards;
 * attribution — each request's ledger row gets its byte-exact closed-form
   share of the fused open, and a row-less window-mate leaks nothing into
   anyone else's row (the model==ledger equality is exercised through
-  ``run_model_check``'s ``server-coalesced`` cell);
+  ``run_model_check``'s ``batch`` cell);
 * error-path telemetry — failed opens emit their span and
   ``lbl.server.*`` counters too, base protocol and point-and-permute
-  alike;
-* determinism — the coalescer's flush timer reads the injected clock, and
-  its generation counter makes stale timer flushes no-ops.
+  alike.
 """
 
 import dataclasses
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,6 @@ from repro import obs
 from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.server import SERVER_SPAN, LblServer
-from repro.core.lbl.server_coalesce import ServerAccessCoalescer
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead, rows
 from repro.crypto.labels import StoredRecord
@@ -51,8 +48,6 @@ from repro.errors import (
     OrtoaError,
     ProtocolError,
 )
-from repro.obs.clock import FakeClock
-from repro.obs.recorder import RECORDER
 from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(300)
@@ -538,13 +533,7 @@ def test_sharded_audit_passes_with_fusion_on():
     from repro.transport.cluster import ShardCluster
 
     config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-    with ShardCluster(
-        2,
-        point_and_permute=True,
-        in_process=True,
-        server_batch=4,
-        server_window=0.02,
-    ) as cluster:
+    with ShardCluster(2, point_and_permute=True, in_process=True) as cluster:
         dep = ShardedLblDeployment(
             config, cluster.addresses, rng=random.Random(3)
         )
@@ -595,13 +584,13 @@ def test_rows_omitted_inherits_ambient_row_like_sequential():
     assert caller.snapshot()["ops"].get("aead.decrypts", 0) == 2 * num_groups
 
 
-def test_model_check_server_coalesced_backend_is_exact():
+def test_model_check_batch_cell_is_exact():
     from repro.analysis.costmodel import run_model_check
 
     report = run_model_check(value_sizes=(4,))
     assert report["ok"], report["cases"]
-    fused = [case for case in report["cases"] if case["path"] == "server-coalesced"]
-    assert {case["op"] for case in fused} == {"get", "put"}
+    batch = [case for case in report["cases"] if case["path"] == "batch"]
+    assert {case["op"] for case in batch} == {"get", "put"}
 
 
 # --------------------------------------------------------------------- #
@@ -646,228 +635,3 @@ def test_point_and_permute_error_path_emits_span_and_counters():
     spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
     assert len(spans) == 1
     assert "error" in spans[0]["attributes"]
-
-
-# --------------------------------------------------------------------- #
-# Coalescer: timers against the injected clock, generations, fan-out
-# --------------------------------------------------------------------- #
-
-def test_single_caller_flushes_on_timer_with_fake_clock():
-    obs.enable()
-    store = _protocol()
-    clock = FakeClock(auto_advance=0.4)
-    coalescer = ServerAccessCoalescer(
-        store.server, window=1.0, max_batch=8, clock=clock
-    )
-    built, _ops = store.proxy.prepare(Request.read(KEYS[0]))
-    response, _server_ops = coalescer.process(built)
-    assert len(response.opened_labels) == built.num_groups
-    counters = obs.REGISTRY.snapshot()["counters"]
-    assert counters.get("lbl.server.windows", 0) == 1
-    assert counters.get("lbl.server.flush.timer", 0) == 1
-    events = RECORDER.events("server.window")
-    assert len(events) == 1
-    assert events[0].fields == {"reason": "timer", "window": 1, "max_batch": 8}
-
-
-def test_full_window_flushes_on_size():
-    obs.enable()
-    store = _protocol()
-    # A clock that never advances: only the size trigger can flush.
-    coalescer = ServerAccessCoalescer(
-        store.server, window=10.0, max_batch=2, clock=FakeClock()
-    )
-    built = [
-        store.proxy.prepare(Request.read(KEYS[0]))[0],
-        store.proxy.prepare(Request.read(KEYS[1]))[0],
-    ]
-    results: dict[int, object] = {}
-    errors: list[BaseException] = []
-
-    def call(index: int) -> None:
-        try:
-            results[index] = coalescer.process(built[index])
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not errors
-    assert set(results) == {0, 1}
-    counters = obs.REGISTRY.snapshot()["counters"]
-    assert counters.get("lbl.server.flush.size", 0) == 1
-    assert counters.get("lbl.server.coalesced", 0) == 2
-    gauges = obs.REGISTRY.snapshot()["gauges"]
-    assert gauges["lbl.server.window_fill"]["value"] == 1.0
-
-
-def test_flush_pending_generation_guards_stale_timers():
-    store = _protocol()
-    coalescer = ServerAccessCoalescer(
-        store.server, window=10.0, max_batch=8, clock=FakeClock()
-    )
-    built1, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    entry1, is_leader, is_full, generation1 = coalescer.submit(built1)
-    assert is_leader and not is_full
-    assert coalescer.flush_pending("timer", generation1) is True
-    assert entry1.done.is_set() and entry1.result is not None
-    # Re-flushing the same (already closed) window is a no-op.
-    assert coalescer.flush_pending("timer", generation1) is False
-    # A stale timer must not flush the *next* window early.
-    built2, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    entry2, is_leader2, _is_full2, generation2 = coalescer.submit(built2)
-    assert is_leader2 and generation2 != generation1
-    assert coalescer.flush_pending("timer", generation1) is False
-    assert not entry2.done.is_set()
-    assert coalescer.flush_pending("timer", generation2) is True
-    assert entry2.result is not None
-
-
-def test_failed_window_mate_raises_only_for_its_caller():
-    store = _protocol()
-    coalescer = ServerAccessCoalescer(
-        store.server, window=10.0, max_batch=2, clock=FakeClock()
-    )
-    good, _ = store.proxy.prepare(Request.read(KEYS[0]))
-    bad = _corrupt_group0(store.proxy.prepare(Request.read(KEYS[1]))[0])
-    outcomes: dict[str, object] = {}
-
-    def call(name: str, request) -> None:
-        try:
-            outcomes[name] = coalescer.process(request)
-        except OrtoaError as exc:
-            outcomes[name] = exc
-
-    threads = [
-        threading.Thread(target=call, args=("good", good)),
-        threading.Thread(target=call, args=("bad", bad)),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert isinstance(outcomes["bad"], ProtocolError)
-    assert not isinstance(outcomes["good"], OrtoaError)
-
-
-def test_coalescer_validates_configuration():
-    store = _protocol()
-    with pytest.raises(ConfigurationError):
-        ServerAccessCoalescer(store.server, window=-1.0)
-    with pytest.raises(ConfigurationError):
-        ServerAccessCoalescer(store.server, max_batch=0)
-
-
-# --------------------------------------------------------------------- #
-# Transport: fused windows form behind the TCP server
-# --------------------------------------------------------------------- #
-
-def test_fused_windows_form_over_transport():
-    from repro.core.sharded import ShardedLblDeployment
-    from repro.transport.cluster import ShardCluster
-
-    obs.enable()
-    config = StoreConfig(
-        value_len=VALUE_LEN, group_bits=2, point_and_permute=True
-    )
-    with ShardCluster(
-        1,
-        point_and_permute=True,
-        in_process=True,
-        server_batch=4,
-        server_window=0.02,
-    ) as cluster:
-        dep = ShardedLblDeployment(config, cluster.addresses, rng=random.Random(0))
-        try:
-            dep.initialize(
-                {f"t{i}": bytes([i + 1]) * VALUE_LEN for i in range(4)}
-            )
-            proxy = dep  # its caller threads share one deployment
-            barrier = threading.Barrier(4)
-            errors: list[BaseException] = []
-
-            def worker(index: int) -> None:
-                try:
-                    barrier.wait(timeout=30)
-                    key = f"t{index}"
-                    for round_number in range(3):
-                        value = bytes([round_number + 1]) * VALUE_LEN
-                        proxy.write(key, value)
-                        assert proxy.read(key) == value
-                except BaseException as exc:  # noqa: BLE001 - surfaced below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not errors, errors
-        finally:
-            dep.close()
-    counters = obs.REGISTRY.snapshot()["counters"]
-    assert counters.get("lbl.server.windows", 0) >= 1
-    assert counters.get("lbl.server.coalesced", 0) == 24
-    events = RECORDER.events("server.window")
-    assert events
-    assert all(event.fields["max_batch"] == 4 for event in events)
-    assert all(1 <= event.fields["window"] <= 4 for event in events)
-
-
-# --------------------------------------------------------------------- #
-# Planner, doctor, and top integration
-# --------------------------------------------------------------------- #
-
-def test_plan_capacity_amortizes_server_flush_overhead():
-    from repro.analysis.costmodel import LblCostModel, plan_capacity
-
-    model = LblCostModel(value_len=160, group_bits=2, point_and_permute=True)
-    unfused = plan_capacity(50_000_000, 50, model, server_batch=1)
-    fused = plan_capacity(50_000_000, 50, model, server_batch=8)
-    assert fused.cpu_cores <= unfused.cpu_cores
-    assert fused.projected_p99_ms < unfused.projected_p99_ms
-    assumptions = fused.as_dict()["assumptions"]
-    assert assumptions["server_batch"] == 8
-    assert assumptions["server_opens_per_sec"] > 0
-    assert assumptions["server_flush_overhead_seconds"] >= 0
-    with pytest.raises(ConfigurationError):
-        plan_capacity(10, 10, model, server_batch=0)
-    with pytest.raises(ConfigurationError):
-        plan_capacity(10, 10, model, server_opens_per_sec=0.0)
-
-
-def test_doctor_attributes_server_open_bound_saturation():
-    from repro.obs.doctor import SCORE_FLOOR, diagnose
-
-    saturated = {
-        "target": "shard-0",
-        "up": True,
-        "ops_per_s": 100.0,
-        "server_window_fill": 1.0,
-    }
-    diagnosis = diagnose([saturated])
-    assert diagnosis["bottleneck"] == "server"
-    assert diagnosis["scores"]["server"] >= SCORE_FLOOR
-    assert any("server-open-bound" in reason for reason in diagnosis["reasons"])
-
-    idle = dict(saturated, server_window_fill=0.1)
-    assert diagnose([idle])["bottleneck"] == "healthy"
-
-
-def test_top_row_and_render_carry_server_window_fill():
-    from repro.obs.top import render_top, target_row
-
-    samples = {
-        "repro_transport_requests_dispatched_total": [({}, 5.0)],
-        "repro_lbl_server_window_fill": [({}, 0.75)],
-    }
-    row = target_row("a:1", samples, None, 1.0)
-    assert row["server_window_fill"] == 0.75
-    frame = render_top([row], refreshed_at="12:00:00")
-    assert "SWIN%" in frame
-    assert any("75" in line for line in frame.splitlines())
