@@ -23,12 +23,13 @@ that fell out — recovery, rollback, eviction — is re-derived).
 
 An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
 <repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
-and matched against as such.  :meth:`LblProxy.prepare` gathers the two blobs
-into the whole table's keys and labels at C speed and encrypts it in one
-kernel call — :func:`~repro.crypto.rows.seal_rows` under point-and-permute,
-blobs in and the request's slab out, or
-:func:`~repro.crypto.aead.encrypt_many` for the base protocol — optionally
-taking the old epoch from the :class:`~repro.core.lbl.cache.LabelCache`.
+and matched against as such.  No Python loop runs per row or group:
+:meth:`LblProxy.prepare` picks the table's keys and labels out of the two
+blobs with one ``itemgetter`` per epoch and encrypts them in one kernel call
+(:func:`~repro.crypto.rows.seal_rows`, or :func:`~repro.crypto.aead.encrypt_many`
+for the base protocol), the old epoch optionally from the
+:class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` compares
+the reply with every candidate in one ``==`` pass per slot.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import random
 import secrets
 from collections import OrderedDict
+import struct
+from operator import itemgetter
 
 from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
 from repro.core.lbl.cache import LabelCache
@@ -44,7 +47,7 @@ from repro.crypto import aead, rows
 from repro.crypto.aead import _xor
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
-from repro.errors import KeyNotFoundError, ProtocolError
+from repro.errors import KeyNotFoundError, ProtocolError, TamperDetectedError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
@@ -103,12 +106,14 @@ class LblProxy:
             self.label_cache = LabelCache.from_bytes(codec.epoch_len)
         elif config.label_cache_entries is not None:
             self.label_cache = LabelCache(config.label_cache_entries)
-        if config.point_and_permute:
-            groups, size = codec.num_groups, codec.table_size
-            # Per table row in wire order (group-major, slot-minor): its slot,
-            # and where its group starts in ``codec.labels``.
-            self._row_slots = bytes(range(size)) * groups
-            self._row_starts = [i * size for i in range(groups) for _ in range(size)]
+        groups, size = codec.num_groups, codec.table_size
+        # Per table row in wire order (group-major, slot-minor): its slot, and
+        # where its group starts in ``codec.labels`` (32-bit words, one integer).
+        self._row_slots = bytes(range(size)) * groups
+        starts = [i * size for i in range(groups) for _ in range(size)]
+        self._row_starts = int.from_bytes(struct.pack(f">{len(starts)}I", *starts), "big")
+        self._indices = struct.Struct(f">{len(starts)}I").unpack
+        self._zeros = bytes(groups * size)
         # (key, epoch) -> epoch blob, oldest first.  Every mutation is one
         # OrderedDict operation (atomic under the GIL), so callers that
         # serialize per key need no further lock.
@@ -238,7 +243,7 @@ class LblProxy:
         new_value = None
         if request.op.is_write:
             padded = self.config.pad(request.value)  # type: ignore[arg-type]
-            new_value = value_to_groups(padded, self.config.group_bits)
+            new_value = bytes(value_to_groups(padded, self.config.group_bits))
 
         cache = self.label_cache
         old = cache.take(key, ct) if cache is not None else None
@@ -258,20 +263,14 @@ class LblProxy:
                 encoded_key, slab, codec.table_size, len(slab) // enc_count, nonce
             )
         else:
-            new_labels = codec.labels(new)
-            if new_value is None:
-                payloads = new_labels
-            else:
-                size = codec.table_size
-                payloads = [
-                    new_labels[index * size + target]
-                    for index, target in enumerate(new_value)
-                    for _ in range(size)
-                ]
+            targets = self._row_slots if new_value is None else self._per_row(new_value)
+            payloads = self._pick(targets)(codec.labels(new))
             ciphertexts = aead.encrypt_many(codec.labels(old), payloads)
-            wire = LblAccessRequest.from_tables(
-                encoded_key, self._assemble_tables(ciphertexts)
-            )
+            size = codec.table_size  # each table shuffled, so position leaks nothing
+            tables = [ciphertexts[i : i + size] for i in range(0, enc_count, size)]
+            for table in tables:
+                self._rng.shuffle(table)
+            wire = LblAccessRequest.from_tables(encoded_key, tables)
 
         if cache is not None:
             cache.put(key, new_ct, new)
@@ -302,38 +301,31 @@ class LblProxy:
         return bytes(per_row)
 
     def _row_inputs(
-        self, old: bytes, new: bytes, new_value: "tuple[int, ...] | None"
+        self, old: bytes, new: bytes, new_value: "bytes | None"
     ) -> "tuple[bytes, bytes, bytes]":
-        """``(keys, labels, slots)`` of one access's point-and-permute rows —
-        three blobs in row order (group-major, slot-minor), gathered out of
-        the two epoch blobs.
-
-        Slot ``s`` of group ``i`` is keyed by the old label of value
-        ``v = s ^ r_i`` (``r`` the old epoch's offsets) and carries the new
-        label ``v`` maps to — its own for a read (``new_value is None``), the
-        written value's for a write — and that label's slot byte in the next
-        epoch.  All rows are computed at once: what varies per row is a byte
-        string, combined by one XOR, and labels are picked by one gather over
-        :meth:`LabelCodec.labels`.
-        """
+        """``(keys, labels, slots)`` of one access's point-and-permute rows, in
+        row order (group-major, slot-minor), picked out of the two epochs: slot
+        ``s`` of group ``i`` is keyed by the old label of ``v = s ^ r_i`` and
+        carries the new label of ``v`` (a read) or ``w_i`` (a write) and that
+        label's next slot.  A read and a write make the same calls."""
         codec = self.codec
-        values = _xor(self._row_slots, self._per_row(codec.offsets(old)))
-        targets = values if new_value is None else self._per_row(bytes(new_value))
+        offsets = codec.offsets(old)
+        base, by_group = self._row_slots, offsets  # a read: each row keeps its value
+        if new_value is not None:
+            base, by_group = self._zeros, new_value  # a write: every row carries w_i
+        targets = _xor(base, self._per_row(by_group))
         next_slots = _xor(targets, self._per_row(codec.offsets(new)))
-        starts = self._row_starts
-        old_labels, new_labels = codec.labels(old), codec.labels(new)
-        keys = [old_labels[start + value] for start, value in zip(starts, values)]
-        labels = [new_labels[start + value] for start, value in zip(starts, targets)]
-        return b"".join(keys), b"".join(labels), next_slots
+        keys = self._pick(_xor(self._row_slots, self._per_row(offsets)))(codec.labels(old))
+        labels = self._pick(targets)(codec.labels(new))
+        return codec.join(*keys), codec.join(*labels), next_slots
 
-    def _assemble_tables(self, ciphertexts: "list[bytes]") -> "list[list[bytes]]":
-        """One base-protocol access's ciphertexts as per-group tables,
-        shuffled so position leaks nothing."""
-        size = self.codec.table_size
-        tables = [ciphertexts[i : i + size] for i in range(0, len(ciphertexts), size)]
-        for table in tables:
-            self._rng.shuffle(table)
-        return tables
+    def _pick(self, values: bytes) -> itemgetter:
+        """The itemgetter of label ``i · 2^y + values[row]`` for each row ``(i, s)``:
+        the indices are one OR of 32-bit words, read by one struct call."""
+        words = bytearray(4 * len(values))
+        words[3::4] = values
+        words = (int.from_bytes(words, "big") | self._row_starts).to_bytes(len(words), "big")
+        return itemgetter(*self._indices(words))
 
     def transcript(
         self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,
@@ -380,17 +372,25 @@ class LblProxy:
                 several epochs up front must pass the epoch explicitly.
 
         Raises:
-            TamperDetectedError: a label matches no candidate.
+            TamperDetectedError: the reply is not one label per group of the
+                codec's width, or a label matches no candidate.
         """
+        codec = self.codec
         new_ct = self.counter(key) if counter is None else counter
         prf_count = 0
         blob = self._inflight.pop((key, new_ct), None)
         if blob is None and self.label_cache is not None:
             blob = self.label_cache.peek(key, new_ct)
         if blob is None:
-            blob = self.codec.epoch(key, new_ct)
+            blob = codec.epoch(key, new_ct)
             prf_count = 1
-        value = self.codec.decode(blob, response.labels)
+        shape = (codec.label_len, codec.num_groups * codec.label_len)
+        if (response.label_len, len(response.labels)) != shape:
+            raise TamperDetectedError(
+                f"reply of {len(response.labels)} bytes in {response.label_len}-byte labels "
+                f"is not one {codec.label_len}-byte label per group: data was tampered"
+            )
+        value = codec.decode(blob, response.labels)
         ops = OpCounts(prf=prf_count)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()

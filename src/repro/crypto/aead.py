@@ -105,11 +105,7 @@ def _keystream(ipad: bytes, opad: bytes, nonce: bytes, length: int) -> bytes:
 def _xor(data: bytes, keystream: bytes) -> bytes:
     """XOR ``data`` with a keystream of at least the same length."""
     n = len(data)
-    if n == 0:
-        return b""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
-    ).to_bytes(n, "big")
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")).to_bytes(n, "big")
 
 
 def encrypt(key: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
@@ -174,45 +170,25 @@ def encrypt_many(
             if len(nonce) != NONCE_LEN:
                 raise ConfigurationError(f"nonce must be exactly {NONCE_LEN} bytes")
     sha = _DIGEST
-    ipad_trans = _IPAD_TRANS
-    opad_trans = _OPAD_TRANS
-    enc_domain = _ENC_DOMAIN
-    mac_domain = _MAC_DOMAIN
-    zero_ctr = _ZERO_CTR
-    from_bytes = int.from_bytes
-    digest_bytes = _DIGEST_BYTES
-    block = _BLOCK
     out: list[bytes] = []
-    append = out.append
     # The loop below is key_schedule + _keystream + tag inlined into
     # straight-line hashlib one-shots — byte-identical to the scalar path
     # (golden-pinned), but without per-entry function overhead.  One LBL
-    # table build runs this num_groups * 2^y times, which makes it the
-    # hottest loop in the whole proxy.
+    # table build runs this num_groups * 2^y times under the base protocol.
     for key, plaintext, nonce in zip(keys, payloads, nonces):
         if len(key) < 16:
             raise ConfigurationError("AEAD key must be at least 16 bytes")
-        padded = (key if len(key) <= block else sha(key).digest()).ljust(
-            block, b"\x00"
-        )
-        ipad, opad = padded.translate(ipad_trans), padded.translate(opad_trans)
+        padded = (key if len(key) <= _BLOCK else sha(key).digest()).ljust(_BLOCK, b"\x00")
+        ipad, opad = padded.translate(_IPAD_TRANS), padded.translate(_OPAD_TRANS)
         plen = len(plaintext)
-        if 0 < plen <= digest_bytes:
-            keystream = sha(
-                opad + sha(ipad + enc_domain + nonce + zero_ctr).digest()
-            ).digest()
-            body = (
-                from_bytes(plaintext, "big") ^ from_bytes(keystream[:plen], "big")
-            ).to_bytes(plen, "big")
-        elif plen == 0:
-            body = b""
+        if 0 < plen <= _DIGEST_BYTES:
+            keystream = sha(opad + sha(ipad + _ENC_DOMAIN + nonce + _ZERO_CTR).digest()).digest()
+            body = _xor(plaintext, keystream)
         else:
             body = _xor(plaintext, _keystream(ipad, opad, nonce, plen))
         nonce_body = nonce + body
-        append(
-            nonce_body
-            + sha(opad + sha(ipad + mac_domain + nonce_body).digest()).digest()[:TAG_LEN]
-        )
+        mac = sha(opad + sha(ipad + _MAC_DOMAIN + nonce_body).digest()).digest()
+        out.append(nonce_body + mac[:TAG_LEN])
     if _obs.enabled:
         REGISTRY.counter("crypto.aead.encrypts").inc(n)
         _ledger.add_op("aead.encrypts", n)

@@ -18,7 +18,8 @@ of one keyed-XOF call (:meth:`LabelCodec.epoch`).  This module owns:
 from __future__ import annotations
 
 import struct
-from operator import add, xor
+from functools import lru_cache
+from operator import add, eq, mul, xor
 from typing import NamedTuple
 
 from repro.crypto.prf import encode_components, xof_blocks
@@ -27,42 +28,52 @@ from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 
 
+def _check_bits(group_bits: int) -> None:
+    if not 1 <= group_bits <= 8:
+        raise ConfigurationError("group_bits must be between 1 and 8")
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(width: int) -> tuple[bytes, ...]:
+    """Per bit of a ``width``-bit symbol, most significant first, the
+    ``translate`` table from a symbol byte to that bit."""
+    return tuple(bytes(b >> (width - 1 - k) & 1 for b in range(256)) for k in range(width))
+
+
+def _regroup(symbols: bytes, width: int, new_width: int, count: int) -> bytes:
+    """The bit string of ``symbols`` (``width`` bits each, one per byte) cut into
+    ``count`` symbols of ``new_width`` bits, zero-filled or cut short at the end:
+    a ``translate`` and a strided copy per bit plane in, one integer out."""
+    bits = bytearray(max(len(symbols) * width, count * new_width))
+    for k, table in enumerate(_bit_tables(width)):
+        bits[k : len(symbols) * width : width] = symbols.translate(table)
+    total = 0
+    for k in range(new_width):
+        total |= int.from_bytes(bits[k : count * new_width : new_width], "big") << new_width - 1 - k
+    return total.to_bytes(count, "big")
+
+
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
-    """Split ``value`` into big-endian groups of ``group_bits`` bits each.
+    """Split ``value`` into big-endian groups of ``group_bits`` bits each
+    (1 ≤ ``group_bits`` ≤ 8).
 
     The final group is zero-padded on the right when ``8*len(value)`` is not
     divisible by ``group_bits`` (paper §10.1 pads with a sentinel; zero bits
     are equivalent here because the value length is fixed and known).
     """
-    if group_bits < 1:
-        raise ConfigurationError("group_bits must be >= 1")
-    total_bits = len(value) * 8
-    as_int = int.from_bytes(value, "big")
-    num_groups = (total_bits + group_bits - 1) // group_bits
-    padded_bits = num_groups * group_bits
-    as_int <<= padded_bits - total_bits
-    mask = (1 << group_bits) - 1
-    return tuple(
-        (as_int >> (padded_bits - (i + 1) * group_bits)) & mask for i in range(num_groups)
-    )
+    _check_bits(group_bits)
+    return tuple(_regroup(value, 8, group_bits, -(-len(value) * 8 // group_bits)))
 
 
 def groups_to_value(groups: tuple[int, ...] | list[int], group_bits: int, value_len: int) -> bytes:
     """Inverse of :func:`value_to_groups` for a value of ``value_len`` bytes."""
-    if group_bits < 1:
-        raise ConfigurationError("group_bits must be >= 1")
-    total_bits = value_len * 8
-    num_groups = (total_bits + group_bits - 1) // group_bits
+    _check_bits(group_bits)
+    num_groups = -(-value_len * 8 // group_bits)
     if len(groups) != num_groups:
         raise ConfigurationError(f"expected {num_groups} groups, got {len(groups)}")
-    as_int = 0
-    for g in groups:
-        if not 0 <= g < (1 << group_bits):
-            raise ConfigurationError(f"group value {g} out of range for y={group_bits}")
-        as_int = (as_int << group_bits) | g
-    padded_bits = num_groups * group_bits
-    as_int >>= padded_bits - total_bits
-    return as_int.to_bytes(value_len, "big")
+    if groups and not 0 <= min(groups) <= max(groups) < 1 << group_bits:
+        raise ConfigurationError(f"group value out of range for y={group_bits}")
+    return _regroup(bytes(groups), group_bits, 8, value_len)
 
 
 class StoredLabel(NamedTuple):
@@ -114,8 +125,7 @@ class LabelCodec:
     ) -> None:
         if value_len <= 0:
             raise ConfigurationError("value_len must be positive")
-        if group_bits < 1:
-            raise ConfigurationError("group_bits must be >= 1")
+        _check_bits(group_bits)
         if label_len <= 0:
             raise ConfigurationError("label_len must be positive")
         self._xof = xof
@@ -128,9 +138,13 @@ class LabelCodec:
         self.labels_len = self.num_groups * self.table_size * label_len
         self.epoch_len = self.labels_len + self.num_groups
         self._header = encode_components(self.num_groups, self.table_size, label_len)
-        self._split = struct.Struct(
-            f"{label_len}s" * (self.num_groups * self.table_size)
-        ).unpack_from
+        split = struct.Struct(f"{label_len}s" * (self.num_groups * self.table_size))
+        #: Every label of an epoch, in :meth:`labels` order, back to back.
+        self._split, self.join = split.unpack_from, split.pack
+        self._last_split: "tuple[bytes | None, tuple[bytes, ...]]" = (None, ())
+        self._split_reply = struct.Struct(f"{label_len}s" * self.num_groups).unpack
+        #: One hit per group, as :meth:`decode` counts them.
+        self._one_each = int.from_bytes(b"\x01" * self.num_groups, "big")
         # Index of each group's first label in :meth:`labels`.
         self._group_starts = range(0, self.num_groups * self.table_size, self.table_size)
         # byte -> byte mod 2^y, applied to a whole offset stream at C speed.
@@ -162,15 +176,15 @@ class LabelCodec:
 
     def labels(self, blob: bytes) -> tuple[bytes, ...]:
         """An epoch's ``num_groups · 2^y`` labels, group-major: label ``v``
-        of group ``i`` is entry ``i · 2^y + v``."""
-        return self._split(blob)
+        of group ``i`` is entry ``i · 2^y + v``.  The last blob's split is
+        kept: ``prepare`` splits the new epoch, ``finalize`` reads it back."""
+        last = self._last_split
+        if last[0] is not blob:
+            last = self._last_split = (blob, self._split(blob))
+        return last[1]
 
     def offsets(self, blob: bytes) -> bytes:
         """An epoch's per-group permute offsets ``r`` (§10.2), one byte each."""
-        if self.group_bits > 8:
-            raise ConfigurationError(
-                "permute offsets are one byte per group: group_bits must be <= 8"
-            )
         return blob[self.labels_len :].translate(self._offset_table)
 
     def _check_groups(self, groups: "tuple[int, ...] | list[int]") -> None:
@@ -204,39 +218,30 @@ class LabelCodec:
     def decode(self, blob: bytes, labels: bytes) -> bytes:
         """Recover the plaintext value from one label per group.
 
-        Each label is matched against its own group's ``2^y · label_len``
-        window of the epoch ``blob`` (which the proxy still holds from
-        ``prepare``), at label boundaries only.  Also serves as the tamper
-        check of §5.4: a label matching none of its group's candidates
-        proves the server (or channel) corrupted data.
+        Each label is compared whole with its own group's ``2^y`` candidates
+        in the epoch ``blob`` (which the proxy still holds from ``prepare``):
+        one ``==`` pass per slot over every group, read as one integer.  Also
+        the tamper check of §5.4: a label matching none of its group's
+        candidates proves the server (or channel) corrupted data.
 
         Raises:
             TamperDetectedError: if any label is not a valid candidate.
         """
-        label_len = self.label_len
-        if len(labels) != self.num_groups * label_len:
+        if len(labels) != self.num_groups * self.label_len:
             raise ConfigurationError(
-                f"expected {self.num_groups} labels of {label_len} bytes, "
+                f"expected {self.num_groups} labels of {self.label_len} bytes, "
                 f"got {len(labels)} bytes"
             )
-        window = self.table_size * label_len
-        find = blob.find
-        groups: list[int] = []
-        start = 0
-        for at in range(0, len(labels), label_len):
-            label = labels[at : at + label_len]
-            end = start + window
-            found = find(label, start, end)
-            while found >= 0 and (found - start) % label_len:
-                found = find(label, found + 1, end)  # straddles two candidates
-            if found < 0:
-                raise TamperDetectedError(
-                    f"label at group {at // label_len} matches no candidate: "
-                    "data was tampered"
-                )
-            groups.append((found - start) // label_len)
-            start = end
-        return groups_to_value(groups, self.group_bits, self.value_len)
+        got, cands, size = self._split_reply(labels), self.labels(blob), self.table_size
+        hits = [int.from_bytes(bytes(map(eq, got, cands[v::size])), "big") for v in range(size)]
+        if sum(hits) != self._one_each:
+            counts = sum(hits).to_bytes(self.num_groups + 1, "big")[1:]
+            group = self.num_groups - len(counts.lstrip(b"\x01"))
+            raise TamperDetectedError(
+                f"label at group {group} matches no candidate: data was tampered"
+            )
+        values = sum(map(mul, range(size), hits)).to_bytes(self.num_groups, "big")
+        return _regroup(values, self.group_bits, 8, self.value_len)
 
 
 __all__ = [

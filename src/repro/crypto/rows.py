@@ -25,8 +25,12 @@ the tweaked blocks.  ``docs/security-model.md`` has the argument; in short:
 
 **Slab layout.**  A request's rows travel as two runs: every row's label, back
 to back, then every row's 9-byte tail (slot byte, check bytes) — the blobs
-both ends hold, so neither interleaves or splits one; :func:`split_rows` /
-:func:`join_rows` are the row-by-row view.  One row alone is its own slab.
+both ends hold; :func:`split_rows` / :func:`join_rows` are the row-by-row
+view.  One row alone is its own slab.
+
+**Whole-slab work.**  No Python loop runs per row: XOR is big-integer XOR,
+and bytes move between the runs and π's block planes by struct calls built
+once per shape (``_layout``), one body for every label width.
 
 **The context.**  An ECB context is a stream and is not shareable: a partial
 block stays buffered and shifts every later call; two threads in it at once
@@ -41,7 +45,12 @@ from __future__ import annotations
 
 import struct
 import threading
+from functools import lru_cache
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Callable
 
+from repro.crypto.aead import _xor
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -59,7 +68,6 @@ ROW_NONCE_LEN = 16
 SLOT_LEN = 1
 CHECK_LEN = 8
 _TAIL_LEN = SLOT_LEN + CHECK_LEN
-_CHECK_MASK = bytes(SLOT_LEN) + b"\xff" * CHECK_LEN
 #: Largest row (label + slot byte + check bytes): four blocks.
 MAX_ROW_LEN = 64
 #: Width of π, and of the seed a key contributes (its first bytes).
@@ -111,56 +119,66 @@ def join_rows(rows: "list[bytes] | tuple[bytes, ...]") -> bytes:
     return b"".join([r[:-_TAIL_LEN] for r in rows] + [r[-_TAIL_LEN:] for r in rows])
 
 
-# The pads of ``n`` rows leave π as planes — block ``j`` of every row, rows back
-# to back — so that is the form rows are sealed and opened in, the last plane
-# zero-filled.  Byte ``column`` of the rows is a stride of it.
+def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[bytes], bytes]":
+    """A function copying ``(source, target, length)`` segments of a buffer
+    into ``size`` zero bytes: one struct unpack, at most one itemgetter, one
+    struct pack.  Segments adjacent on both sides merge into one field."""
+    merged: "list[list[int]]" = []
+    for source, target, length in sorted(segments, key=itemgetter(1)):
+        last = merged[-1] if merged else [0, 0, -1]
+        if last[0] + last[2] == source and last[1] + last[2] == target:
+            last[2] += length
+        else:
+            merged.append([source, target, length])
+
+    def fields(spans: "list[list[int]]", end: int = 0) -> str:
+        ends = [0] + [start + length for start, length in spans]
+        parts = [f"{start - at}x{length}s" for (start, length), at in zip(spans, ends)]
+        return "".join(parts) + (f"{end - ends[-1]}x" if end else "")
+
+    sources = sorted(range(len(merged)), key=lambda k: merged[k][0])
+    unpack = struct.Struct(fields([merged[k][::2] for k in sources])).unpack_from
+    pack = struct.Struct(fields([m[1:] for m in merged], size)).pack
+    back = sorted(range(len(merged)), key=sources.__getitem__)
+    order = tuple if back == sorted(back) else itemgetter(*back)  # tuple(t) is t
+    return lambda buffer: pack(*order(unpack(buffer)))
 
 
-def _column(column: int, n: int) -> slice:
-    plane, at = divmod(column, BLOCK)
-    return slice(plane * n * BLOCK + at, (plane + 1) * n * BLOCK, BLOCK)
+@lru_cache(maxsize=32)
+def _layout(n: int, key_len: int, label_len: int) -> tuple:
+    """``(seeds, payload, split, checks)`` of ``n`` rows.  Pads leave π as
+    planes (block ``j`` of every row, rows back to back): ``seeds`` takes keys
+    to their first blocks, ``payload`` labels to the planes holding them,
+    ``split`` planes to the label and tail runs; ``checks`` masks check bytes."""
+    plane, row_len = n * BLOCK, label_len + _TAIL_LEN
+
+    def rows(first: int, last: int, to: int, width: int) -> "list[tuple[int, int, int]]":
+        # Columns [first, last) of every row, cut per block, to ``to`` onwards.
+        cuts = [first, *range(first // BLOCK * BLOCK + BLOCK, last, BLOCK), last]
+        cut = [(a // BLOCK * plane + a % BLOCK, a - first, b - a) for a, b in zip(cuts, cuts[1:])]
+        return [(at + r * BLOCK, to + r * width + c, w) for r in range(n) for at, c, w in cut]
+
+    labels = rows(0, label_len, 0, label_len)
+    tails = rows(label_len, row_len, n * label_len, _TAIL_LEN)
+    return (
+        _regather([(r * key_len, r * BLOCK, BLOCK) for r in range(n)], plane),
+        _regather([(t, s, w) for s, t, w in labels], -(-label_len // BLOCK) * plane),
+        _regather(labels + tails, n * row_len),
+        int.from_bytes((bytes(SLOT_LEN) + b"\xff" * CHECK_LEN) * n, "big"),
+    )
 
 
-def _scatter(planes: bytearray, first: int, items: bytes, width: int, n: int) -> None:
-    """Write ``n`` items of ``width`` bytes into columns ``[first, first + width)``."""
-    if width == BLOCK and not first % BLOCK:  # exactly one plane
-        planes[first * n : (first + BLOCK) * n] = items
-        return
-    for at in range(width):
-        planes[_column(first + at, n)] = items[at::width]
+#: ``t_j = nonce ⊕ j`` differs from ``t_0`` in its last byte only: byte -> byte ⊕ j.
+_LAST_BYTE_XOR = [bytes(b ^ j for b in range(256)) for j in range(MAX_ROW_LEN // BLOCK)]
 
 
-def _gather(planes: bytes, first: int, width: int, n: int) -> bytes:
-    """Columns ``[first, first + width)`` as ``n`` items back to back."""
-    if width == BLOCK and not first % BLOCK:
-        return planes[first * n : (first + BLOCK) * n]
-    items = bytearray(n * width)
-    for at in range(width):
-        items[at::width] = planes[_column(first + at, n)]
-    return bytes(items)
-
-
-def _pads(keys: bytes, key_len: int, nonce: bytes, blocks: int) -> int:
-    """``blocks`` whole planes of pad for the rows of ``keys``, as one integer
-    — two passes of π, the hot path."""
-    seeds = keys
-    if key_len != BLOCK:
-        seeds = b"".join([keys[at : at + BLOCK] for at in range(0, len(keys), key_len)])
-    n = len(seeds) // BLOCK
-    hidden = int.from_bytes(_permute(seeds) * blocks, "big")
-    tweak = int.from_bytes(nonce, "big")
-    tweaks = b"".join([(tweak ^ j).to_bytes(BLOCK, "big") * n for j in range(blocks)])
-    tweaked = hidden ^ int.from_bytes(tweaks, "big")
-    return int.from_bytes(_permute(tweaked.to_bytes(len(tweaks), "big")), "big") ^ hidden
-
-
-def _mix(keys: bytes, nonce: bytes, labels: bytes, tails: bytes) -> tuple[bytes, bytes]:
-    """Both runs of ``n`` rows — their labels, their 9-byte tails — XORed with
-    the rows' pads under ``keys``.  Every width is validated before π sees a
-    byte of the run."""
-    n, odd = divmod(len(tails), _TAIL_LEN)
-    if odd or not n or len(labels) % n or not labels:
-        raise ConfigurationError("row labels must be equal-width, one per tail")
+def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int) -> bytes:
+    """The labels of ``n`` rows XORed with their pads under ``keys``, then the
+    pads' tail run; every width is validated before π sees a byte.  π over
+    the seeds is read once for all planes, plane ``j``'s π input is plane 0's
+    with each block's last byte translated, and only label planes are read."""
+    if n < 1 or not labels or len(labels) % n:
+        raise ConfigurationError("row labels must be equal-width, one per row")
     key_len, label_len = len(keys) // n, len(labels) // n
     if len(keys) % n or key_len < BLOCK:
         raise ConfigurationError("row keys must be equal-width, 16 bytes or more")
@@ -168,13 +186,20 @@ def _mix(keys: bytes, nonce: bytes, labels: bytes, tails: bytes) -> tuple[bytes,
         raise ConfigurationError(f"a row holds at most {MAX_ROW_LEN} bytes")
     if len(nonce) != ROW_NONCE_LEN:
         raise ConfigurationError(f"the row nonce is {ROW_NONCE_LEN} bytes")
-    blocks = row_blocks(label_len + _TAIL_LEN)
-    planes = bytearray(blocks * n * BLOCK)
-    _scatter(planes, 0, labels, label_len, n)
-    _scatter(planes, label_len, tails, _TAIL_LEN, n)
-    mixed = int.from_bytes(planes, "big") ^ _pads(keys, key_len, nonce, blocks)
-    planes = mixed.to_bytes(len(planes), "big")
-    return _gather(planes, 0, label_len, n), _gather(planes, label_len, _TAIL_LEN, n)
+    seeds, payload, split, _ = _layout(n, key_len, label_len)
+    plane, blocks = n * BLOCK, row_blocks(label_len + _TAIL_LEN)
+    hidden = int.from_bytes(_permute(seeds(keys)), "big")
+    first = (hidden ^ int.from_bytes(nonce * n, "big")).to_bytes(plane, "big")
+    tweaked = bytearray(first * blocks)
+    last = first[BLOCK - 1 :: BLOCK]
+    tweaked[BLOCK - 1 :: BLOCK] = b"".join([last.translate(t) for t in _LAST_BYTE_XOR[:blocks]])
+    under = 0  # π(x) under every plane, the labels XORed into theirs
+    for j in range(blocks):
+        under = under << plane * 8 | hidden
+        if j == (label_len - 1) // BLOCK:
+            under ^= int.from_bytes(payload(labels), "big")
+    mixed = int.from_bytes(_permute(tweaked), "big") ^ under
+    return split(mixed.to_bytes(plane * blocks, "big"))
 
 
 def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes) -> bytes:
@@ -185,11 +210,17 @@ def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes) -> bytes:
     ``labels`` are each ``n`` equal-width items back to back (a key is 16
     bytes or more, of which the first 16 seed the pad).
     """
-    tails = bytearray(len(slots) * _TAIL_LEN)
-    tails[::_TAIL_LEN] = slots
-    slab = b"".join(_mix(keys, nonce, labels, tails))
+    slab = bytearray(_mix(keys, nonce, labels, len(slots)))
+    tails = slice(len(slab) - len(slots) * _TAIL_LEN, None, _TAIL_LEN)
+    slab[tails] = _xor(slab[tails], slots)
     _count("encrypts", len(slots))
-    return slab
+    return bytes(slab)
+
+
+@lru_cache(maxsize=32)
+def _rows(total: int, width: int) -> "Callable[[bytes], tuple[bytes, ...]]":
+    """Cuts a slab of ``total`` rows into its labels, then its tails."""
+    return struct.Struct(f"{width}s" * total + f"{_TAIL_LEN}s" * total).unpack
 
 
 def open_rows(
@@ -203,8 +234,8 @@ def open_rows(
     ``(labels, slots, failed)``: the picked rows' labels back to back, their
     slot bytes, and the indices into ``picks`` of the rows whose check bytes
     are not zero (wrong key, wrong nonce) — every index, and nothing opened,
-    when the run has not the shape of one :func:`seal_rows` built.  The check
-    is one mask over the run; rows are scanned only to name the failures.
+    when the run has not the shape of one :func:`seal_rows` built.  One
+    itemgetter picks the rows and one mask checks them.
     """
     out = []
     decrypts = failures = 0
@@ -212,24 +243,18 @@ def open_rows(
         n, width = len(picks), row_len - _TAIL_LEN
         total, odd = divmod(len(slab), max(row_len, 1))
         try:
-            if odd or width < 1 or (picks and not 0 <= min(picks) <= max(picks) < total):
+            if odd or width < 1 or not picks or not 0 <= min(picks) <= max(picks) < total:
                 raise ConfigurationError("picked rows are not rows of the slab")
-            sealed_labels = struct.unpack_from(f"{width}s" * total, slab)
-            sealed_tails = struct.unpack_from(f"{_TAIL_LEN}s" * total, slab, width * total)
-            labels, tails = _mix(
-                keys,
-                nonce,
-                b"".join([sealed_labels[row] for row in picks]),
-                b"".join([sealed_tails[row] for row in picks]),
-            )
+            sealed = _rows(total, width)(slab)
+            picked = itemgetter(*picks, *map(add, picks, repeat(total)))(sealed)
+            opened = _mix(keys, nonce, b"".join(picked[:n]), n)
         except ConfigurationError:
             labels, tails, failed = b"", b"", list(range(n))
         else:
-            failed = []
-            if int.from_bytes(tails, "big") & int.from_bytes(_CHECK_MASK * n, "big"):
-                failed = [
-                    row for row in range(n) if any(tails[row * _TAIL_LEN + SLOT_LEN :][:CHECK_LEN])
-                ]
+            labels, tails = opened[: n * width], _xor(opened[n * width :], b"".join(picked[n:]))
+            checked = int.from_bytes(tails, "big") & _layout(n, len(keys) // n, width)[3]
+            rows = range(n) if checked else ()  # scanned only to name the failures
+            failed = [r for r in rows if any(tails[r * _TAIL_LEN + SLOT_LEN :][:CHECK_LEN])]
         out.append((labels, tails[::_TAIL_LEN], failed))
         decrypts += n - len(failed)
         failures += len(failed)

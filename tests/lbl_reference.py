@@ -14,7 +14,12 @@ views, gathers or plane layout behind ``prepare``:
   ``t_j = nonce ⊕ j``, ``π`` AES-128 under a public constant key; the slab
   is every row's label, then every row's 9-byte tail;
 * **§5.2 base tables** — old label ``v`` encrypts new label ``t`` under
-  :func:`repro.crypto.aead.encrypt`, and each table is shuffled.
+  :func:`repro.crypto.aead.encrypt`, and each table is shuffled;
+* **groups** (§10.1) — a value's big-endian bit string cut into ``y``-bit
+  groups, the last zero-filled, by one integer shifted per group
+  (:func:`value_to_groups`, :func:`groups_to_value`);
+* **read-back** (§5.4) — each returned label found in its own group's window
+  of the epoch, at candidate boundaries only (:func:`decode`).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.core.messages import LblAccessRequest
 from repro.crypto import aead
-from repro.crypto.labels import value_to_groups
 from repro.crypto.prf import encode_components
+from repro.errors import TamperDetectedError
 
 #: π's key: the first 128 fractional bits of π (0x243F6A88…).
 PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
@@ -60,6 +65,44 @@ def slab(rows: "list[bytes]") -> bytes:
     """Rows as they travel: every label, then every slot byte and check bytes."""
     tail = 1 + CHECK_LEN
     return b"".join(row[:-tail] for row in rows) + b"".join(row[-tail:] for row in rows)
+
+
+def value_to_groups(value: bytes, group_bits: int) -> "list[int]":
+    """``value`` as big-endian ``group_bits``-bit groups, the last one
+    zero-padded on the right: one integer, shifted once per group."""
+    total_bits = len(value) * 8
+    num_groups = -(-total_bits // group_bits)
+    padded_bits = num_groups * group_bits
+    as_int = int.from_bytes(value, "big") << (padded_bits - total_bits)
+    mask = (1 << group_bits) - 1
+    return [(as_int >> (padded_bits - (i + 1) * group_bits)) & mask for i in range(num_groups)]
+
+
+def groups_to_value(groups: "list[int]", group_bits: int, value_len: int) -> bytes:
+    """The ``value_len``-byte value ``groups`` spell — :func:`value_to_groups`
+    inverted, the pad bits dropped."""
+    as_int = 0
+    for group in groups:
+        as_int = (as_int << group_bits) | group
+    return (as_int >> (len(groups) * group_bits - value_len * 8)).to_bytes(value_len, "big")
+
+
+def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
+    """The value one returned label per group selects in the epoch ``blob``:
+    each label is looked up in its own group's ``2^y · label_len`` window, and
+    counts only where it starts on a candidate boundary — a match straddling
+    two candidates, or none at all, is tampering (§5.4)."""
+    window = (1 << group_bits) * label_len
+    groups = []
+    for group, at in enumerate(range(0, len(labels), label_len)):
+        label, start = labels[at : at + label_len], group * window
+        found = blob.find(label, start, start + window)
+        while found >= 0 and (found - start) % label_len:  # straddles two candidates
+            found = blob.find(label, found + 1, start + window)
+        if found < 0:
+            raise TamperDetectedError(f"label at group {group} matches no candidate")
+        groups.append((found - start) // label_len)
+    return groups_to_value(groups, group_bits, value_len)
 
 
 def epoch(keychain, config, key: str, counter: int):

@@ -1,12 +1,13 @@
 """Tests for the LBL-ORTOA label codec (bit packing, derivation, inversion)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, groups_to_value, value_to_groups
 from repro.errors import ConfigurationError, TamperDetectedError
+from tests import lbl_reference
 
 
 def make_codec(value_len=4, group_bits=1, label_bits=128):
@@ -52,10 +53,21 @@ def test_groups_to_value_validates_length_and_range():
         value_to_groups(b"x", 0)
 
 
-@given(st.binary(min_size=1, max_size=64), st.integers(min_value=1, max_value=9))
+@given(st.binary(min_size=1, max_size=64), st.integers(min_value=1, max_value=8))
 @settings(max_examples=100)
 def test_group_packing_roundtrip_property(value, y):
     assert groups_to_value(value_to_groups(value, y), y, len(value)) == value
+
+
+@pytest.mark.parametrize("y", [0, 9])
+def test_group_packing_refuses_y_outside_store_config_range(y):
+    """StoreConfig's 1..8: a group value travels as one byte."""
+    with pytest.raises(ConfigurationError):
+        value_to_groups(b"x", y)
+    with pytest.raises(ConfigurationError):
+        groups_to_value((0,) * 8, y, 1)
+    with pytest.raises(ConfigurationError):
+        make_codec(value_len=1, group_bits=y)
 
 
 # --------------------------------------------------------------------- #
@@ -252,3 +264,119 @@ def test_decode_matches_at_label_boundaries_only():
     swapped = honest[16:32] + honest[:16] + honest[32:]
     with pytest.raises(TamperDetectedError):
         codec.decode(blob, swapped)
+
+
+# --------------------------------------------------------------------- #
+# The slab packers and read-back against the loop oracles of lbl_reference
+# --------------------------------------------------------------------- #
+
+_Y = st.integers(min_value=1, max_value=8)  # every y, the ones not dividing 8 too
+
+
+@given(st.binary(min_size=1, max_size=200), _Y)
+@settings(max_examples=150)
+def test_group_packing_matches_the_int_loop_oracle(value, y):
+    groups = value_to_groups(value, y)
+    assert list(groups) == lbl_reference.value_to_groups(value, y)
+    assert groups_to_value(groups, y, len(value)) == value
+    assert groups_to_value(list(groups), y, len(value)) == lbl_reference.groups_to_value(
+        list(groups), y, len(value)
+    )
+
+
+@given(st.integers(min_value=1, max_value=200), _Y, st.data())
+@settings(max_examples=100)
+def test_groups_to_value_matches_the_int_loop_oracle_on_any_groups(value_len, y, data):
+    """Groups whose pad bits are set too: both drop them."""
+    count = -(-value_len * 8 // y)
+    groups = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << y) - 1), min_size=count, max_size=count)
+    )
+    expected = lbl_reference.groups_to_value(groups, y, value_len)
+    assert groups_to_value(groups, y, value_len) == expected
+
+
+def _honest(codec, blob: bytes, value: bytes) -> bytes:
+    """The labels the server returns for ``value``: label ``g_i`` of group
+    ``i`` sliced straight out of the epoch blob."""
+    width, size = codec.label_len, codec.table_size
+    groups = lbl_reference.value_to_groups(value, codec.group_bits)
+    return b"".join(blob[(i * size + g) * width :][:width] for i, g in enumerate(groups))
+
+
+def _reference_decode(codec, blob: bytes, labels: bytes) -> bytes:
+    return lbl_reference.decode(
+        blob, labels, label_len=codec.label_len, group_bits=codec.group_bits,
+        value_len=codec.value_len,
+    )
+
+
+@given(st.binary(min_size=1, max_size=200), _Y, st.integers(min_value=0, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_decode_matches_the_find_loop_oracle(value, y, counter):
+    codec = make_codec(value_len=len(value), group_bits=y)
+    blob = codec.epoch("obj", counter)
+    labels = _honest(codec, blob, value)
+    assert codec.decode(blob, labels) == value == _reference_decode(codec, blob, labels)
+
+
+def _tampered(codec, blob: bytes, labels: bytes, group: int, label: bytes) -> bytes:
+    width = codec.label_len
+    assert len(label) == width
+    return labels[: group * width] + label + labels[(group + 1) * width :]
+
+
+def _both_name(codec, blob: bytes, labels: bytes, group: int) -> None:
+    """The kernel and the oracle both refuse, naming ``group``."""
+    named = rf"label at group {group} matches no candidate"
+    with pytest.raises(TamperDetectedError, match=named):
+        codec.decode(blob, labels)
+    with pytest.raises(TamperDetectedError, match=named):
+        _reference_decode(codec, blob, labels)
+
+
+@given(st.binary(min_size=1, max_size=40), _Y, st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_flipped_byte_in_group_g_is_named_as_group_g(value, y, data):
+    codec = make_codec(value_len=len(value), group_bits=y)
+    blob = codec.epoch("obj", 1)
+    labels = _honest(codec, blob, value)
+    group = data.draw(st.integers(min_value=0, max_value=codec.num_groups - 1))
+    at = data.draw(st.integers(min_value=0, max_value=codec.label_len - 1))
+    label = bytearray(labels[group * codec.label_len :][: codec.label_len])
+    label[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+    _both_name(codec, blob, _tampered(codec, blob, labels, group, bytes(label)), group)
+
+
+@given(st.binary(min_size=1, max_size=40), _Y, st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_label_spliced_from_two_adjacent_candidates_is_no_candidate(value, y, data):
+    """It occurs in the group's window, across a candidate boundary."""
+    codec = make_codec(value_len=len(value), group_bits=y)
+    blob = codec.epoch("obj", 2)
+    labels, width, size = _honest(codec, blob, value), codec.label_len, codec.table_size
+    group = data.draw(st.integers(min_value=0, max_value=codec.num_groups - 1))
+    slot = data.draw(st.integers(min_value=0, max_value=size - 2))
+    shift = data.draw(st.integers(min_value=1, max_value=width - 1))
+    start = (group * size + slot) * width + shift
+    spliced = blob[start : start + width]
+    assert spliced in blob[group * size * width : (group + 1) * size * width]
+    _both_name(codec, blob, _tampered(codec, blob, labels, group, spliced), group)
+
+
+@given(st.binary(min_size=1, max_size=40), _Y, st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_label_copied_from_another_groups_window_is_no_candidate(value, y, data):
+    codec = make_codec(value_len=len(value), group_bits=y)
+    assume(codec.num_groups >= 2)
+    blob = codec.epoch("obj", 3)
+    labels, width, size = _honest(codec, blob, value), codec.label_len, codec.table_size
+    group, other = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=codec.num_groups - 1),
+            min_size=2, max_size=2, unique=True,
+        )
+    )
+    slot = data.draw(st.integers(min_value=0, max_value=size - 1))
+    copied = blob[(other * size + slot) * width :][:width]
+    _both_name(codec, blob, _tampered(codec, blob, labels, group, copied), group)

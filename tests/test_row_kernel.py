@@ -173,3 +173,41 @@ def test_server_refuses_a_label_of_the_wrong_width_and_serves_the_next_request()
         store.server.process(short)
     assert store.server.store.get(encoded).labels == bytes(5 * groups)
     assert store.read("k") == b"ok"
+
+
+@pytest.mark.parametrize("value_len", [160, 2])
+def test_get_and_put_make_the_same_kernel_calls(monkeypatch, value_len):
+    """A read and a write hand the row kernel the same shapes: the argument
+    lengths ``seal_rows`` receives and the block counts π receives, in order
+    (no op-dependent shortcut on the proxy's table build)."""
+    from repro.core.lbl.proxy import LblProxy
+    from repro.crypto.keys import KeyChain
+    from repro.types import Request, StoreConfig
+
+    config = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
+    proxy = LblProxy(config, KeyChain(b"\x0b" * 32))
+    proxy.initial_records({"k": bytes(value_len)})
+    calls = []
+    permute, seal = rows._permute, rows.seal_rows
+
+    def counting_permute(blocks):
+        calls.append(("permute", len(blocks) // rows.BLOCK))
+        return permute(blocks)
+
+    def counting_seal(*args):
+        calls.append(("seal_rows", tuple(map(len, args))))
+        return seal(*args)
+
+    monkeypatch.setattr(rows, "_permute", counting_permute)
+    monkeypatch.setattr(rows, "seal_rows", counting_seal)
+    shapes = []
+    for request in (Request.read("k"), Request.write("k", b"\xa5" * value_len)):
+        calls.clear()
+        proxy.prepare(request)
+        shapes.append(list(calls))
+    n = config.num_groups * 4
+    assert shapes[0] == shapes[1] == [
+        ("seal_rows", (16 * n, 16 * n, n, rows.ROW_NONCE_LEN)),
+        ("permute", n),  # the seeds
+        ("permute", 2 * n),  # two planes of tweaked blocks
+    ]

@@ -26,7 +26,7 @@ from repro import obs
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl import proxy as proxy_module
 from repro.core.lbl.server import SERVER_SPAN
-from repro.core.messages import LblAccessRequest
+from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.errors import ProtocolError, TamperDetectedError
 from repro.security.distinguisher import make_first_block_adversary
@@ -344,6 +344,24 @@ def test_flipped_label_bit_is_committed_and_caught_by_finalize():
     with pytest.raises((ProtocolError, TamperDetectedError)):
         store.read("k")
     assert store.read("other") == b"\x07" * 8
+
+
+@pytest.mark.parametrize("shape", ["truncated", "padded", "narrow"])
+def test_a_mis_shaped_reply_is_tampering_not_a_configuration_error(shape):
+    """The reply is untrusted input: one label missing, one label too many,
+    or the same bytes as 8-byte labels fails §5.4's check in ``finalize``."""
+    store = _store()
+    built, _ops = store.proxy.prepare(Request.read("k"))
+    response, _server_ops = store.server.process(built)
+    labels, width = response.labels, response.label_len
+    reply = {
+        "truncated": LblAccessResponse(labels[:-width], width),
+        "padded": LblAccessResponse(labels + labels[:width], width),
+        "narrow": LblAccessResponse(labels, 8),
+    }[shape]
+    with pytest.raises(TamperDetectedError, match="data was tampered"):
+        store.proxy.finalize("k", reply)
+    assert store.proxy.finalize("k", response)[0] == STORED  # the honest reply
 
 
 @pytest.mark.parametrize("bit", [0, 1, 2, 7])
