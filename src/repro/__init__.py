@@ -26,7 +26,7 @@ Quickstart::
     value = store.read("alice")            # one round trip, same wire shape
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -60,15 +60,4 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, "__version__"]
 
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), *_EXPORTS])
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,9 +13,7 @@ Usage::
     python -m repro plan --check              # assert cost model == ledger
     python -m repro obs                       # metrics + obliviousness audit
     python -m repro trace --chrome t.json     # merged trace -> Perfetto JSON
-    python -m repro top localhost:9464        # live telemetry terminal view
     python -m repro doctor localhost:9464     # name the bottleneck (or healthy)
-    python -m repro profile --seconds 2       # sampling profiler, collapsed stacks
     python -m repro bench check               # regression gate vs BENCH history
 
 Experiment names match :mod:`repro.harness.experiments` (``table2``,
@@ -382,7 +380,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Run a traced sharded workload; merge spans and export Chrome JSON."""
     from repro.core.sharded import ShardedLblDeployment
     from repro.obs.export import write_chrome_trace
-    from repro.obs.propagate import orphan_spans, trace_roots
+    from repro.obs.propagate import orphan_spans, render_tree, trace_roots
     from repro.transport.cluster import ShardCluster
     from repro.types import Request, StoreConfig
 
@@ -439,37 +437,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         events = write_chrome_trace(args.chrome, spans)
         print(f"wrote {events} trace events to {args.chrome} (load in Perfetto)")
     if args.exemplars:
-        from repro.obs.exemplars import EXEMPLARS, render_exemplar
-
-        bundle = EXEMPLARS.export(spans)
-        records = sorted(
-            bundle["exemplars"], key=lambda r: -r["duration_s"]
-        )
-        print(
-            f"retained {len(records)} tail exemplar(s) "
-            f"(threshold {bundle['threshold_s'] * 1e3:.0f} ms, "
-            f"top-{bundle['top_k']} per {bundle['window_s']:.1f}s window):"
-        )
-        for record in records[: args.exemplars]:
-            print(render_exemplar(record))
+        slowest = sorted(
+            (root for root in roots if root["name"] == "sharded.access"),
+            key=lambda root: -(root.get("duration") or 0.0),
+        )[: args.exemplars]
+        rows: dict[int | None, list] = {}
+        for row in obs.ledger.completed_rows():
+            rows.setdefault(row.trace_id, []).append(row)
+        print(f"{len(slowest)} slowest sharded.access root(s), slowest first:")
+        for rank, root in enumerate(slowest, 1):
+            print(f"#{rank}  trace {root['trace_id']}")
+            for row in rows.get(root["trace_id"], []):
+                print(
+                    f"  ledger {row.label}: {row.wire_bytes} wire bytes, "
+                    f"{sum(row.ops.values())} primitive ops"
+                )
+            for line in render_tree(root, spans):
+                print(f"  {line}")
     return 1 if orphans else 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live terminal telemetry scraped from --metrics-port endpoints."""
-    from repro.obs.top import run_top
-
-    try:
-        run_top(
-            args.targets,
-            interval_s=args.interval,
-            iterations=args.iterations,
-            clear=not args.no_clear and not args.json,
-            json_mode=args.json,
-        )
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
@@ -482,90 +467,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         predicted_ops_per_shard=args.predicted_ops,
         json_mode=args.json,
     )
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Sampling profiler: attach locally or to a remote shard over 0x62/0x63."""
-    import time as _time
-
-    perfetto_payload = None
-    if args.target:
-        # Remote: start/stop the shard's profiler over the obs control
-        # frames; the shard samples itself while we sleep.
-        import socket
-        import struct
-
-        from repro.transport.framing import recv_frame, send_frame
-        from repro.transport.server import (
-            OBS_PROFILE_DUMP_TAG,
-            OBS_PROFILE_START_TAG,
-            OBS_PROFILE_STOP_TAG,
-        )
-
-        host, _, port = args.target.rpartition(":")
-        address = (host or "localhost", int(port))
-        start = bytes([OBS_PROFILE_START_TAG]) + struct.pack(
-            ">I", max(1, int(args.interval * 1e6))
-        )
-        with socket.create_connection(address, timeout=10.0) as sock:
-            send_frame(sock, start)
-            recv_frame(sock)
-            _time.sleep(args.seconds)
-            send_frame(sock, bytes([OBS_PROFILE_STOP_TAG]))
-            reply = recv_frame(sock)
-        if reply[:1] != bytes([OBS_PROFILE_DUMP_TAG]):
-            print("target answered with a non-profile frame", file=sys.stderr)
-            return 2
-        body = json.loads(reply[1:].decode("utf-8"))
-        profile = body.get("profile")
-        if profile is None:
-            print("target returned no profile (was one already running?)",
-                  file=sys.stderr)
-            return 2
-    else:
-        # Local: profile this process over a self-workload so CI can smoke
-        # the profiler without a running deployment.
-        from repro import LblOrtoa, Request, StoreConfig
-        from repro.obs import profiler as _profiler
-
-        prof = _profiler.attach(interval_s=args.interval)
-        deadline = _time.monotonic() + args.seconds
-        config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-        store = LblOrtoa(config, rng=random.Random(0))
-        store.initialize({f"prof-{i}": b"x" for i in range(16)})
-        i = 0
-        while _time.monotonic() < deadline:
-            store.access(Request.read(f"prof-{i % 16}"))
-            i += 1
-        prof.stop()
-        if args.perfetto:
-            perfetto_payload = prof.perfetto()
-        profile = _profiler.detach()
-        if profile is None:
-            print("profiler was not attached", file=sys.stderr)
-            return 2
-
-    print(
-        f"profile: {profile['samples']} samples over "
-        f"{profile['elapsed_s']:.2f}s at {profile['interval_s'] * 1e3:.1f} ms"
-    )
-    if args.collapsed:
-        with open(args.collapsed, "w", encoding="utf-8") as handle:
-            handle.write(profile["collapsed"] + "\n")
-        print(f"wrote collapsed stacks to {args.collapsed} (flamegraph.pl input)")
-    if args.perfetto:
-        if perfetto_payload is None:
-            # Remote dumps carry collapsed text only; rebuilding trace
-            # events from it would be lossy, so just report.
-            print("no perfetto payload in this profile", file=sys.stderr)
-        else:
-            with open(args.perfetto, "w", encoding="utf-8") as handle:
-                json.dump(perfetto_payload, handle, indent=2)
-            print(f"wrote {args.perfetto} (open at https://ui.perfetto.dev)")
-    if not args.collapsed and not args.perfetto:
-        for line in profile["collapsed"].splitlines()[:20]:
-            print(f"  {line}")
-    return 0 if profile["samples"] else 1
 
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
@@ -844,43 +745,10 @@ def build_parser() -> argparse.ArgumentParser:
         const=3,
         default=0,
         metavar="N",
-        help="render the span trees of the N slowest retained tail "
-        "exemplars (default N: 3)",
+        help="print the span trees (and ledger rows) of the N slowest "
+        "sharded.access roots of the merged trace (default N: 3)",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal view of one or more --metrics-port endpoints "
-        "(ops/s, latency percentiles, cache hit rate, queue depth)",
-    )
-    top.add_argument(
-        "targets",
-        nargs="+",
-        metavar="HOST:PORT",
-        help="metrics endpoints to scrape (bare host:port or full URL)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0, help="refresh seconds (default: 1)"
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N refreshes (default: run until Ctrl-C)",
-    )
-    top.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen (for logs/tests)",
-    )
-    top.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one JSON object per refresh instead of the ANSI table",
-    )
-    top.set_defaults(func=_cmd_top)
 
     doctor = sub.add_parser(
         "doctor",
@@ -916,38 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full diagnosis as JSON instead of the report",
     )
     doctor.set_defaults(func=_cmd_doctor)
-
-    profile = sub.add_parser(
-        "profile",
-        help="sampling profiler (~100 Hz): profile a self-workload in this "
-        "process, or attach to a live shard with --target over the obs "
-        "control frames",
-    )
-    profile.add_argument(
-        "--seconds", type=float, default=2.0, help="sampling window (default: 2)"
-    )
-    profile.add_argument(
-        "--interval",
-        type=float,
-        default=0.01,
-        help="seconds between samples (default: 0.01 = 100 Hz)",
-    )
-    profile.add_argument(
-        "--target",
-        metavar="HOST:PORT",
-        help="profile a running shard's data port instead of this process",
-    )
-    profile.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        help="write collapsed stacks (flamegraph.pl / speedscope input)",
-    )
-    profile.add_argument(
-        "--perfetto",
-        metavar="PATH",
-        help="write Chrome trace-event JSON (local profiles only)",
-    )
-    profile.set_defaults(func=_cmd_profile)
 
     bench = sub.add_parser(
         "bench", help="benchmark trajectory tools (see `repro bench check`)"

@@ -18,7 +18,7 @@ The names resolve on first use (PEP 562): the LBL deployment imports the
 transport package, whose server imports this package's LBL server half.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "OrtoaProtocol": "repro.core.base",
@@ -33,11 +33,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -50,7 +50,6 @@ from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError, TamperDetectedError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
-from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
 from repro.types import Request, Response, StoreConfig
 
@@ -176,11 +175,6 @@ class LblProxy:
         self._counters[key] = value
         if self.label_cache is not None:
             self.label_cache.invalidate_key(key)
-        if _obs.enabled:
-            # Forced counter moves are recovery events — rare, and exactly
-            # what a post-mortem wants on its timeline next to the faults
-            # that caused them.
-            RECORDER.record("proxy.counter_forced", value=value)
 
     def restore_counters(self, counters: dict[str, int]) -> None:
         """Install a recovered counter table (crash recovery).
@@ -195,8 +189,6 @@ class LblProxy:
         self._inflight.clear()
         if self.label_cache is not None:
             self.label_cache.clear()
-        if _obs.enabled:
-            RECORDER.record("proxy.counters_restored", keys=len(counters))
 
     # ------------------------------------------------------------------ #
     # Initialization (the Init(kv) procedure of Figure 1)

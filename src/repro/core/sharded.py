@@ -65,7 +65,6 @@ from repro.errors import (
 )
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
-from repro.obs.exemplars import EXEMPLARS
 from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import TraceContext, merge_span_dumps
 from repro.obs.trace import TRACER, Span
@@ -426,11 +425,9 @@ class ShardedLblDeployment(OrtoaProtocol):
             if row is not None:
                 _ledger.retire(row)
             raise
-        roundtrip = 0.0
         if span is not None:
-            roundtrip = time.perf_counter() - flight.submitted_at
             REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
-                roundtrip
+                time.perf_counter() - flight.submitted_at
             )
             TRACER.end(span)
         response = LblAccessResponse.from_bytes(reply)
@@ -452,16 +449,6 @@ class ShardedLblDeployment(OrtoaProtocol):
             _ledger.credit_wire("access", "received", len(reply) + overhead, row)
             if row is not None:
                 _ledger.retire(row)
-            # Tail exemplar, considered once the row is fully credited: if
-            # this round trip is in the window's tail the store keeps its
-            # trace id and ledger row, so ``repro trace`` can open it later.
-            kept = row if row is not None else _ledger.current_row()
-            EXEMPLARS.consider(
-                roundtrip,
-                trace_id=span.trace_id,
-                label="pipelined" if row is not None else "access",
-                ledger_row=kept.snapshot() if kept is not None else None,
-            )
         return self.proxy.transcript(
             request,
             flight.prepare_ops,

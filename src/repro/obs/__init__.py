@@ -15,17 +15,8 @@ the corresponding quantities first-class observables:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable)
   and Prometheus text exposition, plus the ``--metrics-port`` scrape
   endpoint;
-* :mod:`repro.obs.top` — the ``repro top`` live terminal view built on
-  scraping those endpoints;
-* :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
-  structured events (shed decisions, server window flushes, counter moves)
-  with exactly-once post-mortem dumps and a cross-process merge;
-* :mod:`repro.obs.exemplars` — tail-exemplar capture: full span tree +
-  ledger row retained for requests beyond a latency threshold or in the
-  per-window top-K, so the exact p999 request can be opened;
-* :mod:`repro.obs.profiler` — a ~100 Hz ``sys._current_frames`` sampling
-  profiler with collapsed-stack and Perfetto export, attached explicitly
-  via CLI or the obs control frame (it never rides the global enable);
+* :mod:`repro.obs.doctor` — ``repro doctor``: scrape those endpoints and
+  name a deployment's bottleneck;
 * :mod:`repro.obs.ledger` — the per-request resource ledger: wire bytes
   per frame type/direction and crypto-primitive invocations, attributed to
   the request that caused them and validated against the closed-form cost
@@ -80,8 +71,6 @@ from repro.obs.metrics import (
     REGISTRY,
 )
 from repro.obs.propagate import TraceContext, merge_span_dumps
-from repro.obs.exemplars import EXEMPLARS, TailExemplarStore
-from repro.obs.recorder import FlightRecorder, RECORDER, merge_recorder_dumps
 from repro.obs.trace import NOOP_SPAN, Span, Tracer, TRACER
 
 
@@ -101,13 +90,11 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all recorded spans, zero every metric, clear retired ledger rows,
-    and empty the flight recorder and tail-exemplar stores."""
+    """Drop all recorded spans, zero every metric, and clear retired ledger
+    rows."""
     TRACER.reset()
     REGISTRY.reset()
     ledger.reset()
-    RECORDER.reset()
-    EXEMPLARS.reset()
 
 
 @contextmanager
@@ -129,15 +116,13 @@ def capture(*, fresh: bool = True) -> Iterator[None]:
 
 
 def export() -> dict[str, Any]:
-    """One JSON-ready bundle: clock metadata, finished spans, metric
-    snapshot, flight-recorder ring, and retained tail exemplars."""
+    """One JSON-ready bundle: clock metadata, finished spans, and the
+    metric snapshot."""
     clock = get_time_source()
     return {
         "clock": {"type": type(clock).__name__, "unit": clock.unit},
         "spans": TRACER.export(),
         "metrics": REGISTRY.snapshot(),
-        "recorder": RECORDER.export(),
-        "exemplars": EXEMPLARS.export(),
     }
 
 
@@ -169,11 +154,6 @@ __all__ = [
     "REGISTRY",
     "TraceContext",
     "merge_span_dumps",
-    "FlightRecorder",
-    "RECORDER",
-    "merge_recorder_dumps",
-    "TailExemplarStore",
-    "EXEMPLARS",
     "chrome_trace",
     "write_chrome_trace",
     "prometheus_text",

@@ -8,13 +8,13 @@ Two consumers, two formats:
   Produced by ``repro trace --chrome out.json``.
 * **Prometheus text exposition** (:func:`prometheus_text`) — scraped live
   from a running :class:`~repro.transport.server.LblTcpServer` started
-  with ``metrics_port=`` (see :func:`start_metrics_server`), and polled by
-  ``repro top``.  Counters map to ``*_total``, gauges to plain samples
+  with ``metrics_port=`` (see :func:`start_metrics_server`), and read by
+  ``repro doctor``.  Counters map to ``*_total``, gauges to plain samples
   (plus ``*_max``), fixed-bucket histograms to cumulative ``_bucket``
   series, and log-bucket histograms to summary quantiles
   (``{quantile="0.99"}``) so tail latency is one PromQL-free read.
 
-:func:`parse_prometheus_text` is the matching reader — ``repro top`` uses
+:func:`parse_prometheus_text` is the matching reader — ``repro doctor`` uses
 it to diff successive scrapes, and tests use it to prove the exposition is
 parseable.
 """

@@ -71,9 +71,6 @@ _FRAME_NAMES = {
     0x41: "load",  # LOAD_ACK_TAG
     0x60: "obs",  # OBS_PULL_TAG
     0x61: "obs",  # OBS_DUMP_TAG
-    0x62: "obs",  # OBS_PROFILE_START_TAG
-    0x63: "obs",  # OBS_PROFILE_STOP_TAG
-    0x64: "obs",  # OBS_PROFILE_DUMP_TAG
     0x7E: "overload",  # OVERLOAD_TAG (load shedding)
     0x7F: "error",  # ERROR_TAG
 }

@@ -22,9 +22,10 @@ trace.  This module closes the gap in two steps:
    keeping exactly the links flagged as remote pointing at client spans.
 
 The result is one span list in which every server-side span is a
-descendant of the client access span that caused it; :func:`trace_roots`
-and :func:`orphan_spans` answer the structural questions tests and the
-``repro trace`` CLI ask of it.
+descendant of the client access span that caused it; :func:`trace_roots`,
+:func:`orphan_spans` and :func:`render_tree` answer the structural
+questions tests and the ``repro trace`` CLI ask of it (``--exemplars``
+prints the slowest roots' trees).
 """
 
 from __future__ import annotations
@@ -160,6 +161,33 @@ def trace_roots(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
     return [span for span in spans if span.get("parent_id") is None]
 
 
+def render_tree(root: dict[str, Any], spans: list[dict[str, Any]]) -> list[str]:
+    """``root`` and its descendants in ``spans``, one indented line each.
+
+    Children follow their parent in start order; a span merged in from a
+    shard carries its ``process`` tag.
+    """
+    children: dict[int, list[dict[str, Any]]] = {}
+    for span in spans:
+        if span.get("parent_id") is not None:
+            children.setdefault(int(span["parent_id"]), []).append(span)
+    lines: list[str] = []
+
+    def _walk(span: dict[str, Any], depth: int) -> None:
+        duration = span.get("duration")
+        shown = "?" if duration is None else f"{duration * 1e3:.2f} ms"
+        process = (span.get("attributes") or {}).get("process")
+        suffix = f"  [{process}]" if process else ""
+        lines.append(f"{'  ' * depth}{span['name']}  {shown}{suffix}")
+        for child in sorted(
+            children.get(int(span["span_id"]), []), key=lambda s: s.get("start", 0.0)
+        ):
+            _walk(child, depth + 1)
+
+    _walk(root, 0)
+    return lines
+
+
 def orphan_spans(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Spans whose parent id resolves to no span in the list.
 
@@ -199,6 +227,7 @@ __all__ = [
     "merge_span_dumps",
     "spans_by_id",
     "trace_roots",
+    "render_tree",
     "orphan_spans",
     "ancestor_chain",
 ]

@@ -21,7 +21,7 @@ does not load the others — nor the deployment that imports this package's
 link modules while it is itself being imported.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "LblTcpServer": "repro.transport.server",
@@ -35,11 +35,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

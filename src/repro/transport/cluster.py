@@ -72,8 +72,8 @@ class ShardCluster:
         response_delay_s: Artificial per-reply delay (WAN emulation).
         max_workers: Mux worker threads per shard.
         metrics: Give every shard a Prometheus scrape endpoint on an
-            ephemeral port (read ``metrics_addresses``; ``repro top``
-            polls them).
+            ephemeral port (read ``metrics_addresses``; ``repro doctor``
+            scrapes them).
         enable_obs: Enable span/metric capture inside *process-backed*
             shards, so their telemetry can be pulled back over the obs
             control frame at shutdown.  Ignored for in-process shards,

@@ -5,7 +5,10 @@ whatsoever — it stores labels, opens the one ciphertext it can per group,
 and rotates state, exactly as :class:`~repro.core.lbl.server.LblServer`
 does in-process.
 
-Wire protocol (within the framing of :mod:`repro.transport.framing`):
+Wire protocol (within the framing of :mod:`repro.transport.framing`).
+Every request rides in a multiplexed frame (below); a frame that is not
+mux-wrapped is answered with one error frame and nothing is dispatched.
+The payloads a mux frame may carry:
 
 * a serialized :class:`~repro.core.messages.LblAccessRequest` (tag 0x20)
   → a serialized :class:`~repro.core.messages.LblAccessResponse`;
@@ -16,7 +19,7 @@ Wire protocol (within the framing of :mod:`repro.transport.framing`):
   rest of the batch is still applied;
 * a LOAD frame (tag 0x40: encoded key + label blob) during bulk
   initialization → a 1-byte ack (0x41);
-* a multiplexed frame (tag 0x50: request id + any of the above) → the
+* a multiplexed frame (tag 0x50: request id + any of these) → the
   reply wrapped under the same request id.  Mux frames from one connection
   dispatch on a worker pool, so distinct keys process in parallel and
   replies may return out of order — that is the point: pipelined clients
@@ -32,8 +35,8 @@ Wire protocol (within the framing of :mod:`repro.transport.framing`):
   shards answer it at shutdown so the client can merge every process's
   telemetry into one trace;
 * on any handling error → an error frame (tag 0x7F + UTF-8 message, mux
-  wrapped iff the request was), so clients fail with a described exception
-  instead of a dead socket;
+  wrapped whenever the request carried an id), so clients fail with a
+  described exception instead of a dead socket;
 * on load shedding → an overload frame (tag 0x7E, exactly one byte, wrapped
   under the request id).  A mux frame arriving over the server's in-flight
   window or its connection's, or while the server drains, is refused at
@@ -43,7 +46,7 @@ Wire protocol (within the framing of :mod:`repro.transport.framing`):
 
 With ``metrics_port=`` the server additionally exposes its metrics
 registry as Prometheus text on an HTTP scrape endpoint
-(:func:`repro.obs.export.start_metrics_server`) — ``repro top`` and any
+(:func:`repro.obs.export.start_metrics_server`) — ``repro doctor`` and any
 Prometheus scraper read it live.
 
 Concurrency: requests touching the *same* encoded key are serialized by a
@@ -80,25 +83,16 @@ from repro.obs import ledger as _ledger
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import REMOTE_PARENT_ATTR, TraceContext, remote_parent
-from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
 from repro.storage.persistence import LabelListCodec
 from repro.transport import framing
 
 LOAD_TAG = 0x40
 LOAD_ACK = bytes([0x41])
-#: Control frame asking this process for its telemetry (spans + metrics +
-#: flight-recorder ring + tail exemplars).
+#: Control frame asking this process for its telemetry (spans + metrics).
 OBS_PULL_TAG = 0x60
 #: Reply to :data:`OBS_PULL_TAG`: the tag followed by a UTF-8 JSON dump.
 OBS_DUMP_TAG = 0x61
-#: Control frame attaching the sampling profiler in this process.  Optional
-#: 4-byte big-endian body: sampling interval in microseconds.
-OBS_PROFILE_START_TAG = 0x62
-#: Control frame detaching the profiler; the reply carries its export.
-OBS_PROFILE_STOP_TAG = 0x63
-#: Reply to the profiler control frames: tag + UTF-8 JSON body.
-OBS_PROFILE_DUMP_TAG = 0x64
 ERROR_TAG = 0x7F
 #: Load-shed reply: the server refused to queue the request.  The frame is
 #: exactly this one tag byte — no message, no request-derived content — so
@@ -116,6 +110,13 @@ SEND_TIMEOUT_S = 30.0
 DRAIN_TIMEOUT_S = 10.0
 
 _log = get_logger("transport.server")
+
+#: The one reply to a frame that is not mux-wrapped.  Every request goes
+#: through :meth:`LblTcpServer.submit_mux`, so none bypasses admission or
+#: the drain.
+_PLAIN_FRAME = ProtocolError(
+    "plain frames are not served: wrap the request in a mux frame"
+)
 
 
 def pack_load(encoded_key: bytes, record) -> bytes:
@@ -193,8 +194,6 @@ class LblFrameDispatcher:
             raise ProtocolError("empty frame")
         if payload[0] == OBS_PULL_TAG:
             return self.obs_dump()
-        if payload[0] in (OBS_PROFILE_START_TAG, OBS_PROFILE_STOP_TAG):
-            return self._profile_control(payload)
         if payload[0] == LOAD_TAG:
             encoded_key, record = unpack_load(payload)
             with self._stripe_for(encoded_key):
@@ -240,40 +239,8 @@ class LblFrameDispatcher:
         client's tracer); returns whatever this process recorded — an
         empty dump when observability was never enabled here.
         """
-        from repro.obs.exemplars import EXEMPLARS
-
-        bundle = {
-            "spans": TRACER.export(),
-            "metrics": REGISTRY.snapshot(),
-            "recorder": RECORDER.export(),
-            "exemplars": EXEMPLARS.export(),
-        }
+        bundle = {"spans": TRACER.export(), "metrics": REGISTRY.snapshot()}
         return bytes([OBS_DUMP_TAG]) + json.dumps(bundle, default=str).encode("utf-8")
-
-    def _profile_control(self, payload: bytes) -> bytes:
-        """Attach/detach the per-process sampling profiler over the wire.
-
-        Start frames may carry a 4-byte big-endian sampling interval in
-        microseconds; stop replies carry the profiler's full export
-        (collapsed stacks + sample counts) so a remote ``repro profile``
-        needs exactly two control round trips.
-        """
-        from repro.obs import profiler as _profiler
-
-        if payload[0] == OBS_PROFILE_START_TAG:
-            interval_s = _profiler.DEFAULT_INTERVAL_S
-            if len(payload) >= 5:
-                interval_us = int.from_bytes(payload[1:5], "big")
-                if interval_us > 0:
-                    interval_s = interval_us / 1e6
-            profiler = _profiler.attach(interval_s)
-            body = {"running": True, "interval_s": profiler.interval_s}
-        else:
-            export = _profiler.detach()
-            body = {"running": False, "profile": export}
-        return bytes([OBS_PROFILE_DUMP_TAG]) + json.dumps(
-            body, default=str
-        ).encode("utf-8")
 
     @contextmanager
     def request_scope(self, trace_context: bytes | None) -> Iterator[None]:
@@ -334,7 +301,7 @@ class _Handler(socketserver.BaseRequestHandler):
             struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
         )
         # Mux replies are written from pool threads while this thread may
-        # still write inline replies; one lock per connection orders them.
+        # still write error replies; one lock per connection orders them.
         self.send_lock = threading.Lock()
         #: This connection's admitted mux requests (guarded by the
         #: server's window lock).
@@ -362,13 +329,6 @@ class _Handler(socketserver.BaseRequestHandler):
                         "reply write stalled > %.1fs; dropping slow consumer",
                         SEND_TIMEOUT_S,
                     )
-                    if _obs.enabled:
-                        RECORDER.record(
-                            "transport.slow_consumer_abort",
-                            send_timeout_s=SEND_TIMEOUT_S,
-                            conn_in_flight=self.in_flight,
-                        )
-                        RECORDER.trigger("slow-consumer-abort")
                 try:
                     self.request.shutdown(socket.SHUT_RDWR)
                 except OSError:
@@ -384,24 +344,8 @@ class _Handler(socketserver.BaseRequestHandler):
                 return  # connection closed (possibly mid-frame; that's fine)
             if framing.is_mux(payload):
                 server.submit_mux(self, payload)
-                continue
-            if _obs.enabled:
-                _ledger.count_wire(
-                    _ledger.frame_type(payload),
-                    "received",
-                    4 + len(payload),
-                    role="server",
-                )
-            reply = server.safe_dispatch(payload)
-            if _obs.enabled:
-                _ledger.count_wire(
-                    _ledger.frame_type(reply),
-                    "sent",
-                    4 + len(reply),
-                    role="server",
-                )
-            if not self.send(reply):
-                return
+            elif not self.send(server.dispatcher.error_frame(_PLAIN_FRAME)):
+                return  # a plain frame is refused: nothing is dispatched
 
 
 class LblTcpServer(socketserver.ThreadingTCPServer):
@@ -550,73 +494,40 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             conn.send(bytes([ERROR_TAG]) + str(exc).encode("utf-8"))
             return
         with self._window:
-            cause = (
-                "draining"
-                if self.draining
-                else "global-window"
-                if self.in_flight >= self.max_in_flight
-                else "per-conn-window"
-                if conn.in_flight >= self.max_in_flight_per_conn
-                else None
+            admitted = (
+                not self.draining
+                and self.in_flight < self.max_in_flight
+                and conn.in_flight < self.max_in_flight_per_conn
             )
-            if cause is None:
+            if admitted:
                 conn.in_flight += 1
                 self.in_flight += 1
                 self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
             else:
                 self.overloads_sent += 1
-            depth, conn_depth = self.in_flight, conn.in_flight
+            depth = self.in_flight
         if _obs.enabled:
             REGISTRY.counter("transport.mux_frames_received").inc()
             _ledger.count_wire(
                 _ledger.frame_type(payload), "received", 4 + len(payload), role="server"
             )
-            # The limits ride along so a scraper (``repro top``'s OCC%) can
-            # divide occupancy by them from one snapshot.
+            # The limits ride along so a scraper (``repro doctor``'s
+            # occupancy) can divide by them from one snapshot.
             REGISTRY.gauge("transport.server.max_in_flight").set(self.max_in_flight)
             REGISTRY.gauge("transport.server.max_in_flight_per_conn").set(
                 self.max_in_flight_per_conn
             )
-            self._gauge_window(
-                depth,
-                "full" if cause is None and depth == self.max_in_flight else None,
-            )
-        if cause is None:
+            REGISTRY.gauge("transport.server.in_flight").set(depth)
+        if admitted:
             self._pool.submit(
                 self._handle_mux, conn, request_id, inner, trace_context
             )
             return
         reply = framing.wrap_mux(request_id, OVERLOAD_FRAME)
         if _obs.enabled:
-            # The event carries window state, never request content (the
-            # inner payload is still unparsed), so shed GET and shed PUT
-            # events are shape-identical.
-            RECORDER.record_shed(
-                cause,
-                in_flight=depth,
-                conn_in_flight=conn_depth,
-                max_in_flight=self.max_in_flight,
-                max_per_conn=self.max_in_flight_per_conn,
-            )
             REGISTRY.counter("transport.overload_frames_sent").inc()
             _ledger.count_wire("overload", "sent", 4 + len(reply), role="server")
         conn.send(reply)
-
-    def _gauge_window(self, depth: int, crossed: str | None) -> None:
-        """Publish window occupancy; record a full↔available transition.
-
-        The gauge says how full the window is now; the recorder events say
-        exactly when it saturated (an admission reached ``max_in_flight``:
-        ``crossed="full"``) and when it recovered (a completion left it:
-        ``"available"``).
-        """
-        REGISTRY.gauge("transport.server.in_flight").set(depth)
-        if crossed is not None:
-            RECORDER.record(
-                f"transport.window.{crossed}",
-                in_flight=depth,
-                max_in_flight=self.max_in_flight,
-            )
 
     def _handle_mux(
         self,
@@ -645,9 +556,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
                 depth = self.in_flight
                 self._window.notify_all()  # close() and closing connections
             if _obs.enabled:
-                self._gauge_window(
-                    depth, "available" if depth == self.max_in_flight - 1 else None
-                )
+                REGISTRY.gauge("transport.server.in_flight").set(depth)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -721,9 +630,6 @@ __all__ = [
     "LOAD_ACK",
     "OBS_PULL_TAG",
     "OBS_DUMP_TAG",
-    "OBS_PROFILE_START_TAG",
-    "OBS_PROFILE_STOP_TAG",
-    "OBS_PROFILE_DUMP_TAG",
     "ERROR_TAG",
     "OVERLOAD_TAG",
     "OVERLOAD_FRAME",

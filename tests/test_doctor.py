@@ -127,11 +127,33 @@ def test_wire_bound_scenario_names_wire():
 
 
 def test_quiet_deployment_is_healthy():
-    diagnosis = diagnose([_signal(), _signal(target="shard-1")])
+    diagnosis = diagnose(
+        [_signal(prepare_p99_ms=1.0), _signal(target="shard-1", prepare_p99_ms=1.0)]
+    )
     assert diagnosis["bottleneck"] == "healthy"
     assert diagnosis["shedding"] is False
     assert diagnosis["reasons"] == ["no saturation signal crossed its threshold"]
     assert diagnosis["measured_ops_per_s"] == 200.0
+
+
+def test_unmeasured_cause_reads_incomplete_not_healthy():
+    """A quiet deployment whose proxy series no target exposes has not been
+    shown healthy: crypto and wire are unscored, and the verdict says so."""
+    diagnosis = diagnose([_signal(prepare_p99_ms=None, p99_ms=None)])
+    assert diagnosis["bottleneck"] == "incomplete"
+    assert diagnosis["scores"]["crypto"] is None
+    assert diagnosis["scores"]["wire"] is None
+    assert diagnosis["scores"]["dispatch"] < SCORE_FLOOR
+    assert "crypto: not measured at these targets" in diagnosis["reasons"]
+    report = render_doctor(diagnosis)
+    assert "verdict: INCOMPLETE" in report
+    assert "crypto=not measured" in report
+
+
+def test_saturation_is_named_even_when_a_cause_is_unmeasured():
+    diagnosis = diagnose([_signal(prepare_p99_ms=None, in_flight_occupancy=0.95)])
+    assert diagnosis["bottleneck"] == "dispatch"
+    assert diagnosis["scores"]["crypto"] is None
 
 
 def test_shedding_forces_attribution_even_below_score_floor():
@@ -221,6 +243,42 @@ def test_run_doctor_against_live_cluster_exits_healthy():
     report = "\n".join(lines)
     assert "verdict: HEALTHY" in report
     assert "2 target(s)" in report
+
+
+def test_process_backed_deployment_never_reads_healthy():
+    """A shard in its own process exposes no proxy series, so doctor cannot
+    score crypto there: it must not call the deployment healthy."""
+    import json
+
+    from repro.core.sharded import ShardedLblDeployment
+    from repro.transport.cluster import ShardCluster
+
+    with ShardCluster(
+        2, in_process=False, metrics=True, enable_obs=True
+    ) as cluster:
+        deployment = ShardedLblDeployment(
+            CONFIG, cluster.addresses, rng=random.Random(0)
+        )
+        try:
+            deployment.initialize({f"p-{i}": b"v" for i in range(8)})
+            obs.enable()
+            for i in range(8):
+                deployment.access(Request.read(f"p-{i}"))
+            lines: list[str] = []
+            targets = [
+                f"{host}:{port}" for host, port in cluster.metrics_addresses
+            ]
+            code = run_doctor(
+                targets, interval_s=0.2, write=lines.append, json_mode=True
+            )
+            obs.disable()
+        finally:
+            deployment.close()
+    diagnosis = json.loads("\n".join(lines))
+    assert all(target["up"] for target in diagnosis["targets"])
+    assert diagnosis["scores"]["crypto"] is None
+    assert diagnosis["bottleneck"] != "healthy"
+    assert code == 1
 
 
 def test_collect_signals_marks_unreachable_target_down():

@@ -1,25 +1,19 @@
-"""Tail exemplars: the exact p999 request survives with its evidence.
+"""``repro trace --exemplars N``: the slowest requests as a view of the spans.
 
-Acceptance criterion: a forced-slow request yields a retained exemplar
-whose span tree renders with no orphan spans — proven here against a real
-sharded deployment with an artificially delayed shard, plus unit coverage
-of the retention policy (threshold, per-window top-K, displacement,
-bounded capacity).
+The view sorts the merged span list's ``sharded.access`` roots by duration,
+so it is exact over the whole run: the trees it prints are the N longest
+roots, slowest first, each with the shard's spans nested under it and the
+ledger row retired under its trace id.
 """
 
-import random
+import re
 
 import pytest
 
 from repro import obs
-from repro.obs.clock import FakeClock, use_clock
-from repro.obs.exemplars import EXEMPLARS, TailExemplarStore, render_exemplar
-from repro.obs.propagate import orphan_spans
-from repro.types import Request, StoreConfig
+from repro.cli import main
 
 pytestmark = pytest.mark.timeout(120)
-
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
 
 
 @pytest.fixture(autouse=True)
@@ -31,173 +25,36 @@ def _clean_obs():
     obs.reset()
 
 
-# --------------------------------------------------------------------- #
-# Retention policy
-# --------------------------------------------------------------------- #
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
 
 
-def test_above_threshold_always_retained():
-    store = TailExemplarStore(threshold_s=0.050, top_k=1)
-    assert store.consider(0.051, trace_id=1)
-    assert store.consider(0.300, trace_id=2)
-    assert len(store) == 2
-
-
-def test_window_top_k_retained_even_when_fast():
-    store = TailExemplarStore(threshold_s=0.050, top_k=2, window_s=10.0)
-    with use_clock(FakeClock(start=0.0)):
-        assert store.consider(0.001, trace_id=1)  # window has < K entries
-        assert store.consider(0.002, trace_id=2)
-        assert not store.consider(0.0005, trace_id=3)  # slower than both
-    assert [r["trace_id"] for r in store.exemplars()] == [1, 2]
-
-
-def test_displacement_evicts_the_displaced_record():
-    store = TailExemplarStore(threshold_s=0.050, top_k=1, window_s=10.0)
-    with use_clock(FakeClock(start=0.0)):
-        assert store.consider(0.001, trace_id=1)
-        assert store.consider(0.010, trace_id=2)  # displaces trace 1
-    retained = [r["trace_id"] for r in store.exemplars()]
-    assert retained == [2], "the displaced window winner leaves the store"
-
-
-def test_window_roll_resets_top_k():
-    store = TailExemplarStore(threshold_s=0.050, top_k=1, window_s=1.0)
-    clock = FakeClock(start=0.0)
-    with use_clock(clock):
-        assert store.consider(0.010, trace_id=1)
-        assert not store.consider(0.001, trace_id=2)
-        clock.advance(1.5)  # new window: top-K slots open again
-        assert store.consider(0.001, trace_id=3)
-    assert [r["trace_id"] for r in store.exemplars()] == [1, 3]
-
-
-def test_capacity_bounds_retained_exemplars():
-    store = TailExemplarStore(threshold_s=0.0, capacity=4)
-    for i in range(20):
-        store.consider(1.0 + i, trace_id=i)
-    assert len(store) == 4
-    assert [r["trace_id"] for r in store.exemplars()] == [16, 17, 18, 19]
-
-
-def test_export_resolves_span_trees_lazily():
-    store = TailExemplarStore(threshold_s=0.0)
-    store.consider(1.0, trace_id=77, ledger_row={"label": "x"})
-    spans = [
-        {"name": "root", "span_id": 1, "trace_id": 77, "parent_id": None,
-         "start": 0.0, "end": 1.0, "duration": 1.0, "attributes": {}},
-        {"name": "other-trace", "span_id": 2, "trace_id": 99, "parent_id": None,
-         "start": 0.0, "end": 1.0, "duration": 1.0, "attributes": {}},
-    ]
-    bundle = store.export(spans)
-    (record,) = bundle["exemplars"]
-    assert [s["name"] for s in record["spans"]] == ["root"]
-    assert record["ledger"] == {"label": "x"}
-
-
-def test_slowest_returns_the_max():
-    store = TailExemplarStore(threshold_s=0.0)
-    store.consider(0.2, trace_id=1)
-    store.consider(0.9, trace_id=2)
-    store.consider(0.5, trace_id=3)
-    assert store.slowest()["trace_id"] == 2
-
-
-def test_render_exemplar_indents_children():
-    record = {
-        "label": "access",
-        "duration_s": 0.123,
-        "trace_id": 5,
-        "ledger": None,
-        "spans": [
-            {"name": "parent", "span_id": 1, "trace_id": 5, "parent_id": None,
-             "start": 0.0, "duration": 0.1, "attributes": {}},
-            {"name": "child", "span_id": 2, "trace_id": 5, "parent_id": 1,
-             "start": 0.01, "duration": 0.05, "attributes": {}},
-        ],
-    }
-    text = render_exemplar(record)
-    lines = text.splitlines()
-    assert "123.00 ms" in lines[0]
-    parent_line = next(l for l in lines if "parent" in l)
-    child_line = next(l for l in lines if "child" in l)
-    assert len(child_line) - len(child_line.lstrip()) > len(parent_line) - len(
-        parent_line.lstrip()
+def test_exemplars_view_prints_the_slowest_roots_with_server_spans_nested(capsys):
+    assert main(["trace", "--shards", "2", "--keys", "24", "--exemplars", "3"]) == 0
+    out = capsys.readouterr().out
+    # In-process shards share this process's tracer: its spans are the run's.
+    roots = sorted(
+        (
+            span
+            for span in obs.TRACER.export()
+            if span["parent_id"] is None and span["name"] == "sharded.access"
+        ),
+        key=lambda span: -span["duration"],
     )
-
-
-# --------------------------------------------------------------------- #
-# Acceptance: a forced-slow request leaves a renderable exemplar
-# --------------------------------------------------------------------- #
-
-
-def test_forced_slow_request_yields_orphan_free_exemplar_tree():
-    """A deployment with a deliberately slow shard retains the slow access
-    as an exemplar; its resolved span tree has no orphans and contains the
-    server-side request span."""
-    from repro.core.sharded import ShardedLblDeployment
-    from repro.transport.cluster import ShardCluster
-
-    with ShardCluster(
-        1,
-        point_and_permute=True,
-        in_process=True,
-        response_delay_s=0.08,  # beyond the 50 ms exemplar threshold
-    ) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0)
-        )
-        try:
-            deployment.initialize({"slow": b"v"})
-            obs.enable()
-            deployment.access(Request.read("slow"))
-            obs.disable()
-            spans = deployment.merged_spans()
-        finally:
-            deployment.close()
-
-    bundle = EXEMPLARS.export(spans)
-    records = [
-        r for r in bundle["exemplars"] if r["duration_s"] >= bundle["threshold_s"]
+    assert len(roots) == 24
+    view = out.split("3 slowest sharded.access root(s), slowest first:\n", 1)[1]
+    blocks = re.split(r"^#\d+  trace ", view, flags=re.M)[1:]
+    assert [int(block.split("\n", 1)[0]) for block in blocks] == [
+        root["trace_id"] for root in roots[:3]
     ]
-    assert records, "the forced-slow access must be retained above threshold"
-    record = records[0]
-    assert orphan_spans(record["spans"]) == []
-    names = {s["name"] for s in record["spans"]}
-    assert "sharded.access" in names
-    assert "transport.server.request" in names
-    # The ledger row travelled with the exemplar (ambient row not tracked
-    # here, so it may be None for plain access(); rendering must cope).
-    text = render_exemplar(record)
-    assert "sharded.access" in text
-    assert "(no spans resolved" not in text
-
-
-def test_pipelined_exemplars_carry_ledger_rows():
-    """The pipelined drain path snapshots each request's ledger row into
-    its exemplar (wire bytes fully credited at capture time)."""
-    from repro.core.sharded import ShardedLblDeployment
-    from repro.transport.cluster import ShardCluster
-
-    with ShardCluster(1, point_and_permute=True, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0), pipeline_depth=4
-        )
-        try:
-            deployment.initialize({f"k-{i}": b"v" for i in range(6)})
-            obs.enable()
-            deployment.access_pipelined(
-                [Request.read(f"k-{i}") for i in range(6)]
-            )
-            obs.disable()
-        finally:
-            deployment.close()
-
-    records = EXEMPLARS.exemplars()
-    assert records, "top-K retention must capture something every window"
-    for record in records:
-        assert record["label"] == "pipelined"
-        ledger = record["ledger"]
-        assert ledger is not None
-        assert ledger["label"].startswith("pipelined:")
-        assert sum(ledger["wire"].values()) > 0
+    shown = []
+    for block in blocks:
+        lines = block.splitlines()[1:]
+        assert any(line.startswith("  ledger pipelined:trace-") for line in lines)
+        (access,) = [line for line in lines if "sharded.access" in line]
+        (request,) = [line for line in lines if "transport.server.request" in line]
+        (process,) = [line for line in lines if "lbl.server.process" in line]
+        assert _indent(access) < _indent(request) < _indent(process)
+        shown.append(float(access.split()[1]))
+    assert shown == sorted(shown, reverse=True)
+    assert shown[-1] >= round(roots[3]["duration"] * 1e3, 2)

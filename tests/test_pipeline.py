@@ -21,6 +21,7 @@ from repro.transport.framing import (
 )
 from repro.transport.pipeline import MAX_IN_FLIGHT_PER_CONNECTION, PipelinedLblClient
 from repro.transport.server import (
+    ERROR_TAG,
     LOAD_ACK,
     OBS_DUMP_TAG,
     OBS_PULL_TAG,
@@ -200,19 +201,46 @@ def test_request_convenience_is_lockstep(server):
 
 
 def test_mux_and_plain_frames_share_a_connection(server):
-    """A mux client and a plain lockstep socket coexist on one server."""
+    """A plain (non-mux) frame is refused with one error frame; a mux frame
+    on the same connection is served after it."""
     proxy = make_proxy()
     with PipelinedLblClient(server.address) as client:
         load_keys(client, proxy, {"k": bytes(16)})
     sock = socket.create_connection(server.address, timeout=5)
     try:
-        request, _ = proxy.prepare(Request.read("k"))
-        send_frame(sock, request.to_bytes())  # plain, not mux-wrapped
+        send_frame(sock, bytes([OBS_PULL_TAG]))  # plain, not mux-wrapped
         reply = recv_frame(sock)
         assert not is_mux(reply)
-        LblAccessResponse.from_bytes(reply)
+        assert reply[:1] == bytes([ERROR_TAG]) and b"mux" in reply
+        send_frame(sock, wrap_mux(3, bytes([OBS_PULL_TAG])))
+        request_id, inner = unwrap_mux(recv_frame(sock))
+        assert request_id == 3 and inner[:1] == bytes([OBS_DUMP_TAG])
     finally:
         sock.close()
+
+
+def test_plain_access_frame_leaves_the_stored_record_byte_identical(server):
+    """A plain access frame is dispatched nowhere: the record it names keeps
+    its bytes, so the proxy's counter stays in step and the key still reads."""
+    proxy = make_proxy()
+    with PipelinedLblClient(server.address) as client:
+        load_keys(client, proxy, {"k": b"\x05" * 16})
+        (encoded_key,) = list(server.lbl.store)
+        before = server.lbl.store.get(encoded_key)
+        request, _ = proxy.prepare(Request.write("k", b"\x09" * 16))
+        sock = socket.create_connection(server.address, timeout=5)
+        try:
+            send_frame(sock, request.to_bytes())  # plain, not mux-wrapped
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply[:1] == bytes([ERROR_TAG])
+        assert server.lbl.store.get(encoded_key) == before
+        proxy.force_counter("k", 0)  # the refused write never committed
+        request, _ = proxy.prepare(Request.read("k"))
+        reply = client.request(request.to_bytes(), timeout=10)
+        value, _ = proxy.finalize("k", LblAccessResponse.from_bytes(reply))
+        assert value == b"\x05" * 16
 
 
 def test_pipelined_same_server_from_many_threads(server):

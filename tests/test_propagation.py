@@ -206,9 +206,7 @@ def test_obs_pull_round_trip_carries_full_bundle():
             (bundle,) = deployment.collect_remote_obs()
         finally:
             deployment.close()
-    assert set(bundle) >= {"spans", "metrics", "recorder", "exemplars"}
-    assert bundle["recorder"]["capacity"] > 0
-    assert "exemplars" in bundle["exemplars"]
+    assert set(bundle) == {"spans", "metrics"}
 
 
 def test_inprocess_sharded_trace_links_server_to_client():

@@ -1,4 +1,5 @@
-"""The live telemetry path: ``--metrics-port`` scrape endpoint + ``repro top``.
+"""The live telemetry path: the ``--metrics-port`` scrape endpoint and the
+per-target row ``repro doctor`` builds from it.
 
 The acceptance check from ISSUE 4: an HTTP GET against a server started
 with ``metrics_port=`` returns Prometheus-parseable text that includes the
@@ -15,7 +16,7 @@ import pytest
 from repro import obs
 from repro.core.sharded import ShardedLblDeployment
 from repro.obs.export import parse_prometheus_text
-from repro.obs.top import CLEAR, render_top, run_top, scrape, target_row
+from repro.obs.doctor import scrape, target_row
 from repro.transport.server import LblTcpServer
 from repro.types import Request, StoreConfig
 
@@ -99,31 +100,3 @@ def test_scrape_helper_and_target_row(metrics_server):
 
 def test_scrape_returns_empty_for_unreachable_target():
     assert scrape("http://127.0.0.1:1/metrics", timeout=0.2) == {}
-
-
-def test_render_top_marks_down_targets():
-    up = target_row("a:1", {"repro_transport_requests_dispatched_total": [({}, 5.0)]}, None, 1.0)
-    down = target_row("b:2", {}, None, 1.0)
-    frame = render_top([up, down], refreshed_at="12:00:00")
-    lines = frame.splitlines()
-    assert "2 target(s)" in lines[0]
-    assert any("a:1" in line and "5" in line for line in lines)
-    assert any("b:2" in line and "DOWN" in line for line in lines)
-
-
-def test_run_top_polls_and_writes_frames(metrics_server):
-    _run_workload(metrics_server)
-    frames = []
-    code = run_top(
-        [f"{metrics_server.metrics_address[0]}:{metrics_server.metrics_address[1]}"],
-        interval_s=0.01,
-        iterations=2,
-        clear=False,
-        write=frames.append,
-    )
-    assert code == 0
-    assert len(frames) == 2
-    assert CLEAR not in frames[0]  # clear=False keeps frames log-friendly
-    assert "RT p99" in frames[0]
-    # The second frame has a previous scrape to diff, so OPS/S is numeric.
-    assert "DOWN" not in frames[1]

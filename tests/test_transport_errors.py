@@ -3,6 +3,7 @@
 A malformed or unserviceable request must come back as a described error
 frame — the client raises a :class:`~repro.errors.ProtocolError` carrying the
 server's message — and the connection must remain usable afterwards, not die.
+Raw-socket cases send mux frames, the only frames the server serves.
 """
 
 import random
@@ -14,7 +15,7 @@ from repro import obs
 from repro.core.messages import LblAccessRequest
 from repro.errors import ProtocolError
 from repro.transport import LblTcpServer, RemoteLblOrtoa
-from repro.transport.framing import recv_frame, send_frame
+from repro.transport.framing import recv_frame, send_frame, unwrap_mux, wrap_mux
 from repro.transport.server import ERROR_TAG, LOAD_TAG
 from repro.types import Request, StoreConfig
 
@@ -36,10 +37,12 @@ def raw_conn(server):
     sock.close()
 
 
-def _expect_error(sock, payload: bytes) -> str:
-    """Send one frame, assert the reply is an error frame, return its text."""
-    send_frame(sock, payload)
-    reply = recv_frame(sock)
+def _expect_error(sock, payload: bytes, request_id: int = 7) -> str:
+    """Send one mux frame, assert the reply is an error frame under its id,
+    return its text."""
+    send_frame(sock, wrap_mux(request_id, payload))
+    reply_id, reply = unwrap_mux(recv_frame(sock))
+    assert reply_id == request_id
     assert reply[0] == ERROR_TAG
     return reply[1:].decode("utf-8")
 
@@ -94,8 +97,8 @@ def test_connection_survives_an_error_frame(server):
 
 
 def test_raw_connection_survives_interleaved_errors(raw_conn):
-    for _ in range(3):
-        _expect_error(raw_conn, bytes([0xEE]))
+    for request_id in range(3):
+        _expect_error(raw_conn, bytes([0xEE]), request_id)
     # Socket still open: a further frame still gets a (error) reply.
     assert "empty frame" in _expect_error(raw_conn, b"")
 

@@ -26,6 +26,7 @@ from repro.transport.framing import (
     recv_exact,
     recv_frame,
     send_frame,
+    unwrap_mux,
     wrap_mux,
 )
 from repro.transport.pipeline import PipelinedLblClient
@@ -153,8 +154,8 @@ def test_unknown_tag_gets_error_frame_not_disconnect(server):
         reply = recv_frame(sock)
         assert reply[0] == ERROR_TAG
         # And the connection still works afterwards.
-        send_frame(sock, pack_load(b"\xbb" * 16, RECORD))
-        assert recv_frame(sock) == LOAD_ACK
+        send_frame(sock, wrap_mux(8, pack_load(b"\xbb" * 16, RECORD)))
+        assert unwrap_mux(recv_frame(sock)) == (8, LOAD_ACK)
     finally:
         sock.close()
 

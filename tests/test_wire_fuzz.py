@@ -28,9 +28,6 @@ from repro.transport.server import (
     ERROR_TAG,
     LOAD_TAG,
     OBS_DUMP_TAG,
-    OBS_PROFILE_DUMP_TAG,
-    OBS_PROFILE_START_TAG,
-    OBS_PROFILE_STOP_TAG,
     OBS_PULL_TAG,
     pack_load,
     unpack_load,
@@ -234,12 +231,6 @@ def live_server():
     """
     with serving() as server:
         yield server
-    # A fuzzed frame that happens to start with the profiler-start tag
-    # attaches the in-process sampling profiler; never leak that sampler
-    # into later tests.
-    from repro.obs import profiler
-
-    profiler.detach()
 
 
 def assert_server_alive(server) -> None:
@@ -272,19 +263,10 @@ def exchange(server, blob: bytes, timeout: float = 10.0) -> bytes | None:
         sock.close()
 
 
-#: First bytes the dispatcher recognizes (access, batch, load, obs pull,
-#: and the two mux envelopes).  Garbage behind a known tag may parse by
-#: coincidence; garbage behind anything else must earn an error frame.
-KNOWN_TAGS = {
-    m.LblAccessRequest.TAG,
-    m.LblBatchRequest.TAG,
-    LOAD_TAG,
-    OBS_PULL_TAG,
-    OBS_PROFILE_START_TAG,
-    OBS_PROFILE_STOP_TAG,
-    framing.MUX_TAG,
-    framing.MUX_TRACED_TAG,
-}
+#: The only first bytes the server serves: the two mux envelopes.  Garbage
+#: behind them may parse by coincidence; any other frame — a well-formed
+#: access or load record included — must earn an error frame.
+MUX_TAGS = {framing.MUX_TAG, framing.MUX_TRACED_TAG}
 
 
 @given(payload=st.binary(min_size=0, max_size=300))
@@ -292,10 +274,10 @@ KNOWN_TAGS = {
 def test_live_server_replies_or_hangs_up_on_garbage_frames(live_server, payload):
     """A well-framed garbage payload earns an error reply or a hangup."""
     reply = exchange(live_server, _LEN.pack(len(payload)) + payload)
-    if reply is not None and (not payload or payload[0] not in KNOWN_TAGS):
-        # Unknown leading tag: the reply must be an explicit error frame,
-        # not a fake success.
-        assert reply[:1] == bytes([ERROR_TAG]), reply
+    if not payload or payload[0] not in MUX_TAGS:
+        # A plain frame: the reply is one explicit error frame, never a
+        # hangup or a fake success.
+        assert reply is not None and reply[:1] == bytes([ERROR_TAG]), reply
     assert_server_alive(live_server)
 
 
@@ -315,12 +297,10 @@ def test_live_server_answers_garbage_mux_frames_under_their_id(
         reply_id, reply_inner = unwrap_mux(reply)
         assert reply_id == request_id
         # Almost always an error frame; a coincidentally-valid control
-        # frame (obs pull, load record, profiler start/stop) may earn its
-        # genuine ack.
+        # frame (obs pull, load record) may earn its genuine ack.
         assert reply_inner[:1] in (
             bytes([ERROR_TAG]),
             bytes([OBS_DUMP_TAG]),
-            bytes([OBS_PROFILE_DUMP_TAG]),
             bytes([LOAD_TAG + 1]),  # LOAD_ACK
         )
     assert_server_alive(live_server)
