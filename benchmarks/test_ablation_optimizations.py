@@ -1,7 +1,10 @@
-"""Ablations of LBL-ORTOA's §10 optimizations, measured on the real protocol.
+"""Ablations of LBL-ORTOA's §10 optimizations.
 
 * point-and-permute: server decryption attempts drop from ~2^y/2-on-average
-  tries per group to exactly 1;
+  tries per group to exactly 1 — the "no" row is the §5.2 base protocol as
+  ``tests/lbl_reference.py`` keeps it (its shuffled tables opened by a trial
+  scan), the "yes" row the protocol the program serves, counted by its
+  server;
 * y-grouping: server storage halves at y=2 with unchanged communication
   (the Figure 6 optimum), while y=4 blows communication up;
 * batching: amortizes the WAN round trip across requests.
@@ -17,15 +20,43 @@ from repro.harness.report import render_table
 from repro.obs import ledger
 from repro.sim.network import DATACENTER_RTT_MS, DEFAULT_BANDWIDTH_MBPS
 from repro.types import Request, StoreConfig
+from tests import lbl_reference
 
 VALUE_LEN = 32
+ACCESSES = 10
 
 
-def _protocol(group_bits, pnp):
-    config = StoreConfig(value_len=VALUE_LEN, group_bits=group_bits, point_and_permute=pnp)
-    protocol = LblOrtoa(config, rng=random.Random(1))
+def _protocol(group_bits):
+    protocol = LblOrtoa(StoreConfig(value_len=VALUE_LEN, group_bits=group_bits))
     protocol.initialize({"k": bytes(VALUE_LEN)})
     return protocol
+
+
+def _base_reads(protocol) -> "tuple[int, int]":
+    """``(attempts, failures)`` of the §5.2 server over ``ACCESSES`` reads of
+    ``protocol``'s key, its tables shuffled by ``random.Random(1)``."""
+    keychain, config = protocol.keychain, protocol.config
+    stored = lbl_reference.record_labels(keychain, config, "k", 0, bytes(VALUE_LEN))
+    rng, attempts, failures = random.Random(1), 0, 0
+    for counter in range(ACCESSES):
+        tables = lbl_reference.build_request(keychain, config, "k", counter, base=True, rng=rng)
+        stored, tried, failed = lbl_reference.open_base(stored, tables)
+        attempts, failures = attempts + tried, failures + failed
+    return attempts, failures
+
+
+def _served_reads(protocol) -> "tuple[int, int]":
+    """``(attempts, failures)`` the serving stack's server counts in each
+    read's ledger row over ``ACCESSES`` reads."""
+    decrypts, failures = 0, 0
+    with obs.capture():
+        for _ in range(ACCESSES):
+            with ledger.track() as row:
+                protocol.access(Request.read("k"))
+            ops = row.snapshot()["ops"]
+            decrypts += ops.get("aead.decrypts", 0)
+            failures += ops.get("aead.decrypt_failures", 0)
+    return decrypts + failures, failures
 
 
 def test_ablation_point_and_permute(benchmark):
@@ -33,22 +64,14 @@ def test_ablation_point_and_permute(benchmark):
 
     def run():
         rows = []
-        for pnp in (False, True):
-            protocol = _protocol(group_bits=2, pnp=pnp)
-            total_dec, total_failed = 0, 0
-            # The server counts its own attempts, in each access's ledger row.
-            with obs.capture():
-                for _ in range(10):
-                    with ledger.track() as row:
-                        protocol.access(Request.read("k"))
-                    ops = row.snapshot()["ops"]
-                    total_dec += ops.get("aead.decrypts", 0)
-                    total_failed += ops.get("aead.decrypt_failures", 0)
+        for pnp, reads in ((False, _base_reads), (True, _served_reads)):
+            protocol = _protocol(group_bits=2)
+            attempts, failures = reads(protocol)
             rows.append(
                 {
                     "point_and_permute": pnp,
-                    "avg_decryptions_per_access": (total_dec + total_failed) / 10,
-                    "avg_wasted_per_access": total_failed / 10,
+                    "avg_decryptions_per_access": attempts / ACCESSES,
+                    "avg_wasted_per_access": failures / ACCESSES,
                     "groups_per_value": protocol.proxy.codec.num_groups,
                 }
             )
@@ -69,7 +92,7 @@ def test_ablation_group_bits(benchmark):
     def run():
         rows = []
         for y in (1, 2, 4):
-            protocol = _protocol(group_bits=y, pnp=False)
+            protocol = _protocol(group_bits=y)
             encoded = protocol.keychain.encode_key("k")
             label_len = protocol.config.label_bits // 8
             stored = len(protocol.server.store.get(encoded).labels) // label_len
@@ -100,7 +123,7 @@ def test_ablation_batching(benchmark):
     def run():
         rows = []
         for batch_size in (1, 2, 4, 8, 16):
-            protocol = _protocol(group_bits=2, pnp=True)
+            protocol = _protocol(group_bits=2)
             # The one batch frame each way, as the in-process link meters it.
             with obs.capture():
                 protocol.access_batch([Request.read("k")] * batch_size)

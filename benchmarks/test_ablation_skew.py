@@ -7,8 +7,6 @@ so skew is irrelevant to it — another practical argument for the label
 design.
 """
 
-import random
-
 from conftest import save_table
 
 from repro.core import FheOrtoa, LblOrtoa
@@ -57,10 +55,7 @@ def test_ablation_skew(benchmark):
             fhe_served = _drive_fhe_until_exhaustion(zipf_s)
             # LBL under the same stream: every access must succeed with a
             # constant wire footprint.
-            lbl = LblOrtoa(
-                StoreConfig(value_len=VALUE_LEN, group_bits=2, point_and_permute=True),
-                rng=random.Random(1),
-            )
+            lbl = LblOrtoa(StoreConfig(value_len=VALUE_LEN, group_bits=2))
             lbl.initialize({f"obj-{i}": bytes(VALUE_LEN) for i in range(NUM_KEYS)})
             stream = RequestStream(_spec(zipf_s))
             sizes = {lbl.access(stream.next_request()).request_bytes for _ in range(60)}

@@ -18,7 +18,6 @@ Results land in ``BENCH_history.json`` (see ``repro bench check``).
 from __future__ import annotations
 
 import gc
-import random
 import time
 
 from conftest import record_bench
@@ -29,7 +28,7 @@ from repro.obs import _state
 from repro.types import Request, StoreConfig
 
 #: Paper §6 operating point, full kernel stack.
-POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
+POINT = {"value_len": 160, "group_bits": 2}
 
 #: Guards a single access can cross (client submit, server dispatch,
 #: sharded wrapper, counters, gauges, histograms, and the resource
@@ -50,7 +49,7 @@ ROUNDS = 30
 
 def _warm_store() -> LblOrtoa:
     config = StoreConfig(**POINT, label_cache_entries=-1)
-    store = LblOrtoa(config, rng=random.Random(7))
+    store = LblOrtoa(config)
     store.initialize({"k": bytes(config.value_len)})
     for _ in range(3):
         store.access(Request.read("k"))

@@ -6,7 +6,6 @@ adds on top of network latency — and hold the server's admission control
 to its promise: under overload the *admitted* requests keep their latency.
 """
 
-import random
 import statistics
 import threading
 import time
@@ -27,7 +26,7 @@ from repro.transport import (
 from repro.transport.server import OBS_DUMP_TAG, OBS_PULL_TAG
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=160, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=160, group_bits=2)
 
 #: Idempotent control frame, repeatable at will (unlike a LOAD, which is
 #: rejected as a duplicate on re-send): isolates transport overhead
@@ -37,9 +36,9 @@ PING = bytes([OBS_PULL_TAG])
 
 @pytest.fixture()
 def lbl_pair():
-    server = LblTcpServer(point_and_permute=True)
+    server = LblTcpServer()
     server.serve_in_background()
-    client = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(1))
+    client = RemoteLblOrtoa(CONFIG, server.address)
     client.initialize({"k": bytes(160)})
     yield server, client
     client.close()

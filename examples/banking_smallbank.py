@@ -29,14 +29,14 @@ def adversary_view(protocol, request):
 
 
 def main() -> None:
-    config = StoreConfig(value_len=50, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=50, group_bits=2)
     accounts = build_dataset("smallbank", num_objects=64, seed=7)
     customers = list(accounts)
 
     protocols = {
         "2RTT baseline": TwoRoundBaseline(StoreConfig(value_len=50)),
         "TEE-ORTOA": TeeOrtoa(StoreConfig(value_len=50)),
-        "LBL-ORTOA": LblOrtoa(config, rng=random.Random(1)),
+        "LBL-ORTOA": LblOrtoa(config),
     }
     for protocol in protocols.values():
         protocol.initialize(accounts)

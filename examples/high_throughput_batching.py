@@ -30,8 +30,8 @@ def main() -> None:
     print()
 
     # --- 2. Batch to amortize the round trip ----------------------------
-    config = StoreConfig(value_len=160, group_bits=2, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(1))
+    config = StoreConfig(value_len=160, group_bits=2)
+    store = LblOrtoa(config)
     store.initialize({f"user-{i}": bytes(160) for i in range(64)})
 
     rtt = DATACENTER_RTT_MS["oregon"]

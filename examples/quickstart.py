@@ -15,7 +15,7 @@ from repro import LblOrtoa, Request, StoreConfig
 def main() -> None:
     # The §10-optimized configuration: one label per 2 plaintext bits,
     # point-and-permute so the server decrypts one ciphertext per group.
-    config = StoreConfig(value_len=32, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=32, group_bits=2)
     store = LblOrtoa(config)
 
     store.initialize(

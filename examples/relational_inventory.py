@@ -9,8 +9,6 @@ changes, nor can it silently serve stale stock levels.
 Run:  python examples/relational_inventory.py
 """
 
-import random
-
 from repro import FreshnessGuard, LblOrtoa, ObliviousTable, Schema, StoreConfig
 from repro.errors import OrtoaError
 from repro.relational import IntColumn, StrColumn
@@ -29,8 +27,8 @@ def main() -> None:
     # FreshnessGuard widens values by 8 bytes internally for its version;
     # +1 byte for the table's liveness flag.
     protocol = FreshnessGuard(
-        StoreConfig(value_len=schema.row_len + 1, group_bits=2, point_and_permute=True),
-        lambda cfg: LblOrtoa(cfg, rng=random.Random(1)),
+        StoreConfig(value_len=schema.row_len + 1, group_bits=2),
+        lambda cfg: LblOrtoa(cfg),
     )
     inventory = ObliviousTable("inventory", schema, protocol, capacity=32)
 

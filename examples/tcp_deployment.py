@@ -9,23 +9,21 @@ messages — run tcpdump on the loopback if you want to check.
 Run:  python examples/tcp_deployment.py
 """
 
-import random
-
 from repro import Request, StoreConfig
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 
 
 def main() -> None:
     # --- The storage host (in production: another machine) ---------------
-    server = LblTcpServer(point_and_permute=True)
+    server = LblTcpServer()
     server.serve_in_background()
     host, port = server.address
     print(f"Untrusted LBL server listening on {host}:{port} "
           "(holds labels only — no keys, no plaintext).\n")
 
     # --- The trusted side -------------------------------------------------
-    config = StoreConfig(value_len=32, group_bits=2, point_and_permute=True)
-    with RemoteLblOrtoa(config, (host, port), rng=random.Random(1)) as store:
+    config = StoreConfig(value_len=32, group_bits=2)
+    with RemoteLblOrtoa(config, (host, port)) as store:
         store.initialize({
             "patient-77": b"bp=128mmHg",
             "patient-78": b"bp=141mmHg",

@@ -20,7 +20,7 @@ Quickstart::
 
     from repro import LblOrtoa, StoreConfig
 
-    store = LblOrtoa(StoreConfig(value_len=160))
+    store = LblOrtoa(StoreConfig(value_len=160, group_bits=2))
     store.initialize({"alice": b"balance=100"})
     store.write("alice", b"balance=250")   # one round trip
     value = store.read("alice")            # one round trip, same wire shape

@@ -11,7 +11,6 @@ with the cost model — no hand-waved constants.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.core.lbl import LblOrtoa
@@ -69,8 +68,8 @@ def recommend(
     cost_model = cost_model or CostModel.paper_like()
 
     # Measure a real LBL access at this value size.
-    config = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
-    protocol = LblOrtoa(config, rng=random.Random(0))
+    config = StoreConfig(value_len=value_len, group_bits=2)
+    protocol = LblOrtoa(config)
     protocol.initialize({"probe": bytes(value_len)})
     transcript = protocol.access(Request.read("probe"))
     p = sum(

@@ -53,7 +53,6 @@ def estimate_lbl_cost(
     value_bits: int = 1280,
     label_bits: int = 128,
     group_bits: int = 2,
-    point_and_permute: bool = True,
     compute_ms_per_access: float = 2.0,
     prices: CloudPrices | None = None,
 ) -> LblCostEstimate:
@@ -81,7 +80,6 @@ def estimate_lbl_cost(
         value_len=value_bits // 8,
         group_bits=group_bits,
         label_bits=label_bits,
-        point_and_permute=point_and_permute,
     )
     storage_gb = model.storage_bytes_per_object * num_objects / 1e9
     network_gb = model.bytes_per_access * 1_000_000 / 1e9

@@ -3,8 +3,8 @@
 The ledger (:mod:`repro.obs.ledger`) *measures* what an access costs — bytes
 on the wire, PRF calls, the SHAKE-256 and SHA-256 blocks behind them, AEAD
 operations.  This module *predicts* the same quantities symbolically, as
-functions of the deployment parameters: value size, label width, the §10.1
-grouping factor ``y`` and the §10.2 point-and-permute flag.  The two views
+functions of the deployment parameters: value size, label width and the
+§10.1 grouping factor ``y`` (the tables are §10.2 rows).  The two views
 are kept in lockstep by tier-1 tests that assert ``model == ledger``
 exactly — not approximately — for GET and PUT, which is what makes the
 capacity planner
@@ -13,7 +13,7 @@ capacity planner
 are wire-validated formulas, not hand-derived constants.
 
 Notation (matching the paper): ``G`` groups of ``y`` bits each
-(``G = ceil(8·value_len / y)``), tables of ``T = 2^y`` ciphertexts, labels
+(``G = ceil(8·value_len / y)``), tables of ``T = 2^y`` rows, labels
 of ``L = label_bits / 8`` bytes.
 """
 
@@ -31,7 +31,6 @@ from repro.types import StoreConfig
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
 ENCODED_KEY_BYTES = 16  # KeyChain.key_encoding_prf.out_bytes
-AEAD_OVERHEAD_BYTES = 28  # 12-byte nonce + 16-byte tag (crypto.aead)
 DECRYPT_INDEX_BYTES = 1  # point-and-permute slot byte (core.lbl.proxy)
 ROW_CHECK_BYTES = 8  # zero check bytes of a point-and-permute row (crypto.rows)
 ROW_NONCE_BYTES = 16  # per-request row nonce (crypto.rows)
@@ -54,8 +53,6 @@ class LblCostModel:
         value_len: Fixed plaintext length in bytes.
         group_bits: ``y`` — plaintext bits per label (§10.1).
         label_bits: Label PRF width ``r`` in bits.
-        point_and_permute: §10.2 — the server opens exactly one entry per
-            group.
         key: The datastore key the access touches.  PRF messages embed the
             key, so block counts depend (mildly) on its length; the default
             matches the validation tests.
@@ -67,7 +64,6 @@ class LblCostModel:
     value_len: int
     group_bits: int = 1
     label_bits: int = 128
-    point_and_permute: bool = False
     key: str = "k"
     counter: int = 0
     _codec: LabelCodec = field(init=False, repr=False, compare=False)
@@ -77,7 +73,6 @@ class LblCostModel:
             value_len=self.value_len,
             label_bits=self.label_bits,
             group_bits=self.group_bits,
-            point_and_permute=self.point_and_permute,
         )
         # The codec is used purely for its shape and message-length
         # arithmetic (epoch_blocks); the key material is irrelevant.
@@ -105,7 +100,6 @@ class LblCostModel:
             value_len=config.value_len,
             group_bits=config.group_bits,
             label_bits=config.label_bits,
-            point_and_permute=config.point_and_permute,
             key=key,
             counter=counter,
         )
@@ -129,7 +123,7 @@ class LblCostModel:
 
     @property
     def table_size(self) -> int:
-        """``T = 2^y`` ciphertexts per group table."""
+        """``T = 2^y`` rows per group table."""
         return self._codec.table_size
 
     @property
@@ -143,25 +137,23 @@ class LblCostModel:
 
     @property
     def entry_len(self) -> int:
-        """One table entry: a row ``label ‖ slot byte ‖ 8 check bytes`` under
-        §10.2, an AEAD ciphertext ``nonce ‖ label ‖ tag`` in the base protocol."""
-        if self.point_and_permute:
-            return self.label_len + DECRYPT_INDEX_BYTES + ROW_CHECK_BYTES
-        return AEAD_OVERHEAD_BYTES + self.label_len
+        """One table entry: a §10.2 row ``label ‖ slot byte ‖ 8 check bytes``."""
+        return self.label_len + DECRYPT_INDEX_BYTES + ROW_CHECK_BYTES
 
     @property
     def request_bytes(self) -> int:
         """Serialized :class:`~repro.core.messages.LblAccessRequest`.
 
         Tag + three length-prefixed fields: the shape header (carrying the
-        row nonce under §10.2), the encoded key, and the ``G·T``-entry slab
-        — the paper's ``2^y · E_len · t/y`` bits plus 29 (45) bytes of framing.
+        row nonce), the encoded key, and the ``G·T``-entry slab — the paper's
+        ``2^y · E_len · t/y`` bits plus 49 bytes of tag, length prefixes,
+        shape, nonce and key.
         """
-        header = SHAPE_BYTES + (ROW_NONCE_BYTES if self.point_and_permute else 0)
         return (
             TAG_BYTES
             + 3 * FIELD_LEN_BYTES
-            + header
+            + SHAPE_BYTES
+            + ROW_NONCE_BYTES
             + ENCODED_KEY_BYTES
             + self.num_groups * self.table_size * self.entry_len
         )
@@ -173,39 +165,11 @@ class LblCostModel:
         return TAG_BYTES + LABEL_LEN_BYTES + self.num_groups * self.label_len
 
     @property
-    def entry_hashes(self) -> int:
-        """Keyed-hash calls to build — or open — one table entry.
-
-        An AEAD entry is HMAC-SHA256 twice or more: a keystream of the
-        label's width plus the tag.  A §10.2 row makes none: all rows of a
-        request share two passes of one fixed-key permutation.
-        """
-        if self.point_and_permute:
-            return 0
-        return -(-self.label_len // 32) + 1
-
-    @property
     def entry_compressions(self) -> int:
-        """Primitive blocks behind one table entry, built or opened.
-
-        A §10.2 row is ``1 + ceil(entry_len / 16)`` AES blocks — its seed
-        through the permutation, then one tweaked block per 16 bytes of pad —
-        metered as ``aes.blocks``.  An AEAD entry's key is used once, so
-        nothing of its HMACs is precomputed: on top of
-        :func:`~repro.crypto.prf.hmac_compressions` (which assumes keyed
-        states) every evaluation pays the padded-key block of its inner and
-        of its outer hash — four SHA-256 compressions in all while the
-        message fits one block; these are not part of ``ops()``'s block
-        counts, which are the PRF layer's meters.
-        """
-        if self.point_and_permute:
-            return 1 + row_blocks(self.entry_len)
-        once_keyed = 2
-        keystream = len(b"aead-enc") + 12 + 4
-        tag = len(b"aead-mac") + 12 + self.label_len
-        return (self.entry_hashes - 1) * (hmac_compressions(keystream) + once_keyed) + (
-            hmac_compressions(tag) + once_keyed
-        )
+        """AES blocks behind one row, sealed or opened: its seed through the
+        fixed-key permutation, then one tweaked block per 16 bytes of pad
+        (``1 + ceil(entry_len / 16)``), metered as ``aes.blocks``."""
+        return 1 + row_blocks(self.entry_len)
 
     @property
     def bytes_per_access(self) -> int:
@@ -242,11 +206,9 @@ class LblCostModel:
 
     @property
     def storage_bytes_per_object(self) -> int:
-        """Server-resident bytes per object: encoded key + ``G`` labels
-        (+ one decryption-slot byte per group under §10.2)."""
-        per_group = self.label_len + (
-            DECRYPT_INDEX_BYTES if self.point_and_permute else 0
-        )
+        """Server-resident bytes per object: encoded key + ``G`` labels and
+        ``G`` decryption-slot bytes."""
+        per_group = self.label_len + DECRYPT_INDEX_BYTES
         return ENCODED_KEY_BYTES + self.num_groups * per_group
 
     # ------------------------------------------------------------------ #
@@ -280,12 +242,10 @@ class LblCostModel:
         table entry on the proxy, one designated row per group on the server.
 
         Args:
-            include_server: Include the server-side AEAD opens.  Under
-                point-and-permute the server opens exactly one entry per
-                group; without it the attempt count is value-dependent, so
-                decrypts are only modeled (and only asserted) under §10.2.
-                In a sharded deployment the server ops land in server-side
-                ledger rows, so client-row comparisons pass ``False``.
+            include_server: Include the server-side opens: exactly one row
+                per group.  In a sharded deployment the server ops land in
+                server-side ledger rows, so client-row comparisons pass
+                ``False``.
         """
         # ``prepare`` derives the old and the new epoch once each.
         codec = self._codec
@@ -299,11 +259,10 @@ class LblCostModel:
             ),
             "aead.encrypts": self.num_groups * self.table_size,
         }
-        if self.point_and_permute:
-            ops["aes.blocks"] = ops["aead.encrypts"] * self.entry_compressions
-            if include_server:
-                ops["aead.decrypts"] = self.num_groups
-                ops["aes.blocks"] += self.num_groups * self.entry_compressions
+        ops["aes.blocks"] = ops["aead.encrypts"] * self.entry_compressions
+        if include_server:
+            ops["aead.decrypts"] = self.num_groups
+            ops["aes.blocks"] += self.num_groups * self.entry_compressions
         return ops
 
     def proxy_hash_blocks(self) -> int:
@@ -493,7 +452,6 @@ def plan_capacity(
             "value_len": model.value_len,
             "group_bits": model.group_bits,
             "label_bits": model.label_bits,
-            "point_and_permute": model.point_and_permute,
             "num_objects": num_objects,
             "shard_ops_per_sec": shard_ops_per_sec,
             "compressions_per_core_per_sec": compressions_per_core_per_sec,
@@ -519,9 +477,7 @@ def run_model_check(
     The backbone of ``repro plan --check``: per value size it runs one GET
     and one PUT through a real :class:`~repro.core.lbl.LblOrtoa` deployment
     under a tracked ledger row, twice, and compares the row's ops *and* wire
-    bytes to the model byte-for-byte.  Point-and-permute is always on
-    (without it the server's decrypt-attempt count is value-dependent and
-    exact equality is not defined).
+    bytes to the model byte-for-byte.
 
     The ``"lockstep"`` cell runs :meth:`~repro.core.lbl.LblOrtoa.access`;
     the ``"batch"`` cell serves the tracked access through one
@@ -534,8 +490,6 @@ def run_model_check(
     Returns a JSON-ready report: ``{"ok": bool, "cases": [...]}`` where
     each case carries the expected/actual dicts and its own verdict.
     """
-    import random as _random
-
     from repro import obs
     from repro.core.lbl import LblOrtoa
     from repro.obs import ledger
@@ -547,13 +501,9 @@ def run_model_check(
     try:
         for value_len in value_sizes:
             for path in ("lockstep", "batch"):
-                config = StoreConfig(
-                    value_len=value_len,
-                    group_bits=group_bits,
-                    point_and_permute=True,
-                )
+                config = StoreConfig(value_len=value_len, group_bits=group_bits)
                 windowed = path == "batch"
-                protocol = LblOrtoa(config, rng=_random.Random(7))
+                protocol = LblOrtoa(config)
                 records = {"k": b"\x01" * value_len}
                 if windowed:
                     # The decoy shares the server window with the
@@ -635,7 +585,6 @@ def run_model_check(
 
 __all__ = [
     "ENCODED_KEY_BYTES",
-    "AEAD_OVERHEAD_BYTES",
     "DECRYPT_INDEX_BYTES",
     "ROW_CHECK_BYTES",
     "ROW_NONCE_BYTES",

@@ -13,7 +13,6 @@ optimum.  :func:`overhead_factors` computes the analytic curves and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.core.lbl import LblOrtoa
@@ -62,7 +61,7 @@ def measured_factors(y: int, value_len: int = 16) -> OverheadFactors:
     analytic curves, so the two should agree exactly.
     """
     config = StoreConfig(value_len=value_len, group_bits=y)
-    protocol = LblOrtoa(config, rng=random.Random(0))
+    protocol = LblOrtoa(config)
     protocol.initialize({"k": b"x"})
     encoded = protocol.keychain.encode_key("k")
     stored = protocol.server.store.get(encoded).labels

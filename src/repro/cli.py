@@ -130,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_demo(_args: argparse.Namespace) -> int:
     from repro import LblOrtoa, Request, StoreConfig
 
-    config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=16, group_bits=2)
     store = LblOrtoa(config)
     store.initialize({"demo": b"hello"})
     store.write("demo", b"world")
@@ -191,7 +191,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             value_len=args.value_len,
             group_bits=args.group_bits,
             label_bits=args.label_bits,
-            point_and_permute=not args.base,
         )
         plan = plan_capacity(
             args.users,
@@ -248,15 +247,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.types import StoreConfig
 
     label_cache = None if args.no_label_cache else -1
-    if args.base:
-        config = StoreConfig(value_len=args.value_len, label_cache_entries=label_cache)
-    else:
-        config = StoreConfig(
-            value_len=args.value_len,
-            group_bits=2,
-            point_and_permute=True,
-            label_cache_entries=label_cache,
-        )
+    config = StoreConfig(
+        value_len=args.value_len, group_bits=2, label_cache_entries=label_cache
+    )
 
     if args.shards:
         # Sharded + pipelined audit over an in-process loopback cluster
@@ -273,16 +266,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
         obs.reset()
         try:
-            with ShardCluster(
-                args.shards,
-                point_and_permute=config.point_and_permute,
-                in_process=True,
-            ) as cluster:
+            with ShardCluster(args.shards, in_process=True) as cluster:
                 deployment = ShardedLblDeployment(
-                    config,
-                    cluster.addresses,
-                    rng=random.Random(args.seed),
-                    pipeline_depth=args.pipeline_depth,
+                    config, cluster.addresses, pipeline_depth=args.pipeline_depth
                 )
                 try:
                     report = run_sharded_audit(
@@ -304,9 +290,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         snapshot = obs.REGISTRY.snapshot()
         print(
             f"protocol: {deployment.name}  (value_len={config.value_len}, "
-            f"y={config.group_bits}, "
-            f"point_and_permute={config.point_and_permute}, "
-            f"pipeline_depth={args.pipeline_depth})"
+            f"y={config.group_bits}, pipeline_depth={args.pipeline_depth})"
         )
         print("metrics:")
         for name, value in sorted(snapshot["counters"].items()):
@@ -328,7 +312,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     protocol_cls = LeakyLblOrtoa if args.leaky else LblOrtoa
-    protocol = protocol_cls(config, rng=random.Random(args.seed))
+    protocol = protocol_cls(config)
 
     obs.reset()
     try:
@@ -354,7 +338,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     snapshot = obs.REGISTRY.snapshot()
 
     print(f"protocol: {protocol.name}  (value_len={config.value_len}, "
-          f"y={config.group_bits}, point_and_permute={config.point_and_permute})")
+          f"y={config.group_bits})")
     print("metrics:")
     for name, value in sorted(snapshot["counters"].items()):
         print(f"  {name:38s} {value}")
@@ -384,21 +368,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.transport.cluster import ShardCluster
     from repro.types import Request, StoreConfig
 
-    config = StoreConfig(value_len=args.value_len, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=args.value_len, group_bits=2)
     rng = random.Random(args.seed)
     obs.reset()
     obs.enable()
     try:
         with ShardCluster(
             args.shards,
-            point_and_permute=True,
             in_process=not args.processes,
             enable_obs=args.processes,
         ) as cluster:
             deployment = ShardedLblDeployment(
                 config,
                 cluster.addresses,
-                rng=random.Random(args.seed),
                 pipeline_depth=args.pipeline_depth,
             )
             try:
@@ -614,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--label-bits", type=int, default=128, help="label width (default: 128)"
     )
     plan.add_argument(
-        "--base",
-        action="store_true",
-        help="plan the §5.2 base protocol instead of §10.2 point-and-permute",
-    )
-    plan.add_argument(
         "--shard-ops",
         dest="shard_ops",
         type=float,
@@ -680,12 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_cmd.add_argument("--keys", type=int, default=32, help="workload size")
     obs_cmd.add_argument("--value-len", type=int, default=16, help="value bytes")
     obs_cmd.add_argument("--seed", type=int, default=0, help="workload seed")
-    obs_cmd.add_argument(
-        "--base",
-        action="store_true",
-        help="audit the plain §5.2 protocol (shuffled tables) instead of "
-        "the §10-optimized configuration",
-    )
     obs_cmd.add_argument(
         "--leaky",
         action="store_true",

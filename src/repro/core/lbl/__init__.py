@@ -16,10 +16,11 @@ The package splits the protocol along its trust boundary:
   there, resolved here on first use: the transport server imports
   :mod:`repro.core.lbl.server`.)
 
-Both optimizations of the appendix are supported via
-:class:`~repro.types.StoreConfig`: ``group_bits`` (one label per ``y``
-plaintext bits, §10.1) and ``point_and_permute`` (the server decrypts exactly
-one table entry per group, §10.2).
+Both optimizations of the appendix are always on: ``group_bits`` in
+:class:`~repro.types.StoreConfig` sets §10.1's ``y`` plaintext bits per
+label, and the tables are §10.2's point-and-permute rows (the server opens
+exactly one per group).  The §5.2 base tables, whose server tries up to
+``2^y`` entries per group, live only in ``tests/lbl_reference.py``.
 """
 
 from __future__ import annotations

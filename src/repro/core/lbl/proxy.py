@@ -6,11 +6,11 @@ Per access to key ``k`` with counter ``ct`` the proxy:
    the permute offsets, in one XOF call — covering all ``2^y`` candidates
    because the actual value lives only at the server;
 2. generates the *new* epoch under ``ct + 1``;
-3. builds, per group, a table of ``2^y`` ciphertexts: for reads each old
-   label encrypts its *own* new label (value preserved); for writes every
-   old label encrypts the new label of the *written* group value;
-4. shuffles each table (base protocol) or builds it in point-and-permute
-   slot order (§10.2) so position leaks nothing;
+3. builds, per group, a table of ``2^y`` rows: for reads each old label
+   seals its *own* new label (value preserved); for writes every old label
+   seals the new label of the *written* group value;
+4. lays each table out in point-and-permute slot order (§10.2): a row's
+   position is its old label's permuted slot, so position leaks nothing;
 5. bumps the access counter — the only per-object state the proxy keeps
    (§5.3.1: 8 bytes per object).
 
@@ -25,16 +25,14 @@ An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
 <repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
 and matched against as such.  No Python loop runs per row or group:
 :meth:`LblProxy.prepare` picks the table's keys and labels out of the two
-blobs with one ``itemgetter`` per epoch and encrypts them in one kernel call
-(:func:`~repro.crypto.rows.seal_rows`, or :func:`~repro.crypto.aead.encrypt_many`
-for the base protocol), the old epoch optionally from the
+blobs with one ``itemgetter`` per epoch and seals them in one kernel call
+(:func:`~repro.crypto.rows.seal_rows`), the old epoch optionally from the
 :class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` compares
 the reply with every candidate in one ``==`` pass per slot.
 """
 
 from __future__ import annotations
 
-import random
 import secrets
 from collections import OrderedDict
 import struct
@@ -43,7 +41,7 @@ from operator import itemgetter
 from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
 from repro.core.lbl.cache import LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead, rows
+from repro.crypto import rows
 from repro.crypto.aead import _xor
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
@@ -81,15 +79,9 @@ class LblProxy:
         config: Deployment parameters; ``config.label_cache_entries``
             enables the proxy label cache.
         keychain: Key material.
-        rng: Table-shuffle randomness (base protocol only).
     """
 
-    def __init__(
-        self,
-        config: StoreConfig,
-        keychain: KeyChain,
-        rng: random.Random | None = None,
-    ) -> None:
+    def __init__(self, config: StoreConfig, keychain: KeyChain) -> None:
         self.config = config
         self.keychain = keychain
         codec = self.codec = LabelCodec(
@@ -98,7 +90,6 @@ class LblProxy:
             value_len=config.value_len,
             group_bits=config.group_bits,
         )
-        self._rng = rng or random.Random()
         self._counters: dict[str, int] = {}
         self.label_cache: LabelCache | None = None
         if config.label_cache_entries == -1:
@@ -121,12 +112,8 @@ class LblProxy:
             1, _INFLIGHT_TABLE_BYTES // (codec.epoch_len + _INFLIGHT_ENTRY_OVERHEAD)
         )
         #: The server's work on an access it commits, as far as this side
-        #: can know it: one fetch and one store and, under point-and-permute,
-        #: exactly one open per group.  (The base protocol's wasted attempts
-        #: are the server's to count, in its ledger row.)
-        self.server_ops = OpCounts(
-            kv_ops=2, aead_dec=codec.num_groups if config.point_and_permute else 0
-        )
+        #: can know it: one fetch, one store and exactly one open per group.
+        self.server_ops = OpCounts(kv_ops=2, aead_dec=codec.num_groups)
 
     # ------------------------------------------------------------------ #
     # State
@@ -200,7 +187,7 @@ class LblProxy:
         """Encode every plaintext pair into the server's stored form.
 
         One epoch derivation per record: the value's groups select the
-        labels to store and, under point-and-permute, the slots to open.
+        labels to store and the slots to open.
         """
         out = []
         codec = self.codec
@@ -210,11 +197,10 @@ class LblProxy:
             groups = value_to_groups(self.config.pad(value), self.config.group_bits)
             self._counters[key] = 0
             blob = codec.epoch(key, 0)
-            slots = codec.slots(blob, groups) if self.config.point_and_permute else b""
             out.append(
                 (
                     self.keychain.encode_key(key),
-                    StoredRecord(codec.select(blob, groups), slots),
+                    StoredRecord(codec.select(blob, groups), codec.slots(blob, groups)),
                 )
             )
         return out
@@ -225,7 +211,7 @@ class LblProxy:
 
     def prepare(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Build the one-round request and advance the access counter: derive
-        two epochs, encrypt the whole table in one call."""
+        two epochs, seal the whole table in one call."""
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
         key = request.key
@@ -245,24 +231,14 @@ class LblProxy:
         new = codec.epoch(key, new_ct)
         prf_count = 3 - cache_hit  # the epochs derived + the key encoding
 
-        # One kernel call encrypts the whole table.
-        encoded_key = self.keychain.encode_key(key)
+        # One kernel call seals the whole table.
         enc_count = codec.num_groups * codec.table_size
-        if self.config.point_and_permute:
-            nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
-            slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce)
-            wire = LblAccessRequest(
-                encoded_key, slab, codec.table_size, len(slab) // enc_count, nonce
-            )
-        else:
-            targets = self._row_slots if new_value is None else self._per_row(new_value)
-            payloads = self._pick(targets)(codec.labels(new))
-            ciphertexts = aead.encrypt_many(codec.labels(old), payloads)
-            size = codec.table_size  # each table shuffled, so position leaks nothing
-            tables = [ciphertexts[i : i + size] for i in range(0, enc_count, size)]
-            for table in tables:
-                self._rng.shuffle(table)
-            wire = LblAccessRequest.from_tables(encoded_key, tables)
+        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
+        slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce)
+        wire = LblAccessRequest(
+            self.keychain.encode_key(key), slab, codec.table_size,
+            len(slab) // enc_count, nonce,
+        )
 
         if cache is not None:
             cache.put(key, new_ct, new)

@@ -20,18 +20,12 @@ server cannot distinguish it from application reads (or writes).
 
 from __future__ import annotations
 
-import random
-
 from repro.core.lbl import LblOrtoa
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError
 
 
-def rekey(
-    old: LblOrtoa,
-    new_keychain: KeyChain | None = None,
-    rng: random.Random | None = None,
-) -> LblOrtoa:
+def rekey(old: LblOrtoa, new_keychain: KeyChain | None = None) -> LblOrtoa:
     """Rotate a deployment onto a fresh master key.
 
     Args:
@@ -40,7 +34,6 @@ def rekey(
             should retire it once the new deployment is serving.
         new_keychain: Key material for the new deployment; generated fresh
             when omitted.
-        rng: Table-shuffle randomness for the new deployment.
 
     Returns:
         A new :class:`LblOrtoa` holding the same logical contents under
@@ -57,7 +50,7 @@ def rekey(
         raise ConfigurationError("new keychain must differ from the old one")
 
     recovered = {key: old.read(key) for key in sorted(old.proxy.counters())}
-    replacement = LblOrtoa(old.config, keychain=new_keychain, rng=rng)
+    replacement = LblOrtoa(old.config, keychain=new_keychain)
     replacement.initialize(recovered)
     return replacement
 

@@ -1,34 +1,27 @@
 """The untrusted storage server of LBL-ORTOA (paper §5.2 step 2, §10.2).
 
-Per group the server holds exactly one secret label (plus, under
-point-and-permute, the slot index to open next) — per object, one
-:class:`~repro.crypto.labels.StoredRecord` of two blobs.  On receiving a
-request it either:
+Per group the server holds exactly one secret label and the slot index to
+open next — per object, one :class:`~repro.crypto.labels.StoredRecord` of
+two blobs.  On receiving a request it names only the row its stored index
+points at in the request's slab and opens those rows in one pass of a
+fixed-key permutation (:func:`repro.crypto.rows.open_rows`): one open per
+group instead of the §5.2 base protocol's trial decryptions of up to
+``2^y`` entries, exactly the §10.2 optimization.  A row whose check bytes do
+not open to zero — a stale epoch, a wrong nonce — refuses the request
+before anything is committed.
 
-* **base protocol** — tries every ciphertext in the group's table; the
-  authenticated encryption guarantees exactly one opens (the one keyed by
-  its stored label), and
-
-* **point-and-permute** — names only the row its stored index points at in
-  the request's slab and opens those rows in one pass of a fixed-key
-  permutation (:func:`repro.crypto.rows.open_rows`), halving (for y=1;
-  quartering for y=2) server computation, exactly the §10.2 optimization.  A row whose
-  check bytes do not open to zero — a stale epoch, a wrong nonce — refuses
-  the request before anything is committed.
-
-Either way the decrypted payload becomes the group's new stored label, so
+The opened payload becomes the group's new stored label and slot, so
 *every* access rewrites storage — the server cannot distinguish a read from
 a write by watching its own state.
 
 :meth:`LblServer.process_many` is the one implementation of that step.  It
 serves a *window* of requests — a lone access frame is a window of one
 (:meth:`LblServer.process`) and a batch frame is a window — as exactly one
-storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`
-(base-protocol requests scan their tables in the same pass), and one
-multi-put of the rotated labels, with per-request error isolation and
-byte-exact ledger attribution.  There is no
-second path to keep byte-identical: what the obliviousness audit observes
-is what every transport runs.
+storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`,
+and one multi-put of the rotated labels, with per-request error isolation
+and byte-exact ledger attribution.  There is no second path to keep
+byte-identical: what the obliviousness audit observes is what every
+transport runs.
 
 When :mod:`repro.obs` capture is enabled, each request emits a
 :data:`SERVER_SPAN` span describing everything this component could observe
@@ -43,13 +36,12 @@ operation-independent.
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 from operator import add
 
 from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead, rows as row_kernel
+from repro.crypto import rows as row_kernel
 from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
 from repro.obs import _state as _obs
@@ -72,17 +64,14 @@ def _access_ops(opened: int, failed: int) -> OpCounts:
 class LblServer:
     """Stores per-group labels and applies encryption tables obliviously."""
 
-    def __init__(self, point_and_permute: bool = False) -> None:
-        self.point_and_permute = point_and_permute
+    def __init__(self) -> None:
         self.store: KeyValueStore[StoredRecord] = KeyValueStore("lbl-server")
 
     def load(self, encoded_key: bytes, record: StoredRecord) -> None:
         """Bulk-load one object's labels at initialization."""
         labels, slots = record
-        if self.point_and_permute and (
-            not slots or not labels or len(labels) % len(slots)
-        ):
-            raise ProtocolError("point-and-permute server needs one slot per label")
+        if not slots or not labels or len(labels) % len(slots):
+            raise ProtocolError("LBL server needs one slot per label")
         self.store.put_new(encoded_key, StoredRecord(labels, slots))
 
     def _commit_many(self, items: list[tuple[bytes, StoredRecord]]) -> list[bool]:
@@ -125,7 +114,6 @@ class LblServer:
             opened_labels=opened,
             labels_rewritten=rewritten,
             storage_writes=1 if rewritten else 0,
-            point_and_permute=self.point_and_permute,
         )
         if error is not None:
             attributes["error"] = str(error)
@@ -134,10 +122,6 @@ class LblServer:
         REGISTRY.counter("lbl.server.requests").inc()
         REGISTRY.counter("lbl.server.decrypt_attempts").inc(decrypts)
         REGISTRY.counter("lbl.server.failed_decrypts").inc(failed)
-        # Under point-and-permute every opened label was a designated slot.
-        REGISTRY.counter("lbl.server.slot_hits").inc(
-            opened if self.point_and_permute else 0
-        )
         REGISTRY.counter("lbl.server.labels_rewritten").inc(rewritten)
 
     def process(self, request: LblAccessRequest) -> tuple[LblAccessResponse, OpCounts]:
@@ -164,12 +148,11 @@ class LblServer:
 
         The window's first request per key ("front") costs exactly one
         storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`
-        over every request's designated rows (point-and-permute; the base
-        protocol scans each table with ``open_any`` in the same pass), and
-        one multi-put of the rotated labels.  The second and later requests
-        for one key ("tail") consume the labels their predecessor installs,
-        so they are served as the next window, after this one's commit —
-        preserving each key's label-rotation order.
+        over every request's designated rows, and one multi-put of the
+        rotated labels.  The second and later requests for one key ("tail")
+        consume the labels their predecessor installs, so they are served as
+        the next window, after this one's commit — preserving each key's
+        label-rotation order.
 
         The crypto runs with no ambient ledger row (the registry still
         meters each real invocation once); each request's row is then
@@ -193,7 +176,6 @@ class LblServer:
         if capture and rows is None:
             rows = [_ledger.current_row()] * len(requests)
         store = self.store
-        point_and_permute = self.point_and_permute
         results: list = [None] * len(requests)
         spans: list = [None] * len(requests)
 
@@ -218,57 +200,47 @@ class LblServer:
                 if capture:
                     self._emit_telemetry(spans[index], request, error=exc)
 
-        # Gather: validate each front request against its stored record and,
-        # under point-and-permute, pick its designated rows — the only
-        # entries of its slab ever opened — into the window-wide open.
+        # Gather: validate each front request against its stored record and
+        # pick its designated rows — the only entries of its slab ever
+        # opened — into the window-wide open.
         records = (
             store.get_many([requests[index].encoded_key for index in front])
             if front
             else []
         )
-        opening: list[tuple[int, StoredRecord, int]] = []
+        opening: list[tuple[int, int]] = []
         runs: list[tuple[bytes, bytes, bytes, int, list[int]]] = []
         for index, record in zip(front, records):
             request = requests[index]
             groups, table_size = request.num_groups, request.table_size
+            stored_groups = len(record.slots)
+            label_len = len(record.labels) // max(stored_groups, 1)
             try:
-                if point_and_permute:
-                    stored_groups = len(record.slots)
-                    label_len = len(record.labels) // max(stored_groups, 1)
-                else:
-                    label_len = request.entry_len - aead.NONCE_LEN - aead.TAG_LEN
-                    stored_groups, odd = divmod(len(record.labels), max(label_len, 1))
-                    if label_len < 1 or odd:
-                        raise ProtocolError(
-                            f"entry length {request.entry_len} does not fit "
-                            "the stored labels"
-                        )
                 if groups != stored_groups:
                     raise ProtocolError(
                         f"table count {groups} != stored groups {stored_groups}"
                     )
-                if point_and_permute:
-                    if request.entry_len != (
-                        label_len + DECRYPT_INDEX_BYTES + row_kernel.CHECK_LEN
-                    ):
-                        raise ProtocolError(
-                            f"entry length {request.entry_len} is no row of a "
-                            f"{label_len}-byte label"
-                        )
-                    if max(record.slots) >= table_size:
-                        bad = next(
-                            g for g, slot in enumerate(record.slots) if slot >= table_size
-                        )
-                        raise ProtocolError(f"bad decrypt index at group {bad}")
-                    picks = map(add, range(0, groups * table_size, table_size), record.slots)
-                    run = (request.nonce, record.labels, request.slab, request.entry_len)
-                    runs.append((*run, list(picks)))
+                if request.entry_len != (
+                    label_len + DECRYPT_INDEX_BYTES + row_kernel.CHECK_LEN
+                ):
+                    raise ProtocolError(
+                        f"entry length {request.entry_len} is no row of a "
+                        f"{label_len}-byte label"
+                    )
+                if max(record.slots) >= table_size:
+                    bad = next(
+                        g for g, slot in enumerate(record.slots) if slot >= table_size
+                    )
+                    raise ProtocolError(f"bad decrypt index at group {bad}")
+                picks = map(add, range(0, groups * table_size, table_size), record.slots)
+                run = (request.nonce, record.labels, request.slab, request.entry_len)
+                runs.append((*run, list(picks)))
             except OrtoaError as exc:
                 results[index] = exc
                 if capture:
                     self._emit_telemetry(spans[index], request, error=exc)
                 continue
-            opening.append((index, record, label_len))
+            opening.append((index, label_len))
 
         # Open: the ambient row is cleared so each real crypto invocation
         # meters the registry exactly once; per-request shares are credited
@@ -278,54 +250,28 @@ class LblServer:
         token = _ledger.activate(None) if capture else None
         try:
             opened_runs = iter(row_kernel.open_rows(runs))
-            for index, record, label_len in opening:
+            for index, label_len in opening:
                 request = requests[index]
                 groups = request.num_groups
-                decrypts = failed = opened = 0
+                # Every designated row was attempted, whatever this
+                # request's window-mates (or its own other groups) did.
+                labels, slots, failures = next(opened_runs)
+                decrypts, failed = groups, len(failures)
                 error: OrtoaError | None = None
-                if point_and_permute:
-                    # Every designated row was attempted, whatever this
-                    # request's window-mates (or its own other groups) did.
-                    labels, slots, failures = next(opened_runs)
-                    decrypts, failed = groups, len(failures)
-                    if failures:
-                        opened = failures[0]
-                        error = ProtocolError(
-                            f"designated entry failed to open at group {opened}"
-                        )
-                    else:
-                        # The opened labels and slot bytes, each back to back,
-                        # are the new record (and the labels are the reply).
-                        opened = groups
-                        updated = StoredRecord(labels, slots)
+                if failures:
+                    opened = failures[0]
+                    error = ProtocolError(
+                        f"designated entry failed to open at group {opened}"
+                    )
                 else:
-                    # The stored label's key schedule is computed once per
-                    # group and tried against every entry (same verdicts
-                    # and attempt counts as a sequential try_decrypt loop).
-                    labels = []
-                    currents = struct.unpack(f"{label_len}s" * groups, record.labels)
-                    try:
-                        for table, current in zip(request.tables, currents):
-                            found = aead.open_any(current, table)
-                            if found is None:
-                                decrypts += len(table)
-                                failed += len(table)
-                                raise ProtocolError(
-                                    f"no table entry opened at group {len(labels)}: "
-                                    "stored label is stale or corrupt"
-                                )
-                            slot, label = found
-                            decrypts += slot + 1
-                            failed += slot
-                            labels.append(label)
-                    except OrtoaError as exc:  # a label too short to be a key, too
-                        error = exc
-                    opened = len(labels)
-                    updated = StoredRecord(b"".join(labels))
+                    # The opened labels and slot bytes, each back to back,
+                    # are the new record (and the labels are the reply).
+                    opened = groups
+                    updated = StoredRecord(labels, slots)
                 if capture and rows[index] is not None:
                     _ledger.credit_op("aead.decrypts", decrypts - failed, rows[index])
                     _ledger.credit_op("aead.decrypt_failures", failed, rows[index])
-                    if point_and_permute and labels:
+                    if labels:
                         # One seed block and its pad blocks per designated
                         # row (a run refused for its shape permuted nothing).
                         blocks = 1 + row_kernel.row_blocks(request.entry_len)

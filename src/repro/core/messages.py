@@ -174,32 +174,33 @@ class TeeAccessResponse:
 
 @dataclass(frozen=True, slots=True)
 class LblAccessRequest:
-    """§5.2 step 1.5: the encoded key plus, per label group, a table of
-    ``2^y`` entries (shuffled, or slot-linked under point-and-permute).
+    """§5.2 step 1.5 with §10.2 rows: the encoded key plus, per label group,
+    a table of ``2^y`` slot-linked rows.
 
-    Every entry has the same width, so the tables travel as one **slab** —
-    ``num_groups · table_size`` entries of ``entry_len`` bytes, group-major —
-    behind a header that states the shape (three length-prefixed fields)::
+    Every row has the same width, so the tables travel as one **slab** —
+    ``num_groups · table_size`` rows of ``entry_len`` bytes, group-major, in
+    the block-plane layout of :mod:`repro.crypto.rows` — behind a header
+    that states the shape and the request's row nonce (three
+    length-prefixed fields)::
 
         tag ‖ [table_size u16 ‖ entry_len u16 ‖ nonce] ‖ encoded_key ‖ slab
 
-    ``nonce`` is the request nonce of point-and-permute rows, empty in the
-    base protocol.  With a nonce the slab is the block-plane slab of
-    :mod:`repro.crypto.rows`; without one the entries sit back to back.  A
-    receiver picks only the entries it needs; :attr:`tables` is the one
-    entry-by-entry view of either.
+    A receiver picks only the rows it needs; :attr:`tables` is the
+    row-by-row view.
     """
 
     encoded_key: bytes
     slab: bytes
     table_size: int
     entry_len: int
-    nonce: bytes = b""
+    nonce: bytes
     TAG = 0x20
 
     def __post_init__(self) -> None:
         if not (0 < self.table_size < 1 << 16 and 0 < self.entry_len < 1 << 16):
             raise ProtocolError("LBL request table shape is out of range")
+        if len(self.nonce) != rows.ROW_NONCE_LEN:
+            raise ProtocolError(f"LBL request nonce must be {rows.ROW_NONCE_LEN} bytes")
         if not self.slab or len(self.slab) % (self.table_size * self.entry_len):
             raise ProtocolError(
                 "LBL request slab is not a whole number of group tables"
@@ -210,9 +211,9 @@ class LblAccessRequest:
         cls,
         encoded_key: bytes,
         tables: "tuple[tuple[bytes, ...], ...] | list",
-        nonce: bytes = b"",
+        nonce: bytes,
     ) -> "LblAccessRequest":
-        """Build the slab from per-group entry tuples of one common shape."""
+        """Build the slab from per-group rows of one common shape."""
         if not tables or not tables[0]:
             raise ProtocolError("LBL request needs at least one group table")
         table_size = len(tables[0])
@@ -222,8 +223,7 @@ class LblAccessRequest:
             raise ProtocolError("all group tables must have equal size")
         if set(map(len, entries)) != {entry_len}:
             raise ProtocolError("all table entries must have equal length")
-        slab = rows.join_rows(entries) if nonce else b"".join(entries)
-        return cls(encoded_key, slab, table_size, entry_len, nonce)
+        return cls(encoded_key, rows.join_rows(entries), table_size, entry_len, nonce)
 
     @property
     def num_groups(self) -> int:
@@ -232,12 +232,8 @@ class LblAccessRequest:
 
     @property
     def tables(self) -> tuple[tuple[bytes, ...], ...]:
-        """The slab sliced into per-group entry tuples (built on each use)."""
-        slab, width, size = self.slab, self.entry_len, self.table_size
-        if self.nonce:
-            entries = rows.split_rows(slab, width)
-        else:
-            entries = [slab[i : i + width] for i in range(0, len(slab), width)]
+        """The slab sliced into per-group row tuples (built on each use)."""
+        entries, size = rows.split_rows(self.slab, self.entry_len), self.table_size
         return tuple(tuple(entries[i : i + size]) for i in range(0, len(entries), size))
 
     def to_bytes(self) -> bytes:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -168,8 +167,7 @@ class ShardedLblDeployment(OrtoaProtocol):
     """One trusted proxy over ``N`` shards, pipelined.
 
     Args:
-        config: Store configuration (``point_and_permute`` must match the
-            servers').
+        config: Store configuration.
         addresses: One entry per shard: the ``(host, port)`` of its
             :class:`~repro.transport.server.LblTcpServer` (a
             :class:`~repro.transport.pipeline.PipelinedLblClient` is opened
@@ -177,7 +175,7 @@ class ShardedLblDeployment(OrtoaProtocol):
             ``submit`` / ``close`` / ``overhead``, e.g. a
             :class:`~repro.transport.pipeline.LocalLink`).
         keychain: Key material — never leaves this process.
-        rng: Table-shuffle randomness.
+        rng: Accepted and unused.
         pipeline_depth: Default in-flight window of
             :meth:`access_pipelined`.
         pool_size: Sockets per TCP shard.
@@ -210,7 +208,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         config: StoreConfig,
         addresses: list,
         keychain: KeyChain | None = None,
-        rng: random.Random | None = None,
+        rng: object = None,  # unused: only the closed bench/ still passes it
         pipeline_depth: int = 8,
         pool_size: int = 1,
         timeout: float = 30.0,
@@ -226,7 +224,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         if recovered and keychain is None:
             raise ConfigurationError("recovery requires the original keychain")
         self.keychain = keychain or KeyChain(label_bits=config.label_bits)
-        self.proxy = LblProxy(config, self.keychain, rng=rng)
+        self.proxy = LblProxy(config, self.keychain)
         if recovered:
             self.proxy.restore_counters(recovered)
         #: Resends that recovered a key logged one epoch ahead of its shard.
@@ -709,11 +707,8 @@ class LblOrtoa(ShardedLblDeployment):
     """One-round oblivious GET/PUT via PRF-derived bit labels, in one process.
 
     Args:
-        config: Store configuration; ``group_bits`` and ``point_and_permute``
-            select the §10 optimizations.
+        config: Store configuration; ``group_bits`` selects §10.1's grouping.
         keychain: Key material (generated if omitted).
-        rng: Randomness source for table shuffling; inject a seeded
-            ``random.Random`` for deterministic tests.
     """
 
     name = "lbl-ortoa"
@@ -722,12 +717,9 @@ class LblOrtoa(ShardedLblDeployment):
         self,
         config: StoreConfig,
         keychain: KeyChain | None = None,
-        rng: random.Random | None = None,
     ) -> None:
-        link = LocalLink(
-            LblFrameDispatcher(point_and_permute=config.point_and_permute)
-        )
-        super().__init__(config, [link], keychain=keychain, rng=rng)
+        link = LocalLink(LblFrameDispatcher())
+        super().__init__(config, [link], keychain=keychain)
         #: The shard's untrusted server, for inspection (the DES harness,
         #: the obliviousness auditor and the security games read it).
         self.server = link.dispatcher.lbl
@@ -737,12 +729,10 @@ class RemoteLblOrtoa(ShardedLblDeployment):
     """LBL-ORTOA whose untrusted server lives across a TCP connection.
 
     Args:
-        config: Store configuration (``point_and_permute`` must match the
-            server's).
+        config: Store configuration.
         address: ``(host, port)`` of a running
             :class:`~repro.transport.server.LblTcpServer`.
         keychain: Key material — never leaves this process.
-        rng: Table-shuffle randomness.
     """
 
     name = "lbl-ortoa-remote"
@@ -752,9 +742,8 @@ class RemoteLblOrtoa(ShardedLblDeployment):
         config: StoreConfig,
         address: tuple[str, int],
         keychain: KeyChain | None = None,
-        rng: random.Random | None = None,
     ) -> None:
-        super().__init__(config, [address], keychain=keychain, rng=rng)
+        super().__init__(config, [address], keychain=keychain)
 
 
 __all__ = ["LblOrtoa", "RemoteLblOrtoa", "ShardedLblDeployment"]

@@ -1,9 +1,9 @@
 """Authenticated encryption with detectable decryption failure.
 
-LBL-ORTOA's server receives, per label group, a small table of ciphertexts
-and must discover which one its stored label can open (paper §5.2 step 2.1:
-"LBL-ORTOA uses authenticated encryption to ensure the server identifies
-successful decryptions").  This module provides exactly that primitive:
+The value encryption of the baseline, TEE-ORTOA and the ORAMs, and the
+primitive of LBL-ORTOA's §5.2 base tables ("LBL-ORTOA uses authenticated
+encryption to ensure the server identifies successful decryptions"), which
+``tests/lbl_reference.py`` builds and opens:
 
 * encrypt-then-MAC under a single key with domain-separated HMAC-SHA256
   invocations — keystream blocks are ``HMAC(key, "aead-enc" || nonce || ctr)``
@@ -22,14 +22,11 @@ For ORTOA's label encryption the key (a fresh PRF label) is used at most once
 per direction, but a random nonce is included anyway so the primitive is safe
 under key reuse by other callers (e.g. the TEE variant's value encryption).
 
-Batch entry points serve the two hot loops of the *base* LBL protocol
-(point-and-permute entries are the one-HMAC rows of
-:mod:`repro.crypto.rows`, not AEAD ciphertexts): :func:`encrypt_many` builds
-a whole ciphertext table with nonce generation and per-entry setup hoisted
-out of the loop, and :func:`open_any` runs the server's try-every-entry scan
-computing the stored label's key schedule once.  Both are byte-compatible
-with the scalar functions (golden-vector pinned); every entry point has one
-body and hashes with ``hashlib``.
+The batch entry points :func:`encrypt_many` and :func:`open_many` build and
+open many entries in one call, byte-compatible with the scalar functions
+(golden-vector pinned).  The §10.2 tables LBL-ORTOA serves are the
+one-permutation rows of :mod:`repro.crypto.rows`, not AEAD ciphertexts, so
+nothing in the program calls these two; ``bench/micro.py`` times them.
 
 HMAC is evaluated in its explicit RFC 2104 form — ``sha256(k_opad ||
 sha256(k_ipad || msg))`` with the padded keys produced by a C-speed
@@ -173,8 +170,7 @@ def encrypt_many(
     out: list[bytes] = []
     # The loop below is key_schedule + _keystream + tag inlined into
     # straight-line hashlib one-shots — byte-identical to the scalar path
-    # (golden-pinned), but without per-entry function overhead.  One LBL
-    # table build runs this num_groups * 2^y times under the base protocol.
+    # (golden-pinned), but without per-entry function overhead.
     for key, plaintext, nonce in zip(keys, payloads, nonces):
         if len(key) < 16:
             raise ConfigurationError("AEAD key must be at least 16 bytes")
@@ -230,59 +226,13 @@ def decrypt(key: bytes, ciphertext: bytes) -> bytes:
 def try_decrypt(key: bytes, ciphertext: bytes) -> bytes | None:
     """Like :func:`decrypt` but returns ``None`` instead of raising.
 
-    Convenience for the LBL server's try-both-entries loop.
+    Convenience for a try-every-entry scan (the §5.2 base protocol's server
+    step, kept as the test reference).
     """
     try:
         return decrypt(key, ciphertext)
     except DecryptionError:
         return None
-
-
-def open_any(
-    key: bytes, ciphertexts: "list[bytes] | tuple[bytes, ...]"
-) -> tuple[int, bytes] | None:
-    """Find and open the one ciphertext that ``key`` decrypts, if any.
-
-    The LBL base-protocol server holds one label and a table of ``2^y``
-    ciphertexts of which exactly one is keyed by that label.  This scan
-    computes the label's key schedule once and reuses it across candidates,
-    instead of re-running the full :func:`decrypt` setup per entry.
-    Verdicts match a sequential ``try_decrypt`` loop exactly.
-
-    Args:
-        key: Symmetric key, at least 16 bytes.
-        ciphertexts: Candidate ciphertexts, scanned in order.
-
-    Returns:
-        ``(index, plaintext)`` of the first ciphertext that authenticates, or
-        ``None`` if none does.
-    """
-    ipad, opad = key_schedule(key)
-    sha = _DIGEST
-    mac_head = ipad + _MAC_DOMAIN
-    compare = hmac.compare_digest
-    failures = 0
-    found: tuple[int, bytes] | None = None
-    for index, ciphertext in enumerate(ciphertexts):
-        if len(ciphertext) < NONCE_LEN + TAG_LEN:
-            failures += 1
-            continue
-        body_end = len(ciphertext) - TAG_LEN
-        expected = sha(opad + sha(mac_head + ciphertext[:body_end]).digest()).digest()
-        if compare(ciphertext[body_end:], expected[:TAG_LEN]):
-            nonce = ciphertext[:NONCE_LEN]
-            body = ciphertext[NONCE_LEN:body_end]
-            found = (index, _xor(body, _keystream(ipad, opad, nonce, len(body))))
-            break
-        failures += 1
-    if _obs.enabled:
-        if failures:
-            REGISTRY.counter("crypto.aead.decrypt_failures").inc(failures)
-            _ledger.add_op("aead.decrypt_failures", failures)
-        if found is not None:
-            REGISTRY.counter("crypto.aead.decrypts").inc()
-            _ledger.add_op("aead.decrypts")
-    return found
 
 
 def open_many(
@@ -307,7 +257,6 @@ __all__ = [
     "encrypt_many",
     "decrypt",
     "try_decrypt",
-    "open_any",
     "open_many",
     "key_schedule",
     "ciphertext_len",

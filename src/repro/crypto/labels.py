@@ -89,8 +89,9 @@ class StoredLabel(NamedTuple):
 
 class StoredRecord(NamedTuple):
     """What the server stores per object: its current label of every group,
-    back to back, plus (under §10.2) the slot byte per group telling it which
-    table entry to open on the *next* access — empty in the base protocol."""
+    back to back, plus the slot byte per group telling it which table entry
+    to open on the *next* access (§10.2); a server refuses a record without
+    one slot per label."""
 
     labels: bytes
     slots: bytes = b""

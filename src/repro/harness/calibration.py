@@ -81,7 +81,7 @@ class CostModel:
         if not self.paper_wire:
             return None
         label_len = config.label_bits // 8
-        entry = label_len + config.point_and_permute + PAPER_ENTRY_OVERHEAD_BYTES
+        entry = label_len + 1 + PAPER_ENTRY_OVERHEAD_BYTES  # + the §10.2 slot byte
         groups = config.num_groups
         return RoundTrip(
             PAPER_REQUEST_HEADER_BYTES + groups * (1 << config.group_bits) * entry,
@@ -104,9 +104,7 @@ class CostModel:
             return phase.ops
         label_len = config.label_bits // 8
         groups = config.num_groups
-        per_epoch = groups * -(-(label_len << config.group_bits) // 32)
-        if config.point_and_permute:
-            per_epoch += -(-groups // 32)
+        per_epoch = groups * -(-(label_len << config.group_bits) // 32) + -(-groups // 32)
         return replace(phase.ops, prf=2 * per_epoch + 1)
 
     def phase_ms(self, ops: OpCounts) -> float:

@@ -443,7 +443,7 @@ def lbl_kernels(
                 requests.append(Request.write(key, config.pad(b"updated")))
         return records, requests
 
-    base = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
+    base = StoreConfig(value_len=value_len, group_bits=2)
     cached = replace(base, label_cache_entries=label_cache)
     rows: list[Row] = []
 
@@ -454,7 +454,7 @@ def lbl_kernels(
         if warm and label_cache is None:
             continue
         records, requests = _workload(config)
-        store = LblOrtoa(config, rng=random.Random(2))
+        store = LblOrtoa(config)
         store.initialize(records)
         if warm:
             for request in requests:  # populate every key's epoch
@@ -476,10 +476,8 @@ def lbl_kernels(
 
     config = cached if label_cache is not None else base
     records, requests = _workload(config)
-    with ShardCluster(1, point_and_permute=True, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            config, cluster.addresses, rng=random.Random(2)
-        )
+    with ShardCluster(1, in_process=True) as cluster:
+        deployment = ShardedLblDeployment(config, cluster.addresses)
         try:
             deployment.initialize(records)
             start = time.perf_counter()

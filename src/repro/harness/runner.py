@@ -113,7 +113,6 @@ class DeploymentSpec:
                 value_len=self.value_len,
                 label_bits=self.label_bits,
                 group_bits=2,
-                point_and_permute=True,
             )
         return StoreConfig(value_len=self.value_len, label_bits=self.label_bits)
 
@@ -125,7 +124,7 @@ class DeploymentSpec:
         if self.protocol == "tee":
             return TeeOrtoa(config)
         if self.protocol == "lbl":
-            return LblOrtoa(config, rng=random.Random(self.seed))
+            return LblOrtoa(config)
         return FheOrtoa(config)
 
 

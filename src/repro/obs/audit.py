@@ -7,14 +7,11 @@ everything the untrusted party could observe — table shapes, ciphertext
 bytes, decryption attempts and failures, opened labels, storage rewrites.
 This module pairs that span stream with the ground-truth operation sequence
 (known only on the trusted side) and checks, feature by feature, that the
-two per-operation distributions match:
-
-* **deterministic features** (table shape, bytes, rewrites) must have
-  *identical supports* — any value seen only for reads or only for writes is
-  a distinguisher;
-* **stochastic features** (decryption attempts under the shuffled base
-  protocol, where the opening position is uniform) are compared by mean with
-  a configurable relative tolerance, plus a support-range check.
+two per-operation views match exactly: every feature — table shape, bytes,
+decryption attempts and failures (under §10.2 a committed access opens
+exactly one row per group and fails none), rewrites, and the ledger's wire
+bytes and op counts — must have *identical supports*.  Any value seen only
+for reads or only for writes is a distinguisher.
 
 :class:`LeakyLblOrtoa` is the deliberate negative control: its server skips
 the storage rewrite on reads — precisely the §5.1 "only writes change the
@@ -36,17 +33,17 @@ from repro.obs import ledger as _ledger
 from repro.obs.trace import Span, TRACER
 from repro.types import Operation, Request, StoreConfig
 
-#: Deterministic server-visible features: the value sets must coincide.
+#: Server-visible features: the value sets must coincide.
 EXACT_FEATURES = (
     "groups",
     "table_entries",
     "ciphertext_bytes",
+    "decrypt_attempts",
+    "failed_decrypts",
     "opened_labels",
     "labels_rewritten",
     "storage_writes",
 )
-#: Stochastic server-visible features: compared by mean within a tolerance.
-MEAN_FEATURES = ("decrypt_attempts", "failed_decrypts")
 #: Per-request resource-ledger features (wire bytes per frame/direction and
 #: crypto-primitive counts, frozen to sorted item tuples).  Deterministic:
 #: a GET and a PUT must burn byte-for-byte and call-for-call identical
@@ -54,24 +51,11 @@ MEAN_FEATURES = ("decrypt_attempts", "failed_decrypts")
 LEDGER_FEATURES = ("ledger.wire", "ledger.ops")
 
 
-#: Ops excluded from the exact ledger comparison: the shuffled base
-#: protocol's trial decryptions stop after a uniformly random number of
-#: attempts, so these are stochastic per access.  They are audited anyway,
-#: by mean, via the server span's ``decrypt_attempts``/``failed_decrypts``.
-_STOCHASTIC_OPS = frozenset({"aead.decrypts", "aead.decrypt_failures"})
-
-
 def _ledger_features(snapshot: dict[str, Any]) -> dict[str, Any]:
     """Freeze a :meth:`LedgerRow.snapshot` into hashable audit features."""
     return {
         "ledger.wire": tuple(sorted(snapshot["wire"].items())),
-        "ledger.ops": tuple(
-            sorted(
-                (name, count)
-                for name, count in snapshot["ops"].items()
-                if name not in _STOCHASTIC_OPS
-            )
-        ),
+        "ledger.ops": tuple(sorted(snapshot["ops"].items())),
     }
 
 
@@ -160,20 +144,12 @@ def _feature_values(
     return [obs.features[feature] for obs in observations if feature in obs.features]
 
 
-def audit_observations(
-    observations: Sequence[ServerObservation],
-    *,
-    mean_tolerance: float = 0.15,
-) -> AuditReport:
+def audit_observations(observations: Sequence[ServerObservation]) -> AuditReport:
     """Compare the read-side and write-side server views feature by feature.
 
     Args:
         observations: Ground-truth-tagged server observations of one run,
             covering at least one read and one write.
-        mean_tolerance: Maximum allowed relative difference of per-op means
-            for the stochastic features (the shuffled base protocol stops
-            after a uniformly distributed number of decryption attempts, so
-            finite samples never match exactly).
 
     Returns:
         An :class:`AuditReport`; ``passed`` is True iff no feature
@@ -206,26 +182,6 @@ def audit_observations(
                 )
             )
 
-    for feature in MEAN_FEATURES:
-        read_values = _feature_values(reads, feature)
-        write_values = _feature_values(writes, feature)
-        if not read_values or not write_values:
-            continue
-        read_mean = sum(read_values) / len(read_values)
-        write_mean = sum(write_values) / len(write_values)
-        scale = max(abs(read_mean), abs(write_mean))
-        if scale == 0:
-            passed = read_mean == write_mean
-            detail = "both identically zero"
-        else:
-            relative = abs(read_mean - write_mean) / scale
-            passed = relative <= mean_tolerance
-            detail = (
-                f"read mean {read_mean:.2f} vs write mean {write_mean:.2f} "
-                f"(relative diff {relative:.1%}, tolerance {mean_tolerance:.0%})"
-            )
-        checks.append(AuditCheck(feature, passed, detail))
-
     return AuditReport(
         passed=all(c.passed for c in checks),
         num_reads=len(reads),
@@ -239,7 +195,6 @@ def run_audit(
     *,
     num_keys: int = 32,
     seed: int = 0,
-    mean_tolerance: float = 0.15,
 ) -> AuditReport:
     """Drive a balanced read/write workload and audit the server's view.
 
@@ -283,7 +238,7 @@ def run_audit(
     observations = observations_from_spans(spans, [r.op for r in requests])
     for observation, snapshot in zip(observations, row_snapshots):
         observation.features.update(_ledger_features(snapshot))
-    return audit_observations(observations, mean_tolerance=mean_tolerance)
+    return audit_observations(observations)
 
 
 # --------------------------------------------------------------------- #
@@ -370,7 +325,6 @@ def run_sharded_audit(
     *,
     num_keys: int = 32,
     seed: int = 0,
-    mean_tolerance: float = 0.15,
     pipeline_depth: int | None = None,
 ) -> ShardedAuditReport:
     """Audit a sharded, pipelined deployment's per-shard server views.
@@ -452,7 +406,7 @@ def run_sharded_audit(
         snapshot = row_by_key.get(key)
         if snapshot is not None:
             observation.features.update(_ledger_features(snapshot))
-    overall = audit_observations(observations, mean_tolerance=mean_tolerance)
+    overall = audit_observations(observations)
     per_shard = []
     for shard in range(deployment.num_shards):
         shard_obs = [
@@ -460,9 +414,7 @@ def run_sharded_audit(
             for obs, span in zip(observations, spans)
             if shard_by_fingerprint[span.attributes["key_fingerprint"]] == shard
         ]
-        per_shard.append(
-            audit_observations(shard_obs, mean_tolerance=mean_tolerance)
-        )
+        per_shard.append(audit_observations(shard_obs))
     return ShardedAuditReport(overall=overall, per_shard=tuple(per_shard))
 
 
@@ -481,8 +433,8 @@ class LeakyLblServer(LblServer):
     have a true positive.
     """
 
-    def __init__(self, point_and_permute: bool = False) -> None:
-        super().__init__(point_and_permute)
+    def __init__(self) -> None:
+        super().__init__()
         self.current_op: Operation | None = None
 
     def _commit_many(self, items) -> list[bool]:
@@ -497,14 +449,9 @@ class LeakyLblOrtoa(LblOrtoa):
 
     name = "lbl-ortoa-leaky"
 
-    def __init__(
-        self,
-        config: StoreConfig,
-        keychain: KeyChain | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
-        super().__init__(config, keychain=keychain, rng=rng)
-        self.server = LeakyLblServer(point_and_permute=config.point_and_permute)
+    def __init__(self, config: StoreConfig, keychain: KeyChain | None = None) -> None:
+        super().__init__(config, keychain=keychain)
+        self.server = LeakyLblServer()
         self.clients[0].dispatcher.lbl = self.server
 
     def access(self, request: Request):
@@ -528,6 +475,5 @@ __all__ = [
     "LeakyLblServer",
     "LeakyLblOrtoa",
     "EXACT_FEATURES",
-    "MEAN_FEATURES",
     "LEDGER_FEATURES",
 ]

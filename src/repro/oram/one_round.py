@@ -69,12 +69,8 @@ class OneRoundOram:
         if self.tree.capacity < num_blocks:
             raise ConfigurationError("tree too small for the block count")
         self._rng = rng or random.Random()
-        cell_config = StoreConfig(
-            value_len=_SLOT_HEADER.size + value_len,
-            group_bits=2,
-            point_and_permute=True,
-        )
-        self.cells = LblOrtoa(cell_config, keychain=keychain, rng=self._rng)
+        cell_config = StoreConfig(value_len=_SLOT_HEADER.size + value_len, group_bits=2)
+        self.cells = LblOrtoa(cell_config, keychain=keychain)
         self.stash = Stash()
         self._position: dict[int, int] = {}
         #: (bucket, slot) → resident block id, or None when free.

@@ -42,13 +42,9 @@ class Access:
 Adversary = Callable[[list[bytes]], bool]
 
 
-def real_lbl_output(
-    config: StoreConfig,
-    accesses: Sequence[Access],
-    rng: random.Random | None = None,
-) -> list[bytes]:
+def real_lbl_output(config: StoreConfig, accesses: Sequence[Access]) -> list[bytes]:
     """``Out_Real`` for LBL-ORTOA: the serialized server-bound messages."""
-    protocol = LblOrtoa(config, rng=rng)
+    protocol = LblOrtoa(config)
     protocol.initialize({a.key: b"" for a in accesses})
     output = []
     for access in accesses:

@@ -29,11 +29,8 @@ class LblSimulator:
     fresh random new label and fills each group table with one entry sealed
     under the stored old label and ``2^y - 1`` entries the server cannot
     open (their content is irrelevant), shuffles, and rotates its stored
-    label.  Under point-and-permute the entries are
-    :mod:`repro.crypto.rows` rows — one under the stored label, the rest
-    uniformly random, behind a fresh request nonce; in the base protocol
-    they are AEAD ciphertexts, the decoys encrypting zeros under unrelated
-    random labels.
+    label.  The entries are :mod:`repro.crypto.rows` rows — one under the
+    stored label, the rest uniformly random, behind a fresh request nonce.
     """
 
     def __init__(self, config: StoreConfig, rng: random.Random | None = None) -> None:
@@ -53,23 +50,14 @@ class LblSimulator:
         """Produce one simulated server-bound message for an access to ``key``."""
         self._ensure_key(key)
         table_size = 1 << self.config.group_bits
-        pnp = self.config.point_and_permute
-        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN) if pnp else b""
+        nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
         tables = []
         for index in range(self.config.num_groups):
             old_label = self._state[key][index]
             new_label = secrets.token_bytes(self.label_len)
-            if pnp:
-                slot = secrets.token_bytes(DECRYPT_INDEX_BYTES)
-                entries = [rows.seal_rows(old_label, new_label, slot, nonce)]
-                entries += [
-                    secrets.token_bytes(len(entries[0])) for _ in range(table_size - 1)
-                ]
-            else:
-                entries = [aead.encrypt(old_label, new_label)]
-                for _ in range(table_size - 1):
-                    decoy_key = secrets.token_bytes(self.label_len)
-                    entries.append(aead.encrypt(decoy_key, bytes(self.label_len)))
+            slot = secrets.token_bytes(DECRYPT_INDEX_BYTES)
+            entries = [rows.seal_rows(old_label, new_label, slot, nonce)]
+            entries += [secrets.token_bytes(len(entries[0])) for _ in range(table_size - 1)]
             self._rng.shuffle(entries)
             tables.append(entries)
             self._state[key][index] = new_label

@@ -41,8 +41,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: core.sharded imports this packa
     from repro.core.sharded import ShardedLblDeployment
 
 
-def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
-                 max_workers: int, metrics: bool,
+def _serve_shard(conn, response_delay_s: float, max_workers: int, metrics: bool,
                  enable_obs: bool) -> None:  # pragma: no cover - child process
     """Child-process entry point: bind, report the addresses, serve forever."""
     from repro import obs
@@ -52,7 +51,6 @@ def _serve_shard(conn, point_and_permute: bool, response_delay_s: float,
         # pulls the dump over an OBS_PULL control frame and merges it.
         obs.enable()
     server = LblTcpServer(
-        point_and_permute=point_and_permute,
         response_delay_s=response_delay_s,
         max_workers=max_workers,
         metrics_port=0 if metrics else None,
@@ -67,7 +65,6 @@ class ShardCluster:
 
     Args:
         num_shards: Servers to boot.
-        point_and_permute: Must match the clients' configuration.
         in_process: Daemon threads (True) or spawned processes (False).
         response_delay_s: Artificial per-reply delay (WAN emulation).
         max_workers: Mux worker threads per shard.
@@ -84,7 +81,6 @@ class ShardCluster:
     def __init__(
         self,
         num_shards: int,
-        point_and_permute: bool = True,
         in_process: bool = True,
         response_delay_s: float = 0.0,
         max_workers: int = 8,
@@ -94,7 +90,6 @@ class ShardCluster:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
         self.num_shards = num_shards
-        self.point_and_permute = point_and_permute
         self.in_process = in_process
         self.response_delay_s = response_delay_s
         self.max_workers = max_workers
@@ -112,7 +107,6 @@ class ShardCluster:
         if self.in_process:
             for _ in range(self.num_shards):
                 server = LblTcpServer(
-                    point_and_permute=self.point_and_permute,
                     response_delay_s=self.response_delay_s,
                     max_workers=self.max_workers,
                     metrics_port=0 if self.metrics else None,
@@ -129,7 +123,6 @@ class ShardCluster:
                     target=_serve_shard,
                     args=(
                         child_conn,
-                        self.point_and_permute,
                         self.response_delay_s,
                         self.max_workers,
                         self.metrics,
@@ -294,22 +287,17 @@ def measure_shard_scaling(
     """
     from repro.core.sharded import ShardedLblDeployment
 
-    config = StoreConfig(
-        value_len=value_len, group_bits=group_bits, point_and_permute=True
-    )
+    config = StoreConfig(value_len=value_len, group_bits=group_bits)
     rows = []
     baseline_rps = None
     for shards in shard_counts:
         with ShardCluster(
             shards,
-            point_and_permute=True,
             in_process=in_process,
             response_delay_s=service_time_s,
             max_workers=workers_per_shard,
         ) as cluster:
-            deployment = ShardedLblDeployment(
-                config, cluster.addresses, rng=random.Random(seed)
-            )
+            deployment = ShardedLblDeployment(config, cluster.addresses)
             try:
                 stats = measure_throughput(
                     deployment,
@@ -353,22 +341,17 @@ def measure_pipeline_gain(
     """
     from repro.core.sharded import ShardedLblDeployment
 
-    config = StoreConfig(
-        value_len=value_len, group_bits=group_bits, point_and_permute=True
-    )
+    config = StoreConfig(value_len=value_len, group_bits=group_bits)
     rows = []
     lockstep_rps = None
     for depth in depths:
         with ShardCluster(
             1,
-            point_and_permute=True,
             in_process=in_process,
             response_delay_s=emulated_rtt_s,
             max_workers=max(8, depth),
         ) as cluster:
-            deployment = ShardedLblDeployment(
-                config, cluster.addresses, rng=random.Random(seed)
-            )
+            deployment = ShardedLblDeployment(config, cluster.addresses)
             try:
                 mode = "lockstep" if depth <= 1 else "pipelined"
                 stats = measure_throughput(

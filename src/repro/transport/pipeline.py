@@ -266,7 +266,7 @@ class LocalLink:
     metered unframed under ``role="local"``.
 
     Args:
-        dispatcher: The shard; a fresh point-and-permute one if omitted.
+        dispatcher: The shard; a fresh one if omitted.
     """
 
     #: No wire, so no framing: a payload costs its own length.

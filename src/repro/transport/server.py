@@ -154,19 +154,26 @@ class LblFrameDispatcher:
     :class:`LblTcpServer` is sockets, threads and admission only.
 
     Args:
-        point_and_permute: Must match the clients' configuration.
         num_stripes: Per-key lock stripes; collisions only cost
             parallelism, never correctness.
+        point_and_permute: Accepted only as ``True`` (§10.2 is the one LBL
+            protocol).
 
     A server window forms one way: a batch frame is served as one
     :meth:`~repro.core.lbl.server.LblServer.process_many`, and a lone access
     frame is a window of one (:meth:`~repro.core.lbl.server.LblServer.process`).
     """
 
-    def __init__(self, point_and_permute: bool = True, num_stripes: int = 64) -> None:
+    def __init__(self, num_stripes: int = 64, *, point_and_permute: bool = True) -> None:
+        # ``point_and_permute`` is here only because the closed bench/ passes it.
+        if not point_and_permute:
+            raise ConfigurationError(
+                "point_and_permute=False is the §5.2 base protocol, which only "
+                "tests/lbl_reference.py builds"
+            )
         if num_stripes < 1:
             raise ConfigurationError("num_stripes must be >= 1")
-        self.lbl = LblServer(point_and_permute=point_and_permute)
+        self.lbl = LblServer()
         self._stripes = [threading.Lock() for _ in range(num_stripes)]
 
     def _stripe_for(self, encoded_key: bytes):
@@ -354,7 +361,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
     Args:
         host: Bind address (use ``127.0.0.1`` for tests).
         port: Bind port (0 picks an ephemeral one; read ``address``).
-        point_and_permute: Must match the clients' configuration.
         num_stripes: Per-key lock stripes; collisions only cost
             parallelism, never correctness.
         max_workers: Pool threads handling multiplexed frames; bounds how
@@ -389,7 +395,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        point_and_permute: bool = True,
         num_stripes: int = 64,
         max_workers: int = 8,
         response_delay_s: float = 0.0,
@@ -409,9 +414,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         # process() mutates per-key state, so accesses to the same key must
         # serialize — but only to the same key.  The dispatcher's striped
         # locks let distinct keys dispatch in parallel across the worker pool.
-        self.dispatcher = LblFrameDispatcher(
-            point_and_permute=point_and_permute, num_stripes=num_stripes
-        )
+        self.dispatcher = LblFrameDispatcher(num_stripes)
         self.lbl = self.dispatcher.lbl
         self.response_delay_s = response_delay_s
         self.max_in_flight = max_in_flight

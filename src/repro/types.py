@@ -83,12 +83,12 @@ class StoreConfig:
         value_len: Fixed plaintext value length in bytes (paper's ``t`` is
             ``value_len * 8`` bits; the default 160 B matches §6's workload).
         label_bits: PRF output size ``r`` in bits for LBL label generation:
-            at least 128 (a label is a key), at most 440 under
-            point-and-permute (a row is at most 64 bytes).
+            at least 128 (a label is a key), at most 440 (a §10.2 row is at
+            most 64 bytes).
         group_bits: LBL space optimization ``y`` — how many plaintext bits one
             label represents (§10.1; ``y=2`` is the paper's optimum).
-        point_and_permute: Enable the decryption-bits optimization (§10.2) so
-            the server decrypts exactly one ciphertext per group.
+        point_and_permute: Accepted only as ``True``: §10.2 is the one LBL
+            protocol (the §5.2 base tables live in ``tests/lbl_reference.py``).
         label_cache_entries: Proxy-side label cache capacity in epochs
             (``(key, counter)`` entries).  ``None`` disables the cache;
             ``-1`` sizes it automatically from
@@ -100,7 +100,7 @@ class StoreConfig:
     value_len: int = 160
     label_bits: int = 128
     group_bits: int = 1
-    point_and_permute: bool = False
+    point_and_permute: bool = True  # only the closed bench/ still passes it
     label_cache_entries: int | None = None
 
     def __post_init__(self) -> None:
@@ -112,16 +112,18 @@ class StoreConfig:
             # A slot index travels as one byte (and a table of 2^y entries
             # per group stops paying for itself long before y = 8).
             raise ConfigurationError("group_bits must be between 1 and 8")
-        if self.label_bits < 128:
-            # A label keys its table entry — an AEAD key (§5.2), a row's pad
-            # seed (§10.2) — and both take 16 bytes or more.
-            raise ConfigurationError("label_bits must be at least 128")
-        if self.point_and_permute and self.label_bits > 440:
-            # A point-and-permute row (label + slot byte + 8 check bytes) is
-            # at most 64 bytes — four blocks of pad (``crypto.rows``).
+        if not self.point_and_permute:
             raise ConfigurationError(
-                "label_bits must be at most 440 with point_and_permute"
+                "point_and_permute=False is the §5.2 base protocol, which only "
+                "tests/lbl_reference.py builds"
             )
+        if self.label_bits < 128:
+            # A label seeds its row's pad (§10.2): 16 bytes or more.
+            raise ConfigurationError("label_bits must be at least 128")
+        if self.label_bits > 440:
+            # A row (label + slot byte + 8 check bytes) is at most 64 bytes
+            # — four blocks of pad (``crypto.rows``).
+            raise ConfigurationError("label_bits must be at most 440")
         if self.label_cache_entries is not None and self.label_cache_entries == 0:
             raise ConfigurationError(
                 "label_cache_entries must be None (disabled), -1 (auto), or >= 1"

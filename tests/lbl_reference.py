@@ -2,7 +2,8 @@
 
 The test oracle for :meth:`repro.core.lbl.proxy.LblProxy.prepare`, built
 one table entry at a time from the constructions alone — none of the epoch
-views, gathers or plane layout behind ``prepare``:
+views, gathers or plane layout behind ``prepare`` — and the only home of
+the §5.2 base protocol, which the program does not serve:
 
 * **labels** (§5.2, §10.1) — an epoch is one keyed SHAKE-256 output of
   ``G·2^y·L + G`` bytes: label ``v`` of group ``i`` is bytes
@@ -14,7 +15,9 @@ views, gathers or plane layout behind ``prepare``:
   ``t_j = nonce ⊕ j``, ``π`` AES-128 under a public constant key; the slab
   is every row's label, then every row's 9-byte tail;
 * **§5.2 base tables** — old label ``v`` encrypts new label ``t`` under
-  :func:`repro.crypto.aead.encrypt`, and each table is shuffled;
+  :func:`repro.crypto.aead.encrypt`, and each table is shuffled; the server
+  step 2.1 is a trial :func:`repro.crypto.aead.try_decrypt` of each entry
+  in order until one opens (:func:`open_base`);
 * **groups** (§10.1) — a value's big-endian bit string cut into ``y``-bit
   groups, the last zero-filled, by one integer shifted per group
   (:func:`value_to_groups`, :func:`groups_to_value`);
@@ -32,7 +35,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from repro.core.messages import LblAccessRequest
 from repro.crypto import aead
 from repro.crypto.prf import encode_components
-from repro.errors import TamperDetectedError
+from repro.errors import ProtocolError, TamperDetectedError
 
 #: π's key: the first 128 fractional bits of π (0x243F6A88…).
 PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
@@ -105,46 +108,94 @@ def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value
     return groups_to_value(groups, group_bits, value_len)
 
 
+def epoch_blob(keychain, config, key: str, counter: int) -> bytes:
+    """The one keyed SHAKE-256 output of ``key`` at ``counter``."""
+    groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
+    xof = keychain.label_xof.copy()
+    xof.update(encode_components(groups, size, width) + encode_components(key, counter))
+    return xof.digest(groups * size * width + groups)
+
+
 def epoch(keychain, config, key: str, counter: int):
     """``(labels, offsets)`` of ``key`` at ``counter``: ``labels[i][v]`` is
     label ``v`` of group ``i``, ``offsets[i]`` is ``r_i``."""
     groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
-    xof = keychain.label_xof.copy()
-    xof.update(encode_components(groups, size, width) + encode_components(key, counter))
-    blob = xof.digest(groups * size * width + groups)
+    blob = epoch_blob(keychain, config, key, counter)
     labels = [
         [blob[(i * size + v) * width :][:width] for v in range(size)] for i in range(groups)
     ]
     return labels, [b % size for b in blob[groups * size * width :]]
 
 
+def record_labels(keychain, config, key: str, counter: int, value: bytes) -> "list[bytes]":
+    """The label per group a server holds once epoch ``counter`` stores ``value``."""
+    labels, _offsets = epoch(keychain, config, key, counter)
+    return [labels[i][v] for i, v in enumerate(value_to_groups(value, config.group_bits))]
+
+
 def build_request(
-    keychain, config, key: str, counter: int, value: bytes | None = None, *, nonce=None, rng=None
-) -> LblAccessRequest:
+    keychain, config, key: str, counter: int, value: bytes | None = None, *,
+    base: bool = False, nonce=None, rng=None,
+):
     """The request taking ``key`` from epoch ``counter`` to ``counter + 1``:
-    a GET when ``value`` is ``None``, else a PUT of ``value``.  ``nonce``
-    defaults to 16 fresh random bytes (§10.2); ``rng`` shuffles base tables."""
+    a GET when ``value`` is ``None``, else a PUT of ``value``.
+
+    By default the §10.2 :class:`LblAccessRequest`, its ``nonce`` 16 fresh
+    random bytes unless given.  With ``base=True`` the §5.2 tables instead,
+    as one list of ``2^y`` AEAD ciphertexts per group, each shuffled by
+    ``rng`` (no wire message carries them: the program serves §10.2 only).
+    """
     old, old_offsets = epoch(keychain, config, key, counter)
     new, new_offsets = epoch(keychain, config, key, counter + 1)
-    size, pnp = 1 << config.group_bits, config.point_and_permute
+    size = 1 << config.group_bits
     written = None if value is None else value_to_groups(config.pad(value), config.group_bits)
-    nonce = (secrets.token_bytes(NONCE_LEN) if nonce is None else nonce) if pnp else b""
+    nonce = secrets.token_bytes(NONCE_LEN) if nonce is None else nonce
     rng = rng or random.Random()
-    entries = []
+    tables = []
     for i in range(config.num_groups):
         table = [b""] * size
         for v in range(size):
             t = v if written is None else written[i]
-            if pnp:
+            if base:
+                table[v] = aead.encrypt(old[i][v], new[i][t])
+            else:
                 payload = new[i][t] + bytes([t ^ new_offsets[i]])
                 table[v ^ old_offsets[i]] = seal_row(old[i][v], payload, nonce)
-            else:
-                table[v] = aead.encrypt(old[i][v], new[i][t])
-        if not pnp:
+        if base:
             rng.shuffle(table)
-        entries += table
-    body = slab(entries) if pnp else b"".join(entries)
-    return LblAccessRequest(keychain.encode_key(key), body, size, len(entries[0]), nonce)
+        tables.append(table)
+    if base:
+        return tables
+    entries = [entry for table in tables for entry in table]
+    return LblAccessRequest(
+        keychain.encode_key(key), slab(entries), size, len(entries[0]), nonce
+    )
+
+
+def open_base(stored_labels: "list[bytes]", tables: "list[list[bytes]]"):
+    """§5.2 step 2.1 at a server holding ``stored_labels``: per group, try
+    each entry of its table in order until one authenticates.
+
+    Returns ``(labels, attempts, failures)``: the opened label per group
+    (the server's next stored labels, and its reply), and the decryptions
+    tried and failed over all groups.
+
+    Raises:
+        ProtocolError: a group's stored label opens no entry (a stale or
+            corrupt label), named by its group.
+    """
+    labels, attempts, failures = [], 0, 0
+    for group, (label, table) in enumerate(zip(stored_labels, tables)):
+        for entry in table:
+            attempts += 1
+            opened = aead.try_decrypt(label, entry)
+            if opened is not None:
+                labels.append(opened)
+                break
+            failures += 1
+        else:
+            raise ProtocolError(f"no table entry opened at group {group}")
+    return labels, attempts, failures
 
 
 def prepare(proxy, request, **options) -> LblAccessRequest:

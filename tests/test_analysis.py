@@ -82,8 +82,8 @@ def test_cost_storage_halves_with_y2():
     # ciphertext tables — stays byte-identical.  The wire-accurate model
     # also counts the response (one opened label per group), which *halves*
     # with y=2, so total network can only improve.
-    m1 = LblCostModel(value_len=160, group_bits=1, point_and_permute=True)
-    m2 = LblCostModel(value_len=160, group_bits=2, point_and_permute=True)
+    m1 = LblCostModel(value_len=160, group_bits=1)
+    m2 = LblCostModel(value_len=160, group_bits=2)
     assert m2.request_bytes == m1.request_bytes
     assert m2.response_bytes == pytest.approx(m1.response_bytes / 2, abs=2)
     assert y2.network_gb_per_million_accesses < y1.network_gb_per_million_accesses

@@ -20,7 +20,6 @@ its accesses ride batch windows of several requests.
 """
 
 import dataclasses
-import random
 
 import pytest
 
@@ -54,12 +53,12 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture()
 def server():
-    tcp = LblTcpServer(point_and_permute=True)
+    tcp = LblTcpServer()
     tcp.serve_in_background()
     yield tcp
     tcp.close()
@@ -67,7 +66,7 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(2))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     remote.initialize({key: key.encode().ljust(16, b"\x00") for key in ("k1", "k2", "k3")})
     yield remote
     remote.close()
@@ -201,7 +200,7 @@ def test_fully_successful_batch_unaffected(client):
 
 def test_sharded_batch_partial_failure_and_retry():
     with ShardCluster(2, in_process=True) as cluster:
-        dep = ShardedLblDeployment(CONFIG, cluster.addresses, rng=random.Random(5))
+        dep = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             dep.initialize({f"k{i}": bytes([i]) * 16 for i in range(6)})
             victim = "k4"
@@ -260,8 +259,8 @@ def captured():
 def test_mixed_batch_frame_through_the_dispatcher(captured, monkeypatch):
     """Repeated key + corrupt entry + unknown key in one batch frame."""
     values = {f"k{i}": bytes([i]) * 16 for i in range(1, 6)}
-    local = LblOrtoa(CONFIG, rng=random.Random(2))
-    server = LblTcpServer(point_and_permute=True)  # never started: no traffic
+    local = LblOrtoa(CONFIG)
+    server = LblTcpServer()  # never started: no traffic
     try:
         dispatcher = server.dispatcher
         for encoded_key, labels in local.proxy.initial_records(values):
@@ -343,7 +342,7 @@ def test_leaky_control_is_flagged_through_a_fused_window(captured):
     """The negative control leaks in its commit hook — which every window,
     not just a lone ``process``, must run through: here two batch frames
     of eight, one all reads and one all writes, so the leak knows the op."""
-    leaky = LeakyLblOrtoa(CONFIG, rng=random.Random(4))
+    leaky = LeakyLblOrtoa(CONFIG)
     keys = [f"audit-{i}" for i in range(16)]
     leaky.initialize({key: bytes(16) for key in keys})
     reads = [Request.read(key) for key in keys[:8]]

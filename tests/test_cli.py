@@ -131,11 +131,6 @@ def test_obs_command_fails_on_leaky_control(tmp_path, capsys):
     assert bundle["audit"]["passed"] is False
 
 
-def test_obs_command_base_protocol(capsys):
-    assert main(["obs", "--keys", "16", "--seed", "3", "--base"]) == 0
-    assert "point_and_permute=False" in capsys.readouterr().out
-
-
 def test_log_level_flag_accepted(capsys):
     assert main(["--log-level", "debug", "list"]) == 0
     assert "table2" in capsys.readouterr().out

@@ -30,7 +30,7 @@ from repro.types import StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
 
-CONFIG = StoreConfig(value_len=32, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=32, group_bits=2)
 
 NUM_THREADS = 4
 NUM_KEYS = 8
@@ -101,7 +101,7 @@ def run_stress(proxy: ShardedLblDeployment, seed: int) -> None:
 
 
 def test_stress_in_process_deployment():
-    ortoa = LblOrtoa(CONFIG, rng=random.Random(11))
+    ortoa = LblOrtoa(CONFIG)
     ortoa.initialize({key: value_at(key, -1) for key in KEYS})
     run_stress(ortoa, seed=11)
 
@@ -109,9 +109,7 @@ def test_stress_in_process_deployment():
 def test_stress_sharded_cluster_striped_server():
     """Overlapping keys across a 2-shard cluster hit the striped TCP server."""
     with ShardCluster(2, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(17)
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             deployment.initialize({key: value_at(key, -1) for key in KEYS})
             run_stress(deployment, seed=17)

@@ -6,8 +6,6 @@ the symbolic bytes-per-access and ops-per-access must equal the wire ledger
 planner and the dollar estimate to present model outputs as measurements.
 """
 
-import random
-
 import pytest
 
 from repro import obs
@@ -20,7 +18,7 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(120)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +63,7 @@ def test_model_rejects_a_label_width_no_access_can_use(capsys, label_bits, messa
     from repro.cli import main
 
     with pytest.raises(ConfigurationError, match=message):
-        LblCostModel(value_len=8, group_bits=2, label_bits=label_bits, point_and_permute=True)
+        LblCostModel(value_len=8, group_bits=2, label_bits=label_bits)
     assert main(["plan", "--label-bits", str(label_bits)]) == 2
     assert message in capsys.readouterr().err
 
@@ -81,9 +79,7 @@ def test_sharded_pipelined_rows_match_model(num_shards):
     obs.enable()
     keys = [f"cm{i}" for i in range(8)]
     with ShardCluster(num_shards, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(3), pipeline_depth=4
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses, pipeline_depth=4)
         try:
             deployment.initialize({key: b"\x01" * 16 for key in keys})
             obs.reset()  # meter only the accesses, not the bulk load
@@ -133,9 +129,7 @@ def test_sharded_batch_rows_sum_to_transport_totals(num_shards):
     obs.enable()
     keys = [f"b{i}" for i in range(10)]
     with ShardCluster(num_shards, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(5)
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             deployment.initialize({key: b"\x03" * 16 for key in keys})
             obs.reset()
@@ -170,7 +164,7 @@ def test_sharded_batch_rows_sum_to_transport_totals(num_shards):
 # --------------------------------------------------------------------- #
 
 def test_batch_bytes_formula_composes_per_access_bytes():
-    model = LblCostModel(value_len=16, group_bits=2, point_and_permute=True)
+    model = LblCostModel(value_len=16, group_bits=2)
     n = 5
     assert model.batch_request_bytes(n, traced=True) == (
         4 + 25 + 1 + n * (4 + model.request_bytes)
@@ -182,7 +176,7 @@ def test_batch_bytes_formula_composes_per_access_bytes():
 
 def test_paper_configuration_bytes():
     """The paper's y=2 configuration: 160 B values, 128-bit labels."""
-    model = LblCostModel(value_len=160, group_bits=2, point_and_permute=True)
+    model = LblCostModel(value_len=160, group_bits=2)
     assert model.num_groups == 640
     assert model.table_size == 4
     assert model.entry_len == 16 + 1 + 8
@@ -190,7 +184,7 @@ def test_paper_configuration_bytes():
     assert model.request_bytes == 1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 25) == 64_049
     assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
     assert model.bytes_per_access == 74_292
-    assert (model.entry_hashes, model.entry_compressions) == (0, 3)
+    assert model.entry_compressions == 3
     # Calls made: two epochs and the key encoding; the XOF absorbs one block
     # and squeezes ceil(41,600 / 136) = 306 per epoch.
     assert model.ops() == {
@@ -203,43 +197,24 @@ def test_paper_configuration_bytes():
     }
     assert model.ops(include_server=False)["aes.blocks"] == 7680
     assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 3
-    # The base protocol keeps its AEAD entries behind the same slab framing.
-    base = LblCostModel(value_len=160, group_bits=2)
-    assert base.entry_len == 12 + 16 + 16
-    assert base.request_bytes == 1 + (4 + 4) + (4 + 16) + (4 + 640 * 4 * 44)
-    assert base.response_bytes == model.response_bytes
-    assert (base.entry_hashes, base.entry_compressions) == (2, 8)
-    assert base.ops()["prf.calls"] == 3
 
 
-@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
 @pytest.mark.parametrize("group_bits", [1, 2, 8])
 def test_wire_bytes_and_entry_hashing_match_the_implementation(
-    monkeypatch, group_bits, label_bits, point_and_permute
+    monkeypatch, group_bits, label_bits
 ):
     """Every shape the model has a formula for, against real messages and a
-    block count taken inside the kernels: at ``hashlib`` for AEAD entries,
-    at the cipher context for rows."""
-    import hashlib
-
+    block count taken inside the row kernel, at the cipher context."""
     from repro.core.lbl import LblOrtoa
-    from repro.crypto import aead, rows
+    from repro.crypto import rows
 
-    config = StoreConfig(
-        value_len=3, group_bits=group_bits, label_bits=label_bits,
-        point_and_permute=point_and_permute,
-    )
+    config = StoreConfig(value_len=3, group_bits=group_bits, label_bits=label_bits)
     model = LblCostModel.from_config(config)
-    store = LblOrtoa(config, rng=random.Random(4))
+    store = LblOrtoa(config)
     store.initialize({"k": b"abc"})
 
     calls: list[int] = []
-
-    def counting_sha256(data=b""):
-        calls.append((len(data) + 8) // 64 + 1)  # blocks incl. padding
-        return hashlib.sha256(data)
-
     rows._permute(b"")  # this thread's context exists
     permute = rows._contexts.update
 
@@ -249,16 +224,11 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
         return permute(blocks)
 
     monkeypatch.setattr(rows._contexts, "update", counting_permute)
-    monkeypatch.setattr(aead, "_DIGEST", counting_sha256)
     built, _ops = store.proxy.prepare(Request.write("k", b"xyz"))
     entries = model.num_groups * model.table_size
-    if point_and_permute:
-        # Two passes of the permutation, whatever the table's size.
-        assert model.entry_hashes == 0 and len(calls) == 2
-        assert model.entry_compressions == 1 + -(-model.entry_len // 16)
-    else:
-        # An HMAC is an inner and an outer hash.
-        assert len(calls) == 2 * model.entry_hashes * entries
+    # Two passes of the permutation, whatever the table's size.
+    assert len(calls) == 2
+    assert model.entry_compressions == 1 + -(-model.entry_len // 16)
     assert sum(calls) == model.entry_compressions * entries
 
     response, _server_ops = store.server.process(built)
@@ -266,13 +236,12 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
     assert len(built.to_bytes()) == model.request_bytes
     assert len(response.to_bytes()) == model.response_bytes
 
-    if point_and_permute:
-        # The server's side of a row is the same pad, for one row per group.
-        built, _ops = store.proxy.prepare(Request.read("k"))
-        calls.clear()
-        store.server.process(built)
-        assert len(calls) == 2
-        assert sum(calls) == model.entry_compressions * model.num_groups
+    # The server's side of a row is the same pad, for one row per group.
+    built, _ops = store.proxy.prepare(Request.read("k"))
+    calls.clear()
+    store.server.process(built)
+    assert len(calls) == 2
+    assert sum(calls) == model.entry_compressions * model.num_groups
 
 
 # --------------------------------------------------------------------- #
@@ -280,7 +249,7 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
 # --------------------------------------------------------------------- #
 
 def test_plan_capacity_scales_with_load():
-    model = LblCostModel(value_len=160, group_bits=2, point_and_permute=True)
+    model = LblCostModel(value_len=160, group_bits=2)
     small = plan_capacity(1_000_000, 10, model)
     large = plan_capacity(100_000_000, 100, model)
     assert large.shards > small.shards

@@ -1,7 +1,5 @@
 """Tests for the sharded functional deployment (§6.2.4)."""
 
-import random
-
 import pytest
 
 from repro.core import LblOrtoa, TwoRoundBaseline
@@ -14,7 +12,7 @@ CONFIG = StoreConfig(value_len=8)
 
 def make(num_shards=3, protocol="lbl"):
     if protocol == "lbl":
-        factory = lambda: LblOrtoa(CONFIG, rng=random.Random(1))
+        factory = lambda: LblOrtoa(CONFIG)
     else:
         factory = lambda: TwoRoundBaseline(CONFIG)
     deployment = ShardedDeployment(CONFIG, factory, num_shards)

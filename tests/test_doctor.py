@@ -7,8 +7,6 @@ shaped exactly like :func:`collect_signals` output; a live end-to-end run
 against a metrics-serving cluster closes the loop at the bottom.
 """
 
-import random
-
 import pytest
 
 from repro import obs
@@ -23,7 +21,7 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(180)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture(autouse=True)
@@ -220,12 +218,8 @@ def test_run_doctor_against_live_cluster_exits_healthy():
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
 
-    with ShardCluster(
-        2, point_and_permute=True, in_process=True, metrics=True
-    ) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0)
-        )
+    with ShardCluster(2, in_process=True, metrics=True) as cluster:
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             deployment.initialize({f"d-{i}": b"v" for i in range(8)})
             obs.enable()
@@ -256,9 +250,7 @@ def test_process_backed_deployment_never_reads_healthy():
     with ShardCluster(
         2, in_process=False, metrics=True, enable_obs=True
     ) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0)
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             deployment.initialize({f"p-{i}": b"v" for i in range(8)})
             obs.enable()

@@ -26,12 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.lbl import LblOrtoa
 from repro.core.lbl.proxy import LblProxy
 from repro.crypto import aead, rows
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import Prf, PrfContext, encode_components, keyed_xof
+from repro.errors import ProtocolError
 from repro.types import Request, StoreConfig
 from tests import lbl_reference
 from tests.lbl_reference import seal_row as _ref_row, slab as _slab, xor as _xor
@@ -223,28 +223,6 @@ def test_encrypt_many_matches_scalar(entries):
         assert aead.decrypt(key, ciphertext) == payload
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    keys=st.lists(st.binary(min_size=16, max_size=32), min_size=2, max_size=6, unique=True),
-    winner=st.integers(min_value=0, max_value=5),
-    payload=st.binary(min_size=1, max_size=64),
-)
-def test_open_any_matches_try_decrypt(keys, winner, payload):
-    winner %= len(keys)
-    table = [aead.encrypt(key, payload) for key in keys]
-    hit = aead.open_any(keys[winner], table)
-    assert hit == (winner, payload)
-    scalar = next(
-        (
-            (index, aead.try_decrypt(keys[winner], ciphertext))
-            for index, ciphertext in enumerate(table)
-            if aead.try_decrypt(keys[winner], ciphertext) is not None
-        ),
-        None,
-    )
-    assert scalar == hit
-
-
 @st.composite
 def _open_case(draw):
     """One ``(key, ciphertext)`` pair the point-and-permute server might see."""
@@ -312,7 +290,7 @@ def test_prepare_matches_the_reference_row_for_row(
     """The kernel's request is the paper's, byte for byte, under the nonce
     it drew: every label, offset, slot and pad lands where §10.2 puts it."""
     shape = dict(value_len=value_len, group_bits=group_bits, label_bits=label_bits)
-    config = StoreConfig(**shape, point_and_permute=True)
+    config = StoreConfig(**shape)
     proxy = LblProxy(config, KeyChain(b"\x05" * 32, label_bits=label_bits))
     proxy.initial_records({"k": bytes(value_len)})
     proxy.force_counter("k", counter)
@@ -330,17 +308,48 @@ def test_prepare_matches_the_reference_row_for_row(
     values=st.lists(st.none() | st.binary(min_size=3, max_size=3), min_size=1, max_size=4),
 )
 def test_reference_base_tables_open_at_the_server(group_bits, values):
-    """§5.2: a request built from shuffled ``aead.encrypt`` tables opens at
-    the real server and finalizes to the right value, access after access."""
-    store = LblOrtoa(StoreConfig(value_len=3, group_bits=group_bits), rng=random.Random(1))
-    store.initialize({"k": b"abc"})
-    current = b"abc"
-    for value in values:
-        request = Request.read("k") if value is None else Request.write("k", value)
-        built = lbl_reference.prepare(store.proxy, request, rng=random.Random(2))
-        response, _ops = store.server.process(built)
-        current = current if value is None else value
-        assert store.proxy.finalize("k", response)[0] == current
+    """§5.2: the reference's shuffled ``aead.encrypt`` tables open under the
+    trial scan of :func:`lbl_reference.open_base` and decode to the right
+    value, access after access."""
+    config = StoreConfig(value_len=3, group_bits=group_bits)
+    _base_accesses(config, KeyChain(b"\x06" * 32), b"abc", values, random.Random(2))
+
+
+@pytest.mark.parametrize("group_bits", [1, 2, 3])
+def test_reference_base_get_and_put_round_trip_and_stale_labels_fail(group_bits):
+    """The paper's base protocol as the reference keeps it: a GET keeps the
+    value and a PUT installs the new one; a group whose stored label is one
+    epoch stale opens nothing, and the scan names that group."""
+    config = StoreConfig(value_len=4, group_bits=group_bits)
+    keychain, rng = KeyChain(b"\x07" * 32), random.Random(3)
+    history = _base_accesses(config, keychain, b"wxyz", (None, b"abcd", None), rng)
+    stale = list(history[-1])
+    stale[5] = history[-2][5]
+    tables = lbl_reference.build_request(keychain, config, "k", 3, base=True, rng=rng)
+    with pytest.raises(ProtocolError, match="at group 5"):
+        lbl_reference.open_base(stale, tables)
+
+
+def _base_accesses(config, keychain, value, writes, rng) -> "list[list[bytes]]":
+    """Run ``writes`` (``None`` a GET, else the value a PUT writes) through
+    the reference's §5.2 tables from ``value`` at epoch 0, checking every
+    access opens one label per group and decodes to the expected value;
+    returns the stored labels of every epoch."""
+    history = [lbl_reference.record_labels(keychain, config, "k", 0, value)]
+    for counter, written in enumerate(writes):
+        tables = lbl_reference.build_request(
+            keychain, config, "k", counter, written, base=True, rng=rng
+        )
+        labels, attempts, failures = lbl_reference.open_base(history[-1], tables)
+        assert attempts - failures == len(labels) == config.num_groups
+        value = value if written is None else written
+        blob = lbl_reference.epoch_blob(keychain, config, "k", counter + 1)
+        assert lbl_reference.decode(
+            blob, b"".join(labels), label_len=config.label_bits // 8,
+            group_bits=config.group_bits, value_len=config.value_len,
+        ) == value
+        history.append(labels)
+    return history
 
 
 def test_prf_context_class_exported():

@@ -101,3 +101,25 @@ def test_names_the_closed_benchmark_imports_still_exist():
     assert ShardedLblDeployment is sharded.ShardedLblDeployment
     assert callable(sharded._SerialPrepare.prepare_one)
     assert callable(sharded._SerialPrepare.prepare_batch)
+
+    # Three remnants of the two-protocol days, passed only by bench/:
+    # ``point_and_permute`` takes True and refuses False (the §5.2 base
+    # tables live in tests/lbl_reference.py); ``rng`` is accepted, unused.
+    import random
+
+    from repro.errors import ConfigurationError
+    from repro.transport.pipeline import LocalLink
+
+    config = StoreConfig(value_len=4, point_and_permute=True)
+    assert config == StoreConfig(value_len=4)
+    with pytest.raises(ConfigurationError, match="tests/lbl_reference.py"):
+        StoreConfig(value_len=4, point_and_permute=False)
+    dispatcher = LblFrameDispatcher(point_and_permute=True)
+    with pytest.raises(ConfigurationError, match="tests/lbl_reference.py"):
+        LblFrameDispatcher(point_and_permute=False)
+    deployment = ShardedLblDeployment(
+        config, [LocalLink(dispatcher)], rng=random.Random(0)
+    )
+    deployment.initialize({"k": b"v"})
+    deployment.write("k", b"w")
+    assert deployment.read("k") == config.pad(b"w")

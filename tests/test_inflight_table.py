@@ -20,7 +20,6 @@ of proxy state beyond the counters, so its claims are tested, not assumed:
 from __future__ import annotations
 
 import itertools
-import random
 import sys
 import threading
 import tracemalloc
@@ -47,7 +46,7 @@ from repro.types import Request, StoreConfig
 pytestmark = pytest.mark.timeout(120)
 
 VALUE_LEN = 2
-CONFIG = StoreConfig(value_len=VALUE_LEN, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=VALUE_LEN, group_bits=2)
 KEYS = ["k0", "k1", "k2"]
 
 
@@ -92,7 +91,7 @@ def test_ten_thousand_unfinalized_prepares_stay_under_the_cap(monkeypatch):
 
 
 def test_eviction_is_oldest_first_and_only_costs_the_rederivation():
-    store = LblOrtoa(CONFIG, rng=random.Random(3))
+    store = LblOrtoa(CONFIG)
     store.initialize({key: bytes(VALUE_LEN) for key in KEYS})
     proxy = store.proxy
     proxy._inflight_capacity = 2
@@ -113,8 +112,8 @@ def test_eviction_is_oldest_first_and_only_costs_the_rederivation():
 def test_more_outstanding_paper_point_accesses_than_the_table_holds():
     """A batch deeper than the table at 160 B: the overflow falls out oldest
     first, every value still decodes, and only the evicted epochs re-derive."""
-    config = StoreConfig(value_len=160, group_bits=2, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(6))
+    config = StoreConfig(value_len=160, group_bits=2)
+    store = LblOrtoa(config)
     proxy = store.proxy
     capacity = proxy._inflight_capacity
     # 4 MiB of 41,600-byte blobs: above one epoch per frame of a depth-8 pipeline.
@@ -136,10 +135,10 @@ def test_more_outstanding_paper_point_accesses_than_the_table_holds():
 
 def test_an_evicted_epoch_is_taken_from_the_label_cache_before_rederiving():
     config = StoreConfig(
-        value_len=VALUE_LEN, group_bits=2, point_and_permute=True,
+        value_len=VALUE_LEN, group_bits=2,
         label_cache_entries=8,
     )
-    store = LblOrtoa(config, rng=random.Random(8))
+    store = LblOrtoa(config)
     store.initialize({key: bytes(VALUE_LEN) for key in KEYS})
     proxy = store.proxy
     proxy._inflight_capacity = 1
@@ -158,7 +157,7 @@ def test_an_evicted_epoch_is_taken_from_the_label_cache_before_rederiving():
 def test_concurrent_evictions_keep_the_bound_and_the_values():
     """More threads than cores, a table too small for them, a short switch
     interval: every access still decodes and the table never outgrows its cap."""
-    store = LblOrtoa(CONFIG, rng=random.Random(4))
+    store = LblOrtoa(CONFIG)
     threads, rounds = 8, 40
     store.initialize({f"t{t}": bytes(VALUE_LEN) for t in range(threads)})
     store.proxy._inflight_capacity = 2
@@ -243,9 +242,7 @@ def test_random_sequences_match_the_oracle(cluster, steps, capacity, flip):
     prefix = f"run{next(_RUN)}-"
     names = [prefix + key for key in KEYS]
     oracle = {name: bytes(VALUE_LEN) for name in names}
-    deployment = ShardedLblDeployment(
-        CONFIG, cluster.addresses, rng=random.Random(7), pipeline_depth=8
-    )
+    deployment = ShardedLblDeployment(CONFIG, cluster.addresses, pipeline_depth=8)
     proxy = deployment.proxy
     proxy._inflight_capacity = capacity
     real_finalize = proxy.finalize
@@ -339,9 +336,7 @@ def test_wal_rollback_matches_the_oracle(tmp_path_factory, ops):
     """A logged epoch that never reached the server: the failed attempt's
     epoch is dropped from the table, the retry is finalized from it."""
     wal_path = tmp_path_factory.mktemp("wal") / "proxy.wal"
-    store = ShardedLblDeployment(
-        CONFIG, [LocalLink()], rng=random.Random(5), wal_path=wal_path
-    )
+    store = ShardedLblDeployment(CONFIG, [LocalLink()], wal_path=wal_path)
     oracle = {key: bytes(VALUE_LEN) for key in KEYS}
     store.initialize(dict(oracle))
     proxy = store.proxy
@@ -385,8 +380,8 @@ def test_prf_evaluations_per_access_are_pinned(metered, value_len, paper_priced)
     """Calls made: two epochs plus the key encoding, nothing twice, whatever
     the value size.  Priced under ``paper_like``: the per-label derivation's
     evaluations, which is what keeps the figure reproductions where they were."""
-    config = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(1))
+    config = StoreConfig(value_len=value_len, group_bits=2)
+    store = LblOrtoa(config)
     store.initialize({"k": bytes(value_len)})
     for request in (Request.read("k"), Request.write("k", b"\x01" * value_len)):
         epoch = store.proxy.counter("k")
@@ -408,8 +403,8 @@ def test_prf_evaluations_per_access_are_pinned(metered, value_len, paper_priced)
 
 
 def test_finalize_row_is_empty_from_the_table_and_one_derivation_without(metered):
-    config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(2))
+    config = StoreConfig(value_len=16, group_bits=2)
+    store = LblOrtoa(config)
     store.initialize({"k": bytes(16)})
     built, _ops = store.proxy.prepare(Request.read("k"))
     response, _server_ops = store.server.process(built)

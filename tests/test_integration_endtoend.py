@@ -2,7 +2,6 @@
 security checks, across the whole public API."""
 
 import dataclasses
-import random
 
 from repro import (
     DeploymentSpec,
@@ -25,8 +24,8 @@ def test_dataset_through_protocol_through_stream():
     """Load a real-schema dataset, drive it with a workload stream, verify
     against a reference dict — the full functional pipeline."""
     records = build_dataset("ecommerce", num_objects=24, seed=4)
-    config = StoreConfig(value_len=40, group_bits=2, point_and_permute=True)
-    protocol = LblOrtoa(config, rng=random.Random(1))
+    config = StoreConfig(value_len=40, group_bits=2)
+    protocol = LblOrtoa(config)
     protocol.initialize(records)
     reference = {k: config.pad(v) for k, v in records.items()}
 
@@ -47,10 +46,7 @@ def test_all_protocols_agree_on_dataset_workload():
     protocols = [
         TwoRoundBaseline(config),
         TeeOrtoa(config),
-        LblOrtoa(
-            StoreConfig(value_len=10, group_bits=2, point_and_permute=True),
-            rng=random.Random(3),
-        ),
+        LblOrtoa(StoreConfig(value_len=10, group_bits=2)),
         FreshnessGuard(config, lambda cfg: TeeOrtoa(cfg)),
     ]
     for protocol in protocols:
@@ -70,8 +66,8 @@ def test_all_protocols_agree_on_dataset_workload():
 def test_workload_transcripts_are_shape_uniform():
     """Across an entire mixed workload, every LBL transcript has the same
     wire fingerprint — not just pairwise read/write equality."""
-    config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-    protocol = LblOrtoa(config, rng=random.Random(1))
+    config = StoreConfig(value_len=16, group_bits=2)
+    protocol = LblOrtoa(config)
     records = {f"k{i}": bytes(16) for i in range(6)}
     protocol.initialize(records)
     stream = RequestStream(
@@ -85,9 +81,9 @@ def test_workload_transcripts_are_shape_uniform():
 
 
 def test_batching_and_single_access_agree():
-    config = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
-    batched = LblOrtoa(config, rng=random.Random(1))
-    single = LblOrtoa(config, rng=random.Random(1))
+    config = StoreConfig(value_len=8, group_bits=2)
+    batched = LblOrtoa(config)
+    single = LblOrtoa(config)
     records = {f"k{i}": bytes([i]) * 8 for i in range(4)}
     batched.initialize(dict(records))
     single.initialize(dict(records))
@@ -154,10 +150,10 @@ def test_metrics_pipeline_from_manual_samples():
 def test_security_fingerprint_stable_across_restart():
     """Transcript shapes depend only on configuration, never on key
     material — two independent deployments must fingerprint identically."""
-    config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=16, group_bits=2)
     outputs = []
     for seed in (1, 2):
-        protocol = LblOrtoa(config, rng=random.Random(seed))
+        protocol = LblOrtoa(config)
         protocol.initialize({"k": bytes(16)})
         request, _ = protocol.proxy.prepare(Request.read("k"))
         outputs.append([request.to_bytes()])

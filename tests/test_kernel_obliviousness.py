@@ -32,13 +32,13 @@ def _clean_obs():
 
 
 def _config(**overrides) -> StoreConfig:
-    params = dict(value_len=16, group_bits=2, point_and_permute=True)
+    params = dict(value_len=16, group_bits=2)
     params.update(overrides)
     return StoreConfig(**params)
 
 
 def test_audit_passes_with_batched_kernels():
-    protocol = LblOrtoa(_config(), rng=random.Random(0))
+    protocol = LblOrtoa(_config())
     report = run_audit(protocol, num_keys=16, seed=0)
     assert report.passed, report.summary()
     assert report.failures == []
@@ -53,7 +53,7 @@ def test_audit_passes_with_label_cache():
     (every access a hit) pass.
     """
     rng = random.Random(0)
-    protocol = LblOrtoa(_config(label_cache_entries=-1), rng=random.Random(0))
+    protocol = LblOrtoa(_config(label_cache_entries=-1))
     keys = [f"audit-{i}" for i in range(16)]
     requests = [
         Request.read(key) if index < 8 else Request.write(key, bytes(16))
@@ -78,16 +78,6 @@ def test_audit_passes_with_label_cache():
     assert cache.hits - hits_before == len(requests)  # every access was warm
 
 
-def test_audit_passes_on_base_protocol_batched():
-    """Batched kernels under the §5.2 shuffled-table protocol."""
-    protocol = LblOrtoa(
-        StoreConfig(value_len=16, label_cache_entries=-1),
-        rng=random.Random(1),
-    )
-    report = run_audit(protocol, num_keys=24, seed=1)
-    assert report.passed, report.summary()
-
-
 def test_traced_frames_identical_shape_for_get_and_put():
     """The trace-context wire extension must not become a side channel.
 
@@ -100,7 +90,7 @@ def test_traced_frames_identical_shape_for_get_and_put():
 
     keychain = KeyChain(label_bits=128)
     config = _config(label_cache_entries=-1)
-    store = LblOrtoa(config, keychain=keychain, rng=random.Random(5))
+    store = LblOrtoa(config, keychain=keychain)
     store.initialize({"k": bytes(16)})
     store.access(Request.read("k"))
     context = TraceContext(trace_id=7, span_id=9).encode()

@@ -29,15 +29,13 @@ from repro.types import Request, StoreConfig
 
 
 def _config(**overrides) -> StoreConfig:
-    params = dict(
-        value_len=8, group_bits=2, point_and_permute=True, label_cache_entries=-1
-    )
+    params = dict(value_len=8, group_bits=2, label_cache_entries=-1)
     params.update(overrides)
     return StoreConfig(**params)
 
 
-def _store(config: StoreConfig, *, seed: int = 5) -> LblOrtoa:
-    store = LblOrtoa(config, rng=random.Random(seed))
+def _store(config: StoreConfig) -> LblOrtoa:
+    store = LblOrtoa(config)
     store.initialize(
         {f"k{i}": config.pad(f"v{i}".encode()) for i in range(4)}
     )
@@ -216,12 +214,8 @@ def test_undersized_cache_matches_oracle_and_cacheless_shapes(capacity, ops):
     bookkeeping (one lookup per access, LRU bound) holds throughout.
     """
     keychain = KeyChain(label_bits=128)
-    cached = LblOrtoa(
-        _config(label_cache_entries=capacity), keychain=keychain, rng=random.Random(1)
-    )
-    plain = LblOrtoa(
-        _config(label_cache_entries=None), keychain=keychain, rng=random.Random(1)
-    )
+    cached = LblOrtoa(_config(label_cache_entries=capacity), keychain=keychain)
+    plain = LblOrtoa(_config(label_cache_entries=None), keychain=keychain)
     oracle = {f"k{i}": f"value-{i}!".encode()[:8] for i in range(4)}
     cached.initialize(oracle)
     plain.initialize(oracle)
@@ -278,13 +272,6 @@ def test_prepare_batch_distinct_keys_each_install_epoch_one():
         [Request.read("k0"), Request.read("k1")]
     )
     assert [epoch for _, _, epoch in built] == [1, 1]
-
-
-def test_prepare_batch_on_base_protocol():
-    built = _SerialPrepare(_proxy(point_and_permute=False)).prepare_batch(
-        [Request.read(f"k{i}") for i in range(4)]
-    )
-    assert len(built) == 4
 
 
 def test_prepare_batch_rejects_empty_batch():

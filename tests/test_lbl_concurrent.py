@@ -14,13 +14,12 @@ from repro.obs import ledger
 from repro.transport import LblTcpServer
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 
 
-def make(pnp=True, num_keys=16):
-    config = CONFIG if pnp else StoreConfig(value_len=8)
-    protocol = LblOrtoa(config, rng=random.Random(1))
-    protocol.initialize({f"k{i}": bytes([i]) * 8 for i in range(num_keys)})
+def make():
+    protocol = LblOrtoa(CONFIG)
+    protocol.initialize({f"k{i}": bytes([i]) * 8 for i in range(16)})
     return protocol
 
 
@@ -146,19 +145,6 @@ def test_concurrent_mixed_readers_and_writers():
     assert all(value in legal for value in observed)
 
 
-def test_concurrent_shuffled_variant_serializes_safely():
-    front = make(pnp=False)
-    completed = []
-
-    def worker(i):
-        for _ in range(10):
-            front.read(f"k{i % 4}")
-            completed.append(1)
-
-    run_threads(worker, 4)
-    assert len(completed) == 40
-
-
 # --------------------------------------------------------------------- #
 # Overlapping pipelines: one same-key rule across caller threads
 # --------------------------------------------------------------------- #
@@ -178,13 +164,11 @@ def _value(thread: int, key: str, round_no: int) -> bytes:
 @pytest.fixture(params=["local", "tcp"])
 def deployment(request):
     if request.param == "local":
-        yield LblOrtoa(CONFIG, rng=random.Random(3))
+        yield LblOrtoa(CONFIG)
         return
-    with LblTcpServer(point_and_permute=True) as server:
+    with LblTcpServer() as server:
         server.serve_in_background()
-        with ShardedLblDeployment(
-            CONFIG, [server.address], rng=random.Random(3)
-        ) as dep:
+        with ShardedLblDeployment(CONFIG, [server.address]) as dep:
             yield dep
 
 

@@ -12,21 +12,19 @@ from hypothesis import strategies as st
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.proxy import LblProxy
 from repro.core.lbl.server import LblServer
-from repro import obs
-from repro.crypto import aead
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import StoredRecord
 from repro.crypto.prf import encode_components
 from repro.errors import ProtocolError, TamperDetectedError
-from repro.obs import ledger
 from repro.types import Request, StoreConfig
+from tests import lbl_reference
 
 RECORDS = {"k1": b"hello", "k2": b"world"}
 
 
-def make(group_bits=1, pnp=False, value_len=8, seed=3):
-    config = StoreConfig(value_len=value_len, group_bits=group_bits, point_and_permute=pnp)
-    p = LblOrtoa(config, rng=random.Random(seed))
+def make(group_bits=1, value_len=8):
+    config = StoreConfig(value_len=value_len, group_bits=group_bits)
+    p = LblOrtoa(config)
     p.initialize(RECORDS)
     return p
 
@@ -121,7 +119,7 @@ def test_y2_halves_server_storage():
 # --------------------------------------------------------------------- #
 
 def test_pnp_server_does_exactly_one_decryption_per_group():
-    p = make(group_bits=2, pnp=True)
+    p = make(group_bits=2)
     t = p.access(Request.read("k1"))
     server_ops = t.ops_at("server")
     assert server_ops.aead_dec == p.proxy.codec.num_groups
@@ -129,29 +127,30 @@ def test_pnp_server_does_exactly_one_decryption_per_group():
 
 
 def test_base_protocol_wastes_decryptions():
-    p = make(group_bits=2, pnp=False)
-    # Average over accesses: with 4-entry shuffled tables the server tries
-    # 2.5 entries per group in expectation; assert it's strictly more work
-    # than point-and-permute ever does.  Counted by the server itself, in
-    # the access's ledger row (the transcript states the proxy's view).
-    total_failed = 0
-    with obs.capture():
-        for _ in range(5):
-            with ledger.track() as row:
-                p.access(Request.read("k1"))
-            total_failed += row.snapshot()["ops"].get("aead.decrypt_failures", 0)
+    """The §5.2 tables §10.2 replaces, opened by the reference's trial scan:
+    with 4-entry shuffled tables the server tries 2.5 entries per group in
+    expectation, strictly more work than the one open per group above."""
+    p = make(group_bits=2)
+    keychain, config = p.keychain, p.config
+    stored = lbl_reference.record_labels(keychain, config, "k1", 0, config.pad(RECORDS["k1"]))
+    rng, total_failed = random.Random(1), 0
+    for counter in range(5):
+        tables = lbl_reference.build_request(keychain, config, "k1", counter, base=True, rng=rng)
+        stored, attempts, failures = lbl_reference.open_base(stored, tables)
+        assert attempts == failures + config.num_groups
+        total_failed += failures
     assert total_failed > 0
 
 
 def test_pnp_stored_indices_stay_consistent():
-    p = make(group_bits=2, pnp=True)
+    p = make(group_bits=2)
     for i in range(6):
         p.write("k1", bytes([i]) * 8)
         assert p.read("k1") == bytes([i]) * 8
 
 
 def test_pnp_rejects_missing_indices():
-    server = LblServer(point_and_permute=True)
+    server = LblServer()
     with pytest.raises(ProtocolError):
         server.load(b"ek", StoredRecord(b"l" * 16))
     with pytest.raises(ProtocolError):
@@ -184,12 +183,11 @@ def test_server_detects_stale_label_state():
         p.read("k1")
 
 
-@pytest.mark.parametrize("pnp", [True, False], ids=["pnp", "base"])
-def test_refused_access_leaves_the_key_usable(pnp):
+def test_refused_access_leaves_the_key_usable():
     """The server refuses one access before commit: the refusal reaches the
     caller, the stored record is byte for byte what it was, and the retry
     reads the right value (the key's counter was taken back)."""
-    p = make(group_bits=2, pnp=pnp)
+    p = make(group_bits=2)
     p.write("k1", b"kept")
     encoded = p.keychain.encode_key("k1")
     before = p.server.store.get(encoded)
@@ -226,12 +224,11 @@ def test_table_shape_mismatch_rejected():
         max_size=20,
     ),
     group_bits=st.sampled_from([1, 2]),
-    pnp=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_lbl_behaves_like_a_dict(ops, group_bits, pnp):
-    config = StoreConfig(value_len=8, group_bits=group_bits, point_and_permute=pnp)
-    p = LblOrtoa(config, rng=random.Random(1))
+def test_lbl_behaves_like_a_dict(ops, group_bits):
+    config = StoreConfig(value_len=8, group_bits=group_bits)
+    p = LblOrtoa(config)
     p.initialize({"k": b"init"})
     expected = config.pad(b"init")
     for op, value in ops:
@@ -244,7 +241,7 @@ def test_lbl_behaves_like_a_dict(ops, group_bits, pnp):
 
 
 # --------------------------------------------------------------------- #
-# The composed stack against a reference written straight from §5.2 / §10.2
+# The composed stack against a reference written straight from §10.2
 # --------------------------------------------------------------------- #
 
 class _Reference:
@@ -254,9 +251,7 @@ class _Reference:
     ``j`` of the row, ``π`` AES-128 under the public constant key, ``x`` the
     stored label's first 16 bytes and ``t_j = nonce ⊕ j``, the row read as
     its label from the slab's first run and its 9-byte tail from the
-    second.  Shares no code with
-    ``LabelCodec``, ``rows`` or ``LblServer`` (base-protocol entries open
-    with the unchanged ``aead.try_decrypt``)."""
+    second.  Shares no code with ``LabelCodec``, ``rows`` or ``LblServer``."""
 
     PI = algorithms.AES(bytes.fromhex("243f6a8885a308d313198a2e03707344"))
 
@@ -267,7 +262,7 @@ class _Reference:
     def __init__(self, master: bytes, config: StoreConfig) -> None:
         head = (0).to_bytes(4, "big") + encode_components("subkey", "labels")
         self.key = hmac.new(master, head, hashlib.sha256).digest().ljust(136, b"\x00")
-        self.y, self.pnp = config.group_bits, config.point_and_permute
+        self.y = config.group_bits
         self.L, self.T, self.G = config.label_bits // 8, 1 << self.y, config.num_groups
 
     def epoch(self, key: str, ct: int):
@@ -286,7 +281,7 @@ class _Reference:
         """What the server stores once epoch ``ct`` holds ``value``."""
         label, offsets = self.epoch(key, ct)
         chosen = self.groups(value)
-        slots = bytes(v ^ r for v, r in zip(chosen, offsets)) if self.pnp else b""
+        slots = bytes(v ^ r for v, r in zip(chosen, offsets))
         return b"".join(label(i, v) for i, v in enumerate(chosen)), slots
 
     def open(self, request, key: str, ct: int, stored: bytes) -> bytes:
@@ -296,23 +291,18 @@ class _Reference:
         xor = lambda a, b: bytes(p ^ q for p, q in zip(a, b))  # noqa: E731
         rows, width = self.G * self.T, self.L + 9
         for i, v in enumerate(self.groups(stored)):
-            if not self.pnp:
-                table = request.tables[i]
-                (new,) = filter(None, (aead.try_decrypt(label(i, v), e) for e in table))
-            else:
-                at = i * self.T + (v ^ offsets[i])
-                hidden = self.pi(label(i, v)[:16])
-                row = request.slab[at * self.L :][: self.L]
-                row += request.slab[rows * self.L + at * 9 :][:9]
-                plain = b""
-                for j in range(0, width, 16):
-                    tweak = int.from_bytes(request.nonce, "big") ^ (j // 16)
-                    pad = xor(self.pi(xor(hidden, tweak.to_bytes(16, "big"))), hidden)
-                    plain += xor(row[j : j + 16], pad)
-                assert plain[self.L + 1 :] == bytes(8) and len(plain) == width
-                assert request.entry_len == width and len(request.slab) == rows * width
-                new = plain[: self.L]
-            opened.append(new)
+            at = i * self.T + (v ^ offsets[i])
+            hidden = self.pi(label(i, v)[:16])
+            row = request.slab[at * self.L :][: self.L]
+            row += request.slab[rows * self.L + at * 9 :][:9]
+            plain = b""
+            for j in range(0, width, 16):
+                tweak = int.from_bytes(request.nonce, "big") ^ (j // 16)
+                pad = xor(self.pi(xor(hidden, tweak.to_bytes(16, "big"))), hidden)
+                plain += xor(row[j : j + 16], pad)
+            assert plain[self.L + 1 :] == bytes(8) and len(plain) == width
+            assert request.entry_len == width and len(request.slab) == rows * width
+            opened.append(plain[: self.L])
         return b"".join(opened)
 
 
@@ -320,18 +310,14 @@ class _Reference:
     group_bits=st.sampled_from([1, 2, 4, 8]),
     label_bits=st.sampled_from([128, 160, 256, 440]),
     value_len=st.sampled_from([1, 2, 50, 160]),
-    pnp=st.booleans(),
     ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=4),
 )
 @settings(max_examples=25, deadline=None)
-def test_proxy_and_server_match_the_reference(group_bits, label_bits, value_len, pnp, ops):
-    config = StoreConfig(
-        value_len=value_len, group_bits=group_bits, label_bits=label_bits,
-        point_and_permute=pnp,
-    )
+def test_proxy_and_server_match_the_reference(group_bits, label_bits, value_len, ops):
+    config = StoreConfig(value_len=value_len, group_bits=group_bits, label_bits=label_bits)
     master = b"reference-master-key-0123456789!"
-    proxy = LblProxy(config, KeyChain(master, label_bits=label_bits), rng=random.Random(2))
-    server = LblServer(point_and_permute=pnp)
+    proxy = LblProxy(config, KeyChain(master, label_bits=label_bits))
+    server = LblServer()
     reference = _Reference(master, config)
     value = bytes(range(value_len))
     ((encoded, record),) = proxy.initial_records({"obj": value})

@@ -1,7 +1,6 @@
 """Crash-recovery tests for a deployment whose counters live in a WAL
 (write-ahead log + one-epoch resync), in process and over TCP."""
 
-import random
 import threading
 
 import pytest
@@ -15,7 +14,7 @@ from repro.transport import LblTcpServer
 from repro.transport.pipeline import LocalLink
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 RECORDS = {"a": b"val-a", "b": b"val-b", "c": b"val-c"}
 
 
@@ -24,7 +23,6 @@ def make(tmp_path, keychain=None):
         CONFIG,
         [LocalLink()],
         keychain=keychain,
-        rng=random.Random(1),
         wal_path=tmp_path / "proxy.wal",
     )
     protocol.initialize(RECORDS)
@@ -101,7 +99,6 @@ def crash_and_recover(protocol, tmp_path, keychain):
         CONFIG,
         protocol.clients,
         keychain=keychain,
-        rng=random.Random(2),
         wal_path=tmp_path / "proxy.wal",
     )
 
@@ -181,7 +178,6 @@ def test_recovery_with_wrong_keychain_fails_loudly(tmp_path):
         CONFIG,
         protocol.clients,
         keychain=KeyChain(b"x" * 32),  # wrong key
-        rng=random.Random(3),
         wal_path=tmp_path / "proxy.wal",
     )
     with pytest.raises((ProtocolError, KeyNotFoundError)):
@@ -211,10 +207,10 @@ def test_wal_recovers_a_tcp_deployment(tmp_path, applied):
     server reads every value right, resyncing "a" only if the frame was lost."""
     keychain = KeyChain(b"m" * 32)
     wal_path = tmp_path / "proxy.wal"
-    with LblTcpServer(point_and_permute=True) as server:
+    with LblTcpServer() as server:
         server.serve_in_background()
         primary = ShardedLblDeployment(
-            CONFIG, [server.address], keychain=keychain, rng=random.Random(1),
+            CONFIG, [server.address], keychain=keychain,
             timeout=0.5, wal_path=wal_path,
         )
         primary.initialize(RECORDS)
@@ -241,7 +237,7 @@ def test_wal_recovers_a_tcp_deployment(tmp_path, applied):
         server.dispatcher.dispatch = dispatch
 
         recovered = ShardedLblDeployment(
-            CONFIG, [server.address], keychain=keychain, rng=random.Random(2),
+            CONFIG, [server.address], keychain=keychain,
             wal_path=wal_path,
         )
         try:

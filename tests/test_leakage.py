@@ -15,7 +15,7 @@ from repro.security.leakage import (
 from repro.types import Request, StoreConfig
 from repro.workloads.synthetic import RequestStream, WorkloadSpec
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 
 
 # --------------------------------------------------------------------- #
@@ -64,7 +64,7 @@ def _zipf_requests(keys, count, seed):
 
 def test_ortoa_server_recovers_access_skew():
     keys = [f"k{i}" for i in range(10)]
-    protocol = LblOrtoa(CONFIG, rng=random.Random(1))
+    protocol = LblOrtoa(CONFIG)
     protocol.initialize({k: bytes(8) for k in keys})
     logical = []
     observed = []
@@ -81,7 +81,7 @@ def test_ortoa_server_recovers_access_skew():
 
 def test_ortoa_never_reveals_plaintext_keys():
     keys = ["alice-account", "bob-account"]
-    protocol = LblOrtoa(CONFIG, rng=random.Random(1))
+    protocol = LblOrtoa(CONFIG)
     protocol.initialize({k: bytes(8) for k in keys})
     request, _ = protocol.proxy.prepare(Request.read("alice-account"))
     assert b"alice" not in request.encoded_key

@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.analysis import costmodel
 from repro.core import messages
-from repro.crypto import aead
+from repro.crypto import rows
 from repro.crypto.keys import KeyChain
 from repro.obs import ledger
 from repro.obs.export import prometheus_text
@@ -62,7 +62,9 @@ def test_framed_mux_bytes_matches_real_wrapping():
 
 def test_costmodel_literals_match_implementation():
     assert costmodel.ENCODED_KEY_BYTES == KeyChain(b"\x01" * 16).key_encoding_prf.out_bytes
-    assert costmodel.AEAD_OVERHEAD_BYTES == aead.NONCE_LEN + aead.TAG_LEN
+    assert (
+        costmodel.DECRYPT_INDEX_BYTES, costmodel.ROW_CHECK_BYTES, costmodel.ROW_NONCE_BYTES
+    ) == (rows.SLOT_LEN, rows.CHECK_LEN, rows.ROW_NONCE_LEN)
     assert costmodel.MUX_HEADER_BYTES == 1 + framing.REQUEST_ID_BYTES
     assert (
         costmodel.MUX_TRACED_HEADER_BYTES

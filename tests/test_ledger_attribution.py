@@ -9,8 +9,6 @@ contextvar would show up as one row over-counting and its neighbour
 under-counting.
 """
 
-import random
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,7 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(300)
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 KEYS = tuple(f"h{i}" for i in range(6))
 
 #: Each drawn element is one request: (key index, is_write).
@@ -44,9 +42,7 @@ SETTINGS = settings(
 @pytest.fixture(scope="module")
 def pipelined_deployment():
     with ShardCluster(2, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(11), pipeline_depth=4
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses, pipeline_depth=4)
         deployment.initialize({key: b"\x01" * 8 for key in KEYS})
         yield deployment
         deployment.close()
@@ -55,9 +51,7 @@ def pipelined_deployment():
 @pytest.fixture(scope="module")
 def batch_deployment():
     with ShardCluster(2, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(13)
-        )
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         deployment.initialize({key: b"\x02" * 8 for key in KEYS})
         yield deployment
         deployment.close()

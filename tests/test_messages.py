@@ -1,7 +1,5 @@
 """Wire-format round-trip and robustness tests."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,10 +56,23 @@ def test_lbl_request_roundtrip():
 
 def test_lbl_request_roundtrip_y2():
     tables = ((b"a", b"b", b"c", b"d"),) * 3
-    req = m.LblAccessRequest.from_tables(b"key", tables)
+    req = m.LblAccessRequest.from_tables(b"key", tables, b"n" * 16)
     parsed = m.LblAccessRequest.from_bytes(req.to_bytes())
     assert parsed.tables == tables
-    assert parsed.nonce == b""
+    assert parsed.nonce == b"n" * 16
+
+
+@pytest.mark.parametrize("nonce", [b"", b"n" * 15, b"n" * 17], ids=["none", "15", "17"])
+def test_lbl_request_without_a_16_byte_nonce_is_refused(nonce):
+    """Every request carries its rows' 16-byte nonce: one without it is
+    refused as it is built and as it is parsed."""
+    with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
+        m.LblAccessRequest(b"key", b"\xaa" * 24, 4, 3, nonce)
+    good = m.LblAccessRequest(b"key", b"\xaa" * 24, 4, 3, b"N" * 16).to_bytes()
+    header = (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
+    shape = (4 + len(nonce)).to_bytes(4, "big") + b"\x00\x04\x00\x03" + nonce
+    with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
+        m.LblAccessRequest.from_bytes(good.replace(header, shape))
 
 
 def test_lbl_request_wire_layout_is_header_key_slab():
@@ -74,11 +85,10 @@ def test_lbl_request_wire_layout_is_header_key_slab():
     )
 
 
-@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
-def test_y8_request_survives_the_wire(point_and_permute):
+def test_y8_request_survives_the_wire():
     """``table_size = 256`` needs the u16 shape header (it was one byte)."""
-    config = StoreConfig(value_len=2, group_bits=8, point_and_permute=point_and_permute)
-    store = LblOrtoa(config, rng=random.Random(8))
+    config = StoreConfig(value_len=2, group_bits=8)
+    store = LblOrtoa(config)
     store.initialize({"k": b"\x01\xfe"})
     for request, expected in (
         (Request.read("k"), b"\x01\xfe"),
@@ -95,19 +105,17 @@ def test_y8_request_survives_the_wire(point_and_permute):
 
 
 def test_group_bits_above_8_rejected_at_configuration():
-    for point_and_permute in (True, False):
-        with pytest.raises(ConfigurationError):
-            StoreConfig(value_len=2, group_bits=9, point_and_permute=point_and_permute)
+    with pytest.raises(ConfigurationError):
+        StoreConfig(value_len=2, group_bits=9)
 
 
 def test_label_bits_above_440_rejected_with_point_and_permute():
-    """A row is one keyed-BLAKE2b output: label + slot byte + 8 check bytes
-    must fit 64 bytes.  The base protocol's AEAD entries have no such bound."""
-    with pytest.raises(ConfigurationError):
-        StoreConfig(value_len=2, label_bits=448, point_and_permute=True)
-    StoreConfig(value_len=2, label_bits=448)
-    config = StoreConfig(value_len=2, group_bits=2, label_bits=440, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(1))
+    """A row's label + slot byte + 8 check bytes must fit 64 bytes (four
+    blocks of pad)."""
+    with pytest.raises(ConfigurationError, match="at most 440"):
+        StoreConfig(value_len=2, label_bits=448)
+    config = StoreConfig(value_len=2, group_bits=2, label_bits=440)
+    store = LblOrtoa(config)
     store.initialize({"k": b"hi"})
     built, _ops = store.proxy.prepare(Request.write("k", b"yo"))
     assert built.entry_len == 55 + 1 + 8 == 64
@@ -116,13 +124,12 @@ def test_label_bits_above_440_rejected_with_point_and_permute():
     assert store.read("k") == b"yo"
 
 
-@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
 @pytest.mark.parametrize("label_bits", [8, 64, 120])
-def test_label_bits_below_128_rejected(label_bits, point_and_permute):
-    """A label keys a 16-byte-or-wider AEAD key or row pad seed: a narrower
-    one used to initialize and then fail every access."""
+def test_label_bits_below_128_rejected(label_bits):
+    """A label seeds a 16-byte-or-wider row pad: a narrower one used to
+    initialize and then fail every access."""
     with pytest.raises(ConfigurationError, match="at least 128"):
-        StoreConfig(value_len=8, label_bits=label_bits, point_and_permute=point_and_permute)
+        StoreConfig(value_len=8, label_bits=label_bits)
 
 
 def test_lbl_response_roundtrip():
@@ -151,29 +158,29 @@ def test_lbl_response_is_width_then_labels():
 
 def test_lbl_request_rejects_empty_tables():
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest.from_tables(b"key", ())
+        m.LblAccessRequest.from_tables(b"key", (), b"n" * 16)
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", b"", 2, 4)
+        m.LblAccessRequest(b"key", b"", 2, 4, b"n" * 16)
 
 
 def test_lbl_request_rejects_ragged_tables():
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest.from_tables(b"key", ((b"a", b"b"), (b"c",)))
+        m.LblAccessRequest.from_tables(b"key", ((b"a", b"b"), (b"c",)), b"n" * 16)
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest.from_tables(b"key", ((b"a", b"bb"),))
+        m.LblAccessRequest.from_tables(b"key", ((b"a", b"bb"),), b"n" * 16)
 
 
 def test_lbl_request_rejects_slab_that_is_not_whole_tables():
-    whole = m.LblAccessRequest(b"key", b"x" * 24, 4, 3)
+    whole = m.LblAccessRequest(b"key", b"x" * 24, 4, 3, b"n" * 16)
     assert whole.num_groups == 2
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", b"x" * 23, 4, 3)
+        m.LblAccessRequest(b"key", b"x" * 23, 4, 3, b"n" * 16)
     cut = whole.to_bytes()[: -(4 + 24)] + (23).to_bytes(4, "big") + b"x" * 23
     with pytest.raises(ProtocolError, match="whole number of group tables"):
         m.LblAccessRequest.from_bytes(cut)
     for table_size, entry_len in ((0, 3), (4, 0), (1 << 16, 3)):
         with pytest.raises(ProtocolError):
-            m.LblAccessRequest(b"key", b"x" * 24, table_size, entry_len)
+            m.LblAccessRequest(b"key", b"x" * 24, table_size, entry_len, b"n" * 16)
 
 
 def test_old_per_field_lbl_frame_is_rejected():
@@ -232,12 +239,11 @@ def test_tee_request_roundtrip_property(key, sel, val):
     groups=st.integers(min_value=1, max_value=8),
     table_size=st.sampled_from([2, 4, 256]),
     entry_len=st.integers(min_value=1, max_value=60),
-    nonce=st.sampled_from([b"", b"n" * 16]),
     data=st.data(),
 )
 @settings(max_examples=50)
-def test_lbl_request_roundtrip_property(groups, table_size, entry_len, nonce, data):
-    size = groups * table_size * entry_len
+def test_lbl_request_roundtrip_property(groups, table_size, entry_len, data):
+    size, nonce = groups * table_size * entry_len, b"n" * 16
     slab = data.draw(st.binary(min_size=size, max_size=size))
     req = m.LblAccessRequest(b"key", slab, table_size, entry_len, nonce)
     parsed = m.LblAccessRequest.from_bytes(req.to_bytes())
@@ -259,17 +265,13 @@ def test_lbl_response_roundtrip_property(labels):
 
 
 def test_get_and_put_frames_are_length_identical():
-    for point_and_permute in (True, False):
-        for label_bits in (128, 192, 256):
-            config = StoreConfig(
-                value_len=5, group_bits=2, label_bits=label_bits,
-                point_and_permute=point_and_permute,
-            )
-            store = LblOrtoa(config, rng=random.Random(1))
-            store.initialize({"k": b"hello"})
-            sizes = set()
-            for request in (Request.read("k"), Request.write("k", b"world")):
-                built, _ops = store.proxy.prepare(request)
-                response, _server_ops = store.server.process(built)
-                sizes.add((len(built.to_bytes()), len(response.to_bytes())))
-            assert len(sizes) == 1
+    for label_bits in (128, 192, 256):
+        config = StoreConfig(value_len=5, group_bits=2, label_bits=label_bits)
+        store = LblOrtoa(config)
+        store.initialize({"k": b"hello"})
+        sizes = set()
+        for request in (Request.read("k"), Request.write("k", b"world")):
+            built, _ops = store.proxy.prepare(request)
+            response, _server_ops = store.server.process(built)
+            sizes.add((len(built.to_bytes()), len(response.to_bytes())))
+        assert len(sizes) == 1

@@ -11,7 +11,6 @@ count.
 import ast
 import math
 import pathlib
-import random
 import time
 import types
 
@@ -29,7 +28,7 @@ OVERHEAD_BENCHMARK = (
 )
 
 #: Paper §6 operating point, as in the overhead benchmark.
-POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
+POINT = {"value_len": 160, "group_bits": 2}
 
 #: Accesses per measured run; ``access_batch`` sends them as one batch.
 ROUNDS = 16
@@ -102,16 +101,14 @@ def test_guards_per_access_covers_every_counted_path(cache):
     assert not _state.enabled
     config = StoreConfig(**POINT, label_cache_entries=cache)
     counts = {}
-    in_process = LblOrtoa(config, rng=random.Random(0))
+    in_process = LblOrtoa(config)
     try:
         for name, run in _paths(in_process).items():
             counts[f"in-process {name}"] = _guards(run)
     finally:
         in_process.close()
     with ShardCluster(1, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            config, cluster.addresses, rng=random.Random(0)
-        )
+        deployment = ShardedLblDeployment(config, cluster.addresses)
         try:
             for name, run in _paths(deployment).items():
                 counts[f"tcp {name}"] = _guards(run)

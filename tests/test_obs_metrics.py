@@ -140,8 +140,8 @@ def test_global_registry_collects_lbl_decrypt_counts():
     from repro.core.lbl import LblOrtoa
     from repro.types import Request, StoreConfig
 
-    config = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
-    protocol = LblOrtoa(config, rng=random.Random(0))
+    config = StoreConfig(value_len=8, group_bits=2)
+    protocol = LblOrtoa(config)
     protocol.initialize({"k": b"v"})
     with obs.capture():
         protocol.access(Request.read("k"))

@@ -10,7 +10,6 @@ clients at the server (stalled readers, half-closes, mid-request
 disconnects) and requires it to keep serving everyone else.
 """
 
-import random
 import socket
 import struct
 import time
@@ -38,13 +37,11 @@ from tests.test_admission import PING, serving
 
 pytestmark = pytest.mark.timeout(120)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
-def make_proxy(seed: int = 1) -> LblProxy:
-    return LblProxy(
-        CONFIG, KeyChain(label_bits=CONFIG.label_bits), rng=random.Random(seed)
-    )
+def make_proxy() -> LblProxy:
+    return LblProxy(CONFIG, KeyChain(label_bits=CONFIG.label_bits))
 
 
 def occupy_window(server, delay_margin: int = 1) -> socket.socket:

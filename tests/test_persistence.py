@@ -1,7 +1,5 @@
 """Tests for server-store snapshots and full deployment resume."""
 
-import random
-
 import pytest
 
 from repro.core import FheOrtoa, LblOrtoa, TwoRoundBaseline
@@ -18,7 +16,7 @@ from repro.storage.persistence import (
 )
 from repro.types import StoreConfig
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 
 
 # --------------------------------------------------------------------- #
@@ -116,14 +114,14 @@ def test_baseline_server_restart(tmp_path):
 def test_lbl_full_deployment_resume(tmp_path):
     """Server snapshot + proxy counters + keychain = a resumable deployment."""
     keychain = KeyChain(b"m" * 32)
-    protocol = LblOrtoa(CONFIG, keychain=keychain, rng=random.Random(1))
+    protocol = LblOrtoa(CONFIG, keychain=keychain)
     protocol.initialize({"k1": b"one", "k2": b"two"})
     protocol.write("k1", b"1.1")
     protocol.read("k2")
     save_store(protocol.server.store, tmp_path / "server.bin", LabelListCodec())
     counters = protocol.proxy.counters()
 
-    resumed = LblOrtoa(CONFIG, keychain=KeyChain(b"m" * 32), rng=random.Random(2))
+    resumed = LblOrtoa(CONFIG, keychain=KeyChain(b"m" * 32))
     resumed.server.store = load_store(tmp_path / "server.bin", LabelListCodec())
     resumed.proxy.restore_counters(counters)
     assert resumed.read("k1") == CONFIG.pad(b"1.1")

@@ -1,6 +1,5 @@
 """Tests for the multiplexed wire format and the pipelined LBL client."""
 
-import random
 import socket
 import threading
 
@@ -32,20 +31,20 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture()
 def server():
-    tcp = LblTcpServer(point_and_permute=True)
+    tcp = LblTcpServer()
     tcp.serve_in_background()
     yield tcp
     tcp.close()
 
 
-def make_proxy(seed: int = 1) -> LblProxy:
+def make_proxy() -> LblProxy:
     keychain = KeyChain(label_bits=CONFIG.label_bits)
-    return LblProxy(CONFIG, keychain, rng=random.Random(seed))
+    return LblProxy(CONFIG, keychain)
 
 
 def load_keys(client: PipelinedLblClient, proxy: LblProxy, records: dict) -> None:

@@ -7,8 +7,6 @@ in-process (shared tracer) and across processes (dumps pulled over the
 obs control frame and merged).
 """
 
-import random
-
 import pytest
 
 from repro import obs
@@ -31,7 +29,7 @@ from repro.transport import framing
 from repro.transport.cluster import ShardCluster
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 # Routing hashes the PRF-encoded key, so under a random master key the 8
 # workload keys all land on one shard once in 128 runs.  This one splits
 # them 4/4 over two shards.
@@ -210,10 +208,8 @@ def test_obs_pull_round_trip_carries_full_bundle():
 
 
 def test_inprocess_sharded_trace_links_server_to_client():
-    with ShardCluster(2, point_and_permute=True, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(
-            CONFIG, cluster.addresses, rng=random.Random(0), pipeline_depth=4
-        )
+    with ShardCluster(2, in_process=True) as cluster:
+        deployment = ShardedLblDeployment(CONFIG, cluster.addresses, pipeline_depth=4)
         try:
             requests = _run_traced_workload(deployment)
             spans = deployment.merged_spans()
@@ -227,13 +223,10 @@ def test_inprocess_sharded_trace_links_server_to_client():
 def test_process_backed_sharded_trace_merges_into_one_forest():
     """The acceptance criterion: dumps pulled over the wire, ids remapped,
     every server span still a descendant of its client access span."""
-    with ShardCluster(
-        2, point_and_permute=True, in_process=False, enable_obs=True
-    ) as cluster:
+    with ShardCluster(2, in_process=False, enable_obs=True) as cluster:
         deployment = ShardedLblDeployment(
             CONFIG,
             cluster.addresses,
-            rng=random.Random(0),
             pipeline_depth=4,
             keychain=KeyChain(MASTER_KEY, label_bits=CONFIG.label_bits),
         )

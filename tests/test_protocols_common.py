@@ -24,16 +24,9 @@ def make_protocol(name):
     if name == "tee":
         return TeeOrtoa(CONFIG)
     if name == "lbl":
-        return LblOrtoa(CONFIG, rng=random.Random(7))
-    if name == "lbl-y2":
-        return LblOrtoa(
-            StoreConfig(value_len=16, group_bits=2), rng=random.Random(7)
-        )
-    if name == "lbl-pnp":
-        return LblOrtoa(
-            StoreConfig(value_len=16, group_bits=2, point_and_permute=True),
-            rng=random.Random(7),
-        )
+        return LblOrtoa(CONFIG)
+    if name in ("lbl-y2", "lbl-pnp"):  # one deployment: every LBL table is §10.2
+        return LblOrtoa(StoreConfig(value_len=16, group_bits=2))
     if name == "fhe":
         return FheOrtoa(CONFIG, fhe_params=FheParams(n=32, q_bits=160))
     raise AssertionError(name)

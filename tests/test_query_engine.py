@@ -1,7 +1,5 @@
 """Tests for the query layer (plan selection + index maintenance)."""
 
-import random
-
 import pytest
 
 from repro.core import LblOrtoa
@@ -21,20 +19,14 @@ SCHEMA = Schema(
 
 
 def make_engine(with_index=True):
-    table_protocol = LblOrtoa(
-        StoreConfig(value_len=SCHEMA.row_len + 1, group_bits=2, point_and_permute=True),
-        rng=random.Random(1),
-    )
+    table_protocol = LblOrtoa(StoreConfig(value_len=SCHEMA.row_len + 1, group_bits=2))
     table = ObliviousTable("users", SCHEMA, table_protocol, capacity=32)
     indexes = {}
     if with_index:
         city_col = SCHEMA.column("city")
         pk_col = SCHEMA.column("user_id")
         entry_len = 2 + 6 * (city_col.width + pk_col.width)
-        index_protocol = LblOrtoa(
-            StoreConfig(value_len=entry_len, group_bits=2, point_and_permute=True),
-            rng=random.Random(2),
-        )
+        index_protocol = LblOrtoa(StoreConfig(value_len=entry_len, group_bits=2))
         indexes["city"] = SecondaryIndex(
             "users-by-city", city_col, pk_col, index_protocol,
             num_buckets=16, postings_per_bucket=6,

@@ -1,7 +1,5 @@
 """Tests for the relational facade (§8: primary-key relational data)."""
 
-import random
-
 import pytest
 
 from repro.core import LblOrtoa, TwoRoundBaseline
@@ -20,10 +18,7 @@ SCHEMA = Schema(
 
 
 def make_table(capacity=64, protocol=None):
-    protocol = protocol or LblOrtoa(
-        StoreConfig(value_len=40, group_bits=2, point_and_permute=True),
-        rng=random.Random(1),
-    )
+    protocol = protocol or LblOrtoa(StoreConfig(value_len=40, group_bits=2))
     return ObliviousTable("accounts", SCHEMA, protocol, capacity=capacity)
 
 
@@ -169,7 +164,7 @@ def test_table_over_baseline_protocol():
 
 
 def test_value_len_capacity_check():
-    protocol = LblOrtoa(StoreConfig(value_len=8), rng=random.Random(1))
+    protocol = LblOrtoa(StoreConfig(value_len=8))
     with pytest.raises(ConfigurationError):
         ObliviousTable("t", SCHEMA, protocol, capacity=4)
 
@@ -203,10 +198,10 @@ def test_get_many_is_one_frame_over_a_tcp_shard():
     from repro.obs.metrics import REGISTRY
     from repro.transport import LblTcpServer, RemoteLblOrtoa
 
-    config = StoreConfig(value_len=40, group_bits=2, point_and_permute=True)
-    with LblTcpServer(point_and_permute=True) as server:
+    config = StoreConfig(value_len=40, group_bits=2)
+    with LblTcpServer() as server:
         server.serve_in_background()
-        with RemoteLblOrtoa(config, server.address, rng=random.Random(1)) as remote:
+        with RemoteLblOrtoa(config, server.address) as remote:
             table = make_table(protocol=remote)
             for i in range(4):
                 table.insert({"user_id": f"u-{i}", "name": f"N{i}", "balance_cents": i})

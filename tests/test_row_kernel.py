@@ -160,8 +160,8 @@ def test_server_refuses_a_label_of_the_wrong_width_and_serves_the_next_request()
     from repro.errors import ProtocolError
     from repro.types import Request, StoreConfig
 
-    config = StoreConfig(value_len=2, group_bits=2, point_and_permute=True)
-    store = LblOrtoa(config, rng=random.Random(3))
+    config = StoreConfig(value_len=2, group_bits=2)
+    store = LblOrtoa(config)
     store.initialize({"k": b"ok", "bad": b"no"})
     encoded = store.keychain.encode_key("bad")
     record = store.server.store.get(encoded)
@@ -184,7 +184,7 @@ def test_get_and_put_make_the_same_kernel_calls(monkeypatch, value_len):
     from repro.crypto.keys import KeyChain
     from repro.types import Request, StoreConfig
 
-    config = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
+    config = StoreConfig(value_len=value_len, group_bits=2)
     proxy = LblProxy(config, KeyChain(b"\x0b" * 32))
     proxy.initial_records({"k": bytes(value_len)})
     calls = []

@@ -40,7 +40,7 @@ from repro.security.simulators import LblSimulator
 from repro.types import Request, StoreConfig
 from tests import lbl_reference
 
-CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=8, group_bits=2)
 STORED = b"stored!!"
 WRITTEN = b"written!"
 
@@ -55,7 +55,7 @@ def _clean_obs():
 
 
 def _store() -> LblOrtoa:
-    store = LblOrtoa(CONFIG, rng=random.Random(19))
+    store = LblOrtoa(CONFIG)
     store.initialize({"k": STORED, "other": b"\x07" * 8})
     return store
 
@@ -105,7 +105,7 @@ def _prepare_get_then_put_at_one_epoch(store: LblOrtoa, prepare):
 @pytest.mark.parametrize("label_bits", [128, 256])
 def test_same_epoch_reprepare_never_reuses_a_pad(prepare, label_bits):
     config = dataclasses.replace(CONFIG, label_bits=label_bits)
-    store = LblOrtoa(config, rng=random.Random(19))
+    store = LblOrtoa(config)
     store.initialize({"k": STORED})
     get, put = _prepare_get_then_put_at_one_epoch(store, prepare)
     assert get.nonce != put.nonce and len(get.nonce) == rows.ROW_NONCE_LEN
@@ -126,7 +126,7 @@ def test_negative_control_fixed_nonce_is_a_two_time_pad(monkeypatch, prepare):
     monkeypatch.setattr(
         proxy_module.secrets, "token_bytes", lambda n: b"\x42" * n
     )
-    store = LblOrtoa(CONFIG, rng=random.Random(19))
+    store = LblOrtoa(CONFIG)
     store.initialize({"k": STORED})
     get, put = _prepare_get_then_put_at_one_epoch(store, prepare)
     assert get.nonce == put.nonce
@@ -306,9 +306,15 @@ def test_wrong_or_missing_nonce_is_refused_before_commit(nonce):
     built, _ops = store.proxy.prepare(Request.write("k", WRITTEN))
     if nonce is None:
         nonce = bytes([built.nonce[0] ^ 1]) + built.nonce[1:]
-    error, seen = _refused(store, dataclasses.replace(built, nonce=nonce))
-    assert str(error) == "designated entry failed to open at group 0"
-    assert seen["failed_decrypts"] == built.num_groups  # one per refused row
+    if not nonce:
+        # A request without its 16-byte nonce is no request: refused as
+        # it is built (or parsed), before any server sees it.
+        with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
+            dataclasses.replace(built, nonce=nonce)
+    else:
+        error, seen = _refused(store, dataclasses.replace(built, nonce=nonce))
+        assert str(error) == "designated entry failed to open at group 0"
+        assert seen["failed_decrypts"] == built.num_groups  # one per refused row
     # The untouched request still applies afterwards.
     response, _server_ops = store.server.process(built)
     assert store.proxy.finalize("k", response)[0] == WRITTEN

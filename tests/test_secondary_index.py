@@ -1,7 +1,5 @@
 """Tests for the private secondary index (§8.2)."""
 
-import random
-
 import pytest
 
 from repro.core import LblOrtoa, TwoRoundBaseline
@@ -15,10 +13,7 @@ def make_index(num_buckets=32, postings=4, protocol=None):
     city = StrColumn("city", 8)
     user_id = IntColumn("user_id", 4)
     entry_len = 2 + postings * (city.width + user_id.width)
-    protocol = protocol or LblOrtoa(
-        StoreConfig(value_len=entry_len, group_bits=2, point_and_permute=True),
-        rng=random.Random(1),
-    )
+    protocol = protocol or LblOrtoa(StoreConfig(value_len=entry_len, group_bits=2))
     return SecondaryIndex(
         "by-city", city, user_id, protocol,
         num_buckets=num_buckets, postings_per_bucket=postings,
@@ -75,7 +70,7 @@ def test_bucket_overflow_raises():
 
 
 def test_entry_size_validated_against_protocol():
-    tiny = LblOrtoa(StoreConfig(value_len=4), rng=random.Random(1))
+    tiny = LblOrtoa(StoreConfig(value_len=4))
     with pytest.raises(ConfigurationError):
         SecondaryIndex("i", StrColumn("c", 8), IntColumn("p", 4), tiny)
 

@@ -49,14 +49,14 @@ def writes(n):
 # --------------------------------------------------------------------- #
 
 def test_read_only_and_write_only_fingerprints_match():
-    out_reads = real_lbl_output(CONFIG, reads(12), rng=random.Random(1))
-    out_writes = real_lbl_output(CONFIG, writes(12), rng=random.Random(2))
+    out_reads = real_lbl_output(CONFIG, reads(12))
+    out_writes = real_lbl_output(CONFIG, writes(12))
     assert shape_fingerprint(out_reads) == shape_fingerprint(out_writes)
 
 
 def test_real_and_ideal_fingerprints_match():
     accesses = uniform_random_accesses(KEYS, 10, 8, random.Random(3))
-    real = real_lbl_output(CONFIG, accesses, rng=random.Random(4))
+    real = real_lbl_output(CONFIG, accesses)
     ideal = ideal_lbl_output(CONFIG, accesses, rng=random.Random(5))
     assert shape_fingerprint(real) == shape_fingerprint(ideal)
 
@@ -66,13 +66,13 @@ def test_real_and_ideal_fingerprints_match():
     [
         StoreConfig(value_len=8),
         StoreConfig(value_len=8, group_bits=2),
-        StoreConfig(value_len=8, group_bits=2, point_and_permute=True),
+        StoreConfig(value_len=8, group_bits=2),
     ],
     ids=["y1", "y2", "y2-pnp"],
 )
 def test_fingerprints_match_across_optimizations(config):
-    out_reads = real_lbl_output(config, reads(6), rng=random.Random(1))
-    out_writes = real_lbl_output(config, writes(6), rng=random.Random(2))
+    out_reads = real_lbl_output(config, reads(6))
+    out_writes = real_lbl_output(config, writes(6))
     assert shape_fingerprint(out_reads) == shape_fingerprint(out_writes)
     ideal = ideal_lbl_output(config, reads(6), rng=random.Random(3))
     assert shape_fingerprint(out_reads) == shape_fingerprint(ideal)
@@ -84,14 +84,14 @@ def test_fingerprints_match_across_optimizations(config):
 
 def test_size_adversary_has_zero_advantage():
     accesses = uniform_random_accesses(KEYS, 8, 8, random.Random(7))
-    real = [real_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(8)]
+    real = [real_lbl_output(CONFIG, accesses) for i in range(8)]
     ideal = [ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(8)]
     assert size_advantage(real, ideal) == 0.0
 
 
 def test_byte_histogram_close_to_uniform():
     accesses = uniform_random_accesses(KEYS, 20, 8, random.Random(7))
-    real = [real_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(4)]
+    real = [real_lbl_output(CONFIG, accesses) for i in range(4)]
     ideal = [ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(4)]
     assert byte_histogram_advantage(real, ideal) < 0.05
 
@@ -181,7 +181,7 @@ def test_learned_distinguisher_fails_against_lbl():
 
     accesses = uniform_random_accesses(KEYS, 6, 8, random.Random(2))
     real = [
-        real_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(_SAMPLES)
+        real_lbl_output(CONFIG, accesses) for i in range(_SAMPLES)
     ]
     ideal = [
         ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(_SAMPLES)
@@ -194,11 +194,11 @@ def test_learned_distinguisher_fails_on_read_vs_write_transcripts():
     from repro.security.distinguisher import learned_distinguisher_accuracy
 
     read_outputs = [
-        real_lbl_output(CONFIG, reads(5), rng=random.Random(i))
+        real_lbl_output(CONFIG, reads(5))
         for i in range(_SAMPLES)
     ]
     write_outputs = [
-        real_lbl_output(CONFIG, writes(5), rng=random.Random(100 + i))
+        real_lbl_output(CONFIG, writes(5))
         for i in range(_SAMPLES)
     ]
     accuracy = learned_distinguisher_accuracy(read_outputs, write_outputs)

@@ -11,8 +11,7 @@ nothing else.  These tests pin the transparency claims:
   interleaving (same-key chains, corrupt ciphertexts, missing keys) yields
   exactly the oracle's responses, errors, op counts, final label state,
   storage access counts and — with capture on — per-request span
-  attributes and ``lbl.server.*`` counters, under point-and-permute and
-  the base protocol alike;
+  attributes and ``lbl.server.*`` counters;
 * fusion — a window of distinct present keys is exactly one storage
   multi-get, one window-wide ``rows.open_rows`` (a run of rows per
   request, each under its own nonce), one storage multi-put;
@@ -24,12 +23,10 @@ nothing else.  These tests pin the transparency claims:
   anyone else's row (the model==ledger equality is exercised through
   ``run_model_check``'s ``batch`` cell);
 * error-path telemetry — failed opens emit their span and
-  ``lbl.server.*`` counters too, base protocol and point-and-permute
-  alike.
+  ``lbl.server.*`` counters too.
 """
 
 import dataclasses
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +37,7 @@ from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.server import SERVER_SPAN, LblServer
 from repro.core.messages import LblAccessRequest, LblAccessResponse
-from repro.crypto import aead, rows
+from repro.crypto import rows
 from repro.crypto.labels import StoredRecord
 from repro.errors import (
     ConfigurationError,
@@ -82,10 +79,8 @@ def _clean_obs():
     obs.reset()
 
 
-def _protocol(**overrides) -> LblOrtoa:
-    params = dict(value_len=VALUE_LEN, group_bits=2, point_and_permute=True)
-    params.update(overrides)
-    store = LblOrtoa(StoreConfig(**params), rng=random.Random(5))
+def _protocol() -> LblOrtoa:
+    store = LblOrtoa(StoreConfig(value_len=VALUE_LEN, group_bits=2))
     store.initialize(
         {key: bytes([i + 1]) * VALUE_LEN for i, key in enumerate(KEYS)}
     )
@@ -93,15 +88,15 @@ def _protocol(**overrides) -> LblOrtoa:
 
 
 def _clone_server(server: LblServer) -> LblServer:
-    clone = LblServer(point_and_permute=server.point_and_permute)
+    clone = LblServer()
     for encoded_key, record in server.store._data.items():
         clone.load(encoded_key, record)
     return clone
 
 
 def _corrupt_group0(request: LblAccessRequest) -> LblAccessRequest:
-    """Flip the last byte of every group-0 entry (lengths preserved) — a
-    check byte of a point-and-permute row, a tag byte of an AEAD entry."""
+    """Flip the last byte — a check byte — of every group-0 row (lengths
+    preserved)."""
     group0 = tuple(ct[:-1] + bytes([ct[-1] ^ 0xFF]) for ct in request.tables[0])
     return LblAccessRequest.from_tables(
         request.encoded_key, (group0,) + request.tables[1:], request.nonce
@@ -137,25 +132,19 @@ def _build_workload(store: LblOrtoa, workload) -> list[LblAccessRequest]:
 
 
 class _SequentialOracle:
-    """§5.2 step 2 / §10.2, one request at a time, on a plain dict.
+    """§5.2 step 2 with §10.2 rows, one request at a time, on a plain dict.
 
-    get → open the designated slot of every group (point-and-permute) or
-    scan each table for the entry the stored label opens (base protocol) →
-    rotate → put.  Shares no code with :class:`LblServer`: it keeps one
-    ``(label, slot)`` pair per group instead of two blobs, slices the
-    request's ``tables`` view, opens with the scalar :func:`rows.open_row` /
-    :func:`aead.try_decrypt`, and keeps its own storage access counts and
-    the observation record the server must emit.
+    get → open the designated slot of every group → rotate → put.  Shares
+    no code with :class:`LblServer`: it keeps one ``(label, slot)`` pair per
+    group instead of two blobs, slices the request's ``tables`` view, opens
+    with the scalar :func:`rows.open_row`, and keeps its own storage access
+    counts and the observation record the server must emit.
     """
 
     def __init__(self, server: LblServer) -> None:
-        self.point_and_permute = server.point_and_permute
         self.state = {
             key: [
-                (
-                    record.labels[g * LABEL_LEN : (g + 1) * LABEL_LEN],
-                    record.slots[g] if record.slots else None,
-                )
+                (record.labels[g * LABEL_LEN : (g + 1) * LABEL_LEN], record.slots[g])
                 for g in range(len(record.labels) // LABEL_LEN)
             ]
             for key, record in server.store._data.items()
@@ -168,7 +157,7 @@ class _SequentialOracle:
         return {
             key: StoredRecord(
                 b"".join(label for label, _slot in groups),
-                bytes(slot for _label, slot in groups if slot is not None),
+                bytes(slot for _label, slot in groups),
             )
             for key, groups in self.state.items()
         }
@@ -176,57 +165,26 @@ class _SequentialOracle:
     def _open(self, request, stored, seen):
         """Returns the rotated groups; ``seen`` accumulates attempt counts."""
         tables = request.tables
-        stored_groups = len(stored)
-        if not self.point_and_permute:
-            # The base-protocol record does not say how wide a label is: the
-            # entry does, and must divide what is stored.
-            claimed = request.entry_len - aead.NONCE_LEN - aead.TAG_LEN
-            if claimed < 1 or (len(stored) * LABEL_LEN) % claimed:
-                raise ProtocolError(
-                    f"entry length {request.entry_len} does not fit the stored labels"
-                )
-            stored_groups = len(stored) * LABEL_LEN // claimed
-        if len(tables) != stored_groups:
+        if len(tables) != len(stored):
+            raise ProtocolError(f"table count {len(tables)} != stored groups {len(stored)}")
+        if request.entry_len != LABEL_LEN + 1 + rows.CHECK_LEN:
             raise ProtocolError(
-                f"table count {len(tables)} != stored groups {stored_groups}"
+                f"entry length {request.entry_len} is no row of a {LABEL_LEN}-byte label"
             )
+        for group, (table, (_label, slot)) in enumerate(zip(tables, stored)):
+            if slot >= len(table):
+                raise ProtocolError(f"bad decrypt index at group {group}")
+        payloads = [
+            rows.open_row(label, table[slot], request.nonce)
+            for table, (label, slot) in zip(tables, stored)
+        ]
+        seen["decrypt_attempts"] = len(payloads)
+        seen["failed_decrypts"] = payloads.count(None)
         updated = []
-        if self.point_and_permute:
-            if request.entry_len != LABEL_LEN + 1 + rows.CHECK_LEN:
-                raise ProtocolError(
-                    f"entry length {request.entry_len} is no row of a "
-                    f"{LABEL_LEN}-byte label"
-                )
-            for group, (table, (_label, slot)) in enumerate(zip(tables, stored)):
-                if slot >= len(table):
-                    raise ProtocolError(f"bad decrypt index at group {group}")
-            payloads = [
-                rows.open_row(label, table[slot], request.nonce)
-                for table, (label, slot) in zip(tables, stored)
-            ]
-            seen["decrypt_attempts"] = len(payloads)
-            seen["failed_decrypts"] = payloads.count(None)
-            for group, payload in enumerate(payloads):
-                if payload is None:
-                    raise ProtocolError(
-                        f"designated entry failed to open at group {group}"
-                    )
-                updated.append((payload[:-1], payload[-1]))
-                seen["opened_labels"] += 1
-            return updated
-        for group, (table, (current, _slot)) in enumerate(zip(tables, stored)):
-            for entry in table:
-                seen["decrypt_attempts"] += 1
-                label = aead.try_decrypt(current, entry)
-                if label is not None:
-                    break
-                seen["failed_decrypts"] += 1
-            else:
-                raise ProtocolError(
-                    f"no table entry opened at group {group}: "
-                    "stored label is stale or corrupt"
-                )
-            updated.append((label, None))
+        for group, payload in enumerate(payloads):
+            if payload is None:
+                raise ProtocolError(f"designated entry failed to open at group {group}")
+            updated.append((payload[:-1], payload[-1]))
             seen["opened_labels"] += 1
         return updated
 
@@ -242,7 +200,6 @@ class _SequentialOracle:
             opened_labels=0,
             labels_rewritten=0,
             storage_writes=0,
-            point_and_permute=self.point_and_permute,
         )
         self.gets += 1
         try:
@@ -295,14 +252,11 @@ def _by_key(records) -> dict[str, list[dict]]:
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("window_size", [1, 3, None], ids=["w1", "w3", "whole"])
-@pytest.mark.parametrize("point_and_permute", [True, False], ids=["pnp", "base"])
 @pytest.mark.parametrize("capture", [False, True], ids=["obs-off", "obs-on"])
 @settings(max_examples=15, deadline=None)
 @given(WORKLOADS)
-def test_fused_window_equals_sequential_loop(
-    capture, point_and_permute, window_size, workload
-):
-    store = _protocol(point_and_permute=point_and_permute)
+def test_fused_window_equals_sequential_loop(capture, window_size, workload):
+    store = _protocol()
     server = _clone_server(store.server)
     oracle = _SequentialOracle(server)
     built = _build_workload(store, workload)
@@ -348,9 +302,6 @@ def test_fused_window_equals_sequential_loop(
     ):
         assert counters.get(counter, 0) == sum(r[attribute] for r in records)
     assert counters.get("lbl.server.requests", 0) == len(records)
-    assert counters.get("lbl.server.slot_hits", 0) == (
-        sum(r["opened_labels"] for r in records) if point_and_permute else 0
-    )
 
 
 def test_same_key_chain_preserves_rotation_order():
@@ -411,21 +362,6 @@ def test_process_many_empty_and_row_validation():
     built = _build_workload(store, [(0, False, 0, 0)])
     with pytest.raises(ConfigurationError):
         store.server.process_many(built, rows=[])
-
-
-def test_base_protocol_window_shares_the_storage_access():
-    store = LblOrtoa(StoreConfig(value_len=VALUE_LEN), rng=random.Random(5))
-    store.initialize({"b0": b"\x01" * VALUE_LEN, "b1": b"\x02" * VALUE_LEN})
-    built = [
-        store.proxy.prepare(Request.read("b0"))[0],
-        store.proxy.prepare(Request.read("b1"))[0],
-    ]
-    results = store.server.process_many(built)
-    assert all(not isinstance(item, OrtoaError) for item in results)
-    # The base protocol has no designated slot to fuse — each table is
-    # scanned — but the window still costs one multi-get and one multi-put.
-    assert store.server.store.multi_get_count == 1
-    assert store.server.store.multi_put_count == 1
 
 
 # --------------------------------------------------------------------- #
@@ -532,11 +468,9 @@ def test_sharded_audit_passes_with_fusion_on():
     from repro.obs.audit import run_sharded_audit
     from repro.transport.cluster import ShardCluster
 
-    config = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
-    with ShardCluster(2, point_and_permute=True, in_process=True) as cluster:
-        dep = ShardedLblDeployment(
-            config, cluster.addresses, rng=random.Random(3)
-        )
+    config = StoreConfig(value_len=16, group_bits=2)
+    with ShardCluster(2, in_process=True) as cluster:
+        dep = ShardedLblDeployment(config, cluster.addresses)
         try:
             report = run_sharded_audit(dep, num_keys=16, seed=3)
         finally:
@@ -596,28 +530,6 @@ def test_model_check_batch_cell_is_exact():
 # --------------------------------------------------------------------- #
 # Satellite bugfix: error paths emit spans and counters
 # --------------------------------------------------------------------- #
-
-def test_base_protocol_error_path_emits_span_and_counters():
-    store = LblOrtoa(StoreConfig(value_len=VALUE_LEN), rng=random.Random(5))
-    store.initialize({"k": b"\x01" * VALUE_LEN})
-    built, _ops = store.proxy.prepare(Request.read("k"))
-    stored = store.server.store.get(built.encoded_key)
-    # Desynchronize the server: its stored labels no longer open anything.
-    store.server.store.put(built.encoded_key, StoredRecord(bytes(len(stored.labels))))
-    obs.enable()
-    with pytest.raises(ProtocolError):
-        store.server.process(built)
-    counters = obs.REGISTRY.snapshot()["counters"]
-    assert counters.get("lbl.server.requests", 0) == 1
-    table_size = built.table_size
-    assert counters.get("lbl.server.decrypt_attempts", 0) == table_size
-    assert counters.get("lbl.server.failed_decrypts", 0) == table_size
-    spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
-    assert len(spans) == 1
-    attributes = spans[0]["attributes"]
-    assert "error" in attributes
-    assert attributes["failed_decrypts"] == table_size
-
 
 def test_point_and_permute_error_path_emits_span_and_counters():
     store = _protocol()

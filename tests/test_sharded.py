@@ -1,7 +1,5 @@
 """Tests for the sharded, pipelined LBL deployment over loopback TCP."""
 
-import random
-
 import pytest
 
 from repro.core.sharded import ShardedLblDeployment
@@ -11,7 +9,7 @@ from repro.types import Request, StoreConfig
 
 pytestmark = pytest.mark.timeout(30)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture(params=[1, 3])
@@ -22,9 +20,7 @@ def cluster(request):
 
 @pytest.fixture()
 def deployment(cluster):
-    dep = ShardedLblDeployment(
-        CONFIG, cluster.addresses, rng=random.Random(7), pipeline_depth=4
-    )
+    dep = ShardedLblDeployment(CONFIG, cluster.addresses, pipeline_depth=4)
     dep.initialize({f"k{i}": bytes([i]) * 16 for i in range(12)})
     yield dep
     dep.close()
@@ -141,11 +137,29 @@ def test_bad_configuration_rejected(cluster):
 def test_cluster_subprocess_mode_serves_accesses():
     """Process-backed shards (the honest multi-machine stand-in) work too."""
     with ShardCluster(1, in_process=False) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses, rng=random.Random(8))
+        dep = ShardedLblDeployment(CONFIG, booted.addresses)
         try:
             dep.initialize({"pk": b"\x09" * 16})
             dep.write("pk", b"updated")
             assert dep.read("pk") == CONFIG.pad(b"updated")
+        finally:
+            dep.close()
+
+
+@pytest.mark.parametrize("in_process", [True, False], ids=["threads", "processes"])
+def test_default_config_and_default_cluster_agree(in_process):
+    """The shortest call: a config and a cluster with every other argument
+    at its default.  The proxy once defaulted to the §5.2 base protocol and
+    the shard servers to §10.2, so this refused the very first load."""
+    config = StoreConfig(value_len=16)
+    with ShardCluster(1, in_process=in_process) as booted:
+        dep = ShardedLblDeployment(config, booted.addresses)
+        try:
+            dep.initialize({"a": b"first", "b": b"second"})
+            assert dep.read("a") == config.pad(b"first")
+            dep.write("b", b"rewritten")
+            assert dep.read("b") == config.pad(b"rewritten")
+            assert dep.read("a") == config.pad(b"first")
         finally:
             dep.close()
 
@@ -155,7 +169,7 @@ def test_measure_throughput_modes_agree_on_results():
     from repro.transport.cluster import measure_throughput
 
     with ShardCluster(2, in_process=True) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses, rng=random.Random(6))
+        dep = ShardedLblDeployment(CONFIG, booted.addresses)
         try:
             for seed, mode in enumerate(("lockstep", "pipelined")):
                 # Distinct seeds: each call initializes its own key range.
@@ -204,7 +218,7 @@ def test_sharded_audit_passes_per_shard():
     from repro.obs.audit import run_sharded_audit
 
     with ShardCluster(2, in_process=True) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses, rng=random.Random(3))
+        dep = ShardedLblDeployment(CONFIG, booted.addresses)
         try:
             report = run_sharded_audit(dep, num_keys=24, seed=3)
         finally:
@@ -222,7 +236,7 @@ def test_sharded_audit_requires_keys_per_shard():
     from repro.obs.audit import run_sharded_audit
 
     with ShardCluster(2, in_process=True) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses, rng=random.Random(3))
+        dep = ShardedLblDeployment(CONFIG, booted.addresses)
         try:
             with pytest.raises(ConfigurationError):
                 run_sharded_audit(dep, num_keys=3, seed=3)

@@ -6,8 +6,6 @@ driven by a recorded-and-replayed trace, verified against a reference
 model, then crash-recovered and verified again.
 """
 
-import random
-
 import pytest
 
 from repro import (
@@ -23,7 +21,7 @@ from repro.transport.pipeline import LocalLink
 from repro.workloads.trace import record_trace, replay_trace
 from repro.workloads.synthetic import RequestStream, WorkloadSpec
 
-CONFIG = StoreConfig(value_len=24, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=24, group_bits=2)
 KEYS = tuple(f"obj-{i}" for i in range(20))
 
 
@@ -33,7 +31,6 @@ def test_long_mixed_soak(tmp_path):
         CONFIG,
         [LocalLink()],
         keychain=keychain,
-        rng=random.Random(1),
         wal_path=tmp_path / "soak.wal",
     )
     replica = FreshnessGuard(
@@ -67,7 +64,6 @@ def test_long_mixed_soak(tmp_path):
         CONFIG,
         primary.clients,  # the surviving server
         keychain=keychain,
-        rng=random.Random(2),
         wal_path=tmp_path / "soak.wal",
     )
     for key in KEYS:
@@ -82,7 +78,7 @@ def test_long_mixed_soak(tmp_path):
 def test_soak_counters_and_wire_shape_stay_disciplined(tmp_path):
     """After hundreds of accesses: counters equal access counts and the
     wire shape never drifted."""
-    protocol = LblOrtoa(CONFIG, rng=random.Random(5))
+    protocol = LblOrtoa(CONFIG)
     protocol.initialize({k: bytes(24) for k in KEYS})
     stream = RequestStream(
         WorkloadSpec(keys=KEYS, value_len=24, write_fraction=0.5, seed=11)

@@ -8,7 +8,6 @@ in-process server share the global registry, which is exactly how a
 single-box deployment exposes end-to-end latency at the shard).
 """
 
-import random
 import urllib.request
 
 import pytest
@@ -20,7 +19,7 @@ from repro.obs.doctor import scrape, target_row
 from repro.transport.server import LblTcpServer
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +33,7 @@ def _clean_obs():
 
 @pytest.fixture()
 def metrics_server():
-    server = LblTcpServer(point_and_permute=True, metrics_port=0)
+    server = LblTcpServer(metrics_port=0)
     server.serve_in_background()
     yield server
     server.close()
@@ -46,9 +45,7 @@ def _metrics_url(server: LblTcpServer) -> str:
 
 
 def _run_workload(server: LblTcpServer, num_keys: int = 8) -> None:
-    deployment = ShardedLblDeployment(
-        CONFIG, [server.address], rng=random.Random(0), pipeline_depth=4
-    )
+    deployment = ShardedLblDeployment(CONFIG, [server.address], pipeline_depth=4)
     try:
         deployment.initialize({f"k{i}": b"v" for i in range(num_keys)})
         obs.enable()

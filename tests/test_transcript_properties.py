@@ -1,8 +1,6 @@
 """Property tests on access transcripts: the invariants every protocol must
 hold over arbitrary operation sequences."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +11,7 @@ from repro.obs import ledger
 from repro.types import Operation, Request, StoreConfig
 
 CONFIG = StoreConfig(value_len=8)
-LBL_CONFIG = StoreConfig(value_len=8, group_bits=2, point_and_permute=True)
+LBL_CONFIG = StoreConfig(value_len=8, group_bits=2)
 
 ops_strategy = st.lists(
     st.tuples(st.booleans(), st.binary(min_size=8, max_size=8)),
@@ -28,7 +26,7 @@ def build(kind):
     elif kind == "tee":
         protocol = TeeOrtoa(CONFIG)
     else:
-        protocol = LblOrtoa(LBL_CONFIG, rng=random.Random(0))
+        protocol = LblOrtoa(LBL_CONFIG)
     protocol.initialize({"k": bytes(8)})
     return protocol
 

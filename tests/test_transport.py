@@ -1,6 +1,5 @@
 """Tests for LBL-ORTOA over real TCP sockets."""
 
-import random
 import socket
 import threading
 
@@ -14,12 +13,12 @@ from repro.transport.framing import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.transport.server import pack_load, unpack_load
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture()
 def server():
-    tcp = LblTcpServer(point_and_permute=True)
+    tcp = LblTcpServer()
     tcp.serve_in_background()
     yield tcp
     tcp.close()
@@ -27,7 +26,7 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(1))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     remote.initialize({"k1": b"value-one", "k2": b"value-two"})
     yield remote
     remote.close()
@@ -95,7 +94,7 @@ def test_transcripts_report_real_wire_bytes(client):
     # Same shape as the in-process protocol at this configuration.
     from repro.core.lbl import LblOrtoa
 
-    local = LblOrtoa(CONFIG, rng=random.Random(1))
+    local = LblOrtoa(CONFIG)
     local.initialize({"k1": bytes(16)})
     local_transcript = local.access(Request.read("k1"))
     assert transcript.request_bytes == local_transcript.request_bytes
@@ -122,7 +121,7 @@ def test_server_error_propagates_as_protocol_error(server, client):
 def test_multiple_clients_share_one_server(server):
     clients = []
     for i in range(3):
-        remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(i))
+        remote = RemoteLblOrtoa(CONFIG, server.address)
         remote.initialize({f"tenant{i}": bytes([i]) * 16})
         clients.append(remote)
     try:
@@ -138,7 +137,7 @@ def test_concurrent_clients_over_tcp(server):
 
     def worker(worker_id: int) -> None:
         try:
-            remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(worker_id))
+            remote = RemoteLblOrtoa(CONFIG, server.address)
             remote.initialize({f"w{worker_id}-k": bytes(16)})
             for round_no in range(8):
                 remote.write(f"w{worker_id}-k", bytes([round_no]) * 16)
@@ -166,7 +165,7 @@ def test_unknown_frame_tag_rejected(server):
 
 
 def test_server_requires_load_before_access(server):
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(9))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     remote.proxy._counters["ghost"] = 0  # skip initialize on purpose
     try:
         with pytest.raises(ProtocolError, match="server error"):
@@ -177,12 +176,12 @@ def test_server_requires_load_before_access(server):
 
 def test_direct_dispatch_matches_in_process_server():
     """The TCP dispatch layer adds nothing semantic over LblServer."""
-    tcp = LblTcpServer(point_and_permute=False)
-    direct = LblServer(point_and_permute=False)
+    tcp = LblTcpServer()
+    direct = LblServer()
     from repro.core.lbl import LblOrtoa
 
     config = StoreConfig(value_len=8)
-    protocol = LblOrtoa(config, rng=random.Random(4))
+    protocol = LblOrtoa(config)
     records = protocol.proxy.initial_records({"k": b"v"})
     for encoded_key, labels in records:
         tcp.dispatch(pack_load(encoded_key, labels))
@@ -242,7 +241,7 @@ def test_batch_wire_messages_roundtrip():
 
     batch = LblBatchRequest(
         (
-            LblAccessRequest.from_tables(b"k1", ((b"a", b"b"),)),
+            LblAccessRequest.from_tables(b"k1", ((b"a", b"b"),), b"n" * 16),
             LblAccessRequest(b"k2", b"cdef", 2, 1, b"n" * 16),
         )
     )

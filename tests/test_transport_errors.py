@@ -6,7 +6,6 @@ server's message — and the connection must remain usable afterwards, not die.
 Raw-socket cases send mux frames, the only frames the server serves.
 """
 
-import random
 import socket
 
 import pytest
@@ -19,12 +18,12 @@ from repro.transport.framing import recv_frame, send_frame, unwrap_mux, wrap_mux
 from repro.transport.server import ERROR_TAG, LOAD_TAG
 from repro.types import Request, StoreConfig
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 
 
 @pytest.fixture()
 def server():
-    tcp = LblTcpServer(point_and_permute=True)
+    tcp = LblTcpServer()
     tcp.serve_in_background()
     yield tcp
     tcp.close()
@@ -72,7 +71,7 @@ def test_malformed_access_request_yields_error_frame(raw_conn):
 
 def test_access_for_key_unknown_to_server_yields_error_frame(server):
     """A valid request for a key the *server* never loaded → error frame."""
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(0))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     try:
         # Register the key in the local proxy only: the load records are
         # built but deliberately never shipped, so the server has no state.
@@ -85,7 +84,7 @@ def test_access_for_key_unknown_to_server_yields_error_frame(server):
 
 def test_connection_survives_an_error_frame(server):
     """The same socket keeps serving valid requests after a bad one."""
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(1))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     try:
         remote.initialize({"k": b"hello"})
         with pytest.raises(ProtocolError):
@@ -104,7 +103,7 @@ def test_raw_connection_survives_interleaved_errors(raw_conn):
 
 
 def test_error_counters_increment_under_capture(server):
-    remote = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(2))
+    remote = RemoteLblOrtoa(CONFIG, server.address)
     try:
         remote.initialize({"k": b"v"})
         with obs.capture():

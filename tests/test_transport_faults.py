@@ -7,7 +7,6 @@ request with the reply never read, and a server that dies with client
 requests still in flight.
 """
 
-import random
 import socket
 import threading
 
@@ -37,7 +36,7 @@ from tests.test_admission import wait_idle
 
 pytestmark = pytest.mark.timeout(30)
 
-CONFIG = StoreConfig(value_len=16, group_bits=2, point_and_permute=True)
+CONFIG = StoreConfig(value_len=16, group_bits=2)
 #: The smallest record a point-and-permute server loads: one label, one slot.
 RECORD = (b"l" * 16, b"\x00")
 
@@ -59,7 +58,7 @@ class ScriptedSocket:
 
 @pytest.fixture()
 def server():
-    tcp = LblTcpServer(point_and_permute=True)
+    tcp = LblTcpServer()
     tcp.serve_in_background()
     yield tcp
     tcp.close()
@@ -67,7 +66,7 @@ def server():
 
 def assert_server_alive(server):
     """A fresh client can still complete a full access round trip."""
-    client = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(9))
+    client = RemoteLblOrtoa(CONFIG, server.address)
     try:
         client.initialize({"alive": b"\x05" * 16})
         assert client.read("alive") == b"\x05" * 16
@@ -241,7 +240,7 @@ def test_remote_client_reports_connection_refused():
 
 def test_server_survives_abandoned_batch(server):
     """A client that sends a batch and vanishes must not wedge the server."""
-    client = RemoteLblOrtoa(CONFIG, server.address, rng=random.Random(4))
+    client = RemoteLblOrtoa(CONFIG, server.address)
     client.initialize({"a": bytes(16), "b": bytes(16)})
     # Build a real batch frame via a second client's proxy, then abandon it.
     sock = socket.create_connection(server.address, timeout=5)
@@ -260,7 +259,7 @@ VALUES = {f"r{i}": bytes([i + 1]) * 16 for i in range(4)}
 
 @pytest.fixture()
 def sharded(server):
-    deployment = ShardedLblDeployment(CONFIG, [server.address], rng=random.Random(6))
+    deployment = ShardedLblDeployment(CONFIG, [server.address])
     deployment.initialize(VALUES)
     yield deployment
     deployment.close()
@@ -313,7 +312,7 @@ def test_error_frame_refusal_can_be_retried(server, client_class, monkeypatch):
     """A request the server refuses with an error frame did not rotate its
     labels, so the proxy takes the counter back and the retry succeeds."""
     address = server.address if client_class is RemoteLblOrtoa else [server.address]
-    client = client_class(CONFIG, address, rng=random.Random(8))
+    client = client_class(CONFIG, address)
     try:
         client.initialize({"k": b"\x05" * 16})
 

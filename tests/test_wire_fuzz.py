@@ -70,7 +70,7 @@ def test_lbl_request_mutation_is_rejected_or_parses(mutation_at, new_byte):
     """Any single-byte mutation of a valid message either still frames
     correctly (payload corruption is the entries' own job) or raises cleanly."""
     original = m.LblAccessRequest.from_tables(
-        b"encoded-key", ((b"ct-one" * 4, b"ct-two" * 4),) * 3, b"nonce" * 3
+        b"encoded-key", ((b"ct-one" * 4, b"ct-two" * 4),) * 3, b"nonce" * 3 + b"!"
     ).to_bytes()
     mutated = bytearray(original)
     mutated[mutation_at % len(mutated)] = new_byte
@@ -108,7 +108,7 @@ def test_truncated_fhe_ciphertext_rejected(truncate_to):
 
 def test_cross_protocol_tag_confusion_rejected():
     """Feeding one protocol's message to another parser must fail."""
-    lbl = m.LblAccessRequest.from_tables(b"k", ((b"a", b"b"),)).to_bytes()
+    lbl = m.LblAccessRequest.from_tables(b"k", ((b"a", b"b"),), b"n" * 16).to_bytes()
     tee = m.TeeAccessRequest(b"k", b"s", b"v").to_bytes()
     with pytest.raises(ProtocolError):
         m.TeeAccessRequest.from_bytes(lbl)
