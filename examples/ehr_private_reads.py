@@ -5,8 +5,9 @@ Electronic health records leak clinically sensitive facts through access
 *types*: a write to a patient's record means something happened to them.
 This example builds the paper's EHR dataset (10-byte resting-blood-pressure
 values), serves a clinic's day through LBL-ORTOA, and verifies with the
-ROR-RW machinery that a transcript of the day is indistinguishable from a
-simulator that never saw which patients were updated.
+ROR-RW machinery that the frames the store actually sent its server that day
+are indistinguishable from a simulator that never saw which patients were
+updated.
 
 Run:  python examples/ehr_private_reads.py
 """
@@ -14,8 +15,9 @@ Run:  python examples/ehr_private_reads.py
 import random
 
 from repro import LblOrtoa, StoreConfig
+from repro.security.audit import record_links
 from repro.security.distinguisher import byte_histogram_advantage, shape_fingerprint
-from repro.security.games import Access, ideal_lbl_output, real_lbl_output
+from repro.security.games import Access, ideal_lbl_output
 from repro.types import Operation
 from repro.workloads import build_dataset
 
@@ -26,7 +28,10 @@ def main() -> None:
     patients = list(records)
 
     store = LblOrtoa(config)
+    # Record every frame the store's link carries to its server.
+    (link,) = record_links(store)
     store.initialize(records)
+    loaded = len(link.frames)
     print(f"Loaded {len(records)} patient records "
           f"({config.value_len} B each, as in the paper's EHR dataset).\n")
 
@@ -45,8 +50,9 @@ def main() -> None:
     writes = sum(1 for a in day if a.op is Operation.WRITE)
     print(f"Served a 40-access day: {40 - writes} chart reviews, {writes} vitals updates.")
 
-    # ROR-RW check: the day's transcript vs a simulator that saw only keys.
-    real = real_lbl_output(config, day)
+    # ROR-RW check: the frames that served the day vs a simulator that saw
+    # only keys.
+    real = [frame.request for frame in link.frames[loaded:]]
     ideal = ideal_lbl_output(config, day, rng=random.Random(3))
     shapes_match = shape_fingerprint(real) == shape_fingerprint(ideal)
     tv_distance = byte_histogram_advantage([real], [ideal])

@@ -11,7 +11,7 @@ Usage::
     python -m repro cost                      # §6.3.3 dollar-cost estimate
     python -m repro plan --users 1000000      # capacity planner (cost model)
     python -m repro plan --check              # assert cost model == ledger
-    python -m repro obs                       # metrics + obliviousness audit
+    python -m repro obs                       # obliviousness audit + metrics
     python -m repro trace --chrome t.json     # merged trace -> Perfetto JSON
     python -m repro doctor localhost:9464     # name the bottleneck (or healthy)
     python -m repro bench check               # regression gate vs BENCH history
@@ -241,118 +241,59 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    """Run an instrumented LBL workload; print metrics and the audit verdict."""
-    from repro.obs.audit import LeakyLblOrtoa, run_audit, run_sharded_audit
-    from repro.core.lbl import LblOrtoa
+    """Audit an LBL deployment's server view; print metrics and the verdict."""
+    from collections import Counter
+    from contextlib import ExitStack
+
+    from repro.core.sharded import ShardedLblDeployment
+    from repro.security.audit import PATHS, LeakyLblOrtoa, run_audit
+    from repro.transport.cluster import ShardCluster
     from repro.types import StoreConfig
 
-    label_cache = None if args.no_label_cache else -1
-    config = StoreConfig(
-        value_len=args.value_len, group_bits=2, label_cache_entries=label_cache
-    )
-
-    if args.shards:
-        # Sharded + pipelined audit over an in-process loopback cluster
-        # (thread-backed, so the shard servers' spans land in our tracer).
-        if args.leaky:
-            print(
-                "--leaky audits the in-process negative control; "
-                "it has no sharded deployment",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.core.sharded import ShardedLblDeployment
-        from repro.transport.cluster import ShardCluster
-
-        obs.reset()
-        try:
-            with ShardCluster(args.shards, in_process=True) as cluster:
-                deployment = ShardedLblDeployment(
-                    config, cluster.addresses, pipeline_depth=args.pipeline_depth
-                )
-                try:
-                    report = run_sharded_audit(
-                        deployment,
-                        num_keys=args.keys,
-                        seed=args.seed,
-                        pipeline_depth=args.pipeline_depth,
-                    )
-                finally:
-                    deployment.close()
-        except OrtoaError as exc:
-            print(f"audit failed to run: {exc}", file=sys.stderr)
-            return 2
-        cache = deployment.proxy.label_cache
-        if cache is not None:
-            obs.REGISTRY.gauge("lbl.proxy.label_cache.hit_rate").set(
-                round(cache.hit_rate, 3)
-            )
-        snapshot = obs.REGISTRY.snapshot()
-        print(
-            f"protocol: {deployment.name}  (value_len={config.value_len}, "
-            f"y={config.group_bits}, pipeline_depth={args.pipeline_depth})"
-        )
-        print("metrics:")
-        for name, value in sorted(snapshot["counters"].items()):
-            print(f"  {name:38s} {value}")
-        for name, gauge in sorted(snapshot["gauges"].items()):
-            print(f"  {name:38s} {gauge['value']} (max {gauge['max']})")
-        print(f"span errors: {snapshot['counters'].get('trace.span_errors', 0)}")
-        print(report.summary())
-        if args.json:
-            bundle = {
-                "protocol": deployment.name,
-                "metrics": snapshot,
-                "audit": report.to_dict(),
-                "spans": obs.TRACER.export(),
-            }
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(bundle, handle, indent=2, default=str)
-            print(f"wrote {args.json}")
-        return 0 if report.passed else 1
-
-    protocol_cls = LeakyLblOrtoa if args.leaky else LblOrtoa
-    protocol = protocol_cls(config)
-
+    config = StoreConfig(value_len=args.value_len, group_bits=2)
     obs.reset()
+    obs.enable()
     try:
-        report = run_audit(protocol, num_keys=args.keys, seed=args.seed)
+        with ExitStack() as stack:
+            if args.leaky:
+                # The negative control learns each op through ``access``
+                # only: one in-process shard, lockstep.
+                deployment = LeakyLblOrtoa(config)
+                paths = ("access",)
+            else:
+                cluster = stack.enter_context(
+                    ShardCluster(args.shards, in_process=False, enable_obs=True)
+                )
+                deployment = ShardedLblDeployment(config, cluster.addresses)
+                paths = PATHS
+            stack.callback(deployment.close)
+            report = run_audit(
+                deployment, num_keys=args.keys, seed=args.seed, paths=paths
+            )
+            dumps = [] if args.leaky else deployment.collect_remote_obs()
     except OrtoaError as exc:
         print(f"audit failed to run: {exc}", file=sys.stderr)
         return 2
-    cache = protocol.proxy.label_cache
-    if cache is not None and not args.leaky:
-        # The audit touches each key exactly once (all cache misses by
-        # design); a follow-up read pass exercises the warm path so the
-        # reported hit rate reflects steady-state behaviour.  The leaky
-        # control is skipped: its server deliberately desynchronizes on
-        # reads, so any second access fails by construction.
-        from repro.types import Request
+    finally:
+        obs.disable()
 
-        obs.enable()
-        for i in range(args.keys):
-            protocol.access(Request.read(f"audit-{i}"))
-        obs.REGISTRY.gauge("lbl.proxy.label_cache.hit_rate").set(
-            round(cache.hit_rate, 3)
-        )
-    snapshot = obs.REGISTRY.snapshot()
-
-    print(f"protocol: {protocol.name}  (value_len={config.value_len}, "
-          f"y={config.group_bits})")
-    print("metrics:")
-    for name, value in sorted(snapshot["counters"].items()):
+    counters = Counter(obs.REGISTRY.snapshot()["counters"])
+    for dump in dumps:
+        counters.update(dump["metrics"]["counters"])
+    print(
+        f"protocol: {deployment.name}  (value_len={config.value_len}, "
+        f"y={config.group_bits}, {deployment.num_shards} "
+        f"{'in-process' if args.leaky else 'process-backed'} shard(s))"
+    )
+    print("metrics (this process and every shard):")
+    for name, value in sorted(counters.items()):
         print(f"  {name:38s} {value}")
-    for name, gauge in sorted(snapshot["gauges"].items()):
-        print(f"  {name:38s} {gauge['value']} (max {gauge['max']})")
-    print(f"span errors: {snapshot['counters'].get('trace.span_errors', 0)}")
     print(report.summary())
-
     if args.json:
         bundle = {
-            "protocol": protocol.name,
-            "metrics": snapshot,
+            "protocol": deployment.name,
+            "metrics": counters,
             "audit": report.to_dict(),
-            "spans": obs.TRACER.export(),
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(bundle, handle, indent=2, default=str)
@@ -651,35 +592,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="run an instrumented LBL workload; print metrics and the "
-        "obliviousness-audit verdict (exit 1 on a detected leak)",
+        help="audit the server's view of an LBL deployment over recording "
+        "links: one round trip, GET/PUT shape identity, ROR-RW (exit 1 on a "
+        "detected leak)",
     )
-    obs_cmd.add_argument("--keys", type=int, default=32, help="workload size")
+    obs_cmd.add_argument("--keys", type=int, default=32, help="keys per path")
     obs_cmd.add_argument("--value-len", type=int, default=16, help="value bytes")
     obs_cmd.add_argument("--seed", type=int, default=0, help="workload seed")
     obs_cmd.add_argument(
-        "--leaky",
-        action="store_true",
-        help="audit the deliberately leaky negative control (must FAIL)",
-    )
-    obs_cmd.add_argument(
         "--shards",
         type=int,
+        default=2,
         metavar="N",
-        help="audit a sharded+pipelined deployment over N in-process "
-        "loopback servers (per-shard verdicts)",
+        help="process-backed shards to audit (default: 2)",
     )
     obs_cmd.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=8,
-        metavar="D",
-        help="in-flight window for the sharded audit (default: 8)",
-    )
-    obs_cmd.add_argument(
-        "--no-label-cache",
+        "--leaky",
         action="store_true",
-        help="audit without the proxy label cache (enabled by default)",
+        help="audit the deliberately leaky negative control instead, lockstep "
+        "on one in-process shard (must FAIL)",
     )
     obs_cmd.add_argument("--json", metavar="PATH", help="also write a JSON bundle")
     obs_cmd.set_defaults(func=_cmd_obs)

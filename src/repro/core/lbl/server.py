@@ -20,18 +20,14 @@ serves a *window* of requests — a lone access frame is a window of one
 storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`,
 and one multi-put of the rotated labels, with per-request error isolation
 and byte-exact ledger attribution.  There is no second path to keep
-byte-identical: what the obliviousness audit observes is what every
+byte-identical: what the obliviousness checker records is what every
 transport runs.
 
-When :mod:`repro.obs` capture is enabled, each request emits a
-:data:`SERVER_SPAN` span describing everything this component could observe
-about it — table shapes, ciphertext bytes, decryption attempts, storage
-rewrites.  The obliviousness auditor (:mod:`repro.obs.audit`) consumes
-exactly this stream: if the span attributes distinguish reads from writes,
-the protocol leaks.  Spans and ``lbl.server.*`` counters are emitted on
-error paths too (a failed decrypt is an observation like any other), with
-the same attribute set plus an ``error`` string whose presence is
-operation-independent.
+When :mod:`repro.obs` capture is enabled, each request is one
+:data:`SERVER_SPAN` span (with an ``error`` attribute when it fails) and
+moves the ``lbl.server.*`` counters, on error paths too.  What the server
+*observes* is not telemetry: :mod:`repro.security.audit` records it on the
+link — the frames, and the stored records around them — and checks it.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from repro.obs.trace import TRACER
 from repro.storage.kv import KeyValueStore
 from repro.core.lbl.proxy import DECRYPT_INDEX_BYTES
 
-#: Span name of the per-request server-side observation record.
+#: Span name of one served request.
 SERVER_SPAN = "lbl.server.process"
 
 
@@ -79,7 +75,7 @@ class LblServer:
         returns whether each item's record was rewritten.
 
         Split out so test doubles can model a *leaky* server that skips the
-        rewrite — the behaviour the obliviousness auditor must flag.
+        rewrite — the behaviour :mod:`repro.security.audit` must flag.
         """
         self.store.put_many(items)
         return [True] * len(items)
@@ -87,37 +83,14 @@ class LblServer:
     def _emit_telemetry(
         self,
         span,
-        request: LblAccessRequest,
         decrypts: int = 0,
         failed: int = 0,
-        opened: int = 0,
         rewritten: int = 0,
         error: OrtoaError | None = None,
     ) -> None:
-        """Finish one request's server-side observation record.
-
-        Success and error paths emit the same attribute set and counters —
-        the only extra attribute on failure is the (operation-independent)
-        ``error``.
-        """
-        attributes = dict(
-            # The encoded key is already the server's storage key, so
-            # recording its prefix adds no observation power — but it
-            # lets the auditor pair spans with requests even when a
-            # worker pool processes them out of submission order.
-            key_fingerprint=request.encoded_key.hex()[:16],
-            groups=request.num_groups,
-            table_entries=request.num_groups * request.table_size,
-            ciphertext_bytes=len(request.slab),
-            decrypt_attempts=decrypts,
-            failed_decrypts=failed,
-            opened_labels=opened,
-            labels_rewritten=rewritten,
-            storage_writes=1 if rewritten else 0,
-        )
+        """Finish one request's span and move the ``lbl.server.*`` counters."""
         if error is not None:
-            attributes["error"] = str(error)
-        span.set_attributes(**attributes)
+            span.set_attributes(error=str(error))
         TRACER.end(span)
         REGISTRY.counter("lbl.server.requests").inc()
         REGISTRY.counter("lbl.server.decrypt_attempts").inc(decrypts)
@@ -198,7 +171,7 @@ class LblServer:
             except OrtoaError as exc:
                 results[index] = exc
                 if capture:
-                    self._emit_telemetry(spans[index], request, error=exc)
+                    self._emit_telemetry(spans[index], error=exc)
 
         # Gather: validate each front request against its stored record and
         # pick its designated rows — the only entries of its slab ever
@@ -238,7 +211,7 @@ class LblServer:
             except OrtoaError as exc:
                 results[index] = exc
                 if capture:
-                    self._emit_telemetry(spans[index], request, error=exc)
+                    self._emit_telemetry(spans[index], error=exc)
                 continue
             opening.append((index, label_len))
 
@@ -259,14 +232,12 @@ class LblServer:
                 decrypts, failed = groups, len(failures)
                 error: OrtoaError | None = None
                 if failures:
-                    opened = failures[0]
                     error = ProtocolError(
-                        f"designated entry failed to open at group {opened}"
+                        f"designated entry failed to open at group {failures[0]}"
                     )
                 else:
                     # The opened labels and slot bytes, each back to back,
                     # are the new record (and the labels are the reply).
-                    opened = groups
                     updated = StoredRecord(labels, slots)
                 if capture and rows[index] is not None:
                     _ledger.credit_op("aead.decrypts", decrypts - failed, rows[index])
@@ -279,10 +250,7 @@ class LblServer:
                 if error is not None:
                     results[index] = error
                     if capture:
-                        self._emit_telemetry(
-                            spans[index], request, decrypts, failed, opened,
-                            error=error,
-                        )
+                        self._emit_telemetry(spans[index], decrypts, failed, error=error)
                     continue
                 commits.append((request.encoded_key, updated))
                 if capture:
@@ -301,8 +269,7 @@ class LblServer:
                 for (index, decrypts, failed), rewrote in zip(committed, written):
                     groups = requests[index].num_groups
                     self._emit_telemetry(
-                        spans[index], requests[index], decrypts, failed, groups,
-                        groups if rewrote else 0,
+                        spans[index], decrypts, failed, groups if rewrote else 0
                     )
 
         if tail:

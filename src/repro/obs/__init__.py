@@ -1,8 +1,8 @@
-"""``repro.obs`` — tracing, metrics, logging, and obliviousness auditing.
+"""``repro.obs`` — tracing, metrics, logging, the resource ledger, doctor.
 
 The paper's claims are quantitative (one round trip per access, a latency
-breakdown, an identical server view for GET and PUT), so this package makes
-the corresponding quantities first-class observables:
+breakdown, a per-access byte and crypto budget), so this package makes the
+corresponding quantities first-class observables:
 
 * :mod:`repro.obs.trace` — context-manager spans with parent/child nesting
   and pluggable wall/sim time sources;
@@ -20,12 +20,11 @@ the corresponding quantities first-class observables:
 * :mod:`repro.obs.ledger` — the per-request resource ledger: wire bytes
   per frame type/direction and crypto-primitive invocations, attributed to
   the request that caused them and validated against the closed-form cost
-  model (:mod:`repro.analysis.costmodel`);
-* :mod:`repro.obs.audit` — replays the *server-side* span stream of a run
-  and checks the server-visible trace is identical for reads and writes
-  (the paper's §5 security argument as a runnable check).  Imported lazily
-  — ``from repro.obs import audit`` — because it depends on the protocol
-  layer, which is itself instrumented with this package.
+  model (:mod:`repro.analysis.costmodel`).
+
+Whether the server's view of a GET equals its view of a PUT is not a
+telemetry question: :mod:`repro.security.audit` records that view on each
+shard's link, capture on or off.
 
 Capture is off by default; every instrumentation site guards its emission
 behind a single flag check, so the disabled path is effectively free::

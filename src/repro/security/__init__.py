@@ -15,6 +15,13 @@ protocol over meaningful requests or by a simulator that saw only the keys
 * :mod:`repro.security.distinguisher` — structural checks (shape equality)
   and statistical adversaries (byte histograms, size features) used by the
   test suite to certify that the implementations leak nothing observable.
+* :mod:`repro.security.audit` — the obliviousness checker behind
+  ``repro obs``: a :class:`~repro.security.audit.RecordingLink` on each
+  shard's link records what the server sees (frames, and stored records
+  where the store is in this process), and
+  :func:`~repro.security.audit.run_audit` asserts one round trip, GET/PUT
+  shape identity, and ROR-RW against the Figure 7 simulator over it.
+  :func:`~repro.security.games.real_lbl_output` is read from the same link.
 
 Empirical indistinguishability obviously does not *prove* security — the
 paper's hybrid argument does that — but it catches implementation-level
@@ -22,6 +29,7 @@ leaks (size differences, deterministic nonces, skipped shuffles) that a
 proof on paper would never notice.
 """
 
+from repro.security.audit import AuditReport, RecordingLink, run_audit
 from repro.security.distinguisher import (
     byte_histogram_advantage,
     shape_fingerprint,
@@ -31,6 +39,9 @@ from repro.security.games import Access, RorRwGame, real_lbl_output
 from repro.security.simulators import FheSimulator, LblSimulator, TeeSimulator
 
 __all__ = [
+    "AuditReport",
+    "RecordingLink",
+    "run_audit",
     "Access",
     "RorRwGame",
     "real_lbl_output",

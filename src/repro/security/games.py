@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from repro.core.lbl import LblOrtoa
 from repro.errors import ConfigurationError
+from repro.security.audit import record_links
 from repro.security.simulators import LblSimulator
 from repro.types import Operation, Request, StoreConfig
 
@@ -43,19 +44,19 @@ Adversary = Callable[[list[bytes]], bool]
 
 
 def real_lbl_output(config: StoreConfig, accesses: Sequence[Access]) -> list[bytes]:
-    """``Out_Real`` for LBL-ORTOA: the serialized server-bound messages."""
+    """``Out_Real`` for LBL-ORTOA: the request frames an :class:`LblOrtoa`
+    sent its shard, as a :class:`~repro.security.audit.RecordingLink` saw
+    them."""
     protocol = LblOrtoa(config)
+    (link,) = record_links(protocol)
     protocol.initialize({a.key: b"" for a in accesses})
-    output = []
+    loaded = len(link.frames)
     for access in accesses:
         request = access.to_request()
         if request.op.is_write:
             request = Request.write(request.key, config.pad(request.value or b""))
-        lbl_request, _ = protocol.proxy.prepare(request)
-        # Keep proxy and server state consistent for subsequent accesses.
-        protocol.server.process(lbl_request)
-        output.append(lbl_request.to_bytes())
-    return output
+        protocol.access(request)
+    return [frame.request for frame in link.frames[loaded:]]
 
 
 def ideal_lbl_output(

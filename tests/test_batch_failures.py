@@ -26,7 +26,6 @@ import pytest
 from repro import obs
 from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.server import SERVER_SPAN
 from repro.core.messages import (
     LblAccessRequest,
     LblAccessResponse,
@@ -41,11 +40,7 @@ from repro.errors import (
     OrtoaError,
     ProtocolError,
 )
-from repro.obs.audit import (
-    LeakyLblOrtoa,
-    audit_observations,
-    observations_from_spans,
-)
+from repro.security.audit import LeakyLblOrtoa, record_links, shape_identity
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 from repro.transport.cluster import ShardCluster
 from repro.transport.server import LOAD_ACK, pack_load
@@ -338,21 +333,26 @@ def test_mixed_batch_frame_through_the_dispatcher(captured, monkeypatch):
         server.close()
 
 
-def test_leaky_control_is_flagged_through_a_fused_window(captured):
+def test_leaky_control_is_flagged_through_a_fused_window():
     """The negative control leaks in its commit hook — which every window,
     not just a lone ``process``, must run through: here two batch frames
     of eight, one all reads and one all writes, so the leak knows the op."""
     leaky = LeakyLblOrtoa(CONFIG)
+    (link,) = record_links(leaky)
     keys = [f"audit-{i}" for i in range(16)]
     leaky.initialize({key: bytes(16) for key in keys})
     reads = [Request.read(key) for key in keys[:8]]
     writes = [Request.write(key, bytes([7]) * 16) for key in keys[8:]]
+    loaded = len(link.frames)
     for batch in (reads, writes):
         leaky.server.current_op = batch[0].op
         leaky.access_batch(batch)
-    spans = obs.TRACER.spans(SERVER_SPAN)
+    read_frame, write_frame = link.frames[loaded:]  # one frame per batch
     ops = [request.op for request in reads + writes]
-    report = audit_observations(observations_from_spans(spans, ops))
-    assert not report.passed
-    leaked = {check.feature for check in report.checks if not check.passed}
-    assert {"labels_rewritten", "storage_writes"} <= leaked
+    check = shape_identity(
+        "access_batch", "storage", list(zip(ops, read_frame.storage + write_frame.storage))
+    )
+    assert check.passed is False
+    assert check.detail == (
+        "reads saw [(1088, 1088, False)], writes saw [(1088, 1088, True)]"
+    )

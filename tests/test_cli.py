@@ -112,20 +112,28 @@ def test_run_obs_json_writes_span_bundle(tmp_path, capsys):
 
 
 def test_obs_command_passes_on_honest_protocol(capsys):
-    assert main(["obs", "--keys", "8", "--seed", "0"]) == 0
+    """The default audit runs over two process-backed shards."""
+    assert main(["obs", "--seed", "0"]) == 0
     out = capsys.readouterr().out
+    assert "2 process-backed shard(s)" in out
     assert "obliviousness audit: PASS" in out
+    for path in ("access", "access_pipelined", "access_batch"):
+        for claim in ("one round trip", "shape identity, frames", "ROR-RW"):
+            assert f"[ok  ] {path} / {claim}: " in out
+        assert f"[n/a ] {path} / shape identity, storage: not observed" in out
+    # The shards' counters are pulled back and printed with this process's.
     assert "lbl.server.decrypt_attempts" in out
 
 
 def test_obs_command_fails_on_leaky_control(tmp_path, capsys):
     bundle_path = tmp_path / "leaky.json"
     code = main(
-        ["obs", "--keys", "8", "--seed", "0", "--leaky", "--json", str(bundle_path)]
+        ["obs", "--keys", "16", "--seed", "0", "--leaky", "--json", str(bundle_path)]
     )
     assert code == 1
     out = capsys.readouterr().out
     assert "obliviousness audit: FAIL" in out
+    assert "[LEAK] access / shape identity, storage" in out
     bundle = json.loads(bundle_path.read_text())
     assert bundle["protocol"] == "lbl-ortoa-leaky"
     assert bundle["audit"]["passed"] is False

@@ -207,42 +207,6 @@ def test_negative_jitter_rejected():
         DeploymentSpec(rtt_jitter_ms=-1.0)
 
 
-# --------------------------------------------------------------------- #
-# Replicated runs (§6: "average of 3 runs")
-# --------------------------------------------------------------------- #
-
-def test_run_replicated_aggregates():
-    from repro.harness.replication import run_replicated
-
-    result = run_replicated(
-        DeploymentSpec(protocol="tee", server_cores=48, rtt_jitter_ms=2.0, **FAST),
-        num_runs=3,
-    )
-    assert result.num_runs == 3
-    assert result.throughput_mean > 0
-    # Jitter makes replicas differ, so the spread is non-degenerate...
-    assert result.latency_stdev_ms >= 0
-    # ...and the mean sits inside the replica range.
-    latencies = [r.metrics.avg_latency_ms for r in result.runs]
-    assert min(latencies) <= result.latency_mean_ms <= max(latencies)
-
-
-def test_run_replicated_single_run_has_zero_stdev():
-    from repro.harness.replication import run_replicated
-
-    result = run_replicated(DeploymentSpec(protocol="tee", server_cores=48, **FAST),
-                            num_runs=1)
-    assert result.throughput_stdev == 0.0
-    assert result.latency_stdev_ms == 0.0
-
-
-def test_run_replicated_validation():
-    from repro.harness.replication import run_replicated
-
-    with pytest.raises(ConfigurationError):
-        run_replicated(DeploymentSpec(**FAST), num_runs=0)
-
-
 def test_utilization_reporting():
     """Proxy utilization must expose the saturation mechanism: low at 8
     clients, near-saturated at 128 for LBL; and the server stays cool."""

@@ -2,10 +2,9 @@
 
 Batching and the label cache both live on the *proxy*
 side of the trust boundary — nothing the
-server observes (request sizes, table shapes, decrypt counts, storage
-writes) may depend on them.  These tests run the
-:mod:`repro.obs` auditor over each configuration and require a clean
-verdict.  That the kernel builds the paper's request byte for byte is
+server observes (the frames on its link, its stored records) may depend on
+them.  These tests run the :mod:`repro.security.audit` checker over each
+configuration and require a clean verdict.  That the kernel builds the paper's request byte for byte is
 ``tests/test_golden_vectors.py``'s reference property.
 """
 
@@ -15,10 +14,8 @@ import pytest
 
 from repro import obs
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.server import SERVER_SPAN
 from repro.crypto.keys import KeyChain
-from repro.obs.audit import audit_observations, observations_from_spans, run_audit
-from repro.obs.trace import TRACER
+from repro.security.audit import record_links, run_audit, shape_identity
 from repro.types import Request, StoreConfig
 
 
@@ -49,7 +46,7 @@ def test_audit_passes_with_label_cache():
 
     :func:`run_audit` touches every key exactly once, which can never hit
     the cache — so this builds the same balanced workload by hand, runs a
-    priming pass to populate every key's epoch, and audits only the second
+    priming pass to populate every key's epoch, and records only the second
     (every access a hit) pass.
     """
     rng = random.Random(0)
@@ -64,17 +61,18 @@ def test_audit_passes_with_label_cache():
     for request in requests:  # priming pass: every key's epoch cached
         protocol.access(request)
 
-    obs.enable()
-    TRACER.reset()
+    (link,) = record_links(protocol)
     cache = protocol.proxy.label_cache
     hits_before = cache.hits
     for request in requests:
         protocol.access(request)
-    spans = TRACER.spans(SERVER_SPAN)
-    report = audit_observations(
-        observations_from_spans(spans, [request.op for request in requests])
-    )
-    assert report.passed, report.summary()
+    assert len(link.frames) == len(requests)  # one frame per access
+    ops = [request.op for request in requests]
+    frames = [(len(f.request), len(f.reply)) for f in link.frames]
+    storage = [f.storage[0] for f in link.frames]
+    for claim, views in (("frames", frames), ("storage", storage)):
+        check = shape_identity("access", claim, list(zip(ops, views)))
+        assert check.passed, check.detail
     assert cache.hits - hits_before == len(requests)  # every access was warm
 
 

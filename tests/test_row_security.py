@@ -25,7 +25,6 @@ import pytest
 from repro import obs
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl import proxy as proxy_module
-from repro.core.lbl.server import SERVER_SPAN
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.errors import ProtocolError, TamperDetectedError
@@ -240,7 +239,8 @@ def test_repeated_block_adversary_wins_against_a_fixed_nonce(monkeypatch):
 
 
 def _refused(store: LblOrtoa, request: LblAccessRequest):
-    """Process ``request`` expecting a refusal; returns (error, span attributes)."""
+    """Process ``request`` expecting a refusal; returns (error, how far the
+    ``lbl.server.*`` counters moved, plus the rows that opened)."""
     encoded = request.encoded_key
     before = store.server.store.get(encoded)
     puts = store.server.store.put_count
@@ -249,13 +249,19 @@ def _refused(store: LblOrtoa, request: LblAccessRequest):
     try:
         with pytest.raises(ProtocolError) as excinfo:
             store.server.process(request)
-        (span,) = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
+        counters = obs.REGISTRY.snapshot()["counters"]
     finally:
         obs.disable()
     # Nothing was committed: the stored record is byte-identical.
     assert store.server.store.put_count == puts
     assert store.server.store.get(encoded) == before
-    return excinfo.value, span["attributes"]
+    seen = {
+        name: counters.get(f"lbl.server.{name}", 0)
+        for name in ("requests", "decrypt_attempts", "failed_decrypts", "labels_rewritten")
+    }
+    assert seen["requests"] == 1
+    seen["opened_labels"] = seen["decrypt_attempts"] - seen["failed_decrypts"]
+    return excinfo.value, seen
 
 
 def _flip(request: LblAccessRequest, group: int, slot: int, byte: int, bit: int = 0):

@@ -63,12 +63,8 @@ def test_real_and_ideal_fingerprints_match():
 
 @pytest.mark.parametrize(
     "config",
-    [
-        StoreConfig(value_len=8),
-        StoreConfig(value_len=8, group_bits=2),
-        StoreConfig(value_len=8, group_bits=2),
-    ],
-    ids=["y1", "y2", "y2-pnp"],
+    [StoreConfig(value_len=8), StoreConfig(value_len=8, group_bits=2)],
+    ids=["y1", "y2"],
 )
 def test_fingerprints_match_across_optimizations(config):
     out_reads = real_lbl_output(config, reads(6))

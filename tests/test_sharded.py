@@ -214,31 +214,66 @@ def test_cluster_lifecycle_guards():
 # Obliviousness audit of the sharded deployment
 # --------------------------------------------------------------------- #
 
+def _recorded_deployment(booted):
+    """A deployment over thread-backed shards, each link recording, with
+    each shard's store observed."""
+    from repro.security.audit import RecordingLink
+    from repro.transport.pipeline import PipelinedLblClient
+
+    links = [
+        RecordingLink(PipelinedLblClient(address), store=server.lbl.store)
+        for address, server in zip(booted.addresses, booted.servers)
+    ]
+    return ShardedLblDeployment(CONFIG, links), links
+
+
 def test_sharded_audit_passes_per_shard():
-    from repro.obs.audit import run_sharded_audit
+    from repro.security.audit import PATHS, run_audit
 
     with ShardCluster(2, in_process=True) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses)
+        dep, links = _recorded_deployment(booted)
         try:
-            report = run_sharded_audit(dep, num_keys=24, seed=3)
+            report = run_audit(dep, links, num_keys=24, seed=3)
         finally:
             dep.close()
-    assert report.passed
-    assert report.overall.passed
-    assert len(report.per_shard) == 2
-    assert all(shard_report.passed for shard_report in report.per_shard)
+    assert report.passed, report.summary()
+    assert report.num_shards == 2
+    # Thread-backed shards keep their stores in this process: every claim
+    # is judged, storage included.
+    assert all(check.passed for check in report.checks)
+    batch = {c.claim: c for c in report.checks if c.path == "access_batch"}
+    assert batch["one round trip"].detail.startswith("2 request frames, 2 reply")
     bundle = report.to_dict()
-    assert bundle["passed"] and len(bundle["per_shard"]) == 2
-    assert "shard 1" in report.summary()
+    assert bundle["passed"] and len(bundle["checks"]) == 5 * len(PATHS)
+    assert "2 shard(s)" in report.summary()
 
 
 def test_sharded_audit_requires_keys_per_shard():
-    from repro.obs.audit import run_sharded_audit
+    from repro.security.audit import run_audit
 
     with ShardCluster(2, in_process=True) as booted:
-        dep = ShardedLblDeployment(CONFIG, booted.addresses)
+        dep, links = _recorded_deployment(booted)
         try:
             with pytest.raises(ConfigurationError):
-                run_sharded_audit(dep, num_keys=3, seed=3)
+                run_audit(dep, links, num_keys=3, seed=3)
         finally:
             dep.close()
+
+
+def test_audit_passes_on_process_backed_shards():
+    """The deployment every benchmark runs: shards in their own processes,
+    whose storage this process cannot see."""
+    from repro.security.audit import PATHS, run_audit
+
+    with ShardCluster(2, in_process=False) as booted:
+        dep = ShardedLblDeployment(CONFIG, booted.addresses)
+        try:
+            report = run_audit(dep, seed=5)
+        finally:
+            dep.close()
+    assert report.passed, report.summary()
+    unobserved = [c for c in report.checks if c.passed is None]
+    assert [c.claim for c in unobserved] == ["shape identity, storage"] * len(PATHS)
+    assert all(c.detail == "not observed" for c in unobserved)
+    judged = [c for c in report.checks if c.passed is not None]
+    assert len(judged) == 4 * len(PATHS) and all(c.passed for c in judged)
