@@ -39,7 +39,6 @@ _EXPORTS = {
     "TeeOrtoa": "repro.core",
     "FheOrtoa": "repro.core",
     "TwoRoundBaseline": "repro.core",
-    "ShardedDeployment": "repro.core.deployment",
     "FreshnessGuard": "repro.core.freshness",
     "ObliviousTable": "repro.relational",
     "Schema": "repro.relational",

@@ -227,7 +227,7 @@ class LblCostModel:
         Identical for GET and PUT by construction — the whole point of the
         protocol — and the obliviousness auditor asserts the ledger agrees.
         Covers the cold path (no label-cache hit; the cache's savings are
-        metered as ``cache.hits`` rows, not modeled here) with the epoch
+        metered as ``cache.hits``, not modeled here) with the epoch
         finalized from the proxy's in-flight table: ``finalize`` decodes
         against the blob ``prepare`` kept, so it predicts no PRF call and
         all of the PRF work is ``prepare``'s.  (An epoch that fell out of
@@ -243,9 +243,9 @@ class LblCostModel:
 
         Args:
             include_server: Include the server-side opens: exactly one row
-                per group.  In a sharded deployment the server ops land in
-                server-side ledger rows, so client-row comparisons pass
-                ``False``.
+                per group.  A process-backed shard meters those in its own
+                process's ledger, so comparisons against the proxy
+                process's totals pass ``False``.
         """
         # ``prepare`` derives the old and the new epoch once each.
         codec = self._codec
@@ -475,17 +475,15 @@ def run_model_check(
     """Replay GET and PUT in-process and diff the ledger against the model.
 
     The backbone of ``repro plan --check``: per value size it runs one GET
-    and one PUT through a real :class:`~repro.core.lbl.LblOrtoa` deployment
-    under a tracked ledger row, twice, and compares the row's ops *and* wire
-    bytes to the model byte-for-byte.
+    and one PUT through a real :class:`~repro.core.lbl.LblOrtoa` deployment,
+    twice, and compares the change in the process-wide ledger totals — ops
+    *and* (unframed, in-process) wire bytes — to the model byte-for-byte.
 
-    The ``"lockstep"`` cell runs :meth:`~repro.core.lbl.LblOrtoa.access`;
-    the ``"batch"`` cell serves the tracked access through one
-    :meth:`~repro.core.lbl.server.LblServer.process_many` window shared
-    with an untracked decoy request — what a batch frame runs — and the
-    tracked ledger row must still equal the same model byte-for-byte: the
-    window's closed-form per-row attribution of its opens is exact, not
-    approximate.
+    The ``"lockstep"`` cell is one :meth:`~repro.core.lbl.LblOrtoa.access`;
+    the ``"batch"`` cell is one two-request
+    :meth:`~repro.core.lbl.LblOrtoa.access_batch` (the access plus a read
+    of a second key), whose totals must equal the sum of both requests'
+    models: one server window opens both, exactly.
 
     Returns a JSON-ready report: ``{"ok": bool, "cases": [...]}`` where
     each case carries the expected/actual dicts and its own verdict.
@@ -495,6 +493,9 @@ def run_model_check(
     from repro.obs import ledger
     from repro.types import Request
 
+    def delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
+        return {k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)}
+
     was_enabled = obs.is_enabled()
     obs.enable()
     cases = []
@@ -502,75 +503,51 @@ def run_model_check(
         for value_len in value_sizes:
             for path in ("lockstep", "batch"):
                 config = StoreConfig(value_len=value_len, group_bits=group_bits)
-                windowed = path == "batch"
                 protocol = LblOrtoa(config)
-                records = {"k": b"\x01" * value_len}
-                if windowed:
-                    # The decoy shares the server window with the
-                    # tracked access; it is prepared and finalized outside
-                    # the tracked row.
-                    records["d"] = b"\x01" * value_len
-                protocol.initialize(records)
+                protocol.initialize({"k": b"\x01" * value_len, "d": b"\x01" * value_len})
                 for op_name, request in (
                     ("get", Request.read("k")),
                     ("put", Request.write("k", b"\x02" * value_len)),
                 ):
-                    epoch = protocol.proxy.counter("k")
-                    model = LblCostModel.from_config(config, key="k", counter=epoch)
-                    if windowed:
-                        decoy_epoch = protocol.proxy.counter("d") + 1
-                        decoy_built, _decoy_ops = protocol.proxy.prepare(
-                            Request.read("d")
+                    models = [
+                        LblCostModel.from_config(
+                            config, key=key, counter=protocol.proxy.counter(key)
                         )
-                    with ledger.track(label=f"check:{op_name}") as row:
-                        if windowed:
-                            from repro.errors import OrtoaError
-
-                            built, _prep_ops = protocol.proxy.prepare(request)
-                            window = protocol.server.process_many(
-                                [built, decoy_built], rows=[row, None]
-                            )
-                            for item in window:
-                                if isinstance(item, OrtoaError):
-                                    raise item
-                            response, _server_ops = window[0]
-                            protocol.proxy.finalize(
-                                "k", response, counter=epoch + 1
-                            )
-                            actual_wire = {
-                                "access.sent": len(built.to_bytes()),
-                                "access.received": len(response.to_bytes()),
-                            }
-                        else:
-                            protocol.access(request)
-                            actual_wire = None
-                    if windowed:
-                        # Decoy finalize outside the tracked row: its
-                        # crypto belongs to the decoy, not the case.
-                        protocol.proxy.finalize(
-                            "d", window[1][0], counter=decoy_epoch
+                        for key in ("k", "d")
+                    ]
+                    ops_before = ledger.registry_ops_snapshot()
+                    wire_before = ledger.registry_wire_snapshot()
+                    if path == "batch":
+                        protocol.access_batch([request, Request.read("d")])
+                        frame = "batch"
+                        sent = TAG_BYTES + sum(
+                            FIELD_LEN_BYTES + m.request_bytes for m in models
                         )
-                    snap = row.snapshot()
-                    if actual_wire is None:
-                        actual_wire = snap["wire"]
-                    expected_ops = model.ops(include_server=True)
-                    actual_ops = {
-                        k: snap["ops"].get(k, 0) for k in expected_ops
+                        received = TAG_BYTES + sum(
+                            FIELD_LEN_BYTES + m.response_bytes for m in models
+                        )
+                    else:
+                        protocol.access(request)
+                        models = models[:1]
+                        frame = "access"
+                        sent, received = models[0].request_bytes, models[0].response_bytes
+                    ops = delta(ops_before, ledger.registry_ops_snapshot())
+                    wire = delta(wire_before, ledger.registry_wire_snapshot())
+                    expected_ops: dict[str, int] = {}
+                    for model in models:
+                        for name, count in model.ops(include_server=True).items():
+                            expected_ops[name] = expected_ops.get(name, 0) + count
+                    actual_ops = {k: ops.get(k, 0) for k in expected_ops}
+                    expected_wire = {f"{frame}.sent": sent, f"{frame}.received": received}
+                    actual_wire = {
+                        name.removeprefix("local."): nbytes for name, nbytes in wire.items()
                     }
-                    expected_wire = {
-                        "access.sent": model.request_bytes,
-                        "access.received": model.response_bytes,
-                    }
-                    ok = (
-                        actual_ops == expected_ops
-                        and actual_wire == expected_wire
-                    )
                     cases.append(
                         {
                             "value_len": value_len,
                             "path": path,
                             "op": op_name,
-                            "ok": ok,
+                            "ok": actual_ops == expected_ops and actual_wire == expected_wire,
                             "expected_ops": expected_ops,
                             "actual_ops": actual_ops,
                             "expected_wire": expected_wire,

@@ -165,8 +165,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     if args.check:
         # Replay GET and PUT through real deployments, lockstep and in a
-        # batch window, and require the ledger to agree with the
-        # model byte-for-byte.
+        # batch, and require the ledger's totals to move exactly as the
+        # model says.
         report = run_model_check(value_sizes=(4, 8, 16))
         for case in report["cases"]:
             mark = "ok " if case["ok"] else "FAIL"
@@ -364,17 +364,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             (root for root in roots if root["name"] == "sharded.access"),
             key=lambda root: -(root.get("duration") or 0.0),
         )[: args.exemplars]
-        rows: dict[int | None, list] = {}
-        for row in obs.ledger.completed_rows():
-            rows.setdefault(row.trace_id, []).append(row)
         print(f"{len(slowest)} slowest sharded.access root(s), slowest first:")
         for rank, root in enumerate(slowest, 1):
             print(f"#{rank}  trace {root['trace_id']}")
-            for row in rows.get(root["trace_id"], []):
-                print(
-                    f"  ledger {row.label}: {row.wire_bytes} wire bytes, "
-                    f"{sum(row.ops.values())} primitive ops"
-                )
+            print(f"  {root['attributes'].get('request_bytes')} request bytes")
             for line in render_tree(root, spans):
                 print(f"  {line}")
     return 1 if orphans else 0
@@ -647,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=3,
         default=0,
         metavar="N",
-        help="print the span trees (and ledger rows) of the N slowest "
+        help="print the span trees (and request bytes) of the N slowest "
         "sharded.access roots of the merged trace (default N: 3)",
     )
     trace.set_defaults(func=_cmd_trace)

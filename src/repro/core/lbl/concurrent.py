@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 from repro.core.base import AccessTranscript, OpCounts, RoundTrip
 from repro.core.lbl.proxy import LblProxy
 from repro.core.messages import LblAccessResponse, LblErrorEntry
-from repro.obs import ledger as _ledger
 from repro.types import Request
 
 
@@ -52,7 +51,6 @@ def finalize_batch_entries(
     prepared: list[tuple[Request, OpCounts, int]],
     entries: tuple["LblAccessResponse | LblErrorEntry", ...],
     shares: list[tuple[int, int]],
-    rows: "list[_ledger.LedgerRow | None] | None" = None,
 ) -> tuple[dict[int, AccessTranscript], dict[int, str]]:
     """Finalize a batch response whose entries may include per-request errors.
 
@@ -69,8 +67,6 @@ def finalize_batch_entries(
         entries: The batch response entries, in request order.
         shares: Per request: its (request bytes, response bytes) share of
             the wire exchange that carried it.
-        rows: Optional per-request ledger rows (parallel positions); each
-            entry's finalize crypto is attributed to its own row.
 
     Returns:
         ``(transcripts, failures)`` keyed by original request index.
@@ -88,13 +84,7 @@ def finalize_batch_entries(
                 first_failed_epoch.get(key, epoch), epoch
             )
             continue
-        row = rows[index] if rows is not None else None
-        token = _ledger.activate(row) if row is not None else None
-        try:
-            value, finalize_ops = proxy.finalize(request.key, entry, counter=epoch)
-        finally:
-            if token is not None:
-                _ledger.deactivate(token)
+        value, finalize_ops = proxy.finalize(request.key, entry, counter=epoch)
         transcripts[index] = proxy.transcript(
             request, proxy_ops, finalize_ops, RoundTrip(*share), value
         )

@@ -187,14 +187,21 @@ class LblProxy:
         """Encode every plaintext pair into the server's stored form.
 
         One epoch derivation per record: the value's groups select the
-        labels to store and the slots to open.
+        labels to store and the slots to open.  Every key and value is
+        checked before any counter is registered, so a refused call leaves
+        the proxy as it found it.
         """
+        duplicate = next((key for key in records if key in self._counters), None)
+        if duplicate is not None:
+            raise ProtocolError(f"duplicate key at init: {duplicate!r}")
+        bits = self.config.group_bits
+        grouped = [
+            (key, value_to_groups(self.config.pad(value), bits))
+            for key, value in records.items()
+        ]
         out = []
         codec = self.codec
-        for key, value in records.items():
-            if key in self._counters:
-                raise ProtocolError(f"duplicate key at init: {key!r}")
-            groups = value_to_groups(self.config.pad(value), self.config.group_bits)
+        for key, groups in grouped:
             self._counters[key] = 0
             blob = codec.epoch(key, 0)
             out.append(

@@ -18,10 +18,9 @@ a write by watching its own state.
 serves a *window* of requests — a lone access frame is a window of one
 (:meth:`LblServer.process`) and a batch frame is a window — as exactly one
 storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`,
-and one multi-put of the rotated labels, with per-request error isolation
-and byte-exact ledger attribution.  There is no second path to keep
-byte-identical: what the obliviousness checker records is what every
-transport runs.
+and one multi-put of the rotated labels, with per-request error isolation.
+There is no second path to keep byte-identical: what the obliviousness
+checker records is what every transport runs.
 
 When :mod:`repro.obs` capture is enabled, each request is one
 :data:`SERVER_SPAN` span (with an ``error`` attribute when it fails) and
@@ -39,9 +38,8 @@ from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows as row_kernel
 from repro.crypto.labels import StoredRecord
-from repro.errors import ConfigurationError, OrtoaError, ProtocolError
+from repro.errors import OrtoaError, ProtocolError
 from repro.obs import _state as _obs
-from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.storage.kv import KeyValueStore
@@ -108,9 +106,7 @@ class LblServer:
         return result
 
     def process_many(
-        self,
-        requests: "list[LblAccessRequest]",
-        rows: "list[_ledger.LedgerRow | None] | None" = None,
+        self, requests: "list[LblAccessRequest]"
     ) -> "list[tuple[LblAccessResponse, OpCounts] | OrtoaError]":
         """Serve a window of requests — the server's one access path.
 
@@ -127,27 +123,13 @@ class LblServer:
         the next window, after this one's commit — preserving each key's
         label-rotation order.
 
-        The crypto runs with no ambient ledger row (the registry still
-        meters each real invocation once); each request's row is then
-        credited its closed-form share of the attempt counts, so
-        per-request ledger rows are byte-exact regardless of window shape.
-
         Args:
             requests: The window, in arrival order (meaningful for
                 repeated keys).
-            rows: Optional per-request ledger rows (parallel positions).
-                A ``None`` position credits no row at all (registry-only) —
-                an untracked window-mate must never leak its share into the
-                flushing thread's ambient row.  Omitting ``rows`` entirely
-                attributes every request to the caller's ambient row.
         """
-        if rows is not None and len(rows) != len(requests):
-            raise ConfigurationError("rows must parallel requests")
         if not requests:
             return []
         capture = _obs.enabled
-        if capture and rows is None:
-            rows = [_ledger.current_row()] * len(requests)
         store = self.store
         results: list = [None] * len(requests)
         spans: list = [None] * len(requests)
@@ -215,53 +197,34 @@ class LblServer:
                 continue
             opening.append((index, label_len))
 
-        # Open: the ambient row is cleared so each real crypto invocation
-        # meters the registry exactly once; per-request shares are credited
-        # closed-form below.
+        # Open: one window-wide call, each request's runs in order.
         commits: list[tuple[bytes, StoredRecord]] = []
         committed: list[tuple[int, int, int]] = []
-        token = _ledger.activate(None) if capture else None
-        try:
-            opened_runs = iter(row_kernel.open_rows(runs))
-            for index, label_len in opening:
-                request = requests[index]
-                groups = request.num_groups
-                # Every designated row was attempted, whatever this
-                # request's window-mates (or its own other groups) did.
-                labels, slots, failures = next(opened_runs)
-                decrypts, failed = groups, len(failures)
-                error: OrtoaError | None = None
-                if failures:
-                    error = ProtocolError(
-                        f"designated entry failed to open at group {failures[0]}"
-                    )
-                else:
-                    # The opened labels and slot bytes, each back to back,
-                    # are the new record (and the labels are the reply).
-                    updated = StoredRecord(labels, slots)
-                if capture and rows[index] is not None:
-                    _ledger.credit_op("aead.decrypts", decrypts - failed, rows[index])
-                    _ledger.credit_op("aead.decrypt_failures", failed, rows[index])
-                    if labels:
-                        # One seed block and its pad blocks per designated
-                        # row (a run refused for its shape permuted nothing).
-                        blocks = 1 + row_kernel.row_blocks(request.entry_len)
-                        _ledger.credit_op("aes.blocks", groups * blocks, rows[index])
-                if error is not None:
-                    results[index] = error
-                    if capture:
-                        self._emit_telemetry(spans[index], decrypts, failed, error=error)
-                    continue
-                commits.append((request.encoded_key, updated))
-                if capture:
-                    committed.append((index, decrypts, failed))
-                results[index] = (
-                    LblAccessResponse(updated.labels, label_len),
-                    _access_ops(decrypts - failed, failed),
+        opened_runs = iter(row_kernel.open_rows(runs))
+        for index, label_len in opening:
+            request = requests[index]
+            # Every designated row was attempted, whatever this request's
+            # window-mates (or its own other groups) did.
+            labels, slots, failures = next(opened_runs)
+            decrypts, failed = request.num_groups, len(failures)
+            if failures:
+                error = ProtocolError(
+                    f"designated entry failed to open at group {failures[0]}"
                 )
-        finally:
-            if token is not None:
-                _ledger.deactivate(token)
+                results[index] = error
+                if capture:
+                    self._emit_telemetry(spans[index], decrypts, failed, error=error)
+                continue
+            # The opened labels and slot bytes, each back to back, are the
+            # new record (and the labels are the reply).
+            updated = StoredRecord(labels, slots)
+            commits.append((request.encoded_key, updated))
+            if capture:
+                committed.append((index, decrypts, failed))
+            results[index] = (
+                LblAccessResponse(updated.labels, label_len),
+                _access_ops(decrypts - failed, failed),
+            )
 
         if commits:
             written = self._commit_many(commits)
@@ -275,10 +238,7 @@ class LblServer:
         if tail:
             # Same-key followers consume the labels this window just
             # committed: they are the next window, in arrival order.
-            served = self.process_many(
-                [requests[index] for index in tail],
-                [rows[index] for index in tail] if rows is not None else None,
-            )
+            served = self.process_many([requests[index] for index in tail])
             for index, result in zip(tail, served):
                 results[index] = result
         return results

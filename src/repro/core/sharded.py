@@ -63,7 +63,6 @@ from repro.errors import (
     RefusedError,
 )
 from repro.obs import _state as _obs
-from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
 from repro.obs.propagate import TraceContext, merge_span_dumps
 from repro.obs.trace import TRACER, Span
@@ -94,27 +93,12 @@ class _SerialPrepare:
         return lbl_request, ops, self.proxy.counter(request.key)
 
     def prepare_batch(
-        self,
-        requests: list[Request],
-        rows: "list[_ledger.LedgerRow] | None" = None,
+        self, requests: list[Request]
     ) -> list[tuple[LblAccessRequest, OpCounts, int]]:
-        """Prepare every request in order, so same-key epochs chain.
-
-        Each request's crypto is credited to its entry of ``rows`` when
-        given, to the caller's ambient ledger row otherwise.
-        """
+        """Prepare every request in order, so same-key epochs chain."""
         if not requests:
             raise ConfigurationError("prepare batch must contain at least one request")
-        if rows is None:
-            return [self.prepare_one(request) for request in requests]
-        built = []
-        for request, row in zip(requests, rows):
-            token = _ledger.activate(row)
-            try:
-                built.append(self.prepare_one(request))
-            finally:
-                _ledger.deactivate(token)
-        return built
+        return [self.prepare_one(request) for request in requests]
 
 
 class _KeyClaims:
@@ -156,9 +140,7 @@ class _Flight:
     prepare_ops: OpCounts
     future: Future
     request_bytes: int
-    shard: int
     span: "Span | None"
-    row: "_ledger.LedgerRow | None"
     submitted_at: float
     resent: bool
 
@@ -172,7 +154,7 @@ class ShardedLblDeployment(OrtoaProtocol):
             :class:`~repro.transport.server.LblTcpServer` (a
             :class:`~repro.transport.pipeline.PipelinedLblClient` is opened
             to it), or a link object to use as it stands (anything with
-            ``submit`` / ``close`` / ``overhead``, e.g. a
+            ``submit`` / ``close``, e.g. a
             :class:`~repro.transport.pipeline.LocalLink`).
         keychain: Key material — never leaves this process.
         rng: Accepted and unused.
@@ -345,48 +327,35 @@ class ShardedLblDeployment(OrtoaProtocol):
         if self.wal is not None:
             self.wal.checkpoint(self.proxy.counters())
 
-    def _send(self, index: int, request: Request, row, resent: bool = False) -> _Flight:
+    def _send(self, index: int, request: Request, resent: bool = False) -> _Flight:
         """Prepare one request, log its epoch, and submit it to its shard.
 
-        ``row`` is the request's own ledger row (``None``: the caller's).
         Under observability the access gets a ``sharded.access`` span whose
         context rides the mux frame, so the shard's spans parent under it.
         """
-        token = _ledger.activate(row) if row is not None else None
-        try:
-            started = time.perf_counter() if _obs.enabled else 0.0
-            lbl_request, prepare_ops, epoch = self.prepare_engine.prepare_one(request)
-            payload = lbl_request.to_bytes()
-            if self.wal is not None:
-                self.wal.append(request.key, epoch)  # write-ahead: log, then send
-            shard = self.shard_of(request.key)
-            link = self.clients[shard]
-            span = context = None
-            submitted_at = 0.0
-            if _obs.enabled:
-                REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
-                    time.perf_counter() - started
-                )
-                span = TRACER.start_span(
-                    "sharded.access", shard=shard, request_bytes=len(payload)
-                )
-                context = TraceContext.from_span(span).encode()
-                if row is not None:
-                    row.trace_id = span.trace_id
-                _ledger.credit_wire(
-                    "access", "sent", len(payload) + link.overhead[0], row
-                )
-                REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
-                submitted_at = time.perf_counter()
-            # An in-process shard serves the frame right here, under the
-            # request's row.
-            future = link.submit(payload, trace_context=context)
-        finally:
-            if token is not None:
-                _ledger.deactivate(token)
+        capture = _obs.enabled
+        started = time.perf_counter() if capture else 0.0
+        lbl_request, prepare_ops, epoch = self.prepare_engine.prepare_one(request)
+        payload = lbl_request.to_bytes()
+        if self.wal is not None:
+            self.wal.append(request.key, epoch)  # write-ahead: log, then send
+        shard = self.shard_of(request.key)
+        span = context = None
+        submitted_at = 0.0
+        if capture:
+            REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
+                time.perf_counter() - started
+            )
+            span = TRACER.start_span(
+                "sharded.access", shard=shard, request_bytes=len(payload)
+            )
+            context = TraceContext.from_span(span).encode()
+            REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
+            submitted_at = time.perf_counter()
+        future = self.clients[shard].submit(payload, trace_context=context)
         return _Flight(
-            index, request, epoch, prepare_ops, future, len(payload), shard, span,
-            row, submitted_at, resent,
+            index, request, epoch, prepare_ops, future, len(payload), span,
+            submitted_at, resent,
         )
 
     def _refused(self, key: str, epoch: int, resent: bool, shed: bool) -> bool:
@@ -409,7 +378,7 @@ class ShardedLblDeployment(OrtoaProtocol):
 
         Returns the transcript, or the resend a resync put in flight.
         """
-        request, span, row = flight.request, flight.span, flight.row
+        request, span = flight.request, flight.span
         try:
             reply = flight.future.result(self.timeout)
         except RefusedError as exc:
@@ -419,9 +388,7 @@ class ShardedLblDeployment(OrtoaProtocol):
                 request.key, flight.epoch, flight.resent,
                 isinstance(exc, OverloadError),
             ):
-                return self._send(flight.index, request, row, resent=True)
-            if row is not None:
-                _ledger.retire(row)
+                return self._send(flight.index, request, resent=True)
             raise
         if span is not None:
             REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
@@ -429,24 +396,12 @@ class ShardedLblDeployment(OrtoaProtocol):
             )
             TRACER.end(span)
         response = LblAccessResponse.from_bytes(reply)
-        # Up to ``depth`` request lifetimes interleave on this thread, so the
-        # ambient row must follow the request being finalized.
-        token = _ledger.activate(row) if row is not None else None
-        try:
-            value, finalize_ops = self.proxy.finalize(
-                request.key, response, counter=flight.epoch
-            )
-        finally:
-            if token is not None:
-                _ledger.deactivate(token)
+        value, finalize_ops = self.proxy.finalize(
+            request.key, response, counter=flight.epoch
+        )
         if flight.resent:
             with self._resyncs_lock:
                 self.recovered_resyncs += 1
-        if span is not None:
-            overhead = self.clients[flight.shard].overhead[1]
-            _ledger.credit_wire("access", "received", len(reply) + overhead, row)
-            if row is not None:
-                _ledger.retire(row)
         return self.proxy.transcript(
             request,
             flight.prepare_ops,
@@ -457,14 +412,13 @@ class ShardedLblDeployment(OrtoaProtocol):
 
     def access(self, request: Request) -> AccessTranscript:
         """One oblivious access routed to its shard, in lockstep: a
-        pipeline of one whose work is credited to the caller's ambient
-        ledger row.
+        pipeline of one.
 
         Raises:
             RefusedError: The shard refused the request; the key's counter
                 is back in step with it, so the access can be retried.
         """
-        return self._pipeline([request], 1, own_rows=False)[0]
+        return self._pipeline([request], 1)[0]
 
     def access_pipelined(
         self, requests: list[Request], depth: int | None = None
@@ -474,8 +428,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         Unlike :meth:`access_batch` (one frame per shard), every request
         travels as its own multiplexed frame, so the server's worker pool
         processes them in parallel and replies stream back continuously.
-        Transcripts are returned in request order; each request's work is
-        credited to its own ``pipelined:<key>`` ledger row.
+        Transcripts are returned in request order.
 
         Raises:
             RefusedError: A shard refused a request (OVERLOAD or error
@@ -489,11 +442,9 @@ class ShardedLblDeployment(OrtoaProtocol):
         depth = self.pipeline_depth if depth is None else depth
         if depth < 1:
             raise ConfigurationError("pipeline depth must be >= 1")
-        return self._pipeline(requests, depth, own_rows=True)
+        return self._pipeline(requests, depth)
 
-    def _pipeline(
-        self, requests: list[Request], depth: int, own_rows: bool
-    ) -> list[AccessTranscript]:
+    def _pipeline(self, requests: list[Request], depth: int) -> list[AccessTranscript]:
         claims = self._claims
         window: deque[_Flight] = deque()
         held: set[str] = set()
@@ -533,10 +484,7 @@ class ShardedLblDeployment(OrtoaProtocol):
                 if refused:  # nothing further is submitted (and key is not held)
                     break
                 held.add(request.key)
-                row = None
-                if own_rows and _obs.enabled:
-                    row = _ledger.LedgerRow(label=f"pipelined:{request.key}")
-                window.append(self._send(index, request, row))
+                window.append(self._send(index, request))
                 if _obs.enabled:
                     REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
             while window:
@@ -579,14 +527,8 @@ class ShardedLblDeployment(OrtoaProtocol):
     def _access_batch_inner(
         self, requests: list[Request], batch_context: bytes | None
     ) -> list[AccessTranscript]:
-        rows: "list[_ledger.LedgerRow] | None" = None
-        if _obs.enabled:
-            rows = [
-                _ledger.LedgerRow(label=f"batched:{request.key}")
-                for request in requests
-            ]
         prepare_start = time.perf_counter()
-        built = self.prepare_engine.prepare_batch(requests, rows=rows)
+        built = self.prepare_engine.prepare_batch(requests)
         if _obs.enabled:
             REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
                 time.perf_counter() - prepare_start
@@ -602,21 +544,12 @@ class ShardedLblDeployment(OrtoaProtocol):
         shard_futures = {}
         shard_wire_bytes = {}
         for shard, indices in by_shard.items():
-            link = self.clients[shard]
-            sub_messages = [built[i][0].to_bytes() for i in indices]
             wire = LblBatchRequest(tuple(built[i][0] for i in indices)).to_bytes()
             shard_wire_bytes[shard] = len(wire)
-            shard_futures[shard] = link.submit(wire, trace_context=batch_context)
-            if rows is not None:
-                # Exact attribution: each request owns its length-prefixed
-                # sub-message; the shard envelope (batch tag + the link's
-                # framing) goes to the sub-batch's first row, so per-row
-                # sums equal the transport totals to the byte.
-                for position, index in enumerate(indices):
-                    share = 4 + len(sub_messages[position])
-                    if position == 0:
-                        share += 1 + link.overhead[0]
-                    rows[index].credit_wire("batch", "sent", share)
+            shard_futures[shard] = self.clients[shard].submit(
+                wire, trace_context=batch_context
+            )
+            if _obs.enabled:
                 REGISTRY.counter(f"sharded.shard{shard}.requests").inc(len(indices))
                 REGISTRY.gauge("sharded.batch.shards_in_flight").set(
                     len(shard_futures)
@@ -644,28 +577,18 @@ class ShardedLblDeployment(OrtoaProtocol):
                 shard_wire_bytes[shard] // len(indices),
                 len(reply) // len(indices),
             )
-            for position, (index, entry) in enumerate(zip(indices, response.responses)):
+            for index, entry in zip(indices, response.responses):
                 entries[index] = entry
                 shares[index] = share
-                if rows is not None:
-                    nbytes = 4 + len(entry.to_bytes())
-                    if position == 0:
-                        # Reply envelope: batch tag + the link's framing.
-                        nbytes += 1 + self.clients[shard].overhead[1]
-                    rows[index].credit_wire("batch", "received", nbytes)
 
         transcripts, failures = finalize_batch_entries(
             self.proxy,
             [(request, ops, epoch) for request, (_, ops, epoch) in zip(requests, built)],
             tuple(entries),
             shares=shares,
-            rows=rows,
         )
         if failures and self.wal is not None:
             self._resync_batch(requests, built, shed, transcripts, failures)
-        if rows is not None:
-            for row in rows:
-                _ledger.retire(row)
         if failures:
             raise BatchPartialFailure(failures, transcripts)
         return [transcripts[i] for i in range(len(requests))]
@@ -696,7 +619,7 @@ class ShardedLblDeployment(OrtoaProtocol):
                 continue
             try:
                 transcripts[index] = self._receive(
-                    self._send(index, request, None, resent=True)
+                    self._send(index, request, resent=True)
                 )
             except RefusedError:
                 continue

@@ -17,10 +17,10 @@ corresponding quantities first-class observables:
   endpoint;
 * :mod:`repro.obs.doctor` — ``repro doctor``: scrape those endpoints and
   name a deployment's bottleneck;
-* :mod:`repro.obs.ledger` — the per-request resource ledger: wire bytes
-  per frame type/direction and crypto-primitive invocations, attributed to
-  the request that caused them and validated against the closed-form cost
-  model (:mod:`repro.analysis.costmodel`).
+* :mod:`repro.obs.ledger` — the resource ledger: process totals of wire
+  bytes per frame type/direction and of crypto-primitive invocations,
+  validated against the closed-form cost model
+  (:mod:`repro.analysis.costmodel`).
 
 Whether the server's view of a GET equals its view of a PUT is not a
 telemetry question: :mod:`repro.security.audit` records that view on each
@@ -89,11 +89,10 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all recorded spans, zero every metric, and clear retired ledger
-    rows."""
+    """Drop all recorded spans and zero every metric (the ledger's totals
+    included)."""
     TRACER.reset()
     REGISTRY.reset()
-    ledger.reset()
 
 
 @contextmanager

@@ -139,7 +139,6 @@ def target_row(
         "prepare_p99_ms": _ms(
             _value(current, "repro_lbl_proxy_prepare_seconds", p99)
         ),
-        "cache_hit_rate": _value(current, "repro_lbl_proxy_label_cache_hit_rate"),
         "queue_depth": in_flight,
         "span_errors": _value(current, "repro_trace_span_errors_total"),
         "shed_per_s": _rate(_value(current, shed), _value(previous, shed), interval_s),

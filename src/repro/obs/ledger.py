@@ -1,39 +1,25 @@
-"""Per-request resource ledger: wire bytes and crypto ops, attributed.
+"""Resource ledger: wire bytes and crypto ops, metered process-wide.
 
 The paper's cost story (§6.3.3, Table 2) is a budget — bytes per access and
-primitive invocations per access — so this module meters both at the places
-they actually happen and attributes them to the request that caused them:
+primitive invocations per access.  Each access's own budget is its
+:class:`~repro.core.base.AccessTranscript` (per-phase ``OpCounts`` and the
+``RoundTrip`` bytes), always built.  This module keeps the process totals
+behind it, metered where the costs actually happen:
 
 * **Wire bytes** are counted where frames cross a socket
   (:mod:`repro.transport.pipeline`, :mod:`repro.transport.server`) or the
   in-process link (:class:`repro.transport.pipeline.LocalLink`, unframed,
-  ``role="local"``), keyed by frame type × direction × role, and credited
-  per request by :class:`repro.core.sharded.ShardedLblDeployment`.
+  ``role="local"``), keyed by frame type × direction × role
+  (``ledger.wire.{role}.{frame}.{direction}.bytes``).
 * **Crypto ops** are counted inside the primitives themselves
-  (:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`, the label cache) so
+  (:mod:`repro.crypto.prf`, :mod:`repro.crypto.rows`, the label cache) so
   every fast path — batch kernel, cache hit — is metered where it
-  short-circuits.
+  short-circuits (``ledger.ops.{primitive}``).
 
-Attribution uses a :mod:`contextvars` ambient row: :func:`track` opens a
-:class:`LedgerRow` for the current context, instrumented code calls
-:func:`add_op` / :func:`credit_wire`, and the row lands in a bounded
-archive when the block exits.  Code that interleaves requests or hops
-threads (batch prepares, the pipelined window, server handler threads)
-activates rows explicitly with :func:`activate` so bytes and ops never
-cross-attribute between interleaved requests.
-
-Two write paths exist on purpose, to make double-crediting impossible:
-
-* :func:`count_wire` writes **only** the process-wide registry
-  (``ledger.wire.{role}.{frame}.{direction}.bytes``).  Transport layers
-  call it — they see real socket traffic but cannot split a mux frame
-  fairly between pipelined requests.
-* :func:`credit_wire` writes **only** the ambient (or given) row.  The
-  deployment layer calls it — it knows exactly which bytes belong to which
-  request, including each request's share of batch envelopes.
-
-:func:`add_op` writes both, because a primitive invocation is unambiguous:
-whoever is running when the PRF evaluates owns that evaluation.
+A run's cost is the difference of two snapshots
+(:func:`registry_ops_snapshot`, :func:`registry_wire_snapshot`); ``repro
+plan --check`` diffs them around each access against
+:class:`~repro.analysis.costmodel.LblCostModel`.
 
 Everything here is inert unless :data:`repro.obs._state.enabled` is set;
 callers additionally guard their call sites, keeping the disabled path at
@@ -44,12 +30,6 @@ imports only :mod:`repro.obs._state` and :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
-
-import contextvars
-import threading
-from collections import deque
-from contextlib import contextmanager
-from typing import Any, Iterator
 
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
@@ -76,16 +56,6 @@ _FRAME_NAMES = {
 }
 
 
-def framed_mux_bytes(payload_len: int, traced: bool = True) -> int:
-    """Wire footprint of one mux-wrapped payload: 4-byte frame length plus
-    the mux header (25 bytes with a trace context, 9 without) plus payload.
-
-    The deployment layer uses this to credit a request's row with exactly
-    the bytes the transport layer counts for the same frame.
-    """
-    return 4 + (_MUX_TRACED_HEADER if traced else _MUX_HEADER) + payload_len
-
-
 def frame_type(payload: bytes) -> str:
     """Classify a frame payload (mux or plain) for ledger keys.
 
@@ -104,175 +74,22 @@ def frame_type(payload: bytes) -> str:
     return _FRAME_NAMES.get(payload[0], "other")
 
 
-class LedgerRow:
-    """Resource totals of one tracked request (or one server-side handling).
-
-    ``wire`` is keyed ``"{frame}.{direction}"`` → bytes; ``ops`` is keyed by
-    primitive name → count.  Rows are mutated from whichever thread is doing
-    the request's work, so each row carries its own lock.
-    """
-
-    __slots__ = ("label", "trace_id", "wire", "ops", "_lock")
-
-    def __init__(self, label: str = "", trace_id: int | None = None) -> None:
-        self.label = label
-        self.trace_id = trace_id
-        self.wire: dict[str, int] = {}
-        self.ops: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def credit_wire(self, frame: str, direction: str, nbytes: int) -> None:
-        """Add ``nbytes`` under ``{frame}.{direction}``."""
-        key = f"{frame}.{direction}"
-        with self._lock:
-            self.wire[key] = self.wire.get(key, 0) + nbytes
-
-    def add_op(self, primitive: str, n: int = 1) -> None:
-        """Count ``n`` invocations of ``primitive``."""
-        with self._lock:
-            self.ops[primitive] = self.ops.get(primitive, 0) + n
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total bytes across every frame type and direction."""
-        return sum(self.wire.values())
-
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-dict copy (JSON-ready, safe to keep after the row retires)."""
-        with self._lock:
-            return {
-                "label": self.label,
-                "trace_id": self.trace_id,
-                "wire": dict(self.wire),
-                "ops": dict(self.ops),
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LedgerRow(label={self.label!r}, wire={self.wire}, ops={self.ops})"
-
-
-_ROW: contextvars.ContextVar[LedgerRow | None] = contextvars.ContextVar(
-    "repro_ledger_row", default=None
-)
-
-#: Retired rows, newest last.  Bounded so long runs cannot grow without
-#: limit; 1024 rows comfortably covers any audit or validation batch.
-MAX_COMPLETED_ROWS = 1024
-_completed: deque[LedgerRow] = deque(maxlen=MAX_COMPLETED_ROWS)
-_completed_lock = threading.Lock()
-
-
-def current_row() -> LedgerRow | None:
-    """The row receiving ambient credit in this context, if any."""
-    return _ROW.get()
-
-
-def activate(row: LedgerRow | None) -> contextvars.Token:
-    """Make ``row`` the ambient row for this thread/context.
-
-    Returns the token to pass to :func:`deactivate`.  Used by code that
-    carries a row across a thread hop (worker pools, reader threads), where
-    the :func:`track` context manager of the originating thread is not
-    visible.
-    """
-    return _ROW.set(row)
-
-
-def deactivate(token: contextvars.Token) -> None:
-    """Undo a matching :func:`activate`."""
-    _ROW.reset(token)
-
-
-def retire(row: LedgerRow) -> None:
-    """Archive a finished row into the bounded completed deque."""
-    with _completed_lock:
-        _completed.append(row)
-
-
-@contextmanager
-def track(label: str = "", trace_id: int | None = None) -> Iterator[LedgerRow]:
-    """Open a ledger row for the duration of a ``with`` block.
-
-    The row becomes the ambient attribution target; on exit it is archived
-    (see :func:`completed_rows`) and the previous ambient row — possibly
-    ``None`` — is restored, so tracked sections nest.
-    """
-    row = LedgerRow(label=label, trace_id=trace_id)
-    token = _ROW.set(row)
-    try:
-        yield row
-    finally:
-        _ROW.reset(token)
-        retire(row)
-
-
-def completed_rows() -> list[LedgerRow]:
-    """Retired rows, oldest first (bounded by :data:`MAX_COMPLETED_ROWS`)."""
-    with _completed_lock:
-        return list(_completed)
-
-
-def reset() -> None:
-    """Drop all retired rows (registry counters are reset via obs.reset())."""
-    with _completed_lock:
-        _completed.clear()
-
-
 def count_wire(frame: str, direction: str, nbytes: int, role: str = "client") -> None:
-    """Meter real wire traffic into the process-wide registry **only**.
+    """Meter real wire traffic into the process-wide registry.
 
     Called at transport boundaries.  ``direction`` is ``sent`` or
-    ``received`` from ``role``'s point of view.  Deliberately does *not*
-    touch the ambient row — per-request attribution is the deployment
-    layer's job (:func:`credit_wire`), and doing both here would
-    double-credit.
+    ``received`` from ``role``'s point of view.
     """
     if not _obs.enabled:
         return
     REGISTRY.counter(f"ledger.wire.{role}.{frame}.{direction}.bytes").inc(nbytes)
 
 
-def credit_wire(
-    frame: str, direction: str, nbytes: int, row: LedgerRow | None = None
-) -> None:
-    """Credit bytes to a request's row **only** (ambient row when ``row`` is
-    ``None``).  The registry totals come from :func:`count_wire` at the
-    transport layer; crediting them here too would double-count."""
-    if not _obs.enabled:
-        return
-    if row is None:
-        row = _ROW.get()
-    if row is not None:
-        row.credit_wire(frame, direction, nbytes)
-
-
-def credit_op(primitive: str, n: int = 1, row: LedgerRow | None = None) -> None:
-    """Credit ``n`` invocations of ``primitive`` to a request's row **only**
-    (ambient row when ``row`` is ``None``).
-
-    The fused-dispatch counterpart of :func:`credit_wire`: a window-wide
-    crypto call runs under ``activate(None)`` so the primitive meters the
-    registry once for the real invocation, then the flusher splits the
-    attempt counts closed-form across the requests it served with this
-    helper.  Crediting the registry here too would double-count the fused
-    call."""
-    if not _obs.enabled or n == 0:
-        return
-    if row is None:
-        row = _ROW.get()
-    if row is not None:
-        row.add_op(primitive, n)
-
-
 def add_op(primitive: str, n: int = 1) -> None:
-    """Count ``n`` invocations of ``primitive`` in the registry and the
-    ambient row (if one is active)."""
+    """Count ``n`` invocations of ``primitive`` in the registry."""
     if not _obs.enabled or n == 0:
         return
     REGISTRY.counter(f"ledger.ops.{primitive}").inc(n)
-    row = _ROW.get()
-    if row is not None:
-        row.add_op(primitive, n)
 
 
 def add_prf(calls: int, compressions: int) -> None:
@@ -282,10 +99,6 @@ def add_prf(calls: int, compressions: int) -> None:
         return
     REGISTRY.counter("ledger.ops.prf.calls").inc(calls)
     REGISTRY.counter("ledger.ops.sha256.compressions").inc(compressions)
-    row = _ROW.get()
-    if row is not None:
-        row.add_op("prf.calls", calls)
-        row.add_op("sha256.compressions", compressions)
 
 
 def registry_ops_snapshot() -> dict[str, int]:
@@ -312,20 +125,8 @@ def registry_wire_snapshot() -> dict[str, int]:
 
 
 __all__ = [
-    "LedgerRow",
-    "MAX_COMPLETED_ROWS",
     "frame_type",
-    "framed_mux_bytes",
-    "track",
-    "current_row",
-    "activate",
-    "deactivate",
-    "retire",
-    "completed_rows",
-    "reset",
     "count_wire",
-    "credit_wire",
-    "credit_op",
     "add_op",
     "add_prf",
     "registry_ops_snapshot",

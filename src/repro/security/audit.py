@@ -102,7 +102,7 @@ class RecordingLink:
     deployment's links with :func:`record_links`.
 
     Args:
-        link: The link to wrap (``submit`` / ``close`` / ``overhead``).
+        link: The link to wrap (``submit`` / ``close``).
         store: The shard's store when it lives in this process; a
             :class:`~repro.transport.pipeline.LocalLink`'s is found without
             it.  With none, storage is not observed.
@@ -110,7 +110,6 @@ class RecordingLink:
 
     def __init__(self, link, store=None) -> None:
         self.link = link
-        self.overhead = link.overhead
         if store is None and hasattr(link, "dispatcher"):
             store = link.dispatcher.lbl.store
         self.store = store

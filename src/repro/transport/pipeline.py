@@ -136,13 +136,6 @@ class PipelinedLblClient:
         timeout: Connect timeout per socket (seconds).
     """
 
-    #: Bytes the wire adds to one payload, ``(sent, received)``: the frame
-    #: length, and the mux header — traced when sent, plain when received.
-    overhead = (
-        _ledger.framed_mux_bytes(0, traced=True),
-        _ledger.framed_mux_bytes(0, traced=False),
-    )
-
     def __init__(
         self,
         address: tuple[str, int],
@@ -262,15 +255,11 @@ class PipelinedLblClient:
 
 class LocalLink:
     """A shard in this process: each payload is dispatched on the caller's
-    thread (so the shard's work lands in the caller's ledger row) and
-    metered unframed under ``role="local"``.
+    thread and metered unframed under ``role="local"``.
 
     Args:
         dispatcher: The shard; a fresh one if omitted.
     """
-
-    #: No wire, so no framing: a payload costs its own length.
-    overhead = (0, 0)
 
     def __init__(self, dispatcher: LblFrameDispatcher | None = None) -> None:
         self.dispatcher = dispatcher or LblFrameDispatcher()

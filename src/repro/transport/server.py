@@ -251,34 +251,28 @@ class LblFrameDispatcher:
 
     @contextmanager
     def request_scope(self, trace_context: bytes | None) -> Iterator[None]:
-        """One traced request: span, server ledger row, service histogram.
+        """One traced request: span and service histogram.
 
         The span parents under the propagated client context and marks
         itself :data:`~repro.obs.propagate.REMOTE_PARENT_ATTR` so a
         cross-process merge keeps its parent link pointing at the client
         span; making it the context's current span lets the nested
-        ``lbl.server.process`` span parent locally under it.  Server-side
-        ops (AEAD opens) land in a server-labeled row linked to the client
-        trace, so the ledger can pair both halves of one access.  Service
+        ``lbl.server.process`` span parent locally under it.  Service
         time — queueing excluded — lands in the
         ``transport.server.service.seconds`` log histogram.
         """
         start = time.perf_counter()
         parent = None
         attributes = {}
-        trace_id = None
         if trace_context is not None:
             try:
-                decoded = TraceContext.decode(trace_context)
-                parent = remote_parent(decoded)
-                trace_id = decoded.trace_id
+                parent = remote_parent(TraceContext.decode(trace_context))
                 attributes[REMOTE_PARENT_ATTR] = True
             except ProtocolError:
                 parent = None  # unparseable context: serve the request anyway
         try:
             with TRACER.span("transport.server.request", parent=parent, **attributes):
-                with _ledger.track(label="server", trace_id=trace_id):
-                    yield
+                yield
         finally:
             REGISTRY.log_histogram("transport.server.service.seconds").observe(
                 time.perf_counter() - start

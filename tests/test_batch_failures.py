@@ -281,8 +281,8 @@ def test_mixed_batch_frame_through_the_dispatcher(captured, monkeypatch):
         windows: list = []
         real_process_many = dispatcher.lbl.process_many
 
-        def spy(requests, rows=None):
-            results = real_process_many(requests, rows)
+        def spy(requests):
+            results = real_process_many(requests)
             windows.append(results)
             return results
 

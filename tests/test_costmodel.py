@@ -68,14 +68,25 @@ def test_model_rejects_a_label_width_no_access_can_use(capsys, label_bits, messa
     assert message in capsys.readouterr().err
 
 
+# Sharded deployments: {1, 4} shards, registry totals vs the model
 # --------------------------------------------------------------------- #
-# Sharded deployments: {1, 4} shards, pipelined rows vs the model
-# --------------------------------------------------------------------- #
+
+def _assert_ops_equal_models(models):
+    """Thread-backed shards share this process's registry, so its op totals
+    hold both sides' primitive calls: the sum of the full models."""
+    expected: dict[str, int] = {}
+    for model in models:
+        for name, count in model.ops(include_server=True).items():
+            expected[name] = expected.get(name, 0) + count
+    totals = ledger.registry_ops_snapshot()
+    assert {name: totals.get(name, 0) for name in expected} == expected
+
 
 @pytest.mark.parametrize("num_shards", [1, 4])
 def test_sharded_pipelined_rows_match_model(num_shards):
-    """Every pipelined access's client row equals the model, and the rows
-    sum to the transport's registry totals (no bytes lost or invented)."""
+    """Every pipelined access's transcript carries the model's bytes, and
+    the transport's client totals and the op totals are the models' sums
+    (no bytes or calls lost or invented)."""
     obs.enable()
     keys = [f"cm{i}" for i in range(8)]
     with ShardCluster(num_shards, in_process=True) as cluster:
@@ -87,45 +98,33 @@ def test_sharded_pipelined_rows_match_model(num_shards):
                 Request.read(key) if i % 2 == 0 else Request.write(key, b"\x02" * 16)
                 for i, key in enumerate(keys)
             ]
-            epochs = {key: deployment.proxy.counter(key) for key in keys}
-            deployment.access_pipelined(requests, depth=4)
+            models = [
+                LblCostModel.from_config(CONFIG, key=key, counter=deployment.proxy.counter(key))
+                for key in keys
+            ]
+            transcripts = deployment.access_pipelined(requests, depth=4)
         finally:
             deployment.close()
 
-    rows = {
-        row.label.split(":", 1)[1]: row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("pipelined:")
-    }
-    assert sorted(rows) == sorted(keys)
-
-    for key in keys:
-        model = LblCostModel.from_config(CONFIG, key=key, counter=epochs[key])
-        expected_ops = model.ops(include_server=False)
-        snap = rows[key]
-        assert {
-            name: snap["ops"].get(name, 0) for name in expected_ops
-        } == expected_ops, key
-        assert snap["wire"] == {
-            "access.sent": model.framed_request_bytes(traced=True),
-            "access.received": model.framed_response_bytes(),
-        }, key
-
-    # Attribution exactness: the per-request rows sum to the client-role
-    # socket totals the transport metered independently.
+    for key, transcript, model in zip(keys, transcripts, models):
+        assert (transcript.request_bytes, transcript.response_bytes) == (
+            model.request_bytes,
+            model.response_bytes,
+        ), key
     wire_totals = ledger.registry_wire_snapshot()
     assert wire_totals["client.access.sent"] == sum(
-        snap["wire"]["access.sent"] for snap in rows.values()
+        model.framed_request_bytes(traced=True) for model in models
     )
     assert wire_totals["client.access.received"] == sum(
-        snap["wire"]["access.received"] for snap in rows.values()
+        model.framed_response_bytes() for model in models
     )
+    _assert_ops_equal_models(models)
 
 
 @pytest.mark.parametrize("num_shards", [1, 4])
 def test_sharded_batch_rows_sum_to_transport_totals(num_shards):
-    """Batch sub-message attribution: per-request shares plus envelopes
-    reproduce the socket byte counts exactly."""
+    """One batch frame per shard touched: the socket totals are the model's
+    batch frames, and the op totals the sum of every request's model."""
     obs.enable()
     keys = [f"b{i}" for i in range(10)]
     with ShardCluster(num_shards, in_process=True) as cluster:
@@ -133,6 +132,10 @@ def test_sharded_batch_rows_sum_to_transport_totals(num_shards):
         try:
             deployment.initialize({key: b"\x03" * 16 for key in keys})
             obs.reset()
+            models = [
+                LblCostModel.from_config(CONFIG, key=key, counter=deployment.proxy.counter(key))
+                for key in keys
+            ]
             deployment.access_batch(
                 [
                     Request.read(key)
@@ -141,22 +144,21 @@ def test_sharded_batch_rows_sum_to_transport_totals(num_shards):
                     for i, key in enumerate(keys)
                 ]
             )
+            per_shard: dict[int, int] = {}
+            for key in keys:
+                shard = deployment.shard_of(key)
+                per_shard[shard] = per_shard.get(shard, 0) + 1
         finally:
             deployment.close()
 
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("batched:")
-    ]
-    assert len(rows) == len(keys)
     wire_totals = ledger.registry_wire_snapshot()
     assert wire_totals["client.batch.sent"] == sum(
-        snap["wire"].get("batch.sent", 0) for snap in rows
+        models[0].batch_request_bytes(n, traced=True) for n in per_shard.values()
     )
     assert wire_totals["client.batch.received"] == sum(
-        snap["wire"].get("batch.received", 0) for snap in rows
+        models[0].batch_response_bytes(n) for n in per_shard.values()
     )
+    _assert_ops_equal_models(models)
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 The view sorts the merged span list's ``sharded.access`` roots by duration,
 so it is exact over the whole run: the trees it prints are the N longest
-roots, slowest first, each with the shard's spans nested under it and the
-ledger row retired under its trace id.
+roots, slowest first, each with its request's bytes and the shard's spans
+nested under it.
 """
 
 import re
@@ -48,9 +48,9 @@ def test_exemplars_view_prints_the_slowest_roots_with_server_spans_nested(capsys
         root["trace_id"] for root in roots[:3]
     ]
     shown = []
-    for block in blocks:
+    for block, root in zip(blocks, roots):
         lines = block.splitlines()[1:]
-        assert any(line.startswith("  ledger pipelined:trace-") for line in lines)
+        assert lines[0] == f"  {root['attributes']['request_bytes']} request bytes"
         (access,) = [line for line in lines if "sharded.access" in line]
         (request,) = [line for line in lines if "transport.server.request" in line]
         (process,) = [line for line in lines if "lbl.server.process" in line]

@@ -385,12 +385,12 @@ def test_prf_evaluations_per_access_are_pinned(metered, value_len, paper_priced)
     store.initialize({"k": bytes(value_len)})
     for request in (Request.read("k"), Request.write("k", b"\x01" * value_len)):
         epoch = store.proxy.counter("k")
-        with ledger.track(label="pin") as row:
-            transcript = store.access(request)
+        obs.reset()
+        transcript = store.access(request)
         proxy_phases = [p for p in transcript.phases if p.location == "proxy"]
         assert sum(phase.ops.prf for phase in proxy_phases) == 3
         assert proxy_phases[-1].ops.prf == 0
-        assert row.snapshot()["ops"]["prf.calls"] == 3
+        assert ledger.registry_ops_snapshot()["prf.calls"] == 3
         model = LblCostModel.from_config(config, key="k", counter=epoch)
         assert model.ops()["prf.calls"] == 3
         paper, measured = CostModel.paper_like(), CostModel(paper_wire=False)
@@ -409,9 +409,9 @@ def test_finalize_row_is_empty_from_the_table_and_one_derivation_without(metered
     built, _ops = store.proxy.prepare(Request.read("k"))
     response, _server_ops = store.server.process(built)
     for expected in ((0, 0), (1, store.proxy.codec.epoch_blocks("k", 1))):
-        with ledger.track(label="finalize") as row:
-            _value, ops = store.proxy.finalize("k", response, counter=1)
-        measured = row.snapshot()["ops"]
+        obs.reset()
+        _value, ops = store.proxy.finalize("k", response, counter=1)
+        measured = ledger.registry_ops_snapshot()
         assert (
             measured.get("prf.calls", 0),
             measured.get("shake256.blocks", 0),

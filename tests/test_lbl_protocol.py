@@ -15,7 +15,7 @@ from repro.core.lbl.server import LblServer
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import StoredRecord
 from repro.crypto.prf import encode_components
-from repro.errors import ProtocolError, TamperDetectedError
+from repro.errors import ConfigurationError, ProtocolError, TamperDetectedError
 from repro.types import Request, StoreConfig
 from tests import lbl_reference
 
@@ -193,7 +193,7 @@ def test_refused_access_leaves_the_key_usable():
     before = p.server.store.get(encoded)
     process_many = p.server.process_many
 
-    def refuse_once(requests, rows=None):
+    def refuse_once(requests):
         del p.server.process_many  # the next window is served as usual
         return [ProtocolError("refused before commit") for _ in requests]
 
@@ -203,6 +203,18 @@ def test_refused_access_leaves_the_key_usable():
     assert p.server.process_many == process_many
     assert p.server.store.get(encoded) == before
     assert p.read("k1") == p.config.pad(b"kept")
+
+
+def test_a_rejected_initialize_registers_no_counter():
+    """A too-long value anywhere in the load refuses it whole: no key keeps
+    a counter for a record the server never received, so a retry works."""
+    p = LblOrtoa(StoreConfig(value_len=4))
+    with pytest.raises(ConfigurationError):
+        p.initialize({"a": b"ok", "b": b"toolong!"})
+    assert p.proxy.counters() == {}
+    p.initialize({"a": b"ok", "b": b"fine"})
+    assert p.read("a") == p.config.pad(b"ok")
+    assert p.read("b") == b"fine"
 
 
 def test_table_shape_mismatch_rejected():

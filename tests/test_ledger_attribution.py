@@ -1,12 +1,12 @@
-"""Property test: interleaved concurrent requests never cross-attribute.
+"""Property test: concurrent requests cost exactly what the model says.
 
-The ledger's attribution claim is per-request exactness under concurrency:
-with many requests in flight — the pipelined window's worker/reader thread
-hops, the batch path's per-request row activation — every row must equal
-the cost model for *its own* key and epoch, and the rows must sum to the
-transport's independently metered socket totals.  A single misplaced
-contextvar would show up as one row over-counting and its neighbour
-under-counting.
+Each access's own account is its transcript; the ledger keeps the process
+totals.  With many requests in flight — the pipelined window's worker and
+reader thread hops, a batch frame per shard — the registry's client wire
+totals and its op totals must equal the sum of every request's
+:class:`LblCostModel`, at *its own* key and epoch, and each pipelined
+transcript must carry its own request's bytes.  A lost, doubled or invented
+byte or primitive call shows up as a mismatch.
 """
 
 import pytest
@@ -66,46 +66,28 @@ def _requests(workload):
     ]
 
 
-def _expected_epochs(deployment, requests):
-    """The epoch each request will consume: accesses to one key serialize
-    in issue order, so the i-th access of a key sees counter + i."""
+def _models(deployment, requests):
+    """Each request's model at the epoch it will consume: accesses to one
+    key serialize in issue order, so the i-th access of a key sees
+    counter + i."""
     seen: dict[str, int] = {}
-    epochs = []
+    models = []
     for request in requests:
-        base = deployment.proxy.counter(request.key)
-        epochs.append(base + seen.get(request.key, 0))
+        epoch = deployment.proxy.counter(request.key) + seen.get(request.key, 0)
         seen[request.key] = seen.get(request.key, 0) + 1
-    return epochs
+        models.append(LblCostModel.from_config(CONFIG, key=request.key, counter=epoch))
+    return models
 
 
-def _assert_rows_match_model(rows, requests, epochs, wire_frame):
-    # Requests to the same key serialize in order, so pair rows with
-    # requests per key in issue order.
-    by_key: dict[str, list] = {}
-    for row in rows:
-        by_key.setdefault(row["label"].split(":", 1)[1], []).append(row)
-    position: dict[str, int] = {}
-    for request, epoch in zip(requests, epochs):
-        key = request.key
-        row = by_key[key][position.get(key, 0)]
-        position[key] = position.get(key, 0) + 1
-        model = LblCostModel.from_config(CONFIG, key=key, counter=epoch)
-        expected = model.ops(include_server=False)
-        actual = {name: row["ops"].get(name, 0) for name in expected}
-        assert actual == expected, (key, epoch, row)
-        if wire_frame == "access":
-            assert row["wire"] == {
-                "access.sent": model.framed_request_bytes(traced=True),
-                "access.received": model.framed_response_bytes(),
-            }, (key, epoch)
-
-
-def _assert_rows_sum_to_registry(rows, frame):
-    totals = ledger.registry_wire_snapshot()
-    for direction in ("sent", "received"):
-        assert totals.get(f"client.{frame}.{direction}", 0) == sum(
-            row["wire"].get(f"{frame}.{direction}", 0) for row in rows
-        )
+def _assert_ops_match_models(models):
+    """The shards run in this process, so the registry holds both sides'
+    primitive calls: the sum of every request's full model."""
+    expected: dict[str, int] = {}
+    for model in models:
+        for name, count in model.ops(include_server=True).items():
+            expected[name] = expected.get(name, 0) + count
+    totals = ledger.registry_ops_snapshot()
+    assert {name: totals.get(name, 0) for name in expected} == expected
 
 
 @SETTINGS
@@ -116,18 +98,23 @@ def test_pipelined_rows_never_cross_attribute(pipelined_deployment, workload):
     obs.enable()
     try:
         requests = _requests(workload)
-        epochs = _expected_epochs(deployment, requests)
-        deployment.access_pipelined(requests, depth=4)
+        models = _models(deployment, requests)
+        transcripts = deployment.access_pipelined(requests, depth=4)
     finally:
         obs.disable()
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("pipelined:")
-    ]
-    assert len(rows) == len(requests)
-    _assert_rows_match_model(rows, requests, epochs, wire_frame="access")
-    _assert_rows_sum_to_registry(rows, frame="access")
+    for transcript, model in zip(transcripts, models):
+        assert (transcript.request_bytes, transcript.response_bytes) == (
+            model.request_bytes,
+            model.response_bytes,
+        )
+    totals = ledger.registry_wire_snapshot()
+    assert totals.get("client.access.sent", 0) == sum(
+        model.framed_request_bytes(traced=True) for model in models
+    )
+    assert totals.get("client.access.received", 0) == sum(
+        model.framed_response_bytes() for model in models
+    )
+    _assert_ops_match_models(models)
 
 
 @SETTINGS
@@ -138,15 +125,20 @@ def test_batch_rows_never_cross_attribute(batch_deployment, workload):
     obs.enable()
     try:
         requests = _requests(workload)
-        epochs = _expected_epochs(deployment, requests)
+        models = _models(deployment, requests)
         deployment.access_batch(requests)
     finally:
         obs.disable()
-    rows = [
-        row.snapshot()
-        for row in ledger.completed_rows()
-        if row.label.startswith("batched:")
-    ]
-    assert len(rows) == len(requests)
-    _assert_rows_match_model(rows, requests, epochs, wire_frame="batch")
-    _assert_rows_sum_to_registry(rows, frame="batch")
+    per_shard: dict[int, int] = {}
+    for request in requests:
+        shard = deployment.shard_of(request.key)
+        per_shard[shard] = per_shard.get(shard, 0) + 1
+    model = models[0]  # frame sizes depend on the configuration alone
+    totals = ledger.registry_wire_snapshot()
+    assert totals.get("client.batch.sent", 0) == sum(
+        model.batch_request_bytes(n, traced=True) for n in per_shard.values()
+    )
+    assert totals.get("client.batch.received", 0) == sum(
+        model.batch_response_bytes(n) for n in per_shard.values()
+    )
+    _assert_ops_match_models(models)

@@ -185,7 +185,6 @@ class _TwoTripLink:
 
     def __init__(self, link) -> None:
         self.link = link
-        self.overhead = link.overhead
 
     def submit(self, payload, trace_context=None):
         if payload[0] != LOAD_TAG:
@@ -228,7 +227,6 @@ class _PadPuts:
 
     def __init__(self, link) -> None:
         self.link = link
-        self.overhead = link.overhead
         self.put = False
 
     def submit(self, payload, trace_context=None):
