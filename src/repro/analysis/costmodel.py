@@ -31,8 +31,8 @@ from repro.types import StoreConfig
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
 ENCODED_KEY_BYTES = 16  # KeyChain.key_encoding_prf.out_bytes
-DECRYPT_INDEX_BYTES = 1  # point-and-permute slot byte (core.lbl.proxy)
-ROW_CHECK_BYTES = 8  # zero check bytes of a point-and-permute row (crypto.rows)
+DECRYPT_INDEX_BYTES = 1  # point-and-permute slot byte (crypto.rows)
+ROW_CHECK_BYTES = 15  # zero check bytes of each of group 0's rows (crypto.rows)
 ROW_NONCE_BYTES = 16  # per-request row nonce (crypto.rows)
 FIELD_LEN_BYTES = 4  # length prefix per field (core.messages)
 TAG_BYTES = 1  # message tag (core.messages)
@@ -137,17 +137,19 @@ class LblCostModel:
 
     @property
     def entry_len(self) -> int:
-        """One table entry: a §10.2 row ``label ‖ slot byte ‖ 8 check bytes``."""
-        return self.label_len + DECRYPT_INDEX_BYTES + ROW_CHECK_BYTES
+        """One table entry: a §10.2 row ``label ‖ slot byte`` (group 0's
+        rows carry :data:`ROW_CHECK_BYTES` more)."""
+        return self.label_len + DECRYPT_INDEX_BYTES
 
     @property
     def request_bytes(self) -> int:
         """Serialized :class:`~repro.core.messages.LblAccessRequest`.
 
         Tag + three length-prefixed fields: the shape header (carrying the
-        row nonce), the encoded key, and the ``G·T``-entry slab — the paper's
-        ``2^y · E_len · t/y`` bits plus 49 bytes of tag, length prefixes,
-        shape, nonce and key.
+        row nonce), the encoded key, and the slab of ``G·T`` entries and
+        group 0's ``T`` runs of check bytes — the paper's
+        ``2^y · E_len · t/y`` bits plus ``15·T`` check bytes and 49 bytes of
+        tag, length prefixes, shape, nonce and key.
         """
         return (
             TAG_BYTES
@@ -156,6 +158,7 @@ class LblCostModel:
             + ROW_NONCE_BYTES
             + ENCODED_KEY_BYTES
             + self.num_groups * self.table_size * self.entry_len
+            + self.table_size * ROW_CHECK_BYTES
         )
 
     @property
@@ -167,9 +170,10 @@ class LblCostModel:
     @property
     def entry_compressions(self) -> int:
         """AES blocks behind one row, sealed or opened: its seed through the
-        fixed-key permutation, then one tweaked block per 16 bytes of pad
-        (``1 + ceil(entry_len / 16)``), metered as ``aes.blocks``."""
-        return 1 + row_blocks(self.entry_len)
+        fixed-key permutation, then one tweaked block per 16 bytes of a head
+        row's pad (``1 + ceil((entry_len + 15) / 16)``; every row's pad is
+        that wide), metered as ``aes.blocks``."""
+        return 1 + row_blocks(self.entry_len + ROW_CHECK_BYTES)
 
     @property
     def bytes_per_access(self) -> int:

@@ -51,11 +51,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.types import Request, Response, StoreConfig
 
-#: Width of the serialized point-and-permute slot index appended to each
-#: row payload.  The paper uses 2 bits; a whole byte keeps framing simple
-#: and supports y up to 8 (``StoreConfig`` rejects more).
-DECRYPT_INDEX_BYTES = rows.SLOT_LEN
-
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs).
 #: The table holds one epoch blob per outstanding request, so the budget
 #: binds as soon as more requests are outstanding at once — a batch, a
@@ -238,13 +233,13 @@ class LblProxy:
         new = codec.epoch(key, new_ct)
         prf_count = 3 - cache_hit  # the epochs derived + the key encoding
 
-        # One kernel call seals the whole table.
+        # One kernel call seals the whole table, group 0's rows with checks.
         enc_count = codec.num_groups * codec.table_size
         nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
-        slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce)
+        slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce, codec.table_size)
         wire = LblAccessRequest(
             self.keychain.encode_key(key), slab, codec.table_size,
-            len(slab) // enc_count, nonce,
+            codec.label_len + rows.SLOT_LEN, nonce,
         )
 
         if cache is not None:
@@ -372,4 +367,4 @@ class LblProxy:
         return value, ops
 
 
-__all__ = ["LblProxy", "DECRYPT_INDEX_BYTES"]
+__all__ = ["LblProxy"]

@@ -6,9 +6,10 @@ two blobs.  On receiving a request it names only the row its stored index
 points at in the request's slab and opens those rows in one pass of a
 fixed-key permutation (:func:`repro.crypto.rows.open_rows`): one open per
 group instead of the §5.2 base protocol's trial decryptions of up to
-``2^y`` entries, exactly the §10.2 optimization.  A row whose check bytes do
-not open to zero — a stale epoch, a wrong nonce — refuses the request
-before anything is committed.
+``2^y`` entries, exactly the §10.2 optimization.  When group 0's row — the
+one designated row with check bytes — does not open to zero check bytes (a
+stale epoch, a wrong nonce: a wrong key for the whole record), the request
+is refused before anything is committed, every group counted as failed.
 
 The opened payload becomes the group's new stored label and slot, so
 *every* access rewrites storage — the server cannot distinguish a read from
@@ -43,16 +44,15 @@ from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.storage.kv import KeyValueStore
-from repro.core.lbl.proxy import DECRYPT_INDEX_BYTES
 
 #: Span name of one served request.
 SERVER_SPAN = "lbl.server.process"
 
 
 @lru_cache(maxsize=256)
-def _access_ops(opened: int, failed: int) -> OpCounts:
+def _access_ops(groups: int) -> OpCounts:
     """The (frozen, hence shareable) op counts of one served access."""
-    return OpCounts(kv_ops=2, aead_dec=opened, failed_dec=failed)
+    return OpCounts(kv_ops=2, aead_dec=groups)
 
 
 class LblServer:
@@ -164,7 +164,7 @@ class LblServer:
             else []
         )
         opening: list[tuple[int, int]] = []
-        runs: list[tuple[bytes, bytes, bytes, int, list[int]]] = []
+        runs: list[tuple[bytes, bytes, bytes, int, int, list[int]]] = []
         for index, record in zip(front, records):
             request = requests[index]
             groups, table_size = request.num_groups, request.table_size
@@ -175,9 +175,7 @@ class LblServer:
                     raise ProtocolError(
                         f"table count {groups} != stored groups {stored_groups}"
                     )
-                if request.entry_len != (
-                    label_len + DECRYPT_INDEX_BYTES + row_kernel.CHECK_LEN
-                ):
+                if request.entry_len != label_len + row_kernel.SLOT_LEN:
                     raise ProtocolError(
                         f"entry length {request.entry_len} is no row of a "
                         f"{label_len}-byte label"
@@ -189,7 +187,7 @@ class LblServer:
                     raise ProtocolError(f"bad decrypt index at group {bad}")
                 picks = map(add, range(0, groups * table_size, table_size), record.slots)
                 run = (request.nonce, record.labels, request.slab, request.entry_len)
-                runs.append((*run, list(picks)))
+                runs.append((*run, table_size, list(picks)))
             except OrtoaError as exc:
                 results[index] = exc
                 if capture:
@@ -199,41 +197,31 @@ class LblServer:
 
         # Open: one window-wide call, each request's runs in order.
         commits: list[tuple[bytes, StoredRecord]] = []
-        committed: list[tuple[int, int, int]] = []
-        opened_runs = iter(row_kernel.open_rows(runs))
-        for index, label_len in opening:
+        committed: list[int] = []
+        for (index, label_len), opened in zip(opening, row_kernel.open_rows(runs)):
             request = requests[index]
+            groups = request.num_groups
             # Every designated row was attempted, whatever this request's
-            # window-mates (or its own other groups) did.
-            labels, slots, failures = next(opened_runs)
-            decrypts, failed = request.num_groups, len(failures)
-            if failures:
-                error = ProtocolError(
-                    f"designated entry failed to open at group {failures[0]}"
-                )
+            # window-mates did; group 0's check speaks for the whole record.
+            if opened is None:
+                error = ProtocolError("designated entry failed to open at group 0")
                 results[index] = error
                 if capture:
-                    self._emit_telemetry(spans[index], decrypts, failed, error=error)
+                    self._emit_telemetry(spans[index], groups, groups, error=error)
                 continue
             # The opened labels and slot bytes, each back to back, are the
             # new record (and the labels are the reply).
-            updated = StoredRecord(labels, slots)
+            updated = StoredRecord(*opened)
             commits.append((request.encoded_key, updated))
-            if capture:
-                committed.append((index, decrypts, failed))
-            results[index] = (
-                LblAccessResponse(updated.labels, label_len),
-                _access_ops(decrypts - failed, failed),
-            )
+            committed.append(index)
+            results[index] = (LblAccessResponse(updated.labels, label_len), _access_ops(groups))
 
         if commits:
             written = self._commit_many(commits)
             if capture:
-                for (index, decrypts, failed), rewrote in zip(committed, written):
+                for index, rewrote in zip(committed, written):
                     groups = requests[index].num_groups
-                    self._emit_telemetry(
-                        spans[index], decrypts, failed, groups if rewrote else 0
-                    )
+                    self._emit_telemetry(spans[index], groups, 0, groups if rewrote else 0)
 
         if tail:
             # Same-key followers consume the labels this window just

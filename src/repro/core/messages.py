@@ -177,11 +177,11 @@ class LblAccessRequest:
     """§5.2 step 1.5 with §10.2 rows: the encoded key plus, per label group,
     a table of ``2^y`` slot-linked rows.
 
-    Every row has the same width, so the tables travel as one **slab** —
-    ``num_groups · table_size`` rows of ``entry_len`` bytes, group-major, in
-    the block-plane layout of :mod:`repro.crypto.rows` — behind a header
-    that states the shape and the request's row nonce (three
-    length-prefixed fields)::
+    The tables travel as one **slab** — ``num_groups · table_size`` rows of
+    ``entry_len`` bytes (label, slot byte), group-major, and the check bytes
+    of group 0's rows, in the three runs of :mod:`repro.crypto.rows` —
+    behind a header that states the shape and the request's row nonce
+    (three length-prefixed fields)::
 
         tag ‖ [table_size u16 ‖ entry_len u16 ‖ nonce] ‖ encoded_key ‖ slab
 
@@ -201,10 +201,9 @@ class LblAccessRequest:
             raise ProtocolError("LBL request table shape is out of range")
         if len(self.nonce) != rows.ROW_NONCE_LEN:
             raise ProtocolError(f"LBL request nonce must be {rows.ROW_NONCE_LEN} bytes")
-        if not self.slab or len(self.slab) % (self.table_size * self.entry_len):
-            raise ProtocolError(
-                "LBL request slab is not a whole number of group tables"
-            )
+        tables = len(self.slab) - self.table_size * rows.CHECK_LEN
+        if tables <= 0 or tables % (self.table_size * self.entry_len):
+            raise ProtocolError("LBL request slab is not a whole number of group tables")
 
     @classmethod
     def from_tables(
@@ -213,27 +212,31 @@ class LblAccessRequest:
         tables: "tuple[tuple[bytes, ...], ...] | list",
         nonce: bytes,
     ) -> "LblAccessRequest":
-        """Build the slab from per-group rows of one common shape."""
+        """Build the slab from per-group rows of one common shape, group 0's
+        ending in their check bytes — inverse of :attr:`tables`."""
         if not tables or not tables[0]:
             raise ProtocolError("LBL request needs at least one group table")
-        table_size = len(tables[0])
-        entry_len = len(tables[0][0])
-        entries = [entry for table in tables for entry in table]
-        if set(map(len, tables)) != {table_size}:
+        if set(map(len, tables)) != {len(tables[0])}:
             raise ProtocolError("all group tables must have equal size")
-        if set(map(len, entries)) != {entry_len}:
+        head, entries = tables[0], [entry for table in tables for entry in table]
+        widths = {len(e) for e in head} | {len(e) + rows.CHECK_LEN for e in entries[len(head) :]}
+        if widths != {len(head[0])}:
             raise ProtocolError("all table entries must have equal length")
-        return cls(encoded_key, rows.join_rows(entries), table_size, entry_len, nonce)
+        entry_len = len(head[0]) - rows.CHECK_LEN
+        return cls(encoded_key, rows.join_rows(entries, len(head)), len(head), entry_len, nonce)
 
     @property
     def num_groups(self) -> int:
         """How many group tables the slab holds."""
-        return len(self.slab) // (self.table_size * self.entry_len)
+        checks = self.table_size * rows.CHECK_LEN
+        return (len(self.slab) - checks) // (self.table_size * self.entry_len)
 
     @property
     def tables(self) -> tuple[tuple[bytes, ...], ...]:
-        """The slab sliced into per-group row tuples (built on each use)."""
-        entries, size = rows.split_rows(self.slab, self.entry_len), self.table_size
+        """The slab sliced into per-group row tuples, group 0's with their
+        check bytes (built on each use)."""
+        size = self.table_size
+        entries = rows.split_rows(self.slab, self.entry_len, size)
         return tuple(tuple(entries[i : i + size]) for i in range(0, len(entries), size))
 
     def to_bytes(self) -> bytes:

@@ -5,7 +5,7 @@ to open, so an entry needs none of :mod:`repro.crypto.aead`'s "which of
 ``2^y`` decryptions succeeded" machinery.  A row is a pad under the old
 label::
 
-    row   = (new_label ‖ next_slot_byte ‖ 0^8) ⊕ (pad_0 ‖ pad_1 ‖ …)[:row_len]
+    row   = (new_label ‖ next_slot_byte ‖ 0^15) ⊕ (pad_0 ‖ pad_1 ‖ …)[:row_len]
     pad_j = π(π(x) ⊕ t_j) ⊕ π(x)        x = old_label[:16],  t_j = nonce ⊕ j
 
 with one 16-byte random ``nonce`` per *request* and ``π`` AES-128 under one
@@ -17,16 +17,16 @@ the tweaked blocks.  ``docs/security-model.md`` has the argument; in short:
 * **The nonce is not optional.**  A refused or lost request is re-prepared
   under the *same* old labels (batch rollback, WAL recovery); a
   deterministic pad would be a two-time pad that reveals the operation type.
-* **The 8 check bytes are wrong-key detection, not integrity.**  A server
-  whose stored label is not the row's key (stale epoch, wrong nonce) sees
-  random check bytes and refuses *before* it commits — what rollback and the
-  WAL's one-epoch window rely on.  A flipped label bit passes them and is
-  caught by the proxy's §5.4 candidate check in ``finalize``.
+* **The 15 check bytes are wrong-key detection, not integrity.**  A stale
+  epoch, a rolled-back server or a wrong nonce is a wrong key for the whole
+  record, so only the *head* rows (group 0's ``2^y``) carry them: refused
+  *before* commit, as rollback and the WAL's one-epoch window need.  A
+  flipped label or slot bit is committed and caught by §5.4 in ``finalize``.
 
-**Slab layout.**  A request's rows travel as two runs: every row's label, back
-to back, then every row's 9-byte tail (slot byte, check bytes) — the blobs
-both ends hold; :func:`split_rows` / :func:`join_rows` are the row-by-row
-view.  One row alone is its own slab.
+**Slab layout.**  Three runs — every row's label, every row's slot byte, the
+head rows' check bytes — the blobs both ends hold (:func:`split_rows` /
+:func:`join_rows` are the row-by-row view; one row is a slab, a head row).
+Every row's pad is ``row_blocks(L + 16)`` blocks, check bytes or not.
 
 **Whole-slab work.**  No Python loop runs per row: XOR is big-integer XOR,
 and bytes move between the runs and π's block planes by struct calls built
@@ -46,8 +46,7 @@ from __future__ import annotations
 import struct
 import threading
 from functools import lru_cache
-from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable
 
 from repro.crypto.aead import _xor
@@ -65,11 +64,12 @@ except ImportError as exc:  # pragma: no cover - the image ships it
     ) from exc
 
 ROW_NONCE_LEN = 16
-SLOT_LEN = 1
-CHECK_LEN = 8
-_TAIL_LEN = SLOT_LEN + CHECK_LEN
-#: Largest row (label + slot byte + check bytes): four blocks.
-MAX_ROW_LEN = 64
+SLOT_LEN = 1  # the paper's y-bit slot index, as a byte (y <= 8)
+#: Zero bytes after a head row's slot byte: at 128-bit labels, the rest of
+#: its second pad block.
+CHECK_LEN = 15
+#: Largest head row (label + slot byte + check bytes): five blocks.
+MAX_ROW_LEN = 80
 #: Width of π, and of the seed a key contributes (its first bytes).
 BLOCK = 16
 #: π's key: the first 128 fractional bits of the number it is named after.
@@ -103,20 +103,22 @@ def row_blocks(row_len: int) -> int:
     return -(-row_len // BLOCK)
 
 
-def split_rows(slab: bytes, row_len: int) -> list[bytes]:
-    """The rows of ``slab``, each as its own ``row_len`` bytes."""
-    tail = min(_TAIL_LEN, row_len)  # any width parses, as any slab must
-    width, total = row_len - tail, len(slab) // row_len
-    tails = range(total * width, len(slab), tail)
-    return [
-        slab[row * width : (row + 1) * width] + slab[at : at + tail]
-        for row, at in enumerate(tails)
-    ]
+def split_rows(slab: bytes, row_len: int, head: int) -> list[bytes]:
+    """The rows of ``slab`` (rows of ``row_len`` bytes, the first ``head`` of
+    them head rows, with their check bytes), each as its own bytes."""
+    width, total = row_len - SLOT_LEN, (len(slab) - head * CHECK_LEN) // max(row_len, 1)
+    checks = [slab[total * row_len + i * CHECK_LEN :][:CHECK_LEN] for i in range(head)]
+    slots = slab[total * width : total * row_len]
+    rows = [slab[i * width : (i + 1) * width] + slots[i : i + 1] for i in range(total)]
+    return [row + check for row, check in zip(rows, checks)] + rows[head:]
 
 
-def join_rows(rows: "list[bytes] | tuple[bytes, ...]") -> bytes:
-    """The slab of equal-length ``rows`` — inverse of :func:`split_rows`."""
-    return b"".join([r[:-_TAIL_LEN] for r in rows] + [r[-_TAIL_LEN:] for r in rows])
+def join_rows(rows: "list[bytes] | tuple[bytes, ...]", head: int) -> bytes:
+    """The slab of ``rows``, the first ``head`` of them head rows — inverse
+    of :func:`split_rows`."""
+    width = len(rows[0]) - SLOT_LEN - CHECK_LEN
+    runs = [r[:width] for r in rows] + [r[width : width + SLOT_LEN] for r in rows]
+    return b"".join(runs + [r[width + SLOT_LEN :] for r in rows[:head]])
 
 
 def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[bytes], bytes]":
@@ -145,26 +147,29 @@ def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[b
 
 
 @lru_cache(maxsize=32)
-def _layout(n: int, key_len: int, label_len: int) -> tuple:
-    """``(seeds, payload, split, checks)`` of ``n`` rows.  Pads leave π as
-    planes (block ``j`` of every row, rows back to back): ``seeds`` takes keys
-    to their first blocks, ``payload`` labels to the planes holding them,
-    ``split`` planes to the label and tail runs; ``checks`` masks check bytes."""
-    plane, row_len = n * BLOCK, label_len + _TAIL_LEN
+def _layout(n: int, key_len: int, label_len: int, head: int) -> tuple:
+    """``(seeds, payload, split)`` of ``n`` rows, the first ``head`` of them
+    head rows.  Pads leave π as planes (block ``j`` of every row, rows back
+    to back): ``seeds`` takes keys to their first blocks, ``payload`` labels
+    to the planes holding them, ``split`` planes to the label, slot and
+    check runs."""
+    plane, row_len = n * BLOCK, label_len + SLOT_LEN
 
-    def rows(first: int, last: int, to: int, width: int) -> "list[tuple[int, int, int]]":
-        # Columns [first, last) of every row, cut per block, to ``to`` onwards.
+    def rows(first: int, last: int, to: int, count: int) -> "list[tuple[int, int, int]]":
+        # Columns [first, last) of the first ``count`` rows, cut per block,
+        # to ``to`` onwards.
         cuts = [first, *range(first // BLOCK * BLOCK + BLOCK, last, BLOCK), last]
         cut = [(a // BLOCK * plane + a % BLOCK, a - first, b - a) for a, b in zip(cuts, cuts[1:])]
-        return [(at + r * BLOCK, to + r * width + c, w) for r in range(n) for at, c, w in cut]
+        width = last - first
+        return [(at + r * BLOCK, to + r * width + c, w) for r in range(count) for at, c, w in cut]
 
-    labels = rows(0, label_len, 0, label_len)
-    tails = rows(label_len, row_len, n * label_len, _TAIL_LEN)
+    labels = rows(0, label_len, 0, n)
+    slots = rows(label_len, row_len, n * label_len, n)
+    checks = rows(row_len, row_len + CHECK_LEN, n * row_len, head)
     return (
         _regather([(r * key_len, r * BLOCK, BLOCK) for r in range(n)], plane),
         _regather([(t, s, w) for s, t, w in labels], -(-label_len // BLOCK) * plane),
-        _regather(labels + tails, n * row_len),
-        int.from_bytes((bytes(SLOT_LEN) + b"\xff" * CHECK_LEN) * n, "big"),
+        _regather(labels + slots + checks, n * row_len + head * CHECK_LEN),
     )
 
 
@@ -172,22 +177,25 @@ def _layout(n: int, key_len: int, label_len: int) -> tuple:
 _LAST_BYTE_XOR = [bytes(b ^ j for b in range(256)) for j in range(MAX_ROW_LEN // BLOCK)]
 
 
-def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int) -> bytes:
+def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int, head: int) -> bytes:
     """The labels of ``n`` rows XORed with their pads under ``keys``, then the
-    pads' tail run; every width is validated before π sees a byte.  π over
-    the seeds is read once for all planes, plane ``j``'s π input is plane 0's
-    with each block's last byte translated, and only label planes are read."""
+    pads' slot run and the first ``head`` rows' check pads; every width is
+    validated before π sees a byte.  π over the seeds is read once for all
+    planes, plane ``j``'s π input is plane 0's with each block's last byte
+    translated, and only label planes are read."""
     if n < 1 or not labels or len(labels) % n:
         raise ConfigurationError("row labels must be equal-width, one per row")
     key_len, label_len = len(keys) // n, len(labels) // n
     if len(keys) % n or key_len < BLOCK:
         raise ConfigurationError("row keys must be equal-width, 16 bytes or more")
-    if label_len + _TAIL_LEN > MAX_ROW_LEN:
+    if label_len + SLOT_LEN + CHECK_LEN > MAX_ROW_LEN:
         raise ConfigurationError(f"a row holds at most {MAX_ROW_LEN} bytes")
     if len(nonce) != ROW_NONCE_LEN:
         raise ConfigurationError(f"the row nonce is {ROW_NONCE_LEN} bytes")
-    seeds, payload, split, _ = _layout(n, key_len, label_len)
-    plane, blocks = n * BLOCK, row_blocks(label_len + _TAIL_LEN)
+    if not 1 <= head <= n:
+        raise ConfigurationError("a slab has from one head row to all of them")
+    seeds, payload, split = _layout(n, key_len, label_len, head)
+    plane, blocks = n * BLOCK, row_blocks(label_len + SLOT_LEN + CHECK_LEN)
     hidden = int.from_bytes(_permute(seeds(keys)), "big")
     first = (hidden ^ int.from_bytes(nonce * n, "big")).to_bytes(plane, "big")
     tweaked = bytearray(first * blocks)
@@ -202,71 +210,74 @@ def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int) -> bytes:
     return split(mixed.to_bytes(plane * blocks, "big"))
 
 
-def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes) -> bytes:
-    """Seal ``n = len(slots)`` rows under the request's one ``nonce``; returns
-    their slab.
+def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes, head: int) -> bytes:
+    """Seal ``n = len(slots)`` rows under the request's one ``nonce``, the
+    first ``head`` of them with check bytes; returns their slab.
 
     Row ``i`` carries ``labels[i] ‖ slots[i]`` under ``keys[i]``; ``keys`` and
     ``labels`` are each ``n`` equal-width items back to back (a key is 16
     bytes or more, of which the first 16 seed the pad).
     """
-    slab = bytearray(_mix(keys, nonce, labels, len(slots)))
-    tails = slice(len(slab) - len(slots) * _TAIL_LEN, None, _TAIL_LEN)
-    slab[tails] = _xor(slab[tails], slots)
+    slab = bytearray(_mix(keys, nonce, labels, len(slots), head))
+    at = slice(len(labels), len(labels) + len(slots))
+    slab[at] = _xor(slab[at], slots)
     _count("encrypts", len(slots))
     return bytes(slab)
 
 
 @lru_cache(maxsize=32)
-def _rows(total: int, width: int) -> "Callable[[bytes], tuple[bytes, ...]]":
-    """Cuts a slab of ``total`` rows into its labels, then its tails."""
-    return struct.Struct(f"{width}s" * total + f"{_TAIL_LEN}s" * total).unpack
+def _labels(total: int, width: int) -> "Callable[[bytes], tuple[bytes, ...]]":
+    """Cuts the label run of a slab of ``total`` rows into its labels."""
+    return struct.Struct(f"{width}s" * total).unpack_from
 
 
 def open_rows(
-    runs: "list[tuple[bytes, bytes, bytes, int, list[int]]]",
-) -> "list[tuple[bytes, bytes, list[int]]]":
+    runs: "list[tuple[bytes, bytes, bytes, int, int, list[int]]]",
+) -> "list[tuple[bytes, bytes] | None]":
     """Open a window of requests in one call.
 
-    Each run is one request's ``(nonce, keys, slab, row_len, picks)``: row
-    ``picks[i]`` of ``slab`` (rows of ``row_len`` bytes) is opened under
-    ``keys[i]`` (equal-width keys back to back).  Per run the result is
-    ``(labels, slots, failed)``: the picked rows' labels back to back, their
-    slot bytes, and the indices into ``picks`` of the rows whose check bytes
-    are not zero (wrong key, wrong nonce) — every index, and nothing opened,
-    when the run has not the shape of one :func:`seal_rows` built.  One
-    itemgetter picks the rows and one mask checks them.
+    Each run is one request's ``(nonce, keys, slab, row_len, head, picks)``:
+    row ``picks[i]`` of ``slab`` (rows of ``row_len`` bytes, the first
+    ``head`` of them head rows) is opened under ``keys[i]`` (equal-width keys
+    back to back).  The leading picks that are head rows are *checked*; a
+    run must lead with one.  Per run the result is ``(labels, slots)``, the
+    picked rows' labels back to back and their slot bytes — or ``None``, the
+    whole run refused, when a checked row's check bytes are not zero (wrong
+    key, wrong nonce) or the run has not the shape of one :func:`seal_rows`
+    built.
     """
     out = []
     decrypts = failures = 0
-    for nonce, keys, slab, row_len, picks in runs:
-        n, width = len(picks), row_len - _TAIL_LEN
-        total, odd = divmod(len(slab), max(row_len, 1))
+    for nonce, keys, slab, row_len, head, picks in runs:
+        n, width = len(picks), row_len - SLOT_LEN
+        total, odd = divmod(len(slab) - head * CHECK_LEN, max(row_len, 1))
+        checked = next((i for i, p in enumerate(picks) if not 0 <= p < head), n)
         try:
-            if odd or width < 1 or not picks or not 0 <= min(picks) <= max(picks) < total:
+            if odd or width < 1 or not checked or not 0 <= min(picks) <= max(picks) < total:
                 raise ConfigurationError("picked rows are not rows of the slab")
-            sealed = _rows(total, width)(slab)
-            picked = itemgetter(*picks, *map(add, picks, repeat(total)))(sealed)
-            opened = _mix(keys, nonce, b"".join(picked[:n]), n)
+            get, at = itemgetter(*picks, 0), total * row_len  # a tuple, whatever n
+            labels, slots = get(_labels(total, width)(slab)), get(slab[total * width : at])
+            opened = _mix(keys, nonce, b"".join(labels[:n]), n, checked)
+            if opened[n * row_len :] != b"".join(
+                [slab[at + p * CHECK_LEN :][:CHECK_LEN] for p in picks[:checked]]
+            ):
+                raise ConfigurationError("a checked row's check bytes are not zero")
         except ConfigurationError:
-            labels, tails, failed = b"", b"", list(range(n))
+            out.append(None)
+            failures += n
         else:
-            labels, tails = opened[: n * width], _xor(opened[n * width :], b"".join(picked[n:]))
-            checked = int.from_bytes(tails, "big") & _layout(n, len(keys) // n, width)[3]
-            rows = range(n) if checked else ()  # scanned only to name the failures
-            failed = [r for r in rows if any(tails[r * _TAIL_LEN + SLOT_LEN :][:CHECK_LEN])]
-        out.append((labels, tails[::_TAIL_LEN], failed))
-        decrypts += n - len(failed)
-        failures += len(failed)
+            out.append((opened[: n * width], _xor(bytes(slots[:n]), opened[n * width :])))
+            decrypts += n
     _count("decrypt_failures", failures)
     _count("decrypts", decrypts)
     return out
 
 
 def open_row(key: bytes, row: bytes, nonce: bytes) -> bytes | None:
-    """The payload of ``row`` if ``key`` and ``nonce`` sealed it, else ``None``."""
-    ((label, slot, failed),) = open_rows([(nonce, key, row, len(row), [0])])
-    return None if failed else label + slot
+    """The payload of the head row ``row`` if ``key`` and ``nonce`` sealed it,
+    else ``None``."""
+    (opened,) = open_rows([(nonce, key, row, len(row) - CHECK_LEN, 1, [0])])
+    return None if opened is None else b"".join(opened)
 
 
 __all__ = [

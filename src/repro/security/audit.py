@@ -46,6 +46,7 @@ from repro.core.lbl.server import LblServer
 from repro.core.messages import LblAccessRequest, LblBatchRequest, LblBatchResponse
 from repro.core.sharded import LblOrtoa, ShardedLblDeployment
 from repro.crypto.keys import KeyChain
+from repro.crypto.rows import CHECK_LEN
 from repro.errors import ConfigurationError, ProtocolError
 from repro.security.distinguisher import (
     byte_histogram_advantage,
@@ -246,7 +247,8 @@ def _listed(values: set, describe: Callable[[Any], str]) -> str:
 def _frame_shape(request: bytes, reply: bytes) -> tuple:
     try:
         parsed = LblAccessRequest.from_bytes(request)
-        rows = (parsed.num_groups * parsed.table_size, parsed.entry_len)
+        checks = parsed.table_size * CHECK_LEN
+        rows = (parsed.num_groups * parsed.table_size, parsed.entry_len, checks)
     except ProtocolError:
         rows = None
     return len(request), rows, len(reply)
@@ -254,7 +256,7 @@ def _frame_shape(request: bytes, reply: bytes) -> tuple:
 
 def _describe_frame(shape: tuple) -> str:
     request, rows, reply = shape
-    table = f"{rows[0]} rows x {rows[1]} B" if rows else "no table"
+    table = f"{rows[0]} rows x {rows[1]} B + {rows[2]} B checks" if rows else "no table"
     return f"{request} B request ({table}), {reply} B reply"
 
 

@@ -83,8 +83,9 @@ class StoreConfig:
         value_len: Fixed plaintext value length in bytes (paper's ``t`` is
             ``value_len * 8`` bits; the default 160 B matches §6's workload).
         label_bits: PRF output size ``r`` in bits for LBL label generation:
-            at least 128 (a label is a key), at most 440 (a §10.2 row is at
-            most 64 bytes).
+            at least 128 (a label is a key), at most 440 (a §10.2 head row
+            — label, slot byte, 15 check bytes — then fits the row kernel's
+            80 bytes).
         group_bits: LBL space optimization ``y`` — how many plaintext bits one
             label represents (§10.1; ``y=2`` is the paper's optimum).
         point_and_permute: Accepted only as ``True``: §10.2 is the one LBL
@@ -121,8 +122,8 @@ class StoreConfig:
             # A label seeds its row's pad (§10.2): 16 bytes or more.
             raise ConfigurationError("label_bits must be at least 128")
         if self.label_bits > 440:
-            # A row (label + slot byte + 8 check bytes) is at most 64 bytes
-            # — four blocks of pad (``crypto.rows``).
+            # A head row (label + slot byte + 15 check bytes) is then at
+            # most 71 bytes — five blocks of pad (``crypto.rows``).
             raise ConfigurationError("label_bits must be at most 440")
         if self.label_cache_entries is not None and self.label_cache_entries == 0:
             raise ConfigurationError(

@@ -10,10 +10,12 @@ the §5.2 base protocol, which the program does not serve:
   ``[(i·2^y + v)·L, +L)``, offset ``r_i`` is byte ``G·2^y·L + i`` mod ``2^y``;
 * **§10.2 rows** — the row at slot ``v ⊕ r_i`` is keyed by old label ``v``
   and carries new label ``t = v`` (GET) or ``t = w_i`` (PUT) and ``t``'s
-  next slot ``t ⊕ r'_i``: ``(label ‖ slot ‖ 0^8) ⊕ pad``, pad block ``j``
+  next slot ``t ⊕ r'_i``: ``(label ‖ slot ‖ 0^15) ⊕ pad``, pad block ``j``
   ``π(π(x) ⊕ t_j) ⊕ π(x)`` with ``x`` the key's first 16 bytes,
-  ``t_j = nonce ⊕ j``, ``π`` AES-128 under a public constant key; the slab
-  is every row's label, then every row's 9-byte tail;
+  ``t_j = nonce ⊕ j``, ``π`` AES-128 under a public constant key; only
+  group 0's rows keep their 15 check bytes, every other row is its first
+  ``L + 1``; the slab is every row's label, then every row's slot byte,
+  then group 0's check bytes;
 * **§5.2 base tables** — old label ``v`` encrypts new label ``t`` under
   :func:`repro.crypto.aead.encrypt`, and each table is shuffled; the server
   step 2.1 is a trial :func:`repro.crypto.aead.try_decrypt` of each entry
@@ -39,7 +41,7 @@ from repro.errors import ProtocolError, TamperDetectedError
 
 #: π's key: the first 128 fractional bits of π (0x243F6A88…).
 PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
-CHECK_LEN, NONCE_LEN = 8, 16
+CHECK_LEN, NONCE_LEN = 15, 16
 
 
 def _pi(block: bytes) -> bytes:
@@ -53,21 +55,37 @@ def xor(a: bytes, b: bytes) -> bytes:
     return bytes(p ^ q for p, q in zip(a, b))
 
 
-def seal_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
-    """One §10.2 row: ``(payload ‖ 0^8) ⊕ pad`` under ``key`` and ``nonce``."""
-    plain = payload + bytes(CHECK_LEN)
+def pad(key: bytes, nonce: bytes, length: int) -> bytes:
+    """The first ``length`` bytes of the pad under ``key`` and ``nonce``."""
     hidden = _pi(key[:16])
-    pad = b""
-    for j in range(-(-len(plain) // 16)):
+    out = b""
+    for j in range(-(-length // 16)):
         tweak = (int.from_bytes(nonce, "big") ^ j).to_bytes(16, "big")
-        pad += xor(_pi(xor(hidden, tweak)), hidden)
-    return xor(plain, pad)
+        out += xor(_pi(xor(hidden, tweak)), hidden)
+    return out[:length]
 
 
-def slab(rows: "list[bytes]") -> bytes:
-    """Rows as they travel: every label, then every slot byte and check bytes."""
-    tail = 1 + CHECK_LEN
-    return b"".join(row[:-tail] for row in rows) + b"".join(row[-tail:] for row in rows)
+def seal_row(key: bytes, payload: bytes, nonce: bytes) -> bytes:
+    """One §10.2 head row: ``(payload ‖ 0^15) ⊕ pad`` under ``key`` and
+    ``nonce``; any other row is its first ``len(payload)`` bytes."""
+    plain = payload + bytes(CHECK_LEN)
+    return xor(plain, pad(key, nonce, len(plain)))
+
+
+def open_row(key: bytes, row: bytes, nonce: bytes) -> bytes:
+    """``row ⊕ pad``: a row's payload under the right key, noise otherwise."""
+    return xor(row, pad(key, nonce, len(row)))
+
+
+def slab(rows: "list[bytes]", head: int) -> bytes:
+    """``rows``, each sealed with its check bytes, as they travel: every
+    label, then every slot byte, then the check bytes of the first ``head``."""
+    width = len(rows[0]) - 1 - CHECK_LEN
+    return (
+        b"".join(row[:width] for row in rows)
+        + b"".join(row[width : width + 1] for row in rows)
+        + b"".join(row[width + 1 :] for row in rows[:head])
+    )
 
 
 def value_to_groups(value: bytes, group_bits: int) -> "list[int]":
@@ -168,7 +186,7 @@ def build_request(
         return tables
     entries = [entry for table in tables for entry in table]
     return LblAccessRequest(
-        keychain.encode_key(key), slab(entries), size, len(entries[0]), nonce
+        keychain.encode_key(key), slab(entries, size), size, len(entries[0]) - CHECK_LEN, nonce
     )
 
 

@@ -78,13 +78,14 @@ def test_cost_storage_halves_with_y2():
     y1 = estimate_lbl_cost(group_bits=1)
     y2 = estimate_lbl_cost(group_bits=2)
     assert y2.storage_gb == pytest.approx(y1.storage_gb / 2, rel=0.01)
-    # ...while the request — Figure 6's communication term, the 2^y·t/y
-    # ciphertext tables — stays byte-identical.  The wire-accurate model
-    # also counts the response (one opened label per group), which *halves*
-    # with y=2, so total network can only improve.
+    # ...while the request's tables — Figure 6's communication term, the
+    # 2^y·t/y ciphertexts — stay byte-identical; only group 0's check bytes,
+    # 15 per row of its 2^y, grow.  The wire-accurate model also counts the
+    # response (one opened label per group), which *halves* with y=2, so
+    # total network can only improve.
     m1 = LblCostModel(value_len=160, group_bits=1)
     m2 = LblCostModel(value_len=160, group_bits=2)
-    assert m2.request_bytes == m1.request_bytes
+    assert m2.request_bytes - m1.request_bytes == (4 - 2) * 15
     assert m2.response_bytes == pytest.approx(m1.response_bytes / 2, abs=2)
     assert y2.network_gb_per_million_accesses < y1.network_gb_per_million_accesses
 

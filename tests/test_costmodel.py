@@ -181,11 +181,14 @@ def test_paper_configuration_bytes():
     model = LblCostModel(value_len=160, group_bits=2)
     assert model.num_groups == 640
     assert model.table_size == 4
-    assert model.entry_len == 16 + 1 + 8
-    # tag + (shape + nonce) + key + slab, three length-prefixed fields.
-    assert model.request_bytes == 1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 25) == 64_049
+    assert model.entry_len == 16 + 1
+    # tag + (shape + nonce) + key + slab, three length-prefixed fields; the
+    # slab is 2,560 rows of label and slot byte and group 0's 4 x 15 checks.
+    assert model.request_bytes == (
+        1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 17 + 4 * 15)
+    ) == 43_629
     assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
-    assert model.bytes_per_access == 74_292
+    assert model.bytes_per_access == 53_872
     assert model.entry_compressions == 3
     # Calls made: two epochs and the key encoding; the XOF absorbs one block
     # and squeezes ceil(41,600 / 136) = 306 per epoch.
@@ -199,6 +202,19 @@ def test_paper_configuration_bytes():
     }
     assert model.ops(include_server=False)["aes.blocks"] == 7680
     assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 3
+
+
+def test_check_bytes_on_group_0_only_pin_the_wire_per_access():
+    """Only group 0's rows carry check bytes: 20,420 B fewer per access at
+    the paper point than with 8 on every row, and as many AES blocks."""
+    assert LblCostModel(160, 2).bytes_per_access == 53_872
+    assert LblCostModel(50, 2).bytes_per_access == 16_912
+    assert LblCostModel(2, 2).bytes_per_access == 784
+    for label_bits in (128, 192, 256):
+        model = LblCostModel(160, 2, label_bits=label_bits)
+        eight_on_every_row = 1 + -(-(model.label_len + 1 + 8) // 16)
+        assert model.entry_compressions == eight_on_every_row
+        assert model.ops()["aes.blocks"] == (2560 + 640) * eight_on_every_row
 
 
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
@@ -230,7 +246,7 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
     entries = model.num_groups * model.table_size
     # Two passes of the permutation, whatever the table's size.
     assert len(calls) == 2
-    assert model.entry_compressions == 1 + -(-model.entry_len // 16)
+    assert model.entry_compressions == 1 + -(-(model.entry_len + rows.CHECK_LEN) // 16)
     assert sum(calls) == model.entry_compressions * entries
 
     response, _server_ops = store.server.process(built)

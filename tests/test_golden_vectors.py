@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.lbl.proxy import LblProxy
+from repro.core.messages import LblAccessRequest
 from repro.crypto import aead, rows
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec
@@ -359,7 +360,8 @@ def test_prf_context_class_exported():
 
 
 # --------------------------------------------------------------------- #
-# Point-and-permute rows: a fixed-key AES pad per row, 8 zero check bytes
+# Point-and-permute rows: a fixed-key AES pad per row, 15 zero check bytes
+# on the head rows
 # --------------------------------------------------------------------- #
 
 def _blob(items) -> bytes:
@@ -368,41 +370,46 @@ def _blob(items) -> bytes:
 
 _ROW_KEY = bytes(range(16, 32))
 _ROW_NONCE = bytes(range(16))
-# A 128-bit label + slot byte: 25-byte row, two blocks of pad.
+# A 128-bit label + slot byte: a 32-byte head row, two blocks of pad.  The
+# first 25 bytes are the whole row of the format with 8 check bytes: block
+# j of a pad is a function of j, not of the row's width.
 _ROW_PAYLOAD = bytes(range(100, 117))
-_ROW_VECTOR = bytes.fromhex("3dc73668a5f0a3272143a20a03ea2fa223e53095a71a7d4a6b")
-# A 256-bit label + slot byte: 41-byte row, three blocks of pad.
+_ROW_VECTOR = bytes.fromhex(
+    "3dc73668a5f0a3272143a20a03ea2fa223e53095a71a7d4a6b32237220fbc763"
+)
+# A 256-bit label + slot byte: a 48-byte head row, three blocks of pad.
 _ROW_PAYLOAD_WIDE = bytes(range(200, 233))
 _ROW_VECTOR_WIDE = bytes.fromhex(
     "916b9ac4015407839dff1eb6a74e8b068f3cea4e7bc7a3958bd3c191c41e2184"
-    "a5fc8d27f38f63261f"
+    "a5fc8d27f38f63261f4a4ce3617656b9"
 )
-# The widest row: a 55-byte label's 64 bytes, four whole blocks of pad, under
-# a 55-byte key of which the pad sees the first 16.
+# The widest label: a 55-byte label's 71-byte head row, five blocks of pad,
+# under a 55-byte key of which the pad sees the first 16.
 _ROW_VECTOR_WIDEST = bytes.fromhex(
     "a524bb2dbe2f537dc6ab476007ad45b2ba115ac7db3556829574ff10b1307f01"
     "d96145710e04ba6a24bd65af61abedd1e86e106346a5ae3e183bb20f5fef9a48"
+    "0d4af30b334905"
 )
 
 
-def _seal(keys, payloads, nonce) -> bytes:
-    """The batch kernel over per-row ``label ‖ slot byte`` payloads."""
+def _seal(keys, payloads, nonce, head=1) -> bytes:
+    """The batch kernel over per-row ``label ‖ slot byte`` payloads, the
+    first ``head`` rows with check bytes."""
     return rows.seal_rows(
-        _blob(keys), _blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads), nonce
+        _blob(keys), _blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads),
+        nonce, head,
     )
 
 
-def _open(keys, slab, nonce, row_len, picks=None):
+def _open(keys, slab, nonce, row_len, head, picks=None):
     """One run through the window kernel: its payloads, ``None`` where refused."""
     picks = list(range(len(keys))) if picks is None else picks
-    ((labels, slots, failed),) = rows.open_rows(
-        [(nonce, _blob(keys), slab, row_len, picks)]
-    )
-    width = len(labels) // len(keys) if labels else 0
-    return [
-        None if i in failed else labels[i * width : (i + 1) * width] + slots[i : i + 1]
-        for i in range(len(keys))
-    ]
+    (opened,) = rows.open_rows([(nonce, _blob(keys), slab, row_len, head, picks)])
+    if opened is None:
+        return [None] * len(keys)
+    labels, slots = opened
+    width = len(labels) // len(keys)
+    return [labels[i * width : (i + 1) * width] + slots[i : i + 1] for i in range(len(keys))]
 
 
 def test_row_vector_single_block():
@@ -412,8 +419,7 @@ def test_row_vector_single_block():
 
 
 def test_row_vector_two_blocks():
-    """A 41-byte row — two blocks of the HMAC pad this format once was, three
-    of this one — and the widest row there is."""
+    """A 48-byte head row — three blocks of pad — and the widest row there is."""
     assert _ref_row(_ROW_KEY, _ROW_PAYLOAD_WIDE, _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert _seal([_ROW_KEY], [_ROW_PAYLOAD_WIDE], _ROW_NONCE) == _ROW_VECTOR_WIDE
     assert rows.open_row(_ROW_KEY, _ROW_VECTOR_WIDE, _ROW_NONCE) == _ROW_PAYLOAD_WIDE
@@ -430,7 +436,7 @@ def test_row_vector_two_blocks():
 @st.composite
 def _row_batch(draw, label_len=None):
     """Keys of one width (a label's, or any other from 16 bytes up), payloads
-    of one label width."""
+    of one label width, and how many leading rows are head rows."""
     if label_len is None:
         label_len = draw(st.sampled_from([16, 20, 24, 32, 55]))
     count = draw(st.integers(min_value=1, max_value=9))
@@ -447,25 +453,32 @@ def _row_batch(draw, label_len=None):
         )
     )
     nonce = draw(st.binary(min_size=16, max_size=16))
-    return keys, payloads, nonce
+    head = draw(st.integers(min_value=1, max_value=count))
+    return keys, payloads, nonce, head
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch=_row_batch())
 def test_seal_rows_matches_scalar_and_stdlib(batch):
-    keys, payloads, nonce = batch
-    slab = _seal(keys, payloads, nonce)
-    row_len = len(payloads[0]) + rows.CHECK_LEN
-    assert len(slab) == len(keys) * row_len
+    keys, payloads, nonce, head = batch
+    slab = _seal(keys, payloads, nonce, head)
+    row_len = len(payloads[0])
+    assert len(slab) == len(keys) * row_len + head * rows.CHECK_LEN
     scalar = [_seal([k], [p], nonce) for k, p in zip(keys, payloads)]
     assert scalar == [_ref_row(k, p, nonce) for k, p in zip(keys, payloads)]
-    # The slab is those rows as two runs; the row-by-row view inverts it.
-    assert slab == _slab(scalar) == rows.join_rows(scalar)
-    assert rows.split_rows(slab, row_len) == scalar
-    # open(seal(x)) == x, batch and scalar — any subset, in any order.
-    assert _open(keys, slab, nonce, row_len) == payloads
-    picks = list(range(len(keys)))[::-2]
-    assert _open([keys[i] for i in picks], slab, nonce, row_len, picks) == [
+    # The slab is those rows as three runs, every row past the head without
+    # its check bytes; a request's row-by-row view inverts it.
+    assert slab == _slab(scalar, head)
+    if len(keys) % head == 0:
+        viewed = scalar[:head] + [row[:row_len] for row in scalar[head:]]
+        request = LblAccessRequest(b"k", slab, head, row_len, nonce)
+        assert [row for table in request.tables for row in table] == viewed
+        assert LblAccessRequest.from_tables(b"k", request.tables, nonce) == request
+    # open(seal(x)) == x, batch and scalar — any subset, in any order after
+    # a head row.
+    assert _open(keys, slab, nonce, row_len, head) == payloads
+    picks = [0] + list(range(len(keys)))[:0:-2]
+    assert _open([keys[i] for i in picks], slab, nonce, row_len, head, picks) == [
         payloads[i] for i in picks
     ]
     assert [rows.open_row(k, r, nonce) for k, r in zip(keys, scalar)] == payloads
@@ -474,23 +487,31 @@ def test_seal_rows_matches_scalar_and_stdlib(batch):
 @settings(max_examples=60, deadline=None)
 @given(batch=_row_batch(), flip=st.integers(min_value=0, max_value=127))
 def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
-    keys, payloads, nonce = batch
-    slab = _seal(keys, payloads, nonce)
-    row_len = len(payloads[0]) + rows.CHECK_LEN
+    keys, payloads, nonce, head = batch
+    slab = _seal(keys, payloads, nonce, head)
+    row_len = len(payloads[0])
     n = len(keys)
     wrong_nonce = bytearray(nonce)
     wrong_nonce[flip % 16] ^= 1 << (flip % 8)
-    assert _open(keys, slab, bytes(wrong_nonce), row_len) == [None] * n
-    assert _open(keys, slab, b"", row_len) == [None] * n
+    assert _open(keys, slab, bytes(wrong_nonce), row_len, head) == [None] * n
+    assert _open(keys, slab, b"", row_len, head) == [None] * n
     wrong_keys = [bytes([k[0] ^ 0x80]) + k[1:] for k in keys]
-    assert _open(wrong_keys, slab, nonce, row_len) == [None] * n
-    # Verdicts are per row: one wrong key refuses only its own row.
+    assert _open(wrong_keys, slab, nonce, row_len, head) == [None] * n
+    # The verdict is the run's: a wrong key on a checked row refuses every
+    # row, while a wrong key on a row without check bytes opens it to noise.
     mixed = [wrong_keys[0]] + keys[1:]
-    assert _open(mixed, slab, nonce, row_len) == [None] + payloads[1:]
+    assert _open(mixed, slab, nonce, row_len, head) == [None] * n
+    if n > head:
+        noisy = _open(keys[:-1] + wrong_keys[-1:], slab, nonce, row_len, head)
+        assert noisy[:-1] == payloads[:-1] and noisy[-1] != payloads[-1]
+        # A run must lead with a checked row.
+        assert _open(keys[head:], slab, nonce, row_len, head, list(range(head, n))) == [
+            None
+        ] * (n - head)
     # Only a key's first 16 bytes reach the pad.
     if len(keys[0]) > 16:
         tail = [k[:16] + bytes(len(k) - 16) for k in keys]
-        assert _open(tail, slab, nonce, row_len) == payloads
+        assert _open(tail, slab, nonce, row_len, head) == payloads
     # A row too short to hold check bytes, a slab that is no whole number of
     # rows, a row the slab does not have, a short key: nothing opens, whatever
     # the key.
@@ -498,9 +519,9 @@ def test_rows_do_not_open_under_a_wrong_key_or_nonce(batch, flip):
     assert rows.open_row(keys[0], row[: rows.CHECK_LEN], nonce) is None
     assert rows.open_row(keys[0], row + bytes(64), nonce) is None
     assert rows.open_row(keys[0][:15], row, nonce) is None
-    assert _open(keys, slab[:-1], nonce, row_len) == [None] * n
-    assert _open(keys[:1], slab, nonce, row_len, [n]) == [None]
-    assert _open(keys[:1], slab, nonce, row_len, [-1]) == [None]
+    assert _open(keys, slab[:-1], nonce, row_len, head) == [None] * n
+    assert _open(keys[:1], slab, nonce, row_len, head, [n]) == [None]
+    assert _open(keys[:1], slab, nonce, row_len, head, [-1]) == [None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -509,18 +530,17 @@ def test_open_rows_serves_a_window_of_requests_in_one_call(first, second):
     """Runs of rows, each under its own request's nonce — and, when two
     requests differ in row width, neither refuses the other's rows."""
     runs, expected = [], []
-    for keys, payloads, nonce in (first, second):
-        row_len = len(payloads[0]) + rows.CHECK_LEN
+    for keys, payloads, nonce, head in (first, second):
+        row_len = len(payloads[0])
         picks = list(range(len(keys)))
-        runs.append((nonce, _blob(keys), _seal(keys, payloads, nonce), row_len, picks))
-        expected.append((_blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads), []))
+        runs.append((nonce, _blob(keys), _seal(keys, payloads, nonce, head), row_len, head, picks))
+        expected.append((_blob(p[:-1] for p in payloads), _blob(p[-1:] for p in payloads)))
     assert rows.open_rows(runs) == expected
-    # A damaged request in the window fails alone, row for row.
-    nonce, keys, slab, row_len, picks = runs[0]
-    damaged = [row[:-1] + bytes([row[-1] ^ 1]) for row in rows.split_rows(slab, row_len)]
-    window = rows.open_rows([(nonce, keys, rows.join_rows(damaged), row_len, picks), runs[1]])
-    assert window[0][2] == picks
-    assert window[1] == expected[1]
+    # A request with a damaged check byte in the window fails alone, whole.
+    nonce, keys, slab, row_len, head, picks = runs[0]
+    damaged = slab[:-1] + bytes([slab[-1] ^ 1])
+    window = rows.open_rows([(nonce, keys, damaged, row_len, head, picks), runs[1]])
+    assert window == [None, expected[1]]
 
 
 def test_row_kernel_rejects_misuse():
@@ -528,23 +548,25 @@ def test_row_kernel_rejects_misuse():
 
     key, nonce = b"k" * 16, b"n" * 16
     assert rows.open_rows([]) == []
-    assert rows.open_rows([(nonce, b"", b"", 25, [])]) == [(b"", b"", [])]
-    for keys, labels, slots, at in [
-        (b"", b"", b"", nonce),  # no rows
-        (key, b"ab", b"", nonce),  # labels without slots
-        (key * 2, b"aab", b"ss", nonce),  # ragged labels
-        (key * 2 + b"k", b"aabb", b"ss", nonce),  # ragged keys
-        (b"short", b"payload", b"s", nonce),
-        (key, b"payload", b"s", nonce[:15]),
-        (key, b"payload", b"s", nonce + b"n"),
-        (key, b"", b"s", nonce),  # a row carries a label
+    assert rows.open_rows([(nonce, b"", b"", 17, 1, [])]) == [None]
+    for keys, labels, slots, at, head in [
+        (b"", b"", b"", nonce, 1),  # no rows
+        (key, b"ab", b"", nonce, 1),  # labels without slots
+        (key * 2, b"aab", b"ss", nonce, 1),  # ragged labels
+        (key * 2 + b"k", b"aabb", b"ss", nonce, 1),  # ragged keys
+        (b"short", b"payload", b"s", nonce, 1),
+        (key, b"payload", b"s", nonce[:15], 1),
+        (key, b"payload", b"s", nonce + b"n", 1),
+        (key, b"", b"s", nonce, 1),  # a row carries a label
+        (key * 2, b"aabb", b"ss", nonce, 0),  # no head row: nothing checks a key
+        (key * 2, b"aabb", b"ss", nonce, 3),  # more head rows than rows
     ]:
         with pytest.raises(ConfigurationError):
-            rows.seal_rows(keys, labels, slots, at)
-    # 64 bytes — four blocks — is the widest row: a 55-byte label's.
-    assert len(_seal([b"k" * 55], [b"p" * 56], nonce)) == rows.MAX_ROW_LEN
+            rows.seal_rows(keys, labels, slots, at, head)
+    # 80 bytes — five blocks — is the widest head row: a 64-byte label's.
+    assert len(_seal([b"k" * 64], [b"p" * 65], nonce)) == rows.MAX_ROW_LEN
     with pytest.raises(ConfigurationError):
-        _seal([b"k" * 56], [b"p" * 57], nonce)
+        _seal([b"k" * 65], [b"p" * 66], nonce)
     # The permutation never sees a partial block: its context is a stream.
     with pytest.raises(ConfigurationError):
         rows._permute(b"x" * 17)
@@ -554,26 +576,28 @@ def test_row_kernel_rejects_misuse():
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
 def test_rows_are_metered_as_aead_ops(label_bits):
     """One row, one ``aead.*`` count — batch and scalar alike — and every
-    block the permutation is fed one ``aes.blocks``."""
+    block the permutation is fed one ``aes.blocks``: as many per row as a
+    row with 8 check bytes had at these widths."""
     from repro.obs import ledger
 
     label_len = label_bits // 8
     keys = [bytes([i]) * label_len for i in range(1, 5)]
     payloads = [bytes([i]) * (label_len + 1) for i in range(4)]
     nonce = b"n" * 16
-    row_len = label_len + 1 + rows.CHECK_LEN
-    per_row = 1 + -(-row_len // 16)
+    row_len = label_len + 1
+    per_row = 1 + -(-(row_len + rows.CHECK_LEN) // 16)
+    assert per_row == 1 + -(-(row_len + 8) // 16)
     obs.reset()
     obs.enable()
     try:
-        slab = _seal(keys, payloads, nonce)
+        slab = _seal(keys, payloads, nonce, 4)
         _seal(keys[:1], payloads[:1], nonce)
-        _open(keys, slab, nonce, row_len)
+        _open(keys, slab, nonce, row_len, 4)
         rows.open_rows(
             [
-                (nonce, _blob(keys[:1:-1]), slab, row_len, [0, 1]),
-                (nonce, _blob(keys[1::-1]), slab, row_len, [2, 3]),
-                (nonce[:8], _blob(keys), slab, row_len, [0, 1, 2, 3]),  # refused whole
+                (nonce, _blob(keys[:1:-1]), slab, row_len, 4, [0, 1]),  # wrong keys
+                (nonce, _blob(keys[1::-1]), slab, row_len, 4, [2, 3]),  # wrong keys
+                (nonce[:8], _blob(keys), slab, row_len, 4, [0, 1, 2, 3]),  # refused whole
             ]
         )
         metered = {op: n for op, n in ledger.registry_ops_snapshot().items() if n}

@@ -262,8 +262,9 @@ class _Reference:
     point-and-permute row the pad ``π(π(x) ⊕ t_j) ⊕ π(x)`` for every block
     ``j`` of the row, ``π`` AES-128 under the public constant key, ``x`` the
     stored label's first 16 bytes and ``t_j = nonce ⊕ j``, the row read as
-    its label from the slab's first run and its 9-byte tail from the
-    second.  Shares no code with ``LabelCodec``, ``rows`` or ``LblServer``."""
+    its label from the slab's first run, its slot byte from the second and —
+    group 0's only — its 15 zero check bytes from the third.  Shares no code
+    with ``LabelCodec``, ``rows`` or ``LblServer``."""
 
     PI = algorithms.AES(bytes.fromhex("243f6a8885a308d313198a2e03707344"))
 
@@ -301,19 +302,22 @@ class _Reference:
         label, offsets = self.epoch(key, ct)
         opened = []
         xor = lambda a, b: bytes(p ^ q for p, q in zip(a, b))  # noqa: E731
-        rows, width = self.G * self.T, self.L + 9
+        rows, width = self.G * self.T, self.L + 1
+        assert request.entry_len == width
+        assert len(request.slab) == rows * width + self.T * 15
         for i, v in enumerate(self.groups(stored)):
             at = i * self.T + (v ^ offsets[i])
             hidden = self.pi(label(i, v)[:16])
             row = request.slab[at * self.L :][: self.L]
-            row += request.slab[rows * self.L + at * 9 :][:9]
+            row += request.slab[rows * self.L + at :][:1]
+            if i == 0:
+                row += request.slab[rows * width + at * 15 :][:15]
             plain = b""
-            for j in range(0, width, 16):
+            for j in range(0, len(row), 16):
                 tweak = int.from_bytes(request.nonce, "big") ^ (j // 16)
                 pad = xor(self.pi(xor(hidden, tweak.to_bytes(16, "big"))), hidden)
                 plain += xor(row[j : j + 16], pad)
-            assert plain[self.L + 1 :] == bytes(8) and len(plain) == width
-            assert request.entry_len == width and len(request.slab) == rows * width
+            assert plain[width:] == (bytes(15) if i == 0 else b"")
             opened.append(plain[: self.L])
         return b"".join(opened)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import messages as m
 from repro.core.lbl import LblOrtoa
+from repro.crypto import rows
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import Request, StoreConfig
 
@@ -43,19 +44,27 @@ def test_fhe_messages_roundtrip():
     assert m.FheAccessResponse.from_bytes(resp.to_bytes()) == resp
 
 
+#: Check bytes of a head row (group 0's rows end in them).
+CHECKS = b"c" * rows.CHECK_LEN
+
+
 def test_lbl_request_roundtrip():
     tables = (
-        (b"ct00", b"ct01"),
-        (b"ct10", b"ct11"),
+        (b"A0a" + b"x" * rows.CHECK_LEN, b"A1b" + b"y" * rows.CHECK_LEN),
+        (b"B0c", b"B1d"),
     )
     req = m.LblAccessRequest.from_tables(b"key", tables, nonce=b"n" * 16)
-    assert req.slab == b"ct00ct01ct10ct11"
-    assert (req.table_size, req.entry_len, req.num_groups) == (2, 4, 2)
+    # Three runs: every label, every slot byte, group 0's check bytes.
+    assert req.slab == b"A0A1B0B1" + b"abcd" + b"x" * rows.CHECK_LEN + b"y" * rows.CHECK_LEN
+    assert (req.table_size, req.entry_len, req.num_groups) == (2, 3, 2)
+    assert req.tables == tables
     assert m.LblAccessRequest.from_bytes(req.to_bytes()) == req
 
 
 def test_lbl_request_roundtrip_y2():
-    tables = ((b"a", b"b", b"c", b"d"),) * 3
+    tables = (tuple(row + CHECKS for row in (b"a", b"b", b"c", b"d")),) + (
+        (b"a", b"b", b"c", b"d"),
+    ) * 2
     req = m.LblAccessRequest.from_tables(b"key", tables, b"n" * 16)
     parsed = m.LblAccessRequest.from_bytes(req.to_bytes())
     assert parsed.tables == tables
@@ -67,8 +76,8 @@ def test_lbl_request_without_a_16_byte_nonce_is_refused(nonce):
     """Every request carries its rows' 16-byte nonce: one without it is
     refused as it is built and as it is parsed."""
     with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
-        m.LblAccessRequest(b"key", b"\xaa" * 24, 4, 3, nonce)
-    good = m.LblAccessRequest(b"key", b"\xaa" * 24, 4, 3, b"N" * 16).to_bytes()
+        m.LblAccessRequest(b"key", b"\xaa" * 84, 4, 3, nonce)
+    good = m.LblAccessRequest(b"key", b"\xaa" * 84, 4, 3, b"N" * 16).to_bytes()
     header = (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
     shape = (4 + len(nonce)).to_bytes(4, "big") + b"\x00\x04\x00\x03" + nonce
     with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
@@ -76,12 +85,12 @@ def test_lbl_request_without_a_16_byte_nonce_is_refused(nonce):
 
 
 def test_lbl_request_wire_layout_is_header_key_slab():
-    req = m.LblAccessRequest(b"K" * 16, b"\xaa" * 24, 4, 3, b"N" * 16)
+    req = m.LblAccessRequest(b"K" * 16, b"\xaa" * 84, 4, 3, b"N" * 16)
     assert req.to_bytes() == (
         b"\x20"
         + (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
         + (16).to_bytes(4, "big") + b"K" * 16
-        + (24).to_bytes(4, "big") + b"\xaa" * 24
+        + (84).to_bytes(4, "big") + b"\xaa" * 84
     )
 
 
@@ -110,15 +119,16 @@ def test_group_bits_above_8_rejected_at_configuration():
 
 
 def test_label_bits_above_440_rejected_with_point_and_permute():
-    """A row's label + slot byte + 8 check bytes must fit 64 bytes (four
-    blocks of pad)."""
+    """A head row's label + slot byte + 15 check bytes fit the row kernel's
+    80 bytes (five blocks of pad); 440 bits stays the limit."""
     with pytest.raises(ConfigurationError, match="at most 440"):
         StoreConfig(value_len=2, label_bits=448)
     config = StoreConfig(value_len=2, group_bits=2, label_bits=440)
     store = LblOrtoa(config)
     store.initialize({"k": b"hi"})
     built, _ops = store.proxy.prepare(Request.write("k", b"yo"))
-    assert built.entry_len == 55 + 1 + 8 == 64
+    assert built.entry_len == 55 + 1
+    assert built.entry_len + rows.CHECK_LEN <= rows.MAX_ROW_LEN
     response, _server_ops = store.server.process(built)
     assert store.proxy.finalize("k", response)[0] == b"yo"
     assert store.read("k") == b"yo"
@@ -161,26 +171,33 @@ def test_lbl_request_rejects_empty_tables():
         m.LblAccessRequest.from_tables(b"key", (), b"n" * 16)
     with pytest.raises(ProtocolError):
         m.LblAccessRequest(b"key", b"", 2, 4, b"n" * 16)
+    # Group 0's check bytes alone are no table.
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest(b"key", CHECKS * 2, 2, 4, b"n" * 16)
 
 
 def test_lbl_request_rejects_ragged_tables():
+    head = (b"ab" + CHECKS, b"cd" + CHECKS)
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest.from_tables(b"key", ((b"a", b"b"), (b"c",)), b"n" * 16)
+        m.LblAccessRequest.from_tables(b"key", (head, (b"ef",)), b"n" * 16)
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest.from_tables(b"key", ((b"a", b"bb"),), b"n" * 16)
+        m.LblAccessRequest.from_tables(b"key", ((head[0], head[1] + b"e"),), b"n" * 16)
+    # Only group 0's rows carry check bytes.
+    with pytest.raises(ProtocolError):
+        m.LblAccessRequest.from_tables(b"key", (head, head), b"n" * 16)
 
 
 def test_lbl_request_rejects_slab_that_is_not_whole_tables():
-    whole = m.LblAccessRequest(b"key", b"x" * 24, 4, 3, b"n" * 16)
+    whole = m.LblAccessRequest(b"key", b"x" * 84, 4, 3, b"n" * 16)
     assert whole.num_groups == 2
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", b"x" * 23, 4, 3, b"n" * 16)
-    cut = whole.to_bytes()[: -(4 + 24)] + (23).to_bytes(4, "big") + b"x" * 23
+        m.LblAccessRequest(b"key", b"x" * 83, 4, 3, b"n" * 16)
+    cut = whole.to_bytes()[: -(4 + 84)] + (83).to_bytes(4, "big") + b"x" * 83
     with pytest.raises(ProtocolError, match="whole number of group tables"):
         m.LblAccessRequest.from_bytes(cut)
     for table_size, entry_len in ((0, 3), (4, 0), (1 << 16, 3)):
         with pytest.raises(ProtocolError):
-            m.LblAccessRequest(b"key", b"x" * 24, table_size, entry_len, b"n" * 16)
+            m.LblAccessRequest(b"key", b"x" * 84, table_size, entry_len, b"n" * 16)
 
 
 def test_old_per_field_lbl_frame_is_rejected():
@@ -203,6 +220,36 @@ def test_old_per_field_lbl_frame_is_rejected():
     # ...and the old per-label response is not a whole number of labels.
     with pytest.raises(ProtocolError):
         m.LblAccessResponse.from_bytes(b"\x21" + field(b"l" * 16) + field(b"m" * 16))
+
+
+@pytest.mark.parametrize("group_bits", [1, 2, 3, 8])
+def test_old_25_byte_row_frame_is_refused(group_bits):
+    """The format before group 0 alone carried check bytes: every row
+    ``label ‖ slot ‖ 8 check bytes``, 25 bytes at 128-bit labels.  No such
+    slab is a whole number of tables behind 15-byte checks, at any group
+    count — the frame is refused as it is parsed, and the server refuses
+    that row width even when a slab happens to parse."""
+    table_size = 1 << group_bits
+    for groups in (1, 2, 3, 64, 640):
+        header = (20).to_bytes(4, "big") + (table_size << 16 | 25).to_bytes(4, "big")
+        slab = b"s" * (groups * table_size * 25)
+        frame = (
+            b"\x20" + header + b"n" * 16
+            + (16).to_bytes(4, "big") + b"k" * 16
+            + len(slab).to_bytes(4, "big") + slab
+        )
+        with pytest.raises(ProtocolError, match="whole number of group tables"):
+            m.LblAccessRequest.from_bytes(frame)
+    store = LblOrtoa(StoreConfig(value_len=2, group_bits=group_bits))
+    store.initialize({"k": b"hi"})
+    built, _ops = store.proxy.prepare(Request.read("k"))
+    wide = m.LblAccessRequest(
+        built.encoded_key, built.slab + bytes(built.table_size * built.num_groups * 8),
+        built.table_size, 25, built.nonce,
+    )
+    assert wide.num_groups == built.num_groups
+    with pytest.raises(ProtocolError, match="entry length 25 is no row of a 16-byte label"):
+        store.server.process(wide)
 
 
 def test_wrong_tag_rejected():
@@ -243,7 +290,7 @@ def test_tee_request_roundtrip_property(key, sel, val):
 )
 @settings(max_examples=50)
 def test_lbl_request_roundtrip_property(groups, table_size, entry_len, data):
-    size, nonce = groups * table_size * entry_len, b"n" * 16
+    size, nonce = groups * table_size * entry_len + table_size * rows.CHECK_LEN, b"n" * 16
     slab = data.draw(st.binary(min_size=size, max_size=size))
     req = m.LblAccessRequest(b"key", slab, table_size, entry_len, nonce)
     parsed = m.LblAccessRequest.from_bytes(req.to_bytes())

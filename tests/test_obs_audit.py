@@ -49,8 +49,9 @@ def test_audit_passes_on_point_and_permute_lbl():
     # lives in this process.
     assert len(checks) == 5 * len(PATHS)
     assert all(check.passed for check in report.checks)
-    # 64 groups x 4 rows x 25 B behind a 49-byte header; 64 labels back.
-    frames = "identical support [6449 B request (256 rows x 25 B), 1027 B reply]"
+    # 64 groups x 4 rows x 17 B and group 0's 4 x 15 check bytes behind a
+    # 49-byte header; 64 labels back.
+    frames = "identical support [4461 B request (256 rows x 17 B + 60 B checks), 1027 B reply]"
     for path in PATHS:
         assert checks[path, "shape identity, frames"].detail == frames
         assert checks[path, "shape identity, storage"].detail == (
@@ -161,7 +162,7 @@ def test_recording_link_sees_one_frame_per_access_and_per_batch():
     store.access(Request.read("k0"))
     store.access_batch([Request.read(f"k{i}") for i in range(4)])
     single, batch = link.frames
-    assert len(single.request) == 6449 and len(single.reply) == 1027
+    assert len(single.request) == 4461 and len(single.reply) == 1027
     assert len(single.storage) == 1 and len(batch.storage) == 4
     assert all(changed for _before, _after, changed in batch.storage)
 
@@ -255,10 +256,10 @@ def test_a_put_padded_by_one_byte_fails_shape_identity():
     assert checks["access", "one round trip"].passed
     frames = checks["access", "shape identity, frames"]
     assert frames.passed is False
-    assert "writes saw [6450 B request" in frames.detail
+    assert "writes saw [4462 B request" in frames.detail
     assert checks["access", "ROR-RW"].passed is False  # sizes differ too
     # The pad is no valid request: the padded frames really were sent.
     assert any(
-        len(frame.request) == 6450 and frame.request[0] == LblAccessRequest.TAG
+        len(frame.request) == 4462 and frame.request[0] == LblAccessRequest.TAG
         for frame in deployment.recorder.frames
     )

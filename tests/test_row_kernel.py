@@ -21,6 +21,7 @@ from repro.crypto import rows
 from repro.errors import ConfigurationError
 
 ROWS, PICKS = 2560, 640  # one paper-point slab, and what the server opens of it
+HEAD = 4  # group 0's rows, the ones with check bytes
 
 
 def _slab_inputs(seed: int, n: int = ROWS):
@@ -31,17 +32,15 @@ def _slab_inputs(seed: int, n: int = ROWS):
 def _opens(keys, labels, slots, nonce, slab) -> bool:
     picks = list(range(0, ROWS, ROWS // PICKS))
     picked = b"".join(keys[16 * p : 16 * p + 16] for p in picks)
-    ((got_labels, got_slots, failed),) = rows.open_rows([(nonce, picked, slab, 25, picks)])
-    return (
-        not failed
-        and got_labels == b"".join(labels[16 * p : 16 * p + 16] for p in picks)
-        and got_slots == bytes(slots[p] for p in picks)
+    ((got_labels, got_slots),) = rows.open_rows([(nonce, picked, slab, 17, HEAD, picks)])
+    return got_labels == b"".join(labels[16 * p : 16 * p + 16] for p in picks) and (
+        got_slots == bytes(slots[p] for p in picks)
     )
 
 
 def test_eight_threads_seal_and_open_concurrently_for_a_second():
     cases = [_slab_inputs(seed) for seed in range(8)]
-    expected = [rows.seal_rows(*case) for case in cases]  # single-threaded
+    expected = [rows.seal_rows(*case, HEAD) for case in cases]  # single-threaded
     assert all(_opens(*case, slab) for case, slab in zip(cases, expected))
     errors: list[BaseException] = []
     rounds = [0] * 8
@@ -55,7 +54,7 @@ def test_eight_threads_seal_and_open_concurrently_for_a_second():
                 # Every thread works through every case, so any two threads
                 # are in the permutation at once with different inputs.
                 case = (index + rounds[index]) % 8
-                slab = rows.seal_rows(*cases[case])
+                slab = rows.seal_rows(*cases[case], HEAD)
                 assert slab == expected[case]
                 assert _opens(*cases[case], slab)
                 rounds[index] += 1
@@ -93,7 +92,7 @@ def test_each_thread_has_its_own_context():
 
 def _good_run_opens() -> bool:
     case = _slab_inputs(99, n=ROWS)
-    return _opens(*case, rows.seal_rows(*case))
+    return _opens(*case, rows.seal_rows(*case, HEAD))
 
 
 @pytest.mark.parametrize(
@@ -104,34 +103,31 @@ def test_a_refused_run_leaves_the_context_clean(poison):
     """Each malformed run is refused before the permutation sees a byte of
     it: the next good run on the same thread still opens."""
     keys, labels, slots, nonce = _slab_inputs(5, n=8)
-    slab = rows.seal_rows(keys, labels, slots, nonce)
+    slab = rows.seal_rows(keys, labels, slots, nonce, HEAD)
     picks = list(range(8))
     if poison == "five_byte_key":
         # A stored label of the wrong width: 5 bytes per pick.
-        assert rows.open_rows([(nonce, os.urandom(5 * 8), slab, 25, picks)]) == [
-            (b"", b"", picks)
-        ]
-        row = rows.seal_rows(keys[:16], b"p" * 16, b"p", nonce)
+        assert rows.open_rows([(nonce, os.urandom(5 * 8), slab, 17, HEAD, picks)]) == [None]
+        row = rows.seal_rows(keys[:16], b"p" * 16, b"p", nonce, 1)
         assert rows.open_row(b"five!", row, nonce) is None
     elif poison == "short_slab":
-        assert rows.open_rows([(nonce, keys, slab[:-1], 25, picks)]) == [(b"", b"", picks)]
+        assert rows.open_rows([(nonce, keys, slab[:-1], 17, HEAD, picks)]) == [None]
     elif poison == "refused_seal":
         with pytest.raises(ConfigurationError):
-            rows.seal_rows(keys[:-1], labels, slots, nonce)
+            rows.seal_rows(keys[:-1], labels, slots, nonce, HEAD)
         with pytest.raises(ConfigurationError):
-            rows.seal_rows(b"k" * 5, b"l" * 16, b"s", nonce)
+            rows.seal_rows(b"k" * 5, b"l" * 16, b"s", nonce, 1)
     elif poison == "ragged_keys":
-        assert rows.open_rows([(nonce, keys + b"x", slab, 25, picks)]) == [(b"", b"", picks)]
+        assert rows.open_rows([(nonce, keys + b"x", slab, 17, HEAD, picks)]) == [None]
     else:
-        assert rows.open_rows([(nonce[:7], keys, slab, 25, picks)]) == [(b"", b"", picks)]
+        assert rows.open_rows([(nonce[:7], keys, slab, 17, HEAD, picks)]) == [None]
         with pytest.raises(ConfigurationError):
-            rows.seal_rows(keys, labels, slots, nonce[:7])
+            rows.seal_rows(keys, labels, slots, nonce[:7], HEAD)
     assert _good_run_opens()
     # In one window, the refused run's neighbours open too.
-    refused = (nonce, b"k" * 5, slab, 25, [0])
-    window = rows.open_rows([refused, (nonce, keys, slab, 25, picks), refused])
-    assert window[0] == window[2] == (b"", b"", [0])
-    assert window[1] == (labels, slots, [])
+    refused = (nonce, b"k" * 5, slab, 17, HEAD, [0])
+    window = rows.open_rows([refused, (nonce, keys, slab, 17, HEAD, picks), refused])
+    assert window == [None, (labels, slots), None]
 
 
 def test_the_poisoned_stream_this_guards_against_is_real():
@@ -168,7 +164,7 @@ def test_server_refuses_a_label_of_the_wrong_width_and_serves_the_next_request()
     groups = len(record.slots)
     store.server.store.put(encoded, StoredRecord(bytes(5 * groups), record.slots))
     built, _ops = store.proxy.prepare(Request.read("bad"))
-    short = LblAccessRequest(encoded, built.slab[: groups * 4 * 14], 4, 14, built.nonce)
+    short = LblAccessRequest(encoded, built.slab[: groups * 4 * 6 + 60], 4, 6, built.nonce)
     with pytest.raises(ProtocolError, match="failed to open at group 0"):
         store.server.process(short)
     assert store.server.store.get(encoded).labels == bytes(5 * groups)
@@ -195,7 +191,7 @@ def test_get_and_put_make_the_same_kernel_calls(monkeypatch, value_len):
         return permute(blocks)
 
     def counting_seal(*args):
-        calls.append(("seal_rows", tuple(map(len, args))))
+        calls.append(("seal_rows", (*map(len, args[:4]), *args[4:])))
         return seal(*args)
 
     monkeypatch.setattr(rows, "_permute", counting_permute)
@@ -207,7 +203,7 @@ def test_get_and_put_make_the_same_kernel_calls(monkeypatch, value_len):
         shapes.append(list(calls))
     n = config.num_groups * 4
     assert shapes[0] == shapes[1] == [
-        ("seal_rows", (16 * n, 16 * n, n, rows.ROW_NONCE_LEN)),
+        ("seal_rows", (16 * n, 16 * n, n, rows.ROW_NONCE_LEN, 4)),
         ("permute", n),  # the seeds
         ("permute", 2 * n),  # two planes of tweaked blocks
     ]

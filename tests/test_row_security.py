@@ -12,9 +12,12 @@ tests are its executable half.
     keys of the rows it is told to open — a request one epoch ahead, a wrong
     or missing nonce, a damaged check byte — must refuse *before* it commits
     anything; rollback and the WAL's one-epoch window depend on the stored
-    labels surviving a refused request.  What the 8 check bytes do *not*
-    cover is pinned too: a flipped label bit is committed and surfaces in
-    ``finalize``; a flipped slot byte makes the *next* access be refused.
+    labels surviving a refused request.  Each of those is a wrong key for
+    the whole record, so group 0's 15 check bytes catch it.  What they do
+    *not* cover is pinned too: a flipped label or slot byte in any other
+    group is committed and surfaces in ``finalize`` (§5.4) — the slot byte's
+    at the *next* access, unless it points past the table, which that
+    access refuses.
 """
 
 import dataclasses
@@ -68,11 +71,11 @@ def pad_reuse_detected(first: LblAccessRequest, second: LblAccessRequest) -> boo
     """What an honest-but-curious server can test on two tables for one key.
 
     XOR corresponding rows.  Under a reused pad the pad cancels and leaves
-    ``payload ⊕ payload'``: its 8 check bytes are zero in *every* row, and
-    the whole row is zero wherever the two requests carry the same label
-    (a GET row under a GET, or a PUT of the value already stored).  Under
-    fresh pads each XOR is uniformly random and an 8-byte zero run has
-    probability ~2^-64 per position.
+    ``payload ⊕ payload'``: its 15 check bytes are zero in every head row,
+    and the whole row is zero wherever the two requests carry the same
+    label (a GET row under a GET, or a PUT of the value already stored).
+    Under fresh pads each XOR is uniformly random and a 15-byte zero run
+    has probability ~2^-120 per position.
     """
     assert (first.table_size, first.entry_len) == (second.table_size, second.entry_len)
     for table_a, table_b in zip(first.tables, second.tables):
@@ -143,27 +146,23 @@ def test_kernel_with_a_fixed_nonce_cancels_under_xor():
     get_labels = b"".join(bytes([0x10 + i]) * 16 for i in range(4))
     put_labels = bytes([0x77]) * 64
     slots, nonce = bytes(4), b"n" * 16
-    get = LblAccessRequest(b"k", rows.seal_rows(keys, get_labels, slots, nonce), 4, 25, nonce)
-    put = LblAccessRequest(b"k", rows.seal_rows(keys, put_labels, slots, nonce), 4, 25, nonce)
+    def request(labels: bytes, nonce: bytes) -> LblAccessRequest:
+        return LblAccessRequest(b"k", rows.seal_rows(keys, labels, slots, nonce, 4), 4, 17, nonce)
+
+    get, put = request(get_labels, nonce), request(put_labels, nonce)
     assert pad_reuse_detected(get, put)
-    fresh = LblAccessRequest(
-        b"k", rows.seal_rows(keys, put_labels, slots, b"m" * 16), 4, 25, b"m" * 16
-    )
+    fresh = request(put_labels, b"m" * 16)
     assert not pad_reuse_detected(get, fresh)
     # The nonce is a tweak inside the permutation, not a mask over the pad:
     # a nonce one bit away shares nothing.
-    near = b"o" + b"n" * 15
-    close = LblAccessRequest(b"k", rows.seal_rows(keys, put_labels, slots, near), 4, 25, near)
-    assert not pad_reuse_detected(get, close)
+    assert not pad_reuse_detected(get, request(put_labels, b"o" + b"n" * 15))
     # The one documented exception: t_j = nonce ⊕ j, so two nonces that differ
     # by a block index (probability ~2^-126 for random ones) share that block
     # crosswise — block 1 of one pad is block 0 of the other.
     twin = b"n" * 15 + bytes([ord("n") ^ 1])
     ((first, *_),) = get.tables
-    (second, *_), = LblAccessRequest(
-        b"k", rows.seal_rows(keys, put_labels, slots, twin), 4, 25, twin
-    ).tables
-    assert first[16:] == bytes(a ^ b for a, b in zip(second[:9], put_labels[:9]))
+    ((second, *_),) = request(put_labels, twin).tables
+    assert first[16:] == bytes(a ^ b for a, b in zip(second[:16], put_labels[:16]))
 
 
 # --------------------------------------------------------------------- #
@@ -184,14 +183,17 @@ def test_simulator_emits_the_point_and_permute_shape():
         assert len(message.to_bytes()) == len(real.to_bytes())
     assert len({message.nonce for message in simulated}) == 3
     # Per group, exactly one row opens under the label the previous access
-    # installed — the chain an honest server would follow — and it carries
-    # the label the simulator now holds; the other T-1 rows are noise.
+    # installed — the chain an honest server would follow — to the label the
+    # simulator now holds; the other T-1 rows are noise.  Group 0's rows say
+    # which one by their check bytes; every other row opens to something.
     held = list(simulator._state["k"])
     message = simulator.simulate("k")
-    for group, table in enumerate(message.tables):
-        opened = [rows.open_row(held[group], row, message.nonce) for row in table]
-        (payload,) = [p for p in opened if p is not None]
-        assert payload[:-1] == simulator._state["k"][group]
+    opened = [rows.open_row(held[0], row, message.nonce) for row in message.tables[0]]
+    (payload,) = [p for p in opened if p is not None]
+    assert payload[:-1] == simulator._state["k"][0]
+    for group, table in enumerate(message.tables[1:], start=1):
+        opened = [lbl_reference.open_row(held[group], row, message.nonce)[:-1] for row in table]
+        assert opened.count(simulator._state["k"][group]) == 1
 
 
 def test_repeated_block_adversary_sees_slab_rows_and_nonces():
@@ -326,19 +328,20 @@ def test_wrong_or_missing_nonce_is_refused_before_commit(nonce):
     assert store.proxy.finalize("k", response)[0] == WRITTEN
 
 
-@pytest.mark.parametrize("group", [0, 17])
-@pytest.mark.parametrize("check_byte", [0, 7])
-def test_flipped_check_bit_in_a_designated_row_is_refused_before_commit(group, check_byte):
+@pytest.mark.parametrize("check_byte", [0, rows.CHECK_LEN - 1])
+def test_flipped_check_bit_in_a_designated_row_is_refused_before_commit(check_byte):
+    """Only group 0's rows carry check bytes; a damaged one in the row the
+    server opens refuses the whole request, every group counted failed."""
     store = _store()
     built, _ops = store.proxy.prepare(Request.read("k"))
-    slot = _designated_slot(store, group)
-    position = built.entry_len - rows.CHECK_LEN + check_byte
-    error, seen = _refused(store, _flip(built, group, slot, position, bit=3))
-    assert str(error) == f"designated entry failed to open at group {group}"
+    slot = _designated_slot(store, 0)
+    position = built.entry_len + check_byte
+    error, seen = _refused(store, _flip(built, 0, slot, position, bit=3))
+    assert str(error) == "designated entry failed to open at group 0"
     assert seen["decrypt_attempts"] == built.num_groups
-    assert seen["failed_decrypts"] == 1  # only the damaged row
+    assert seen["failed_decrypts"] == built.num_groups
     # A flip in a row the server was *not* told to open is never looked at.
-    other = _flip(built, group, slot ^ 1, position)
+    other = _flip(built, 0, slot ^ 1, position)
     response, _server_ops = store.server.process(other)
     assert store.proxy.finalize("k", response)[0] == STORED
 
@@ -381,18 +384,46 @@ def test_flipped_slot_bit_makes_the_next_access_be_refused_never_misread(bit):
     store = _store()
     built, _ops = store.proxy.prepare(Request.write("k", WRITTEN))
     group = 9
-    slot_byte = built.entry_len - rows.CHECK_LEN - 1
+    slot_byte = built.entry_len - 1
     damaged = _flip(built, group, _designated_slot(store, group), slot_byte, bit)
     response, _server_ops = store.server.process(damaged)
     # The labels themselves are intact, so this access still reads right...
     assert store.proxy.finalize("k", response)[0] == WRITTEN
     # ...but the server now points at the wrong row (bits 0-1) or past the
-    # table (bits 2-7) for that group: the next access is refused there.
+    # table (bits 2-7) for that group.
     following, _ops = store.proxy.prepare(Request.read("k"))
-    error, seen = _refused(store, following)
     if bit < CONFIG.group_bits:
-        assert str(error) == f"designated entry failed to open at group {group}"
-        assert seen["failed_decrypts"] == 1
+        # The wrong row has no check bytes: it opens to noise, which is
+        # committed and which §5.4 refuses to read as any value.
+        response, _server_ops = store.server.process(following)
+        with pytest.raises(TamperDetectedError, match=f"group {group}"):
+            store.proxy.finalize("k", response)
     else:
+        error, seen = _refused(store, following)
         assert str(error) == f"bad decrypt index at group {group}"
         assert seen["decrypt_attempts"] == 0
+    # Either way the key is now unreadable, never misread.
+    with pytest.raises((ProtocolError, TamperDetectedError)):
+        store.read("k")
+    assert store.read("other") == b"\x07" * 8
+
+
+@pytest.mark.parametrize("group", [1, 17, CONFIG.num_groups - 1])
+@pytest.mark.parametrize("field", ["label", "slot"])
+def test_a_flipped_byte_outside_group_0_is_committed_and_caught_by_finalize(field, group):
+    """Outside group 0 a row is ``label ‖ slot``: nothing at the server can
+    tell a damaged one, so it is committed — and §5.4 catches it, the label
+    at this access, the slot byte (one of its ``y`` bits) at the next."""
+    store = _store()
+    built, _ops = store.proxy.prepare(Request.read("k"))
+    byte = 0 if field == "label" else built.entry_len - 1
+    damaged = _flip(built, group, _designated_slot(store, group), byte)
+    puts = store.server.store.put_count
+    response, _server_ops = store.server.process(damaged)
+    assert store.server.store.put_count == puts + 1  # committed
+    if field == "slot":
+        assert store.proxy.finalize("k", response)[0] == STORED
+        following, _ops = store.proxy.prepare(Request.read("k"))
+        response, _server_ops = store.server.process(following)
+    with pytest.raises(TamperDetectedError, match=f"group {group}"):
+        store.proxy.finalize("k", response)

@@ -40,6 +40,7 @@ from repro.crypto import rows
 from repro.crypto.labels import StoredRecord
 from repro.errors import KeyNotFoundError, OrtoaError, ProtocolError
 from repro.types import Request, StoreConfig
+from tests import lbl_reference
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -49,9 +50,9 @@ LABEL_LEN = 16  # StoreConfig's default 128-bit labels
 
 #: One access: (key index, is_write, written byte, fault) where fault is
 #: 0 = clean, 1 = corrupt group-0 entries, 2 = unknown encoded key,
-#: 3 = last table dropped (table count mismatch), 4 = the same slab declared
-#: as one wide entry per group (table count still right, but no slot above 0
-#: to open — found after the earlier groups were already gathered).
+#: 3 = last table dropped (table count mismatch), 4 = the slab cut to one
+#: row per group (table count still right, but no slot above 0 to open —
+#: found after the earlier groups were already gathered).
 WORKLOADS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=len(KEYS) - 1),
@@ -90,7 +91,7 @@ def _clone_server(server: LblServer) -> LblServer:
 
 def _corrupt_group0(request: LblAccessRequest) -> LblAccessRequest:
     """Flip the last byte — a check byte — of every group-0 row (lengths
-    preserved)."""
+    preserved; only group 0's rows carry check bytes)."""
     group0 = tuple(ct[:-1] + bytes([ct[-1] ^ 0xFF]) for ct in request.tables[0])
     return LblAccessRequest.from_tables(
         request.encoded_key, (group0,) + request.tables[1:], request.nonce
@@ -116,10 +117,11 @@ def _build_workload(store: LblOrtoa, workload) -> list[LblAccessRequest]:
                 lbl_request.encoded_key, lbl_request.tables[:-1], lbl_request.nonce
             )
         elif fault == 4:
+            rows_len = lbl_request.num_groups * lbl_request.entry_len
             lbl_request = dataclasses.replace(
                 lbl_request,
+                slab=lbl_request.slab[: rows_len + rows.CHECK_LEN],
                 table_size=1,
-                entry_len=lbl_request.table_size * lbl_request.entry_len,
             )
         built.append(lbl_request)
     return built
@@ -130,8 +132,9 @@ class _SequentialOracle:
 
     get → open the designated slot of every group → rotate → put.  Shares
     no code with :class:`LblServer`: it keeps one ``(label, slot)`` pair per
-    group instead of two blobs, slices the request's ``tables`` view, opens
-    with the scalar :func:`rows.open_row`, and keeps its own storage access
+    group instead of two blobs, slices the request's ``tables`` view, checks
+    group 0's row with the scalar :func:`rows.open_row` and opens every
+    other group's with the reference pad, and keeps its own storage access
     counts and the observation record the server must emit.
     """
 
@@ -161,25 +164,23 @@ class _SequentialOracle:
         tables = request.tables
         if len(tables) != len(stored):
             raise ProtocolError(f"table count {len(tables)} != stored groups {len(stored)}")
-        if request.entry_len != LABEL_LEN + 1 + rows.CHECK_LEN:
+        if request.entry_len != LABEL_LEN + 1:
             raise ProtocolError(
                 f"entry length {request.entry_len} is no row of a {LABEL_LEN}-byte label"
             )
         for group, (table, (_label, slot)) in enumerate(zip(tables, stored)):
             if slot >= len(table):
                 raise ProtocolError(f"bad decrypt index at group {group}")
-        payloads = [
-            rows.open_row(label, table[slot], request.nonce)
-            for table, (label, slot) in zip(tables, stored)
+        (label, slot), nonce = stored[0], request.nonce
+        payloads = [rows.open_row(label, tables[0][slot], nonce)] + [
+            lbl_reference.open_row(label, table[slot], nonce)
+            for table, (label, slot) in zip(tables[1:], stored[1:])
         ]
         seen["decrypt_attempts"] = len(payloads)
-        seen["failed_decrypts"] = payloads.count(None)
-        updated = []
-        for group, payload in enumerate(payloads):
-            if payload is None:
-                raise ProtocolError(f"designated entry failed to open at group {group}")
-            updated.append((payload[:-1], payload[-1]))
-        return updated
+        if payloads[0] is None:  # a wrong key for group 0 is one for every group
+            seen["failed_decrypts"] = len(payloads)
+            raise ProtocolError("designated entry failed to open at group 0")
+        return [(payload[:-1], payload[-1]) for payload in payloads]
 
     def access(self, request: LblAccessRequest) -> tuple[tuple, dict]:
         """One access: ``(outcome, what the server's counters and span must
@@ -319,12 +320,14 @@ def test_odd_row_width_request_is_isolated_from_window_mates():
         store, [(0, False, 0, 0), (1, False, 0, 0), (2, True, 7, 0)]
     )
     odd = built[1]
-    assert odd.entry_len == 25
-    built[1] = dataclasses.replace(odd, table_size=odd.table_size * 5, entry_len=5)
+    assert odd.entry_len == 17
+    # The row width of the format with 8 check bytes on every row.
+    wider = odd.slab + bytes(8 * odd.num_groups * odd.table_size)
+    built[1] = dataclasses.replace(odd, slab=wider, entry_len=25)
     results = fused_server.process_many(built)
     assert not isinstance(results[0], OrtoaError)
     assert isinstance(results[1], ProtocolError)
-    assert str(results[1]) == "entry length 5 is no row of a 16-byte label"
+    assert str(results[1]) == "entry length 25 is no row of a 16-byte label"
     assert not isinstance(results[2], OrtoaError)
     # Refused before commit: the key still holds its initial labels.
     assert fused_server.store.get(odd.encoded_key) == store.server.store.get(
@@ -355,7 +358,7 @@ def test_window_is_one_multiget_one_open_one_multiput(monkeypatch):
         open_calls.append(
             [
                 (nonce, len(keys) // LABEL_LEN, len(picks) * row_len)
-                for nonce, keys, _slab, row_len, picks in runs
+                for nonce, keys, _slab, row_len, _head, picks in runs
             ]
         )
         return original(runs)
@@ -476,9 +479,10 @@ def test_point_and_permute_error_path_emits_span_and_counters():
     counters = obs.REGISTRY.snapshot()["counters"]
     assert counters.get("lbl.server.requests", 0) == 1
     num_groups = built.num_groups
-    # open_rows attempted every designated row; only group 0 failed.
+    # open_rows attempted every designated row; group 0's check failed, and
+    # a wrong key for group 0 is one for every group.
     assert counters.get("lbl.server.decrypt_attempts", 0) == num_groups
-    assert counters.get("lbl.server.failed_decrypts", 0) == 1
+    assert counters.get("lbl.server.failed_decrypts", 0) == num_groups
     spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
     assert len(spans) == 1
     assert "error" in spans[0]["attributes"]

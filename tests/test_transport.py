@@ -241,8 +241,8 @@ def test_batch_wire_messages_roundtrip():
 
     batch = LblBatchRequest(
         (
-            LblAccessRequest.from_tables(b"k1", ((b"a", b"b"),), b"n" * 16),
-            LblAccessRequest(b"k2", b"cdef", 2, 1, b"n" * 16),
+            LblAccessRequest.from_tables(b"k1", ((b"a" * 16, b"b" * 16),), b"n" * 16),
+            LblAccessRequest(b"k2", b"cdef" + bytes(30), 2, 1, b"n" * 16),
         )
     )
     assert LblBatchRequest.from_bytes(batch.to_bytes()) == batch

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import messages as m
+from repro.crypto import rows
 from repro.crypto.fhe import FheCiphertext, FheParams
 from repro.crypto.labels import StoredRecord
 from repro.errors import ConfigurationError, OrtoaError, ProtocolError
@@ -69,8 +70,12 @@ def test_parsers_never_crash_on_garbage(parser, data):
 def test_lbl_request_mutation_is_rejected_or_parses(mutation_at, new_byte):
     """Any single-byte mutation of a valid message either still frames
     correctly (payload corruption is the entries' own job) or raises cleanly."""
+    checks = bytes(rows.CHECK_LEN)  # group 0's rows end in check bytes
+    tables = ((b"ct-one" * 4 + checks, b"ct-two" * 4 + checks),) + (
+        (b"ct-one" * 4, b"ct-two" * 4),
+    ) * 2
     original = m.LblAccessRequest.from_tables(
-        b"encoded-key", ((b"ct-one" * 4, b"ct-two" * 4),) * 3, b"nonce" * 3 + b"!"
+        b"encoded-key", tables, b"nonce" * 3 + b"!"
     ).to_bytes()
     mutated = bytearray(original)
     mutated[mutation_at % len(mutated)] = new_byte
@@ -108,7 +113,10 @@ def test_truncated_fhe_ciphertext_rejected(truncate_to):
 
 def test_cross_protocol_tag_confusion_rejected():
     """Feeding one protocol's message to another parser must fail."""
-    lbl = m.LblAccessRequest.from_tables(b"k", ((b"a", b"b"),), b"n" * 16).to_bytes()
+    checks = bytes(rows.CHECK_LEN)
+    lbl = m.LblAccessRequest.from_tables(
+        b"k", ((b"a" + checks, b"b" + checks),), b"n" * 16
+    ).to_bytes()
     tee = m.TeeAccessRequest(b"k", b"s", b"v").to_bytes()
     with pytest.raises(ProtocolError):
         m.TeeAccessRequest.from_bytes(lbl)
