@@ -2,9 +2,9 @@
 
 Paper headline: ~$0.000023 per request for 1M objects of 160 B with 128-bit
 labels — "a reasonable price" for halving round trips.  Our estimate
-derives bytes from the ledger-validated cost model — 53,872 wire bytes per
-access (43,629 request + 10,243 response) at the paper's y=2 operating
-point — which prices out to ~$0.000007 per request: the same order of
+derives bytes from the ledger-validated cost model — 43,808 wire bytes per
+access (43,629 request + 179 response) at the paper's y=2 operating
+point — which prices out to ~$0.000006 per request: the same order of
 magnitude, cheaper because a point-and-permute entry here is a 17-byte
 fixed-key-AES row (group 0's four carry 15 check bytes more) where the
 paper ships an authenticated ciphertext (with an AEAD entry per row:
@@ -26,7 +26,7 @@ def test_dollar_cost(benchmark):
     by = {r["item"]: r["value"] for r in rows}
 
     # Same order of magnitude as the paper's $0.000023 per request; the
-    # model's exact framing gives ~$0.000007 (53,872 B/access x $0.12/GB
+    # model's exact framing gives ~$0.000006 (43,808 B/access x $0.12/GB
     # network + invocations + CPU, over 1M accesses).
     assert 1e-6 < by["usd_per_request"] < 1e-4
 

@@ -37,7 +37,8 @@ ROW_NONCE_BYTES = 16  # per-request row nonce (crypto.rows)
 FIELD_LEN_BYTES = 4  # length prefix per field (core.messages)
 TAG_BYTES = 1  # message tag (core.messages)
 SHAPE_BYTES = 4  # request header: table_size u16 + entry_len u16
-LABEL_LEN_BYTES = 2  # response header: label_len u16
+SLOT_BITS_BYTES = 2  # response header: slot_bits u16
+REPLY_DIGEST_BYTES = 16  # response digest of the opened labels (crypto.labels)
 FRAME_LEN_BYTES = 4  # transport frame length prefix (transport.framing)
 MUX_HEADER_BYTES = 9  # plain mux: tag + 8-byte request id
 MUX_TRACED_HEADER_BYTES = 25  # mux + 16-byte trace context
@@ -164,8 +165,14 @@ class LblCostModel:
     @property
     def response_bytes(self) -> int:
         """Serialized :class:`~repro.core.messages.LblAccessResponse`:
-        tag + label width + ``G`` opened labels back to back."""
-        return TAG_BYTES + LABEL_LEN_BYTES + self.num_groups * self.label_len
+        tag + slot width + ``G`` slots packed at ``y`` bits
+        (``ceil(G·y / 8)`` bytes) + the 16-byte digest of the opened labels."""
+        return (
+            TAG_BYTES
+            + SLOT_BITS_BYTES
+            + -(-self.num_groups * self.group_bits // 8)
+            + REPLY_DIGEST_BYTES
+        )
 
     @property
     def entry_compressions(self) -> int:

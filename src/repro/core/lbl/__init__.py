@@ -4,7 +4,8 @@ The package splits the protocol along its trust boundary:
 
 * :class:`~repro.core.lbl.proxy.LblProxy` — trusted; owns the PRF keys and
   per-object access counters, builds the encryption tables, and decodes the
-  server's opened labels back to plaintext.
+  server's reply — packed slots and a digest of the opened labels — back to
+  plaintext.
 * :class:`~repro.core.lbl.server.LblServer` — untrusted; stores one label
   per group and applies the table it is sent, learning nothing about the
   operation type.

@@ -14,10 +14,11 @@ Per access to key ``k`` with counter ``ct`` the proxy:
 5. bumps the access counter — the only per-object state the proxy keeps
    (§5.3.1: 8 bytes per object).
 
-After the round trip, :meth:`LblProxy.finalize` maps the opened labels back
-to plaintext, which doubles as the §5.4 tamper check.  The candidates it
-checks against are the new epoch step 2 already derived: every prepared
-epoch's blob waits in a bounded **in-flight table** until its response is
+After the round trip, :meth:`LblProxy.finalize` reads the value from the
+reply's packed slots — slot ``v ⊕ r_i`` per group, and the proxy holds
+``r`` — and checks the reply's digest of the opened labels, the §5.4 tamper
+check, against the new epoch step 2 already derived: every prepared epoch's
+blob waits in a bounded **in-flight table** until its response is
 finalized, so the normal path derives each epoch exactly once (an epoch
 that fell out — recovery, rollback, eviction — is re-derived).
 
@@ -27,16 +28,14 @@ and matched against as such.  No Python loop runs per row or group:
 :meth:`LblProxy.prepare` picks the table's keys and labels out of the two
 blobs with one ``itemgetter`` per epoch and seals them in one kernel call
 (:func:`~repro.crypto.rows.seal_rows`), the old epoch optionally from the
-:class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` compares
-the reply with every candidate in one ``==`` pass per slot.
+:class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` picks
+the labels the reply's value selects with one ``itemgetter`` to hash them.
 """
 
 from __future__ import annotations
 
 import secrets
 from collections import OrderedDict
-import struct
-from operator import itemgetter
 
 from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
 from repro.core.lbl.cache import LabelCache
@@ -44,8 +43,8 @@ from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.crypto.aead import _xor
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
-from repro.errors import KeyNotFoundError, ProtocolError, TamperDetectedError
+from repro.crypto.labels import LabelCodec, StoredRecord, picker, value_to_groups
+from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -93,11 +92,9 @@ class LblProxy:
             self.label_cache = LabelCache(config.label_cache_entries)
         groups, size = codec.num_groups, codec.table_size
         # Per table row in wire order (group-major, slot-minor): its slot, and
-        # where its group starts in ``codec.labels`` (32-bit words, one integer).
+        # the picker of a label of its group in ``codec.labels``.
         self._row_slots = bytes(range(size)) * groups
-        starts = [i * size for i in range(groups) for _ in range(size)]
-        self._row_starts = int.from_bytes(struct.pack(f">{len(starts)}I", *starts), "big")
-        self._indices = struct.Struct(f">{len(starts)}I").unpack
+        self._pick = picker([i * size for i in range(groups) for _ in range(size)])
         self._zeros = bytes(groups * size)
         # (key, epoch) -> epoch blob, oldest first.  Every mutation is one
         # OrderedDict operation (atomic under the GIL), so callers that
@@ -289,14 +286,6 @@ class LblProxy:
         labels = self._pick(targets)(codec.labels(new))
         return codec.join(*keys), codec.join(*labels), next_slots
 
-    def _pick(self, values: bytes) -> itemgetter:
-        """The itemgetter of label ``i · 2^y + values[row]`` for each row ``(i, s)``:
-        the indices are one OR of 32-bit words, read by one struct call."""
-        words = bytearray(4 * len(values))
-        words[3::4] = values
-        words = (int.from_bytes(words, "big") | self._row_starts).to_bytes(len(words), "big")
-        return itemgetter(*self._indices(words))
-
     def transcript(
         self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,
         round_trip: RoundTrip, value: bytes,
@@ -322,28 +311,29 @@ class LblProxy:
         response: LblAccessResponse,
         counter: int | None = None,
     ) -> tuple[bytes, OpCounts]:
-        """Map opened labels back to the plaintext value.
+        """Map the reply's packed slots back to the plaintext value.
 
         For reads this recovers the stored value; for writes it echoes the
-        value just written (the labels now encode it).  Either way the
-        label-to-candidate match is the §5.4 integrity check.
+        value just written (the slots now spell it).  Either way the reply's
+        digest of the opened labels is checked against the labels the value
+        selects — the §5.4 integrity check (:meth:`LabelCodec.decode`).
 
-        The candidate set is the epoch blob :meth:`prepare` filed in the
-        in-flight table, so the normal path costs no PRF call; an epoch that
-        is no longer there (recovery, rollback, eviction) is taken from the
-        label cache if that still holds it and re-derived otherwise.
+        The epoch is the blob :meth:`prepare` filed in the in-flight table,
+        so the normal path costs no PRF call; an epoch that is no longer
+        there (recovery, rollback, eviction) is taken from the label cache
+        if that still holds it and re-derived otherwise.
 
         Args:
             key: The accessed key.
-            response: The server's opened labels.
+            response: The server's reply.
             counter: Label epoch of the response.  Defaults to the key's
                 current counter — correct for the prepare/process/finalize
                 cycle of a single access; batched pipelines that prepare
                 several epochs up front must pass the epoch explicitly.
 
         Raises:
-            TamperDetectedError: the reply is not one label per group of the
-                codec's width, or a label matches no candidate.
+            TamperDetectedError: the reply is not one ``y``-bit slot per group
+                and a digest of the labels they select.
         """
         codec = self.codec
         new_ct = self.counter(key) if counter is None else counter
@@ -354,17 +344,10 @@ class LblProxy:
         if blob is None:
             blob = codec.epoch(key, new_ct)
             prf_count = 1
-        shape = (codec.label_len, codec.num_groups * codec.label_len)
-        if (response.label_len, len(response.labels)) != shape:
-            raise TamperDetectedError(
-                f"reply of {len(response.labels)} bytes in {response.label_len}-byte labels "
-                f"is not one {codec.label_len}-byte label per group: data was tampered"
-            )
-        value = codec.decode(blob, response.labels)
-        ops = OpCounts(prf=prf_count)
+        value = codec.decode(blob, response.slot_bits, response.slots, response.digest)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()
-        return value, ops
+        return value, OpCounts(prf=prf_count)
 
 
 __all__ = ["LblProxy"]

@@ -13,7 +13,9 @@ is refused before anything is committed, every group counted as failed.
 
 The opened payload becomes the group's new stored label and slot, so
 *every* access rewrites storage — the server cannot distinguish a read from
-a write by watching its own state.
+a write by watching its own state.  The reply is a function of that new
+record alone: its slots packed at ``y`` bits and one digest of its labels
+(:class:`~repro.core.messages.LblAccessResponse`).
 
 :meth:`LblServer.process_many` is the one implementation of that step.  It
 serves a *window* of requests — a lone access frame is a window of one
@@ -38,7 +40,7 @@ from operator import add
 from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows as row_kernel
-from repro.crypto.labels import StoredRecord
+from repro.crypto.labels import StoredRecord, pack_slots, reply_digest
 from repro.errors import OrtoaError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
@@ -96,7 +98,7 @@ class LblServer:
         REGISTRY.counter("lbl.server.labels_rewritten").inc(rewritten)
 
     def process(self, request: LblAccessRequest) -> tuple[LblAccessResponse, OpCounts]:
-        """Open one entry per group, update stored labels, return the labels.
+        """Open one entry per group, update stored labels, return the reply.
 
         A window of one: raises the error :meth:`process_many` isolated.
         """
@@ -163,7 +165,7 @@ class LblServer:
             if front
             else []
         )
-        opening: list[tuple[int, int]] = []
+        opening: list[int] = []
         runs: list[tuple[bytes, bytes, bytes, int, int, list[int]]] = []
         for index, record in zip(front, records):
             request = requests[index]
@@ -193,12 +195,12 @@ class LblServer:
                 if capture:
                     self._emit_telemetry(spans[index], error=exc)
                 continue
-            opening.append((index, label_len))
+            opening.append(index)
 
         # Open: one window-wide call, each request's runs in order.
         commits: list[tuple[bytes, StoredRecord]] = []
         committed: list[int] = []
-        for (index, label_len), opened in zip(opening, row_kernel.open_rows(runs)):
+        for index, opened in zip(opening, row_kernel.open_rows(runs)):
             request = requests[index]
             groups = request.num_groups
             # Every designated row was attempted, whatever this request's
@@ -210,11 +212,13 @@ class LblServer:
                     self._emit_telemetry(spans[index], groups, groups, error=error)
                 continue
             # The opened labels and slot bytes, each back to back, are the
-            # new record (and the labels are the reply).
+            # new record; the reply is its slots, packed, and its digest.
             updated = StoredRecord(*opened)
             commits.append((request.encoded_key, updated))
             committed.append(index)
-            results[index] = (LblAccessResponse(updated.labels, label_len), _access_ops(groups))
+            bits = request.table_size.bit_length() - 1
+            reply = pack_slots(updated.slots, bits), bits, reply_digest(updated.labels)
+            results[index] = (LblAccessResponse(*reply), _access_ops(groups))
 
         if commits:
             written = self._commit_many(commits)

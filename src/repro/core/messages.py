@@ -5,8 +5,8 @@ Communication volume is a first-class quantity in the paper (LBL-ORTOA's
 serializes to real bytes and experiments measure ``len(to_bytes())`` rather
 than trusting an analytic formula.  Framing is minimal and explicit: a
 1-byte message tag followed by 4-byte big-endian length-prefixed fields;
-the LBL table and its reply, whose entries all have one width, are a
-fixed-width slab behind a shape header instead of a field per entry.
+the LBL table is a fixed-width slab behind a shape header instead of a field
+per entry, and its reply packed slots and one digest behind a width header.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto import rows
+from repro.crypto.labels import REPLY_DIGEST_LEN
 from repro.errors import ProtocolError
 
 _LEN_BYTES = 4
@@ -257,48 +258,31 @@ class LblAccessRequest:
 
 @dataclass(frozen=True, slots=True)
 class LblAccessResponse:
-    """§5.2 step 2.2: the one successfully decrypted label per group, as
-    ``tag ‖ label_len u16 ‖ num_groups · label_len bytes`` — the labels
-    travel, and are held, as the one blob the server now stores
-    (:attr:`opened_labels` slices them)."""
+    """§5.2 step 2.2 with §10.2 slots: the new record's slots and a digest of
+    its labels, ``tag ‖ slot_bits u16 ‖ ⌈G·y/8⌉ packed slot bytes ‖ digest``
+    (:mod:`repro.crypto.labels`).  The digest is the last 16 bytes; a reply
+    of the wrong length is tampering, which ``finalize`` refuses."""
 
-    labels: bytes
-    label_len: int
+    slots: bytes
+    slot_bits: int
+    digest: bytes
     TAG = 0x21
 
     def __post_init__(self) -> None:
-        if not 0 <= self.label_len < 1 << 16:
-            raise ProtocolError("label length must be 0..65535 bytes")
-        if self.label_len == 0:
-            if self.labels:
-                raise ProtocolError("LBL response states no label length")
-        elif len(self.labels) % self.label_len:
-            raise ProtocolError("LBL response is not a whole number of labels")
-
-    @classmethod
-    def from_labels(cls, labels: "tuple[bytes, ...] | list[bytes]") -> "LblAccessResponse":
-        """Build the blob from per-group labels of one common length."""
-        label_len = len(labels[0]) if labels else 0
-        if set(map(len, labels)) - {label_len}:
-            raise ProtocolError("opened labels must share one length")
-        return cls(b"".join(labels), label_len)
-
-    @property
-    def opened_labels(self) -> tuple[bytes, ...]:
-        """The blob sliced into per-group labels (built on each use)."""
-        labels, width = self.labels, self.label_len or 1
-        return tuple([labels[i : i + width] for i in range(0, len(labels), width)])
+        if not 1 <= self.slot_bits <= 8:
+            raise ProtocolError(f"slot width must be 1..8 bits, not {self.slot_bits}")
 
     def to_bytes(self) -> bytes:
         """Serialize to the tagged fixed-width wire form."""
-        return bytes([self.TAG]) + self.label_len.to_bytes(2, "big") + self.labels
+        return bytes([self.TAG]) + self.slot_bits.to_bytes(2, "big") + self.slots + self.digest
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LblAccessResponse":
-        """Parse the wire form; raises ProtocolError when malformed."""
+        """Parse the wire form; raises ProtocolError without a tag and header."""
         if len(data) < 3 or data[0] != cls.TAG:
             raise ProtocolError(f"bad message tag: expected {cls.TAG}, got {data[:1]!r}")
-        return cls(data[3:], int.from_bytes(data[1:3], "big"))
+        cut = max(len(data) - REPLY_DIGEST_LEN, 3)
+        return cls(data[3:cut], int.from_bytes(data[1:3], "big"), data[cut:])
 
 
 @dataclass(frozen=True, slots=True)

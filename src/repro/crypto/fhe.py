@@ -326,21 +326,6 @@ class FheScheme:
         """
         return math.log2(self.params.delta / 2) - ct.noise_log2
 
-    def measured_noise_budget(self, ct: FheCiphertext) -> float:
-        """Diagnostic: budget from the *observed* distance of the phase to the
-        nearest Δ-multiple.  Requires the secret key, and saturates near zero
-        once the noise wraps, so it cannot detect exhaustion on its own —
-        that is exactly why :meth:`noise_budget` tracks an analytic bound.
-        """
-        delta = self.params.delta
-        noise = 0
-        for v in self._phase(ct).centered():
-            nearest = _round_div(v, delta) * delta
-            noise = max(noise, abs(v - nearest))
-        if noise == 0:
-            return float(self.params.q_bit_width)
-        return math.log2(delta / 2) - math.log2(noise)
-
     # ------------------------------------------------------------------ #
     # Homomorphic evaluation (server side — needs no key material)
     # ------------------------------------------------------------------ #

@@ -12,16 +12,21 @@ of one keyed-XOF call (:meth:`LabelCodec.epoch`).  This module owns:
 * bit/group packing between ``bytes`` values and group-value tuples,
 * epoch derivation and the views of an epoch blob (labels, offsets, the
   labels and slots a value selects),
-* inversion (labels back to plaintext) used by the proxy after a read.
+* the reply — packed slots and a digest of the opened labels — and its
+  inversion to plaintext, the §5.4 check (:meth:`LabelCodec.decode`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import struct
 from functools import lru_cache
-from operator import add, eq, mul, xor
-from typing import NamedTuple
+from math import gcd
+from operator import itemgetter, xor
+from typing import Callable, NamedTuple
 
+from repro.crypto.aead import _xor
 from repro.crypto.prf import encode_components, xof_blocks
 from repro.errors import ConfigurationError, TamperDetectedError
 from repro.obs import _state as _obs
@@ -34,23 +39,58 @@ def _check_bits(group_bits: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _bit_tables(width: int) -> tuple[bytes, ...]:
-    """Per bit of a ``width``-bit symbol, most significant first, the
-    ``translate`` table from a symbol byte to that bit."""
-    return tuple(bytes(b >> (width - 1 - k) & 1 for b in range(256)) for k in range(width))
+def _field_tables(width: int, unit: int) -> tuple[bytes, ...]:
+    """Per ``unit``-bit field of a ``width``-bit symbol, most significant
+    first, the ``translate`` table from a symbol byte to that field."""
+    shifts = range(width - unit, -1, -unit)
+    return tuple(bytes(b >> shift & (1 << unit) - 1 for b in range(256)) for shift in shifts)
 
 
 def _regroup(symbols: bytes, width: int, new_width: int, count: int) -> bytes:
     """The bit string of ``symbols`` (``width`` bits each, one per byte) cut into
     ``count`` symbols of ``new_width`` bits, zero-filled or cut short at the end:
-    a ``translate`` and a strided copy per bit plane in, one integer out."""
-    bits = bytearray(max(len(symbols) * width, count * new_width))
-    for k, table in enumerate(_bit_tables(width)):
-        bits[k : len(symbols) * width : width] = symbols.translate(table)
+    a ``translate`` and a strided copy per field of the widths' gcd in, one
+    integer out."""
+    unit = gcd(width, new_width)
+    per, fields = width // unit, new_width // unit
+    parts = bytearray(max(len(symbols) * per, count * fields))
+    for k, table in enumerate(_field_tables(width, unit)):
+        parts[k : len(symbols) * per : per] = symbols.translate(table)
     total = 0
-    for k in range(new_width):
-        total |= int.from_bytes(bits[k : count * new_width : new_width], "big") << new_width - 1 - k
+    for k, shift in enumerate(range(new_width - unit, -1, -unit)):
+        total |= int.from_bytes(parts[k : count * fields : fields], "big") << shift
     return total.to_bytes(count, "big")
+
+
+def pack_slots(slots: bytes, bits: int) -> bytes:
+    """A reply's slot run: ``slots`` at ``bits`` bits each (higher bits
+    dropped), most significant first, zero-padded to whole bytes."""
+    return _regroup(slots, bits, 8, -(-len(slots) * bits // 8))
+
+
+#: Bytes of a reply's digest of the labels its access opened.
+REPLY_DIGEST_LEN = 16
+
+
+def reply_digest(labels: bytes) -> bytes:
+    """A reply's digest of the labels its access opened: truncated SHA-256."""
+    return hashlib.sha256(labels).digest()[:REPLY_DIGEST_LEN]
+
+
+def picker(starts: "list[int] | range") -> "Callable[[bytes], Callable]":
+    """``values`` → the getter of entries ``starts[n] | values[n]`` as a
+    tuple: the indices are one OR of 32-bit words, read by one struct call."""
+    count = len(starts)
+    words = int.from_bytes(struct.pack(f">{count}I", *starts), "big")
+    indices = struct.Struct(f">{count}I").unpack
+
+    def pick(values: bytes) -> Callable:
+        spread = bytearray(4 * count)
+        spread[3::4] = values
+        got = indices((int.from_bytes(spread, "big") | words).to_bytes(4 * count, "big"))
+        return itemgetter(*got) if count > 1 else lambda sequence: (sequence[got[0]],)
+
+    return pick
 
 
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
@@ -143,11 +183,12 @@ class LabelCodec:
         #: Every label of an epoch, in :meth:`labels` order, back to back.
         self._split, self.join = split.unpack_from, split.pack
         self._last_split: "tuple[bytes | None, tuple[bytes, ...]]" = (None, ())
-        self._split_reply = struct.Struct(f"{label_len}s" * self.num_groups).unpack
-        #: One hit per group, as :meth:`decode` counts them.
-        self._one_each = int.from_bytes(b"\x01" * self.num_groups, "big")
-        # Index of each group's first label in :meth:`labels`.
-        self._group_starts = range(0, self.num_groups * self.table_size, self.table_size)
+        # The labels one value per group selects, in :meth:`labels`.
+        self._pick = picker(range(0, self.num_groups * self.table_size, self.table_size))
+        #: Bytes of a reply's packed slots, and its pad bits in the last one.
+        self.slot_bytes = -(-self.num_groups * group_bits // 8)
+        self._pad_mask = (1 << 8 * self.slot_bytes - self.num_groups * group_bits) - 1
+        self._reply_shape = (group_bits, self.slot_bytes, REPLY_DIGEST_LEN)
         # byte -> byte mod 2^y, applied to a whole offset stream at C speed.
         self._offset_table = bytes(b % self.table_size for b in range(256))
 
@@ -202,8 +243,7 @@ class LabelCodec:
         """The label of ``groups[i]`` for every group ``i``, back to back —
         what the server stores for the value ``groups`` spells."""
         self._check_groups(groups)
-        labels = self.labels(blob)
-        return b"".join(map(labels.__getitem__, map(add, self._group_starts, groups)))
+        return b"".join(self._pick(bytes(groups))(self.labels(blob)))
 
     def slots(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
         """Which table slot the server must open per group at this epoch:
@@ -213,42 +253,45 @@ class LabelCodec:
         return bytes(map(xor, groups, self.offsets(blob)))
 
     # ------------------------------------------------------------------ #
-    # Inversion (proxy decodes the server's response after a read)
+    # Inversion (proxy decodes the server's reply after every access)
     # ------------------------------------------------------------------ #
 
-    def decode(self, blob: bytes, labels: bytes) -> bytes:
-        """Recover the plaintext value from one label per group.
+    def decode(self, blob: bytes, slot_bits: int, slots: bytes, digest: bytes) -> bytes:
+        """The value a reply's packed slots spell in the epoch ``blob``, once
+        its digest is that of the labels the value selects (§5.4).
 
-        Each label is compared whole with its own group's ``2^y`` candidates
-        in the epoch ``blob`` (which the proxy still holds from ``prepare``):
-        one ``==`` pass per slot over every group, read as one integer.  Also
-        the tamper check of §5.4: a label matching none of its group's
-        candidates proves the server (or channel) corrupted data.
+        Group ``i``'s slot is ``v_i ⊕ r_i`` (§10.2), so one XOR with the
+        offset bytes packed at ``y`` bits (each kept ``mod 2^y``) gives the
+        value.  A reply naming another value needs a label the server never
+        opened; a stale or foreign one digests another epoch's or key's labels.
 
         Raises:
-            TamperDetectedError: if any label is not a valid candidate.
+            TamperDetectedError: the reply is not one ``y``-bit slot per group,
+                zero pad bits and a 16-byte digest of the labels they select.
         """
-        if len(labels) != self.num_groups * self.label_len:
-            raise ConfigurationError(
-                f"expected {self.num_groups} labels of {self.label_len} bytes, "
-                f"got {len(labels)} bytes"
-            )
-        got, cands, size = self._split_reply(labels), self.labels(blob), self.table_size
-        hits = [int.from_bytes(bytes(map(eq, got, cands[v::size])), "big") for v in range(size)]
-        if sum(hits) != self._one_each:
-            counts = sum(hits).to_bytes(self.num_groups + 1, "big")[1:]
-            group = self.num_groups - len(counts.lstrip(b"\x01"))
+        if (slot_bits, len(slots), len(digest)) != self._reply_shape or slots[-1] & self._pad_mask:
             raise TamperDetectedError(
-                f"label at group {group} matches no candidate: data was tampered"
+                f"reply of {len(slots)} B of {slot_bits}-bit slots and a {len(digest)} B digest is "
+                "not one slot per group, zero pad bits and a digest: data was tampered"
             )
-        values = sum(map(mul, range(size), hits)).to_bytes(self.num_groups, "big")
-        return _regroup(values, self.group_bits, 8, self.value_len)
+        value = _xor(slots, _regroup(blob[self.labels_len :], self.group_bits, 8, self.slot_bytes))
+        groups = _regroup(value, 8, self.group_bits, self.num_groups)
+        expected = b"".join(self._pick(groups)(self.labels(blob)))
+        if not hmac.compare_digest(reply_digest(expected), digest):
+            raise TamperDetectedError(
+                "reply digest is not that of the labels its slots select: data was tampered"
+            )
+        return value[: self.value_len]
 
 
 __all__ = [
+    "REPLY_DIGEST_LEN",
     "LabelCodec",
     "StoredLabel",
     "StoredRecord",
     "value_to_groups",
     "groups_to_value",
+    "pack_slots",
+    "picker",
+    "reply_digest",
 ]

@@ -43,7 +43,9 @@ from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.base import AccessTranscript
 from repro.core.lbl.server import LblServer
-from repro.core.messages import LblAccessRequest, LblBatchRequest, LblBatchResponse
+from repro.core.messages import (
+    LblAccessRequest, LblAccessResponse, LblBatchRequest, LblBatchResponse,
+)
 from repro.core.sharded import LblOrtoa, ShardedLblDeployment
 from repro.crypto.keys import KeyChain
 from repro.crypto.rows import CHECK_LEN
@@ -251,13 +253,19 @@ def _frame_shape(request: bytes, reply: bytes) -> tuple:
         rows = (parsed.num_groups * parsed.table_size, parsed.entry_len, checks)
     except ProtocolError:
         rows = None
-    return len(request), rows, len(reply)
+    try:
+        answer = LblAccessResponse.from_bytes(reply)
+        parts = (len(answer.slots), len(answer.digest))
+    except ProtocolError:
+        parts = None
+    return len(request), rows, len(reply), parts
 
 
 def _describe_frame(shape: tuple) -> str:
-    request, rows, reply = shape
+    request, rows, reply, parts = shape
     table = f"{rows[0]} rows x {rows[1]} B + {rows[2]} B checks" if rows else "no table"
-    return f"{request} B request ({table}), {reply} B reply"
+    answer = f" ({parts[0]} B slots + {parts[1]} B digest)" if parts else ""
+    return f"{request} B request ({table}), {reply} B reply{answer}"
 
 
 def _describe_storage(view: StorageView | None) -> str:

@@ -23,12 +23,18 @@ the §5.2 base protocol, which the program does not serve:
 * **groups** (§10.1) — a value's big-endian bit string cut into ``y``-bit
   groups, the last zero-filled, by one integer shifted per group
   (:func:`value_to_groups`, :func:`groups_to_value`);
-* **read-back** (§5.4) — each returned label found in its own group's window
-  of the epoch, at candidate boundaries only (:func:`decode`).
+* **reply** — the new record's slots packed at ``y`` bits each, most
+  significant first and zero-padded, and SHA-256 of its labels cut to 16
+  bytes (:func:`reply`), read back by XOR-ing each slot with ``r'_i`` and
+  comparing the digest of the labels those values select (:func:`finalize`);
+* **base read-back** (§5.4) — each label a §5.2 server returns found in its
+  own group's window of the epoch, at candidate boundaries only
+  (:func:`decode`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import secrets
 
@@ -124,6 +130,43 @@ def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value
             raise TamperDetectedError(f"label at group {group} matches no candidate")
         groups.append((found - start) // label_len)
     return groups_to_value(groups, group_bits, value_len)
+
+
+def reply(labels: bytes, slots: bytes, group_bits: int) -> bytes:
+    """The reply frame of a server whose new record is ``(labels, slots)``:
+    ``0x21 ‖ y u16 ‖ slots packed at y bits ‖ SHA-256(labels)[:16]``."""
+    packed = 0
+    for slot in slots:
+        packed = (packed << group_bits) | slot
+    width = -(-len(slots) * group_bits // 8)
+    packed <<= width * 8 - len(slots) * group_bits
+    header = bytes([0x21]) + group_bits.to_bytes(2, "big")
+    return header + packed.to_bytes(width, "big") + hashlib.sha256(labels).digest()[:16]
+
+
+def finalize(blob: bytes, frame: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
+    """The value a reply ``frame`` spells in the new epoch ``blob``, one group
+    at a time: value ``v_i`` is slot ``i`` XOR ``r'_i``, and the digest must be
+    that of label ``v_i`` of every group — else tampering (§5.4)."""
+    size = 1 << group_bits
+    groups = -(-value_len * 8 // group_bits)
+    width = -(-groups * group_bits // 8)
+    if frame[:3] != bytes([0x21]) + group_bits.to_bytes(2, "big") or len(frame) != 3 + width + 16:
+        raise TamperDetectedError("reply is not one slot per group and a digest")
+    packed = int.from_bytes(frame[3 : 3 + width], "big")
+    pad = width * 8 - groups * group_bits
+    if packed & ((1 << pad) - 1):
+        raise TamperDetectedError("reply sets its pad bits")
+    packed >>= pad
+    offsets = blob[groups * size * label_len :]
+    values, labels = [], b""
+    for i in range(groups):
+        slot = (packed >> (groups - 1 - i) * group_bits) & (size - 1)
+        values.append(slot ^ offsets[i] % size)
+        labels += blob[(i * size + values[-1]) * label_len :][:label_len]
+    if hashlib.sha256(labels).digest()[:16] != frame[3 + width :]:
+        raise TamperDetectedError("reply digest is not that of the labels its slots select")
+    return groups_to_value(values, group_bits, value_len)
 
 
 def epoch_blob(keychain, config, key: str, counter: int) -> bytes:

@@ -87,9 +87,9 @@ def test_error_entry_roundtrip():
 def test_batch_response_with_mixed_entries_roundtrips():
     response = LblBatchResponse(
         (
-            LblAccessResponse(b"l1", 2),
+            LblAccessResponse(b"\x1b", 2, b"d" * 16),
             LblErrorEntry("stale label"),
-            LblAccessResponse(b"l2l3", 2),
+            LblAccessResponse(b"\x01\x02", 1, b"e" * 16),
         )
     )
     decoded = LblBatchResponse.from_bytes(response.to_bytes())

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.costmodel import LblCostModel, plan_capacity, run_model_check
+from repro.core.lbl import LblOrtoa
 from repro.core.sharded import ShardedLblDeployment
 from repro.errors import ConfigurationError
 from repro.obs import ledger
@@ -187,8 +188,9 @@ def test_paper_configuration_bytes():
     assert model.request_bytes == (
         1 + (4 + 20) + (4 + 16) + (4 + 640 * 4 * 17 + 4 * 15)
     ) == 43_629
-    assert model.response_bytes == 1 + 2 + 640 * 16 == 10_243
-    assert model.bytes_per_access == 53_872
+    # tag + slot width + 640 slots packed at 2 bits + the 16-byte digest.
+    assert model.response_bytes == 1 + 2 + 640 * 2 // 8 + 16 == 179
+    assert model.bytes_per_access == 43_629 + 179 == 43_808
     assert model.entry_compressions == 3
     # Calls made: two epochs and the key encoding; the XOF absorbs one block
     # and squeezes ceil(41,600 / 136) = 306 per epoch.
@@ -207,14 +209,34 @@ def test_paper_configuration_bytes():
 def test_check_bytes_on_group_0_only_pin_the_wire_per_access():
     """Only group 0's rows carry check bytes: 20,420 B fewer per access at
     the paper point than with 8 on every row, and as many AES blocks."""
-    assert LblCostModel(160, 2).bytes_per_access == 53_872
-    assert LblCostModel(50, 2).bytes_per_access == 16_912
-    assert LblCostModel(2, 2).bytes_per_access == 784
+    assert LblCostModel(160, 2).request_bytes == 43_629
+    assert LblCostModel(50, 2).request_bytes == 13_709
+    assert LblCostModel(2, 2).request_bytes == 653
     for label_bits in (128, 192, 256):
         model = LblCostModel(160, 2, label_bits=label_bits)
         eight_on_every_row = 1 + -(-(model.label_len + 1 + 8) // 16)
         assert model.entry_compressions == eight_on_every_row
         assert model.ops()["aes.blocks"] == (2560 + 640) * eight_on_every_row
+
+
+@pytest.mark.parametrize(
+    "value_len, reply, wire",
+    [(160, 179, 43_808), (50, 69, 13_778), (2, 21, 674)],
+    ids=["paper_point", "50B", "tiny_burst"],
+)
+def test_slots_and_one_digest_pin_the_reply_and_the_wire_per_access(value_len, reply, wire):
+    """The reply is ``1 + 2 + ceil(G·y/8) + 16`` bytes: 10,243 → 179 at the
+    paper point, 3,203 → 69 at 50 B and 131 → 21 at 2 B, with the request,
+    and the AES blocks behind it, unchanged."""
+    model = LblCostModel(value_len, 2)
+    assert model.response_bytes == 1 + 2 + -(-model.num_groups * 2 // 8) + 16 == reply
+    assert model.bytes_per_access == wire
+    assert model.ops()["aes.blocks"] == 5 * model.num_groups * model.entry_compressions
+    store = LblOrtoa(StoreConfig(value_len=value_len, group_bits=2))
+    store.initialize({"k": bytes(value_len)})
+    built, _ops = store.proxy.prepare(Request.read("k"))
+    response, _server_ops = store.server.process(built)
+    assert (len(built.to_bytes()), len(response.to_bytes())) == (wire - reply, reply)
 
 
 @pytest.mark.parametrize("label_bits", [128, 192, 256])
@@ -224,7 +246,6 @@ def test_wire_bytes_and_entry_hashing_match_the_implementation(
 ):
     """Every shape the model has a formula for, against real messages and a
     block count taken inside the row kernel, at the cipher context."""
-    from repro.core.lbl import LblOrtoa
     from repro.crypto import rows
 
     config = StoreConfig(value_len=3, group_bits=group_bits, label_bits=label_bits)

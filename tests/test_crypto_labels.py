@@ -4,8 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.messages import LblAccessResponse
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec, groups_to_value, value_to_groups
+from repro.crypto.labels import (
+    LabelCodec, groups_to_value, pack_slots, reply_digest, value_to_groups,
+)
 from repro.errors import ConfigurationError, TamperDetectedError
 from tests import lbl_reference
 
@@ -85,6 +88,16 @@ def _encode(codec, key: str, value: bytes, counter: int) -> bytes:
     return codec.select(codec.epoch(key, counter), value_to_groups(value, codec.group_bits))
 
 
+def _reply(codec, blob: bytes, value: bytes, labels: "bytes | None" = None) -> tuple:
+    """``(slot_bits, slots, digest)`` of the server that stores ``value`` at
+    epoch ``blob``: its slots packed, and the digest of ``labels`` (by default
+    the labels it stores)."""
+    groups, bits = value_to_groups(value, codec.group_bits), codec.group_bits
+    if labels is None:
+        labels = codec.select(blob, groups)
+    return bits, pack_slots(codec.slots(blob, groups), bits), reply_digest(labels)
+
+
 def test_labels_deterministic_per_counter():
     codec = make_codec()
     assert codec.labels(codec.epoch("k", 7)) == codec.labels(codec.epoch("k", 7))
@@ -107,30 +120,32 @@ def test_encode_decode_roundtrip():
     value = b"\x01\x02\x03\x04\x05\x06\x07\x08"
     labels = _encode(codec, "key", value, counter=3)
     assert len(labels) == codec.num_groups * codec.label_len
-    assert codec.decode(codec.epoch("key", 3), labels) == value
+    blob = codec.epoch("key", 3)
+    assert codec.decode(blob, *_reply(codec, blob, value)) == value
 
 
 def test_decode_with_wrong_counter_detects_tamper():
     codec = make_codec()
-    labels = _encode(codec, "key", b"abcd", counter=1)
+    reply = _reply(codec, codec.epoch("key", 1), b"abcd")
     with pytest.raises(TamperDetectedError):
-        codec.decode(codec.epoch("key", 2), labels)
+        codec.decode(codec.epoch("key", 2), *reply)
 
 
 def test_decode_with_corrupted_label_detects_tamper():
     codec = make_codec()
     labels = _encode(codec, "key", b"abcd", counter=1)
     corrupt = labels[: 5 * 16] + bytes(16) + labels[6 * 16 :]
+    blob = codec.epoch("key", 1)
     with pytest.raises(TamperDetectedError):
-        codec.decode(codec.epoch("key", 1), corrupt)
+        codec.decode(blob, *_reply(codec, blob, b"abcd", corrupt))
 
 
 def test_encode_value_rejects_wrong_length():
     codec = make_codec(value_len=4)
     with pytest.raises(ConfigurationError):
         _encode(codec, "k", b"toolongvalue", counter=0)
-    with pytest.raises(ConfigurationError):
-        codec.decode(codec.epoch("k", 0), b"x" * 16)
+    with pytest.raises(TamperDetectedError):
+        codec.decode(codec.epoch("k", 0), 1, b"x" * 16, bytes(16))
 
 
 def test_label_group_value_range_checked():
@@ -178,8 +193,8 @@ def test_decrypt_index_is_permutation_over_group_values():
 @settings(max_examples=50)
 def test_codec_roundtrip_property(value, counter):
     codec = make_codec(value_len=len(value), group_bits=2)
-    labels = _encode(codec, "key", value, counter)
-    assert codec.decode(codec.epoch("key", counter), labels) == value
+    blob = codec.epoch("key", counter)
+    assert codec.decode(blob, *_reply(codec, blob, value)) == value
 
 
 # --------------------------------------------------------------------- #
@@ -251,19 +266,19 @@ def test_select_and_slots_pick_one_label_and_one_slot_per_group():
 
 
 def test_decode_matches_at_label_boundaries_only():
-    """A returned label that occurs in its group's window only *across* two
-    candidates is no candidate (§5.4)."""
+    """A digest over a label that occurs in its group's window only *across*
+    two candidates is refused (§5.4)."""
     codec = make_codec(value_len=1, group_bits=2)
     blob = codec.epoch("obj", 1)
     honest = codec.select(blob, value_to_groups(b"\x6c", 2))
-    assert codec.decode(blob, honest) == b"\x6c"
+    assert codec.decode(blob, *_reply(codec, blob, b"\x6c", honest)) == b"\x6c"
     straddling = blob[8:24] + honest[16:]
     with pytest.raises(TamperDetectedError):
-        codec.decode(blob, straddling)
-    # ...and a label of another group's window is no candidate of this one.
+        codec.decode(blob, *_reply(codec, blob, b"\x6c", straddling))
+    # ...and so is one over another group's label in this group's place.
     swapped = honest[16:32] + honest[:16] + honest[32:]
     with pytest.raises(TamperDetectedError):
-        codec.decode(blob, swapped)
+        codec.decode(blob, *_reply(codec, blob, b"\x6c", swapped))
 
 
 # --------------------------------------------------------------------- #
@@ -297,27 +312,28 @@ def test_groups_to_value_matches_the_int_loop_oracle_on_any_groups(value_len, y,
 
 
 def _honest(codec, blob: bytes, value: bytes) -> bytes:
-    """The labels the server returns for ``value``: label ``g_i`` of group
+    """The labels the server stores for ``value``: label ``g_i`` of group
     ``i`` sliced straight out of the epoch blob."""
     width, size = codec.label_len, codec.table_size
     groups = lbl_reference.value_to_groups(value, codec.group_bits)
     return b"".join(blob[(i * size + g) * width :][:width] for i, g in enumerate(groups))
 
 
-def _reference_decode(codec, blob: bytes, labels: bytes) -> bytes:
-    return lbl_reference.decode(
-        blob, labels, label_len=codec.label_len, group_bits=codec.group_bits,
+def _reference_finalize(codec, blob: bytes, bits: int, slots: bytes, digest: bytes) -> bytes:
+    frame = LblAccessResponse(slots, bits, digest).to_bytes()
+    return lbl_reference.finalize(
+        blob, frame, label_len=codec.label_len, group_bits=codec.group_bits,
         value_len=codec.value_len,
     )
 
 
 @given(st.binary(min_size=1, max_size=200), _Y, st.integers(min_value=0, max_value=9))
 @settings(max_examples=80, deadline=None)
-def test_decode_matches_the_find_loop_oracle(value, y, counter):
+def test_decode_matches_the_group_loop_oracle(value, y, counter):
     codec = make_codec(value_len=len(value), group_bits=y)
     blob = codec.epoch("obj", counter)
-    labels = _honest(codec, blob, value)
-    assert codec.decode(blob, labels) == value == _reference_decode(codec, blob, labels)
+    reply = _reply(codec, blob, value, _honest(codec, blob, value))
+    assert codec.decode(blob, *reply) == value == _reference_finalize(codec, blob, *reply)
 
 
 def _tampered(codec, blob: bytes, labels: bytes, group: int, label: bytes) -> bytes:
@@ -326,18 +342,21 @@ def _tampered(codec, blob: bytes, labels: bytes, group: int, label: bytes) -> by
     return labels[: group * width] + label + labels[(group + 1) * width :]
 
 
-def _both_name(codec, blob: bytes, labels: bytes, group: int) -> None:
-    """The kernel and the oracle both refuse, naming ``group``."""
-    named = rf"label at group {group} matches no candidate"
-    with pytest.raises(TamperDetectedError, match=named):
-        codec.decode(blob, labels)
-    with pytest.raises(TamperDetectedError, match=named):
-        _reference_decode(codec, blob, labels)
+def _both_refuse(codec, blob: bytes, value: bytes, labels: bytes) -> None:
+    """The kernel and the oracle both refuse a reply for ``value`` whose
+    digest is over ``labels``."""
+    reply = _reply(codec, blob, value, labels)
+    with pytest.raises(TamperDetectedError, match="reply digest"):
+        codec.decode(blob, *reply)
+    with pytest.raises(TamperDetectedError, match="reply digest"):
+        _reference_finalize(codec, blob, *reply)
 
 
 @given(st.binary(min_size=1, max_size=40), _Y, st.data())
 @settings(max_examples=80, deadline=None)
-def test_one_flipped_byte_in_group_g_is_named_as_group_g(value, y, data):
+def test_one_flipped_byte_in_any_group_is_refused(value, y, data):
+    """A digest over one damaged label: the reply is refused, no group named
+    (a digest cannot say which label differs)."""
     codec = make_codec(value_len=len(value), group_bits=y)
     blob = codec.epoch("obj", 1)
     labels = _honest(codec, blob, value)
@@ -345,7 +364,7 @@ def test_one_flipped_byte_in_group_g_is_named_as_group_g(value, y, data):
     at = data.draw(st.integers(min_value=0, max_value=codec.label_len - 1))
     label = bytearray(labels[group * codec.label_len :][: codec.label_len])
     label[at] ^= data.draw(st.integers(min_value=1, max_value=255))
-    _both_name(codec, blob, _tampered(codec, blob, labels, group, bytes(label)), group)
+    _both_refuse(codec, blob, value, _tampered(codec, blob, labels, group, bytes(label)))
 
 
 @given(st.binary(min_size=1, max_size=40), _Y, st.data())
@@ -361,7 +380,7 @@ def test_a_label_spliced_from_two_adjacent_candidates_is_no_candidate(value, y, 
     start = (group * size + slot) * width + shift
     spliced = blob[start : start + width]
     assert spliced in blob[group * size * width : (group + 1) * size * width]
-    _both_name(codec, blob, _tampered(codec, blob, labels, group, spliced), group)
+    _both_refuse(codec, blob, value, _tampered(codec, blob, labels, group, spliced))
 
 
 @given(st.binary(min_size=1, max_size=40), _Y, st.data())
@@ -379,4 +398,4 @@ def test_a_label_copied_from_another_groups_window_is_no_candidate(value, y, dat
     )
     slot = data.draw(st.integers(min_value=0, max_value=size - 1))
     copied = blob[(other * size + slot) * width :][:width]
-    _both_name(codec, blob, _tampered(codec, blob, labels, group, copied), group)
+    _both_refuse(codec, blob, value, _tampered(codec, blob, labels, group, copied))

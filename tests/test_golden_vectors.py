@@ -6,8 +6,8 @@ constructions.  Two independent nets catch a silent change:
 
 * **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
   :meth:`LabelCodec.labels`, :meth:`LabelCodec.offsets`,
-  :func:`aead.encrypt` (fixed nonce) and the point-and-permute row kernel
-  :func:`rows.seal_rows`, plus a live re-derivation of each from the bare
+  :func:`aead.encrypt` (fixed nonce), the point-and-permute row kernel
+  :func:`rows.seal_rows` and a whole LBL reply frame, plus a live re-derivation of each from the bare
   calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), ECB())``), so a
   vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.lbl.proxy import LblProxy
+from repro.core.lbl.server import LblServer
 from repro.core.messages import LblAccessRequest
 from repro.crypto import aead, rows
 from repro.crypto.keys import KeyChain
@@ -275,6 +276,32 @@ def test_open_many_matches_try_decrypt(cases):
     assert batch == scalar
     assert batch_counts == scalar_counts
     assert sum(batch_counts) == len(cases)
+
+
+# The reply to a PUT of a5 3c at 2 B, y = 3, under master key 05…05: slots
+# 4 7 1 1 4 5 as 100 111 001 001 100 101 and six zero pad bits (9c 99 40),
+# then SHA-256 of the six new labels cut to 16 bytes.
+_REPLY_VECTOR = bytes.fromhex("2100039c9940049bf9e6f603ae1046873a58ffbc3eba")
+
+
+def test_reply_frame_vector():
+    """A whole reply frame, which pins its bit order, its pad and what its
+    digest is taken over; independent of the request's random nonce."""
+    config = StoreConfig(value_len=2, group_bits=3)
+    keychain = KeyChain(b"\x05" * 32)
+    proxy, server = LblProxy(config, keychain), LblServer()
+    for encoded, record in proxy.initial_records({"obj": b"\x00\x00"}):
+        server.load(encoded, record)
+    built, _ops = proxy.prepare(Request.write("obj", b"\xa5\x3c"))
+    response, _server_ops = server.process(built)
+    assert response.to_bytes() == _REPLY_VECTOR
+    labels, offsets = lbl_reference.epoch(keychain, config, "obj", 1)
+    groups = lbl_reference.value_to_groups(b"\xa5\x3c", 3)
+    assert bytes(g ^ r for g, r in zip(groups, offsets)) == bytes([4, 7, 1, 1, 4, 5])
+    stored = b"".join(labels[i][g] for i, g in enumerate(groups))
+    assert _REPLY_VECTOR[-16:] == hashlib.sha256(stored).digest()[:16]
+    assert _REPLY_VECTOR == lbl_reference.reply(stored, bytes([4, 7, 1, 1, 4, 5]), 3)
+    assert proxy.finalize("obj", response)[0] == b"\xa5\x3c"
 
 
 @settings(max_examples=60, deadline=None)

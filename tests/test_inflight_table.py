@@ -227,9 +227,11 @@ _step = st.one_of(
 
 
 def _flip_bit(response: LblAccessResponse, position: int) -> LblAccessResponse:
-    labels = bytearray(response.labels)
-    labels[position % len(labels)] ^= 1 << (position % 8)
-    return LblAccessResponse(bytes(labels), response.label_len)
+    """``response`` with one bit flipped in its slots or its digest."""
+    body = bytearray(response.slots + response.digest)
+    body[position % len(body)] ^= 1 << (position % 8)
+    cut = len(response.slots)
+    return LblAccessResponse(bytes(body[:cut]), response.slot_bits, bytes(body[cut:]))
 
 
 @settings(max_examples=100, deadline=None)

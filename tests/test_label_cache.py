@@ -186,10 +186,7 @@ def _access_shapes(store: LblOrtoa, request: Request) -> tuple[bytes, tuple, tup
         len(built.to_bytes()),
         tuple(tuple(len(entry) for entry in table) for table in built.tables),
     )
-    response_shape = (
-        len(response.to_bytes()),
-        tuple(len(label) for label in response.opened_labels),
-    )
+    response_shape = (len(response.to_bytes()), len(response.slots), len(response.digest))
     return value, request_shape, response_shape
 
 

@@ -345,8 +345,12 @@ def test_proxy_and_server_match_the_reference(group_bits, label_bits, value_len,
         built, _ops = proxy.prepare(request)
         response, _server_ops = server.process(built)
         # The request opens to the same labels under both...
-        assert response.labels == reference.open(built, "obj", epoch, value)
+        opened = reference.open(built, "obj", epoch, value)
         value = written if is_write else value
-        # ...which are the reference's record of the next epoch.
-        assert server.store.get(encoded) == reference.record("obj", epoch + 1, value)
+        # ...which are the reference's record of the next epoch, and the
+        # reply is that record's packed slots and a digest of its labels.
+        record = server.store.get(encoded)
+        assert record == reference.record("obj", epoch + 1, value)
+        assert record.labels == opened
+        assert response.to_bytes() == lbl_reference.reply(*record, group_bits)
         assert proxy.finalize("obj", response)[0] == value

@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.analysis import costmodel
 from repro.core import messages
-from repro.crypto import rows
+from repro.crypto import labels, rows
 from repro.crypto.keys import KeyChain
 from repro.obs import ledger
 from repro.obs.export import prometheus_text
@@ -54,6 +54,7 @@ def test_costmodel_literals_match_implementation():
     assert (
         costmodel.DECRYPT_INDEX_BYTES, costmodel.ROW_CHECK_BYTES, costmodel.ROW_NONCE_BYTES
     ) == (rows.SLOT_LEN, rows.CHECK_LEN, rows.ROW_NONCE_LEN)
+    assert costmodel.REPLY_DIGEST_BYTES == labels.REPLY_DIGEST_LEN
     assert costmodel.MUX_HEADER_BYTES == 1 + framing.REQUEST_ID_BYTES
     assert (
         costmodel.MUX_TRACED_HEADER_BYTES

@@ -143,27 +143,28 @@ def test_label_bits_below_128_rejected(label_bits):
 
 
 def test_lbl_response_roundtrip():
-    resp = m.LblAccessResponse.from_labels((b"label1", b"label2", b"label3"))
-    assert resp == m.LblAccessResponse(b"label1label2label3", 6)
-    assert resp.opened_labels == (b"label1", b"label2", b"label3")
+    resp = m.LblAccessResponse(b"\x1b\xe4", 2, bytes(range(16)))
     assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
 
 
-def test_lbl_response_is_width_then_labels():
-    resp = m.LblAccessResponse(b"label1label2", 6)
-    assert resp.to_bytes() == b"\x21\x00\x06label1label2"
-    assert m.LblAccessResponse.from_bytes(b"\x21\x00\x00") == m.LblAccessResponse(b"", 0)
-    assert m.LblAccessResponse.from_labels(()).opened_labels == ()
+def test_lbl_response_is_width_then_slots_then_digest():
+    resp = m.LblAccessResponse(b"\x1b\xe4", 2, b"d" * 16)
+    assert resp.to_bytes() == b"\x21\x00\x02\x1b\xe4" + b"d" * 16
+    # The digest is the last 16 bytes; a shorter body is all digest, which
+    # ``finalize`` refuses as tampering rather than the parser as malformed.
+    assert m.LblAccessResponse.from_bytes(b"\x21\x00\x02stray") == (
+        m.LblAccessResponse(b"", 2, b"stray")
+    )
+    for bits in (0, 9, 16):
+        with pytest.raises(ProtocolError, match="slot width"):
+            m.LblAccessResponse(b"", bits, b"d" * 16)
     with pytest.raises(ProtocolError):
-        m.LblAccessResponse.from_labels((b"long-label", b"short"))
+        m.LblAccessResponse.from_bytes(b"\x21\x00")
     with pytest.raises(ProtocolError):
-        m.LblAccessResponse(b"label1labe", 6)
-    with pytest.raises(ProtocolError):
-        m.LblAccessResponse(b"", 1 << 16)
-    with pytest.raises(ProtocolError):
-        m.LblAccessResponse.from_bytes(b"\x21\x00\x06label1labe")
-    with pytest.raises(ProtocolError):
-        m.LblAccessResponse.from_bytes(b"\x21\x00\x00stray")
+        m.LblAccessResponse.from_bytes(b"\x20\x00\x02" + b"d" * 16)
+    # The label-per-group reply of the format before is refused by its width.
+    with pytest.raises(ProtocolError, match="slot width"):
+        m.LblAccessResponse.from_bytes(b"\x21\x00\x10" + b"l" * 32)
 
 
 def test_lbl_request_rejects_empty_tables():
@@ -217,7 +218,7 @@ def test_old_per_field_lbl_frame_is_rejected():
         m.LblAccessRequest.from_bytes(
             b"\x20" + field(b"\x01") + field(b"k" * 16) + field(b"c" * 45)
         )
-    # ...and the old per-label response is not a whole number of labels.
+    # ...and the old per-label response states no slot width.
     with pytest.raises(ProtocolError):
         m.LblAccessResponse.from_bytes(b"\x21" + field(b"l" * 16) + field(b"m" * 16))
 
@@ -300,15 +301,15 @@ def test_lbl_request_roundtrip_property(groups, table_size, entry_len, data):
 
 
 @given(
-    st.integers(min_value=1, max_value=40).flatmap(
-        lambda n: st.lists(st.binary(min_size=n, max_size=n), max_size=12)
-    )
+    st.binary(max_size=200),
+    st.integers(min_value=1, max_value=8),
+    st.binary(min_size=16, max_size=16),
 )
 @settings(max_examples=50)
-def test_lbl_response_roundtrip_property(labels):
-    resp = m.LblAccessResponse.from_labels(labels)
+def test_lbl_response_roundtrip_property(slots, bits, digest):
+    resp = m.LblAccessResponse(slots, bits, digest)
     assert m.LblAccessResponse.from_bytes(resp.to_bytes()) == resp
-    assert list(resp.opened_labels) == labels
+    assert len(resp.to_bytes()) == 3 + len(slots) + 16
 
 
 def test_get_and_put_frames_are_length_identical():

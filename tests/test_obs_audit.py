@@ -50,8 +50,11 @@ def test_audit_passes_on_point_and_permute_lbl():
     assert len(checks) == 5 * len(PATHS)
     assert all(check.passed for check in report.checks)
     # 64 groups x 4 rows x 17 B and group 0's 4 x 15 check bytes behind a
-    # 49-byte header; 64 labels back.
-    frames = "identical support [4461 B request (256 rows x 17 B + 60 B checks), 1027 B reply]"
+    # 49-byte header; 64 slots of 2 bits and a 16-byte digest back.
+    frames = (
+        "identical support [4461 B request (256 rows x 17 B + 60 B checks), "
+        "35 B reply (16 B slots + 16 B digest)]"
+    )
     for path in PATHS:
         assert checks[path, "shape identity, frames"].detail == frames
         assert checks[path, "shape identity, storage"].detail == (
@@ -162,7 +165,7 @@ def test_recording_link_sees_one_frame_per_access_and_per_batch():
     store.access(Request.read("k0"))
     store.access_batch([Request.read(f"k{i}") for i in range(4)])
     single, batch = link.frames
-    assert len(single.request) == 4461 and len(single.reply) == 1027
+    assert len(single.request) == 4461 and len(single.reply) == 35
     assert len(single.storage) == 1 and len(batch.storage) == 4
     assert all(changed for _before, _after, changed in batch.storage)
 

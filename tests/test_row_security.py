@@ -14,16 +14,22 @@ tests are its executable half.
     anything; rollback and the WAL's one-epoch window depend on the stored
     labels surviving a refused request.  Each of those is a wrong key for
     the whole record, so group 0's 15 check bytes catch it.  What they do
-    *not* cover is pinned too: a flipped label or slot byte in any other
-    group is committed and surfaces in ``finalize`` (§5.4) — the slot byte's
-    at the *next* access, unless it points past the table, which that
-    access refuses.
+    *not* cover is pinned too: a flipped label or slot bit in any other
+    group is committed and surfaces in ``finalize`` (§5.4), whose reply
+    digest no longer matches — a slot bit above ``y`` is not in the reply,
+    so that one surfaces at the *next* access, which the server refuses.
+(c) **The reply.**  Packed slots and one digest of the opened labels: a
+    flipped bit, set pad bits, a wrong length, another epoch's or another
+    key's reply are each refused by ``finalize``, and the key's next honest
+    access succeeds.
 """
 
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.lbl import LblOrtoa
@@ -352,7 +358,7 @@ def test_flipped_label_bit_is_committed_and_caught_by_finalize():
     built, _ops = store.proxy.prepare(Request.read("k"))
     damaged = _flip(built, 5, _designated_slot(store, 5), byte=2)
     response, _server_ops = store.server.process(damaged)  # no refusal
-    with pytest.raises(TamperDetectedError, match="group 5"):
+    with pytest.raises(TamperDetectedError, match="reply digest"):
         store.proxy.finalize("k", response)
     # The key is now unreadable — what a tampering server could always do
     # by corrupting its own store — and every later access says so.
@@ -363,16 +369,16 @@ def test_flipped_label_bit_is_committed_and_caught_by_finalize():
 
 @pytest.mark.parametrize("shape", ["truncated", "padded", "narrow"])
 def test_a_mis_shaped_reply_is_tampering_not_a_configuration_error(shape):
-    """The reply is untrusted input: one label missing, one label too many,
-    or the same bytes as 8-byte labels fails §5.4's check in ``finalize``."""
+    """The reply is untrusted input: one slot byte missing, one too many, or
+    the same bytes as 1-bit slots fails §5.4's check in ``finalize``."""
     store = _store()
     built, _ops = store.proxy.prepare(Request.read("k"))
     response, _server_ops = store.server.process(built)
-    labels, width = response.labels, response.label_len
+    slots, digest = response.slots, response.digest
     reply = {
-        "truncated": LblAccessResponse(labels[:-width], width),
-        "padded": LblAccessResponse(labels + labels[:width], width),
-        "narrow": LblAccessResponse(labels, 8),
+        "truncated": LblAccessResponse(slots[:-1], CONFIG.group_bits, digest),
+        "padded": LblAccessResponse(slots + slots[:1], CONFIG.group_bits, digest),
+        "narrow": LblAccessResponse(slots, 1, digest),
     }[shape]
     with pytest.raises(TamperDetectedError, match="data was tampered"):
         store.proxy.finalize("k", reply)
@@ -387,18 +393,16 @@ def test_flipped_slot_bit_makes_the_next_access_be_refused_never_misread(bit):
     slot_byte = built.entry_len - 1
     damaged = _flip(built, group, _designated_slot(store, group), slot_byte, bit)
     response, _server_ops = store.server.process(damaged)
-    # The labels themselves are intact, so this access still reads right...
-    assert store.proxy.finalize("k", response)[0] == WRITTEN
-    # ...but the server now points at the wrong row (bits 0-1) or past the
-    # table (bits 2-7) for that group.
-    following, _ops = store.proxy.prepare(Request.read("k"))
     if bit < CONFIG.group_bits:
-        # The wrong row has no check bytes: it opens to noise, which is
-        # committed and which §5.4 refuses to read as any value.
-        response, _server_ops = store.server.process(following)
-        with pytest.raises(TamperDetectedError, match=f"group {group}"):
+        # The reply carries the flipped slot: it spells another value, whose
+        # label the server never opened, so the digest cannot match.
+        with pytest.raises(TamperDetectedError, match="reply digest"):
             store.proxy.finalize("k", response)
     else:
+        # Bits 2-7 are not in a 2-bit slot, so this access still reads right,
+        # but the server now points past the table for that group.
+        assert store.proxy.finalize("k", response)[0] == WRITTEN
+        following, _ops = store.proxy.prepare(Request.read("k"))
         error, seen = _refused(store, following)
         assert str(error) == f"bad decrypt index at group {group}"
         assert seen["decrypt_attempts"] == 0
@@ -412,8 +416,9 @@ def test_flipped_slot_bit_makes_the_next_access_be_refused_never_misread(bit):
 @pytest.mark.parametrize("field", ["label", "slot"])
 def test_a_flipped_byte_outside_group_0_is_committed_and_caught_by_finalize(field, group):
     """Outside group 0 a row is ``label ‖ slot``: nothing at the server can
-    tell a damaged one, so it is committed — and §5.4 catches it, the label
-    at this access, the slot byte (one of its ``y`` bits) at the next."""
+    tell a damaged one, so it is committed — and §5.4 catches it at this
+    access, the label by the digest over it, the slot bit (one of its ``y``)
+    by the digest over the labels the value it spells selects."""
     store = _store()
     built, _ops = store.proxy.prepare(Request.read("k"))
     byte = 0 if field == "label" else built.entry_len - 1
@@ -421,9 +426,89 @@ def test_a_flipped_byte_outside_group_0_is_committed_and_caught_by_finalize(fiel
     puts = store.server.store.put_count
     response, _server_ops = store.server.process(damaged)
     assert store.server.store.put_count == puts + 1  # committed
-    if field == "slot":
-        assert store.proxy.finalize("k", response)[0] == STORED
-        following, _ops = store.proxy.prepare(Request.read("k"))
-        response, _server_ops = store.server.process(following)
-    with pytest.raises(TamperDetectedError, match=f"group {group}"):
+    with pytest.raises(TamperDetectedError, match="reply digest"):
         store.proxy.finalize("k", response)
+
+
+# --------------------------------------------------------------------- #
+# (c) the reply: packed slots and one digest
+# --------------------------------------------------------------------- #
+
+_OPS = st.none() | st.binary(min_size=8, max_size=8)  # a GET, or a PUT of 8 bytes
+
+
+def _request(key: str, written: "bytes | None") -> Request:
+    return Request.read(key) if written is None else Request.write(key, written)
+
+
+def _served(store: LblOrtoa, key: str = "k", written: "bytes | None" = None):
+    """Prepare and serve one access; its reply's wire bytes."""
+    built, _ops = store.proxy.prepare(_request(key, written))
+    return store.server.process(built)[0].to_bytes()
+
+
+def _refuses(store: LblOrtoa, frame: bytes, expected: bytes) -> None:
+    """``finalize`` refuses ``frame`` as the reply for ``k``, and the key's
+    next honest access reads ``expected``: the server committed, so proxy
+    and server are still in step."""
+    with pytest.raises(TamperDetectedError, match="data was tampered"):
+        store.proxy.finalize("k", LblAccessResponse.from_bytes(frame))
+    assert store.read("k") == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(written=_OPS, data=st.data())
+def test_any_flipped_slot_or_digest_bit_is_refused(written, data):
+    store = _store()
+    frame = bytearray(_served(store, written=written))
+    bit = data.draw(st.integers(min_value=24, max_value=8 * len(frame) - 1))  # past the header
+    frame[bit // 8] ^= 0x80 >> bit % 8
+    _refuses(store, bytes(frame), written or STORED)
+
+
+@settings(max_examples=30, deadline=None)
+@given(written=_OPS, pad=st.integers(min_value=1, max_value=63))
+def test_set_pad_bits_are_refused_where_slots_do_not_fill_the_last_byte(written, pad):
+    """y = 3 at 8 B: 22 slots of 3 bits leave 6 pad bits in the ninth byte."""
+    store = LblOrtoa(StoreConfig(value_len=8, group_bits=3))
+    store.initialize({"k": STORED})
+    frame = bytearray(_served(store, written=written))
+    assert len(frame) == 3 + 9 + 16 and frame[3 + 8] & 63 == 0
+    frame[3 + 8] |= pad
+    with pytest.raises(TamperDetectedError, match="zero pad bits"):
+        store.proxy.finalize("k", LblAccessResponse.from_bytes(bytes(frame)))
+    assert store.read("k") == (written or STORED)
+
+
+@settings(max_examples=40, deadline=None)
+@given(written=_OPS, cut=st.integers(min_value=1, max_value=24), extra=st.binary(max_size=24))
+def test_a_truncated_or_over_long_reply_is_refused(written, cut, extra):
+    store = _store()
+    frame = _served(store, written=written)
+    assert len(frame) == 3 + 8 + 16
+    shorter = frame[:-cut]
+    _refuses(store, shorter, written or STORED)
+    _refuses(store, _served(store) + (extra or b"\x00"), written or STORED)
+
+
+@settings(max_examples=20, deadline=None)
+@given(first=_OPS, second=_OPS)
+def test_the_previous_epochs_reply_replayed_is_refused(first, second):
+    """The digest covers one epoch's labels: the key's reply of one access
+    before does not pass for this one, whatever either access did."""
+    store = _store()
+    previous = _served(store, written=first)
+    store.proxy.finalize("k", LblAccessResponse.from_bytes(previous))
+    _served(store, written=second)
+    _refuses(store, previous, second or first or STORED)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mine=_OPS, theirs=_OPS)
+def test_another_keys_reply_at_the_same_epoch_is_refused(mine, theirs):
+    store = _store()
+    _served(store, "k", mine)
+    foreign = _served(store, "other", theirs)
+    _refuses(store, foreign, mine or STORED)
+    store.proxy.finalize("other", LblAccessResponse.from_bytes(foreign))
+    assert store.read("other") == (theirs or b"\x07" * 8)

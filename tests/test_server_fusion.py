@@ -35,7 +35,7 @@ from repro import obs
 from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
 from repro.core.lbl.server import SERVER_SPAN, LblServer
-from repro.core.messages import LblAccessRequest, LblAccessResponse
+from repro.core.messages import LblAccessRequest
 from repro.crypto import rows
 from repro.crypto.labels import StoredRecord
 from repro.errors import KeyNotFoundError, OrtoaError, ProtocolError
@@ -200,13 +200,17 @@ class _SequentialOracle:
         self.state[request.encoded_key] = updated
         self.puts += 1
         seen["labels_rewritten"] = len(updated)
-        response = LblAccessResponse.from_labels([label for label, _slot in updated])
+        reply = lbl_reference.reply(
+            b"".join(label for label, _slot in updated),
+            bytes(slot for _label, slot in updated),
+            request.table_size.bit_length() - 1,
+        )
         ops = OpCounts(
             kv_ops=2,
             aead_dec=seen["decrypt_attempts"] - seen["failed_decrypts"],
             failed_dec=seen["failed_decrypts"],
         )
-        return ("ok", response.to_bytes(), ops), seen
+        return ("ok", reply, ops), seen
 
 
 def _normalized(fused_results) -> list[tuple]:

@@ -193,7 +193,7 @@ def test_direct_dispatch_matches_in_process_server():
     tcp.server_close()
     # Both servers opened the same entry (deterministic: same labels).
     direct_response, _ = direct.process(request)
-    assert via_tcp.opened_labels == direct_response.opened_labels
+    assert via_tcp == direct_response
 
 
 # --------------------------------------------------------------------- #
@@ -247,7 +247,7 @@ def test_batch_wire_messages_roundtrip():
     )
     assert LblBatchRequest.from_bytes(batch.to_bytes()) == batch
     resp = LblBatchResponse(
-        (LblAccessResponse(b"l1", 2), LblAccessResponse(b"l2l3", 2))
+        (LblAccessResponse(b"\x1b", 2, b"d" * 16), LblAccessResponse(b"\x01\x02", 1, b"e" * 16))
     )
     assert LblBatchResponse.from_bytes(resp.to_bytes()) == resp
     with pytest.raises(ProtocolError):

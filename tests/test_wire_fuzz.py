@@ -209,9 +209,9 @@ def test_batch_response_mutation_is_rejected_or_parses(mutation_at, new_byte):
     without raw struct/index errors escaping the parser."""
     original = m.LblBatchResponse(
         (
-            m.LblAccessResponse(b"label-onelabel-two", 9),
+            m.LblAccessResponse(b"slots", 2, b"digest-one" * 2),
             m.LblErrorEntry("stale label at epoch 4"),
-            m.LblAccessResponse(b"label-three", 11),
+            m.LblAccessResponse(b"\xff", 8, b"digest-two" * 2),
         )
     ).to_bytes()
     mutated = bytearray(original)
