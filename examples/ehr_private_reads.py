@@ -15,10 +15,8 @@ Run:  python examples/ehr_private_reads.py
 import random
 
 from repro import LblOrtoa, StoreConfig
-from repro.security.audit import record_links
-from repro.security.distinguisher import byte_histogram_advantage, shape_fingerprint
-from repro.security.games import Access, ideal_lbl_output
-from repro.types import Operation
+from repro.security.audit import judge_requests, record_links
+from repro.types import Request
 from repro.workloads import build_dataset
 
 
@@ -37,29 +35,24 @@ def main() -> None:
 
     # A clinic day: mostly chart reviews (reads), some new vitals (writes).
     rng = random.Random(11)
-    day: list[Access] = []
+    day: list[Request] = []
     for _ in range(40):
         patient = rng.choice(patients)
         if rng.random() < 0.25:
             reading = f"{rng.randint(95, 180):03d}mmHg".encode().ljust(10, b"\x00")
-            day.append(Access(Operation.WRITE, patient, reading))
-            store.write(patient, reading)
+            day.append(Request.write(patient, reading))
         else:
-            day.append(Access(Operation.READ, patient))
-            store.read(patient)
-    writes = sum(1 for a in day if a.op is Operation.WRITE)
+            day.append(Request.read(patient))
+        store.access(day[-1])
+    writes = sum(request.op.is_write for request in day)
     print(f"Served a 40-access day: {40 - writes} chart reviews, {writes} vitals updates.")
 
     # ROR-RW check: the frames that served the day vs a simulator that saw
-    # only keys.
+    # only keys, each statistic next to the bound derived from the sample.
     real = [frame.request for frame in link.frames[loaded:]]
-    ideal = ideal_lbl_output(config, day, rng=random.Random(3))
-    shapes_match = shape_fingerprint(real) == shape_fingerprint(ideal)
-    tv_distance = byte_histogram_advantage([real], [ideal])
     print("\nROR-RW empirical check (paper §7):")
-    print(f"  message-shape fingerprints identical: {shapes_match}")
-    print(f"  byte-distribution total-variation distance: {tv_distance:.4f} "
-          "(≈ 0 means statistically indistinguishable)")
+    for check in judge_requests("access", config, day, real, seed=3):
+        print(f"  [{'ok' if check.passed else 'LEAK'}] {check.claim}: {check.detail}")
 
     # Tamper detection (§5.4): corrupt a stored label and read.
     from repro.errors import OrtoaError

@@ -11,7 +11,8 @@ provides:
   BFV-style homomorphic scheme with noise tracking, a simulated SGX enclave
   with attestation, an in-memory KV store, and a discrete-event WAN
   simulator with the paper's datacenter RTTs;
-* the empirical ROR-RW security game (:mod:`repro.security`);
+* the ROR-RW experiment over the frames a deployment sent
+  (:mod:`repro.security.audit`);
 * the §8 extension — a one-round tree ORAM (:mod:`repro.oram`);
 * an experiment harness regenerating every table and figure of the paper's
   evaluation (:mod:`repro.harness`, driven by ``benchmarks/``).

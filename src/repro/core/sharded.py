@@ -643,8 +643,8 @@ class LblOrtoa(ShardedLblDeployment):
     ) -> None:
         link = LocalLink(LblFrameDispatcher())
         super().__init__(config, [link], keychain=keychain)
-        #: The shard's untrusted server, for inspection (the DES harness,
-        #: the obliviousness auditor and the security games read it).
+        #: The shard's untrusted server, for inspection (the DES harness and
+        #: the obliviousness checker read it).
         self.server = link.dispatcher.lbl
 
 

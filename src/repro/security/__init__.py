@@ -9,19 +9,16 @@ protocol over meaningful requests or by a simulator that saw only the keys
 * :mod:`repro.security.simulators` — the Ideal-world simulators (Figure 7
   for LBL-ORTOA, plus dummy-encryption simulators for the TEE and FHE
   variants).
-* :mod:`repro.security.games` — the Real/Ideal game of Figure 5, run as an
-  empirical experiment: collect both outputs, hand them to a distinguisher,
-  and measure its advantage.
-* :mod:`repro.security.distinguisher` — structural checks (shape equality)
-  and statistical adversaries (byte histograms, size features) used by the
-  test suite to certify that the implementations leak nothing observable.
 * :mod:`repro.security.audit` — the obliviousness checker behind
-  ``repro obs``: a :class:`~repro.security.audit.RecordingLink` on each
-  shard's link records what the server sees (frames, and stored records
-  where the store is in this process), and
-  :func:`~repro.security.audit.run_audit` asserts one round trip, GET/PUT
-  shape identity, and ROR-RW against the Figure 7 simulator over it.
-  :func:`~repro.security.games.real_lbl_output` is read from the same link.
+  ``repro obs``, and the one place the Figure 5 experiment runs: a
+  :class:`~repro.security.audit.RecordingLink` on each shard's link records
+  what the server sees (frames, and stored records where the store is in
+  this process), and :func:`~repro.security.audit.run_audit` asserts one
+  round trip, GET/PUT shape identity, ROR-RW against the Figure 7 simulator
+  (exact shape and size tests, and a byte-histogram distance under a bound
+  derived from the sample) and fresh rows over it.
+  :func:`~repro.security.audit.judge_requests` judges frames a caller
+  recorded itself.
 
 Empirical indistinguishability obviously does not *prove* security — the
 paper's hybrid argument does that — but it catches implementation-level
@@ -29,26 +26,24 @@ leaks (size differences, deterministic nonces, skipped shuffles) that a
 proof on paper would never notice.
 """
 
-from repro.security.audit import AuditReport, RecordingLink, run_audit
-from repro.security.distinguisher import (
-    byte_histogram_advantage,
+from repro.security.audit import (
+    AuditReport,
+    RecordingLink,
+    judge_requests,
+    run_audit,
     shape_fingerprint,
     size_advantage,
 )
-from repro.security.games import Access, RorRwGame, real_lbl_output
 from repro.security.simulators import FheSimulator, LblSimulator, TeeSimulator
 
 __all__ = [
     "AuditReport",
     "RecordingLink",
     "run_audit",
-    "Access",
-    "RorRwGame",
-    "real_lbl_output",
+    "judge_requests",
     "LblSimulator",
     "TeeSimulator",
     "FheSimulator",
     "shape_fingerprint",
-    "byte_histogram_advantage",
     "size_advantage",
 ]

@@ -23,20 +23,26 @@ half reads and half writes on each shard — through ``access``,
   (per shard touched, for a batch);
 * **shape identity** — reads and writes have identical supports for the
   frames, the storage, and the trusted side's per-phase op counts;
-* **ROR-RW** — the recorded requests against
-  :class:`~repro.security.simulators.LblSimulator` output for the same key
-  sequence: equal shape fingerprints, zero size advantage, and a
-  byte-histogram advantage under :data:`HISTOGRAM_BOUND`.
+* **ROR-RW** — the Figure 5 experiment, run once, here: the recorded
+  requests against :class:`~repro.security.simulators.LblSimulator` output
+  for the same key sequence (equal shape fingerprints, zero size
+  advantage), and a byte-histogram distance under :func:`histogram_bound`
+  both against the simulator and between reads and writes;
+* **fresh rows** — no request nonce and no slab row recurs.
 
-:class:`LeakyLblOrtoa` is the negative control: its server skips the storage
-rewrite on reads — the §5.1 leak ORTOA closes — and the storage view shows
-it.
+:func:`judge_requests` is the last two on their own, for a caller that
+recorded its frames itself.  :class:`LeakyLblOrtoa` is the negative
+control: its server skips the storage rewrite on reads — the §5.1 leak
+ORTOA closes — and the storage view shows it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Hashable, Sequence
@@ -50,18 +56,14 @@ from repro.core.sharded import LblOrtoa, ShardedLblDeployment
 from repro.crypto.keys import KeyChain
 from repro.crypto.rows import CHECK_LEN
 from repro.errors import ConfigurationError, ProtocolError
-from repro.security.distinguisher import (
-    byte_histogram_advantage,
-    shape_fingerprint,
-    size_advantage,
-)
 from repro.security.simulators import LblSimulator
 from repro.types import Operation, Request, StoreConfig
 
 #: The deployment paths the checker drives, in order.
 PATHS = ("access", "access_pipelined", "access_batch")
-#: Largest byte-histogram advantage (total-variation distance) ROR-RW allows.
-HISTOGRAM_BOUND = 0.05
+#: The chance that two byte samples from one distribution fail
+#: :func:`histogram_bound`: ROR-RW's false-alarm rate per comparison.
+FALSE_ALARM_RATE = 1e-6
 
 #: One stored record around one access: (length before, length after, changed).
 StorageView = tuple[int, int, bool]
@@ -289,6 +291,126 @@ def _describe_ops(phases: tuple) -> str:
     )
 
 
+def shape_fingerprint(messages: Sequence[bytes]) -> tuple[tuple[int, int], ...]:
+    """A deterministic summary of an output sequence: (index, size) pairs.
+
+    Two access sequences of equal length must produce equal fingerprints
+    regardless of their operation types — otherwise sizes leak.
+    """
+    return tuple((i, len(m)) for i, m in enumerate(messages))
+
+
+def size_advantage(
+    real_outputs: Sequence[Sequence[bytes]],
+    ideal_outputs: Sequence[Sequence[bytes]],
+) -> float:
+    """Advantage of the best threshold classifier on total output size.
+
+    Exactly zero when real and ideal outputs always serialize to the same
+    number of bytes (the case for a correct implementation).
+    """
+    real_sizes = sorted(sum(len(m) for m in out) for out in real_outputs)
+    ideal_sizes = sorted(sum(len(m) for m in out) for out in ideal_outputs)
+    candidates = sorted(set(real_sizes) | set(ideal_sizes))
+    best = 0.0
+    for threshold in candidates:
+        p_real = sum(1 for s in real_sizes if s <= threshold) / len(real_sizes)
+        p_ideal = sum(1 for s in ideal_sizes if s <= threshold) / len(ideal_sizes)
+        best = max(best, abs(p_real - p_ideal))
+    return best
+
+
+def histogram_distance(first: Sequence[bytes], second: Sequence[bytes]) -> float:
+    """Total-variation distance between the byte histograms of two samples."""
+    counts = []
+    for sample in (first, second):
+        histogram, total = Counter(), 0
+        for message in sample:
+            histogram.update(message)
+            total += len(message)
+        if not total:
+            raise ConfigurationError("a byte histogram needs at least one byte")
+        counts.append((histogram, total))
+    (a, n1), (b, n2) = counts
+    return 0.5 * sum(abs(a[v] / n1 - b[v] / n2) for v in range(256))
+
+
+def histogram_bound(n1: int, n2: int) -> float:
+    """The :func:`histogram_distance` that samples of ``n1`` and ``n2``
+    independent bytes from one distribution exceed with probability at most
+    :data:`FALSE_ALARM_RATE`.
+
+    With ``s = 1/n1 + 1/n2``: Jensen and Cauchy–Schwarz over the 256 byte
+    values bound the mean, ``E[TV] <= ½·√(256·s)``; one byte moves the
+    distance by at most ``1/n`` of its sample, so McDiarmid bounds the tail,
+    ``P[TV - E[TV] >= t] <= exp(-2t²/s)``.
+    """
+    s = 1 / n1 + 1 / n2
+    return 0.5 * math.sqrt(256 * s) + math.sqrt(math.log(1 / FALSE_ALARM_RATE) / 2 * s)
+
+
+def fresh_rows(path: str, sent: Sequence[bytes]) -> Check:
+    """Exact: no request nonce and no slab row recurs across ``sent``.
+
+    A repeat is a reused pad — a fixed or replayed nonce — and the
+    simulator never repeats one; there is no statistic.
+    """
+    nonces: list[bytes] = []
+    entries: list[bytes] = []
+    for payload in sent:
+        for request in _requests(payload):
+            nonces.append(request.nonce)
+            entries += [entry for table in request.tables for entry in table]
+    repeats = [len(seen) - len(set(seen)) for seen in (nonces, entries)]
+    return Check(
+        path,
+        "fresh rows",
+        not any(repeats),
+        f"{repeats[0]} of {len(nonces)} request nonces and {repeats[1]} of "
+        f"{len(entries)} slab rows repeat",
+    )
+
+
+def judge_requests(
+    path: str,
+    config: StoreConfig,
+    requests: Sequence[Request],
+    sent: Sequence[bytes],
+    seed: int = 0,
+) -> list[Check]:
+    """ROR-RW and fresh rows over ``sent``, the request frame of each of
+    ``requests`` in order, against :class:`LblSimulator` for the same keys.
+
+    ROR-RW passes on equal shape fingerprints, zero size advantage, and a
+    byte-histogram distance under :func:`histogram_bound` for two splits:
+    the frames against the simulator's, and reads against writes.
+    """
+    if len(sent) != len(requests):
+        raise ConfigurationError(f"{len(sent)} frames for {len(requests)} requests")
+    reads = [frame for frame, r in zip(sent, requests) if r.op.is_read]
+    writes = [frame for frame, r in zip(sent, requests) if r.op.is_write]
+    if not reads or not writes:
+        raise ConfigurationError("ROR-RW needs a read and a write")
+    simulator = LblSimulator(config, rng=random.Random(seed))
+    ideal = [simulator.simulate(request.key).to_bytes() for request in requests]
+    same_shape = shape_fingerprint(sent) == shape_fingerprint(ideal)
+    size = size_advantage([sent], [ideal])
+    passed = same_shape and size == 0.0
+    distances = []
+    splits = (("vs the simulator", sent, ideal), ("reads vs writes", reads, writes))
+    for name, first, second in splits:
+        distance = histogram_distance(first, second)
+        bound = histogram_bound(sum(map(len, first)), sum(map(len, second)))
+        passed = passed and distance < bound
+        distances.append(f"{distance:.4f} {name} (bound {bound:.4f})")
+    detail = (
+        f"shape fingerprint {'equal' if same_shape else 'differs'}, size advantage "
+        f"{size}, byte-histogram distance {', '.join(distances)} at false-alarm "
+        f"rate {FALSE_ALARM_RATE:g}"
+    )
+    return [Check(path, "ROR-RW", passed, detail), fresh_rows(path, sent)]
+
+
 def _judge(
     deployment: ShardedLblDeployment,
     path: str,
@@ -352,7 +474,7 @@ def _judge(
         return checks + [
             Check(path, claim, False, "frames do not pair one-to-one with accesses")
             for claim in ("shape identity, frames", "ROR-RW")
-        ]
+        ] + [fresh_rows(path, [f.request for frames in frames_by_shard for f in frames])]
 
     ops = [request.op for request in requests]
     checks += [
@@ -368,23 +490,7 @@ def _judge(
             [(t.op, _phase_ops(t)) for t in transcripts], _describe_ops,
         ),
     ]
-
-    simulator = LblSimulator(deployment.config, rng=random.Random(seed))
-    ideal = [simulator.simulate(request.key).to_bytes() for request in requests]
-    same_shape = shape_fingerprint(sent_requests) == shape_fingerprint(ideal)
-    size = size_advantage([sent_requests], [ideal])
-    histogram = byte_histogram_advantage([sent_requests], [ideal])
-    checks.append(
-        Check(
-            path,
-            "ROR-RW",
-            same_shape and size == 0.0 and histogram < HISTOGRAM_BOUND,
-            f"shape fingerprint {'equal' if same_shape else 'differs'}, size "
-            f"advantage {size}, byte-histogram advantage {histogram:.4f} "
-            f"(bound {HISTOGRAM_BOUND}) vs the simulator",
-        )
-    )
-    return checks
+    return checks + judge_requests(path, deployment.config, requests, sent_requests, seed)
 
 
 def run_audit(
@@ -401,10 +507,11 @@ def run_audit(
         deployment: A freshly built (uninitialized) deployment.
         links: The :class:`RecordingLink` of each shard, in shard order;
             omitted, :func:`record_links` wraps the deployment's links.
-        num_keys: Keys per path.  Each is accessed once — half of each
-            shard's keys read, half written, in a seeded shuffled order — so
-            a server that breaks the protocol for a *second* access to a key
-            is still judged.
+        num_keys: Keys per path, at least 2 per shard; each shard gets
+            ``num_keys // num_shards`` of them.  Each is accessed once — half
+            of each shard's keys read, half written, in a seeded shuffled
+            order — so a server that breaks the protocol for a *second*
+            access to a key is still judged.
         seed: Workload order and simulator seed.
         paths: Which of :data:`PATHS` to drive.
     """
@@ -416,18 +523,24 @@ def run_audit(
     unknown = set(paths) - set(PATHS)
     if unknown or not paths:
         raise ConfigurationError(f"paths must be drawn from {PATHS}, got {paths}")
+    quota = num_keys // shards
+    if quota < 2:
+        raise ConfigurationError(
+            f"every shard needs 2 of the {num_keys} keys of a path; raise num_keys"
+        )
     rng = random.Random(seed)
     value_len = deployment.config.value_len
     workloads: dict[str, list[Request]] = {}
     for path in paths:
-        by_shard: dict[int, list[str]] = {}
-        for key in (f"audit-{path}-{i}" for i in range(num_keys)):
-            by_shard.setdefault(deployment.shard_of(key), []).append(key)
-        if any(len(by_shard.get(shard, ())) < 2 for shard in range(shards)):
-            raise ConfigurationError(
-                f"every shard needs 2 of the {num_keys} keys of {path}; "
-                "raise num_keys"
-            )
+        # Where a name lands depends on the keychain, so draw names until
+        # every shard holds its quota: any num_keys >= 2 * shards runs.
+        by_shard: dict[int, list[str]] = {shard: [] for shard in range(shards)}
+        names = (f"audit-{path}-{i}" for i in itertools.count())
+        while any(len(keys) < quota for keys in by_shard.values()):
+            key = next(names)
+            keys = by_shard[deployment.shard_of(key)]
+            if len(keys) < quota:
+                keys.append(key)
         requests = []
         for keys in by_shard.values():
             half = len(keys) // 2
@@ -508,13 +621,19 @@ class LeakyLblOrtoa(LblOrtoa):
 
 __all__ = [
     "PATHS",
-    "HISTOGRAM_BOUND",
+    "FALSE_ALARM_RATE",
     "Frame",
     "RecordingLink",
     "record_links",
     "Check",
     "AuditReport",
     "shape_identity",
+    "shape_fingerprint",
+    "size_advantage",
+    "histogram_distance",
+    "histogram_bound",
+    "fresh_rows",
+    "judge_requests",
     "run_audit",
     "LeakyLblServer",
     "LeakyLblOrtoa",

@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.analysis.metrics import summarize
 from repro.harness.calibration import CostModel
-from repro.security.distinguisher import shape_fingerprint
+from repro.security.audit import shape_fingerprint
 from repro.types import LatencySample, Request
 from repro.workloads import RequestStream, WorkloadSpec, build_dataset
 

@@ -12,6 +12,8 @@ from repro.security.audit import (
     PATHS,
     LeakyLblOrtoa,
     RecordingLink,
+    histogram_distance,
+    judge_requests,
     record_links,
     run_audit,
     shape_identity,
@@ -47,7 +49,7 @@ def test_audit_passes_on_point_and_permute_lbl():
     checks = _verdicts(report)
     # Every path is judged on every claim, storage included: the store
     # lives in this process.
-    assert len(checks) == 5 * len(PATHS)
+    assert len(checks) == 6 * len(PATHS)
     assert all(check.passed for check in report.checks)
     # 64 groups x 4 rows x 17 B and group 0's 4 x 15 check bytes behind a
     # 49-byte header; 64 slots of 2 bits and a 16-byte digest back.
@@ -100,6 +102,28 @@ def test_run_audit_rejects_tiny_workloads():
         run_audit(LblOrtoa(_pp_config()), paths=("access_sideways",))
     with pytest.raises(ConfigurationError):
         run_audit(LblOrtoa(_pp_config()), links=[])
+    two_shards = ShardedLblDeployment(_pp_config(), [LocalLink(), LocalLink()])
+    with pytest.raises(ConfigurationError):
+        run_audit(two_shards, num_keys=3)
+    # The experiment itself needs one frame per request and both op types.
+    requests = [Request.read("a"), Request.write("b", bytes(16))]
+    with pytest.raises(ConfigurationError):
+        judge_requests("access", _pp_config(), requests, [b"x"])
+    with pytest.raises(ConfigurationError):
+        judge_requests("access", _pp_config(), requests[:1] * 2, [b"x", b"y"])
+    with pytest.raises(ConfigurationError):
+        histogram_distance([b""], [b"x"])
+
+
+def test_audit_keys_do_not_depend_on_the_keychain():
+    """Where a key lands is a hash under the deployment's random keychain,
+    so the audit draws names until every shard holds its quota: 2 keys per
+    shard always run, whatever the keychain."""
+    for seed in range(10):
+        deployment = ShardedLblDeployment(_pp_config(), [LocalLink(), LocalLink()])
+        report = run_audit(deployment, num_keys=4, seed=seed)
+        assert report.passed, report.summary()
+        assert report.num_reads == report.num_writes == 2 * len(PATHS)
 
 
 def test_audit_observations_needs_both_op_types():

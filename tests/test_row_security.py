@@ -26,6 +26,7 @@ tests are its executable half.
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,13 +38,7 @@ from repro.core.lbl import proxy as proxy_module
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.errors import ProtocolError, TamperDetectedError
-from repro.security.distinguisher import make_first_block_adversary
-from repro.security.games import (
-    RorRwGame,
-    ideal_lbl_output,
-    real_lbl_output,
-    uniform_random_accesses,
-)
+from repro.security.audit import PATHS, fresh_rows, run_audit
 from repro.security.simulators import LblSimulator
 from repro.types import Request, StoreConfig
 from tests import lbl_reference
@@ -203,7 +198,8 @@ def test_simulator_emits_the_point_and_permute_shape():
 
 
 def test_repeated_block_adversary_sees_slab_rows_and_nonces():
-    adversary = make_first_block_adversary()
+    """The repeated-block adversary is the audit's exact "fresh rows" check:
+    it reads every slab row and request nonce, not just a prefix."""
     row_a, row_b, row_c = (bytes([i]) * 25 for i in (1, 2, 3))
 
     def message(key: bytes, slab_rows, nonce: bytes) -> bytes:
@@ -213,32 +209,42 @@ def test_repeated_block_adversary_sees_slab_rows_and_nonces():
         message(b"A" * 16, [row_a, row_b], b"n" * 16),
         message(b"B" * 16, [row_c, bytes(25)], b"m" * 16),
     ]
-    assert not adversary(distinct)
+    assert fresh_rows("access", distinct).passed
     # A row that recurs in a later message's slab, deep past the prefix.
-    assert adversary(distinct + [message(b"C" * 16, [bytes([9]) * 25, row_b], b"o" * 16)])
+    check = fresh_rows(
+        "access", distinct + [message(b"C" * 16, [bytes([9]) * 25, row_b], b"o" * 16)]
+    )
+    assert check.passed is False
+    assert check.detail == "0 of 3 request nonces and 1 of 6 slab rows repeat"
     # A nonce that recurs under a different key (prefixes differ).
-    assert adversary(distinct + [message(b"C" * 16, [bytes([9]) * 25, bytes([8]) * 25], b"n" * 16)])
+    check = fresh_rows(
+        "access", distinct + [message(b"C" * 16, [bytes([9]) * 25, bytes([8]) * 25], b"n" * 16)]
+    )
+    assert check.detail == "1 of 3 request nonces and 0 of 6 slab rows repeat"
 
 
 def test_repeated_block_adversary_has_no_edge_on_point_and_permute():
-    accesses = uniform_random_accesses(["k0", "k1"], 6, 8, random.Random(11))
-    game = RorRwGame(
-        real=lambda a: real_lbl_output(CONFIG, a),
-        ideal=lambda a: ideal_lbl_output(CONFIG, a),
-        rng=random.Random(13),
-    )
-    # Neither world ever repeats a row or a nonce: the adversary always
-    # answers "ideal" and its advantage is exactly zero.
-    assert game.advantage(make_first_block_adversary(), accesses, rounds=20) == 0.0
+    """Neither world ever repeats a row or a nonce: the check passes on the
+    frames the honest stack sent and on the simulator's."""
+    report = run_audit(LblOrtoa(CONFIG), num_keys=8, seed=11)
+    checks = {(c.path, c.claim): c for c in report.checks}
+    for path in PATHS:
+        assert checks[path, "fresh rows"].passed, checks[path, "fresh rows"].detail
+    simulator = LblSimulator(CONFIG, rng=random.Random(13))
+    simulated = [simulator.simulate(key).to_bytes() for key in ["k0", "k1"] * 3]
+    assert fresh_rows("access", simulated).passed
 
 
 def test_repeated_block_adversary_wins_against_a_fixed_nonce(monkeypatch):
-    accesses = uniform_random_accesses(["k0", "k1"], 6, 8, random.Random(11))
-    ideal = ideal_lbl_output(CONFIG, accesses)
-    monkeypatch.setattr(proxy_module.secrets, "token_bytes", lambda n: b"\x42" * n)
-    real = real_lbl_output(CONFIG, accesses)
-    adversary = make_first_block_adversary()
-    assert adversary(real) and not adversary(ideal)
+    """Pin the proxy's row nonce: the audit's fresh-rows check fails, and
+    nothing else in the audit sees it."""
+    monkeypatch.setattr(
+        proxy_module, "secrets", SimpleNamespace(token_bytes=lambda n: b"\x42" * n)
+    )
+    report = run_audit(LblOrtoa(CONFIG), num_keys=8, seed=11, paths=("access",))
+    (failure,) = report.failures
+    assert failure.claim == "fresh rows"
+    assert failure.detail.startswith("7 of 8 request nonces")
 
 
 # --------------------------------------------------------------------- #

@@ -1,8 +1,12 @@
-"""Empirical ROR-RW indistinguishability tests (paper §7 / §11).
+"""ROR-RW indistinguishability tests (paper §7 / §11).
 
-These tests run the Figure 5 game with representative adversaries and
-assert that (a) structural fingerprints are identical across operation
-types, and (b) statistical adversaries get negligible advantage.
+The Figure 5 experiment runs in one place, :func:`repro.security.audit.run_audit`
+(:func:`~repro.security.audit.judge_requests` for frames recorded by hand).
+These tests assert that (a) structural fingerprints are identical across
+operation types, (b) the byte-histogram bound derived from the sample
+raises no false alarm on honest frames and catches biased ones, and (c)
+the exact checks that replaced the game's adversaries have no edge on the
+honest stack and fail the controls.
 """
 
 import random
@@ -10,37 +14,66 @@ import random
 import pytest
 
 from repro.core import TeeOrtoa
-from repro.security.distinguisher import (
-    byte_histogram_advantage,
-    make_byte_mean_adversary,
-    make_first_block_adversary,
-    make_size_adversary,
+from repro.core.lbl import LblOrtoa
+from repro.core.messages import LblAccessRequest
+from repro.core.naive import LeakyOneRound
+from repro.crypto.fhe import FheParams
+from repro.security.audit import (
+    PATHS,
+    fresh_rows,
+    histogram_bound,
+    histogram_distance,
+    judge_requests,
+    record_links,
+    run_audit,
     shape_fingerprint,
+    shape_identity,
     size_advantage,
 )
-from repro.security.games import (
-    Access,
-    RorRwGame,
-    ideal_lbl_output,
-    real_lbl_output,
-    uniform_random_accesses,
-)
 from repro.security.simulators import FheSimulator, LblSimulator, TeeSimulator
-from repro.crypto.fhe import FheParams
-from repro.types import Operation, Request, StoreConfig
+from repro.types import Request, StoreConfig
 
 CONFIG = StoreConfig(value_len=8)
 KEYS = ["k0", "k1", "k2"]
 
 
 def reads(n):
-    return [Access(Operation.READ, KEYS[i % len(KEYS)]) for i in range(n)]
+    return [Request.read(KEYS[i % len(KEYS)]) for i in range(n)]
 
 
 def writes(n):
+    return [Request.write(KEYS[i % len(KEYS)], bytes([i % 256]) * 8) for i in range(n)]
+
+
+def mixed(count, seed):
+    """The workload of §6: uniform keys, uniform read/write coin."""
+    rng = random.Random(seed)
     return [
-        Access(Operation.WRITE, KEYS[i % len(KEYS)], bytes([i % 256]) * 8)
-        for i in range(n)
+        Request.read(key) if rng.random() < 0.5 else Request.write(key, rng.randbytes(8))
+        for key in (rng.choice(KEYS) for _ in range(count))
+    ]
+
+
+def sent(config, requests):
+    """The request frames an :class:`LblOrtoa` sent its shard for ``requests``."""
+    store = LblOrtoa(config)
+    (link,) = record_links(store)
+    store.initialize({request.key: b"" for request in requests})
+    loaded = len(link.frames)
+    for request in requests:
+        store.access(request)
+    return [frame.request for frame in link.frames[loaded:]]
+
+
+def simulated(config, requests, seed):
+    simulator = LblSimulator(config, rng=random.Random(seed))
+    return [simulator.simulate(request.key).to_bytes() for request in requests]
+
+
+def _balanced(num_keys):
+    return [
+        Request.read(f"k{i}") if i % 2 else Request.write(f"k{i}", bytes(16))
+        for i in range(num_keys)
     ]
 
 
@@ -49,16 +82,15 @@ def writes(n):
 # --------------------------------------------------------------------- #
 
 def test_read_only_and_write_only_fingerprints_match():
-    out_reads = real_lbl_output(CONFIG, reads(12))
-    out_writes = real_lbl_output(CONFIG, writes(12))
-    assert shape_fingerprint(out_reads) == shape_fingerprint(out_writes)
+    assert shape_fingerprint(sent(CONFIG, reads(12))) == shape_fingerprint(
+        sent(CONFIG, writes(12))
+    )
 
 
 def test_real_and_ideal_fingerprints_match():
-    accesses = uniform_random_accesses(KEYS, 10, 8, random.Random(3))
-    real = real_lbl_output(CONFIG, accesses)
-    ideal = ideal_lbl_output(CONFIG, accesses, rng=random.Random(5))
-    assert shape_fingerprint(real) == shape_fingerprint(ideal)
+    requests = mixed(10, seed=3)
+    real = sent(CONFIG, requests)
+    assert shape_fingerprint(real) == shape_fingerprint(simulated(CONFIG, requests, 5))
 
 
 @pytest.mark.parametrize(
@@ -67,63 +99,140 @@ def test_real_and_ideal_fingerprints_match():
     ids=["y1", "y2"],
 )
 def test_fingerprints_match_across_optimizations(config):
-    out_reads = real_lbl_output(config, reads(6))
-    out_writes = real_lbl_output(config, writes(6))
-    assert shape_fingerprint(out_reads) == shape_fingerprint(out_writes)
-    ideal = ideal_lbl_output(config, reads(6), rng=random.Random(3))
-    assert shape_fingerprint(out_reads) == shape_fingerprint(ideal)
+    report = run_audit(LblOrtoa(config), seed=3)
+    assert report.passed, report.summary()
+    checks = {(c.path, c.claim): c for c in report.checks}
+    for path in PATHS:
+        assert checks[path, "shape identity, frames"].passed
+        assert checks[path, "ROR-RW"].detail.startswith(
+            "shape fingerprint equal, size advantage 0.0,"
+        )
 
 
 # --------------------------------------------------------------------- #
-# Statistical adversaries against LBL-ORTOA
+# The exact checks and the histogram statistic against LBL-ORTOA
 # --------------------------------------------------------------------- #
 
 def test_size_adversary_has_zero_advantage():
-    accesses = uniform_random_accesses(KEYS, 8, 8, random.Random(7))
-    real = [real_lbl_output(CONFIG, accesses) for i in range(8)]
-    ideal = [ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(8)]
+    requests = mixed(8, seed=7)
+    real = [sent(CONFIG, requests) for _ in range(8)]
+    ideal = [simulated(CONFIG, requests, seed) for seed in range(8)]
     assert size_advantage(real, ideal) == 0.0
 
 
 def test_byte_histogram_close_to_uniform():
-    accesses = uniform_random_accesses(KEYS, 20, 8, random.Random(7))
-    real = [real_lbl_output(CONFIG, accesses) for i in range(4)]
-    ideal = [ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(4)]
-    assert byte_histogram_advantage(real, ideal) < 0.05
+    requests = mixed(20, seed=7)
+    real = [frame for _ in range(4) for frame in sent(CONFIG, requests)]
+    ideal = [frame for seed in range(4) for frame in simulated(CONFIG, requests, seed)]
+    bound = histogram_bound(sum(map(len, real)), sum(map(len, ideal)))
+    assert histogram_distance(real, ideal) < bound
 
 
-@pytest.mark.parametrize(
-    "make_adversary",
-    [
-        lambda: make_size_adversary(10_000),
-        lambda: make_byte_mean_adversary(),
-        lambda: make_first_block_adversary(),
-    ],
-    ids=["size", "byte-mean", "repeat-prefix"],
-)
-def test_game_advantage_negligible(make_adversary):
-    accesses = uniform_random_accesses(KEYS, 6, 8, random.Random(11))
-    game = RorRwGame(
-        real=lambda a: real_lbl_output(CONFIG, a),
-        ideal=lambda a: ideal_lbl_output(CONFIG, a),
-        rng=random.Random(13),
-    )
-    # With 40 fair coin flips sampling noise is ~0.16 at 1 sigma; an actual
-    # leak (e.g. sizes differing) would give advantage 1.0.
-    assert game.advantage(make_adversary(), accesses, rounds=40) < 0.45
+@pytest.mark.parametrize("adversary", ["size", "byte-mean", "repeat-prefix"])
+def test_game_advantage_negligible(adversary):
+    """Each adversary of the old coin-flip game is now a check on the
+    recorded frames, and none of them has an edge on the honest stack.  The
+    byte mean is a linear function of the byte histogram, so the histogram
+    check stands for it."""
+    requests = mixed(6, seed=11)
+    real = sent(CONFIG, requests)
+    ideal = simulated(CONFIG, requests, 13)
+    if adversary == "size":
+        assert size_advantage([real], [ideal]) == 0.0
+    elif adversary == "byte-mean":
+        bound = histogram_bound(sum(map(len, real)), sum(map(len, ideal)))
+        assert histogram_distance(real, ideal) < bound
+    else:
+        assert fresh_rows("access", real + ideal).passed
 
 
 def test_oracle_adversary_wins_sanity_check():
-    """The game must be able to detect a *broken* scheme: give the adversary
-    an oracle bit (message count parity trick) and check advantage is high.
-    This guards against the game itself being vacuous."""
-    game = RorRwGame(
-        real=lambda a: [b"real"] * len(a),
-        ideal=lambda a: [b"idea", b"l"] * len(a),  # different shape
-        rng=random.Random(17),
+    """The experiment must be able to detect a *broken* scheme: frames whose
+    shape differs from the simulator's fail ROR-RW.  This guards against
+    the experiment itself being vacuous."""
+    requests = reads(2) + writes(1)
+    ror_rw, _fresh = judge_requests("access", CONFIG, requests, [b"real"] * 3)
+    assert ror_rw.passed is False
+    assert ror_rw.detail.startswith("shape fingerprint differs, size advantage 1.0,")
+
+
+# --------------------------------------------------------------------- #
+# The derived histogram bound: false alarms and power
+# --------------------------------------------------------------------- #
+
+_POINT = StoreConfig(value_len=16, group_bits=2)
+
+
+def test_histogram_bound_matches_its_closed_form():
+    # 32 requests of 4461 B each side: 0.030 (mean) + 0.010 (tail at 1e-6).
+    n = 32 * 4461
+    assert histogram_bound(n, n) == pytest.approx(0.0398, abs=5e-5)
+    assert histogram_bound(n // 4, n // 4) == pytest.approx(0.0796, abs=5e-5)
+    assert histogram_bound(n // 8, n // 8) == pytest.approx(0.1125, abs=5e-5)
+
+
+@pytest.mark.parametrize("num_keys", [4, 8, 32])
+def test_simulator_against_the_simulator_stays_under_the_bound(num_keys):
+    requests = _balanced(num_keys)
+    for seed in range(20):
+        frames = simulated(_POINT, requests, 1000 + seed)
+        ror_rw, fresh = judge_requests("access", _POINT, requests, frames, seed)
+        assert ror_rw.passed and fresh.passed, ror_rw.detail
+
+
+@pytest.mark.parametrize("num_keys", [4, 8, 32])
+def test_honest_lbl_stays_under_the_bound(num_keys):
+    """Real against the simulator and reads against writes, on every path."""
+    for seed in range(20):
+        report = run_audit(LblOrtoa(_POINT), num_keys=num_keys, seed=seed)
+        assert report.passed, report.summary()
+
+
+def _biased(frame: bytes) -> bytes:
+    """``frame`` with a tenth of its slab bytes zeroed: a broken keystream."""
+    slab = len(LblAccessRequest.from_bytes(frame).slab)
+    biased = bytearray(frame)
+    for position in range(len(frame) - slab, len(frame), 10):
+        biased[position] = 0
+    return bytes(biased)
+
+
+def test_biased_bytes_fail_the_histogram_bound():
+    requests = _balanced(32)
+    honest = sent(_POINT, requests)
+    assert all(check.passed for check in judge_requests("access", _POINT, requests, honest))
+    biased = [_biased(frame) for frame in honest]
+    ror_rw, fresh = judge_requests("access", _POINT, requests, biased)
+    assert ror_rw.passed is False and fresh.passed
+    # The shape is untouched: only the statistic sees the bias.
+    assert ror_rw.detail.startswith("shape fingerprint equal, size advantage 0.0,")
+    ideal = simulated(_POINT, requests, 0)
+    n = sum(map(len, biased))
+    assert histogram_distance(biased, ideal) > 2 * histogram_bound(n, n)
+    # Biased writes alone: the read/write split sees them.
+    read_frames = [f for f, r in zip(honest, requests) if r.op.is_read]
+    write_frames = [_biased(f) for f, r in zip(honest, requests) if r.op.is_write]
+    bound = histogram_bound(sum(map(len, read_frames)), sum(map(len, write_frames)))
+    assert histogram_distance(read_frames, write_frames) > bound
+
+
+# --------------------------------------------------------------------- #
+# The §1.1 strawman: exact shape identity catches it
+# --------------------------------------------------------------------- #
+
+def test_leaky_one_round_fails_shape_identity():
+    """Its read and write requests differ in size, which the exact check
+    sees with no sample to learn from."""
+    protocol = LeakyOneRound(StoreConfig(value_len=8))
+    protocol.initialize({"k": b"v"})
+    transcripts = [protocol.access(Request.read("k")) for _ in range(5)]
+    transcripts += [
+        protocol.access(Request.write("k", protocol.config.pad(b"x"))) for _ in range(5)
+    ]
+    check = shape_identity(
+        "access", "request size", [(t.op, t.request_bytes) for t in transcripts]
     )
-    adversary = lambda out: len(out) == 3
-    assert game.advantage(adversary, reads(3), rounds=60) > 0.9
+    assert check.passed is False
 
 
 # --------------------------------------------------------------------- #
@@ -158,76 +267,3 @@ def test_lbl_simulator_state_rotates():
     second = sim.simulate("k").to_bytes()
     assert first != second
     assert len(first) == len(second)
-
-
-# --------------------------------------------------------------------- #
-# The learned (linear-classifier) distinguisher
-# --------------------------------------------------------------------- #
-
-# Samples per class; half are held out.  Key material and nonces are drawn
-# fresh on every run, so the held-out accuracy against a leak-free scheme
-# is Binomial(64, 1/2) / 64 and the [0.2, 0.8] band below must leave a
-# negligible tail: 4.6e-7 at this size (3.9 % at 12 samples per class).
-_SAMPLES = 64
-
-
-def test_learned_distinguisher_fails_against_lbl():
-    """Real vs ideal LBL outputs: a trained classifier stays near chance."""
-    from repro.security.distinguisher import learned_distinguisher_accuracy
-
-    accesses = uniform_random_accesses(KEYS, 6, 8, random.Random(2))
-    real = [
-        real_lbl_output(CONFIG, accesses) for i in range(_SAMPLES)
-    ]
-    ideal = [
-        ideal_lbl_output(CONFIG, accesses, rng=random.Random(i)) for i in range(_SAMPLES)
-    ]
-    accuracy = learned_distinguisher_accuracy(real, ideal)
-    assert 0.2 <= accuracy <= 0.8  # chance is 0.5; wide band absorbs noise
-
-
-def test_learned_distinguisher_fails_on_read_vs_write_transcripts():
-    from repro.security.distinguisher import learned_distinguisher_accuracy
-
-    read_outputs = [
-        real_lbl_output(CONFIG, reads(5))
-        for i in range(_SAMPLES)
-    ]
-    write_outputs = [
-        real_lbl_output(CONFIG, writes(5))
-        for i in range(_SAMPLES)
-    ]
-    accuracy = learned_distinguisher_accuracy(read_outputs, write_outputs)
-    assert 0.2 <= accuracy <= 0.8
-
-
-def test_learned_distinguisher_wins_against_a_leaky_scheme():
-    """Sanity: the same classifier must crush the §1.1 leaky strawman,
-    whose read and write requests differ in size."""
-    from repro.core.naive import LeakyOneRound
-    from repro.security.distinguisher import learned_distinguisher_accuracy
-    from repro.types import Request as Req
-
-    def transcript_bytes(is_read, seed):
-        protocol = LeakyOneRound(StoreConfig(value_len=8))
-        protocol.initialize({"k": b"v"})
-        out = []
-        for _ in range(5):
-            if is_read:
-                t = protocol.access(Req.read("k"))
-            else:
-                t = protocol.access(Req.write("k", protocol.config.pad(b"x")))
-            out.append(bytes(t.request_bytes))  # size-only observation
-        return out
-
-    read_outputs = [transcript_bytes(True, i) for i in range(_SAMPLES)]
-    write_outputs = [transcript_bytes(False, i) for i in range(_SAMPLES)]
-    accuracy = learned_distinguisher_accuracy(read_outputs, write_outputs)
-    assert accuracy > 0.9
-
-
-def test_learned_distinguisher_needs_enough_samples():
-    from repro.security.distinguisher import learned_distinguisher_accuracy
-
-    with pytest.raises(ValueError):
-        learned_distinguisher_accuracy([[b"x"]], [[b"y"]] * 8)

@@ -244,7 +244,7 @@ def test_sharded_audit_passes_per_shard():
     batch = {c.claim: c for c in report.checks if c.path == "access_batch"}
     assert batch["one round trip"].detail.startswith("2 request frames, 2 reply")
     bundle = report.to_dict()
-    assert bundle["passed"] and len(bundle["checks"]) == 5 * len(PATHS)
+    assert bundle["passed"] and len(bundle["checks"]) == 6 * len(PATHS)
     assert "2 shard(s)" in report.summary()
 
 
@@ -276,4 +276,4 @@ def test_audit_passes_on_process_backed_shards():
     assert [c.claim for c in unobserved] == ["shape identity, storage"] * len(PATHS)
     assert all(c.detail == "not observed" for c in unobserved)
     judged = [c for c in report.checks if c.passed is not None]
-    assert len(judged) == 4 * len(PATHS) and all(c.passed for c in judged)
+    assert len(judged) == 5 * len(PATHS) and all(c.passed for c in judged)
