@@ -2,43 +2,16 @@
 
 Each benchmark regenerates one paper table/figure, renders it as text, and
 saves it under ``results/`` (pytest captures stdout, so the files are the
-durable record; EXPERIMENTS.md is written from them).  Key metrics also
-flow into ``BENCH_history.json`` via :func:`record_bench`, so ``repro
-bench check`` can gate the trajectory across runs.
+durable record; EXPERIMENTS.md is written from them).  A benchmark's gate
+is the floor it asserts; ``BENCHMARK.json`` is the repo's one performance
+record.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-from repro.harness.bench import BenchRecorder
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-#: One recorder per pytest session so every benchmark module's metrics
-#: share a run id (``repro bench check`` gates the latest *run*).
-_RECORDER: BenchRecorder | None = None
-
-
-def record_bench(
-    metric: str,
-    value: float,
-    *,
-    unit: str | None = None,
-    higher_is_better: bool = True,
-    gate: bool = True,
-) -> None:
-    """Append one measurement to the BENCH_history.json trajectory.
-
-    Gate only self-relative metrics (speedups, overhead fractions) —
-    raw ops/sec do not compare across machines, record them ``gate=False``.
-    """
-    global _RECORDER
-    if _RECORDER is None:
-        _RECORDER = BenchRecorder()
-    _RECORDER.record(
-        metric, value, unit=unit, higher_is_better=higher_is_better, gate=gate
-    )
 
 
 def save_table(name: str, text: str) -> None:

@@ -8,19 +8,15 @@ and machine-portable:
 
 1. **Disabled-path gate** — measured guard cost times a deliberately
    generous per-access guard count must stay under 3% of a warm access.
-2. **Enabled-path record** — the full-capture slowdown (spans + metrics +
-   histograms on) is recorded to the trajectory, ungated: capture is an
-   opt-in diagnostic mode, not a production path.
-
-Results land in ``BENCH_history.json`` (see ``repro bench check``).
+2. **Enabled-path sanity check** — the full-capture slowdown (spans +
+   metrics + histograms on) is printed and only held under 10x: capture is
+   an opt-in diagnostic mode, not a production path.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-
-from conftest import record_bench
 
 from repro import obs
 from repro.core.lbl import LblOrtoa
@@ -89,21 +85,6 @@ def test_disabled_path_overhead_under_3pct():
     access_s = _access_seconds(store)
     guard_s = _guard_seconds()
     overhead = (guard_s * GUARDS_PER_ACCESS) / access_s
-    record_bench(
-        "obs.disabled_overhead_fraction",
-        round(overhead, 6),
-        unit="fraction",
-        higher_is_better=False,
-    )
-    # Trajectory record of the budget itself: a later PR that grows the
-    # guard count shows up in the history next to the overhead it buys.
-    record_bench(
-        "obs.guards_per_access",
-        GUARDS_PER_ACCESS,
-        unit="guards",
-        higher_is_better=False,
-        gate=False,
-    )
     print(
         f"\n[obs overhead] guard {guard_s * 1e9:.1f} ns x {GUARDS_PER_ACCESS} "
         f"vs access {access_s * 1e6:.1f} us -> {overhead:.4%} (gate <3%)"
@@ -116,20 +97,13 @@ def test_disabled_path_overhead_under_3pct():
 
 
 def test_enabled_capture_slowdown_recorded():
-    """Trajectory record: full capture vs disabled (informational, ungated)."""
+    """Full capture vs disabled (informational; only a 10x sanity bound)."""
     obs.disable()
     store = _warm_store()
     disabled_s = _access_seconds(store)
     with obs.capture():
         enabled_s = _access_seconds(store)
     slowdown = enabled_s / disabled_s
-    record_bench(
-        "obs.enabled_capture_slowdown",
-        round(slowdown, 3),
-        unit="x",
-        higher_is_better=False,
-        gate=False,
-    )
     print(
         f"\n[obs overhead] capture on: {enabled_s * 1e6:.1f} us/access "
         f"vs off: {disabled_s * 1e6:.1f} us -> {slowdown:.2f}x"

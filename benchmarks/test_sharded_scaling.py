@@ -11,11 +11,12 @@ Two scaling axes, each measured with real sockets on localhost:
   trip; depth D keeps D requests in flight so throughput approaches
   D× lockstep until the server's worker pool saturates.
 
-Acceptance gates (asserted here, recorded under ``results/``):
-4 shards ≥ 2× the 1-shard batch throughput, and depth 8 ≥ 2× lockstep.
+Acceptance gates (asserted here, tables under ``results/``): 2 shards >
+1.4× and 4 shards ≥ 2× the 1-shard batch throughput; depth 2 > 1.2× and
+depth 8 ≥ 2× lockstep.
 """
 
-from conftest import record_bench, save_table
+from conftest import save_table
 
 from repro.harness.report import render_table
 from repro.transport.cluster import measure_pipeline_gain, measure_shard_scaling
@@ -28,13 +29,6 @@ def test_shard_scaling_throughput():
         render_table("Batch throughput vs shard count (emulated 20 ms service time)", rows),
     )
     by_shards = {row["shards"]: row for row in rows}
-    record_bench("sharded.speedup_4_vs_1", by_shards[4]["speedup_vs_1shard"], unit="x")
-    record_bench(
-        "sharded.service_rps_4shards",
-        by_shards[4]["service_rps"],
-        unit="ops/s",
-        gate=False,
-    )
     assert by_shards[2]["speedup_vs_1shard"] > 1.4
     assert by_shards[4]["speedup_vs_1shard"] >= 2.0
 
@@ -46,10 +40,5 @@ def test_pipeline_depth_throughput():
         render_table("Pipelined throughput vs depth (emulated 10 ms RTT, 1 shard)", rows),
     )
     by_depth = {row["depth"]: row for row in rows}
-    record_bench(
-        "pipeline.speedup_depth8_vs_lockstep",
-        by_depth[8]["speedup_vs_lockstep"],
-        unit="x",
-    )
     assert by_depth[2]["speedup_vs_lockstep"] > 1.2
     assert by_depth[8]["speedup_vs_lockstep"] >= 2.0

@@ -64,10 +64,11 @@ def estimate_lbl_cost(
 
     Storage and communication come from the ledger-validated cost model:
     per object the server holds the encoded key plus ``ceil(t/y)`` labels
-    (§5.3.1 with §10.1's grouping); per access the wire carries
-    ``2^y · ceil(t/y)`` AEAD ciphertexts out and the packed slots plus one
-    digest back — including real framing, nonces, and tags, exactly as
-    measured.
+    (§5.3.1 with §10.1's grouping); per access the wire carries the
+    point-and-permute rows, with check bytes on group 0 only, out and the
+    packed slots plus one digest back
+    (:attr:`~repro.analysis.costmodel.LblCostModel.request_bytes` and
+    ``response_bytes``) — exactly the bytes the ledger measures.
     """
     if num_objects < 1 or value_bits < 1:
         raise ConfigurationError("num_objects and value_bits must be positive")

@@ -14,7 +14,6 @@ Usage::
     python -m repro obs                       # obliviousness audit + metrics
     python -m repro trace --chrome t.json     # merged trace -> Perfetto JSON
     python -m repro doctor localhost:9464     # name the bottleneck (or healthy)
-    python -m repro bench check               # regression gate vs BENCH history
 
 Experiment names match :mod:`repro.harness.experiments` (``table2``,
 ``figure2a`` … ``figure6``, ``fhe_noise``, ``dollar_cost``).  The global
@@ -33,7 +32,6 @@ from typing import Sequence
 from repro import obs
 from repro.errors import OrtoaError
 from repro.harness import experiments
-from repro.harness.bench import DEFAULT_HISTORY, DEFAULT_THRESHOLD
 from repro.harness.report import render_table, rows_to_csv
 from repro.obs.logging import LEVELS
 
@@ -218,21 +216,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print("assumptions:")
     for name, value in plan_dict["assumptions"].items():
         print(f"  {name:32s} {value}")
-    if args.record:
-        from repro.harness.bench import BenchRecorder
-
-        recorder = BenchRecorder()
-        for metric, value, unit in (
-            ("plan.bytes_per_access", plan.bytes_per_access, "bytes"),
-            ("plan.projected_p99_ms", plan.projected_p99_ms, "ms"),
-            ("plan.dollars_per_day", plan.dollars_per_day, "$/day"),
-        ):
-            # Planner projections are model outputs, not measurements:
-            # record the trajectory, never gate on them.
-            recorder.record(
-                metric, value, unit=unit, higher_is_better=False, gate=False
-            )
-        print(f"recorded planner projections to {recorder.path}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(plan_dict, handle, indent=2)
@@ -383,28 +366,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         predicted_ops_per_shard=args.predicted_ops,
         json_mode=args.json,
     )
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Gate the latest benchmark run against the best recorded runs."""
-    from repro.harness.bench import check_history
-
-    try:
-        results = check_history(args.history, threshold=args.threshold)
-    except OrtoaError as exc:
-        print(f"cannot check {args.history}: {exc}", file=sys.stderr)
-        return 2
-    if not results:
-        print("no benchmark history recorded yet (nothing to gate)")
-        return 0
-    regressed = False
-    for result in results:
-        print(result.message)
-        regressed = regressed or result.regressed
-    if regressed and args.warn_only:
-        print("regressions found, but --warn-only set", file=sys.stderr)
-        return 0
-    return 1 if regressed else 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -570,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(planner assumption)",
     )
     plan.add_argument(
-        "--record",
-        action="store_true",
-        help="append planner projections to the BENCH trajectory (ungated)",
-    )
-    plan.add_argument(
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
@@ -679,33 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full diagnosis as JSON instead of the report",
     )
     doctor.set_defaults(func=_cmd_doctor)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark trajectory tools (see `repro bench check`)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="fail if the latest run's gated metrics regressed >20%% vs the "
-        "best recorded run (warns when there is no history yet)",
-    )
-    bench_check.add_argument(
-        "--history",
-        default=str(DEFAULT_HISTORY),
-        help="trajectory file (default: BENCH_history.json at the repo root)",
-    )
-    bench_check.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="allowed fractional regression vs best (default: 0.2)",
-    )
-    bench_check.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (bootstrap mode)",
-    )
-    bench_check.set_defaults(func=_cmd_bench_check)
 
     reproduce = sub.add_parser(
         "reproduce", help="run every experiment, one table file per artifact"

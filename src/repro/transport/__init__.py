@@ -29,8 +29,6 @@ _EXPORTS = {
     "LocalLink": "repro.transport.pipeline",
     "PipelinedLblClient": "repro.transport.pipeline",
     "ShardCluster": "repro.transport.cluster",
-    "TeeTcpServer": "repro.transport.tee_server",
-    "RemoteTeeOrtoa": "repro.transport.tee_client",
 }
 
 __all__ = list(_EXPORTS)
