@@ -10,8 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# Every figure reproduction and floor gate; the few timing-only tests that
+# take pytest-benchmark's fixture run once each.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/
 
 # Regenerate every paper table/figure into results/.
 reproduce: bench

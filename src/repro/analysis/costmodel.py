@@ -1,7 +1,7 @@
 """Closed-form resource model for LBL-ORTOA accesses (paper §6.3.3).
 
 The ledger (:mod:`repro.obs.ledger`) *measures* what an access costs — bytes
-on the wire, PRF calls, the SHAKE-256 and SHA-256 blocks behind them, AEAD
+on the wire, PRF calls, the SHAKE-256, SHA-256 and AES blocks behind them, AEAD
 operations.  This module *predicts* the same quantities symbolically, as
 functions of the deployment parameters: value size, label width and the
 §10.1 grouping factor ``y`` (the tables are §10.2 rows).  The two views
@@ -76,7 +76,7 @@ class LblCostModel:
             group_bits=self.group_bits,
         )
         # The codec is used purely for its shape and message-length
-        # arithmetic (epoch_blocks); the key material is irrelevant.
+        # arithmetic (epoch_ops); the key material is irrelevant.
         object.__setattr__(
             self,
             "_codec",
@@ -248,9 +248,11 @@ class LblCostModel:
         ``prf.calls`` are calls actually made: one XOF call per epoch
         derived plus the HMAC key encoding, whose SHA-256 work is
         ``sha256.compressions``; ``shake256.blocks`` are the 136-byte blocks
-        the XOF calls absorb and squeeze; ``aes.blocks`` are the 16-byte
-        blocks §10.2 rows put through the fixed-key permutation — every
-        table entry on the proxy, one designated row per group on the server.
+        the XOF calls absorb and squeeze (16 bytes, an epoch's AES key);
+        ``aes.blocks`` are the 16-byte AES blocks of each epoch's keystream
+        (``ceil(epoch_len / 16)``) plus those §10.2 rows put through the
+        fixed-key permutation — every table entry on the proxy, one
+        designated row per group on the server.
 
         Args:
             include_server: Include the server-side opens: exactly one row
@@ -261,31 +263,27 @@ class LblCostModel:
         # ``prepare`` derives the old and the new epoch once each.
         codec = self._codec
         calls, compressions = self._encode_key_cost
+        epochs = [codec.epoch_ops(self.key, ct) for ct in (self.counter, self.counter + 1)]
         ops = {
-            "prf.calls": calls + 2,
+            "prf.calls": calls + sum(epoch["prf.calls"] for epoch in epochs),
             "sha256.compressions": compressions,
-            "shake256.blocks": (
-                codec.epoch_blocks(self.key, self.counter)
-                + codec.epoch_blocks(self.key, self.counter + 1)
-            ),
+            "shake256.blocks": sum(epoch["shake256.blocks"] for epoch in epochs),
             "aead.encrypts": self.num_groups * self.table_size,
         }
-        ops["aes.blocks"] = ops["aead.encrypts"] * self.entry_compressions
+        ops["aes.blocks"] = sum(epoch["aes.blocks"] for epoch in epochs) + (
+            ops["aead.encrypts"] * self.entry_compressions
+        )
         if include_server:
             ops["aead.decrypts"] = self.num_groups
             ops["aes.blocks"] += self.num_groups * self.entry_compressions
         return ops
 
     def proxy_hash_blocks(self) -> int:
-        """Primitive blocks the proxy computes per access: the XOF blocks of
-        its epochs, the key encoding, and every table entry it builds — the
-        unit :func:`plan_capacity` prices proxy CPU in."""
+        """Primitive blocks the proxy computes per access: the XOF and AES
+        blocks of its epochs, the key encoding, and every table entry it
+        builds — the unit :func:`plan_capacity` prices proxy CPU in."""
         ops = self.ops(include_server=False)
-        return (
-            ops["shake256.blocks"]
-            + ops["sha256.compressions"]
-            + ops["aead.encrypts"] * self.entry_compressions
-        )
+        return ops["shake256.blocks"] + ops["sha256.compressions"] + ops["aes.blocks"]
 
 
 # --------------------------------------------------------------------- #
@@ -297,10 +295,11 @@ class LblCostModel:
 #: model makes bytes and primitive blocks exact, while sustained rates are
 #: hardware-dependent calibration points.  The block rate is what one core
 #: of the ``bench/`` host sustains through the library calls and the Python
-#: around them: 8,296 blocks (614 SHAKE-256 + 2 SHA-256 + 7,680 AES) in the
-#: ≈ 1.85 ms ``prepare`` + ``finalize`` of one paper-point access.
+#: around them: 12,886 blocks (4 SHAKE-256 + 2 SHA-256 + 5,200 epoch AES +
+#: 7,680 row AES) in the ≈ 0.57 ms ``prepare`` + ``finalize`` of one
+#: paper-point access (``bench/run.py --trace 1``: 0.49 + 0.075 ms).
 DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
-DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_500_000.0
+DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 22_800_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Server-side calibration points.  One designated row open is three AES

@@ -2,7 +2,8 @@
 
 The server's labels under counter ``ct`` are the epoch the proxy derived for
 access ``ct``; the proxy drops entries when a counter leaves ``ct → ct + 1``.
-A derivation is one XOF call, so a hit saves little (``docs/performance.md``).
+A derivation is a 16-byte XOF squeeze and one AES-CTR keystream, so a hit
+saves little (``docs/performance.md``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Per access to key ``k`` with counter ``ct`` the proxy:
 
 1. regenerates the *old* epoch — every candidate label of every group, and
-   the permute offsets, in one XOF call — covering all ``2^y`` candidates
-   because the actual value lives only at the server;
+   the permute offsets, in one AES-CTR keystream — covering all ``2^y``
+   candidates because the actual value lives only at the server;
 2. generates the *new* epoch under ``ct + 1``;
 3. builds, per group, a table of ``2^y`` rows: for reads each old label
    seals its *own* new label (value preserved); for writes every old label
@@ -24,12 +24,13 @@ that fell out — recovery, rollback, eviction — is re-derived).
 
 An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
 <repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
-and matched against as such.  No Python loop runs per row or group:
-:meth:`LblProxy.prepare` picks the table's keys and labels out of the two
-blobs with one ``itemgetter`` per epoch and seals them in one kernel call
+and matched against as such; its labels are in slot order, so the old
+epoch's label run *is* the table's keys.  No loop runs per row or group:
+:meth:`LblProxy.prepare` picks the carried labels out of the new epoch with
+one ``itemgetter`` and seals the table in one kernel call
 (:func:`~repro.crypto.rows.seal_rows`), the old epoch optionally from the
 :class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` picks
-the labels the reply's value selects with one ``itemgetter`` to hash them.
+the labels the reply's slots select with one ``itemgetter`` to hash them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
 from repro.core.lbl.cache import LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
-from repro.crypto.aead import _xor
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredRecord, picker, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
@@ -92,7 +92,7 @@ class LblProxy:
             self.label_cache = LabelCache(config.label_cache_entries)
         groups, size = codec.num_groups, codec.table_size
         # Per table row in wire order (group-major, slot-minor): its slot, and
-        # the picker of a label of its group in ``codec.labels``.
+        # the picker of an entry of its group in ``codec.labels``.
         self._row_slots = bytes(range(size)) * groups
         self._pick = picker([i * size for i in range(groups) for _ in range(size)])
         self._zeros = bytes(groups * size)
@@ -179,7 +179,7 @@ class LblProxy:
         """Encode every plaintext pair into the server's stored form.
 
         One epoch derivation per record: the value's groups select the
-        labels to store and the slots to open.  Every key and value is
+        slots to open and the labels there to store.  Every key and value is
         checked before any counter is registered, so a refused call leaves
         the proxy as it found it.
         """
@@ -271,20 +271,18 @@ class LblProxy:
         self, old: bytes, new: bytes, new_value: "bytes | None"
     ) -> "tuple[bytes, bytes, bytes]":
         """``(keys, labels, slots)`` of one access's point-and-permute rows, in
-        row order (group-major, slot-minor), picked out of the two epochs: slot
-        ``s`` of group ``i`` is keyed by the old label of ``v = s ^ r_i`` and
-        carries the new label of ``v`` (a read) or ``w_i`` (a write) and that
-        label's next slot.  A read and a write make the same calls."""
+        row order (group-major, slot-minor).  Both epochs are in slot order,
+        so row ``s`` of group ``i`` is keyed by the old epoch's entry ``s`` —
+        its label run is the keys — and carries the new epoch's entry at its
+        next slot ``t ⊕ r'_i``, where ``t = s ⊕ r_i`` (a read) or ``w_i`` (a
+        write).  A read and a write make the same calls."""
         codec = self.codec
-        offsets = codec.offsets(old)
-        base, by_group = self._row_slots, offsets  # a read: each row keeps its value
+        base, by_group = self._row_slots, codec.offsets(old)  # a read: s ⊕ r_i ⊕ r'_i
         if new_value is not None:
-            base, by_group = self._zeros, new_value  # a write: every row carries w_i
-        targets = _xor(base, self._per_row(by_group))
-        next_slots = _xor(targets, self._per_row(codec.offsets(new)))
-        keys = self._pick(_xor(self._row_slots, self._per_row(offsets)))(codec.labels(old))
-        labels = self._pick(targets)(codec.labels(new))
-        return codec.join(*keys), codec.join(*labels), next_slots
+            base, by_group = self._zeros, new_value  # a write: w_i ⊕ r'_i on every row
+        next_slots = rows.xor(base, self._per_row(rows.xor(by_group, codec.offsets(new))))
+        labels = self._pick(next_slots)(codec.labels(new))
+        return old[: codec.labels_len], codec.join(*labels), next_slots
 
     def transcript(
         self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,

@@ -41,6 +41,7 @@ import hashlib
 import hmac
 import secrets
 
+from repro.crypto.rows import xor as _xor
 from repro.errors import ConfigurationError, DecryptionError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -97,12 +98,6 @@ def _keystream(ipad: bytes, opad: bytes, nonce: bytes, length: int) -> bytes:
             sha(opad + sha(head + counter.to_bytes(4, "big")).digest()).digest()
         )
     return b"".join(blocks)[:length]
-
-
-def _xor(data: bytes, keystream: bytes) -> bytes:
-    """XOR ``data`` with a keystream of at least the same length."""
-    n = len(data)
-    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")).to_bytes(n, "big")
 
 
 def encrypt(key: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:

@@ -2,7 +2,8 @@
 
 A deployment owns a single master secret from which every other key is
 derived with domain separation: the key-encoding PRF, the keyed label XOF
-(labels and point-and-permute offsets are one output of it per epoch), and
+(one AES key per epoch, whose keystream is the labels and point-and-permute
+offsets), and
 the symmetric data key used by the TEE and baseline variants.  Deriving
 (rather than storing) keys keeps proxy state small — the paper's proxy
 stores only access counters (§5.3.1) plus this one secret.

@@ -5,9 +5,9 @@ LBL-ORTOA represents a plaintext value by one secret label per *group* of
 space-optimized optimum of §10.1).  Labels are deterministic PRF outputs, so
 the proxy can regenerate the labels currently stored at the server from
 nothing but the object's key and its access counter.  Everything an access
-needs of one counter value — every candidate label of every group, then the
-point-and-permute offsets of §10.2 — is **one epoch**: one ``bytes`` blob out
-of one keyed-XOF call (:meth:`LabelCodec.epoch`).  This module owns:
+needs of one counter value — every candidate label of every group, in slot
+order, then the point-and-permute offsets of §10.2 — is **one epoch**: one
+``bytes`` blob, an AES-CTR keystream (:meth:`LabelCodec.epoch`).  It owns:
 
 * bit/group packing between ``bytes`` values and group-value tuples,
 * epoch derivation and the views of an epoch blob (labels, offsets, the
@@ -23,11 +23,13 @@ import hmac
 import struct
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter, xor
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from repro.crypto.aead import _xor
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from repro.crypto.prf import encode_components, xof_blocks
+from repro.crypto.rows import BLOCK, to_bytes, to_int, xor
 from repro.errors import ConfigurationError, TamperDetectedError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -58,8 +60,8 @@ def _regroup(symbols: bytes, width: int, new_width: int, count: int) -> bytes:
         parts[k : len(symbols) * per : per] = symbols.translate(table)
     total = 0
     for k, shift in enumerate(range(new_width - unit, -1, -unit)):
-        total |= int.from_bytes(parts[k : count * fields : fields], "big") << shift
-    return total.to_bytes(count, "big")
+        total |= to_int(parts[k : count * fields : fields]) << shift
+    return to_bytes(total, count)
 
 
 def pack_slots(slots: bytes, bits: int) -> bytes:
@@ -67,6 +69,9 @@ def pack_slots(slots: bytes, bits: int) -> bytes:
     dropped), most significant first, zero-padded to whole bytes."""
     return _regroup(slots, bits, 8, -(-len(slots) * bits // 8))
 
+
+#: Bytes of an epoch's AES key, squeezed from the keyed label XOF.
+_EPOCH_KEY_LEN = 16
 
 #: Bytes of a reply's digest of the labels its access opened.
 REPLY_DIGEST_LEN = 16
@@ -81,13 +86,13 @@ def picker(starts: "list[int] | range") -> "Callable[[bytes], Callable]":
     """``values`` → the getter of entries ``starts[n] | values[n]`` as a
     tuple: the indices are one OR of 32-bit words, read by one struct call."""
     count = len(starts)
-    words = int.from_bytes(struct.pack(f">{count}I", *starts), "big")
+    words = to_int(struct.pack(f">{count}I", *starts))
     indices = struct.Struct(f">{count}I").unpack
 
     def pick(values: bytes) -> Callable:
         spread = bytearray(4 * count)
         spread[3::4] = values
-        got = indices((int.from_bytes(spread, "big") | words).to_bytes(4 * count, "big"))
+        got = indices(to_bytes(to_int(spread) | words, 4 * count))
         return itemgetter(*got) if count > 1 else lambda sequence: (sequence[got[0]],)
 
     return pick
@@ -142,17 +147,18 @@ class LabelCodec:
 
     **Derivation.**  The epoch of ``key`` at counter ``ct`` is::
 
-        xof.copy().update(header ‖ encode_components(key, ct))
-                  .digest(G·2^y·label_len + G)
+        k    = xof.copy().update(header ‖ encode_components(key, ct)).digest(16)
+        blob = AES-128-CTR_k(0^12 ‖ 00000002)[: G·2^y·label_len + G]
 
-    where ``xof`` is the keyed SHAKE-256 of the label subkey
-    (:func:`~repro.crypto.prf.keyed_xof`) and ``header`` encodes the shape
-    ``(G, 2^y, label_len)`` so no two deployments share a stream.  Label
-    ``v`` of group ``i`` is bytes ``[(i·2^y + v)·label_len, +label_len)`` of
-    the blob; the permute offset of group ``i`` is byte ``G·2^y·label_len +
-    i`` reduced ``mod 2^y``.  A sponge's output is one pseudorandom string,
-    so disjoint slices are independent labels, each as unpredictable as a
-    PRF call of its own.
+    — ``AESGCM(k)`` over zeros, tag cut off — where ``xof`` is the keyed
+    SHAKE-256 of the label subkey and ``header`` encodes the shape ``(G,
+    2^y, label_len)``; each ``k`` encrypts once, so the nonce is fixed.  The
+    permute offset ``r_i`` is byte ``G·2^y·label_len + i`` mod ``2^y``, and
+    the labels are **in slot order**: entry ``s`` of group ``i`` (bytes
+    ``[(i·2^y + s)·label_len, +label_len)``) is the label of value ``s ⊕
+    r_i`` — a relabelling of i.i.d. entries that makes the old epoch's label
+    run a table's row keys, and a label's index in its group its slot
+    (``docs/security-model.md``).
 
     Args:
         xof: The keyed label XOF (from :class:`~repro.crypto.keys.KeyChain`).
@@ -178,12 +184,13 @@ class LabelCodec:
         #: Bytes of labels at the head of an epoch blob / of the whole blob.
         self.labels_len = self.num_groups * self.table_size * label_len
         self.epoch_len = self.labels_len + self.num_groups
+        self._zeros = bytes(self.epoch_len)
         self._header = encode_components(self.num_groups, self.table_size, label_len)
         split = struct.Struct(f"{label_len}s" * (self.num_groups * self.table_size))
         #: Every label of an epoch, in :meth:`labels` order, back to back.
         self._split, self.join = split.unpack_from, split.pack
         self._last_split: "tuple[bytes | None, tuple[bytes, ...]]" = (None, ())
-        # The labels one value per group selects, in :meth:`labels`.
+        # The labels at one slot per group, in :meth:`labels`.
         self._pick = picker(range(0, self.num_groups * self.table_size, self.table_size))
         #: Bytes of a reply's packed slots, and its pad bits in the last one.
         self.slot_bytes = -(-self.num_groups * group_bits // 8)
@@ -200,26 +207,29 @@ class LabelCodec:
         return self._header + encode_components(key, counter)
 
     def epoch(self, key: str, counter: int) -> bytes:
-        """Every candidate label, then every permute-offset byte, of
-        ``key`` at ``counter`` — one XOF call."""
+        """Every candidate label, in slot order, then every permute-offset
+        byte, of ``key`` at ``counter`` — a 16-byte XOF squeeze and one
+        AES-CTR keystream."""
         message = self._message(key, counter)
         if _obs.enabled:
-            _ledger.add_op("prf.calls")
-            _ledger.add_op("shake256.blocks", xof_blocks(len(message), self.epoch_len))
+            for op, n in self.epoch_ops(key, counter).items():
+                _ledger.add_op(op, n)
         xof = self._xof.copy()
         xof.update(message)
-        return xof.digest(self.epoch_len)
+        return AESGCM(xof.digest(_EPOCH_KEY_LEN)).encrypt(bytes(12), self._zeros, None)[:-16]
 
-    def epoch_blocks(self, key: str, counter: int) -> int:
-        """The ``shake256.blocks`` one :meth:`epoch` call costs, from the
-        message length alone — what the analytic cost model predicts and
-        ``repro plan --check`` holds to the ledger exactly."""
-        return xof_blocks(len(self._message(key, counter)), self.epoch_len)
+    def epoch_ops(self, key: str, counter: int) -> "dict[str, int]":
+        """The ledger ops one :meth:`epoch` call costs, from the message
+        length and the shape alone — what the analytic cost model predicts
+        and ``repro plan --check`` holds to the ledger exactly."""
+        xof = xof_blocks(len(self._message(key, counter)), _EPOCH_KEY_LEN)
+        return {"prf.calls": 1, "shake256.blocks": xof, "aes.blocks": -(-self.epoch_len // BLOCK)}
 
     def labels(self, blob: bytes) -> tuple[bytes, ...]:
-        """An epoch's ``num_groups · 2^y`` labels, group-major: label ``v``
-        of group ``i`` is entry ``i · 2^y + v``.  The last blob's split is
-        kept: ``prepare`` splits the new epoch, ``finalize`` reads it back."""
+        """An epoch's ``num_groups · 2^y`` labels: entry ``i · 2^y + s`` is
+        group ``i``'s at slot ``s``, that of value ``s ⊕ r_i``.  The last
+        blob's split is kept: ``prepare`` splits the new epoch, ``finalize``
+        reads it back."""
         last = self._last_split
         if last[0] is not blob:
             last = self._last_split = (blob, self._split(blob))
@@ -229,28 +239,20 @@ class LabelCodec:
         """An epoch's per-group permute offsets ``r`` (§10.2), one byte each."""
         return blob[self.labels_len :].translate(self._offset_table)
 
-    def _check_groups(self, groups: "tuple[int, ...] | list[int]") -> None:
-        if len(groups) != self.num_groups:
-            raise ConfigurationError(
-                f"expected {self.num_groups} group values, got {len(groups)}"
-            )
-        if not 0 <= min(groups) <= max(groups) < self.table_size:
-            raise ConfigurationError(
-                f"group value out of range for y={self.group_bits}"
-            )
-
     def select(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
-        """The label of ``groups[i]`` for every group ``i``, back to back —
-        what the server stores for the value ``groups`` spells."""
-        self._check_groups(groups)
-        return b"".join(self._pick(bytes(groups))(self.labels(blob)))
+        """The label of ``groups[i]`` — its entry at its :meth:`slots` slot —
+        for every group ``i``, back to back: what the server stores."""
+        return b"".join(self._pick(self.slots(blob, groups))(self.labels(blob)))
 
     def slots(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
         """Which table slot the server must open per group at this epoch:
         ``groups[i] XOR r_i`` (§10.2's ``d1 d2 = b1 b2 ⊕ r1 r2``, for ``y``
         bits)."""
-        self._check_groups(groups)
-        return bytes(map(xor, groups, self.offsets(blob)))
+        if len(groups) != self.num_groups:
+            raise ConfigurationError(f"expected {self.num_groups} group values, got {len(groups)}")
+        if not 0 <= min(groups) <= max(groups) < self.table_size:
+            raise ConfigurationError(f"group value out of range for y={self.group_bits}")
+        return xor(bytes(groups), self.offsets(blob))
 
     # ------------------------------------------------------------------ #
     # Inversion (proxy decodes the server's reply after every access)
@@ -261,9 +263,9 @@ class LabelCodec:
         its digest is that of the labels the value selects (§5.4).
 
         Group ``i``'s slot is ``v_i ⊕ r_i`` (§10.2), so one XOR with the
-        offset bytes packed at ``y`` bits (each kept ``mod 2^y``) gives the
-        value.  A reply naming another value needs a label the server never
-        opened; a stale or foreign one digests another epoch's or key's labels.
+        offset bytes packed at ``y`` bits gives the value, and the slots index
+        its labels.  A reply naming another value needs a label the server
+        never opened; a stale or foreign one digests another epoch's labels.
 
         Raises:
             TamperDetectedError: the reply is not one ``y``-bit slot per group,
@@ -274,9 +276,9 @@ class LabelCodec:
                 f"reply of {len(slots)} B of {slot_bits}-bit slots and a {len(digest)} B digest is "
                 "not one slot per group, zero pad bits and a digest: data was tampered"
             )
-        value = _xor(slots, _regroup(blob[self.labels_len :], self.group_bits, 8, self.slot_bytes))
-        groups = _regroup(value, 8, self.group_bits, self.num_groups)
-        expected = b"".join(self._pick(groups)(self.labels(blob)))
+        value = xor(slots, _regroup(blob[self.labels_len :], self.group_bits, 8, self.slot_bytes))
+        at = _regroup(slots, 8, self.group_bits, self.num_groups)
+        expected = b"".join(self._pick(at)(self.labels(blob)))
         if not hmac.compare_digest(reply_digest(expected), digest):
             raise TamperDetectedError(
                 "reply digest is not that of the labels its slots select: data was tampered"

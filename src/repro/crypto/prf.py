@@ -9,9 +9,8 @@ Two keyed primitives serve them, each chosen for the shape of its work:
   and subkey derivation.  The keyed HMAC state is computed once per
   :class:`Prf` and ``.copy()``-ed per evaluation.
 * :func:`keyed_xof` — SHAKE-256 with the key absorbed as one full rate block
-  (the prefix-keyed sponge of KMAC, NIST SP 800-185), for the one long
-  output: a whole label epoch in a single call
-  (:meth:`repro.crypto.labels.LabelCodec.epoch`).
+  (the prefix-keyed sponge of KMAC, NIST SP 800-185), for each label
+  epoch's 16-byte AES-CTR key (:meth:`repro.crypto.labels.LabelCodec.epoch`).
 
 Determinism — same inputs, same output, forever — is exactly the property
 the protocols lean on.  Inputs are encoded injectively by
@@ -238,34 +237,12 @@ class Prf:
         if n <= 0:
             raise ConfigurationError("PRF output length must be positive")
         prefix = b"".join(_encode_component(c) for c in prefix_components)
-        encode = _encode_component
-        digest_len = _DIGEST_BYTES
         out: list[bytes] = []
-        append = out.append
-        if n <= digest_len:
-            head = _ZERO_COUNTER + prefix
-            messages = [
-                head + b"".join([encode(c) for c in suffix]) for suffix in suffixes
-            ]
-            if _obs.enabled and messages:
-                _ledger.add_prf(
-                    len(messages), sum(hmac_compressions(len(m)) for m in messages)
-                )
-            # Single-block fast path: two state copies + updates per output.
-            inner0 = self._inner0
-            outer0 = self._outer0
-            for message in messages:
-                inner = inner0.copy()
-                inner.update(message)
-                outer = outer0.copy()
-                outer.update(inner.digest())
-                append(outer.digest()[:n])
-        else:
-            for suffix in suffixes:
-                message = prefix + b"".join([encode(c) for c in suffix])
-                if _obs.enabled:
-                    _ledger.add_prf(1, hmac_compressions(4 + len(message), n))
-                append(self._raw(message, n))
+        for suffix in suffixes:
+            message = prefix + b"".join([_encode_component(c) for c in suffix])
+            if _obs.enabled:
+                _ledger.add_prf(1, hmac_compressions(4 + len(message), n))
+            out.append(self._raw(message, n))
         return out
 
     def context(

@@ -28,9 +28,9 @@ head rows' check bytes — the blobs both ends hold (:func:`split_rows` /
 :func:`join_rows` are the row-by-row view; one row is a slab, a head row).
 Every row's pad is ``row_blocks(L + 16)`` blocks, check bytes or not.
 
-**Whole-slab work.**  No Python loop runs per row: XOR is big-integer XOR,
-and bytes move between the runs and π's block planes by struct calls built
-once per shape (``_layout``), one body for every label width.
+**Whole-slab work.**  No Python loop runs per row: only the bytes a slab
+keeps are XORed, as big integers (through :func:`to_int` / :func:`to_bytes`),
+moved by struct calls and strided slices built once per shape (``_layout``).
 
 **The context.**  An ECB context is a stream and is not shareable: a partial
 block stays buffered and shifts every later call; two threads in it at once
@@ -49,7 +49,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
-from repro.crypto.aead import _xor
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -76,6 +75,24 @@ BLOCK = 16
 _PI_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
 
 _contexts = threading.local()
+
+
+def to_int(data: bytes) -> int:
+    """``data`` as a big-endian integer: the kernel's one way in."""
+    return int.from_bytes(data, "big")
+
+
+def to_bytes(value: int, length: int) -> bytes:
+    """``value`` as ``length`` big-endian bytes: the kernel's one way out."""
+    return value.to_bytes(length, "big")
+
+
+def xor(data: bytes, *others: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` bytes of each of ``others``."""
+    n, value = len(data), to_int(data)
+    for other in others:
+        value ^= to_int(other[:n])
+    return to_bytes(value, n)
 
 
 def _count(op: str, n: int) -> None:
@@ -124,7 +141,8 @@ def join_rows(rows: "list[bytes] | tuple[bytes, ...]", head: int) -> bytes:
 def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[bytes], bytes]":
     """A function copying ``(source, target, length)`` segments of a buffer
     into ``size`` zero bytes: one struct unpack, at most one itemgetter, one
-    struct pack.  Segments adjacent on both sides merge into one field."""
+    struct pack — or, when that is one prefix, a slice.  Segments adjacent on
+    both sides merge into one field."""
     merged: "list[list[int]]" = []
     for source, target, length in sorted(segments, key=itemgetter(1)):
         last = merged[-1] if merged else [0, 0, -1]
@@ -132,6 +150,10 @@ def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[b
             last[2] += length
         else:
             merged.append([source, target, length])
+
+    if len(merged) == 1 and merged[0][:2] == [0, 0]:  # a prefix: no copy to make
+        length = merged[0][2]
+        return lambda buffer: bytes(buffer[:length]).ljust(size, b"\0")
 
     def fields(spans: "list[list[int]]", end: int = 0) -> str:
         ends = [0] + [start + length for start, length in spans]
@@ -148,28 +170,30 @@ def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[b
 
 @lru_cache(maxsize=32)
 def _layout(n: int, key_len: int, label_len: int, head: int) -> tuple:
-    """``(seeds, payload, split)`` of ``n`` rows, the first ``head`` of them
-    head rows.  Pads leave π as planes (block ``j`` of every row, rows back
-    to back): ``seeds`` takes keys to their first blocks, ``payload`` labels
-    to the planes holding them, ``split`` planes to the label, slot and
-    check runs."""
+    """``(seeds, planes, load, unload, slot, checks, hidden)`` of ``n`` rows,
+    the first ``head`` of them head rows, π's output being planes (block
+    ``j`` of every row, rows back to back): keys to their first blocks, the
+    label run to and from the ``planes`` label planes, where the slot column
+    starts, the head rows' check columns out of π's output and out of π(x)."""
     plane, row_len = n * BLOCK, label_len + SLOT_LEN
 
-    def rows(first: int, last: int, to: int, count: int) -> "list[tuple[int, int, int]]":
-        # Columns [first, last) of the first ``count`` rows, cut per block,
-        # to ``to`` onwards.
+    def rows(first: int, last: int, count: int, stride: int = plane) -> "list[tuple]":
+        # Columns [first, last) of ``count`` rows, planes ``stride`` apart, to a run.
         cuts = [first, *range(first // BLOCK * BLOCK + BLOCK, last, BLOCK), last]
-        cut = [(a // BLOCK * plane + a % BLOCK, a - first, b - a) for a, b in zip(cuts, cuts[1:])]
+        cut = [(a // BLOCK * stride + a % BLOCK, a - first, b - a) for a, b in zip(cuts, cuts[1:])]
         width = last - first
-        return [(at + r * BLOCK, to + r * width + c, w) for r in range(count) for at, c, w in cut]
+        return [(at + r * BLOCK, r * width + c, w) for r in range(count) for at, c, w in cut]
 
-    labels = rows(0, label_len, 0, n)
-    slots = rows(label_len, row_len, n * label_len, n)
-    checks = rows(row_len, row_len + CHECK_LEN, n * row_len, head)
+    planes, labels = row_blocks(label_len), rows(0, label_len, n)
+    checks = (row_len, row_len + CHECK_LEN, head)
     return (
         _regather([(r * key_len, r * BLOCK, BLOCK) for r in range(n)], plane),
-        _regather([(t, s, w) for s, t, w in labels], -(-label_len // BLOCK) * plane),
-        _regather(labels + slots + checks, n * row_len + head * CHECK_LEN),
+        planes,
+        _regather([(t, s, w) for s, t, w in labels], planes * plane),
+        _regather(labels, n * label_len),
+        label_len // BLOCK * plane + label_len % BLOCK,
+        _regather(rows(*checks), head * CHECK_LEN),
+        _regather(rows(*checks, stride=0), head * CHECK_LEN),
     )
 
 
@@ -177,12 +201,12 @@ def _layout(n: int, key_len: int, label_len: int, head: int) -> tuple:
 _LAST_BYTE_XOR = [bytes(b ^ j for b in range(256)) for j in range(MAX_ROW_LEN // BLOCK)]
 
 
-def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int, head: int) -> bytes:
-    """The labels of ``n`` rows XORed with their pads under ``keys``, then the
-    pads' slot run and the first ``head`` rows' check pads; every width is
-    validated before π sees a byte.  π over the seeds is read once for all
-    planes, plane ``j``'s π input is plane 0's with each block's last byte
-    translated, and only label planes are read."""
+def _mix(keys: bytes, nonce: bytes, labels: bytes, slots: bytes, head: int) -> bytes:
+    """The slab of ``n = len(slots)`` rows under ``keys``: ``labels`` and
+    ``slots`` XORed with their pads, then the first ``head`` rows' check
+    pads; every width is validated before π sees a byte.  Plane ``j``'s π
+    input is plane 0's with each block's last byte translated."""
+    n = len(slots)
     if n < 1 or not labels or len(labels) % n:
         raise ConfigurationError("row labels must be equal-width, one per row")
     key_len, label_len = len(keys) // n, len(labels) // n
@@ -194,20 +218,20 @@ def _mix(keys: bytes, nonce: bytes, labels: bytes, n: int, head: int) -> bytes:
         raise ConfigurationError(f"the row nonce is {ROW_NONCE_LEN} bytes")
     if not 1 <= head <= n:
         raise ConfigurationError("a slab has from one head row to all of them")
-    seeds, payload, split = _layout(n, key_len, label_len, head)
+    seeds, planes, load, unload, at, checks, hidden_checks = _layout(n, key_len, label_len, head)
     plane, blocks = n * BLOCK, row_blocks(label_len + SLOT_LEN + CHECK_LEN)
-    hidden = int.from_bytes(_permute(seeds(keys)), "big")
-    first = (hidden ^ int.from_bytes(nonce * n, "big")).to_bytes(plane, "big")
+    span = planes * plane
+    hidden = _permute(seeds(keys))
+    under = to_int(hidden * planes)  # π(x) under every label plane
+    first = to_bytes(under >> 8 * (span - plane) ^ to_int(nonce * n), plane)
     tweaked = bytearray(first * blocks)
     last = first[BLOCK - 1 :: BLOCK]
     tweaked[BLOCK - 1 :: BLOCK] = b"".join([last.translate(t) for t in _LAST_BYTE_XOR[:blocks]])
-    under = 0  # π(x) under every plane, the labels XORed into theirs
-    for j in range(blocks):
-        under = under << plane * 8 | hidden
-        if j == (label_len - 1) // BLOCK:
-            under ^= int.from_bytes(payload(labels), "big")
-    mixed = int.from_bytes(_permute(tweaked), "big") ^ under
-    return split(mixed.to_bytes(plane * blocks, "big"))
+    pads = _permute(tweaked)
+    mixed = to_int(memoryview(pads)[:span]) ^ under ^ to_int(load(labels))
+    tail = pads[at : at + plane : BLOCK] + checks(pads)  # the slot column, then the checks
+    under_tail = hidden[label_len % BLOCK :: BLOCK] + hidden_checks(hidden)
+    return unload(to_bytes(mixed, span)) + xor(tail, under_tail, slots.ljust(len(tail), b"\0"))
 
 
 def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes, head: int) -> bytes:
@@ -218,11 +242,9 @@ def seal_rows(keys: bytes, labels: bytes, slots: bytes, nonce: bytes, head: int)
     ``labels`` are each ``n`` equal-width items back to back (a key is 16
     bytes or more, of which the first 16 seed the pad).
     """
-    slab = bytearray(_mix(keys, nonce, labels, len(slots), head))
-    at = slice(len(labels), len(labels) + len(slots))
-    slab[at] = _xor(slab[at], slots)
+    slab = _mix(keys, nonce, labels, slots, head)
     _count("encrypts", len(slots))
-    return bytes(slab)
+    return slab
 
 
 @lru_cache(maxsize=32)
@@ -257,7 +279,7 @@ def open_rows(
                 raise ConfigurationError("picked rows are not rows of the slab")
             get, at = itemgetter(*picks, 0), total * row_len  # a tuple, whatever n
             labels, slots = get(_labels(total, width)(slab)), get(slab[total * width : at])
-            opened = _mix(keys, nonce, b"".join(labels[:n]), n, checked)
+            opened = _mix(keys, nonce, b"".join(labels[:n]), bytes(slots[:n]), checked)
             if opened[n * row_len :] != b"".join(
                 [slab[at + p * CHECK_LEN :][:CHECK_LEN] for p in picks[:checked]]
             ):
@@ -266,7 +288,7 @@ def open_rows(
             out.append(None)
             failures += n
         else:
-            out.append((opened[: n * width], _xor(bytes(slots[:n]), opened[n * width :])))
+            out.append((opened[: n * width], opened[n * width : n * row_len]))
             decrypts += n
     _count("decrypt_failures", failures)
     _count("decrypts", decrypts)

@@ -13,7 +13,7 @@ counts into simulated time.  Two calibrations are provided:
   of labels or of permute offsets each (:meth:`CostModel.priced_ops`)
   — so the constant is the one that keeps its label processing at the
   paper's ≈ 3 ms; this implementation's proxy makes three calls (two
-  whole-epoch XOF calls and the key encoding), whose count no longer
+  whole-epoch derivations and the key encoding), whose count no longer
   scales with the value size.
   It also keeps the simulated link carrying the paper's LBL messages
   (:meth:`CostModel.lbl_round_trip`): one authenticated ciphertext ``E_len``
@@ -92,7 +92,7 @@ class CostModel:
         """The op counts to price a phase at: its own, except for LBL's
         table build (the only phase named ``proxy-build-tables``).
 
-        The implementation derives an epoch in one XOF call, so its
+        The implementation derives an epoch in one call, so its
         ``prf`` count (3 per access) says nothing about the label work the
         paper's proxy does.  Under ``paper_wire`` the table-building phase
         is charged that work in closed form, as :meth:`lbl_round_trip`

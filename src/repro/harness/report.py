@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment rows, paper-style.
 
 Benchmarks call :func:`render_table` to print each reproduced table/figure
-as an aligned text table, so ``pytest benchmarks/ --benchmark-only`` output
+as an aligned text table, so ``pytest benchmarks/`` output
 doubles as the EXPERIMENTS.md source data.
 """
 

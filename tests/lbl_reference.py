@@ -5,9 +5,11 @@ one table entry at a time from the constructions alone — none of the epoch
 views, gathers or plane layout behind ``prepare`` — and the only home of
 the §5.2 base protocol, which the program does not serve:
 
-* **labels** (§5.2, §10.1) — an epoch is one keyed SHAKE-256 output of
-  ``G·2^y·L + G`` bytes: label ``v`` of group ``i`` is bytes
-  ``[(i·2^y + v)·L, +L)``, offset ``r_i`` is byte ``G·2^y·L + i`` mod ``2^y``;
+* **labels** (§5.2, §10.1) — an epoch is the first ``G·2^y·L + G`` bytes of
+  an AES-128-CTR keystream from counter block ``0^12 ‖ 00000002`` under the
+  16 bytes the keyed SHAKE-256 squeezes for ``(shape, key, ct)``: offset
+  ``r_i`` is byte ``G·2^y·L + i`` mod ``2^y``, and label ``v`` of group
+  ``i`` is bytes ``[(i·2^y + (v ⊕ r_i))·L, +L)`` — the blob in slot order;
 * **§10.2 rows** — the row at slot ``v ⊕ r_i`` is keyed by old label ``v``
   and carries new label ``t = v`` (GET) or ``t = w_i`` (PUT) and ``t``'s
   next slot ``t ⊕ r'_i``: ``(label ‖ slot ‖ 0^15) ⊕ pad``, pad block ``j``
@@ -28,8 +30,8 @@ the §5.2 base protocol, which the program does not serve:
   bytes (:func:`reply`), read back by XOR-ing each slot with ``r'_i`` and
   comparing the digest of the labels those values select (:func:`finalize`);
 * **base read-back** (§5.4) — each label a §5.2 server returns found in its
-  own group's window of the epoch, at candidate boundaries only
-  (:func:`decode`).
+  own group's window of the epoch, at candidate boundaries only, its slot
+  there XOR ``r_i`` the group's value (:func:`decode`).
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value
     counts only where it starts on a candidate boundary — a match straddling
     two candidates, or none at all, is tampering (§5.4)."""
     window = (1 << group_bits) * label_len
+    offsets = blob[len(labels) // label_len * window :]
     groups = []
     for group, at in enumerate(range(0, len(labels), label_len)):
         label, start = labels[at : at + label_len], group * window
@@ -128,7 +131,7 @@ def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value
             found = blob.find(label, found + 1, start + window)
         if found < 0:
             raise TamperDetectedError(f"label at group {group} matches no candidate")
-        groups.append((found - start) // label_len)
+        groups.append((found - start) // label_len ^ offsets[group] % (1 << group_bits))
     return groups_to_value(groups, group_bits, value_len)
 
 
@@ -147,7 +150,8 @@ def reply(labels: bytes, slots: bytes, group_bits: int) -> bytes:
 def finalize(blob: bytes, frame: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
     """The value a reply ``frame`` spells in the new epoch ``blob``, one group
     at a time: value ``v_i`` is slot ``i`` XOR ``r'_i``, and the digest must be
-    that of label ``v_i`` of every group — else tampering (§5.4)."""
+    that of label ``v_i`` of every group, the blob's entry at that slot — else
+    tampering (§5.4)."""
     size = 1 << group_bits
     groups = -(-value_len * 8 // group_bits)
     width = -(-groups * group_bits // 8)
@@ -163,18 +167,21 @@ def finalize(blob: bytes, frame: bytes, *, label_len: int, group_bits: int, valu
     for i in range(groups):
         slot = (packed >> (groups - 1 - i) * group_bits) & (size - 1)
         values.append(slot ^ offsets[i] % size)
-        labels += blob[(i * size + values[-1]) * label_len :][:label_len]
+        labels += blob[(i * size + slot) * label_len :][:label_len]
     if hashlib.sha256(labels).digest()[:16] != frame[3 + width :]:
         raise TamperDetectedError("reply digest is not that of the labels its slots select")
     return groups_to_value(values, group_bits, value_len)
 
 
 def epoch_blob(keychain, config, key: str, counter: int) -> bytes:
-    """The one keyed SHAKE-256 output of ``key`` at ``counter``."""
+    """The AES-CTR keystream of ``key`` at ``counter``, under the 16 bytes the
+    keyed SHAKE-256 squeezes for it."""
     groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
     xof = keychain.label_xof.copy()
     xof.update(encode_components(groups, size, width) + encode_components(key, counter))
-    return xof.digest(groups * size * width + groups)
+    counter_block = bytes(12) + (2).to_bytes(4, "big")
+    stream = Cipher(algorithms.AES(xof.digest(16)), modes.CTR(counter_block)).encryptor()
+    return stream.update(bytes(groups * size * width + groups))
 
 
 def epoch(keychain, config, key: str, counter: int):
@@ -182,10 +189,12 @@ def epoch(keychain, config, key: str, counter: int):
     label ``v`` of group ``i``, ``offsets[i]`` is ``r_i``."""
     groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
     blob = epoch_blob(keychain, config, key, counter)
+    offsets = [b % size for b in blob[groups * size * width :]]
     labels = [
-        [blob[(i * size + v) * width :][:width] for v in range(size)] for i in range(groups)
+        [blob[(i * size + (v ^ offsets[i])) * width :][:width] for v in range(size)]
+        for i in range(groups)
     ]
-    return labels, [b % size for b in blob[groups * size * width :]]
+    return labels, offsets
 
 
 def record_labels(keychain, config, key: str, counter: int, value: bytes) -> "list[bytes]":

@@ -192,18 +192,26 @@ def test_paper_configuration_bytes():
     assert model.response_bytes == 1 + 2 + 640 * 2 // 8 + 16 == 179
     assert model.bytes_per_access == 43_629 + 179 == 43_808
     assert model.entry_compressions == 3
-    # Calls made: two epochs and the key encoding; the XOF absorbs one block
-    # and squeezes ceil(41,600 / 136) = 306 per epoch.
+    # Calls made: two epochs and the key encoding.  Per epoch the XOF absorbs
+    # one block and squeezes one (its 16-byte AES key), and the keystream is
+    # 41,600 / 16 = 2,600 AES blocks.
     assert model.ops() == {
         "prf.calls": 3,
         "sha256.compressions": 2,
-        "shake256.blocks": 2 * (1 + 306),
+        "shake256.blocks": 2 * (1 + 1),
         "aead.encrypts": 2560,
         "aead.decrypts": 640,
-        "aes.blocks": 7680 + 1920,
+        "aes.blocks": 2 * 2600 + 7680 + 1920,
     }
-    assert model.ops(include_server=False)["aes.blocks"] == 7680
-    assert model.proxy_hash_blocks() == 614 + 2 + 2560 * 3
+    assert model.ops(include_server=False)["aes.blocks"] == 2 * 2600 + 7680
+    assert model.proxy_hash_blocks() == 4 + 2 + 2 * 2600 + 2560 * 3
+
+
+def _row_aes_blocks(model) -> int:
+    """The AES blocks of an access's rows: all of them but the two epochs'
+    keystreams (``G·(2^y·L + 1)`` bytes each)."""
+    epoch_len = model.num_groups * (model.table_size * model.label_len + 1)
+    return model.ops()["aes.blocks"] - 2 * -(-epoch_len // 16)
 
 
 def test_check_bytes_on_group_0_only_pin_the_wire_per_access():
@@ -216,7 +224,7 @@ def test_check_bytes_on_group_0_only_pin_the_wire_per_access():
         model = LblCostModel(160, 2, label_bits=label_bits)
         eight_on_every_row = 1 + -(-(model.label_len + 1 + 8) // 16)
         assert model.entry_compressions == eight_on_every_row
-        assert model.ops()["aes.blocks"] == (2560 + 640) * eight_on_every_row
+        assert _row_aes_blocks(model) == (2560 + 640) * eight_on_every_row
 
 
 @pytest.mark.parametrize(
@@ -231,7 +239,7 @@ def test_slots_and_one_digest_pin_the_reply_and_the_wire_per_access(value_len, r
     model = LblCostModel(value_len, 2)
     assert model.response_bytes == 1 + 2 + -(-model.num_groups * 2 // 8) + 16 == reply
     assert model.bytes_per_access == wire
-    assert model.ops()["aes.blocks"] == 5 * model.num_groups * model.entry_compressions
+    assert _row_aes_blocks(model) == 5 * model.num_groups * model.entry_compressions
     store = LblOrtoa(StoreConfig(value_len=value_len, group_bits=2))
     store.initialize({"k": bytes(value_len)})
     built, _ops = store.proxy.prepare(Request.read("k"))
@@ -296,7 +304,7 @@ def test_plan_capacity_scales_with_load():
     assert large.dollars_per_day > small.dollars_per_day
     assert small.bytes_per_access == model.framed_bytes_per_access(traced=True)
     assert small.compressions_per_access == model.proxy_hash_blocks()
-    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 4_500_000.0
+    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 22_800_000.0
     assert small.projected_p99_ms > 0
     plan_dict = small.as_dict()
     assert plan_dict["assumptions"]["p99_model"].startswith("M/M/1")

@@ -198,13 +198,17 @@ def test_codec_roundtrip_property(value, counter):
 
 
 # --------------------------------------------------------------------- #
-# The epoch blob: one XOF call, and the only definition of every view
+# The epoch blob: one XOF call for its key, one AES-CTR keystream, and the
+# only definition of every view
 # --------------------------------------------------------------------- #
 
 def _bare_epoch(codec, master: bytes, key: str, counter: int) -> bytes:
-    """An epoch re-derived from the bare ``hashlib`` / ``hmac`` calls."""
+    """An epoch re-derived from the bare ``hashlib`` / ``hmac`` calls and an
+    AES-CTR context of its own."""
     import hashlib
     import hmac
+
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
     from repro.crypto.prf import encode_components
 
@@ -214,16 +218,20 @@ def _bare_epoch(codec, master: bytes, key: str, counter: int) -> bytes:
 
     subkey = hmac_prf(master, "subkey", "labels")
     shape = (codec.num_groups, codec.table_size, codec.label_len)
-    return hashlib.shake_256(
+    epoch_key = hashlib.shake_256(
         subkey.ljust(136, b"\x00")
         + encode_components(*shape)
         + encode_components(key, counter)
-    ).digest(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups)
+    ).digest(16)
+    stream = Cipher(algorithms.AES(epoch_key), modes.CTR(bytes(12) + b"\0\0\0\2")).encryptor()
+    return stream.update(bytes(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups))
 
 
 @pytest.mark.parametrize("label_bits", [128, 256])
 @pytest.mark.parametrize("group_bits", [1, 2, 4, 8])
 def test_epoch_is_one_shake_call_and_every_view_is_a_slice_of_it(group_bits, label_bits):
+    """One SHAKE-256 call squeezes the epoch's AES key, whose CTR keystream
+    is the blob; labels and offsets are slices of it."""
     codec = make_codec(value_len=3, group_bits=group_bits, label_bits=label_bits)
     blob = codec.epoch("obj", 7)
     assert blob == _bare_epoch(codec, b"m" * 32, "obj", 7)
@@ -252,12 +260,13 @@ def test_select_and_slots_pick_one_label_and_one_slot_per_group():
     blob = codec.epoch("obj", 3)
     groups = value_to_groups(b"\x1b\xe4", 2)
     stored = codec.select(blob, groups)
-    assert stored == b"".join(
-        blob[(index * 4 + value) * 16 :][:16] for index, value in enumerate(groups)
-    )
     offsets = blob[codec.labels_len :]
     assert codec.slots(blob, groups) == bytes(
         value ^ (offsets[index] % 4) for index, value in enumerate(groups)
+    )
+    # Slot order: a group's label of value v is its entry at slot v ⊕ r_i.
+    assert stored == b"".join(
+        blob[(index * 4 + slot) * 16 :][:16] for index, slot in enumerate(codec.slots(blob, groups))
     )
     with pytest.raises(ConfigurationError):
         codec.select(blob, groups[:-1])
@@ -313,10 +322,13 @@ def test_groups_to_value_matches_the_int_loop_oracle_on_any_groups(value_len, y,
 
 def _honest(codec, blob: bytes, value: bytes) -> bytes:
     """The labels the server stores for ``value``: label ``g_i`` of group
-    ``i`` sliced straight out of the epoch blob."""
+    ``i``, sliced straight out of the epoch blob at slot ``g_i ⊕ r_i``."""
     width, size = codec.label_len, codec.table_size
     groups = lbl_reference.value_to_groups(value, codec.group_bits)
-    return b"".join(blob[(i * size + g) * width :][:width] for i, g in enumerate(groups))
+    offsets = blob[codec.labels_len :]
+    return b"".join(
+        blob[(i * size + (g ^ offsets[i] % size)) * width :][:width] for i, g in enumerate(groups)
+    )
 
 
 def _reference_finalize(codec, blob: bytes, bits: int, slots: bytes, digest: bytes) -> bytes:

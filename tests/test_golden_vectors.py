@@ -8,8 +8,8 @@ constructions.  Two independent nets catch a silent change:
   :meth:`LabelCodec.labels`, :meth:`LabelCodec.offsets`,
   :func:`aead.encrypt` (fixed nonce), the point-and-permute row kernel
   :func:`rows.seal_rows` and a whole LBL reply frame, plus a live re-derivation of each from the bare
-  calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), ECB())``), so a
-  vector can only move if the documented construction itself changes;
+  calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), CTR/ECB)``), so
+  a vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
   scalar counterpart on arbitrary inputs, and :meth:`LblProxy.prepare`
   agrees with the row-at-a-time reference of ``tests/lbl_reference.py``.
@@ -22,6 +22,7 @@ import hmac
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,13 +59,17 @@ def _ref_prf(key: bytes, components: tuple, out_bytes: int) -> bytes:
 
 
 def _ref_epoch(label_key: bytes, codec: LabelCodec, key: str, counter: int) -> bytes:
-    """The documented epoch: one prefix-keyed SHAKE-256 call via the stdlib only."""
+    """The documented epoch: 16 bytes of prefix-keyed SHAKE-256 (stdlib) key
+    an AES-128-CTR keystream from counter block ``0^12 ‖ 00000002``."""
     shape = (codec.num_groups, codec.table_size, codec.label_len)
-    return hashlib.shake_256(
+    epoch_key = hashlib.shake_256(
         label_key.ljust(136, b"\x00")
         + encode_components(*shape)
         + encode_components(key, counter)
-    ).digest(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups)
+    ).digest(16)
+    counter_block = bytes(12) + (2).to_bytes(4, "big")
+    stream = Cipher(algorithms.AES(epoch_key), modes.CTR(counter_block)).encryptor()
+    return stream.update(bytes(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups))
 
 
 def _codec(label_key: bytes, value_len: int, group_bits: int, label_len: int = 16):
@@ -100,13 +105,14 @@ _PRF48_VECTOR = bytes.fromhex(
     "ebde6f4e985cefde836f68d3c658e98dfe79698f062bac4a9c344c6876a91792"
     "27848d77f07f933c8a11ff0c70798110"
 )
-# Labels are slices of one epoch per (key, epoch): label v of group i is
-# bytes [(4i + v)·16, +16) of the blob — here 144..160 and 176..192.
-_LABEL_VECTOR = bytes.fromhex("f1675ea4fa4518aedd8a129686cd6761")
-_LABEL_VECTOR_VALUE3 = bytes.fromhex("5cd63f01807e150207b26e6ce831a3c1")
+# Labels are slices of one epoch per (key, epoch), in slot order: entry s of
+# group i is bytes [(4i + s)·16, +16) of the blob — here 144..160 and
+# 176..192, the labels of values 1 ⊕ r_2 = 0 and 3 ⊕ r_2 = 2 (r_2 = 1).
+_LABEL_VECTOR = bytes.fromhex("21d60d3e2fde690e4dd24f0849fb6c91")
+_LABEL_VECTOR_SLOT3 = bytes.fromhex("647cc71a8cdaef21c1b4515287e708f6")
 # 40 groups: the offsets are the epoch's last 40 bytes, each mod 4.
 _OFFSETS_VECTOR = bytes.fromhex(
-    "01020101000000000203020302020002030002030003010203010001010301020301010101020003"
+    "01000003020103020203000001020200000301010201030301010102000203030102030201030302"
 )
 _AEAD_KEY = b"k" * 16
 _AEAD_PLAINTEXT = b"hello world label"
@@ -132,12 +138,16 @@ def test_prf_vector_multi_block():
 def test_label_vector():
     codec = _codec(b"\x01" * 32, value_len=4, group_bits=2)
     labels = codec.labels(codec.epoch("obj", 7))
-    assert (labels[2 * 4 + 1], labels[2 * 4 + 3]) == (_LABEL_VECTOR, _LABEL_VECTOR_VALUE3)
+    assert (labels[2 * 4 + 1], labels[2 * 4 + 3]) == (_LABEL_VECTOR, _LABEL_VECTOR_SLOT3)
     blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
     assert codec.epoch("obj", 7) == blob
     assert len(blob) == 16 * 4 * 16 + 16
     assert blob[(2 * 4 + 1) * 16 : (2 * 4 + 2) * 16] == _LABEL_VECTOR
-    assert blob[(2 * 4 + 3) * 16 : (2 * 4 + 4) * 16] == _LABEL_VECTOR_VALUE3
+    assert blob[(2 * 4 + 3) * 16 : (2 * 4 + 4) * 16] == _LABEL_VECTOR_SLOT3
+    # Slot order: the value a slot holds is the slot XOR the group's offset.
+    assert codec.offsets(blob)[2] == 1
+    assert codec.select(blob, (0,) * 2 + (0,) + (0,) * 13)[32:48] == _LABEL_VECTOR
+    assert codec.select(blob, (0,) * 2 + (2,) + (0,) * 13)[32:48] == _LABEL_VECTOR_SLOT3
 
 
 def test_permute_offsets_vector():
@@ -279,9 +289,9 @@ def test_open_many_matches_try_decrypt(cases):
 
 
 # The reply to a PUT of a5 3c at 2 B, y = 3, under master key 05…05: slots
-# 4 7 1 1 4 5 as 100 111 001 001 100 101 and six zero pad bits (9c 99 40),
+# 5 1 2 3 4 1 as 101 001 010 011 100 001 and six zero pad bits (a5 38 40),
 # then SHA-256 of the six new labels cut to 16 bytes.
-_REPLY_VECTOR = bytes.fromhex("2100039c9940049bf9e6f603ae1046873a58ffbc3eba")
+_REPLY_VECTOR = bytes.fromhex("210003a53840c7dc4741266e2fe01278ce6b27cc45ca")
 
 
 def test_reply_frame_vector():
@@ -297,10 +307,10 @@ def test_reply_frame_vector():
     assert response.to_bytes() == _REPLY_VECTOR
     labels, offsets = lbl_reference.epoch(keychain, config, "obj", 1)
     groups = lbl_reference.value_to_groups(b"\xa5\x3c", 3)
-    assert bytes(g ^ r for g, r in zip(groups, offsets)) == bytes([4, 7, 1, 1, 4, 5])
+    assert bytes(g ^ r for g, r in zip(groups, offsets)) == bytes([5, 1, 2, 3, 4, 1])
     stored = b"".join(labels[i][g] for i, g in enumerate(groups))
     assert _REPLY_VECTOR[-16:] == hashlib.sha256(stored).digest()[:16]
-    assert _REPLY_VECTOR == lbl_reference.reply(stored, bytes([4, 7, 1, 1, 4, 5]), 3)
+    assert _REPLY_VECTOR == lbl_reference.reply(stored, bytes([5, 1, 2, 3, 4, 1]), 3)
     assert proxy.finalize("obj", response)[0] == b"\xa5\x3c"
 
 

@@ -410,12 +410,15 @@ def test_finalize_row_is_empty_from_the_table_and_one_derivation_without(metered
     store.initialize({"k": bytes(16)})
     built, _ops = store.proxy.prepare(Request.read("k"))
     response, _server_ops = store.server.process(built)
-    for expected in ((0, 0), (1, store.proxy.codec.epoch_blocks("k", 1))):
+    # One derivation: a 16-byte squeeze (one block absorbed, one squeezed)
+    # and the AES-CTR keystream of a 64 x 4 x 16 + 64 = 4,160-byte epoch.
+    for expected in ((0, 0, 0), (1, 2, 4160 // 16)):
         obs.reset()
         _value, ops = store.proxy.finalize("k", response, counter=1)
         measured = ledger.registry_ops_snapshot()
         assert (
             measured.get("prf.calls", 0),
             measured.get("shake256.blocks", 0),
+            measured.get("aes.blocks", 0),
         ) == expected
         assert ops.prf == expected[0]

@@ -349,7 +349,7 @@ def test_initial_records_grouping_is_linear(monkeypatch):
 
 
 def test_initial_records_derives_one_epoch_per_record():
-    """One XOF call for the record's epoch and the key encoding."""
+    """One epoch derivation for the record and the key encoding."""
     from repro import obs
     from repro.obs import ledger
 
@@ -364,4 +364,9 @@ def test_initial_records_derives_one_epoch_per_record():
         obs.disable()
         obs.reset()
     assert ops["prf.calls"] == 2
-    assert ops["shake256.blocks"] == proxy.codec.epoch_blocks("key", 0)
+    # The epoch's 16-byte key (one block absorbed, one squeezed) and its
+    # AES-CTR keystream: 32 x 4 x 16 + 32 = 2,080 bytes.
+    assert (ops["shake256.blocks"], ops["aes.blocks"]) == (2, 2080 // 16)
+    assert proxy.codec.epoch_ops("key", 0) == {
+        "prf.calls": 1, "shake256.blocks": 2, "aes.blocks": 130,
+    }

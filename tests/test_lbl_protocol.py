@@ -258,7 +258,9 @@ def test_lbl_behaves_like_a_dict(ops, group_bits):
 
 class _Reference:
     """What proxy and server must agree on, from bare library calls: per
-    epoch one prefix-keyed SHAKE-256 output (labels, then offsets); per
+    epoch an AES-128-CTR keystream under 16 bytes of prefix-keyed SHAKE-256
+    (labels in slot order, then offsets: label ``v`` of group ``i`` at slot
+    ``v ⊕ r_i``); per
     point-and-permute row the pad ``π(π(x) ⊕ t_j) ⊕ π(x)`` for every block
     ``j`` of the row, ``π`` AES-128 under the public constant key, ``x`` the
     stored label's first 16 bytes and ``t_j = nonce ⊕ j``, the row read as
@@ -281,10 +283,15 @@ class _Reference:
     def epoch(self, key: str, ct: int):
         """``(label(i, v), offsets)`` of one epoch."""
         G, T, L = self.G, self.T, self.L
-        blob = hashlib.shake_256(
+        epoch_key = hashlib.shake_256(
             self.key + encode_components(G, T, L) + encode_components(key, ct)
-        ).digest(G * T * L + G)
-        return (lambda i, v: blob[(i * T + v) * L :][:L]), [b % T for b in blob[G * T * L :]]
+        ).digest(16)
+        counter_block = bytes(12) + (2).to_bytes(4, "big")
+        blob = Cipher(algorithms.AES(epoch_key), modes.CTR(counter_block)).encryptor().update(
+            bytes(G * T * L + G)
+        )
+        offsets = [b % T for b in blob[G * T * L :]]
+        return (lambda i, v: blob[(i * T + (v ^ offsets[i])) * L :][:L]), offsets
 
     def groups(self, value: bytes) -> list[int]:
         bits = "".join(f"{byte:08b}" for byte in value).ljust(self.G * self.y, "0")
