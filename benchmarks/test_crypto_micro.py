@@ -47,10 +47,20 @@ def test_prf_context_tails(benchmark):
 
 
 def test_label_epoch(benchmark):
-    """Whole-epoch derivation at the paper's 160 B / y=2 point: one XOF call."""
-    codec = LabelCodec(keyed_xof(b"m" * 32), label_len=16, value_len=160, group_bits=2)
-    blob = benchmark(codec.epoch, "key", 7)
-    assert len(blob) == 640 * 4 * 16 + 640
+    """A prepare's label derivation at the paper's 160 B / y=2 point: two
+    epochs (an XOF squeeze each, one AES call for both offset runs), then
+    the row keys and carried labels (one AES call)."""
+    codec = LabelCodec(
+        keyed_xof(b"m" * 32), b"b" * 16, label_len=16, value_len=160, group_bits=2
+    )
+    next_slots = bytes(range(4)) * 640
+
+    def derive():
+        old, new = codec.epochs("key", 7, 8)
+        return codec.table_labels(old[0], new[0], next_slots)
+
+    keys, labels = benchmark(derive)
+    assert len(keys) == len(labels) == 640 * 4 * 16
 
 
 def test_aead_encrypt_label(benchmark):

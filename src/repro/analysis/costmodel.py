@@ -82,6 +82,7 @@ class LblCostModel:
             "_codec",
             LabelCodec(
                 hashlib.shake_256(),
+                bytes(16),
                 label_len=self.label_bits // 8,
                 value_len=self.value_len,
                 group_bits=self.group_bits,
@@ -240,19 +241,22 @@ class LblCostModel:
         Covers the cold path (no label-cache hit; the cache's savings are
         metered as ``cache.hits``, not modeled here) with the epoch
         finalized from the proxy's in-flight table: ``finalize`` decodes
-        against the blob ``prepare`` kept, so it predicts no PRF call and
-        all of the PRF work is ``prepare``'s.  (An epoch that fell out of
-        that table — recovery, rollback, eviction — costs ``finalize`` one
-        :meth:`LabelCodec.epoch` on top.)
+        against the ``(W, offsets)`` ``prepare`` kept, so it predicts no PRF
+        call and all of the PRF work is ``prepare``'s.  (An epoch that fell
+        out of that table — recovery, rollback, eviction — costs
+        ``finalize`` one epoch of :meth:`LabelCodec.epochs` on top.)
 
         ``prf.calls`` are calls actually made: one XOF call per epoch
         derived plus the HMAC key encoding, whose SHA-256 work is
         ``sha256.compressions``; ``shake256.blocks`` are the 136-byte blocks
-        the XOF calls absorb and squeeze (16 bytes, an epoch's AES key);
-        ``aes.blocks`` are the 16-byte AES blocks of each epoch's keystream
-        (``ceil(epoch_len / 16)``) plus those §10.2 rows put through the
-        fixed-key permutation — every table entry on the proxy, one
-        designated row per group on the server.
+        the XOF calls absorb and squeeze (16 bytes, an epoch's whitening);
+        ``aes.blocks`` are the label-block AES calls — each epoch's offset
+        run (``ceil(G / 16)``), the old epoch at every slot and the new
+        epoch at every row's next slot in ``prepare`` and the ``G`` labels
+        the reply selects in ``finalize``, each label ``ceil(L / 16)``
+        blocks — plus those §10.2 rows put through the fixed-key
+        permutation: every table entry on the proxy, one designated row per
+        group on the server.
 
         Args:
             include_server: Include the server-side opens: exactly one row
@@ -270,8 +274,11 @@ class LblCostModel:
             "shake256.blocks": sum(epoch["shake256.blocks"] for epoch in epochs),
             "aead.encrypts": self.num_groups * self.table_size,
         }
-        ops["aes.blocks"] = sum(epoch["aes.blocks"] for epoch in epochs) + (
-            ops["aead.encrypts"] * self.entry_compressions
+        labels = 2 * ops["aead.encrypts"] + self.num_groups  # prepare's runs, finalize's
+        ops["aes.blocks"] = (
+            sum(epoch["aes.blocks"] for epoch in epochs)
+            + labels * codec.label_blocks
+            + ops["aead.encrypts"] * self.entry_compressions
         )
         if include_server:
             ops["aead.decrypts"] = self.num_groups
@@ -280,8 +287,8 @@ class LblCostModel:
 
     def proxy_hash_blocks(self) -> int:
         """Primitive blocks the proxy computes per access: the XOF and AES
-        blocks of its epochs, the key encoding, and every table entry it
-        builds — the unit :func:`plan_capacity` prices proxy CPU in."""
+        blocks of its epochs and labels, the key encoding, and every table
+        entry it builds — the unit :func:`plan_capacity` prices proxy CPU in."""
         ops = self.ops(include_server=False)
         return ops["shake256.blocks"] + ops["sha256.compressions"] + ops["aes.blocks"]
 
@@ -295,11 +302,12 @@ class LblCostModel:
 #: model makes bytes and primitive blocks exact, while sustained rates are
 #: hardware-dependent calibration points.  The block rate is what one core
 #: of the ``bench/`` host sustains through the library calls and the Python
-#: around them: 12,886 blocks (4 SHAKE-256 + 2 SHA-256 + 5,200 epoch AES +
-#: 7,680 row AES) in the ≈ 0.57 ms ``prepare`` + ``finalize`` of one
-#: paper-point access (``bench/run.py --trace 1``: 0.49 + 0.075 ms).
+#: around them: 13,526 blocks (4 SHAKE-256 + 2 SHA-256 + 80 offset AES +
+#: 5,760 label AES + 7,680 row AES) in the ≈ 0.40 ms ``prepare`` +
+#: ``finalize`` of one paper-point access (``bench/run.py --trace 1``:
+#: 0.353 + 0.049 ms).
 DEFAULT_SHARD_OPS_PER_SEC = 2_000.0
-DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 22_800_000.0
+DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 33_600_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Server-side calibration points.  One designated row open is three AES

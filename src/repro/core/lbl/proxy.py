@@ -2,9 +2,8 @@
 
 Per access to key ``k`` with counter ``ct`` the proxy:
 
-1. regenerates the *old* epoch — every candidate label of every group, and
-   the permute offsets, in one AES-CTR keystream — covering all ``2^y``
-   candidates because the actual value lives only at the server;
+1. regenerates the *old* epoch — its whitening and permute offsets — as
+   the actual value lives only at the server;
 2. generates the *new* epoch under ``ct + 1``;
 3. builds, per group, a table of ``2^y`` rows: for reads each old label
    seals its *own* new label (value preserved); for writes every old label
@@ -14,23 +13,17 @@ Per access to key ``k`` with counter ``ct`` the proxy:
 5. bumps the access counter — the only per-object state the proxy keeps
    (§5.3.1: 8 bytes per object).
 
-After the round trip, :meth:`LblProxy.finalize` reads the value from the
-reply's packed slots — slot ``v ⊕ r_i`` per group, and the proxy holds
-``r`` — and checks the reply's digest of the opened labels, the §5.4 tamper
-check, against the new epoch step 2 already derived: every prepared epoch's
-blob waits in a bounded **in-flight table** until its response is
-finalized, so the normal path derives each epoch exactly once (an epoch
-that fell out — recovery, rollback, eviction — is re-derived).
-
-An epoch is one ``bytes`` blob from :meth:`LabelCodec.epoch
-<repro.crypto.labels.LabelCodec.epoch>` end to end — derived, cached, filed
-and matched against as such; its labels are in slot order, so the old
-epoch's label run *is* the table's keys.  No loop runs per row or group:
-:meth:`LblProxy.prepare` picks the carried labels out of the new epoch with
-one ``itemgetter`` and seals the table in one kernel call
-(:func:`~repro.crypto.rows.seal_rows`), the old epoch optionally from the
-:class:`~repro.core.lbl.cache.LabelCache`; :meth:`LblProxy.finalize` picks
-the labels the reply's slots select with one ``itemgetter`` to hash them.
+An epoch is the ``(W, offsets)`` of :meth:`LabelCodec.epochs
+<repro.crypto.labels.LabelCodec.epochs>`; a label is derived where it is
+used.  :meth:`LblProxy.prepare` derives both epochs' offsets in one AES
+call, the old epoch at every slot (the table's keys) and the new epoch at
+each row's next slot (the carried labels) in a second, and seals the table
+in one kernel call (:func:`~repro.crypto.rows.seal_rows`); the old epoch may
+come from the :class:`~repro.core.lbl.cache.LabelCache`.  Every prepared
+epoch waits in a bounded **in-flight table** until
+:meth:`LblProxy.finalize` reads the value from the reply's packed slots and
+checks its digest against the ``G`` labels they select (§5.4), derived in
+one AES call; an epoch that fell out is re-derived.
 """
 
 from __future__ import annotations
@@ -39,31 +32,23 @@ import secrets
 from collections import OrderedDict
 
 from repro.core.base import AccessTranscript, OpCounts, PhaseRecord, RoundTrip
-from repro.core.lbl.cache import LabelCache
+from repro.core.lbl.cache import ENTRY_OVERHEAD_BYTES, LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec, StoredRecord, picker, value_to_groups
+from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.types import Request, Response, StoreConfig
 
-#: Byte budget of the in-flight table (prepared, not yet finalized epochs).
-#: The table holds one epoch blob per outstanding request, so the budget
-#: binds as soon as more requests are outstanding at once — a batch, a
-#: window, a pipeline depth, a thread count — than it has room for epochs:
-#: 100 at the paper point (160 B values, 41.6 KB per epoch; above the
-#: default pipeline depth of 8), thousands at 2 B.  Past that, and
-#: for epochs whose request failed and is never finalized, the oldest epoch
-#: falls out and its ``finalize`` re-derives what ``prepare`` had kept.
+#: Byte budget of the in-flight table (prepared, not yet finalized epochs):
+#: one ``(W, offsets)`` per outstanding request, 656 bytes and the entry
+#: overhead at the paper point (160 B values, y = 2), so 4,297 epochs.  Past
+#: that, and for requests never finalized, the oldest epoch falls out and
+#: its ``finalize`` re-derives it.
 _INFLIGHT_TABLE_BYTES = 4 * 1024 * 1024
-
-#: Resident bytes of one in-flight entry beyond its blob: the ``bytes``
-#: header, the ``(key, epoch)`` tuple with its two objects (≈ 200 bytes with
-#: the table node) and room for a key string of its own.
-_INFLIGHT_ENTRY_OVERHEAD = 320
 
 
 class LblProxy:
@@ -80,6 +65,7 @@ class LblProxy:
         self.keychain = keychain
         codec = self.codec = LabelCodec(
             keychain.label_xof,
+            keychain.label_block_key,
             label_len=keychain.label_bits // 8,
             value_len=config.value_len,
             group_bits=config.group_bits,
@@ -87,21 +73,15 @@ class LblProxy:
         self._counters: dict[str, int] = {}
         self.label_cache: LabelCache | None = None
         if config.label_cache_entries == -1:
-            self.label_cache = LabelCache.from_bytes(codec.epoch_len)
+            self.label_cache = LabelCache.from_bytes(codec.epoch_bytes)
         elif config.label_cache_entries is not None:
             self.label_cache = LabelCache(config.label_cache_entries)
-        groups, size = codec.num_groups, codec.table_size
-        # Per table row in wire order (group-major, slot-minor): its slot, and
-        # the picker of an entry of its group in ``codec.labels``.
-        self._row_slots = bytes(range(size)) * groups
-        self._pick = picker([i * size for i in range(groups) for _ in range(size)])
-        self._zeros = bytes(groups * size)
-        # (key, epoch) -> epoch blob, oldest first.  Every mutation is one
+        # (key, epoch) -> (W, offsets), oldest first.  Every mutation is one
         # OrderedDict operation (atomic under the GIL), so callers that
         # serialize per key need no further lock.
-        self._inflight: "OrderedDict[tuple[str, int], bytes]" = OrderedDict()
+        self._inflight: "OrderedDict[tuple[str, int], tuple[bytes, bytes]]" = OrderedDict()
         self._inflight_capacity = max(
-            1, _INFLIGHT_TABLE_BYTES // (codec.epoch_len + _INFLIGHT_ENTRY_OVERHEAD)
+            1, _INFLIGHT_TABLE_BYTES // (codec.epoch_bytes + ENTRY_OVERHEAD_BYTES)
         )
         #: The server's work on an access it commits, as far as this side
         #: can know it: one fetch, one store and exactly one open per group.
@@ -116,10 +96,10 @@ class LblProxy:
         """§5.3.1's space estimate: an 8-byte counter per tracked object."""
         return 8 * len(self._counters)
 
-    def _remember_epoch(self, key: str, epoch: int, blob: bytes) -> None:
-        """File a prepared epoch's blob for its :meth:`finalize`."""
+    def _remember_epoch(self, key: str, epoch: int, derived: "tuple[bytes, bytes]") -> None:
+        """File a prepared epoch's ``(W, offsets)`` for its :meth:`finalize`."""
         table = self._inflight
-        table[(key, epoch)] = blob
+        table[(key, epoch)] = derived
         while len(table) > self._inflight_capacity:
             try:
                 table.popitem(last=False)
@@ -179,9 +159,9 @@ class LblProxy:
         """Encode every plaintext pair into the server's stored form.
 
         One epoch derivation per record: the value's groups select the
-        slots to open and the labels there to store.  Every key and value is
-        checked before any counter is registered, so a refused call leaves
-        the proxy as it found it.
+        slots to open and the labels to derive and store.  Every key and
+        value is checked before any counter is registered, so a refused call
+        leaves the proxy as it found it.
         """
         duplicate = next((key for key in records if key in self._counters), None)
         if duplicate is not None:
@@ -195,13 +175,8 @@ class LblProxy:
         codec = self.codec
         for key, groups in grouped:
             self._counters[key] = 0
-            blob = codec.epoch(key, 0)
-            out.append(
-                (
-                    self.keychain.encode_key(key),
-                    StoredRecord(codec.select(blob, groups), codec.slots(blob, groups)),
-                )
-            )
+            (epoch,) = codec.epochs(key, 0)
+            out.append((self.keychain.encode_key(key), codec.record(epoch, groups)))
         return out
 
     # ------------------------------------------------------------------ #
@@ -210,7 +185,7 @@ class LblProxy:
 
     def prepare(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Build the one-round request and advance the access counter: derive
-        two epochs, seal the whole table in one call."""
+        two epochs and the table's labels, seal the whole table in one call."""
         span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
         key = request.key
@@ -225,9 +200,10 @@ class LblProxy:
         cache = self.label_cache
         old = cache.take(key, ct) if cache is not None else None
         cache_hit = old is not None
-        if old is None:
-            old = codec.epoch(key, ct)
-        new = codec.epoch(key, new_ct)
+        if cache_hit:
+            (new,) = codec.epochs(key, new_ct)
+        else:
+            old, new = codec.epochs(key, ct, new_ct)
         prf_count = 3 - cache_hit  # the epochs derived + the key encoding
 
         # One kernel call seals the whole table, group 0's rows with checks.
@@ -259,30 +235,20 @@ class LblProxy:
             REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
         return wire, OpCounts(prf=prf_count, aead_enc=enc_count)
 
-    def _per_row(self, per_group: bytes) -> bytes:
-        """One byte per group, repeated for each of the group's ``2^y`` rows."""
-        size = self.codec.table_size
-        per_row = bytearray(len(per_group) * size)
-        for slot in range(size):
-            per_row[slot::size] = per_group
-        return bytes(per_row)
-
     def _row_inputs(
-        self, old: bytes, new: bytes, new_value: "bytes | None"
-    ) -> "tuple[bytes, bytes, bytes]":
-        """``(keys, labels, slots)`` of one access's point-and-permute rows, in
-        row order (group-major, slot-minor).  Both epochs are in slot order,
-        so row ``s`` of group ``i`` is keyed by the old epoch's entry ``s`` —
-        its label run is the keys — and carries the new epoch's entry at its
-        next slot ``t ⊕ r'_i``, where ``t = s ⊕ r_i`` (a read) or ``w_i`` (a
-        write).  A read and a write make the same calls."""
-        codec = self.codec
-        base, by_group = self._row_slots, codec.offsets(old)  # a read: s ⊕ r_i ⊕ r'_i
-        if new_value is not None:
-            base, by_group = self._zeros, new_value  # a write: w_i ⊕ r'_i on every row
-        next_slots = rows.xor(base, self._per_row(rows.xor(by_group, codec.offsets(new))))
-        labels = self._pick(next_slots)(codec.labels(new))
-        return old[: codec.labels_len], codec.join(*labels), next_slots
+        self, old: "tuple[bytes, bytes]", new: "tuple[bytes, bytes]", new_value: "bytes | None"
+    ) -> tuple:
+        """``(keys, labels, slots)`` of one access's rows in row order: row
+        ``s`` of group ``i`` is keyed by the old epoch's entry ``s`` and
+        carries the new epoch's at its next slot ``t ⊕ r'_i``, ``t = s ⊕ r_i``
+        (a read) or ``w_i`` (a write).  A read and a write make the same calls."""
+        read = new_value is None
+        step = rows.xor(old[1] if read else new_value, new[1])  # r ⊕ r' or w ⊕ r'
+        size = self.codec.table_size
+        next_slots = bytearray(len(step) * size)
+        for slot in range(size):  # ⊕ s on row s of a read, ⊕ 0 of a write
+            next_slots[slot::size] = step.translate(rows.XOR_TABLES[slot if read else 0])
+        return (*self.codec.table_labels(old[0], new[0], next_slots), next_slots)
 
     def transcript(
         self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,
@@ -316,8 +282,8 @@ class LblProxy:
         digest of the opened labels is checked against the labels the value
         selects — the §5.4 integrity check (:meth:`LabelCodec.decode`).
 
-        The epoch is the blob :meth:`prepare` filed in the in-flight table,
-        so the normal path costs no PRF call; an epoch that is no longer
+        The epoch is the ``(W, offsets)`` :meth:`prepare` filed in the
+        in-flight table, so the normal path costs no PRF call; an epoch that is no longer
         there (recovery, rollback, eviction) is taken from the label cache
         if that still holds it and re-derived otherwise.
 
@@ -336,13 +302,13 @@ class LblProxy:
         codec = self.codec
         new_ct = self.counter(key) if counter is None else counter
         prf_count = 0
-        blob = self._inflight.pop((key, new_ct), None)
-        if blob is None and self.label_cache is not None:
-            blob = self.label_cache.peek(key, new_ct)
-        if blob is None:
-            blob = codec.epoch(key, new_ct)
+        epoch = self._inflight.pop((key, new_ct), None)
+        if epoch is None and self.label_cache is not None:
+            epoch = self.label_cache.peek(key, new_ct)
+        if epoch is None:
+            (epoch,) = codec.epochs(key, new_ct)
             prf_count = 1
-        value = codec.decode(blob, response.slot_bits, response.slots, response.digest)
+        value = codec.decode(epoch, response.slot_bits, response.slots, response.digest)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()
         return value, OpCounts(prf=prf_count)

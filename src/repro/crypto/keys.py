@@ -2,8 +2,7 @@
 
 A deployment owns a single master secret from which every other key is
 derived with domain separation: the key-encoding PRF, the keyed label XOF
-(one AES key per epoch, whose keystream is the labels and point-and-permute
-offsets), and
+and the label-block AES key (:class:`~repro.crypto.labels.LabelCodec`), and
 the symmetric data key used by the TEE and baseline variants.  Deriving
 (rather than storing) keys keeps proxy state small — the paper's proxy
 stores only access counters (§5.3.1) plus this one secret.
@@ -37,8 +36,10 @@ class KeyChain:
         self._master = Prf(master_key, out_bytes=32)
         self.label_bits = label_bits
         self.key_encoding_prf = Prf(self._master.derive_subkey("key-encoding"), out_bytes=16)
-        #: The label subkey, absorbed once; ``LabelCodec`` copies it per epoch.
+        #: The label subkey, absorbed once; copied per epoch to squeeze ``W``.
         self.label_xof = keyed_xof(self._master.derive_subkey("labels"))
+        #: ``K_L``: the AES-128 key of every label and offset block.
+        self.label_block_key = self._master.derive_subkey("label-blocks")[:16]
         self.data_key = self._master.derive_subkey("data-encryption")
 
     def encode_key(self, key: str) -> bytes:

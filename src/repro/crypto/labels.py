@@ -4,14 +4,13 @@ LBL-ORTOA represents a plaintext value by one secret label per *group* of
 ``y`` plaintext bits (``y = 1`` is the base protocol of §5; ``y = 2`` is the
 space-optimized optimum of §10.1).  Labels are deterministic PRF outputs, so
 the proxy can regenerate the labels currently stored at the server from
-nothing but the object's key and its access counter.  Everything an access
-needs of one counter value — every candidate label of every group, in slot
-order, then the point-and-permute offsets of §10.2 — is **one epoch**: one
-``bytes`` blob, an AES-CTR keystream (:meth:`LabelCodec.epoch`).  It owns:
+nothing but the object's key and its access counter: an **epoch** is a
+16-byte secret whitening ``W`` and the §10.2 offsets
+(:meth:`LabelCodec.epochs`), and a label is keyed AES of ``W`` and its
+position, derived where it is used.  The codec owns:
 
 * bit/group packing between ``bytes`` values and group-value tuples,
-* epoch derivation and the views of an epoch blob (labels, offsets, the
-  labels and slots a value selects),
+* epochs and the label runs an access derives of them,
 * the reply — packed slots and a digest of the opened labels — and its
   inversion to plaintext, the §5.4 check (:meth:`LabelCodec.decode`).
 """
@@ -20,16 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import struct
+import threading
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.crypto.prf import encode_components, xof_blocks
-from repro.crypto.rows import BLOCK, to_bytes, to_int, xor
+from repro.crypto.rows import BLOCK, XOR_TABLES, regather, to_bytes, to_int, xor
 from repro.errors import ConfigurationError, TamperDetectedError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
@@ -70,8 +68,8 @@ def pack_slots(slots: bytes, bits: int) -> bytes:
     return _regroup(slots, bits, 8, -(-len(slots) * bits // 8))
 
 
-#: Bytes of an epoch's AES key, squeezed from the keyed label XOF.
-_EPOCH_KEY_LEN = 16
+#: Bytes of an epoch's whitening ``W``, squeezed from the keyed label XOF.
+_WHITENING_LEN = 16
 
 #: Bytes of a reply's digest of the labels its access opened.
 REPLY_DIGEST_LEN = 16
@@ -80,22 +78,6 @@ REPLY_DIGEST_LEN = 16
 def reply_digest(labels: bytes) -> bytes:
     """A reply's digest of the labels its access opened: truncated SHA-256."""
     return hashlib.sha256(labels).digest()[:REPLY_DIGEST_LEN]
-
-
-def picker(starts: "list[int] | range") -> "Callable[[bytes], Callable]":
-    """``values`` → the getter of entries ``starts[n] | values[n]`` as a
-    tuple: the indices are one OR of 32-bit words, read by one struct call."""
-    count = len(starts)
-    words = to_int(struct.pack(f">{count}I", *starts))
-    indices = struct.Struct(f">{count}I").unpack
-
-    def pick(values: bytes) -> Callable:
-        spread = bytearray(4 * count)
-        spread[3::4] = values
-        got = indices(to_bytes(to_int(spread) | words, 4 * count))
-        return itemgetter(*got) if count > 1 else lambda sequence: (sequence[got[0]],)
-
-    return pick
 
 
 def value_to_groups(value: bytes, group_bits: int) -> tuple[int, ...]:
@@ -122,11 +104,8 @@ def groups_to_value(groups: tuple[int, ...] | list[int], group_bits: int, value_
 
 
 class StoredLabel(NamedTuple):
-    """One group's label and point-and-permute slot as a pair.
-
-    The server's record is two blobs (:class:`StoredRecord`); this stays
-    because ``bench/micro.py`` builds lists of it to time the store.
-    """
+    """One group's label and slot as a pair; ``bench/micro.py`` times the
+    store with lists of it (the server's record is :class:`StoredRecord`)."""
 
     label: bytes
     decrypt_index: int | None = None
@@ -142,130 +121,179 @@ class StoredRecord(NamedTuple):
     slots: bytes = b""
 
 
+#: A block's encoding ``⟨domain, g, t, c⟩``: the domain (0 a label, 1 an
+#: offset block) in byte 0, the group (an offset block's index) big-endian in
+#: bytes 1–4, the slot in byte 5, the label's block counter in byte 6.
+_GROUP, _SLOT, _PART, _OFFSETS = 1, 5, 6, 1
+
+
+def _spread(values: bytes, times: int) -> bytes:
+    """Each byte of ``values`` ``times`` times in a row."""
+    if times == 1:
+        return values
+    out = bytearray(len(values) * times)
+    for k in range(times):
+        out[k::times] = values
+    return bytes(out)
+
+
+def _index_columns(count: int, repeat: int) -> "list[tuple[int, bytes]]":
+    """``(position, column)`` of each index byte not zero for all ``i < count``,
+    each ``i`` ``repeat`` blocks in a row."""
+    return [
+        (_GROUP + k, _spread(bytes(i >> shift & 255 for i in range(count)), repeat))
+        for k, shift in enumerate((24, 16, 8, 0))
+        if count - 1 >> shift
+    ]
+
+
+def _run(whitening: bytes, columns: "list[tuple[int, bytes]]", slots: bytes) -> bytearray:
+    """``W ⊕ ⟨0, g, t, c⟩`` for one block per byte of ``slots`` (the ``t``
+    column): ``W`` repeated, then one ``translate`` per column not constant."""
+    run = bytearray(whitening) * len(slots)
+    for at, column in [*columns, (_SLOT, slots)]:
+        run[at::BLOCK] = column.translate(XOR_TABLES[whitening[at]])
+    return run
+
+
 class LabelCodec:
     """Derives, encodes, and inverts LBL-ORTOA labels for fixed-length values.
 
-    **Derivation.**  The epoch of ``key`` at counter ``ct`` is::
+    **Derivation.**  The epoch of ``key`` at counter ``ct`` is ``(W, r)``::
 
-        k    = xof.copy().update(header ‖ encode_components(key, ct)).digest(16)
-        blob = AES-128-CTR_k(0^12 ‖ 00000002)[: G·2^y·label_len + G]
+        W          = xof.copy().update(header ‖ encode_components(key, ct)).digest(16)
+        entry(g,t) = AES_{K_L}(W ⊕ ⟨0, g, t, c⟩) for c < ⌈L/16⌉, cut to L bytes
+        r_g        = byte g mod 16 of AES_{K_L}(W ⊕ ⟨1, ⌊g/16⌋, 0, 0⟩), mod 2^y
 
-    — ``AESGCM(k)`` over zeros, tag cut off — where ``xof`` is the keyed
-    SHAKE-256 of the label subkey and ``header`` encodes the shape ``(G,
-    2^y, label_len)``; each ``k`` encrypts once, so the nonce is fixed.  The
-    permute offset ``r_i`` is byte ``G·2^y·label_len + i`` mod ``2^y``, and
-    the labels are **in slot order**: entry ``s`` of group ``i`` (bytes
-    ``[(i·2^y + s)·label_len, +label_len)``) is the label of value ``s ⊕
-    r_i`` — a relabelling of i.i.d. entries that makes the old epoch's label
-    run a table's row keys, and a label's index in its group its slot
-    (``docs/security-model.md``).
+    ``header`` the shape ``(G, 2^y, L)``.  Entry ``(g, t)`` is the label of
+    value ``t ⊕ r_g`` (**slot order**; ``docs/security-model.md``), so the
+    old epoch's entries are a table's row keys.  Each run of labels is one
+    call of this thread's ECB context.
 
     Args:
         xof: The keyed label XOF (from :class:`~repro.crypto.keys.KeyChain`).
+        block_key: ``K_L``, the 16-byte label-block AES key (ditto).
         label_len: Bytes per label.
         value_len: Fixed plaintext length in bytes.
         group_bits: ``y`` — plaintext bits represented by one label.
     """
 
     def __init__(
-        self, xof, *, label_len: int, value_len: int, group_bits: int = 1
+        self, xof, block_key: bytes, *, label_len: int, value_len: int, group_bits: int = 1
     ) -> None:
         if value_len <= 0:
             raise ConfigurationError("value_len must be positive")
         _check_bits(group_bits)
         if label_len <= 0:
             raise ConfigurationError("label_len must be positive")
-        self._xof = xof
-        self.value_len = value_len
-        self.group_bits = group_bits
-        self.table_size = 1 << group_bits
-        self.num_groups = (value_len * 8 + group_bits - 1) // group_bits
-        self.label_len = label_len
-        #: Bytes of labels at the head of an epoch blob / of the whole blob.
-        self.labels_len = self.num_groups * self.table_size * label_len
-        self.epoch_len = self.labels_len + self.num_groups
-        self._zeros = bytes(self.epoch_len)
-        self._header = encode_components(self.num_groups, self.table_size, label_len)
-        split = struct.Struct(f"{label_len}s" * (self.num_groups * self.table_size))
-        #: Every label of an epoch, in :meth:`labels` order, back to back.
-        self._split, self.join = split.unpack_from, split.pack
-        self._last_split: "tuple[bytes | None, tuple[bytes, ...]]" = (None, ())
-        # The labels at one slot per group, in :meth:`labels`.
-        self._pick = picker(range(0, self.num_groups * self.table_size, self.table_size))
+        self._xof, self._block_key, self._local = xof, block_key, threading.local()
+        self.value_len, self.group_bits, self.label_len = value_len, group_bits, label_len
+        size = self.table_size = 1 << group_bits
+        groups = self.num_groups = (value_len * 8 + group_bits - 1) // group_bits
+        if groups >> 32:
+            raise ConfigurationError("a value of 2^32 groups or more has no block encoding")
+        #: AES blocks behind one label, and behind one epoch's offsets.
+        blocks = self.label_blocks = -(-label_len // BLOCK)
+        self.offset_blocks = -(-groups // BLOCK)
+        #: Resident bytes of an epoch's ``(W, offsets)`` payload.
+        self.epoch_bytes = _WHITENING_LEN + groups
+        self._header = encode_components(groups, size, label_len)
+        offsets = range(self.offset_blocks)  # ⟨1, i, 0, 0⟩ each, XORed on W at once
+        self._offset_code = b"".join(bytes([_OFFSETS]) + to_bytes(i, 4) + bytes(11) for i in offsets)
+        # Per run shape — one label per group, or a table's 2^y — the columns
+        # that do not depend on the access, and the cut of its blocks to labels.
+        self._columns, self._cuts, stride = {}, {}, BLOCK * blocks
+        for per in {1, size}:
+            parts = [(_PART, bytes(range(blocks)) * (groups * per))] if blocks > 1 else []
+            self._columns[per] = _index_columns(groups, per * blocks) + parts
+            cut = [(r * stride, r * label_len, label_len) for r in range(groups * per)]
+            self._cuts[per] = regather(cut, len(cut) * label_len) if stride > label_len else bytes
+        self._old_slots = _spread(bytes(range(size)) * groups, blocks)
         #: Bytes of a reply's packed slots, and its pad bits in the last one.
-        self.slot_bytes = -(-self.num_groups * group_bits // 8)
-        self._pad_mask = (1 << 8 * self.slot_bytes - self.num_groups * group_bits) - 1
+        self.slot_bytes = -(-groups * group_bits // 8)
+        self._pad_mask = (1 << 8 * self.slot_bytes - groups * group_bits) - 1
         self._reply_shape = (group_bits, self.slot_bytes, REPLY_DIGEST_LEN)
-        # byte -> byte mod 2^y, applied to a whole offset stream at C speed.
-        self._offset_table = bytes(b % self.table_size for b in range(256))
-
-    # ------------------------------------------------------------------ #
-    # Epoch derivation and its views
-    # ------------------------------------------------------------------ #
+        # byte -> byte mod 2^y, applied to a whole offset run at C speed.
+        self._offset_table = bytes(b % size for b in range(256))
 
     def _message(self, key: str, counter: int) -> bytes:
         return self._header + encode_components(key, counter)
 
-    def epoch(self, key: str, counter: int) -> bytes:
-        """Every candidate label, in slot order, then every permute-offset
-        byte, of ``key`` at ``counter`` — a 16-byte XOF squeeze and one
-        AES-CTR keystream."""
-        message = self._message(key, counter)
+    def _encrypt(self, blocks: bytearray, ops: "dict[str, int] | None" = None) -> bytes:
+        """``AES_{K_L}`` on this thread's own ECB context (a context is not
+        shareable); the blocks and the caller's ``ops`` metered under one guard."""
+        try:
+            update = self._local.update
+        except AttributeError:
+            cipher = Cipher(algorithms.AES(self._block_key), modes.ECB())
+            update = self._local.update = cipher.encryptor().update
         if _obs.enabled:
-            for op, n in self.epoch_ops(key, counter).items():
+            for op, n in {"aes.blocks": len(blocks) // BLOCK, **(ops or {})}.items():
                 _ledger.add_op(op, n)
-        xof = self._xof.copy()
-        xof.update(message)
-        return AESGCM(xof.digest(_EPOCH_KEY_LEN)).encrypt(bytes(12), self._zeros, None)[:-16]
+        return update(blocks)
+
+    def epochs(self, key: str, *counters: int) -> "list[tuple[bytes, bytes]]":
+        """``(W, offsets)`` of ``key`` at each of ``counters``: a 16-byte XOF
+        squeeze each, and one ECB call for all of their offset blocks."""
+        whitenings, squeezed = [], 0
+        for counter in counters:
+            message = self._message(key, counter)
+            squeezed += xof_blocks(len(message), _WHITENING_LEN)
+            xof = self._xof.copy()
+            xof.update(message)
+            whitenings.append(xof.digest(_WHITENING_LEN))
+        run = b"".join([w * self.offset_blocks for w in whitenings])
+        run = xor(run, self._offset_code * len(counters))
+        out = self._encrypt(run, {"prf.calls": len(counters), "shake256.blocks": squeezed})
+        span, table = BLOCK * self.offset_blocks, self._offset_table
+        return [
+            (w, out[k * span : k * span + self.num_groups].translate(table))
+            for k, w in enumerate(whitenings)
+        ]
 
     def epoch_ops(self, key: str, counter: int) -> "dict[str, int]":
-        """The ledger ops one :meth:`epoch` call costs, from the message
-        length and the shape alone — what the analytic cost model predicts
-        and ``repro plan --check`` holds to the ledger exactly."""
-        xof = xof_blocks(len(self._message(key, counter)), _EPOCH_KEY_LEN)
-        return {"prf.calls": 1, "shake256.blocks": xof, "aes.blocks": -(-self.epoch_len // BLOCK)}
+        """The ledger ops of one epoch of :meth:`epochs`, from the message
+        length and the shape alone (the cost model's input; each label derived
+        of it costs ``label_blocks`` AES blocks more)."""
+        xof = xof_blocks(len(self._message(key, counter)), _WHITENING_LEN)
+        return {"prf.calls": 1, "shake256.blocks": xof, "aes.blocks": self.offset_blocks}
 
-    def labels(self, blob: bytes) -> tuple[bytes, ...]:
-        """An epoch's ``num_groups · 2^y`` labels: entry ``i · 2^y + s`` is
-        group ``i``'s at slot ``s``, that of value ``s ⊕ r_i``.  The last
-        blob's split is kept: ``prepare`` splits the new epoch, ``finalize``
-        reads it back."""
-        last = self._last_split
-        if last[0] is not blob:
-            last = self._last_split = (blob, self._split(blob))
-        return last[1]
+    def table_labels(self, old: bytes, new: bytes, next_slots: bytes) -> tuple:
+        """``(keys, labels)`` of a table's rows in row order, from one ECB
+        call: row ``(g, s)`` is keyed by entry ``(g, s)`` of the epoch
+        whitened by ``old`` (its whole blocks; the row kernel reads the first
+        16 bytes) and carries entry ``(g, next_slots[row])`` of ``new``'s."""
+        columns = self._columns[self.table_size]
+        run = _run(old, columns, self._old_slots)
+        run += _run(new, columns, _spread(next_slots, self.label_blocks))
+        out, half = self._encrypt(run), len(run) // 2
+        return out[:half], self._cuts[self.table_size](out[half:])
 
-    def offsets(self, blob: bytes) -> bytes:
-        """An epoch's per-group permute offsets ``r`` (§10.2), one byte each."""
-        return blob[self.labels_len :].translate(self._offset_table)
+    def _selected(self, whitening: bytes, slots: bytes) -> bytes:
+        """Entry ``(g, slots[g])`` of every group ``g``, back to back."""
+        run = _run(whitening, self._columns[1], _spread(slots, self.label_blocks))
+        return self._cuts[1](self._encrypt(run))
 
-    def select(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
-        """The label of ``groups[i]`` — its entry at its :meth:`slots` slot —
-        for every group ``i``, back to back: what the server stores."""
-        return b"".join(self._pick(self.slots(blob, groups))(self.labels(blob)))
-
-    def slots(self, blob: bytes, groups: "tuple[int, ...] | list[int]") -> bytes:
-        """Which table slot the server must open per group at this epoch:
-        ``groups[i] XOR r_i`` (§10.2's ``d1 d2 = b1 b2 ⊕ r1 r2``, for ``y``
-        bits)."""
+    def record(
+        self, epoch: "tuple[bytes, bytes]", groups: "tuple[int, ...] | list[int]"
+    ) -> StoredRecord:
+        """What the server stores once ``epoch`` holds ``groups``: per group
+        ``i`` the slot to open next, ``groups[i] ⊕ r_i`` (§10.2's ``d1 d2 =
+        b1 b2 ⊕ r1 r2``, for ``y`` bits), and the label there."""
         if len(groups) != self.num_groups:
             raise ConfigurationError(f"expected {self.num_groups} group values, got {len(groups)}")
         if not 0 <= min(groups) <= max(groups) < self.table_size:
             raise ConfigurationError(f"group value out of range for y={self.group_bits}")
-        return xor(bytes(groups), self.offsets(blob))
+        slots = xor(bytes(groups), epoch[1])
+        return StoredRecord(self._selected(epoch[0], slots), slots)
 
-    # ------------------------------------------------------------------ #
-    # Inversion (proxy decodes the server's reply after every access)
-    # ------------------------------------------------------------------ #
+    def decode(self, epoch: tuple, slot_bits: int, slots: bytes, digest: bytes) -> bytes:
+        """The value a reply's packed slots spell in ``epoch``, once its
+        digest is that of the labels the value selects (§5.4).
 
-    def decode(self, blob: bytes, slot_bits: int, slots: bytes, digest: bytes) -> bytes:
-        """The value a reply's packed slots spell in the epoch ``blob``, once
-        its digest is that of the labels the value selects (§5.4).
-
-        Group ``i``'s slot is ``v_i ⊕ r_i`` (§10.2), so one XOR with the
-        offset bytes packed at ``y`` bits gives the value, and the slots index
-        its labels.  A reply naming another value needs a label the server
-        never opened; a stale or foreign one digests another epoch's labels.
+        Group ``i``'s slot is ``v_i ⊕ r_i`` (§10.2): one XOR with the packed
+        offsets gives the value, and the labels at the slots are derived to
+        check the digest, which no stale, foreign or rewritten reply meets.
 
         Raises:
             TamperDetectedError: the reply is not one ``y``-bit slot per group,
@@ -276,9 +304,8 @@ class LabelCodec:
                 f"reply of {len(slots)} B of {slot_bits}-bit slots and a {len(digest)} B digest is "
                 "not one slot per group, zero pad bits and a digest: data was tampered"
             )
-        value = xor(slots, _regroup(blob[self.labels_len :], self.group_bits, 8, self.slot_bytes))
-        at = _regroup(slots, 8, self.group_bits, self.num_groups)
-        expected = b"".join(self._pick(at)(self.labels(blob)))
+        value = xor(slots, _regroup(epoch[1], self.group_bits, 8, self.slot_bytes))
+        expected = self._selected(epoch[0], _regroup(slots, 8, self.group_bits, self.num_groups))
         if not hmac.compare_digest(reply_digest(expected), digest):
             raise TamperDetectedError(
                 "reply digest is not that of the labels its slots select: data was tampered"
@@ -294,6 +321,5 @@ __all__ = [
     "value_to_groups",
     "groups_to_value",
     "pack_slots",
-    "picker",
     "reply_digest",
 ]

@@ -10,7 +10,7 @@ Two keyed primitives serve them, each chosen for the shape of its work:
   :class:`Prf` and ``.copy()``-ed per evaluation.
 * :func:`keyed_xof` — SHAKE-256 with the key absorbed as one full rate block
   (the prefix-keyed sponge of KMAC, NIST SP 800-185), for each label
-  epoch's 16-byte AES-CTR key (:meth:`repro.crypto.labels.LabelCodec.epoch`).
+  epoch's 16-byte whitening (:meth:`repro.crypto.labels.LabelCodec.epochs`).
 
 Determinism — same inputs, same output, forever — is exactly the property
 the protocols lean on.  Inputs are encoded injectively by

@@ -95,8 +95,12 @@ def xor(data: bytes, *others: bytes) -> bytes:
     return to_bytes(value, n)
 
 
+#: ``XOR_TABLES[w]`` is the ``translate`` table of ``b -> b ⊕ w``.
+XOR_TABLES = tuple(xor(bytes(range(256)), bytes([w]) * 256) for w in range(256))
+
+
 def _count(op: str, n: int) -> None:
-    if _obs.enabled and n:
+    if n and _obs.enabled:
         REGISTRY.counter(f"crypto.aead.{op}").inc(n)
         _ledger.add_op(f"aead.{op}", n)
 
@@ -110,8 +114,6 @@ def _permute(blocks: bytes) -> bytes:
     except AttributeError:
         cipher = Cipher(algorithms.AES(_PI_KEY), modes.ECB())
         update = _contexts.update = cipher.encryptor().update
-    if _obs.enabled:
-        _ledger.add_op("aes.blocks", len(blocks) // BLOCK)
     return update(blocks)
 
 
@@ -138,7 +140,7 @@ def join_rows(rows: "list[bytes] | tuple[bytes, ...]", head: int) -> bytes:
     return b"".join(runs + [r[width + SLOT_LEN :] for r in rows[:head]])
 
 
-def _regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[bytes], bytes]":
+def regather(segments: "list[tuple[int, int, int]]", size: int) -> "Callable[[bytes], bytes]":
     """A function copying ``(source, target, length)`` segments of a buffer
     into ``size`` zero bytes: one struct unpack, at most one itemgetter, one
     struct pack — or, when that is one prefix, a slice.  Segments adjacent on
@@ -187,25 +189,21 @@ def _layout(n: int, key_len: int, label_len: int, head: int) -> tuple:
     planes, labels = row_blocks(label_len), rows(0, label_len, n)
     checks = (row_len, row_len + CHECK_LEN, head)
     return (
-        _regather([(r * key_len, r * BLOCK, BLOCK) for r in range(n)], plane),
+        regather([(r * key_len, r * BLOCK, BLOCK) for r in range(n)], plane),
         planes,
-        _regather([(t, s, w) for s, t, w in labels], planes * plane),
-        _regather(labels, n * label_len),
+        regather([(t, s, w) for s, t, w in labels], planes * plane),
+        regather(labels, n * label_len),
         label_len // BLOCK * plane + label_len % BLOCK,
-        _regather(rows(*checks), head * CHECK_LEN),
-        _regather(rows(*checks, stride=0), head * CHECK_LEN),
+        regather(rows(*checks), head * CHECK_LEN),
+        regather(rows(*checks, stride=0), head * CHECK_LEN),
     )
-
-
-#: ``t_j = nonce ⊕ j`` differs from ``t_0`` in its last byte only: byte -> byte ⊕ j.
-_LAST_BYTE_XOR = [bytes(b ^ j for b in range(256)) for j in range(MAX_ROW_LEN // BLOCK)]
 
 
 def _mix(keys: bytes, nonce: bytes, labels: bytes, slots: bytes, head: int) -> bytes:
     """The slab of ``n = len(slots)`` rows under ``keys``: ``labels`` and
     ``slots`` XORed with their pads, then the first ``head`` rows' check
     pads; every width is validated before π sees a byte.  Plane ``j``'s π
-    input is plane 0's with each block's last byte translated."""
+    input is plane 0's with each block's last byte XOR ``j`` (``t_j = nonce ⊕ j``)."""
     n = len(slots)
     if n < 1 or not labels or len(labels) % n:
         raise ConfigurationError("row labels must be equal-width, one per row")
@@ -226,8 +224,10 @@ def _mix(keys: bytes, nonce: bytes, labels: bytes, slots: bytes, head: int) -> b
     first = to_bytes(under >> 8 * (span - plane) ^ to_int(nonce * n), plane)
     tweaked = bytearray(first * blocks)
     last = first[BLOCK - 1 :: BLOCK]
-    tweaked[BLOCK - 1 :: BLOCK] = b"".join([last.translate(t) for t in _LAST_BYTE_XOR[:blocks]])
+    tweaked[BLOCK - 1 :: BLOCK] = b"".join([last.translate(XOR_TABLES[j]) for j in range(blocks)])
     pads = _permute(tweaked)
+    if _obs.enabled:
+        _ledger.add_op("aes.blocks", (len(hidden) + len(pads)) // BLOCK)
     mixed = to_int(memoryview(pads)[:span]) ^ under ^ to_int(load(labels))
     tail = pads[at : at + plane : BLOCK] + checks(pads)  # the slot column, then the checks
     under_tail = hidden[label_len % BLOCK :: BLOCK] + hidden_checks(hidden)

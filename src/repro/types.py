@@ -93,8 +93,9 @@ class StoreConfig:
         label_cache_entries: Proxy-side label cache capacity in epochs
             (``(key, counter)`` entries).  ``None`` disables the cache;
             ``-1`` sizes it automatically from
-            :data:`repro.core.lbl.cache.DEFAULT_LABEL_CACHE_BYTES`.  A hit
-            skips re-deriving the access's old epoch (see
+            :data:`repro.core.lbl.cache.DEFAULT_LABEL_CACHE_BYTES`.  An entry
+            is an epoch's whitening and offsets, not its labels, so a hit
+            skips only the old epoch's XOF squeeze and offset blocks (see
             ``docs/performance.md``).
     """
 

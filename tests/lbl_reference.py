@@ -5,11 +5,15 @@ one table entry at a time from the constructions alone — none of the epoch
 views, gathers or plane layout behind ``prepare`` — and the only home of
 the §5.2 base protocol, which the program does not serve:
 
-* **labels** (§5.2, §10.1) — an epoch is the first ``G·2^y·L + G`` bytes of
-  an AES-128-CTR keystream from counter block ``0^12 ‖ 00000002`` under the
-  16 bytes the keyed SHAKE-256 squeezes for ``(shape, key, ct)``: offset
-  ``r_i`` is byte ``G·2^y·L + i`` mod ``2^y``, and label ``v`` of group
-  ``i`` is bytes ``[(i·2^y + (v ⊕ r_i))·L, +L)`` — the blob in slot order;
+* **labels** (§5.2, §10.1) — an epoch's whitening ``W`` is the 16 bytes the
+  keyed SHAKE-256 squeezes for ``(shape, key, ct)``; every block is
+  ``AES_{K_L}(W ⊕ ⟨domain, index, slot, part⟩)`` under the key chain's
+  label-block key, the encoding one domain byte (0 labels, 1 offsets), the
+  index as four big-endian bytes, one slot byte, one part byte and nine
+  zeros, derived here one block at a time: offset ``r_i`` is byte ``i mod
+  16`` of offset block ``⌊i/16⌋`` mod ``2^y``, entry ``(i, t)`` is the first
+  ``L`` bytes of its label blocks ``part = 0, 1, …``, and label ``v`` of
+  group ``i`` is entry ``(i, v ⊕ r_i)`` — slot order;
 * **§10.2 rows** — the row at slot ``v ⊕ r_i`` is keyed by old label ``v``
   and carries new label ``t = v`` (GET) or ``t = w_i`` (PUT) and ``t``'s
   next slot ``t ⊕ r'_i``: ``(label ‖ slot ‖ 0^15) ⊕ pad``, pad block ``j``
@@ -29,9 +33,8 @@ the §5.2 base protocol, which the program does not serve:
   significant first and zero-padded, and SHA-256 of its labels cut to 16
   bytes (:func:`reply`), read back by XOR-ing each slot with ``r'_i`` and
   comparing the digest of the labels those values select (:func:`finalize`);
-* **base read-back** (§5.4) — each label a §5.2 server returns found in its
-  own group's window of the epoch, at candidate boundaries only, its slot
-  there XOR ``r_i`` the group's value (:func:`decode`).
+* **base read-back** (§5.4) — each label a §5.2 server returns found among
+  its own group's candidates, whose value it is (:func:`decode`).
 """
 
 from __future__ import annotations
@@ -116,22 +119,17 @@ def groups_to_value(groups: "list[int]", group_bits: int, value_len: int) -> byt
     return (as_int >> (len(groups) * group_bits - value_len * 8)).to_bytes(value_len, "big")
 
 
-def decode(blob: bytes, labels: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
-    """The value one returned label per group selects in the epoch ``blob``:
-    each label is looked up in its own group's ``2^y · label_len`` window, and
-    counts only where it starts on a candidate boundary — a match straddling
-    two candidates, or none at all, is tampering (§5.4)."""
-    window = (1 << group_bits) * label_len
-    offsets = blob[len(labels) // label_len * window :]
+def decode(epoch_labels, labels: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
+    """The value one returned label per group selects among the candidates
+    ``epoch_labels`` (the first of :func:`epoch`'s pair): each label must be
+    one of its own group's — another group's label, or none, is tampering
+    (§5.4)."""
     groups = []
     for group, at in enumerate(range(0, len(labels), label_len)):
-        label, start = labels[at : at + label_len], group * window
-        found = blob.find(label, start, start + window)
-        while found >= 0 and (found - start) % label_len:  # straddles two candidates
-            found = blob.find(label, found + 1, start + window)
-        if found < 0:
+        label = labels[at : at + label_len]
+        if label not in epoch_labels[group]:
             raise TamperDetectedError(f"label at group {group} matches no candidate")
-        groups.append((found - start) // label_len ^ offsets[group] % (1 << group_bits))
+        groups.append(epoch_labels[group].index(label))
     return groups_to_value(groups, group_bits, value_len)
 
 
@@ -147,12 +145,12 @@ def reply(labels: bytes, slots: bytes, group_bits: int) -> bytes:
     return header + packed.to_bytes(width, "big") + hashlib.sha256(labels).digest()[:16]
 
 
-def finalize(blob: bytes, frame: bytes, *, label_len: int, group_bits: int, value_len: int) -> bytes:
-    """The value a reply ``frame`` spells in the new epoch ``blob``, one group
-    at a time: value ``v_i`` is slot ``i`` XOR ``r'_i``, and the digest must be
-    that of label ``v_i`` of every group, the blob's entry at that slot — else
-    tampering (§5.4)."""
-    size = 1 << group_bits
+def finalize(epoch_pair, frame: bytes, *, group_bits: int, value_len: int) -> bytes:
+    """The value a reply ``frame`` spells in the new epoch ``epoch_pair`` (a
+    :func:`epoch` result), one group at a time: value ``v_i`` is slot ``i``
+    XOR ``r'_i``, and the digest must be that of label ``v_i`` of every
+    group — else tampering (§5.4)."""
+    candidates, offsets = epoch_pair
     groups = -(-value_len * 8 // group_bits)
     width = -(-groups * group_bits // 8)
     if frame[:3] != bytes([0x21]) + group_bits.to_bytes(2, "big") or len(frame) != 3 + width + 16:
@@ -162,39 +160,68 @@ def finalize(blob: bytes, frame: bytes, *, label_len: int, group_bits: int, valu
     if packed & ((1 << pad) - 1):
         raise TamperDetectedError("reply sets its pad bits")
     packed >>= pad
-    offsets = blob[groups * size * label_len :]
     values, labels = [], b""
     for i in range(groups):
-        slot = (packed >> (groups - 1 - i) * group_bits) & (size - 1)
-        values.append(slot ^ offsets[i] % size)
-        labels += blob[(i * size + slot) * label_len :][:label_len]
+        slot = (packed >> (groups - 1 - i) * group_bits) & ((1 << group_bits) - 1)
+        values.append(slot ^ offsets[i])
+        labels += candidates[i][values[-1]]
     if hashlib.sha256(labels).digest()[:16] != frame[3 + width :]:
         raise TamperDetectedError("reply digest is not that of the labels its slots select")
     return groups_to_value(values, group_bits, value_len)
 
 
-def epoch_blob(keychain, config, key: str, counter: int) -> bytes:
-    """The AES-CTR keystream of ``key`` at ``counter``, under the 16 bytes the
-    keyed SHAKE-256 squeezes for it."""
+def whitening(keychain, config, key: str, counter: int) -> bytes:
+    """``W`` of ``key`` at ``counter``: 16 bytes of the keyed SHAKE-256 over
+    the shape ``(G, 2^y, L)`` and ``(key, counter)``."""
     groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
     xof = keychain.label_xof.copy()
     xof.update(encode_components(groups, size, width) + encode_components(key, counter))
-    counter_block = bytes(12) + (2).to_bytes(4, "big")
-    stream = Cipher(algorithms.AES(xof.digest(16)), modes.CTR(counter_block)).encryptor()
-    return stream.update(bytes(groups * size * width + groups))
+    return xof.digest(16)
+
+
+def _block(aes, w: bytes, domain: int, index: int, slot: int = 0, part: int = 0) -> bytes:
+    """``AES_{K_L}(W ⊕ ⟨domain, index, slot, part⟩)``, one block."""
+    encoding = bytes([domain]) + index.to_bytes(4, "big") + bytes([slot, part]) + bytes(9)
+    return aes.update(xor(w, encoding))
+
+
+def _label_aes(keychain):
+    """A bare ECB context under the key chain's label-block key."""
+    return Cipher(algorithms.AES(keychain.label_block_key), modes.ECB()).encryptor()
+
+
+def _offsets(aes, w: bytes, config) -> "list[int]":
+    size = 1 << config.group_bits
+    return [_block(aes, w, 1, i // 16)[i % 16] % size for i in range(config.num_groups)]
+
+
+def _entry(aes, w: bytes, config, group: int, slot: int) -> bytes:
+    width = config.label_bits // 8
+    return b"".join(_block(aes, w, 0, group, slot, part) for part in range(-(-width // 16)))[:width]
+
+
+def offsets(keychain, config, key: str, counter: int) -> "list[int]":
+    """``r_i`` of every group of ``key`` at ``counter``."""
+    return _offsets(_label_aes(keychain), whitening(keychain, config, key, counter), config)
+
+
+def entry(keychain, config, key: str, counter: int, group: int, slot: int) -> bytes:
+    """Entry ``(group, slot)`` of ``key`` at ``counter``: the label of value
+    ``slot ⊕ r_group``."""
+    w = whitening(keychain, config, key, counter)
+    return _entry(_label_aes(keychain), w, config, group, slot)
 
 
 def epoch(keychain, config, key: str, counter: int):
     """``(labels, offsets)`` of ``key`` at ``counter``: ``labels[i][v]`` is
     label ``v`` of group ``i``, ``offsets[i]`` is ``r_i``."""
-    groups, size, width = config.num_groups, 1 << config.group_bits, config.label_bits // 8
-    blob = epoch_blob(keychain, config, key, counter)
-    offsets = [b % size for b in blob[groups * size * width :]]
+    w, aes = whitening(keychain, config, key, counter), _label_aes(keychain)
+    found = _offsets(aes, w, config)
     labels = [
-        [blob[(i * size + (v ^ offsets[i])) * width :][:width] for v in range(size)]
-        for i in range(groups)
+        [_entry(aes, w, config, i, v ^ found[i]) for v in range(1 << config.group_bits)]
+        for i in range(config.num_groups)
     ]
-    return labels, offsets
+    return labels, found
 
 
 def record_labels(keychain, config, key: str, counter: int, value: bytes) -> "list[bytes]":

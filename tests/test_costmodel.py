@@ -193,25 +193,28 @@ def test_paper_configuration_bytes():
     assert model.bytes_per_access == 43_629 + 179 == 43_808
     assert model.entry_compressions == 3
     # Calls made: two epochs and the key encoding.  Per epoch the XOF absorbs
-    # one block and squeezes one (its 16-byte AES key), and the keystream is
-    # 41,600 / 16 = 2,600 AES blocks.
+    # one block and squeezes one (its 16-byte whitening), and its offsets are
+    # 640 / 16 = 40 AES blocks; the labels are one block each: the old epoch
+    # at every slot and the new one at every row's next slot (2 x 2,560) in
+    # prepare, and the 640 the reply selects in finalize.
     assert model.ops() == {
         "prf.calls": 3,
         "sha256.compressions": 2,
         "shake256.blocks": 2 * (1 + 1),
         "aead.encrypts": 2560,
         "aead.decrypts": 640,
-        "aes.blocks": 2 * 2600 + 7680 + 1920,
+        "aes.blocks": 2 * 40 + (2 * 2560 + 640) + 7680 + 1920,
     }
-    assert model.ops(include_server=False)["aes.blocks"] == 2 * 2600 + 7680
-    assert model.proxy_hash_blocks() == 4 + 2 + 2 * 2600 + 2560 * 3
+    assert model.ops(include_server=False)["aes.blocks"] == 2 * 40 + 5760 + 7680
+    assert model.proxy_hash_blocks() == 4 + 2 + 2 * 40 + 5760 + 2560 * 3
 
 
 def _row_aes_blocks(model) -> int:
     """The AES blocks of an access's rows: all of them but the two epochs'
-    keystreams (``G·(2^y·L + 1)`` bytes each)."""
-    epoch_len = model.num_groups * (model.table_size * model.label_len + 1)
-    return model.ops()["aes.blocks"] - 2 * -(-epoch_len // 16)
+    offset blocks (``ceil(G / 16)`` each) and the labels (``2·G·2^y + G``,
+    one block each at 128 bits)."""
+    labels = 2 * model.num_groups * model.table_size + model.num_groups
+    return model.ops()["aes.blocks"] - 2 * -(-model.num_groups // 16) - labels * -(-model.label_len // 16)
 
 
 def test_check_bytes_on_group_0_only_pin_the_wire_per_access():
@@ -304,7 +307,7 @@ def test_plan_capacity_scales_with_load():
     assert large.dollars_per_day > small.dollars_per_day
     assert small.bytes_per_access == model.framed_bytes_per_access(traced=True)
     assert small.compressions_per_access == model.proxy_hash_blocks()
-    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 22_800_000.0
+    assert small.as_dict()["assumptions"]["compressions_per_core_per_sec"] == 33_600_000.0
     assert small.projected_p99_ms > 0
     plan_dict = small.as_dict()
     assert plan_dict["assumptions"]["p99_model"].startswith("M/M/1")

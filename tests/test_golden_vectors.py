@@ -4,12 +4,13 @@ The batched fast paths (precomputed HMAC key state, one-call label epochs,
 batch AEAD and rows) must be drop-in: byte-identical to the documented
 constructions.  Two independent nets catch a silent change:
 
-* **pinned vectors** — exact outputs of :meth:`Prf.evaluate`,
-  :meth:`LabelCodec.labels`, :meth:`LabelCodec.offsets`,
+* **pinned vectors** — exact outputs of :meth:`Prf.evaluate`, the labels
+  and offsets of :meth:`LabelCodec.epochs` / :meth:`LabelCodec.record`,
   :func:`aead.encrypt` (fixed nonce), the point-and-permute row kernel
-  :func:`rows.seal_rows` and a whole LBL reply frame, plus a live re-derivation of each from the bare
-  calls (``hmac``, ``hashlib.shake_256``, ``Cipher(AES(key), CTR/ECB)``), so
-  a vector can only move if the documented construction itself changes;
+  :func:`rows.seal_rows` and a whole LBL reply frame, plus a live
+  re-derivation of each from the bare calls (``hmac``, ``hashlib.shake_256``,
+  ``Cipher(AES(key), ECB)``) and from ``tests/lbl_reference.py``, so a
+  vector can only move if the documented construction itself changes;
 * **Hypothesis cross-checks** — every batch entry point agrees with its
   scalar counterpart on arbitrary inputs, and :meth:`LblProxy.prepare`
   agrees with the row-at-a-time reference of ``tests/lbl_reference.py``.
@@ -32,8 +33,7 @@ from repro.core.lbl.server import LblServer
 from repro.core.messages import LblAccessRequest
 from repro.crypto import aead, rows
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec
-from repro.crypto.prf import Prf, PrfContext, encode_components, keyed_xof
+from repro.crypto.prf import Prf, PrfContext, encode_components
 from repro.errors import ProtocolError
 from repro.types import Request, StoreConfig
 from tests import lbl_reference
@@ -58,27 +58,17 @@ def _ref_prf(key: bytes, components: tuple, out_bytes: int) -> bytes:
     return out[:out_bytes]
 
 
-def _ref_epoch(label_key: bytes, codec: LabelCodec, key: str, counter: int) -> bytes:
-    """The documented epoch: 16 bytes of prefix-keyed SHAKE-256 (stdlib) key
-    an AES-128-CTR keystream from counter block ``0^12 ‖ 00000002``."""
-    shape = (codec.num_groups, codec.table_size, codec.label_len)
-    epoch_key = hashlib.shake_256(
-        label_key.ljust(136, b"\x00")
-        + encode_components(*shape)
-        + encode_components(key, counter)
+def _ref_block(master: bytes, shape: tuple, key: str, counter: int, encoding: bytes) -> bytes:
+    """One documented label or offset block: ``AES_{K_L}(W ⊕ encoding)``,
+    ``W`` 16 bytes of prefix-keyed SHAKE-256 (stdlib) and both subkeys
+    HMAC-derived from ``master``."""
+    label_key = _ref_prf(master, ("subkey", "labels"), 32)
+    w = hashlib.shake_256(
+        label_key.ljust(136, b"\x00") + encode_components(*shape) + encode_components(key, counter)
     ).digest(16)
-    counter_block = bytes(12) + (2).to_bytes(4, "big")
-    stream = Cipher(algorithms.AES(epoch_key), modes.CTR(counter_block)).encryptor()
-    return stream.update(bytes(codec.num_groups * codec.table_size * codec.label_len + codec.num_groups))
-
-
-def _codec(label_key: bytes, value_len: int, group_bits: int, label_len: int = 16):
-    return LabelCodec(
-        keyed_xof(label_key),
-        label_len=label_len,
-        value_len=value_len,
-        group_bits=group_bits,
-    )
+    block_key = _ref_prf(master, ("subkey", "label-blocks"), 32)[:16]
+    aes = Cipher(algorithms.AES(block_key), modes.ECB()).encryptor()
+    return aes.update(bytes(a ^ b for a, b in zip(w, encoding)))
 
 
 def _ref_encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
@@ -105,14 +95,15 @@ _PRF48_VECTOR = bytes.fromhex(
     "ebde6f4e985cefde836f68d3c658e98dfe79698f062bac4a9c344c6876a91792"
     "27848d77f07f933c8a11ff0c70798110"
 )
-# Labels are slices of one epoch per (key, epoch), in slot order: entry s of
-# group i is bytes [(4i + s)·16, +16) of the blob — here 144..160 and
-# 176..192, the labels of values 1 ⊕ r_2 = 0 and 3 ⊕ r_2 = 2 (r_2 = 1).
-_LABEL_VECTOR = bytes.fromhex("21d60d3e2fde690e4dd24f0849fb6c91")
-_LABEL_VECTOR_SLOT3 = bytes.fromhex("647cc71a8cdaef21c1b4515287e708f6")
-# 40 groups: the offsets are the epoch's last 40 bytes, each mod 4.
+# Under master key 01…01, "obj" at epoch 7 with 4-byte values at y = 2:
+# entries (2, 1) and (2, 3), each one AES block of W ⊕ ⟨0, 2, slot, 0⟩ — the
+# labels of values 1 ⊕ r_2 = 1 and 3 ⊕ r_2 = 3 (r_2 = 0).
+_LABEL_VECTOR = bytes.fromhex("fdc8f7b0f78fd4057a28c59d417ebef7")
+_LABEL_VECTOR_SLOT3 = bytes.fromhex("c1263e6bf6d0c22c2ac69983505be108")
+# 10-byte values, 40 groups: bytes 0-15 of offset blocks 0, 1, 2 (W ⊕
+# ⟨1, i, 0, 0⟩), the first 40 of them, each mod 4.
 _OFFSETS_VECTOR = bytes.fromhex(
-    "01000003020103020203000001020200000301010201030301010102000203030102030201030302"
+    "03010202030303000100020102030000000000010301010003020002000203000302010100020100"
 )
 _AEAD_KEY = b"k" * 16
 _AEAD_PLAINTEXT = b"hello world label"
@@ -136,25 +127,31 @@ def test_prf_vector_multi_block():
 
 
 def test_label_vector():
-    codec = _codec(b"\x01" * 32, value_len=4, group_bits=2)
-    labels = codec.labels(codec.epoch("obj", 7))
-    assert (labels[2 * 4 + 1], labels[2 * 4 + 3]) == (_LABEL_VECTOR, _LABEL_VECTOR_SLOT3)
-    blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
-    assert codec.epoch("obj", 7) == blob
-    assert len(blob) == 16 * 4 * 16 + 16
-    assert blob[(2 * 4 + 1) * 16 : (2 * 4 + 2) * 16] == _LABEL_VECTOR
-    assert blob[(2 * 4 + 3) * 16 : (2 * 4 + 4) * 16] == _LABEL_VECTOR_SLOT3
+    config, keychain = StoreConfig(value_len=4, group_bits=2), KeyChain(b"\x01" * 32)
+    shape = (16, 4, 16)
+    for slot, vector in ((1, _LABEL_VECTOR), (3, _LABEL_VECTOR_SLOT3)):
+        assert lbl_reference.entry(keychain, config, "obj", 7, 2, slot) == vector
+        position = bytes([0]) + (2).to_bytes(4, "big") + bytes([slot, 0]) + bytes(9)
+        assert _ref_block(b"\x01" * 32, shape, "obj", 7, position) == vector
     # Slot order: the value a slot holds is the slot XOR the group's offset.
-    assert codec.offsets(blob)[2] == 1
-    assert codec.select(blob, (0,) * 2 + (0,) + (0,) * 13)[32:48] == _LABEL_VECTOR
-    assert codec.select(blob, (0,) * 2 + (2,) + (0,) * 13)[32:48] == _LABEL_VECTOR_SLOT3
+    codec = LblProxy(config, keychain).codec
+    (epoch,) = codec.epochs("obj", 7)
+    assert epoch[1][2] == 0
+    for value, vector in ((1, _LABEL_VECTOR), (3, _LABEL_VECTOR_SLOT3)):
+        record = codec.record(epoch, (0,) * 2 + (value,) + (0,) * 13)
+        assert (record.labels[32:48], record.slots[2]) == (vector, value)
 
 
 def test_permute_offsets_vector():
-    codec = _codec(b"\x01" * 32, value_len=10, group_bits=2)
-    assert codec.offsets(codec.epoch("obj", 7)) == _OFFSETS_VECTOR
-    blob = _ref_epoch(b"\x01" * 32, codec, "obj", 7)
-    assert bytes(b % 4 for b in blob[-codec.num_groups :]) == _OFFSETS_VECTOR
+    config, keychain = StoreConfig(value_len=10, group_bits=2), KeyChain(b"\x01" * 32)
+    (epoch,) = LblProxy(config, keychain).codec.epochs("obj", 7)
+    assert epoch[1] == _OFFSETS_VECTOR
+    assert bytes(lbl_reference.offsets(keychain, config, "obj", 7)) == _OFFSETS_VECTOR
+    blocks = b"".join(
+        _ref_block(b"\x01" * 32, (40, 4, 16), "obj", 7, bytes([1]) + i.to_bytes(4, "big") + bytes(11))
+        for i in range(3)
+    )
+    assert bytes(b % 4 for b in blocks[:40]) == _OFFSETS_VECTOR
 
 
 def test_aead_vector_fixed_nonce():
@@ -289,9 +286,9 @@ def test_open_many_matches_try_decrypt(cases):
 
 
 # The reply to a PUT of a5 3c at 2 B, y = 3, under master key 05…05: slots
-# 5 1 2 3 4 1 as 101 001 010 011 100 001 and six zero pad bits (a5 38 40),
+# 0 4 5 3 7 1 as 000 100 101 011 111 001 and six zero pad bits (12 be 40),
 # then SHA-256 of the six new labels cut to 16 bytes.
-_REPLY_VECTOR = bytes.fromhex("210003a53840c7dc4741266e2fe01278ce6b27cc45ca")
+_REPLY_VECTOR = bytes.fromhex("21000312be40db159ef3c514e51fdce97bae3b399a56")
 
 
 def test_reply_frame_vector():
@@ -307,10 +304,10 @@ def test_reply_frame_vector():
     assert response.to_bytes() == _REPLY_VECTOR
     labels, offsets = lbl_reference.epoch(keychain, config, "obj", 1)
     groups = lbl_reference.value_to_groups(b"\xa5\x3c", 3)
-    assert bytes(g ^ r for g, r in zip(groups, offsets)) == bytes([5, 1, 2, 3, 4, 1])
+    assert bytes(g ^ r for g, r in zip(groups, offsets)) == bytes([0, 4, 5, 3, 7, 1])
     stored = b"".join(labels[i][g] for i, g in enumerate(groups))
     assert _REPLY_VECTOR[-16:] == hashlib.sha256(stored).digest()[:16]
-    assert _REPLY_VECTOR == lbl_reference.reply(stored, bytes([5, 1, 2, 3, 4, 1]), 3)
+    assert _REPLY_VECTOR == lbl_reference.reply(stored, bytes([0, 4, 5, 3, 7, 1]), 3)
     assert proxy.finalize("obj", response)[0] == b"\xa5\x3c"
 
 
@@ -381,9 +378,9 @@ def _base_accesses(config, keychain, value, writes, rng) -> "list[list[bytes]]":
         labels, attempts, failures = lbl_reference.open_base(history[-1], tables)
         assert attempts - failures == len(labels) == config.num_groups
         value = value if written is None else written
-        blob = lbl_reference.epoch_blob(keychain, config, "k", counter + 1)
+        candidates, _offsets = lbl_reference.epoch(keychain, config, "k", counter + 1)
         assert lbl_reference.decode(
-            blob, b"".join(labels), label_len=config.label_bits // 8,
+            candidates, b"".join(labels), label_len=config.label_bits // 8,
             group_bits=config.group_bits, value_len=config.value_len,
         ) == value
         history.append(labels)

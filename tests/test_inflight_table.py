@@ -1,7 +1,7 @@
 """The proxy's in-flight table: bounded, invisible, and worth its PRF calls.
 
-``prepare`` files every new epoch's blob so ``finalize`` can run
-the §5.4 tamper check without re-deriving it.  The table is the one piece
+``prepare`` files every new epoch's ``(W, offsets)`` so ``finalize`` can
+run the §5.4 tamper check without re-deriving it.  The table is the one piece
 of proxy state beyond the counters, so its claims are tested, not assumed:
 
 * **bounded** — epochs whose request failed are never finalized; the table
@@ -14,7 +14,8 @@ of proxy state beyond the counters, so its claims are tested, not assumed:
 * **counted** — ``finalize`` reports zero PRF calls exactly when the epoch was
   in the table, and a whole access makes 3 PRF calls (two epochs and the key
   encoding) where the paper's per-label derivation, which the figures still
-  price, makes 2601 / 35 / 815 at 160 B / 2 B / 50 B values.
+  price, makes 2601 / 35 / 815 at 160 B / 2 B / 50 B values; every call
+  shape, GET or PUT, makes the same AES blocks per access.
 """
 
 from __future__ import annotations
@@ -115,9 +116,11 @@ def test_more_outstanding_paper_point_accesses_than_the_table_holds():
     config = StoreConfig(value_len=160, group_bits=2)
     store = LblOrtoa(config)
     proxy = store.proxy
-    capacity = proxy._inflight_capacity
-    # 4 MiB of 41,600-byte blobs: above one epoch per frame of a depth-8 pipeline.
-    assert capacity == 100 >= 64
+    # 4 MiB of 656-byte (W, offsets) pairs and their overhead: far above one
+    # epoch per frame of a depth-8 pipeline.  Overflowed here at 40, which
+    # takes 44 accesses rather than 4,301.
+    assert proxy._inflight_capacity == 4 * 1024 * 1024 // (16 + 640 + 320) == 4297
+    capacity = proxy._inflight_capacity = 40
     keys = [f"k{n}" for n in range(capacity + 4)]
     store.initialize({key: bytes(160) for key in keys})
     sent = []
@@ -310,7 +313,7 @@ def test_random_sequences_match_the_oracle(cluster, steps, capacity, flip):
                 with pytest.raises(TamperDetectedError):  # re-derived candidates
                     real_finalize(request.key, tampered, counter=epoch)
                 proxy._remember_epoch(
-                    request.key, epoch, proxy.codec.epoch(request.key, epoch)
+                    request.key, epoch, proxy.codec.epochs(request.key, epoch)[0]
                 )
                 with pytest.raises(TamperDetectedError):  # table candidates
                     real_finalize(request.key, tampered, counter=epoch)
@@ -410,9 +413,10 @@ def test_finalize_row_is_empty_from_the_table_and_one_derivation_without(metered
     store.initialize({"k": bytes(16)})
     built, _ops = store.proxy.prepare(Request.read("k"))
     response, _server_ops = store.server.process(built)
-    # One derivation: a 16-byte squeeze (one block absorbed, one squeezed)
-    # and the AES-CTR keystream of a 64 x 4 x 16 + 64 = 4,160-byte epoch.
-    for expected in ((0, 0, 0), (1, 2, 4160 // 16)):
+    # Either way the 64 labels the reply selects, one AES block each; without
+    # the table one derivation more: a 16-byte squeeze (one block absorbed,
+    # one squeezed) and the epoch's 64 offsets, 4 AES blocks.
+    for expected in ((0, 0, 64), (1, 2, 4 + 64)):
         obs.reset()
         _value, ops = store.proxy.finalize("k", response, counter=1)
         measured = ledger.registry_ops_snapshot()
@@ -422,3 +426,40 @@ def test_finalize_row_is_empty_from_the_table_and_one_derivation_without(metered
             measured.get("aes.blocks", 0),
         ) == expected
         assert ops.prf == expected[0]
+
+
+def test_every_call_shape_derives_each_epoch_once(metered):
+    """``access``, ``access_pipelined`` (16 keys, depth 8) and ``access_batch``
+    spend the same AES blocks, PRF calls and XOF blocks per access, for a
+    GET and for a PUT: no shape derives an epoch, or a label run, twice —
+    and that is what the cost model predicts."""
+    config = StoreConfig(value_len=160, group_bits=2)
+    keys = [f"k{n:02d}" for n in range(16)]
+    store = LblOrtoa(config)
+    try:
+        store.initialize({key: bytes(160) for key in keys})
+        shapes = {
+            "access": lambda requests: [store.access(r) for r in requests],
+            "access_pipelined": lambda requests: store.access_pipelined(requests, depth=8),
+            "access_batch": store.access_batch,
+        }
+        seen = {}
+        for (name, run), write in itertools.product(shapes.items(), (False, True)):
+            requests = [
+                Request.write(key, bytes([write]) * 160) if write else Request.read(key)
+                for key in keys
+            ]
+            counter = store.proxy.counter(keys[0])
+            assert {store.proxy.counter(key) for key in keys} == {counter}
+            obs.reset()
+            run(requests)
+            ops = ledger.registry_ops_snapshot()
+            seen[name, write] = tuple(
+                ops[op] / len(keys) for op in ("aes.blocks", "prf.calls", "shake256.blocks")
+            )
+            model = LblCostModel.from_config(config, key=keys[0], counter=counter).ops()
+            expected = tuple(model[op] for op in ("aes.blocks", "prf.calls", "shake256.blocks"))
+            assert seen[name, write] == expected, name
+        assert len(set(seen.values())) == 1, seen
+    finally:
+        store.close()

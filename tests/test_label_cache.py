@@ -143,8 +143,8 @@ def test_repeated_access_hits_cache():
     store = _store(_config())
     cache = store.proxy.label_cache
     store.access(Request.read("k0"))  # miss: populates epoch 1
-    # The entry is the epoch blob itself, exactly as a derivation returns it.
-    assert cache.peek("k0", 1) == store.proxy.codec.epoch("k0", 1)
+    # The entry is the epoch's (W, offsets), exactly as a derivation returns it.
+    assert cache.peek("k0", 1) == store.proxy.codec.epochs("k0", 1)[0]
     before = cache.hits
     _built, ops = store.proxy.prepare(Request.read("k0"))  # consumes epoch 1
     assert cache.hits == before + 1
@@ -364,9 +364,10 @@ def test_initial_records_derives_one_epoch_per_record():
         obs.disable()
         obs.reset()
     assert ops["prf.calls"] == 2
-    # The epoch's 16-byte key (one block absorbed, one squeezed) and its
-    # AES-CTR keystream: 32 x 4 x 16 + 32 = 2,080 bytes.
-    assert (ops["shake256.blocks"], ops["aes.blocks"]) == (2, 2080 // 16)
+    # The epoch's 16-byte whitening (one block absorbed, one squeezed), its
+    # 32 offsets (two AES blocks) and the 32 labels the value selects, one
+    # block each.
+    assert (ops["shake256.blocks"], ops["aes.blocks"]) == (2, 2 + 32)
     assert proxy.codec.epoch_ops("key", 0) == {
-        "prf.calls": 1, "shake256.blocks": 2, "aes.blocks": 130,
+        "prf.calls": 1, "shake256.blocks": 2, "aes.blocks": 2,
     }

@@ -258,8 +258,9 @@ def test_lbl_behaves_like_a_dict(ops, group_bits):
 
 class _Reference:
     """What proxy and server must agree on, from bare library calls: per
-    epoch an AES-128-CTR keystream under 16 bytes of prefix-keyed SHAKE-256
-    (labels in slot order, then offsets: label ``v`` of group ``i`` at slot
+    epoch a whitening ``W`` of 16 bytes of prefix-keyed SHAKE-256, and per
+    label or offset block AES-128 of ``W`` XOR its position under the
+    label-block subkey (label ``v`` of group ``i`` is the entry at slot
     ``v ⊕ r_i``); per
     point-and-permute row the pad ``π(π(x) ⊕ t_j) ⊕ π(x)`` for every block
     ``j`` of the row, ``π`` AES-128 under the public constant key, ``x`` the
@@ -275,23 +276,34 @@ class _Reference:
         return encryptor.update(block) + encryptor.finalize()
 
     def __init__(self, master: bytes, config: StoreConfig) -> None:
-        head = (0).to_bytes(4, "big") + encode_components("subkey", "labels")
-        self.key = hmac.new(master, head, hashlib.sha256).digest().ljust(136, b"\x00")
+        def subkey(purpose: str) -> bytes:
+            head = (0).to_bytes(4, "big") + encode_components("subkey", purpose)
+            return hmac.new(master, head, hashlib.sha256).digest()
+
+        self.key = subkey("labels").ljust(136, b"\x00")
+        self.blocks = algorithms.AES(subkey("label-blocks")[:16])
         self.y = config.group_bits
         self.L, self.T, self.G = config.label_bits // 8, 1 << self.y, config.num_groups
 
     def epoch(self, key: str, ct: int):
         """``(label(i, v), offsets)`` of one epoch."""
         G, T, L = self.G, self.T, self.L
-        epoch_key = hashlib.shake_256(
+        w = hashlib.shake_256(
             self.key + encode_components(G, T, L) + encode_components(key, ct)
         ).digest(16)
-        counter_block = bytes(12) + (2).to_bytes(4, "big")
-        blob = Cipher(algorithms.AES(epoch_key), modes.CTR(counter_block)).encryptor().update(
-            bytes(G * T * L + G)
-        )
-        offsets = [b % T for b in blob[G * T * L :]]
-        return (lambda i, v: blob[(i * T + (v ^ offsets[i])) * L :][:L]), offsets
+        aes = Cipher(self.blocks, modes.ECB()).encryptor()
+
+        def block(domain: int, index: int, slot: int, part: int) -> bytes:
+            position = bytes([domain]) + index.to_bytes(4, "big") + bytes([slot, part]) + bytes(9)
+            return aes.update(bytes(a ^ b for a, b in zip(w, position)))
+
+        offsets = [block(1, i // 16, 0, 0)[i % 16] % T for i in range(G)]
+
+        def label(i: int, v: int) -> bytes:
+            slot = v ^ offsets[i]
+            return b"".join(block(0, i, slot, c) for c in range(-(-L // 16)))[:L]
+
+        return label, offsets
 
     def groups(self, value: bytes) -> list[int]:
         bits = "".join(f"{byte:08b}" for byte in value).ljust(self.G * self.y, "0")

@@ -74,16 +74,17 @@ def test_a_640_pick_open_converts_64_kb(converted):
     assert sum(converted) == 6 * GROUPS * 16 + 4 * (GROUPS + 15) == 64_060
 
 
-def test_the_row_inputs_convert_30_kb(converted):
-    """Per access, before the seal: one XOR of per-group offsets, one of
-    per-row slots, and the picker's one OR of 32-bit words."""
+def test_the_row_inputs_convert_2_kb(converted):
+    """Per access, before the seal: one XOR of per-group offsets.  The
+    per-row slots are one ``translate`` per slot and the labels' positions
+    one per column, so neither converts."""
     config = StoreConfig(value_len=160, group_bits=2)
     proxy = LblProxy(config, KeyChain(b"\x0c" * 32))
-    old, new = proxy.codec.epoch("k", 0), proxy.codec.epoch("k", 1)
+    old, new = proxy.codec.epochs("k", 0, 1)
     for new_value in (None, bytes(GROUPS)):
         converted.clear()
         proxy._row_inputs(old, new, new_value)
-        assert sum(converted) == 3 * GROUPS + 3 * N + 2 * 4 * N == 30_080
+        assert sum(converted) == 3 * GROUPS == 1_920
 
 
 @pytest.mark.parametrize(
