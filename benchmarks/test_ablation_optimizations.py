@@ -93,7 +93,7 @@ def test_ablation_group_bits(benchmark):
             protocol = _protocol(group_bits=y)
             encoded = protocol.keychain.encode_key("k")
             label_len = protocol.config.label_bits // 8
-            stored = len(protocol.server.store.get(encoded).labels) // label_len
+            stored = len(protocol.server.store.get(encoded)) // label_len
             transcript = protocol.access(Request.read("k"))
             rows.append(
                 {

@@ -7,7 +7,7 @@ uses ``CostModel.paper_like`` constants instead.
 """
 
 from repro.core.lbl import LblOrtoa
-from repro.crypto import aead
+from repro.crypto import aead, rows
 from repro.crypto.fhe import FheParams, FheScheme
 from repro.crypto.labels import LabelCodec
 from repro.crypto.prf import Prf, encode_components, keyed_xof
@@ -46,21 +46,48 @@ def test_prf_context_tails(benchmark):
     assert len(labels) == _BATCH
 
 
+def _paper_codec() -> LabelCodec:
+    return LabelCodec(keyed_xof(b"m" * 32), b"b" * 16, label_len=16, value_len=160, group_bits=2)
+
+
 def test_label_epoch(benchmark):
     """A prepare's label derivation at the paper's 160 B / y=2 point: two
     epochs (an XOF squeeze each, one AES call for both offset runs), then
-    the row keys and carried labels (one AES call)."""
-    codec = LabelCodec(
-        keyed_xof(b"m" * 32), b"b" * 16, label_len=16, value_len=160, group_bits=2
-    )
+    the row stream — row keys and carried labels — in one AES call."""
+    codec = _paper_codec()
     next_slots = bytes(range(4)) * 640
+    tweaks = rows.tweaks(b"n" * 16, 2)
 
     def derive():
         old, new = codec.epochs("key", 7, 8)
-        return codec.table_labels(old[0], new[0], next_slots)
+        return codec.table_stream(old[0], new[0], next_slots, tweaks)
 
-    keys, labels = benchmark(derive)
-    assert len(keys) == len(labels) == 640 * 4 * 16
+    stream = benchmark(derive)
+    assert len(stream) == (640 * 4 + 4) * rows.TRIPLE
+
+
+def test_row_seal_2560_rows(benchmark):
+    """The proxy's seal of one paper-point table in steady state: the two
+    CBC passes over 2,564 triples and the gather of their third lanes."""
+    codec = _paper_codec()
+    old, new = codec.epochs("key", 7, 8)
+    stream = codec.table_stream(old[0], new[0], bytes(range(4)) * 640, rows.tweaks(b"n" * 16, 2))
+    slab = benchmark(rows.seal, stream, 16, 4)
+    assert len(slab) == 640 * 4 * 16 + 4 * rows.CHECK_LEN
+
+
+def test_row_open_640_picks(benchmark):
+    """The server's open of one paper-point request in steady state: the
+    select of 640 of 2,560 rows by the stored labels' slot bits, the stream,
+    two CBC passes and the check."""
+    codec = _paper_codec()
+    old, new = codec.epochs("key", 7, 8)
+    nonce = b"n" * 16
+    stream = codec.table_stream(old[0], new[0], bytes(range(4)) * 640, rows.tweaks(nonce, 2))
+    slab = rows.seal(stream, 16, 4)
+    stored = codec.record(old, [g % 4 for g in range(640)])
+    (opened,) = benchmark(rows.open_rows, [(nonce, stored, slab, 16, 4)])
+    assert opened is not None and len(opened) == 640 * 16
 
 
 def test_aead_encrypt_label(benchmark):

@@ -61,9 +61,7 @@ def main() -> None:
     encoded = store.keychain.encode_key(victim)
     record = store.server.store.get(encoded)
     width = config.label_bits // 8
-    store.server.store.put(
-        encoded, record._replace(labels=bytes(width) + record.labels[width:])
-    )
+    store.server.store.put(encoded, bytes(width) + record[width:])
     try:
         store.read(victim)
         print("\nTampering NOT detected — bug!")

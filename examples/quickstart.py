@@ -50,7 +50,7 @@ def main() -> None:
     width = config.label_bits // 8
 
     def stored_labels() -> list[bytes]:
-        blob = store.server.store.get(encoded).labels  # one label per group
+        blob = store.server.store.get(encoded)  # one label per group
         return [blob[i : i + width] for i in range(0, len(blob), width)]
 
     before = stored_labels()

@@ -64,7 +64,7 @@ def measured_factors(y: int, value_len: int = 16) -> OverheadFactors:
     protocol = LblOrtoa(config)
     protocol.initialize({"k": b"x"})
     encoded = protocol.keychain.encode_key("k")
-    stored = protocol.server.store.get(encoded).labels
+    stored = protocol.server.store.get(encoded)
     labels_stored = len(stored) // (config.label_bits // 8)
     request, _ = protocol.proxy.prepare(Request.read("k"))
     ciphertexts_sent = request.num_groups * request.table_size

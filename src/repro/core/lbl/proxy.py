@@ -16,10 +16,11 @@ Per access to key ``k`` with counter ``ct`` the proxy:
 An epoch is the ``(W, offsets)`` of :meth:`LabelCodec.epochs
 <repro.crypto.labels.LabelCodec.epochs>`; a label is derived where it is
 used.  :meth:`LblProxy.prepare` derives both epochs' offsets in one AES
-call, the old epoch at every slot (the table's keys) and the new epoch at
-each row's next slot (the carried labels) in a second, and seals the table
-in one kernel call (:func:`~repro.crypto.rows.seal_rows`); the old epoch may
-come from the :class:`~repro.core.lbl.cache.LabelCache`.  Every prepared
+call; a second emits the table's row stream — the new epoch at each row's
+next slot (the carried labels) beside the old epoch at every slot (the
+table's keys) — and the kernel seals it in two more
+(:func:`~repro.crypto.rows.seal`); the old epoch may come from the
+:class:`~repro.core.lbl.cache.LabelCache`.  Every prepared
 epoch waits in a bounded **in-flight table** until
 :meth:`LblProxy.finalize` reads the value from the reply's packed slots and
 checks its digest against the ``G`` labels they select (§5.4), derived in
@@ -36,7 +37,7 @@ from repro.core.lbl.cache import ENTRY_OVERHEAD_BYTES, LabelCache
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows
 from repro.crypto.keys import KeyChain
-from repro.crypto.labels import LabelCodec, StoredRecord, value_to_groups
+from repro.crypto.labels import LabelCodec, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
@@ -155,11 +156,11 @@ class LblProxy:
 
     def initial_records(
         self, records: dict[str, bytes]
-    ) -> list[tuple[bytes, StoredRecord]]:
+    ) -> list[tuple[bytes, bytes]]:
         """Encode every plaintext pair into the server's stored form.
 
         One epoch derivation per record: the value's groups select the
-        slots to open and the labels to derive and store.  Every key and
+        labels to derive and store, each naming the slot to open next.  Every key and
         value is checked before any counter is registered, so a refused call
         leaves the proxy as it found it.
         """
@@ -206,13 +207,15 @@ class LblProxy:
             old, new = codec.epochs(key, ct, new_ct)
         prf_count = 3 - cache_hit  # the epochs derived + the key encoding
 
-        # One kernel call seals the whole table, group 0's rows with checks.
+        # One label call emits the whole table's stream, group 0's checks
+        # included, and the kernel seals it.
         enc_count = codec.num_groups * codec.table_size
         nonce = secrets.token_bytes(rows.ROW_NONCE_LEN)
-        slab = rows.seal_rows(*self._row_inputs(old, new, new_value), nonce, codec.table_size)
+        tweaks = rows.tweaks(nonce, codec.label_blocks + 1)
+        stream = codec.table_stream(old[0], new[0], self._next_slots(old, new, new_value), tweaks)
+        slab = rows.seal(stream, codec.label_len, codec.table_size)
         wire = LblAccessRequest(
-            self.keychain.encode_key(key), slab, codec.table_size,
-            codec.label_len + rows.SLOT_LEN, nonce,
+            self.keychain.encode_key(key), slab, codec.table_size, codec.label_len, nonce
         )
 
         if cache is not None:
@@ -235,20 +238,20 @@ class LblProxy:
             REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
         return wire, OpCounts(prf=prf_count, aead_enc=enc_count)
 
-    def _row_inputs(
+    def _next_slots(
         self, old: "tuple[bytes, bytes]", new: "tuple[bytes, bytes]", new_value: "bytes | None"
-    ) -> tuple:
-        """``(keys, labels, slots)`` of one access's rows in row order: row
+    ) -> bytearray:
+        """The slot each of one access's rows leads to, in row order: row
         ``s`` of group ``i`` is keyed by the old epoch's entry ``s`` and
-        carries the new epoch's at its next slot ``t ⊕ r'_i``, ``t = s ⊕ r_i``
-        (a read) or ``w_i`` (a write).  A read and a write make the same calls."""
+        carries the new epoch's at ``t ⊕ r'_i``, ``t = s ⊕ r_i`` (a read) or
+        ``w_i`` (a write).  A read and a write make the same calls."""
         read = new_value is None
         step = rows.xor(old[1] if read else new_value, new[1])  # r ⊕ r' or w ⊕ r'
         size = self.codec.table_size
         next_slots = bytearray(len(step) * size)
         for slot in range(size):  # ⊕ s on row s of a read, ⊕ 0 of a write
             next_slots[slot::size] = step.translate(rows.XOR_TABLES[slot if read else 0])
-        return (*self.codec.table_labels(old[0], new[0], next_slots), next_slots)
+        return next_slots
 
     def transcript(
         self, request: Request, prepare_ops: OpCounts, finalize_ops: OpCounts,

@@ -1,17 +1,17 @@
 """The untrusted storage server of LBL-ORTOA (paper §5.2 step 2, §10.2).
 
-Per group the server holds exactly one secret label and the slot index to
-open next — per object, one :class:`~repro.crypto.labels.StoredRecord` of
-two blobs.  On receiving a request it names only the row its stored index
-points at in the request's slab and opens those rows in one pass of a
-fixed-key permutation (:func:`repro.crypto.rows.open_rows`): one open per
-group instead of the §5.2 base protocol's trial decryptions of up to
-``2^y`` entries, exactly the §10.2 optimization.  When group 0's row — the
-one designated row with check bytes — does not open to zero check bytes (a
-stale epoch, a wrong nonce: a wrong key for the whole record), the request
-is refused before anything is committed, every group counted as failed.
+Per group the server holds exactly one secret label, whose low bits name
+the slot to open next — per object, the label run.  On receiving a request
+it names only the row each stored label points at in the request's slab and
+opens those rows in two passes of a fixed-key permutation
+(:func:`repro.crypto.rows.open_rows`): one open per group instead of the
+§5.2 base protocol's trial decryptions of up to ``2^y`` entries, exactly the
+§10.2 optimization.  When group 0's row — the one designated row with a
+check block — does not open to zeros (a stale epoch, a wrong nonce: a
+wrong key for the whole record), the request is refused before anything is
+committed, every group counted as failed.
 
-The opened payload becomes the group's new stored label and slot, so
+The opened label becomes the group's new stored label, so
 *every* access rewrites storage — the server cannot distinguish a read from
 a write by watching its own state.  The reply is a function of that new
 record alone: its slots packed at ``y`` bits and one digest of its labels
@@ -35,12 +35,11 @@ link — the frames, and the stored records around them — and checks it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 
 from repro.core.base import OpCounts
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows as row_kernel
-from repro.crypto.labels import StoredRecord, pack_slots, reply_digest
+from repro.crypto.labels import pack_slots, reply_digest
 from repro.errors import OrtoaError, ProtocolError
 from repro.obs import _state as _obs
 from repro.obs.metrics import REGISTRY
@@ -61,16 +60,15 @@ class LblServer:
     """Stores per-group labels and applies encryption tables obliviously."""
 
     def __init__(self) -> None:
-        self.store: KeyValueStore[StoredRecord] = KeyValueStore("lbl-server")
+        self.store: KeyValueStore[bytes] = KeyValueStore("lbl-server")
 
-    def load(self, encoded_key: bytes, record: StoredRecord) -> None:
-        """Bulk-load one object's labels at initialization."""
-        labels, slots = record
-        if not slots or not labels or len(labels) % len(slots):
-            raise ProtocolError("LBL server needs one slot per label")
-        self.store.put_new(encoded_key, StoredRecord(labels, slots))
+    def load(self, encoded_key: bytes, record: bytes) -> None:
+        """Bulk-load one object's label run at initialization."""
+        if not record:
+            raise ProtocolError("LBL server needs a label per group")
+        self.store.put_new(encoded_key, bytes(record))
 
-    def _commit_many(self, items: list[tuple[bytes, StoredRecord]]) -> list[bool]:
+    def _commit_many(self, items: list[tuple[bytes, bytes]]) -> list[bool]:
         """Persist a window's rotated labels in one storage multi-put;
         returns whether each item's record was rewritten.
 
@@ -166,39 +164,24 @@ class LblServer:
             else []
         )
         opening: list[int] = []
-        runs: list[tuple[bytes, bytes, bytes, int, int, list[int]]] = []
-        for index, record in zip(front, records):
+        runs: list[tuple[bytes, bytes, bytes, int, int]] = []
+        for index, labels in zip(front, records):
             request = requests[index]
-            groups, table_size = request.num_groups, request.table_size
-            stored_groups = len(record.slots)
-            label_len = len(record.labels) // max(stored_groups, 1)
-            try:
-                if groups != stored_groups:
-                    raise ProtocolError(
-                        f"table count {groups} != stored groups {stored_groups}"
-                    )
-                if request.entry_len != label_len + row_kernel.SLOT_LEN:
-                    raise ProtocolError(
-                        f"entry length {request.entry_len} is no row of a "
-                        f"{label_len}-byte label"
-                    )
-                if max(record.slots) >= table_size:
-                    bad = next(
-                        g for g, slot in enumerate(record.slots) if slot >= table_size
-                    )
-                    raise ProtocolError(f"bad decrypt index at group {bad}")
-                picks = map(add, range(0, groups * table_size, table_size), record.slots)
-                run = (request.nonce, record.labels, request.slab, request.entry_len)
-                runs.append((*run, table_size, list(picks)))
-            except OrtoaError as exc:
-                results[index] = exc
+            groups, width = request.num_groups, request.entry_len
+            if len(labels) != groups * width:
+                error = ProtocolError(
+                    f"{groups} tables of {width}-byte rows do not fit "
+                    f"a {len(labels)}-byte stored record"
+                )
+                results[index] = error
                 if capture:
-                    self._emit_telemetry(spans[index], error=exc)
+                    self._emit_telemetry(spans[index], error=error)
                 continue
+            runs.append((request.nonce, labels, request.slab, width, request.table_size))
             opening.append(index)
 
         # Open: one window-wide call, each request's runs in order.
-        commits: list[tuple[bytes, StoredRecord]] = []
+        commits: list[tuple[bytes, bytes]] = []
         committed: list[int] = []
         for index, opened in zip(opening, row_kernel.open_rows(runs)):
             request = requests[index]
@@ -211,13 +194,13 @@ class LblServer:
                 if capture:
                     self._emit_telemetry(spans[index], groups, groups, error=error)
                 continue
-            # The opened labels and slot bytes, each back to back, are the
-            # new record; the reply is its slots, packed, and its digest.
-            updated = StoredRecord(*opened)
-            commits.append((request.encoded_key, updated))
+            # The opened labels, back to back, are the new record; the reply
+            # is the slots in their low bits, packed, and their digest.
+            commits.append((request.encoded_key, opened))
             committed.append(index)
             bits = request.table_size.bit_length() - 1
-            reply = pack_slots(updated.slots, bits), bits, reply_digest(updated.labels)
+            slots = opened[row_kernel.BLOCK - 1 :: request.entry_len]
+            reply = pack_slots(slots, bits), bits, reply_digest(opened)
             results[index] = (LblAccessResponse(*reply), _access_ops(groups))
 
         if commits:

@@ -179,10 +179,10 @@ class LblAccessRequest:
     a table of ``2^y`` slot-linked rows.
 
     The tables travel as one **slab** — ``num_groups · table_size`` rows of
-    ``entry_len`` bytes (label, slot byte), group-major, and the check bytes
-    of group 0's rows, in the three runs of :mod:`repro.crypto.rows` —
-    behind a header that states the shape and the request's row nonce
-    (three length-prefixed fields)::
+    ``entry_len`` bytes (a sealed label, which names its next slot),
+    group-major, then the check blocks of group 0's rows
+    (:mod:`repro.crypto.rows`) — behind a header that states the shape and
+    the request's row nonce (three length-prefixed fields)::
 
         tag ‖ [table_size u16 ‖ entry_len u16 ‖ nonce] ‖ encoded_key ‖ slab
 
@@ -214,7 +214,7 @@ class LblAccessRequest:
         nonce: bytes,
     ) -> "LblAccessRequest":
         """Build the slab from per-group rows of one common shape, group 0's
-        ending in their check bytes — inverse of :attr:`tables`."""
+        ending in their check blocks — inverse of :attr:`tables`."""
         if not tables or not tables[0]:
             raise ProtocolError("LBL request needs at least one group table")
         if set(map(len, tables)) != {len(tables[0])}:
@@ -224,7 +224,8 @@ class LblAccessRequest:
         if widths != {len(head[0])}:
             raise ProtocolError("all table entries must have equal length")
         entry_len = len(head[0]) - rows.CHECK_LEN
-        return cls(encoded_key, rows.join_rows(entries, len(head)), len(head), entry_len, nonce)
+        slab = b"".join([e[:entry_len] for e in entries] + [e[entry_len:] for e in head])
+        return cls(encoded_key, slab, len(head), entry_len, nonce)
 
     @property
     def num_groups(self) -> int:
@@ -235,9 +236,12 @@ class LblAccessRequest:
     @property
     def tables(self) -> tuple[tuple[bytes, ...], ...]:
         """The slab sliced into per-group row tuples, group 0's with their
-        check bytes (built on each use)."""
-        size = self.table_size
-        entries = rows.split_rows(self.slab, self.entry_len, size)
+        check blocks (built on each use)."""
+        size, width, slab = self.table_size, self.entry_len, self.slab
+        checks = len(slab) - size * rows.CHECK_LEN
+        entries = [slab[at : at + width] for at in range(0, checks, width)]
+        for i in range(size):
+            entries[i] += slab[checks + i * rows.CHECK_LEN :][: rows.CHECK_LEN]
         return tuple(tuple(entries[i : i + size]) for i in range(0, len(entries), size))
 
     def to_bytes(self) -> bytes:

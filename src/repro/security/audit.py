@@ -83,7 +83,7 @@ def _requests(payload: bytes) -> list[LblAccessRequest]:
 
 
 def _size(record) -> int:
-    return sum(map(len, record)) if record is not None else 0
+    return len(record) if record is not None else 0
 
 
 @dataclass(slots=True)

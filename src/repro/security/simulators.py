@@ -30,8 +30,7 @@ class LblSimulator:
     open (their content is irrelevant), shuffles, and rotates its stored
     label.  The entries are :mod:`repro.crypto.rows` rows — one under the
     stored label, the rest uniformly random, behind a fresh request nonce;
-    group 0's rows carry check bytes, every other group's are
-    ``label ‖ slot``.
+    group 0's rows carry a check block, every other group's are a label.
     """
 
     def __init__(self, config: StoreConfig, rng: random.Random | None = None) -> None:
@@ -56,9 +55,8 @@ class LblSimulator:
         for index in range(self.config.num_groups):
             old_label = self._state[key][index]
             new_label = secrets.token_bytes(self.label_len)
-            slot = secrets.token_bytes(rows.SLOT_LEN)
-            row = rows.seal_rows(old_label, new_label, slot, nonce, 1)  # a head row
-            entries = [row if index == 0 else row[: -rows.CHECK_LEN]]
+            row = rows.seal_rows(old_label, new_label, self.label_len, nonce, 1)  # a head row
+            entries = [row if index == 0 else row[: self.label_len]]
             entries += [secrets.token_bytes(len(entries[0])) for _ in range(table_size - 1)]
             self._rng.shuffle(entries)
             tables.append(entries)

@@ -19,7 +19,6 @@ import struct
 from typing import Generic, Protocol, TypeVar
 
 from repro.crypto.fhe import FheCiphertext, FheParams
-from repro.crypto.labels import StoredRecord
 from repro.errors import StorageError
 from repro.storage.kv import KeyValueStore
 
@@ -54,26 +53,18 @@ class BytesCodec:
 
 
 class LabelListCodec:
-    """Codec for LBL server records (:class:`~repro.crypto.labels.StoredRecord`).
+    """Codec for LBL server records: the label run, as stored (each label
+    names its next slot in its own low bits, so nothing else is kept)."""
 
-    Layout: ``[u32 len(labels)][labels][slots]`` — the two blobs as stored.
-    """
-
-    def encode(self, value: StoredRecord) -> bytes:
+    def encode(self, value: bytes) -> bytes:
         """Serialize one store value."""
-        labels, slots = value
-        return _U32.pack(len(labels)) + labels + slots
+        return bytes(value)
 
-    def decode(self, data: bytes) -> StoredRecord:
+    def decode(self, data: bytes) -> bytes:
         """Deserialize one store value."""
-        try:
-            (labels_len,) = _U32.unpack_from(data, 0)
-        except struct.error:
-            raise StorageError("label record has no length") from None
-        if len(data) < _U32.size + labels_len:
-            raise StorageError("truncated label record")
-        split = _U32.size + labels_len
-        return StoredRecord(data[_U32.size : split], data[split:])
+        if not data:
+            raise StorageError("empty label record")
+        return bytes(data)
 
 
 class FheCiphertextCodec:

@@ -120,8 +120,7 @@ _PLAIN_FRAME = ProtocolError(
 
 
 def pack_load(encoded_key: bytes, record) -> bytes:
-    """Serialize one bulk-load record (an encoded key and its
-    :class:`~repro.crypto.labels.StoredRecord`)."""
+    """Serialize one bulk-load record (an encoded key and its label run)."""
     blob = LabelListCodec().encode(record)
     return (
         bytes([LOAD_TAG])

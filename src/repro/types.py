@@ -83,9 +83,9 @@ class StoreConfig:
         value_len: Fixed plaintext value length in bytes (paper's ``t`` is
             ``value_len * 8`` bits; the default 160 B matches §6's workload).
         label_bits: PRF output size ``r`` in bits for LBL label generation:
-            at least 128 (a label is a key), at most 440 (a §10.2 head row
-            — label, slot byte, 15 check bytes — then fits the row kernel's
-            80 bytes).
+            at least 128 (a label is a key, and names its slot in its byte
+            15), at most 440 (four blocks of pad per row, the widest the
+            row kernel is tested at).
         group_bits: LBL space optimization ``y`` — how many plaintext bits one
             label represents (§10.1; ``y=2`` is the paper's optimum).
         point_and_permute: Accepted only as ``True``: §10.2 is the one LBL
@@ -111,8 +111,8 @@ class StoreConfig:
         if self.label_bits % 8 != 0 or self.label_bits <= 0:
             raise ConfigurationError("label_bits must be a positive multiple of 8")
         if not 1 <= self.group_bits <= 8:
-            # A slot index travels as one byte (and a table of 2^y entries
-            # per group stops paying for itself long before y = 8).
+            # A slot rides in the low bits of one label byte (and a table of
+            # 2^y entries per group stops paying for itself long before y = 8).
             raise ConfigurationError("group_bits must be between 1 and 8")
         if not self.point_and_permute:
             raise ConfigurationError(
@@ -123,8 +123,8 @@ class StoreConfig:
             # A label seeds its row's pad (§10.2): 16 bytes or more.
             raise ConfigurationError("label_bits must be at least 128")
         if self.label_bits > 440:
-            # A head row (label + slot byte + 15 check bytes) is then at
-            # most 71 bytes — five blocks of pad (``crypto.rows``).
+            # A row is then at most four blocks of pad, a head row five
+            # with its check block (``crypto.rows``).
             raise ConfigurationError("label_bits must be at most 440")
         if self.label_cache_entries is not None and self.label_cache_entries == 0:
             raise ConfigurationError(

@@ -79,16 +79,16 @@ def test_cost_storage_halves_with_y2():
     y2 = estimate_lbl_cost(group_bits=2)
     assert y2.storage_gb == pytest.approx(y1.storage_gb / 2, rel=0.01)
     # ...while the request's tables — Figure 6's communication term, the
-    # 2^y·t/y ciphertexts — stay byte-identical; only group 0's check bytes,
-    # 15 per row of its 2^y, grow.  The wire-accurate model also counts the
-    # response, whose packed slots are G·y = 8·value_len bits either way, so
-    # y=2 moves exactly those 30 check bytes more per access.
+    # 2^y·t/y ciphertexts — stay byte-identical; only group 0's check blocks,
+    # 16 bytes per row of its 2^y, grow.  The wire-accurate model also counts
+    # the response, whose packed slots are G·y = 8·value_len bits either way,
+    # so y=2 moves exactly those 32 check bytes more per access.
     m1 = LblCostModel(value_len=160, group_bits=1)
     m2 = LblCostModel(value_len=160, group_bits=2)
-    assert m2.request_bytes - m1.request_bytes == (4 - 2) * 15
+    assert m2.request_bytes - m1.request_bytes == (4 - 2) * 16
     assert m2.response_bytes == m1.response_bytes == 1 + 2 + 160 + 16
     assert y2.network_gb_per_million_accesses - y1.network_gb_per_million_accesses == (
-        pytest.approx(30 * 1_000_000 / 1e9)
+        pytest.approx(32 * 1_000_000 / 1e9)
     )
 
 

@@ -71,7 +71,7 @@ def corrupt_key(server, client, key):
     """Garble the server's stored labels for one key; returns the snapshot."""
     encoded = client.keychain.encode_key(key)
     good = server.lbl.store.get(encoded)
-    server.lbl.store.put(encoded, good._replace(labels=bytes(len(good.labels))))
+    server.lbl.store.put(encoded, bytes(len(good)))
     return encoded, good
 
 
@@ -203,7 +203,7 @@ def test_sharded_batch_partial_failure_and_retry():
             encoded = dep.encoded_key(victim)
             store = cluster.servers[shard].lbl.store
             snapshot = store.get(encoded)
-            store.put(encoded, snapshot._replace(labels=bytes(len(snapshot.labels))))
+            store.put(encoded, bytes(len(snapshot)))
             requests = [Request.read(f"k{i}") for i in range(6)]
             with pytest.raises(BatchPartialFailure) as excinfo:
                 dep.access_batch(requests)
@@ -354,5 +354,5 @@ def test_leaky_control_is_flagged_through_a_fused_window():
     )
     assert check.passed is False
     assert check.detail == (
-        "reads saw [(1088, 1088, False)], writes saw [(1088, 1088, True)]"
+        "reads saw [(1024, 1024, False)], writes saw [(1024, 1024, True)]"
     )

@@ -51,9 +51,9 @@ def test_mux_literals_match_framing():
 
 def test_costmodel_literals_match_implementation():
     assert costmodel.ENCODED_KEY_BYTES == KeyChain(b"\x01" * 16).key_encoding_prf.out_bytes
-    assert (
-        costmodel.DECRYPT_INDEX_BYTES, costmodel.ROW_CHECK_BYTES, costmodel.ROW_NONCE_BYTES
-    ) == (rows.SLOT_LEN, rows.CHECK_LEN, rows.ROW_NONCE_LEN)
+    assert (costmodel.ROW_CHECK_BYTES, costmodel.ROW_NONCE_BYTES) == (
+        rows.CHECK_LEN, rows.ROW_NONCE_LEN
+    )
     assert costmodel.REPLY_DIGEST_BYTES == labels.REPLY_DIGEST_LEN
     assert costmodel.MUX_HEADER_BYTES == 1 + framing.REQUEST_ID_BYTES
     assert (

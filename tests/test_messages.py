@@ -44,7 +44,7 @@ def test_fhe_messages_roundtrip():
     assert m.FheAccessResponse.from_bytes(resp.to_bytes()) == resp
 
 
-#: Check bytes of a head row (group 0's rows end in them).
+#: The check block of a head row (group 0's rows end in one).
 CHECKS = b"c" * rows.CHECK_LEN
 
 
@@ -54,8 +54,8 @@ def test_lbl_request_roundtrip():
         (b"B0c", b"B1d"),
     )
     req = m.LblAccessRequest.from_tables(b"key", tables, nonce=b"n" * 16)
-    # Three runs: every label, every slot byte, group 0's check bytes.
-    assert req.slab == b"A0A1B0B1" + b"abcd" + b"x" * rows.CHECK_LEN + b"y" * rows.CHECK_LEN
+    # Two runs: every row (a sealed label), then group 0's check blocks.
+    assert req.slab == b"A0aA1bB0cB1d" + b"x" * rows.CHECK_LEN + b"y" * rows.CHECK_LEN
     assert (req.table_size, req.entry_len, req.num_groups) == (2, 3, 2)
     assert req.tables == tables
     assert m.LblAccessRequest.from_bytes(req.to_bytes()) == req
@@ -76,8 +76,8 @@ def test_lbl_request_without_a_16_byte_nonce_is_refused(nonce):
     """Every request carries its rows' 16-byte nonce: one without it is
     refused as it is built and as it is parsed."""
     with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
-        m.LblAccessRequest(b"key", b"\xaa" * 84, 4, 3, nonce)
-    good = m.LblAccessRequest(b"key", b"\xaa" * 84, 4, 3, b"N" * 16).to_bytes()
+        m.LblAccessRequest(b"key", b"\xaa" * 88, 4, 3, nonce)
+    good = m.LblAccessRequest(b"key", b"\xaa" * 88, 4, 3, b"N" * 16).to_bytes()
     header = (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
     shape = (4 + len(nonce)).to_bytes(4, "big") + b"\x00\x04\x00\x03" + nonce
     with pytest.raises(ProtocolError, match="nonce must be 16 bytes"):
@@ -85,12 +85,12 @@ def test_lbl_request_without_a_16_byte_nonce_is_refused(nonce):
 
 
 def test_lbl_request_wire_layout_is_header_key_slab():
-    req = m.LblAccessRequest(b"K" * 16, b"\xaa" * 84, 4, 3, b"N" * 16)
+    req = m.LblAccessRequest(b"K" * 16, b"\xaa" * 88, 4, 3, b"N" * 16)
     assert req.to_bytes() == (
         b"\x20"
         + (20).to_bytes(4, "big") + b"\x00\x04\x00\x03" + b"N" * 16
         + (16).to_bytes(4, "big") + b"K" * 16
-        + (84).to_bytes(4, "big") + b"\xaa" * 84
+        + (88).to_bytes(4, "big") + b"\xaa" * 88
     )
 
 
@@ -119,16 +119,16 @@ def test_group_bits_above_8_rejected_at_configuration():
 
 
 def test_label_bits_above_440_rejected_with_point_and_permute():
-    """A head row's label + slot byte + 15 check bytes fit the row kernel's
-    80 bytes (five blocks of pad); 440 bits stays the limit."""
+    """A 440-bit label is four blocks of pad, its head row five with the
+    check block; 440 bits stays the limit."""
     with pytest.raises(ConfigurationError, match="at most 440"):
         StoreConfig(value_len=2, label_bits=448)
     config = StoreConfig(value_len=2, group_bits=2, label_bits=440)
     store = LblOrtoa(config)
     store.initialize({"k": b"hi"})
     built, _ops = store.proxy.prepare(Request.write("k", b"yo"))
-    assert built.entry_len == 55 + 1
-    assert built.entry_len + rows.CHECK_LEN <= rows.MAX_ROW_LEN
+    assert built.entry_len == 55
+    assert len(built.slab) == built.num_groups * 4 * 55 + 4 * rows.CHECK_LEN
     response, _server_ops = store.server.process(built)
     assert store.proxy.finalize("k", response)[0] == b"yo"
     assert store.read("k") == b"yo"
@@ -189,16 +189,16 @@ def test_lbl_request_rejects_ragged_tables():
 
 
 def test_lbl_request_rejects_slab_that_is_not_whole_tables():
-    whole = m.LblAccessRequest(b"key", b"x" * 84, 4, 3, b"n" * 16)
+    whole = m.LblAccessRequest(b"key", b"x" * 88, 4, 3, b"n" * 16)
     assert whole.num_groups == 2
     with pytest.raises(ProtocolError):
-        m.LblAccessRequest(b"key", b"x" * 83, 4, 3, b"n" * 16)
-    cut = whole.to_bytes()[: -(4 + 84)] + (83).to_bytes(4, "big") + b"x" * 83
+        m.LblAccessRequest(b"key", b"x" * 87, 4, 3, b"n" * 16)
+    cut = whole.to_bytes()[: -(4 + 88)] + (87).to_bytes(4, "big") + b"x" * 87
     with pytest.raises(ProtocolError, match="whole number of group tables"):
         m.LblAccessRequest.from_bytes(cut)
     for table_size, entry_len in ((0, 3), (4, 0), (1 << 16, 3)):
         with pytest.raises(ProtocolError):
-            m.LblAccessRequest(b"key", b"x" * 84, table_size, entry_len, b"n" * 16)
+            m.LblAccessRequest(b"key", b"x" * 88, table_size, entry_len, b"n" * 16)
 
 
 def test_old_per_field_lbl_frame_is_rejected():
@@ -227,9 +227,9 @@ def test_old_per_field_lbl_frame_is_rejected():
 def test_old_25_byte_row_frame_is_refused(group_bits):
     """The format before group 0 alone carried check bytes: every row
     ``label ‖ slot ‖ 8 check bytes``, 25 bytes at 128-bit labels.  No such
-    slab is a whole number of tables behind 15-byte checks, at any group
-    count — the frame is refused as it is parsed, and the server refuses
-    that row width even when a slab happens to parse."""
+    slab is a whole number of tables behind 16-byte check blocks, at any
+    group count — the frame is refused as it is parsed, and the server
+    refuses that row width even when a slab happens to parse."""
     table_size = 1 << group_bits
     for groups in (1, 2, 3, 64, 640):
         header = (20).to_bytes(4, "big") + (table_size << 16 | 25).to_bytes(4, "big")
@@ -245,12 +245,27 @@ def test_old_25_byte_row_frame_is_refused(group_bits):
     store.initialize({"k": b"hi"})
     built, _ops = store.proxy.prepare(Request.read("k"))
     wide = m.LblAccessRequest(
-        built.encoded_key, built.slab + bytes(built.table_size * built.num_groups * 8),
+        built.encoded_key, built.slab + bytes(built.table_size * built.num_groups * 9),
         built.table_size, 25, built.nonce,
     )
     assert wide.num_groups == built.num_groups
-    with pytest.raises(ProtocolError, match="entry length 25 is no row of a 16-byte label"):
+    groups = built.num_groups
+    with pytest.raises(
+        ProtocolError, match=f"{groups} tables of 25-byte rows do not fit a {16 * groups}-byte"
+    ):
         store.server.process(wide)
+
+
+@pytest.mark.parametrize("group_bits", [1, 2, 3, 8])
+def test_slot_byte_row_frame_is_refused(group_bits):
+    """The format before the slot rode in the label: 17-byte rows (label ‖
+    slot byte) and 15 check bytes per head row.  Behind 16-byte check
+    blocks no such slab is a whole number of tables, at any group count."""
+    table_size = 1 << group_bits
+    for groups in (1, 2, 3, 64, 640):
+        slab = b"s" * (groups * table_size * 17 + table_size * 15)
+        with pytest.raises(ProtocolError, match="whole number of group tables"):
+            m.LblAccessRequest(b"k" * 16, slab, table_size, 17, b"n" * 16)
 
 
 def test_wrong_tag_rejected():

@@ -1,14 +1,14 @@
 """No refusal, rollback or WAL recovery leaves a record of two epochs.
 
-Only group 0's rows carry check bytes: a server refuses a wrong key for the
+Only group 0's rows carry a check block: a server refuses a wrong key for the
 whole record — a stale epoch, a wrong nonce, a request one epoch ahead — by
 group 0 alone, before it commits any group.  Each case drives one such fault
 through a whole in-process deployment with a write-ahead log (proxy, link,
 dispatcher, server, store), seeded.  After the fault every key's stored
 record is byte-identical to what it was or decodes under exactly one epoch,
 and once the deployment has healed every record decodes under its key's
-counter — labels and slot bytes matched against the epochs of the
-row-at-a-time reference, group by group.
+counter — labels, which name their slots, matched against the epochs of
+the row-at-a-time reference, group by group.
 """
 
 import dataclasses
@@ -30,17 +30,17 @@ LABEL_LEN = CONFIG.label_bits // 8
 
 
 def _epochs(keychain: KeyChain, key: str, record, horizon: int) -> "list[set[int]]":
-    """Per group, the epochs up to ``horizon`` that hold the stored label
-    and slot byte as one of that group's candidates."""
+    """Per group, the epochs up to ``horizon`` that hold the stored label —
+    which names its slot — as one of that group's candidates."""
     found: "list[set[int]]" = [set() for _ in range(CONFIG.num_groups)]
     for epoch in range(horizon + 1):
         labels, offsets = lbl_reference.epoch(keychain, CONFIG, key, epoch)
         for group, epochs in enumerate(found):
-            stored = record.labels[group * LABEL_LEN : (group + 1) * LABEL_LEN]
+            stored = record[group * LABEL_LEN : (group + 1) * LABEL_LEN]
             if stored in labels[group]:
                 value = labels[group].index(stored)
-                if record.slots[group] == value ^ offsets[group]:
-                    epochs.add(epoch)
+                assert stored[15] % 4 == value ^ offsets[group]
+                epochs.add(epoch)
     return found
 
 
@@ -127,7 +127,7 @@ def test_no_fault_leaves_a_record_of_two_epochs(tmp_path, case, seed):
         assert stack.records() == before
     elif case in ("wrong_nonce", "flipped_check_byte"):
         def flip_check(built):
-            slot = stack.server.store.get(built.encoded_key).slots[0]
+            slot = stack.server.store.get(built.encoded_key)[15] % built.table_size
             at = built.num_groups * built.table_size * built.entry_len
             at += slot * rows.CHECK_LEN + stack.rng.randrange(rows.CHECK_LEN)
             slab = bytearray(built.slab)

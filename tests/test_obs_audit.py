@@ -51,16 +51,16 @@ def test_audit_passes_on_point_and_permute_lbl():
     # lives in this process.
     assert len(checks) == 6 * len(PATHS)
     assert all(check.passed for check in report.checks)
-    # 64 groups x 4 rows x 17 B and group 0's 4 x 15 check bytes behind a
+    # 64 groups x 4 rows x 16 B and group 0's 4 x 16 check bytes behind a
     # 49-byte header; 64 slots of 2 bits and a 16-byte digest back.
     frames = (
-        "identical support [4461 B request (256 rows x 17 B + 60 B checks), "
+        "identical support [4209 B request (256 rows x 16 B + 64 B checks), "
         "35 B reply (16 B slots + 16 B digest)]"
     )
     for path in PATHS:
         assert checks[path, "shape identity, frames"].detail == frames
         assert checks[path, "shape identity, storage"].detail == (
-            "identical support [1088 B -> 1088 B, rewritten]"
+            "identical support [1024 B -> 1024 B, rewritten]"
         )
         # A committed access opens exactly one row per group, fails none.
         assert "aead_dec=64 kv_ops=2" in checks[path, "shape identity, proxy ops"].detail
@@ -79,7 +79,7 @@ def test_audit_flags_leaky_server():
     # Skipping the rewrite on reads leaks through storage, and nowhere else.
     (leak,) = report.failures
     assert leak.claim == "shape identity, storage"
-    assert "reads saw [1088 B -> 1088 B, unchanged]" in leak.detail
+    assert "reads saw [1024 B -> 1024 B, unchanged]" in leak.detail
     summary = report.summary()
     assert "FAIL" in summary
     assert "[LEAK]" in summary
@@ -189,7 +189,7 @@ def test_recording_link_sees_one_frame_per_access_and_per_batch():
     store.access(Request.read("k0"))
     store.access_batch([Request.read(f"k{i}") for i in range(4)])
     single, batch = link.frames
-    assert len(single.request) == 4461 and len(single.reply) == 35
+    assert len(single.request) == 4209 and len(single.reply) == 35
     assert len(single.storage) == 1 and len(batch.storage) == 4
     assert all(changed for _before, _after, changed in batch.storage)
 
@@ -283,10 +283,10 @@ def test_a_put_padded_by_one_byte_fails_shape_identity():
     assert checks["access", "one round trip"].passed
     frames = checks["access", "shape identity, frames"]
     assert frames.passed is False
-    assert "writes saw [4462 B request" in frames.detail
+    assert "writes saw [4210 B request" in frames.detail
     assert checks["access", "ROR-RW"].passed is False  # sizes differ too
     # The pad is no valid request: the padded frames really were sent.
     assert any(
-        len(frame.request) == 4462 and frame.request[0] == LblAccessRequest.TAG
+        len(frame.request) == 4210 and frame.request[0] == LblAccessRequest.TAG
         for frame in deployment.recorder.frames
     )

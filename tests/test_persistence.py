@@ -35,21 +35,20 @@ def test_bytes_store_roundtrip(tmp_path):
 
 
 def test_label_store_roundtrip(tmp_path):
-    from repro.crypto.labels import StoredRecord
     from repro.errors import StorageError
 
     store = KeyValueStore()
-    store.put(b"pnp", StoredRecord(b"l" * 16 + b"m" * 16, b"\x03\x00"))
-    store.put(b"base", StoredRecord(b"n" * 16))
+    store.put(b"two", b"l" * 16 + b"m" * 16)
+    store.put(b"one", b"n" * 16)
     save_store(store, tmp_path / "snap.bin", LabelListCodec())
     restored = load_store(tmp_path / "snap.bin", LabelListCodec())
-    assert restored.get(b"pnp") == (b"l" * 16 + b"m" * 16, b"\x03\x00")
-    assert restored.get(b"base") == StoredRecord(b"n" * 16, b"")
+    assert restored.get(b"two") == b"l" * 16 + b"m" * 16
+    assert restored.get(b"one") == b"n" * 16
+    # A record is its label run, as stored: each label names its next slot.
     codec = LabelListCodec()
-    assert codec.encode(StoredRecord(b"ab", b"\x01")) == b"\x00\x00\x00\x02ab\x01"
-    for damaged in (b"", b"\x00\x00", b"\x00\x00\x00\x03ab"):
-        with pytest.raises(StorageError):
-            codec.decode(damaged)
+    assert codec.encode(b"ab") == b"ab"
+    with pytest.raises(StorageError):
+        codec.decode(b"")
 
 
 def test_fhe_store_roundtrip(tmp_path):

@@ -1,8 +1,8 @@
 """The bytes↔int conversions of the row kernel are weighed, not guessed.
 
-Every XOR in :mod:`repro.crypto.rows` and in the proxy's row inputs is
-big-integer XOR, and every conversion on the way in and out goes through
-one pair of helpers, :func:`repro.crypto.rows.to_int` and
+The rows' XORs run inside OpenSSL's CBC passes; what is left as big-integer
+XOR — the slot bits a label call sets, the proxy's per-group offsets — goes
+through one pair of helpers, :func:`repro.crypto.rows.to_int` and
 :func:`repro.crypto.rows.to_bytes`.  This test swaps the pair for counting
 wrappers and pins the bytes they convert at the paper point (160 B values,
 y = 2: 2,560 rows, 640 groups), so a layout change that adds a 40 KB
@@ -22,7 +22,7 @@ from repro.types import StoreConfig
 
 SRC = pathlib.Path(rows.__file__).resolve().parents[1]
 
-N, GROUPS, HEAD, PLANE = 2560, 640, 4, 2560 * 16
+N, GROUPS, HEAD = 2560, 640, 4
 
 
 @pytest.fixture
@@ -45,45 +45,49 @@ def converted(monkeypatch):
     return seen
 
 
-def _sealed():
-    keys, labels_run, slots = os.urandom(16 * N), os.urandom(16 * N), os.urandom(N)
+def _proxy():
+    proxy = LblProxy(StoreConfig(value_len=160, group_bits=2), KeyChain(b"\x0c" * 32))
+    return proxy, *proxy.codec.epochs("k", 0, 1)
+
+
+def test_a_paper_point_seal_converts_15_kb(converted):
+    """The label call sets the slot bits of two byte-15 columns — the new
+    labels' (one per row) and the keys' (one per triple, the checks'
+    included) — each one XOR, two in and one out; the kernel's passes and
+    its gather of the third lanes convert nothing."""
+    proxy, old, new = _proxy()
+    next_slots = proxy._next_slots(old, new, None)
+    converted.clear()
+    stream = proxy.codec.table_stream(old[0], new[0], next_slots, rows.tweaks(b"n" * 16, 2))
+    rows.seal(stream, 16, HEAD)
+    assert sum(converted) == 3 * N + 3 * (N + HEAD) == 15_372
+    assert max(converted) == N + HEAD
+
+
+def test_a_640_pick_open_converts_nothing(converted):
+    """The server's open reads its picks off the stored labels by
+    ``translate``, copies by strided slices and XORs in OpenSSL: no
+    conversion at all."""
+    proxy, old, new = _proxy()
     nonce = os.urandom(rows.ROW_NONCE_LEN)
-    return keys, labels_run, slots, nonce, rows.seal_rows(keys, labels_run, slots, nonce, HEAD)
-
-
-def test_a_paper_point_seal_converts_256_kb(converted):
-    """π's seed plane and the nonce run in and its tweaked input out, the
-    label plane of π's output, the labels and the result: six 40,960-byte
-    conversions; and the slot and check columns together, three in and one
-    out."""
-    keys, labels_run, slots, nonce, _slab = _sealed()
+    stream = proxy.codec.table_stream(
+        old[0], new[0], proxy._next_slots(old, new, None), rows.tweaks(nonce, 2)
+    )
+    slab = rows.seal(stream, 16, HEAD)
+    stored = proxy.codec.record(old, [i % 4 for i in range(GROUPS)])
     converted.clear()
-    rows.seal_rows(keys, labels_run, slots, nonce, HEAD)
-    assert sum(converted) == 6 * PLANE + 4 * (N + 4 * 15) == 256_240
-    assert max(converted) == PLANE
-
-
-def test_a_640_pick_open_converts_64_kb(converted):
-    """The same conversions over the 640 picked rows, one of them checked."""
-    keys, _labels, _slots, nonce, slab = _sealed()
-    picks = [i * 4 + i % 4 for i in range(GROUPS)]
-    picked = b"".join(keys[p * 16 : (p + 1) * 16] for p in picks)
-    converted.clear()
-    (opened,) = rows.open_rows([(nonce, picked, slab, 17, HEAD, picks)])
-    assert opened is not None
-    assert sum(converted) == 6 * GROUPS * 16 + 4 * (GROUPS + 15) == 64_060
+    (opened,) = rows.open_rows([(nonce, stored, slab, 16, HEAD)])
+    assert opened is not None and len(opened) == GROUPS * 16
+    assert sum(converted) == 0
 
 
 def test_the_row_inputs_convert_2_kb(converted):
-    """Per access, before the seal: one XOR of per-group offsets.  The
-    per-row slots are one ``translate`` per slot and the labels' positions
-    one per column, so neither converts."""
-    config = StoreConfig(value_len=160, group_bits=2)
-    proxy = LblProxy(config, KeyChain(b"\x0c" * 32))
-    old, new = proxy.codec.epochs("k", 0, 1)
+    """Per access, before the label call: one XOR of per-group offsets.  The
+    per-row slots are one ``translate`` per slot, so they do not convert."""
+    proxy, old, new = _proxy()
     for new_value in (None, bytes(GROUPS)):
         converted.clear()
-        proxy._row_inputs(old, new, new_value)
+        proxy._next_slots(old, new, new_value)
         assert sum(converted) == 3 * GROUPS == 1_920
 
 

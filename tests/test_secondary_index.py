@@ -81,7 +81,7 @@ def test_server_sees_neither_values_nor_pks():
     server_store = index.protocol.server.store
     for encoded_key in server_store:
         assert b"waterloo" not in encoded_key
-        assert b"waterloo" not in server_store.get(encoded_key).labels
+        assert b"waterloo" not in server_store.get(encoded_key)
 
 
 def test_lookup_and_update_have_identical_wire_shape():

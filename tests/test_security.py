@@ -164,11 +164,11 @@ _POINT = StoreConfig(value_len=16, group_bits=2)
 
 
 def test_histogram_bound_matches_its_closed_form():
-    # 32 requests of 4461 B each side: 0.030 (mean) + 0.010 (tail at 1e-6).
-    n = 32 * 4461
-    assert histogram_bound(n, n) == pytest.approx(0.0398, abs=5e-5)
-    assert histogram_bound(n // 4, n // 4) == pytest.approx(0.0796, abs=5e-5)
-    assert histogram_bound(n // 8, n // 8) == pytest.approx(0.1125, abs=5e-5)
+    # 32 requests of 4209 B each side: 0.031 (mean) + 0.010 (tail at 1e-6).
+    n = 32 * 4209
+    assert histogram_bound(n, n) == pytest.approx(0.0410, abs=5e-5)
+    assert histogram_bound(n // 4, n // 4) == pytest.approx(0.0819, abs=5e-5)
+    assert histogram_bound(n // 8, n // 8) == pytest.approx(0.1158, abs=5e-5)
 
 
 @pytest.mark.parametrize("num_keys", [4, 8, 32])

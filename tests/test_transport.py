@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.core.lbl.server import LblServer
-from repro.crypto.labels import StoredRecord
 from repro.errors import ProtocolError
 from repro.transport import LblTcpServer, RemoteLblOrtoa
 from repro.transport.framing import MAX_FRAME_BYTES, recv_frame, send_frame
@@ -72,7 +71,7 @@ def test_framing_detects_closed_connection():
 
 
 def test_load_record_roundtrip():
-    record = StoredRecord(b"l" * 16 + b"m" * 16, b"\x02\x00")
+    record = b"l" * 16 + b"m" * 16
     encoded_key, decoded = unpack_load(pack_load(b"ek-bytes", record))
     assert encoded_key == b"ek-bytes"
     assert decoded == record
@@ -241,8 +240,8 @@ def test_batch_wire_messages_roundtrip():
 
     batch = LblBatchRequest(
         (
-            LblAccessRequest.from_tables(b"k1", ((b"a" * 16, b"b" * 16),), b"n" * 16),
-            LblAccessRequest(b"k2", b"cdef" + bytes(30), 2, 1, b"n" * 16),
+            LblAccessRequest.from_tables(b"k1", ((b"a" * 17, b"b" * 17),), b"n" * 16),
+            LblAccessRequest(b"k2", b"cdef" + bytes(32), 2, 1, b"n" * 16),
         )
     )
     assert LblBatchRequest.from_bytes(batch.to_bytes()) == batch

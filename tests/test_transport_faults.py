@@ -38,7 +38,7 @@ pytestmark = pytest.mark.timeout(30)
 
 CONFIG = StoreConfig(value_len=16, group_bits=2)
 #: The smallest record a point-and-permute server loads: one label, one slot.
-RECORD = (b"l" * 16, b"\x00")
+RECORD = b"l" * 16
 
 
 class ScriptedSocket:
