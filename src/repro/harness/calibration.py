@@ -17,8 +17,8 @@ counts into simulated time.  Two calibrations are provided:
   scales with the value size.
   It also keeps the simulated link carrying the paper's LBL messages
   (:meth:`CostModel.lbl_round_trip`): one authenticated ciphertext ``E_len``
-  per table entry, where this implementation now ships a 17-byte
-  one-call row (group 0's carry 15 check bytes more) — the figures
+  per table entry, where this implementation now ships a 16-byte
+  row (group 0's carry a 16-byte check block more) — the figures
   reproduce the paper's protocol, not this repo's optimizations.
 * :meth:`CostModel.measured` — times this library's own (pure-Python)
   primitives through the :mod:`repro.obs.clock` abstraction (wall clock by
