@@ -41,8 +41,6 @@ _EXPORTS = {
     "FheOrtoa": "repro.core",
     "TwoRoundBaseline": "repro.core",
     "FreshnessGuard": "repro.core.freshness",
-    "ObliviousTable": "repro.relational",
-    "Schema": "repro.relational",
     "AccessTranscript": "repro.core",
     "KeyChain": "repro.crypto.keys",
     "StoreConfig": "repro.types",

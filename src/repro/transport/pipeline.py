@@ -39,10 +39,10 @@ from repro.transport import framing
 from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME, LblFrameDispatcher
 
 #: Requests one connection keeps in flight; :meth:`PipelinedLblClient.submit`
-#: blocks beyond it.  Half the server's default per-connection window: the
-#: server returns a slot just after it writes the reply, so a client that ran
-#: at the window's edge would be shed on its own replies' bookkeeping — and a
-#: bulk load that pipelines every record must not trip admission control.
+#: blocks beyond it.  The server hands a slot back just before it writes the
+#: reply, so a connection never holds more slots there than requests pending
+#: here: a bulk load that pipelines every record is not shed by a server
+#: whose per-connection window is its default (128) or half that.
 MAX_IN_FLIGHT_PER_CONNECTION = 64
 
 

@@ -311,8 +311,12 @@ class _Handler(socketserver.BaseRequestHandler):
     def finish(self) -> None:  # noqa: D401 - socketserver interface
         self.server.connection_closing(self)
 
-    def send(self, payload: bytes) -> bool:
+    def send(self, payload: bytes | None, admitted: bool = False) -> bool:
         """Write one reply frame; False once the connection is lost.
+
+        An ``admitted`` request's reply hands its window slot back under the
+        lock, just before the write, so a client that read the reply finds
+        the slot free; ``None`` only hands the slot back.
 
         A write that fails or stalls past :data:`SEND_TIMEOUT_S` may have
         left half a frame on the wire, so the stream is shut both ways: the
@@ -320,6 +324,10 @@ class _Handler(socketserver.BaseRequestHandler):
         instead of each waiting out the timeout.
         """
         with self.send_lock:
+            if admitted:
+                self.server.release_slot(self)
+            if payload is None:
+                return False
             try:
                 framing.send_frame(self.request, payload)
                 return True
@@ -458,19 +466,17 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         """
         with self._window:
             self._window.wait_for(lambda: conn.in_flight == 0)
+        with conn.send_lock, self._window:  # the last reply's write is done
             self.num_connections -= 1
 
-    # ------------------------------------------------------------------ #
-    # Dispatch (delegated to the shared frame dispatcher)
-    # ------------------------------------------------------------------ #
-
-    def safe_dispatch(self, payload: bytes) -> bytes:
-        """Dispatch one frame, converting failures into error frames."""
-        return self.dispatcher.safe_dispatch(payload)
-
-    def dispatch(self, payload: bytes) -> bytes:
-        """Route one decoded frame; returns the serialized reply."""
-        return self.dispatcher.dispatch(payload)
+    def release_slot(self, conn: _Handler) -> None:
+        """Hand back one of ``conn``'s admitted requests' window slots."""
+        with self._window:
+            conn.in_flight -= 1
+            self.in_flight -= 1
+            self._window.notify_all()  # close() and closing connections
+            if _obs.enabled:
+                REGISTRY.gauge("transport.server.in_flight").set(self.in_flight)
 
     # ------------------------------------------------------------------ #
     # Multiplexed (pipelined) frames
@@ -532,27 +538,21 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         inner: bytes,
         trace_context: bytes | None = None,
     ) -> None:
+        wrapped = None
         try:
             if self.response_delay_s:
                 time.sleep(self.response_delay_s)
             if _obs.enabled:
                 reply = self.dispatcher.traced_dispatch(inner, trace_context)
             else:
-                reply = self.safe_dispatch(inner)
+                reply = self.dispatcher.safe_dispatch(inner)
             wrapped = framing.wrap_mux(request_id, reply)
             if _obs.enabled:
                 _ledger.count_wire(
                     _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"
                 )
-            conn.send(wrapped)  # a vanished client has nothing left to hear
-        finally:
-            with self._window:
-                conn.in_flight -= 1
-                self.in_flight -= 1
-                depth = self.in_flight
-                self._window.notify_all()  # close() and closing connections
-            if _obs.enabled:
-                REGISTRY.gauge("transport.server.in_flight").set(depth)
+        finally:  # the slot goes back even if dispatch raised
+            conn.send(wrapped, admitted=True)  # to a vanished client: dropped
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -9,7 +9,7 @@ harness; the encrypted wire formats live in :mod:`repro.core.messages`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -157,43 +157,6 @@ class StoreConfig:
                 f"value of {len(value)} bytes exceeds fixed length {self.value_len}"
             )
         return value.ljust(self.value_len, b"\x00")
-
-
-@dataclass(slots=True)
-class AccessStats:
-    """Mutable counters a component keeps about the work it performed."""
-
-    requests: int = 0
-    reads: int = 0
-    writes: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    encryptions: int = 0
-    decryptions: int = 0
-    failed_decryptions: int = 0
-    prf_evaluations: int = 0
-
-    def record_op(self, op: Operation) -> None:
-        """Count one request of the given operation type."""
-        self.requests += 1
-        if op.is_read:
-            self.reads += 1
-        else:
-            self.writes += 1
-
-    def merged_with(self, other: "AccessStats") -> "AccessStats":
-        """Return a new ``AccessStats`` summing ``self`` and ``other``."""
-        return AccessStats(
-            requests=self.requests + other.requests,
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            bytes_received=self.bytes_received + other.bytes_received,
-            encryptions=self.encryptions + other.encryptions,
-            decryptions=self.decryptions + other.decryptions,
-            failed_decryptions=self.failed_decryptions + other.failed_decryptions,
-            prf_evaluations=self.prf_evaluations + other.prf_evaluations,
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,6 @@ properties the measured figures depend on.
 
 from repro.workloads.datasets import DATASETS, DatasetSpec, build_dataset
 from repro.workloads.synthetic import RequestStream, WorkloadSpec, synthetic_records
-from repro.workloads.trace import record_trace, replay_trace, trace_summary
 
 __all__ = [
     "WorkloadSpec",
@@ -19,7 +18,4 @@ __all__ = [
     "DatasetSpec",
     "DATASETS",
     "build_dataset",
-    "record_trace",
-    "replay_trace",
-    "trace_summary",
 ]

@@ -52,7 +52,7 @@ def test_package_reexports_resolve_lazily_and_completely():
     import repro
 
     assert out == list(repro.__all__) and out[-1] == "__version__"
-    assert len(out) == len(set(out)) == 22
+    assert len(out) == len(set(out)) == 20
     for name in out:
         assert getattr(repro, name) is not None
         assert name in dir(repro)

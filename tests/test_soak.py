@@ -1,9 +1,9 @@
 """Soak test: a longer randomized run across the whole stack at once.
 
-One scenario, every layer: relational table + secondary index over a
-durable (WAL-backed) LBL deployment with freshness-guarded TEE replica,
-driven by a recorded-and-replayed trace, verified against a reference
-model, then crash-recovered and verified again.
+One scenario across the stack: a seeded 400-request stream drives a durable
+(WAL-backed) LBL deployment and a freshness-guarded TEE replica, both
+verified against a reference model; the LBL deployment is then
+crash-recovered and verified again.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro import (
 from repro.core.sharded import ShardedLblDeployment
 from repro.crypto.keys import KeyChain
 from repro.transport.pipeline import LocalLink
-from repro.workloads.trace import record_trace, replay_trace
 from repro.workloads.synthetic import RequestStream, WorkloadSpec
 
 CONFIG = StoreConfig(value_len=24, group_bits=2)
@@ -41,15 +40,10 @@ def test_long_mixed_soak(tmp_path):
     replica.initialize(dict(records))
     reference = {k: bytes(24) for k in KEYS}
 
-    # Record a 400-request trace, then replay it (exercising the trace
-    # round trip as part of the soak).
     stream = RequestStream(
         WorkloadSpec(keys=KEYS, value_len=24, write_fraction=0.4, seed=99)
     )
-    trace_path = tmp_path / "soak-trace.jsonl"
-    record_trace(stream.take(400), trace_path)
-
-    for request in replay_trace(trace_path):
+    for request in stream.take(400):
         if request.op is Operation.WRITE:
             reference[request.key] = CONFIG.pad(request.value)
             primary.write(request.key, request.value)

@@ -1,74 +1,10 @@
-"""Tests for workload traces and the deployment advisor."""
+"""Tests for the deployment advisor (§6.3.2)."""
 
 import pytest
 
 from repro.analysis.advisor import recommend
 from repro.errors import ConfigurationError
-from repro.types import Operation, Request
-from repro.workloads.synthetic import RequestStream, WorkloadSpec
-from repro.workloads.trace import record_trace, replay_trace, trace_summary
 
-
-# --------------------------------------------------------------------- #
-# Traces
-# --------------------------------------------------------------------- #
-
-def test_trace_roundtrip(tmp_path):
-    requests = [
-        Request.read("a"),
-        Request.write("b", b"\x00\xffdata"),
-        Request.read("c"),
-    ]
-    path = tmp_path / "trace.jsonl"
-    assert record_trace(requests, path) == 3
-    replayed = list(replay_trace(path))
-    assert replayed == requests
-
-
-def test_trace_from_stream_roundtrip(tmp_path):
-    spec = WorkloadSpec(keys=("k1", "k2"), value_len=8, write_fraction=0.5, seed=3)
-    requests = RequestStream(spec).take(50)
-    path = tmp_path / "stream.jsonl"
-    record_trace(requests, path)
-    assert list(replay_trace(path)) == requests
-
-
-def test_trace_summary(tmp_path):
-    requests = [Request.read("a")] * 6 + [Request.write("b", b"x")] * 4
-    path = tmp_path / "trace.jsonl"
-    record_trace(requests, path)
-    summary = trace_summary(path)
-    assert summary == {
-        "requests": 10,
-        "reads": 6,
-        "writes": 4,
-        "write_fraction": 0.4,
-        "distinct_keys": 2,
-    }
-
-
-def test_trace_errors(tmp_path):
-    with pytest.raises(ConfigurationError):
-        list(replay_trace(tmp_path / "missing.jsonl"))
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"op": "read", "key": "a"}\n{"op": "nonsense"}\n')
-    with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
-        list(replay_trace(bad))
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("\n\n")
-    with pytest.raises(ConfigurationError):
-        trace_summary(empty)
-
-
-def test_trace_skips_blank_lines(tmp_path):
-    path = tmp_path / "gaps.jsonl"
-    path.write_text('{"op": "read", "key": "a"}\n\n{"op": "read", "key": "b"}\n')
-    assert [r.key for r in replay_trace(path)] == ["a", "b"]
-
-
-# --------------------------------------------------------------------- #
-# Advisor (§6.3.2)
-# --------------------------------------------------------------------- #
 
 def test_tee_wins_when_available_and_trusted():
     rec = recommend(value_len=160, server_rtt_ms="oregon",

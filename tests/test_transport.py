@@ -183,12 +183,12 @@ def test_direct_dispatch_matches_in_process_server():
     protocol = LblOrtoa(config)
     records = protocol.proxy.initial_records({"k": b"v"})
     for encoded_key, labels in records:
-        tcp.dispatch(pack_load(encoded_key, labels))
+        tcp.dispatcher.dispatch(pack_load(encoded_key, labels))
         direct.load(encoded_key, labels)
     request, _ = protocol.proxy.prepare(Request.read("k"))
     from repro.core.messages import LblAccessResponse
 
-    via_tcp = LblAccessResponse.from_bytes(tcp.dispatch(request.to_bytes()))
+    via_tcp = LblAccessResponse.from_bytes(tcp.dispatcher.dispatch(request.to_bytes()))
     tcp.server_close()
     # Both servers opened the same entry (deterministic: same labels).
     direct_response, _ = direct.process(request)

@@ -4,7 +4,6 @@ import pytest
 
 from repro import errors
 from repro.types import (
-    AccessStats,
     LatencySample,
     Operation,
     Request,
@@ -103,23 +102,8 @@ def test_config_validation():
 
 
 # --------------------------------------------------------------------- #
-# Stats and samples
+# Latency samples
 # --------------------------------------------------------------------- #
-
-def test_access_stats_record_and_merge():
-    a = AccessStats()
-    a.record_op(Operation.READ)
-    a.record_op(Operation.WRITE)
-    a.bytes_sent = 100
-    b = AccessStats(requests=3, reads=3, bytes_sent=50)
-    merged = a.merged_with(b)
-    assert merged.requests == 5
-    assert merged.reads == 4
-    assert merged.writes == 1
-    assert merged.bytes_sent == 150
-    # merging is non-destructive
-    assert a.requests == 2 and b.requests == 3
-
 
 def test_latency_sample_arithmetic():
     sample = LatencySample(Operation.READ, start_ms=10.0, end_ms=35.5)
