@@ -7,9 +7,9 @@ Two scaling axes, each measured with real sockets on localhost:
   is what the measurement exercises; aggregate throughput should grow
   near-linearly with shards because the deployment keeps every shard's
   pipeline full concurrently (§6.2.4's scale-out claim);
-* **pipeline depth** — the same emulated delay stands in for a WAN round
-  trip; depth D keeps D requests in flight so throughput approaches
-  D× lockstep until the server's worker pool saturates.
+* **pipeline depth** — an emulated WAN round trip on the link; depth D
+  keeps D requests in flight on one connection, so throughput approaches
+  D× lockstep while the round trip outweighs the shard's service time.
 
 Acceptance gates (asserted here, tables under ``results/``): 2 shards >
 1.4× and 4 shards ≥ 2× the 1-shard batch throughput; depth 2 > 1.2× and

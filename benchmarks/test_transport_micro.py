@@ -71,9 +71,8 @@ def _pipelined_rps(address, num_requests: int = 2000, depth: int = 32) -> float:
 
 
 #: Depth 32 over depth 1 on one connection, floor.  Measured on a 2-core
-#: host, ten runs of this test: 1.87x to 2.99x (median 2.37x; depth 1 at
-#: 7.3k to 10.3k req/s, depth 32 at 15.6k to 25.1k); with a busy-loop
-#: process on one of the two cores, 1.52x to 2.25x.
+#: host, ten runs of this test: 1.82x to 2.86x (median 2.00x; depth 1 at
+#: 12.6k to 19.7k req/s, depth 32 at 23.6k to 40.8k).
 PIPELINE_FLOOR = 1.25
 
 
@@ -102,18 +101,15 @@ def test_admitted_p99_bounded_under_overload():
     """64 submitters against a window of 8: every request is answered, and
     the admitted ones keep the unloaded latency.
 
-    The window equals the worker pool, so an admitted request never queues
-    behind another; the point of shedding is that its latency stays flat
-    instead of every request waiting behind 63 others.  Service time is
+    Each connection serves its own request, so an admitted request never
+    queues behind another; the point of shedding is that its latency stays
+    flat instead of every request waiting behind 63 others.  Service time is
     emulated (``response_delay_s``) so the bound is about queueing, not
     about 64 Python threads sharing one interpreter lock; a shed submitter
     backs off for one service time, as the retry contract asks.
     """
     service_s, submitters, per_submitter = 0.02, 64, 25
-    server = LblTcpServer(
-        max_in_flight=8, max_in_flight_per_conn=8, max_workers=8,
-        response_delay_s=service_s,
-    )
+    server = LblTcpServer(max_in_flight=8, response_delay_s=service_s)
     server.serve_in_background()
     try:
         with PipelinedLblClient(server.address) as client:

@@ -426,8 +426,8 @@ class ShardedLblDeployment(OrtoaProtocol):
         """Serve requests with up to ``depth`` frames in flight at once.
 
         Unlike :meth:`access_batch` (one frame per shard), every request
-        travels as its own multiplexed frame, so the server's worker pool
-        processes them in parallel and replies stream back continuously.
+        travels as its own multiplexed frame, so the shard serves one while
+        the next ones cross the wire and replies stream back continuously.
         Transcripts are returned in request order.
 
         Raises:

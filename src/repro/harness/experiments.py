@@ -384,8 +384,9 @@ def pipeline_depth_sweep(
     """Lockstep vs pipelined throughput on one loopback shard.
 
     Sweeps in-flight window depths 1 (lockstep), 2, and ``pipeline_depth``
-    against a server that delays each reply by ``emulated_rtt_s`` (standing
-    in for the WAN RTTs of Table 2, which pipelining exists to hide).
+    over one connection whose replies arrive ``emulated_rtt_s`` after their
+    submits (standing in for the WAN RTTs of Table 2, which pipelining
+    exists to hide).
     """
     from repro.transport.cluster import measure_pipeline_gain
 

@@ -57,6 +57,7 @@ from repro.crypto.keys import KeyChain
 from repro.crypto.rows import CHECK_LEN
 from repro.errors import ConfigurationError, ProtocolError
 from repro.security.simulators import LblSimulator
+from repro.transport.pipeline import relay
 from repro.types import Operation, Request, StoreConfig
 
 #: The deployment paths the checker drives, in order.
@@ -127,31 +128,23 @@ class RecordingLink:
 
     def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
         """Forward one payload; the future completes once its reply, and the
-        storage after it, are recorded."""
+        storage after it, are recorded by the thread that waits on it."""
         frame = Frame(payload)
         keys = [r.encoded_key for r in _requests(payload)] if self.store is not None else []
         before = [self._peek(key) for key in keys]
         with self._lock:
             self.frames.append(frame)
-        # A future wakes its waiters before it runs its callbacks, so the
-        # caller waits on a second one that completes after the recording.
-        recorded: Future = Future()
 
-        def settle(forwarded: Future) -> None:
+        def record(forwarded: Future) -> None:
             if self.store is not None:
                 frame.storage = [
                     (_size(old), _size(new), new != old)
                     for old, new in zip(before, map(self._peek, keys))
                 ]
-            error = forwarded.exception()
-            if error is not None:
-                recorded.set_exception(error)
-            else:
+            if forwarded.exception() is None:
                 frame.reply = forwarded.result()
-                recorded.set_result(frame.reply)
 
-        self.link.submit(payload, trace_context).add_done_callback(settle)
-        return recorded
+        return relay(self.link.submit(payload, trace_context), record)
 
     def close(self) -> None:
         """Close the wrapped link."""

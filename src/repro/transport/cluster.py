@@ -18,11 +18,14 @@ pairs its own proxy with its own server, whereas this process hosts a
 single proxy whose serial table-building would otherwise mask the
 server-side speedup.
 
-Because CI machines may expose a single core, the scaling measurement
-models each shard's per-request cost as *service time* (an emulated
-storage/WAN delay via ``response_delay_s``) rather than local compute —
-overlapped waiting scales with shard count on any machine, while Python
-compute only scales with physical cores.
+Because CI machines may expose a single core, neither measurement times
+local compute.  The shard-count one models each shard's per-request cost as
+*service time* (``response_delay_s``, slept inside the shard, one request
+per connection at a time); the pipeline-depth one emulates the network
+round trip on the link (:class:`~repro.transport.pipeline.DelayedLink`), so
+pipelined frames overlap their trips over one connection.  Overlapped
+waiting scales on any machine, while Python compute only scales with
+physical cores.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from collections import deque
+from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
 from repro.core.messages import LblAccessResponse
 from repro.errors import ConfigurationError, ProtocolError
+from repro.transport.pipeline import DelayedLink
 from repro.transport.server import LblTcpServer
 from repro.types import Request, StoreConfig
 
@@ -41,7 +47,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: core.sharded imports this packa
     from repro.core.sharded import ShardedLblDeployment
 
 
-def _serve_shard(conn, response_delay_s: float, max_workers: int, metrics: bool,
+def _serve_shard(conn, response_delay_s: float, metrics: bool,
                  enable_obs: bool) -> None:  # pragma: no cover - child process
     """Child-process entry point: bind, report the addresses, serve forever."""
     from repro import obs
@@ -52,7 +58,6 @@ def _serve_shard(conn, response_delay_s: float, max_workers: int, metrics: bool,
         obs.enable()
     server = LblTcpServer(
         response_delay_s=response_delay_s,
-        max_workers=max_workers,
         metrics_port=0 if metrics else None,
     )
     conn.send({"address": server.address, "metrics": server.metrics_address})
@@ -66,8 +71,7 @@ class ShardCluster:
     Args:
         num_shards: Servers to boot.
         in_process: Daemon threads (True) or spawned processes (False).
-        response_delay_s: Artificial per-reply delay (WAN emulation).
-        max_workers: Mux worker threads per shard.
+        response_delay_s: Service time slept inside every admitted request.
         metrics: Give every shard a Prometheus scrape endpoint on an
             ephemeral port (read ``metrics_addresses``; ``repro doctor``
             scrapes them).
@@ -83,7 +87,6 @@ class ShardCluster:
         num_shards: int,
         in_process: bool = True,
         response_delay_s: float = 0.0,
-        max_workers: int = 8,
         metrics: bool = False,
         enable_obs: bool = False,
     ) -> None:
@@ -92,7 +95,6 @@ class ShardCluster:
         self.num_shards = num_shards
         self.in_process = in_process
         self.response_delay_s = response_delay_s
-        self.max_workers = max_workers
         self.metrics = metrics
         self.enable_obs = enable_obs
         self.addresses: list[tuple[str, int]] = []
@@ -108,7 +110,6 @@ class ShardCluster:
             for _ in range(self.num_shards):
                 server = LblTcpServer(
                     response_delay_s=self.response_delay_s,
-                    max_workers=self.max_workers,
                     metrics_port=0 if self.metrics else None,
                 )
                 server.serve_in_background()
@@ -124,7 +125,6 @@ class ShardCluster:
                     args=(
                         child_conn,
                         self.response_delay_s,
-                        self.max_workers,
                         self.metrics,
                         self.enable_obs,
                     ),
@@ -225,20 +225,14 @@ def measure_throughput(
 
     service_start = time.perf_counter()
     replies: list[bytes] = [b""] * len(prepared)
-    if mode == "lockstep":
-        for index, (_request, shard, _epoch, payload) in enumerate(prepared):
-            replies[index] = deployment.clients[shard].submit(payload).result(
-                deployment.timeout
-            )
-    else:
-        window: list[tuple[int, object]] = []
-        for index, (_request, shard, _epoch, payload) in enumerate(prepared):
-            if len(window) >= depth:
-                done_index, future = window.pop(0)
-                replies[done_index] = future.result(deployment.timeout)
-            window.append((index, deployment.clients[shard].submit(payload)))
-        for done_index, future in window:
+    window: deque[tuple[int, Future]] = deque()  # lockstep: a window of one
+    for index, (_request, shard, _epoch, payload) in enumerate(prepared):
+        if len(window) >= (depth if mode == "pipelined" else 1):
+            done_index, future = window.popleft()
             replies[done_index] = future.result(deployment.timeout)
+        window.append((index, deployment.clients[shard].submit(payload)))
+    for done_index, future in window:
+        replies[done_index] = future.result(deployment.timeout)
     service_s = time.perf_counter() - service_start
 
     for (request, _shard, epoch, _payload), reply in zip(prepared, replies):
@@ -257,69 +251,66 @@ def measure_throughput(
     }
 
 
+def _sweep_point(
+    config: StoreConfig, shards: int, in_process: bool, num_requests: int,
+    depth: int, seed: int, service_time_s: float = 0.0, rtt_s: float = 0.0,
+) -> dict:
+    """:func:`measure_throughput` on one fresh cluster and deployment."""
+    from repro.core.sharded import ShardedLblDeployment
+
+    with ShardCluster(
+        shards, in_process=in_process, response_delay_s=service_time_s
+    ) as cluster:
+        deployment = ShardedLblDeployment(config, cluster.addresses)
+        if rtt_s:
+            deployment.clients = [DelayedLink(link, rtt_s) for link in deployment.clients]
+        try:
+            return measure_throughput(
+                deployment, num_requests=num_requests, depth=depth, seed=seed
+            )
+        finally:
+            deployment.close()
+
+
 def measure_shard_scaling(
     shard_counts: tuple[int, ...] = (1, 2, 4),
     num_requests: int = 64,
     value_len: int = 16,
     group_bits: int = 2,
     service_time_s: float = 0.02,
-    workers_per_shard: int = 4,
     in_process: bool = True,
     seed: int = 0,
 ) -> list[dict]:
     """Batch (pipelined, deep window) throughput as shards are added.
 
     Each shard server applies ``service_time_s`` of per-request service
-    time (``response_delay_s``), standing in for the storage I/O and WAN
-    hop a real shard pays per access.  A shard overlaps at most
-    ``workers_per_shard`` requests, so its capacity is
-    ``workers_per_shard / service_time_s`` and capacity grows linearly
-    with shards — *if* the transport actually keeps every shard's pipeline
-    full, which is the property this measures.  Modelling the per-request
-    cost as service time rather than local compute is what makes the
-    measurement meaningful on small CI machines: Python shard processes
-    scale with physical cores, and on a single-core box "4 shards" of pure
-    compute is the same serial work as one.
+    time (``response_delay_s``), standing in for the storage I/O a real
+    shard pays per access.  The deployment holds one connection per shard,
+    which a shard serves one request at a time, so a shard's capacity is
+    ``1 / service_time_s`` and capacity grows linearly with shards — *if*
+    the transport actually keeps every shard's pipeline full, which is the
+    property this measures (on any core count: see the module docstring).
 
     The whole window's frames are submitted before any reply is awaited
     (depth = ``num_requests``), approximating one big batch fanned out
     across shards.
     """
-    from repro.core.sharded import ShardedLblDeployment
-
     config = StoreConfig(value_len=value_len, group_bits=group_bits)
-    rows = []
-    baseline_rps = None
+    rows: list[dict] = []
     for shards in shard_counts:
-        with ShardCluster(
-            shards,
-            in_process=in_process,
-            response_delay_s=service_time_s,
-            max_workers=workers_per_shard,
-        ) as cluster:
-            deployment = ShardedLblDeployment(config, cluster.addresses)
-            try:
-                stats = measure_throughput(
-                    deployment,
-                    num_requests=num_requests,
-                    mode="pipelined",
-                    depth=num_requests,
-                    seed=seed,
-                )
-            finally:
-                deployment.close()
-        if baseline_rps is None:
-            baseline_rps = stats["service_rps"]
-        rows.append(
-            {
-                "shards": shards,
-                "requests": num_requests,
-                "service_ms_per_request": service_time_s * 1000,
-                "service_rps": stats["service_rps"],
-                "speedup_vs_1shard": stats["service_rps"] / baseline_rps,
-                "end_to_end_rps": stats["total_rps"],
-            }
+        stats = _sweep_point(
+            config, shards, in_process, num_requests, num_requests, seed,
+            service_time_s=service_time_s,
         )
+        rps = stats["service_rps"]
+        rows.append({
+            "shards": shards,
+            "requests": num_requests,
+            "service_ms_per_request": service_time_s * 1000,
+            "service_rps": rps,
+            "speedup_vs_1shard": rps / (rows[0]["service_rps"] if rows else rps),
+            "end_to_end_rps": stats["total_rps"],
+        })
     return rows
 
 
@@ -332,48 +323,29 @@ def measure_pipeline_gain(
     in_process: bool = True,
     seed: int = 0,
 ) -> list[dict]:
-    """Lockstep vs pipelined throughput on one shard with an emulated WAN.
+    """Lockstep vs pipelined throughput over one connection to one shard,
+    with an emulated WAN.
 
-    ``emulated_rtt_s`` adds a per-reply delay server-side, standing in for
-    the cross-datacenter round trips of the paper's Table 2 — on bare
-    loopback the RTT pipelining hides is too small to matter.  Depth 1 is
-    true lockstep (request/reply).
+    Each reply reaches its waiter no sooner than ``emulated_rtt_s`` after
+    its submit (:class:`~repro.transport.pipeline.DelayedLink`), standing in
+    for the cross-datacenter round trips of the paper's Table 2 — on bare
+    loopback the RTT pipelining hides is too small to matter.  Depth ``D``
+    overlaps ``D`` round trips on the one connection; depth 1 is true
+    lockstep (request/reply).
     """
-    from repro.core.sharded import ShardedLblDeployment
-
     config = StoreConfig(value_len=value_len, group_bits=group_bits)
-    rows = []
-    lockstep_rps = None
+    rows: list[dict] = []
     for depth in depths:
-        with ShardCluster(
-            1,
-            in_process=in_process,
-            response_delay_s=emulated_rtt_s,
-            max_workers=max(8, depth),
-        ) as cluster:
-            deployment = ShardedLblDeployment(config, cluster.addresses)
-            try:
-                mode = "lockstep" if depth <= 1 else "pipelined"
-                stats = measure_throughput(
-                    deployment,
-                    num_requests=num_requests,
-                    mode=mode,
-                    depth=depth,
-                    seed=seed,
-                )
-            finally:
-                deployment.close()
-        if lockstep_rps is None:
-            lockstep_rps = stats["service_rps"]
-        rows.append(
-            {
-                "depth": depth,
-                "requests": num_requests,
-                "emulated_rtt_ms": emulated_rtt_s * 1000,
-                "service_rps": stats["service_rps"],
-                "speedup_vs_lockstep": stats["service_rps"] / lockstep_rps,
-            }
-        )
+        rps = _sweep_point(
+            config, 1, in_process, num_requests, depth, seed, rtt_s=emulated_rtt_s
+        )["service_rps"]
+        rows.append({
+            "depth": depth,
+            "requests": num_requests,
+            "emulated_rtt_ms": emulated_rtt_s * 1000,
+            "service_rps": rps,
+            "speedup_vs_lockstep": rps / (rows[0]["service_rps"] if rows else rps),
+        })
     return rows
 
 

@@ -4,14 +4,11 @@ One frame = 4-byte big-endian payload length + payload.  The payload is a
 serialized :mod:`repro.core.messages` message (the first byte is its tag),
 so the framing layer stays completely protocol-agnostic.
 
-Pipelined clients additionally *multiplex* frames: a mux frame's payload is
+Requests are *multiplexed* frames: a mux frame's payload is
 ``[MUX_TAG][8-byte big-endian request id][inner payload]``.  The id lets a
-client keep many requests in flight over one socket and match responses as
-they come back — possibly out of order — instead of the strict
-request/reply lockstep of plain frames.  Because :data:`MUX_TAG` is just
-another tag byte, mux and plain frames share one connection and servers
-stay backward compatible: a peer that never sends mux frames never sees
-one back.
+client keep many requests in flight over one socket and match each reply
+to its request, instead of the strict request/reply lockstep of plain
+frames.  :class:`FrameReader` reads both ends' frames a burst at a time.
 """
 
 from __future__ import annotations
@@ -64,6 +61,49 @@ def recv_frame(sock: socket.socket) -> bytes:
         REGISTRY.counter("transport.frames_received").inc()
         REGISTRY.counter("transport.bytes_received").inc(_LEN.size + length)
     return payload
+
+
+class FrameReader:
+    """Frames off one stream socket: :meth:`read` makes one ``recv_into``
+    and returns every whole frame then buffered (maybe none).  A partial
+    frame stays buffered for the next call; one thread reads at a time."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._buf = bytearray(1 << 16)  # grown to fit a larger frame
+        self._start = self._end = 0
+
+    def read(self) -> list[bytes]:
+        """One receive; raises ProtocolError on EOF or an oversize frame."""
+        buf, start, end = self._buf, self._start, self._end
+        received = self.sock.recv_into(memoryview(buf)[end:])
+        if not received:
+            raise ProtocolError("connection closed" + " mid-frame" * (end > start))
+        end += received
+        frames = []
+        need = _LEN.size  # bytes the partial frame at ``start`` still spans
+        with memoryview(buf) as view:
+            while end - start >= _LEN.size:
+                (length,) = _LEN.unpack_from(buf, start)
+                if length > MAX_FRAME_BYTES:
+                    raise ProtocolError(f"peer announced a {length}-byte frame; refusing")
+                if end - start < _LEN.size + length:
+                    need = _LEN.size + length
+                    break
+                frames.append(bytes(view[start + _LEN.size:start + _LEN.size + length]))
+                start += _LEN.size + length
+        if start:  # move what is left (a partial frame, or nothing) to the front
+            buf[:end - start] = buf[start:end]
+            start, end = 0, end - start
+        if need > len(buf):
+            buf.extend(bytes(need - len(buf)))
+        self._start, self._end = start, end
+        if _obs.enabled and frames:
+            REGISTRY.counter("transport.frames_received").inc(len(frames))
+            REGISTRY.counter("transport.bytes_received").inc(
+                sum(_LEN.size + len(frame) for frame in frames)
+            )
+        return frames
 
 
 # --------------------------------------------------------------------- #

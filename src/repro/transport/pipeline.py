@@ -10,24 +10,29 @@ caller's job (see :class:`repro.core.sharded.ShardedLblDeployment`), because
 only the trusted side knows which payloads touch the same key.
 
 * :class:`PipelinedLblClient` — the TCP link.  It wraps each request in a
-  multiplexed frame (:func:`repro.transport.framing.wrap_mux`), returns the
-  future at once, and a reader thread per pooled connection completes the
-  futures as replies arrive, in whatever order the server finishes them.
-  :meth:`~PipelinedLblClient.submit` may be called from many threads; each
-  connection has independent send/pending locks and request ids come from
-  one atomic counter.
+  multiplexed frame (:func:`repro.transport.framing.wrap_mux`) and returns
+  the future at once.  No thread reads for it: whoever waits on a reply
+  (``result()`` / ``exception()``) reads the connection until that reply is
+  in, settling the futures of other replies on the way, while any other
+  waiters wait for its settles.  :meth:`~PipelinedLblClient.submit` may be
+  called from many threads; request ids come from one atomic counter.
 * :class:`LocalLink` — a shard in this process: the same payload bytes go
   to an :class:`~repro.transport.server.LblFrameDispatcher` on the caller's
   thread, with no socket and no framing.
+* :class:`DelayedLink` — any link, with an emulated round trip.
+
+A wrapping link does its own work in the waiting thread through :func:`relay`.
 """
 
 from __future__ import annotations
 
 import itertools
+import select
 import socket
 import threading
 import time
 from concurrent.futures import Future
+from typing import Callable
 
 from repro.errors import OverloadError, ProtocolError, RefusedError
 from repro.obs import _state as _obs
@@ -39,10 +44,8 @@ from repro.transport import framing
 from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME, LblFrameDispatcher
 
 #: Requests one connection keeps in flight; :meth:`PipelinedLblClient.submit`
-#: blocks beyond it.  The server hands a slot back just before it writes the
-#: reply, so a connection never holds more slots there than requests pending
-#: here: a bulk load that pipelines every record is not shed by a server
-#: whose per-connection window is its default (128) or half that.
+#: reads replies beyond it, so a caller that pipelines a whole bulk load
+#: keeps reading while the shard writes to it.
 MAX_IN_FLIGHT_PER_CONNECTION = 64
 
 
@@ -63,66 +66,125 @@ def settle(future: Future, reply: bytes) -> None:
         future.set_result(reply)
 
 
+class _Waited(Future):
+    """A future completed in the thread that waits on it: ``result()`` and
+    ``exception()`` first run ``drive(done, timeout)``."""
+
+    def __init__(self, drive: Callable[[Callable[[], bool], float | None], None]) -> None:
+        super().__init__()
+        self._drive = drive
+
+    def result(self, timeout: float | None = None):
+        """The outcome, once this thread or another has brought it in."""
+        self._drive(self.done, timeout)
+        return super().result(0)
+
+    def exception(self, timeout: float | None = None):
+        """The failure, once this thread or another has brought it in."""
+        self._drive(self.done, timeout)
+        return super().exception(0)
+
+
+def relay(forwarded: Future, then: Callable[[Future], None]) -> Future:
+    """``forwarded``'s outcome, completed in the first thread that waits on
+    it after ``then(forwarded)`` has run there."""
+    lock = threading.Lock()
+
+    def drive(done: Callable[[], bool], timeout: float | None) -> None:
+        error = forwarded.exception(timeout)  # TimeoutError if it lapses
+        with lock:
+            if not done():
+                then(forwarded)
+                if error is None:
+                    relayed.set_result(forwarded.result())
+                else:
+                    relayed.set_exception(error)
+
+    relayed = _Waited(drive)
+    return relayed
+
+
 class _Connection:
-    """One socket plus its reader thread and pending-future table."""
+    """One socket, its frame reader and its pending-future table."""
 
     def __init__(self, address: tuple[str, int], timeout: float) -> None:
         self.sock = socket.create_connection(address, timeout=timeout)
-        # The reader blocks on recv indefinitely between replies; request
-        # timeouts are enforced by callers waiting on futures instead.
+        # Reads block; a waiter's own timeout is kept by polling first.
         self.sock.settimeout(None)
         # Bursts of small frames must not wait for ACKs of earlier ones:
         # Nagle + delayed ACK turns a full pipeline window into ~40ms
         # stalls, erasing exactly the overlap pipelining exists for.
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.frames = framing.FrameReader(self.sock)
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
         self.send_lock = threading.Lock()
         self.pending: dict[int, Future] = {}
-        # Guards ``pending``; notified whenever an entry leaves it.
-        self.pending_lock = threading.Condition(threading.Lock())
+        # ``lock`` guards ``pending``, ``reading`` and ``dead``; ``turn`` is
+        # notified after each read's settles (their done-callbacks included)
+        # and on death.
+        self.lock = threading.Lock()
+        self.turn = threading.Condition(self.lock)
+        self.reading = False
         self.dead = False
-        self.reader = threading.Thread(
-            target=self._read_loop, name="lbl-pipeline-reader", daemon=True
-        )
-        self.reader.start()
 
-    def _read_loop(self) -> None:
+    def wait(self, done: Callable[[], bool], timeout: float | None) -> None:
+        """Read replies until ``done()``, the connection's death or the
+        timeout; while another thread reads, wait for its settles."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            with self.lock:
+                while self.reading and not done():
+                    if not self.turn.wait(
+                        None if deadline is None else deadline - time.monotonic()
+                    ):
+                        return
+                if done() or self.dead:
+                    return
+                self.reading = True
             try:
-                payload = framing.recv_frame(self.sock)
+                ms = None if deadline is None else max(0.0, deadline - time.monotonic())
+                if not self._poll.poll(None if ms is None else ms * 1000):
+                    return  # timed out; a partial frame stays buffered
+                self._read()
+            finally:
+                with self.lock:
+                    self.reading = False
+                    self.turn.notify_all()
+
+    def _read(self) -> None:
+        """Read one burst and settle the future of every reply in it."""
+        try:
+            for payload in self.frames.read():
                 request_id, inner = framing.unwrap_mux(payload)
-            except (ProtocolError, OSError):
-                break  # closed, truncated mid-frame, or protocol violation
-            if _obs.enabled:
-                _ledger.count_wire(
-                    _ledger.frame_type(payload), "received", 4 + len(payload)
-                )
-            with self.pending_lock:
-                future = self.pending.pop(request_id, None)
-                self.pending_lock.notify()
-            if future is not None:  # else: a reply nobody is waiting on
-                settle(future, inner)
-        self.fail_pending(ProtocolError("connection lost with requests in flight"))
+                if _obs.enabled:
+                    _ledger.count_wire(
+                        _ledger.frame_type(payload), "received", 4 + len(payload)
+                    )
+                with self.lock:
+                    future = self.pending.pop(request_id, None)
+                if future is not None:  # else: a reply nobody is waiting on
+                    settle(future, inner)
+        except (ProtocolError, OSError):  # closed, truncated, or a violation
+            self.fail_pending(ProtocolError("connection lost with requests in flight"))
 
     def fail_pending(self, error: ProtocolError) -> None:
         """Mark the connection dead and fail every outstanding future."""
-        self.dead = True
-        with self.pending_lock:
+        with self.lock:
+            self.dead = True
             orphans = list(self.pending.values())
             self.pending.clear()
-            self.pending_lock.notify_all()
+            self.turn.notify_all()
         for future in orphans:
-            # A future may have completed in a race with the reader; only
-            # fail ones still waiting.
-            if not future.done():
-                future.set_exception(error)
+            future.set_exception(error)
 
     def close(self) -> None:
-        """Close the socket; the reader exits and fails any stragglers."""
-        self.dead = True
+        """Close the socket and fail any stragglers."""
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a reading waiter
         except OSError:
             pass
+        self.fail_pending(ProtocolError("client closed with requests in flight"))
         self.sock.close()
 
 
@@ -170,8 +232,9 @@ class PipelinedLblClient:
     def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
         """Send one payload; the future completes with the reply bytes.
 
-        Blocks while the chosen connection already has
-        :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight.
+        While the chosen connection already has
+        :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight, reads its
+        replies until one is in.
         ``trace_context`` is the optional 16-byte extension produced by
         :meth:`~repro.obs.propagate.TraceContext.encode`; when omitted and
         observability is enabled, the calling context's current span (if
@@ -196,16 +259,23 @@ class PipelinedLblClient:
         request_id = next(self._ids)
         # Before anything is registered: a malformed trace context raises here.
         wrapped = framing.wrap_mux(request_id, payload, trace_context)
-        future: Future = Future()
-        with conn.pending_lock:
-            while len(conn.pending) >= MAX_IN_FLIGHT_PER_CONNECTION:
-                conn.pending_lock.wait()
-            conn.pending[request_id] = future
+        future = _Waited(conn.wait)
+
+        def room() -> bool:
+            return len(conn.pending) < MAX_IN_FLIGHT_PER_CONNECTION
+
+        while True:
+            with conn.lock:
+                if conn.dead:
+                    raise ProtocolError(f"connection to {self.address} is closed")
+                if room():
+                    conn.pending[request_id] = future
+                    break
+            conn.wait(room, None)
         if _obs.enabled:
             # Timestamp (and register the done callback) BEFORE the send:
-            # the reader thread may complete the future the instant the
-            # frame hits the wire, and a timestamp taken after sendall()
-            # would then record a near-zero "round trip".
+            # another waiter may complete the future the instant the frame
+            # hits the wire.
             submitted_at = time.perf_counter()
             roundtrip = REGISTRY.log_histogram("transport.pipeline.roundtrip.seconds")
 
@@ -222,7 +292,7 @@ class PipelinedLblClient:
             with conn.send_lock:
                 framing.send_frame(conn.sock, wrapped)
         except (ProtocolError, OSError) as exc:
-            with conn.pending_lock:
+            with conn.lock:
                 conn.pending.pop(request_id, None)
             if isinstance(exc, ProtocolError):
                 raise  # refused by the framing (too large) before a byte went out
@@ -242,9 +312,6 @@ class PipelinedLblClient:
         self._closed = True
         for conn in self._connections:
             conn.close()
-        for conn in self._connections:
-            conn.reader.join(timeout=5.0)
-            conn.fail_pending(ProtocolError("client closed with requests in flight"))
 
     def __enter__(self) -> "PipelinedLblClient":
         return self
@@ -279,4 +346,25 @@ class LocalLink:
         """Nothing to let go of."""
 
 
-__all__ = ["LocalLink", "PipelinedLblClient", "settle"]
+class DelayedLink:
+    """``link``, with each reply reaching its waiter no sooner than
+    ``rtt_s`` seconds after its submit: an emulated network round trip,
+    which pipelined frames overlap as they would a real one."""
+
+    def __init__(self, link, rtt_s: float) -> None:
+        self.link, self.rtt_s = link, rtt_s
+
+    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
+        """Forward one payload; its waiter sleeps out the rest of the trip."""
+        due = time.monotonic() + self.rtt_s
+        return relay(
+            self.link.submit(payload, trace_context),
+            lambda _forwarded: time.sleep(max(0.0, due - time.monotonic())),
+        )
+
+    def close(self) -> None:
+        """Close the wrapped link."""
+        self.link.close()
+
+
+__all__ = ["DelayedLink", "LocalLink", "PipelinedLblClient", "relay", "settle"]

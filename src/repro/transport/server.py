@@ -20,10 +20,9 @@ The payloads a mux frame may carry:
 * a LOAD frame (tag 0x40: encoded key + label blob) during bulk
   initialization → a 1-byte ack (0x41);
 * a multiplexed frame (tag 0x50: request id + any of these) → the
-  reply wrapped under the same request id.  Mux frames from one connection
-  dispatch on a worker pool, so distinct keys process in parallel and
-  replies may return out of order — that is the point: pipelined clients
-  match replies by id;
+  reply wrapped under the same request id.  A connection's frames are
+  served in order on its own thread; the ids let a client keep many in
+  flight on one connection and match the replies;
 * a traced multiplexed frame (tag 0x51: request id + 16-byte trace
   context + inner payload) → handled exactly like 0x50, but the server's
   request span parents under the propagated client span
@@ -38,8 +37,8 @@ The payloads a mux frame may carry:
   wrapped whenever the request carried an id), so clients fail with a
   described exception instead of a dead socket;
 * on load shedding → an overload frame (tag 0x7E, exactly one byte, wrapped
-  under the request id).  A mux frame arriving over the server's in-flight
-  window or its connection's, or while the server drains, is refused at
+  under the request id).  A mux frame read while ``max_in_flight``
+  connections are serving one, or while the server drains, is refused at
   once and never queued; the frame carries no request-derived content, so a
   shed GET and a shed PUT are byte-identical on the wire (``docs/scaling.md``,
   "Backpressure and admission control").
@@ -49,12 +48,12 @@ registry as Prometheus text on an HTTP scrape endpoint
 (:func:`repro.obs.export.start_metrics_server`) — ``repro doctor`` and any
 Prometheus scraper read it live.
 
-Concurrency: requests touching the *same* encoded key are serialized by a
-striped lock (:func:`~repro.core.lbl.concurrent.hold_stripes`; the trusted
-side keeps one frame per key in flight, see
-:class:`~repro.core.sharded.ShardedLblDeployment`); requests for distinct
-keys run in parallel on the worker pool instead of queueing behind one
-global lock.
+Concurrency: one thread per connection reads, admits or sheds, serves and
+writes its frames in order, so a pipelining client's later frames wait in
+TCP's buffers, not in a server queue.  Requests for the *same* encoded key
+are serialized by a striped lock
+(:func:`~repro.core.lbl.concurrent.hold_stripes`); distinct keys on
+different connections run beside each other.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ import socketserver
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.core.lbl.concurrent import hold_stripes
 from repro.core.lbl.server import LblServer
@@ -102,21 +98,17 @@ OVERLOAD_TAG = 0x7E
 OVERLOAD_FRAME = bytes([OVERLOAD_TAG])
 
 #: How long one reply write may stall on a peer that has stopped reading
-#: before the server drops the connection (and with it the window slots and
-#: the mux workers queued behind its send lock).
+#: before the server drops the connection.
 SEND_TIMEOUT_S = 30.0
 #: How long :meth:`LblTcpServer.close` waits for admitted requests to be
-#: answered before it shuts the worker pool anyway.
+#: served before it closes the listener anyway.
 DRAIN_TIMEOUT_S = 10.0
 
 _log = get_logger("transport.server")
 
-#: The one reply to a frame that is not mux-wrapped.  Every request goes
-#: through :meth:`LblTcpServer.submit_mux`, so none bypasses admission or
-#: the drain.
-_PLAIN_FRAME = ProtocolError(
-    "plain frames are not served: wrap the request in a mux frame"
-)
+#: The one reply to a frame that is not mux-wrapped: every request goes
+#: through :meth:`LblTcpServer.serve_mux`, admission and the drain.
+_PLAIN_FRAME = ProtocolError("plain frames are not served: wrap the request in a mux frame")
 
 
 def pack_load(encoded_key: bytes, record) -> bytes:
@@ -248,17 +240,17 @@ class LblFrameDispatcher:
         bundle = {"spans": TRACER.export(), "metrics": REGISTRY.snapshot()}
         return bytes([OBS_DUMP_TAG]) + json.dumps(bundle, default=str).encode("utf-8")
 
-    @contextmanager
-    def request_scope(self, trace_context: bytes | None) -> Iterator[None]:
-        """One traced request: span and service histogram.
+    def traced_dispatch(self, inner: bytes, trace_context: bytes | None) -> bytes:
+        """:meth:`safe_dispatch` as one traced request: span and service
+        histogram.
 
         The span parents under the propagated client context and marks
         itself :data:`~repro.obs.propagate.REMOTE_PARENT_ATTR` so a
         cross-process merge keeps its parent link pointing at the client
         span; making it the context's current span lets the nested
         ``lbl.server.process`` span parent locally under it.  Service
-        time — queueing excluded — lands in the
-        ``transport.server.service.seconds`` log histogram.
+        time lands in the ``transport.server.service.seconds`` log
+        histogram.
         """
         start = time.perf_counter()
         parent = None
@@ -271,89 +263,51 @@ class LblFrameDispatcher:
                 parent = None  # unparseable context: serve the request anyway
         try:
             with TRACER.span("transport.server.request", parent=parent, **attributes):
-                yield
+                return self.safe_dispatch(inner)
         finally:
             REGISTRY.log_histogram("transport.server.service.seconds").observe(
                 time.perf_counter() - start
             )
 
-    def traced_dispatch(self, inner: bytes, trace_context: bytes | None) -> bytes:
-        """:meth:`safe_dispatch` inside this request's :meth:`request_scope`."""
-        with self.request_scope(trace_context):
-            return self.safe_dispatch(inner)
-
 
 class _Handler(socketserver.BaseRequestHandler):
-    """One accepted connection: its read loop, send lock and window share."""
+    """One accepted connection: this thread reads, admits or sheds, serves
+    and writes each of its frames in turn."""
 
     def setup(self) -> None:  # noqa: D401 - socketserver interface
         sock = self.request
-        # Replies are small frames written by independent worker threads;
-        # without NODELAY, Nagle holds each until the client ACKs the
-        # previous one and pipelined replies serialize on delayed ACKs.
+        # Without NODELAY, Nagle holds a small reply until the client ACKs
+        # the previous one and pipelined replies serialize on delayed ACKs.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # A send timeout only: reads stay blocking, so an idle pooled
         # connection lives as long as its client keeps it open.
         seconds = int(SEND_TIMEOUT_S)
-        sock.setsockopt(
-            socket.SOL_SOCKET,
-            socket.SO_SNDTIMEO,
-            struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
-        )
-        # Mux replies are written from pool threads while this thread may
-        # still write error replies; one lock per connection orders them.
-        self.send_lock = threading.Lock()
-        #: This connection's admitted mux requests (guarded by the
-        #: server's window lock).
-        self.in_flight = 0
-        self.server.connection_opened()
+        timeout = struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
+        self.server.count_connection(1)
 
     def finish(self) -> None:  # noqa: D401 - socketserver interface
-        self.server.connection_closing(self)
-
-    def send(self, payload: bytes | None, admitted: bool = False) -> bool:
-        """Write one reply frame; False once the connection is lost.
-
-        An ``admitted`` request's reply hands its window slot back under the
-        lock, just before the write, so a client that read the reply finds
-        the slot free; ``None`` only hands the slot back.
-
-        A write that fails or stalls past :data:`SEND_TIMEOUT_S` may have
-        left half a frame on the wire, so the stream is shut both ways: the
-        read loop ends, and writers queued behind the lock fail at once
-        instead of each waiting out the timeout.
-        """
-        with self.send_lock:
-            if admitted:
-                self.server.release_slot(self)
-            if payload is None:
-                return False
-            try:
-                framing.send_frame(self.request, payload)
-                return True
-            except OSError as exc:
-                if isinstance(exc, BlockingIOError):  # SO_SNDTIMEO lapsed
-                    _log.warning(
-                        "reply write stalled > %.1fs; dropping slow consumer",
-                        SEND_TIMEOUT_S,
-                    )
-                try:
-                    self.request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # already gone
-                return False
+        self.server.count_connection(-1)
 
     def handle(self) -> None:  # noqa: D401 - socketserver interface
         server: "LblTcpServer" = self.server  # type: ignore[assignment]
-        while True:
-            try:
-                payload = framing.recv_frame(self.request)
-            except (ProtocolError, OSError):
-                return  # connection closed (possibly mid-frame; that's fine)
-            if framing.is_mux(payload):
-                server.submit_mux(self, payload)
-            elif not self.send(server.dispatcher.error_frame(_PLAIN_FRAME)):
-                return  # a plain frame is refused: nothing is dispatched
+        frames = framing.FrameReader(self.request)
+        try:
+            while True:
+                for payload in frames.read():
+                    if framing.is_mux(payload):
+                        reply = server.serve_mux(payload)
+                    else:  # a plain frame is refused: nothing is dispatched
+                        reply = server.dispatcher.error_frame(_PLAIN_FRAME)
+                    # A write that fails, or stalls past SEND_TIMEOUT_S, may
+                    # leave half a frame on the wire: drop the connection.
+                    framing.send_frame(self.request, reply)
+        except BlockingIOError:  # SO_SNDTIMEO lapsed
+            _log.warning(
+                "reply write stalled > %.1fs; dropping slow consumer", SEND_TIMEOUT_S
+            )
+        except (ProtocolError, OSError):
+            pass  # connection closed (possibly mid-frame; that's fine)
 
 
 class LblTcpServer(socketserver.ThreadingTCPServer):
@@ -364,21 +318,17 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         port: Bind port (0 picks an ephemeral one; read ``address``).
         num_stripes: Per-key lock stripes; collisions only cost
             parallelism, never correctness.
-        max_workers: Pool threads handling multiplexed frames; bounds how
-            many pipelined requests process concurrently.
-        response_delay_s: Artificial delay before every reply, emulating a
-            WAN round trip on loopback (benchmarks only; keep 0.0 in
-            production use).
+        response_delay_s: Service time slept inside every admitted request,
+            emulating a slow store (benchmarks only; keep 0.0 in production
+            use).
         metrics_port: When not ``None``, serve this process's metrics
             registry as Prometheus text on ``http://host:metrics_port``
             (0 picks an ephemeral port; read ``metrics_address``).
-        max_in_flight: Global bound on multiplexed requests queued or
-            executing; frames beyond it are shed with OVERLOAD.
-        max_in_flight_per_conn: The same bound per connection, so one
-            greedy client cannot monopolize the global window.
+        max_in_flight: Bound on the connections serving a mux frame at
+            once; a frame read while it is reached is shed with OVERLOAD.
 
     Attributes (read-only for callers; all guarded by one lock):
-        in_flight: Multiplexed requests currently queued or executing.
+        in_flight: Mux frames being served.
         peak_in_flight: High-water mark of ``in_flight`` since start.
         overloads_sent: Requests shed with an OVERLOAD frame since start.
         num_connections: Accepted connections whose handler still runs.
@@ -397,40 +347,28 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         num_stripes: int = 64,
-        max_workers: int = 8,
         response_delay_s: float = 0.0,
         metrics_port: int | None = None,
         max_in_flight: int = 1024,
-        max_in_flight_per_conn: int = 128,
     ) -> None:
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
         if response_delay_s < 0:
             raise ConfigurationError("response_delay_s cannot be negative")
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1")
-        if max_in_flight_per_conn < 1:
-            raise ConfigurationError("max_in_flight_per_conn must be >= 1")
         super().__init__((host, port), _Handler)
-        # process() mutates per-key state, so accesses to the same key must
-        # serialize — but only to the same key.  The dispatcher's striped
-        # locks let distinct keys dispatch in parallel across the worker pool.
         self.dispatcher = LblFrameDispatcher(num_stripes)
         self.lbl = self.dispatcher.lbl
         self.response_delay_s = response_delay_s
         self.max_in_flight = max_in_flight
-        self.max_in_flight_per_conn = max_in_flight_per_conn
         self.metrics_server = None
         if metrics_port is not None:
             from repro.obs.export import start_metrics_server
 
             self.metrics_server = start_metrics_server(host, metrics_port)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="lbl-mux"
-        )
-        # Guards every counter below; notified as requests complete, for
-        # close()'s drain and for connections waiting out their replies.
-        self._window = threading.Condition()
+        # ``_lock`` guards every counter below; ``_drained`` is notified as
+        # requests complete while close() drains.
+        self._lock = threading.Lock()
+        self._drained = threading.Condition(self._lock)
         self.in_flight = 0
         self.peak_in_flight = 0
         self.overloads_sent = 0
@@ -451,58 +389,30 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             return None
         return self.metrics_server.server_address
 
-    def connection_opened(self) -> None:
-        """Count one accepted connection in."""
-        with self._window:
-            self.num_connections += 1
-
-    def connection_closing(self, conn: _Handler) -> None:
-        """Hold ``conn``'s socket open until its admitted requests are
-        answered, then count it out.
-
-        The read loop ends when the peer stops *sending*; a half-closed peer
-        still reads and is owed its replies (to one that is gone they fail
-        at once).
-        """
-        with self._window:
-            self._window.wait_for(lambda: conn.in_flight == 0)
-        with conn.send_lock, self._window:  # the last reply's write is done
-            self.num_connections -= 1
-
-    def release_slot(self, conn: _Handler) -> None:
-        """Hand back one of ``conn``'s admitted requests' window slots."""
-        with self._window:
-            conn.in_flight -= 1
-            self.in_flight -= 1
-            self._window.notify_all()  # close() and closing connections
-            if _obs.enabled:
-                REGISTRY.gauge("transport.server.in_flight").set(self.in_flight)
+    def count_connection(self, change: int) -> None:
+        """Count one accepted connection in (``1``) or out (``-1``)."""
+        with self._lock:
+            self.num_connections += change
 
     # ------------------------------------------------------------------ #
     # Multiplexed (pipelined) frames
     # ------------------------------------------------------------------ #
 
-    def submit_mux(self, conn: _Handler, payload: bytes) -> None:
-        """Admit one mux frame to the worker pool, or shed it.
+    def serve_mux(self, payload: bytes) -> bytes:
+        """Serve one mux frame on the calling connection's thread, or shed
+        it; returns the reply frame.
 
-        Decided before the inner payload is parsed, so nothing about a shed
-        reply — bytes, timing, ordering — depends on the operation type.
+        Admission is decided before the inner payload is parsed, so nothing
+        about a shed reply — bytes, timing, ordering — depends on the
+        operation type.
         """
         try:
             request_id, inner, trace_context = framing.unwrap_mux_traced(payload)
         except ProtocolError as exc:
-            # No id to mirror: reply with a plain error frame so the client
-            # at least sees a described failure.
-            conn.send(bytes([ERROR_TAG]) + str(exc).encode("utf-8"))
-            return
-        with self._window:
-            admitted = (
-                not self.draining
-                and self.in_flight < self.max_in_flight
-                and conn.in_flight < self.max_in_flight_per_conn
-            )
+            return self.dispatcher.error_frame(exc)  # no id to mirror: unwrapped
+        with self._lock:
+            admitted = not self.draining and self.in_flight < self.max_in_flight
             if admitted:
-                conn.in_flight += 1
                 self.in_flight += 1
                 self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
             else:
@@ -513,32 +423,16 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             _ledger.count_wire(
                 _ledger.frame_type(payload), "received", 4 + len(payload), role="server"
             )
-            # The limits ride along so a scraper (``repro doctor``'s
-            # occupancy) can divide by them from one snapshot.
+            # The limit rides along so a scraper (``repro doctor``'s
+            # occupancy) can divide by it from one snapshot.
             REGISTRY.gauge("transport.server.max_in_flight").set(self.max_in_flight)
-            REGISTRY.gauge("transport.server.max_in_flight_per_conn").set(
-                self.max_in_flight_per_conn
-            )
             REGISTRY.gauge("transport.server.in_flight").set(depth)
-        if admitted:
-            self._pool.submit(
-                self._handle_mux, conn, request_id, inner, trace_context
-            )
-            return
-        reply = framing.wrap_mux(request_id, OVERLOAD_FRAME)
-        if _obs.enabled:
-            REGISTRY.counter("transport.overload_frames_sent").inc()
-            _ledger.count_wire("overload", "sent", 4 + len(reply), role="server")
-        conn.send(reply)
-
-    def _handle_mux(
-        self,
-        conn: _Handler,
-        request_id: int,
-        inner: bytes,
-        trace_context: bytes | None = None,
-    ) -> None:
-        wrapped = None
+        if not admitted:
+            reply = framing.wrap_mux(request_id, OVERLOAD_FRAME)
+            if _obs.enabled:
+                REGISTRY.counter("transport.overload_frames_sent").inc()
+                _ledger.count_wire("overload", "sent", 4 + len(reply), role="server")
+            return reply
         try:
             if self.response_delay_s:
                 time.sleep(self.response_delay_s)
@@ -546,13 +440,19 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
                 reply = self.dispatcher.traced_dispatch(inner, trace_context)
             else:
                 reply = self.dispatcher.safe_dispatch(inner)
-            wrapped = framing.wrap_mux(request_id, reply)
-            if _obs.enabled:
-                _ledger.count_wire(
-                    _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"
-                )
         finally:  # the slot goes back even if dispatch raised
-            conn.send(wrapped, admitted=True)  # to a vanished client: dropped
+            with self._lock:
+                self.in_flight -= 1
+                if self.draining:
+                    self._drained.notify_all()
+                depth = self.in_flight
+        wrapped = framing.wrap_mux(request_id, reply)
+        if _obs.enabled:
+            REGISTRY.gauge("transport.server.in_flight").set(depth)
+            _ledger.count_wire(
+                _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"
+            )
+        return wrapped
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -578,22 +478,22 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
 
         Stops accepting and starts shedding new mux frames with OVERLOAD,
         waits up to ``drain_timeout`` seconds for the admitted ones to be
-        answered, then closes the listener, the mux worker pool and the
-        scrape endpoint.  Connections stay open through the drain so the
-        replies have somewhere to go; their clients close them.
+        served, then closes the listener and the scrape endpoint.
+        Connections stay open through the drain so the replies have
+        somewhere to go; their clients close them.
         """
         if self._closed:
             return
         self._closed = True
-        with self._window:
+        with self._lock:
             self.draining = True
         if self._serve_thread is not None:
             self.shutdown()
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
         self.socket.close()  # refuse new connections at once, not after the wait
-        with self._window:
-            if not self._window.wait_for(
+        with self._lock:
+            if not self._drained.wait_for(
                 lambda: self.in_flight == 0, timeout=drain_timeout
             ):
                 _log.warning(
@@ -602,9 +502,8 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
     def server_close(self) -> None:
-        """Close the listener, the mux worker pool, and the scrape endpoint."""
+        """Close the listener and the scrape endpoint."""
         super().server_close()
-        self._pool.shutdown(wait=False)
         if self.metrics_server is not None:
             self.metrics_server.shutdown()
             self.metrics_server.server_close()

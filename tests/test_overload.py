@@ -33,7 +33,7 @@ from repro.transport.server import (
     pack_load,
 )
 from repro.types import Request, StoreConfig
-from tests.test_admission import PING, serving
+from tests.test_admission import PING, serving, wait_in_flight
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -44,17 +44,13 @@ def make_proxy() -> LblProxy:
     return LblProxy(CONFIG, KeyChain(label_bits=CONFIG.label_bits))
 
 
-def occupy_window(server, delay_margin: int = 1) -> socket.socket:
-    """Open a raw connection and park requests in the server's window."""
+def occupy_window(server) -> socket.socket:
+    """Open a raw connection and park one request in the server's window."""
     sock = socket.create_connection(server.address, timeout=30)
-    for request_id in range(delay_margin):
-        framing.send_frame(sock, framing.wrap_mux(1000 + request_id, PING))
+    framing.send_frame(sock, framing.wrap_mux(1000, PING))
     # Each connection has its own thread: later connections' frames are
-    # only sure to find the window taken once these are admitted.
-    deadline = time.time() + 5.0
-    while server.in_flight < delay_margin and time.time() < deadline:
-        time.sleep(0.005)
-    assert server.in_flight >= delay_margin
+    # only sure to find the window taken once this one is admitted.
+    wait_in_flight(server, 1)
     return sock
 
 
@@ -162,16 +158,14 @@ def assert_server_alive(server) -> None:
 
 
 def test_mid_request_disconnect_does_not_leak_window_slots():
-    """A client that vanishes with requests in flight frees its slots."""
+    """Clients that vanish with requests in flight free their slots."""
     with serving(max_in_flight=4, response_delay_s=0.3) as server:
-        sock = socket.create_connection(server.address, timeout=30)
-        for request_id in range(4):  # fill the whole global window
+        socks = [socket.create_connection(server.address, timeout=30) for _ in range(4)]
+        for request_id, sock in enumerate(socks):  # fill the whole window
             framing.send_frame(sock, framing.wrap_mux(request_id, PING))
-        deadline = time.time() + 5.0
-        while server.in_flight < 4 and time.time() < deadline:
-            time.sleep(0.005)
-        assert server.in_flight == 4
-        sock.close()  # vanish mid-request: replies have nowhere to go
+        wait_in_flight(server, 4)
+        for sock in socks:
+            sock.close()  # vanish mid-request: replies have nowhere to go
 
         # The slots must come back once the in-flight dispatches finish.
         deadline = time.time() + 10.0

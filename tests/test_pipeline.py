@@ -269,3 +269,27 @@ def test_pipelined_same_server_from_many_threads(server):
         for thread in threads:
             thread.join()
     assert not errors
+
+
+def test_no_thread_hop_on_either_side(server, monkeypatch):
+    """The client starts no thread, and every pipelined frame of one
+    connection is dispatched on that connection's handler thread: the
+    caller reads its own replies, and the shard serves inline."""
+    dispatched = []
+    dispatch = server.dispatcher.safe_dispatch
+
+    def recording(payload):
+        dispatched.append(threading.get_ident())
+        return dispatch(payload)
+
+    monkeypatch.setattr(server.dispatcher, "safe_dispatch", recording)
+    before = set(threading.enumerate())
+    with PipelinedLblClient(server.address) as client:
+        futures = [client.submit(bytes([OBS_PULL_TAG])) for _ in range(16)]
+        assert all(f.result(10)[:1] == bytes([OBS_DUMP_TAG]) for f in futures)
+        started = set(threading.enumerate()) - before
+        names = [thread.name for thread in threading.enumerate()]
+    # The one new thread is the server's handler for this connection.
+    assert [thread.ident for thread in started] == [dispatched[0]]
+    assert dispatched == [dispatched[0]] * 16
+    assert not [n for n in names if n.startswith(("lbl-mux", "lbl-pipeline-reader"))]

@@ -289,16 +289,43 @@ def test_shed_access_can_be_retried(server, sharded):
 
 
 def test_shed_in_the_middle_of_a_pipelined_window_can_be_retried(server, sharded):
-    """Depth 3 over a per-connection window of 2: the third frame is shed
-    while its neighbours are served; only its key is rolled back."""
+    """Depth 3 on one connection, and a second connection takes the window
+    of one just before the third frame: that frame is shed while its
+    neighbours are served; only its key is rolled back."""
     wait_idle(server)
-    server.max_in_flight_per_conn = 2
+    server.max_in_flight = 1
     server.response_delay_s = 0.3
+    link = sharded.clients[0]
+    sent, blockers = [], []
+
+    class Choreographed:
+        """The deployment's link, with the window taken around the third frame."""
+
+        def submit(self, payload, trace_context=None):
+            if len(sent) == 2:  # r0 and r1 served, then the window is taken
+                for future in sent:
+                    assert future.exception(30) is None
+                blockers.append(occupy_window(server))
+            elif len(sent) == 3:  # r2 was shed; r3 goes out once the window is free
+                assert isinstance(sent[2].exception(30), OverloadError)
+                wait_idle(server)
+            sent.append(link.submit(payload, trace_context))
+            return sent[-1]
+
+        def close(self):
+            link.close()
+
+    sharded.clients = [Choreographed()]
     requests = [Request.write(key, b"\x0a" * 16) for key in VALUES]
-    with pytest.raises(OverloadError):
-        sharded.access_pipelined(requests, depth=3)
+    try:
+        with pytest.raises(OverloadError):
+            sharded.access_pipelined(requests, depth=3)
+    finally:
+        for blocker in blockers:
+            blocker.close()
     assert server.overloads_sent == 1
-    server.max_in_flight_per_conn = 128
+    sharded.clients = [link]
+    server.max_in_flight = 1024
     server.response_delay_s = 0.0
     # r2 was shed; r3 went out before r2's reply was read, and was served.
     reads = sharded.access_pipelined([Request.read(key) for key in VALUES])
