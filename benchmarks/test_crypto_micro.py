@@ -26,14 +26,6 @@ def test_prf_label_derivation(benchmark):
     assert len(label) == 16
 
 
-def test_prf_evaluate_many(benchmark):
-    """Batched PRF: one access worth of label derivations per call."""
-    prf = Prf(b"m" * 32, out_bytes=16)
-    suffixes = [(i % 640, i % 4, 42) for i in range(_BATCH)]
-    labels = benchmark(prf.evaluate_many, ("label", "key"), suffixes)
-    assert len(labels) == _BATCH and len(labels[0]) == 16
-
-
 def test_prf_context_tails(benchmark):
     """Pre-encoded tails through a shared context (what ``bench/`` times as
     the per-call cost of the HMAC PRF)."""

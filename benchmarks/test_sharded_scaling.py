@@ -18,12 +18,12 @@ depth 8 ≥ 2× lockstep.
 
 from conftest import save_table
 
+from repro.harness.experiments import pipeline_depth_sweep, sharded_scaling
 from repro.harness.report import render_table
-from repro.transport.cluster import measure_pipeline_gain, measure_shard_scaling
 
 
 def test_shard_scaling_throughput():
-    rows = measure_shard_scaling(shard_counts=(1, 2, 4), num_requests=64, seed=0)
+    rows = sharded_scaling(shards=4, num_requests=64, seed=0)
     save_table(
         "sharded_scaling",
         render_table("Batch throughput vs shard count (emulated 20 ms service time)", rows),
@@ -34,7 +34,7 @@ def test_shard_scaling_throughput():
 
 
 def test_pipeline_depth_throughput():
-    rows = measure_pipeline_gain(depths=(1, 2, 8), num_requests=48, seed=0)
+    rows = pipeline_depth_sweep(pipeline_depth=8, num_requests=48, seed=0)
     save_table(
         "pipeline_depth",
         render_table("Pipelined throughput vs depth (emulated 10 ms RTT, 1 shard)", rows),

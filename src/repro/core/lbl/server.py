@@ -19,7 +19,7 @@ record alone: its slots packed at ``y`` bits and one digest of its labels
 
 :meth:`LblServer.process_many` is the one implementation of that step.  It
 serves a *window* of requests — a lone access frame is a window of one
-(:meth:`LblServer.process`) and a batch frame is a window — as exactly one
+(:meth:`LblServer.process`), a batch frame's arrived requests a window — as one
 storage multi-get, one window-wide :func:`repro.crypto.rows.open_rows`,
 and one multi-put of the rotated labels, with per-request error isolation.
 There is no second path to keep byte-identical: what the obliviousness

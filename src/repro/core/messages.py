@@ -249,15 +249,22 @@ class LblAccessRequest:
         shape = (self.table_size << 16 | self.entry_len).to_bytes(4, "big")
         return _pack_fields(self.TAG, [shape + self.nonce, self.encoded_key, self.slab])
 
+    @staticmethod
+    def wire_len(key_len: int, groups: int, table_size: int, entry_len: int) -> int:
+        """The serialized size of a request of this shape, before it is built."""
+        slab = table_size * (groups * entry_len + rows.CHECK_LEN)
+        return 1 + 3 * _LEN_BYTES + 4 + rows.ROW_NONCE_LEN + key_len + slab
+
     @classmethod
-    def from_bytes(cls, data: bytes) -> "LblAccessRequest":
-        """Parse the wire form; raises ProtocolError when malformed (a
-        per-field frame of the pre-slab format included)."""
+    def from_bytes(cls, data: "bytes | memoryview") -> "LblAccessRequest":
+        """Parse the wire form, copying each field out of a memoryview once;
+        raises ProtocolError when malformed (a per-field frame of the
+        pre-slab format included)."""
         header, encoded_key, slab = _unpack_exactly(data, cls.TAG, 3)
         if len(header) < 4:
             raise ProtocolError("LBL request header must state the table shape")
         shape = int.from_bytes(header[:4], "big")
-        return cls(encoded_key, slab, shape >> 16, shape & 0xFFFF, header[4:])
+        return cls(bytes(encoded_key), bytes(slab), shape >> 16, shape & 0xFFFF, bytes(header[4:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,8 +12,9 @@ to a dispatcher in this process.  :class:`LblOrtoa` (one local shard) and
 
 * **routing** — :class:`~repro.storage.sharding.ShardRouter` maps the
   PRF-encoded key to a shard (the router sees what each server already sees);
-* **batching** — :meth:`access_batch` prepares in request order and ships
-  one sub-batch frame per shard, concurrently;
+* **batching** — :meth:`access_batch` ships one sub-batch frame per shard,
+  each sub-request written as soon as it is prepared, so the shard opens
+  one while the next is built;
 * **pipelining** — :meth:`access_pipelined` keeps up to ``pipeline_depth``
   single-request frames in flight; :meth:`access` is a pipeline of one.
 
@@ -41,7 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.core.base import AccessTranscript, OpCounts, OrtoaProtocol, RoundTrip
 from repro.core.lbl.concurrent import finalize_batch_entries
@@ -499,10 +500,11 @@ class ShardedLblDeployment(OrtoaProtocol):
     def access_batch(self, requests: list[Request]) -> list[AccessTranscript]:
         """Serve a batch with one concurrent sub-batch per shard.
 
-        Requests are prepared in order (epochs recorded, so repeated keys
-        decode correctly), partitioned by shard, shipped concurrently, and
-        the per-shard replies are merged back into request order.  The
-        batch claims all of its keys at once before it prepares.
+        The batch claims all of its keys at once, and refuses an unknown key
+        or an oversize value before any counter moves.  Requests are
+        partitioned by shard and prepared in order (epochs recorded, so
+        repeated keys decode correctly), each streamed onto its shard's
+        frame as it is built; the replies merge back into request order.
 
         Raises:
             BatchPartialFailure: Some requests failed server-side — or a
@@ -527,27 +529,50 @@ class ShardedLblDeployment(OrtoaProtocol):
     def _access_batch_inner(
         self, requests: list[Request], batch_context: bytes | None
     ) -> list[AccessTranscript]:
-        prepare_start = time.perf_counter()
-        built = self.prepare_engine.prepare_batch(requests)
-        if _obs.enabled:
-            REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
-                time.perf_counter() - prepare_start
-            )
+        # Refuse a batch before any counter moves: a refusal between two
+        # prepares would leave the earlier keys ahead of their shards, and
+        # a streamed frame cut part-way.
+        for request in requests:
+            self.proxy.counter(request.key)
+            if request.op.is_write:
+                self.config.pad(request.value)  # type: ignore[arg-type]
         by_shard: dict[int, list[int]] = {}
-        for index, (request, (_, _, epoch)) in enumerate(zip(requests, built)):
-            if self.wal is not None:
-                self.wal.append(request.key, epoch)  # write-ahead: log, then send
+        for index, request in enumerate(requests):
             by_shard.setdefault(self.shard_of(request.key), []).append(index)
+        built: list = [None] * len(requests)
+        codec = self.proxy.codec
+        sub_len = LblAccessRequest.wire_len(
+            len(self.encoded_key(requests[0].key)), codec.num_groups, codec.table_size,
+            codec.label_len,
+        )
 
-        # Ship every sub-batch before waiting on any reply: the shards
+        def frame(indices: list[int]) -> Iterator[bytes]:
+            """A shard's batch frame, each sub-request sent as soon as it is
+            prepared and its epoch logged (write-ahead)."""
+            head = bytes([LblBatchRequest.TAG])
+            for index in indices:
+                started = time.perf_counter()
+                wire, _ops, epoch = built[index] = self.prepare_engine.prepare_one(
+                    requests[index]
+                )
+                if _obs.enabled:
+                    REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
+                        time.perf_counter() - started
+                    )
+                if self.wal is not None:
+                    self.wal.append(requests[index].key, epoch)
+                data = wire.to_bytes()
+                yield head + len(data).to_bytes(4, "big") + data
+                head = b""
+
+        # Each shard's frame goes out while it is prepared, and the shards
         # work concurrently while this thread blocks on the slowest one.
         shard_futures = {}
         shard_wire_bytes = {}
         for shard, indices in by_shard.items():
-            wire = LblBatchRequest(tuple(built[i][0] for i in indices)).to_bytes()
-            shard_wire_bytes[shard] = len(wire)
+            shard_wire_bytes[shard] = size = 1 + len(indices) * (4 + sub_len)
             shard_futures[shard] = self.clients[shard].submit(
-                wire, trace_context=batch_context
+                (size, frame(indices)), trace_context=batch_context
             )
             if _obs.enabled:
                 REGISTRY.counter(f"sharded.shard{shard}.requests").inc(len(indices))

@@ -213,38 +213,6 @@ class Prf:
             _ledger.add_prf(1, hmac_compressions(4 + len(message), n))
         return self._raw(message, n)
 
-    def evaluate_many(
-        self,
-        prefix_components: Sequence[bytes | str | int],
-        suffixes: Iterable[Sequence[bytes | str | int]],
-        *,
-        out_bytes: int | None = None,
-    ) -> list[bytes]:
-        """Evaluate the PRF on ``(*prefix_components, *suffix)`` per suffix.
-
-        The shared prefix is encoded exactly once; each output is
-        byte-identical to ``evaluate(*prefix_components, *suffix)``.
-
-        Args:
-            prefix_components: Components shared by every evaluation.
-            suffixes: One component tuple per desired output.
-            out_bytes: Override the instance's default output length.
-
-        Returns:
-            One PRF output per suffix, in iteration order.
-        """
-        n = self.out_bytes if out_bytes is None else out_bytes
-        if n <= 0:
-            raise ConfigurationError("PRF output length must be positive")
-        prefix = b"".join(_encode_component(c) for c in prefix_components)
-        out: list[bytes] = []
-        for suffix in suffixes:
-            message = prefix + b"".join([_encode_component(c) for c in suffix])
-            if _obs.enabled:
-                _ledger.add_prf(1, hmac_compressions(4 + len(message), n))
-            out.append(self._raw(message, n))
-        return out
-
     def context(
         self, *prefix_components: bytes | str | int, out_bytes: int | None = None
     ) -> "PrfContext":

@@ -27,16 +27,26 @@ Beyond the paper's artifacts, :func:`sharded_scaling` and
 
 from __future__ import annotations
 
+import random
+import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.cost import estimate_lbl_cost
 from repro.analysis.overhead import overhead_factors
+from repro.core.messages import LblAccessResponse
 from repro.crypto.fhe import FheParams, FheScheme
+from repro.errors import ConfigurationError
 from repro.harness.calibration import CostModel
 from repro.harness.runner import DeploymentSpec, run_experiment
 from repro.sim.network import DATACENTER_RTT_MS
+from repro.types import Request, StoreConfig
 from repro.workloads.datasets import DATASETS
+
+if TYPE_CHECKING:  # imported lazily at runtime, as the transport is
+    from repro.core.sharded import ShardedLblDeployment
 
 Row = dict[str, Any]
 
@@ -304,13 +314,11 @@ def oram_comparison(num_blocks: int = 32, accesses: int = 60) -> list[Row]:
     Contrasts PathORAM (2 rounds), the ORTOA-based one-round scheme, and the
     linear-scan privacy-maximal baseline on the same random workload.
     """
-    import random as random_module
-
     from repro.oram import OneRoundOram, PathOram
     from repro.oram.linear_scan import LinearScanOram
 
     def drive(oram):
-        rng = random_module.Random(2)
+        rng = random.Random(2)
         for _ in range(accesses):
             block = rng.randrange(num_blocks)
             if rng.random() < 0.5:
@@ -343,59 +351,178 @@ def oram_comparison(num_blocks: int = 32, accesses: int = 60) -> list[Row]:
     return schemes
 
 
+# Loopback throughput of the real-socket deployment.  The *service* window
+# (first byte submitted to last reply) is timed with prepare and finalize
+# outside it: that isolates the storage tier, which sharding scales, from
+# the one serial proxy here.  No sweep times local compute (a CI machine may
+# have one core): service time is slept in the shard, a round trip on the
+# link (DelayedLink), and overlapped waiting scales on any machine.
+
+
+def _prepare_workload(
+    deployment: "ShardedLblDeployment", num_requests: int, seed: int
+) -> list[tuple[Request, int, int, bytes]]:
+    """Initialize one distinct key per request (so the frames commute) and
+    pre-build every table: per request (request, shard, epoch, payload)."""
+    rng = random.Random(seed)
+    value_len = deployment.config.value_len
+    keys = [f"bench-{seed}-{i}" for i in range(num_requests)]
+    deployment.initialize({key: bytes(value_len) for key in keys})
+    prepared = []
+    for key in keys:
+        if rng.random() < 0.5:
+            request = Request.read(key)
+        else:
+            request = Request.write(key, bytes([rng.randrange(256)]) * value_len)
+        shard = deployment.shard_of(key)
+        epoch = deployment.proxy.counter(key) + 1
+        lbl_request, _ops = deployment.proxy.prepare(request)
+        prepared.append((request, shard, epoch, lbl_request.to_bytes()))
+    return prepared
+
+
+def measure_throughput(
+    deployment: "ShardedLblDeployment",
+    num_requests: int = 64,
+    mode: str = "pipelined",
+    depth: int = 8,
+    seed: int = 0,
+) -> dict:
+    """Drive ``num_requests`` pre-prepared accesses, one frame in flight
+    (``lockstep``) or up to ``depth`` (``pipelined``); returns the service
+    window (submit → last reply), the end-to-end window (prepare and
+    finalize included) and their requests/sec."""
+    if mode not in ("lockstep", "pipelined"):
+        raise ConfigurationError(f"unknown measurement mode {mode!r}")
+    total_start = time.perf_counter()
+    prepared = _prepare_workload(deployment, num_requests, seed)
+
+    service_start = time.perf_counter()
+    replies: list[bytes] = [b""] * len(prepared)
+    window: deque[tuple[int, Future]] = deque()  # lockstep: a window of one
+    for index, (_request, shard, _epoch, payload) in enumerate(prepared):
+        if len(window) >= (depth if mode == "pipelined" else 1):
+            done_index, future = window.popleft()
+            replies[done_index] = future.result(deployment.timeout)
+        window.append((index, deployment.clients[shard].submit(payload)))
+    for done_index, future in window:
+        replies[done_index] = future.result(deployment.timeout)
+    service_s = time.perf_counter() - service_start
+
+    for (request, _shard, epoch, _payload), reply in zip(prepared, replies):
+        response = LblAccessResponse.from_bytes(reply)
+        deployment.proxy.finalize(request.key, response, counter=epoch)
+    total_s = time.perf_counter() - total_start
+
+    return {
+        "requests": num_requests,
+        "mode": mode,
+        "depth": depth if mode == "pipelined" else 1,
+        "service_s": service_s,
+        "total_s": total_s,
+        "service_rps": num_requests / service_s if service_s > 0 else float("inf"),
+        "total_rps": num_requests / total_s if total_s > 0 else float("inf"),
+    }
+
+
+def _sweep_point(
+    config: StoreConfig, shards: int, in_process: bool, num_requests: int,
+    depth: int, seed: int, service_time_s: float = 0.0, rtt_s: float = 0.0,
+) -> dict:
+    """:func:`measure_throughput` on one fresh cluster and deployment."""
+    from repro.core.sharded import ShardedLblDeployment
+    from repro.transport.cluster import ShardCluster
+    from repro.transport.pipeline import DelayedLink
+
+    with ShardCluster(
+        shards, in_process=in_process, response_delay_s=service_time_s
+    ) as cluster:
+        deployment = ShardedLblDeployment(config, cluster.addresses)
+        if rtt_s:
+            deployment.clients = [DelayedLink(link, rtt_s) for link in deployment.clients]
+        try:
+            return measure_throughput(
+                deployment, num_requests=num_requests, depth=depth, seed=seed
+            )
+        finally:
+            deployment.close()
+
+
 def sharded_scaling(
     shards: int = 4,
     num_requests: int = 64,
     in_process: bool = True,
+    service_time_s: float = 0.02,
+    value_len: int = 16,
+    group_bits: int = 2,
+    seed: int = 0,
 ) -> list[Row]:
-    """§6.2.4 on real sockets: throughput as loopback storage shards are added.
+    """§6.2.4 on real sockets: batch throughput as loopback storage shards
+    are added (powers of two up to ``shards``).
 
     Unlike :func:`figure3a` (simulated testbed), this boots actual
-    :class:`~repro.transport.server.LblTcpServer` instances and drives them
-    through the pipelined sharded deployment; each shard applies an
-    emulated per-request service time, so capacity grows with shard count
-    on any machine (see
-    :func:`~repro.transport.cluster.measure_shard_scaling`).  Shard counts
-    are the powers of two up to ``shards``.
-
-    Args:
-        shards: Largest shard count to measure.
-        num_requests: Accesses per data point.
-        in_process: Thread-backed shard servers (default) or spawned
-            subprocesses.
+    :class:`~repro.transport.server.LblTcpServer` instances (threads, or
+    spawned subprocesses unless ``in_process``).  Each applies
+    ``service_time_s`` of per-request service time, standing in for the
+    storage I/O a real shard pays per access.  The deployment holds one
+    connection per shard, which a shard serves one request at a time, so a
+    shard's capacity is ``1 / service_time_s`` and capacity grows linearly
+    with shards — *if* the transport keeps every shard's pipeline full,
+    which is what this measures: the whole window's frames are submitted
+    before any reply is awaited (one big batch fanned out across shards).
     """
-    from repro.transport.cluster import measure_shard_scaling
-
+    config = StoreConfig(value_len=value_len, group_bits=group_bits)
     counts = [1]
     while counts[-1] * 2 <= shards:
         counts.append(counts[-1] * 2)
-    return measure_shard_scaling(
-        shard_counts=tuple(counts),
-        num_requests=num_requests,
-        in_process=in_process,
-    )
+    rows: list[Row] = []
+    for count in counts:
+        stats = _sweep_point(
+            config, count, in_process, num_requests, num_requests, seed,
+            service_time_s=service_time_s,
+        )
+        rps = stats["service_rps"]
+        rows.append({
+            "shards": count,
+            "requests": num_requests,
+            "service_ms_per_request": service_time_s * 1000,
+            "service_rps": rps,
+            "speedup_vs_1shard": rps / (rows[0]["service_rps"] if rows else rps),
+            "end_to_end_rps": stats["total_rps"],
+        })
+    return rows
 
 
 def pipeline_depth_sweep(
     pipeline_depth: int = 8,
     num_requests: int = 48,
     emulated_rtt_s: float = 0.01,
+    value_len: int = 32,
+    group_bits: int = 2,
+    in_process: bool = True,
+    seed: int = 0,
 ) -> list[Row]:
-    """Lockstep vs pipelined throughput on one loopback shard.
+    """Lockstep vs pipelined throughput over one connection to one loopback
+    shard: window depths 1 (lockstep), 2 and ``pipeline_depth``.
 
-    Sweeps in-flight window depths 1 (lockstep), 2, and ``pipeline_depth``
-    over one connection whose replies arrive ``emulated_rtt_s`` after their
-    submits (standing in for the WAN RTTs of Table 2, which pipelining
-    exists to hide).
+    Each reply reaches its waiter no sooner than ``emulated_rtt_s`` after
+    its submit, standing in for the WAN RTTs of Table 2 that pipelining
+    exists to hide (on bare loopback the RTT is too small to matter).
     """
-    from repro.transport.cluster import measure_pipeline_gain
-
-    depths = tuple(sorted({1, 2, max(2, pipeline_depth)}))
-    return measure_pipeline_gain(
-        depths=depths,
-        num_requests=num_requests,
-        emulated_rtt_s=emulated_rtt_s,
-    )
+    config = StoreConfig(value_len=value_len, group_bits=group_bits)
+    rows: list[Row] = []
+    for depth in sorted({1, 2, max(2, pipeline_depth)}):
+        rps = _sweep_point(
+            config, 1, in_process, num_requests, depth, seed, rtt_s=emulated_rtt_s
+        )["service_rps"]
+        rows.append({
+            "depth": depth,
+            "requests": num_requests,
+            "emulated_rtt_ms": emulated_rtt_s * 1000,
+            "service_rps": rps,
+            "speedup_vs_lockstep": rps / (rows[0]["service_rps"] if rows else rps),
+        })
+    return rows
 
 
 def lbl_kernels(
@@ -418,11 +545,7 @@ def lbl_kernels(
         num_requests: Accesses per measured configuration.
         value_len: Object size in bytes (paper default 160).
     """
-    import random
-    import time
-
     from repro.core.lbl import LblOrtoa
-    from repro.types import Request, StoreConfig
 
     def _measure(store, requests) -> float:
         start = time.perf_counter()
@@ -534,6 +657,7 @@ __all__ = [
     "fhe_noise",
     "dollar_cost",
     "oram_comparison",
+    "measure_throughput",
     "sharded_scaling",
     "pipeline_depth_sweep",
     "lbl_kernels",

@@ -15,8 +15,8 @@ Attribution taxonomy (the four ways the stack saturates):
 * **dispatch** — the server side is the constraint: the in-flight window
   runs near full (a saturated shard shows here, whatever it is busy with).
 * **crypto** — the proxy's table builds dominate the latency budget.
-* **wire** — neither side is busy yet round trips dwarf service time:
-  the network (or a slow consumer) holds the latency.
+* **wire** — neither side is busy yet round trips are slow and dwarf
+  service time: the network (or a slow consumer) holds the latency.
 
 A cause whose series no target exposes scores ``None`` — "not measured at
 these targets".  Prepare and round-trip times are recorded by the trusted
@@ -33,6 +33,7 @@ bare number.
 
 from __future__ import annotations
 
+import json
 import time
 import urllib.error
 import urllib.request
@@ -54,6 +55,11 @@ OCCUPANCY_SATURATED = 0.8
 #: prepares also dominate its tiny service times, and that is not a
 #: bottleneck — prepares must be both dominant *and* absolutely slow.
 PREPARE_SATURATED_MS = 20.0
+
+#: Off-CPU time (ms) at which off-CPU-dominated round trips read as wire
+#: saturation, as PREPARE_SATURATED_MS for prepares: a busy loopback trip is
+#: mostly off-CPU too.  Table 2's nearest server (21.84 ms) is twice this.
+WIRE_SATURATED_MS = 10.0
 
 #: Minimum score before a cause is named the bottleneck at all.
 SCORE_FLOOR = 0.5
@@ -171,32 +177,28 @@ def collect_signals(
 
 def _score_dispatch(signal: Mapping[str, Any]) -> float | None:
     occupancy = signal.get("in_flight_occupancy")
-    if occupancy is None:
-        return None
-    return min(occupancy / OCCUPANCY_SATURATED, 1.0)
+    return None if occupancy is None else min(occupancy / OCCUPANCY_SATURATED, 1.0)
+
+
+def _dominant_and_slow(part: float, whole: float, saturated_ms: float) -> float:
+    """``part``'s share of ``whole``, scaled down until ``part`` is slow too."""
+    return part / whole * min(part / saturated_ms, 1.0) if whole else 0.0
 
 
 def _score_crypto(signal: Mapping[str, Any]) -> float | None:
     prepare = signal.get("prepare_p99_ms")
+    service = signal.get("service_p99_ms") or 0.0
     if prepare is None:
         return None
-    if not prepare:
-        return 0.0
-    service = signal.get("service_p99_ms")
-    prepare_share = 1.0 if service is None else prepare / (prepare + service)
-    return prepare_share * min(prepare / PREPARE_SATURATED_MS, 1.0)
+    return _dominant_and_slow(prepare, prepare + service, PREPARE_SATURATED_MS)
 
 
 def _score_wire(signal: Mapping[str, Any]) -> float | None:
     roundtrip = signal.get("p99_ms")
+    busy = (signal.get("service_p99_ms") or 0.0) + (signal.get("prepare_p99_ms") or 0.0)
     if roundtrip is None:
         return None
-    if not roundtrip:
-        return 0.0
-    service = signal.get("service_p99_ms") or 0.0
-    prepare = signal.get("prepare_p99_ms") or 0.0
-    busy = min(service + prepare, roundtrip)
-    return (roundtrip - busy) / roundtrip
+    return _dominant_and_slow(max(roundtrip - busy, 0.0), roundtrip, WIRE_SATURATED_MS)
 
 
 _SCORERS = {"dispatch": _score_dispatch, "crypto": _score_crypto, "wire": _score_wire}
@@ -348,15 +350,13 @@ def run_doctor(
     an unmeasured cause, or an unreachable target) — scriptable as a
     health gate.
     """
-    import json as _json
-
     signals = collect_signals(targets, interval_s)
     kwargs: dict[str, Any] = {}
     if predicted_ops_per_shard is not None:
         kwargs["predicted_ops_per_shard"] = predicted_ops_per_shard
     diagnosis = diagnose(signals, **kwargs)
     if json_mode:
-        write(_json.dumps(diagnosis, indent=2, default=str))
+        write(json.dumps(diagnosis, indent=2, default=str))
     else:
         write(render_doctor(diagnosis))
     return 0 if diagnosis["bottleneck"] == "healthy" else 1

@@ -57,7 +57,7 @@ from repro.crypto.keys import KeyChain
 from repro.crypto.rows import CHECK_LEN
 from repro.errors import ConfigurationError, ProtocolError
 from repro.security.simulators import LblSimulator
-from repro.transport.pipeline import relay
+from repro.transport.pipeline import joined, relay
 from repro.types import Operation, Request, StoreConfig
 
 #: The deployment paths the checker drives, in order.
@@ -126,10 +126,10 @@ class RecordingLink:
         """The stored record, read without moving the store's counters."""
         return self.store._data.get(encoded_key)
 
-    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
-        """Forward one payload; the future completes once its reply, and the
-        storage after it, are recorded by the thread that waits on it."""
-        frame = Frame(payload)
+    def submit(self, payload, trace_context: bytes | None = None) -> Future:
+        """Forward one payload, joined if streamed; the future completes once
+        its reply, and the storage after it, are recorded by its waiter."""
+        frame = Frame(payload := joined(payload))
         keys = [r.encoded_key for r in _requests(payload)] if self.store is not None else []
         before = [self._peek(key) for key in keys]
         with self._lock:

@@ -19,7 +19,7 @@ Times are plain floats; the experiment harness uses milliseconds throughout.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
 
@@ -138,37 +138,6 @@ class Environment:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires once every event in ``events`` has fired."""
-        events = list(events)
-        done = self.event()
-        remaining = len(events)
-        if remaining == 0:
-            done.succeed([])
-            return done
-        values: list[Any] = [None] * remaining
-        state = {"left": remaining}
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def callback(event: Event) -> None:
-                if event.exception is not None:
-                    if not done.triggered:
-                        done.fail(event.exception)
-                    return
-                values[index] = event.value
-                state["left"] -= 1
-                if state["left"] == 0 and not done.triggered:
-                    done.succeed(list(values))
-
-            return callback
-
-        for i, ev in enumerate(events):
-            if ev.triggered and ev in self._processed:
-                make_callback(i)(ev)
-            else:
-                ev.callbacks.append(make_callback(i))
-        return done
 
     # ------------------------------------------------------------------ #
     # Scheduling and execution

@@ -47,11 +47,6 @@ class Resource:
         """Capacity units currently granted."""
         return self._in_use
 
-    @property
-    def queue_len(self) -> int:
-        """Requests waiting for capacity."""
-        return len(self._waiting)
-
     def utilization(self, duration: float) -> float:
         """Fraction of capacity-time spent granted over ``duration``."""
         if duration <= 0:

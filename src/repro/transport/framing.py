@@ -8,13 +8,16 @@ Requests are *multiplexed* frames: a mux frame's payload is
 ``[MUX_TAG][8-byte big-endian request id][inner payload]``.  The id lets a
 client keep many requests in flight over one socket and match each reply
 to its request, instead of the strict request/reply lockstep of plain
-frames.  :class:`FrameReader` reads both ends' frames a burst at a time.
+frames.  :class:`FrameReader` reads both ends' frames a burst at a time; a
+frame may be sent piece by piece as it is made (:func:`send_frame`) and
+read as it arrives (:func:`arriving_mux`).
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+from typing import Iterable, Iterator
 
 from repro.errors import ProtocolError
 from repro.obs import _state as _obs
@@ -28,14 +31,27 @@ _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    """Write one frame; raises ProtocolError on oversize payloads."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds the maximum")
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+def send_frame(
+    sock: socket.socket, payload: bytes, size: int | None = None, rest: Iterable[bytes] = ()
+) -> None:
+    """Write one frame of ``size`` bytes: ``payload``, then each piece of
+    ``rest`` as soon as it is yielded.  Raises ProtocolError on an oversize
+    frame, or on pieces that miss ``size`` (before any surplus is written)."""
+    size = len(payload) if size is None else size
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {size} bytes exceeds the maximum")
+    sock.sendall(_LEN.pack(size) + payload)
+    sent = len(payload)
+    for piece in rest:
+        sent += len(piece)
+        if sent > size:
+            break
+        sock.sendall(piece)
+    if sent != size:
+        raise ProtocolError(f"frame pieces add up past or short of the {size} bytes declared")
     if _obs.enabled:
         REGISTRY.counter("transport.frames_sent").inc()
-        REGISTRY.counter("transport.bytes_sent").inc(_LEN.size + len(payload))
+        REGISTRY.counter("transport.bytes_sent").inc(_LEN.size + size)
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -64,22 +80,35 @@ def recv_frame(sock: socket.socket) -> bytes:
 
 
 class FrameReader:
-    """Frames off one stream socket: :meth:`read` makes one ``recv_into``
-    and returns every whole frame then buffered (maybe none).  A partial
-    frame stays buffered for the next call; one thread reads at a time."""
+    """Frames off one stream socket: :meth:`read` returns every whole frame
+    buffered, receiving once first if there is none.  A partial frame stays
+    at the front of the buffer (grown to fit it) for the next call, or is
+    taken as it arrives (:func:`arriving_mux`); one thread reads at a time."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self._buf = bytearray(1 << 16)  # grown to fit a larger frame
-        self._start = self._end = 0
+        self.buf = bytearray(1 << 16)
+        self.end = 0  # bytes buffered; the first frame starts at 0
+
+    def receive(self) -> None:
+        """One ``recv_into`` after the buffered bytes; raises ProtocolError
+        on EOF."""
+        received = self.sock.recv_into(memoryview(self.buf)[self.end:])
+        if not received:
+            raise ProtocolError("connection closed" + " mid-frame" * (self.end > 0))
+        self.end += received
+
+    def drop(self, count: int) -> None:
+        """Forget the first ``count`` bytes buffered."""
+        self.buf[:self.end - count] = self.buf[count:self.end]
+        self.end -= count
 
     def read(self) -> list[bytes]:
-        """One receive; raises ProtocolError on EOF or an oversize frame."""
-        buf, start, end = self._buf, self._start, self._end
-        received = self.sock.recv_into(memoryview(buf)[end:])
-        if not received:
-            raise ProtocolError("connection closed" + " mid-frame" * (end > start))
-        end += received
+        """Every whole frame; raises ProtocolError on EOF or an oversize frame."""
+        buf = self.buf
+        if self.end < _LEN.size or self.end < _LEN.size + _LEN.unpack_from(buf)[0]:
+            self.receive()
+        start, end = 0, self.end
         frames = []
         need = _LEN.size  # bytes the partial frame at ``start`` still spans
         with memoryview(buf) as view:
@@ -92,12 +121,10 @@ class FrameReader:
                     break
                 frames.append(bytes(view[start + _LEN.size:start + _LEN.size + length]))
                 start += _LEN.size + length
-        if start:  # move what is left (a partial frame, or nothing) to the front
-            buf[:end - start] = buf[start:end]
-            start, end = 0, end - start
+        if start:  # what is left (a partial frame, or nothing) to the front
+            self.drop(start)
         if need > len(buf):
             buf.extend(bytes(need - len(buf)))
-        self._start, self._end = start, end
         if _obs.enabled and frames:
             REGISTRY.counter("transport.frames_received").inc(len(frames))
             REGISTRY.counter("transport.bytes_received").inc(
@@ -184,6 +211,50 @@ def unwrap_mux(payload: bytes) -> tuple[int, bytes]:
 def is_mux(payload: bytes) -> bool:
     """Whether a frame payload carries a mux tag (traced or not)."""
     return bool(payload) and payload[0] in (MUX_TAG, MUX_TRACED_TAG)
+
+
+class Arriving:
+    """The inner payload of the mux frame at a :class:`FrameReader`'s front
+    while it still arrives (:func:`arriving_mux`): ``len`` and ``[0]`` read
+    as on the whole, and :meth:`bursts` receives the rest."""
+
+    def __init__(self, frames: FrameReader, start: int) -> None:
+        self.frames, self.start = frames, start
+        self.stop = _LEN.size + _LEN.unpack_from(frames.buf)[0]
+        self.header = bytes(frames.buf[_LEN.size:start])  # the mux envelope
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index: int) -> int:
+        return self.frames.buf[self.start + index]
+
+    def bursts(self) -> Iterator[memoryview]:
+        """The payload received so far, once per receive: whole the last time."""
+        while True:
+            yield memoryview(self.frames.buf)[self.start:min(self.frames.end, self.stop)]
+            if self.frames.end >= self.stop:
+                return
+            self.frames.receive()
+
+    def finish(self) -> None:
+        """Receive whatever of the frame is still unread, and drop it."""
+        while self.frames.end < self.stop:
+            self.frames.receive()
+        self.frames.drop(self.stop)
+        if _obs.enabled:
+            REGISTRY.counter("transport.frames_received").inc()
+            REGISTRY.counter("transport.bytes_received").inc(self.stop)
+
+
+def arriving_mux(frames: FrameReader, tag: int) -> Arriving | None:
+    """The partial mux frame at the front of ``frames``, once its headers
+    are in, if its inner payload starts with ``tag``."""
+    buf, end = frames.buf, frames.end
+    if end <= _LEN.size + _MUX_HEADER or buf[_LEN.size] not in (MUX_TAG, MUX_TRACED_TAG):
+        return None
+    start = _LEN.size + (_MUX_HEADER if buf[_LEN.size] == MUX_TAG else _TRACED_HEADER)
+    return Arriving(frames, start) if end > start and buf[start] == tag else None
 
 
 __all__ = [

@@ -3,7 +3,8 @@
 A *link* moves opaque payloads (serialized :mod:`repro.core.messages`
 frames or LOAD records) to one shard: ``submit(payload, trace_context=None)``
 returns a :class:`concurrent.futures.Future` of the reply bytes, ``close()``
-lets go of the shard.  It interprets nothing but the refusal frames, which
+lets go of the shard.  A payload is bytes, or ``(size, pieces)`` for one
+streamed as it is made, which a link may :func:`joined` first.  It interprets nothing but the refusal frames, which
 fail the future with :class:`~repro.errors.RefusedError` (one decoder for
 both links, :func:`settle`).  Epoch ordering for same-key requests is the
 caller's job (see :class:`repro.core.sharded.ShardedLblDeployment`), because
@@ -32,7 +33,7 @@ import socket
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import OverloadError, ProtocolError, RefusedError
 from repro.obs import _state as _obs
@@ -64,6 +65,11 @@ def settle(future: Future, reply: bytes) -> None:
         )
     else:
         future.set_result(reply)
+
+
+def joined(payload: "bytes | tuple[int, Iterable[bytes]]") -> bytes:
+    """A payload whole: a streamed one's ``(size, pieces)`` joined."""
+    return b"".join(payload[1]) if isinstance(payload, tuple) else payload
 
 
 class _Waited(Future):
@@ -178,13 +184,13 @@ class _Connection:
         for future in orphans:
             future.set_exception(error)
 
-    def close(self) -> None:
+    def close(self, reason: str = "client closed with requests in flight") -> None:
         """Close the socket and fail any stragglers."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)  # wakes a reading waiter
         except OSError:
             pass
-        self.fail_pending(ProtocolError("client closed with requests in flight"))
+        self.fail_pending(ProtocolError(reason))
         self.sock.close()
 
 
@@ -229,9 +235,15 @@ class PipelinedLblClient:
                 return conn
         raise ProtocolError(f"all connections to {self.address} are closed")
 
-    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
+    def submit(
+        self, payload: "bytes | tuple[int, Iterable[bytes]]", trace_context: bytes | None = None
+    ) -> Future:
         """Send one payload; the future completes with the reply bytes.
 
+        A payload streamed as it is made is ``(size, pieces)``: the first
+        piece is pulled before anything is registered, the others under the
+        send lock, each written as soon as it is yielded.  A piece that
+        raises, or pieces that miss ``size``, close the connection.
         While the chosen connection already has
         :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight, reads its
         replies until one is in.
@@ -251,14 +263,21 @@ class PipelinedLblClient:
         """
         if self._closed:
             raise ProtocolError("client is closed")
+        size, pieces = payload if isinstance(payload, tuple) else (len(payload), ())
+        if pieces:
+            pieces = iter(pieces)
+            payload = next(pieces)
         if _obs.enabled and trace_context is None:
             span = TRACER.current_span()
             if span is not None:
                 trace_context = TraceContext.from_span(span).encode()
         conn = self._pick()
         request_id = next(self._ids)
-        # Before anything is registered: a malformed trace context raises here.
+        # Before anything is registered: a bad trace context or size raises.
         wrapped = framing.wrap_mux(request_id, payload, trace_context)
+        size += len(wrapped) - len(payload)
+        if size > framing.MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame of {size} bytes exceeds the maximum")
         future = _Waited(conn.wait)
 
         def room() -> bool:
@@ -286,18 +305,16 @@ class PipelinedLblClient:
             future.add_done_callback(_observe)
         try:
             if _obs.enabled:
-                _ledger.count_wire(
-                    _ledger.frame_type(payload), "sent", 4 + len(wrapped)
-                )
+                _ledger.count_wire(_ledger.frame_type(payload), "sent", 4 + size)
             with conn.send_lock:
-                framing.send_frame(conn.sock, wrapped)
-        except (ProtocolError, OSError) as exc:
+                framing.send_frame(conn.sock, wrapped, size, pieces)
+        except BaseException as exc:
             with conn.lock:
                 conn.pending.pop(request_id, None)
-            if isinstance(exc, ProtocolError):
-                raise  # refused by the framing (too large) before a byte went out
-            conn.fail_pending(ProtocolError(f"send failed: {exc}"))
-            raise ProtocolError(f"send to {self.address} failed: {exc}") from exc
+            conn.close(f"send failed: {exc}")
+            if isinstance(exc, OSError):
+                raise ProtocolError(f"send to {self.address} failed: {exc}") from exc
+            raise
         if _obs.enabled:
             REGISTRY.counter("transport.pipeline.submitted").inc()
             REGISTRY.gauge("transport.pipeline.in_flight").set(self.in_flight)
@@ -331,8 +348,9 @@ class LocalLink:
     def __init__(self, dispatcher: LblFrameDispatcher | None = None) -> None:
         self.dispatcher = dispatcher or LblFrameDispatcher()
 
-    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
-        """Dispatch one payload; the returned future is already complete."""
+    def submit(self, payload, trace_context: bytes | None = None) -> Future:
+        """Dispatch one payload, joined; the future is already complete."""
+        payload = joined(payload)
         reply = self.dispatcher.safe_dispatch(payload)
         if _obs.enabled:
             for direction, data in (("sent", payload), ("received", reply)):
@@ -354,7 +372,7 @@ class DelayedLink:
     def __init__(self, link, rtt_s: float) -> None:
         self.link, self.rtt_s = link, rtt_s
 
-    def submit(self, payload: bytes, trace_context: bytes | None = None) -> Future:
+    def submit(self, payload, trace_context: bytes | None = None) -> Future:
         """Forward one payload; its waiter sleeps out the rest of the trip."""
         due = time.monotonic() + self.rtt_s
         return relay(
@@ -367,4 +385,4 @@ class DelayedLink:
         self.link.close()
 
 
-__all__ = ["DelayedLink", "LocalLink", "PipelinedLblClient", "relay", "settle"]
+__all__ = ["DelayedLink", "LocalLink", "PipelinedLblClient", "joined", "relay", "settle"]

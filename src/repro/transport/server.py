@@ -16,7 +16,9 @@ The payloads a mux frame may carry:
   :class:`~repro.core.messages.LblBatchResponse` whose entries are
   per-request — a failing request yields an
   :class:`~repro.core.messages.LblErrorEntry` at its position while the
-  rest of the batch is still applied;
+  rest of the batch is still applied.  It is served as it arrives: the
+  sub-requests each received burst completes are one window, and the reply
+  goes out when the frame's last byte is in;
 * a LOAD frame (tag 0x40: encoded key + label blob) during bulk
   initialization → a 1-byte ack (0x41);
 * a multiplexed frame (tag 0x50: request id + any of these) → the
@@ -150,9 +152,10 @@ class LblFrameDispatcher:
         point_and_permute: Accepted only as ``True`` (§10.2 is the one LBL
             protocol).
 
-    A server window forms one way: a batch frame is served as one
-    :meth:`~repro.core.lbl.server.LblServer.process_many`, and a lone access
-    frame is a window of one (:meth:`~repro.core.lbl.server.LblServer.process`).
+    A server window forms one way: the sub-requests of a batch frame that
+    one burst completes are one
+    :meth:`~repro.core.lbl.server.LblServer.process_many` (a whole frame is
+    one burst), and a lone access frame is a window of one.
     """
 
     def __init__(self, num_stripes: int = 64, *, point_and_permute: bool = True) -> None:
@@ -185,7 +188,8 @@ class LblFrameDispatcher:
         return bytes([ERROR_TAG]) + str(exc).encode("utf-8")
 
     def dispatch(self, payload: bytes) -> bytes:
-        """Route one decoded frame; returns the serialized reply."""
+        """Route one decoded frame — a batch frame maybe still arriving
+        (:class:`~repro.transport.framing.Arriving`); returns the reply."""
         if _obs.enabled:
             REGISTRY.counter("transport.requests_dispatched").inc()
         if not payload:
@@ -203,19 +207,36 @@ class LblFrameDispatcher:
                 response, _ops = self.lbl.process(request)
             return response.to_bytes()
         if payload[0] == LblBatchRequest.TAG:
-            requests = list(LblBatchRequest.from_bytes(payload).requests)
-            # A batch frame is a window.  It holds every stripe it touches
-            # (in sorted order — see hold_stripes), so it coexists with the
-            # single-stripe LOAD and lone-access paths.  Errors are isolated
-            # per request: its window-mates still rotate their labels, and
-            # the failure becomes an error entry at its position.
-            stripes = self._stripes
+            return self._serve_batch(payload)
+        raise ProtocolError(f"unknown frame tag {payload[0]:#x}")
+
+    def _serve_batch(self, payload: "bytes | framing.Arriving") -> bytes:
+        """Serve a batch frame as it arrives: the sub-requests each burst
+        completes (all of them, for a whole payload) are one window, under
+        every stripe it touches (sorted — see hold_stripes).  Errors are
+        isolated per request: its window-mates still rotate their labels,
+        and it gets an error entry.  A sub-request that does not parse ends
+        the serving: the frame is read to its end and refused."""
+        entries: list = []
+        error, at, stripes = None, 1, self._stripes
+        whole = not isinstance(payload, framing.Arriving)
+        for burst in (memoryview(payload),) if whole else payload.bursts():
+            window = []
+            while error is None and len(burst) - at >= 4:
+                stop = at + 4 + int.from_bytes(burst[at:at + 4], "big")
+                if stop > len(burst):
+                    break
+                try:  # parsed off the reader's buffer: the fields are its one copy
+                    window.append(LblAccessRequest.from_bytes(burst[at + 4:stop]))
+                except ProtocolError as exc:
+                    error = str(exc)
+                at = stop
+            if not window:
+                continue
             with hold_stripes(
-                stripes,
-                (hash(request.encoded_key) % len(stripes) for request in requests),
+                stripes, (hash(request.encoded_key) % len(stripes) for request in window)
             ):
-                results = self.lbl.process_many(requests)
-            entries = []
+                results = self.lbl.process_many(window)
             for result in results:
                 if isinstance(result, OrtoaError):
                     _log.warning("batch request failed: %s", result)
@@ -224,8 +245,11 @@ class LblFrameDispatcher:
                     entries.append(LblErrorEntry(str(result)))
                 else:
                     entries.append(result[0])
-            return LblBatchResponse(tuple(entries)).to_bytes()
-        raise ProtocolError(f"unknown frame tag {payload[0]:#x}")
+        if error is None and at != len(payload):
+            error = "truncated batch entry"
+        if error is not None or not entries:
+            raise ProtocolError(error or "empty batch")
+        return LblBatchResponse(tuple(entries)).to_bytes()
 
     def obs_dump(self) -> bytes:
         """This process's telemetry as an obs-dump frame.
@@ -301,6 +325,11 @@ class _Handler(socketserver.BaseRequestHandler):
                         reply = server.dispatcher.error_frame(_PLAIN_FRAME)
                     # A write that fails, or stalls past SEND_TIMEOUT_S, may
                     # leave half a frame on the wire: drop the connection.
+                    framing.send_frame(self.request, reply)
+                inner = framing.arriving_mux(frames, LblBatchRequest.TAG)
+                if inner is not None:  # a batch frame is served while it arrives
+                    reply = server.serve_mux(inner.header, inner)
+                    inner.finish()  # a shed or refused frame is read to its end
                     framing.send_frame(self.request, reply)
         except BlockingIOError:  # SO_SNDTIMEO lapsed
             _log.warning(
@@ -398,9 +427,10 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
     # Multiplexed (pipelined) frames
     # ------------------------------------------------------------------ #
 
-    def serve_mux(self, payload: bytes) -> bytes:
+    def serve_mux(self, payload: bytes, arriving: "framing.Arriving | None" = None) -> bytes:
         """Serve one mux frame on the calling connection's thread, or shed
-        it; returns the reply frame.
+        it; returns the reply frame.  ``payload`` is the whole frame, or its
+        envelope while the batch inside is still ``arriving``.
 
         Admission is decided before the inner payload is parsed, so nothing
         about a shed reply — bytes, timing, ordering — depends on the
@@ -410,6 +440,9 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             request_id, inner, trace_context = framing.unwrap_mux_traced(payload)
         except ProtocolError as exc:
             return self.dispatcher.error_frame(exc)  # no id to mirror: unwrapped
+        frame_bytes = 4 + len(payload)
+        if arriving is not None:
+            inner, frame_bytes = arriving, arriving.stop
         with self._lock:
             admitted = not self.draining and self.in_flight < self.max_in_flight
             if admitted:
@@ -421,7 +454,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         if _obs.enabled:
             REGISTRY.counter("transport.mux_frames_received").inc()
             _ledger.count_wire(
-                _ledger.frame_type(payload), "received", 4 + len(payload), role="server"
+                _ledger.frame_type(inner), "received", frame_bytes, role="server"
             )
             # The limit rides along so a scraper (``repro doctor``'s
             # occupancy) can divide by it from one snapshot.

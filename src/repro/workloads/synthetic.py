@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.types import Operation, Request
+from repro.types import Request
 
 
 def synthetic_records(num_objects: int, value_len: int, seed: int = 0) -> dict[str, bytes]:
@@ -89,11 +89,6 @@ class RequestStream:
     def __iter__(self) -> Iterator[Request]:
         while True:
             yield self.next_request()
-
-    def observed_write_fraction(self, sample: int = 1000) -> float:
-        """Diagnostic: empirical write fraction of a fresh sample."""
-        ops = [r.op for r in RequestStream(self.spec).take(sample)]
-        return sum(1 for op in ops if op is Operation.WRITE) / sample
 
 
 __all__ = ["WorkloadSpec", "RequestStream", "synthetic_records"]

@@ -36,6 +36,7 @@ from repro.core.messages import (
 from repro.core.sharded import ShardedLblDeployment
 from repro.errors import (
     BatchPartialFailure,
+    ConfigurationError,
     KeyNotFoundError,
     OrtoaError,
     ProtocolError,
@@ -187,6 +188,27 @@ def test_fully_successful_batch_unaffected(client):
         [Request.read("k1"), Request.write("k2", CONFIG.pad(b"two"))]
     )
     assert len(transcripts) == 2
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (Request.read("missing"), KeyNotFoundError),
+        (Request.write("b", bytes(CONFIG.value_len + 1)), ConfigurationError),
+    ],
+    ids=["unknown-key", "oversize-value"],
+)
+def test_a_refused_batch_moves_no_counter(bad, error):
+    """A batch refused for one request moves no key's counter: the earlier
+    requests were not prepared, so every key stays in step with its shard
+    (without a write-ahead log a key left ahead would be refused forever)."""
+    local = LblOrtoa(CONFIG)
+    local.initialize({"a": CONFIG.pad(b"a"), "b": CONFIG.pad(b"b")})
+    with pytest.raises(error):
+        local.access_batch([Request.read("a"), Request.write("b", CONFIG.pad(b"new")), bad])
+    assert local.proxy.counters() == {"a": 0, "b": 0}
+    assert local.read("a") == CONFIG.pad(b"a")
+    assert local.access_batch([Request.read("b")])[0].response.value == CONFIG.pad(b"b")
 
 
 # --------------------------------------------------------------------- #

@@ -12,6 +12,7 @@ import pytest
 from repro import obs
 from repro.obs.doctor import (
     SCORE_FLOOR,
+    WIRE_SATURATED_MS,
     collect_signals,
     diagnose,
     render_doctor,
@@ -122,6 +123,26 @@ def test_wire_bound_scenario_names_wire():
     )
     assert diagnosis["bottleneck"] == "wire"
     assert any("time is off-CPU" in r for r in diagnosis["reasons"])
+
+
+def test_fast_off_cpu_round_trips_do_not_read_as_wire_bound():
+    """A loaded localhost cluster: round trips of about a millisecond, half
+    of it busy.  The off-CPU share dominates but is not slow, so the wire
+    is not named."""
+    diagnosis = diagnose(
+        [_signal(prepare_p99_ms=0.3, service_p99_ms=0.2, p99_ms=1.0)]
+    )
+    assert diagnosis["bottleneck"] == "healthy"
+    assert diagnosis["scores"]["wire"] < SCORE_FLOOR
+
+
+def test_slow_off_cpu_round_trips_score_their_full_share():
+    """Off-CPU time past WIRE_SATURATED_MS scores its share undiminished."""
+    diagnosis = diagnose(
+        [_signal(prepare_p99_ms=1.0, service_p99_ms=2.0, p99_ms=50.0)]
+    )
+    assert diagnosis["scores"]["wire"] == pytest.approx(47.0 / 50.0)
+    assert 50.0 - 3.0 > WIRE_SATURATED_MS
 
 
 def test_quiet_deployment_is_healthy():

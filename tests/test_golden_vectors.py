@@ -168,15 +168,6 @@ def test_aead_vector_fixed_nonce():
 # --------------------------------------------------------------------- #
 
 _keys = st.binary(min_size=16, max_size=64)
-_components = st.lists(
-    st.one_of(
-        st.integers(min_value=0, max_value=2**31),
-        st.binary(max_size=24),
-        st.text(max_size=12),
-    ),
-    min_size=1,
-    max_size=4,
-)
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,15 +177,6 @@ def test_prf_matches_stdlib_hmac(key, message, out_bytes):
     assert Prf(key, out_bytes=out_bytes).evaluate(message) == _ref_prf(
         key, (message,), out_bytes
     )
-
-
-@settings(max_examples=30, deadline=None)
-@given(key=_keys, suffixes=st.lists(_components, min_size=1, max_size=8))
-def test_evaluate_many_matches_scalar(key, suffixes):
-    prf = Prf(key, out_bytes=16)
-    batch = prf.evaluate_many(("prefix", 7), suffixes)
-    scalar = [prf.evaluate("prefix", 7, *suffix) for suffix in suffixes]
-    assert batch == scalar
 
 
 @settings(max_examples=30, deadline=None)

@@ -166,7 +166,7 @@ def test_default_config_and_default_cluster_agree(in_process):
 
 def test_measure_throughput_modes_agree_on_results():
     """The harness's lockstep and pipelined modes both do real accesses."""
-    from repro.transport.cluster import measure_throughput
+    from repro.harness.experiments import measure_throughput
 
     with ShardCluster(2, in_process=True) as booted:
         dep = ShardedLblDeployment(CONFIG, booted.addresses)
@@ -184,14 +184,12 @@ def test_measure_throughput_modes_agree_on_results():
 
 def test_measurement_sweeps_smoke():
     """Tiny parameterizations of the benchmark sweeps run end to end."""
-    from repro.transport.cluster import measure_pipeline_gain, measure_shard_scaling
+    from repro.harness.experiments import pipeline_depth_sweep, sharded_scaling
 
-    scaling = measure_shard_scaling(
-        shard_counts=(1,), num_requests=4, service_time_s=0.001, seed=1
-    )
+    scaling = sharded_scaling(shards=1, num_requests=4, service_time_s=0.001, seed=1)
     assert scaling[0]["shards"] == 1 and scaling[0]["speedup_vs_1shard"] == 1.0
-    gain = measure_pipeline_gain(
-        depths=(1, 2), num_requests=4, emulated_rtt_s=0.001, seed=1
+    gain = pipeline_depth_sweep(
+        pipeline_depth=2, num_requests=4, emulated_rtt_s=0.001, seed=1
     )
     assert [row["depth"] for row in gain] == [1, 2]
     assert gain[0]["speedup_vs_lockstep"] == 1.0

@@ -142,24 +142,6 @@ def test_run_until_stops_clock():
     assert env.now == 35
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    done = []
-
-    def child(env, delay):
-        yield env.timeout(delay)
-        return delay
-
-    def parent(env):
-        procs = [env.process(child(env, d)) for d in (5, 1, 3)]
-        values = yield env.all_of(procs)
-        done.append((sorted(values), env.now))
-
-    env.process(parent(env))
-    env.run()
-    assert done == [([1, 3, 5], 5)]
-
-
 def test_yielding_non_event_is_error():
     env = Environment()
 
