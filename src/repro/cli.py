@@ -53,7 +53,6 @@ EXPERIMENTS = {
     "oram": (experiments.oram_comparison, "§8: one-round ORAM vs PathORAM vs linear scan"),
     "sharded": (experiments.sharded_scaling, "§6.2.4 over TCP: shard-count scaling"),
     "pipeline": (experiments.pipeline_depth_sweep, "pipelined vs lockstep transport"),
-    "lbl": (experiments.lbl_kernels, "crypto kernels: cold vs cached vs sharded batch"),
 }
 
 #: CLI flag -> experiment keyword argument (also the flag's argparse dest),
@@ -62,7 +61,6 @@ EXPERIMENTS = {
 _RUN_OVERRIDES = {
     "shards": "shards",
     "pipeline-depth": "pipeline_depth",
-    "label-cache": "label_cache",
 }
 
 
@@ -441,13 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="D",
         help="in-flight window for experiments that take one (e.g. `pipeline`)",
-    )
-    run.add_argument(
-        "--label-cache",
-        type=int,
-        metavar="M",
-        help="label-cache entries for experiments that take one "
-        "(-1 auto-sizes; e.g. `lbl`)",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -40,7 +40,6 @@ from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.obs import _state as _obs
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.types import Request, Response, StoreConfig
 
@@ -233,9 +232,6 @@ class LblProxy:
                 label_cache_hit=cache_hit,
             )
             TRACER.end(span)
-            REGISTRY.counter("lbl.proxy.prepares").inc()
-            REGISTRY.counter("lbl.proxy.labels_generated").inc(2 * enc_count)
-            REGISTRY.counter("lbl.proxy.ciphertexts_built").inc(enc_count)
         return wire, OpCounts(prf=prf_count, aead_enc=enc_count)
 
     def _next_slots(
@@ -312,8 +308,6 @@ class LblProxy:
             (epoch,) = codec.epochs(key, new_ct)
             prf_count = 1
         value = codec.decode(epoch, response.slot_bits, response.slots, response.digest)
-        if _obs.enabled:
-            REGISTRY.counter("lbl.proxy.finalizes").inc()
         return value, OpCounts(prf=prf_count)
 
 

@@ -351,7 +351,6 @@ class ShardedLblDeployment(OrtoaProtocol):
                 "sharded.access", shard=shard, request_bytes=len(payload)
             )
             context = TraceContext.from_span(span).encode()
-            REGISTRY.counter(f"sharded.shard{shard}.requests").inc()
             submitted_at = time.perf_counter()
         future = self.clients[shard].submit(payload, trace_context=context)
         return _Flight(
@@ -466,8 +465,6 @@ class ShardedLblDeployment(OrtoaProtocol):
             key = flight.request.key
             held.discard(key)
             claims.release((key,))
-            if _obs.enabled:
-                REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
 
         try:
             for index, request in enumerate(requests):
@@ -486,8 +483,6 @@ class ShardedLblDeployment(OrtoaProtocol):
                     break
                 held.add(request.key)
                 window.append(self._send(index, request))
-                if _obs.enabled:
-                    REGISTRY.gauge("sharded.pipeline.in_flight").set(len(window))
             while window:
                 drain_one()
         finally:
@@ -574,11 +569,6 @@ class ShardedLblDeployment(OrtoaProtocol):
             shard_futures[shard] = self.clients[shard].submit(
                 (size, frame(indices)), trace_context=batch_context
             )
-            if _obs.enabled:
-                REGISTRY.counter(f"sharded.shard{shard}.requests").inc(len(indices))
-                REGISTRY.gauge("sharded.batch.shards_in_flight").set(
-                    len(shard_futures)
-                )
 
         entries: list = [None] * len(requests)
         shares: list[tuple[int, int]] = [(0, 0)] * len(requests)

@@ -45,7 +45,6 @@ from repro.crypto.rows import xor as _xor
 from repro.errors import ConfigurationError, DecryptionError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
-from repro.obs.metrics import REGISTRY
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -121,7 +120,6 @@ def encrypt(key: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> byte
     sha = _DIGEST
     tag = sha(opad + sha(ipad + _MAC_DOMAIN + nonce + body).digest()).digest()[:TAG_LEN]
     if _obs.enabled:
-        REGISTRY.counter("crypto.aead.encrypts").inc()
         _ledger.add_op("aead.encrypts")
     return nonce + body + tag
 
@@ -181,7 +179,6 @@ def encrypt_many(
         mac = sha(opad + sha(ipad + _MAC_DOMAIN + nonce_body).digest()).digest()
         out.append(nonce_body + mac[:TAG_LEN])
     if _obs.enabled:
-        REGISTRY.counter("crypto.aead.encrypts").inc(n)
         _ledger.add_op("aead.encrypts", n)
     return out
 
@@ -197,7 +194,6 @@ def decrypt(key: bytes, ciphertext: bytes) -> bytes:
     ipad, opad = key_schedule(key)
     if len(ciphertext) < NONCE_LEN + TAG_LEN:
         if _obs.enabled:
-            REGISTRY.counter("crypto.aead.decrypt_failures").inc()
             _ledger.add_op("aead.decrypt_failures")
         raise DecryptionError("ciphertext too short")
     nonce = ciphertext[:NONCE_LEN]
@@ -209,11 +205,9 @@ def decrypt(key: bytes, ciphertext: bytes) -> bytes:
     ]
     if not hmac.compare_digest(tag, expected):
         if _obs.enabled:
-            REGISTRY.counter("crypto.aead.decrypt_failures").inc()
             _ledger.add_op("aead.decrypt_failures")
         raise DecryptionError("authentication tag mismatch")
     if _obs.enabled:
-        REGISTRY.counter("crypto.aead.decrypts").inc()
         _ledger.add_op("aead.decrypts")
     return _xor(body, _keystream(ipad, opad, nonce, len(body)))
 

@@ -39,22 +39,16 @@ class FheParams:
     Attributes:
         n: Ring degree (power of two).  Bounds the plaintext capacity: one
             byte per coefficient with the default ``t=256``.
-        q_bits: Bit size of the ciphertext modulus ``q = 2**q_bits``
-            (ignored when ``q_prime`` is given).
+        q_bits: Bit size of the ciphertext modulus ``q = 2**q_bits``.
         t: Plaintext modulus; 256 packs one byte per coefficient.
         error_bound: Fresh-encryption noise coefficients are uniform in
             ``[-error_bound, error_bound]``.
-        q_prime: Optional explicit prime modulus.  When it is NTT-friendly
-            (``q ≡ 1 mod 2n`` — use :meth:`ntt_friendly`), all mod-q ring
-            multiplications (encrypt, decrypt, relinearize) run through the
-            O(n log n) NTT instead of the schoolbook convolution.
     """
 
     n: int = 256
     q_bits: int = 120
     t: int = 256
     error_bound: int = 3
-    q_prime: int | None = None
 
     def __post_init__(self) -> None:
         if self.t < 2:
@@ -64,19 +58,10 @@ class FheParams:
         if self.error_bound < 1:
             raise ConfigurationError("error_bound must be >= 1")
 
-    @classmethod
-    def ntt_friendly(cls, n: int = 256, q_bits: int = 120, t: int = 256,
-                     error_bound: int = 3) -> "FheParams":
-        """Parameters with a prime modulus enabling NTT multiplication."""
-        from repro.crypto.ntt import find_ntt_prime
-
-        return cls(n=n, q_bits=q_bits, t=t, error_bound=error_bound,
-                   q_prime=find_ntt_prime(n, q_bits))
-
     @property
     def q(self) -> int:
         """The ciphertext modulus."""
-        return self.q_prime if self.q_prime is not None else 1 << self.q_bits
+        return 1 << self.q_bits
 
     @property
     def q_bit_width(self) -> int:

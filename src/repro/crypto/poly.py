@@ -114,13 +114,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_ring(other)
-        # Fast path: O(n log n) NTT multiplication when the modulus is an
-        # NTT-friendly prime (q ≡ 1 mod 2n); schoolbook otherwise.
-        from repro.crypto.ntt import NegacyclicNtt
-
-        ntt = NegacyclicNtt.for_modulus(self.params.n, self.params.q)
-        if ntt is not None:
-            return Poly(self.params, ntt.multiply(list(self.coeffs), list(other.coeffs)))
         return Poly(self.params, negacyclic_convolve(list(self.coeffs), list(other.coeffs)))
 
     def scale(self, factor: int) -> "Poly":

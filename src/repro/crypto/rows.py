@@ -48,7 +48,6 @@ from operator import itemgetter
 from repro.errors import ConfigurationError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
-from repro.obs.metrics import REGISTRY
 
 try:
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -101,7 +100,6 @@ def _meter(blocks: int, **rows: int) -> None:
         _ledger.add_op("aes.blocks", blocks)
         for op, n in rows.items():
             if n:
-                REGISTRY.counter(f"crypto.aead.{op}").inc(n)
                 _ledger.add_op(f"aead.{op}", n)
 
 

@@ -330,8 +330,8 @@ def oram_comparison(num_blocks: int = 32, accesses: int = 60) -> list[Row]:
     initial = {i: bytes(8) for i in range(num_blocks)}
     schemes = []
     for name, oram in (
-        ("path-oram", PathOram(num_blocks, 8, rng=random_module.Random(1))),
-        ("one-round-oram", OneRoundOram(num_blocks, 8, rng=random_module.Random(1))),
+        ("path-oram", PathOram(num_blocks, 8, rng=random.Random(1))),
+        ("one-round-oram", OneRoundOram(num_blocks, 8, rng=random.Random(1))),
         ("linear-scan", LinearScanOram(num_blocks, 8)),
     ):
         oram.initialize(dict(initial))
@@ -525,101 +525,6 @@ def pipeline_depth_sweep(
     return rows
 
 
-def lbl_kernels(
-    label_cache: int | None = -1,
-    num_keys: int = 8,
-    num_requests: int = 48,
-    value_len: int = 160,
-) -> list[Row]:
-    """Crypto-kernel throughput: cold vs warm label cache vs sharded batch.
-
-    Measures in-process LBL accesses per second with every epoch derived
-    cold and with a warm label cache, then drives one batch through a
-    sharded deployment over a loopback shard.
-
-    Args:
-        label_cache: ``label_cache_entries`` for the cached rows
-            (-1 auto-sizes, ``None`` disables — the cached row is then
-            skipped).
-        num_keys: Distinct keys in the workload.
-        num_requests: Accesses per measured configuration.
-        value_len: Object size in bytes (paper default 160).
-    """
-    from repro.core.lbl import LblOrtoa
-
-    def _measure(store, requests) -> float:
-        start = time.perf_counter()
-        for request in requests:
-            store.access(request)
-        return len(requests) / (time.perf_counter() - start)
-
-    def _workload(config: StoreConfig) -> tuple[dict, list]:
-        rng = random.Random(1)
-        records = {
-            f"key-{i:03d}": config.pad(f"value-{i}".encode()) for i in range(num_keys)
-        }
-        requests = []
-        for _ in range(num_requests):
-            key = f"key-{rng.randrange(num_keys):03d}"
-            if rng.random() < 0.5:
-                requests.append(Request.read(key))
-            else:
-                requests.append(Request.write(key, config.pad(b"updated")))
-        return records, requests
-
-    base = StoreConfig(value_len=value_len, group_bits=2)
-    cached = replace(base, label_cache_entries=label_cache)
-    rows: list[Row] = []
-
-    for mode, config, warm in (
-        ("cold", base, False),
-        ("cached", cached, True),
-    ):
-        if warm and label_cache is None:
-            continue
-        records, requests = _workload(config)
-        store = LblOrtoa(config)
-        store.initialize(records)
-        if warm:
-            for request in requests:  # populate every key's epoch
-                store.access(request)
-        ops_per_sec = _measure(store, requests)
-        cache = store.proxy.label_cache
-        rows.append(
-            {
-                "mode": mode,
-                "ops_per_sec": round(ops_per_sec, 1),
-                "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
-            }
-        )
-
-    # End-to-end batch on one loopback shard (thread-backed server, real
-    # wire format).
-    from repro.core.sharded import ShardedLblDeployment
-    from repro.transport.cluster import ShardCluster
-
-    config = cached if label_cache is not None else base
-    records, requests = _workload(config)
-    with ShardCluster(1, in_process=True) as cluster:
-        deployment = ShardedLblDeployment(config, cluster.addresses)
-        try:
-            deployment.initialize(records)
-            start = time.perf_counter()
-            deployment.access_batch(requests)
-            elapsed = time.perf_counter() - start
-            cache = deployment.proxy.label_cache
-            rows.append(
-                {
-                    "mode": "sharded-batch",
-                    "ops_per_sec": round(len(requests) / elapsed, 1),
-                    "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
-                }
-            )
-        finally:
-            deployment.close()
-    return rows
-
-
 def dollar_cost() -> list[Row]:
     """§6.3.3: LBL-ORTOA's Google-Cloud cost breakdown."""
     estimate = estimate_lbl_cost()
@@ -660,5 +565,4 @@ __all__ = [
     "measure_throughput",
     "sharded_scaling",
     "pipeline_depth_sweep",
-    "lbl_kernels",
 ]

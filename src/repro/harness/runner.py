@@ -31,7 +31,6 @@ from repro.errors import ConfigurationError
 from repro.harness.calibration import CostModel
 from repro.obs import _state as _obs
 from repro.obs.clock import SimClock, use_clock
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.sim.core import Environment
 from repro.sim.network import CLIENT_PROXY_RTT_MS, DEFAULT_BANDWIDTH_MBPS, NetworkLink
@@ -390,9 +389,6 @@ def _client_process(
                 response_bytes=response_bytes,
             )
             TRACER.end(span)
-            REGISTRY.counter("harness.requests").inc()
-            REGISTRY.counter("harness.wire.request_bytes").inc(int(request_bytes))
-            REGISTRY.counter("harness.wire.response_bytes").inc(int(response_bytes))
         if env.now <= spec.duration_ms:
             samples.append(
                 LatencySample(

@@ -6,8 +6,8 @@ corresponding quantities first-class observables:
 
 * :mod:`repro.obs.trace` — context-manager spans with parent/child nesting
   and pluggable wall/sim time sources;
-* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms with
-  snapshot/reset semantics and JSON export;
+* :mod:`repro.obs.metrics` — counters, gauges and log-bucket latency
+  histograms with snapshot/reset semantics and JSON export;
 * :mod:`repro.obs.logging` — the ``repro.*`` logger hierarchy behind the
   CLI's ``--log-level`` flag;
 * :mod:`repro.obs.propagate` — the 16-byte trace-context wire extension
@@ -64,7 +64,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     MetricsRegistry,
     REGISTRY,
@@ -146,7 +145,6 @@ __all__ = [
     "NOOP_SPAN",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "REGISTRY",

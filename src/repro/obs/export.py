@@ -10,8 +10,7 @@ Two consumers, two formats:
   from a running :class:`~repro.transport.server.LblTcpServer` started
   with ``metrics_port=`` (see :func:`start_metrics_server`), and read by
   ``repro doctor``.  Counters map to ``*_total``, gauges to plain samples
-  (plus ``*_max``), fixed-bucket histograms to cumulative ``_bucket``
-  series, and log-bucket histograms to summary quantiles
+  (plus ``*_max``), and log-bucket histograms to summary quantiles
   (``{quantile="0.99"}``) so tail latency is one PromQL-free read.
 
 :func:`parse_prometheus_text` is the matching reader — ``repro doctor`` uses
@@ -131,16 +130,6 @@ def prometheus_text(registry: MetricsRegistry = REGISTRY) -> str:
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(gauge['value'])}")
         lines.append(f"{metric}_max {_format_value(gauge['max'])}")
-    for name, hist in sorted(snap["histograms"].items()):
-        metric = metric_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound_key, count in hist["buckets"].items():
-            cumulative += count
-            bound = "+Inf" if bound_key == "inf" else bound_key[len("le_"):]
-            lines.append(f'{metric}_bucket{{le="{bound}"}} {cumulative}')
-        lines.append(f"{metric}_sum {_format_value(hist['sum'])}")
-        lines.append(f"{metric}_count {hist['count']}")
     for name, hist in sorted(snap["log_histograms"].items()):
         metric = metric_name(name)
         lines.append(f"# TYPE {metric} summary")

@@ -1,23 +1,16 @@
-"""A small metrics registry: counters, gauges, fixed- and log-bucket histograms.
+"""A small metrics registry: counters, gauges and log-bucket histograms.
 
-Instruments are created lazily by name (``REGISTRY.counter("aead.encrypt")``)
-and accumulate until :meth:`MetricsRegistry.reset`.  A snapshot is a plain
-nested dict of primitives, so it JSON-serializes directly and — because no
-wall-clock timestamps are baked in — is deterministic whenever the
-instrumented workload is.
+Instruments are created lazily by name
+(``REGISTRY.counter("lbl.server.requests")``) and accumulate until
+:meth:`MetricsRegistry.reset`.  A snapshot is a plain nested dict of
+primitives, so it JSON-serializes directly and — because no wall-clock
+timestamps are baked in — is deterministic whenever the instrumented
+workload is.
 
-Two histogram shapes coexist because they answer different questions:
-
-* :class:`Histogram` — a handful of fixed ``le`` buckets, right for sizes
-  and counts (frame bytes, table entries) where the scale is known upfront;
-* :class:`LogHistogram` — HDR-style geometric buckets spanning nine decades
-  with bounded relative error, right for latencies, where p99/p999 matter
-  and the interesting mass may sit anywhere between microseconds and
-  seconds.  Latency sites must use it: the fixed
-  :data:`DEFAULT_BUCKETS` start at 1.0, so every sub-second observation
-  would land in the first bucket and the histogram would say nothing.
-  :meth:`MetricsRegistry.histogram` rejects a ``*.seconds`` name with
-  default buckets for exactly that reason.
+The one histogram, :class:`LogHistogram`, has HDR-style geometric buckets
+spanning nine decades with bounded relative error: right for latencies,
+where p99/p999 matter and the interesting mass may sit anywhere between
+microseconds and seconds.
 
 Thread safety: every mutation takes the registry's lock.  The LBL TCP server
 handles connections on threads, so counters would otherwise lose increments;
@@ -27,17 +20,12 @@ guard emission behind :data:`repro.obs._state.enabled`.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import threading
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.errors import ConfigurationError
-
-#: Default histogram upper bounds — byte-ish scale, fits frame sizes and
-#: operation counts alike.  The last implicit bucket is +inf.
-DEFAULT_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
 
 
 class Counter:
@@ -96,74 +84,6 @@ class Gauge:
         with self._lock:
             self.value = 0.0
             self.max_value = 0.0
-
-
-class Histogram:
-    """Fixed-bucket histogram with ``value <= bound`` bucket semantics.
-
-    A value exactly equal to a bound lands in that bound's bucket; anything
-    above the last bound goes to the overflow (``+inf``) bucket.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max", "_lock")
-
-    def __init__(
-        self, name: str, lock: threading.Lock, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds:
-            raise ConfigurationError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(set(bounds)):
-            raise ConfigurationError("histogram bounds must be strictly increasing")
-        self.name = name
-        self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._lock = lock
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        value = float(value)
-        index = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            self.bucket_counts[index] += 1
-            self.count += 1
-            self.total += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        """Count/sum/mean/min/max plus per-bucket counts (keys ``le_<bound>``)."""
-        buckets = {f"le_{bound:g}": count for bound, count in zip(self.bounds, self.bucket_counts)}
-        buckets["inf"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "buckets": buckets,
-        }
-
-    def reset(self) -> None:
-        """Drop all observations (bounds and handle stay valid)."""
-        with self._lock:
-            self.bucket_counts = [0] * (len(self.bounds) + 1)
-            self.count = 0
-            self.total = 0.0
-            self.min = None
-            self.max = None
 
 
 #: Geometry of :class:`LogHistogram` buckets.  ``GROWTH = 2**(1/8)`` bounds
@@ -290,7 +210,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: dict[str, Counter | Gauge | Histogram | LogHistogram] = {}
+        self._instruments: dict[str, Counter | Gauge | LogHistogram] = {}
 
     def _get_or_create(self, name: str, kind: str, factory):
         with self._lock:
@@ -312,31 +232,6 @@ class MetricsRegistry:
         """Get or create the gauge called ``name``."""
         return self._get_or_create(name, "gauge", lambda: Gauge(name, self._lock))
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        """Get or create the fixed-bucket histogram called ``name``.
-
-        ``bounds`` only applies on first creation; later callers receive the
-        existing instrument unchanged.
-
-        Raises:
-            ConfigurationError: ``name`` declares a latency unit
-                (``*.seconds``) but keeps the byte-scale
-                :data:`DEFAULT_BUCKETS` — those start at 1.0, so every
-                sub-second latency would collapse into the first bucket.
-                Use :meth:`log_histogram` for latencies.
-        """
-        if name.endswith(".seconds") and tuple(float(b) for b in bounds) == DEFAULT_BUCKETS:
-            raise ConfigurationError(
-                f"histogram {name!r} records seconds but uses the byte-scale "
-                "default buckets (1.0 ... 1e6); use log_histogram() for "
-                "latencies, or pass explicit sub-second bounds"
-            )
-        return self._get_or_create(
-            name, "histogram", lambda: Histogram(name, self._lock, bounds)
-        )
-
     def log_histogram(self, name: str) -> LogHistogram:
         """Get or create the log-bucketed latency histogram called ``name``."""
         return self._get_or_create(
@@ -352,7 +247,6 @@ class MetricsRegistry:
         out: dict[str, Any] = {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "log_histograms": {},
         }
         for name in self.names():
@@ -382,11 +276,9 @@ REGISTRY = MetricsRegistry()
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "REGISTRY",
-    "DEFAULT_BUCKETS",
     "LOG_BUCKET_MIN",
     "LOG_BUCKET_GROWTH",
     "LOG_BUCKET_COUNT",

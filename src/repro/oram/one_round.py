@@ -30,8 +30,6 @@ import struct
 from repro.core.lbl import LblOrtoa
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, ProtocolError
-from repro.obs import _state as _obs
-from repro.obs.metrics import REGISTRY
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeConfig
 from repro.types import Operation, Request, StoreConfig
@@ -169,9 +167,6 @@ class OneRoundOram:
         if op.is_write:
             assert new_value is not None
             self.stash.put(block_id, new_value)
-        if _obs.enabled:
-            REGISTRY.counter("oram.one_round.rounds").inc()
-            REGISTRY.gauge("oram.one_round.stash_size").set(len(self.stash))
         return value
 
     def read(self, block_id: int) -> bytes:
@@ -188,11 +183,6 @@ class OneRoundOram:
 
     def _account(self, transcript) -> None:
         self.bytes_transferred += transcript.total_bytes
-        if _obs.enabled:
-            REGISTRY.counter("oram.one_round.cell_accesses").inc()
-            REGISTRY.counter("oram.one_round.bytes_transferred").inc(
-                transcript.total_bytes
-            )
 
     def _cell_read_block(self, bucket: int, block_id: int) -> None:
         """ORTOA-read the slot holding ``block_id`` and pull it to the stash."""
@@ -236,8 +226,6 @@ class OneRoundOram:
         self._account(transcript)
         self._directory[(bucket, slot)] = candidate
         self._location[candidate] = (bucket, slot)
-        if _obs.enabled:
-            REGISTRY.counter("oram.one_round.blocks_evicted").inc()
         return True
 
     def _cell_dummy_read(self, bucket: int) -> None:

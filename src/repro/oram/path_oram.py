@@ -22,8 +22,6 @@ import struct
 from repro.crypto import aead
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, ProtocolError
-from repro.obs import _state as _obs
-from repro.obs.metrics import REGISTRY
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeConfig
 from repro.storage.kv import KeyValueStore
@@ -174,15 +172,10 @@ class PathOram:
             for block_id, value in self._open_bucket(ciphertext):
                 self.stash.put(block_id, value)
         self.bytes_transferred += path_bytes
-        if _obs.enabled:
-            REGISTRY.counter("oram.path.rounds").inc()
-            REGISTRY.counter("oram.path.bytes_read").inc(path_bytes)
-            REGISTRY.gauge("oram.path.stash_size").set(len(self.stash))
 
     def _evict_path(self, leaf: int) -> None:
         self.rounds_used += 1
         path = self.tree.path_buckets(leaf)
-        evicted_blocks = 0
         path_bytes = 0
         # Deepest bucket first maximizes how far blocks sink.
         for level in range(len(path) - 1, -1, -1):
@@ -194,16 +187,10 @@ class PathOram:
                     chosen.append((block_id, self.stash.get(block_id)))
             for block_id, _ in chosen:
                 self.stash.pop(block_id)
-            evicted_blocks += len(chosen)
             ciphertext = self._seal_bucket(chosen)
             path_bytes += len(ciphertext)
             self.store.put(self._bucket_key(path[level]), ciphertext)
         self.bytes_transferred += path_bytes
-        if _obs.enabled:
-            REGISTRY.counter("oram.path.rounds").inc()
-            REGISTRY.counter("oram.path.bytes_written").inc(path_bytes)
-            REGISTRY.counter("oram.path.blocks_evicted").inc(evicted_blocks)
-            REGISTRY.gauge("oram.path.stash_size").set(len(self.stash))
 
 
 __all__ = ["PathOram"]

@@ -1,9 +1,9 @@
 """The IND-CPA game for the library's symmetric encryption.
 
-Both the TEE security argument (§11.1: "Assuming that the encryption scheme
-is IND-CPA...") and LBL's hybrid proof lean on the AEAD's chosen-plaintext
-indistinguishability.  This module runs the textbook left-or-right game
-empirically against :mod:`repro.crypto.aead`:
+The TEE argument (§11.1: "Assuming that the encryption scheme is IND-CPA
+..."), the 2RTT baseline and the PathORAM / linear-scan ORAMs lean on the
+AEAD's chosen-plaintext indistinguishability; no LBL path calls it.  This
+module runs the textbook left-or-right game against :mod:`repro.crypto.aead`:
 
 1. the challenger picks a random bit ``b``;
 2. the adversary submits message pairs ``(m0, m1)`` and receives

@@ -7,8 +7,8 @@ so a whole deployment — server snapshot + proxy WAL
 
 The format is deliberately boring: a magic header, then length-prefixed
 ``(key, value)`` records.  Value encoding is pluggable per store content
-(raw ciphertext bytes, LBL label records, FHE ciphertexts) via small codec
-objects, keeping the engine itself value-agnostic.
+(raw ciphertext bytes, LBL label records) via small codec objects, keeping
+the engine itself value-agnostic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pathlib
 import struct
 from typing import Generic, Protocol, TypeVar
 
-from repro.crypto.fhe import FheCiphertext, FheParams
 from repro.errors import StorageError
 from repro.storage.kv import KeyValueStore
 
@@ -65,21 +64,6 @@ class LabelListCodec:
         if not data:
             raise StorageError("empty label record")
         return bytes(data)
-
-
-class FheCiphertextCodec:
-    """Codec for FHE server records (delegates to ciphertext serialization)."""
-
-    def __init__(self, params: FheParams) -> None:
-        self.params = params
-
-    def encode(self, value: FheCiphertext) -> bytes:
-        """Serialize one store value."""
-        return value.to_bytes()
-
-    def decode(self, data: bytes) -> FheCiphertext:
-        """Deserialize one store value."""
-        return FheCiphertext.from_bytes(self.params, data)
 
 
 def save_store(
@@ -140,7 +124,6 @@ __all__ = [
     "ValueCodec",
     "BytesCodec",
     "LabelListCodec",
-    "FheCiphertextCodec",
     "save_store",
     "load_store",
 ]

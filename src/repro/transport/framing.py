@@ -20,8 +20,6 @@ import struct
 from typing import Iterable, Iterator
 
 from repro.errors import ProtocolError
-from repro.obs import _state as _obs
-from repro.obs.metrics import REGISTRY
 
 _LEN = struct.Struct(">I")
 
@@ -49,9 +47,6 @@ def send_frame(
         sock.sendall(piece)
     if sent != size:
         raise ProtocolError(f"frame pieces add up past or short of the {size} bytes declared")
-    if _obs.enabled:
-        REGISTRY.counter("transport.frames_sent").inc()
-        REGISTRY.counter("transport.bytes_sent").inc(_LEN.size + size)
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -72,11 +67,7 @@ def recv_frame(sock: socket.socket) -> bytes:
     (length,) = _LEN.unpack(recv_exact(sock, _LEN.size))
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"peer announced a {length}-byte frame; refusing")
-    payload = recv_exact(sock, length)
-    if _obs.enabled:
-        REGISTRY.counter("transport.frames_received").inc()
-        REGISTRY.counter("transport.bytes_received").inc(_LEN.size + length)
-    return payload
+    return recv_exact(sock, length)
 
 
 class FrameReader:
@@ -125,11 +116,6 @@ class FrameReader:
             self.drop(start)
         if need > len(buf):
             buf.extend(bytes(need - len(buf)))
-        if _obs.enabled and frames:
-            REGISTRY.counter("transport.frames_received").inc(len(frames))
-            REGISTRY.counter("transport.bytes_received").inc(
-                sum(_LEN.size + len(frame) for frame in frames)
-            )
         return frames
 
 
@@ -242,9 +228,6 @@ class Arriving:
         while self.frames.end < self.stop:
             self.frames.receive()
         self.frames.drop(self.stop)
-        if _obs.enabled:
-            REGISTRY.counter("transport.frames_received").inc()
-            REGISTRY.counter("transport.bytes_received").inc(self.stop)
 
 
 def arriving_mux(frames: FrameReader, tag: int) -> Arriving | None:

@@ -54,8 +54,6 @@ def settle(future: Future, reply: bytes) -> None:
     """Complete ``future`` with one shard reply: its bytes, or the
     :class:`~repro.errors.RefusedError` an OVERLOAD or error frame means."""
     if reply == OVERLOAD_FRAME:
-        if _obs.enabled:
-            REGISTRY.counter("transport.overload_frames_received").inc()
         future.set_exception(OverloadError("server shed this request (overloaded)"))
     elif reply[:1] == bytes([ERROR_TAG]):
         if _obs.enabled:
@@ -315,9 +313,6 @@ class PipelinedLblClient:
             if isinstance(exc, OSError):
                 raise ProtocolError(f"send to {self.address} failed: {exc}") from exc
             raise
-        if _obs.enabled:
-            REGISTRY.counter("transport.pipeline.submitted").inc()
-            REGISTRY.gauge("transport.pipeline.in_flight").set(self.in_flight)
         return future
 
     def request(self, payload: bytes, timeout: float | None = 30.0) -> bytes:

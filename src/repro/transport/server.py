@@ -99,6 +99,9 @@ ERROR_TAG = 0x7F
 OVERLOAD_TAG = 0x7E
 OVERLOAD_FRAME = bytes([OVERLOAD_TAG])
 
+#: Per-key lock stripes of a dispatcher; collisions only cost parallelism,
+#: never correctness.
+NUM_STRIPES = 64
 #: How long one reply write may stall on a peer that has stopped reading
 #: before the server drops the connection.
 SEND_TIMEOUT_S = 30.0
@@ -147,8 +150,6 @@ class LblFrameDispatcher:
     :class:`LblTcpServer` is sockets, threads and admission only.
 
     Args:
-        num_stripes: Per-key lock stripes; collisions only cost
-            parallelism, never correctness.
         point_and_permute: Accepted only as ``True`` (§10.2 is the one LBL
             protocol).
 
@@ -158,17 +159,15 @@ class LblFrameDispatcher:
     one burst), and a lone access frame is a window of one.
     """
 
-    def __init__(self, num_stripes: int = 64, *, point_and_permute: bool = True) -> None:
+    def __init__(self, *, point_and_permute: bool = True) -> None:
         # ``point_and_permute`` is here only because the closed bench/ passes it.
         if not point_and_permute:
             raise ConfigurationError(
                 "point_and_permute=False is the §5.2 base protocol, which only "
                 "tests/lbl_reference.py builds"
             )
-        if num_stripes < 1:
-            raise ConfigurationError("num_stripes must be >= 1")
         self.lbl = LblServer()
-        self._stripes = [threading.Lock() for _ in range(num_stripes)]
+        self._stripes = [threading.Lock() for _ in range(NUM_STRIPES)]
 
     def _stripe_for(self, encoded_key: bytes):
         return self._stripes[hash(encoded_key) % len(self._stripes)]
@@ -345,8 +344,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
     Args:
         host: Bind address (use ``127.0.0.1`` for tests).
         port: Bind port (0 picks an ephemeral one; read ``address``).
-        num_stripes: Per-key lock stripes; collisions only cost
-            parallelism, never correctness.
         response_delay_s: Service time slept inside every admitted request,
             emulating a slow store (benchmarks only; keep 0.0 in production
             use).
@@ -375,7 +372,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        num_stripes: int = 64,
         response_delay_s: float = 0.0,
         metrics_port: int | None = None,
         max_in_flight: int = 1024,
@@ -385,7 +381,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1")
         super().__init__((host, port), _Handler)
-        self.dispatcher = LblFrameDispatcher(num_stripes)
+        self.dispatcher = LblFrameDispatcher()
         self.lbl = self.dispatcher.lbl
         self.response_delay_s = response_delay_s
         self.max_in_flight = max_in_flight
@@ -452,7 +448,6 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
                 self.overloads_sent += 1
             depth = self.in_flight
         if _obs.enabled:
-            REGISTRY.counter("transport.mux_frames_received").inc()
             _ledger.count_wire(
                 _ledger.frame_type(inner), "received", frame_bytes, role="server"
             )

@@ -246,10 +246,8 @@ def _open_case(draw):
 
 
 def _aead_counts() -> tuple[int, int]:
-    return (
-        obs.REGISTRY.counter("crypto.aead.decrypts").value,
-        obs.REGISTRY.counter("crypto.aead.decrypt_failures").value,
-    )
+    ops = obs.ledger.registry_ops_snapshot()
+    return ops.get("aead.decrypts", 0), ops.get("aead.decrypt_failures", 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,9 @@
 
 ``repro/__init__.py`` resolves its re-exports on first use (PEP 562), so the
 serving path — the sharded deployment, the cluster, the transport server —
-imports neither numpy nor the experiment harness behind it.  ``rss_mb`` in
-``BENCHMARK.json`` is where a regression would show; this is where it fails
-first.
+imports neither numpy, nor the experiment harness behind it, nor FHE.
+``rss_mb`` in ``BENCHMARK.json`` is where a regression would show; this is
+where it fails first.
 """
 
 import subprocess
@@ -13,7 +13,11 @@ import sys
 import pytest
 
 SERVING = ("repro.core.sharded", "repro.transport.cluster", "repro.transport.server")
-OFF_PATH = ("numpy", "repro.harness", "repro.analysis", "repro.workloads")
+#: FHE-ORTOA (the BFV scheme and its ring) is §3's in-process experiment.
+OFF_PATH = (
+    "numpy", "repro.harness", "repro.analysis", "repro.workloads",
+    "repro.crypto.fhe", "repro.crypto.poly",
+)
 
 
 def _fresh(code: str) -> str:

@@ -155,17 +155,12 @@ def test_prometheus_roundtrip_all_instrument_kinds():
     registry = MetricsRegistry()
     registry.counter("ops.total").inc(5)
     registry.gauge("queue.depth").set(3.5)
-    registry.histogram("frame.bytes").observe(100)
     log_hist = registry.log_histogram("rt.seconds")
     for value in (0.001, 0.002, 0.004):
         log_hist.observe(value)
     samples = parse_prometheus_text(prometheus_text(registry))
     assert samples["repro_ops_total_total"] == [({}, 5.0)]
     assert samples["repro_queue_depth"] == [({}, 3.5)]
-    assert samples["repro_frame_bytes_count"] == [({}, 1.0)]
-    buckets = samples["repro_frame_bytes_bucket"]
-    assert buckets[-1][0] == {"le": "+Inf"}
-    assert buckets[-1][1] == 1.0
     quantiles = dict(
         (labels["quantile"], value) for labels, value in samples["repro_rt_seconds"]
     )
@@ -178,17 +173,6 @@ def test_prometheus_roundtrip_all_instrument_kinds():
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ProtocolError):
         parse_prometheus_text("this is { not a sample\n")
-
-
-def test_cumulative_buckets_are_monotonic():
-    registry = MetricsRegistry()
-    hist = registry.histogram("sizes.bytes")
-    for value in (10, 100, 1000, 100000):
-        hist.observe(value)
-    samples = parse_prometheus_text(prometheus_text(registry))
-    counts = [value for _labels, value in samples["repro_sizes_bytes_bucket"]]
-    assert counts == sorted(counts)
-    assert counts[-1] == 4.0
 
 
 # --------------------------------------------------------------------- #

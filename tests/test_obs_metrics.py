@@ -7,7 +7,9 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import (
+    LOG_BUCKET_COUNT, LOG_BUCKET_GROWTH, LOG_BUCKET_MIN, MetricsRegistry,
+)
 
 
 @pytest.fixture()
@@ -45,44 +47,36 @@ def test_gauge_tracks_value_and_high_water_mark(registry):
 
 
 def test_histogram_bucket_edges(registry):
-    hist = registry.histogram("sizes", bounds=(10.0, 100.0))
-    hist.observe(0)  # below first bound -> first bucket
-    hist.observe(10)  # exactly on a bound -> that bound's bucket (le semantics)
-    hist.observe(10.0001)  # just above -> next bucket
-    hist.observe(100)  # last bound's bucket
-    hist.observe(101)  # overflow
+    hist = registry.log_histogram("lat")
+    bound = LOG_BUCKET_MIN * LOG_BUCKET_GROWTH ** 10
+    hist.observe(0)  # at or below the smallest bound -> bucket 0
+    hist.observe(bound * 0.999)  # just below a bound -> that bound's bucket
+    hist.observe(bound * 1.001)  # just above -> the next bucket
+    hist.observe(1e9)  # past the top bound -> the overflow bucket
+    assert [i for i, n in enumerate(hist.bucket_counts) if n] == [0, 10, 11, LOG_BUCKET_COUNT]
     snap = hist.snapshot()
-    assert snap["buckets"] == {"le_10": 2, "le_100": 2, "inf": 1}
-    assert snap["count"] == 5
+    assert snap["count"] == 4
     assert snap["min"] == 0
-    assert snap["max"] == 101
+    assert snap["max"] == 1e9
 
 
 def test_histogram_mean_and_empty_defaults(registry):
-    hist = registry.histogram("lat")
+    hist = registry.log_histogram("lat")
     assert hist.mean == 0.0
+    assert hist.percentile(0.99) == 0.0
     hist.observe(2)
     hist.observe(4)
     assert hist.mean == 3.0
 
 
-def test_histogram_rejects_bad_bounds(registry):
-    with pytest.raises(ConfigurationError):
-        registry.histogram("bad", bounds=())
-    with pytest.raises(ConfigurationError):
-        registry.histogram("bad2", bounds=(5.0, 5.0))
-    with pytest.raises(ConfigurationError):
-        registry.histogram("bad3", bounds=(5.0, 1.0))
-
-
 def test_snapshot_groups_by_kind_and_is_json_serializable(registry):
     registry.counter("c").inc(7)
     registry.gauge("g").set(1.5)
-    registry.histogram("h", bounds=(1.0,)).observe(0.5)
+    registry.log_histogram("h").observe(0.5)
     snap = registry.snapshot()
     assert snap["counters"] == {"c": 7}
     assert snap["gauges"]["g"]["value"] == 1.5
-    assert snap["histograms"]["h"]["count"] == 1
+    assert snap["log_histograms"]["h"]["count"] == 1
     # Round-trips through JSON without custom encoders.
     assert json.loads(registry.to_json()) == json.loads(json.dumps(snap))
 
@@ -102,7 +96,6 @@ def test_clear_drops_instruments(registry):
     assert registry.snapshot() == {
         "counters": {},
         "gauges": {},
-        "histograms": {},
         "log_histograms": {},
     }
 
@@ -111,7 +104,7 @@ def test_snapshot_is_deterministic_for_a_deterministic_workload(registry):
     def run(reg):
         for i in range(10):
             reg.counter("ops").inc()
-            reg.histogram("vals", bounds=DEFAULT_BUCKETS).observe(i * 37 % 11)
+            reg.log_histogram("vals").observe(i * 37 % 11)
         return reg.snapshot()
 
     assert run(MetricsRegistry()) == run(MetricsRegistry())
@@ -151,4 +144,4 @@ def test_global_registry_collects_lbl_decrypt_counts():
     # Point-and-permute: exactly one decrypt per group.
     assert counters["lbl.server.decrypt_attempts"] == config.num_groups
     assert counters["lbl.server.failed_decrypts"] == 0
-    assert counters["crypto.aead.encrypts"] == counters["lbl.proxy.ciphertexts_built"]
+    assert counters["ledger.ops.aead.encrypts"] == config.num_groups * 2 ** config.group_bits

@@ -136,6 +136,17 @@ def test_one_round_oram_uses_one_round_per_access():
     assert oram.rounds_used == before + 2
 
 
+def test_oram_comparison_runs_each_scheme():
+    """``repro run oram``'s rows: 2 rounds per PathORAM access, 1 per
+    one-round and linear-scan access."""
+    from repro.harness.experiments import oram_comparison
+
+    rows = {row["scheme"]: row for row in oram_comparison(num_blocks=8, accesses=5)}
+    assert {name: row["rounds_per_access"] for name, row in rows.items()} == {
+        "path-oram": 2.0, "one-round-oram": 1.0, "linear-scan": 1.0,
+    }
+
+
 def test_one_round_touches_one_cell_per_level():
     oram = make_oram("one-round")
     before = oram.cells.server.store.get_count

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.core import FheOrtoa, LblOrtoa, TwoRoundBaseline
-from repro.crypto.fhe import FheParams
+from repro.core import LblOrtoa, TwoRoundBaseline
 from repro.crypto.keys import KeyChain
 from repro.errors import StorageError
 from repro.storage import KeyValueStore
 from repro.storage.persistence import (
     BytesCodec,
-    FheCiphertextCodec,
     LabelListCodec,
     load_store,
     save_store,
@@ -49,17 +47,6 @@ def test_label_store_roundtrip(tmp_path):
     assert codec.encode(b"ab") == b"ab"
     with pytest.raises(StorageError):
         codec.decode(b"")
-
-
-def test_fhe_store_roundtrip(tmp_path):
-    params = FheParams(n=32, q_bits=100)
-    protocol = FheOrtoa(StoreConfig(value_len=8), fhe_params=params)
-    protocol.initialize({"k": b"value"})
-    save_store(protocol.store, tmp_path / "snap.bin", FheCiphertextCodec(params))
-    restored = load_store(tmp_path / "snap.bin", FheCiphertextCodec(params))
-    encoded = protocol.keychain.encode_key("k")
-    ct = restored.get(encoded)
-    assert protocol.scheme.decrypt_bytes(ct, 8) == StoreConfig(value_len=8).pad(b"value")
 
 
 def test_load_errors(tmp_path):

@@ -110,10 +110,11 @@ def test_error_counters_increment_under_capture(server):
             with pytest.raises(ProtocolError):
                 remote.clients[0].submit(bytes([0xEE])).result(10)
             counters = obs.REGISTRY.snapshot()["counters"]
+            wire = obs.ledger.registry_wire_snapshot()
         obs.reset()
         assert counters["transport.error_frames_sent"] >= 1
         assert counters["transport.error_frames_received"] >= 1
-        assert counters["transport.frames_sent"] >= 1
-        assert counters["transport.frames_received"] >= 1
+        assert wire["client.other.sent"] >= 1 and wire["server.other.received"] >= 1
+        assert wire["server.error.sent"] >= 1 and wire["client.error.received"] >= 1
     finally:
         remote.close()
