@@ -161,7 +161,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         rng: Accepted and unused.
         pipeline_depth: Default in-flight window of
             :meth:`access_pipelined`.
-        pool_size: Sockets per TCP shard.
         timeout: Connect timeout and per-reply wait (seconds).
         wal_path: Keep the proxy's counters in a write-ahead log there
             (:mod:`repro.core.lbl.wal`).  A log that already holds counters
@@ -193,7 +192,6 @@ class ShardedLblDeployment(OrtoaProtocol):
         keychain: KeyChain | None = None,
         rng: object = None,  # unused: only the closed bench/ still passes it
         pipeline_depth: int = 8,
-        pool_size: int = 1,
         timeout: float = 30.0,
         wal_path: str | os.PathLike | None = None,
     ) -> None:
@@ -218,7 +216,7 @@ class ShardedLblDeployment(OrtoaProtocol):
         self.clients = [
             address
             if hasattr(address, "submit")
-            else PipelinedLblClient(address, pool_size=pool_size, timeout=timeout)
+            else PipelinedLblClient(address, timeout=timeout)
             for address in addresses
         ]
         self.pipeline_depth = pipeline_depth
@@ -546,11 +544,12 @@ class ShardedLblDeployment(OrtoaProtocol):
             prepared and its epoch logged (write-ahead)."""
             head = bytes([LblBatchRequest.TAG])
             for index in indices:
-                started = time.perf_counter()
+                capture = _obs.enabled
+                started = time.perf_counter() if capture else 0.0
                 wire, _ops, epoch = built[index] = self.prepare_engine.prepare_one(
                     requests[index]
                 )
-                if _obs.enabled:
+                if capture:
                     REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
                         time.perf_counter() - started
                     )

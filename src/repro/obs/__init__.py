@@ -12,10 +12,10 @@ corresponding quantities first-class observables:
   CLI's ``--log-level`` flag;
 * :mod:`repro.obs.propagate` — the 16-byte trace-context wire extension
   and the cross-process span-dump merge used by the sharded deployment;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable)
-  and Prometheus text exposition, plus the ``--metrics-port`` scrape
-  endpoint;
-* :mod:`repro.obs.doctor` — ``repro doctor``: scrape those endpoints and
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),
+  and the ``metrics_port=`` scrape endpoint that answers the registry's
+  JSON snapshot;
+* :mod:`repro.obs.doctor` — ``repro doctor``: read those snapshots and
   name a deployment's bottleneck;
 * :mod:`repro.obs.ledger` — the resource ledger: process totals of wire
   bytes per frame type/direction and of crypto-primitive invocations,
@@ -55,12 +55,9 @@ from repro.obs.clock import (
     use_clock,
 )
 from repro.obs.logging import get_logger, setup as setup_logging
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    start_metrics_server,
-    write_chrome_trace,
-)
+# Imported before ``export()`` below is defined: a first import of the
+# ``repro.obs.export`` module after it would rebind the package attribute.
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -152,8 +149,6 @@ __all__ = [
     "merge_span_dumps",
     "chrome_trace",
     "write_chrome_trace",
-    "prometheus_text",
-    "start_metrics_server",
     "get_logger",
     "setup_logging",
 ]

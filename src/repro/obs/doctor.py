@@ -1,10 +1,14 @@
 """``repro doctor`` — scrape a deployment and name its bottleneck.
 
-It scrapes every shard's metrics endpoint twice (:func:`collect_signals`),
-reduces each target to one row (:func:`target_row`: throughput, wire and
-shed rates, in-flight occupancy, prepare vs service vs round-trip latency),
-and hands the rows to :func:`diagnose` — a pure function, so the
-attribution logic is testable on synthetic signal dicts without sockets.
+It reads every shard's metrics endpoint twice (:func:`collect_signals`):
+each answer is that process's registry snapshot, read by registry name
+(``transport.requests_dispatched``, the ``p99`` of
+``transport.pipeline.roundtrip.seconds``, …), and a target that answered
+is up, whatever its registry holds.  It reduces each target to one row
+(:func:`target_row`: throughput, wire and shed rates, in-flight occupancy,
+prepare vs service vs round-trip latency), and hands the rows to
+:func:`diagnose` — a pure function, so the attribution logic is testable
+on synthetic signal dicts without sockets.
 ``repro doctor --json`` prints every target's row.
 
 Attribution taxonomy (the four ways the stack saturates):
@@ -43,9 +47,10 @@ from repro.analysis.costmodel import (
     DEFAULT_SHARD_OPS_PER_SEC,
     DEFAULT_TARGET_UTILIZATION,
 )
-from repro.obs.export import parse_prometheus_text
 
-Samples = Mapping[str, list[tuple[dict[str, str], float]]]
+#: A registry snapshot as the endpoint answers it
+#: (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`).
+Snapshot = Mapping[str, Any]
 
 #: In-flight occupancy at or above which dispatch is considered saturated.
 OCCUPANCY_SATURATED = 0.8
@@ -65,36 +70,41 @@ WIRE_SATURATED_MS = 10.0
 SCORE_FLOOR = 0.5
 
 
-def scrape(url: str, timeout: float = 5.0) -> Samples:
-    """Fetch and parse one endpoint; ``{}`` if the target is unreachable."""
+def scrape(url: str, timeout: float = 5.0) -> Snapshot:
+    """Fetch one endpoint's registry snapshot; ``{}`` if the target did not
+    answer (an answer always holds the three instrument kinds, even from
+    an empty registry)."""
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
-            return parse_prometheus_text(response.read().decode("utf-8"))
+            return json.loads(response.read())
     except (urllib.error.URLError, OSError, ValueError):
         return {}
 
 
-def _value(
-    samples: Samples, metric: str, labels: dict[str, str] | None = None
-) -> float | None:
-    for sample_labels, value in samples.get(metric, []):
-        if labels is None or all(sample_labels.get(k) == v for k, v in labels.items()):
-            return value
-    return None
+def _counter(snap: Snapshot, name: str) -> float | None:
+    return snap.get("counters", {}).get(name)
 
 
-def _wire_bytes_total(samples: Samples) -> float | None:
-    """Sum of every ``repro_ledger_wire_*_bytes_total`` counter on a target
-    (all roles, frame types, and directions), or ``None`` when the target
-    exports no ledger counters (observability off)."""
-    total, found = 0.0, False
-    for metric, entries in samples.items():
-        if metric.startswith("repro_ledger_wire_") and metric.endswith(
-            "_bytes_total"
-        ):
-            found = True
-            total += sum(value for _labels, value in entries)
-    return total if found else None
+def _gauge(snap: Snapshot, name: str) -> float | None:
+    gauge = snap["gauges"].get(name)
+    return None if gauge is None else gauge["value"]
+
+
+def _quantile_ms(snap: Snapshot, name: str, quantile: str = "p99") -> float | None:
+    hist = snap["log_histograms"].get(name)
+    return None if hist is None else hist[quantile] * 1000.0
+
+
+def _wire_bytes_total(snap: Snapshot) -> float | None:
+    """Sum of every ``ledger.wire.*.bytes`` counter on a target (all roles,
+    frame types, and directions), or ``None`` when the target holds no
+    ledger counters (observability off, or nothing served yet)."""
+    counts = [
+        value
+        for name, value in snap.get("counters", {}).items()
+        if name.startswith("ledger.wire.") and name.endswith(".bytes")
+    ]
+    return sum(counts) if counts else None
 
 
 def _rate(
@@ -105,49 +115,44 @@ def _rate(
     return max(0.0, current - before) / interval_s
 
 
-def _ms(seconds: float | None) -> float | None:
-    return None if seconds is None else seconds * 1000.0
-
-
 def target_row(
     target: str,
-    current: Samples,
-    previous: Samples | None,
+    current: Snapshot,
+    previous: Snapshot | None,
     interval_s: float,
 ) -> dict[str, Any]:
-    """One target's signal vector from two scrapes (``previous`` may be
-    ``None``: rates are then ``None``).  ``None`` marks a series the target
-    does not expose."""
+    """One target's signal vector from two snapshots (``current`` is ``{}``
+    when the target did not answer; with no ``previous`` rates are
+    ``None``).  ``None`` marks a series the target does not hold."""
+    if not current:
+        return {"target": target, "up": False}
     previous = previous or {}
-    dispatched = "repro_transport_requests_dispatched_total"
-    shed = "repro_transport_overload_frames_sent_total"
+    dispatched = "transport.requests_dispatched"
+    shed = "transport.overload_frames_sent"
     wire_rate = _rate(
         _wire_bytes_total(current), _wire_bytes_total(previous), interval_s
     )
-    in_flight = _value(current, "repro_transport_server_in_flight")
-    max_in_flight = _value(current, "repro_transport_server_max_in_flight")
-    roundtrip = "repro_transport_pipeline_roundtrip_seconds"
-    p99 = {"quantile": "0.99"}
+    in_flight = _gauge(current, "transport.server.in_flight")
+    max_in_flight = _gauge(current, "transport.server.max_in_flight")
+    roundtrip = "transport.pipeline.roundtrip.seconds"
     return {
         "target": target,
-        "up": bool(current),
-        "requests": _value(current, dispatched),
+        "up": True,
+        "requests": _counter(current, dispatched),
         "ops_per_s": _rate(
-            _value(current, dispatched), _value(previous, dispatched), interval_s
+            _counter(current, dispatched), _counter(previous, dispatched), interval_s
         ),
         "wire_bytes": _wire_bytes_total(current),
         "mb_per_s": None if wire_rate is None else wire_rate / 1e6,
-        "p50_ms": _ms(_value(current, roundtrip, {"quantile": "0.5"})),
-        "p99_ms": _ms(_value(current, roundtrip, p99)),
-        "service_p99_ms": _ms(
-            _value(current, "repro_transport_server_service_seconds", p99)
-        ),
-        "prepare_p99_ms": _ms(
-            _value(current, "repro_lbl_proxy_prepare_seconds", p99)
-        ),
+        "p50_ms": _quantile_ms(current, roundtrip, "p50"),
+        "p99_ms": _quantile_ms(current, roundtrip),
+        "service_p99_ms": _quantile_ms(current, "transport.server.service.seconds"),
+        "prepare_p99_ms": _quantile_ms(current, "lbl.proxy.prepare.seconds"),
         "queue_depth": in_flight,
-        "span_errors": _value(current, "repro_trace_span_errors_total"),
-        "shed_per_s": _rate(_value(current, shed), _value(previous, shed), interval_s),
+        "span_errors": _counter(current, "trace.span_errors"),
+        "shed_per_s": _rate(
+            _counter(current, shed), _counter(previous, shed), interval_s
+        ),
         "in_flight_occupancy": (
             in_flight / max_in_flight
             if in_flight is not None and max_in_flight
@@ -170,8 +175,8 @@ def collect_signals(
     first = [scrape(url) for url in urls]
     time.sleep(interval_s)
     return [
-        target_row(target, scrape(url), first[i] or None, interval_s)
-        for i, (target, url) in enumerate(zip(targets, urls))
+        target_row(target, scrape(url), before, interval_s)
+        for target, url, before in zip(targets, urls, first)
     ]
 
 

@@ -126,6 +126,12 @@ class LogHistogram:
         if value <= LOG_BUCKET_MIN:
             return 0
         index = int(math.ceil((math.log(value) - _LOG_MIN_LN) / _LOG_GROWTH_LN))
+        # The logarithm rounds either way of an exact bound: settle the
+        # edge on the bounds themselves, so bucket i is (bound(i-1), bound(i)].
+        if value <= LogHistogram.bucket_bound(index - 1):
+            index -= 1
+        elif value > LogHistogram.bucket_bound(index):
+            index += 1
         return min(index, LOG_BUCKET_COUNT)
 
     @staticmethod

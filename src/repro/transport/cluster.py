@@ -48,9 +48,9 @@ class ShardCluster:
         num_shards: Servers to boot.
         in_process: Daemon threads (True) or spawned processes (False).
         response_delay_s: Service time slept inside every admitted request.
-        metrics: Give every shard a Prometheus scrape endpoint on an
-            ephemeral port (read ``metrics_addresses``; ``repro doctor``
-            scrapes them).
+        metrics: Give every shard a metrics endpoint answering its
+            registry's JSON snapshot on an ephemeral port (read
+            ``metrics_addresses``; ``repro doctor`` reads them).
         enable_obs: Enable span/metric capture inside *process-backed*
             shards, so their telemetry can be pulled back over the obs
             control frame at shutdown.  Ignored for in-process shards,

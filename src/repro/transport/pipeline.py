@@ -193,45 +193,24 @@ class _Connection:
 
 
 class PipelinedLblClient:
-    """A connection pool speaking the multiplexed LBL wire format.
+    """One connection speaking the multiplexed LBL wire format.
 
     Args:
         address: ``(host, port)`` of a running
             :class:`~repro.transport.server.LblTcpServer`.
-        pool_size: Sockets to open; submissions round-robin across them.
-        timeout: Connect timeout per socket (seconds).
+        timeout: Connect timeout (seconds).
     """
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        pool_size: int = 1,
-        timeout: float = 30.0,
-    ) -> None:
-        if pool_size < 1:
-            raise ProtocolError("pool_size must be >= 1")
+    def __init__(self, address: tuple[str, int], timeout: float = 30.0) -> None:
         self.address = address
-        self._connections = [_Connection(address, timeout) for _ in range(pool_size)]
+        self._conn = _Connection(address, timeout)
         self._ids = itertools.count(1)
-        self._rr = itertools.cycle(range(pool_size))
         self._closed = False
-
-    @property
-    def num_connections(self) -> int:
-        """Sockets in the pool (dead ones included)."""
-        return len(self._connections)
 
     @property
     def in_flight(self) -> int:
         """Requests submitted but not yet completed."""
-        return sum(len(c.pending) for c in self._connections)
-
-    def _pick(self) -> _Connection:
-        for _ in range(len(self._connections)):
-            conn = self._connections[next(self._rr)]
-            if not conn.dead:
-                return conn
-        raise ProtocolError(f"all connections to {self.address} are closed")
+        return len(self._conn.pending)
 
     def submit(
         self, payload: "bytes | tuple[int, Iterable[bytes]]", trace_context: bytes | None = None
@@ -242,7 +221,7 @@ class PipelinedLblClient:
         piece is pulled before anything is registered, the others under the
         send lock, each written as soon as it is yielded.  A piece that
         raises, or pieces that miss ``size``, close the connection.
-        While the chosen connection already has
+        While the connection already has
         :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight, reads its
         replies until one is in.
         ``trace_context`` is the optional 16-byte extension produced by
@@ -269,7 +248,7 @@ class PipelinedLblClient:
             span = TRACER.current_span()
             if span is not None:
                 trace_context = TraceContext.from_span(span).encode()
-        conn = self._pick()
+        conn = self._conn
         request_id = next(self._ids)
         # Before anything is registered: a bad trace context or size raises.
         wrapped = framing.wrap_mux(request_id, payload, trace_context)
@@ -320,10 +299,9 @@ class PipelinedLblClient:
         return self.submit(payload).result(timeout)
 
     def close(self) -> None:
-        """Close every socket and fail any still-pending futures."""
+        """Close the socket and fail any still-pending futures."""
         self._closed = True
-        for conn in self._connections:
-            conn.close()
+        self._conn.close()
 
     def __enter__(self) -> "PipelinedLblClient":
         return self

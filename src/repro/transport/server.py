@@ -45,10 +45,10 @@ The payloads a mux frame may carry:
   shed GET and a shed PUT are byte-identical on the wire (``docs/scaling.md``,
   "Backpressure and admission control").
 
-With ``metrics_port=`` the server additionally exposes its metrics
-registry as Prometheus text on an HTTP scrape endpoint
-(:func:`repro.obs.export.start_metrics_server`) — ``repro doctor`` and any
-Prometheus scraper read it live.
+With ``metrics_port=`` the server additionally answers its metrics
+registry's JSON snapshot on an HTTP endpoint
+(:func:`repro.obs.export.start_metrics_server`), which ``repro doctor``
+reads live.
 
 Concurrency: one thread per connection reads, admits or sheds, serves and
 writes its frames in order, so a pipelining client's later frames wait in
@@ -302,7 +302,7 @@ class _Handler(socketserver.BaseRequestHandler):
         # Without NODELAY, Nagle holds a small reply until the client ACKs
         # the previous one and pipelined replies serialize on delayed ACKs.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # A send timeout only: reads stay blocking, so an idle pooled
+        # A send timeout only: reads stay blocking, so an idle
         # connection lives as long as its client keeps it open.
         seconds = int(SEND_TIMEOUT_S)
         timeout = struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6))
@@ -348,7 +348,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             emulating a slow store (benchmarks only; keep 0.0 in production
             use).
         metrics_port: When not ``None``, serve this process's metrics
-            registry as Prometheus text on ``http://host:metrics_port``
+            registry's JSON snapshot on ``http://host:metrics_port``
             (0 picks an ephemeral port; read ``metrics_address``).
         max_in_flight: Bound on the connections serving a mux frame at
             once; a frame read while it is reached is shed with OVERLOAD.
@@ -363,8 +363,8 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
-    # socketserver's default backlog of 5 overflows when a proxy's pool (or
-    # several proxies) connect at once, and each dropped SYN costs its
+    # socketserver's default backlog of 5 overflows when many proxies (or
+    # clients) connect at once, and each dropped SYN costs its
     # sender a one-second retransmit.
     request_queue_size = 128
 
@@ -409,7 +409,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
 
     @property
     def metrics_address(self) -> tuple[str, int] | None:
-        """The (host, port) of the Prometheus scrape endpoint, if enabled."""
+        """The (host, port) of the metrics endpoint, if enabled."""
         if self.metrics_server is None:
             return None
         return self.metrics_server.server_address

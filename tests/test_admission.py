@@ -50,6 +50,17 @@ def serving(**kwargs):
         server.close()
 
 
+@contextmanager
+def clients(address, count: int):
+    """``count`` clients, one connection each, closed on exit."""
+    opened = [PipelinedLblClient(address) for _ in range(count)]
+    try:
+        yield opened
+    finally:
+        for client in opened:
+            client.close()
+
+
 def wait_idle(server) -> None:
     """Wait until no connection holds a window slot."""
     deadline = time.time() + 5.0
@@ -94,11 +105,11 @@ def wait_in_flight(server, count: int) -> None:
 def test_global_in_flight_window_enforced():
     """More submissions than the window: excess shed, bound never exceeded."""
     with serving(max_in_flight=4, response_delay_s=0.5) as server:
-        with PipelinedLblClient(server.address, pool_size=4) as holders:
-            with PipelinedLblClient(server.address, pool_size=12) as others:
-                held = [holders.submit(PING) for _ in range(4)]  # one a connection
+        with clients(server.address, 4) as holders:
+            with clients(server.address, 12) as others:
+                held = [holder.submit(PING) for holder in holders]
                 wait_in_flight(server, 4)
-                futures = held + [others.submit(PING) for _ in range(12)]
+                futures = held + [other.submit(PING) for other in others]
                 outcomes = {"served": 0, "shed": 0}
                 for future in futures:
                     try:
@@ -118,8 +129,8 @@ def test_per_connection_window_isolates_greedy_client():
     frames are served one at a time, so it holds one slot, and another
     connection is served beside it."""
     with serving(max_in_flight=2, response_delay_s=0.05) as server:
-        with PipelinedLblClient(server.address, pool_size=1) as greedy:
-            with PipelinedLblClient(server.address, pool_size=1) as polite:
+        with PipelinedLblClient(server.address) as greedy:
+            with PipelinedLblClient(server.address) as polite:
                 greedy_futures = [greedy.submit(PING) for _ in range(10)]
                 wait_in_flight(server, 1)  # the burst reached the server first
                 polite_future = polite.submit(PING)
@@ -180,11 +191,11 @@ def test_graceful_drain_finishes_in_flight_and_sheds_new():
     # requests are still holding the drain open.
     server = LblTcpServer(response_delay_s=1.0, max_in_flight=16)
     server.serve_in_background()
-    client = PipelinedLblClient(server.address, pool_size=3)
+    holders = [PipelinedLblClient(server.address) for _ in range(3)]
     # Connected before the drain: the drain closes the listener at once.
     late_client = PipelinedLblClient(server.address)
     try:
-        in_flight = [client.submit(PING) for _ in range(3)]  # one a connection
+        in_flight = [holder.submit(PING) for holder in holders]
         wait_in_flight(server, 3)
         deadline = time.time() + 5.0
         while server.num_connections < 4 and time.time() < deadline:
@@ -205,7 +216,8 @@ def test_graceful_drain_finishes_in_flight_and_sheds_new():
         closer.join(timeout=30)
         assert not closer.is_alive()
     finally:
-        client.close()
+        for holder in holders:
+            holder.close()
         late_client.close()
         server.close()
     assert server.in_flight == 0

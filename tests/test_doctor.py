@@ -294,6 +294,20 @@ def test_process_backed_deployment_never_reads_healthy():
     assert code == 1
 
 
+def test_idle_process_backed_shards_read_up_and_incomplete():
+    """A shard that has served nothing holds an empty registry; it answered,
+    so it is up, and the verdict is incomplete, not unreachable."""
+    from repro.transport.cluster import ShardCluster
+
+    with ShardCluster(
+        2, in_process=False, metrics=True, enable_obs=True
+    ) as cluster:
+        targets = [f"{host}:{port}" for host, port in cluster.metrics_addresses]
+        signals = collect_signals(targets, interval_s=0.05)
+    assert [signal["up"] for signal in signals] == [True, True]
+    assert diagnose(signals)["bottleneck"] == "incomplete"
+
+
 def test_collect_signals_marks_unreachable_target_down():
     signals = collect_signals(["127.0.0.1:1"], interval_s=0.05)
     (signal,) = signals

@@ -2,7 +2,8 @@
 
 ``repro/__init__.py`` resolves its re-exports on first use (PEP 562), so the
 serving path — the sharded deployment, the cluster, the transport server —
-imports neither numpy, nor the experiment harness behind it, nor FHE.
+imports neither numpy, nor the experiment harness behind it, nor FHE, nor
+the HTTP stack.
 ``rss_mb`` in ``BENCHMARK.json`` is where a regression would show; this is
 where it fails first.
 """
@@ -13,10 +14,11 @@ import sys
 import pytest
 
 SERVING = ("repro.core.sharded", "repro.transport.cluster", "repro.transport.server")
-#: FHE-ORTOA (the BFV scheme and its ring) is §3's in-process experiment.
+#: FHE-ORTOA (the BFV scheme and its ring) is §3's in-process experiment;
+#: the HTTP stack loads only where a metrics endpoint is started.
 OFF_PATH = (
     "numpy", "repro.harness", "repro.analysis", "repro.workloads",
-    "repro.crypto.fhe", "repro.crypto.poly",
+    "repro.crypto.fhe", "repro.crypto.poly", "http", "email",
 )
 
 
@@ -41,6 +43,17 @@ def test_serving_path_imports_neither_numpy_nor_the_harness():
         assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
     # The row kernel's one binary dependency is on the path, by design.
     assert "cryptography" in loaded
+
+
+def test_obs_export_stays_the_bundle_function():
+    """``repro.obs`` imports its ``export`` submodule before defining the
+    ``export()`` function, so importing the module later rebinds nothing."""
+    out = _fresh(
+        "import repro.obs.export, repro.obs\n"
+        "from repro.obs import export as bundle\n"
+        "print(sorted(bundle()))"
+    )
+    assert out.strip() == "['clock', 'metrics', 'spans']"
 
 
 def test_package_reexports_resolve_lazily_and_completely():

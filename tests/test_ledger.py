@@ -15,7 +15,6 @@ from repro.core import messages
 from repro.crypto import labels, rows
 from repro.crypto.keys import KeyChain
 from repro.obs import ledger
-from repro.obs.export import prometheus_text
 from repro.transport import framing
 from repro.transport.server import ERROR_TAG, LOAD_TAG, OBS_DUMP_TAG, OBS_PULL_TAG
 
@@ -118,15 +117,3 @@ def test_disabled_ledger_is_inert():
     ledger.count_wire("access", "sent", 10)
     assert _nonzero(ledger.registry_ops_snapshot()) == {}
     assert _nonzero(ledger.registry_wire_snapshot()) == {}
-
-
-# --------------------------------------------------------------------- #
-# Prometheus export
-# --------------------------------------------------------------------- #
-
-def test_ledger_counters_export_to_prometheus():
-    ledger.add_op("aead.encrypts", 2)
-    ledger.count_wire("access", "sent", 128, role="server")
-    text = prometheus_text()
-    assert "repro_ledger_ops_aead_encrypts_total 2" in text
-    assert "repro_ledger_wire_server_access_sent_bytes_total 128" in text

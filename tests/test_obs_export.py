@@ -1,4 +1,4 @@
-"""Exporter tests: Chrome trace schema, Prometheus round trip, concurrency.
+"""Exporter tests: Chrome trace schema, nesting, exports under concurrent writes.
 
 The hypothesis test is the load-bearing one: whatever span forest the
 tracer produces, the Chrome trace export must preserve the parent/child
@@ -15,16 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.errors import ProtocolError
 from repro.obs.clock import FakeClock, use_clock
-from repro.obs.export import (
-    SUMMARY_QUANTILES,
-    chrome_trace,
-    metric_name,
-    parse_prometheus_text,
-    prometheus_text,
-    write_chrome_trace,
-)
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -142,40 +134,6 @@ def test_chrome_trace_preserves_nesting(spans):
 
 
 # --------------------------------------------------------------------- #
-# Prometheus text exposition
-# --------------------------------------------------------------------- #
-
-def test_metric_name_mangling():
-    assert metric_name("transport.pipeline.roundtrip.seconds") == (
-        "repro_transport_pipeline_roundtrip_seconds"
-    )
-
-
-def test_prometheus_roundtrip_all_instrument_kinds():
-    registry = MetricsRegistry()
-    registry.counter("ops.total").inc(5)
-    registry.gauge("queue.depth").set(3.5)
-    log_hist = registry.log_histogram("rt.seconds")
-    for value in (0.001, 0.002, 0.004):
-        log_hist.observe(value)
-    samples = parse_prometheus_text(prometheus_text(registry))
-    assert samples["repro_ops_total_total"] == [({}, 5.0)]
-    assert samples["repro_queue_depth"] == [({}, 3.5)]
-    quantiles = dict(
-        (labels["quantile"], value) for labels, value in samples["repro_rt_seconds"]
-    )
-    assert set(quantiles) == {format(q, "g") for q in SUMMARY_QUANTILES}
-    # p99 must sit at or above the largest observation's bucket floor.
-    assert quantiles["0.99"] >= 0.004 * 0.9
-    assert samples["repro_rt_seconds_count"] == [({}, 3.0)]
-
-
-def test_parse_rejects_malformed_lines():
-    with pytest.raises(ProtocolError):
-        parse_prometheus_text("this is { not a sample\n")
-
-
-# --------------------------------------------------------------------- #
 # Snapshot-under-write: exports while other threads mutate
 # --------------------------------------------------------------------- #
 
@@ -204,8 +162,8 @@ def test_concurrent_export_while_writers_mutate():
     started.wait(timeout=10)
     try:
         while any(thread.is_alive() for thread in threads):
-            samples = parse_prometheus_text(prometheus_text(registry))
-            assert isinstance(samples, dict)
+            snapshot = json.loads(registry.to_json())
+            assert set(snapshot) == {"counters", "gauges", "log_histograms"}
             trace = chrome_trace(tracer.export())
             json.dumps(trace)  # must always be serializable mid-write
     finally:
@@ -213,8 +171,8 @@ def test_concurrent_export_while_writers_mutate():
             thread.join(timeout=30)
     assert errors == []
     # After the writers stop, exports are complete and consistent.
-    final = parse_prometheus_text(prometheus_text(registry))
+    final = json.loads(registry.to_json())
     for index in range(4):
-        (_labels, total), = final[f"repro_w{index}_ops_total"]
-        (_labels2, count), = final[f"repro_w{index}_seconds_count"]
+        total = final["counters"][f"w{index}.ops"]
+        count = final["log_histograms"][f"w{index}.seconds"]["count"]
         assert total == count == WRITES

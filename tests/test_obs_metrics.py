@@ -1,6 +1,7 @@
 """Tests for the metrics registry: counters, gauges, histogram edges, JSON."""
 
 import json
+import math
 import threading
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
-    LOG_BUCKET_COUNT, LOG_BUCKET_GROWTH, LOG_BUCKET_MIN, MetricsRegistry,
+    LOG_BUCKET_COUNT, LOG_BUCKET_GROWTH, LOG_BUCKET_MIN, LogHistogram, MetricsRegistry,
 )
 
 
@@ -58,6 +59,17 @@ def test_histogram_bucket_edges(registry):
     assert snap["count"] == 4
     assert snap["min"] == 0
     assert snap["max"] == 1e9
+
+
+def test_every_finite_bound_lands_in_its_own_bucket():
+    """Bucket ``i`` is ``(bound(i-1), bound(i)]`` at every edge: a value
+    equal to a bound is in that bound's bucket, the next float above it in
+    the next one, so a quantile read at a bound is that bound."""
+    for index in range(LOG_BUCKET_COUNT):
+        bound = LogHistogram.bucket_bound(index)
+        assert LogHistogram.bucket_index(bound) == index, index
+        above = math.nextafter(bound, math.inf)
+        assert LogHistogram.bucket_index(above) == index + 1, index
 
 
 def test_histogram_mean_and_empty_defaults(registry):

@@ -260,7 +260,7 @@ def test_many_faulty_clients_do_not_starve_good_ones(server):
         sock.sendall(_LEN.pack(100))  # promise a frame, never deliver
         faulty.append(sock)
     try:
-        with PipelinedLblClient(server.address, pool_size=2) as client:
+        with PipelinedLblClient(server.address) as client:
             records = {f"good-{i}": bytes(16) for i in range(16)}
             pending = [
                 client.submit(pack_load(ek, labels))

