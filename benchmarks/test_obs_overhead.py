@@ -31,12 +31,12 @@ POINT = {"value_len": 160, "group_bits": 2}
 #: ledger's wire/op totals in the crypto and transport layers).  Measured,
 #: not asserted: ``tests/test_obs_guards.py`` counts reads of
 #: ``_state.enabled`` with capture off, per access at the paper point —
-#: 13 for an in-process ``access``, 13 for ``access_pipelined``, 10 for a
+#: 10 for an in-process ``access``, 10 for ``access_pipelined``, 7 for a
 #: 16-request ``access_batch`` (with the label cache; one fewer each
-#: without); over TCP (client and server sides together) 19, 19 and 10 —
+#: without); over TCP (client and server sides together) 12, 12 and 7 —
 #: and fails when this falls below the largest.  The gate charges the
 #: largest.  It may only go down.
-GUARDS_PER_ACCESS = 19
+GUARDS_PER_ACCESS = 12
 
 #: Disabled instrumentation must cost less than this fraction of an access.
 MAX_DISABLED_OVERHEAD = 0.03

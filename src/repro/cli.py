@@ -242,9 +242,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 deployment = LeakyLblOrtoa(config)
                 paths = ("access",)
             else:
-                cluster = stack.enter_context(
-                    ShardCluster(args.shards, in_process=False, enable_obs=True)
-                )
+                cluster = stack.enter_context(ShardCluster(args.shards, in_process=False))
                 deployment = ShardedLblDeployment(config, cluster.addresses)
                 paths = PATHS
             stack.callback(deployment.close)
@@ -295,11 +293,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     obs.reset()
     obs.enable()
     try:
-        with ShardCluster(
-            args.shards,
-            in_process=not args.processes,
-            enable_obs=args.processes,
-        ) as cluster:
+        with ShardCluster(args.shards, in_process=not args.processes) as cluster:
             deployment = ShardedLblDeployment(
                 config,
                 cluster.addresses,

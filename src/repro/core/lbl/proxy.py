@@ -25,6 +25,11 @@ epoch waits in a bounded **in-flight table** until
 :meth:`LblProxy.finalize` reads the value from the reply's packed slots and
 checks its digest against the ``G`` labels they select (§5.4), derived in
 one AES call; an epoch that fell out is re-derived.
+
+The proxy carries no telemetry: an access's op counts are the
+:class:`~repro.core.base.OpCounts` each call returns, and
+:class:`~repro.core.sharded.ShardedLblDeployment` times each prepare under
+that access's span.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from repro.crypto import rows
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, value_to_groups
 from repro.errors import KeyNotFoundError, ProtocolError
-from repro.obs import _state as _obs
-from repro.obs.trace import TRACER
 from repro.types import Request, Response, StoreConfig
 
 #: Byte budget of the in-flight table (prepared, not yet finalized epochs):
@@ -186,7 +189,6 @@ class LblProxy:
     def prepare(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Build the one-round request and advance the access counter: derive
         two epochs and the table's labels, seal the whole table in one call."""
-        span = TRACER.start_span("lbl.proxy.prepare") if _obs.enabled else None
         codec = self.codec
         key = request.key
         ct = self.counter(key)
@@ -221,17 +223,6 @@ class LblProxy:
             cache.put(key, new_ct, new)
         self._remember_epoch(key, new_ct, new)
         self._counters[key] = new_ct
-        if span is not None:
-            span.set_attributes(
-                op=request.op.value,
-                groups=codec.num_groups,
-                table_size=codec.table_size,
-                labels_generated=2 * enc_count,
-                ciphertexts_built=enc_count,
-                prf_calls=prf_count,
-                label_cache_hit=cache_hit,
-            )
-            TRACER.end(span)
         return wire, OpCounts(prf=prf_count, aead_enc=enc_count)
 
     def _next_slots(

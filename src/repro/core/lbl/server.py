@@ -25,11 +25,13 @@ and one multi-put of the rotated labels, with per-request error isolation.
 There is no second path to keep byte-identical: what the obliviousness
 checker records is what every transport runs.
 
-When :mod:`repro.obs` capture is enabled, each request is one
-:data:`SERVER_SPAN` span (with an ``error`` attribute when it fails) and
-moves the ``lbl.server.*`` counters, on error paths too.  What the server
-*observes* is not telemetry: :mod:`repro.security.audit` records it on the
-link — the frames, and the stored records around them — and checks it.
+The server carries no telemetry of its own.  Its row opens and refusals are
+the ledger's ``aead.decrypts`` / ``aead.decrypt_failures``, counted inside
+:func:`~repro.crypto.rows.open_rows`; a frame's span and service time are
+the dispatcher's (:meth:`repro.transport.server.LblFrameDispatcher.serve`).
+What the server *observes* is not telemetry: :mod:`repro.security.audit`
+records it on the link — the frames, and the stored records around them —
+and checks it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import rows as row_kernel
 from repro.crypto.labels import pack_slots, reply_digest
 from repro.errors import OrtoaError, ProtocolError
-from repro.obs import _state as _obs
-from repro.obs.metrics import REGISTRY
-from repro.obs.trace import TRACER
 from repro.storage.kv import KeyValueStore
-
-#: Span name of one served request.
-SERVER_SPAN = "lbl.server.process"
 
 
 @lru_cache(maxsize=256)
@@ -68,32 +64,13 @@ class LblServer:
             raise ProtocolError("LBL server needs a label per group")
         self.store.put_new(encoded_key, bytes(record))
 
-    def _commit_many(self, items: list[tuple[bytes, bytes]]) -> list[bool]:
-        """Persist a window's rotated labels in one storage multi-put;
-        returns whether each item's record was rewritten.
+    def _commit_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Persist a window's rotated labels in one storage multi-put.
 
         Split out so test doubles can model a *leaky* server that skips the
         rewrite — the behaviour :mod:`repro.security.audit` must flag.
         """
         self.store.put_many(items)
-        return [True] * len(items)
-
-    def _emit_telemetry(
-        self,
-        span,
-        decrypts: int = 0,
-        failed: int = 0,
-        rewritten: int = 0,
-        error: OrtoaError | None = None,
-    ) -> None:
-        """Finish one request's span and move the ``lbl.server.*`` counters."""
-        if error is not None:
-            span.set_attributes(error=str(error))
-        TRACER.end(span)
-        REGISTRY.counter("lbl.server.requests").inc()
-        REGISTRY.counter("lbl.server.decrypt_attempts").inc(decrypts)
-        REGISTRY.counter("lbl.server.failed_decrypts").inc(failed)
-        REGISTRY.counter("lbl.server.labels_rewritten").inc(rewritten)
 
     def process(self, request: LblAccessRequest) -> tuple[LblAccessResponse, OpCounts]:
         """Open one entry per group, update stored labels, return the reply.
@@ -129,10 +106,8 @@ class LblServer:
         """
         if not requests:
             return []
-        capture = _obs.enabled
         store = self.store
         results: list = [None] * len(requests)
-        spans: list = [None] * len(requests)
 
         front: list[int] = []
         tail: list[int] = []
@@ -143,8 +118,6 @@ class LblServer:
                 tail.append(index)
                 continue
             seen.add(encoded_key)
-            if capture:
-                spans[index] = TRACER.start_span(SERVER_SPAN)
             if encoded_key in store:
                 front.append(index)
                 continue
@@ -152,8 +125,6 @@ class LblServer:
                 store.get(encoded_key)  # the store words (and counts) the miss
             except OrtoaError as exc:
                 results[index] = exc
-                if capture:
-                    self._emit_telemetry(spans[index], error=exc)
 
         # Gather: validate each front request against its stored record and
         # pick its designated rows — the only entries of its slab ever
@@ -169,46 +140,33 @@ class LblServer:
             request = requests[index]
             groups, width = request.num_groups, request.entry_len
             if len(labels) != groups * width:
-                error = ProtocolError(
+                results[index] = ProtocolError(
                     f"{groups} tables of {width}-byte rows do not fit "
                     f"a {len(labels)}-byte stored record"
                 )
-                results[index] = error
-                if capture:
-                    self._emit_telemetry(spans[index], error=error)
                 continue
             runs.append((request.nonce, labels, request.slab, width, request.table_size))
             opening.append(index)
 
         # Open: one window-wide call, each request's runs in order.
         commits: list[tuple[bytes, bytes]] = []
-        committed: list[int] = []
         for index, opened in zip(opening, row_kernel.open_rows(runs)):
             request = requests[index]
-            groups = request.num_groups
             # Every designated row was attempted, whatever this request's
             # window-mates did; group 0's check speaks for the whole record.
             if opened is None:
-                error = ProtocolError("designated entry failed to open at group 0")
-                results[index] = error
-                if capture:
-                    self._emit_telemetry(spans[index], groups, groups, error=error)
+                results[index] = ProtocolError("designated entry failed to open at group 0")
                 continue
             # The opened labels, back to back, are the new record; the reply
             # is the slots in their low bits, packed, and their digest.
             commits.append((request.encoded_key, opened))
-            committed.append(index)
             bits = request.table_size.bit_length() - 1
             slots = opened[row_kernel.BLOCK - 1 :: request.entry_len]
             reply = pack_slots(slots, bits), bits, reply_digest(opened)
-            results[index] = (LblAccessResponse(*reply), _access_ops(groups))
+            results[index] = (LblAccessResponse(*reply), _access_ops(request.num_groups))
 
         if commits:
-            written = self._commit_many(commits)
-            if capture:
-                for index, rewrote in zip(committed, written):
-                    groups = requests[index].num_groups
-                    self._emit_telemetry(spans[index], groups, 0, groups if rewrote else 0)
+            self._commit_many(commits)
 
         if tail:
             # Same-key followers consume the labels this window just
@@ -219,4 +177,4 @@ class LblServer:
         return results
 
 
-__all__ = ["LblServer", "SERVER_SPAN"]
+__all__ = ["LblServer"]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -142,7 +141,6 @@ class _Flight:
     future: Future
     request_bytes: int
     span: "Span | None"
-    submitted_at: float
     resent: bool
 
 
@@ -326,34 +324,48 @@ class ShardedLblDeployment(OrtoaProtocol):
         if self.wal is not None:
             self.wal.checkpoint(self.proxy.counters())
 
+    def _prepare(
+        self, request: Request, parent: "Span | None"
+    ) -> tuple[LblAccessRequest, OpCounts, int]:
+        """``prepare_engine.prepare_one``, timed once when there is a
+        ``parent`` span (capture is on): the ``lbl.proxy.prepare`` child of
+        ``parent`` and the ``lbl.proxy.prepare.seconds`` observation are
+        the same two clock reads."""
+        if parent is None:
+            return self.prepare_engine.prepare_one(request)
+        span = TRACER.start_span("lbl.proxy.prepare", parent)
+        built = self.prepare_engine.prepare_one(request)
+        REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
+            TRACER.end(span).duration
+        )
+        return built
+
     def _send(self, index: int, request: Request, resent: bool = False) -> _Flight:
         """Prepare one request, log its epoch, and submit it to its shard.
 
-        Under observability the access gets a ``sharded.access`` span whose
-        context rides the mux frame, so the shard's spans parent under it.
+        Under observability the access is one ``sharded.access`` span, open
+        from prepare to finalize; its context rides the mux frame, so the
+        shard's span parents under it too.
         """
-        capture = _obs.enabled
-        started = time.perf_counter() if capture else 0.0
-        lbl_request, prepare_ops, epoch = self.prepare_engine.prepare_one(request)
-        payload = lbl_request.to_bytes()
-        if self.wal is not None:
-            self.wal.append(request.key, epoch)  # write-ahead: log, then send
-        shard = self.shard_of(request.key)
         span = context = None
-        submitted_at = 0.0
-        if capture:
-            REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
-                time.perf_counter() - started
-            )
-            span = TRACER.start_span(
-                "sharded.access", shard=shard, request_bytes=len(payload)
-            )
-            context = TraceContext.from_span(span).encode()
-            submitted_at = time.perf_counter()
-        future = self.clients[shard].submit(payload, trace_context=context)
+        if _obs.enabled:
+            span = TRACER.start_span("sharded.access", op=request.op.value)
+        try:
+            lbl_request, prepare_ops, epoch = self._prepare(request, span)
+            payload = lbl_request.to_bytes()
+            if self.wal is not None:
+                self.wal.append(request.key, epoch)  # write-ahead: log, then send
+            shard = self.shard_of(request.key)
+            if span is not None:
+                span.set_attributes(shard=shard, request_bytes=len(payload))
+                context = TraceContext.from_span(span).encode()
+            future = self.clients[shard].submit(payload, trace_context=context)
+        except BaseException:
+            if span is not None:  # its prepare may have ended: no orphan
+                TRACER.end(span)
+            raise
         return _Flight(
-            index, request, epoch, prepare_ops, future, len(payload), span,
-            submitted_at, resent,
+            index, request, epoch, prepare_ops, future, len(payload), span, resent
         )
 
     def _refused(self, key: str, epoch: int, resent: bool, shed: bool) -> bool:
@@ -379,24 +391,20 @@ class ShardedLblDeployment(OrtoaProtocol):
         request, span = flight.request, flight.span
         try:
             reply = flight.future.result(self.timeout)
+            response = LblAccessResponse.from_bytes(reply)
+            value, finalize_ops = self.proxy.finalize(
+                request.key, response, counter=flight.epoch
+            )
         except RefusedError as exc:
-            if span is not None:
-                TRACER.end(span)
             if self._refused(
                 request.key, flight.epoch, flight.resent,
                 isinstance(exc, OverloadError),
             ):
                 return self._send(flight.index, request, resent=True)
             raise
-        if span is not None:
-            REGISTRY.log_histogram("sharded.access.roundtrip.seconds").observe(
-                time.perf_counter() - flight.submitted_at
-            )
-            TRACER.end(span)
-        response = LblAccessResponse.from_bytes(reply)
-        value, finalize_ops = self.proxy.finalize(
-            request.key, response, counter=flight.epoch
-        )
+        finally:  # a failed access closes its span too: no orphaned children
+            if span is not None:
+                TRACER.end(span)
         if flight.resent:
             with self._resyncs_lock:
                 self.recovered_resyncs += 1
@@ -513,14 +521,12 @@ class ShardedLblDeployment(OrtoaProtocol):
             if not _obs.enabled:
                 return self._access_batch_inner(requests, None)
             with TRACER.span("sharded.batch", size=len(requests)) as batch_span:
-                return self._access_batch_inner(
-                    requests, TraceContext.from_span(batch_span).encode()
-                )
+                return self._access_batch_inner(requests, batch_span)
         finally:
             self._claims.release(keys)
 
     def _access_batch_inner(
-        self, requests: list[Request], batch_context: bytes | None
+        self, requests: list[Request], batch_span: "Span | None"
     ) -> list[AccessTranscript]:
         # Refuse a batch before any counter moves: a refusal between two
         # prepares would leave the earlier keys ahead of their shards, and
@@ -544,15 +550,9 @@ class ShardedLblDeployment(OrtoaProtocol):
             prepared and its epoch logged (write-ahead)."""
             head = bytes([LblBatchRequest.TAG])
             for index in indices:
-                capture = _obs.enabled
-                started = time.perf_counter() if capture else 0.0
-                wire, _ops, epoch = built[index] = self.prepare_engine.prepare_one(
-                    requests[index]
+                wire, _ops, epoch = built[index] = self._prepare(
+                    requests[index], batch_span
                 )
-                if capture:
-                    REGISTRY.log_histogram("lbl.proxy.prepare.seconds").observe(
-                        time.perf_counter() - started
-                    )
                 if self.wal is not None:
                     self.wal.append(requests[index].key, epoch)
                 data = wire.to_bytes()
@@ -561,6 +561,9 @@ class ShardedLblDeployment(OrtoaProtocol):
 
         # Each shard's frame goes out while it is prepared, and the shards
         # work concurrently while this thread blocks on the slowest one.
+        batch_context = (
+            None if batch_span is None else TraceContext.from_span(batch_span).encode()
+        )
         shard_futures = {}
         shard_wire_bytes = {}
         for shard, indices in by_shard.items():

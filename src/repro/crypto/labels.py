@@ -231,7 +231,7 @@ class LabelCodec:
             cipher = Cipher(algorithms.AES(self._block_key), modes.ECB())
             update = (cipher.decryptor() if invert else cipher.encryptor()).update
             setattr(self._local, name, update)
-        if _obs.enabled and not invert:
+        if not invert and _obs.enabled:
             for op, n in {"aes.blocks": len(blocks) // BLOCK, **(ops or {})}.items():
                 _ledger.add_op(op, n)
         return update(blocks)

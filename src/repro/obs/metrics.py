@@ -1,7 +1,7 @@
 """A small metrics registry: counters, gauges and log-bucket histograms.
 
 Instruments are created lazily by name
-(``REGISTRY.counter("lbl.server.requests")``) and accumulate until
+(``REGISTRY.counter("transport.requests_dispatched")``) and accumulate until
 :meth:`MetricsRegistry.reset`.  A snapshot is a plain nested dict of
 primitives, so it JSON-serializes directly and — because no wall-clock
 timestamps are baked in — is deterministic whenever the instrumented

@@ -141,7 +141,7 @@ class Tracer:
         """Open a span without making it current (manual API).
 
         Args:
-            name: Span name (dotted, e.g. ``"lbl.server.process"``).
+            name: Span name (dotted, e.g. ``"sharded.access"``).
             parent: Explicit parent; defaults to the context's current span.
             root: Force a new root span even if a current span exists.
             **attributes: Initial attributes.

@@ -586,10 +586,10 @@ class LeakyLblServer(LblServer):
         super().__init__()
         self.current_op: Operation | None = None
 
-    def _commit_many(self, items) -> list[bool]:
+    def _commit_many(self, items) -> None:
         if self.current_op is not None and self.current_op.is_read:
-            return [False] * len(items)  # leak: reads leave storage untouched
-        return super()._commit_many(items)
+            return  # leak: reads leave storage untouched
+        super()._commit_many(items)
 
 
 class LeakyLblOrtoa(LblOrtoa):

@@ -10,6 +10,12 @@ Two backings:
   process (spawn start method), so shard *compute* parallelizes across
   physical cores where the machine has them.
 
+Either way a shard captures spans and metrics when this process has capture
+on at :meth:`ShardCluster.start`: a thread-backed shard shares this
+process's switch, and a process-backed shard turns its own on at boot and
+answers the obs control frame with what it recorded.  Capture turned on
+after the boot does not reach a process-backed shard.
+
 The loopback measurements over a cluster are
 :func:`repro.harness.experiments.sharded_scaling` and
 :func:`~repro.harness.experiments.pipeline_depth_sweep`.
@@ -20,15 +26,16 @@ from __future__ import annotations
 import multiprocessing
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.obs import _state as _obs
 from repro.transport.server import LblTcpServer
 
 
 def _serve_shard(conn, response_delay_s: float, metrics: bool,
-                 enable_obs: bool) -> None:  # pragma: no cover - child process
+                 capture: bool) -> None:  # pragma: no cover - child process
     """Child-process entry point: bind, report the addresses, serve forever."""
     from repro import obs
 
-    if enable_obs:
+    if capture:
         # The child records into its own tracer/registry; the trusted side
         # pulls the dump over an OBS_PULL control frame and merges it.
         obs.enable()
@@ -51,11 +58,6 @@ class ShardCluster:
         metrics: Give every shard a metrics endpoint answering its
             registry's JSON snapshot on an ephemeral port (read
             ``metrics_addresses``; ``repro doctor`` reads them).
-        enable_obs: Enable span/metric capture inside *process-backed*
-            shards, so their telemetry can be pulled back over the obs
-            control frame at shutdown.  Ignored for in-process shards,
-            which share this process's global tracer — the caller already
-            controls that with :func:`repro.obs.enable`.
     """
 
     def __init__(
@@ -64,7 +66,6 @@ class ShardCluster:
         in_process: bool = True,
         response_delay_s: float = 0.0,
         metrics: bool = False,
-        enable_obs: bool = False,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
@@ -72,7 +73,6 @@ class ShardCluster:
         self.in_process = in_process
         self.response_delay_s = response_delay_s
         self.metrics = metrics
-        self.enable_obs = enable_obs
         self.addresses: list[tuple[str, int]] = []
         self.metrics_addresses: list[tuple[str, int] | None] = []
         self.servers: list = []  # LblTcpServer when in_process
@@ -98,12 +98,7 @@ class ShardCluster:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_serve_shard,
-                    args=(
-                        child_conn,
-                        self.response_delay_s,
-                        self.metrics,
-                        self.enable_obs,
-                    ),
+                    args=(child_conn, self.response_delay_s, self.metrics, _obs.enabled),
                     daemon=True,
                 )
                 process.start()

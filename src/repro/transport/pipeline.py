@@ -39,8 +39,6 @@ from repro.errors import OverloadError, ProtocolError, RefusedError
 from repro.obs import _state as _obs
 from repro.obs import ledger as _ledger
 from repro.obs.metrics import REGISTRY
-from repro.obs.propagate import TraceContext
-from repro.obs.trace import TRACER
 from repro.transport import framing
 from repro.transport.server import ERROR_TAG, OVERLOAD_FRAME, LblFrameDispatcher
 
@@ -225,12 +223,10 @@ class PipelinedLblClient:
         :data:`MAX_IN_FLIGHT_PER_CONNECTION` requests in flight, reads its
         replies until one is in.
         ``trace_context`` is the optional 16-byte extension produced by
-        :meth:`~repro.obs.propagate.TraceContext.encode`; when omitted and
-        observability is enabled, the calling context's current span (if
-        any) is propagated automatically, so server-side spans parent
-        under the client span that caused them.  The client-observed round
-        trip (submit to reply) lands in the
-        ``transport.pipeline.roundtrip.seconds`` log histogram.
+        :meth:`~repro.obs.propagate.TraceContext.encode`, which the shard's
+        span parents under; a traced caller passes its own span's.  Under
+        capture the client-observed round trip (submit to reply) lands in
+        the ``transport.pipeline.roundtrip.seconds`` log histogram.
 
         The future fails with :class:`~repro.errors.RefusedError` if the
         server answered with an error frame
@@ -244,10 +240,6 @@ class PipelinedLblClient:
         if pieces:
             pieces = iter(pieces)
             payload = next(pieces)
-        if _obs.enabled and trace_context is None:
-            span = TRACER.current_span()
-            if span is not None:
-                trace_context = TraceContext.from_span(span).encode()
         conn = self._conn
         request_id = next(self._ids)
         # Before anything is registered: a bad trace context or size raises.
@@ -280,9 +272,8 @@ class PipelinedLblClient:
                     roundtrip.observe(time.perf_counter() - submitted_at)
 
             future.add_done_callback(_observe)
+            _ledger.count_wire(_ledger.frame_type(payload), "sent", 4 + size)
         try:
-            if _obs.enabled:
-                _ledger.count_wire(_ledger.frame_type(payload), "sent", 4 + size)
             with conn.send_lock:
                 framing.send_frame(conn.sock, wrapped, size, pieces)
         except BaseException as exc:
@@ -322,10 +313,13 @@ class LocalLink:
         self.dispatcher = dispatcher or LblFrameDispatcher()
 
     def submit(self, payload, trace_context: bytes | None = None) -> Future:
-        """Dispatch one payload, joined; the future is already complete."""
+        """Dispatch one payload, joined; the future is already complete.
+        Under capture the shard's span parents under ``trace_context``, as
+        over TCP."""
         payload = joined(payload)
-        reply = self.dispatcher.safe_dispatch(payload)
-        if _obs.enabled:
+        capture = _obs.enabled
+        reply = self.dispatcher.serve(payload, trace_context, capture)
+        if capture:
             for direction, data in (("sent", payload), ("received", reply)):
                 frame = _ledger.frame_type(data)
                 _ledger.count_wire(frame, direction, len(data), role="local")

@@ -263,17 +263,27 @@ class LblFrameDispatcher:
         bundle = {"spans": TRACER.export(), "metrics": REGISTRY.snapshot()}
         return bytes([OBS_DUMP_TAG]) + json.dumps(bundle, default=str).encode("utf-8")
 
+    def serve(
+        self, inner: "bytes | framing.Arriving", trace_context: bytes | None, capture: bool
+    ) -> bytes:
+        """The reply to one request frame: :meth:`traced_dispatch` when
+        ``capture`` (the caller's one read of the switch), else
+        :meth:`safe_dispatch`.  Both links serve through it, so a shard's
+        span joins the access's trace in process as over TCP."""
+        if capture:
+            return self.traced_dispatch(inner, trace_context)
+        return self.safe_dispatch(inner)
+
     def traced_dispatch(self, inner: bytes, trace_context: bytes | None) -> bytes:
         """:meth:`safe_dispatch` as one traced request: span and service
         histogram.
 
-        The span parents under the propagated client context and marks
+        The ``transport.server.request`` span is the shard's one span of a
+        frame.  It parents under the propagated client context and marks
         itself :data:`~repro.obs.propagate.REMOTE_PARENT_ATTR` so a
         cross-process merge keeps its parent link pointing at the client
-        span; making it the context's current span lets the nested
-        ``lbl.server.process`` span parent locally under it.  Service
-        time lands in the ``transport.server.service.seconds`` log
-        histogram.
+        span.  Service time lands in the
+        ``transport.server.service.seconds`` log histogram.
         """
         start = time.perf_counter()
         parent = None
@@ -447,7 +457,8 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             else:
                 self.overloads_sent += 1
             depth = self.in_flight
-        if _obs.enabled:
+        capture = _obs.enabled  # one read serves the whole frame
+        if capture:
             _ledger.count_wire(
                 _ledger.frame_type(inner), "received", frame_bytes, role="server"
             )
@@ -457,17 +468,14 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
             REGISTRY.gauge("transport.server.in_flight").set(depth)
         if not admitted:
             reply = framing.wrap_mux(request_id, OVERLOAD_FRAME)
-            if _obs.enabled:
+            if capture:
                 REGISTRY.counter("transport.overload_frames_sent").inc()
                 _ledger.count_wire("overload", "sent", 4 + len(reply), role="server")
             return reply
         try:
             if self.response_delay_s:
                 time.sleep(self.response_delay_s)
-            if _obs.enabled:
-                reply = self.dispatcher.traced_dispatch(inner, trace_context)
-            else:
-                reply = self.dispatcher.safe_dispatch(inner)
+            reply = self.dispatcher.serve(inner, trace_context, capture)
         finally:  # the slot goes back even if dispatch raised
             with self._lock:
                 self.in_flight -= 1
@@ -475,7 +483,7 @@ class LblTcpServer(socketserver.ThreadingTCPServer):
                     self._drained.notify_all()
                 depth = self.in_flight
         wrapped = framing.wrap_mux(request_id, reply)
-        if _obs.enabled:
+        if capture:
             REGISTRY.gauge("transport.server.in_flight").set(depth)
             _ledger.count_wire(
                 _ledger.frame_type(reply), "sent", 4 + len(wrapped), role="server"

@@ -122,7 +122,7 @@ def test_obs_command_passes_on_honest_protocol(capsys):
             assert f"[ok  ] {path} / {claim}: " in out
         assert f"[n/a ] {path} / shape identity, storage: not observed" in out
     # The shards' counters are pulled back and printed with this process's.
-    assert "lbl.server.decrypt_attempts" in out
+    assert "ledger.ops.aead.decrypts" in out
 
 
 def test_obs_command_fails_on_leaky_control(tmp_path, capsys):

@@ -268,13 +268,11 @@ def test_process_backed_deployment_never_reads_healthy():
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
 
-    with ShardCluster(
-        2, in_process=False, metrics=True, enable_obs=True
-    ) as cluster:
+    obs.enable()  # before the boot: a process-backed shard captures from it
+    with ShardCluster(2, in_process=False, metrics=True) as cluster:
         deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
         try:
             deployment.initialize({f"p-{i}": b"v" for i in range(8)})
-            obs.enable()
             for i in range(8):
                 deployment.access(Request.read(f"p-{i}"))
             lines: list[str] = []
@@ -299,9 +297,8 @@ def test_idle_process_backed_shards_read_up_and_incomplete():
     so it is up, and the verdict is incomplete, not unreachable."""
     from repro.transport.cluster import ShardCluster
 
-    with ShardCluster(
-        2, in_process=False, metrics=True, enable_obs=True
-    ) as cluster:
+    obs.enable()
+    with ShardCluster(2, in_process=False, metrics=True) as cluster:
         targets = [f"{host}:{port}" for host, port in cluster.metrics_addresses]
         signals = collect_signals(targets, interval_s=0.05)
     assert [signal["up"] for signal in signals] == [True, True]

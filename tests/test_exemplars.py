@@ -2,8 +2,8 @@
 
 The view sorts the merged span list's ``sharded.access`` roots by duration,
 so it is exact over the whole run: the trees it prints are the N longest
-roots, slowest first, each with its request's bytes and the shard's spans
-nested under it.
+roots, slowest first, each with its request's bytes, its prepare and the
+shard's span nested under it.
 """
 
 import re
@@ -52,9 +52,9 @@ def test_exemplars_view_prints_the_slowest_roots_with_server_spans_nested(capsys
         lines = block.splitlines()[1:]
         assert lines[0] == f"  {root['attributes']['request_bytes']} request bytes"
         (access,) = [line for line in lines if "sharded.access" in line]
+        (prepare,) = [line for line in lines if "lbl.proxy.prepare" in line]
         (request,) = [line for line in lines if "transport.server.request" in line]
-        (process,) = [line for line in lines if "lbl.server.process" in line]
-        assert _indent(access) < _indent(request) < _indent(process)
+        assert _indent(access) < _indent(prepare) == _indent(request)
         shown.append(float(access.split()[1]))
     assert shown == sorted(shown, reverse=True)
     assert shown[-1] >= round(roots[3]["duration"] * 1e3, 2)

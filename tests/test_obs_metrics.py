@@ -152,8 +152,7 @@ def test_global_registry_collects_lbl_decrypt_counts():
         protocol.access(Request.read("k"))
         counters = obs.REGISTRY.snapshot()["counters"]
     obs.reset()
-    assert counters["lbl.server.requests"] == 1
     # Point-and-permute: exactly one decrypt per group.
-    assert counters["lbl.server.decrypt_attempts"] == config.num_groups
-    assert counters["lbl.server.failed_decrypts"] == 0
+    assert counters["ledger.ops.aead.decrypts"] == config.num_groups
+    assert counters.get("ledger.ops.aead.decrypt_failures", 0) == 0
     assert counters["ledger.ops.aead.encrypts"] == config.num_groups * 2 ** config.group_bits

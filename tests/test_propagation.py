@@ -1,18 +1,22 @@
 """Trace-context propagation: wire format, span-dump merging, end to end.
 
-The headline property (ISSUE 4's acceptance criterion): a sharded run with
-tracing enabled produces ONE merged trace in which every server-side
-request span is a descendant of the client access span that caused it —
-in-process (shared tracer) and across processes (dumps pulled over the
-obs control frame and merged).
+The headline property: a sharded run with tracing enabled produces ONE
+merged trace in which every server-side request span is a descendant of
+the client access span that caused it — in-process (shared tracer) and
+across processes (dumps pulled over the obs control frame and merged) —
+and each access call leaves one tree, its prepare and its shard's span
+inside it.
 """
+
+from concurrent.futures import Future
+from contextlib import ExitStack
 
 import pytest
 
 from repro import obs
-from repro.core.sharded import ShardedLblDeployment
+from repro.core.sharded import LblOrtoa, ShardedLblDeployment
 from repro.crypto.keys import KeyChain
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TamperDetectedError
 from repro.obs.propagate import (
     REMOTE_PARENT_ATTR,
     TRACE_CONTEXT_BYTES,
@@ -223,7 +227,8 @@ def test_inprocess_sharded_trace_links_server_to_client():
 def test_process_backed_sharded_trace_merges_into_one_forest():
     """The acceptance criterion: dumps pulled over the wire, ids remapped,
     every server span still a descendant of its client access span."""
-    with ShardCluster(2, in_process=False, enable_obs=True) as cluster:
+    obs.enable()  # before the boot: a process-backed shard captures from it
+    with ShardCluster(2, in_process=False) as cluster:
         deployment = ShardedLblDeployment(
             CONFIG,
             cluster.addresses,
@@ -244,3 +249,75 @@ def test_process_backed_sharded_trace_merges_into_one_forest():
         if s["name"] == "transport.server.request"
     }
     assert processes == {"shard-0", "shard-1"}  # spans from both processes
+
+
+@pytest.mark.parametrize("path", ["access", "access_pipelined", "access_batch"])
+@pytest.mark.parametrize("link", ["tcp", "local"])
+def test_each_call_leaves_one_tree(link, path):
+    """Over a thread-backed TCP shard and over :class:`LblOrtoa`'s local
+    link, every prepare and every access or batch frame's server span sits
+    under its call's root: one ``sharded.access`` root per request, one
+    ``sharded.batch`` root per batch, and no other root."""
+    records = {f"t-{i}": f"v{i}".encode() for i in range(4)}
+    requests = [
+        Request.read(key) if i % 2 else Request.write(key, bytes(16))
+        for i, key in enumerate(records)
+    ]
+    with ExitStack() as stack:
+        if link == "tcp":
+            cluster = stack.enter_context(ShardCluster(1))
+            deployment = ShardedLblDeployment(CONFIG, cluster.addresses)
+        else:
+            deployment = LblOrtoa(CONFIG)
+        stack.callback(deployment.close)
+        deployment.initialize(records)
+        obs.enable()
+        if path == "access":
+            for request in requests:
+                deployment.access(request)
+        else:
+            getattr(deployment, path)(requests)
+        obs.disable()
+    spans = TRACER.export()
+    root = "sharded.batch" if path == "access_batch" else "sharded.access"
+    frames = 1 if path == "access_batch" else len(requests)
+    assert [span["name"] for span in trace_roots(spans)] == [root] * frames
+    index = spans_by_id(spans)
+    for name, count in (
+        ("lbl.proxy.prepare", len(requests)),
+        ("transport.server.request", frames),
+    ):
+        layer = [span for span in spans if span["name"] == name]
+        assert len(layer) == count, name
+        for span in layer:
+            assert ancestor_chain(span, index)[-1]["name"] == root, span
+
+
+def test_an_access_that_fails_finalize_still_closes_its_tree():
+    """A reply that fails its integrity check ends the access's span too, so
+    the prepare and server spans under it are not left orphaned."""
+    deployment = LblOrtoa(CONFIG)
+    deployment.initialize({"k": b"v"})
+    link = deployment.clients[0]
+
+    class _FlipLastReplyBit:
+        def submit(self, payload, trace_context=None):
+            reply = link.submit(payload, trace_context).result()
+            future: Future = Future()
+            future.set_result(reply[:-1] + bytes([reply[-1] ^ 1]))
+            return future
+
+        def close(self):
+            link.close()
+
+    deployment.clients[0] = _FlipLastReplyBit()
+    obs.enable()
+    try:
+        with pytest.raises(TamperDetectedError):
+            deployment.access(Request.read("k"))
+    finally:
+        obs.disable()
+        deployment.close()
+    spans = TRACER.export()
+    assert [span["name"] for span in trace_roots(spans)] == ["sharded.access"]
+    assert len(spans) == 3 and orphan_spans(spans) == []

@@ -268,7 +268,7 @@ def test_repeated_block_adversary_wins_against_a_fixed_nonce(monkeypatch):
 
 def _refused(store: LblOrtoa, request: LblAccessRequest):
     """Process ``request`` expecting a refusal; returns (error, how far the
-    ``lbl.server.*`` counters moved, plus the rows that opened)."""
+    ledger's row-open totals moved)."""
     encoded = request.encoded_key
     before = store.server.store.get(encoded)
     puts = store.server.store.put_count
@@ -284,11 +284,9 @@ def _refused(store: LblOrtoa, request: LblAccessRequest):
     assert store.server.store.put_count == puts
     assert store.server.store.get(encoded) == before
     seen = {
-        name: counters.get(f"lbl.server.{name}", 0)
-        for name in ("requests", "decrypt_attempts", "failed_decrypts", "labels_rewritten")
+        name: counters.get(f"ledger.ops.aead.{name}", 0)
+        for name in ("decrypts", "decrypt_failures")
     }
-    assert seen["requests"] == 1
-    seen["opened_labels"] = seen["decrypt_attempts"] - seen["failed_decrypts"]
     return excinfo.value, seen
 
 
@@ -315,8 +313,8 @@ def test_request_one_epoch_ahead_is_refused_before_commit():
     ahead, _ops = store.proxy.prepare(Request.read("k"))
     error, seen = _refused(store, ahead)
     assert str(error) == "designated entry failed to open at group 0"
-    assert seen["decrypt_attempts"] == seen["failed_decrypts"] == ahead.num_groups
-    assert seen["opened_labels"] == seen["labels_rewritten"] == 0
+    assert seen["decrypt_failures"] == ahead.num_groups
+    assert seen["decrypts"] == 0
     # Rolling back (what a deployment's WAL resync does) re-synchronizes the key.
     store.proxy.force_counter("k", 0)
     assert store.read("k") == STORED
@@ -331,7 +329,7 @@ def test_replayed_stale_epoch_slab_is_refused_before_commit():
     assert store.proxy.finalize("k", response)[0] == WRITTEN
     error, seen = _refused(store, applied)
     assert str(error) == "designated entry failed to open at group 0"
-    assert seen["failed_decrypts"] == applied.num_groups
+    assert seen["decrypt_failures"] == applied.num_groups
     assert store.read("k") == WRITTEN
 
 
@@ -349,7 +347,7 @@ def test_wrong_or_missing_nonce_is_refused_before_commit(nonce):
     else:
         error, seen = _refused(store, dataclasses.replace(built, nonce=nonce))
         assert str(error) == "designated entry failed to open at group 0"
-        assert seen["failed_decrypts"] == built.num_groups  # one per refused row
+        assert seen["decrypt_failures"] == built.num_groups  # one per refused row
     # The untouched request still applies afterwards.
     response, _server_ops = store.server.process(built)
     assert store.proxy.finalize("k", response)[0] == WRITTEN
@@ -365,8 +363,8 @@ def test_flipped_check_bit_in_a_designated_row_is_refused_before_commit(check_by
     position = built.entry_len + check_byte
     error, seen = _refused(store, _flip(built, 0, slot, position, bit=3))
     assert str(error) == "designated entry failed to open at group 0"
-    assert seen["decrypt_attempts"] == built.num_groups
-    assert seen["failed_decrypts"] == built.num_groups
+    assert seen["decrypt_failures"] == built.num_groups
+    assert seen["decrypts"] == 0
     # A flip in a row the server was *not* told to open is never looked at.
     other = _flip(built, 0, slot ^ 1, position)
     response, _server_ops = store.server.process(other)

@@ -10,8 +10,8 @@ nothing else.  These tests pin the transparency claims:
   small sequential oracle written in this file: any windowing of any
   interleaving (same-key chains, corrupt ciphertexts, missing keys) yields
   exactly the oracle's responses, errors, op counts, final label state,
-  storage access counts and — with capture on — one span per request
-  (its ``error`` attribute included) and the ``lbl.server.*`` counters;
+  storage access counts and — with capture on — the ledger's row-open
+  totals (``aead.decrypts`` / ``aead.decrypt_failures``);
 * fusion — a window of distinct present keys is exactly one storage
   multi-get, one window-wide ``rows.open_rows`` (a run of rows per
   request, each under its own nonce), one storage multi-put;
@@ -21,8 +21,7 @@ nothing else.  These tests pin the transparency claims:
 * attribution — a two-request batch moves the ledger's totals by exactly
   the sum of both requests' cost models (``run_model_check``'s ``batch``
   cell);
-* error-path telemetry — failed opens emit their span and
-  ``lbl.server.*`` counters too.
+* error-path telemetry — failed opens move the ledger's totals too.
 """
 
 import dataclasses
@@ -34,7 +33,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.base import OpCounts
 from repro.core.lbl import LblOrtoa
-from repro.core.lbl.server import SERVER_SPAN, LblServer
+from repro.core.lbl.server import LblServer
 from repro.core.messages import LblAccessRequest
 from repro.crypto import rows
 from repro.errors import KeyNotFoundError, OrtoaError, ProtocolError
@@ -132,8 +131,7 @@ class _SequentialOracle:
     get → open the designated slot of every group → rotate → put.  Shares
     no code with :class:`LblServer`: it opens each request one row and one
     block at a time with :func:`lbl_reference.open_request`, and keeps its
-    own storage access counts and the observation record the server must
-    emit.
+    own storage access counts and the row opens the ledger must count.
     """
 
     def __init__(self, server: LblServer) -> None:
@@ -161,9 +159,9 @@ class _SequentialOracle:
         return opened
 
     def access(self, request: LblAccessRequest) -> tuple[tuple, dict]:
-        """One access: ``(outcome, what the server's counters and span must
-        record for it)``."""
-        seen = dict(decrypt_attempts=0, failed_decrypts=0, labels_rewritten=0)
+        """One access: ``(outcome, the row opens the ledger must count for
+        it)``."""
+        seen = dict(decrypt_attempts=0, failed_decrypts=0)
         self.gets += 1
         try:
             stored = self.state.get(request.encoded_key)
@@ -173,11 +171,9 @@ class _SequentialOracle:
                 )
             updated = self._open(request, stored, seen)
         except OrtoaError as exc:
-            seen["error"] = str(exc)
             return ("err", type(exc).__name__, str(exc)), seen
         self.state[request.encoded_key] = updated
         self.puts += 1
-        seen["labels_rewritten"] = len(updated) // request.entry_len
         reply = lbl_reference.reply(
             updated, request.entry_len, request.table_size.bit_length() - 1
         )
@@ -232,7 +228,6 @@ def test_fused_window_equals_sequential_loop(capture, window_size, workload):
                     actual.append(exc)
             else:
                 actual += server.process_many(window)
-        spans = [s["attributes"] for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
         counters = obs.REGISTRY.snapshot()["counters"]
     finally:
         obs.disable()
@@ -244,21 +239,13 @@ def test_fused_window_equals_sequential_loop(capture, window_size, workload):
     assert server.store.get_count - gets == oracle.gets
     assert server.store.put_count - puts == oracle.puts
     if not capture:
-        assert spans == []
+        assert not any(counters.values())  # nothing moves with capture off
         return
     records = [seen for _outcome, seen in expected]
-    # One span per request; a window may finish different keys out of
-    # arrival order, so the spans' error attributes are compared as a bag.
-    assert sorted(span.get("error", "") for span in spans) == sorted(
-        record.get("error", "") for record in records
-    )
-    for counter, attribute in (
-        ("lbl.server.decrypt_attempts", "decrypt_attempts"),
-        ("lbl.server.failed_decrypts", "failed_decrypts"),
-        ("lbl.server.labels_rewritten", "labels_rewritten"),
-    ):
-        assert counters.get(counter, 0) == sum(r[attribute] for r in records)
-    assert counters.get("lbl.server.requests", 0) == len(records)
+    failed = sum(r["failed_decrypts"] for r in records)
+    opened = sum(r["decrypt_attempts"] for r in records) - failed
+    assert counters.get("ledger.ops.aead.decrypts", 0) == opened
+    assert counters.get("ledger.ops.aead.decrypt_failures", 0) == failed
 
 
 def test_same_key_chain_preserves_rotation_order():
@@ -449,7 +436,7 @@ def test_model_check_batch_cell_is_exact():
 
 
 # --------------------------------------------------------------------- #
-# Satellite bugfix: error paths emit spans and counters
+# Satellite bugfix: error paths move the ledger's totals
 # --------------------------------------------------------------------- #
 
 def test_point_and_permute_error_path_emits_span_and_counters():
@@ -460,12 +447,7 @@ def test_point_and_permute_error_path_emits_span_and_counters():
     with pytest.raises(ProtocolError):
         store.server.process(corrupt)
     counters = obs.REGISTRY.snapshot()["counters"]
-    assert counters.get("lbl.server.requests", 0) == 1
-    num_groups = built.num_groups
     # open_rows attempted every designated row; group 0's check failed, and
     # a wrong key for group 0 is one for every group.
-    assert counters.get("lbl.server.decrypt_attempts", 0) == num_groups
-    assert counters.get("lbl.server.failed_decrypts", 0) == num_groups
-    spans = [s for s in obs.TRACER.export() if s["name"] == SERVER_SPAN]
-    assert len(spans) == 1
-    assert "error" in spans[0]["attributes"]
+    assert counters.get("ledger.ops.aead.decrypt_failures", 0) == built.num_groups
+    assert counters.get("ledger.ops.aead.decrypts", 0) == 0
